@@ -12,7 +12,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint race cover faults ckpt jobd-e2e check bench bench-insitu bench-balance bench-density bench-oocore
+.PHONY: build test vet lint race cover faults ckpt jobd-e2e bench-module check bench bench-stack bench-insitu bench-balance bench-density bench-oocore
 
 build:
 	$(GO) build ./...
@@ -71,11 +71,23 @@ jobd-e2e:
 ckpt:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'CrashResume|CheckpointResume|ResumeValidation|StepFromFileSource' .
 
-check: vet lint race cover faults ckpt jobd-e2e
+# The stack benchmark is a nested module (bench/go.mod), which `./...`
+# from the root does not walk: vet it and run its tests (8^3 particles, two
+# ops per workload, every oracle, BENCHMARK.json drift) on their own.
+bench-module:
+	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
+
+check: vet lint race cover faults ckpt jobd-e2e bench-module
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench 'ComputeParallelism|ComputeCellAllocs' -benchmem -benchtime 2x .
+
+# The whole-stack benchmark (bench/README.md): every workload, one record
+# line per run, named after the commit. A performance claim needs paired
+# runs against its parent instead: scripts/benchpairs.sh <base-ref>.
+bench-stack:
+	bash bench/run.sh -out bench/out/$$(git rev-parse --short HEAD).json
 
 # Persistent-session benchmark: cold (Run per step) vs warm (Session.Step)
 # on evolving N-body snapshots; writes BENCH_insitu.json.

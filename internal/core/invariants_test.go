@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/meshio"
@@ -174,6 +175,55 @@ func TestRunRecorderSnapshot(t *testing.T) {
 	}
 	if s.ComputeImbalance < 1.0 {
 		t.Errorf("compute imbalance %g < 1", s.ComputeImbalance)
+	}
+}
+
+// The kernel-* counters expose the clipping sweep's candidate funnel per
+// rank: each stage is a subset of the one before, every site visits a shell
+// and is cut by at least the planes that became its faces, and the counts
+// are a function of the input alone — the same whatever the worker fan-out.
+func TestKernelCountersFunnel(t *testing.T) {
+	const L = 8.0
+	ps := perturbedParticles(rand.New(rand.NewSource(43)), 6, L, 0.8)
+	const blocks = 2
+	funnel := []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted, CounterKernelTested, CounterKernelCut}
+	var first map[string][]int64
+	for _, workers := range []int{1, 4} {
+		cfg := baseConfig(L)
+		cfg.Workers = workers
+		cfg.Recorder = obs.NewRecorder(blocks)
+		out, err := Run(cfg, ps, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := out.Obs.Counters
+		for rank := 0; rank < blocks; rank++ {
+			sites := c[CounterSites][rank]
+			var faces int64
+			for _, cell := range out.Meshes[rank].Cells {
+				faces += int64(len(cell.Faces))
+			}
+			if c[CounterKernelShells][rank] < sites || c[CounterKernelCut][rank] < faces || faces == 0 {
+				t.Errorf("workers %d rank %d: %d shells for %d sites, %d cuts for %d faces",
+					workers, rank, c[CounterKernelShells][rank], sites, c[CounterKernelCut][rank], faces)
+			}
+			// From gathered on, each stage is drawn from the one before.
+			for i := 2; i < len(funnel); i++ {
+				if c[funnel[i]][rank] > c[funnel[i-1]][rank] {
+					t.Errorf("workers %d rank %d: %s %d exceeds %s %d", workers, rank,
+						funnel[i], c[funnel[i]][rank], funnel[i-1], c[funnel[i-1]][rank])
+				}
+			}
+		}
+		if first == nil {
+			first = c
+			continue
+		}
+		for _, name := range funnel {
+			if !reflect.DeepEqual(c[name], first[name]) {
+				t.Errorf("%s: %v with %d workers, %v with 1", name, c[name], workers, first[name])
+			}
+		}
 	}
 }
 

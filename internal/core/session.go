@@ -169,7 +169,7 @@ func OpenSession(cfg Config, numBlocks int) (*Session, error) {
 		}
 		// Pre-register the pipeline counters so concurrent ranks never race
 		// a first-use registration against in-flight Count calls.
-		registerCounters(cfg.Recorder)
+		countBlock(cfg.Recorder, 0, new(BlockResult))
 		s.warmID = cfg.Recorder.RegisterCounter(CounterSitesWarm)
 		s.coldID = cfg.Recorder.RegisterCounter(CounterSitesCold)
 		s.w.SetRecorder(cfg.Recorder)
@@ -515,14 +515,9 @@ func (s *Session) tessellateRank(rank int, outputPath string) (*BlockResult, Tim
 	tm.Output = time.Since(t0)
 	tm.Total = time.Since(start)
 	inj.Checkpoint(rank, "done")
-	if rec != nil {
-		ghostsID, keptID, sitesID := registerCounters(rec)
-		rec.Count(rank, ghostsID, int64(res.Ghosts))
-		rec.Count(rank, keptID, res.Counts.Kept)
-		rec.Count(rank, sitesID, res.Counts.Sites)
-		rec.Count(rank, s.warmID, int64(warm))
-		rec.Count(rank, s.coldID, int64(cold))
-	}
+	countBlock(rec, rank, res)
+	rec.Count(rank, s.warmID, int64(warm))
+	rec.Count(rank, s.coldID, int64(cold))
 	return res, tm, nil
 }
 

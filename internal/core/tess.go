@@ -138,19 +138,45 @@ type Config struct {
 	injector *faultinject.Injector
 }
 
-// Names of the registered pipeline counters in Config.Recorder.
+// Names of the registered pipeline counters in Config.Recorder. The
+// kernel-* counters are the clipping sweep's candidate funnel
+// (voronoi.KernelCounts), summed over the rank's sites: divided by
+// CounterSites they say why a cell cost what it cost.
 const (
-	CounterGhosts    = "ghosts-recvd"
-	CounterCellsKept = "cells-kept"
-	CounterSites     = "sites"
+	CounterGhosts         = "ghosts-recvd"
+	CounterCellsKept      = "cells-kept"
+	CounterSites          = "sites"
+	CounterKernelShells   = "kernel-shells"
+	CounterKernelGathered = "kernel-gathered"
+	CounterKernelSorted   = "kernel-sorted"
+	CounterKernelTested   = "kernel-tested"
+	CounterKernelCut      = "kernel-cut"
 )
 
-// registerCounters resolves the pipeline counter IDs (idempotent; see
-// obs.RegisterCounter).
-func registerCounters(rec *obs.Recorder) (ghosts, kept, sites obs.CounterID) {
-	return rec.RegisterCounter(CounterGhosts),
-		rec.RegisterCounter(CounterCellsKept),
-		rec.RegisterCounter(CounterSites)
+// countBlock adds one rank's pipeline and kernel counters to rec, resolving
+// the names on the way (idempotent; see obs.RegisterCounter). The drivers
+// count a zero BlockResult before their ranks start, so every name is
+// registered, in this order, before any rank counts.
+func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
+	if rec == nil {
+		return
+	}
+	k := res.Kernel
+	for _, c := range [...]struct {
+		name string
+		n    int64
+	}{
+		{CounterGhosts, int64(res.Ghosts)},
+		{CounterCellsKept, res.Counts.Kept},
+		{CounterSites, res.Counts.Sites},
+		{CounterKernelShells, k.Shells},
+		{CounterKernelGathered, k.Gathered},
+		{CounterKernelSorted, k.Sorted},
+		{CounterKernelTested, k.Tested},
+		{CounterKernelCut, k.Cut},
+	} {
+		rec.Count(rank, rec.RegisterCounter(c.name), c.n)
+	}
 }
 
 // EffectiveWorkers resolves cfg.Workers for a run with concurrentRanks
@@ -202,6 +228,8 @@ type BlockResult struct {
 	Counts CellCounts
 	// Ghosts is the number of ghost particles received.
 	Ghosts int
+	// Kernel is the clipping sweep's candidate funnel over the rank's sites.
+	Kernel voronoi.KernelCounts
 }
 
 // ValidateGhost checks that the ghost size does not exceed what the
@@ -304,12 +332,7 @@ func TessellateBlock(w *comm.World, d *diy.Decomposition, rank int, local []diy.
 	tm.Output = time.Since(t0)
 	tm.Total = time.Since(start)
 	inj.Checkpoint(rank, "done")
-	if rec != nil {
-		ghostsID, keptID, sitesID := registerCounters(rec)
-		rec.Count(rank, ghostsID, int64(res.Ghosts))
-		rec.Count(rank, keptID, res.Counts.Kept)
-		rec.Count(rank, sitesID, res.Counts.Sites)
-	}
+	countBlock(rec, rank, res)
 	return res, tm, nil
 }
 
@@ -509,8 +532,12 @@ func computeIndexedCellsIn(bi *blockIndex, local []diy.Particle, cfg Config, wor
 			cb.kept = append(cb.kept, c)
 		}
 	}
+	var kernel voronoi.KernelCounts
+	for _, s := range cb.scratches[:workers] {
+		kernel.Add(s.TakeCounts())
+	}
 	mesh := cb.mb.Build(cb.kept, bi.bounds, 0)
-	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts}, nil
+	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts, Kernel: kernel}, nil
 }
 
 // cellDiameter2 returns the maximum squared pairwise vertex distance, for

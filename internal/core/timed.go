@@ -55,7 +55,7 @@ func RunTimed(cfg Config, particles []diy.Particle, numBlocks int) (*TimedOutput
 		if rec.Ranks() != numBlocks {
 			return nil, fmt.Errorf("core: recorder sized for %d ranks, run has %d blocks", rec.Ranks(), numBlocks)
 		}
-		registerCounters(rec)
+		countBlock(rec, 0, new(BlockResult))
 	}
 	var inj *faultinject.Injector
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
@@ -179,11 +179,6 @@ func runTimedRank(cfg Config, d *diy.Decomposition, parts [][]diy.Particle, rank
 	rec.End(rank, sp)
 	out.PerRankCompute[rank] = time.Since(t0)
 
-	if rec != nil {
-		ghostsID, keptID, sitesID := registerCounters(rec)
-		rec.Count(rank, ghostsID, int64(res.Ghosts))
-		rec.Count(rank, keptID, res.Counts.Kept)
-		rec.Count(rank, sitesID, res.Counts.Sites)
-	}
+	countBlock(rec, rank, res)
 	return res, nil
 }

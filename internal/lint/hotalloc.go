@@ -11,8 +11,8 @@ import (
 //
 //   - sort.Slice / sort.SliceStable anywhere in the package: the
 //     less-closure escapes into sort's reflect-based machinery and
-//     allocates on every call; hot code uses the closure-free sorts
-//     (sortShellPoints treatment).
+//     allocates on every call; hot code orders through closure-free code
+//     (voronoi.heapifyCandidates treatment).
 //   - map literals and make(map...) lexically inside a loop body: a
 //     fresh hash table per iteration, plus nondeterministic iteration
 //     downstream.

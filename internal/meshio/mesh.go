@@ -79,6 +79,11 @@ type MeshBuilder struct {
 	// corrupting views already handed out.
 	faceArena []FaceConn
 	vertArena []int32
+
+	// welded maps the current cell's local vertex index to its index in
+	// m.Verts (-1 until first referenced), so a vertex is quantized and
+	// looked up once per cell rather than once per face it sits on.
+	welded []int32
 }
 
 // Build assembles the data model from computed cells into the builder's
@@ -112,17 +117,27 @@ func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol flo
 		}
 	}
 	for _, c := range cells {
+		b.welded = b.welded[:0]
+		for range c.Verts {
+			b.welded = append(b.welded, -1)
+		}
 		fbase := len(b.faceArena)
 		for _, f := range c.Faces {
 			vbase := len(b.vertArena)
 			for _, vi := range f.Loop {
-				v := c.Verts[vi]
-				k := q(v)
-				gi, ok := b.pool[k]
-				if !ok {
-					gi = int32(len(m.Verts))
-					m.Verts = append(m.Verts, v)
-					b.pool[k] = gi
+				// Resolved on first reference, in loop order, so m.Verts
+				// is ordered as if every reference probed the pool.
+				gi := b.welded[vi]
+				if gi < 0 {
+					v := c.Verts[vi]
+					k := q(v)
+					var ok bool
+					if gi, ok = b.pool[k]; !ok {
+						gi = int32(len(m.Verts))
+						m.Verts = append(m.Verts, v)
+						b.pool[k] = gi
+					}
+					b.welded[vi] = gi
 				}
 				b.vertArena = append(b.vertArena, gi)
 			}

@@ -94,6 +94,61 @@ func TestWeldingPreservesGeometry(t *testing.T) {
 	}
 }
 
+// Welding a vertex once per cell must give the mesh that welding it at
+// every face reference gives: the same vertex pool in the same order and
+// the same indices, at the default tolerance and at one coarse enough that
+// vertices of a single cell weld to each other, through a builder that has
+// already built a different mesh.
+func TestBuildWeldsLikePerReferenceProbe(t *testing.T) {
+	cells := buildTestCells(t, 4, 4, 71)
+	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
+	var b MeshBuilder
+	b.Build(cells[:7], ext, 0)
+	for _, tol := range []float64{4e-7, 0.3} {
+		m := b.Build(cells, ext, tol)
+		pool := map[weldKey]int32{}
+		var verts []geom.Vec3
+		selfWelds := 0
+		for ci, c := range cells {
+			seen := map[int32]int{}
+			for fi, f := range c.Faces {
+				for k, vi := range f.Loop {
+					v := c.Verts[vi]
+					key := weldKey{
+						x: int64(roundHalf(v.X / tol)),
+						y: int64(roundHalf(v.Y / tol)),
+						z: int64(roundHalf(v.Z / tol)),
+					}
+					gi, ok := pool[key]
+					if !ok {
+						gi = int32(len(verts))
+						verts = append(verts, v)
+						pool[key] = gi
+					}
+					if got := m.Cells[ci].Faces[fi].Verts[k]; got != gi {
+						t.Fatalf("tol %g cell %d face %d entry %d: index %d, want %d", tol, ci, fi, k, got, gi)
+					}
+					if prev, ok := seen[gi]; ok && prev != vi {
+						selfWelds++
+					}
+					seen[gi] = vi
+				}
+			}
+		}
+		if len(m.Verts) != len(verts) {
+			t.Fatalf("tol %g: %d welded vertices, want %d", tol, len(m.Verts), len(verts))
+		}
+		for i := range verts {
+			if m.Verts[i] != verts[i] {
+				t.Fatalf("tol %g: vertex %d is %v, want %v", tol, i, m.Verts[i], verts[i])
+			}
+		}
+		if tol > 0.1 && selfWelds == 0 {
+			t.Error("coarse tolerance welded no two vertices of one cell; the case is not exercised")
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 70)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))

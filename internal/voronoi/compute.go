@@ -2,6 +2,7 @@ package voronoi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -61,9 +62,23 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 	return cell, err
 }
 
+// pruneSlack widens the cutting range handed to the index at shell entry.
+// In exact arithmetic a clip only adds vertices on edges of the old convex
+// cell, so MaxVertexDist never grows and 2*maxR at shell entry bounds every
+// candidate the sweep can still test; in floating point an interpolated
+// vertex can land an ulp or so outside its edge (TestClipNeverGrowsMaxR
+// pins how little), and the slack covers that many times over. The exact
+// test against the current 2*maxR stays in the sweep, so the slack costs a
+// stray candidate in the stream at most and never changes which planes
+// are clipped.
+const pruneSlack = 1e-9
+
 // clipCellShells is the shared clipping sweep of the ComputeCell variants:
 // expanding grid shells in nearest-first order until the security radius
-// proves the cell final. On return the cell still aliases s; the caller
+// proves the cell final. Each shell arrives as a cutoff-bounded candidate
+// stream: the index drops every point at or beyond the cell's cutting
+// range before anything is ordered, and the survivors are read off a heap
+// only as far as the first one out of range. On return the cell still aliases s; the caller
 // detaches (or pool-adopts) it. The emptied-cell error is returned with
 // the cell state intact, matching the historical ComputeCellScratch
 // behavior of returning both the cell and the error.
@@ -72,29 +87,38 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
 	maxShell := ix.MaxShell(cell.Site)
 	secure := false
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
+	kc := &s.counts
 
+	maxR := cell.MaxVertexDist()
 	for sh := 0; sh <= maxShell; sh++ {
-		s.shell = ix.ShellAppend(cell.Site, sh, s.shell[:0])
-		maxR := cell.MaxVertexDist()
-		for _, sp := range s.shell {
-			if sp.Dist <= siteEps {
+		var measured int
+		s.cands, measured = ix.appendShell(cell.Site, sh, 2*maxR*(1+pruneSlack), s.cands[:0])
+		kc.Shells++
+		kc.Gathered += int64(measured)
+		kc.Sorted += int64(len(s.cands))
+		heapifyCandidates(s.cands)
+		for rest := s.cands; len(rest) > 0; rest = popCandidate(rest) {
+			cd := rest[0]
+			if cd.dist <= siteEps {
 				continue // the site itself
 			}
-			// Within a shell, points are sorted by distance and clipping
-			// only shrinks the cell, so once a point is beyond the cutting
-			// range the rest of the shell is too.
-			if sp.Dist >= 2*maxR {
+			// Within a shell, points arrive in order of distance and
+			// clipping only shrinks the cell, so once a point is beyond the
+			// cutting range the rest of the shell is too.
+			if cd.dist >= 2*maxR {
 				break
 			}
-			if cell.clip(geom.Bisector(cell.Site, sp.Pos), sp.ID, s) {
+			kc.Tested++
+			if cell.clip(geom.Bisector(cell.Site, ix.pts[cd.idx]), ix.ids[cd.idx], s) {
+				kc.Cut++
 				if cell.Empty() {
-					return fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", cell.Site, sp.Pos)
+					return fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", cell.Site, ix.pts[cd.idx])
 				}
 				maxR = cell.MaxVertexDist()
 			}
 		}
 		// All points within s*h are guaranteed processed after shell s.
-		if float64(sh)*h >= 2*cell.MaxVertexDist() {
+		if float64(sh)*h >= 2*maxR {
 			secure = true
 			break
 		}
@@ -121,12 +145,14 @@ func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Bo
 		shells = maxShell
 	}
 	for sh := 0; sh <= shells; sh++ {
-		s.shell = ix.ShellAppend(site, sh, s.shell[:0])
-		for _, sp := range s.shell {
-			if sp.Dist <= siteEps {
+		s.cands, _ = ix.appendShell(site, sh, math.Inf(1), s.cands[:0])
+		heapifyCandidates(s.cands)
+		for rest := s.cands; len(rest) > 0; rest = popCandidate(rest) {
+			cd := rest[0]
+			if cd.dist <= siteEps {
 				continue
 			}
-			cell.clip(geom.Bisector(site, sp.Pos), sp.ID, s)
+			cell.clip(geom.Bisector(site, ix.pts[cd.idx]), ix.ids[cd.idx], s)
 			if cell.Empty() {
 				cell.detach()
 				return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
@@ -149,18 +175,19 @@ func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, in
 	if err != nil {
 		return nil, err
 	}
-	order := make([]distIdx, len(pts))
+	order := make([]candidate, len(pts))
 	for i, p := range pts {
-		order[i] = distIdx{d: p.Dist(site), idx: i}
+		order[i] = candidate{dist: p.Dist(site), idx: int32(i)}
 	}
-	sortDistIdx(order)
+	heapifyCandidates(order)
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
 	secure := false
-	for _, o := range order {
-		if o.d <= siteEps {
+	for ; len(order) > 0; order = popCandidate(order) {
+		o := order[0]
+		if o.dist <= siteEps {
 			continue
 		}
-		if o.d >= 2*cell.MaxVertexDist() {
+		if o.dist >= 2*cell.MaxVertexDist() {
 			secure = true
 			break
 		}
@@ -249,66 +276,4 @@ func ComputePeriodic(pts []geom.Vec3, ids []int64, L float64, margin float64, wo
 		}
 	}
 	return cells, nil
-}
-
-// distIdx pairs a site distance with a point index for the nearest-first
-// clipping sweep.
-type distIdx struct {
-	d   float64
-	idx int
-}
-
-// sortDistIdx sorts by ascending distance without the sort.Slice closure
-// allocation, the same treatment sortShellPoints gives the bucket-shell
-// sweep: quicksort with median-of-three pivots, insertion sort below a
-// small cutoff. Ties keep a deterministic order because the input order is
-// deterministic and the swap sequence depends only on the d values.
-func sortDistIdx(a []distIdx) {
-	for len(a) > 12 {
-		lo, mid, hi := 0, len(a)/2, len(a)-1
-		if a[mid].d < a[lo].d {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi].d < a[lo].d {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi].d < a[mid].d {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		a[lo], a[mid] = a[mid], a[lo]
-		pivot := a[lo].d
-		i, j := 1, len(a)-1
-		for {
-			for i <= j && a[i].d < pivot {
-				i++
-			}
-			for i <= j && a[j].d > pivot {
-				j--
-			}
-			if i > j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-		}
-		a[lo], a[j] = a[j], a[lo]
-		// Recurse into the smaller side, loop on the larger.
-		if j < len(a)-1-j {
-			sortDistIdx(a[:j])
-			a = a[j+1:]
-		} else {
-			sortDistIdx(a[j+1:])
-			a = a[:j]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j].d > v.d {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cosmo"
 	"repro/internal/geom"
 	"repro/internal/qhull"
 )
@@ -396,27 +397,44 @@ func TestFixedShellsTooFewIsWrong(t *testing.T) {
 
 func TestNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(125))
-	pts := make([]geom.Vec3, 400)
-	for i := range pts {
-		pts[i] = geom.V(rng.Float64()*9, rng.Float64()*9, rng.Float64()*9)
-	}
-	ix := NewIndex(pts, seqIDs(len(pts)), 0)
-	for trial := 0; trial < 200; trial++ {
-		q := geom.V(rng.Float64()*9, rng.Float64()*9, rng.Float64()*9)
-		got, ok := ix.Nearest(q)
-		if !ok {
-			t.Fatal("Nearest failed")
-		}
-		// Brute-force reference.
-		best := 0
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Dist2(q) < pts[best].Dist2(q) {
-				best = i
+	cp := cosmo.DefaultClusterParams()
+	cp.Seed = 11
+	for _, cl := range []streamCloud{
+		{name: "uniform", pts: uniformPts(rng, 400, 9)},
+		{name: "clustered", pts: cosmo.ClusteredPositions(1200, 9, cp)},
+		{name: "lattice", pts: latticePts(5, 9)}, // equidistant points: lowest index wins
+	} {
+		name, pts := cl.name, cl.pts
+		ix := NewIndex(pts, seqIDs(len(pts)), 0)
+		for trial := 0; trial < 300; trial++ {
+			// Two thirds inside the index bounds, the rest up to a box
+			// length outside them.
+			q := geom.V(rng.Float64()*9, rng.Float64()*9, rng.Float64()*9)
+			if trial%3 == 0 {
+				q = geom.V(rng.Float64()*27-9, rng.Float64()*27-9, rng.Float64()*27-9)
+			}
+			if trial == 0 {
+				q = geom.V(4.5, 4.5, 4.5)
+			}
+			got, ok := ix.Nearest(q)
+			if !ok {
+				t.Fatalf("%s: Nearest(%v) failed", name, q)
+			}
+			// Brute-force reference.
+			best := 0
+			for i := 1; i < len(pts); i++ {
+				if pts[i].Dist(q) < pts[best].Dist(q) {
+					best = i
+				}
+			}
+			want := ShellPoint{Idx: best, ID: int64(best), Pos: pts[best], Dist: pts[best].Dist(q)}
+			if got != want {
+				t.Fatalf("%s: Nearest(%v) = %+v, brute force %+v", name, q, got, want)
 			}
 		}
-		if got.Idx != best {
-			t.Fatalf("Nearest(%v) = %d (d=%v), brute force %d (d=%v)",
-				q, got.Idx, got.Dist, best, pts[best].Dist(q))
+		q := geom.V(20, -3, 4)
+		if n := testing.AllocsPerRun(10, func() { ix.Nearest(q) }); n != 0 {
+			t.Errorf("%s: Nearest allocates %v times per call", name, n)
 		}
 	}
 	if _, ok := NewIndex(nil, nil, 0).Nearest(geom.V(0, 0, 0)); ok {

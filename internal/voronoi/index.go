@@ -17,6 +17,10 @@ type Index struct {
 	dims    [3]int
 	h       geom.Vec3 // cell size per axis
 	buckets [][]int32
+	// slack is an absolute bound, generous by three orders of magnitude, on
+	// how far outside its grid cell's nominal box rounding in cellCoords can
+	// leave a point; visitShell's box bound gives it away.
+	slack float64
 }
 
 // NewIndex builds a grid index over the given points with roughly
@@ -44,6 +48,7 @@ func (ix *Index) Rebuild(pts []geom.Vec3, ids []int64, targetPerCell float64) {
 		ix.dims = [3]int{1, 1, 1}
 		ix.bounds = geom.NewBox(geom.V(0, 0, 0), geom.V(1, 1, 1))
 		ix.h = geom.V(1, 1, 1)
+		ix.slack = 0
 		ix.buckets = ix.resizeBuckets(1)
 		return
 	}
@@ -71,6 +76,7 @@ func (ix *Index) Rebuild(pts []geom.Vec3, ids []int64, targetPerCell float64) {
 		Y: size.Y / float64(ix.dims[1]),
 		Z: size.Z / float64(ix.dims[2]),
 	}
+	ix.slack = 1e-12 * math.Max(ix.bounds.Min.MaxAbs(), ix.bounds.Max.MaxAbs())
 	ix.buckets = ix.resizeBuckets(ix.dims[0] * ix.dims[1] * ix.dims[2])
 	for i, p := range pts {
 		b := ix.bucketOf(p)
@@ -144,136 +150,190 @@ type ShellPoint struct {
 	Dist float64
 }
 
-// Shell returns the points whose grid cell is at Chebyshev distance exactly
-// s from the cell containing p, sorted by Euclidean distance to p. Shell 0
-// is p's own cell.
-func (ix *Index) Shell(p geom.Vec3, s int) []ShellPoint {
-	return ix.ShellAppend(p, s, nil)
+// candidate is the compact record of the clipping sweep's neighbor stream:
+// the distance to the query site — both the sort key and the value the
+// sweep compares against its cutting range — and the index of the point,
+// which breaks distance ties so the order is total.
+type candidate struct {
+	dist float64
+	idx  int32
 }
 
-// ShellAppend is Shell appending into buf, which the caller may recycle
-// across queries (pass buf[:0]) to make shell traversal allocation-free
-// once the buffer has grown to the working-set size.
-func (ix *Index) ShellAppend(p geom.Vec3, s int, buf []ShellPoint) []ShellPoint {
-	c := ix.cellCoords(p)
-	out := buf
-	base := len(out)
-	lo := [3]int{c[0] - s, c[1] - s, c[2] - s}
-	hi := [3]int{c[0] + s, c[1] + s, c[2] + s}
-	visit := func(i, j, k int) {
-		if i < 0 || i >= ix.dims[0] || j < 0 || j >= ix.dims[1] || k < 0 || k >= ix.dims[2] {
-			return
-		}
-		for _, pi := range ix.buckets[(k*ix.dims[1]+j)*ix.dims[0]+i] {
-			q := ix.pts[pi]
-			out = append(out, ShellPoint{Idx: int(pi), ID: ix.ids[pi], Pos: q, Dist: q.Dist(p)})
-		}
+// Shell returns the points whose grid cell is at Chebyshev distance exactly
+// s from the cell containing p, sorted by Euclidean distance to p (equal
+// distances by point index). Shell 0 is p's own cell.
+func (ix *Index) Shell(p geom.Vec3, s int) []ShellPoint {
+	cands, _ := ix.appendShell(p, s, math.Inf(1), nil)
+	heapifyCandidates(cands)
+	out := make([]ShellPoint, 0, len(cands))
+	for ; len(cands) > 0; cands = popCandidate(cands) {
+		c := cands[0]
+		out = append(out, ShellPoint{Idx: int(c.idx), ID: ix.ids[c.idx], Pos: ix.pts[c.idx], Dist: c.dist})
 	}
-	if s == 0 {
-		visit(c[0], c[1], c[2])
-	} else {
-		// Two full slabs in z, plus the rings of the remaining z layers.
-		for j := lo[1]; j <= hi[1]; j++ {
-			for i := lo[0]; i <= hi[0]; i++ {
-				visit(i, j, lo[2])
-				visit(i, j, hi[2])
-			}
-		}
-		for k := lo[2] + 1; k <= hi[2]-1; k++ {
-			for i := lo[0]; i <= hi[0]; i++ {
-				visit(i, lo[1], k)
-				visit(i, hi[1], k)
-			}
-			for j := lo[1] + 1; j <= hi[1]-1; j++ {
-				visit(lo[0], j, k)
-				visit(hi[0], j, k)
-			}
-		}
-	}
-	sortShellPoints(out[base:])
 	return out
 }
 
-// sortShellPoints sorts by ascending Dist without the sort.Slice closure
-// allocation: quicksort with median-of-three pivots, insertion sort below a
-// small cutoff. Ties keep a deterministic order because the visit order
-// feeding the sort is itself deterministic and the algorithm's swap
-// sequence depends only on the Dist values.
-func sortShellPoints(a []ShellPoint) {
-	for len(a) > 12 {
-		// Median of first, middle, last as pivot, swapped to a[0].
-		m := len(a) / 2
-		lo, mid, hi := 0, m, len(a)-1
-		if a[mid].Dist < a[lo].Dist {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi].Dist < a[lo].Dist {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi].Dist < a[mid].Dist {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		a[lo], a[mid] = a[mid], a[lo]
-		pivot := a[lo].Dist
-		i, j := 1, len(a)-1
-		for {
-			for i <= j && a[i].Dist < pivot {
-				i++
+// appendShell appends to buf, unsorted, the points of shell s around p
+// that are nearer than cutoff, and reports how many points it measured to
+// find them. The caller may recycle buf across queries (pass buf[:0]) to
+// make shell traversal allocation-free once the buffer has grown to the
+// working-set size. Pruning happens at two levels: visitShell skips
+// buckets by a conservative box bound without reading their points, and
+// the exact per-point test behind it decides membership, so the result is
+// precisely the shell's points with Dist < cutoff.
+func (ix *Index) appendShell(p geom.Vec3, s int, cutoff float64, buf []candidate) (out []candidate, measured int) {
+	out = buf
+	ix.visitShell(p, s, cutoff, func(bucket []int32) {
+		measured += len(bucket)
+		for _, pi := range bucket {
+			if d := ix.pts[pi].Dist(p); d < cutoff {
+				out = append(out, candidate{dist: d, idx: pi})
 			}
-			for i <= j && a[j].Dist > pivot {
-				j--
+		}
+	})
+	return out, measured
+}
+
+// bucketSlack widens the bucket-level cutoff so that rounding in the box
+// bound can never reject a bucket holding a point the exact test would
+// keep; together with Index.slack it makes the bound conservative.
+const bucketSlack = 1e-9
+
+// visitShell calls fn with the point indices of every grid cell at
+// Chebyshev distance exactly s from the cell containing p, except cells
+// outside the grid and cells whose box is provably at or beyond cutoff
+// from p. The bound is a lower bound with slack on the safe side: a cell
+// it lets through may hold no point within cutoff, but a cell it skips
+// holds none.
+func (ix *Index) visitShell(p geom.Vec3, s int, cutoff float64, fn func(bucket []int32)) {
+	c := ix.cellCoords(p)
+	cutoff2 := cutoff * cutoff * (1 + bucketSlack)
+	klo, khi := c[2]-s, c[2]+s
+	jlo, jhi := c[1]-s, c[1]+s
+	ilo, ihi := c[0]-s, c[0]+s
+	for k := max(klo, 0); k <= min(khi, ix.dims[2]-1); k++ {
+		gz := ix.axisGap2(2, k, p.Z)
+		if gz >= cutoff2 {
+			continue
+		}
+		for j := max(jlo, 0); j <= min(jhi, ix.dims[1]-1); j++ {
+			gyz := gz + ix.axisGap2(1, j, p.Y)
+			if gyz >= cutoff2 {
+				continue
 			}
-			if i > j {
-				break
+			// On the shell's z and y faces the whole row belongs to it;
+			// elsewhere only the row's two ends (the x faces) do.
+			step := 1
+			if k != klo && k != khi && j != jlo && j != jhi {
+				step = ihi - ilo
 			}
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
+			row := (k*ix.dims[1] + j) * ix.dims[0]
+			for i := ilo; i <= ihi; i += step {
+				if i < 0 || i >= ix.dims[0] || gyz+ix.axisGap2(0, i, p.X) >= cutoff2 {
+					continue
+				}
+				fn(ix.buckets[row+i])
+			}
 		}
-		a[lo], a[j] = a[j], a[lo]
-		// Recurse into the smaller side, loop on the larger.
-		if j < len(a)-1-j {
-			sortShellPoints(a[:j])
-			a = a[j+1:]
-		} else {
-			sortShellPoints(a[j+1:])
-			a = a[:j]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j].Dist > v.Dist {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }
 
+// axisGap2 returns a lower bound on the squared distance along axis a
+// between coordinate x and any point stored in grid slab i of that axis: 0
+// when x is inside the slab (widened by the index slack), the squared gap
+// to its nearer face otherwise.
+func (ix *Index) axisGap2(a, i int, x float64) float64 {
+	h := ix.h.Component(a)
+	lo := ix.bounds.Min.Component(a) + float64(i)*h
+	g := lo - x // positive below the slab
+	if x > lo+h {
+		g = x - (lo + h)
+	}
+	if g -= ix.slack; g <= 0 {
+		return 0
+	}
+	return g * g
+}
+
+// heapifyCandidates arranges a as a binary min-heap under before: a[0] is
+// then the first candidate of the stream and popCandidate advances it. The
+// sweep stops at the first candidate out of cutting range, and a heap
+// orders only as far as it is read: O(n) to build, O(log n) per candidate
+// actually taken, no closure, no allocation. Keys are distinct (an index
+// appears once), so the stream does not depend on the order of the input.
+func heapifyCandidates(a []candidate) {
+	for i := len(a)/2 - 1; i >= 0; i-- {
+		siftDown(a, i)
+	}
+}
+
+// popCandidate drops a[0] from a non-empty heap and returns the rest, its
+// new first candidate at index 0.
+func popCandidate(a []candidate) []candidate {
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	siftDown(a, 0)
+	return a
+}
+
+func siftDown(a []candidate, i int) {
+	if i >= len(a) {
+		return
+	}
+	v := a[i]
+	for {
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1].before(a[c]) {
+			c++
+		}
+		if !a[c].before(v) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	a[i] = v
+}
+
+// before is the total order of the neighbor stream: nearer first, equal
+// distances by point index.
+func (c candidate) before(o candidate) bool {
+	return c.dist < o.dist || (c.dist == o.dist && c.idx < o.idx)
+}
+
 // Nearest returns the index, ID, and position of the indexed point nearest
-// to q, scanning grid shells outward until the best candidate is proven
-// nearest (all unscanned cells are farther than the best distance). It
-// returns ok == false for an empty index.
+// to q (the lowest index among equidistant points), scanning grid shells
+// outward until the best candidate is proven nearest (all unscanned cells
+// are farther than the best distance). It allocates nothing and returns
+// ok == false for an empty index.
 func (ix *Index) Nearest(q geom.Vec3) (sp ShellPoint, ok bool) {
 	if len(ix.pts) == 0 {
 		return ShellPoint{}, false
 	}
 	h := ix.MinCellSize()
-	best := ShellPoint{Dist: math.Inf(1)}
+	best := candidate{dist: math.Inf(1), idx: -1}
 	maxShell := ix.MaxShell(q)
 	for s := 0; s <= maxShell; s++ {
-		for _, cand := range ix.Shell(q, s) {
-			if cand.Dist < best.Dist {
-				best = cand
+		// Buckets wholly beyond the best distance so far cannot improve it.
+		ix.visitShell(q, s, best.dist, func(bucket []int32) {
+			for _, pi := range bucket {
+				if c := (candidate{dist: ix.pts[pi].Dist(q), idx: pi}); c.before(best) {
+					best = c
+				}
 			}
-			break // shells are sorted: the first entry is the closest
-		}
+		})
 		// All points within (s)*h have been scanned after shell s; if the
 		// best found is within that radius, nothing farther can beat it.
-		if best.Dist <= float64(s)*h {
-			return best, true
+		if best.dist <= float64(s)*h {
+			break
 		}
 	}
-	return best, !math.IsInf(best.Dist, 1)
+	if best.idx < 0 {
+		return ShellPoint{}, false
+	}
+	return ShellPoint{Idx: int(best.idx), ID: ix.ids[best.idx], Pos: ix.pts[best.idx], Dist: best.dist}, true
 }

@@ -53,8 +53,40 @@ type Scratch struct {
 	// compact state: old -> new vertex index, -1 for unreferenced.
 	remap []int32
 
-	// Reusable buffer for Index.ShellAppend in ComputeCellScratch.
-	shell []ShellPoint
+	// Reusable buffer for the clipping sweep's candidate stream.
+	cands []candidate
+
+	counts KernelCounts
+}
+
+// KernelCounts is the candidate funnel of the clipping sweep, summed over
+// the cells computed through one Scratch: of the points the index measured
+// in the shells it visited, those that survived the cutting-range cutoff
+// entered the ordered stream, those still in range when their turn came
+// were tested against the cell, and some of those cut it.
+type KernelCounts struct {
+	Shells   int64 // grid shells visited
+	Gathered int64 // points whose distance to the site was measured
+	Sorted   int64 // of those, inside the cutting range at shell entry
+	Tested   int64 // bisector planes tested against the cell
+	Cut      int64 // planes that changed the cell
+}
+
+// Add accumulates o into k.
+func (k *KernelCounts) Add(o KernelCounts) {
+	k.Shells += o.Shells
+	k.Gathered += o.Gathered
+	k.Sorted += o.Sorted
+	k.Tested += o.Tested
+	k.Cut += o.Cut
+}
+
+// TakeCounts returns the funnel counts accumulated since the previous call
+// and resets them.
+func (s *Scratch) TakeCounts() KernelCounts {
+	k := s.counts
+	s.counts = KernelCounts{}
+	return k
 }
 
 type faceMeta struct {

@@ -128,45 +128,3 @@ func TestPoolWorkers(t *testing.T) {
 		t.Errorf("PoolWorkers(-1, 100) = %d, want GOMAXPROCS-derived >= 1", got)
 	}
 }
-
-// ShellAppend with a recycled buffer must return the same points in the
-// same order as a fresh Shell call.
-func TestShellAppendReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	pts := make([]geom.Vec3, 400)
-	for i := range pts {
-		pts[i] = geom.V(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-	}
-	ix := NewIndex(pts, seqIDs(len(pts)), 0)
-	var buf []ShellPoint
-	for _, q := range pts[:20] {
-		for s := 0; s <= ix.MaxShell(q); s++ {
-			want := ix.Shell(q, s)
-			buf = ix.ShellAppend(q, s, buf[:0])
-			if len(buf) != len(want) {
-				t.Fatalf("shell %d: %d points vs %d", s, len(buf), len(want))
-			}
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("shell %d entry %d: %+v vs %+v", s, i, buf[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestSortShellPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	for _, n := range []int{0, 1, 2, 11, 12, 13, 100, 1000} {
-		a := make([]ShellPoint, n)
-		for i := range a {
-			a[i] = ShellPoint{Idx: i, Dist: float64(rng.Intn(50))} // many ties
-		}
-		sortShellPoints(a)
-		for i := 1; i < len(a); i++ {
-			if a[i-1].Dist > a[i].Dist {
-				t.Fatalf("n=%d: out of order at %d", n, i)
-			}
-		}
-	}
-}
