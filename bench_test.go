@@ -66,7 +66,7 @@ func (s *benchState) init(b *testing.B) {
 				Faces: len(c.Faces), Complete: c.Complete,
 			})
 		}
-		out, err := Tessellate(benchConfig(), s.particles, 8)
+		out, err := Run(benchConfig(), s.particles, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func BenchmarkTableI_Accuracy(b *testing.B) {
 	cfg.KeepIncomplete = true
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		out, err := Tessellate(cfg, bench.particles, 8)
+		out, err := Run(cfg, bench.particles, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func BenchmarkFig11_DeltaEvolution(b *testing.B) {
 	bench.init(b)
 	var kurt float64
 	for i := 0; i < b.N; i++ {
-		out, err := Tessellate(benchConfig(), bench.particles, 8)
+		out, err := Run(benchConfig(), bench.particles, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func BenchmarkFig11_DeltaEvolution(b *testing.B) {
 // and serializing the block data model.
 func BenchmarkDataModel_Encode(b *testing.B) {
 	bench.init(b)
-	out, err := Tessellate(benchConfig(), bench.particles, 1)
+	out, err := Run(benchConfig(), bench.particles, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestRunTraceExport(t *testing.T) {
 	cfg.HullPass = false
 	cfg.OutputPath = filepath.Join(dir, "mesh2.bin")
 	cfg.Recorder = tess.NewRecorder(2)
-	out, err := tess.Tessellate(cfg, latticeParticles(6, 8, 0.6, 9), 2)
+	out, err := tess.Run(cfg, latticeParticles(6, 8, 0.6, 9), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

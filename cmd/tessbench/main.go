@@ -14,31 +14,6 @@
 //	tessbench [-sizes 8,16,32] [-procs 1,2,4,8,16] [-steps 12] [-cull 0.1]
 //	          [-workers N] [-scaling] [-datamodel] [-out DIR]
 //	tessbench -faults [-seed N]
-//	tessbench -insitu [-insitu-json FILE]
-//	tessbench -balance [-balance-json FILE]
-//	tessbench -density [-density-json FILE]
-//	tessbench -oocore [-oocore-json FILE]
-//
-// The -insitu mode benchmarks the persistent-session API: the steady-state
-// per-step cost of repeated tessellation through one Session (warm) against
-// a fresh one-shot Run per step (cold), on evolving N-body snapshots.
-//
-// The -balance mode benchmarks the particle-balanced RCB decomposition
-// against the equal-volume grid on uniform and clustered particle sets,
-// reporting slowest-rank compute times and per-rank imbalance ratios.
-//
-// The -density mode benchmarks the streaming density pipeline (DTFE onto
-// a sample grid plus power spectrum): cold one-shot Compute per snapshot
-// against a warm Session.StepDensity, after verifying both produce
-// byte-identical grids.
-//
-// The -oocore mode benchmarks out-of-core snapshot streaming: a session
-// stepped from a chunked snapshot file through bounded resident windows
-// (all, half, a quarter of the chunks) against the inline baseline, after
-// verifying every window's per-block output is byte-identical to the
-// inline step. The source accounting (loads, evictions, peak resident
-// particles) quantifies the staging memory each window trades for
-// re-reads.
 //
 // The -faults mode runs the graceful-degradation battery instead of the
 // performance tables: seeded crash-at-step-N plans across 2- and 8-block
@@ -70,25 +45,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tessbench: ")
 	var (
-		sizes      = flag.String("sizes", "8,16,32", "comma-separated particles per dimension (powers of two)")
-		procs      = flag.String("procs", "1,2,4,8,16", "comma-separated process (block) counts")
-		steps      = flag.Int("steps", 25, "simulation steps before tessellating the largest size (smaller sizes run proportionally more: 25 at 32^3 gives the paper's 100/50/25 schedule)")
-		cull       = flag.Float64("cull", 0.10, "cull the smallest fraction of the cell volume range (the paper's 10%)")
-		scaling    = flag.Bool("scaling", false, "also print the Figure 10 strong/weak scaling series")
-		commTable  = flag.Bool("comm", false, "also print the communication-volume table from the observability counters (runs an extra concurrent pass per row)")
-		datamodel  = flag.Bool("datamodel", false, "also print the Sec. III-C2 data model statistics")
-		outDir     = flag.String("out", "", "directory for tessellation output files (default: temp, deleted)")
-		workers    = flag.Int("workers", 0, "intra-rank compute workers per block (0 = GOMAXPROCS; ranks are timed one at a time so each gets the whole machine)")
-		faults     = flag.Bool("faults", false, "run the fault-injection battery instead of the performance tables")
-		seed       = flag.Int64("seed", 1, "fault-injection seed for -faults (same seed, same schedule)")
-		insitu     = flag.Bool("insitu", false, "benchmark cold (Run per step) vs warm (persistent Session) in situ stepping instead of the performance tables")
-		insituOut  = flag.String("insitu-json", "", "write the -insitu comparison to this JSON file")
-		balance    = flag.Bool("balance", false, "benchmark equal-volume grid vs particle-balanced RCB decomposition on uniform and clustered inputs instead of the performance tables")
-		balanceOut = flag.String("balance-json", "", "write the -balance comparison to this JSON file")
-		densityB   = flag.Bool("density", false, "benchmark cold (Compute per snapshot) vs warm (Session.StepDensity) density pipelines instead of the performance tables")
-		densityOut = flag.String("density-json", "", "write the -density comparison to this JSON file")
-		oocore     = flag.Bool("oocore", false, "benchmark inline stepping vs out-of-core streaming from a chunked snapshot file across resident-window sizes instead of the performance tables")
-		oocoreOut  = flag.String("oocore-json", "", "write the -oocore comparison to this JSON file")
+		sizes     = flag.String("sizes", "8,16,32", "comma-separated particles per dimension (powers of two)")
+		procs     = flag.String("procs", "1,2,4,8,16", "comma-separated process (block) counts")
+		steps     = flag.Int("steps", 25, "simulation steps before tessellating the largest size (smaller sizes run proportionally more: 25 at 32^3 gives the paper's 100/50/25 schedule)")
+		cull      = flag.Float64("cull", 0.10, "cull the smallest fraction of the cell volume range (the paper's 10%)")
+		scaling   = flag.Bool("scaling", false, "also print the Figure 10 strong/weak scaling series")
+		commTable = flag.Bool("comm", false, "also print the communication-volume table from the observability counters (runs an extra concurrent pass per row)")
+		datamodel = flag.Bool("datamodel", false, "also print the Sec. III-C2 data model statistics")
+		outDir    = flag.String("out", "", "directory for tessellation output files (default: temp, deleted)")
+		workers   = flag.Int("workers", 0, "intra-rank compute workers per block (0 = GOMAXPROCS; ranks are timed one at a time so each gets the whole machine)")
+		faults    = flag.Bool("faults", false, "run the fault-injection battery instead of the performance tables")
+		seed      = flag.Int64("seed", 1, "fault-injection seed for -faults (same seed, same schedule)")
 	)
 	flag.Parse()
 
@@ -96,22 +63,6 @@ func main() {
 		if !runFaultBattery(*seed) {
 			os.Exit(1)
 		}
-		return
-	}
-	if *insitu {
-		runInSituBench(*insituOut)
-		return
-	}
-	if *balance {
-		runBalanceBench(*balanceOut)
-		return
-	}
-	if *densityB {
-		runDensityBench(*densityOut)
-		return
-	}
-	if *oocore {
-		runOocoreBench(*oocoreOut)
 		return
 	}
 

@@ -28,12 +28,12 @@ func gridPoints(n int, L float64) []tess.Vec3 {
 	return pos
 }
 
-// ExampleTessellate computes a periodic parallel Voronoi tessellation.
-func ExampleTessellate() {
+// ExampleRun computes a periodic parallel Voronoi tessellation.
+func ExampleRun() {
 	particles := tess.ParticlesFromPositions(gridPoints(6, 6))
 	cfg := tess.NewPeriodicConfig(6)
 	cfg.GhostSize = 3
-	out, err := tess.Tessellate(cfg, particles, 4)
+	out, err := tess.Run(cfg, particles, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -72,7 +72,7 @@ func ExampleFindVoids() {
 	cfg := tess.NewPeriodicConfig(6)
 	cfg.GhostSize = 3
 	cfg.LabelVoids = true // label components in situ
-	out, err := tess.Tessellate(cfg, particles, 4)
+	out, err := tess.Run(cfg, particles, 4)
 	if err != nil {
 		panic(err)
 	}

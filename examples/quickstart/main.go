@@ -32,7 +32,7 @@ func main() {
 	// mean spacing.
 	cfg := tess.NewPeriodicConfig(L)
 	cfg.GhostSize = 3
-	out, err := tess.Tessellate(cfg, particles, 8)
+	out, err := tess.Run(cfg, particles, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	if g, err := tess.MaxGhostFor(cfg, 8); err == nil {
 		cfg.GhostSize = g
 	}
-	out, err := tess.Tessellate(cfg, tess.ParticlesFromSim(sim), 8)
+	out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), 8)
 	if err != nil {
 		log.Fatal(err)
 	}

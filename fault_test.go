@@ -37,13 +37,13 @@ func TestRunContainsInjectedCrash(t *testing.T) {
 	}
 }
 
-// A fault-free config (Faults nil) and an inert plan behave identically:
-// Run and Tessellate agree cell for cell.
-func TestRunMatchesTessellate(t *testing.T) {
+// A fault-free config (Faults nil) and an inert plan under an armed
+// watchdog behave identically: the two runs agree cell for cell.
+func TestInertFaultPlanAndWatchdogChangeNothing(t *testing.T) {
 	ps := testParticles(51, 6, 10)
 	cfg := NewPeriodicConfig(10)
 	cfg.GhostSize = 3
-	a, err := Tessellate(cfg, ps, 4)
+	a, err := Run(cfg, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,26 +87,16 @@ func TestMergeCanonicalByteIdenticalRegularVsRCB(t *testing.T) {
 	}
 }
 
-// RunTimed must produce the same tessellation as Run under RCB (it shares
-// decomposeFor and the loopback exchange is test-verified against the
-// message path).
+// RunTimed must produce the same tessellation as Run under RCB (both build
+// the decomposition in Session.stage, and the loopback exchange is
+// test-verified against the message path).
 func TestRunTimedRCBMatchesRun(t *testing.T) {
 	const L = 12.0
 	ps := clusteredParticles(t, 500, L, 7)
 	cfg := baseConfig(L)
 	cfg.GhostSize = balanceGhost
 	cfg.Decomposition = DecomposeRCB
-	a, err := Run(cfg, ps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTimed(cfg, ps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts != b.Counts {
-		t.Errorf("counts differ: Run %+v, RunTimed %+v", a.Counts, b.Counts)
-	}
+	a, b := runBothSchedulers(t, cfg, ps, 4)
 	if !bytes.Equal(mergedBytes(t, a, cfg), mergedBytes(t, &b.Output, cfg)) {
 		t.Error("canonical merged mesh differs between Run and RunTimed under RCB")
 	}

@@ -4,6 +4,10 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/diy"
+	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 func TestWorkerBudgetTotals(t *testing.T) {
@@ -149,5 +153,60 @@ func TestSessionsShareWorkerBudget(t *testing.T) {
 	}
 	if p, r := b.Active(); p != 0 || r != 0 {
 		t.Fatalf("Active after all Closes = (%d, %d), want (0, 0)", p, r)
+	}
+}
+
+// The sequential scheduler has one rank in flight and is accounted as
+// such: on a budget of 8 with 4 blocks every timed rank's compute phase
+// runs 8 workers (the whole machine), not the 2 a concurrent session's
+// ranks would share, and peers on the same budget see one active rank.
+func TestRunTimedRanksKeepWholeBudget(t *testing.T) {
+	b := NewWorkerBudget(8)
+	cfg := baseConfig(8)
+	cfg.Budget = b
+	ps := perturbedParticles(rand.New(rand.NewSource(6)), 8, 8, 0.3)
+
+	s, err := openSession(cfg, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, r := b.Active(); p != 1 || r != 1 {
+		t.Errorf("Active during a timed pass = (%d, %d), want (1, 1)", p, r)
+	}
+	if _, err := s.stepTimed(ps); err != nil {
+		t.Fatal(err)
+	}
+	for rank := range s.ranks {
+		// The compute phase creates one scratch per worker it was given.
+		if got := len(s.ranks[rank].cb.scratches); got != 8 {
+			t.Errorf("rank %d computed with %d workers, want 8", rank, got)
+		}
+	}
+	s.Close()
+
+	// RunTimed hands the budget back on every path.
+	bad := append([]diy.Particle(nil), ps...)
+	bad[0].Pos.X = -1
+	crash := cfg
+	crash.Faults = &faultinject.Plan{Seed: 5, CrashRank: 2, CrashStep: 2}
+	sized := cfg
+	sized.Recorder = obs.NewRecorder(3)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		ps      []diy.Particle
+		wantErr bool
+	}{
+		{"success", cfg, ps, false},
+		{"particle outside domain", cfg, bad, true},
+		{"rank crash", crash, ps, true},
+		{"recorder size mismatch", sized, ps, true},
+	} {
+		if _, err := RunTimed(tc.cfg, tc.ps, 4); (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v", tc.name, err)
+		}
+		if p, r := b.Active(); p != 0 || r != 0 {
+			t.Errorf("%s: Active after RunTimed = (%d, %d), want (0, 0)", tc.name, p, r)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/meshio"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/voronoi"
 )
 
 // Names of the session warm-start counters in Config.Recorder (registered
@@ -64,6 +62,10 @@ type Session struct {
 	d         *diy.Decomposition
 	w         *comm.World
 	numBlocks int
+	// inFlight is how many of the ranks the scheduler runs at once: all of
+	// them under StepSource, one under RunTimed. It is what the session
+	// registers with the worker budget and what EffectiveWorkers divides by.
+	inFlight int
 
 	steps    int
 	terminal error // sticky first abort; session unusable once set
@@ -76,8 +78,9 @@ type Session struct {
 	// the ranks active across every registered pipeline.
 	budget *WorkerBudget
 
-	parts [][]diy.Particle // retained per-rank partition buffers
-	ranks []rankState
+	parts    [][]diy.Particle // retained per-rank partition buffers
+	ranks    []rankState
+	rankErrs []error // runRanks' per-rank error slots
 
 	// Warm re-decomposition state (DecomposeRCB only). The decomposition is
 	// built lazily from the first Step's particles (s.d == nil until then);
@@ -106,27 +109,20 @@ type Session struct {
 	densitySteps int
 }
 
-// rankState is the retained per-rank pipeline state of a session.
-type rankState struct {
-	ex  *diy.Exchanger
-	all []geom.Vec3 // merged local+ghost positions, local first
-	ids []int64     // merged IDs, parallel to all
-	ix  voronoi.Index
-	bi  blockIndex
-	cb  computeBuffers
-
-	prev                 map[int64]geom.Vec3 // site positions of the previous step
-	warmSites, coldSites int64               // accumulated across steps
-}
-
 // OpenSession builds the persistent state for repeated tessellation passes
 // of numBlocks blocks under cfg: the decomposition, the communication
 // world (with watchdog and fault injection armed per cfg, the injector's
 // per-rank step counters accumulating across the session's steps), the
 // per-rank exchange state, and the recorder registration. cfg.OutputPath
-// is the default output destination of Step; StepPath overrides it per
-// step.
+// is the default output destination of Step; StepOpts.OutputPath overrides
+// it per step.
 func OpenSession(cfg Config, numBlocks int) (*Session, error) {
+	return openSession(cfg, numBlocks, numBlocks)
+}
+
+// openSession is OpenSession for a scheduler that keeps inFlight of the
+// numBlocks ranks running at once.
+func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 	var d *diy.Decomposition
 	if cfg.Decomposition == DecomposeRCB {
 		// RCB needs particle positions, which Open does not have: the real
@@ -160,7 +156,9 @@ func OpenSession(cfg Config, numBlocks int) (*Session, error) {
 		cfg:       cfg,
 		w:         comm.NewWorld(numBlocks, opts...),
 		numBlocks: numBlocks,
+		inFlight:  inFlight,
 		ranks:     make([]rankState, numBlocks),
+		rankErrs:  make([]error, numBlocks),
 		computeTm: make([]time.Duration, numBlocks),
 	}
 	if cfg.Recorder != nil {
@@ -180,15 +178,15 @@ func OpenSession(cfg Config, numBlocks int) (*Session, error) {
 	if d != nil {
 		s.installDecomposition(d)
 	}
-	// Register the session's ranks with the worker budget for its whole
-	// lifetime (released by Close): every error return is behind us, so the
-	// acquire/release pairing is exact.
+	// Register the session's in-flight ranks with the worker budget for its
+	// whole lifetime (released by Close): every error return is behind us, so
+	// the acquire/release pairing is exact.
 	s.budget = cfg.Budget
 	if s.budget == nil {
 		s.budget = sharedBudget
 	}
 	s.cfg.Budget = s.budget
-	s.budget.acquire(numBlocks)
+	s.budget.acquire(inFlight)
 	s.opened = time.Now()
 	return s, nil
 }
@@ -228,14 +226,6 @@ func (s *Session) Step(particles []diy.Particle) (*Output, error) {
 	return s.StepSource(storage.NewSliceSource(particles), StepOpts{OutputPath: s.cfg.OutputPath})
 }
 
-// StepPath is Step with a per-step output destination (empty writes
-// nothing), the in situ pattern of one file per selected timestep.
-//
-//tess:loaned
-func (s *Session) StepPath(particles []diy.Particle, outputPath string) (*Output, error) {
-	return s.StepSource(storage.NewSliceSource(particles), StepOpts{OutputPath: outputPath})
-}
-
 // StepSource is the step path every variant routes through: one full
 // tessellation pass over the particles supplied by src, consumed chunk
 // by chunk so a windowed FileSource never stages the whole snapshot.
@@ -268,52 +258,8 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 	if opts.CheckpointEvery > 0 && s.cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("core: CheckpointEvery requires Config.CheckpointDir")
 	}
-	if s.d == nil || s.rebalanceNow {
-		// First RCB step, or a warm re-decomposition: (re)build the
-		// decomposition from this step's particle positions. Only the
-		// decomposition and link geometry change; all retained buffers and
-		// the recorder carry over, and because each step's geometry depends
-		// only on its own decomposition and particles, the merged canonical
-		// output stays byte-identical to a standalone run.
-		particles, err := materializeSource(src, s.cfg.Domain)
-		if err != nil {
-			return nil, err
-		}
-		d, err := decomposeFor(s.cfg, s.numBlocks, particles)
-		if err != nil {
-			return nil, err
-		}
-		if err := ValidateGhost(d, s.cfg.GhostSize); err != nil {
-			return nil, err
-		}
-		if s.d != nil {
-			s.rebalances++
-			// Sites land on different ranks now; the warm/cold classifier's
-			// per-rank position memory no longer applies. A rebalanced step
-			// honestly counts as cold.
-			for r := range s.ranks {
-				clear(s.ranks[r].prev)
-			}
-		}
-		s.installDecomposition(d)
-		s.rebalanceNow = false
-		s.parts = diy.PartitionParticlesInto(s.d, particles, s.parts)
-	} else {
-		// Streaming path: load, validate, partition, and release one
-		// chunk at a time, so the resident staging set is the source's
-		// window, not the snapshot.
-		s.parts = diy.ResetPartition(s.d, s.parts)
-		for c, n := 0, src.Chunks(); c < n; c++ {
-			chunk, err := src.Chunk(c)
-			if err != nil {
-				return nil, fmt.Errorf("core: source chunk %d: %w", c, err)
-			}
-			if err := checkInDomain(chunk, s.cfg.Domain); err != nil {
-				return nil, err
-			}
-			s.parts = diy.PartitionParticlesAppend(s.d, chunk, s.parts)
-			src.Release(c)
-		}
+	if err := s.stage(src); err != nil {
+		return nil, err
 	}
 	rec := s.cfg.Recorder
 	if rec != nil && s.steps > 0 {
@@ -323,46 +269,27 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 	}
 
 	out := &Output{Meshes: make([]*meshio.BlockMesh, s.numBlocks)}
-	errs := make([]error, s.numBlocks)
-	var mu sync.Mutex
-	runErr := s.w.Run(func(rank int) {
-		res, tm, err := s.tessellateRank(rank, opts.OutputPath)
+	err := s.runRanks(func(rank int) error {
+		res, tm, err := s.stepRank(rank, opts.OutputPath)
 		s.computeTm[rank] = tm.Compute
 		if err != nil {
-			errs[rank] = err
-			// Abort the world: the peers of a failed rank are (or soon
-			// will be) blocked in the timing/count collectives below, and
-			// without the abort they would wait forever on a rank that is
-			// never coming.
-			s.w.Abort(&comm.RankError{Rank: rank, Value: err})
-			return
+			return err
 		}
 		gtm := ReduceTiming(s.w, rank, tm)
 		gcnt := SumCounts(s.w, rank, res.Counts)
 		gghost := comm.Allreduce(s.w, rank, int64(res.Ghosts), comm.SumInt64)
-		mu.Lock()
+		// Each rank fills its own slot and rank 0 alone the totals; the
+		// world's join publishes them to the caller.
 		out.Meshes[rank] = res.Mesh
 		if rank == 0 {
 			out.Timing = gtm
 			out.Counts = gcnt
 			out.Ghosts = int(gghost)
 		}
-		mu.Unlock()
+		return nil
 	})
-	if werr := s.w.Err(); werr != nil {
-		// The world is dead (aborted ranks, possibly blocked peers released
-		// by the abort); no further step can run through it.
-		s.terminal = werr
-	}
-	for r, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d: %w", r, err)
-		}
-	}
-	if runErr != nil {
-		// A contained panic (or watchdog stall) rather than a returned
-		// pipeline error: surface the structured abort cause.
-		return nil, fmt.Errorf("core: %w", runErr)
+	if err != nil {
+		return nil, err
 	}
 	if s.cfg.LabelVoids {
 		out.labelVoids(s.cfg.VoidThreshold)
@@ -385,23 +312,94 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 	return out, nil
 }
 
-// materializeSource drains src into one slice (validating domain
-// containment chunk by chunk), for the decomposition-(re)building steps
-// that need every position at once.
-func materializeSource(src storage.Source, domain geom.Box) ([]diy.Particle, error) {
+// stage loads one step's particles into the per-rank partition buffers in
+// the one order every driver uses: validate, (re)build the decomposition if
+// this step must (see StepSource), partition. It is the only place that
+// walks a source, and it releases each chunk on every path: a rejected step
+// is not terminal, so a chunk left pinned would shrink the source's window
+// for good.
+//
+// A re-decomposition changes only the decomposition and link geometry; all
+// retained buffers and the recorder carry over, and because each step's
+// geometry depends only on its own decomposition and particles, the merged
+// canonical output stays byte-identical to a standalone run.
+func (s *Session) stage(src storage.Source) error {
+	rebuild := s.d == nil || s.rebalanceNow
 	var all []diy.Particle
+	if !rebuild {
+		s.parts = diy.ResetPartition(s.d, s.parts)
+	}
 	for c, n := 0, src.Chunks(); c < n; c++ {
 		chunk, err := src.Chunk(c)
 		if err != nil {
-			return nil, fmt.Errorf("core: source chunk %d: %w", c, err)
+			return fmt.Errorf("core: source chunk %d: %w", c, err)
 		}
-		if err := checkInDomain(chunk, domain); err != nil {
-			return nil, err
+		err = checkInDomain(chunk, s.cfg.Domain)
+		if err == nil {
+			if rebuild {
+				all = append(all, chunk...)
+			} else {
+				s.parts = diy.PartitionParticlesAppend(s.d, chunk, s.parts)
+			}
 		}
-		all = append(all, chunk...)
 		src.Release(c)
+		if err != nil {
+			return err
+		}
 	}
-	return all, nil
+	if !rebuild {
+		return nil
+	}
+	d, err := decomposeFor(s.cfg, s.numBlocks, all)
+	if err != nil {
+		return err
+	}
+	if err := ValidateGhost(d, s.cfg.GhostSize); err != nil {
+		return err
+	}
+	if s.d != nil {
+		s.rebalances++
+		// Sites land on different ranks now; the warm/cold classifier's
+		// per-rank position memory no longer applies. A rebalanced step
+		// honestly counts as cold.
+		for r := range s.ranks {
+			clear(s.ranks[r].prev)
+		}
+	}
+	s.installDecomposition(d)
+	s.rebalanceNow = false
+	s.parts = diy.PartitionParticlesInto(s.d, all, s.parts)
+	return nil
+}
+
+// runRanks runs body once per rank, concurrently, on the session's world
+// and folds the outcome into one error. A rank whose body returns an error
+// aborts the world — its peers are (or soon will be) blocked in a
+// collective, and without the abort they would wait forever on a rank that
+// is never coming — and is reported as that rank's error; a contained panic
+// or a watchdog stall surfaces as the world's structured abort cause.
+// Either way the world is dead afterwards, so the session is terminally
+// failed.
+func (s *Session) runRanks(body func(rank int) error) error {
+	clear(s.rankErrs)
+	runErr := s.w.Run(func(rank int) {
+		if err := body(rank); err != nil {
+			s.rankErrs[rank] = err
+			s.w.Abort(&comm.RankError{Rank: rank, Value: err})
+		}
+	})
+	if werr := s.w.Err(); werr != nil {
+		s.terminal = werr
+	}
+	for r, err := range s.rankErrs {
+		if err != nil {
+			return fmt.Errorf("core: rank %d: %w", r, err)
+		}
+	}
+	if runErr != nil {
+		return fmt.Errorf("core: %w", runErr)
+	}
+	return nil
 }
 
 // checkInDomain rejects particles outside the configured domain before
@@ -432,19 +430,22 @@ func imbalanceRatio(ds []time.Duration) float64 {
 	return float64(max) / mean
 }
 
-// tessellateRank is the session's per-rank pipeline body — TessellateBlock
-// rebuilt on the rank's retained state (exchanger, merged-point arrays,
-// index, compute buffers, mesh builder). The phase structure, fault
-// checkpoints, recorder spans, and arithmetic are identical to
-// TessellateBlock; only the storage the phases run in is reused.
-func (s *Session) tessellateRank(rank int, outputPath string) (*BlockResult, Timing, error) {
+// stepRank is one rank's pass under the concurrent scheduler: warm/cold
+// bookkeeping, the ghost exchange through the rank's retained link geometry
+// and receive buffers, then the shared compute and output phases. The fault
+// checkpoints number the pipeline steps each rank passes (exchange, compute,
+// output, done), accumulating across the session's steps (1..4 in the first
+// Step, 5..8 in the second, and so on), so a crash-at-step-N plan can target
+// any step of a long session; an injected crash panics at the matching
+// checkpoint and the containment layer in comm.World.Run turns it into a
+// RankError.
+func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, error) {
 	var tm Timing
 	rec := s.cfg.Recorder
 	inj := s.cfg.injector
 	rs := &s.ranks[rank]
 	local := s.parts[rank]
 	start := time.Now()
-	block := s.d.Block(rank)
 
 	// Warm/cold bookkeeping: a site is warm when its particle moved at
 	// most the ghost distance since the previous step, the regime the
@@ -466,11 +467,6 @@ func (s *Session) tessellateRank(rank int, outputPath string) (*BlockResult, Tim
 		rs.prev[p.ID] = p.Pos
 	}
 
-	// Phase 1: neighborhood ghost exchange, through the retained link
-	// geometry and receive buffers. Fault checkpoints number the pipeline
-	// steps each rank passes, accumulating across the session's steps
-	// (step 1..4 in the first Step, 5..8 in the second, and so on), so a
-	// crash-at-step-N plan can target any step of a long session.
 	inj.Checkpoint(rank, "exchange")
 	t0 := time.Now()
 	sp := rec.Begin(rank, obs.PhaseExchange)
@@ -478,71 +474,26 @@ func (s *Session) tessellateRank(rank int, outputPath string) (*BlockResult, Tim
 	rec.End(rank, sp)
 	tm.Exchange = time.Since(t0)
 
-	// Phase 2+3: ghost merge into the retained spatial index, then local
-	// cells through the retained compute buffers.
-	inj.Checkpoint(rank, "compute")
-	t0 = time.Now()
-	sp = rec.Begin(rank, obs.PhaseGhostMerge)
-	rs.mergeGhosts(block, local, ghosts, s.cfg)
-	rec.End(rank, sp)
-	sp = rec.Begin(rank, obs.PhaseCompute)
-	res, err := computeIndexedCellsIn(&rs.bi, local, s.cfg, EffectiveWorkers(s.cfg, s.w.Size()), &rs.cb)
+	res, elapsed, err := rs.compute(s.cfg, rank, s.d.Block(rank), local, ghosts, EffectiveWorkers(s.cfg, s.inFlight))
 	if err != nil {
 		return nil, tm, err
 	}
-	rec.End(rank, sp)
-	res.Rank = rank
-	tm.Compute = time.Since(t0)
+	tm.Compute = elapsed
 
-	// Phase 4: collective write.
 	inj.Checkpoint(rank, "output")
-	t0 = time.Now()
-	sp = rec.Begin(rank, obs.PhaseOutput)
-	if outputPath != "" {
-		payload, err := res.Mesh.Encode()
-		if err != nil {
-			return nil, tm, fmt.Errorf("core: rank %d encode: %w", rank, err)
-		}
-		n, err := diy.CollectiveWrite(s.w, rank, outputPath, payload)
-		if err != nil {
-			return nil, tm, err
-		}
-		if rank == 0 {
-			tm.OutputBytes = n
-		}
+	n, elapsed, err := writeBlock(rec, s.w, rank, res.Mesh, outputPath)
+	if err != nil {
+		return nil, tm, err
 	}
-	rec.End(rank, sp)
-	tm.Output = time.Since(t0)
+	if rank == 0 {
+		tm.OutputBytes = n
+	}
+	tm.Output = elapsed
 	tm.Total = time.Since(start)
 	inj.Checkpoint(rank, "done")
-	countBlock(rec, rank, res)
 	rec.Count(rank, s.warmID, int64(warm))
 	rec.Count(rank, s.coldID, int64(cold))
 	return res, tm, nil
-}
-
-// mergeGhosts is the retained-storage ghost-merge sub-phase: local and
-// ghost particles concatenate (local first, preserving site order) into
-// the rank's reused arrays, and the spatial index rebuilds in place. The
-// resulting index and clipping box are identical to the single-pass
-// mergeGhosts.
-func (rs *rankState) mergeGhosts(block diy.Block, local, ghosts []diy.Particle, cfg Config) {
-	rs.all, rs.ids = rs.all[:0], rs.ids[:0]
-	for _, p := range local {
-		rs.all = append(rs.all, p.Pos)
-		rs.ids = append(rs.ids, p.ID)
-	}
-	for _, p := range ghosts {
-		rs.all = append(rs.all, p.Pos)
-		rs.ids = append(rs.ids, p.ID)
-	}
-	rs.ix.Rebuild(rs.all, rs.ids, 0)
-	rs.bi = blockIndex{
-		ix:      &rs.ix,
-		initBox: initialClipBox(block, cfg),
-		bounds:  block.Bounds,
-		ghosts:  len(ghosts),
-	}
 }
 
 // Close releases the session. The per-step loan contract ends with it: the
@@ -551,7 +502,7 @@ func (rs *rankState) mergeGhosts(block diy.Block, local, ghosts []diy.Particle, 
 func (s *Session) Close() error {
 	if !s.closed {
 		s.closed = true
-		s.budget.release(s.numBlocks)
+		s.budget.release(s.inFlight)
 	}
 	return nil
 }

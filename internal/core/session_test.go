@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/nbody"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // evolvingSnapshots runs the built-in N-body simulation and captures the
@@ -251,10 +254,9 @@ func TestSessionRecorderResetsPerStep(t *testing.T) {
 	}
 }
 
-// The deprecated-alias contract: Run through a session-per-call must keep
-// accepting per-step output paths via StepPath, including the empty path
-// writing nothing.
-func TestSessionStepPathOverridesConfig(t *testing.T) {
+// StepOpts.OutputPath is the step's output destination, whatever
+// Config.OutputPath says (here: nothing).
+func TestSessionStepOutputPathOverridesConfig(t *testing.T) {
 	const ng = 8
 	snaps := evolvingSnapshots(t, ng, 1)
 	dir := t.TempDir()
@@ -265,11 +267,52 @@ func TestSessionStepPathOverridesConfig(t *testing.T) {
 	}
 	defer s.Close()
 	path := dir + "/step.out"
-	out, err := s.StepPath(snaps[0], path)
+	out, err := s.StepSource(storage.NewSliceSource(snaps[0]), StepOpts{OutputPath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Timing.OutputBytes <= 0 {
-		t.Errorf("OutputBytes = %d after StepPath with a path", out.Timing.OutputBytes)
+		t.Errorf("OutputBytes = %d after a step with an output path", out.Timing.OutputBytes)
+	}
+}
+
+// A rejected step is not terminal, so it must leave the source as it
+// found it: the chunk holding the out-of-domain particle is released like
+// any other, on the streaming path and on the path that stages the whole
+// snapshot for an RCB build alike. Before the fix the chunk stayed pinned
+// and every later pass over the source ran one chunk over its window.
+func TestRejectedStepReleasesChunk(t *testing.T) {
+	const L, chunks, window = 8.0, 8, 1
+	ps := perturbedParticles(rand.New(rand.NewSource(17)), 8, L, 0.5)
+	ps[len(ps)/2].Pos.X = L + 1 // in a middle chunk
+	path := filepath.Join(t.TempDir(), "bad.snap")
+	if err := storage.WriteSnapshot(path, ps, chunks); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []DecompKind{DecomposeRegular, DecomposeRCB} {
+		src, err := storage.OpenFileSource(path, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := baseConfig(L)
+		cfg.Decomposition = kind
+		s, err := OpenSession(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StepSource(src, StepOpts{}); err == nil || !strings.Contains(err.Error(), "outside domain") {
+			t.Fatalf("decomposition %d: step over an out-of-domain particle returned %v", kind, err)
+		}
+		for c := 0; c < src.Chunks(); c++ {
+			if _, err := src.Chunk(c); err != nil {
+				t.Fatal(err)
+			}
+			src.Release(c)
+		}
+		if peak := src.Stats().PeakResidentChunks; peak > window {
+			t.Errorf("decomposition %d: PeakResidentChunks = %d after a rejected step, window is %d", kind, peak, window)
+		}
+		s.Close()
+		src.Close()
 	}
 }

@@ -132,9 +132,8 @@ type Config struct {
 	// fault-free run.
 	Faults *faultinject.Plan
 
-	// injector is the plan materialized once per driver run and shared by
-	// its ranks; TessellateBlock falls back to materializing its own when
-	// driven directly (per-rank state keeps that deterministic too).
+	// injector is the plan materialized once by OpenSession and shared by
+	// the session's ranks.
 	injector *faultinject.Injector
 }
 
@@ -154,8 +153,8 @@ const (
 )
 
 // countBlock adds one rank's pipeline and kernel counters to rec, resolving
-// the names on the way (idempotent; see obs.RegisterCounter). The drivers
-// count a zero BlockResult before their ranks start, so every name is
+// the names on the way (idempotent; see obs.RegisterCounter). OpenSession
+// counts a zero BlockResult before any rank starts, so every name is
 // registered, in this order, before any rank counts.
 func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 	if rec == nil {
@@ -269,73 +268,6 @@ func decomposeFor(cfg Config, numBlocks int, particles []diy.Particle) (*diy.Dec
 	return diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic)
 }
 
-// TessellateBlock runs the tess pipeline for one rank. All ranks of the
-// world must call it collectively with the same cfg. local holds the rank's
-// own particles (inside its block bounds).
-func TessellateBlock(w *comm.World, d *diy.Decomposition, rank int, local []diy.Particle, cfg Config) (*BlockResult, Timing, error) {
-	var tm Timing
-	rec := cfg.Recorder
-	inj := cfg.injector
-	if inj == nil && cfg.Faults != nil && cfg.Faults.Enabled() {
-		inj = faultinject.New(*cfg.Faults, w.Size())
-	}
-	start := time.Now()
-	block := d.Block(rank)
-
-	// Phase 1: neighborhood ghost exchange. The fault checkpoints number
-	// the pipeline steps each rank passes (1 = entering the exchange,
-	// 2 = entering compute, 3 = entering output, 4 = pass complete); an
-	// injected crash-at-step-N panics at the matching checkpoint and the
-	// containment layer in comm.World.Run turns it into a RankError.
-	inj.Checkpoint(rank, "exchange")
-	t0 := time.Now()
-	sp := rec.Begin(rank, obs.PhaseExchange)
-	ghosts := diy.ExchangeGhost(w, d, rank, local, cfg.GhostSize)
-	rec.End(rank, sp)
-	tm.Exchange = time.Since(t0)
-
-	// Phase 2+3: ghost merge into the spatial index, then local cells,
-	// completeness, culling, hull pass. Both sub-phases fall under the
-	// paper's "computation" time; the recorder keeps them apart.
-	inj.Checkpoint(rank, "compute")
-	t0 = time.Now()
-	sp = rec.Begin(rank, obs.PhaseGhostMerge)
-	bi := mergeGhosts(block, local, ghosts, cfg)
-	rec.End(rank, sp)
-	sp = rec.Begin(rank, obs.PhaseCompute)
-	res, err := computeIndexedCells(bi, local, cfg, EffectiveWorkers(cfg, w.Size()))
-	if err != nil {
-		return nil, tm, err
-	}
-	rec.End(rank, sp)
-	res.Rank = rank
-	tm.Compute = time.Since(t0)
-
-	// Phase 4: collective write.
-	inj.Checkpoint(rank, "output")
-	t0 = time.Now()
-	sp = rec.Begin(rank, obs.PhaseOutput)
-	if cfg.OutputPath != "" {
-		payload, err := res.Mesh.Encode()
-		if err != nil {
-			return nil, tm, fmt.Errorf("core: rank %d encode: %w", rank, err)
-		}
-		n, err := diy.CollectiveWrite(w, rank, cfg.OutputPath, payload)
-		if err != nil {
-			return nil, tm, err
-		}
-		if rank == 0 {
-			tm.OutputBytes = n
-		}
-	}
-	rec.End(rank, sp)
-	tm.Output = time.Since(t0)
-	tm.Total = time.Since(start)
-	inj.Checkpoint(rank, "done")
-	countBlock(rec, rank, res)
-	return res, tm, nil
-}
-
 // blockIndex is the merged local+ghost view of one block: the spatial
 // index the cell computation clips against, plus the initial clipping box
 // every local site starts from.
@@ -346,22 +278,40 @@ type blockIndex struct {
 	ghosts  int
 }
 
-// mergeGhosts is the ghost-merge sub-phase: it concatenates local and ghost
-// particles (local first, so site order is preserved) and builds the
-// spatial index the clipping kernel traverses.
-func mergeGhosts(block diy.Block, local, ghosts []diy.Particle, cfg Config) *blockIndex {
-	all := make([]geom.Vec3, 0, len(local)+len(ghosts))
-	ids := make([]int64, 0, len(local)+len(ghosts))
+// rankState is one rank's retained pipeline state: the ghost exchanger,
+// the merged-point arrays and spatial index, the compute buffers and mesh
+// builder. Its compute method and writeBlock are the per-rank pipeline
+// body; the schedulers (Session.StepSource, RunTimed) differ only in how
+// they order the ranks and where the ghosts come from.
+type rankState struct {
+	ex  *diy.Exchanger
+	all []geom.Vec3 // merged local+ghost positions, local first
+	ids []int64     // merged IDs, parallel to all
+	ix  voronoi.Index
+	bi  blockIndex
+	cb  computeBuffers
+
+	prev                 map[int64]geom.Vec3 // site positions of the previous step
+	warmSites, coldSites int64               // accumulated across steps
+}
+
+// mergeGhosts is the ghost-merge sub-phase: local and ghost particles
+// concatenate (local first, preserving site order) into the rank's reused
+// arrays, and the spatial index the clipping kernel traverses rebuilds in
+// place.
+func (rs *rankState) mergeGhosts(block diy.Block, local, ghosts []diy.Particle, cfg Config) {
+	rs.all, rs.ids = rs.all[:0], rs.ids[:0]
 	for _, p := range local {
-		all = append(all, p.Pos)
-		ids = append(ids, p.ID)
+		rs.all = append(rs.all, p.Pos)
+		rs.ids = append(rs.ids, p.ID)
 	}
 	for _, p := range ghosts {
-		all = append(all, p.Pos)
-		ids = append(ids, p.ID)
+		rs.all = append(rs.all, p.Pos)
+		rs.ids = append(rs.ids, p.ID)
 	}
-	return &blockIndex{
-		ix:      voronoi.NewIndex(all, ids, 0),
+	rs.ix.Rebuild(rs.all, rs.ids, 0)
+	rs.bi = blockIndex{
+		ix:      &rs.ix,
 		initBox: initialClipBox(block, cfg),
 		bounds:  block.Bounds,
 		ghosts:  len(ghosts),
@@ -376,20 +326,52 @@ func initialClipBox(block diy.Block, cfg Config) geom.Box {
 	return block.Bounds.Expand(math.Max(cfg.GhostSize, 1e-9*block.Bounds.Size().MaxAbs()))
 }
 
-// computeBlockCells is the compute stage of one block: Voronoi cells for
-// every local site against local+ghost particles, completeness filtering,
-// the two-stage volume cull, and the optional hull pass. It is the
-// ghost-merge and cell-compute sub-phases run back to back; drivers that
-// time the sub-phases separately call mergeGhosts and computeIndexedCells
-// themselves.
-func computeBlockCells(block diy.Block, local, ghosts []diy.Particle, cfg Config, workers int) (*BlockResult, error) {
-	return computeIndexedCells(mergeGhosts(block, local, ghosts, cfg), local, cfg, workers)
+// compute is phases 2+3 of the pipeline for one rank: past the "compute"
+// fault checkpoint, the ghosts merge into the retained spatial index and
+// the local cells are built, filtered, culled and hulled through the
+// retained compute buffers. Both sub-phases fall under the paper's
+// "computation" time, which is the returned duration (what Timing.Compute,
+// the rebalance trigger and PerRankCompute read); the recorder keeps them
+// apart. The BlockResult is a loan against rs, like computeIndexedCells'.
+func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghosts []diy.Particle, workers int) (*BlockResult, time.Duration, error) {
+	rec := cfg.Recorder
+	cfg.injector.Checkpoint(rank, "compute")
+	t0 := time.Now()
+	sp := rec.Begin(rank, obs.PhaseGhostMerge)
+	rs.mergeGhosts(block, local, ghosts, cfg)
+	rec.End(rank, sp)
+	sp = rec.Begin(rank, obs.PhaseCompute)
+	res, err := computeIndexedCells(&rs.bi, local, cfg, workers, &rs.cb)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec.End(rank, sp)
+	res.Rank = rank
+	elapsed := time.Since(t0)
+	countBlock(rec, rank, res)
+	return res, elapsed, nil
 }
 
-// computeIndexedCells runs the per-site cell pipeline over a merged block
-// index with fresh (single-pass) buffers. See computeIndexedCellsIn.
-func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, workers int) (*BlockResult, error) {
-	return computeIndexedCellsIn(bi, local, cfg, workers, new(computeBuffers))
+// writeBlock is phase 4 for one rank: the mesh is encoded and written to
+// path through the collective I/O layer, which every rank of w must enter
+// together. An empty path writes nothing (the output span is recorded
+// either way). It returns the file size CollectiveWrite reports and the
+// phase's wall time.
+func writeBlock(rec *obs.Recorder, w *comm.World, rank int, mesh *meshio.BlockMesh, path string) (int64, time.Duration, error) {
+	t0 := time.Now()
+	sp := rec.Begin(rank, obs.PhaseOutput)
+	var n int64
+	if path != "" {
+		payload, err := mesh.Encode()
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: rank %d encode: %w", rank, err)
+		}
+		if n, err = diy.CollectiveWrite(w, rank, path, payload); err != nil {
+			return 0, 0, err
+		}
+	}
+	rec.End(rank, sp)
+	return n, time.Since(t0), nil
 }
 
 // computeBuffers is the retained storage of the compute stage: per-worker
@@ -439,7 +421,7 @@ func resizeZeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// computeIndexedCellsIn runs the per-site cell pipeline over a merged block
+// computeIndexedCells runs the per-site cell pipeline over a merged block
 // index. The per-site loop fans out over a pool of workers goroutines
 // claiming chunks of the site range from an atomic cursor; every worker
 // reuses its own voronoi.Scratch and detaches finished cells into its own
@@ -451,7 +433,7 @@ func resizeZeroed[T any](s []T, n int) []T {
 //
 // The returned BlockResult is a loan against cb: its mesh (and the cells
 // it was built from) are valid only until cb's next pass.
-func computeIndexedCellsIn(bi *blockIndex, local []diy.Particle, cfg Config, workers int, cb *computeBuffers) (*BlockResult, error) {
+func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, workers int, cb *computeBuffers) (*BlockResult, error) {
 	ix, initBox := bi.ix, bi.initBox
 
 	// Early-cull diameter bound: a convex cell with diameter d has volume
@@ -565,16 +547,18 @@ func ReduceTiming(w *comm.World, rank int, tm Timing) Timing {
 	return out
 }
 
+// add returns the field-wise sum of two cell counts.
+func (a CellCounts) add(b CellCounts) CellCounts {
+	return CellCounts{
+		Sites:       a.Sites + b.Sites,
+		Incomplete:  a.Incomplete + b.Incomplete,
+		CulledEarly: a.CulledEarly + b.CulledEarly,
+		CulledExact: a.CulledExact + b.CulledExact,
+		Kept:        a.Kept + b.Kept,
+	}
+}
+
 // SumCounts reduces per-rank cell counts to global totals.
 func SumCounts(w *comm.World, rank int, c CellCounts) CellCounts {
-	add := func(a, b CellCounts) CellCounts {
-		return CellCounts{
-			Sites:       a.Sites + b.Sites,
-			Incomplete:  a.Incomplete + b.Incomplete,
-			CulledEarly: a.CulledEarly + b.CulledEarly,
-			CulledExact: a.CulledExact + b.CulledExact,
-			Kept:        a.Kept + b.Kept,
-		}
-	}
-	return comm.Allreduce(w, rank, c, add)
+	return comm.Allreduce(w, rank, c, CellCounts.add)
 }

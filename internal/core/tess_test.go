@@ -1,15 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/meshio"
+	"repro/internal/obs"
 	"repro/internal/voronoi"
 )
 
@@ -349,40 +352,50 @@ func TestCompareAccuracyEdgeCases(t *testing.T) {
 	}
 }
 
+// runBothSchedulers runs cfg through Run and RunTimed, a recorder on each,
+// and requires what one shared rank body implies: every block's encoded
+// bytes, the global counts, and every deterministic per-rank counter are
+// equal between the concurrent and the sequential scheduler.
+func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) (*Output, *TimedOutput) {
+	t.Helper()
+	cfg.Recorder = obs.NewRecorder(blocks)
+	a, err := Run(cfg, ps, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recorder = obs.NewRecorder(blocks)
+	b, err := RunTimed(cfg, ps, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Counts != b.Counts {
+		t.Errorf("counts differ: Run %+v, RunTimed %+v", a.Counts, b.Counts)
+	}
+	ea, eb := encodeMeshes(t, a), encodeMeshes(t, &b.Output)
+	for rank := range ea {
+		if !bytes.Equal(ea[rank], eb[rank]) {
+			t.Errorf("block %d: encoded mesh differs between Run and RunTimed", rank)
+		}
+	}
+	for _, name := range []string{
+		CounterGhosts, CounterCellsKept, CounterSites, CounterKernelShells,
+		CounterKernelGathered, CounterKernelSorted, CounterKernelTested, CounterKernelCut,
+	} {
+		ca, cb := a.Obs.Counters[name], b.Obs.Counters[name]
+		if len(ca) != blocks || !reflect.DeepEqual(ca, cb) {
+			t.Errorf("counter %s: Run %v, RunTimed %v", name, ca, cb)
+		}
+	}
+	return a, b
+}
+
 func TestRunTimedMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	const L = 8.0
 	ps := perturbedParticles(rng, 8, L, 0.9)
 	cfg := baseConfig(L)
 	cfg.MinVolume = 0.5
-	a, err := Run(cfg, ps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTimed(cfg, ps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts != b.Counts {
-		t.Fatalf("counts differ: %+v vs %+v", a.Counts, b.Counts)
-	}
-	sa, sb := a.Summaries(), b.Summaries()
-	if len(sa) != len(sb) {
-		t.Fatalf("cell counts differ: %d vs %d", len(sa), len(sb))
-	}
-	bm := map[int64]CellSummary{}
-	for _, s := range sb {
-		bm[s.ID] = s
-	}
-	for _, s := range sa {
-		o, ok := bm[s.ID]
-		if !ok {
-			t.Fatalf("cell %d missing from timed run", s.ID)
-		}
-		if math.Abs(s.Volume-o.Volume) > 1e-12 || s.Faces != o.Faces {
-			t.Fatalf("cell %d differs between drivers", s.ID)
-		}
-	}
+	_, b := runBothSchedulers(t, cfg, ps, 4)
 	if b.SumCompute <= 0 || len(b.PerRankCompute) != 4 {
 		t.Errorf("per-rank timings not populated")
 	}

@@ -3,14 +3,13 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/diy"
-	"repro/internal/faultinject"
 	"repro/internal/meshio"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // TimedOutput extends Output with the per-rank phase times the performance
@@ -31,154 +30,88 @@ type TimedOutput struct {
 // than ranks (this reproduction's usual situation), timing concurrent
 // goroutines would charge every rank for its neighbors' CPU time and erase
 // the scaling signal; sequential per-rank timing measures what Table II and
-// Figure 10 actually plot. The ghost sets are produced by a loopback
-// equivalent of the neighborhood exchange that is test-verified to match
-// the message-based path, and the collective write runs through the real
-// communicator afterwards.
+// Figure 10 actually plot. It is a single-step session like Run, under a
+// different scheduler: the ranks run the same compute phase one after
+// another, fed by a loopback equivalent of the neighborhood exchange that
+// is test-verified to match the message-based path, and then write
+// together through the session's communicator.
 func RunTimed(cfg Config, particles []diy.Particle, numBlocks int) (*TimedOutput, error) {
-	d, err := decomposeFor(cfg, numBlocks, particles)
+	// One rank is in flight at a time, and that is how the pass registers
+	// with the worker budget: each rank's compute phase gets the whole
+	// machine (EffectiveWorkers over one rank).
+	s, err := openSession(cfg, numBlocks, 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := ValidateGhost(d, cfg.GhostSize); err != nil {
+	defer s.Close()
+	return s.stepTimed(particles)
+}
+
+// stepTimed is RunTimed's pass over an open session.
+func (s *Session) stepTimed(particles []diy.Particle) (*TimedOutput, error) {
+	if err := s.stage(storage.NewSliceSource(particles)); err != nil {
 		return nil, err
 	}
-	for _, p := range particles {
-		if !cfg.Domain.Contains(p.Pos) {
-			return nil, fmt.Errorf("core: particle %d at %v outside domain", p.ID, p.Pos)
-		}
+	out := &TimedOutput{
+		Output:          Output{Meshes: make([]*meshio.BlockMesh, s.numBlocks)},
+		PerRankExchange: make([]time.Duration, s.numBlocks),
+		PerRankCompute:  make([]time.Duration, s.numBlocks),
 	}
-	parts := diy.PartitionParticles(d, particles)
-
-	rec := cfg.Recorder
-	if rec != nil {
-		if rec.Ranks() != numBlocks {
-			return nil, fmt.Errorf("core: recorder sized for %d ranks, run has %d blocks", rec.Ranks(), numBlocks)
-		}
-		countBlock(rec, 0, new(BlockResult))
-	}
-	var inj *faultinject.Injector
-	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		inj = faultinject.New(*cfg.Faults, numBlocks)
-	}
-
-	out := &TimedOutput{}
-	out.Meshes = make([]*meshio.BlockMesh, numBlocks)
-	out.PerRankExchange = make([]time.Duration, numBlocks)
-	out.PerRankCompute = make([]time.Duration, numBlocks)
-
-	for rank := 0; rank < numBlocks; rank++ {
-		res, err := runTimedRank(cfg, d, parts, rank, rec, inj, out)
+	for rank := range s.ranks {
+		res, err := s.timedRank(rank, out)
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", rank, err)
 		}
-
 		out.Meshes[rank] = res.Mesh
-		out.Counts.Sites += res.Counts.Sites
-		out.Counts.Incomplete += res.Counts.Incomplete
-		out.Counts.CulledEarly += res.Counts.CulledEarly
-		out.Counts.CulledExact += res.Counts.CulledExact
-		out.Counts.Kept += res.Counts.Kept
+		out.Counts = out.Counts.add(res.Counts)
 		out.Ghosts += res.Ghosts
-	}
 
-	for rank := 0; rank < numBlocks; rank++ {
-		if out.PerRankExchange[rank] > out.Timing.Exchange {
-			out.Timing.Exchange = out.PerRankExchange[rank]
-		}
-		if out.PerRankCompute[rank] > out.Timing.Compute {
-			out.Timing.Compute = out.PerRankCompute[rank]
-		}
+		out.Timing.Exchange = max(out.Timing.Exchange, out.PerRankExchange[rank])
+		out.Timing.Compute = max(out.Timing.Compute, out.PerRankCompute[rank])
 		out.SumCompute += out.PerRankCompute[rank]
 	}
 
-	// Collective write through the real communicator (its cost is
-	// I/O-bound, not core-bound, so concurrent ranks are representative).
-	if cfg.OutputPath != "" {
-		payloads := make([][]byte, numBlocks)
-		for rank, m := range out.Meshes {
-			data, err := m.Encode()
-			if err != nil {
-				return nil, fmt.Errorf("core: rank %d encode: %w", rank, err)
-			}
-			payloads[rank] = data
-		}
-		var opts []comm.Option
-		if cfg.StallTimeout > 0 {
-			opts = append(opts, comm.WithWatchdog(cfg.StallTimeout))
-		}
-		w := comm.NewWorld(numBlocks, opts...)
-		w.SetRecorder(rec)
-		errs := make([]error, numBlocks)
-		var mu sync.Mutex
+	// Collective write, all ranks at once (its cost is I/O-bound, not
+	// core-bound, so concurrent ranks are representative).
+	if path := s.cfg.OutputPath; path != "" {
 		t0 := time.Now()
-		runErr := w.Run(func(rank int) {
-			sp := rec.Begin(rank, obs.PhaseOutput)
-			n, err := diy.CollectiveWrite(w, rank, cfg.OutputPath, payloads[rank])
-			rec.End(rank, sp)
-			if err != nil {
-				errs[rank] = err
-				// Peers are blocked in CollectiveWrite's own collectives;
-				// without the abort they would wait on this rank forever.
-				w.Abort(&comm.RankError{Rank: rank, Value: err})
-				return
-			}
+		err := s.runRanks(func(rank int) error {
+			n, _, err := writeBlock(s.cfg.Recorder, s.w, rank, out.Meshes[rank], path)
 			if rank == 0 {
-				mu.Lock()
 				out.Timing.OutputBytes = n
-				mu.Unlock()
 			}
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
 		out.Timing.Output = time.Since(t0)
-		for r, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("core: rank %d write: %w", r, err)
-			}
-		}
-		if runErr != nil {
-			return nil, fmt.Errorf("core: %w", runErr)
-		}
 	}
 	out.Timing.Total = out.Timing.Exchange + out.Timing.Compute + out.Timing.Output
-	out.Obs = rec.Snapshot()
+	out.Obs = s.cfg.Recorder.Snapshot()
 	return out, nil
 }
 
-// runTimedRank executes one rank's exchange + compute section of the
-// sequential timing loop, with the same fault containment the concurrent
-// driver gets from comm.World.Run: an injected (or genuine) panic is
-// recovered into a *comm.RankError instead of killing the process.
-func runTimedRank(cfg Config, d *diy.Decomposition, parts [][]diy.Particle, rank int,
-	rec *obs.Recorder, inj *faultinject.Injector, out *TimedOutput) (res *BlockResult, err error) {
+// timedRank is one rank's turn under the sequential scheduler — the
+// loopback exchange, then the shared compute phase — with the fault
+// containment the concurrent scheduler gets from comm.World.Run: an
+// injected (or genuine) panic is recovered into a *comm.RankError instead
+// of killing the process.
+func (s *Session) timedRank(rank int, out *TimedOutput) (res *BlockResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, &comm.RankError{Rank: rank, Value: v, Stack: debug.Stack()}
 		}
 	}()
+	rec := s.cfg.Recorder
 
-	inj.Checkpoint(rank, "exchange")
+	s.cfg.injector.Checkpoint(rank, "exchange")
 	t0 := time.Now()
 	sp := rec.Begin(rank, obs.PhaseExchange)
-	ghosts := diy.GatherGhosts(d, rank, parts, cfg.GhostSize)
+	ghosts := diy.GatherGhosts(s.d, rank, s.parts, s.cfg.GhostSize)
 	rec.End(rank, sp)
 	out.PerRankExchange[rank] = time.Since(t0)
 
-	inj.Checkpoint(rank, "compute")
-	t0 = time.Now()
-	// Ranks run one at a time here, so each one's compute phase may use
-	// the whole machine (concurrentRanks == 1). PerRankCompute keeps the
-	// combined merge+compute semantics; the recorder splits the two.
-	sp = rec.Begin(rank, obs.PhaseGhostMerge)
-	bi := mergeGhosts(d.Block(rank), parts[rank], ghosts, cfg)
-	rec.End(rank, sp)
-	sp = rec.Begin(rank, obs.PhaseCompute)
-	res, err = computeIndexedCells(bi, parts[rank], cfg, EffectiveWorkers(cfg, 1))
-	if err != nil {
-		return nil, err
-	}
-	rec.End(rank, sp)
-	out.PerRankCompute[rank] = time.Since(t0)
-
-	countBlock(rec, rank, res)
-	return res, nil
+	res, out.PerRankCompute[rank], err = s.ranks[rank].compute(s.cfg, rank, s.d.Block(rank), s.parts[rank], ghosts, EffectiveWorkers(s.cfg, s.inFlight))
+	return res, err
 }

@@ -11,7 +11,7 @@ import (
 // The compute phase must produce byte-identical meshes and identical
 // counts for every worker count: cells land by site index, counts merge by
 // summation, and no cell's arithmetic depends on the fan-out.
-func TestComputeBlockCellsDeterministicAcrossWorkers(t *testing.T) {
+func TestRankComputeDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	const L = 8.0
 	ps := perturbedParticles(rng, 8, L, 0.8)
@@ -30,7 +30,7 @@ func TestComputeBlockCellsDeterministicAcrossWorkers(t *testing.T) {
 		var refBytes []byte
 		var refCounts CellCounts
 		for _, workers := range []int{1, 2, 8} {
-			res, err := computeBlockCells(d.Block(rank), parts[rank], ghosts, cfg, workers)
+			res, _, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts, workers)
 			if err != nil {
 				t.Fatalf("rank %d workers %d: %v", rank, workers, err)
 			}

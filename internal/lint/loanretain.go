@@ -7,7 +7,7 @@ import (
 )
 
 // LoanRetain is the session-API analogue of ScratchRetain. Functions
-// marked //tess:loaned (Session.Step, Session.StepPath and their
+// marked //tess:loaned (Session.Step, Session.StepSource and their
 // wrappers) return borrowed storage: the provider owns it and overwrites
 // it in place on the next step, so the result is valid only until the
 // borrowing call chain returns. A loaned value may be read freely, but

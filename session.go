@@ -28,8 +28,8 @@ type Session struct {
 
 // Open starts a persistent tessellation session over numBlocks blocks.
 // cfg plays the same role as in Run; cfg.OutputPath, if set, is the
-// default destination every Step writes to (use StepTo for per-step
-// paths).
+// default destination every Step writes to (use the WithOutputPath step
+// option for per-step paths).
 func Open(cfg Config, numBlocks int) (*Session, error) {
 	s, err := core.OpenSession(cfg, numBlocks)
 	if err != nil {
@@ -57,17 +57,6 @@ func (s *Session) Step(particles []Particle, opts ...StepOption) (*Output, error
 //tess:loaned
 func (s *Session) StepFrom(src Source, opts ...StepOption) (*Output, error) {
 	return s.s.StepSource(src, resolveStepOpts(s.s.DefaultOutputPath(), opts))
-}
-
-// StepTo is Step writing this pass's blocks to outputPath (empty writes
-// nothing), overriding cfg.OutputPath.
-//
-// Deprecated: use Step(particles, WithOutputPath(outputPath)), which
-// composes with the other per-step options.
-//
-//tess:loaned
-func (s *Session) StepTo(particles []Particle, outputPath string) (*Output, error) {
-	return s.Step(particles, WithOutputPath(outputPath))
 }
 
 // Checkpoint persists the session's resumable state into dir — the

@@ -93,7 +93,7 @@ func TestPublicSessionMatchesRun(t *testing.T) {
 	}
 }
 
-func TestPublicSessionStepTo(t *testing.T) {
+func TestPublicSessionStepWithOutputPath(t *testing.T) {
 	cfg := NewPeriodicConfig(8, WithGhostSize(3))
 	sess, err := Open(cfg, 2)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestPublicSessionStepTo(t *testing.T) {
 	}
 	defer sess.Close()
 	path := t.TempDir() + "/step.out"
-	if _, err := sess.StepTo(testParticles(96, 8, 8), path); err != nil {
+	if _, err := sess.Step(testParticles(96, 8, 8), WithOutputPath(path)); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadTessFile(path)

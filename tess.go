@@ -125,7 +125,8 @@ func WithStallTimeout(d time.Duration) Option { return func(c *Config) { c.Stall
 func WithGhostSize(g float64) Option { return func(c *Config) { c.GhostSize = g } }
 
 // WithOutput directs each pass's collective write to path
-// (Config.OutputPath; a Session's StepPath can override it per step).
+// (Config.OutputPath; a Session's WithOutputPath step option overrides it
+// per step).
 func WithOutput(path string) Option { return func(c *Config) { c.OutputPath = path } }
 
 // NewPeriodicConfig returns a Config for the cosmology case: a periodic
@@ -161,15 +162,6 @@ func NewBoundedConfig(domain geom.Box, opts ...Option) Config {
 		opt(&cfg)
 	}
 	return cfg
-}
-
-// Tessellate runs a standalone-mode parallel tessellation of particles
-// over numBlocks blocks.
-//
-// Deprecated: Tessellate is the original name of Run and behaves
-// identically; use Run, or Open/Step/Close for repeated passes.
-func Tessellate(cfg Config, particles []Particle, numBlocks int) (*Output, error) {
-	return core.Run(cfg, particles, numBlocks)
 }
 
 // Run executes a standalone tessellation pass — a single-step session

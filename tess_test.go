@@ -32,7 +32,7 @@ func TestTessellatePublicAPI(t *testing.T) {
 	ps := testParticles(96, 8, 8)
 	cfg := NewPeriodicConfig(8)
 	cfg.GhostSize = 3
-	out, err := Tessellate(cfg, ps, 4)
+	out, err := Run(cfg, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestNewBoundedConfig(t *testing.T) {
 	ps := testParticles(97, 8, 8)
 	cfg := NewBoundedConfig(geom.NewBox(geom.V(0, 0, 0), geom.V(8, 8, 8)))
 	cfg.GhostSize = 3
-	out, err := Tessellate(cfg, ps, 4)
+	out, err := Run(cfg, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestTessellateWithInSituVoidLabels(t *testing.T) {
 	cfg := NewPeriodicConfig(8)
 	cfg.GhostSize = 3
 	cfg.LabelVoids = true
-	out, err := Tessellate(cfg, ps, 4)
+	out, err := Run(cfg, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
