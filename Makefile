@@ -12,7 +12,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint race cover faults ckpt jobd-e2e bench-module check bench bench-stack loc
+.PHONY: build test vet lint onecodec race cover faults ckpt jobd-e2e bench-module check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,11 @@ vet:
 lint:
 	$(GO) run ./cmd/tesslint ./...
 
+# One cursor for every on-disk format: only internal/wire may touch
+# encoding/binary, so a private codec cannot grow back unnoticed.
+onecodec:
+	@! grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' . | grep -v '^./internal/wire/'
+
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
 
@@ -36,8 +41,9 @@ race:
 # suite drives, the density pipeline whose byte-identity and
 # mass-conservation oracles gate the density job kind, and the storage
 # layer (snapshot sources + checkpoint commit protocol) the
-# out-of-core/resume paths stand on.
-COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage
+# out-of-core/resume paths stand on, and the byte cursor every on-disk
+# decoder reads outside input through.
+COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire
 COVER_FLOOR = 70
 
 cover:
@@ -77,7 +83,7 @@ ckpt:
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
 
-check: vet lint race cover faults ckpt jobd-e2e bench-module
+check: vet lint onecodec race cover faults ckpt jobd-e2e bench-module
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

@@ -2,11 +2,14 @@ package tess
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/diy"
 )
 
 // canonicalBytes reduces a step's output to the decomposition-independent
@@ -194,6 +197,46 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := plain.Step(testParticles(421, 8, 8), WithCheckpointEvery(1)); err == nil ||
 		!strings.Contains(err.Error(), "CheckpointDir") {
 		t.Errorf("WithCheckpointEvery without a checkpoint dir: %v", err)
+	}
+}
+
+// TestResumeCorruptDecomposition: a decomp.bin that parses but links a
+// block to a rank that does not exist must fail Resume with an error.
+// Resume builds the exchangers on the caller's goroutine, so a panic
+// there would take a daemon down instead of producing its fresh-start
+// fallback.
+func TestResumeCorruptDecomposition(t *testing.T) {
+	cfg := NewPeriodicConfig(8, WithGhostSize(3), WithDecomposition(DecomposeRCB))
+	sess, err := Open(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Step(testParticles(440, 8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "ck")
+	if err := sess.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "decomp.bin")
+	sections, err := diy.ReadAllBlocks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two blocks, one RCB node: the first link's rank follows the header
+	// (89), the blocks (2x80), the RCB flag and node count (1+8), the node
+	// (20), root and link ghost (4+8), and two list counts (8+8).
+	const firstLinkRank = 89 + 2*80 + 1 + 8 + 20 + 4 + 8 + 8 + 8
+	binary.LittleEndian.PutUint64(sections[0][firstLinkRank:], 2)
+	if _, err := diy.WriteBlocks(path, sections); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Resume(cfg, dir); err == nil {
+		res.Close()
+		t.Fatal("checkpoint linking block 0 to rank 2 of 2 resumed")
+	} else if !strings.Contains(err.Error(), "links to rank 2") {
+		t.Errorf("Resume: %v, want the link error", err)
 	}
 }
 

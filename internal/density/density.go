@@ -17,7 +17,6 @@
 package density
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -29,6 +28,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/voronoi"
+	"repro/internal/wire"
 )
 
 // Config describes a density-pipeline workload. The same Config drives
@@ -457,11 +457,11 @@ func resize(buf []float64, n int) []float64 {
 // wire format of the daemon's grid-slice endpoint and of the byte-identity
 // oracles in the tests.
 func EncodeGrid(grid []float64) []byte {
-	out := make([]byte, 8*len(grid))
-	for i, v := range grid {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	w := wire.NewWriter(8 * len(grid))
+	for _, v := range grid {
+		w.F64(v)
 	}
-	return out
+	return w.Bytes()
 }
 
 // DecodeGrid parses a grid encoded by EncodeGrid.
@@ -469,9 +469,10 @@ func DecodeGrid(b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("density: grid encoding length %d not a multiple of 8", len(b))
 	}
+	r := wire.NewReader(b)
 	out := make([]float64, len(b)/8)
 	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i] = r.F64()
 	}
 	return out, nil
 }

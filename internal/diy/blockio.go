@@ -1,12 +1,12 @@
 package diy
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/comm"
+	"repro/internal/wire"
 )
 
 // Block I/O: all ranks write their serialized block into a single shared
@@ -94,21 +94,32 @@ func CollectiveWrite(w *comm.World, rank int, path string, payload []byte) (int6
 		return 0, fmt.Errorf("diy: footer open %s: %w", path, err)
 	}
 	defer f.Close()
-	for i := range sizes {
-		if err := binary.Write(f, binary.LittleEndian, uint64(offsets[i])); err != nil {
-			return 0, err
-		}
-		if err := binary.Write(f, binary.LittleEndian, uint64(sizes[i])); err != nil {
-			return 0, err
-		}
+	foot := footer(sizes)
+	if _, err := f.Write(foot); err != nil {
+		return 0, fmt.Errorf("diy: footer write %s: %w", path, err)
 	}
-	trailer := []uint64{uint64(total), uint64(len(sizes)), blockIOMagic}
-	for _, v := range trailer {
-		if err := binary.Write(f, binary.LittleEndian, v); err != nil {
-			return 0, err
-		}
+	return total + int64(len(foot)), nil
+}
+
+const (
+	footerEntrySize = 16 // offset, size
+	trailerSize     = 24 // footer offset, block count, magic
+)
+
+// footer builds the index and trailer that follow back-to-back sections
+// of the given sizes.
+func footer(sizes []int64) []byte {
+	w := wire.NewWriter(footerEntrySize*len(sizes) + trailerSize)
+	var off int64
+	for _, s := range sizes {
+		w.I64(off)
+		w.I64(s)
+		off += s
 	}
-	return total + int64(16*len(sizes)) + 24, nil
+	w.I64(off)
+	w.U64(uint64(len(sizes)))
+	w.U64(blockIOMagic)
+	return w.Bytes()
 }
 
 // BlockIndex describes the sections of a block file.
@@ -117,7 +128,7 @@ type BlockIndex struct {
 	Sizes   []int64
 }
 
-// ReadIndex reads the footer index of a block file.
+// ReadIndex reads and validates the footer index of a block file.
 func ReadIndex(path string) (*BlockIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -128,38 +139,46 @@ func ReadIndex(path string) (*BlockIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() < 24 {
-		return nil, fmt.Errorf("diy: %s too small for a block file", path)
+	idx, err := readIndex(f, st.Size())
+	if err != nil {
+		return nil, fmt.Errorf("diy: %s: %w", path, err)
 	}
-	var trailer [3]uint64
-	if _, err := f.Seek(st.Size()-24, io.SeekStart); err != nil {
+	return idx, nil
+}
+
+// readIndex parses the trailer and footer of a block file of the given
+// size. Nothing in the file is trusted: the block count is checked
+// against the file size before the index is allocated, and every section
+// must lie inside [0, footer offset], so a reader sizing a buffer from
+// the index never allocates more than the file holds.
+func readIndex(f io.ReaderAt, size int64) (*BlockIndex, error) {
+	if size < trailerSize {
+		return nil, fmt.Errorf("too small for a block file (%d bytes)", size)
+	}
+	var trailer [trailerSize]byte
+	if _, err := f.ReadAt(trailer[:], size-trailerSize); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(f, binary.LittleEndian, &trailer); err != nil {
+	r := wire.NewReader(trailer[:])
+	footerOff, n, magic := r.I64(), r.U64(), r.U64()
+	if magic != blockIOMagic {
+		return nil, fmt.Errorf("not a block file (bad magic %#x)", magic)
+	}
+	if n > uint64(size-trailerSize)/footerEntrySize || footerOff != size-trailerSize-int64(n)*footerEntrySize {
+		return nil, fmt.Errorf("inconsistent footer (%d blocks, footer at %d, file size %d)", n, footerOff, size)
+	}
+	entries := make([]byte, int(n)*footerEntrySize)
+	if _, err := f.ReadAt(entries, footerOff); err != nil {
 		return nil, err
 	}
-	if trailer[2] != blockIOMagic {
-		return nil, fmt.Errorf("diy: %s is not a block file (bad magic)", path)
-	}
-	footerOff := int64(trailer[0])
-	n := int(trailer[1])
-	if footerOff < 0 || footerOff+int64(16*n)+24 != st.Size() {
-		return nil, fmt.Errorf("diy: %s has inconsistent footer", path)
-	}
+	r = wire.NewReader(entries)
 	idx := &BlockIndex{Offsets: make([]int64, n), Sizes: make([]int64, n)}
-	if _, err := f.Seek(footerOff, io.SeekStart); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var off, size uint64
-		if err := binary.Read(f, binary.LittleEndian, &off); err != nil {
-			return nil, err
+	for i := range idx.Offsets {
+		off, sz := r.U64(), r.U64()
+		if payload := uint64(footerOff); off > payload || sz > payload-off {
+			return nil, fmt.Errorf("block %d: offset %d size %d lies outside the %d payload bytes", i, off, sz, payload)
 		}
-		if err := binary.Read(f, binary.LittleEndian, &size); err != nil {
-			return nil, err
-		}
-		idx.Offsets[i] = int64(off)
-		idx.Sizes[i] = int64(size)
+		idx.Offsets[i], idx.Sizes[i] = int64(off), int64(sz)
 	}
 	return idx, nil
 }

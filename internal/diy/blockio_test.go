@@ -2,9 +2,12 @@ package diy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -129,6 +132,64 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadIndex(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestReadIndexRejectsLyingFooter: a footer whose trailer arithmetic is
+// consistent but whose entries point outside the payload must be an
+// error naming the block — not a makeslice panic (size 2^64-1) or a
+// terabyte allocation (size 2^40) in whoever sizes a buffer from it.
+func TestReadIndexRejectsLyingFooter(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.tess")
+	writeBlocks(t, good, [][]byte{[]byte("zero"), []byte("one!!"), []byte("two")})
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload, entry1 = 12, 12 + 16 // footer starts after 4+5+3 payload bytes
+	cases := []struct {
+		name     string
+		off      int // byte offset of the u64 to overwrite
+		val      uint64
+		wantName string
+	}{
+		{"size 2^64-1", entry1 + 8, math.MaxUint64, "block 1"},
+		{"size 2^40", entry1 + 8, 1 << 40, "block 1"},
+		{"size one past the payload", entry1 + 8, payload - 4 + 1, "block 1"},
+		{"offset past the payload", entry1, payload + 1, "block 1"},
+		{"offset 2^63", entry1, 1 << 63, "block 1"},
+		{"last block runs into the footer", entry1 + 16 + 8, 4, "block 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint64(bad[c.off:], c.val)
+			path := filepath.Join(dir, "bad.tess")
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadIndex(path); err == nil || !strings.Contains(err.Error(), c.wantName) {
+				t.Errorf("ReadIndex: %v, want an error naming %s", err, c.wantName)
+			}
+			if _, err := ReadAllBlocks(path); err == nil {
+				t.Error("ReadAllBlocks accepted the footer")
+			}
+			if _, err := ReadBlock(path, 1); err == nil {
+				t.Error("ReadBlock accepted the footer")
+			}
+		})
+	}
+	// A block count the file cannot hold is rejected before the index is
+	// allocated.
+	bad := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(bad[len(bad)-16:], 1<<60)
+	path := filepath.Join(dir, "count.tess")
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIndex(path); err == nil {
+		t.Error("block count 2^60 accepted")
 	}
 }
 

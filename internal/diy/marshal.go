@@ -1,12 +1,10 @@
 package diy
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // Decomposition (de)serialization for checkpoint/restart: a resumed
@@ -18,206 +16,182 @@ import (
 
 const decompMagic uint64 = 0x7465737344435031 // "tessDCP1"
 
-type decWriter struct {
-	buf bytes.Buffer
-	err error
+func putVec(w *wire.Writer, v geom.Vec3) { w.F64(v.X); w.F64(v.Y); w.F64(v.Z) }
+func putBox(w *wire.Writer, b geom.Box)  { putVec(w, b.Min); putVec(w, b.Max) }
+func getVec(r *wire.Reader) geom.Vec3 {
+	return geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 }
+func getBox(r *wire.Reader) geom.Box { return geom.Box{Min: getVec(r), Max: getVec(r)} }
 
-func (w *decWriter) u64(v uint64) { w.write(v) }
-func (w *decWriter) i64(v int64)  { w.write(v) }
-func (w *decWriter) i32(v int32)  { w.write(v) }
-func (w *decWriter) f64(v float64) {
-	w.write(math.Float64bits(v))
-}
-func (w *decWriter) vec(v geom.Vec3) { w.f64(v.X); w.f64(v.Y); w.f64(v.Z) }
-func (w *decWriter) box(b geom.Box)  { w.vec(b.Min); w.vec(b.Max) }
-func (w *decWriter) b(v bool) {
-	var x byte
-	if v {
-		x = 1
-	}
-	w.write(x)
-}
-func (w *decWriter) write(v any) {
-	if w.err == nil {
-		w.err = binary.Write(&w.buf, binary.LittleEndian, v)
-	}
-}
+// Minimum encoded sizes, for validating counts against remaining input.
+const (
+	blockBytes   = 8 + 3*8 + 6*8     // rank, coords, bounds
+	rcbNodeBytes = 4 + 8 + 4 + 4     // axis, split, left, right
+	linkBytes    = 8 + 3*8 + 3*8 + 1 // rank, dir, shift, periodic
+)
 
 // MarshalBinary serializes the decomposition, including the RCB split
 // tree and precomputed neighborhood links when present.
 func (d *Decomposition) MarshalBinary() ([]byte, error) {
-	w := &decWriter{}
-	w.u64(decompMagic)
-	w.box(d.Domain)
+	w := wire.NewWriter(128 + blockBytes*len(d.blocks))
+	w.U64(decompMagic)
+	putBox(w, d.Domain)
 	for a := 0; a < 3; a++ {
-		w.i64(int64(d.Dims[a]))
+		w.I64(int64(d.Dims[a]))
 	}
-	w.b(d.Periodic)
-	w.u64(uint64(len(d.blocks)))
+	w.Bool(d.Periodic)
+	w.U64(uint64(len(d.blocks)))
 	for _, b := range d.blocks {
-		w.i64(int64(b.Rank))
+		w.I64(int64(b.Rank))
 		for a := 0; a < 3; a++ {
-			w.i64(int64(b.Coords[a]))
+			w.I64(int64(b.Coords[a]))
 		}
-		w.box(b.Bounds)
+		putBox(w, b.Bounds)
 	}
-	w.b(d.rcb != nil)
+	w.Bool(d.rcb != nil)
 	if d.rcb != nil {
-		w.u64(uint64(len(d.rcb.nodes)))
+		w.U64(uint64(len(d.rcb.nodes)))
 		for _, nd := range d.rcb.nodes {
-			w.i32(int32(nd.axis))
-			w.f64(nd.split)
-			w.i32(nd.left)
-			w.i32(nd.right)
+			w.I32(int32(nd.axis))
+			w.F64(nd.split)
+			w.I32(nd.left)
+			w.I32(nd.right)
 		}
-		w.i32(d.rcb.root)
-		w.f64(d.rcb.linkGhost)
-		w.u64(uint64(len(d.rcb.links)))
+		w.I32(d.rcb.root)
+		w.F64(d.rcb.linkGhost)
+		w.U64(uint64(len(d.rcb.links)))
 		for _, ls := range d.rcb.links {
-			w.u64(uint64(len(ls)))
+			w.U64(uint64(len(ls)))
 			for _, n := range ls {
-				w.i64(int64(n.Rank))
+				w.I64(int64(n.Rank))
 				for a := 0; a < 3; a++ {
-					w.i64(int64(n.Dir[a]))
+					w.I64(int64(n.Dir[a]))
 				}
-				w.vec(n.Shift)
-				w.b(n.Periodic)
+				putVec(w, n.Shift)
+				w.Bool(n.Periodic)
 			}
 		}
 	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return w.buf.Bytes(), nil
-}
-
-type decReader struct {
-	buf *bytes.Reader
-	err error
-}
-
-func (r *decReader) u64() uint64 {
-	var v uint64
-	r.read(&v)
-	return v
-}
-func (r *decReader) i64() int64 {
-	var v int64
-	r.read(&v)
-	return v
-}
-func (r *decReader) i32() int32 {
-	var v int32
-	r.read(&v)
-	return v
-}
-func (r *decReader) f64() float64 {
-	var v uint64
-	r.read(&v)
-	return math.Float64frombits(v)
-}
-func (r *decReader) vec() geom.Vec3 {
-	return geom.Vec3{X: r.f64(), Y: r.f64(), Z: r.f64()}
-}
-func (r *decReader) box() geom.Box {
-	return geom.Box{Min: r.vec(), Max: r.vec()}
-}
-func (r *decReader) b() bool {
-	var v byte
-	r.read(&v)
-	return v != 0
-}
-func (r *decReader) read(v any) {
-	if r.err == nil {
-		r.err = binary.Read(r.buf, binary.LittleEndian, v)
-	}
-}
-
-// count validates a length field against the remaining input so a
-// corrupt count cannot drive a huge allocation.
-func (r *decReader) count(what string) (int, error) {
-	n := r.u64()
-	if r.err != nil {
-		return 0, r.err
-	}
-	if n > uint64(r.buf.Len())+1 {
-		return 0, fmt.Errorf("diy: implausible %s count %d", what, n)
-	}
-	return int(n), nil
+	return w.Bytes(), nil
 }
 
 // UnmarshalDecomposition parses a decomposition produced by
-// MarshalBinary.
+// MarshalBinary. What it returns is safe to use: every index a later
+// Locate, Neighbors or NewExchanger follows (block ranks, grid
+// coordinates, RCB child references, link targets) has been checked
+// here, so a corrupt checkpoint is an error at resume, not a panic in
+// the session.
 func UnmarshalDecomposition(data []byte) (*Decomposition, error) {
-	r := &decReader{buf: bytes.NewReader(data)}
-	if magic := r.u64(); magic != decompMagic {
-		return nil, fmt.Errorf("diy: bad decomposition magic %#x", magic)
+	r := wire.NewReader(data)
+	if magic := r.U64(); magic != decompMagic {
+		r.Fail("bad decomposition magic %#x", magic)
 	}
 	d := &Decomposition{}
-	d.Domain = r.box()
+	d.Domain = getBox(r)
 	for a := 0; a < 3; a++ {
-		d.Dims[a] = int(r.i64())
+		d.Dims[a] = int(r.I64())
 	}
-	d.Periodic = r.b()
-	nb, err := r.count("block")
-	if err != nil {
-		return nil, err
+	d.Periodic = r.Bool()
+	nb := r.Count("block", r.U64(), blockBytes)
+	if nb == 0 {
+		r.Fail("decomposition has no blocks")
 	}
 	d.blocks = make([]Block, nb)
 	for i := range d.blocks {
-		d.blocks[i].Rank = int(r.i64())
+		b := &d.blocks[i]
+		if b.Rank = int(r.I64()); b.Rank != i {
+			r.Fail("block %d records rank %d", i, b.Rank)
+		}
 		for a := 0; a < 3; a++ {
-			d.blocks[i].Coords[a] = int(r.i64())
+			b.Coords[a] = int(r.I64())
 		}
-		d.blocks[i].Bounds = r.box()
+		b.Bounds = getBox(r)
 	}
-	if r.b() {
-		s := &rcbState{}
-		nn, err := r.count("rcb node")
-		if err != nil {
-			return nil, err
-		}
-		s.nodes = make([]rcbNode, nn)
-		for i := range s.nodes {
-			s.nodes[i].axis = int(r.i32())
-			s.nodes[i].split = r.f64()
-			s.nodes[i].left = r.i32()
-			s.nodes[i].right = r.i32()
-		}
-		s.root = r.i32()
-		s.linkGhost = r.f64()
-		nl, err := r.count("link rank")
-		if err != nil {
-			return nil, err
-		}
-		if nl != nb {
-			return nil, fmt.Errorf("diy: %d link lists for %d blocks", nl, nb)
-		}
-		s.links = make([][]Neighbor, nl)
-		for i := range s.links {
-			nk, err := r.count("link")
-			if err != nil {
-				return nil, err
-			}
-			s.links[i] = make([]Neighbor, nk)
-			for j := range s.links[i] {
-				n := &s.links[i][j]
-				n.Rank = int(r.i64())
-				for a := 0; a < 3; a++ {
-					n.Dir[a] = int(r.i64())
-				}
-				n.Shift = r.vec()
-				n.Periodic = r.b()
-			}
-		}
-		d.rcb = s
+	if r.Bool() {
+		d.rcb = unmarshalRCB(r, nb)
+	} else {
+		checkGrid(r, d)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.buf.Len() != 0 {
-		return nil, fmt.Errorf("diy: %d trailing bytes after decomposition", r.buf.Len())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("diy: %w", err)
 	}
 	return d, nil
+}
+
+// checkGrid validates what Locate and RankAt index with: the block grid
+// has exactly one block per cell, stored in grid order (x fastest).
+func checkGrid(r *wire.Reader, d *Decomposition) {
+	nb, dims := len(d.blocks), d.Dims
+	cells := 1
+	for a := 0; a < 3; a++ {
+		// Each factor and the running product stay <= nb, so the product
+		// cannot overflow.
+		if dims[a] < 1 || dims[a] > nb || cells > nb {
+			cells = -1
+			break
+		}
+		cells *= dims[a]
+	}
+	if cells != nb {
+		r.Fail("grid dims %v for %d blocks", dims, nb)
+		return
+	}
+	for i, b := range d.blocks {
+		if want := [3]int{i % dims[0], i / dims[0] % dims[1], i / (dims[0] * dims[1])}; b.Coords != want {
+			r.Fail("block %d has grid coordinates %v, want %v", i, b.Coords, want)
+			return
+		}
+	}
+}
+
+// unmarshalRCB reads the RCB split tree and links of an nb-block
+// decomposition. buildRCBTree emits nodes pre-order, so requiring every
+// interior reference to point past its parent (and inside the node
+// table) both bounds the index and rules out cycles; a leaf reference
+// ^ref and every link target must name a block.
+func unmarshalRCB(r *wire.Reader, nb int) *rcbState {
+	s := &rcbState{}
+	s.nodes = make([]rcbNode, r.Count("rcb node", r.U64(), rcbNodeBytes))
+	checkRef := func(parent int, ref int32) {
+		bad := int(ref) <= parent || int(ref) >= len(s.nodes)
+		if ref < 0 {
+			bad = int(^ref) >= nb
+		}
+		if bad {
+			r.Fail("rcb node %d has child reference %d (%d nodes, %d blocks)", parent, ref, len(s.nodes), nb)
+		}
+	}
+	for i := range s.nodes {
+		nd := &s.nodes[i]
+		if nd.axis = int(r.I32()); nd.axis < 0 || nd.axis > 2 {
+			r.Fail("rcb node %d splits axis %d", i, nd.axis)
+		}
+		nd.split = r.F64()
+		nd.left, nd.right = r.I32(), r.I32()
+		checkRef(i, nd.left)
+		checkRef(i, nd.right)
+	}
+	s.root = r.I32()
+	checkRef(-1, s.root)
+	s.linkGhost = r.F64()
+	nl := r.Count("link list", r.U64(), 8)
+	if nl != nb {
+		r.Fail("%d link lists for %d blocks", nl, nb)
+	}
+	s.links = make([][]Neighbor, nl)
+	for i := range s.links {
+		s.links[i] = make([]Neighbor, r.Count("link", r.U64(), linkBytes))
+		for j := range s.links[i] {
+			n := &s.links[i][j]
+			if n.Rank = int(r.I64()); n.Rank < 0 || n.Rank >= nb {
+				r.Fail("block %d links to rank %d of %d", i, n.Rank, nb)
+			}
+			for a := 0; a < 3; a++ {
+				n.Dir[a] = int(r.I64())
+			}
+			n.Shift = getVec(r)
+			n.Periodic = r.Bool()
+		}
+	}
+	return s
 }

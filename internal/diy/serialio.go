@@ -1,7 +1,6 @@
 package diy
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 )
@@ -22,31 +21,21 @@ func WriteBlocks(path string, payloads [][]byte) (int64, error) {
 		return 0, fmt.Errorf("diy: create %s: %w", path, err)
 	}
 	defer f.Close()
-	offsets := make([]int64, len(payloads))
+	sizes := make([]int64, len(payloads))
 	var total int64
 	for i, p := range payloads {
-		offsets[i] = total
 		if _, err := f.Write(p); err != nil {
 			return 0, fmt.Errorf("diy: write %s: %w", path, err)
 		}
-		total += int64(len(p))
+		sizes[i] = int64(len(p))
+		total += sizes[i]
 	}
-	for i, p := range payloads {
-		if err := binary.Write(f, binary.LittleEndian, uint64(offsets[i])); err != nil {
-			return 0, err
-		}
-		if err := binary.Write(f, binary.LittleEndian, uint64(len(p))); err != nil {
-			return 0, err
-		}
-	}
-	trailer := []uint64{uint64(total), uint64(len(payloads)), blockIOMagic}
-	for _, v := range trailer {
-		if err := binary.Write(f, binary.LittleEndian, v); err != nil {
-			return 0, err
-		}
+	foot := footer(sizes)
+	if _, err := f.Write(foot); err != nil {
+		return 0, fmt.Errorf("diy: footer write %s: %w", path, err)
 	}
 	if err := f.Sync(); err != nil {
 		return 0, fmt.Errorf("diy: sync %s: %w", path, err)
 	}
-	return total + int64(16*len(payloads)) + 24, nil
+	return total + int64(len(foot)), nil
 }

@@ -2,6 +2,7 @@ package diy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -164,5 +165,68 @@ func TestUnmarshalDecompositionRejectsGarbage(t *testing.T) {
 	}
 	if _, err := UnmarshalDecomposition(append(raw, 0)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestUnmarshalDecompositionRejectsUnsafe: bytes that parse but would
+// crash whoever uses the result — an index panic in Locate or, through
+// NewExchanger, inside ResumeSession on the caller's goroutine — must be
+// errors at unmarshal.
+func TestUnmarshalDecompositionRejectsUnsafe(t *testing.T) {
+	domain := geom.NewBox(geom.V(0, 0, 0), geom.V(8, 8, 8))
+	grid, err := Decompose(domain, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	rcb, err := DecomposeRCB(domain, 4, true, randomParticles(rng, 200, 8), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layout offsets (marshal.go): header, 80-byte blocks, then for RCB a
+	// flag byte, the node count, 20-byte nodes, root, link ghost, list
+	// count, and per list a count and 57-byte links.
+	const (
+		dims0     = 8 + 48
+		blocks    = dims0 + 24 + 1 + 8
+		nodes     = blocks + 4*80 + 1 + 8
+		root      = nodes + 3*20
+		firstLink = root + 4 + 8 + 8 + 8
+	)
+	cases := []struct {
+		name string
+		d    *Decomposition
+		off  int
+		val  any // uint64 or uint32 to write at off
+	}{
+		{"grid block rank is not its index", grid, blocks + 80, uint64(0)},
+		{"grid dims product is not the block count", grid, dims0, uint64(3)},
+		{"grid dim zero", grid, dims0 + 16, uint64(0)},
+		{"grid dim negative", grid, dims0, ^uint64(0)},
+		{"grid coordinates of another block", grid, blocks + 8, uint64(1)},
+		{"rcb block rank is not its index", rcb, blocks + 2*80, uint64(7)},
+		{"rcb axis 3", rcb, nodes, uint32(3)},
+		{"rcb child past the node table", rcb, nodes + 12, uint32(3)},
+		{"rcb child cycle", rcb, nodes + 20 + 12, uint32(1)},
+		{"rcb child back-reference", rcb, nodes + 2*20 + 16, uint32(0)},
+		{"rcb leaf past the blocks", rcb, nodes + 20 + 12, ^uint32(4)},
+		{"rcb root past the node table", rcb, root, uint32(3)},
+		{"rcb link rank is the block count", rcb, firstLink, uint64(4)},
+		{"rcb link rank negative", rcb, firstLink, ^uint64(0)},
+	}
+	for _, c := range cases {
+		raw, err := c.d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch v := c.val.(type) {
+		case uint64:
+			binary.LittleEndian.PutUint64(raw[c.off:], v)
+		case uint32:
+			binary.LittleEndian.PutUint32(raw[c.off:], v)
+		}
+		if _, err := UnmarshalDecomposition(raw); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }

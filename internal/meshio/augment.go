@@ -1,12 +1,10 @@
 package meshio
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // AugmentedParticle is a particle position annotated with its Voronoi cell
@@ -41,72 +39,41 @@ func AugmentParticles(m *BlockMesh) []AugmentedParticle {
 
 const augmentMagic uint64 = 0x7041554756313000 // "pAUGV10"
 
+const augmentRecSize = 56
+
 // EncodeAugmented serializes augmented particles (56 bytes each plus an
 // 16-byte header) — 40% more than HACC's 40-byte checkpoint record, far
 // below the ~450 bytes of a full tessellation, as the paper's size
 // discussion anticipates.
 func EncodeAugmented(ps []AugmentedParticle) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, augmentMagic); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint64(len(ps))); err != nil {
-		return nil, err
-	}
+	w := wire.NewWriter(16 + augmentRecSize*len(ps))
+	w.U64(augmentMagic)
+	w.U64(uint64(len(ps)))
 	for _, p := range ps {
-		rec := [7]uint64{
-			uint64(p.ID),
-			math.Float64bits(p.Pos.X),
-			math.Float64bits(p.Pos.Y),
-			math.Float64bits(p.Pos.Z),
-			math.Float64bits(p.Volume),
-			math.Float64bits(p.Density),
-			0, // reserved
-		}
-		// Pack: id + 3 coords + volume + density (48 bytes of payload);
-		// the reserved word keeps records 8-aligned at 56 bytes.
-		if err := binary.Write(&buf, binary.LittleEndian, rec); err != nil {
-			return nil, err
-		}
+		// id + 3 coords + volume + density (48 bytes of payload); the
+		// reserved word keeps records 8-aligned at 56 bytes.
+		w.I64(p.ID)
+		putVec(w, p.Pos)
+		w.F64(p.Volume)
+		w.F64(p.Density)
+		w.U64(0)
 	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 // DecodeAugmented parses EncodeAugmented output.
 func DecodeAugmented(data []byte) ([]AugmentedParticle, error) {
-	r := bytes.NewReader(data)
-	var magic, n uint64
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, err
+	r := wire.NewReader(data)
+	if magic := r.U64(); magic != augmentMagic {
+		r.Fail("bad augmented-particle magic %#x", magic)
 	}
-	if magic != augmentMagic {
-		return nil, fmt.Errorf("meshio: bad augmented-particle magic %#x", magic)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > uint64(len(data))/56+1 {
-		return nil, fmt.Errorf("meshio: implausible particle count %d", n)
-	}
-	out := make([]AugmentedParticle, n)
+	out := make([]AugmentedParticle, r.Count("particle", r.U64(), augmentRecSize))
 	for i := range out {
-		var rec [7]uint64
-		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
-			return nil, err
-		}
-		out[i] = AugmentedParticle{
-			ID: int64(rec[0]),
-			Pos: geom.Vec3{
-				X: math.Float64frombits(rec[1]),
-				Y: math.Float64frombits(rec[2]),
-				Z: math.Float64frombits(rec[3]),
-			},
-			Volume:  math.Float64frombits(rec[4]),
-			Density: math.Float64frombits(rec[5]),
-		}
+		out[i] = AugmentedParticle{ID: r.I64(), Pos: getVec(r), Volume: r.F64(), Density: r.F64()}
+		r.U64() // reserved
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("meshio: %d trailing bytes", r.Len())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("meshio: %w", err)
 	}
 	return out, nil
 }

@@ -1,13 +1,12 @@
 package meshio
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // ErrMeshTooLarge reports a mesh whose vertex or connectivity counts
@@ -63,29 +62,21 @@ func checkEncodable(m *BlockMesh) error {
 
 const meshMagic uint64 = 0x744d455348763101 // "tMESHv1" + 0x01
 
-type writer struct {
-	buf bytes.Buffer
-	err error
+// putVec and getVec move a position as three float64s.
+func putVec(w *wire.Writer, v geom.Vec3) { w.F64(v.X); w.F64(v.Y); w.F64(v.Z) }
+func getVec(r *wire.Reader) geom.Vec3 {
+	return geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
 }
 
-func (w *writer) u64(v uint64) { w.write(v) }
-func (w *writer) i64(v int64)  { w.write(v) }
-func (w *writer) u32(v uint32) { w.write(v) }
-func (w *writer) f64(v float64) {
-	w.write(math.Float64bits(v))
-}
-func (w *writer) vec(v geom.Vec3) { w.f64(v.X); w.f64(v.Y); w.f64(v.Z) }
-func (w *writer) b(v bool) {
-	var x byte
-	if v {
-		x = 1
+// checkArrays rejects a block whose per-cell arrays disagree in length.
+func checkArrays(m *BlockMesh) error {
+	n := m.NumCells()
+	if len(m.ParticleIDs) != n || len(m.Volumes) != n || len(m.Areas) != n ||
+		len(m.Complete) != n || len(m.Cells) != n {
+		return fmt.Errorf("meshio: inconsistent block arrays (cells=%d ids=%d vol=%d area=%d compl=%d conn=%d)",
+			n, len(m.ParticleIDs), len(m.Volumes), len(m.Areas), len(m.Complete), len(m.Cells))
 	}
-	w.write(x)
-}
-func (w *writer) write(v any) {
-	if w.err == nil {
-		w.err = binary.Write(&w.buf, binary.LittleEndian, v)
-	}
+	return nil
 }
 
 // Encode serializes the block mesh in the v1 format.
@@ -93,167 +84,115 @@ func (m *BlockMesh) Encode() ([]byte, error) {
 	if err := checkEncodable(m); err != nil {
 		return nil, err
 	}
-	w := &writer{}
-	w.u64(meshMagic)
-	w.vec(m.Extents.Min)
-	w.vec(m.Extents.Max)
-	w.u64(uint64(len(m.Verts)))
-	for _, v := range m.Verts {
-		w.vec(v)
+	if err := checkArrays(m); err != nil {
+		return nil, err
 	}
 	n := m.NumCells()
-	if len(m.ParticleIDs) != n || len(m.Volumes) != n || len(m.Areas) != n ||
-		len(m.Complete) != n || len(m.Cells) != n {
-		return nil, fmt.Errorf("meshio: inconsistent block arrays (cells=%d ids=%d vol=%d area=%d compl=%d conn=%d)",
-			n, len(m.ParticleIDs), len(m.Volumes), len(m.Areas), len(m.Complete), len(m.Cells))
+	geometry, connectivity := m.byteSplit() // the encoded size, less the magic
+	w := wire.NewWriter(8 + int(geometry+connectivity))
+	w.U64(meshMagic)
+	putVec(w, m.Extents.Min)
+	putVec(w, m.Extents.Max)
+	w.U64(uint64(len(m.Verts)))
+	for _, v := range m.Verts {
+		putVec(w, v)
 	}
-	w.u64(uint64(n))
+	w.U64(uint64(n))
 	for _, p := range m.Particles {
-		w.vec(p)
+		putVec(w, p)
 	}
 	for _, id := range m.ParticleIDs {
-		w.i64(id)
+		w.I64(id)
 	}
 	for _, v := range m.Volumes {
-		w.f64(v)
+		w.F64(v)
 	}
 	for _, a := range m.Areas {
-		w.f64(a)
+		w.F64(a)
 	}
 	for _, c := range m.Complete {
-		w.b(c)
+		w.Bool(c)
 	}
 	for _, c := range m.Cells {
-		w.u32(uint32(len(c.Faces)))
+		w.U32(uint32(len(c.Faces)))
 		for _, f := range c.Faces {
-			w.i64(f.Neighbor)
-			w.u32(uint32(len(f.Verts)))
+			w.I64(f.Neighbor)
+			w.U32(uint32(len(f.Verts)))
 			for _, vi := range f.Verts {
-				w.u32(uint32(vi))
+				w.U32(uint32(vi))
 			}
 		}
 	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	return w.buf.Bytes(), nil
-}
-
-type reader struct {
-	buf *bytes.Reader
-	err error
-}
-
-func (r *reader) u64() uint64 {
-	var v uint64
-	r.read(&v)
-	return v
-}
-func (r *reader) i64() int64 {
-	var v int64
-	r.read(&v)
-	return v
-}
-func (r *reader) u32() uint32 {
-	var v uint32
-	r.read(&v)
-	return v
-}
-func (r *reader) f64() float64 {
-	var v uint64
-	r.read(&v)
-	return math.Float64frombits(v)
-}
-func (r *reader) vec() geom.Vec3 {
-	return geom.Vec3{X: r.f64(), Y: r.f64(), Z: r.f64()}
-}
-func (r *reader) b() bool {
-	var v byte
-	r.read(&v)
-	return v != 0
-}
-func (r *reader) read(v any) {
-	if r.err == nil {
-		r.err = binary.Read(r.buf, binary.LittleEndian, v)
-	}
+	return w.Bytes(), nil
 }
 
 // DecodeBlockMesh parses a block produced by either encoder: the first
 // eight bytes select the v1 path (kept so old artifacts stay readable)
 // or the versioned v2 container.
 func DecodeBlockMesh(data []byte) (*BlockMesh, error) {
-	if len(data) >= 8 && binary.LittleEndian.Uint64(data) == meshMagicFmt {
-		return decodeV2Single(data)
+	r := wire.NewReader(data)
+	var m *BlockMesh
+	switch magic := r.U64(); magic {
+	case meshMagicFmt:
+		m = decodeV2(r)
+	case meshMagic:
+		m = decodeV1(r)
+	default:
+		r.Fail("bad magic %#x", magic)
 	}
-	r := &reader{buf: bytes.NewReader(data)}
-	if magic := r.u64(); magic != meshMagic {
-		return nil, fmt.Errorf("meshio: bad magic %#x", magic)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("meshio: %w", err)
 	}
+	return m, nil
+}
+
+// decodeV1 parses a v1 block after its magic. Minimum encoded sizes per
+// element (vertex 24, cell 49, face 12, face vertex 4 bytes) bound every
+// count before its slice is made.
+func decodeV1(r *wire.Reader) *BlockMesh {
 	m := &BlockMesh{}
-	m.Extents.Min = r.vec()
-	m.Extents.Max = r.vec()
-	nv := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nv > uint64(len(data)) {
-		return nil, fmt.Errorf("meshio: implausible vertex count %d", nv)
-	}
+	m.Extents.Min = getVec(r)
+	m.Extents.Max = getVec(r)
+	nv := r.Count("vertex", r.U64(), 24)
 	m.Verts = make([]geom.Vec3, nv)
 	for i := range m.Verts {
-		m.Verts[i] = r.vec()
+		m.Verts[i] = getVec(r)
 	}
-	nc := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nc > uint64(len(data)) {
-		return nil, fmt.Errorf("meshio: implausible cell count %d", nc)
-	}
+	nc := r.Count("cell", r.U64(), 49)
 	m.Particles = make([]geom.Vec3, nc)
 	for i := range m.Particles {
-		m.Particles[i] = r.vec()
+		m.Particles[i] = getVec(r)
 	}
 	m.ParticleIDs = make([]int64, nc)
 	for i := range m.ParticleIDs {
-		m.ParticleIDs[i] = r.i64()
+		m.ParticleIDs[i] = r.I64()
 	}
 	m.Volumes = make([]float64, nc)
 	for i := range m.Volumes {
-		m.Volumes[i] = r.f64()
+		m.Volumes[i] = r.F64()
 	}
 	m.Areas = make([]float64, nc)
 	for i := range m.Areas {
-		m.Areas[i] = r.f64()
+		m.Areas[i] = r.F64()
 	}
 	m.Complete = make([]bool, nc)
 	for i := range m.Complete {
-		m.Complete[i] = r.b()
+		m.Complete[i] = r.Bool()
 	}
 	m.Cells = make([]CellConn, nc)
 	for i := range m.Cells {
-		nf := r.u32()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if uint64(nf) > uint64(len(data)) {
-			return nil, fmt.Errorf("meshio: implausible face count %d", nf)
-		}
-		faces := make([]FaceConn, nf)
+		faces := make([]FaceConn, r.Count("face", uint64(r.U32()), 12))
 		for fi := range faces {
-			faces[fi].Neighbor = r.i64()
-			nfv := r.u32()
-			if r.err != nil {
-				return nil, r.err
+			faces[fi].Neighbor = r.I64()
+			nfv := r.U32()
+			if int64(nfv) > int64(nv) {
+				r.Fail("face with %d vertices exceeds pool %d", nfv, nv)
 			}
-			if uint64(nfv) > nv {
-				return nil, fmt.Errorf("meshio: face with %d vertices exceeds pool %d", nfv, nv)
-			}
-			vs := make([]int32, nfv)
+			vs := make([]int32, r.Count("face vertex", uint64(nfv), 4))
 			for vi := range vs {
-				x := r.u32()
-				if uint64(x) >= nv {
-					return nil, fmt.Errorf("meshio: vertex index %d out of range", x)
+				x := r.U32()
+				if int64(x) >= int64(nv) {
+					r.Fail("vertex index %d out of range", x)
 				}
 				vs[vi] = int32(x)
 			}
@@ -261,11 +200,5 @@ func DecodeBlockMesh(data []byte) (*BlockMesh, error) {
 		}
 		m.Cells[i].Faces = faces
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.buf.Len() != 0 {
-		return nil, fmt.Errorf("meshio: %d trailing bytes", r.buf.Len())
-	}
-	return m, nil
+	return m
 }

@@ -1,29 +1,24 @@
 package meshio
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // Mesh interchange format v2: the compact on-disk encoding behind
 // out-of-core artifacts (per-step block files, checkpoints). Unlike v1,
 // the magic identifies only the container family and an explicit
 // version field selects the layout, so future revisions do not need a
-// new magic. A v2 file is a *stream* of self-delimited block frames —
-// the Encoder/Decoder pair below reads and writes one block at a time
-// and never materializes a whole merged mesh.
+// new magic. A v2 payload holds exactly one block: files of many blocks
+// are diy block files with one v2 payload per section.
 //
-// Stream layout (little-endian):
+// Container layout (little-endian):
 //
 //	magic    uint64 ("tMESHfmt")
 //	version  uint32 (currently 2)
-//	frames:  marker 0x01, bodyLen uvarint, body
+//	frame:   marker 0x01, bodyLen uvarint, body
 //	end:     marker 0x00
 //
 // Block body:
@@ -56,10 +51,6 @@ const meshMagicFmt uint64 = 0x744d455348666d74 // "tMESHfmt"
 
 // meshFormatV2 is the version field value for the layout above.
 const meshFormatV2 uint32 = 2
-
-// maxV2Frame bounds a frame body so a corrupt length cannot drive a
-// huge allocation before any payload validation runs.
-const maxV2Frame = int64(1) << 31
 
 // quantGrid is one axis's quantization frame.
 type quantGrid struct {
@@ -96,43 +87,19 @@ func (g quantGrid) dequantize(q uint32) float64 {
 	return g.origin + float64(q)*g.step()
 }
 
-type v2Writer struct {
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
-}
-
-func (w *v2Writer) u8(v byte) { w.buf = append(w.buf, v) }
-func (w *v2Writer) u32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-func (w *v2Writer) i32(v int32) { w.u32(uint32(v)) }
-func (w *v2Writer) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-func (w *v2Writer) vec(v geom.Vec3) { w.f64(v.X); w.f64(v.Y); w.f64(v.Z) }
-func (w *v2Writer) uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
-}
-func (w *v2Writer) svarint(v int64) {
-	w.uvarint(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-// encodeV2Body serializes m as one v2 block body (no stream framing).
+// encodeV2Body serializes m as one v2 block body (no container framing).
 func encodeV2Body(m *BlockMesh) ([]byte, error) {
 	if err := checkEncodable(m); err != nil {
 		return nil, err
 	}
-	n := m.NumCells()
-	if len(m.ParticleIDs) != n || len(m.Volumes) != n || len(m.Areas) != n ||
-		len(m.Complete) != n || len(m.Cells) != n {
-		return nil, fmt.Errorf("meshio: inconsistent block arrays (cells=%d ids=%d vol=%d area=%d compl=%d conn=%d)",
-			n, len(m.ParticleIDs), len(m.Volumes), len(m.Areas), len(m.Complete), len(m.Cells))
+	if err := checkArrays(m); err != nil {
+		return nil, err
 	}
-	w := &v2Writer{buf: make([]byte, 0, 64+12*len(m.Verts)+64*n)}
-	w.vec(m.Extents.Min)
-	w.vec(m.Extents.Max)
-	w.uvarint(uint64(len(m.Verts)))
+	n := m.NumCells()
+	w := wire.NewWriter(64 + 12*len(m.Verts) + 64*n)
+	putVec(w, m.Extents.Min)
+	putVec(w, m.Extents.Max)
+	w.Uvarint(uint64(len(m.Verts)))
 	if len(m.Verts) > 0 {
 		var grids [3]quantGrid
 		for a := 0; a < 3; a++ {
@@ -145,35 +112,31 @@ func encodeV2Body(m *BlockMesh) ([]byte, error) {
 			grids[a] = gridFor(lo, hi)
 		}
 		for a := 0; a < 3; a++ {
-			w.f64(grids[a].origin)
+			w.F64(grids[a].origin)
 		}
 		for a := 0; a < 3; a++ {
-			w.i32(grids[a].exp)
+			w.I32(grids[a].exp)
 		}
 		for _, v := range m.Verts {
-			w.u32(grids[0].quantize(v.X))
-			w.u32(grids[1].quantize(v.Y))
-			w.u32(grids[2].quantize(v.Z))
+			w.U32(grids[0].quantize(v.X))
+			w.U32(grids[1].quantize(v.Y))
+			w.U32(grids[2].quantize(v.Z))
 		}
 	}
-	w.uvarint(uint64(n))
+	w.Uvarint(uint64(n))
 	for _, p := range m.Particles {
-		w.vec(p)
+		putVec(w, p)
 	}
 	var prevID int64
-	for i, id := range m.ParticleIDs {
-		if i == 0 {
-			w.svarint(id)
-		} else {
-			w.svarint(id - prevID)
-		}
+	for _, id := range m.ParticleIDs {
+		w.Svarint(id - prevID)
 		prevID = id
 	}
 	for _, v := range m.Volumes {
-		w.f64(v)
+		w.F64(v)
 	}
 	for _, a := range m.Areas {
-		w.f64(a)
+		w.F64(a)
 	}
 	bits := make([]byte, (n+7)/8)
 	for i, c := range m.Complete {
@@ -181,195 +144,100 @@ func encodeV2Body(m *BlockMesh) ([]byte, error) {
 			bits[i/8] |= 1 << (i % 8)
 		}
 	}
-	w.buf = append(w.buf, bits...)
+	w.Raw(bits)
 	for _, c := range m.Cells {
-		w.uvarint(uint64(len(c.Faces)))
+		w.Uvarint(uint64(len(c.Faces)))
 		for _, f := range c.Faces {
-			w.svarint(f.Neighbor)
-			w.uvarint(uint64(len(f.Verts)))
-			var prev int32
-			for i, vi := range f.Verts {
-				if i == 0 {
-					w.svarint(int64(vi))
-				} else {
-					w.svarint(int64(vi) - int64(prev))
-				}
-				prev = vi
+			w.Svarint(f.Neighbor)
+			w.Uvarint(uint64(len(f.Verts)))
+			var prev int64
+			for _, vi := range f.Verts {
+				w.Svarint(int64(vi) - prev)
+				prev = int64(vi)
 			}
 		}
 	}
-	return w.buf, nil
+	return w.Bytes(), nil
 }
 
-type v2Reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *v2Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("meshio: "+format, args...)
-	}
-}
-
-func (r *v2Reader) remaining() int { return len(r.data) - r.off }
-
-func (r *v2Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.remaining() < n {
-		r.fail("v2 body truncated at offset %d", r.off)
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *v2Reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (r *v2Reader) i32() int32 { return int32(r.u32()) }
-func (r *v2Reader) f64() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-func (r *v2Reader) vec() geom.Vec3 {
-	return geom.Vec3{X: r.f64(), Y: r.f64(), Z: r.f64()}
-}
-func (r *v2Reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("bad varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-func (r *v2Reader) svarint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// decodeV2Body parses one v2 block body, consuming all of data.
-func decodeV2Body(data []byte) (*BlockMesh, error) {
-	r := &v2Reader{data: data}
+// decodeV2Body parses one v2 block body. Minimum encoded sizes per
+// element (vertex 12, cell 42, face 2, face vertex 1 byte) bound every
+// count before its slice is made.
+func decodeV2Body(r *wire.Reader) *BlockMesh {
 	m := &BlockMesh{}
-	m.Extents.Min = r.vec()
-	m.Extents.Max = r.vec()
-	nv := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	m.Extents.Min = getVec(r)
+	m.Extents.Max = getVec(r)
+	nvRaw := r.Uvarint()
+	if nvRaw > formatCountMax {
+		r.Fail("implausible vertex count %d", nvRaw)
 	}
-	if nv > formatCountMax || nv > uint64(r.remaining()/12)+1 {
-		return nil, fmt.Errorf("meshio: implausible vertex count %d", nv)
-	}
+	nv := r.Count("vertex", nvRaw, 12)
 	if nv > 0 {
 		var grids [3]quantGrid
 		for a := 0; a < 3; a++ {
-			grids[a].origin = r.f64()
+			grids[a].origin = r.F64()
 		}
 		for a := 0; a < 3; a++ {
-			grids[a].exp = r.i32()
-		}
-		if r.err != nil {
-			return nil, r.err
+			grids[a].exp = r.I32()
 		}
 		for a := 0; a < 3; a++ {
 			if e := grids[a].exp; e < -1100 || e > 1024 || math.IsNaN(grids[a].origin) {
-				return nil, fmt.Errorf("meshio: malformed quantization grid (origin %g, exp %d)",
-					grids[a].origin, e)
+				r.Fail("malformed quantization grid (origin %g, exp %d)", grids[a].origin, e)
 			}
 		}
 		m.Verts = make([]geom.Vec3, nv)
 		for i := range m.Verts {
 			m.Verts[i] = geom.Vec3{
-				X: grids[0].dequantize(r.u32()),
-				Y: grids[1].dequantize(r.u32()),
-				Z: grids[2].dequantize(r.u32()),
+				X: grids[0].dequantize(r.U32()),
+				Y: grids[1].dequantize(r.U32()),
+				Z: grids[2].dequantize(r.U32()),
 			}
 		}
 	}
-	nc := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	ncRaw := r.Uvarint()
+	if ncRaw > formatCountMax {
+		r.Fail("implausible cell count %d", ncRaw)
 	}
-	if nc > formatCountMax || nc > uint64(r.remaining()/24)+1 {
-		return nil, fmt.Errorf("meshio: implausible cell count %d", nc)
-	}
+	nc := r.Count("cell", ncRaw, 42)
 	m.Particles = make([]geom.Vec3, nc)
 	for i := range m.Particles {
-		m.Particles[i] = r.vec()
+		m.Particles[i] = getVec(r)
 	}
 	m.ParticleIDs = make([]int64, nc)
 	var prevID int64
 	for i := range m.ParticleIDs {
-		d := r.svarint()
-		if i == 0 {
-			prevID = d
-		} else {
-			prevID += d
-		}
+		prevID += r.Svarint()
 		m.ParticleIDs[i] = prevID
 	}
 	m.Volumes = make([]float64, nc)
 	for i := range m.Volumes {
-		m.Volumes[i] = r.f64()
+		m.Volumes[i] = r.F64()
 	}
 	m.Areas = make([]float64, nc)
 	for i := range m.Areas {
-		m.Areas[i] = r.f64()
-	}
-	bits := r.take(int((nc + 7) / 8))
-	if r.err != nil {
-		return nil, r.err
+		m.Areas[i] = r.F64()
 	}
 	m.Complete = make([]bool, nc)
-	for i := range m.Complete {
-		m.Complete[i] = bits[i/8]&(1<<(i%8)) != 0
+	if bits := r.Take((nc + 7) / 8); bits != nil {
+		for i := range m.Complete {
+			m.Complete[i] = bits[i/8]&(1<<(i%8)) != 0
+		}
 	}
 	m.Cells = make([]CellConn, nc)
 	for i := range m.Cells {
-		nf := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if nf > uint64(r.remaining())+1 {
-			return nil, fmt.Errorf("meshio: implausible face count %d", nf)
-		}
-		faces := make([]FaceConn, nf)
+		faces := make([]FaceConn, r.Count("face", r.Uvarint(), 2))
 		for fi := range faces {
-			faces[fi].Neighbor = r.svarint()
-			nfv := r.uvarint()
-			if r.err != nil {
-				return nil, r.err
+			faces[fi].Neighbor = r.Svarint()
+			nfv := r.Uvarint()
+			if nfv > uint64(nv) {
+				r.Fail("face with %d vertices exceeds pool %d", nfv, nv)
 			}
-			if nfv > nv {
-				return nil, fmt.Errorf("meshio: face with %d vertices exceeds pool %d", nfv, nv)
-			}
-			vs := make([]int32, nfv)
+			vs := make([]int32, r.Count("face vertex", nfv, 1))
 			var prev int64
 			for vi := range vs {
-				d := r.svarint()
-				if vi == 0 {
-					prev = d
-				} else {
-					prev += d
-				}
-				if prev < 0 || uint64(prev) >= nv {
-					return nil, fmt.Errorf("meshio: vertex index %d out of range", prev)
+				prev += r.Svarint()
+				if prev < 0 || prev >= int64(nv) {
+					r.Fail("vertex index %d out of range", prev)
 				}
 				vs[vi] = int32(prev)
 			}
@@ -377,191 +245,57 @@ func decodeV2Body(data []byte) (*BlockMesh, error) {
 		}
 		m.Cells[i].Faces = faces
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("meshio: %d trailing bytes in v2 body", r.remaining())
-	}
-	return m, nil
+	return m
 }
 
-// Encoder writes a v2 mesh stream one block at a time: the stream
-// header goes out before the first frame and Close terminates the
-// stream, so arbitrarily many blocks pass through without the encoder
-// ever holding more than one encoded body.
-type Encoder struct {
-	w       io.Writer
-	err     error
-	started bool
-	closed  bool
-	tmp     [binary.MaxVarintLen64]byte
-}
-
-// NewEncoder returns an Encoder writing a v2 stream to w.
-func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w}
-}
-
-func (e *Encoder) header() {
-	if e.started || e.err != nil {
-		return
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[0:], meshMagicFmt)
-	binary.LittleEndian.PutUint32(hdr[8:], meshFormatV2)
-	_, e.err = e.w.Write(hdr[:])
-	e.started = true
-}
-
-// WriteBlock appends one block frame to the stream.
-func (e *Encoder) WriteBlock(m *BlockMesh) error {
-	if e.closed {
-		return fmt.Errorf("meshio: WriteBlock on closed Encoder")
-	}
-	if e.header(); e.err != nil {
-		return e.err
-	}
+// EncodeV2 serializes m as a complete v2 container — the compact
+// counterpart of Encode, readable by DecodeBlockMesh.
+func EncodeV2(m *BlockMesh) ([]byte, error) {
 	body, err := encodeV2Body(m)
 	if err != nil {
-		e.err = err
-		return err
-	}
-	n := binary.PutUvarint(e.tmp[:], uint64(len(body)))
-	frame := make([]byte, 0, 1+n+len(body))
-	frame = append(frame, 1)
-	frame = append(frame, e.tmp[:n]...)
-	frame = append(frame, body...)
-	if _, err := e.w.Write(frame); err != nil {
-		e.err = err
-		return err
-	}
-	return nil
-}
-
-// Close terminates the stream with the end marker. It does not close
-// the underlying writer.
-func (e *Encoder) Close() error {
-	if e.closed {
-		return e.err
-	}
-	if e.header(); e.err != nil {
-		return e.err
-	}
-	if _, err := e.w.Write([]byte{0}); err != nil {
-		e.err = err
-	}
-	e.closed = true
-	return e.err
-}
-
-// EncodeV2 serializes m as a complete single-block v2 stream — the
-// compact counterpart of Encode, readable by DecodeBlockMesh and
-// Decoder alike.
-func EncodeV2(m *BlockMesh) ([]byte, error) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	if err := e.WriteBlock(m); err != nil {
 		return nil, err
 	}
-	if err := e.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	w := wire.NewWriter(len(body) + 24)
+	w.U64(meshMagicFmt)
+	w.U32(meshFormatV2)
+	w.U8(1)
+	w.Uvarint(uint64(len(body)))
+	w.Raw(body)
+	w.U8(0)
+	return w.Bytes(), nil
 }
 
-// Decoder reads a v2 mesh stream one block at a time.
-type Decoder struct {
-	r        *bufio.Reader
-	err      error
-	started  bool
-	done     bool
-	maxFrame int64
-}
-
-// NewDecoder returns a Decoder reading a v2 stream from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r), maxFrame: maxV2Frame}
-}
-
-// Next returns the next block of the stream, or io.EOF after the end
-// marker. Any format violation is returned as an error and sticks.
-func (d *Decoder) Next() (*BlockMesh, error) {
-	if d.err != nil {
-		return nil, d.err
+// decodeV2 parses a v2 container after its magic: the version, exactly
+// one frame whose declared length is exactly its body, and the end
+// marker. Anything else — a second frame, another version, a frame longer
+// than the input — is an error (the strictness DecodeBlockMesh promises;
+// its Done rejects bytes after the end marker).
+func decodeV2(r *wire.Reader) *BlockMesh {
+	if ver := r.U32(); ver != meshFormatV2 {
+		r.Fail("unsupported mesh format version %d", ver)
 	}
-	if d.done {
-		return nil, io.EOF
-	}
-	if !d.started {
-		var hdr [12]byte
-		if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-			return nil, d.sticky(fmt.Errorf("meshio: v2 stream header: %w", err))
-		}
-		if magic := binary.LittleEndian.Uint64(hdr[0:]); magic != meshMagicFmt {
-			return nil, d.sticky(fmt.Errorf("meshio: bad magic %#x", magic))
-		}
-		if ver := binary.LittleEndian.Uint32(hdr[8:]); ver != meshFormatV2 {
-			return nil, d.sticky(fmt.Errorf("meshio: unsupported mesh format version %d", ver))
-		}
-		d.started = true
-	}
-	marker, err := d.r.ReadByte()
-	if err != nil {
-		return nil, d.sticky(fmt.Errorf("meshio: v2 stream marker: %w", err))
-	}
-	switch marker {
-	case 0:
-		d.done = true
-		return nil, io.EOF
+	switch marker := r.U8(); marker {
 	case 1:
+	case 0:
+		r.Fail("empty v2 container")
 	default:
-		return nil, d.sticky(fmt.Errorf("meshio: bad v2 frame marker %#x", marker))
+		r.Fail("bad v2 frame marker %#x", marker)
 	}
-	n, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return nil, d.sticky(fmt.Errorf("meshio: v2 frame length: %w", err))
+	n := r.Uvarint()
+	if n > uint64(r.Len()) {
+		r.Fail("v2 frame of %d bytes truncated at %d", n, r.Len())
 	}
-	if int64(n) > d.maxFrame || n > uint64(maxV2Frame) {
-		return nil, d.sticky(fmt.Errorf("meshio: implausible v2 frame length %d", n))
+	after := r.Len() - int(n)
+	m := decodeV2Body(r)
+	if r.Len() != after {
+		r.Fail("v2 frame length %d does not match its body", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(d.r, body); err != nil {
-		return nil, d.sticky(fmt.Errorf("meshio: v2 frame body: %w", err))
+	switch marker := r.U8(); marker {
+	case 0:
+	case 1:
+		r.Fail("v2 container holds more than one block")
+	default:
+		r.Fail("bad v2 end marker %#x", marker)
 	}
-	m, err := decodeV2Body(body)
-	if err != nil {
-		return nil, d.sticky(err)
-	}
-	return m, nil
-}
-
-func (d *Decoder) sticky(err error) error {
-	d.err = err
-	return err
-}
-
-// decodeV2Single parses a complete single-block v2 stream, rejecting
-// multi-block streams and trailing bytes (the strictness
-// DecodeBlockMesh promises).
-func decodeV2Single(data []byte) (*BlockMesh, error) {
-	d := NewDecoder(bytes.NewReader(data))
-	d.maxFrame = int64(len(data))
-	m, err := d.Next()
-	if err == io.EOF {
-		return nil, fmt.Errorf("meshio: empty v2 stream")
-	}
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.Next(); err != io.EOF {
-		if err == nil {
-			return nil, fmt.Errorf("meshio: v2 container holds more than one block")
-		}
-		return nil, err
-	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("meshio: trailing bytes after v2 stream")
-	}
-	return m, nil
+	return m
 }

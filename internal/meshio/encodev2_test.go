@@ -3,7 +3,6 @@ package meshio
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"repro/internal/geom"
@@ -123,55 +122,6 @@ func TestV2CanonicalMatchesV1(t *testing.T) {
 	}
 }
 
-// TestEncoderDecoderStream drives the streaming pair over a multi-block
-// stream: every block round-trips to its own stable encoding, and the
-// stream terminates cleanly with io.EOF.
-func TestEncoderDecoderStream(t *testing.T) {
-	meshes := []*BlockMesh{
-		buildTestMesh(t, 2, 2, 213),
-		buildTestMesh(t, 3, 3, 214),
-		buildTestMesh(t, 2, 4, 215),
-	}
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	for _, m := range meshes {
-		if err := e.WriteBlock(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteBlock(meshes[0]); err == nil {
-		t.Fatal("WriteBlock after Close accepted")
-	}
-
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	for i, want := range meshes {
-		got, err := d.Next()
-		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-		wb, err := EncodeV2(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := EncodeV2(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wb, gb) {
-			t.Fatalf("block %d round trip not byte-stable", i)
-		}
-	}
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("after last block: %v, want io.EOF", err)
-	}
-	if _, err := d.Next(); err != io.EOF {
-		t.Fatalf("repeated Next after end: %v, want io.EOF", err)
-	}
-}
-
 // TestErrMeshTooLarge pins the structured too-large error on both
 // encoders by lowering the format limit to a synthetic value the test
 // mesh exceeds.
@@ -186,16 +136,12 @@ func TestErrMeshTooLarge(t *testing.T) {
 	if _, err := EncodeV2(m); !errors.Is(err, ErrMeshTooLarge) {
 		t.Fatalf("EncodeV2: %v, want ErrMeshTooLarge", err)
 	}
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	if err := e.WriteBlock(m); !errors.Is(err, ErrMeshTooLarge) {
-		t.Fatalf("Encoder.WriteBlock: %v, want ErrMeshTooLarge", err)
-	}
 }
 
-// TestDecodeV2Malformed sweeps the rejection surface: every proper
-// prefix, a wrong version, trailing bytes, and a multi-block stream fed
-// to the single-block entry point must all error without panicking.
+// TestDecodeV2Malformed sweeps the rejection surface of the container:
+// every proper prefix, a wrong version, trailing bytes, a second frame, a
+// bad frame or end marker, an empty container, and a frame length that
+// disagrees with its body must all error without panicking.
 func TestDecodeV2Malformed(t *testing.T) {
 	m := buildTestMesh(t, 2, 2, 217)
 	enc, err := EncodeV2(m)
@@ -204,29 +150,25 @@ func TestDecodeV2Malformed(t *testing.T) {
 	}
 	for i := 0; i < len(enc); i++ {
 		if _, err := DecodeBlockMesh(enc[:i]); err == nil {
-			t.Fatalf("truncated stream of %d bytes accepted", i)
+			t.Fatalf("truncated container of %d bytes accepted", i)
 		}
 	}
-	bad := append([]byte(nil), enc...)
-	bad[8] = 3 // version field
-	if _, err := DecodeBlockMesh(bad); err == nil {
-		t.Fatal("unsupported version accepted")
+	const header = 12 // magic + version
+	frame := enc[header : len(enc)-1]
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), enc...)) }
+	cases := map[string][]byte{
+		"unsupported version": mutate(func(b []byte) []byte { b[8] = 3; return b }),
+		"trailing byte":       mutate(func(b []byte) []byte { return append(b, 0) }),
+		"two frames":          mutate(func(b []byte) []byte { return append(append(b[:len(b)-1], frame...), 0) }),
+		"bad frame marker":    mutate(func(b []byte) []byte { b[header] = 2; return b }),
+		"bad end marker":      mutate(func(b []byte) []byte { b[len(b)-1] = 7; return b }),
+		"empty container":     append(append([]byte(nil), enc[:header]...), 0),
+		"frame too short":     mutate(func(b []byte) []byte { b[header+1]--; return b }),
+		"frame too long":      mutate(func(b []byte) []byte { b[header+1]++; return append(b, 0) }),
 	}
-	if _, err := DecodeBlockMesh(append(append([]byte(nil), enc...), 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	var multi bytes.Buffer
-	e := NewEncoder(&multi)
-	if err := e.WriteBlock(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteBlock(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeBlockMesh(multi.Bytes()); err == nil {
-		t.Fatal("multi-block stream accepted by single-block decode")
+	for name, data := range cases {
+		if _, err := DecodeBlockMesh(data); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -73,29 +73,35 @@ func FuzzDecodeAugmented(f *testing.F) {
 }
 
 // TestDecodeRandomMutations complements fuzzing with deterministic
-// bit-flip coverage of a real encoded block.
+// bit-flip coverage of a real encoded block, in both versions.
 func TestDecodeRandomMutations(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 122)
 	m := BuildBlockMesh(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
-	valid, err := m.Encode()
+	v1, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := EncodeV2(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(123))
-	for i := 0; i < 300; i++ {
-		data := append([]byte(nil), valid...)
-		// Flip 1-4 random bytes and/or truncate.
-		for k := 0; k < 1+rng.Intn(4); k++ {
-			data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
-		}
-		if rng.Intn(3) == 0 {
-			data = data[:rng.Intn(len(data))]
-		}
-		// Must not panic; errors are fine, and occasional successful
-		// decodes (mutation in float payload) must stay consistent.
-		if m2, err := DecodeBlockMesh(data); err == nil {
-			if m2.NumCells() != len(m2.Cells) {
-				t.Fatal("inconsistent lucky decode")
+	for _, valid := range [][]byte{v1, v2} {
+		for i := 0; i < 300; i++ {
+			data := append([]byte(nil), valid...)
+			// Flip 1-4 random bytes and/or truncate.
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
+			}
+			if rng.Intn(3) == 0 {
+				data = data[:rng.Intn(len(data))]
+			}
+			// Must not panic; errors are fine, and occasional successful
+			// decodes (mutation in float payload) must stay consistent.
+			if m2, err := DecodeBlockMesh(data); err == nil {
+				if m2.NumCells() != len(m2.Cells) {
+					t.Fatal("inconsistent lucky decode")
+				}
 			}
 		}
 	}

@@ -260,57 +260,6 @@ func TestFacesOutwardOriented(t *testing.T) {
 	}
 }
 
-func TestMergedFacesCube(t *testing.T) {
-	h, err := Compute(cubeCorners(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf := h.MergedFaces(0)
-	if len(mf) != 6 {
-		t.Fatalf("cube merged faces = %d, want 6", len(mf))
-	}
-	var area float64
-	for _, f := range mf {
-		if len(f.Loop) != 4 {
-			t.Errorf("cube facet has %d vertices, want 4", len(f.Loop))
-		}
-		loop := make([]geom.Vec3, len(f.Loop))
-		for i, vi := range f.Loop {
-			loop[i] = h.Points[vi]
-		}
-		area += geom.PolygonArea(loop)
-	}
-	if math.Abs(area-6) > 1e-9 {
-		t.Errorf("merged area = %v, want 6", area)
-	}
-}
-
-func TestMergedFacesRandomConsistent(t *testing.T) {
-	// On random (generic) points, no triangles merge; merged faces are the
-	// triangles themselves and total area matches.
-	rng := rand.New(rand.NewSource(40))
-	pts := make([]geom.Vec3, 50)
-	for i := range pts {
-		pts[i] = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
-	}
-	h, err := Compute(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf := h.MergedFaces(0)
-	var area float64
-	for _, f := range mf {
-		loop := make([]geom.Vec3, len(f.Loop))
-		for i, vi := range f.Loop {
-			loop[i] = h.Points[vi]
-		}
-		area += geom.PolygonArea(loop)
-	}
-	if math.Abs(area-h.Area()) > 1e-6*h.Area() {
-		t.Errorf("merged area %v vs triangle area %v", area, h.Area())
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	pts := cubeCorners(1)
 	pts = append(pts, pts...) // every corner twice

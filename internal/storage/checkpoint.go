@@ -1,11 +1,9 @@
 package storage
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -188,46 +186,25 @@ func Load(dir string) (*Checkpoint, error) {
 
 const sitesMagic uint64 = 0x7465737353495431 // "tessSIT1"
 
-// encodeSites serializes one rank's warm-baseline site map, sorted by
-// ID so the bytes are independent of map iteration order.
+// encodeSites serializes one rank's warm-baseline site map as a
+// particle-record section, sorted by ID so the bytes are independent of
+// map iteration order.
 func encodeSites(m map[int64]geom.Vec3) []byte {
-	ids := slices.Sorted(maps.Keys(m))
-	buf := make([]byte, 16+32*len(ids))
-	binary.LittleEndian.PutUint64(buf[0:], sitesMagic)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(ids)))
-	off := 16
-	for _, id := range ids {
-		p := m[id]
-		binary.LittleEndian.PutUint64(buf[off:], uint64(id))
-		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(p.X))
-		binary.LittleEndian.PutUint64(buf[off+16:], math.Float64bits(p.Y))
-		binary.LittleEndian.PutUint64(buf[off+24:], math.Float64bits(p.Z))
-		off += 32
+	ps := make([]diy.Particle, 0, len(m))
+	for _, id := range slices.Sorted(maps.Keys(m)) {
+		ps = append(ps, diy.Particle{ID: id, Pos: m[id]})
 	}
-	return buf
+	return encodeRecords(sitesMagic, ps)
 }
 
 func decodeSites(data []byte) (map[int64]geom.Vec3, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("truncated at %d bytes", len(data))
+	ps, err := decodeRecords(sitesMagic, data)
+	if err != nil {
+		return nil, err
 	}
-	if magic := binary.LittleEndian.Uint64(data[0:]); magic != sitesMagic {
-		return nil, fmt.Errorf("bad magic %#x", magic)
-	}
-	n := binary.LittleEndian.Uint64(data[8:])
-	if uint64(len(data)-16) != n*32 {
-		return nil, fmt.Errorf("size %d does not match %d sites", len(data), n)
-	}
-	m := make(map[int64]geom.Vec3, n)
-	off := 16
-	for i := uint64(0); i < n; i++ {
-		id := int64(binary.LittleEndian.Uint64(data[off:]))
-		m[id] = geom.Vec3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(data[off+24:])),
-		}
-		off += 32
+	m := make(map[int64]geom.Vec3, len(ps))
+	for _, p := range ps {
+		m[p.ID] = p.Pos
 	}
 	return m, nil
 }

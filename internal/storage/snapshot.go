@@ -1,18 +1,17 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/diy"
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // Snapshot files reuse the diy single-file block layout (payload
 // sections + footer index + trailer), with one particle chunk per
-// section. Each chunk payload is:
+// section. A chunk payload is a particle-record section:
 //
 //	magic  uint64 ("tessSNP1")
 //	count  uint64
@@ -20,12 +19,13 @@ import (
 //
 // The fixed-width header means a FileSource can learn every chunk's
 // particle count from 16-byte reads at open time, without decoding any
-// chunk.
+// chunk. Checkpoint site maps (checkpoint.go) are the same section
+// under their own magic, and share the codec below.
 
 const snapMagic uint64 = 0x74657373534e5031 // "tessSNP1"
 
-const snapHeaderSize = 16
-const snapRecSize = 8 + 24
+const recHeaderSize = 16
+const recSize = 8 + 24
 
 // WriteSnapshot writes ps as a snapshot file of the given number of
 // chunks, split into contiguous equal-length runs in slice order (the
@@ -38,50 +38,51 @@ func WriteSnapshot(path string, ps []diy.Particle, chunks int) error {
 	for c := 0; c < chunks; c++ {
 		lo := len(ps) * c / chunks
 		hi := len(ps) * (c + 1) / chunks
-		payloads[c] = encodeChunk(ps[lo:hi])
+		payloads[c] = encodeRecords(snapMagic, ps[lo:hi])
 	}
 	_, err := diy.WriteBlocks(path, payloads)
 	return err
 }
 
-func encodeChunk(ps []diy.Particle) []byte {
-	buf := make([]byte, snapHeaderSize+snapRecSize*len(ps))
-	binary.LittleEndian.PutUint64(buf[0:], snapMagic)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(ps)))
-	off := snapHeaderSize
+// encodeRecords serializes one particle-record section.
+func encodeRecords(magic uint64, ps []diy.Particle) []byte {
+	w := wire.NewWriter(recHeaderSize + recSize*len(ps))
+	w.U64(magic)
+	w.U64(uint64(len(ps)))
 	for _, p := range ps {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(p.ID))
-		binary.LittleEndian.PutUint64(buf[off+8:], math.Float64bits(p.Pos.X))
-		binary.LittleEndian.PutUint64(buf[off+16:], math.Float64bits(p.Pos.Y))
-		binary.LittleEndian.PutUint64(buf[off+24:], math.Float64bits(p.Pos.Z))
-		off += snapRecSize
+		w.I64(p.ID)
+		w.F64(p.Pos.X)
+		w.F64(p.Pos.Y)
+		w.F64(p.Pos.Z)
 	}
-	return buf
+	return w.Bytes()
 }
 
-func decodeChunk(data []byte) ([]diy.Particle, error) {
-	if len(data) < snapHeaderSize {
-		return nil, fmt.Errorf("storage: chunk truncated at %d bytes", len(data))
+// recordCount reads a section's header and returns its particle count,
+// after checking the magic and that a section of sectionSize bytes holds
+// exactly that many records.
+func recordCount(r *wire.Reader, magic uint64, sectionSize int64) int {
+	if got := r.U64(); got != magic {
+		r.Fail("bad magic %#x", got)
 	}
-	if magic := binary.LittleEndian.Uint64(data[0:]); magic != snapMagic {
-		return nil, fmt.Errorf("storage: bad chunk magic %#x", magic)
+	n := r.U64()
+	if body := uint64(max(sectionSize-recHeaderSize, 0)); body%recSize != 0 || n != body/recSize {
+		r.Fail("size %d does not match %d particles", sectionSize, n)
 	}
-	n := binary.LittleEndian.Uint64(data[8:])
-	if uint64(len(data)-snapHeaderSize) != n*snapRecSize {
-		return nil, fmt.Errorf("storage: chunk size %d does not match %d particles", len(data), n)
+	if r.Err() != nil {
+		return 0
 	}
-	ps := make([]diy.Particle, n)
-	off := snapHeaderSize
+	return int(n)
+}
+
+// decodeRecords parses one particle-record section.
+func decodeRecords(magic uint64, data []byte) ([]diy.Particle, error) {
+	r := wire.NewReader(data)
+	ps := make([]diy.Particle, recordCount(r, magic, int64(len(data))))
 	for i := range ps {
-		ps[i].ID = int64(binary.LittleEndian.Uint64(data[off:]))
-		ps[i].Pos = geom.Vec3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(data[off+24:])),
-		}
-		off += snapRecSize
+		ps[i] = diy.Particle{ID: r.I64(), Pos: geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}}
 	}
-	return ps, nil
+	return ps, r.Done()
 }
 
 // FileSource streams a snapshot file chunk by chunk with a bounded
@@ -130,21 +131,19 @@ func OpenFileSource(path string, window int) (*FileSource, error) {
 		window:   window,
 		resident: make(map[int]*residentChunk),
 	}
-	var hdr [snapHeaderSize]byte
+	var hdr [recHeaderSize]byte
 	for i := range idx.Offsets {
-		if idx.Sizes[i] < snapHeaderSize {
-			f.Close()
-			return nil, fmt.Errorf("storage: %s chunk %d truncated", path, i)
-		}
-		if _, err := f.ReadAt(hdr[:], idx.Offsets[i]); err != nil {
+		h := hdr[:min(idx.Sizes[i], recHeaderSize)]
+		if _, err := f.ReadAt(h, idx.Offsets[i]); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("storage: %s chunk %d header: %w", path, i, err)
 		}
-		if magic := binary.LittleEndian.Uint64(hdr[0:]); magic != snapMagic {
+		r := wire.NewReader(h)
+		s.counts[i] = recordCount(r, snapMagic, idx.Sizes[i])
+		if err := r.Err(); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("storage: %s chunk %d has bad magic %#x", path, i, magic)
+			return nil, fmt.Errorf("storage: %s chunk %d: %w", path, i, err)
 		}
-		s.counts[i] = int(binary.LittleEndian.Uint64(hdr[8:]))
 		s.stats.TotalParticles += s.counts[i]
 	}
 	return s, nil
@@ -174,7 +173,7 @@ func (s *FileSource) Chunk(i int) ([]diy.Particle, error) {
 	if _, err := s.f.ReadAt(buf, s.idx.Offsets[i]); err != nil {
 		return nil, fmt.Errorf("storage: %s chunk %d: %w", s.path, i, err)
 	}
-	parts, err := decodeChunk(buf)
+	parts, err := decodeRecords(snapMagic, buf)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s chunk %d: %w", s.path, i, err)
 	}

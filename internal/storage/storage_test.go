@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -158,6 +159,32 @@ func TestFileSourceErrors(t *testing.T) {
 	}
 	if _, err := OpenFileSource(other, 0); err == nil {
 		t.Error("non-snapshot block file accepted")
+	}
+	// A footer entry claiming a terabyte chunk must fail at open, not
+	// reach Chunk's buffer allocation; so must a chunk header whose
+	// count disagrees with its section.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := len(raw) - 24 - 4*16
+	for name, patch := range map[string]struct {
+		off int
+		val uint64
+	}{
+		"chunk 1 of 2^40 bytes":      {footer + 16 + 8, 1 << 40},
+		"chunk 0 header count is 99": {8, 99},
+	} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(bad[patch.off:], patch.val)
+		lying := filepath.Join(dir, "lying.bin")
+		if err := os.WriteFile(lying, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if src, err := OpenFileSource(lying, 0); err == nil {
+			src.Close()
+			t.Errorf("%s: accepted at open", name)
+		}
 	}
 }
 
