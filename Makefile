@@ -41,9 +41,10 @@ race:
 # suite drives, the density pipeline whose byte-identity and
 # mass-conservation oracles gate the density job kind, and the storage
 # layer (snapshot sources + checkpoint commit protocol) the
-# out-of-core/resume paths stand on, and the byte cursor every on-disk
-# decoder reads outside input through.
-COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire
+# out-of-core/resume paths stand on, the byte cursor every on-disk
+# decoder reads outside input through, and the Bowyer-Watson builder and
+# DTFE estimator whose exact tet order the density grid bytes follow.
+COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire ./internal/delaunay ./internal/dtfe
 COVER_FLOOR = 70
 
 cover:

@@ -4,12 +4,36 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
+	"repro/internal/delaunay"
 	"repro/internal/density"
 	"repro/internal/diy"
 	"repro/internal/dtfe"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
+
+// Names of the triangulation counters StepDensity adds to rank 0 of
+// Config.Recorder (delaunay.Stats of the step's Bowyer-Watson build).
+// They are exact functions of the snapshot: InSphere tests per point and
+// peak slots per tet say why the triangulate phase cost what it cost.
+const (
+	CounterDelaunayPoints      = "delaunay-points"
+	CounterDelaunayTetsCreated = "delaunay-tets-created"
+	CounterDelaunayPeakSlots   = "delaunay-peak-slots"
+	CounterDelaunayWalkSteps   = "delaunay-walk-steps"
+	CounterDelaunayInSphere    = "delaunay-insphere"
+)
+
+// countTriangulation adds one build's counts to rank 0 of rec.
+func countTriangulation(rec *obs.Recorder, st delaunay.Stats) {
+	addCounts(rec, 0,
+		namedCount{CounterDelaunayPoints, st.Points},
+		namedCount{CounterDelaunayTetsCreated, st.TetsCreated},
+		namedCount{CounterDelaunayPeakSlots, st.PeakSlots},
+		namedCount{CounterDelaunayWalkSteps, st.WalkSteps},
+		namedCount{CounterDelaunayInSphere, st.InSphereTests},
+	)
+}
 
 // StepDensity runs the streaming density pipeline over one snapshot's
 // particles through the session's ranks: rank 0 triangulates (phase
@@ -98,6 +122,8 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 				// the abort they would wait forever on a phase that is
 				// never coming.
 				s.w.Abort(&comm.RankError{Rank: 0, Value: err})
+			} else {
+				countTriangulation(rec, s.dens.TriangulationStats())
 			}
 		}
 		// Barrier gives every rank a happens-before edge on rank 0's

@@ -107,6 +107,46 @@ func TestStepDensityRecordsPhases(t *testing.T) {
 	}
 }
 
+// The triangulation's work counts land on rank 0 of the recorder, exact
+// and repeatable: a second session over the same snapshot counts the same.
+func TestStepDensityCountsTriangulation(t *testing.T) {
+	const ng = 8
+	snaps := evolvingSnapshots(t, ng, 1)
+	names := []string{CounterDelaunayPoints, CounterDelaunayTetsCreated, CounterDelaunayPeakSlots,
+		CounterDelaunayWalkSteps, CounterDelaunayInSphere}
+	var runs [2][]int64
+	for i := range runs {
+		cfg := baseConfig(float64(ng))
+		cfg.Recorder = obs.NewRecorder(2)
+		s, err := OpenSession(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.StepDensity(snaps[0], density.Config{GridN: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			c := res.Obs.Counters[name]
+			if len(c) != 2 || c[0] <= 0 || c[1] != 0 {
+				t.Errorf("counter %s = %v, want a positive count on rank 0 only", name, c)
+				continue
+			}
+			runs[i] = append(runs[i], c[0])
+		}
+		if got := res.Obs.Counters[CounterDelaunayPoints][0]; got != int64(res.Padded) {
+			t.Errorf("%s = %d, want the %d padded points", CounterDelaunayPoints, got, res.Padded)
+		}
+		if created, tets := res.Obs.Counters[CounterDelaunayTetsCreated][0], int64(res.Tets); created < tets {
+			t.Errorf("%d tets created but %d in the result", created, tets)
+		}
+		s.Close()
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("counts differ between two sessions: %v vs %v", runs[0], runs[1])
+	}
+}
+
 // An injected crash at the density checkpoint must degrade like any other
 // rank failure: a structured error now, a terminally failed session after.
 func TestStepDensityFaultContainment(t *testing.T) {

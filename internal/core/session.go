@@ -275,16 +275,14 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 		if err != nil {
 			return err
 		}
-		gtm := ReduceTiming(s.w, rank, tm)
-		gcnt := SumCounts(s.w, rank, res.Counts)
-		gghost := comm.Allreduce(s.w, rank, int64(res.Ghosts), comm.SumInt64)
+		tot := comm.Allreduce(s.w, rank, stepTotals{tm, res.Counts, int64(res.Ghosts)}, stepTotals.merge)
 		// Each rank fills its own slot and rank 0 alone the totals; the
 		// world's join publishes them to the caller.
 		out.Meshes[rank] = res.Mesh
 		if rank == 0 {
-			out.Timing = gtm
-			out.Counts = gcnt
-			out.Ghosts = int(gghost)
+			out.Timing = tot.Timing
+			out.Counts = tot.Counts
+			out.Ghosts = int(tot.Ghosts)
 		}
 		return nil
 	})

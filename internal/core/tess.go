@@ -152,30 +152,39 @@ const (
 	CounterKernelCut      = "kernel-cut"
 )
 
-// countBlock adds one rank's pipeline and kernel counters to rec, resolving
-// the names on the way (idempotent; see obs.RegisterCounter). OpenSession
-// counts a zero BlockResult before any rank starts, so every name is
-// registered, in this order, before any rank counts.
-func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
+// namedCount is one counter increment, by registry name.
+type namedCount struct {
+	name string
+	n    int64
+}
+
+// addCounts adds the increments to rank's counters in rec, resolving the
+// names on the way (idempotent; see obs.RegisterCounter), in the order
+// given. A nil recorder is free.
+func addCounts(rec *obs.Recorder, rank int, counts ...namedCount) {
 	if rec == nil {
 		return
 	}
-	k := res.Kernel
-	for _, c := range [...]struct {
-		name string
-		n    int64
-	}{
-		{CounterGhosts, int64(res.Ghosts)},
-		{CounterCellsKept, res.Counts.Kept},
-		{CounterSites, res.Counts.Sites},
-		{CounterKernelShells, k.Shells},
-		{CounterKernelGathered, k.Gathered},
-		{CounterKernelSorted, k.Sorted},
-		{CounterKernelTested, k.Tested},
-		{CounterKernelCut, k.Cut},
-	} {
+	for _, c := range counts {
 		rec.Count(rank, rec.RegisterCounter(c.name), c.n)
 	}
+}
+
+// countBlock adds one rank's pipeline and kernel counters to rec.
+// OpenSession counts a zero BlockResult before any rank starts, so every
+// name is registered, in this order, before any rank counts.
+func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
+	k := res.Kernel
+	addCounts(rec, rank,
+		namedCount{CounterGhosts, int64(res.Ghosts)},
+		namedCount{CounterCellsKept, res.Counts.Kept},
+		namedCount{CounterSites, res.Counts.Sites},
+		namedCount{CounterKernelShells, k.Shells},
+		namedCount{CounterKernelGathered, k.Gathered},
+		namedCount{CounterKernelSorted, k.Sorted},
+		namedCount{CounterKernelTested, k.Tested},
+		namedCount{CounterKernelCut, k.Cut},
+	)
 }
 
 // EffectiveWorkers resolves cfg.Workers for a run with concurrentRanks
@@ -470,7 +479,7 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 				}
 			}
 			// Step 3(c): conservative early cull before any exact geometry.
-			if diamCut2 > 0 && cellDiameter2(cell) < diamCut2 {
+			if diamCut2 > 0 && diameterBelow(cell, diamCut2) {
 				counts.CulledEarly++
 				continue
 			}
@@ -522,6 +531,28 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts, Kernel: kernel}, nil
 }
 
+// diameterBelow reports whether cellDiameter2(c) < cut2, deciding from two
+// O(V) bounds where they suffice and scanning the O(V^2) pairs only in
+// between. Any two vertices are within twice the largest site-vertex
+// distance of each other, so a cell that small is below the cutoff (the
+// 1e-12 margin covers the rounding of both sides; the bound can never cull
+// a cell the scan would keep); and the distances from vertex 0 are pairs of
+// the scan, so one of them at the cutoff already settles it the other way.
+func diameterBelow(c *voronoi.Cell, cut2 float64) bool {
+	var r2, from0 float64
+	for _, v := range c.Verts {
+		r2 = math.Max(r2, v.Dist2(c.Site))
+		from0 = math.Max(from0, c.Verts[0].Dist2(v))
+	}
+	if 4*r2*(1+1e-12) < cut2 {
+		return true
+	}
+	if from0 >= cut2 {
+		return false
+	}
+	return cellDiameter2(c) < cut2
+}
+
 // cellDiameter2 returns the maximum squared pairwise vertex distance, for
 // comparison against a squared cutoff without the sqrt.
 func cellDiameter2(c *voronoi.Cell) float64 {
@@ -534,17 +565,31 @@ func cellDiameter2(c *voronoi.Cell) float64 {
 	return m
 }
 
-// ReduceTiming combines per-rank timings into the slowest-rank view and
-// sums output bytes.
-func ReduceTiming(w *comm.World, rank int, tm Timing) Timing {
-	out := Timing{
-		Exchange:    comm.Allreduce(w, rank, tm.Exchange, comm.MaxDuration),
-		Compute:     comm.Allreduce(w, rank, tm.Compute, comm.MaxDuration),
-		Output:      comm.Allreduce(w, rank, tm.Output, comm.MaxDuration),
-		Total:       comm.Allreduce(w, rank, tm.Total, comm.MaxDuration),
-		OutputBytes: comm.Allreduce(w, rank, tm.OutputBytes, comm.SumInt64),
+// stepTotals is what the ranks of a step agree on at its end. It travels
+// as one value through one Allreduce: a struct boxes into an interface with
+// one allocation whatever it holds, where a bare Duration or int64 boxes
+// alloc-free only below 256 — five scalar reductions made a step's
+// allocation count follow its wall-clock values.
+type stepTotals struct {
+	Timing Timing
+	Counts CellCounts
+	Ghosts int64
+}
+
+// merge is the Allreduce operator: the slowest rank's phase times, and
+// the sums of output bytes, cell counts and ghosts.
+func (a stepTotals) merge(b stepTotals) stepTotals {
+	return stepTotals{
+		Timing: Timing{
+			Exchange:    max(a.Timing.Exchange, b.Timing.Exchange),
+			Compute:     max(a.Timing.Compute, b.Timing.Compute),
+			Output:      max(a.Timing.Output, b.Timing.Output),
+			Total:       max(a.Timing.Total, b.Timing.Total),
+			OutputBytes: a.Timing.OutputBytes + b.Timing.OutputBytes,
+		},
+		Counts: a.Counts.add(b.Counts),
+		Ghosts: a.Ghosts + b.Ghosts,
 	}
-	return out
 }
 
 // add returns the field-wise sum of two cell counts.
@@ -556,9 +601,4 @@ func (a CellCounts) add(b CellCounts) CellCounts {
 		CulledExact: a.CulledExact + b.CulledExact,
 		Kept:        a.Kept + b.Kept,
 	}
-}
-
-// SumCounts reduces per-rank cell counts to global totals.
-func SumCounts(w *comm.World, rank int, c CellCounts) CellCounts {
-	return comm.Allreduce(w, rank, c, CellCounts.add)
 }

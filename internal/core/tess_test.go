@@ -2,13 +2,18 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/comm"
+	"repro/internal/cosmo"
 	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/meshio"
@@ -535,5 +540,101 @@ func TestLabelVoidsInSitu(t *testing.T) {
 	}
 	if out2.Voids != nil {
 		t.Error("labeling ran without the flag")
+	}
+}
+
+// The O(V) bounds in front of the early cull's pairwise scan must decide
+// exactly as the scan alone does, for every cell and any cutoff — at, just
+// above and well to either side of the cell's own diameter.
+func TestDiameterBelowMatchesPairwiseScan(t *testing.T) {
+	ps := clusteredParticles(t, 1500, 12, 7)
+	pts := make([]geom.Vec3, len(ps))
+	ids := make([]int64, len(ps))
+	for i, p := range ps {
+		pts[i], ids[i] = p.Pos, p.ID
+	}
+	cells, err := voronoi.ComputePeriodic(pts, ids, 12, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		d2 := cellDiameter2(c)
+		for _, cut2 := range []float64{0.3, d2, math.Nextafter(d2, math.Inf(1)), 0.5 * d2, 1.5 * d2, 3.9 * d2, 4.1 * d2} {
+			if got, want := diameterBelow(c, cut2), d2 < cut2; got != want {
+				t.Fatalf("cell %d (diameter^2 %v): diameterBelow(%v) = %v, pairwise scan says %v", c.SiteID, d2, cut2, got, want)
+			}
+		}
+	}
+}
+
+// The postproc-clustered input (24^3 halo mock, RCB blocks, cull at a
+// tenth of the mean cell volume): the cull counts and every block's bytes
+// are the ones the pairwise-only early cull produced — the constants come
+// from this test run at the parent of the commit that added the bounds.
+func TestEarlyCullCountsAndBytesOnHaloMock(t *testing.T) {
+	const L = 24.0
+	pos := cosmo.ClusteredPositions(24*24*24, L, cosmo.DefaultClusterParams())
+	ps := make([]diy.Particle, len(pos))
+	for i, q := range pos {
+		ps[i] = diy.Particle{ID: int64(i), Pos: q}
+	}
+	cfg := baseConfig(L)
+	cfg.Decomposition = DecomposeRCB
+	cfg.MinVolume = 0.1
+	out, err := Run(cfg, ps, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, m := range out.Meshes {
+		data, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	got := fmt.Sprintf("%+v %x", out.Counts, h.Sum(nil))
+	const want = "{Sites:13824 Incomplete:0 CulledEarly:6796 CulledExact:1851 Kept:5177} 36488d1f36a5807f62dbaf20ed44470dc3890a034a6b3c5a1e6620237d04de26"
+	if got != want {
+		t.Errorf("counts and block digest\n got %s\nwant %s", got, want)
+	}
+}
+
+// One Allreduce of stepTotals gives what the five scalar timing reductions
+// and the two count reductions gave.
+func TestStepTotalsMatchScalarReductions(t *testing.T) {
+	const ranks = 4
+	w := comm.NewWorld(ranks)
+	in := make([]stepTotals, ranks)
+	for r := range in {
+		d := func(k int) time.Duration { return time.Duration((r*7+k*13)%11) * 100 * time.Nanosecond }
+		in[r] = stepTotals{
+			Timing: Timing{Exchange: d(1), Compute: d(2), Output: d(3), Total: d(4), OutputBytes: int64(1000 * r)},
+			Counts: CellCounts{Sites: int64(10 + r), Incomplete: int64(r), CulledEarly: 1, CulledExact: int64(2 * r), Kept: 5},
+			Ghosts: int64(300 - r),
+		}
+	}
+	var got, want [ranks]stepTotals
+	if err := w.Run(func(rank int) {
+		v := in[rank]
+		got[rank] = comm.Allreduce(w, rank, v, stepTotals.merge)
+		want[rank] = stepTotals{
+			Timing: Timing{
+				Exchange:    comm.Allreduce(w, rank, v.Timing.Exchange, comm.MaxDuration),
+				Compute:     comm.Allreduce(w, rank, v.Timing.Compute, comm.MaxDuration),
+				Output:      comm.Allreduce(w, rank, v.Timing.Output, comm.MaxDuration),
+				Total:       comm.Allreduce(w, rank, v.Timing.Total, comm.MaxDuration),
+				OutputBytes: comm.Allreduce(w, rank, v.Timing.OutputBytes, comm.SumInt64),
+			},
+			Counts: comm.Allreduce(w, rank, v.Counts, CellCounts.add),
+			Ghosts: comm.Allreduce(w, rank, v.Ghosts, comm.SumInt64),
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r := range got {
+		if got[r] != want[r] {
+			t.Errorf("rank %d: one reduction gave %+v, scalar reductions %+v", r, got[r], want[r])
+		}
 	}
 }

@@ -49,36 +49,103 @@ func (tr *Triangulation) Representative(i int) int {
 	return tr.Rep[i]
 }
 
+// tet is one slot of the builder's tet array: 36 bytes, so the cavity
+// search, the walk and the strip pass stay cache-resident.
 type tet struct {
-	v    [4]int
-	nb   [4]int // index of neighbor opposite v[i]; -1 if none
-	dead bool
+	v  [4]int32
+	nb [4]int32 // slot of the neighbor opposite v[i]; -1 if none
+	// serial is the tet's creation order — the order the finished
+	// triangulation lists it in — or -1 while the slot is on the free list.
+	serial int32
 }
 
 // bface is one boundary face of a Bowyer-Watson cavity.
 type bface struct {
-	verts   [3]int // oriented facing away from the cavity
-	outside int    // neighbor tet beyond the face, or -1
+	verts   [3]int32 // oriented facing away from the cavity
+	from    int32    // cavity tet the face belongs to
+	outside int32    // neighbor tet beyond the face, or -1
+}
+
+// edgeEntry is one entry of the table that links the new tets of an
+// insertion to each other. Two new tets share a face exactly when their
+// boundary faces share an edge, so the packed edge is the key.
+type edgeEntry struct {
+	key   uint64 // lower vertex index <<32 | higher
+	owner uint32 // slot<<2|face of the tet waiting for its partner, or edgeMatched
+	stamp uint32 // insertion that wrote the entry; any other value means empty
+}
+
+const edgeMatched = ^uint32(0)
+
+// maxTets bounds the tets one build may create, so serials and slots fit
+// an int32 and slot<<2|face fits edgeEntry.owner.
+const maxTets = 1 << 30
+
+// Stats are exact counts of the work one Build did. They depend only on
+// the input points — never on timing, GOMAXPROCS or what the Builder built
+// before — so they say why a triangulation cost what it cost and repeat
+// exactly across runs.
+type Stats struct {
+	Points     int64 // input points
+	Duplicates int64 // points merged into an earlier coincident vertex
+	// TetsCreated counts every tet ever made (the initial one included);
+	// LiveTets are those left after the last insertion, the ones touching
+	// the four enclosing super vertices included; PeakSlots is the size the
+	// tet array reached — live tets plus the free list.
+	TetsCreated   int64
+	LiveTets      int64
+	PeakSlots     int64
+	WalkSteps     int64 // tets visited by point location
+	InSphereTests int64
+	CavityTets    int64 // tets deleted, summed over insertions
+	BoundaryFaces int64 // cavity boundary faces, summed over insertions
 }
 
 type builder struct {
-	pts  []geom.Vec3 // input points + 4 super vertices at the end
-	n    int         // number of real points
+	pts []geom.Vec3 // input points + 4 super vertices at the end
+	n   int         // number of real points
+	rep []int       // rep[i]: representative vertex of a merged duplicate, else i
+
+	// tets holds the live tets and the slots on the free list. An insertion
+	// frees its cavity's slots only once its new tets are linked, and new
+	// tets take free slots first, so the array stays within one cavity of
+	// the live count however many tets a build creates and destroys.
 	tets []tet
-	last int   // walk start hint
-	rep  []int // rep[i]: representative vertex of a merged duplicate, else i
+	free []int32
+	last int32 // walk start hint: the first tet of the latest insertion
 
 	// Per-insert workspace, retained across insertions (and, through
-	// Builder, across whole builds).
-	cavity   []int
-	inCav    []uint32 // stamp array: inCav[t] == stamp means t is in the cavity
+	// Builder, across whole builds). Everything here grows by append or
+	// grown, never to an exact size, so a cold build allocates O(n) bytes.
+	//
+	// mark[t] is 2*stamp once t joined the current insertion's cavity and
+	// 2*stamp+1 once its circumsphere was tested and does not contain the
+	// point, so a tet reached from several cavity tets is tested once.
+	mark     []uint32
 	stamp    uint32
+	cavity   []int32
 	boundary []bface
-	faceMap  map[[3]int]int
+	edges    []edgeEntry
 
 	// Output buffers reused across builds.
-	outTets []Tet
-	remap   []int
+	order    []uint64 // serial<<32|slot of the output tets
+	orderTmp []uint64
+	outTets  []Tet
+	remap    []int32
+
+	stats Stats
+}
+
+// grown returns buf resliced to n elements, their contents unspecified. When
+// it has to reallocate it leaves a quarter of headroom — geometric growth,
+// never the exact size — so a run of slightly larger requests (one per
+// insertion of a cold build, one per snapshot of a warm session)
+// reallocates O(log n) times instead of every time. Fresh storage is zero.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	return buf[:n]
 }
 
 // Builder is a reusable triangulation workspace. The zero value is ready to
@@ -94,6 +161,9 @@ type Builder struct {
 	b builder
 }
 
+// Stats returns the counts of the most recent Build.
+func (s *Builder) Stats() Stats { return s.b.stats }
+
 // Build computes the Delaunay tetrahedralization of pts. Duplicate points
 // (within ~1e-12 of the input extent) are merged: only the first occurrence
 // becomes a vertex, and Rep records the mapping.
@@ -108,76 +178,117 @@ func (s *Builder) Build(pts []geom.Vec3) (*Triangulation, error) {
 	if len(pts) < 4 {
 		return nil, ErrDegenerate
 	}
+	if len(pts) > maxTets {
+		return nil, fmt.Errorf("delaunay: %d points, more than the %d supported", len(pts), maxTets)
+	}
 	for _, p := range pts {
 		if !p.IsFinite() {
 			return nil, fmt.Errorf("delaunay: non-finite point %v", p)
 		}
 	}
+	b := &s.b
+	dupEps := b.reset(pts)
+	for i := range pts {
+		if err := b.insert(int32(i), dupEps); err != nil {
+			return nil, err
+		}
+	}
+	tets := b.strip()
+	if len(tets) == 0 {
+		return nil, ErrDegenerate
+	}
+	return &Triangulation{Points: pts, Tets: tets, Rep: b.rep}, nil
+}
+
+// reset starts a build of pts from the enclosing super-tetrahedron and
+// returns the distance below which two points are duplicates.
+func (b *builder) reset(pts []geom.Vec3) (dupEps float64) {
 	bb := geom.BoundingBox(pts)
 	size := math.Max(bb.Size().MaxAbs(), 1e-12)
-	c := bb.Center()
 
-	b := &s.b
 	b.n = len(pts)
 	b.pts = append(b.pts[:0], pts...)
-	b.pts = append(b.pts, superVertices(c, size)...)
-	if cap(b.rep) < len(pts) {
-		b.rep = make([]int, len(pts))
-	}
-	b.rep = b.rep[:len(pts)]
+	b.pts = append(b.pts, superVertices(bb.Center(), size)...)
+	b.rep = grown(b.rep, len(pts))
 	for i := range b.rep {
 		b.rep[i] = i
 	}
 
-	// Initial super-tetrahedron.
-	s0, s1, s2, s3 := len(pts), len(pts)+1, len(pts)+2, len(pts)+3
-	first := tet{v: [4]int{s0, s1, s2, s3}, nb: [4]int{-1, -1, -1, -1}}
-	if geom.Orient3DVal(b.pts[s0], b.pts[s1], b.pts[s2], b.pts[s3]) < 0 {
+	s0 := int32(len(pts))
+	first := tet{v: [4]int32{s0, s0 + 1, s0 + 2, s0 + 3}, nb: [4]int32{-1, -1, -1, -1}}
+	if geom.Orient3DVal(b.pts[s0], b.pts[s0+1], b.pts[s0+2], b.pts[s0+3]) < 0 {
 		first.v[2], first.v[3] = first.v[3], first.v[2]
 	}
 	b.tets = append(b.tets[:0], first)
+	b.mark = append(b.mark[:0], 0)
+	b.free = b.free[:0]
 	b.last = 0
+	b.stats = Stats{Points: int64(len(pts)), TetsCreated: 1}
+	return 1e-12 * size
+}
 
-	dupEps := 1e-12 * size
-	for i := 0; i < len(pts); i++ {
-		if err := b.insert(i, dupEps); err != nil {
-			return nil, err
+// strip drops the tets that use a super vertex and returns the rest in
+// creation order — the order a builder that never reused a slot would hold
+// them in, and the order dtfe sums star volumes in — with neighbor links
+// renumbered to match.
+func (b *builder) strip() []Tet {
+	b.stats.PeakSlots = int64(len(b.tets))
+	b.stats.LiveTets = int64(len(b.tets) - len(b.free))
+	n := int32(b.n)
+	b.order = b.order[:0]
+	for slot, t := range b.tets {
+		if t.serial < 0 || t.v[0] >= n || t.v[1] >= n || t.v[2] >= n || t.v[3] >= n {
+			continue
 		}
+		b.order = append(b.order, uint64(t.serial)<<32|uint64(slot))
 	}
+	b.orderTmp = grown(b.orderTmp, len(b.order))
+	b.order, b.orderTmp = sortBySerial(b.order, b.orderTmp)
 
-	// Strip tetrahedra using super vertices.
-	if cap(b.remap) < len(b.tets) {
-		b.remap = make([]int, len(b.tets))
-	}
-	b.remap = b.remap[:len(b.tets)]
+	b.remap = grown(b.remap, len(b.tets))
 	for i := range b.remap {
 		b.remap[i] = -1
 	}
-	b.outTets = b.outTets[:0]
-	for i, t := range b.tets {
-		if t.dead || t.v[0] >= b.n || t.v[1] >= b.n || t.v[2] >= b.n || t.v[3] >= b.n {
-			continue
-		}
-		b.remap[i] = len(b.outTets)
-		b.outTets = append(b.outTets, Tet{V: t.v})
+	for i, k := range b.order {
+		b.remap[uint32(k)] = int32(i)
 	}
-	if len(b.outTets) == 0 {
-		return nil, ErrDegenerate
-	}
-	for i, t := range b.tets {
-		ni := b.remap[i]
-		if ni < 0 {
-			continue
-		}
+	b.outTets = grown(b.outTets, len(b.order))
+	for i, k := range b.order {
+		t := &b.tets[uint32(k)]
+		out := &b.outTets[i]
 		for f := 0; f < 4; f++ {
-			if t.nb[f] >= 0 && b.remap[t.nb[f]] >= 0 {
-				b.outTets[ni].Nb[f] = b.remap[t.nb[f]]
-			} else {
-				b.outTets[ni].Nb[f] = -1
+			out.V[f] = int(t.v[f])
+			out.Nb[f] = -1
+			if t.nb[f] >= 0 {
+				out.Nb[f] = int(b.remap[t.nb[f]])
 			}
 		}
 	}
-	return &Triangulation{Points: pts, Tets: b.outTets, Rep: b.rep}, nil
+	return b.outTets
+}
+
+// sortBySerial sorts keys (serial<<32|slot, serials below maxTets) by
+// serial: a least-significant-digit radix sort in three 11-bit passes that
+// ping-pong between keys and tmp. It returns the sorted slice and the spare.
+func sortBySerial(keys, tmp []uint64) (sorted, spare []uint64) {
+	for shift := 32; shift < 64; shift += 11 {
+		var start [1 << 11]int
+		for _, k := range keys {
+			start[k>>shift&(1<<11-1)]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & (1<<11 - 1)
+			tmp[start[d]] = k
+			start[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys, tmp
 }
 
 // superVertices returns four vertices of a huge regular tetrahedron around
@@ -192,27 +303,18 @@ func superVertices(c geom.Vec3, size float64) []geom.Vec3 {
 	}
 }
 
-// markCavity resets the cavity stamp for a new insertion; the stamp array
-// covers the tets that exist before the insertion appends new ones.
-func (b *builder) markCavity() {
-	if cap(b.inCav) < len(b.tets) {
-		b.inCav = make([]uint32, len(b.tets))
-		b.stamp = 0
-	}
-	b.inCav = b.inCav[:len(b.tets)]
+// newStamp starts a new insertion for the mark array and the edge table.
+func (b *builder) newStamp() {
 	b.stamp++
-	if b.stamp == 0 { // wrapped: clear and restart
-		clear(b.inCav)
+	if b.stamp == 1<<31 { // 2*stamp would wrap: clear and restart
+		clear(b.mark)
+		clear(b.edges[:cap(b.edges)])
 		b.stamp = 1
 	}
 }
 
-func (b *builder) inCavity(ti int) bool {
-	return b.inCav[ti] == b.stamp
-}
-
 // insert adds point index pi via Bowyer-Watson cavity retriangulation.
-func (b *builder) insert(pi int, dupEps float64) error {
+func (b *builder) insert(pi int32, dupEps float64) error {
 	p := b.pts[pi]
 	ti, err := b.locate(p)
 	if err != nil {
@@ -221,110 +323,153 @@ func (b *builder) insert(pi int, dupEps float64) error {
 	// Duplicate check against the containing tet's vertices.
 	for _, vi := range b.tets[ti].v {
 		if b.pts[vi].Dist(p) <= dupEps {
-			if vi < b.n {
-				b.rep[pi] = vi
+			if int(vi) < b.n {
+				b.rep[pi] = int(vi)
 			}
+			b.stats.Duplicates++
 			return nil // merged duplicate
 		}
 	}
 
-	// Cavity: all tets whose circumsphere contains p, BFS from ti.
-	b.markCavity()
+	// Cavity: all tets whose circumsphere contains p, BFS from ti. A
+	// neighbor's membership is decided the first time it is seen — it is
+	// in exactly when its circumsphere contains p — so the face toward a
+	// rejected (or absent) neighbor is a boundary face there and then, and
+	// the faces come out in cavity order, face order.
+	b.newStamp()
+	in, out := 2*b.stamp, 2*b.stamp+1
 	b.cavity = append(b.cavity[:0], ti)
-	b.inCav[ti] = b.stamp
+	b.mark[ti] = in
+	b.boundary = b.boundary[:0]
 	for head := 0; head < len(b.cavity); head++ {
 		cur := b.cavity[head]
-		for _, nb := range b.tets[cur].nb {
-			if nb < 0 || b.inCavity(nb) || b.tets[nb].dead {
-				continue
+		t := &b.tets[cur]
+		for f, nb := range t.nb {
+			if nb >= 0 {
+				m := b.mark[nb]
+				if m == in {
+					continue
+				}
+				if m != out {
+					if b.inSphere(nb, p) {
+						b.mark[nb] = in
+						b.cavity = append(b.cavity, nb)
+						continue
+					}
+					b.mark[nb] = out
+				}
 			}
-			if b.inSphere(nb, p) {
-				b.inCav[nb] = b.stamp
-				b.cavity = append(b.cavity, nb)
-			}
-		}
-	}
-
-	// Boundary faces of the cavity.
-	b.boundary = b.boundary[:0]
-	for _, ci := range b.cavity {
-		t := b.tets[ci]
-		for f := 0; f < 4; f++ {
-			nb := t.nb[f]
-			if nb >= 0 && b.inCavity(nb) {
-				continue
-			}
-			fv := faceVerts(t.v, f)
-			b.boundary = append(b.boundary, bface{verts: fv, outside: nb})
+			b.boundary = append(b.boundary, bface{verts: faceVerts(t.v, f), from: cur, outside: nb})
 		}
 	}
 	if len(b.boundary) < 4 {
 		return fmt.Errorf("delaunay: degenerate cavity (%d boundary faces) inserting %v", len(b.boundary), p)
 	}
-
-	for _, ci := range b.cavity {
-		b.tets[ci].dead = true
+	b.stats.CavityTets += int64(len(b.cavity))
+	b.stats.BoundaryFaces += int64(len(b.boundary))
+	if b.stats.TetsCreated+int64(len(b.boundary)) > maxTets {
+		return fmt.Errorf("delaunay: more than %d tets created", maxTets)
 	}
+
+	// The edge table holds at most three entries per boundary face (half
+	// that on a closed cavity), so this size keeps it under 3/4 full.
+	size := 8
+	for size < 4*len(b.boundary) {
+		size *= 2
+	}
+	b.edges = grown(b.edges, size)
+	pending := 0
 
 	// New tets: each boundary face plus p. Faces from faceVerts are
 	// oriented so that Orient3D(fv[0], fv[1], fv[2], apex-of-old-tet) > 0;
 	// the cavity interior (where p is) is on the other side, so (fv[0],
 	// fv[2], fv[1], p) is positively oriented.
-	if b.faceMap == nil {
-		b.faceMap = make(map[[3]int]int, 3*len(b.boundary))
-	} else {
-		clear(b.faceMap)
-	}
-	firstNew := len(b.tets)
-	for _, bf := range b.boundary {
-		nt := tet{v: [4]int{bf.verts[0], bf.verts[2], bf.verts[1], pi}, nb: [4]int{-1, -1, -1, -1}}
-		if geom.Orient3DVal(b.pts[nt.v[0]], b.pts[nt.v[1]], b.pts[nt.v[2]], b.pts[nt.v[3]]) <= 0 {
-			nt.v[1], nt.v[2] = nt.v[2], nt.v[1]
+	for i := range b.boundary {
+		bf := &b.boundary[i]
+		v := [4]int32{bf.verts[0], bf.verts[2], bf.verts[1], pi}
+		if geom.Orient3DVal(b.pts[v[0]], b.pts[v[1]], b.pts[v[2]], p) <= 0 {
+			v[1], v[2] = v[2], v[1]
 		}
-		idx := len(b.tets)
-		b.tets = append(b.tets, nt)
-
-		// Link across the boundary face to the outside tet.
+		idx := b.newSlot()
+		if i == 0 {
+			b.last = idx
+		}
+		// p is v[3], so the face opposite it is the boundary face.
+		b.tets[idx] = tet{v: v, nb: [4]int32{-1, -1, -1, bf.outside}, serial: int32(b.stats.TetsCreated)}
+		b.stats.TetsCreated++
 		if bf.outside >= 0 {
-			// In the new tet, the face not containing p is opposite p.
-			fOpp := -1
-			for f := 0; f < 4; f++ {
-				if b.tets[idx].v[f] == pi {
-					fOpp = f
-				}
-			}
-			b.tets[idx].nb[fOpp] = bf.outside
-			// And fix the outside tet's pointer (it pointed at a dead tet).
-			out := &b.tets[bf.outside]
-			for f := 0; f < 4; f++ {
-				if out.nb[f] >= 0 && b.tets[out.nb[f]].dead {
-					// Check this face matches (same vertex set).
-					if sameFace(faceVerts(out.v, f), bf.verts) {
-						out.nb[f] = idx
-					}
+			// The outside tet still points at the cavity tet across this
+			// face; no new tet can sit in that slot before the cavity is
+			// freed below, so the index identifies the face.
+			o := &b.tets[bf.outside]
+			for f, nb := range o.nb {
+				if nb == bf.from {
+					o.nb[f] = idx
 				}
 			}
 		}
-		// Register the three faces containing p for new-new linking.
-		for f := 0; f < 4; f++ {
-			if b.tets[idx].v[f] == pi {
-				continue
-			}
-			key := sortedFace(faceVerts(b.tets[idx].v, f))
-			if other, ok := b.faceMap[key]; ok {
-				b.tets[idx].nb[f] = other >> 2
-				b.tets[other>>2].nb[other&3] = idx
-				delete(b.faceMap, key)
-			} else {
-				b.faceMap[key] = idx<<2 | f
-			}
-		}
+		// The three faces containing p pair up with other new tets.
+		pending += b.linkEdge(v[1], v[2], idx, 0)
+		pending += b.linkEdge(v[0], v[2], idx, 1)
+		pending += b.linkEdge(v[0], v[1], idx, 2)
 	}
-	if len(b.faceMap) != 0 {
-		return fmt.Errorf("delaunay: %d unmatched internal faces inserting %v", len(b.faceMap), p)
+	if pending != 0 {
+		return fmt.Errorf("delaunay: %d unmatched internal faces inserting %v", pending, p)
 	}
-	b.last = firstNew
+
+	// Every tet that pointed into the cavity now points at a new tet, so
+	// no live tet references these slots and they can be handed out again.
+	for _, ci := range b.cavity {
+		b.tets[ci].serial = -1
+	}
+	b.free = append(b.free, b.cavity...)
 	return nil
+}
+
+// newSlot returns a slot for a new tet: a free one if there is any, else a
+// fresh one at the end of the array.
+func (b *builder) newSlot() int32 {
+	if n := len(b.free); n > 0 {
+		idx := b.free[n-1]
+		b.free = b.free[:n-1]
+		return idx
+	}
+	b.tets = append(b.tets, tet{})
+	b.mark = append(b.mark, 0)
+	return int32(len(b.tets) - 1)
+}
+
+// linkEdge registers face f of new tet idx — the face through p and the
+// boundary edge (u, w) — in the edge table. The first tet to bring an edge
+// waits there; the second is linked to it both ways and the entry is
+// retired. It returns the change in the number of waiting faces: +1 or -1.
+// A third face on a retired edge waits again, exactly as if the entry had
+// been deleted, so a corrupt cavity leaves a non-zero count behind.
+func (b *builder) linkEdge(u, w, idx int32, f uint32) int {
+	if u > w {
+		u, w = w, u
+	}
+	key := uint64(u)<<32 | uint64(w)
+	owner := uint32(idx)<<2 | f
+	mask := uint64(len(b.edges) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		e := &b.edges[i]
+		switch {
+		case e.stamp != b.stamp:
+			*e = edgeEntry{key: key, owner: owner, stamp: b.stamp}
+			return 1
+		case e.key != key:
+			continue
+		case e.owner == edgeMatched:
+			e.owner = owner
+			return 1
+		}
+		other := int32(e.owner >> 2)
+		b.tets[idx].nb[f] = other
+		b.tets[other].nb[e.owner&3] = idx
+		e.owner = edgeMatched
+		return -1
+	}
 }
 
 // inSphere reports whether p is strictly inside the circumsphere of tet ti.
@@ -332,20 +477,21 @@ func (b *builder) insert(pi int, dupEps float64) error {
 // cavity structurally sound on degenerate inputs such as exact lattices at
 // the cost of an arbitrary (but valid) triangulation of the cospherical
 // configuration.
-func (b *builder) inSphere(ti int, p geom.Vec3) bool {
-	t := b.tets[ti]
+func (b *builder) inSphere(ti int32, p geom.Vec3) bool {
+	b.stats.InSphereTests++
+	t := &b.tets[ti]
 	return geom.InSphere(b.pts[t.v[0]], b.pts[t.v[1]], b.pts[t.v[2]], b.pts[t.v[3]], p) > 0
 }
 
 // locate finds a live tet containing p, walking from the last insertion
 // site and falling back to exhaustive search on numerical trouble.
-func (b *builder) locate(p geom.Vec3) (int, error) {
+func (b *builder) locate(p geom.Vec3) (int32, error) {
+	// b.last is live: it is the first tet the latest insertion created
+	// (tet 0 before any), and nothing has been deleted since.
 	ti := b.last
-	if ti >= len(b.tets) || b.tets[ti].dead {
-		ti = b.firstLive()
-	}
-	for steps := 0; steps < 4*len(b.tets)+16; steps++ {
-		t := b.tets[ti]
+	limit := 4*b.stats.TetsCreated + 16
+	for steps := int64(1); steps <= limit; steps++ {
+		t := &b.tets[ti]
 		moved := false
 		for f := 0; f < 4; f++ {
 			fv := faceVerts(t.v, f)
@@ -361,15 +507,19 @@ func (b *builder) locate(p geom.Vec3) (int, error) {
 			}
 		}
 		if !moved {
+			b.stats.WalkSteps += steps
 			return ti, nil
 		}
 	}
-	// Fallback: exhaustive scan.
+	b.stats.WalkSteps += limit
+	// Fallback: exhaustive scan for the earliest-created tet that contains
+	// p within tolerance.
+	found := int32(-1)
 	for i := range b.tets {
-		if b.tets[i].dead {
+		t := &b.tets[i]
+		if t.serial < 0 || (found >= 0 && t.serial > b.tets[found].serial) {
 			continue
 		}
-		t := b.tets[i]
 		inside := true
 		for f := 0; f < 4; f++ {
 			fv := faceVerts(t.v, f)
@@ -379,54 +529,31 @@ func (b *builder) locate(p geom.Vec3) (int, error) {
 			}
 		}
 		if inside {
-			return i, nil
+			found = int32(i)
 		}
 	}
-	return 0, fmt.Errorf("delaunay: no tet contains %v", p)
-}
-
-func (b *builder) firstLive() int {
-	for i := range b.tets {
-		if !b.tets[i].dead {
-			return i
-		}
+	if found < 0 {
+		return 0, fmt.Errorf("delaunay: no tet contains %v", p)
 	}
-	return 0
+	return found, nil
 }
 
 // faceVerts returns the vertices of the face opposite v[f], oriented so
 // that Orient3D(face, v[f]) > 0 for a positively oriented tet.
-func faceVerts(v [4]int, f int) [3]int {
+func faceVerts[T int | int32](v [4]T, f int) [3]T {
 	// For a positively oriented tet (v0,v1,v2,v3):
 	// face opposite 0: (1,3,2), opposite 1: (0,2,3),
 	// opposite 2: (0,3,1), opposite 3: (0,1,2).
 	switch f {
 	case 0:
-		return [3]int{v[1], v[3], v[2]}
+		return [3]T{v[1], v[3], v[2]}
 	case 1:
-		return [3]int{v[0], v[2], v[3]}
+		return [3]T{v[0], v[2], v[3]}
 	case 2:
-		return [3]int{v[0], v[3], v[1]}
+		return [3]T{v[0], v[3], v[1]}
 	default:
-		return [3]int{v[0], v[1], v[2]}
+		return [3]T{v[0], v[1], v[2]}
 	}
-}
-
-func sortedFace(f [3]int) [3]int {
-	if f[0] > f[1] {
-		f[0], f[1] = f[1], f[0]
-	}
-	if f[1] > f[2] {
-		f[1], f[2] = f[2], f[1]
-	}
-	if f[0] > f[1] {
-		f[0], f[1] = f[1], f[0]
-	}
-	return f
-}
-
-func sameFace(a, b [3]int) bool {
-	return sortedFace(a) == sortedFace(b)
 }
 
 // Circumcenters returns the circumcenter of every tetrahedron — the dual

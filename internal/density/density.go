@@ -246,6 +246,10 @@ func (p *Pipeline) Triangulate(pts []geom.Vec3, masses []float64) error {
 	return nil
 }
 
+// TriangulationStats returns the exact Bowyer-Watson work counts of the
+// latest Triangulate: why it cost what it cost.
+func (p *Pipeline) TriangulationStats() delaunay.Stats { return p.builder.Stats() }
+
 // addImages appends periodic images of the tracers lying within Pad of
 // the box, in a fixed tracer-major, offset-minor order so the padded
 // point sequence (and hence the triangulation) is deterministic.

@@ -2,6 +2,7 @@ package density
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -280,5 +281,43 @@ func TestResultCloneDetaches(t *testing.T) {
 	}
 	if !bytes.Equal(first, EncodeGrid(own.Grid)) {
 		t.Fatal("Clone did not detach the grid from the pipeline buffer")
+	}
+}
+
+// BenchmarkTriangulate times Pipeline.Triangulate on a jittered n^3 box
+// (unit spacing, pad 4): cold is a fresh Pipeline per op — what every
+// tessd density job and every session's first StepDensity pays — and warm
+// reuses one. EXPERIMENTS.md's cold/warm table is this at -benchtime 1x.
+func BenchmarkTriangulate(b *testing.B) {
+	for _, n := range []int{16, 24, 32} {
+		pts := jitteredLattice(int64(n), n, float64(n))
+		cfg := periodicConfig(8, float64(n))
+		cfg.Pad = 4
+		b.Run(fmt.Sprintf("cold/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.Triangulate(pts, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("warm/%d", n), func(b *testing.B) {
+			p, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Triangulate(pts, nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Triangulate(pts, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -48,10 +48,9 @@ func TestE2EHappyPathByteIdentical(t *testing.T) {
 	spec.Name = "happy"
 	spec.IncludeObs = true
 
+	// The submit response samples the job's state, which a runner may
+	// already have advanced; the event log below is what orders the job.
 	st := h.Submit(t, spec)
-	if st.State != jobd.StateQueued {
-		t.Fatalf("submit state = %q, want %q", st.State, jobd.StateQueued)
-	}
 	events, final := h.Wait(t, st.ID, e2eWait)
 
 	if final.State != jobd.StateDone || final.StepsDone != 3 || final.Error != nil {

@@ -350,6 +350,9 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 		state:    StateQueued,
 		queuedAt: time.Now().UTC(),
 	}
+	// "queued" goes into the log before the queue makes the job visible to
+	// a runner, whose "started" must follow it in the stream.
+	j.log.append(Event{Job: j.id, Type: "queued"}, false)
 	// Reserve the queue slot while still holding the registry lock, so a
 	// burst of submitters observes a consistent queue depth.
 	select {
@@ -363,7 +366,6 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 	d.order = append(d.order, j.id)
 	d.submitted++
 	d.mu.Unlock()
-	j.log.append(Event{Job: j.id, Type: "queued"}, false)
 	return j, nil
 }
 

@@ -2,7 +2,7 @@
 # Paired benchmark runs, the rule bench/README.md asks every performance
 # claim to follow, as one command:
 #
-#   scripts/benchpairs.sh <base-ref> [pairs=10] [first-seed=101]
+#   scripts/benchpairs.sh <base-ref> [pairs=10] [first-seed=101] [workload]
 #
 # checks <base-ref> out into a git worktree under .bench_build/, runs the
 # whole benchmark (bench/run.sh -out) on the base and on the working tree
@@ -11,15 +11,21 @@
 # record files. Pick a first seed that was not used while the change was
 # written. <base-ref> may also be a directory holding a checkout of the
 # base (a clone, an extracted archive); it is then used as it is.
-# Run from the repository root.
+# With a [workload] only that workload runs (~1 min per pair instead of
+# ~4): the quick loop for a change to one layer. The pairs a PR reports
+# are still the all-workload ones. Run from the repository root.
 set -euo pipefail
 if [ $# -lt 1 ]; then
-	echo "usage: scripts/benchpairs.sh <base-ref> [pairs=10] [first-seed=101]" >&2
+	echo "usage: scripts/benchpairs.sh <base-ref> [pairs=10] [first-seed=101] [workload]" >&2
 	exit 2
 fi
 base_ref=$1
 pairs=${2:-10}
 seed0=${3:-101}
+only=()
+if [ -n "${4:-}" ]; then
+	only=(-workload "$4")
+fi
 head_dir=$(pwd)
 
 if [ -d "$base_ref" ]; then
@@ -32,12 +38,12 @@ else
 	trap 'git worktree remove --force "$base_dir"' EXIT
 fi
 
-out="$head_dir/bench/out/pairs-$label"
+out="$head_dir/bench/out/pairs-$label${4:+-$4}"
 mkdir -p "$out"
 rm -f "$out/base.json" "$out/head.json"
 
 run_side() { # <dir> <record file> <seed>
-	(cd "$1" && bash bench/run.sh -seed "$3" -out "$2" >/dev/null)
+	(cd "$1" && bash bench/run.sh "${only[@]}" -seed "$3" -out "$2" >/dev/null)
 }
 
 for i in $(seq 1 "$pairs"); do

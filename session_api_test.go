@@ -2,6 +2,8 @@ package tess
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -143,3 +145,41 @@ type deliberateError struct{}
 func (deliberateError) Error() string { return "deliberate test failure" }
 
 var errDeliberate = deliberateError{}
+
+// A session's first StepDensity must cost what a warm one costs: on a 32^3
+// N-body snapshot (80k points with the periodic images) the cold
+// Bowyer-Watson build allocates linearly — under 1 GB for the whole step,
+// where a stamp array remade on every insertion made it 885 GB — and the
+// field still conserves mass. An allocation bound, not a wall-clock one.
+func TestStepDensityCold32(t *testing.T) {
+	sim, err := nbody.New(nbody.DefaultConfig(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(5, nil)
+	ps := ParticlesFromSim(sim)
+	sess, err := Open(NewPeriodicConfig(32), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sess.StepDensity(ps, DensityConfig{GridN: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<30 {
+		t.Errorf("cold StepDensity allocated %d MB, want < 1024", alloc>>20)
+	}
+	if res.Tracers != 32*32*32 || res.Padded <= res.Tracers || res.Tets == 0 {
+		t.Fatalf("%d tracers, %d padded points, %d tets", res.Tracers, res.Padded, res.Tets)
+	}
+	ratio := res.Stats.GridMass / res.Stats.TracerMass
+	t.Logf("allocated %d MB, %d tets, grid mass / tracer mass %.4f", (after.TotalAlloc-before.TotalAlloc)>>20, res.Tets, ratio)
+	if math.Abs(ratio-1) > 0.02 {
+		t.Errorf("grid mass / tracer mass = %.4f, want within 2%% of 1", ratio)
+	}
+}
