@@ -42,9 +42,11 @@ race:
 # mass-conservation oracles gate the density job kind, and the storage
 # layer (snapshot sources + checkpoint commit protocol) the
 # out-of-core/resume paths stand on, the byte cursor every on-disk
-# decoder reads outside input through, and the Bowyer-Watson builder and
-# DTFE estimator whose exact tet order the density grid bytes follow.
-COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire ./internal/delaunay ./internal/dtfe
+# decoder reads outside input through, the Bowyer-Watson builder and
+# DTFE estimator whose exact tet order the density grid bytes follow, and
+# the clipping kernel and mesh builder every production byte flows through
+# (a rewritten sweep or weld table cannot shed the tests that pin it).
+COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire ./internal/delaunay ./internal/dtfe ./internal/voronoi ./internal/meshio
 COVER_FLOOR = 70
 
 cover:

@@ -93,7 +93,6 @@ func run(args []string, w io.Writer) error {
 	}
 	cfg := tess.NewPeriodicConfig(*box)
 	cfg.GhostSize = *ghost
-	cfg.HullPass = false
 	cfg.Workers = *workers
 	cfg.OutputPath = *outPath
 	cfg.Recorder = tess.NewRecorder(*blocks)

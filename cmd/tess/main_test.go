@@ -88,7 +88,6 @@ func TestRunTraceExport(t *testing.T) {
 	// reduced totals of the fresh snapshot.
 	cfg := tess.NewPeriodicConfig(8)
 	cfg.GhostSize = 3
-	cfg.HullPass = false
 	cfg.OutputPath = filepath.Join(dir, "mesh2.bin")
 	cfg.Recorder = tess.NewRecorder(2)
 	out, err := tess.Run(cfg, latticeParticles(6, 8, 0.6, 9), 2)

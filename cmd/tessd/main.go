@@ -10,6 +10,11 @@
 //	tessd [-addr :8437] [-queue 16] [-active 2] [-budget 0]
 //	      [-stall 30s] [-max-blocks 64] [-max-steps 1024]
 //	      [-max-particles 1000000] [-max-grid 128]
+//	      [-retain-bytes 67108864]
+//
+// Finished jobs keep their event logs and density grids until their total
+// exceeds -retain-bytes; then the oldest are evicted (their status stays,
+// their streams answer 410 Gone), so memory does not grow with uptime.
 //
 // Submit and watch jobs with the tessctl client (cmd/tessctl), or plain
 // curl:
@@ -43,6 +48,7 @@ func main() {
 	maxSteps := flag.Int("max-steps", 1024, "max steps per job (0 = unlimited)")
 	maxParticles := flag.Int("max-particles", 1_000_000, "max particles per snapshot (0 = unlimited)")
 	maxGrid := flag.Int("max-grid", 128, "max density sample-grid resolution per axis (0 = unlimited)")
+	retain := flag.Int64("retain-bytes", 64<<20, "payload bytes (event meshes, density grids, inline snapshots) kept for finished jobs; oldest evicted first")
 	flag.Parse()
 
 	d := jobd.New(jobd.Config{
@@ -50,6 +56,7 @@ func main() {
 		MaxActive:     *active,
 		WorkerBudget:  *budget,
 		StallTimeout:  *stall,
+		RetainBytes:   *retain,
 		Limits: jobd.Limits{
 			MaxBlocks:    *maxBlocks,
 			MaxSteps:     *maxSteps,

@@ -8,9 +8,10 @@
 // region of particles with its 26-connected neighborhood (with periodic
 // boundary transforms), computes the Voronoi cells of its own particles
 // locally, deletes cells that cannot be proven correct, culls cells outside
-// a volume threshold (with a cheap conservative pre-pass), derives cell
-// geometry through a Quickhull pass, and writes all blocks collectively to
-// a single file.
+// a volume threshold (with a cheap conservative pre-pass), and writes all
+// blocks collectively to a single file. The paper's Quickhull geometry pass
+// (Config.HullPass) is available as a cost model and cross-check; it is off
+// by default because the clipping kernel already has each cell's volume.
 //
 // # Modes
 //

@@ -82,7 +82,9 @@ type Config struct {
 	// HullPass re-derives each kept cell's volume and area through the
 	// Quickhull engine, mirroring the paper's use of Qhull to order cell
 	// vertices and compute geometry. It is also the cross-check that the
-	// two geometry engines agree.
+	// two geometry engines agree. The public constructors leave it off (the
+	// clipping kernel's own volume decides the cull); tessbench and accuracy
+	// set it to price the paper's step 3(d).
 	HullPass bool
 	// OutputPath, when non-empty, writes all blocks to this single file
 	// through the collective I/O layer.

@@ -42,7 +42,9 @@ func ExchangeGhost(w *comm.World, d *Decomposition, rank int, local []Particle, 
 // concatenation) are reused across calls. Outgoing message payloads are
 // still freshly allocated every call — a sent buffer transfers ownership
 // to the receiver (the comm package's aliasing convention), so they are
-// the one thing an exchanger must never retain.
+// the one thing an exchanger must never retain — but sized from the
+// previous call's payload to the same rank, so a step allocates each one
+// once instead of growing it by doubling.
 //
 // Exchange results are identical to ExchangeGhost in content and order;
 // tests pin this. The returned ghost slice is valid until the next
@@ -54,6 +56,7 @@ type Exchanger struct {
 	links    []Neighbor
 	dsts     []int   // distinct destination ranks, ascending
 	linksFor [][]int // link indices per destination, aligned with dsts
+	lastLen  []int   // previous payload length per destination, aligned with dsts
 
 	// prefilterSlack widens the boundary-candidate test by a relative
 	// epsilon so float roundoff in the per-link containment test can
@@ -87,6 +90,7 @@ func NewExchanger(d *Decomposition, rank int, ghost float64) *Exchanger {
 	}
 	e.dsts = slices.Sorted(maps.Keys(perRank))
 	e.linksFor = make([][]int, len(e.dsts))
+	e.lastLen = make([]int, len(e.dsts))
 	for i, dst := range e.dsts {
 		e.linksFor[i] = perRank[dst]
 	}
@@ -123,16 +127,23 @@ func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []
 		// One freshly allocated payload per destination: links to the same
 		// rank concatenate in link order, particles in local order — the
 		// same message content ExchangeGhost's per-link bucketing built.
+		// Particles move little between steps, so the previous payload's
+		// length plus an eighth is the capacity this one needs.
 		var payload []Particle
 		for _, li := range e.linksFor[di] {
 			nb, target := e.links[li], e.targets[li]
 			for _, p := range e.boundary {
 				q := p.Pos.Add(nb.Shift)
 				if target.Contains(q) {
+					if payload == nil {
+						last := e.lastLen[di]
+						payload = make([]Particle, 0, last+last/8+16)
+					}
 					payload = append(payload, Particle{ID: p.ID, Pos: q})
 				}
 			}
 		}
+		e.lastLen[di] = len(payload)
 		w.Send(rank, dst, tagExchange, payload)
 	}
 	e.ghosts = e.ghosts[:0]

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -676,5 +677,153 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 	_, final2 := h.Wait(t, st2.ID, e2eWait)
 	if final2.State != jobd.StateFailed || final2.Error == nil {
 		t.Fatalf("missing-snapshot job final = %+v, want failed with error info", final2)
+	}
+}
+
+// Finished jobs keep their payload only under Config.RetainBytes. With a
+// bound smaller than any one job, each job that finishes evicts the one
+// that finished before it — and only that: the job that just finished
+// stays replayable, a running job is never touched, and what is left of an
+// evicted job is its status, a 410 with the reason on its event stream and
+// density endpoint, and a 4xx (not a panic) from resume.
+func TestE2EEvictionUnderRetainBytes(t *testing.T) {
+	const gated = "j0003" // the third job submitted is held at its first step
+	gate := make(chan struct{})
+	h := jobdtest.Start(t, jobd.Config{
+		MaxActive:   2,
+		RetainBytes: 4 << 10,
+		BeforeStep: func(jobID string, step int) {
+			if jobID == gated {
+				<-gate
+			}
+		},
+	})
+	ctx := context.Background()
+	gone := func(what string, err error) {
+		t.Helper()
+		var apiErr *jobd.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGone {
+			t.Fatalf("%s: err = %v, want a 410 APIError", what, err)
+		}
+		if !strings.Contains(apiErr.Message, "evicted") || !strings.Contains(apiErr.Message, "retention bound") {
+			t.Errorf("%s: 410 body %q does not give the reason", what, apiErr.Message)
+		}
+	}
+	replay := func(id string) (n int, err error) {
+		err = h.Client.Events(ctx, id, 0, func(jobd.Event) error { n++; return nil })
+		return n, err
+	}
+
+	// A failed job, then a density job: the second evicts the first.
+	crash := happySpec(40, 2)
+	crash.Fault = &jobd.FaultSpec{Seed: 13, CrashRank: 1, CrashStep: 2}
+	failed := h.Submit(t, crash)
+	if _, st := h.Wait(t, failed.ID, e2eWait); st.State != jobd.StateFailed {
+		t.Fatalf("crash job ended %q, want failed", st.State)
+	}
+	if s := h.D.Stats(); s.EvictedJobs != 0 || s.RetainedBytes == 0 {
+		t.Fatalf("after one job: stats %+v, want its payload retained and nothing evicted", s)
+	}
+	dens := happySpec(41, 1)
+	dens.Density = &jobd.DensitySpec{GridN: 8}
+	oldest := h.Submit(t, dens)
+	h.Wait(t, oldest.ID, e2eWait)
+	if _, _, err := h.Client.DensityGrid(ctx, oldest.ID, 1); err != nil {
+		t.Fatalf("density grid of the job that just finished: %v", err)
+	}
+	_, err := replay(failed.ID)
+	gone("evicted failed job's stream", err)
+	_, err = h.Client.Resume(ctx, failed.ID)
+	var apiErr *jobd.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "evicted") {
+		t.Errorf("resume of an evicted job: err = %v, want a 400 naming the eviction", err)
+	}
+
+	// A job held at its first step, and a third job finishing meanwhile.
+	running := h.Submit(t, happySpec(42, 1))
+	if running.ID != gated {
+		t.Fatalf("gated job got id %s, want %s", running.ID, gated)
+	}
+	newest := h.Submit(t, happySpec(43, 2))
+	newestEvents, _ := h.Wait(t, newest.ID, e2eWait)
+
+	_, err = replay(oldest.ID)
+	gone("oldest finished job's stream", err)
+	_, _, err = h.Client.DensityGrid(ctx, oldest.ID, 1)
+	gone("oldest finished job's density grid", err)
+	if st, err := h.Client.Status(ctx, oldest.ID); err != nil || st.State != jobd.StateDone || st.Steps != 1 || st.StepsDone != 1 {
+		t.Errorf("evicted job's status = %+v, %v; want done, 1 of 1 steps", st, err)
+	}
+	if n, err := replay(newest.ID); err != nil || n != len(newestEvents) {
+		t.Errorf("newest job replays %d events (%v), want %d", n, err, len(newestEvents))
+	}
+	if st, err := h.Client.Status(ctx, running.ID); err != nil || st.State != jobd.StateRunning {
+		t.Errorf("gated job's status = %+v, %v; want running", st, err)
+	}
+	s := h.D.Stats()
+	if s.EvictedJobs != 2 || s.RetainBytes != 4<<10 {
+		t.Errorf("stats %+v, want 2 evicted under a 4 KiB bound", s)
+	}
+	var newestBytes int64 // what the one retained job weighs: its meshes and inline snapshots
+	for _, e := range newestEvents {
+		newestBytes += int64(len(e.MeshB64))
+	}
+	newestBytes += 2 * 216 * 24
+	if s.RetainedBytes != newestBytes {
+		t.Errorf("retained_bytes = %d, want the newest job's %d", s.RetainedBytes, newestBytes)
+	}
+
+	// Released, the gated job finishes with its whole stream and evicts in
+	// turn.
+	close(gate)
+	if _, st := h.Wait(t, running.ID, e2eWait); st.State != jobd.StateDone {
+		t.Fatalf("gated job ended %q, want done", st.State)
+	}
+	_, err = replay(newest.ID)
+	gone("second-newest job's stream", err)
+}
+
+// A long-lived daemon's memory is bounded by RetainBytes, not by how many
+// jobs it has run: over 200 sequential jobs the retained payload never
+// exceeds the bound, and the live heap after job 200 is what it was after
+// job 50 (without the bound it grows by every job's event log).
+func TestRetainedBytesBounded(t *testing.T) {
+	const bound = 1 << 20
+	h := jobdtest.Start(t, jobd.Config{RetainBytes: bound})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var perJob int64
+	var heap50 uint64
+	for i := 1; i <= 200; i++ {
+		spec := happySpec(int64(100+i), 1)
+		st := h.Submit(t, spec)
+		if _, final := h.Wait(t, st.ID, e2eWait); final.State != jobd.StateDone {
+			t.Fatalf("job %d ended %q", i, final.State)
+		}
+		s := h.D.Stats()
+		if s.RetainedBytes > bound || s.RetainedBytes <= 0 {
+			t.Fatalf("after job %d: retained_bytes = %d, bound %d", i, s.RetainedBytes, bound)
+		}
+		if i == 1 {
+			perJob = s.RetainedBytes
+		}
+		if i == 50 {
+			heap50 = heap()
+		}
+	}
+	s := h.D.Stats()
+	if s.EvictedJobs == 0 || s.EvictedJobs >= 200 {
+		t.Fatalf("%d of 200 jobs evicted at %d B per job under a %d B bound", s.EvictedJobs, perJob, bound)
+	}
+	// 150 more jobs of perJob bytes each is what an unbounded daemon adds;
+	// allow a tenth of that for the statuses it does keep and for noise.
+	heap200 := heap()
+	if grew := int64(heap200) - int64(heap50); grew > 150*perJob/10 {
+		t.Errorf("live heap grew %d B between job 50 and job 200 (%d -> %d); an unbounded log would add %d",
+			grew, heap50, heap200, 150*perJob)
 	}
 }

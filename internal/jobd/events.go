@@ -115,3 +115,21 @@ func (l *eventLog) since(from int) (evs []Event, closed bool, changed <-chan str
 	}
 	return evs, l.closed, l.signal
 }
+
+// meshBytes is the base64 mesh payload the log holds.
+func (l *eventLog) meshBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for i := range l.events {
+		n += int64(len(l.events[i].MeshB64))
+	}
+	return n
+}
+
+// drop forgets the events of a closed log; since then returns nothing.
+func (l *eventLog) drop() {
+	l.mu.Lock()
+	l.events = nil
+	l.mu.Unlock()
+}

@@ -25,14 +25,17 @@ import (
 //	                               set checkpoint_dir) | 400 | 404
 //	GET    /v1/jobs/{id}/events -> NDJSON Event stream (replay + live
 //	                               tail until the terminal event);
-//	                               ?from=N resumes at sequence N
+//	                               ?from=N resumes at sequence N |
+//	                               410 with the reason once the
+//	                               finished job's log was evicted
 //	GET    /v1/jobs/{id}/density/{step}
 //	                            -> the step's density grid, raw
 //	                               little-endian float64
 //	                               (application/octet-stream,
 //	                               X-Density-Grid-N header); ?z=K serves
 //	                               one z-plane of N*N values | 404 until
-//	                               that step's density has completed
+//	                               that step's density has completed |
+//	                               410 once evicted
 
 // apiError is the JSON error body of every non-2xx response.
 type apiError struct {
@@ -83,11 +86,14 @@ func (d *Daemon) Handler() http.Handler {
 }
 
 // handleDensity serves one step's stored density grid, whole or as a
-// single z-plane (?z=K). Grids are retained per job until the daemon
-// forgets the job, so a client may fetch any completed step at any time —
-// including after the job finished.
+// single z-plane (?z=K). Grids are retained per job until the job is
+// evicted under Config.RetainBytes, so a client may fetch any completed
+// step while the job runs and for a while after it finished.
 func (d *Daemon) handleDensity(w http.ResponseWriter, r *http.Request) {
 	j, err := d.Job(r.PathValue("id"))
+	if err == nil {
+		err = j.errIfEvicted()
+	}
 	if err != nil {
 		writeError(w, d, err)
 		return
@@ -138,6 +144,9 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // disconnect. Each event is one JSON line, flushed immediately.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := d.Job(r.PathValue("id"))
+	if err == nil {
+		err = j.errIfEvicted()
+	}
 	if err != nil {
 		writeError(w, d, err)
 		return
@@ -204,6 +213,8 @@ func writeError(w http.ResponseWriter, d *Daemon, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	case errors.Is(err, ErrUnknownJob):
 		status = http.StatusNotFound
+	case errors.Is(err, ErrEvicted):
+		status = http.StatusGone
 	case errors.Is(err, ErrShuttingDown):
 		status = http.StatusServiceUnavailable
 	}

@@ -72,6 +72,10 @@ var (
 	ErrCanceled = errors.New("jobd: job canceled")
 	// ErrShuttingDown: the daemon no longer accepts jobs (HTTP 503).
 	ErrShuttingDown = errors.New("jobd: shutting down")
+	// ErrEvicted: the job finished long enough ago that its event log and
+	// density grids were dropped to keep the daemon under
+	// Config.RetainBytes; only its status is left (HTTP 410).
+	ErrEvicted = errors.New("jobd: job evicted")
 )
 
 // Limits bounds what a single job may ask for; specs beyond them are
@@ -101,6 +105,13 @@ type Config struct {
 	// RetryAfterBase scales the Retry-After admission hint: the hinted
 	// delay is RetryAfterBase x (queued + running jobs). Default 1s.
 	RetryAfterBase time.Duration
+	// RetainBytes bounds the payload the daemon keeps for finished jobs —
+	// the mesh_b64 of their step events, their density grids and their
+	// specs' inline snapshots. When a job finishes, finished jobs are
+	// evicted oldest first until the total is under the bound (never the
+	// job that just finished, never a queued or running one); an evicted
+	// job keeps only its status. Default 64 MiB.
+	RetainBytes int64
 	// Limits bounds individual job specs.
 	Limits Limits
 	// BeforeStep, when non-nil, is called on the job runner's goroutine
@@ -126,6 +137,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfterBase <= 0 {
 		c.RetryAfterBase = time.Second
+	}
+	if c.RetainBytes <= 0 {
+		c.RetainBytes = 64 << 20
 	}
 	return c
 }
@@ -192,9 +206,10 @@ type JobStatus struct {
 // Job is one admitted tessellation job. All mutable fields are guarded by
 // mu; the event log has its own synchronization.
 type Job struct {
-	id   string
-	spec JobSpec
-	log  *eventLog
+	id    string
+	spec  JobSpec
+	steps int // spec.Steps(), which eviction must not change
+	log   *eventLog
 
 	mu        sync.Mutex
 	state     State
@@ -204,6 +219,7 @@ type Job struct {
 	doneAt    time.Time
 	errInfo   *ErrorInfo
 	canceled  bool
+	evicted   bool          // payload dropped under Config.RetainBytes
 	sess      *tess.Session // non-nil while running; Abort target
 
 	// densityGrids holds each completed step's encoded density grid
@@ -211,6 +227,10 @@ type Job struct {
 	// fresh copies — never aliases of the session's loaned Result.
 	densityGrids map[int][]byte
 	densityGridN int
+
+	// retained is the payload accounted against Config.RetainBytes once the
+	// job is terminal; guarded by the daemon's mu, not the job's.
+	retained int64
 }
 
 // densityGrid returns the stored grid bytes of one step (1-based) and the
@@ -220,6 +240,44 @@ func (j *Job) densityGrid(step int) ([]byte, int, bool) {
 	defer j.mu.Unlock()
 	b, ok := j.densityGrids[step]
 	return b, j.densityGridN, ok
+}
+
+// errIfEvicted is the error every payload endpoint answers for a job
+// whose payload was dropped.
+func (j *Job) errIfEvicted() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.evicted {
+		return fmt.Errorf("%w: %s finished at %s and its event log and density grids were dropped to keep the daemon under its retention bound; its status is still served",
+			ErrEvicted, j.id, j.doneAt.Format(time.RFC3339))
+	}
+	return nil
+}
+
+// payloadBytes is what retaining the job costs the daemon: the base64
+// meshes of its step events, its density grids and the inline snapshots
+// of its spec.
+func (j *Job) payloadBytes() int64 {
+	n := j.log.meshBytes()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, g := range j.densityGrids {
+		n += int64(len(g))
+	}
+	for _, snap := range j.spec.Snapshots {
+		n += int64(len(snap)) * 24
+	}
+	return n
+}
+
+// evict drops everything payloadBytes counts, leaving the status.
+func (j *Job) evict() {
+	j.mu.Lock()
+	j.evicted = true
+	j.densityGrids = nil
+	j.spec.Snapshots = nil
+	j.mu.Unlock()
+	j.log.drop()
 }
 
 // ID returns the daemon-assigned job ID.
@@ -234,7 +292,7 @@ func (j *Job) Status() JobStatus {
 		Name:      j.spec.Name,
 		State:     j.state,
 		Blocks:    j.spec.Blocks,
-		Steps:     j.spec.Steps(),
+		Steps:     j.steps,
 		StepsDone: j.stepsDone,
 		Queued:    j.queuedAt,
 		Error:     j.errInfo,
@@ -263,6 +321,12 @@ type Stats struct {
 	Done          int64 `json:"done"`
 	Failed        int64 `json:"failed"`
 	Canceled      int64 `json:"canceled"`
+	// RetainedBytes is the payload held for finished jobs, RetainBytes the
+	// bound it is kept under, EvictedJobs how many finished jobs have had
+	// their payload dropped for it.
+	RetainedBytes int64 `json:"retained_bytes"`
+	RetainBytes   int64 `json:"retain_bytes"`
+	EvictedJobs   int64 `json:"evicted_jobs"`
 }
 
 // Daemon is the multi-tenant tessellation service. Create one with New,
@@ -285,6 +349,12 @@ type Daemon struct {
 	failed    int64
 	canceled  int64
 	closed    bool
+
+	// Finished jobs that still hold their payload, oldest first, and the
+	// bytes they add up to.
+	finished []*Job
+	retained int64
+	evicted  int64
 }
 
 // New builds a daemon and starts its scheduler workers.
@@ -346,6 +416,7 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 	j := &Job{
 		id:       fmt.Sprintf("j%04d", d.nextID),
 		spec:     spec,
+		steps:    spec.Steps(),
 		log:      newEventLog(),
 		state:    StateQueued,
 		queuedAt: time.Now().UTC(),
@@ -425,6 +496,9 @@ func (d *Daemon) Stats() Stats {
 		Done:          d.done,
 		Failed:        d.failed,
 		Canceled:      d.canceled,
+		RetainedBytes: d.retained,
+		RetainBytes:   d.cfg.RetainBytes,
+		EvictedJobs:   d.evicted,
 	}
 	d.mu.Unlock()
 	s.BudgetTotal = d.budget.Total()
@@ -457,6 +531,7 @@ func (d *Daemon) Cancel(id string) (JobStatus, error) {
 		info := j.errInfo
 		j.mu.Unlock()
 		d.countTerminal(StateCanceled)
+		d.retain(j)
 		j.log.append(Event{Job: j.id, Type: "canceled", Error: info}, true)
 		return j.Status(), nil
 	default: // running
@@ -485,11 +560,41 @@ func (d *Daemon) Resume(id string) (*Job, error) {
 	j.mu.Lock()
 	state := j.state
 	spec := j.spec
+	evicted := j.evicted
 	j.mu.Unlock()
 	if !state.Terminal() || state == StateDone {
 		return nil, badSpec("job %s is %s; only a failed or canceled job can be resumed", id, state)
 	}
+	if evicted {
+		return nil, badSpec("job %s was evicted under the daemon's retention bound; submit its spec again", id)
+	}
 	return d.Submit(spec)
+}
+
+// retain accounts the payload of j, which has just reached a terminal
+// state, and evicts finished jobs oldest first until the daemon is back
+// under Config.RetainBytes. j itself stays whatever it weighs: a client is
+// about to read the stream it has been following. It runs before j's
+// terminal event is appended, so a client that saw the event sees the
+// bound already enforced.
+func (d *Daemon) retain(j *Job) {
+	n := j.payloadBytes()
+	var victims []*Job
+	d.mu.Lock()
+	j.retained = n
+	d.retained += n
+	d.finished = append(d.finished, j)
+	for d.retained > d.cfg.RetainBytes && len(d.finished) > 1 {
+		v := d.finished[0]
+		d.finished = d.finished[1:]
+		d.retained -= v.retained
+		d.evicted++
+		victims = append(victims, v)
+	}
+	d.mu.Unlock()
+	for _, v := range victims {
+		v.evict()
+	}
 }
 
 // countTerminal bumps the daemon's terminal-state counters.
@@ -554,6 +659,7 @@ func (d *Daemon) finishJob(j *Job, state State, info *ErrorInfo) {
 	d.running--
 	d.mu.Unlock()
 	d.countTerminal(state)
+	d.retain(j)
 	switch state {
 	case StateDone:
 		j.log.append(Event{Job: j.id, Type: "done", Steps: stepsDone}, true)
@@ -644,7 +750,7 @@ func (d *Daemon) runJob(j *Job) {
 		return
 	}
 
-	steps := j.spec.Steps()
+	steps := j.steps
 	if resumed > steps {
 		resumed = steps // foreign checkpoint deeper than this job; cap
 	}

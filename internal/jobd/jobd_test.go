@@ -101,6 +101,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.StallTimeout != 30*time.Second || c.RetryAfterBase != time.Second {
 		t.Errorf("defaults = stall %v, retry base %v", c.StallTimeout, c.RetryAfterBase)
 	}
+	if c.RetainBytes != 64<<20 {
+		t.Errorf("default retention bound = %d, want 64 MiB", c.RetainBytes)
+	}
 	// Negative stall timeout means "disable the watchdog", which the
 	// engine spells as zero.
 	if got := (Config{StallTimeout: -1}).withDefaults().StallTimeout; got != 0 {

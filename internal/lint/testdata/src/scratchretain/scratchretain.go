@@ -7,6 +7,7 @@ package scratchretain
 type Scratch struct {
 	verts []float64
 	loops [][]int
+	sw    sweep
 }
 
 var published []float64
@@ -94,4 +95,49 @@ func scratchInteriorField(s *Scratch) {
 // Plain values through a field store carry no reference.
 func fieldValue(s *Scratch, h *holder) {
 	h.verts = append([]float64(nil), s.verts[0])
+}
+
+// sweep is the working state of the one cell a Scratch is building:
+// scratch-lifetime storage that grows by its own appends, so it is a
+// sanctioned owner.
+//
+//tess:scratchowner
+type sweep struct {
+	verts []float64
+}
+
+// cell is what gets handed out; it is not a sanctioned owner.
+type cell struct {
+	verts []float64
+}
+
+func (w *sweep) add(v float64) { w.verts = append(w.verts, v) }
+
+// finishCopy is the sanctioned way out of a sweep: the cell gets storage of
+// its own.
+func (w *sweep) finishCopy(c *cell) {
+	out := make([]float64, len(w.verts))
+	copy(out, w.verts)
+	c.verts = out
+}
+
+// finishAliasing hands the cell the sweep's own buffer.
+func (w *sweep) finishAliasing(c *cell) { c.verts = w.verts }
+
+// The sweep's own appends, reached through the scratch, are the arena
+// working as designed, and so is a finish that copies.
+func sweepOwnAppend(s *Scratch, c *cell) {
+	s.sw.add(s.verts[0])
+	s.sw.finishCopy(c)
+}
+
+// A finished cell that still aliases the sweep buffers is overwritten by
+// the next cell through the same scratch, whether the alias is stored
+// directly or by a finishing helper.
+func leakFinishedCell(s *Scratch, c *cell) {
+	c.verts = s.sw.verts[:2] // want `storing a reference into a Scratch-owned buffer in field verts`
+}
+
+func leakFinishHelper(s *Scratch, c *cell) {
+	s.sw.finishAliasing(c) // want `passing a reference into a Scratch-owned buffer to finishAliasing, which retains it`
 }

@@ -54,6 +54,74 @@ func (m *BlockMesh) NumCells() int { return len(m.Particles) }
 // weld quantizes a coordinate for vertex dedup across cells in a block.
 type weldKey struct{ x, y, z int64 }
 
+// weldTable maps a quantized coordinate to its index in BlockMesh.Verts:
+// open addressing with linear probing over a power-of-two slot array kept
+// at most half full. A slot belongs to the current Build only if it carries
+// the current stamp, so starting a Build bumps the stamp instead of
+// clearing the slots.
+type weldTable struct {
+	slots []weldSlot
+	n     int // slots carrying the current stamp
+	stamp uint32
+}
+
+type weldSlot struct {
+	key   weldKey
+	gi    int32
+	stamp uint32
+}
+
+// reset empties the table for a new Build, keeping its storage.
+func (t *weldTable) reset() {
+	t.n = 0
+	t.stamp++
+	if t.stamp == 0 { // wrapped: stale slots could pass for current ones
+		clear(t.slots)
+		t.stamp = 1
+	}
+}
+
+func (k weldKey) hash() uint64 {
+	h := uint64(k.x)*0x9E3779B97F4A7C15 ^ uint64(k.y)*0xC2B2AE3D27D4EB4F ^ uint64(k.z)*0x165667B19E3779F9
+	return h ^ h>>29
+}
+
+// slot returns the slot holding k, or the empty one where k belongs.
+func (t *weldTable) slot(k weldKey) *weldSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.stamp != t.stamp || s.key == k {
+			return s
+		}
+	}
+}
+
+// lookupOrAdd returns the index recorded for k, recording next first if k
+// is new; added reports which.
+func (t *weldTable) lookupOrAdd(k weldKey, next int32) (gi int32, added bool) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	s := t.slot(k)
+	if s.stamp == t.stamp {
+		return s.gi, false
+	}
+	*s = weldSlot{key: k, gi: next, stamp: t.stamp}
+	t.n++
+	return next, true
+}
+
+// grow doubles the slot array and rehashes the current Build's entries.
+func (t *weldTable) grow() {
+	old := t.slots
+	t.slots = make([]weldSlot, max(1024, 2*len(old)))
+	for _, s := range old {
+		if s.stamp == t.stamp {
+			*t.slot(s.key) = s
+		}
+	}
+}
+
 // BuildBlockMesh assembles the data model from computed cells, welding
 // vertices shared between adjacent cells. weldTol is the absolute
 // coordinate quantum used for welding; pass 0 for a default of 1e-7 of the
@@ -62,7 +130,7 @@ func BuildBlockMesh(cells []*voronoi.Cell, extents geom.Box, weldTol float64) *B
 	return new(MeshBuilder).Build(cells, extents, weldTol)
 }
 
-// MeshBuilder is the retained-state form of BuildBlockMesh: the weld map,
+// MeshBuilder is the retained-state form of BuildBlockMesh: the weld table,
 // the mesh's per-cell arrays, and the face/index arenas are reused across
 // Build calls, so rebuilding a mesh of stable size allocates almost
 // nothing. The built mesh is identical in content to BuildBlockMesh's
@@ -71,7 +139,7 @@ func BuildBlockMesh(cells []*voronoi.Cell, extents geom.Box, weldTol float64) *B
 // concurrent use.
 type MeshBuilder struct {
 	m    BlockMesh
-	pool map[weldKey]int32
+	pool weldTable
 
 	// faceArena holds every cell's Faces contiguously, vertArena every
 	// face's Verts; CellConn and FaceConn slices are carved as three-index
@@ -104,11 +172,7 @@ func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol flo
 	m.Cells = m.Cells[:0]
 	b.faceArena = b.faceArena[:0]
 	b.vertArena = b.vertArena[:0]
-	if b.pool == nil {
-		b.pool = map[weldKey]int32{}
-	} else {
-		clear(b.pool)
-	}
+	b.pool.reset()
 	q := func(v geom.Vec3) weldKey {
 		return weldKey{
 			x: int64(roundHalf(v.X / weldTol)),
@@ -130,12 +194,9 @@ func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol flo
 				gi := b.welded[vi]
 				if gi < 0 {
 					v := c.Verts[vi]
-					k := q(v)
-					var ok bool
-					if gi, ok = b.pool[k]; !ok {
-						gi = int32(len(m.Verts))
+					var added bool
+					if gi, added = b.pool.lookupOrAdd(q(v), int32(len(m.Verts))); added {
 						m.Verts = append(m.Verts, v)
-						b.pool[k] = gi
 					}
 					b.welded[vi] = gi
 				}

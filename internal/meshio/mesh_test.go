@@ -284,3 +284,35 @@ func TestWriteVTK(t *testing.T) {
 		t.Errorf("POINTS %d, want %d", np, 2*len(m.Verts))
 	}
 }
+
+// The weld table is a map from key to first-come index: across resets,
+// growth (several rehashes per round) and colliding keys it must answer
+// exactly as a Go map does, and a stamp wrap must not resurrect old slots.
+func TestWeldTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	var tab weldTable
+	for round := 0; round < 4; round++ {
+		if round == 3 {
+			tab.stamp = ^uint32(0) // the next reset wraps
+		}
+		tab.reset()
+		ref := map[weldKey]int32{}
+		for i := 0; i < 5000*(round+1); i++ {
+			// A small key range so lookups hit, large strides so keys that
+			// differ only in the high bits share low hash bits.
+			k := weldKey{x: rng.Int63n(40) << 20, y: rng.Int63n(40) - 20, z: rng.Int63n(4) << 40}
+			next := int32(len(ref))
+			want, ok := ref[k]
+			if !ok {
+				want, ref[k] = next, next
+			}
+			got, added := tab.lookupOrAdd(k, next)
+			if got != want || added == ok {
+				t.Fatalf("round %d op %d: got (%d, %v), want (%d, %v)", round, i, got, added, want, !ok)
+			}
+		}
+		if tab.n != len(ref) || 2*tab.n > len(tab.slots) {
+			t.Fatalf("round %d: %d entries in %d slots, map has %d", round, tab.n, len(tab.slots), len(ref))
+		}
+	}
+}

@@ -18,11 +18,8 @@ const cellPoolChunk = 256
 // must not be retained past it (the session's output loan rule). The pool
 // is not safe for concurrent use; give each worker its own.
 //
-// Like Cell, a CellPool is a sanctioned owner of detached cell storage —
-// never of live Scratch buffers: adopt copies out of the scratch-aliased
-// cell, exactly as Cell.detach does.
-//
-//tess:scratchowner
+// The pool holds finished cells only — never live Scratch buffers: finish
+// copies the cell out of the sweep onto the pool's arenas.
 type CellPool struct {
 	// chunks hold the Cell structs; a chunk's backing array is fixed at
 	// creation (append never outgrows cellPoolChunk), so &chunk[i] stays
@@ -65,18 +62,8 @@ func (p *CellPool) nextCell() *Cell {
 	return &c[len(c)-1]
 }
 
-// adopt detaches c (whose Verts and Faces still alias a Scratch) into the
-// pool's arenas, copying exactly what Cell.detach copies so the adopted
-// cell is identical in content to a heap-detached one.
-func (p *CellPool) adopt(c *Cell) {
-	vbase := len(p.verts)
-	p.verts = append(p.verts, c.Verts...)
-	c.Verts = p.verts[vbase:len(p.verts):len(p.verts)]
-	fbase := len(p.faces)
-	for _, f := range c.Faces {
-		start := len(p.loops)
-		p.loops = append(p.loops, f.Loop...)
-		p.faces = append(p.faces, Face{Neighbor: f.Neighbor, Loop: p.loops[start:len(p.loops):len(p.loops)]})
-	}
-	c.Faces = p.faces[fbase:len(p.faces):len(p.faces)]
+// finish writes the cell w has built onto the pool's arenas, with exactly
+// the content sweep.finishOwned would give it.
+func (p *CellPool) finish(w *sweep, c *Cell) {
+	p.verts, p.faces, p.loops = w.finish(c, p.verts, p.faces, p.loops)
 }

@@ -31,16 +31,16 @@ func ComputeCellScratch(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s
 	if s == nil {
 		s = NewScratch()
 	}
-	cell, err := newCellBoxIn(site, id, initBox, s)
-	if err != nil {
+	cell := new(Cell)
+	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
-	err = clipCellShells(cell, ix, initBox, s)
-	cell.detach()
+	err := clipCellShells(cell, ix, initBox, s)
+	s.sw.finishOwned(cell)
 	return cell, err
 }
 
-// ComputeCellPooled is ComputeCellScratch with the finished cell detached
+// ComputeCellPooled is ComputeCellScratch with the finished cell written
 // into pool instead of fresh heap slices: with a retained pool (reset once
 // per batch) the steady-state construction of a cell allocates nothing at
 // all. The returned cell is bit-identical to the ComputeCellScratch result
@@ -54,11 +54,11 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 		s = NewScratch()
 	}
 	cell := pool.nextCell()
-	if err := initCellBoxIn(cell, site, id, initBox, s); err != nil {
+	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
 	err := clipCellShells(cell, ix, initBox, s)
-	pool.adopt(cell)
+	pool.finish(&s.sw, cell)
 	return cell, err
 }
 
@@ -78,18 +78,18 @@ const pruneSlack = 1e-9
 // proves the cell final. Each shell arrives as a cutoff-bounded candidate
 // stream: the index drops every point at or beyond the cell's cutting
 // range before anything is ordered, and the survivors are read off a heap
-// only as far as the first one out of range. On return the cell still aliases s; the caller
-// detaches (or pool-adopts) it. The emptied-cell error is returned with
-// the cell state intact, matching the historical ComputeCellScratch
-// behavior of returning both the cell and the error.
+// only as far as the first one out of range. The cell's geometry stays in
+// s.sw; the caller finishes it into owned or pool storage, also when the
+// emptied-cell error is returned (callers get both the cell and the error).
 func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
+	w := &s.sw
 	h := ix.MinCellSize()
 	maxShell := ix.MaxShell(cell.Site)
 	secure := false
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
 	kc := &s.counts
 
-	maxR := cell.MaxVertexDist()
+	maxR := w.maxR()
 	for sh := 0; sh <= maxShell; sh++ {
 		var measured int
 		s.cands, measured = ix.appendShell(cell.Site, sh, 2*maxR*(1+pruneSlack), s.cands[:0])
@@ -109,12 +109,12 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
 				break
 			}
 			kc.Tested++
-			if cell.clip(geom.Bisector(cell.Site, ix.pts[cd.idx]), ix.ids[cd.idx], s) {
+			if w.clip(geom.Bisector(cell.Site, ix.pts[cd.idx]), ix.ids[cd.idx]) {
 				kc.Cut++
-				if cell.Empty() {
+				if w.empty() {
 					return fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", cell.Site, ix.pts[cd.idx])
 				}
-				maxR = cell.MaxVertexDist()
+				maxR = w.maxR()
 			}
 		}
 		// All points within s*h are guaranteed processed after shell s.
@@ -123,7 +123,7 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
 			break
 		}
 	}
-	cell.Complete = secure && !cell.HasWall()
+	cell.Complete = secure && !w.hasWall()
 	return nil
 }
 
@@ -135,8 +135,8 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
 // buys (BenchmarkAblationSecurityRadius).
 func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Box, shells int) (*Cell, error) {
 	s := NewScratch()
-	cell, err := newCellBoxIn(site, id, initBox, s)
-	if err != nil {
+	w, cell := &s.sw, new(Cell)
+	if err := w.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
@@ -152,15 +152,15 @@ func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Bo
 			if cd.dist <= siteEps {
 				continue
 			}
-			cell.clip(geom.Bisector(site, ix.pts[cd.idx]), ix.ids[cd.idx], s)
-			if cell.Empty() {
-				cell.detach()
+			w.clip(geom.Bisector(site, ix.pts[cd.idx]), ix.ids[cd.idx])
+			if w.empty() {
+				w.finishOwned(cell)
 				return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
 			}
 		}
 	}
-	cell.Complete = !cell.HasWall() // no proof; walls are the only signal
-	cell.detach()
+	cell.Complete = !w.hasWall() // no proof; walls are the only signal
+	w.finishOwned(cell)
 	return cell, nil
 }
 
@@ -170,9 +170,9 @@ func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Bo
 // range. Identical output to ComputeCell, O(n log n) per cell
 // (BenchmarkAblationNeighborSearch).
 func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, initBox geom.Box) (*Cell, error) {
-	s := NewScratch()
-	cell, err := newCellBoxIn(site, id, initBox, s)
-	if err != nil {
+	var w sweep
+	cell := new(Cell)
+	if err := w.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
 	order := make([]candidate, len(pts))
@@ -187,13 +187,13 @@ func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, in
 		if o.dist <= siteEps {
 			continue
 		}
-		if o.dist >= 2*cell.MaxVertexDist() {
+		if o.dist >= 2*w.maxR() {
 			secure = true
 			break
 		}
-		cell.clip(geom.Bisector(site, pts[o.idx]), ids[o.idx], s)
-		if cell.Empty() {
-			cell.detach()
+		w.clip(geom.Bisector(site, pts[o.idx]), ids[o.idx])
+		if w.empty() {
+			w.finishOwned(cell)
 			return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
 		}
 	}
@@ -202,8 +202,8 @@ func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, in
 		// input set, which is all the brute force can promise.
 		secure = true
 	}
-	cell.Complete = secure && !cell.HasWall()
-	cell.detach()
+	cell.Complete = secure && !w.hasWall()
+	w.finishOwned(cell)
 	return cell, nil
 }
 

@@ -70,9 +70,9 @@ type refResult struct {
 // candidate out of cutting range.
 func referenceCell(r *refIndex, site geom.Vec3, id int64, initBox geom.Box) refResult {
 	ix := r.ix
-	s := NewScratch()
-	cell, err := newCellBoxIn(site, id, initBox, s)
-	if err != nil {
+	var w sweep
+	cell := new(Cell)
+	if err := w.begin(cell, site, id, initBox); err != nil {
 		return refResult{err: err}
 	}
 	res := refResult{cell: cell}
@@ -85,7 +85,7 @@ sweep:
 		shell := r.shell(site, sh)
 		res.counts.Shells++
 		res.counts.Gathered += int64(len(shell))
-		maxR := cell.MaxVertexDist()
+		maxR := w.maxR()
 		for _, sp := range shell {
 			if sp.Dist <= siteEps {
 				continue
@@ -94,28 +94,28 @@ sweep:
 				break
 			}
 			res.counts.Tested++
-			if cell.clip(geom.Bisector(site, sp.Pos), sp.ID, s) {
+			if w.clip(geom.Bisector(site, sp.Pos), sp.ID) {
 				res.counts.Cut++
-				if cell.Empty() {
+				if w.empty() {
 					res.err = fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", site, sp.Pos)
 					break sweep
 				}
-				after := cell.MaxVertexDist()
+				after := w.maxR()
 				if after > maxR {
 					res.growthUlps = max(res.growthUlps, math.Float64bits(after)-math.Float64bits(maxR))
 				}
 				maxR = after
 			}
 		}
-		if float64(sh)*h >= 2*cell.MaxVertexDist() {
+		if float64(sh)*h >= 2*w.maxR() {
 			secure = true
 			break
 		}
 	}
 	if res.err == nil {
-		cell.Complete = secure && !cell.HasWall()
+		cell.Complete = secure && !w.hasWall()
 	}
-	cell.detach()
+	w.finishOwned(cell)
 	return res
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cosmo"
 	"repro/internal/nbody"
 )
 
@@ -34,8 +35,12 @@ func TestConfigOptions(t *testing.T) {
 	if cfg.Recorder != rec || cfg.Faults != plan || cfg.OutputPath != "out.bin" {
 		t.Error("pointer/path options not applied")
 	}
-	if !cfg.Periodic || !cfg.HullPass {
+	if !cfg.Periodic {
 		t.Error("defaults lost when options applied")
+	}
+	// The Quickhull pass is opt-in: neither public constructor sets it.
+	if cfg.HullPass || NewBoundedConfig(cfg.Domain).HullPass {
+		t.Error("HullPass is on by default")
 	}
 	// Later options win over earlier ones.
 	cfg = NewPeriodicConfig(8, WithGhostSize(2), WithGhostSize(3))
@@ -181,5 +186,56 @@ func TestStepDensityCold32(t *testing.T) {
 	t.Logf("allocated %d MB, %d tets, grid mass / tracer mass %.4f", (after.TotalAlloc-before.TotalAlloc)>>20, res.Tets, ratio)
 	if math.Abs(ratio-1) > 0.02 {
 		t.Errorf("grid mass / tracer mass = %.4f, want within 2%% of 1", ratio)
+	}
+}
+
+// The public defaults no longer run Quickhull over every kept cell, and
+// nothing downstream can tell: on the 24^3 halo mock with a volume cull —
+// where the hull volume used to decide the cut — counts and per-block bytes
+// equal an explicit HullPass run's, at under a quarter of its allocations.
+func TestPublicDefaultsSkipQuickhull(t *testing.T) {
+	cp := cosmo.DefaultClusterParams()
+	cp.Seed = 7
+	ps := ParticlesFromPositions(cosmo.ClusteredPositions(24*24*24, 24, cp))
+	cfg := NewPeriodicConfig(24, WithDecomposition(DecomposeRCB))
+	cfg.MinVolume = 0.1
+	hull := cfg
+	hull.HullPass = true
+
+	run := func(cfg Config) (*Output, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := Run(cfg, ps, 8)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, after.Mallocs - before.Mallocs
+	}
+	got, allocs := run(cfg)
+	want, hullAllocs := run(hull)
+
+	if got.Counts != want.Counts {
+		t.Errorf("counts %+v, with the hull pass %+v", got.Counts, want.Counts)
+	}
+	if got.Counts.CulledExact == 0 {
+		t.Error("no cell was culled by volume: the comparison decides nothing")
+	}
+	for b := range want.Meshes {
+		gb, err := got.Meshes[b].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := want.Meshes[b].Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("block %d: bytes differ from the hull-pass run's", b)
+		}
+	}
+	if allocs*4 >= hullAllocs {
+		t.Errorf("%d allocations, %d with the hull pass: want under a quarter", allocs, hullAllocs)
 	}
 }
