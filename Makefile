@@ -1,7 +1,8 @@
 # Build / verification entry points. `make check` is the full gate: vet,
 # the repo's own static analyzers (cmd/tesslint), the whole test suite
-# under the race detector, the coverage floor, and the fault-injection
-# battery, so the intra-rank worker-pool concurrency, the
+# under the race detector (which holds the fault-containment, checkpoint
+# and daemon e2e suites — each test runs once), and the coverage floor, so
+# the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
 # (abort, watchdog, crash containment) are checked on every run.
 
@@ -12,7 +13,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint onecodec race cover faults ckpt jobd-e2e bench-module check bench bench-stack loc
+.PHONY: build test vet lint onecodec race cover ckpt jobd-e2e bench-module check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -62,21 +63,18 @@ cover:
 	done; \
 	exit $$fail
 
-# Graceful-degradation battery: seeded crashes, a diagnosed stall, and
-# delay transparency, through the real drivers (see cmd/tessbench -faults).
-faults:
-	$(GO) run ./cmd/tessbench -faults
-
 # Daemon end-to-end suite: boots tessd in process on a loopback listener
 # and drives it through the real HTTP surface (byte-identity with direct
 # sessions, 429 admission control, cancel mid-step, crash-tenant
-# isolation), under the race detector.
+# isolation), under the race detector. A named filter over what `race`
+# already runs; not part of `check`.
 jobd-e2e:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestE2E' ./internal/jobd/...
 
 # Checkpoint/restart acceptance: crash-at-step-N byte-identical resume
 # across block and worker counts, plus the out-of-core FileSource
-# identity gate, under the race detector.
+# identity gate, under the race detector. A named filter over what `race`
+# already runs; not part of `check`.
 ckpt:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'CrashResume|CheckpointResume|ResumeValidation|StepFromFileSource' .
 
@@ -86,7 +84,7 @@ ckpt:
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
 
-check: vet lint onecodec race cover faults ckpt jobd-e2e bench-module
+check: vet lint onecodec race cover bench-module
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

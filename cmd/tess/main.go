@@ -1,14 +1,27 @@
-// Command tess runs a standalone parallel Voronoi tessellation over a
-// perturbed-lattice particle set and reports cell counts, per-phase
-// timings, and communication counters from the always-on observability
-// layer. With -trace it exports the run as Chrome trace-event JSON: one
-// trace thread per rank with exchange / ghost-merge / compute / output
-// spans, plus counter tracks for comm bytes and pipeline counters. Open
-// the file in chrome://tracing or https://ui.perfetto.dev.
+// Command tess is the one front door to the library: the standalone
+// parallel tessellation (verb run, the default) plus the paper's
+// postprocessing and evaluation tools, each a verb on the public tess API.
 //
-// Usage:
+//	tess [run] [flags]   tessellate a perturbed lattice or a snapshot file
+//	tess hist            Fig. 8 / Fig. 11 cell-volume and density-contrast histograms
+//	tess voids           Fig. 7 / Fig. 9 void components and Minkowski functionals
+//	tess info            inspect a tess output file
+//	tess accuracy        Table I parallel accuracy versus ghost size
+//	tess render          Fig. 1 density slice as a PNG
+//	tess sim             the N-body simulation standalone, with VTK export
+//	tess tools           the Fig. 4 in situ analysis framework
 //
-//	tess [-n 8] [-box 8] [-blocks 2] [-workers 0] [-seed 1] [-amp 0.6]
+// A missing verb, or a first argument starting with "-", means run; every
+// verb prints its flags with -h.
+//
+// The run verb tessellates a perturbed-lattice particle set and reports
+// cell counts, per-phase timings, and communication counters from the
+// always-on observability layer. With -trace it exports the run as Chrome
+// trace-event JSON: one trace thread per rank with exchange / ghost-merge /
+// compute / output spans, plus counter tracks for comm bytes and pipeline
+// counters. Open the file in chrome://tracing or https://ui.perfetto.dev.
+//
+//	tess [run] [-n 8] [-box 8] [-blocks 2] [-workers 0] [-seed 1] [-amp 0.6]
 //	     [-ghost 3] [-o mesh.bin] [-trace out.json] [-canonical merged.bin]
 //	     [-density 0] [-spectrum] [-density-o grid.bin]
 //	     [-snapshot snap.bin [-window 4]] [-write-snapshot snap.bin [-chunks 16]]
@@ -27,26 +40,141 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math/rand"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro"
+	"repro/internal/diy"
+	"repro/internal/meshio"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tess: ")
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// -h already printed the verb's flags; it is not a failure.
+	if err := dispatch(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
+// verbs maps each subcommand to its implementation; every verb parses its
+// own flags from args and writes its report to w.
+var verbs = []struct {
+	name string
+	fn   func(args []string, w io.Writer) error
+}{
+	{"run", run},
+	{"hist", hist},
+	{"voids", voidsVerb},
+	{"info", info},
+	{"accuracy", accuracy},
+	{"render", render},
+	{"sim", simVerb},
+	{"tools", tools},
+}
+
+func dispatch(args []string, w io.Writer) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return run(args, w)
+	}
+	var names []string
+	for _, v := range verbs {
+		if v.name == args[0] {
+			return v.fn(args[1:], w)
+		}
+		names = append(names, v.name)
+	}
+	return fmt.Errorf("unknown verb %q (want one of %s)", args[0], strings.Join(names, ", "))
+}
+
+// tessellateSim tessellates a simulation's current particles over blocks
+// periodic blocks. Evolved snapshots grow large void cells, so the ghost
+// is the widest the decomposition supports; opts adjust the config after
+// that default.
+func tessellateSim(sim *tess.Simulation, blocks int, opts ...tess.Option) (*tess.Output, error) {
+	cfg := tess.NewPeriodicConfig(sim.Config.BoxSize)
+	g, err := tess.MaxGhostFor(cfg, blocks)
+	if err != nil {
+		return nil, err
+	}
+	cfg.GhostSize = g
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), blocks)
+	if err != nil {
+		return nil, err
+	}
+	if out.Counts.Incomplete > 0 && !cfg.KeepIncomplete {
+		log.Printf("warning: %d incomplete cells deleted (ghost %g)", out.Counts.Incomplete, cfg.GhostSize)
+	}
+	return out, nil
+}
+
+// readMeshes decodes every block of a tess output file, in block order.
+func readMeshes(path string) ([]*tess.BlockMesh, error) {
+	blocks, err := diy.ReadAllBlocks(path)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*tess.BlockMesh, len(blocks))
+	for bi, data := range blocks {
+		if out[bi], err = meshio.DecodeBlockMesh(data); err != nil {
+			return nil, fmt.Errorf("block %d: %w", bi, err)
+		}
+	}
+	return out, nil
+}
+
+// createWith writes path through fill, reporting the first of the write
+// and close errors.
+func createWith(path string, fill func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// parseList parses a comma-separated flag value, skipping empty items.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		v, err := parse(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty list")
+	}
+	return out, nil
+}
+
+func parseInts(s string) ([]int, error) { return parseList(s, strconv.Atoi) }
+
+func parseFloats(s string) ([]float64, error) {
+	return parseList(s, func(x string) (float64, error) { return strconv.ParseFloat(x, 64) })
+}
+
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("tess", flag.ContinueOnError)
+	fs := flag.NewFlagSet("tess run", flag.ContinueOnError)
 	var (
 		n         = fs.Int("n", 8, "particles per dimension (n^3 total)")
 		box       = fs.Float64("box", 8, "periodic box side length")

@@ -13,20 +13,13 @@
 //
 //	tessbench [-sizes 8,16,32] [-procs 1,2,4,8,16] [-steps 12] [-cull 0.1]
 //	          [-workers N] [-scaling] [-datamodel] [-out DIR]
-//	tessbench -faults [-seed N]
-//
-// The -faults mode runs the graceful-degradation battery instead of the
-// performance tables: seeded crash-at-step-N plans across 2- and 8-block
-// decompositions must surface as structured rank errors (never a hang or
-// a process exit), a stall must be diagnosed with a wait-for dump, and
-// delay-only plans must leave the output byte-identical to a fault-free
-// run. Exits non-zero if any case fails.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/diy"
 	"repro/internal/geom"
@@ -54,17 +48,8 @@ func main() {
 		datamodel = flag.Bool("datamodel", false, "also print the Sec. III-C2 data model statistics")
 		outDir    = flag.String("out", "", "directory for tessellation output files (default: temp, deleted)")
 		workers   = flag.Int("workers", 0, "intra-rank compute workers per block (0 = GOMAXPROCS; ranks are timed one at a time so each gets the whole machine)")
-		faults    = flag.Bool("faults", false, "run the fault-injection battery instead of the performance tables")
-		seed      = flag.Int64("seed", 1, "fault-injection seed for -faults (same seed, same schedule)")
 	)
 	flag.Parse()
-
-	if *faults {
-		if !runFaultBattery(*seed) {
-			os.Exit(1)
-		}
-		return
-	}
 
 	sizeList, err := parseInts(*sizes)
 	if err != nil {
@@ -108,7 +93,7 @@ func main() {
 		// 100/50/25-step schedule across sizes.
 		nsteps := *steps * largest / ng
 		sim, simTime := runSim(ng, nsteps)
-		particles := particlesOf(sim)
+		particles := tess.ParticlesFromSim(sim)
 
 		// Derive the cull threshold from the volume range, once per size.
 		minVol := cullThreshold(particles, float64(ng), *cull)
@@ -237,14 +222,6 @@ func runSim(ng, nsteps int) (*nbody.Simulation, time.Duration) {
 	return sim, time.Since(t0)
 }
 
-func particlesOf(sim *nbody.Simulation) []diy.Particle {
-	out := make([]diy.Particle, len(sim.Pos))
-	for i, p := range sim.Pos {
-		out[i] = diy.Particle{ID: int64(i), Pos: p}
-	}
-	return out
-}
-
 // cullThreshold computes the volume cutting the smallest `frac` of the
 // volume range, from an uncolled single-block pass.
 func cullThreshold(particles []diy.Particle, L float64, frac float64) float64 {
@@ -311,7 +288,7 @@ func weakScaling(dir string, cull float64, workers int) {
 	var base float64
 	for i, s := range series {
 		sim, _ := runSim(s.ng, 4)
-		particles := particlesOf(sim)
+		particles := tess.ParticlesFromSim(sim)
 		minVol := cullThreshold(particles, float64(s.ng), cull)
 		domain := geom.NewBox(geom.V(0, 0, 0), geom.V(float64(s.ng), float64(s.ng), float64(s.ng)))
 		cfg := core.Config{
@@ -343,15 +320,11 @@ func weakScaling(dir string, cull float64, workers int) {
 // value the decomposition supports (thin blocks cannot host a wider ghost
 // than their own side).
 func ghostFor(domain geom.Box, blocks int) float64 {
-	d, err := diy.Decompose(domain, blocks, true)
+	g, err := core.GhostCeiling(core.Config{Domain: domain, Periodic: true}, blocks)
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := core.MaxGhost(d)
-	if g > 4 {
-		g = 4
-	}
-	return g
+	return math.Min(g, 4)
 }
 
 func parseInts(s string) ([]int, error) {

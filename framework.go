@@ -6,7 +6,6 @@ import (
 	"repro/internal/catalyst"
 	"repro/internal/core"
 	"repro/internal/cosmotools"
-	"repro/internal/diy"
 	"repro/internal/track"
 )
 
@@ -78,12 +77,10 @@ func EstimateGhost(cfg Config, numParticles, numBlocks int, factor float64) (flo
 	return core.EstimateGhost(cfg, numParticles, numBlocks, factor)
 }
 
-// MaxGhostFor returns the widest ghost region a (domain, blocks)
-// decomposition supports: the smallest block side.
+// MaxGhostFor returns the widest ghost region cfg's decomposition strategy
+// supports over numBlocks blocks — the ceiling AutoTessellate and
+// EstimateGhost clamp to: the smallest block side for the regular grid,
+// half the smallest domain side for periodic RCB.
 func MaxGhostFor(cfg Config, numBlocks int) (float64, error) {
-	d, err := diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic)
-	if err != nil {
-		return 0, err
-	}
-	return core.MaxGhost(d), nil
+	return core.GhostCeiling(cfg, numBlocks)
 }

@@ -21,7 +21,7 @@ func EstimateGhost(cfg Config, numParticles, numBlocks int, factor float64) (flo
 	}
 	spacing := math.Cbrt(cfg.Domain.Volume() / float64(numParticles))
 	g := factor * spacing
-	m, err := ghostCeiling(cfg, numBlocks)
+	m, err := GhostCeiling(cfg, numBlocks)
 	if err != nil {
 		return 0, err
 	}
@@ -31,13 +31,13 @@ func EstimateGhost(cfg Config, numParticles, numBlocks int, factor float64) (flo
 	return g, nil
 }
 
-// ghostCeiling is the largest ghost size cfg's decomposition strategy can
+// GhostCeiling is the largest ghost size cfg's decomposition strategy can
 // support for numBlocks blocks, before any particles are seen. The regular
 // grid is capped by its smallest block side; RCB by the single-wrap
 // periodic-image constraint (half the smallest domain side), or the
 // largest domain side when non-periodic (beyond which a wider ghost cannot
 // reach anything new).
-func ghostCeiling(cfg Config, numBlocks int) (float64, error) {
+func GhostCeiling(cfg Config, numBlocks int) (float64, error) {
 	if cfg.Decomposition == DecomposeRCB {
 		s := cfg.Domain.Size()
 		if cfg.Periodic {
@@ -49,7 +49,7 @@ func ghostCeiling(cfg Config, numBlocks int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return MaxGhost(d), nil
+	return d.GhostCapacity(), nil
 }
 
 // AutoRun addresses the paper's stated follow-up of determining the ghost
@@ -69,7 +69,7 @@ func AutoRun(cfg Config, particles []diy.Particle, numBlocks int) (*Output, floa
 		}
 		cfg.GhostSize = g
 	}
-	maxGhost, err := ghostCeiling(cfg, numBlocks)
+	maxGhost, err := GhostCeiling(cfg, numBlocks)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -255,18 +255,11 @@ func ValidateGhost(d *diy.Decomposition, ghost float64) error {
 	if ghost <= 0 {
 		return nil
 	}
-	if m := MaxGhost(d); ghost > m+1e-12 {
+	if m := d.GhostCapacity(); ghost > m+1e-12 {
 		return fmt.Errorf("core: ghost size %g exceeds the decomposition's link reach %g "+
 			"(use fewer blocks or a smaller ghost)", ghost, m)
 	}
 	return nil
-}
-
-// MaxGhost returns the largest valid ghost size for a decomposition: the
-// smallest block side length for a regular grid, the built-in link reach
-// for RCB.
-func MaxGhost(d *diy.Decomposition) float64 {
-	return d.GhostCapacity()
 }
 
 // decomposeFor builds the decomposition a run over numBlocks blocks needs:

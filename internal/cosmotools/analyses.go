@@ -31,6 +31,16 @@ func particlesOf(sim *nbody.Simulation) []diy.Particle {
 	return out
 }
 
+// widestGhostConfig is the periodic config both tessellating analyses
+// start from: evolved snapshots grow large void cells, so the ghost is the
+// widest the decomposition supports.
+func widestGhostConfig(domain geom.Box, blocks int) (core.Config, error) {
+	cfg := core.Config{Domain: domain, Periodic: true}
+	var err error
+	cfg.GhostSize, err = core.GhostCeiling(cfg, blocks)
+	return cfg, err
+}
+
 // --- tess: the Voronoi tessellation tool ---
 
 type tessAnalysis struct {
@@ -123,19 +133,14 @@ func (a *tessAnalysis) Name() string { return "tess" }
 func (a *tessAnalysis) Every() int   { return a.every }
 
 func (a *tessAnalysis) tessConfig() (core.Config, error) {
-	cfg := core.Config{
-		Domain:    a.domain,
-		Periodic:  true,
-		GhostSize: a.ghost,
-		MinVolume: a.minVolume,
-	}
-	d, err := diy.Decompose(a.domain, a.blocks, true)
+	cfg, err := widestGhostConfig(a.domain, a.blocks)
 	if err != nil {
 		return cfg, err
 	}
-	if cfg.GhostSize <= 0 {
-		cfg.GhostSize = core.MaxGhost(d)
+	if a.ghost > 0 {
+		cfg.GhostSize = a.ghost
 	}
+	cfg.MinVolume = a.minVolume
 	if a.sites == "halos" {
 		// Halo sites are sparse: proving completeness would need a ghost
 		// wider than the blocks; retain the (correct-by-security-radius or
@@ -451,14 +456,9 @@ func (a *voidsAnalysis) Close() error {
 
 func (a *voidsAnalysis) Run(ctx *Context) (Result, error) {
 	if a.sess == nil {
-		d, err := diy.Decompose(a.domain, a.blocks, true)
+		cfg, err := widestGhostConfig(a.domain, a.blocks)
 		if err != nil {
 			return Result{}, err
-		}
-		cfg := core.Config{
-			Domain:    a.domain,
-			Periodic:  true,
-			GhostSize: core.MaxGhost(d),
 		}
 		if a.sess, err = core.OpenSession(cfg, a.blocks); err != nil {
 			return Result{}, err

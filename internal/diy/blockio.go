@@ -23,10 +23,6 @@ import (
 
 const blockIOMagic = 0x7465737342494f31 // "tessBIO1"
 
-const (
-	tagIOSize = 200
-)
-
 // CollectiveWrite writes each rank's payload into path. All ranks must call
 // it collectively; every rank writes its own section concurrently (the
 // stand-in for MPI-IO collective writes). It returns the total file size in

@@ -282,41 +282,3 @@ func BroadcastExchange(w *comm.World, d *Decomposition, rank int, local []Partic
 	}
 	return ghosts
 }
-
-const tagRedistribute = 101
-
-// Redistribute moves particles that have drifted out of their block to the
-// block that now contains them — the step an in situ pipeline performs
-// between simulation epochs so each rank again owns exactly the particles
-// in its bounds. Positions must lie inside the domain (wrap before
-// calling). All ranks call collectively; the returned slice is the rank's
-// new local set (order not specified).
-func Redistribute(w *comm.World, d *Decomposition, rank int, local []Particle) []Particle {
-	outgoing := map[int][]Particle{}
-	var keep []Particle
-	for _, p := range local {
-		owner := d.Locate(p.Pos)
-		if owner == rank {
-			keep = append(keep, p)
-		} else {
-			outgoing[owner] = append(outgoing[owner], p)
-		}
-	}
-	// Every rank exchanges with every other rank (counts first would be an
-	// optimization; at these scales a direct all-to-all of possibly empty
-	// slices is simplest and still one message per pair).
-	for dst := 0; dst < d.NumBlocks(); dst++ {
-		if dst == rank {
-			continue
-		}
-		w.Send(rank, dst, tagRedistribute, outgoing[dst])
-	}
-	for src := 0; src < d.NumBlocks(); src++ {
-		if src == rank {
-			continue
-		}
-		batch := w.Recv(rank, src, tagRedistribute).([]Particle)
-		keep = append(keep, batch...)
-	}
-	return keep
-}

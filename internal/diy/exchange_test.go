@@ -269,66 +269,3 @@ func TestGatherGhostsMatchesExchange(t *testing.T) {
 		}
 	}
 }
-
-func TestRedistribute(t *testing.T) {
-	const L = 10.0
-	d, err := Decompose(unitDomain(L), 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(131))
-	ps := randomParticles(rng, 600, L)
-	parts := PartitionParticles(d, ps)
-
-	// Scramble ownership: rotate each rank's particles to the next rank.
-	scrambled := make([][]Particle, len(parts))
-	for r := range parts {
-		scrambled[(r+3)%len(parts)] = append(scrambled[(r+3)%len(parts)], parts[r]...)
-	}
-
-	w := comm.NewWorld(d.NumBlocks())
-	result := make([][]Particle, d.NumBlocks())
-	var mu sync.Mutex
-	w.Run(func(rank int) {
-		out := Redistribute(w, d, rank, scrambled[rank])
-		mu.Lock()
-		result[rank] = out
-		mu.Unlock()
-	})
-
-	total := 0
-	for r, out := range result {
-		total += len(out)
-		for _, p := range out {
-			if !d.Block(r).Bounds.Contains(p.Pos) {
-				t.Fatalf("rank %d received particle %v outside its bounds", r, p.Pos)
-			}
-		}
-		// Same multiset as a fresh partition.
-		if len(out) != len(parts[r]) {
-			t.Fatalf("rank %d has %d particles, want %d", r, len(out), len(parts[r]))
-		}
-	}
-	if total != len(ps) {
-		t.Fatalf("redistribute lost particles: %d of %d", total, len(ps))
-	}
-}
-
-func TestRedistributeNoop(t *testing.T) {
-	const L = 8.0
-	d, err := Decompose(unitDomain(L), 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(132))
-	ps := randomParticles(rng, 200, L)
-	parts := PartitionParticles(d, ps)
-	w := comm.NewWorld(4)
-	w.Run(func(rank int) {
-		out := Redistribute(w, d, rank, parts[rank])
-		if len(out) != len(parts[rank]) {
-			t.Errorf("rank %d: noop redistribute changed count %d -> %d",
-				rank, len(parts[rank]), len(out))
-		}
-	})
-}

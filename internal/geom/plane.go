@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // Plane is an oriented plane in Hessian-like form: the set of points x with
 // N.Dot(x) + D == 0. N need not be unit length; signed "distances" returned
 // by Eval are scaled by |N| accordingly. Callers that need metric distances
@@ -55,28 +53,4 @@ func (pl Plane) Degenerate() bool {
 // Flip returns the plane with reversed orientation.
 func (pl Plane) Flip() Plane {
 	return Plane{N: pl.N.Neg(), D: -pl.D}
-}
-
-// Project returns the orthogonal projection of p onto the plane.
-func (pl Plane) Project(p Vec3) Vec3 {
-	return p.Sub(pl.N.Scale(pl.Eval(p)))
-}
-
-// SegmentCross returns the parameter t in [0,1] at which the segment a->b
-// crosses the plane, and true, if the endpoints are strictly on opposite
-// sides; otherwise it returns 0, false.
-func (pl Plane) SegmentCross(a, b Vec3) (float64, bool) {
-	da, db := pl.Eval(a), pl.Eval(b)
-	if da == 0 || db == 0 || (da > 0) == (db > 0) {
-		return 0, false
-	}
-	denom := da - db
-	if denom == 0 {
-		return 0, false
-	}
-	t := da / denom
-	if math.IsNaN(t) || t < 0 || t > 1 {
-		return 0, false
-	}
-	return t, true
 }

@@ -52,7 +52,8 @@ func TestBisectorOrientation(t *testing.T) {
 			t.Fatalf("midpoint not on bisector: %v", pl.Eval(m))
 		}
 		// Bisector property: equidistance for points on the plane.
-		p := pl.Project(V(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10))
+		q := V(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
+		p := q.Sub(pl.N.Scale(pl.Eval(q))) // orthogonal projection onto the plane
 		if !almostEq(p.Dist(a), p.Dist(b), 1e-7) {
 			t.Fatalf("projected point not equidistant: %v vs %v", p.Dist(a), p.Dist(b))
 		}
@@ -65,36 +66,6 @@ func TestPlaneFlip(t *testing.T) {
 	p := V(5, 1, 1)
 	if !almostEq(pl.Eval(p), -fl.Eval(p), 1e-12) {
 		t.Errorf("flip did not negate Eval: %v vs %v", pl.Eval(p), fl.Eval(p))
-	}
-}
-
-func TestPlaneProject(t *testing.T) {
-	pl := NewPlane(V(0, 1, 0), V(0, 3, 0))
-	got := pl.Project(V(7, 10, -2))
-	if !vecAlmostEq(got, V(7, 3, -2), 1e-12) {
-		t.Errorf("Project = %v", got)
-	}
-}
-
-func TestSegmentCross(t *testing.T) {
-	pl := NewPlane(V(0, 0, 1), V(0, 0, 0))
-	if tt, ok := pl.SegmentCross(V(0, 0, -1), V(0, 0, 3)); !ok || !almostEq(tt, 0.25, 1e-12) {
-		t.Errorf("SegmentCross = %v, %v", tt, ok)
-	}
-	if _, ok := pl.SegmentCross(V(0, 0, 1), V(0, 0, 3)); ok {
-		t.Error("segment on one side should not cross")
-	}
-	if _, ok := pl.SegmentCross(V(0, 0, -1), V(0, 0, -3)); ok {
-		t.Error("segment on negative side should not cross")
-	}
-}
-
-func TestSegmentCrossPointOnPlane(t *testing.T) {
-	pl := NewPlane(V(0, 0, 1), V(0, 0, 0))
-	// Endpoint exactly on the plane: Eval(a)=0 counts as non-positive side,
-	// so a zero-crossing from 0 to positive is not "strictly opposite".
-	if _, ok := pl.SegmentCross(V(0, 0, 0), V(0, 0, 1)); ok {
-		t.Error("endpoint-on-plane treated as strict crossing")
 	}
 }
 

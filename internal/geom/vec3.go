@@ -97,19 +97,6 @@ func (v Vec3) Component(i int) float64 {
 	}
 }
 
-// SetComponent returns a copy of v with component i set to x.
-func (v Vec3) SetComponent(i int, x float64) Vec3 {
-	switch i {
-	case 0:
-		v.X = x
-	case 1:
-		v.Y = x
-	default:
-		v.Z = x
-	}
-	return v
-}
-
 // IsFinite reports whether all components are finite numbers.
 func (v Vec3) IsFinite() bool {
 	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&

@@ -119,12 +119,6 @@ func TestComponentAccess(t *testing.T) {
 			t.Errorf("Component(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if got := v.SetComponent(1, -1); got != V(7, -1, 9) {
-		t.Errorf("SetComponent = %v", got)
-	}
-	if v != V(7, 8, 9) {
-		t.Errorf("SetComponent mutated receiver: %v", v)
-	}
 }
 
 func TestMaxAbs(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -604,6 +605,54 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("step %d mesh differs from uninterrupted direct session", i+1)
+		}
+	}
+
+	// A checkpoint the daemon cannot use is reported, not papered over:
+	// one resume-fallback event carrying the reason, between started and
+	// the first step, and the job still runs from step 1 to done with the
+	// direct session's bytes. First a truncated manifest, then (over the
+	// checkpoint that run left behind) another job's block count.
+	manifest := filepath.Join(spec.CheckpointDir, "manifest.json")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := happySpec(40, 3)
+	fresh.CheckpointDir = spec.CheckpointDir
+	fourBlocks := fresh
+	fourBlocks.Blocks = 4
+	for _, tc := range []struct {
+		name   string
+		spec   jobd.JobSpec
+		reason string
+	}{
+		{"truncated manifest", fresh, "manifest"},
+		{"wrong block count", fourBlocks, "holds 2 blocks, the job asks for 4"},
+	} {
+		events, final := h.Wait(t, h.Submit(t, tc.spec).ID, e2eWait)
+		if final.State != jobd.StateDone || final.StepsDone != 3 {
+			t.Fatalf("%s: final = %+v, want done after 3 steps", tc.name, final)
+		}
+		var types []string
+		for _, e := range events {
+			types = append(types, e.Type)
+		}
+		if got := strings.Join(types, " "); got != "queued started resume-fallback step step step done" {
+			t.Fatalf("%s: events = %s", tc.name, got)
+		}
+		fb := events[2].Error
+		if fb == nil || fb.Kind != "checkpoint" || !strings.Contains(fb.Message, tc.reason) {
+			t.Errorf("%s: resume-fallback error = %+v, want kind checkpoint mentioning %q", tc.name, fb, tc.reason)
+		}
+		want := jobdtest.DirectMeshes(t, tc.spec)
+		for i, got := range jobdtest.StepMeshes(t, events) {
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("%s: step %d mesh differs from the direct session", tc.name, i+1)
+			}
 		}
 	}
 

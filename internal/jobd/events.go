@@ -15,7 +15,7 @@ import (
 type Event struct {
 	Job  string    `json:"job"`
 	Seq  int       `json:"seq"`
-	Type string    `json:"type"` // "queued" | "started" | "resumed" | "step" | "done" | "error" | "canceled"
+	Type string    `json:"type"` // "queued" | "started" | "resumed" | "resume-fallback" | "step" | "done" | "error" | "canceled"
 	Time time.Time `json:"time"`
 
 	// Step fields (type "step"); for type "resumed", Step is the number
@@ -35,7 +35,9 @@ type Event struct {
 	// Steps is the completed step total (type "done").
 	Steps int `json:"steps,omitempty"`
 
-	// Error is the structured failure (type "error" or "canceled").
+	// Error is the structured failure (type "error" or "canceled"), or why
+	// a present checkpoint was not used (type "resume-fallback", kind
+	// "checkpoint"; the job then starts from step 1).
 	Error *ErrorInfo `json:"error,omitempty"`
 }
 

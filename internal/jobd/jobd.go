@@ -675,6 +675,36 @@ func (d *Daemon) finishJob(j *Job, state State, info *ErrorInfo) {
 // a pipeline error, a cancellation abort — is contained to this job: the
 // session owns its own world, and the error surfaces as this job's
 // terminal event while sibling jobs run on undisturbed.
+// finishStepError ends a job whose step failed: canceled if Cancel asked
+// for the abort that produced err, failed with the classified error
+// otherwise.
+func (d *Daemon) finishStepError(j *Job, err error) {
+	info := classifyError(err)
+	state := StateFailed
+	j.mu.Lock()
+	if j.canceled {
+		state = StateCanceled
+		info.Kind = "canceled"
+	}
+	j.mu.Unlock()
+	d.finishJob(j, state, info)
+}
+
+// resumeSession reopens the checkpoint in dir for a job over blocks
+// blocks. The manifest probe keeps a checkpoint from another job's
+// geometry (block count is the one axis Resume takes from the checkpoint
+// rather than validating) out of this job.
+func resumeSession(cfg tess.Config, dir string, blocks int) (*tess.Session, error) {
+	man, err := storage.LoadManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	if man.NumBlocks != blocks {
+		return nil, fmt.Errorf("jobd: checkpoint in %s holds %d blocks, the job asks for %d", dir, man.NumBlocks, blocks)
+	}
+	return tess.Resume(cfg, dir)
+}
+
 func (d *Daemon) runJob(j *Job) {
 	// The input side: a windowed out-of-core FileSource for a URI job,
 	// the per-step snapshotSource otherwise.
@@ -713,20 +743,19 @@ func (d *Daemon) runJob(j *Job) {
 	// A checkpointing job whose directory already holds a committed
 	// checkpoint resumes from it: the session reopens at step N and the
 	// loop below starts at N+1. An unreadable or incompatible checkpoint
-	// is ignored — the job starts fresh and overwrites it at its first
-	// completed step — so a stale directory never bricks resubmission.
+	// does not brick resubmission — the job starts fresh and overwrites it
+	// at its first completed step — but the stream says so.
 	ckdir := j.spec.CheckpointDir
 	var sess *tess.Session
 	resumed := 0
 	if ckdir != "" && tess.HasCheckpoint(ckdir) {
-		// The manifest probe keeps a checkpoint from another job's
-		// geometry (block count is the one axis Resume takes from the
-		// checkpoint rather than validating) out of this job.
-		if man, err := storage.LoadManifest(ckdir); err == nil && man.NumBlocks == j.spec.Blocks {
-			if rs, err := tess.Resume(cfg, ckdir); err == nil {
-				sess = rs
-				resumed = rs.Steps()
-			}
+		rs, err := resumeSession(cfg, ckdir, j.spec.Blocks)
+		if err != nil {
+			j.log.append(Event{Job: j.id, Type: "resume-fallback",
+				Error: &ErrorInfo{Kind: "checkpoint", Message: err.Error()}}, false)
+		} else {
+			sess = rs
+			resumed = rs.Steps()
 		}
 	}
 	if sess == nil {
@@ -789,15 +818,7 @@ func (d *Daemon) runJob(j *Job) {
 			out, err = sess.Step(particles, stepOpts...)
 		}
 		if err != nil {
-			info := classifyError(err)
-			state := StateFailed
-			j.mu.Lock()
-			if j.canceled {
-				state = StateCanceled
-				info.Kind = "canceled"
-			}
-			j.mu.Unlock()
-			d.finishJob(j, state, info)
+			d.finishStepError(j, err)
 			return
 		}
 		// Scalar copies of the loaned Output's counts: the event must not
@@ -824,15 +845,7 @@ func (d *Daemon) runJob(j *Job) {
 		if ds := j.spec.Density; ds != nil {
 			res, err := sess.StepDensity(particles, ds.config())
 			if err != nil {
-				info := classifyError(err)
-				state := StateFailed
-				j.mu.Lock()
-				if j.canceled {
-					state = StateCanceled
-					info.Kind = "canceled"
-				}
-				j.mu.Unlock()
-				d.finishJob(j, state, info)
+				d.finishStepError(j, err)
 				return
 			}
 			// EncodeDensityGrid allocates, so the stored bytes and the

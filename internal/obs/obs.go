@@ -79,9 +79,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// NumPhases is the number of defined phases.
-const NumPhases = int(numPhases)
-
 // Span is one timed interval of a phase on one rank. Start is relative to
 // the Recorder's epoch.
 type Span struct {

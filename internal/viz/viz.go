@@ -31,7 +31,7 @@ type SliceConfig struct {
 	LogScale bool
 }
 
-// NewSliceConfig returns a config with the defaults used by cmd/render.
+// NewSliceConfig returns a config with the defaults used by `tess render`.
 func NewSliceConfig(boxSize float64) SliceConfig {
 	return SliceConfig{BoxSize: boxSize, Z: boxSize / 2, Pixels: 256, LogScale: true}
 }

@@ -40,7 +40,7 @@ func tessellate(t testing.TB, n int, L float64, seed int64, blocks int, minVol f
 		t.Fatal(err)
 	}
 	ghost := 3.0
-	if m := core.MaxGhost(d); m < ghost {
+	if m := d.GhostCapacity(); m < ghost {
 		ghost = m
 	}
 	cfg := core.Config{

@@ -226,6 +226,34 @@ func TestEstimateAndMaxGhostFacade(t *testing.T) {
 	}
 }
 
+// MaxGhostFor and AutoTessellate must agree on the widest ghost a
+// decomposition supports: the grid's smallest block side (L/4 at 64
+// blocks) and RCB's single-wrap bound (L/2) — MaxGhostFor used to answer
+// L/4 for both.
+func TestMaxGhostForHonoursDecomposition(t *testing.T) {
+	const L = 8.0
+	ps := testParticles(5, 8, L)
+	for _, tc := range []struct {
+		kind DecompKind
+		want float64
+	}{{DecomposeRegular, L / 4}, {DecomposeRCB, L / 2}} {
+		cfg := NewPeriodicConfig(L, WithDecomposition(tc.kind))
+		m, err := MaxGhostFor(cfg, 64)
+		if err != nil || m != tc.want {
+			t.Errorf("decomposition %v: MaxGhostFor = %v, %v, want %v", tc.kind, m, err, tc.want)
+		}
+		cfg.GhostSize = 100 // far past any ceiling: AutoTessellate clamps it
+		out, g, err := AutoTessellate(cfg, ps, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != m || out.Counts.Incomplete != 0 {
+			t.Errorf("decomposition %v: AutoTessellate used ghost %v (%d incomplete), MaxGhostFor says %v",
+				tc.kind, g, out.Counts.Incomplete, m)
+		}
+	}
+}
+
 func TestFrameworkFacade(t *testing.T) {
 	cfg, err := ParseToolsConfig(strings.NewReader("[halo]\nevery = 3\nmin_members = 5\n"))
 	if err != nil {
