@@ -243,6 +243,36 @@ func TestVerbsMatchParentBinaries(t *testing.T) {
 	}
 }
 
+// A tess file whose every cell was culled has no mean volume to default
+// the threshold to; the verb must say "0 cells", not print 0/0.
+func TestVoidsVerbZeroCells(t *testing.T) {
+	cfg := tess.NewPeriodicConfig(4)
+	cfg.GhostSize = 2
+	cfg.MinVolume = 1e9
+	cfg.OutputPath = filepath.Join(t.TempDir(), "empty.tess")
+	var ps []tess.Particle
+	for i := 0; i < 64; i++ {
+		ps = append(ps, tess.Particle{ID: int64(i),
+			Pos: tess.Vec3{X: float64(i%4) + 0.5, Y: float64(i/4%4) + 0.4, Z: float64(i/16) + 0.3}})
+	}
+	if _, err := tess.Run(cfg, ps, 2); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dispatch([]string{"voids", "-in", cfg.OutputPath}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"read 0 cells from",
+		"threshold defaulted to mean cell volume 0.000\n",
+		"0 cells survive threshold 0.000, forming 0 components\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // A missing verb means run: every invocation documented before the verbs
 // existed keeps working. Timings (and the imbalance ratios derived from
 // them) differ run to run; everything else must not.

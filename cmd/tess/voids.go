@@ -73,16 +73,10 @@ func voidsVerb(args []string, w io.Writer) error {
 		return nil
 	}
 
-	th := *minvol
-	if th <= 0 {
-		var sum float64
-		for _, c := range cells {
-			sum += c.Volume
-		}
-		th = sum / float64(len(cells))
+	comps, th := voids.Label(cells, *minvol)
+	if *minvol <= 0 {
 		fmt.Fprintf(w, "threshold defaulted to mean cell volume %.3f\n", th)
 	}
-	comps := tess.FindVoids(cells, th)
 	var surviving int
 	for _, c := range comps {
 		surviving += len(c.CellIDs)

@@ -8,10 +8,13 @@
 //	tesslint -run maporder ./...    # run a subset (comma-separated)
 //	tesslint -json ./...            # machine-readable findings (CI)
 //
-// Analyzers share one interprocedural Program per invocation, built over
-// the analyzed packages plus every module package they pull in through
-// imports — so escape summaries see helpers even when only a subset of
-// directories is being reported on.
+// The suite is six analyzers — aborterr, donesel, hotalloc, loanretain,
+// maporder, sendalias — each holding an invariant no compiler error or
+// test holds (DESIGN.md "Static invariants"). They share one
+// interprocedural Program per invocation, built over the analyzed
+// packages plus every module package they pull in through imports — so
+// escape summaries see helpers even when only a subset of directories is
+// being reported on.
 //
 // Diagnostics can be suppressed with a reasoned directive on the same
 // line or the line above:

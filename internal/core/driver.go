@@ -23,29 +23,6 @@ type Output struct {
 	Obs *obs.Snapshot
 }
 
-// labelVoids runs the in situ connected-component pass over the gathered
-// meshes.
-func (o *Output) labelVoids(threshold float64) {
-	var recs []voids.CellRecord
-	for bi, m := range o.Meshes {
-		if m == nil {
-			continue
-		}
-		recs = append(recs, voids.CellsFromMesh(m, bi)...)
-	}
-	if len(recs) == 0 {
-		return
-	}
-	if threshold <= 0 {
-		var sum float64
-		for _, r := range recs {
-			sum += r.Volume
-		}
-		threshold = sum / float64(len(recs))
-	}
-	o.Voids = voids.ConnectedComponents(voids.Threshold(recs, threshold))
-}
-
 // Run executes a complete parallel tessellation: it decomposes the domain
 // into numBlocks blocks, partitions the particles, spawns one rank per
 // block, and runs the tess pipeline collectively. It is the standalone-mode

@@ -13,6 +13,7 @@ import (
 	"repro/internal/meshio"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/voids"
 )
 
 // Names of the session warm-start counters in Config.Recorder (registered
@@ -290,7 +291,7 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 		return nil, err
 	}
 	if s.cfg.LabelVoids {
-		out.labelVoids(s.cfg.VoidThreshold)
+		out.Voids, _ = voids.LabelMeshes(out.Meshes, s.cfg.VoidThreshold)
 	}
 	if rec != nil {
 		out.Obs = rec.Snapshot()
@@ -366,7 +367,7 @@ func (s *Session) stage(src storage.Source) error {
 	}
 	s.installDecomposition(d)
 	s.rebalanceNow = false
-	s.parts = diy.PartitionParticlesInto(s.d, all, s.parts)
+	s.parts = diy.PartitionParticlesAppend(s.d, all, diy.ResetPartition(s.d, s.parts))
 	return nil
 }
 

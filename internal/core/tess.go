@@ -341,15 +341,17 @@ func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghost
 	rec := cfg.Recorder
 	cfg.injector.Checkpoint(rank, "compute")
 	t0 := time.Now()
-	sp := rec.Begin(rank, obs.PhaseGhostMerge)
+	// One variable per span: a dropped End is then an unused variable,
+	// which does not compile.
+	merge := rec.Begin(rank, obs.PhaseGhostMerge)
 	rs.mergeGhosts(block, local, ghosts, cfg)
-	rec.End(rank, sp)
-	sp = rec.Begin(rank, obs.PhaseCompute)
+	rec.End(rank, merge)
+	build := rec.Begin(rank, obs.PhaseCompute)
 	res, err := computeIndexedCells(&rs.bi, local, cfg, workers, &rs.cb)
 	if err != nil {
 		return nil, 0, err
 	}
-	rec.End(rank, sp)
+	rec.End(rank, build)
 	res.Rank = rank
 	elapsed := time.Since(t0)
 	countBlock(rec, rank, res)

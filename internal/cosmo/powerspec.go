@@ -135,9 +135,3 @@ func cicWindow(k, h float64) float64 {
 	s := math.Sin(k*h/2) / (k * h / 2)
 	return s * s
 }
-
-// ShotNoise returns the Poisson shot-noise level V/N expected for n
-// unclustered particles in a box of volume V.
-func ShotNoise(n int, boxSize float64) float64 {
-	return boxSize * boxSize * boxSize / float64(n)
-}

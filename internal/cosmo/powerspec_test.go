@@ -34,7 +34,7 @@ func TestPowerSpectrumShotNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ShotNoise(n, L)
+	want := L * L * L / float64(n)
 	for _, b := range pk {
 		if b.Modes < 10 {
 			continue

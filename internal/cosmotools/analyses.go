@@ -468,19 +468,7 @@ func (a *voidsAnalysis) Run(ctx *Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var recs []voids.CellRecord
-	for bi, m := range out.Meshes {
-		recs = append(recs, voids.CellsFromMesh(m, bi)...)
-	}
-	th := a.threshold
-	if th <= 0 {
-		var sum float64
-		for _, r := range recs {
-			sum += r.Volume
-		}
-		th = sum / float64(len(recs))
-	}
-	comps := voids.ConnectedComponents(voids.Threshold(recs, th))
+	comps, th := voids.LabelMeshes(out.Meshes, a.threshold)
 	a.snapshots = append(a.snapshots, voidSnapshot{step: ctx.Step, comps: comps})
 
 	largest := 0.0

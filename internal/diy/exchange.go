@@ -165,30 +165,11 @@ func PartitionParticles(d *Decomposition, particles []Particle) [][]Particle {
 	return out
 }
 
-// PartitionParticlesInto is PartitionParticles reusing the per-rank slices
-// of buf (as returned by a previous call; nil starts fresh), so a
-// persistent session partitions each step's particles without reallocating
-// the per-rank arrays once they have grown to the working-set size. The
-// partition content and order match PartitionParticles exactly.
-func PartitionParticlesInto(d *Decomposition, particles []Particle, buf [][]Particle) [][]Particle {
-	n := d.NumBlocks()
-	if cap(buf) < n {
-		buf = append(buf[:cap(buf)], make([][]Particle, n-cap(buf))...)
-	}
-	buf = buf[:n]
-	for r := range buf {
-		buf[r] = buf[r][:0]
-	}
-	for _, p := range particles {
-		r := d.Locate(p.Pos)
-		buf[r] = append(buf[r], p)
-	}
-	return buf
-}
-
 // ResetPartition returns buf resized to d.NumBlocks() ranks with every
-// per-rank slice emptied (capacity retained), ready for chunk-wise
-// PartitionParticlesAppend calls.
+// per-rank slice emptied (capacity retained; nil starts fresh), ready for
+// PartitionParticlesAppend calls: a persistent session partitions each
+// step's particles without reallocating the per-rank arrays once they have
+// grown to the working-set size.
 func ResetPartition(d *Decomposition, buf [][]Particle) [][]Particle {
 	n := d.NumBlocks()
 	if cap(buf) < n {

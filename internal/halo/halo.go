@@ -197,54 +197,3 @@ func summarize(pos []geom.Vec3, members []int, L float64) Halo {
 		Radius:  math.Sqrt(r2 / float64(len(members))),
 	}
 }
-
-// MassFunction bins halo masses into a cumulative count N(>M), the
-// standard summary statistic for halo populations.
-func MassFunction(halos []Halo, massBins []int) []int {
-	out := make([]int, len(massBins))
-	for i, m := range massBins {
-		for _, h := range halos {
-			if h.Mass() >= m {
-				out[i]++
-			}
-		}
-	}
-	return out
-}
-
-// SORadius returns the spherical-overdensity radius of a halo: the radius
-// around the FOF center enclosing a mean density of `overdensity` times the
-// box's mean particle density (the conventional R200 uses overdensity 200).
-// It returns 0 when even the innermost particle exceeds the target density
-// shell, which does not occur for genuine halos.
-func SORadius(pos []geom.Vec3, h *Halo, boxSize, overdensity float64) float64 {
-	meanDensity := float64(len(pos)) / (boxSize * boxSize * boxSize)
-	target := overdensity * meanDensity
-
-	// Distances of all particles (not just FOF members: SO masses include
-	// the diffuse envelope) from the halo center, minimum image.
-	dists := make([]float64, 0, len(pos))
-	// Limit to a generous search radius to avoid sorting the whole box.
-	maxR := boxSize / 4
-	for _, p := range pos {
-		d := cosmo.MinImage(h.Center, p, boxSize).Norm()
-		if d <= maxR {
-			dists = append(dists, d)
-		}
-	}
-	sort.Float64s(dists)
-
-	// Walk outward: enclosed density n(<r) / (4/3 pi r^3) falls below the
-	// target at the SO radius.
-	best := 0.0
-	for i, r := range dists {
-		if r == 0 {
-			continue
-		}
-		enclosed := float64(i+1) / (4 * math.Pi / 3 * r * r * r)
-		if enclosed >= target {
-			best = r
-		}
-	}
-	return best
-}

@@ -176,60 +176,3 @@ func TestDeterministicAcrossOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestMassFunction(t *testing.T) {
-	halos := []Halo{
-		{Members: make([]int, 100)},
-		{Members: make([]int, 50)},
-		{Members: make([]int, 20)},
-	}
-	got := MassFunction(halos, []int{10, 30, 60, 200})
-	want := []int{3, 2, 1, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("N(>%d) = %d, want %d", []int{10, 30, 60, 200}[i], got[i], want[i])
-		}
-	}
-}
-
-func TestSORadius(t *testing.T) {
-	// A dense Gaussian clump in a sparse background: the SO radius at
-	// overdensity 200 encloses most of the clump and far exceeds zero.
-	rng := rand.New(rand.NewSource(133))
-	const L = 20.0
-	pos := cluster(rng, geom.V(10, 10, 10), 200, 0.3, L)
-	for i := 0; i < 200; i++ {
-		pos = append(pos, geom.V(rng.Float64()*L, rng.Float64()*L, rng.Float64()*L))
-	}
-	halos, err := Find(pos, Config{BoxSize: L, LinkingLength: 0.5, MinMembers: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(halos) == 0 {
-		t.Fatal("no halo found")
-	}
-	r := SORadius(pos, &halos[0], L, 200)
-	if r <= 0 {
-		t.Fatal("SO radius is zero for a dense clump")
-	}
-	if r > 5 {
-		t.Errorf("SO radius %v implausibly large", r)
-	}
-	// Enclosed density at r is at least the target.
-	n := 0
-	for _, p := range pos {
-		if cosmo.MinImage(halos[0].Center, p, L).Norm() <= r {
-			n++
-		}
-	}
-	mean := float64(len(pos)) / (L * L * L)
-	enclosed := float64(n) / (4 * math.Pi / 3 * r * r * r)
-	if enclosed < 200*mean*0.9 {
-		t.Errorf("enclosed density %v below 200x mean %v", enclosed, 200*mean)
-	}
-	// Higher overdensity -> smaller radius.
-	r500 := SORadius(pos, &halos[0], L, 500)
-	if r500 > r {
-		t.Errorf("R500 %v > R200 %v", r500, r)
-	}
-}

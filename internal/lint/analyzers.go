@@ -3,8 +3,7 @@ package lint
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AbortErr, DoneSel, HotAlloc, LoanRetain, MapOrder,
-		PhasePair, ScratchRetain, SendAlias,
+		AbortErr, DoneSel, HotAlloc, LoanRetain, MapOrder, SendAlias,
 	}
 }
 

@@ -60,14 +60,11 @@ func isCommWorld(t types.Type) bool {
 		n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == commPath
 }
 
-// worldMethodCall returns the method name when call is a method call on a
+// worldMethodOf returns the method name when call is a method call on a
 // comm.World value ("" otherwise).
-func worldMethodCall(p *Pass, call *ast.CallExpr) string {
+func worldMethodOf(pkg *Package, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if !isCommWorld(p.TypeOf(sel.X)) {
+	if !ok || !isCommWorld(pkg.Info.TypeOf(sel.X)) {
 		return ""
 	}
 	return sel.Sel.Name
@@ -136,15 +133,11 @@ func hasReferenceDepth(t types.Type, depth int) bool {
 type funcScope struct {
 	body *ast.BlockStmt
 	// decl is the declaration when the scope is a FuncDecl (nil for
-	// function literals) — analyzers use it to consult interprocedural
-	// summaries and doc markers.
+	// function literals).
 	decl *ast.FuncDecl
 	// params holds receiver, parameter, and named-result objects: memory
 	// the caller provided or will observe.
 	params map[types.Object]bool
-	// results holds just the named-result objects, which a bare return
-	// publishes.
-	results map[types.Object]bool
 }
 
 func funcScopes(p *Pass, file *ast.File) []funcScope {
@@ -162,11 +155,10 @@ func funcScopes(p *Pass, file *ast.File) []funcScope {
 		}
 	}
 	scope := func(recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) funcScope {
-		fs := funcScope{body: body, params: map[types.Object]bool{}, results: map[types.Object]bool{}}
+		fs := funcScope{body: body, params: map[types.Object]bool{}}
 		add(fs.params, recv)
 		add(fs.params, typ.Params)
 		add(fs.params, typ.Results)
-		add(fs.results, typ.Results)
 		return fs
 	}
 	ast.Inspect(file, func(n ast.Node) bool {

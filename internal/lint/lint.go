@@ -3,17 +3,19 @@
 // dependency). It exists to mechanize the invariants the paper's
 // correctness story rests on — distributed-memory rank isolation,
 // bit-identical deterministic output, and allocation-free hot paths —
-// which until now were enforced only by doc comments and tests that
-// cannot see new code.
+// where doc comments and tests cannot see new code.
 //
 // The framework has three parts: a Loader that parses and type-checks
 // every package of the module from source (stdlib imports are resolved by
 // the compiler's source importer), a small Analyzer/Pass API mirroring
 // the shape of go/analysis, and a Run driver that applies suppression
-// directives and returns position-sorted diagnostics. The repo-specific
-// analyzers live alongside the framework: sendalias, maporder, hotalloc,
-// and scratchretain (see their Doc strings and DESIGN.md's "Static
-// invariants" section).
+// directives and returns position-sorted diagnostics. The six
+// repo-specific analyzers live alongside the framework — aborterr,
+// donesel, hotalloc, loanretain, maporder and sendalias — each guarding an
+// invariant that no compiler error or test holds (see their Doc strings
+// and the table in DESIGN.md's "Static invariants" section). Two of them,
+// loanretain and sendalias, read an interprocedural Program whose one
+// taint engine (Program.trace, summary.go) computes every escape fact.
 //
 // Diagnostics may be suppressed with a directive comment on the same
 // line or the line directly above:

@@ -80,21 +80,17 @@ func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
 	}
 }
 
-func TestSendAliasFixture(t *testing.T) { checkFixture(t, "sendalias", []*Analyzer{SendAlias}) }
-func TestMapOrderFixture(t *testing.T)  { checkFixture(t, "maporder", []*Analyzer{MapOrder}) }
-func TestHotAllocFixture(t *testing.T)  { checkFixture(t, "hotalloc", []*Analyzer{HotAlloc}) }
-func TestScratchRetainFixture(t *testing.T) {
-	checkFixture(t, "scratchretain", []*Analyzer{ScratchRetain})
-}
+func TestSendAliasFixture(t *testing.T)  { checkFixture(t, "sendalias", []*Analyzer{SendAlias}) }
+func TestMapOrderFixture(t *testing.T)   { checkFixture(t, "maporder", []*Analyzer{MapOrder}) }
+func TestHotAllocFixture(t *testing.T)   { checkFixture(t, "hotalloc", []*Analyzer{HotAlloc}) }
 func TestLoanRetainFixture(t *testing.T) { checkFixture(t, "loanretain", []*Analyzer{LoanRetain}) }
 func TestAbortErrFixture(t *testing.T)   { checkFixture(t, "aborterr", []*Analyzer{AbortErr}) }
 func TestDoneSelFixture(t *testing.T)    { checkFixture(t, "donesel", []*Analyzer{DoneSel}) }
-func TestPhasePairFixture(t *testing.T)  { checkFixture(t, "phasepair", []*Analyzer{PhasePair}) }
 
-// TestInterprocFixture drives scratchretain and sendalias over leaks that
+// TestInterprocFixture drives loanretain and sendalias over leaks that
 // escape exclusively through helper calls.
 func TestInterprocFixture(t *testing.T) {
-	checkFixture(t, "interproc", []*Analyzer{ScratchRetain, SendAlias})
+	checkFixture(t, "interproc", []*Analyzer{LoanRetain, SendAlias})
 }
 
 // TestInterprocRegression pins the tentpole claim: every finding in the
@@ -108,7 +104,7 @@ func TestInterprocRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers := []*Analyzer{ScratchRetain, SendAlias}
+	analyzers := []*Analyzer{LoanRetain, SendAlias}
 	if diags := RunProgram(BuildProgram(nil), []*Package{pkg}, analyzers); len(diags) != 0 {
 		t.Errorf("function-local pass (empty Program) reported findings, so the fixture is not purely interprocedural: %v", diags)
 	}
@@ -183,6 +179,13 @@ func TestRealModuleClean(t *testing.T) {
 	}
 	if len(pkgs) < 15 {
 		t.Fatalf("LoadAll found only %d packages; module walk is broken", len(pkgs))
+	}
+	seen := map[string]bool{}
+	for _, pkg := range pkgs {
+		if seen[pkg.Path] {
+			t.Errorf("LoadAll returned %s twice; its findings would be reported twice", pkg.Path)
+		}
+		seen[pkg.Path] = true
 	}
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d.String())

@@ -71,9 +71,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	return l, nil
 }
 
-// ModuleDir returns the absolute module root.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
 // modulePathOf extracts the module path from a go.mod file.
 func modulePathOf(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
@@ -155,8 +152,9 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return nil
 		}
 		if strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
-			dir := filepath.Dir(p)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			// The walk interleaves a directory's files with its
+			// subdirectories, so a directory can come up more than once.
+			if dir := filepath.Dir(p); !slices.Contains(dirs, dir) {
 				dirs = append(dirs, dir)
 			}
 		}

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -11,8 +10,8 @@ import (
 // Run: the set of loaded packages, a call graph keyed by *types.Func over
 // every module function with a body, per-function escape/retain/send
 // summaries (see Summary), and the module-wide directive-marker indexes
-// (//tess:loaned functions, //tess:scratchowner types, //tess:abortable
-// packages, module error sentinels and structured error types).
+// (//tess:loaned functions, //tess:abortable packages, module error
+// sentinels and structured error types).
 //
 // Packages outside the built Program — the standard library, and module
 // packages not loaded into this Run — contribute no summaries; calls into
@@ -21,7 +20,6 @@ import (
 // gate and the CLI default therefore build the Program over the whole
 // module, so every helper a value can escape through is summarized.
 type Program struct {
-	pkgs   []*Package
 	byPath map[string]*Package
 
 	// order lists every module function with a body, in deterministic
@@ -34,10 +32,6 @@ type Program struct {
 	// loaned marks functions whose doc carries //tess:loaned: their
 	// results are borrowed storage, overwritten by the provider later.
 	loaned map[*types.Func]bool
-	// scratchOwners marks types whose declaration doc carries
-	// //tess:scratchowner: sanctioned holders of scratch-lifetime
-	// references.
-	scratchOwners map[types.Object]bool
 
 	// sentinels are package-level error-typed variables named Err*;
 	// errTypes are named types ending in "Error" that implement error.
@@ -57,20 +51,18 @@ type funcInfo struct {
 // about functions outside it default to the ownership convention.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		byPath:        map[string]*Package{},
-		info:          map[*types.Func]*funcInfo{},
-		summaries:     map[*types.Func]*Summary{},
-		loaned:        map[*types.Func]bool{},
-		scratchOwners: map[types.Object]bool{},
-		sentinels:     map[types.Object]bool{},
-		errTypes:      map[types.Object]bool{},
+		byPath:    map[string]*Package{},
+		info:      map[*types.Func]*funcInfo{},
+		summaries: map[*types.Func]*Summary{},
+		loaned:    map[*types.Func]bool{},
+		sentinels: map[types.Object]bool{},
+		errTypes:  map[types.Object]bool{},
 	}
 	for _, pkg := range pkgs {
 		if _, ok := prog.byPath[pkg.Path]; ok {
 			continue
 		}
 		prog.byPath[pkg.Path] = pkg
-		prog.pkgs = append(prog.pkgs, pkg)
 		prog.indexPackage(pkg)
 	}
 	prog.computeSummaries()
@@ -81,32 +73,18 @@ func BuildProgram(pkgs []*Package) *Program {
 func (prog *Program) indexPackage(pkg *Package) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				prog.order = append(prog.order, fn)
-				prog.info[fn] = &funcInfo{pkg: pkg, decl: d}
-				if docHasMarker(d.Doc, loanedMarker) {
-					prog.loaned[fn] = true
-				}
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range d.Specs {
-					ts := spec.(*ast.TypeSpec)
-					if docHasMarker(d.Doc, scratchOwnerMarker) || docHasMarker(ts.Doc, scratchOwnerMarker) {
-						if obj := pkg.Info.Defs[ts.Name]; obj != nil {
-							prog.scratchOwners[obj] = true
-						}
-					}
-				}
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok || d.Body == nil {
+				continue
+			}
+			fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			prog.order = append(prog.order, fn)
+			prog.info[fn] = &funcInfo{pkg: pkg, decl: d}
+			if docHasMarker(d.Doc, loanedMarker) {
+				prog.loaned[fn] = true
 			}
 		}
 	}
@@ -133,9 +111,6 @@ const (
 	// loanedMarker marks a function whose results are loans: storage owned
 	// and later overwritten by the provider (Session.Step's Output).
 	loanedMarker = "//tess:loaned"
-	// scratchOwnerMarker marks a type sanctioned to hold scratch-lifetime
-	// references (see ScratchRetain).
-	scratchOwnerMarker = "//tess:scratchowner"
 	// abortableMarker opts a package into the donesel analyzer: its
 	// blocking channel operations must remain abortable.
 	abortableMarker = "//tess:abortable"

@@ -134,35 +134,6 @@ func localOnly(v []int) int {
 	}
 }
 
-func TestSummaryScratchSanctioned(t *testing.T) {
-	prog := BuildProgram([]*Package{syntheticPkg(t, `
-package synth
-
-type Scratch struct{ buf []int }
-
-//tess:scratchowner
-type pool struct{ cur []int }
-
-type plain struct{ cur []int }
-
-func intoScratch(s *Scratch, v []int) { s.buf = v }
-
-func intoOwner(p *pool, v []int) { p.cur = v }
-
-func intoPlain(p *plain, v []int) { p.cur = v }
-`)})
-	for _, name := range []string{"intoScratch", "intoOwner"} {
-		f := flowsOf(t, prog, name)[1]
-		if !f.RetainedScratch || f.Retained {
-			t.Errorf("%s: RetainedScratch=%v Retained=%v, want sanctioned-only retention",
-				name, f.RetainedScratch, f.Retained)
-		}
-	}
-	if f := flowsOf(t, prog, "intoPlain")[1]; !f.Retained {
-		t.Error("intoPlain: unsanctioned field store not Retained")
-	}
-}
-
 func TestSummaryRecursion(t *testing.T) {
 	prog := BuildProgram([]*Package{syntheticPkg(t, `
 package synth

@@ -60,7 +60,7 @@ func checkSendsInScope(p *Pass, fs funcScope) {
 		if !ok {
 			return true
 		}
-		m := worldMethodCall(p, call)
+		m := worldMethodOf(p.Pkg, call)
 		idx, ok := sendPayloadIndex[m]
 		if !ok || len(call.Args) <= idx {
 			return true

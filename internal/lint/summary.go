@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -32,11 +31,6 @@ type ParamFlow struct {
 	// the call — a package-level variable, a field of caller-visible
 	// memory, a raw channel — directly or via a callee.
 	Retained bool
-	// RetainedScratch: like Retained, but every retention site is
-	// sanctioned scratch storage (a Scratch or a //tess:scratchowner
-	// type). ScratchRetain accepts these; LoanRetain does not
-	// distinguish.
-	RetainedScratch bool
 	// Sent: the parameter's memory flows into a comm point-to-point send
 	// payload, directly or via a callee.
 	Sent bool
@@ -73,8 +67,7 @@ func flowsEqual(a, b []ParamFlow) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].ReturnsAlias != b[i].ReturnsAlias || a[i].Retained != b[i].Retained ||
-			a[i].RetainedScratch != b[i].RetainedScratch || a[i].Sent != b[i].Sent {
+		if a[i].ReturnsAlias != b[i].ReturnsAlias || a[i].Retained != b[i].Retained || a[i].Sent != b[i].Sent {
 			return false
 		}
 	}
@@ -86,10 +79,9 @@ func flowsEqual(a, b []ParamFlow) bool {
 // (false -> true only), so the fixpoint exists and is order-independent.
 func (prog *Program) computeSummaries() {
 	for _, fn := range prog.order {
-		prog.summaries[fn] = &Summary{
-			Params: paramObjects(prog.info[fn]),
-		}
-		prog.summaries[fn].Flows = make([]ParamFlow, len(prog.summaries[fn].Params))
+		fi := prog.info[fn]
+		params := paramObjects(fi.pkg, fi.decl)
+		prog.summaries[fn] = &Summary{Params: params, Flows: make([]ParamFlow, len(params))}
 	}
 	for changed := true; changed; {
 		changed = false
@@ -103,7 +95,7 @@ func (prog *Program) computeSummaries() {
 
 // paramObjects flattens receiver + parameters into their declared objects
 // (nil for unnamed/blank entries, which keep their positional slot).
-func paramObjects(fi *funcInfo) []types.Object {
+func paramObjects(pkg *Package, decl *ast.FuncDecl) []types.Object {
 	var out []types.Object
 	add := func(fl *ast.FieldList) {
 		if fl == nil {
@@ -119,179 +111,232 @@ func paramObjects(fi *funcInfo) []types.Object {
 					out = append(out, nil)
 					continue
 				}
-				out = append(out, fi.pkg.Info.Defs[name])
+				out = append(out, pkg.Info.Defs[name])
 			}
 		}
 	}
-	add(fi.decl.Recv)
-	add(fi.decl.Type.Params)
+	add(decl.Recv)
+	add(decl.Type.Params)
 	return out
 }
 
-// summaryCtx is the per-function state of one summarize pass.
-type summaryCtx struct {
-	prog *Program
-	pkg  *Package
-	fn   *types.Func
-	bind map[types.Object]boundFunc
-	// masks maps each object to the set of parameters (bit i = param i)
-	// whose memory it may reach.
-	masks map[types.Object]uint64
-	flows []ParamFlow
+// summarizeFunc recomputes fn's flows from one trace of its body and
+// reports whether any flag changed.
+func (prog *Program) summarizeFunc(fn *types.Func) bool {
+	fi, sum := prog.info[fn], prog.summaries[fn]
+	flows := make([]ParamFlow, len(sum.Params))
+	prog.trace(fi.pkg, fi.decl, func(e escape) {
+		for i := range flows {
+			if e.mask&(1<<i) == 0 {
+				continue
+			}
+			f := &flows[i]
+			switch e.kind {
+			case escReturn:
+				// A closure's return is not the function's own.
+				f.ReturnsAlias = f.ReturnsAlias || !e.inLit
+			case escCommSend, escCallSent:
+				if !f.Sent {
+					f.Sent, f.SentNote = true, e.witness()
+				}
+			default:
+				if !f.Retained {
+					f.Retained, f.RetainNote = true, e.witness()
+				}
+			}
+		}
+	})
+	if flowsEqual(sum.Flows, flows) {
+		return false
+	}
+	sum.Flows = flows
+	return true
 }
 
-func (prog *Program) summarizeFunc(fn *types.Func) bool {
-	fi := prog.info[fn]
-	sum := prog.summaries[fn]
-	sc := &summaryCtx{
-		prog:  prog,
-		pkg:   fi.pkg,
-		fn:    fn,
-		bind:  funcBindings(fi.pkg, fi.decl.Body),
-		masks: map[types.Object]uint64{},
-		flows: make([]ParamFlow, len(sum.Params)),
+// escapeKind names the ways traced memory leaves a function.
+type escapeKind int
+
+const (
+	escReturn       escapeKind = iota // returned (name set for a bare return's named result)
+	escGlobal                         // assigned to the package-level variable name
+	escStore                          // stored through name, a holder the caller observes
+	escChan                           // sent on a raw channel
+	escCallRetained                   // passed to callee name, whose summary retains it (note)
+	escCallSent                       // passed to callee name, whose summary sends it (note)
+	escCommSend                       // a comm point-to-point payload
+)
+
+// escape is one sink event of a trace: the sources in mask reach a place
+// that outlives the call.
+type escape struct {
+	kind escapeKind
+	pos  token.Pos
+	mask uint64
+	// name is the global, holder root, named result or callee involved;
+	// note is the callee's own witness for the escCall kinds.
+	name, note string
+	// inLit marks a return statement of a nested function literal.
+	inLit bool
+}
+
+// witness phrases the event as a ParamFlow note.
+func (e escape) witness() string {
+	switch e.kind {
+	case escGlobal:
+		return "stored in package-level " + e.name
+	case escStore:
+		return "stored through " + e.name
+	case escChan:
+		return "sent on a channel"
+	case escCallRetained:
+		return "retained by " + e.name
+	case escCallSent:
+		return "sent by " + e.name
+	case escCommSend:
+		return "as a comm payload"
 	}
-	for i, obj := range sum.Params {
-		if i >= 64 {
-			break
-		}
-		if obj != nil && obj.Type() != nil && hasReference(obj.Type()) {
+	return ""
+}
+
+// loanBit is the one source that is not a parameter: the result of a
+// //tess:loaned call. It rides the same masks as the parameter bits (bit
+// i = parameter i, so 63 parameters are tracked) and a Clone call clears
+// it.
+const loanBit uint64 = 1 << 63
+
+// summaryCtx is the taint engine: the state of one trace of one function
+// body. It is the only alias walk in the package — the summaries read the
+// parameter bits of what it reports, loanretain reads the loan bit.
+type summaryCtx struct {
+	prog   *Program
+	pkg    *Package
+	params []types.Object
+	bind   map[types.Object]boundFunc
+	// masks maps each object to the set of sources whose memory it may
+	// reach.
+	masks map[types.Object]uint64
+	sink  func(escape)
+}
+
+// trace seeds decl's reference-carrying parameters, propagates the source
+// masks through the body to a fixpoint, and calls sink once per site where
+// a non-empty mask escapes. decl need not belong to the Program; calls
+// resolve only to functions that do.
+func (prog *Program) trace(pkg *Package, decl *ast.FuncDecl, sink func(escape)) {
+	sc := &summaryCtx{
+		prog:   prog,
+		pkg:    pkg,
+		params: paramObjects(pkg, decl),
+		bind:   funcBindings(pkg, decl.Body),
+		masks:  map[types.Object]uint64{},
+		sink:   sink,
+	}
+	for i, obj := range sc.params {
+		if i < 63 && obj != nil && obj.Type() != nil && hasReference(obj.Type()) {
 			sc.masks[obj] = 1 << i
 		}
 	}
-	body := fi.decl.Body
+	body := decl.Body
 
-	// Local alias fixpoint: propagate parameter masks through
-	// assignments, declarations, range bindings, and container stores.
-	// Closure bodies participate (a closure that leaks a captured
-	// parameter leaks it for the function).
+	// Local alias fixpoint: propagate masks through assignments,
+	// declarations, range bindings, and container stores. Closure bodies
+	// participate (a closure that leaks a captured parameter, or parks a
+	// loan in a captured accumulator, does so for the function).
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range st.Lhs {
-					var rhs ast.Expr
-					if len(st.Rhs) == len(st.Lhs) {
-						rhs = st.Rhs[i]
-					}
-					if rhs == nil {
-						continue
-					}
-					if sc.bindMask(lhs, sc.mask(rhs)) {
+					if rhs := sc.assigned(st, i); rhs != nil && sc.bindMask(lhs, sc.mask(rhs)) {
 						changed = true
 					}
 				}
 			case *ast.ValueSpec:
 				for i, name := range st.Names {
-					if i < len(st.Values) {
-						if sc.bindIdentMask(name, sc.mask(st.Values[i])) {
-							changed = true
-						}
+					if i < len(st.Values) && sc.bindIdentMask(name, sc.mask(st.Values[i])) {
+						changed = true
 					}
 				}
 			case *ast.RangeStmt:
-				if v, ok := st.Value.(*ast.Ident); ok && v.Name != "_" {
-					if sc.refTyped(v) {
-						if sc.bindIdentMask(v, sc.mask(st.X)) {
-							changed = true
-						}
-					}
+				if v, ok := st.Value.(*ast.Ident); ok && sc.refTyped(v) && sc.bindIdentMask(v, sc.mask(st.X)) {
+					changed = true
 				}
 			}
 			return true
 		})
 	}
 
-	// Flow detection over the stabilized masks.
+	// Escape detection over the stabilized masks.
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range st.Lhs {
-				var rhs ast.Expr
-				if len(st.Rhs) == len(st.Lhs) {
-					rhs = st.Rhs[i]
-				}
-				if rhs != nil {
-					sc.checkStore(lhs, rhs)
+				if rhs := sc.assigned(st, i); rhs != nil {
+					sc.checkStore(st.Pos(), lhs, rhs)
 				}
 			}
 		case *ast.SendStmt:
-			if m := sc.mask(st.Value); m != 0 {
-				sc.retain(m, false, "sent on a channel")
+			if sc.refTyped(st.Value) {
+				sc.emit(escape{kind: escChan, pos: st.Pos(), mask: sc.mask(st.Value)})
 			}
 		case *ast.CallExpr:
 			sc.checkCall(st)
 		}
 		return true
 	})
-	// Returns of the function itself: shallow walk, so a closure's return
-	// statements do not count as the outer function's.
-	inspectShallow(body, func(n ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
+	sc.checkReturns(body, decl.Type.Results, false)
+}
+
+// assigned returns the expression whose value lands in st.Lhs[i]: the
+// matching right-hand side, or the one multi-value call for each of its
+// reference-carrying results (out, err := sess.Step(...) — an error
+// carries no alias by convention).
+func (sc *summaryCtx) assigned(st *ast.AssignStmt, i int) ast.Expr {
+	if len(st.Rhs) == len(st.Lhs) {
+		return st.Rhs[i]
+	}
+	if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
+		if t := sc.pkg.Info.TypeOf(st.Lhs[i]); t != nil && hasReference(t) && !isErrorType(t) {
+			return call
 		}
-		if len(ret.Results) == 0 {
-			// Bare return publishes the named results.
-			if res := fi.decl.Type.Results; res != nil {
-				for _, f := range res.List {
-					for _, name := range f.Names {
-						if m := sc.masks[fi.pkg.Info.Defs[name]]; m != 0 {
-							sc.returnsAlias(m)
-						}
-					}
+	}
+	return nil
+}
+
+func (sc *summaryCtx) emit(e escape) {
+	if e.mask != 0 {
+		sc.sink(e)
+	}
+}
+
+// checkReturns reports what the return statements of body publish. Nested
+// function literals are walked with inLit set, so their returns can be
+// told from the traced function's own.
+func (sc *summaryCtx) checkReturns(body *ast.BlockStmt, results *ast.FieldList, inLit bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.FuncLit:
+			sc.checkReturns(st.Body, st.Type.Results, true)
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range st.Results {
+				if sc.refTyped(r) {
+					sc.emit(escape{kind: escReturn, pos: st.Pos(), mask: sc.mask(r), inLit: inLit})
 				}
 			}
-			return true
-		}
-		for _, r := range ret.Results {
-			if sc.refTyped(r) {
-				sc.returnsAlias(sc.mask(r))
+			if len(st.Results) == 0 && results != nil {
+				// Bare return publishes the named results.
+				for _, f := range results.List {
+					for _, name := range f.Names {
+						sc.emit(escape{kind: escReturn, pos: st.Pos(), mask: sc.masks[sc.pkg.Info.Defs[name]],
+							name: name.Name, inLit: inLit})
+					}
+				}
 			}
 		}
 		return true
 	})
-
-	if flowsEqual(sum.Flows, sc.flows) {
-		return false
-	}
-	sum.Flows = sc.flows
-	return true
-}
-
-func (sc *summaryCtx) returnsAlias(m uint64) {
-	for i := range sc.flows {
-		if m&(1<<i) != 0 {
-			sc.flows[i].ReturnsAlias = true
-		}
-	}
-}
-
-// retain records that the parameters in m escape into long-lived storage;
-// scratchOK marks a sanctioned scratch retention site.
-func (sc *summaryCtx) retain(m uint64, scratchOK bool, note string) {
-	for i := range sc.flows {
-		if m&(1<<i) == 0 {
-			continue
-		}
-		f := &sc.flows[i]
-		if scratchOK {
-			f.RetainedScratch = true
-		} else if !f.Retained {
-			f.Retained = true
-			f.RetainNote = note
-		}
-	}
-}
-
-func (sc *summaryCtx) sent(m uint64, note string) {
-	for i := range sc.flows {
-		if m&(1<<i) != 0 && !sc.flows[i].Sent {
-			sc.flows[i].Sent = true
-			sc.flows[i].SentNote = note
-		}
-	}
 }
 
 func (sc *summaryCtx) refTyped(e ast.Expr) bool {
@@ -302,7 +347,7 @@ func (sc *summaryCtx) refTyped(e ast.Expr) bool {
 // bindMask propagates an assignment's mask into its target: identifiers
 // accumulate directly; stores through fields/indexes of a local taint the
 // local (coarse container tainting, so `x.f = p; return x` is seen).
-// Stores into escaping holders are flow findings, handled by checkStore.
+// Stores into escaping holders are escapes, handled by checkStore.
 func (sc *summaryCtx) bindMask(lhs ast.Expr, m uint64) bool {
 	if m == 0 {
 		return false
@@ -353,126 +398,67 @@ func (sc *summaryCtx) isEscapingHolder(obj types.Object) bool {
 	}
 	// Parameters hold their own bit; writing through them lands in memory
 	// the caller (or the receiver's owner) observes.
-	for i, p := range sc.prog.summaries[sc.fn].Params {
-		if p == obj && i < 64 && sc.masks[obj]&(1<<i) != 0 {
+	for i, p := range sc.params {
+		if p == obj && i < 63 && sc.masks[obj]&(1<<i) != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// checkStore records retention flows for stores whose target outlives the
-// call.
-func (sc *summaryCtx) checkStore(lhs, rhs ast.Expr) {
-	m := sc.mask(rhs)
-	if m == 0 || !sc.refTyped(rhs) {
+// checkStore reports stores whose target outlives the call.
+func (sc *summaryCtx) checkStore(pos token.Pos, lhs, rhs ast.Expr) {
+	root := rootIdent(lhs)
+	if root == nil || !sc.refTyped(rhs) {
 		return
 	}
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		obj := objOf(sc.pkg, x)
-		if v, ok := obj.(*types.Var); ok && v.Parent() == sc.pkg.Types.Scope() {
-			sc.retain(m, false, fmt.Sprintf("stored in package-level %s", x.Name))
-		}
-	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		root := rootIdent(lhs)
-		if root == nil {
-			return
-		}
-		obj := objOf(sc.pkg, root)
-		if obj == nil || !sc.isEscapingHolder(obj) {
-			return
-		}
-		base := baseOf(lhs)
-		scratchOK := sc.scratchSanctioned(base)
-		sc.retain(m, scratchOK, fmt.Sprintf("stored through %s", root.Name))
+	obj := objOf(sc.pkg, root)
+	if obj == nil || !sc.isEscapingHolder(obj) {
+		return
 	}
+	kind := escStore
+	if _, plain := ast.Unparen(lhs).(*ast.Ident); plain {
+		if obj.Parent() != sc.pkg.Types.Scope() {
+			return // a reassigned parameter: the caller's copy is untouched
+		}
+		kind = escGlobal
+	}
+	sc.emit(escape{kind: kind, pos: pos, mask: sc.mask(rhs), name: root.Name})
 }
 
-// baseOf returns the holder expression of a store target: x.f -> x,
-// x[i] -> x, *p -> p.
-func baseOf(lhs ast.Expr) ast.Expr {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		return x.X
-	case *ast.IndexExpr:
-		return x.X
-	case *ast.StarExpr:
-		return x.X
-	}
-	return lhs
-}
-
-// scratchSanctioned reports whether the holder chain passes a Scratch or
-// a //tess:scratchowner-marked type.
-func (sc *summaryCtx) scratchSanctioned(base ast.Expr) bool {
-	for {
-		base = ast.Unparen(base)
-		if t := sc.pkg.Info.TypeOf(base); t != nil {
-			if isScratchType(t) {
-				return true
-			}
-			if n := namedType(t); n != nil && sc.prog.scratchOwners[n.Obj()] {
-				return true
-			}
-		}
-		switch x := base.(type) {
-		case *ast.SelectorExpr:
-			base = x.X
-		case *ast.IndexExpr:
-			base = x.X
-		case *ast.StarExpr:
-			base = x.X
-		default:
-			return false
-		}
-	}
-}
-
-// checkCall applies callee flows to the call's arguments: passing tainted
-// memory to a retaining/sending callee taints this function's summary
-// transitively. Point-to-point comm sends are recognized structurally, so
-// the fact holds even when the comm package is outside the Program.
+// checkCall applies callee flows to the call's arguments: passing traced
+// memory to a retaining/sending callee is an escape of this function too.
+// Point-to-point comm sends are recognized structurally, so the fact holds
+// even when the comm package is outside the Program.
 func (sc *summaryCtx) checkCall(call *ast.CallExpr) {
 	if idx, ok := sendPayloadIndex[worldMethodOf(sc.pkg, call)]; ok && idx < len(call.Args) {
-		if m := sc.mask(call.Args[idx]); m != 0 {
-			sc.sent(m, "as a comm payload")
-		}
+		sc.emit(escape{kind: escCommSend, pos: call.Pos(), mask: sc.mask(call.Args[idx])})
 	}
 	callee, args := sc.prog.callTarget(sc.pkg, call, sc.bind)
 	if callee == nil {
 		return
 	}
 	flows := sc.prog.summaries[callee].Flows
-	if len(flows) == 0 {
-		return
+	keep := ^uint64(0)
+	if isCloneCall(call) {
+		keep = ^loanBit // Clone reads the loan; that is its job
 	}
 	for i, arg := range args {
-		m := sc.mask(arg)
-		if m == 0 {
-			continue
-		}
-		fi := i
-		if fi >= len(flows) {
-			fi = len(flows) - 1 // variadic tail
-		}
-		f := flows[fi]
+		m := sc.mask(arg) & keep
+		f := flowAt(flows, i)
 		if f.Retained {
-			sc.retain(m, false, fmt.Sprintf("retained by %s", callee.Name()))
-		}
-		if f.RetainedScratch {
-			sc.retain(m, true, "")
+			sc.emit(escape{kind: escCallRetained, pos: call.Pos(), mask: m, name: callee.Name(), note: f.RetainNote})
 		}
 		if f.Sent {
-			sc.sent(m, fmt.Sprintf("sent by %s", callee.Name()))
+			sc.emit(escape{kind: escCallSent, pos: call.Pos(), mask: m, name: callee.Name(), note: f.SentNote})
 		}
 	}
 }
 
-// mask computes the parameter set reachable from e. Reads of
-// reference-free values (s.len, b[0] of a []float64) contribute nothing;
-// taking an address bypasses that gate, because &x.f aliases x's memory
-// whatever f's type is.
+// mask computes the source set reachable from e. Reads of reference-free
+// values (s.len, b[0] of a []float64) contribute nothing; taking an
+// address bypasses that gate, because &x.f aliases x's memory whatever
+// f's type is.
 func (sc *summaryCtx) mask(e ast.Expr) uint64 {
 	e = ast.Unparen(e)
 	switch x := e.(type) {
@@ -536,8 +522,8 @@ func (sc *summaryCtx) maskAddr(e ast.Expr) uint64 {
 
 // callMask computes the mask of a call result: append and conversions
 // propagate their operands; resolvable module calls propagate the
-// arguments their summaries return aliases of; everything else is owned
-// by convention.
+// arguments their summaries return aliases of, a //tess:loaned one adds
+// the loan and a Clone ends it; everything else is owned by convention.
 func (sc *summaryCtx) callMask(call *ast.CallExpr) uint64 {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isB := objOf(sc.pkg, id).(*types.Builtin); isB {
@@ -562,29 +548,22 @@ func (sc *summaryCtx) callMask(call *ast.CallExpr) uint64 {
 	flows := sc.prog.summaries[callee].Flows
 	var m uint64
 	for i, arg := range args {
-		fi := i
-		if fi >= len(flows) {
-			if len(flows) == 0 {
-				break
-			}
-			fi = len(flows) - 1
-		}
-		if flows[fi].ReturnsAlias {
+		if flowAt(flows, i).ReturnsAlias {
 			m |= sc.mask(arg)
 		}
+	}
+	if sc.prog.Loaned(callee) {
+		m |= loanBit
+	}
+	if isCloneCall(call) {
+		m &^= loanBit
 	}
 	return m
 }
 
-// worldMethodOf is worldMethodCall without a Pass: the method name when
-// call is a method call on a comm.World value.
-func worldMethodOf(pkg *Package, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if !isCommWorld(pkg.Info.TypeOf(sel.X)) {
-		return ""
-	}
-	return sel.Sel.Name
+// isCloneCall reports whether call is a Clone method call — the
+// sanctioned way to detach a loan into owned memory.
+func isCloneCall(call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Clone"
 }

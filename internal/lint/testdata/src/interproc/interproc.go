@@ -7,11 +7,16 @@ package interproc
 
 import "repro/internal/comm"
 
-// Scratch is a per-worker reusable arena, as in the scratchretain
-// fixture.
-type Scratch struct {
+// Session stands in for a tessellation session, as in the loanretain
+// fixture: Step loans its result and the next Step overwrites it.
+type Session struct {
 	verts []float64
 }
+
+// Step returns borrowed storage.
+//
+//tess:loaned
+func (s *Session) Step() []float64 { return s.verts }
 
 var sink []float64
 
@@ -41,30 +46,30 @@ func drain(w *comm.World, rank, dst int, v []float64) {
 	w.Send(rank, dst, 1, v)
 }
 
-func leakViaStash(s *Scratch) {
-	stash(s.verts) // want `passing a reference into a Scratch-owned buffer to stash, which retains it`
+func leakViaStash(s *Session) {
+	stash(s.Step()) // want `passing a loaned value to stash, which retains it \(stored in package-level sink\)`
 }
 
-func leakViaIdent(s *Scratch) []float64 {
-	return ident(s.verts) // want `returning a reference into a Scratch-owned buffer`
+func leakViaIdent(s *Session) []float64 {
+	return ident(s.Step()) // want `returning a loaned value`
 }
 
-func leakViaTwoHops(s *Scratch) []float64 {
-	return reident(s.verts) // want `returning a reference into a Scratch-owned buffer`
+func leakViaTwoHops(s *Session) []float64 {
+	return reident(s.Step()) // want `returning a loaned value`
 }
 
-func leakViaIdentAlias(s *Scratch) []float64 {
-	v := ident(s.verts)
-	return v // want `returning a reference into a Scratch-owned buffer`
+func leakViaIdentAlias(s *Session) []float64 {
+	v := ident(s.Step())
+	return v // want `returning a loaned value`
 }
 
-func leakViaDrain(w *comm.World, rank, dst int, s *Scratch) {
-	drain(w, rank, dst, s.verts) // want `passing a reference into a Scratch-owned buffer to drain, which sends it`
+func leakViaDrain(w *comm.World, rank, dst int, s *Session) {
+	drain(w, rank, dst, s.Step()) // want `passing a loaned value to drain, which sends it as a comm payload`
 }
 
 // Detaching through a copying helper is the sanctioned way out.
-func detachViaDup(s *Scratch) []float64 {
-	return dup(s.verts)
+func detachViaDup(s *Session) []float64 {
+	return dup(s.Step())
 }
 
 // sendIdent launders a caller payload through an identity helper; the
@@ -96,7 +101,7 @@ func (k *keeper) keep(v []float64) {
 	k.held = v
 }
 
-func leakViaMethodValue(s *Scratch, k *keeper) {
+func leakViaMethodValue(s *Session, k *keeper) {
 	f := k.keep
-	f(s.verts) // want `passing a reference into a Scratch-owned buffer to keep, which retains it`
+	f(s.Step()) // want `passing a loaned value to keep, which retains it \(stored through k\)`
 }

@@ -110,3 +110,31 @@ func readScalar(p *Provider) {
 	out, _ := p.Step()
 	total = out.Cells[0]
 }
+
+// A loan parked in a captured accumulator inside a closure and returned
+// by the enclosing function is the RunInSitu shape: the closure body is
+// part of the function's trace.
+func leakViaClosure(p *Provider, steps int) []*Out {
+	var snaps []*Out
+	each := func() {
+		out, _ := p.Step()
+		snaps = append(snaps, out)
+	}
+	for i := 0; i < steps; i++ {
+		each()
+	}
+	return snaps // want `returning a loaned value`
+}
+
+// The same accumulator holding clones is owned memory.
+func keepViaClosure(p *Provider, steps int) []*Out {
+	var snaps []*Out
+	each := func() {
+		out, _ := p.Step()
+		snaps = append(snaps, out.Clone())
+	}
+	for i := 0; i < steps; i++ {
+		each()
+	}
+	return snaps
+}

@@ -96,6 +96,36 @@ func Threshold(cells []CellRecord, minVolume float64) []CellRecord {
 	return out
 }
 
+// Label is the whole void-labelling step: cells with Volume >= minVolume
+// grouped by face adjacency, largest component first. A minVolume <= 0
+// means the mean cell volume. It returns the components and the threshold
+// it used; no cells give no components (and a mean of zero, not 0/0).
+func Label(cells []CellRecord, minVolume float64) ([]Component, float64) {
+	if len(cells) == 0 {
+		return nil, math.Max(minVolume, 0)
+	}
+	if minVolume <= 0 {
+		var sum float64
+		for _, c := range cells {
+			sum += c.Volume
+		}
+		minVolume = sum / float64(len(cells))
+	}
+	return ConnectedComponents(Threshold(cells, minVolume)), minVolume
+}
+
+// LabelMeshes is Label over gathered block meshes, indexed by block (nil
+// slots are skipped).
+func LabelMeshes(meshes []*meshio.BlockMesh, minVolume float64) ([]Component, float64) {
+	var cells []CellRecord
+	for bi, m := range meshes {
+		if m != nil {
+			cells = append(cells, CellsFromMesh(m, bi)...)
+		}
+	}
+	return Label(cells, minVolume)
+}
+
 // Component is one connected component of threshold-surviving cells — a
 // cosmological void.
 type Component struct {

@@ -4,11 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/diy"
 	"repro/internal/geom"
+	"repro/internal/meshio"
 	"repro/internal/voids"
 )
 
@@ -97,6 +99,37 @@ func TestThreshold(t *testing.T) {
 	}
 	if got := voids.Threshold(recs, 0); len(got) != len(recs) {
 		t.Error("zero threshold should keep everything")
+	}
+}
+
+// Label is Threshold + ConnectedComponents with the mean-volume default
+// every caller used to spell out; with no cells there is no mean, and the
+// answer is no components at threshold 0, not NaN.
+func TestLabel(t *testing.T) {
+	recs := tessellate(t, 6, 6, 85, 2, 0)
+	var sum float64
+	for _, r := range recs {
+		sum += r.Volume
+	}
+	mean := sum / float64(len(recs))
+	comps, th := voids.Label(recs, 0)
+	if th != mean {
+		t.Errorf("default threshold %g, want the mean cell volume %g", th, mean)
+	}
+	if want := voids.ConnectedComponents(voids.Threshold(recs, mean)); !reflect.DeepEqual(comps, want) {
+		t.Error("Label(cells, 0) differs from Threshold+ConnectedComponents at the mean")
+	}
+	if _, th := voids.Label(recs, 1.25); th != 1.25 {
+		t.Errorf("explicit threshold came back as %g", th)
+	}
+	for _, minVol := range []float64{0, -1, 2} {
+		comps, th := voids.Label(nil, minVol)
+		if len(comps) != 0 || th != math.Max(minVol, 0) {
+			t.Errorf("Label(nil, %g) = %d components at %g", minVol, len(comps), th)
+		}
+		if comps, _ := voids.LabelMeshes([]*meshio.BlockMesh{nil, nil}, minVol); len(comps) != 0 {
+			t.Errorf("LabelMeshes over empty slots gave %d components", len(comps))
+		}
 	}
 }
 

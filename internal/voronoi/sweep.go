@@ -17,8 +17,8 @@ import (
 //
 // Nothing handed out may alias these buffers: the next cell through the
 // same Scratch overwrites them in place, and finish copies out of them.
-//
-//tess:scratchowner
+// TestComputeCellScratchDetaches and the byte-identity suites above it hold
+// that (DESIGN.md "Static invariants").
 type sweep struct {
 	site geom.Vec3
 	eps  float64

@@ -1,6 +1,7 @@
 package tess
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -124,6 +125,51 @@ func TestRunInSituSnapshots(t *testing.T) {
 		}
 		if s.TessTime <= 0 {
 			t.Error("tess time not recorded")
+		}
+	}
+}
+
+// TestRunInSituSnapshotsOwnOutput pins what the Snapshot.Output doc
+// promises: a snapshot is a deep copy, not the session's per-step loan.
+// The first snapshot's meshes are encoded inside the hook, while they are
+// certainly valid, and must encode to the same bytes after two more steps
+// have gone through the same session.
+func TestRunInSituSnapshotsOwnOutput(t *testing.T) {
+	cfg := InSituConfig{
+		Sim:    nbody.DefaultConfig(8),
+		Tess:   NewPeriodicConfig(8),
+		Steps:  3,
+		Every:  1,
+		Blocks: 2,
+	}
+	cfg.Tess.GhostSize = 3
+	encode := func(o *Output) [][]byte {
+		var blobs [][]byte
+		for _, m := range o.Meshes {
+			b, err := m.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, b)
+		}
+		return blobs
+	}
+	var first [][]byte
+	snaps, err := RunInSitu(cfg, func(s Snapshot) error {
+		if first == nil {
+			first = encode(s.Output)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 3 {
+		t.Fatalf("snapshots = %d, want 3", len(snaps))
+	}
+	for rank, b := range encode(snaps[0].Output) {
+		if !bytes.Equal(b, first[rank]) {
+			t.Errorf("rank %d: the first snapshot's mesh changed after later steps; Snapshot.Output aliases the session's loan", rank)
 		}
 	}
 }
