@@ -398,7 +398,8 @@ type computeBuffers struct {
 
 // ensure readies the buffers for a pass of n sites over workers workers:
 // per-worker state is created on first use and pools are reset (recycling
-// every cell handed out last pass), per-site slots are zeroed.
+// every cell handed out last pass) and sized for an even share of the
+// sites, per-site slots are zeroed.
 func (cb *computeBuffers) ensure(workers, n int) {
 	for len(cb.scratches) < workers {
 		cb.scratches = append(cb.scratches, voronoi.NewScratch())
@@ -406,6 +407,7 @@ func (cb *computeBuffers) ensure(workers, n int) {
 	}
 	for _, p := range cb.pools[:workers] {
 		p.Reset()
+		p.Reserve((n + workers - 1) / workers)
 	}
 	cb.cells = resizeZeroed(cb.cells, n)
 	cb.errs = resizeZeroed(cb.errs, n)

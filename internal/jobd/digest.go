@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
 	tess "repro"
 )
@@ -25,7 +26,14 @@ func canonicalMeshB64(out *tess.Output, cfg tess.Config) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("jobd: mesh encode: %w", err)
 	}
-	return base64.StdEncoding.EncodeToString(enc), nil
+	// Encoded straight into the string's own buffer: EncodeToString would
+	// fill a byte slice and then copy it.
+	var b64 strings.Builder
+	b64.Grow(base64.StdEncoding.EncodedLen(len(enc)))
+	w := base64.NewEncoder(base64.StdEncoding, &b64)
+	w.Write(enc) // a strings.Builder cannot fail
+	w.Close()
+	return b64.String(), nil
 }
 
 // densityDigest condenses one step's density result into the wire digest.

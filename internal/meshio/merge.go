@@ -1,9 +1,10 @@
 package meshio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -29,130 +30,158 @@ import (
 // a cell site somewhere in the inputs. Nil meshes in the slice are skipped,
 // so Output.Meshes can be passed directly.
 func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*BlockMesh, error) {
-	type srcCell struct {
-		id       int64
-		site     geom.Vec3
-		mesh     *BlockMesh
-		idx      int
-		complete bool
-	}
-	sites := make(map[int64]geom.Vec3)
-	var cells []srcCell
+	// One counting pass sizes everything the merge allocates.
+	var nCells, nFaces, nRefs, sumVerts, maxVerts int
 	for _, m := range meshes {
 		if m == nil {
 			continue
 		}
-		for i := range m.Particles {
-			id := m.ParticleIDs[i]
-			if _, dup := sites[id]; dup {
-				return nil, fmt.Errorf("meshio: particle %d appears in more than one block", id)
+		if err := checkArrays(m); err != nil {
+			return nil, err
+		}
+		nCells += m.NumCells()
+		sumVerts += len(m.Verts)
+		maxVerts = max(maxVerts, len(m.Verts))
+		for _, c := range m.Cells {
+			nFaces += len(c.Faces)
+			for _, f := range c.Faces {
+				nRefs += len(f.Verts)
 			}
-			sites[id] = m.Particles[i]
-			cells = append(cells, srcCell{id, m.Particles[i], m, i, m.Complete[i]})
 		}
 	}
-	sort.Slice(cells, func(a, b int) bool { return cells[a].id < cells[b].id })
 
-	out := &BlockMesh{Extents: domain}
+	cells, err := sortedCells(meshes, nCells)
+	if err != nil {
+		return nil, err
+	}
+	siteOf := func(id int64) (geom.Vec3, bool) {
+		k, ok := slices.BinarySearchFunc(cells, id, func(c srcCell, id int64) int { return cmp.Compare(c.id, id) })
+		if !ok {
+			return geom.Vec3{}, false
+		}
+		return meshes[cells[k].mesh].Particles[cells[k].idx], true
+	}
+
+	faceArena := make([]FaceConn, 0, nFaces)
+	vertArena := make([]int32, 0, nRefs)
+	out := &BlockMesh{
+		Extents:     domain,
+		Verts:       make([]geom.Vec3, 0, sumVerts),
+		Particles:   make([]geom.Vec3, nCells),
+		ParticleIDs: make([]int64, nCells),
+		Volumes:     make([]float64, nCells),
+		Areas:       make([]float64, nCells),
+		Complete:    make([]bool, nCells),
+		Cells:       make([]CellConn, nCells),
+	}
 	weldTol := 1e-9 * maxf(domain.Size().MaxAbs(), 1e-30)
-	pool := map[weldKey]int32{}
-	intern := func(v geom.Vec3) int32 {
-		k := weldKey{
-			x: int64(roundHalf(v.X / weldTol)),
-			y: int64(roundHalf(v.Y / weldTol)),
-			z: int64(roundHalf(v.Z / weldTol)),
-		}
-		if gi, ok := pool[k]; ok {
-			return gi
-		}
-		gi := int32(len(out.Verts))
-		out.Verts = append(out.Verts, v)
-		pool[k] = gi
-		return gi
-	}
+	var pool weldTable
+	pool.reset()
+	pool.reserve(sumVerts)
 
-	for _, cc := range cells {
-		src := cc.mesh.Cells[cc.idx]
+	// Per-cell scratch, reused: the face planes and canonical order, one
+	// face's coordinates, and the per-source-vertex records.
+	var (
+		planes []geom.Plane
+		order  []int
+		coords []geom.Vec3
+		rot    []geom.Vec3
+	)
+	sv := make([]srcVert, maxVerts)
+
+	for ci, cc := range cells {
+		m := meshes[cc.mesh]
+		site := m.Particles[cc.idx]
+		src := m.Cells[cc.idx]
 		nf := len(src.Faces)
 		if nf < 4 {
 			return nil, fmt.Errorf("meshio: cell %d has %d faces", cc.id, nf)
 		}
 		// Canonical plane per face, from the nearest periodic image of the
 		// neighbor site; faces ordered by (neighbor ID, plane offset).
-		planes := make([]geom.Plane, nf)
-		order := make([]int, nf)
+		planes, order = planes[:0], order[:0]
 		for fi, f := range src.Faces {
 			if f.Neighbor < 0 {
 				return nil, fmt.Errorf("meshio: cell %d has wall face %d; canonical merge requires a complete tessellation", cc.id, f.Neighbor)
 			}
-			ns, ok := sites[f.Neighbor]
+			ns, ok := siteOf(f.Neighbor)
 			if !ok {
 				return nil, fmt.Errorf("meshio: neighbor %d of cell %d is not among the merged cells", f.Neighbor, cc.id)
 			}
 			if periodic {
-				ns = nearestImage(ns, cc.site, domain)
+				ns = nearestImage(ns, site, domain)
 			}
-			planes[fi] = geom.Bisector(cc.site, ns)
-			order[fi] = fi
-		}
-		sort.Slice(order, func(a, b int) bool {
-			fa, fb := src.Faces[order[a]], src.Faces[order[b]]
-			if fa.Neighbor != fb.Neighbor {
-				return fa.Neighbor < fb.Neighbor
+			planes = append(planes, geom.Bisector(site, ns))
+			// Insertion sort: a valid cell has one face per neighbor, so the
+			// keys are distinct and the order is the only sorted one.
+			k := len(order)
+			order = append(order, fi)
+			for ; k > 0; k-- {
+				prev := order[k-1]
+				pn := src.Faces[prev].Neighbor
+				if pn < f.Neighbor || (pn == f.Neighbor && !(planes[fi].D < planes[prev].D)) {
+					break
+				}
+				order[k] = prev
 			}
-			return planes[order[a]].D < planes[order[b]].D
-		})
-		// rankOf gives each face its canonical position, so vertex plane
-		// triples can be chosen by canonical order.
-		rankOf := make([]int, nf)
-		for r, fi := range order {
-			rankOf[fi] = r
+			order[k] = fi
 		}
 
 		// Vertex -> adjacent faces over the block-local welded indices (the
-		// decomposition-invariant topology).
-		adj := make(map[int32][]int)
-		for fi, f := range src.Faces {
-			for _, vi := range f.Verts {
-				adj[vi] = append(adj[vi], fi)
+		// decomposition-invariant topology). Walking the faces in canonical
+		// order, a vertex's first three faces are its three canonically-first
+		// adjacent planes. A record belongs to this cell only if it carries
+		// the cell's serial, so nothing is cleared between cells.
+		serial := int32(ci + 1)
+		for _, fi := range order {
+			for _, vi := range src.Faces[fi].Verts {
+				if vi < 0 || int(vi) >= len(m.Verts) {
+					return nil, fmt.Errorf("meshio: cell %d references vertex %d of %d", cc.id, vi, len(m.Verts))
+				}
+				v := &sv[vi]
+				if v.serial != serial {
+					*v = srcVert{serial: serial}
+				}
+				if v.n < 3 {
+					v.faces[v.n] = int32(fi)
+				}
+				v.n++
 			}
 		}
-		canon := make(map[int32]geom.Vec3, len(adj))
 		canonVert := func(vi int32) (geom.Vec3, error) {
-			if v, ok := canon[vi]; ok {
-				return v, nil
+			v := &sv[vi]
+			if v.solved {
+				return v.pos, nil
 			}
-			fl := adj[vi]
-			if len(fl) < 3 {
-				return geom.Vec3{}, fmt.Errorf("meshio: cell %d vertex on %d faces", cc.id, len(fl))
+			if v.n < 3 {
+				return geom.Vec3{}, fmt.Errorf("meshio: cell %d vertex on %d faces", cc.id, v.n)
 			}
-			// The three canonically-first adjacent planes; any three meet at
-			// the same Voronoi vertex, and this choice is decomposition-free.
-			sort.Slice(fl, func(a, b int) bool { return rankOf[fl[a]] < rankOf[fl[b]] })
-			p1, p2, p3 := planes[fl[0]], planes[fl[1]], planes[fl[2]]
+			// Any three adjacent planes meet at the same Voronoi vertex, and
+			// this choice is decomposition-free.
+			p1, p2, p3 := planes[v.faces[0]], planes[v.faces[1]], planes[v.faces[2]]
 			det := p1.N.Dot(p2.N.Cross(p3.N))
 			if math.Abs(det) < 1e-12 {
 				return geom.Vec3{}, fmt.Errorf("meshio: cell %d has a degenerate vertex (plane determinant %g)", cc.id, det)
 			}
-			v := p2.N.Cross(p3.N).Scale(-p1.D).
+			v.pos = p2.N.Cross(p3.N).Scale(-p1.D).
 				Add(p3.N.Cross(p1.N).Scale(-p2.D)).
 				Add(p1.N.Cross(p2.N).Scale(-p3.D)).
 				Scale(1 / det)
-			canon[vi] = v
-			return v, nil
+			v.solved = true
+			return v.pos, nil
 		}
 
-		var conn CellConn
+		fbase := len(faceArena)
 		var vol, area float64
 		for _, fi := range order {
 			f := src.Faces[fi]
-			coords := make([]geom.Vec3, len(f.Verts))
-			for k, vi := range f.Verts {
+			coords = coords[:0]
+			for _, vi := range f.Verts {
 				v, err := canonVert(vi)
 				if err != nil {
 					return nil, err
 				}
-				coords[k] = v
+				coords = append(coords, v)
 			}
 			// Orient the loop outward (agreeing with the bisector normal,
 			// which points from the site toward the neighbor), then rotate it
@@ -161,12 +190,17 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			if newellNormal(coords).Dot(planes[fi].N) < 0 {
 				reverseVecs(coords)
 			}
-			rotateToMin(coords)
-			loop := make([]int32, len(coords))
-			for k, v := range coords {
-				loop[k] = intern(v)
+			rot = rotateToMin(coords, rot)
+			vbase := len(vertArena)
+			for _, v := range coords {
+				gi, added := pool.lookupOrAdd(quantize(v, weldTol), int32(len(out.Verts)))
+				if added {
+					out.Verts = append(out.Verts, v)
+				}
+				vertArena = append(vertArena, gi)
 			}
-			conn.Faces = append(conn.Faces, FaceConn{Neighbor: f.Neighbor, Verts: loop})
+			loop := vertArena[vbase:len(vertArena):len(vertArena)]
+			faceArena = append(faceArena, FaceConn{Neighbor: f.Neighbor, Verts: loop})
 			// Recompute geometry from the pooled vertices so the stored
 			// scalars are exactly consistent with the stored mesh.
 			a := out.Verts[loop[0]]
@@ -174,17 +208,68 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 				b, c := out.Verts[loop[k]], out.Verts[loop[k+1]]
 				ab, ac := b.Sub(a), c.Sub(a)
 				area += 0.5 * ab.Cross(ac).Norm()
-				vol += a.Sub(cc.site).Dot(b.Sub(cc.site).Cross(c.Sub(cc.site))) / 6
+				vol += a.Sub(site).Dot(b.Sub(site).Cross(c.Sub(site))) / 6
 			}
 		}
-		out.Cells = append(out.Cells, conn)
-		out.Particles = append(out.Particles, cc.site)
-		out.ParticleIDs = append(out.ParticleIDs, cc.id)
-		out.Volumes = append(out.Volumes, vol)
-		out.Areas = append(out.Areas, area)
-		out.Complete = append(out.Complete, cc.complete)
+		out.Cells[ci] = CellConn{Faces: faceArena[fbase:len(faceArena):len(faceArena)]}
+		out.Particles[ci] = site
+		out.ParticleIDs[ci] = cc.id
+		out.Volumes[ci] = vol
+		out.Areas[ci] = area
+		out.Complete[ci] = m.Complete[cc.idx]
 	}
 	return out, nil
+}
+
+// srcCell locates one input cell: block mesh and index within it.
+type srcCell struct {
+	id        int64
+	mesh, idx int32
+}
+
+// inputOrder compares two cells by their position in the inputs.
+func (c srcCell) inputOrder(o srcCell) int {
+	return cmp.Or(cmp.Compare(c.mesh, o.mesh), cmp.Compare(c.idx, o.idx))
+}
+
+// sortedCells lists every input cell in particle-ID order, rejecting an ID
+// that appears twice.
+func sortedCells(meshes []*BlockMesh, nCells int) ([]srcCell, error) {
+	cells := make([]srcCell, 0, nCells)
+	for mi, m := range meshes {
+		if m == nil {
+			continue
+		}
+		for i, id := range m.ParticleIDs {
+			cells = append(cells, srcCell{id: id, mesh: int32(mi), idx: int32(i)})
+		}
+	}
+	slices.SortFunc(cells, func(a, b srcCell) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), a.inputOrder(b))
+	})
+	// Equal IDs sort in input order, so the duplicate an input-order scan
+	// would meet first is the earliest second occurrence of any ID.
+	dup := -1
+	for k := 1; k < len(cells); k++ {
+		if cells[k].id == cells[k-1].id && (dup < 0 || cells[k].inputOrder(cells[dup]) < 0) {
+			dup = k
+		}
+	}
+	if dup >= 0 {
+		return nil, fmt.Errorf("meshio: particle %d appears in more than one block", cells[dup].id)
+	}
+	return cells, nil
+}
+
+// srcVert is the merge's record of one block-local vertex within the cell
+// being merged: how many face loops reference it, the first three of those
+// faces in canonical order, and its canonical position once solved.
+type srcVert struct {
+	serial int32 // cell the record belongs to; others are stale
+	n      int32
+	faces  [3]int32
+	solved bool
+	pos    geom.Vec3
 }
 
 // nearestImage returns the periodic image of s closest to p in the domain
@@ -219,8 +304,9 @@ func reverseVecs(v []geom.Vec3) {
 }
 
 // rotateToMin rotates the cyclic loop so the lexicographically smallest
-// (X, Y, Z) vertex comes first, preserving winding.
-func rotateToMin(v []geom.Vec3) {
+// (X, Y, Z) vertex comes first, preserving winding. It rotates through buf
+// and returns it, possibly grown, for the next call.
+func rotateToMin(v, buf []geom.Vec3) []geom.Vec3 {
 	min := 0
 	for i := 1; i < len(v); i++ {
 		if lexLess(v[i], v[min]) {
@@ -228,10 +314,11 @@ func rotateToMin(v []geom.Vec3) {
 		}
 	}
 	if min == 0 {
-		return
+		return buf
 	}
-	rot := append(append([]geom.Vec3(nil), v[min:]...), v[:min]...)
-	copy(v, rot)
+	buf = append(append(buf[:0], v[min:]...), v[:min]...)
+	copy(v, buf)
+	return buf
 }
 
 func lexLess(a, b geom.Vec3) bool {

@@ -2,7 +2,9 @@ package meshio_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -133,5 +135,32 @@ func TestMergeCanonicalRejectsWallFaces(t *testing.T) {
 	}
 	if _, err := meshio.MergeCanonical(out.Meshes, domain, false); err == nil {
 		t.Error("mesh with wall faces accepted")
+	}
+}
+
+// A hand-built mesh whose per-cell arrays disagree is an error, as it is
+// for Encode, not an index-out-of-range panic.
+func TestMergeCanonicalRejectsInconsistentArrays(t *testing.T) {
+	meshes, domain := mergeFixture(t, 2)
+	bad := meshes[1].Clone()
+	bad.Complete = bad.Complete[:len(bad.Complete)-1]
+	_, err := meshio.MergeCanonical([]*meshio.BlockMesh{meshes[0], bad}, domain, true)
+	if err == nil || !strings.Contains(err.Error(), "inconsistent block arrays") {
+		t.Errorf("short Complete: got %v, want the inconsistent-arrays error", err)
+	}
+}
+
+// A face vertex index outside the block's vertex pool is an error naming
+// the cell. (Decoded meshes cannot carry one: both decoders range-check.)
+func TestMergeCanonicalRejectsVertexIndexOutOfRange(t *testing.T) {
+	meshes, domain := mergeFixture(t, 2)
+	for _, vi := range []int32{-1, int32(len(meshes[1].Verts))} {
+		bad := meshes[1].Clone()
+		bad.Cells[3].Faces[0].Verts[1] = vi
+		_, err := meshio.MergeCanonical([]*meshio.BlockMesh{meshes[0], bad}, domain, true)
+		want := fmt.Sprintf("cell %d references vertex %d", bad.ParticleIDs[3], vi)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("vertex index %d: got %v, want an error containing %q", vi, err, want)
+		}
 	}
 }

@@ -54,6 +54,15 @@ func (m *BlockMesh) NumCells() int { return len(m.Particles) }
 // weld quantizes a coordinate for vertex dedup across cells in a block.
 type weldKey struct{ x, y, z int64 }
 
+// quantize rounds v to the weld grid of spacing tol.
+func quantize(v geom.Vec3, tol float64) weldKey {
+	return weldKey{
+		x: int64(roundHalf(v.X / tol)),
+		y: int64(roundHalf(v.Y / tol)),
+		z: int64(roundHalf(v.Z / tol)),
+	}
+}
+
 // weldTable maps a quantized coordinate to its index in BlockMesh.Verts:
 // open addressing with linear probing over a power-of-two slot array kept
 // at most half full. A slot belongs to the current Build only if it carries
@@ -111,6 +120,18 @@ func (t *weldTable) lookupOrAdd(k weldKey, next int32) (gi int32, added bool) {
 	return next, true
 }
 
+// reserve sizes an empty table (one just reset) to take n entries without
+// growing.
+func (t *weldTable) reserve(n int) {
+	size := 1024
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.slots = make([]weldSlot, size)
+	}
+}
+
 // grow doubles the slot array and rehashes the current Build's entries.
 func (t *weldTable) grow() {
 	old := t.slots
@@ -161,25 +182,34 @@ func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol flo
 	if weldTol <= 0 {
 		weldTol = 1e-7 * maxf(extents.Size().MaxAbs(), 1e-30)
 	}
-	m := &b.m
-	m.Extents = extents
-	m.Verts = m.Verts[:0]
-	m.Particles = m.Particles[:0]
-	m.ParticleIDs = m.ParticleIDs[:0]
-	m.Volumes = m.Volumes[:0]
-	m.Areas = m.Areas[:0]
-	m.Complete = m.Complete[:0]
-	m.Cells = m.Cells[:0]
-	b.faceArena = b.faceArena[:0]
-	b.vertArena = b.vertArena[:0]
-	b.pool.reset()
-	q := func(v geom.Vec3) weldKey {
-		return weldKey{
-			x: int64(roundHalf(v.X / weldTol)),
-			y: int64(roundHalf(v.Y / weldTol)),
-			z: int64(roundHalf(v.Z / weldTol)),
+	// One counting pass sizes the arenas and per-cell arrays exactly, and
+	// the welded pool and its table by estimate. A vertex is shared by four
+	// cells, fewer where some of them lie outside the block: about three on
+	// the blocks measured, which sizes the pool. The table is reserved at
+	// four, the floor: its size doubles, and one doubling too many costs
+	// every probe of every Build a cache miss, where one too few costs a
+	// single rehash.
+	var nFaces, nRefs, nVerts int
+	for _, c := range cells {
+		nFaces += len(c.Faces)
+		nVerts += len(c.Verts)
+		for _, f := range c.Faces {
+			nRefs += len(f.Loop)
 		}
 	}
+	m := &b.m
+	m.Extents = extents
+	m.Verts = withCap(m.Verts, nVerts/3)
+	m.Particles = withCap(m.Particles, len(cells))
+	m.ParticleIDs = withCap(m.ParticleIDs, len(cells))
+	m.Volumes = withCap(m.Volumes, len(cells))
+	m.Areas = withCap(m.Areas, len(cells))
+	m.Complete = withCap(m.Complete, len(cells))
+	m.Cells = withCap(m.Cells, len(cells))
+	b.faceArena = withCap(b.faceArena, nFaces)
+	b.vertArena = withCap(b.vertArena, nRefs)
+	b.pool.reset()
+	b.pool.reserve(nVerts / 4)
 	for _, c := range cells {
 		b.welded = b.welded[:0]
 		for range c.Verts {
@@ -195,7 +225,7 @@ func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol flo
 				if gi < 0 {
 					v := c.Verts[vi]
 					var added bool
-					if gi, added = b.pool.lookupOrAdd(q(v), int32(len(m.Verts))); added {
+					if gi, added = b.pool.lookupOrAdd(quantize(v, weldTol), int32(len(m.Verts))); added {
 						m.Verts = append(m.Verts, v)
 					}
 					b.welded[vi] = gi
@@ -238,6 +268,20 @@ func (m *BlockMesh) Clone() *BlockMesh {
 		out.Cells[ci] = CellConn{Faces: faces}
 	}
 	return out
+}
+
+// withCap returns s emptied, with room for n elements. A first allocation is
+// exact; replacing storage that has become too small leaves append's
+// quarter of headroom, so a size that creeps up from step to step does not
+// reallocate on every one of them.
+func withCap[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	if cap(s) > 0 {
+		n += n / 4
+	}
+	return make([]T, 0, n)
 }
 
 func roundHalf(x float64) float64 {

@@ -48,6 +48,39 @@ func (p *CellPool) Reset() {
 	p.loops = p.loops[:0]
 }
 
+// Arena elements reserved per expected cell: the Poisson–Voronoi means
+// (27.1 vertices, 15.5 faces of 5.2 vertices each) with a little headroom.
+const (
+	reserveVertsPerCell = 28
+	reserveFacesPerCell = 16
+	reserveLoopsPerCell = 84
+)
+
+// Reserve sizes the arenas of an empty pool (a new one, or one just Reset)
+// for cells cells of typical shape, so a cold pass fills them without
+// append's repeated grow-and-copy, which allocates several times the final
+// size and strands it. It does nothing once the capacity is there; a pass
+// that outruns the estimate still grows by append.
+func (p *CellPool) Reserve(cells int) {
+	p.verts = withCap(p.verts, cells*reserveVertsPerCell)
+	p.faces = withCap(p.faces, cells*reserveFacesPerCell)
+	p.loops = withCap(p.loops, cells*reserveLoopsPerCell)
+}
+
+// withCap returns s emptied, with room for n elements. A first allocation is
+// exact; replacing storage that has become too small leaves append's
+// quarter of headroom, so a size that creeps up from step to step does not
+// reallocate on every one of them.
+func withCap[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	if cap(s) > 0 {
+		n += n / 4
+	}
+	return make([]T, 0, n)
+}
+
 // nextCell returns a zeroed *Cell with pool-stable identity.
 func (p *CellPool) nextCell() *Cell {
 	for p.cur < len(p.chunks) && len(p.chunks[p.cur]) == cap(p.chunks[p.cur]) {

@@ -11,12 +11,17 @@ import (
 // Combined with the security-radius criterion this yields the
 // nearest-first neighbor stream that drives cell clipping.
 type Index struct {
-	pts     []geom.Vec3
-	ids     []int64
-	bounds  geom.Box
-	dims    [3]int
-	h       geom.Vec3 // cell size per axis
-	buckets [][]int32
+	pts    []geom.Vec3
+	ids    []int64
+	bounds geom.Box
+	dims   [3]int
+	h      geom.Vec3 // cell size per axis
+	// The buckets in compressed-row form: grid cell b holds the point
+	// indices items[start[b]:start[b+1]], in point order.
+	start []int32
+	items []int32
+	// cellOf is Rebuild's scratch: the grid cell of each point.
+	cellOf []int32
 	// slack is an absolute bound, generous by three orders of magnitude, on
 	// how far outside its grid cell's nominal box rounding in cellCoords can
 	// leave a point; visitShell's box bound gives it away.
@@ -33,7 +38,7 @@ func NewIndex(pts []geom.Vec3, ids []int64, targetPerCell float64) *Index {
 }
 
 // Rebuild re-derives the index over a new point set in place, reusing the
-// bucket storage of previous builds: the grid geometry, bucket contents,
+// bucket arrays of previous builds: the grid geometry, bucket contents,
 // and traversal order are identical in every respect to a fresh
 // NewIndex(pts, ids, targetPerCell), but at steady state (point counts and
 // spatial extent stable across rebuilds, as for the successive snapshots
@@ -49,7 +54,7 @@ func (ix *Index) Rebuild(pts []geom.Vec3, ids []int64, targetPerCell float64) {
 		ix.bounds = geom.NewBox(geom.V(0, 0, 0), geom.V(1, 1, 1))
 		ix.h = geom.V(1, 1, 1)
 		ix.slack = 0
-		ix.buckets = ix.resizeBuckets(1)
+		ix.fillBuckets(1)
 		return
 	}
 	if targetPerCell <= 0 {
@@ -77,27 +82,44 @@ func (ix *Index) Rebuild(pts []geom.Vec3, ids []int64, targetPerCell float64) {
 		Z: size.Z / float64(ix.dims[2]),
 	}
 	ix.slack = 1e-12 * math.Max(ix.bounds.Min.MaxAbs(), ix.bounds.Max.MaxAbs())
-	ix.buckets = ix.resizeBuckets(ix.dims[0] * ix.dims[1] * ix.dims[2])
-	for i, p := range pts {
-		b := ix.bucketOf(p)
-		ix.buckets[b] = append(ix.buckets[b], int32(i))
-	}
+	ix.fillBuckets(ix.dims[0] * ix.dims[1] * ix.dims[2])
 }
 
-// resizeBuckets returns the retained bucket table resized to n entries,
-// every entry emptied but keeping its capacity. Entries past a shrink keep
-// their storage too (the table usually bounces back to the same size on
-// the next rebuild).
-func (ix *Index) resizeBuckets(n int) [][]int32 {
-	b := ix.buckets
-	if cap(b) < n {
-		b = append(b[:cap(b)], make([][]int32, n-cap(b))...)
+// fillBuckets distributes the points over n grid cells into the retained
+// start and items arrays: count per cell, prefix-sum the counts into
+// offsets, place each point at its cell's cursor.
+func (ix *Index) fillBuckets(n int) {
+	start := resized(ix.start, n+1)
+	clear(start)
+	cellOf := resized(ix.cellOf, len(ix.pts))
+	for i, p := range ix.pts {
+		b := ix.bucketOf(p)
+		cellOf[i] = int32(b)
+		start[b+1]++
 	}
-	b = b[:n]
-	for i := range b {
-		b[i] = b[i][:0]
+	for b := 1; b <= n; b++ {
+		start[b] += start[b-1]
 	}
-	return b
+	items := resized(ix.items, len(ix.pts))
+	for i, b := range cellOf {
+		items[start[b]] = int32(i)
+		start[b]++
+	}
+	// Every cursor now sits at its cell's end, the next cell's beginning.
+	copy(start[1:], start[:n])
+	start[0] = 0
+	ix.start, ix.items, ix.cellOf = start, items, cellOf
+}
+
+// resized returns s with length n and unspecified contents, reallocated
+// (with withCap's headroom rule) if its capacity is below n.
+func resized(s []int32, n int) []int32 {
+	return withCap(s, n)[:n]
+}
+
+// bucket returns the point indices of grid cell b.
+func (ix *Index) bucket(b int) []int32 {
+	return ix.items[ix.start[b]:ix.start[b+1]]
 }
 
 // NumPoints returns the number of indexed points.
@@ -232,7 +254,7 @@ func (ix *Index) visitShell(p geom.Vec3, s int, cutoff float64, fn func(bucket [
 				if i < 0 || i >= ix.dims[0] || gyz+ix.axisGap2(0, i, p.X) >= cutoff2 {
 					continue
 				}
-				fn(ix.buckets[row+i])
+				fn(ix.bucket(row + i))
 			}
 		}
 	}

@@ -8,7 +8,9 @@
 # whole benchmark (bench/run.sh -out) on the base and on the working tree
 # alternately — base first on odd pairs, head first on even ones, pair i on
 # seed first-seed+i-1 — and ends with bench/run.sh -compare on the two
-# record files. Pick a first seed that was not used while the change was
+# record files (medians, spreads, bounds) and scripts/pairwins on the same
+# two (the rule a claim is judged by: pairs won, and the median gain against
+# the base's inter-quartile distance). Pick a first seed that was not used while the change was
 # written. <base-ref> may also be a directory holding a checkout of the
 # base (a clone, an extracted archive); it is then used as it is.
 # With a [workload] only that workload runs (~1 min per pair instead of
@@ -59,4 +61,8 @@ for i in $(seq 1 "$pairs"); do
 	fi
 done
 
-bash bench/run.sh -compare "$out/base.json" "$out/head.json" | tee "$out/compare.txt"
+status=0
+bash bench/run.sh -compare "$out/base.json" "$out/head.json" | tee "$out/compare.txt" || status=$?
+echo
+go run ./scripts/pairwins "$out/base.json" "$out/head.json" | tee "$out/pairwins.txt"
+exit "$status"
