@@ -13,7 +13,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint onecodec race cover ckpt jobd-e2e bench-module check bench bench-stack loc
+.PHONY: build test vet lint onecodec layers race cover ckpt jobd-e2e bench-module check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ lint:
 # encoding/binary, so a private codec cannot grow back unnoticed.
 onecodec:
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' . | grep -v '^./internal/wire/'
+
+# Engine below, analysis above: no engine package may depend on an
+# analysis package, so the level-1 tools of the paper's Figure 4 stay on
+# top of the tessellation library and cannot be wired back into it.
+ENGINE_PKGS = core density meshio voronoi diy comm storage delaunay dtfe obs
+
+layers:
+	@! $(GO) list -deps $(addprefix ./internal/,$(ENGINE_PKGS)) | grep -E '^repro/internal/(voids|halo|track|multistream|stats|viz|cosmotools)$$'
 
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
@@ -84,7 +92,7 @@ ckpt:
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
 
-check: vet lint onecodec race cover bench-module
+check: vet lint onecodec layers race cover bench-module
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

@@ -163,8 +163,9 @@ func fileDigest(t *testing.T, path string) string {
 // the single-purpose binary it replaced printed (testdata/*.txt were
 // produced by cmd/cellhist, voidfind, tessinfo, accuracy, render, sim and
 // cosmotools at the commit before they were folded in; temp paths are
-// masked as $TMP and the elapsed-ms column of tools as ~ms), and the files
-// it writes must hash the same.
+// masked as $TMP and the elapsed-ms column of tools as ~ms; tools.txt has
+// since gained the deck's own section list on line 1 and the correlation
+// tool's two lines), and the files it writes must hash the same.
 func TestVerbsMatchParentBinaries(t *testing.T) {
 	dir := t.TempDir()
 	// Where a verb makes its own temp files; must be empty afterwards.
@@ -240,6 +241,24 @@ func TestVerbsMatchParentBinaries(t *testing.T) {
 				t.Errorf("left %s behind in the temp directory", e.Name())
 			}
 		})
+	}
+}
+
+// A deck's typos are reported by the section reader before anything runs:
+// a key no tool asked for, and a value that does not parse.
+func TestToolsRejectsBadDeck(t *testing.T) {
+	for _, tc := range []struct{ deck, want string }{
+		{"[halo]\nlinkng_length = 0.2\n", `cosmotools: [halo] has unknown keys [linkng_length]`},
+		{"[halo]\nevery = zzz\n", `cosmotools: [halo] every: strconv.Atoi: parsing "zzz": invalid syntax`},
+	} {
+		path := filepath.Join(t.TempDir(), "deck.cfg")
+		if err := os.WriteFile(path, []byte(tc.deck), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := dispatch([]string{"tools", "-config", path, "-ng", "8", "-steps", "1"}, io.Discard)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("deck %q: err = %v, want %s", tc.deck, err, tc.want)
+		}
 	}
 }
 

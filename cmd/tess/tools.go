@@ -95,10 +95,9 @@ func tools(args []string, w io.Writer) error {
 		return err
 	}
 
-	hook := pipeline.Hook(*steps)
 	if *serveAddr != "" {
 		live := tess.NewLiveServer()
-		hook = live.Attach(pipeline, *steps)
+		live.Attach(pipeline, *steps)
 		ln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {
 			return err
@@ -114,12 +113,14 @@ func tools(args []string, w io.Writer) error {
 		}()
 	}
 
+	enabled := make([]string, len(cfg.Sections))
+	for i, s := range cfg.Sections {
+		enabled[i] = s.Name
+	}
 	fmt.Fprintf(w, "running %d^3 particles for %d steps with analyses %v\n",
-		*ng, *steps, tess.KnownAnalyses())
+		*ng, *steps, enabled)
 	sim.Run(*steps, func(s *tess.Simulation) {
-		before := len(pipeline.Results)
-		hook(s)
-		for _, r := range pipeline.Results[before:] {
+		for _, r := range pipeline.Step(s, *steps) {
 			fmt.Fprintf(w, "step %4d  %-12s %8.1fms  %s\n",
 				r.Step, r.Analysis, float64(r.Elapsed.Microseconds())/1e3, r.Summary)
 		}

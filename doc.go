@@ -60,7 +60,8 @@
 // threshold and connected-component labeling to identify cosmological
 // voids, and each component carries its Minkowski functionals (volume,
 // surface area, integrated mean curvature, Euler characteristic) and
-// shapefinders (thickness, breadth, length).
+// shapefinders (thickness, breadth, length). LabelVoids does the same in
+// situ, over the meshes of a pass's Output instead of a file read back.
 //
 // The substrates live in internal/ packages: geom (geometry kernel), qhull
 // (Quickhull convex hulls), voronoi (cell clipping), delaunay

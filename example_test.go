@@ -71,13 +71,13 @@ func ExampleFindVoids() {
 	particles := tess.ParticlesFromPositions(gridPoints(6, 6))
 	cfg := tess.NewPeriodicConfig(6)
 	cfg.GhostSize = 3
-	cfg.LabelVoids = true // label components in situ
 	out, err := tess.Run(cfg, particles, 4)
 	if err != nil {
 		panic(err)
 	}
-	// In situ labels and the postprocessing path agree.
-	fmt.Printf("in situ components computed: %v\n", len(out.Voids) > 0)
+	// Label components in situ, straight from the pass's meshes.
+	comps, _ := tess.LabelVoids(out, 0)
+	fmt.Printf("in situ components computed: %v\n", len(comps) > 0)
 	// Output:
 	// in situ components computed: true
 }

@@ -62,11 +62,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hook := live.Attach(pipeline, 45)
+	live.Attach(pipeline, 45)
 	sim.Run(45, func(s *tess.Simulation) {
-		before := len(pipeline.Results)
-		hook(s)
-		for _, r := range pipeline.Results[before:] {
+		for _, r := range pipeline.Step(s, 45) {
 			fmt.Printf("step %3d  %-10s %s\n", r.Step, r.Analysis, r.Summary)
 		}
 	})

@@ -3,10 +3,8 @@ package tess
 import (
 	"io"
 
-	"repro/internal/catalyst"
 	"repro/internal/core"
 	"repro/internal/cosmotools"
-	"repro/internal/track"
 )
 
 // The in situ cosmology-tools framework (the paper's Figure 4): analyses
@@ -25,18 +23,10 @@ type AnalysisResult = cosmotools.Result
 
 // LiveServer publishes pipeline results over HTTP while the simulation
 // runs (the Catalyst/ParaView-server role of the paper's workflow).
-type LiveServer = catalyst.Server
+type LiveServer = cosmotools.Server
 
 // LiveStatus is the run-progress document served at /status.
-type LiveStatus = catalyst.Status
-
-// FeatureTree is the temporal feature (void) tree built from tracked
-// components.
-type FeatureTree = track.Tree
-
-// FeatureEvent classifies one tracked transition (continuation, merge,
-// split, birth, death).
-type FeatureEvent = track.Event
+type LiveStatus = cosmotools.Status
 
 // ParseToolsConfig reads a configuration deck (see cosmotools.ParseConfig
 // for the format).
@@ -52,7 +42,7 @@ func NewPipeline(cfg *ToolsConfig, sim SimConfig, outputDir string) (*Pipeline, 
 
 // NewLiveServer returns an empty live-results server; attach it to a
 // pipeline with (*LiveServer).Attach and serve (*LiveServer).Handler().
-func NewLiveServer() *LiveServer { return catalyst.NewServer() }
+func NewLiveServer() *LiveServer { return cosmotools.NewServer() }
 
 // KnownAnalyses lists the analyses a deck may enable.
 func KnownAnalyses() []string { return cosmotools.KnownAnalyses() }

@@ -116,8 +116,8 @@ func WithMailboxCapacity(n int) Option {
 // The watchdog only ever fires on a genuine deadlock: it requires every
 // rank to sit in an unbounded blocking operation (send, recv, or
 // rank-attributed barrier) or to have exited, continuously, for the whole
-// window. A rank that is merely slow — computing, sleeping, or in a
-// timeout-bounded wait — counts as running and suppresses the abort.
+// window. A rank that is merely slow — computing or sleeping — counts as
+// running and suppresses the abort.
 func WithWatchdog(timeout time.Duration) Option {
 	if timeout <= 0 {
 		panic(fmt.Sprintf("comm: watchdog timeout %v", timeout))
@@ -289,42 +289,6 @@ func (w *World) Send(src, dst, tag int, payload any) {
 	}
 }
 
-// SendTimeout is Send with a deadline: it returns an error instead of
-// blocking longer than d on a full queue, and returns the world's abort
-// error if the world dies while it waits. The message is counted (and
-// ownership transfers) only when it is actually enqueued. Self-send
-// overflow is an immediate error, as in Send.
-func (w *World) SendTimeout(src, dst, tag int, payload any, d time.Duration) error {
-	w.checkRank(src)
-	w.checkRank(dst)
-	ch := w.mail[dst][src]
-	enqueued := false
-	select {
-	case ch <- message{tag: tag, payload: payload}:
-		enqueued = true
-	default:
-	}
-	if !enqueued {
-		if src == dst {
-			return fmt.Errorf("comm: rank %d self-send overflow: mailbox full (capacity %d, tag %d) with no other consumer",
-				src, w.capacity, tag)
-		}
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case ch <- message{tag: tag, payload: payload}:
-		case <-w.done:
-			return w.Err()
-		case <-timer.C:
-			return fmt.Errorf("comm: rank %d timed out sending to %d (tag %d) after %v: queue full", src, dst, tag, d)
-		}
-	}
-	if w.rec != nil {
-		w.rec.CountSend(src, dst, obs.PayloadBytes(payload))
-	}
-	return nil
-}
-
 // Recv receives the next message from src addressed to dst with the given
 // tag. Messages between a fixed (src, dst) pair are received in send order;
 // a tag mismatch panics, as it indicates a protocol error in the caller
@@ -357,52 +321,6 @@ func (w *World) Recv(dst, src, tag int) any {
 		panic(fmt.Sprintf("comm: rank %d expected tag %d from %d, got %d", dst, tag, src, msg.tag))
 	}
 	return msg.payload
-}
-
-// RecvTimeout is Recv with a deadline, used by tests and diagnostics to
-// bound a wait. Like Recv it counts a consumed message before checking the
-// tag — a mismatched message still moved bytes, and skipping the count
-// would break the conservation invariant — and the mismatch error carries
-// the dropped payload so the protocol slip is diagnosable. A timed-out
-// wait does not register with the stall watchdog (it self-resolves, so it
-// is not evidence of deadlock).
-func (w *World) RecvTimeout(dst, src, tag int, d time.Duration) (any, error) {
-	w.checkRank(src)
-	w.checkRank(dst)
-	ch := w.mail[dst][src]
-	var msg message
-	select {
-	case msg = <-ch:
-	default:
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case msg = <-ch:
-		case <-w.done:
-			return nil, w.Err()
-		case <-timer.C:
-			return nil, fmt.Errorf("comm: rank %d timed out waiting for %d (tag %d)", dst, src, tag)
-		}
-	}
-	if w.rec != nil {
-		w.rec.CountRecv(dst, src, obs.PayloadBytes(msg.payload))
-	}
-	if msg.tag != tag {
-		return nil, fmt.Errorf("comm: rank %d expected tag %d from %d, got %d; dropping payload %T(%v)",
-			dst, tag, src, msg.tag, msg.payload, msg.payload)
-	}
-	return msg.payload, nil
-}
-
-// Sendrecv sends to dst and receives from src. Posting the send first
-// keeps the pattern deadlock-free as long as the pair queue has space
-// (the send only blocks once the per-pair queue — see
-// WithMailboxCapacity — is full); a blocked send remains abortable, so a
-// protocol slip degrades into an abort diagnostic rather than a silent
-// hang.
-func (w *World) Sendrecv(rank, dst, src, tag int, payload any) any {
-	w.Send(rank, dst, tag, payload)
-	return w.Recv(rank, src, tag)
 }
 
 // sleepAbortable sleeps for d or until the world aborts, whichever comes
@@ -580,15 +498,3 @@ func Allreduce[T any](w *World, rank int, value T, op func(a, b T) T) T {
 	}
 	return acc
 }
-
-// MaxDuration is an Allreduce operator for the common "slowest rank"
-// timing reduction used by the performance harness.
-func MaxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// SumInt64 is an Allreduce operator for totals.
-func SumInt64(a, b int64) int64 { return a + b }

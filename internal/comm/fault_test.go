@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // One rank aborting must unblock every other rank, however it was
@@ -167,29 +165,6 @@ func TestWatchdogNoFalsePositiveOnSlowRank(t *testing.T) {
 	}
 }
 
-// A timeout-bounded wait must not register as a stall either: RecvTimeout
-// self-resolves.
-func TestWatchdogIgnoresBoundedWaits(t *testing.T) {
-	w := NewWorld(2, WithWatchdog(20*time.Millisecond))
-	err := w.Run(func(rank int) {
-		if rank == 0 {
-			// Bounded wait far longer than the watchdog window; rank 1 is
-			// asleep the whole time, so nothing arrives and nothing is
-			// blocked unboundedly — the world is healthy throughout.
-			if _, err := w.RecvTimeout(0, 1, 99, 100*time.Millisecond); err == nil ||
-				!strings.Contains(err.Error(), "timed out") {
-				t.Errorf("rank 0: bounded wait err = %v", err)
-			}
-		} else {
-			time.Sleep(150 * time.Millisecond)
-		}
-		w.Sendrecv(rank, 1-rank, 1-rank, 7, []int{rank})
-	})
-	if err != nil {
-		t.Fatalf("bounded wait tripped the watchdog: %v", err)
-	}
-}
-
 // A second Run on the same (healthy) world must not inherit stale
 // "exited" watchdog state from the first.
 func TestWatchdogAcrossRuns(t *testing.T) {
@@ -274,124 +249,6 @@ func TestWithWatchdogRejectsNonPositive(t *testing.T) {
 		}
 	}()
 	WithWatchdog(0)
-}
-
-func TestSendTimeout(t *testing.T) {
-	w := NewWorld(2, WithMailboxCapacity(1))
-	err := w.Run(func(rank int) {
-		if rank != 0 {
-			time.Sleep(30 * time.Millisecond)
-			if got := w.Recv(1, 0, 1).([]int); got[0] != 1 {
-				t.Errorf("recv %v, want [1]", got)
-			}
-			return
-		}
-		// First send fits the queue and succeeds immediately.
-		if err := w.SendTimeout(0, 1, 1, []int{1}, time.Millisecond); err != nil {
-			t.Errorf("first send: %v", err)
-		}
-		// Second send finds the queue full and must time out, not hang.
-		start := time.Now()
-		err := w.SendTimeout(0, 1, 1, []int{2}, 5*time.Millisecond)
-		if err == nil || !strings.Contains(err.Error(), "timed out") {
-			t.Errorf("full-queue send err = %v", err)
-		}
-		if time.Since(start) > time.Second {
-			t.Errorf("timeout send blocked %v", time.Since(start))
-		}
-		// Self-send overflow is an immediate error.
-		w.Send(0, 0, 2, []int{0})
-		if err := w.SendTimeout(0, 0, 2, []int{1}, time.Millisecond); err == nil ||
-			!strings.Contains(err.Error(), "self-send overflow") {
-			t.Errorf("self-send overflow err = %v", err)
-		}
-		w.Recv(0, 0, 2)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// SendTimeout on an aborted world must return the abort error promptly.
-func TestSendTimeoutAbort(t *testing.T) {
-	w := NewWorld(2, WithMailboxCapacity(1))
-	err := w.Run(func(rank int) {
-		if rank == 1 {
-			time.Sleep(10 * time.Millisecond)
-			w.Abort(errors.New("peer died"))
-			return
-		}
-		w.Send(0, 1, 1, nil) // fill the queue
-		err := w.SendTimeout(0, 1, 1, nil, time.Minute)
-		if !errors.Is(err, ErrWorldAborted) {
-			t.Errorf("send on aborted world: %v", err)
-		}
-	})
-	if !errors.Is(err, ErrWorldAborted) {
-		t.Fatalf("run err %v", err)
-	}
-}
-
-// Regression for the RecvTimeout accounting bug: a tag-mismatched message
-// was dropped without being counted, breaking conservation, and the error
-// hid what was dropped.
-func TestRecvTimeoutTagMismatchCounted(t *testing.T) {
-	const P = 2
-	w := NewWorld(P)
-	rec := obs.NewRecorder(P)
-	w.SetRecorder(rec)
-	err := w.Run(func(rank int) {
-		if rank == 0 {
-			w.Send(0, 1, 5, []int64{42}) // protocol slip: rank 1 expects tag 6
-			return
-		}
-		_, err := w.RecvTimeout(1, 0, 6, time.Second)
-		if err == nil {
-			t.Error("tag mismatch not reported")
-			return
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, "expected tag 6") || !strings.Contains(msg, "got 5") {
-			t.Errorf("mismatch error lacks tags: %v", err)
-		}
-		if !strings.Contains(msg, "dropping payload") || !strings.Contains(msg, "42") {
-			t.Errorf("mismatch error lacks the dropped payload: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rec.Snapshot()
-	if s.TotalSentMsgs != 1 || s.TotalRecvdMsgs != 1 {
-		t.Errorf("conservation broken on the mismatch path: sent %d msgs, received %d",
-			s.TotalSentMsgs, s.TotalRecvdMsgs)
-	}
-	if s.TotalSentBytes != s.TotalRecvdBytes {
-		t.Errorf("sent %d bytes, received %d", s.TotalSentBytes, s.TotalRecvdBytes)
-	}
-}
-
-func TestRecvTimeoutTimesOut(t *testing.T) {
-	w := NewWorld(2)
-	_, err := w.RecvTimeout(0, 1, 1, 5*time.Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// RecvTimeout on an aborted world returns the abort error instead of
-// waiting out its deadline.
-func TestRecvTimeoutAbort(t *testing.T) {
-	w := NewWorld(2)
-	w.Abort(nil)
-	start := time.Now()
-	_, err := w.RecvTimeout(0, 1, 1, time.Minute)
-	if !errors.Is(err, ErrWorldAborted) {
-		t.Fatalf("err = %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatalf("abort took %v to surface", time.Since(start))
-	}
 }
 
 // Abort is idempotent: only the first cause wins.

@@ -29,7 +29,7 @@ func TestWorldRecorderCounts(t *testing.T) {
 			t.Errorf("rank %d: got %d elems", rank, len(got))
 		}
 		w.BarrierRank(rank)
-		sum := Allreduce(w, rank, int64(rank), SumInt64)
+		sum := Allreduce(w, rank, int64(rank), func(a, b int64) int64 { return a + b })
 		if sum != P*(P-1)/2 {
 			t.Errorf("rank %d: allreduce = %d", rank, sum)
 		}
@@ -78,7 +78,9 @@ func TestCollectiveAccountingConvention(t *testing.T) {
 		{"gather", func(w *World, rank int) { Gather(w, rank, 1, int64(rank)) }, 1},
 		{"bcast", func(w *World, rank int) { Bcast(w, rank, 2, int64(7)) }, 1},
 		{"allgather", func(w *World, rank int) { Allgather(w, rank, int64(rank)) }, 2},
-		{"allreduce", func(w *World, rank int) { Allreduce(w, rank, int64(1), SumInt64) }, 2},
+		{"allreduce", func(w *World, rank int) {
+			Allreduce(w, rank, int64(1), func(a, b int64) int64 { return a + b })
+		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := NewWorld(P)

@@ -17,11 +17,10 @@ import (
 // they complete only through another rank's action; if every rank is
 // blocked in one (or has exited) and no slot's sequence number changed
 // across the whole window, no rank acted, and none ever will — the state
-// is absorbing. Slow compute, time.Sleep, injected delays, and
-// timeout-bounded waits (RecvTimeout/SendTimeout) are deliberately NOT
-// registered: a rank in any of those samples as "running", which
-// suppresses the verdict. The watchdog therefore never aborts a world
-// that is merely slow.
+// is absorbing. Slow compute, time.Sleep and injected delays are
+// deliberately NOT registered: a rank in any of those samples as
+// "running", which suppresses the verdict. The watchdog therefore never
+// aborts a world that is merely slow.
 
 type waitOp uint8
 

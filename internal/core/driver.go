@@ -5,7 +5,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/meshio"
 	"repro/internal/obs"
-	"repro/internal/voids"
 )
 
 // Output is the gathered result of a full tessellation pass.
@@ -14,9 +13,6 @@ type Output struct {
 	Counts CellCounts          // global totals
 	Timing Timing              // slowest-rank per phase
 	Ghosts int                 // total ghost particles exchanged
-	// Voids holds the in situ component labeling when Config.LabelVoids is
-	// set (sorted by decreasing volume).
-	Voids []voids.Component
 	// Obs is the observability snapshot of the pass — per-rank phase spans,
 	// comm counters, and pipeline metrics — when Config.Recorder was set
 	// (nil otherwise).
@@ -46,9 +42,8 @@ func Run(cfg Config, particles []diy.Particle, numBlocks int) (*Output, error) {
 }
 
 // Clone returns a deep copy of the output that owns all of its memory,
-// detaching it from the session loan it came from (see Session). Void
-// components and the observability snapshot are immutable once built and
-// are shared, not copied.
+// detaching it from the session loan it came from (see Session). The
+// observability snapshot is immutable once built and is shared, not copied.
 func (o *Output) Clone() *Output {
 	out := *o
 	out.Meshes = make([]*meshio.BlockMesh, len(o.Meshes))
@@ -57,7 +52,6 @@ func (o *Output) Clone() *Output {
 			out.Meshes[i] = m.Clone()
 		}
 	}
-	out.Voids = append([]voids.Component(nil), o.Voids...)
 	return &out
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/meshio"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/voids"
 )
 
 // Names of the session warm-start counters in Config.Recorder (registered
@@ -289,9 +288,6 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.LabelVoids {
-		out.Voids, _ = voids.LabelMeshes(out.Meshes, s.cfg.VoidThreshold)
 	}
 	if rec != nil {
 		out.Obs = rec.Snapshot()

@@ -93,14 +93,6 @@ type Config struct {
 	// per-step auto-checkpoint armed by a positive StepOpts.CheckpointEvery)
 	// persists session state for ResumeSession.
 	CheckpointDir string
-	// LabelVoids also labels connected components of cells above
-	// VoidThreshold in situ, right after the tessellation (the paper's
-	// Sec. V: "we plan to label connected components automatically in situ
-	// as well"). Results appear in Output.Voids.
-	LabelVoids bool
-	// VoidThreshold is the minimum cell volume for void membership when
-	// LabelVoids is set; 0 uses the mean cell volume.
-	VoidThreshold float64
 	// Workers is the number of intra-rank worker goroutines the compute
 	// phase fans cell construction out over. 0 (the default) divides the
 	// worker budget fairly among every concurrently-running rank — of this

@@ -513,36 +513,6 @@ func TestAutoRunStopsAtMaxGhost(t *testing.T) {
 	_ = out
 }
 
-func TestLabelVoidsInSitu(t *testing.T) {
-	rng := rand.New(rand.NewSource(113))
-	const L = 8.0
-	ps := perturbedParticles(rng, 8, L, 0.9)
-	cfg := baseConfig(L)
-	cfg.LabelVoids = true
-	out, err := Run(cfg, ps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Voids) == 0 {
-		t.Fatal("in situ labeling produced no components")
-	}
-	// Components hold only above-threshold cells and are volume-sorted.
-	for i := 1; i < len(out.Voids); i++ {
-		if out.Voids[i].Functionals.Volume > out.Voids[i-1].Functionals.Volume {
-			t.Fatal("components not sorted by volume")
-		}
-	}
-	// Without the flag, no labeling happens.
-	cfg.LabelVoids = false
-	out2, err := Run(cfg, ps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Voids != nil {
-		t.Error("labeling ran without the flag")
-	}
-}
-
 // The O(V) bounds in front of the early cull's pairwise scan must decide
 // exactly as the scan alone does, for every cell and any cutoff — at, just
 // above and well to either side of the cell's own diameter.
@@ -614,20 +584,22 @@ func TestStepTotalsMatchScalarReductions(t *testing.T) {
 			Ghosts: int64(300 - r),
 		}
 	}
+	maxDuration := func(a, b time.Duration) time.Duration { return max(a, b) }
+	sumInt64 := func(a, b int64) int64 { return a + b }
 	var got, want [ranks]stepTotals
 	if err := w.Run(func(rank int) {
 		v := in[rank]
 		got[rank] = comm.Allreduce(w, rank, v, stepTotals.merge)
 		want[rank] = stepTotals{
 			Timing: Timing{
-				Exchange:    comm.Allreduce(w, rank, v.Timing.Exchange, comm.MaxDuration),
-				Compute:     comm.Allreduce(w, rank, v.Timing.Compute, comm.MaxDuration),
-				Output:      comm.Allreduce(w, rank, v.Timing.Output, comm.MaxDuration),
-				Total:       comm.Allreduce(w, rank, v.Timing.Total, comm.MaxDuration),
-				OutputBytes: comm.Allreduce(w, rank, v.Timing.OutputBytes, comm.SumInt64),
+				Exchange:    comm.Allreduce(w, rank, v.Timing.Exchange, maxDuration),
+				Compute:     comm.Allreduce(w, rank, v.Timing.Compute, maxDuration),
+				Output:      comm.Allreduce(w, rank, v.Timing.Output, maxDuration),
+				Total:       comm.Allreduce(w, rank, v.Timing.Total, maxDuration),
+				OutputBytes: comm.Allreduce(w, rank, v.Timing.OutputBytes, sumInt64),
 			},
 			Counts: comm.Allreduce(w, rank, v.Counts, CellCounts.add),
-			Ghosts: comm.Allreduce(w, rank, v.Ghosts, comm.SumInt64),
+			Ghosts: comm.Allreduce(w, rank, v.Ghosts, sumInt64),
 		}
 	}); err != nil {
 		t.Fatal(err)

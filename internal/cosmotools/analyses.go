@@ -13,15 +13,9 @@ import (
 	"repro/internal/nbody"
 	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/track"
 	"repro/internal/voids"
 )
-
-func checkUnknown(s *Section, allowed ...string) error {
-	if bad := s.UnknownKeys(allowed...); len(bad) > 0 {
-		return fmt.Errorf("cosmotools: [%s] has unknown keys %v", s.Name, bad)
-	}
-	return nil
-}
 
 func particlesOf(sim *nbody.Simulation) []diy.Particle {
 	out := make([]diy.Particle, len(sim.Pos))
@@ -31,91 +25,99 @@ func particlesOf(sim *nbody.Simulation) []diy.Particle {
 	return out
 }
 
-// widestGhostConfig is the periodic config both tessellating analyses
-// start from: evolved snapshots grow large void cells, so the ghost is the
-// widest the decomposition supports.
-func widestGhostConfig(domain geom.Box, blocks int) (core.Config, error) {
-	cfg := core.Config{Domain: domain, Periodic: true}
-	var err error
-	cfg.GhostSize, err = core.GhostCeiling(cfg, blocks)
-	return cfg, err
+// lazySession is the persistent tessellation session of the tess and voids
+// tools: opened on the first invocation and reused for every later step of
+// the run (the framework calls Close when the pipeline finishes).
+type lazySession struct {
+	blocks int
+	// cfg is what the session opens with; a GhostSize <= 0 means the widest
+	// the decomposition supports (evolved snapshots grow large void cells).
+	cfg  core.Config
+	sess *core.Session
+}
+
+func newLazySession(p *params, simCfg nbody.Config) lazySession {
+	L := simCfg.BoxSize
+	return lazySession{
+		blocks: p.int("blocks", 8),
+		cfg:    core.Config{Domain: geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), Periodic: true},
+	}
+}
+
+func (l *lazySession) session() (*core.Session, error) {
+	if l.sess != nil {
+		return l.sess, nil
+	}
+	cfg := l.cfg
+	widest, err := core.GhostCeiling(cfg, l.blocks)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.GhostSize <= 0 {
+		cfg.GhostSize = widest
+	}
+	l.sess, err = core.OpenSession(cfg, l.blocks)
+	return l.sess, err
+}
+
+// Close releases the persistent session, if one was opened.
+func (l *lazySession) Close() error {
+	if l.sess != nil {
+		return l.sess.Close()
+	}
+	return nil
+}
+
+// tracked accumulates one snapshot of features per invocation, for the
+// tools whose features Pipeline.tree follows across steps.
+type tracked struct{ snaps []track.Snapshot }
+
+func (t *tracked) features() []track.Snapshot { return t.snaps }
+
+// fofConfig reads the friends-of-friends keys the halo tool and tess's
+// sites = halos mode share; linking_length is in units of the mean
+// interparticle spacing.
+func fofConfig(p *params, simCfg nbody.Config) halo.Config {
+	return halo.Config{
+		BoxSize:       simCfg.BoxSize,
+		LinkingLength: p.float("linking_length", 0.2) * (simCfg.BoxSize / float64(simCfg.Ng)),
+		MinMembers:    p.int("min_members", 10),
+	}
 }
 
 // --- tess: the Voronoi tessellation tool ---
 
 type tessAnalysis struct {
-	every     int
-	blocks    int
-	ghost     float64 // 0 = widest valid
-	minVolume float64
-	write     bool
-	sites     string // "particles" or "halos"
-	linking   float64
-	minMemb   int
-	spacing   float64
-	domain    geom.Box
-
-	// sess is the persistent tessellation session, opened lazily on the
-	// first invocation and reused for every later step of the run (the
-	// framework calls Close when the pipeline finishes).
-	sess *core.Session
+	lazySession
+	write bool
+	// halos runs FOF first and uses the halo centers as Voronoi sites
+	// instead of the tracer particles — the paper's Sec. V suggestion
+	// ("halos can be matched to direct observables such as galaxies").
+	halos bool
+	fof   halo.Config
 }
 
-func newTessAnalysis(s *Section, simCfg nbody.Config) (Analysis, error) {
-	if err := checkUnknown(s, "every", "blocks", "ghost", "min_volume", "write",
-		"sites", "linking_length", "min_members"); err != nil {
-		return nil, err
-	}
-	a := &tessAnalysis{spacing: simCfg.BoxSize / float64(simCfg.Ng)}
-	var err error
-	if a.every, err = s.Int("every", 10); err != nil {
-		return nil, err
-	}
-	if a.blocks, err = s.Int("blocks", 8); err != nil {
-		return nil, err
-	}
-	if a.ghost, err = s.Float("ghost", 0); err != nil {
-		return nil, err
-	}
-	if a.minVolume, err = s.Float("min_volume", 0); err != nil {
-		return nil, err
-	}
-	if a.write, err = s.Bool("write", true); err != nil {
-		return nil, err
-	}
-	// The paper's Sec. V suggestion: tessellate halo centers instead of
-	// tracer particles ("halos can be matched to direct observables such
-	// as galaxies"). sites = halos runs FOF first and uses halo centers as
-	// Voronoi sites.
-	a.sites = "particles"
-	if v, ok := s.Params["sites"]; ok {
-		if v != "particles" && v != "halos" {
-			return nil, fmt.Errorf("cosmotools: [tess] sites must be particles or halos, got %q", v)
-		}
-		a.sites = v
-	}
-	if a.linking, err = s.Float("linking_length", 0.2); err != nil {
-		return nil, err
-	}
-	if a.minMemb, err = s.Int("min_members", 10); err != nil {
-		return nil, err
-	}
-	L := simCfg.BoxSize
-	a.domain = geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L))
-	return a, nil
+func newTessAnalysis(p *params, simCfg nbody.Config) Analysis {
+	a := &tessAnalysis{lazySession: newLazySession(p, simCfg)}
+	a.cfg.GhostSize = p.float("ghost", 0)
+	a.cfg.MinVolume = p.float("min_volume", 0)
+	a.write = p.bool("write", true)
+	a.halos = p.oneOf("sites", "particles", "halos") == "halos"
+	a.fof = fofConfig(p, simCfg)
+	// Halo sites are sparse: proving completeness would need a ghost wider
+	// than the blocks; retain the (correct-by-security-radius or flagged)
+	// cells rather than deleting them.
+	a.cfg.KeepIncomplete = a.halos
+	return a
 }
 
 // siteParticles returns the Voronoi sites for this invocation: the tracer
 // particles, or the FOF halo centers in halos mode.
 func (a *tessAnalysis) siteParticles(ctx *Context) ([]diy.Particle, error) {
-	if a.sites != "halos" {
+	if !a.halos {
 		return particlesOf(ctx.Sim), nil
 	}
-	halos, err := halo.Find(ctx.Sim.Pos, halo.Config{
-		BoxSize:       a.domain.Size().X,
-		LinkingLength: a.linking * a.spacing,
-		MinMembers:    a.minMemb,
-	})
+	halos, err := halo.Find(ctx.Sim.Pos, a.fof)
 	if err != nil {
 		return nil, err
 	}
@@ -129,44 +131,10 @@ func (a *tessAnalysis) siteParticles(ctx *Context) ([]diy.Particle, error) {
 	return out, nil
 }
 
-func (a *tessAnalysis) Name() string { return "tess" }
-func (a *tessAnalysis) Every() int   { return a.every }
-
-func (a *tessAnalysis) tessConfig() (core.Config, error) {
-	cfg, err := widestGhostConfig(a.domain, a.blocks)
-	if err != nil {
-		return cfg, err
-	}
-	if a.ghost > 0 {
-		cfg.GhostSize = a.ghost
-	}
-	cfg.MinVolume = a.minVolume
-	if a.sites == "halos" {
-		// Halo sites are sparse: proving completeness would need a ghost
-		// wider than the blocks; retain the (correct-by-security-radius or
-		// flagged) cells rather than deleting them.
-		cfg.KeepIncomplete = true
-	}
-	return cfg, nil
-}
-
-// Close releases the analysis's persistent session, if one was opened.
-func (a *tessAnalysis) Close() error {
-	if a.sess != nil {
-		return a.sess.Close()
-	}
-	return nil
-}
-
 func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
-	if a.sess == nil {
-		cfg, err := a.tessConfig()
-		if err != nil {
-			return Result{}, err
-		}
-		if a.sess, err = core.OpenSession(cfg, a.blocks); err != nil {
-			return Result{}, err
-		}
+	sess, err := a.session()
+	if err != nil {
+		return Result{}, err
 	}
 	sites, err := a.siteParticles(ctx)
 	if err != nil {
@@ -176,7 +144,7 @@ func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
 	if a.write && ctx.OutputDir != "" {
 		outputPath = filepath.Join(ctx.OutputDir, fmt.Sprintf("tess-step-%04d.out", ctx.Step))
 	}
-	out, err := a.sess.StepSource(storage.NewSliceSource(sites), core.StepOpts{OutputPath: outputPath})
+	out, err := sess.StepSource(storage.NewSliceSource(sites), core.StepOpts{OutputPath: outputPath})
 	if err != nil {
 		return Result{}, err
 	}
@@ -198,60 +166,35 @@ func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
 // --- halo: friends-of-friends halo finding ---
 
 type haloAnalysis struct {
-	every      int
-	linking    float64 // in units of mean interparticle spacing
-	minMembers int
-	boxSize    float64
-	spacing    float64
-
-	// snapshots accumulate across invocations for merger trees.
-	snapshots []haloSnapshot
+	tracked // for merger trees
+	fof     halo.Config
 }
 
-type haloSnapshot struct {
-	step  int
-	halos []halo.Halo
+func newHaloAnalysis(p *params, simCfg nbody.Config) Analysis {
+	return &haloAnalysis{fof: fofConfig(p, simCfg)}
 }
-
-func newHaloAnalysis(s *Section, simCfg nbody.Config) (Analysis, error) {
-	if err := checkUnknown(s, "every", "linking_length", "min_members"); err != nil {
-		return nil, err
-	}
-	a := &haloAnalysis{boxSize: simCfg.BoxSize, spacing: simCfg.BoxSize / float64(simCfg.Ng)}
-	var err error
-	if a.every, err = s.Int("every", 10); err != nil {
-		return nil, err
-	}
-	if a.linking, err = s.Float("linking_length", 0.2); err != nil {
-		return nil, err
-	}
-	if a.minMembers, err = s.Int("min_members", 10); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-func (a *haloAnalysis) Name() string { return "halo" }
-func (a *haloAnalysis) Every() int   { return a.every }
 
 func (a *haloAnalysis) Run(ctx *Context) (Result, error) {
-	halos, err := halo.Find(ctx.Sim.Pos, halo.Config{
-		BoxSize:       a.boxSize,
-		LinkingLength: a.linking * a.spacing,
-		MinMembers:    a.minMembers,
-	})
+	halos, err := halo.Find(ctx.Sim.Pos, a.fof)
 	if err != nil {
 		return Result{}, err
 	}
-	a.snapshots = append(a.snapshots, haloSnapshot{step: ctx.Step, halos: halos})
+	// Halos are matched across snapshots by particle membership.
+	feats := make([]track.Feature, len(halos))
 	largest := 0
 	inHalos := 0
-	for _, h := range halos {
+	for i, h := range halos {
+		ids := make([]int64, len(h.Members))
+		for k, m := range h.Members {
+			ids[k] = int64(m)
+		}
+		feats[i] = track.Feature{IDs: ids, Weight: float64(h.Mass())}
 		inHalos += h.Mass()
 		if h.Mass() > largest {
 			largest = h.Mass()
 		}
 	}
+	a.snaps = append(a.snaps, track.Snapshot{Step: ctx.Step, Features: feats})
 	return Result{
 		Summary: fmt.Sprintf("%d halos, largest %d particles, %.1f%% of mass in halos",
 			len(halos), largest, 100*float64(inHalos)/float64(len(ctx.Sim.Pos))),
@@ -266,29 +209,14 @@ func (a *haloAnalysis) Run(ctx *Context) (Result, error) {
 // --- multistream: stream counting ---
 
 type multistreamAnalysis struct {
-	every   int
 	grid    int
 	ng      int
 	boxSize float64
 }
 
-func newMultistreamAnalysis(s *Section, simCfg nbody.Config) (Analysis, error) {
-	if err := checkUnknown(s, "every", "grid"); err != nil {
-		return nil, err
-	}
-	a := &multistreamAnalysis{ng: simCfg.Ng, boxSize: simCfg.BoxSize}
-	var err error
-	if a.every, err = s.Int("every", 10); err != nil {
-		return nil, err
-	}
-	if a.grid, err = s.Int("grid", 2*simCfg.Ng); err != nil {
-		return nil, err
-	}
-	return a, nil
+func newMultistreamAnalysis(p *params, simCfg nbody.Config) Analysis {
+	return &multistreamAnalysis{grid: p.int("grid", 2*simCfg.Ng), ng: simCfg.Ng, boxSize: simCfg.BoxSize}
 }
-
-func (a *multistreamAnalysis) Name() string { return "multistream" }
-func (a *multistreamAnalysis) Every() int   { return a.every }
 
 func (a *multistreamAnalysis) Run(ctx *Context) (Result, error) {
 	f, err := multistream.Compute(ctx.Sim.Pos, a.ng, a.boxSize, a.grid)
@@ -311,29 +239,14 @@ func (a *multistreamAnalysis) Run(ctx *Context) (Result, error) {
 // --- powerspec: matter power spectrum ---
 
 type powerSpectrumAnalysis struct {
-	every   int
 	bins    int
 	ng      int
 	boxSize float64
 }
 
-func newPowerSpectrumAnalysis(s *Section, simCfg nbody.Config) (Analysis, error) {
-	if err := checkUnknown(s, "every", "bins"); err != nil {
-		return nil, err
-	}
-	a := &powerSpectrumAnalysis{ng: simCfg.Ng, boxSize: simCfg.BoxSize}
-	var err error
-	if a.every, err = s.Int("every", 10); err != nil {
-		return nil, err
-	}
-	if a.bins, err = s.Int("bins", 8); err != nil {
-		return nil, err
-	}
-	return a, nil
+func newPowerSpectrumAnalysis(p *params, simCfg nbody.Config) Analysis {
+	return &powerSpectrumAnalysis{bins: p.int("bins", 8), ng: simCfg.Ng, boxSize: simCfg.BoxSize}
 }
-
-func (a *powerSpectrumAnalysis) Name() string { return "powerspec" }
-func (a *powerSpectrumAnalysis) Every() int   { return a.every }
 
 func (a *powerSpectrumAnalysis) Run(ctx *Context) (Result, error) {
 	pk, err := cosmo.PowerSpectrum(ctx.Sim.Pos, a.ng, a.boxSize, a.bins)
@@ -357,32 +270,18 @@ func (a *powerSpectrumAnalysis) Run(ctx *Context) (Result, error) {
 // --- correlation: two-point correlation function ---
 
 type correlationAnalysis struct {
-	every   int
 	rmax    float64
 	bins    int
 	boxSize float64
 }
 
-func newCorrelationAnalysis(s *Section, simCfg nbody.Config) (Analysis, error) {
-	if err := checkUnknown(s, "every", "rmax", "bins"); err != nil {
-		return nil, err
+func newCorrelationAnalysis(p *params, simCfg nbody.Config) Analysis {
+	return &correlationAnalysis{
+		rmax:    p.float("rmax", simCfg.BoxSize/4),
+		bins:    p.int("bins", 8),
+		boxSize: simCfg.BoxSize,
 	}
-	a := &correlationAnalysis{boxSize: simCfg.BoxSize}
-	var err error
-	if a.every, err = s.Int("every", 10); err != nil {
-		return nil, err
-	}
-	if a.rmax, err = s.Float("rmax", simCfg.BoxSize/4); err != nil {
-		return nil, err
-	}
-	if a.bins, err = s.Int("bins", 8); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
-
-func (a *correlationAnalysis) Name() string { return "correlation" }
-func (a *correlationAnalysis) Every() int   { return a.every }
 
 func (a *correlationAnalysis) Run(ctx *Context) (Result, error) {
 	xi, err := cosmo.CorrelationFunction(ctx.Sim.Pos, a.boxSize, a.rmax, a.bins)
@@ -404,72 +303,30 @@ func (a *correlationAnalysis) Run(ctx *Context) (Result, error) {
 // --- voids: threshold + connected components + feature tracking ---
 
 type voidsAnalysis struct {
-	every     int
-	blocks    int
+	lazySession
+	tracked
 	threshold float64 // 0 = mean cell volume
-	domain    geom.Box
-
-	// sess is the persistent tessellation session, opened lazily on the
-	// first invocation (the framework calls Close when the pipeline
-	// finishes).
-	sess *core.Session
-
-	// snapshots accumulate across invocations for feature tracking.
-	snapshots []voidSnapshot
 }
 
-type voidSnapshot struct {
-	step  int
-	comps []voids.Component
-}
-
-func newVoidsAnalysis(s *Section, simCfg nbody.Config) (Analysis, error) {
-	if err := checkUnknown(s, "every", "blocks", "threshold"); err != nil {
-		return nil, err
-	}
-	a := &voidsAnalysis{}
-	var err error
-	if a.every, err = s.Int("every", 10); err != nil {
-		return nil, err
-	}
-	if a.blocks, err = s.Int("blocks", 8); err != nil {
-		return nil, err
-	}
-	if a.threshold, err = s.Float("threshold", 0); err != nil {
-		return nil, err
-	}
-	L := simCfg.BoxSize
-	a.domain = geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L))
-	return a, nil
-}
-
-func (a *voidsAnalysis) Name() string { return "voids" }
-func (a *voidsAnalysis) Every() int   { return a.every }
-
-// Close releases the analysis's persistent session, if one was opened.
-func (a *voidsAnalysis) Close() error {
-	if a.sess != nil {
-		return a.sess.Close()
-	}
-	return nil
+func newVoidsAnalysis(p *params, simCfg nbody.Config) Analysis {
+	return &voidsAnalysis{lazySession: newLazySession(p, simCfg), threshold: p.float("threshold", 0)}
 }
 
 func (a *voidsAnalysis) Run(ctx *Context) (Result, error) {
-	if a.sess == nil {
-		cfg, err := widestGhostConfig(a.domain, a.blocks)
-		if err != nil {
-			return Result{}, err
-		}
-		if a.sess, err = core.OpenSession(cfg, a.blocks); err != nil {
-			return Result{}, err
-		}
+	sess, err := a.session()
+	if err != nil {
+		return Result{}, err
 	}
-	out, err := a.sess.Step(particlesOf(ctx.Sim))
+	out, err := sess.Step(particlesOf(ctx.Sim))
 	if err != nil {
 		return Result{}, err
 	}
 	comps, th := voids.LabelMeshes(out.Meshes, a.threshold)
-	a.snapshots = append(a.snapshots, voidSnapshot{step: ctx.Step, comps: comps})
+	feats := make([]track.Feature, len(comps))
+	for i, c := range comps {
+		feats[i] = track.Feature{IDs: c.CellIDs, Weight: c.Functionals.Volume}
+	}
+	a.snaps = append(a.snaps, track.Snapshot{Step: ctx.Step, Features: feats})
 
 	largest := 0.0
 	if len(comps) > 0 {

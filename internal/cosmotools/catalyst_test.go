@@ -1,4 +1,4 @@
-package catalyst
+package cosmotools
 
 import (
 	"encoding/json"
@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cosmotools"
 	"repro/internal/nbody"
 )
 
@@ -45,10 +44,10 @@ func TestStatusEndpoint(t *testing.T) {
 
 func TestResultsEndpoints(t *testing.T) {
 	s := NewServer()
-	s.Publish(cosmotools.Result{Analysis: "tess", Step: 5, Summary: "a",
+	s.Publish(Result{Analysis: "tess", Step: 5, Summary: "a",
 		Metrics: map[string]float64{"cells": 512}, Elapsed: 3 * time.Millisecond})
-	s.Publish(cosmotools.Result{Analysis: "halo", Step: 5, Summary: "b"})
-	s.Publish(cosmotools.Result{Analysis: "tess", Step: 10, Summary: "c"})
+	s.Publish(Result{Analysis: "halo", Step: 5, Summary: "b"})
+	s.Publish(Result{Analysis: "tess", Step: 10, Summary: "c"})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -105,7 +104,7 @@ func TestConcurrentPublishAndRead(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			s.Publish(cosmotools.Result{Analysis: "tess", Step: i})
+			s.Publish(Result{Analysis: "tess", Step: i})
 			s.SetStatus(Status{Step: i})
 		}
 	}()
@@ -125,11 +124,11 @@ func TestConcurrentPublishAndRead(t *testing.T) {
 
 func TestAttachPublishesDuringRun(t *testing.T) {
 	simCfg := nbody.DefaultConfig(8)
-	cfg, err := cosmotools.ParseConfig(strings.NewReader("[halo]\nevery = 2\nmin_members = 5\n"))
+	cfg, err := ParseConfig(strings.NewReader("[halo]\nevery = 2\nmin_members = 5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cosmotools.NewPipeline(cfg, simCfg, "")
+	p, err := NewPipeline(cfg, simCfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // run at selected time steps of the simulation under a common interface.
 // Tools are enabled and parameterized through a configuration deck, their
 // execution frequency is configurable, and results go to parallel storage
-// for postprocessing or to a live endpoint (internal/catalyst) for
-// run-time inspection.
+// for postprocessing or to a live endpoint (Server) for run-time
+// inspection.
 package cosmotools
 
 import (
@@ -93,57 +93,69 @@ func ParseConfig(r io.Reader) (*Config, error) {
 	return cfg, nil
 }
 
-// Float returns the named parameter as a float, or def when absent.
-func (s *Section) Float(key string, def float64) (float64, error) {
-	v, ok := s.Params[key]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("cosmotools: [%s] %s: %w", s.Name, key, err)
-	}
-	return f, nil
+// params reads one section's keys for a tool's constructor. Each getter
+// remembers the key it was asked for and keeps the first parse error, so
+// done can report that error or, failing one, the keys that are present but
+// were never read: a constructor names each of its keys once.
+type params struct {
+	s    *Section
+	read map[string]bool
+	err  error
 }
 
-// Int returns the named parameter as an int, or def when absent.
-func (s *Section) Int(key string, def int) (int, error) {
-	v, ok := s.Params[key]
+func param[T any](p *params, key string, def T, parse func(string) (T, error)) T {
+	p.read[key] = true
+	v, ok := p.s.Params[key]
 	if !ok {
-		return def, nil
+		return def
 	}
-	i, err := strconv.Atoi(v)
+	x, err := parse(v)
 	if err != nil {
-		return 0, fmt.Errorf("cosmotools: [%s] %s: %w", s.Name, key, err)
+		if p.err == nil {
+			p.err = fmt.Errorf("cosmotools: [%s] %s: %w", p.s.Name, key, err)
+		}
+		return def
 	}
-	return i, nil
+	return x
 }
 
-// Bool returns the named parameter as a bool, or def when absent.
-func (s *Section) Bool(key string, def bool) (bool, error) {
-	v, ok := s.Params[key]
-	if !ok {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("cosmotools: [%s] %s: %w", s.Name, key, err)
-	}
-	return b, nil
+func (p *params) int(key string, def int) int { return param(p, key, def, strconv.Atoi) }
+
+func (p *params) float(key string, def float64) float64 {
+	return param(p, key, def, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 }
 
-// UnknownKeys returns parameters not in the allowed set — analyses use it
-// to reject typos in decks.
-func (s *Section) UnknownKeys(allowed ...string) []string {
-	ok := map[string]bool{}
-	for _, k := range allowed {
-		ok[k] = true
+func (p *params) bool(key string, def bool) bool { return param(p, key, def, strconv.ParseBool) }
+
+// oneOf returns the named parameter, which must be one of allowed; the
+// first of them is the default.
+func (p *params) oneOf(key string, allowed ...string) string {
+	p.read[key] = true
+	v, ok := p.s.Params[key]
+	if !ok {
+		return allowed[0]
+	}
+	if !slices.Contains(allowed, v) && p.err == nil {
+		p.err = fmt.Errorf("cosmotools: [%s] %s must be %s, got %q",
+			p.s.Name, key, strings.Join(allowed, " or "), v)
+	}
+	return v
+}
+
+// done ends the read: the first bad value, or else the keys no getter
+// asked for (typos in the deck), or nil.
+func (p *params) done() error {
+	if p.err != nil {
+		return p.err
 	}
 	var bad []string
-	for _, k := range slices.Sorted(maps.Keys(s.Params)) {
-		if !ok[k] {
+	for _, k := range slices.Sorted(maps.Keys(p.s.Params)) {
+		if !p.read[k] {
 			bad = append(bad, k)
 		}
 	}
-	return bad
+	if len(bad) > 0 {
+		return fmt.Errorf("cosmotools: [%s] has unknown keys %v", p.s.Name, bad)
+	}
+	return nil
 }

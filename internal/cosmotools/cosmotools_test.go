@@ -58,30 +58,40 @@ func TestParseConfigErrors(t *testing.T) {
 
 func TestSectionTypedAccessors(t *testing.T) {
 	cfg := parse(t, "[a]\nf = 2.5\ni = 7\nb = true\nbad = xyz\n")
-	s := &cfg.Sections[0]
-	if v, err := s.Float("f", 0); err != nil || v != 2.5 {
-		t.Errorf("Float = %v, %v", v, err)
+	reader := func() *params { return &params{s: &cfg.Sections[0], read: map[string]bool{}} }
+	p := reader()
+	if v := p.float("f", 0); v != 2.5 {
+		t.Errorf("float = %v", v)
 	}
-	if v, err := s.Float("missing", 9); err != nil || v != 9 {
-		t.Errorf("Float default = %v, %v", v, err)
+	if v := p.float("missing", 9); v != 9 {
+		t.Errorf("float default = %v", v)
 	}
-	if v, err := s.Int("i", 0); err != nil || v != 7 {
-		t.Errorf("Int = %v, %v", v, err)
+	if v := p.int("i", 0); v != 7 {
+		t.Errorf("int = %v", v)
 	}
-	if v, err := s.Bool("b", false); err != nil || !v {
-		t.Errorf("Bool = %v, %v", v, err)
+	if v := p.bool("b", false); !v {
+		t.Errorf("bool = %v", v)
 	}
-	if _, err := s.Float("bad", 0); err == nil {
-		t.Error("bad float accepted")
+	// Every key but "bad" was asked for, and every value parsed.
+	if err := p.done(); err == nil || err.Error() != "cosmotools: [a] has unknown keys [bad]" {
+		t.Errorf("done = %v, want the unknown key", err)
 	}
-	if _, err := s.Int("bad", 0); err == nil {
-		t.Error("bad int accepted")
-	}
-	if _, err := s.Bool("bad", false); err == nil {
-		t.Error("bad bool accepted")
-	}
-	if bad := s.UnknownKeys("f", "i", "b"); len(bad) != 1 || bad[0] != "bad" {
-		t.Errorf("UnknownKeys = %v", bad)
+	for _, c := range []struct {
+		kind string
+		read func(*params)
+		want string
+	}{
+		{"float", func(p *params) { p.float("bad", 0) }, `cosmotools: [a] bad: strconv.ParseFloat: parsing "xyz": invalid syntax`},
+		{"int", func(p *params) { p.int("bad", 0) }, `cosmotools: [a] bad: strconv.Atoi: parsing "xyz": invalid syntax`},
+		{"bool", func(p *params) { p.bool("bad", false) }, `cosmotools: [a] bad: strconv.ParseBool: parsing "xyz": invalid syntax`},
+		{"oneOf", func(p *params) { p.oneOf("bad", "abc", "def") }, `cosmotools: [a] bad must be abc or def, got "xyz"`},
+	} {
+		p := reader()
+		c.read(p)
+		// The bad value wins over the keys this reader never asked for.
+		if err := p.done(); err == nil || err.Error() != c.want {
+			t.Errorf("bad %s: done = %v, want %s", c.kind, err, c.want)
+		}
 	}
 }
 
@@ -176,12 +186,8 @@ blocks = 4
 	}
 
 	// Metrics are populated and sane.
-	tessResults := p.ResultsFor("tess")
-	if len(tessResults) != 2 {
-		t.Fatalf("tess results = %d", len(tessResults))
-	}
-	if tessResults[0].Metrics["cells"] != 512 {
-		t.Errorf("tess cells = %v", tessResults[0].Metrics["cells"])
+	if first := p.Results[0]; first.Analysis != "tess" || first.Metrics["cells"] != 512 {
+		t.Errorf("first result = %+v, want tess with 512 cells", first)
 	}
 
 	// The void feature tree spans both snapshots.
@@ -272,7 +278,7 @@ func TestTessWithHaloSites(t *testing.T) {
 	if err := p.Run(simCfg, 20); err != nil {
 		t.Fatal(err)
 	}
-	res := p.ResultsFor("tess")
+	res := p.Results
 	if len(res) != 1 {
 		t.Fatalf("results = %d", len(res))
 	}

@@ -1,11 +1,12 @@
-// Package catalyst is the run-time connection of the paper's Figure 4: in
-// the paper, a ParaView server connects to the running simulation through
-// Catalyst to inspect level-1 analysis products live; here, the same role
-// is played by an HTTP endpoint that publishes the in situ pipeline's
-// status and analysis results as JSON while the simulation runs. (The
-// postprocessing path — files on parallel storage — is the meshio/diy
-// stack; this is the other of the two modes of Sec. III-B.)
-package catalyst
+package cosmotools
+
+// The run-time connection of the paper's Figure 4: in the paper, a ParaView
+// server connects to the running simulation through Catalyst to inspect
+// level-1 analysis products live; here, the same role is played by an HTTP
+// endpoint that publishes the in situ pipeline's status and analysis
+// results as JSON while the simulation runs. (The postprocessing path —
+// files on parallel storage — is the meshio/diy stack; this is the other of
+// the two modes of Sec. III-B.)
 
 import (
 	"encoding/json"
@@ -14,7 +15,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/cosmotools"
 	"repro/internal/nbody"
 )
 
@@ -32,7 +32,7 @@ type Status struct {
 type Server struct {
 	mu      sync.RWMutex
 	status  Status
-	results []cosmotools.Result
+	results []Result
 }
 
 // NewServer returns an empty server.
@@ -46,29 +46,10 @@ func (s *Server) SetStatus(st Status) {
 }
 
 // Publish appends one analysis result.
-func (s *Server) Publish(r cosmotools.Result) {
+func (s *Server) Publish(r Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.results = append(s.results, r)
-}
-
-// resultJSON is the wire form of a result.
-type resultJSON struct {
-	Analysis  string             `json:"analysis"`
-	Step      int                `json:"step"`
-	Summary   string             `json:"summary"`
-	Metrics   map[string]float64 `json:"metrics"`
-	ElapsedMS float64            `json:"elapsed_ms"`
-}
-
-func toJSON(r cosmotools.Result) resultJSON {
-	return resultJSON{
-		Analysis:  r.Analysis,
-		Step:      r.Step,
-		Summary:   r.Summary,
-		Metrics:   r.Metrics,
-		ElapsedMS: float64(r.Elapsed.Microseconds()) / 1e3,
-	}
 }
 
 // Handler returns the HTTP routes:
@@ -87,24 +68,21 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /results", func(w http.ResponseWriter, req *http.Request) {
 		s.mu.RLock()
-		out := make([]resultJSON, len(s.results))
-		for i, r := range s.results {
-			out[i] = toJSON(r)
-		}
+		out := append([]Result{}, s.results...)
 		s.mu.RUnlock()
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("GET /results/latest", func(w http.ResponseWriter, req *http.Request) {
 		s.mu.RLock()
-		latest := map[string]cosmotools.Result{}
+		latest := map[string]Result{}
 		for _, r := range s.results {
 			latest[r.Analysis] = r
 		}
 		s.mu.RUnlock()
 		names := slices.Sorted(maps.Keys(latest))
-		out := make([]resultJSON, 0, len(names))
+		out := make([]Result, 0, len(names))
 		for _, n := range names {
-			out = append(out, toJSON(latest[n]))
+			out = append(out, latest[n])
 		}
 		writeJSON(w, out)
 	})
@@ -130,23 +108,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// Attach wires a pipeline to the server: the returned hook runs the
-// pipeline's own hook, then publishes any new results and the current
-// status. Pass it to Simulation.Run in place of the pipeline hook.
-func (s *Server) Attach(p *cosmotools.Pipeline, totalSteps int) func(*nbody.Simulation) {
-	inner := p.Hook(totalSteps)
-	published := 0
-	return func(sim *nbody.Simulation) {
-		inner(sim)
-		for _, r := range p.Results[published:] {
-			s.Publish(r)
-		}
-		published = len(p.Results)
-		s.SetStatus(Status{
-			Step:       sim.Step,
-			TotalSteps: totalSteps,
-			Running:    sim.Step < totalSteps,
-			Particles:  sim.NumParticles(),
-		})
-	}
+// Attach wires a pipeline to the server: from now on every Step of the
+// pipeline also publishes its results and the run status here. It returns
+// p.Hook(totalSteps), to pass to Simulation.Run.
+func (s *Server) Attach(p *Pipeline, totalSteps int) func(*nbody.Simulation) {
+	p.live = s
+	return p.Hook(totalSteps)
 }

@@ -1,6 +1,7 @@
 package cosmotools
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
@@ -23,27 +24,35 @@ type Context struct {
 
 // Result is one analysis invocation's summary.
 type Result struct {
-	Analysis string
-	Step     int
-	Summary  string
-	Metrics  map[string]float64
-	Elapsed  time.Duration
+	Analysis string             `json:"analysis"`
+	Step     int                `json:"step"`
+	Summary  string             `json:"summary"`
+	Metrics  map[string]float64 `json:"metrics"`
+	Elapsed  time.Duration      `json:"-"`
 }
 
-// Analysis is a level-1 in situ analysis tool.
+// MarshalJSON is the live endpoints' wire form of a result: the tagged
+// fields, then the elapsed time in milliseconds.
+func (r Result) MarshalJSON() ([]byte, error) {
+	type fields Result
+	return json.Marshal(struct {
+		fields
+		ElapsedMS float64 `json:"elapsed_ms"`
+	}{fields(r), float64(r.Elapsed.Microseconds()) / 1e3})
+}
+
+// Analysis is a level-1 in situ analysis tool. A tool that holds
+// persistent resources also has a Close() error method, which
+// Pipeline.Close calls.
 type Analysis interface {
-	// Name identifies the tool (the deck section name).
-	Name() string
-	// Every is the execution period in steps (always run on the final
-	// step as well).
-	Every() int
 	// Run executes the analysis on the current simulation state.
 	Run(ctx *Context) (Result, error)
 }
 
 // builder constructs an analysis from its deck section, given the
-// simulation configuration (for box size and particle counts).
-type builder func(s *Section, simCfg nbody.Config) (Analysis, error)
+// simulation configuration (for box size and particle counts). Bad values
+// and unknown keys are the reader's to report.
+type builder func(p *params, simCfg nbody.Config) Analysis
 
 var registry = map[string]builder{
 	"correlation": newCorrelationAnalysis,
@@ -63,16 +72,23 @@ func KnownAnalyses() []string {
 // paper's Figure 4: the simulation invokes the framework each step, and
 // each enabled tool runs at its configured frequency.
 type Pipeline struct {
+	// Analyses are the enabled tools, in deck order.
 	Analyses  []Analysis
 	OutputDir string
 	// Results accumulates every invocation in execution order.
 	Results []Result
 
-	steps int
+	// names[i] and every[i] are Analyses[i]'s deck section name (its
+	// registry key) and its execution period in steps.
+	names []string
+	every []int
+	live  *Server
 	err   error
 }
 
-// NewPipeline builds the analyses named in the deck.
+// NewPipeline builds the analyses named in the deck. Every section accepts
+// every = N (default 10), the tool's execution period; the remaining keys
+// are the tool's own.
 func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline, error) {
 	p := &Pipeline{OutputDir: outputDir}
 	for i := range cfg.Sections {
@@ -81,11 +97,15 @@ func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline,
 		if !ok {
 			return nil, fmt.Errorf("cosmotools: unknown analysis %q (known: %v)", s.Name, KnownAnalyses())
 		}
-		a, err := build(s, simCfg)
-		if err != nil {
+		r := &params{s: s, read: map[string]bool{}}
+		every := r.int("every", 10)
+		a := build(r, simCfg)
+		if err := r.done(); err != nil {
 			return nil, err
 		}
 		p.Analyses = append(p.Analyses, a)
+		p.names = append(p.names, s.Name)
+		p.every = append(p.every, every)
 	}
 	if len(p.Analyses) == 0 {
 		return nil, fmt.Errorf("cosmotools: configuration enables no analyses")
@@ -93,33 +113,51 @@ func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline,
 	return p, nil
 }
 
-// Hook returns the per-step callback to pass to Simulation.Run; totalSteps
-// lets the hook force a final-step invocation of every tool.
-func (p *Pipeline) Hook(totalSteps int) func(*nbody.Simulation) {
-	p.steps = totalSteps
-	return func(sim *nbody.Simulation) {
+// Step runs every tool that is due after sim's current step — its period
+// divides the step, or the step is totalSteps, the run's last, on which
+// every tool runs — and returns the invocations it made (also appended to
+// Results, and published to an attached Server). After an analysis error
+// (see Err) it runs nothing.
+func (p *Pipeline) Step(sim *nbody.Simulation, totalSteps int) []Result {
+	first := len(p.Results)
+	for i, a := range p.Analyses {
 		if p.err != nil {
-			return
+			break
 		}
-		for _, a := range p.Analyses {
-			due := a.Every() > 0 && sim.Step%a.Every() == 0
-			last := sim.Step == totalSteps
-			if !due && !last {
-				continue
-			}
-			ctx := &Context{Sim: sim, Step: sim.Step, OutputDir: p.OutputDir}
-			t0 := time.Now()
-			res, err := a.Run(ctx)
-			if err != nil {
-				p.err = fmt.Errorf("cosmotools: %s at step %d: %w", a.Name(), sim.Step, err)
-				return
-			}
-			res.Analysis = a.Name()
-			res.Step = sim.Step
-			res.Elapsed = time.Since(t0)
-			p.Results = append(p.Results, res)
+		due := p.every[i] > 0 && sim.Step%p.every[i] == 0
+		if !due && sim.Step != totalSteps {
+			continue
 		}
+		t0 := time.Now()
+		res, err := a.Run(&Context{Sim: sim, Step: sim.Step, OutputDir: p.OutputDir})
+		if err != nil {
+			p.err = fmt.Errorf("cosmotools: %s at step %d: %w", p.names[i], sim.Step, err)
+			break
+		}
+		res.Analysis = p.names[i]
+		res.Step = sim.Step
+		res.Elapsed = time.Since(t0)
+		p.Results = append(p.Results, res)
 	}
+	made := p.Results[first:]
+	if p.live != nil {
+		for _, r := range made {
+			p.live.Publish(r)
+		}
+		p.live.SetStatus(Status{
+			Step:       sim.Step,
+			TotalSteps: totalSteps,
+			Running:    sim.Step < totalSteps,
+			Particles:  sim.NumParticles(),
+		})
+	}
+	return made
+}
+
+// Hook returns Step as the per-step callback to pass to Simulation.Run,
+// for runs that read Results at the end.
+func (p *Pipeline) Hook(totalSteps int) func(*nbody.Simulation) {
+	return func(sim *nbody.Simulation) { p.Step(sim, totalSteps) }
 }
 
 // Err returns the first analysis error, if any.
@@ -143,17 +181,6 @@ func (p *Pipeline) Close() error {
 	return first
 }
 
-// ResultsFor returns the invocations of one analysis in step order.
-func (p *Pipeline) ResultsFor(name string) []Result {
-	var out []Result
-	for _, r := range p.Results {
-		if r.Analysis == name {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Run executes a fresh simulation with the pipeline attached, closing the
 // analyses' persistent sessions when the run finishes.
 func (p *Pipeline) Run(simCfg nbody.Config, steps int) error {
@@ -166,53 +193,29 @@ func (p *Pipeline) Run(simCfg nbody.Config, steps int) error {
 	return p.err
 }
 
+// tree builds the feature tree (internal/track) over the snapshots the
+// named tool accumulated, one per invocation.
+func (p *Pipeline) tree(name string, minOverlapFrac float64) (*track.Tree, error) {
+	for i, a := range p.Analyses {
+		if f, ok := a.(interface{ features() []track.Snapshot }); ok && p.names[i] == name {
+			return track.Build(f.features(), minOverlapFrac)
+		}
+	}
+	return nil, fmt.Errorf("cosmotools: pipeline has no %s analysis", name)
+}
+
 // HaloTree builds the merger tree over the halos accumulated by the
 // pipeline's halo analysis (Fig. 4 lists "merger trees" among the level-1
 // tools): halos are matched across snapshots by particle membership, so
 // Merge events are halo mergers and Birth events are newly collapsed
 // halos. minOverlapFrac is passed to track.Build.
 func (p *Pipeline) HaloTree(minOverlapFrac float64) (*track.Tree, error) {
-	for _, a := range p.Analyses {
-		ha, ok := a.(*haloAnalysis)
-		if !ok {
-			continue
-		}
-		snaps := make([]track.Snapshot, len(ha.snapshots))
-		for i, s := range ha.snapshots {
-			feats := make([]track.Feature, len(s.halos))
-			for j, h := range s.halos {
-				ids := make([]int64, len(h.Members))
-				for k, m := range h.Members {
-					ids[k] = int64(m)
-				}
-				feats[j] = track.Feature{IDs: ids, Weight: float64(h.Mass())}
-			}
-			snaps[i] = track.Snapshot{Step: s.step, Features: feats}
-		}
-		return track.Build(snaps, minOverlapFrac)
-	}
-	return nil, fmt.Errorf("cosmotools: pipeline has no halo analysis")
+	return p.tree("halo", minOverlapFrac)
 }
 
-// VoidTree builds the feature tree (internal/track) over the void
-// components accumulated by the pipeline's voids analysis — the temporal
-// evolution study of the paper's Sec. V. minOverlapFrac is passed to
-// track.Build.
+// VoidTree builds the feature tree over the void components accumulated by
+// the pipeline's voids analysis — the temporal evolution study of the
+// paper's Sec. V. minOverlapFrac is passed to track.Build.
 func (p *Pipeline) VoidTree(minOverlapFrac float64) (*track.Tree, error) {
-	for _, a := range p.Analyses {
-		va, ok := a.(*voidsAnalysis)
-		if !ok {
-			continue
-		}
-		snaps := make([]track.Snapshot, len(va.snapshots))
-		for i, s := range va.snapshots {
-			feats := make([]track.Feature, len(s.comps))
-			for j, c := range s.comps {
-				feats[j] = track.Feature{IDs: c.CellIDs, Weight: c.Functionals.Volume}
-			}
-			snaps[i] = track.Snapshot{Step: s.step, Features: feats}
-		}
-		return track.Build(snaps, minOverlapFrac)
-	}
-	return nil, fmt.Errorf("cosmotools: pipeline has no voids analysis")
+	return p.tree("voids", minOverlapFrac)
 }

@@ -60,14 +60,15 @@ func isCommWorld(t types.Type) bool {
 		n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == commPath
 }
 
-// worldMethodOf returns the method name when call is a method call on a
-// comm.World value ("" otherwise).
-func worldMethodOf(pkg *Package, call *ast.CallExpr) string {
+// sendPayload returns the payload argument when call is the comm
+// point-to-point send, World.Send(src, dst, tag, payload), and nil
+// otherwise.
+func sendPayload(pkg *Package, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !isCommWorld(pkg.Info.TypeOf(sel.X)) {
-		return ""
+	if !ok || sel.Sel.Name != "Send" || len(call.Args) != 4 || !isCommWorld(pkg.Info.TypeOf(sel.X)) {
+		return nil
 	}
-	return sel.Sel.Name
+	return call.Args[3]
 }
 
 // commCall reports whether call resolves to any function or method of the

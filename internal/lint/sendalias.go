@@ -1,38 +1,36 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // SendAlias enforces the comm package's ownership-transfer convention at
 // every point-to-point send site. Payloads cross rank boundaries by
-// reference, so the sender must (a) allocate the payload itself — a
-// composite literal, make/append result, or a local variable built only
-// from fresh allocations — and (b) never touch it again after the send.
-// A payload that aliases a parameter, or is read or written after the
-// send, is shared mutable memory between two ranks: exactly the
-// shared-memory aliasing bug class PARAVT reports as dominant in
-// parallel tessellation codes, and invisible to the race detector until
-// both ranks actually touch the same word.
+// reference, so the sender must (a) hand over memory nobody else can see —
+// nothing reachable from a parameter or the receiver, and no //tess:loaned
+// result — and (b) never touch it again after the send. A payload that
+// aliases caller-visible memory, or is read or written after the send, is
+// shared mutable memory between two ranks: exactly the shared-memory
+// aliasing bug class PARAVT reports as dominant in parallel tessellation
+// codes, and invisible to the race detector until both ranks actually
+// touch the same word.
 //
-// Payloads of pure value types (no slices, maps, or pointers anywhere in
-// the type) are exempt: they are copied through the channel. The comm
-// package itself is exempt: its wrappers forward caller payloads by
-// design, and the convention binds comm's clients.
+// (a) is a predicate on the shared taint engine (Program.trace): the
+// payload's source mask must be empty, so an alias that arrives through a
+// local, a container, a composite literal or an identity helper is seen
+// the way loanretain sees a loan. (b) is positional: no later mention of
+// the payload variable. Payloads of pure value types (no slices, maps, or
+// pointers anywhere in the type) are exempt: they are copied through the
+// channel. The comm package itself is exempt: its collectives forward
+// caller payloads by design, and the convention binds comm's clients.
 var SendAlias = &Analyzer{
 	Name: "sendalias",
 	Doc:  "comm Send payloads must be freshly allocated and never reused after the send",
 	Run:  runSendAlias,
-}
-
-// sendPayloadIndex maps point-to-point World methods to the argument
-// index of their payload.
-var sendPayloadIndex = map[string]int{
-	"Send":        3, // Send(src, dst, tag, payload)
-	"SendTimeout": 3, // SendTimeout(src, dst, tag, payload, timeout)
-	"Sendrecv":    4, // Sendrecv(rank, dst, src, tag, payload)
 }
 
 func runSendAlias(p *Pass) {
@@ -40,324 +38,158 @@ func runSendAlias(p *Pass) {
 		return
 	}
 	for _, file := range p.Pkg.Files {
-		for _, fs := range funcScopes(p, file) {
-			checkSendsInScope(p, fs)
+		for _, d := range file.Decls {
+			if decl, ok := d.(*ast.FuncDecl); ok && decl.Body != nil {
+				checkSends(p, decl)
+			}
 		}
 	}
 }
 
-// sendSite is one point-to-point send call found in a function scope.
-type sendSite struct {
-	call    *ast.CallExpr
-	method  string
-	payload ast.Expr
-}
-
-func checkSendsInScope(p *Pass, fs funcScope) {
-	var sends []sendSite
-	inspectShallow(fs.body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+func checkSends(p *Pass, decl *ast.FuncDecl) {
+	var sends []*ast.CallExpr
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && sendPayload(p.Pkg, call) != nil {
+			sends = append(sends, call)
 		}
-		m := worldMethodOf(p.Pkg, call)
-		idx, ok := sendPayloadIndex[m]
-		if !ok || len(call.Args) <= idx {
-			return true
-		}
-		sends = append(sends, sendSite{call: call, method: m, payload: call.Args[idx]})
 		return true
 	})
-	for _, s := range sends {
-		checkPayload(p, fs, s, sends)
+	if len(sends) == 0 {
+		return
+	}
+	sc := p.Prog.trace(p.Pkg, decl, func(escape) {})
+	for _, call := range sends {
+		payload := ast.Unparen(sendPayload(p.Pkg, call))
+		// Value-type payloads are copied through the channel: nothing to share.
+		if t := p.TypeOf(payload); t != nil && !hasReference(t) {
+			continue
+		}
+		if sc.mask(payload) != 0 {
+			p.Reportf(call.Pos(), "comm Send payload %s", notFresh(p, sc, decl, payload))
+			continue
+		}
+		checkUseAfterSend(p, decl, call, payload, sends)
 	}
 }
 
-func checkPayload(p *Pass, fs funcScope, s sendSite, all []sendSite) {
-	// Value-type payloads are copied through the channel: nothing to share.
-	if t := p.TypeOf(s.payload); t != nil && !hasReference(t) {
-		return
-	}
-	pl := ast.Unparen(s.payload)
-	switch e := pl.(type) {
-	case *ast.CompositeLit, *ast.UnaryExpr:
-		checkEmbeddedParams(p, fs, s, pl)
-	case *ast.CallExpr:
-		// make/append/new results and unresolvable calls are fresh by
-		// convention; a summarized callee is held to proof — a result that
-		// may alias caller memory through an identity/wrapper helper is
-		// shared mutable memory between ranks.
-		checkCallPayload(p, fs, s, e)
+// notFresh phrases, by the payload's form, why a payload with a non-empty
+// mask is not the sender's to give away.
+func notFresh(p *Pass, sc *summaryCtx, decl *ast.FuncDecl, payload ast.Expr) string {
+	isParam := func(id *ast.Ident) bool { return slices.Contains(sc.params, p.ObjectOf(id)) }
+	switch e := payload.(type) {
 	case *ast.Ident:
-		if e.Name == "nil" {
-			return
+		if isParam(e) {
+			return e.Name + " is a function parameter; the ownership-transfer convention requires a freshly allocated buffer"
 		}
-		checkIdentPayload(p, fs, s, e)
-	case *ast.IndexExpr:
-		checkIndexPayload(p, fs, s, e, all)
-	default:
-		p.Reportf(s.call.Pos(),
-			"comm %s payload must be freshly allocated in the sending function (got %s)",
-			s.method, exprKind(pl))
+		return fmt.Sprintf("%s aliases non-fresh memory assigned on line %d",
+			e.Name, p.Fset.Position(sc.taintedAt(decl.Body, p.ObjectOf(e))).Line)
+	case *ast.CallExpr:
+		// A summarized callee's result is as fresh as the arguments it may
+		// return an alias of: name the identity/wrapper helper.
+		if callee, args := p.Prog.callTarget(p.Pkg, e, sc.bind); callee != nil {
+			for i, arg := range args {
+				if root := rootIdent(arg); root != nil && flowAt(p.Prog.Flows(callee), i).ReturnsAlias && sc.mask(arg) != 0 {
+					return fmt.Sprintf("is the result of %s, which returns an alias of its argument %s; the receiver would alias the caller's memory",
+						callee.Name(), root.Name)
+				}
+			}
+		}
 	}
+	// A literal, field or element that carries the alias inside.
+	what := ""
+	ast.Inspect(payload, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && what == "" && sc.masks[p.ObjectOf(id)] != 0 {
+			what = "local " + id.Name
+			if isParam(id) {
+				what = "parameter " + id.Name
+			}
+		}
+		return what == ""
+	})
+	if what == "" {
+		what = "a //tess:loaned result" // the one source that is no variable
+	}
+	return "embeds " + what + "; the receiver would alias the caller's memory"
 }
 
-// checkCallPayload inspects a call-result payload through the callee's
-// interprocedural summary: when the callee returns an alias of one of its
-// arguments, the argument must itself be fresh-by-the-rules — a parameter
-// or out-of-function value flowing through an identity helper into a send
-// is the same bug as sending it directly.
-func checkCallPayload(p *Pass, fs funcScope, s sendSite, call *ast.CallExpr) {
-	callee, args := p.Prog.callTarget(p.Pkg, call, nil)
-	if callee == nil {
-		return
-	}
-	flows := p.Prog.Flows(callee)
-	for i, arg := range args {
-		if !flowAt(flows, i).ReturnsAlias {
-			continue
-		}
-		root := rootIdent(arg)
-		if root == nil {
-			continue
-		}
-		obj := p.ObjectOf(root)
-		if obj == nil {
-			continue
-		}
-		if t := p.TypeOf(arg); t == nil || !hasReference(t) {
-			continue
-		}
-		if fs.params[obj] {
-			p.Reportf(s.call.Pos(),
-				"comm %s payload is the result of %s, which returns an alias of its argument %s — a parameter; the receiver would alias the caller's memory",
-				s.method, callee.Name(), root.Name)
-		} else if !declaredWithin(obj, fs.body) {
-			p.Reportf(s.call.Pos(),
-				"comm %s payload is the result of %s, which returns an alias of %s, memory not allocated in the sending function",
-				s.method, callee.Name(), root.Name)
-		}
-	}
-}
-
-// checkEmbeddedParams flags composite-literal payloads that smuggle a
-// reference-typed parameter inside (Wrapper{Buf: callerSlice}).
-func checkEmbeddedParams(p *Pass, fs funcScope, s sendSite, lit ast.Expr) {
-	ast.Inspect(lit, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.ObjectOf(id)
-		if obj == nil || !fs.params[obj] {
-			return true
-		}
-		if t := obj.Type(); t != nil && hasReference(t) {
-			p.Reportf(s.call.Pos(),
-				"comm %s payload embeds parameter %s; the receiver would alias the caller's memory",
-				s.method, id.Name)
+// taintedAt returns where obj first takes a non-empty mask in body: the
+// assignment or declaration that brought the alias in (obj's own
+// declaration when it arrives some other way, e.g. a range binding).
+func (sc *summaryCtx) taintedAt(body *ast.BlockStmt, obj types.Object) token.Pos {
+	at := obj.Pos()
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
 			return false
+		}
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range st.Lhs {
+				root := rootIdent(lhs)
+				if rhs := sc.assigned(st, i); rhs != nil && root != nil && objOf(sc.pkg, root) == obj && sc.mask(rhs) != 0 {
+					at, found = st.Pos(), true
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range st.Names {
+				if i < len(st.Values) && objOf(sc.pkg, name) == obj && sc.mask(st.Values[i]) != 0 {
+					at, found = st.Pos(), true
+				}
+			}
 		}
 		return true
 	})
+	return at
 }
 
-// checkIdentPayload enforces the rules for a plain local-variable payload:
-// declared in this function, every assignment fresh, no use after the send.
-func checkIdentPayload(p *Pass, fs funcScope, s sendSite, id *ast.Ident) {
-	obj := p.ObjectOf(id)
-	if obj == nil {
-		return
+// checkUseAfterSend enforces that ownership leaves with the message: any
+// later mention of the payload variable reads or writes memory the
+// receiver now owns. The one sanctioned exception is the per-rank drain
+// pattern — a container m whose elements are sent as m[k]: after the first
+// such send, m may appear only as the payload of further sends.
+func checkUseAfterSend(p *Pass, decl *ast.FuncDecl, call *ast.CallExpr, payload ast.Expr, sends []*ast.CallExpr) {
+	root, _ := payload.(*ast.Ident)
+	ix, drain := payload.(*ast.IndexExpr)
+	if drain {
+		root = rootIdent(ix.X)
 	}
-	if fs.params[obj] {
-		p.Reportf(s.call.Pos(),
-			"comm %s payload %s is a function parameter; the ownership-transfer convention requires a freshly allocated buffer",
-			s.method, id.Name)
-		return
-	}
-	if !declaredWithin(obj, fs.body) {
-		p.Reportf(s.call.Pos(),
-			"comm %s payload %s is not allocated in the sending function",
-			s.method, id.Name)
-		return
-	}
-	checkFreshAssignments(p, fs, s, obj, id.Name)
-
-	// Ownership leaves with the message: any later mention of the
-	// variable reads or writes memory the receiver now owns.
-	inspectShallow(fs.body, func(n ast.Node) bool {
-		use, ok := n.(*ast.Ident)
-		if !ok || use.Pos() <= s.call.End() {
-			return true
-		}
-		if p.ObjectOf(use) == obj {
-			p.Reportf(s.call.Pos(),
-				"comm %s payload %s is used again on line %d after the send relinquishes ownership",
-				s.method, id.Name, p.Fset.Position(use.Pos()).Line)
-			return false
-		}
-		return true
-	})
-}
-
-// checkIndexPayload enforces the rules for an m[k] payload (the per-rank
-// drain pattern): m local, every stored value fresh, and after the first
-// send m may appear only as the payload of further sends.
-func checkIndexPayload(p *Pass, fs funcScope, s sendSite, idx *ast.IndexExpr, all []sendSite) {
-	root := rootIdent(idx.X)
 	if root == nil {
-		p.Reportf(s.call.Pos(), "comm %s payload must be freshly allocated in the sending function (got %s)",
-			s.method, exprKind(idx.X))
 		return
 	}
 	obj := p.ObjectOf(root)
 	if obj == nil {
 		return
 	}
-	if fs.params[obj] || !declaredWithin(obj, fs.body) {
-		p.Reportf(s.call.Pos(),
-			"comm %s payload %s[...] indexes memory not allocated in the sending function",
-			s.method, root.Name)
-		return
-	}
-	checkFreshAssignments(p, fs, s, obj, root.Name)
-
-	// Sends draining the same container: their payload expressions are the
-	// only allowed mentions of obj past the first send.
-	firstEnd := token.Pos(0)
-	var payloadSpans [][2]token.Pos
-	for _, o := range all {
-		oi, ok := ast.Unparen(o.payload).(*ast.IndexExpr)
-		if !ok {
+	after := call.End()
+	var drains []ast.Expr // the m[k] payloads of every send draining obj
+	for _, o := range sends {
+		oi, ok := ast.Unparen(sendPayload(p.Pkg, o)).(*ast.IndexExpr)
+		if !drain || !ok {
 			continue
 		}
-		or := rootIdent(oi.X)
-		if or == nil || p.ObjectOf(or) != obj {
-			continue
+		if r := rootIdent(oi.X); r != nil && p.ObjectOf(r) == obj {
+			after = min(after, o.End())
+			drains = append(drains, oi)
 		}
-		if firstEnd == 0 || o.call.End() < firstEnd {
-			firstEnd = o.call.End()
-		}
-		payloadSpans = append(payloadSpans, [2]token.Pos{o.payload.Pos(), o.payload.End()})
 	}
-	inspectShallow(fs.body, func(n ast.Node) bool {
+	reported := false
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		use, ok := n.(*ast.Ident)
-		if !ok || use.Pos() <= firstEnd || p.ObjectOf(use) != obj {
+		if !ok || reported || use.Pos() <= after || p.ObjectOf(use) != obj {
 			return true
 		}
-		for _, sp := range payloadSpans {
-			if use.Pos() >= sp[0] && use.Pos() < sp[1] {
+		for _, d := range drains {
+			if d.Pos() <= use.Pos() && use.Pos() < d.End() {
 				return true
 			}
 		}
-		p.Reportf(s.call.Pos(),
-			"comm %s payload container %s is read or written on line %d after its buffers were sent",
-			s.method, root.Name, p.Fset.Position(use.Pos()).Line)
-		return false
-	})
-}
-
-// checkFreshAssignments verifies every assignment to obj in the scope
-// yields freshly allocated memory (or derives from obj itself: growth and
-// re-slicing patterns).
-func checkFreshAssignments(p *Pass, fs funcScope, s sendSite, obj types.Object, name string) {
-	inspectShallow(fs.body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range st.Lhs {
-				target := lhs
-				if ix, ok := lhs.(*ast.IndexExpr); ok {
-					target = ix.X // writes into m[k] transfer with the send too
-				}
-				r := rootIdent(target)
-				if r == nil || p.ObjectOf(r) != obj {
-					continue
-				}
-				var rhs ast.Expr
-				if len(st.Rhs) == len(st.Lhs) {
-					rhs = st.Rhs[i]
-				} else if len(st.Rhs) == 1 {
-					rhs = st.Rhs[0] // multi-value call: fresh
-				}
-				if rhs != nil && !freshExpr(p, rhs, obj) {
-					p.Reportf(s.call.Pos(),
-						"comm %s payload %s aliases non-fresh memory assigned on line %d",
-						s.method, name, p.Fset.Position(st.Pos()).Line)
-				}
-			}
-		case *ast.ValueSpec:
-			for i, vn := range st.Names {
-				if p.ObjectOf(vn) != obj || i >= len(st.Values) {
-					continue
-				}
-				if !freshExpr(p, st.Values[i], obj) {
-					p.Reportf(s.call.Pos(),
-						"comm %s payload %s aliases non-fresh memory assigned on line %d",
-						s.method, name, p.Fset.Position(st.Pos()).Line)
-				}
-			}
+		reported = true
+		line := p.Fset.Position(use.Pos()).Line
+		if drain {
+			p.Reportf(call.Pos(), "comm Send payload container %s is read or written on line %d after its buffers were sent", root.Name, line)
+		} else {
+			p.Reportf(call.Pos(), "comm Send payload %s is used again on line %d after the send relinquishes ownership", root.Name, line)
 		}
 		return true
 	})
-}
-
-// freshExpr reports whether e evaluates to freshly allocated memory (or
-// derives from self, covering x = append(x, ...) growth and x = x[:n]
-// re-slicing).
-func freshExpr(p *Pass, e ast.Expr, self types.Object) bool {
-	e = ast.Unparen(e)
-	switch x := e.(type) {
-	case *ast.CompositeLit, *ast.BasicLit, *ast.FuncLit:
-		return true
-	case *ast.Ident:
-		return x.Name == "nil"
-	case *ast.UnaryExpr:
-		return x.Op == token.AND && freshExpr(p, x.X, self)
-	case *ast.SliceExpr:
-		r := rootIdent(x.X)
-		return r != nil && p.ObjectOf(r) == self
-	case *ast.IndexExpr:
-		r := rootIdent(x.X)
-		return r != nil && p.ObjectOf(r) == self
-	case *ast.CallExpr:
-		if isBuiltin(p, x, "append") && len(x.Args) > 0 {
-			if freshExpr(p, x.Args[0], self) {
-				return true
-			}
-			r := rootIdent(x.Args[0])
-			return r != nil && p.ObjectOf(r) == self
-		}
-		// A summarized callee is fresh only if every argument it may
-		// return an alias of is itself fresh (or derives from self).
-		if callee, args := p.Prog.callTarget(p.Pkg, x, nil); callee != nil {
-			flows := p.Prog.Flows(callee)
-			for i, arg := range args {
-				if !flowAt(flows, i).ReturnsAlias {
-					continue
-				}
-				if r := rootIdent(arg); r != nil && p.ObjectOf(r) == self {
-					continue
-				}
-				if !freshExpr(p, arg, self) {
-					return false
-				}
-			}
-			return true
-		}
-		// make, new, conversions, and unresolvable calls: results are
-		// fresh by this repo's convention (helpers return owned memory).
-		return true
-	}
-	return false
-}
-
-func exprKind(e ast.Expr) string {
-	switch e.(type) {
-	case *ast.SelectorExpr:
-		return "a field or package-level value"
-	case *ast.StarExpr:
-		return "a pointer dereference"
-	default:
-		return "a non-local expression"
-	}
 }

@@ -221,8 +221,10 @@ type summaryCtx struct {
 // trace seeds decl's reference-carrying parameters, propagates the source
 // masks through the body to a fixpoint, and calls sink once per site where
 // a non-empty mask escapes. decl need not belong to the Program; calls
-// resolve only to functions that do.
-func (prog *Program) trace(pkg *Package, decl *ast.FuncDecl, sink func(escape)) {
+// resolve only to functions that do. The returned context holds the
+// stabilized masks, for a caller that asks about expressions of its own
+// (sendalias: each send's payload).
+func (prog *Program) trace(pkg *Package, decl *ast.FuncDecl, sink func(escape)) *summaryCtx {
 	sc := &summaryCtx{
 		prog:   prog,
 		pkg:    pkg,
@@ -286,6 +288,7 @@ func (prog *Program) trace(pkg *Package, decl *ast.FuncDecl, sink func(escape)) 
 		return true
 	})
 	sc.checkReturns(body, decl.Type.Results, false)
+	return sc
 }
 
 // assigned returns the expression whose value lands in st.Lhs[i]: the
@@ -431,8 +434,8 @@ func (sc *summaryCtx) checkStore(pos token.Pos, lhs, rhs ast.Expr) {
 // Point-to-point comm sends are recognized structurally, so the fact holds
 // even when the comm package is outside the Program.
 func (sc *summaryCtx) checkCall(call *ast.CallExpr) {
-	if idx, ok := sendPayloadIndex[worldMethodOf(sc.pkg, call)]; ok && idx < len(call.Args) {
-		sc.emit(escape{kind: escCommSend, pos: call.Pos(), mask: sc.mask(call.Args[idx])})
+	if payload := sendPayload(sc.pkg, call); payload != nil {
+		sc.emit(escape{kind: escCommSend, pos: call.Pos(), mask: sc.mask(payload)})
 	}
 	callee, args := sc.prog.callTarget(sc.pkg, call, sc.bind)
 	if callee == nil {

@@ -3,11 +3,7 @@
 // the send relinquishes ownership.
 package sendalias
 
-import (
-	"time"
-
-	"repro/internal/comm"
-)
+import "repro/internal/comm"
 
 type wrapper struct {
 	Buf []float64
@@ -52,25 +48,6 @@ func sendRebound(w *comm.World, rank, dst int, data []float64) {
 	buf := make([]float64, 0, 8)
 	buf = data[:2]            // the alias the analyzer pins to the send below
 	w.Send(rank, dst, 1, buf) // want `aliases non-fresh memory assigned on line \d+`
-}
-
-// The abort-aware timeout variant transfers ownership exactly like Send:
-// a fresh payload is fine.
-func sendTimeoutFresh(w *comm.World, rank, dst int) error {
-	buf := make([]float64, 8)
-	return w.SendTimeout(rank, dst, 1, buf, time.Second)
-}
-
-// ... and a parameter payload is the same aliasing bug.
-func sendTimeoutParam(w *comm.World, rank, dst int, data []float64) error {
-	return w.SendTimeout(rank, dst, 1, data, time.Second) // want `payload data is a function parameter`
-}
-
-// Reuse after a SendTimeout relinquishes ownership is flagged too.
-func sendTimeoutThenReuse(w *comm.World, rank, dst int) float64 {
-	buf := make([]float64, 8)
-	_ = w.SendTimeout(rank, dst, 1, buf, time.Second) // want `used again on line \d+ after the send`
-	return buf[0]
 }
 
 // Draining a local per-rank map is the sanctioned exchange pattern as

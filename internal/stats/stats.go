@@ -59,9 +59,6 @@ func ComputeMoments(xs []float64) Moments {
 	return m
 }
 
-// StdDev returns the population standard deviation.
-func (m Moments) StdDev() float64 { return math.Sqrt(m.Variance) }
-
 // Histogram is a fixed-width binning of a sample over [Lo, Hi). Values
 // outside the range are counted in Under/Over and excluded from Counts.
 type Histogram struct {
@@ -128,9 +125,6 @@ func (h *Histogram) MaxCount() int {
 	}
 	return m
 }
-
-// InRange returns the number of counted values that fell inside [Lo, Hi).
-func (h *Histogram) InRange() int { return h.Total - h.Under - h.Over }
 
 // Render draws an ASCII bar chart of the histogram, width columns wide,
 // in the style used by the experiment harnesses to stand in for the paper's

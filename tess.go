@@ -346,6 +346,14 @@ func FindVoids(cells []CellRecord, minVolume float64) []VoidComponent {
 	return voids.ConnectedComponents(voids.Threshold(cells, minVolume))
 }
 
+// LabelVoids is FindVoids in situ, over a pass's gathered meshes instead of
+// a file read back (the paper's Sec. V: "we plan to label connected
+// components automatically in situ as well"). minVolume <= 0 uses the mean
+// cell volume; the threshold applied is returned beside the components.
+func LabelVoids(out *Output, minVolume float64) ([]VoidComponent, float64) {
+	return voids.LabelMeshes(out.Meshes, minVolume)
+}
+
 // VoidZone is one watershed basin of the Voronoi density field.
 type VoidZone = voids.Zone
 

@@ -330,12 +330,36 @@ func TestTessellateWithInSituVoidLabels(t *testing.T) {
 	ps := testParticles(119, 8, 8)
 	cfg := NewPeriodicConfig(8)
 	cfg.GhostSize = 3
-	cfg.LabelVoids = true
 	out, err := Run(cfg, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Voids) == 0 {
+	if comps, _ := LabelVoids(out, 0); len(comps) == 0 {
 		t.Error("no in situ void labels")
+	}
+}
+
+func TestLabelVoidsInSitu(t *testing.T) {
+	ps := testParticles(113, 8, 8)
+	cfg := NewPeriodicConfig(8)
+	cfg.GhostSize = 3
+	out, err := Run(cfg, ps, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps, th := LabelVoids(out, 0)
+	if len(comps) == 0 {
+		t.Fatal("in situ labeling produced no components")
+	}
+	// Components hold only above-threshold cells and are volume-sorted.
+	for i := 1; i < len(comps); i++ {
+		if comps[i].Functionals.Volume > comps[i-1].Functionals.Volume {
+			t.Fatal("components not sorted by volume")
+		}
+	}
+	// A non-positive threshold means the mean cell volume: the cells tile
+	// the 8^3 box, so that is 1.
+	if math.Abs(th-1) > 1e-9 {
+		t.Errorf("default threshold = %v, want the mean cell volume 1", th)
 	}
 }
