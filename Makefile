@@ -37,8 +37,14 @@ onecodec:
 # top of the tessellation library and cannot be wired back into it.
 ENGINE_PKGS = core density meshio voronoi diy comm storage delaunay dtfe obs
 
+# And the daemon stays on the public API: jobd, tessd and tessctl import
+# package tess, never the engine packages under it (direct imports; what
+# tess itself is built from is tess's business).
+DAEMON_PKGS = ./internal/jobd ./cmd/tessd ./cmd/tessctl
+
 layers:
 	@! $(GO) list -deps $(addprefix ./internal/,$(ENGINE_PKGS)) | grep -E '^repro/internal/(voids|halo|track|multistream|stats|viz|cosmotools)$$'
+	@! $(GO) list -f '{{join .Imports "\n"}}' $(DAEMON_PKGS) | grep -E '^repro/internal/(core|storage|diy|meshio|voronoi|comm)$$'
 
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...

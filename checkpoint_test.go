@@ -3,7 +3,10 @@ package tess
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -28,7 +31,7 @@ func canonicalBytes(t *testing.T, out *Output, cfg Config) []byte {
 }
 
 // TestCrashResumeByteIdentity is the checkpoint/restart acceptance
-// gate: a session auto-checkpointing every step is crashed by fault
+// gate: a session checkpointed after every step is crashed by fault
 // injection at step 3's compute phase, resumed from the on-disk
 // checkpoint, and driven to the end — and every post-resume step's
 // canonical merged mesh is byte-identical to the uninterrupted
@@ -61,7 +64,6 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 				// the 2nd checkpoint of a step.
 				dir := filepath.Join(t.TempDir(), "ck")
 				crashCfg := cfg
-				crashCfg.CheckpointDir = dir
 				crashCfg.StallTimeout = 10 * time.Second
 				crashCfg.Faults = &FaultPlan{Seed: 5, CrashRank: 0, CrashStep: (crashAt-1)*4 + 2}
 				victim, err := Open(crashCfg, blocks)
@@ -70,11 +72,14 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 				}
 				defer victim.Close()
 				for s := 1; s < crashAt; s++ {
-					if _, err := victim.Step(testParticles(300+int64(s), 8, 8), WithCheckpointEvery(1)); err != nil {
+					if _, err := victim.Step(testParticles(300+int64(s), 8, 8)); err != nil {
 						t.Fatalf("pre-crash step %d: %v", s, err)
 					}
+					if err := victim.Checkpoint(dir); err != nil {
+						t.Fatalf("pre-crash checkpoint %d: %v", s, err)
+					}
 				}
-				if _, err := victim.Step(testParticles(300+crashAt, 8, 8), WithCheckpointEvery(1)); err == nil {
+				if _, err := victim.Step(testParticles(300+crashAt, 8, 8)); err == nil {
 					t.Fatal("step survived the injected crash")
 				}
 				if !HasCheckpoint(dir) {
@@ -83,9 +88,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 
 				// Resume and replay the remaining steps (fresh config, no
 				// fault plan — the operator restarting the host process).
-				resumeCfg := cfg
-				resumeCfg.CheckpointDir = dir
-				res, err := Resume(resumeCfg, dir)
+				res, err := Resume(cfg, dir, blocks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,9 +97,12 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 					t.Fatalf("resumed at step %d, want %d", res.Steps(), crashAt-1)
 				}
 				for s := crashAt; s <= steps; s++ {
-					out, err := res.Step(testParticles(300+int64(s), 8, 8), WithCheckpointEvery(1))
+					out, err := res.Step(testParticles(300+int64(s), 8, 8))
 					if err != nil {
 						t.Fatalf("post-resume step %d: %v", s, err)
+					}
+					if err := res.Checkpoint(dir); err != nil {
+						t.Fatalf("post-resume checkpoint %d: %v", s, err)
 					}
 					if got := canonicalBytes(t, out, cfg); !bytes.Equal(got, want[s]) {
 						t.Fatalf("step %d canonical mesh differs after resume", s)
@@ -110,9 +116,9 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestExplicitCheckpointResume covers the manual Checkpoint call (no
-// fault injection, no auto-checkpoint): warm/cold counters and the step
-// count survive the round trip.
+// TestExplicitCheckpointResume covers a Checkpoint call without fault
+// injection: warm/cold counters and the step count survive the round
+// trip.
 func TestExplicitCheckpointResume(t *testing.T) {
 	cfg := NewPeriodicConfig(8, WithGhostSize(3))
 	sess, err := Open(cfg, 4)
@@ -134,7 +140,7 @@ func TestExplicitCheckpointResume(t *testing.T) {
 	}
 	warm, cold := sess.WarmStats()
 
-	res, err := Resume(cfg, dir)
+	res, err := Resume(cfg, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +155,59 @@ func TestExplicitCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The classifier's position memory is not checkpointed: the first
+	// resumed step counts every site cold, on top of continuous counters.
+	if w, c := res.WarmStats(); w != warm || c != cold+8*8*8 {
+		t.Errorf("warm/cold %d/%d after the first resumed step, want %d/%d", w, c, warm, cold+8*8*8)
+	}
 	want, err := sess.Step(testParticles(403, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(canonicalBytes(t, out, cfg), canonicalBytes(t, want, cfg)) {
 		t.Error("step 3 diverges between resumed and original session")
+	}
+}
+
+// TestCheckpointSizeFollowsBlocksNotMesh: a regular-grid session's
+// checkpoint is the same at 8^3 and 16^3 particles — decomp.bin byte for
+// byte, the manifests apart only in the digits of their site counters.
+func TestCheckpointSizeFollowsBlocksNotMesh(t *testing.T) {
+	cfg := NewPeriodicConfig(16, WithGhostSize(3))
+	files := map[int]map[string][]byte{}
+	for _, n := range []int{8, 16} {
+		sess, err := Open(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if _, err := sess.Step(testParticles(450, n, 16)); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "ck")
+		if err := sess.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[n] = map[string][]byte{}
+		for _, e := range entries {
+			if files[n][e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(files[n]) != 2 {
+			t.Fatalf("%d^3: checkpoint holds %d files, want decomp.bin and manifest.json", n, len(files[n]))
+		}
+	}
+	if !bytes.Equal(files[8]["decomp.bin"], files[16]["decomp.bin"]) {
+		t.Error("decomp.bin differs between 8^3 and 16^3 particles")
+	}
+	// 128 against 1024 cold sites per block: one digit per block.
+	if d := len(files[16]["manifest.json"]) - len(files[8]["manifest.json"]); d != 4 {
+		t.Errorf("manifest grew by %d bytes from 8^3 to 16^3 particles, want the 4 counter digits", d)
 	}
 }
 
@@ -175,28 +228,66 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Resume(NewPeriodicConfig(8, WithGhostSize(4)), dir); err == nil {
+	if _, err := Resume(NewPeriodicConfig(8, WithGhostSize(4)), dir, 2); err == nil {
 		t.Error("ghost-size mismatch accepted")
 	}
-	if _, err := Resume(NewPeriodicConfig(10, WithGhostSize(3)), dir); err == nil {
+	if _, err := Resume(NewPeriodicConfig(10, WithGhostSize(3)), dir, 2); err == nil {
 		t.Error("domain mismatch accepted")
 	}
-	if _, err := Resume(NewPeriodicConfig(8, WithGhostSize(3), WithDecomposition(DecomposeRCB)), dir); err == nil {
+	if _, err := Resume(NewPeriodicConfig(8, WithGhostSize(3), WithDecomposition(DecomposeRCB)), dir, 2); err == nil {
 		t.Error("decomposition-kind mismatch accepted")
 	}
-	if _, err := Resume(cfg, filepath.Join(dir, "nope")); err == nil {
+	if _, err := Resume(cfg, filepath.Join(dir, "nope"), 2); err == nil {
 		t.Error("missing checkpoint dir accepted")
 	}
 
-	// Auto-checkpointing needs a configured directory.
-	plain, err := Open(cfg, 2)
+	if _, err := Resume(cfg, dir, 4); err == nil || !strings.Contains(err.Error(), "blocks 4 does not match checkpoint 2") {
+		t.Errorf("block-count mismatch: %v", err)
+	}
+
+	// A manifest that parses but lies is an error naming the lie, not a
+	// session at step -3 or one that silently dropped its counters; and the
+	// previous format version is refused by number, not migrated.
+	manifest := filepath.Join(dir, "manifest.json")
+	valid, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	if _, err := plain.Step(testParticles(421, 8, 8), WithCheckpointEvery(1)); err == nil ||
-		!strings.Contains(err.Error(), "CheckpointDir") {
-		t.Errorf("WithCheckpointEvery without a checkpoint dir: %v", err)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(valid, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, key, value, reason string }{
+		{"negative steps", "steps", `-3`, "-3 steps"},
+		{"a counter too many", "warm_sites", `[0, 0, 7]`, "warm_sites holds 3 counters for 2 blocks"},
+		{"negative counter", "cold_sites", `[250, -1]`, "cold_sites[1] = -1"},
+		{"unknown decomposition kind", "decomp", `"octree"`, `"octree"`},
+		{"non-finite ghost", "ghost", `1e999`, "ghost"},
+		{"version 1", "version", `1`, "version 1"},
+	} {
+		edited := maps.Clone(fields)
+		edited[tc.key] = json.RawMessage(tc.value)
+		bad, err := json.Marshal(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifest, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := Resume(cfg, dir, 2); err == nil {
+			res.Close()
+			t.Errorf("%s: resumed at step %d", tc.name, res.Steps())
+		} else if !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: Resume = %v, want an error mentioning %q", tc.name, err, tc.reason)
+		}
+	}
+	if err := os.WriteFile(manifest, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Resume(cfg, dir, 2); err != nil {
+		t.Errorf("the restored manifest does not resume: %v", err)
+	} else {
+		res.Close()
 	}
 }
 
@@ -232,7 +323,7 @@ func TestResumeCorruptDecomposition(t *testing.T) {
 	if _, err := diy.WriteBlocks(path, sections); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := Resume(cfg, dir); err == nil {
+	if res, err := Resume(cfg, dir, 2); err == nil {
 		res.Close()
 		t.Fatal("checkpoint linking block 0 to rank 2 of 2 resumed")
 	} else if !strings.Contains(err.Error(), "links to rank 2") {

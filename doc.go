@@ -32,6 +32,11 @@
 //		...
 //	}
 //
+// The Session type is the engine's own (internal/core), as Config and
+// Output are. It outlives its process through two small files:
+// sess.Checkpoint(dir) after a step, tess.Resume(cfg, dir, 8) to continue
+// at the next one with byte-identical output.
+//
 // In situ mode runs the tessellation at selected time steps of the built-in
 // particle-mesh N-body simulation (the HACC stand-in), through one such
 // session; the hook may return an error to abort the run cleanly:

@@ -30,8 +30,8 @@ var formatGolden = map[string]string{
 	"snap.bin":        "fb1645806f7f8147fcaf3714b13da6c013bf51f626f22327d0d59492d21fd171",
 	"tess.out":        "c1b157c8a56457d07fac02e8efe3c51182b9f2e81d085fd942ad84a518b54f1b",
 	"ckpt/decomp.bin": "6ef6732dc3ee5fd0871e4e6441a22c7f116c81a22e25fd19ee05df386060d78c",
-	"ckpt/meshes.bin": "6e198d489cb3b6d36b9bffde69fa01b6b8ac9455f3b9f549636c90f23a05b134",
-	"ckpt/prev.bin":   "28e361f464b3cfb71d4c9058f11ed73b18de1d63fe6ee877a095ce81f6de0fca",
+	// Manifest version 2 (PR 22): no wall-clock field, so it has a digest.
+	"ckpt/manifest.json": "54447e5e127b95fcbaafa7f1b1ab4da32b9283d5573edcd7cb74182bd2bbefe3",
 }
 
 func TestFormatGolden(t *testing.T) {
@@ -183,23 +183,29 @@ func TestFormatGolden(t *testing.T) {
 		t.Errorf("tess.out holds %d cells, the step produced %d", len(recs), cells)
 	}
 
-	for _, name := range []string{"decomp.bin", "meshes.bin", "prev.bin"} {
-		sumFile("ckpt/"+name, filepath.Join(ckpt, name))
+	// The checkpoint is exactly two files, and small: nothing in it scales
+	// with the mesh (this one was 368 KB while it carried the meshes).
+	entries, err := os.ReadDir(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckNames []string
+	ckBytes := int64(0)
+	for _, e := range entries {
+		ckNames = append(ckNames, e.Name())
+		sumFile("ckpt/"+e.Name(), filepath.Join(ckpt, e.Name()))
+		if info, err := e.Info(); err == nil {
+			ckBytes += info.Size()
+		}
+	}
+	if !reflect.DeepEqual(ckNames, []string{"decomp.bin", "manifest.json"}) || ckBytes >= 8<<10 {
+		t.Errorf("checkpoint dir holds %v in %d bytes, want decomp.bin and manifest.json under 8 KiB", ckNames, ckBytes)
 	}
 	// The session's own first-step decomposition is the RCB one above.
 	if sect, err := diy.ReadAllBlocks(filepath.Join(ckpt, "decomp.bin")); err != nil || len(sect) != 1 || string(sect[0]) != string(rcbBytes) {
 		t.Errorf("ckpt/decomp.bin does not wrap the RCB marshal (err=%v)", err)
 	}
-	meshSects, err := diy.ReadAllBlocks(filepath.Join(ckpt, "meshes.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, b := range meshSects {
-		if string(b) != string(v2[r]) {
-			t.Errorf("ckpt/meshes.bin section %d is not block %d's v2 bytes", r, r)
-		}
-	}
-	res, err := Resume(cfg, ckpt)
+	res, err := Resume(cfg, ckpt, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}

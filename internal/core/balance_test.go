@@ -114,8 +114,17 @@ func driftedParticles(ps []diy.Particle, L float64, step int) []diy.Particle {
 	return out
 }
 
-// Warm re-decomposition: with an always-tripping threshold, every step
-// after the first rebuilds the RCB decomposition from the new positions —
+// driftGhost is the ghost size of the stale-cut oracle below. A cut that no
+// longer follows the clusters puts void cells next to block faces they were
+// not next to when balanceGhost was chosen: at 4.5, step 1's cell 128
+// (volume 11.7, a site 0.04 from the stale x split) loses a cutter beyond
+// its block's ghost region and comes out with 21 faces instead of 22. From
+// 5 up every step matches the regular-grid run; 5.5 leaves a margin
+// under the periodic limit of L/2 = 6.
+const driftGhost = 5.5
+
+// A stale RCB cut under drift is still canonical: the session keeps the
+// decomposition its first step cut while the particles drift away from it,
 // and each step's canonical merged output must stay byte-identical to a
 // standalone regular-grid run over the same particles.
 func TestSessionRCBRebalanceByteIdentity(t *testing.T) {
@@ -125,11 +134,8 @@ func TestSessionRCBRebalanceByteIdentity(t *testing.T) {
 	base := clusteredParticles(t, 600, L, 11)
 
 	cfg := baseConfig(L)
-	cfg.GhostSize = balanceGhost
+	cfg.GhostSize = driftGhost
 	cfg.Decomposition = DecomposeRCB
-	// Imbalance ratio is always >= 1, so any threshold below 1 requests a
-	// re-decomposition after every step.
-	cfg.RebalanceThreshold = 0.9
 	s, err := OpenSession(cfg, blocks)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +143,7 @@ func TestSessionRCBRebalanceByteIdentity(t *testing.T) {
 	defer s.Close()
 
 	refCfg := baseConfig(L)
-	refCfg.GhostSize = balanceGhost
+	refCfg.GhostSize = driftGhost
 	for step := 0; step < steps; step++ {
 		ps := driftedParticles(base, L, step)
 		got, err := s.Step(ps)
@@ -152,52 +158,8 @@ func TestSessionRCBRebalanceByteIdentity(t *testing.T) {
 			t.Errorf("step %d: counts %+v, want %+v", step, got.Counts, want.Counts)
 		}
 		if !bytes.Equal(mergedBytes(t, got, cfg), mergedBytes(t, want, refCfg)) {
-			t.Errorf("step %d: rebalanced session output diverges from regular-grid run", step)
+			t.Errorf("step %d: drifted RCB session output diverges from regular-grid run", step)
 		}
-	}
-	if got := s.Rebalances(); got != steps-1 {
-		t.Errorf("Rebalances() = %d, want %d (every step after the first)", got, steps-1)
-	}
-	if s.LastImbalance() <= 0 {
-		t.Errorf("LastImbalance() = %g, want > 0 after steps", s.LastImbalance())
-	}
-}
-
-// Without a threshold (or with an unreachable one) an RCB session must
-// never rebalance: the first step's decomposition serves the whole run.
-func TestSessionRCBNoRebalanceWithoutThreshold(t *testing.T) {
-	const L = 12.0
-	base := clusteredParticles(t, 400, L, 13)
-	cfg := baseConfig(L)
-	cfg.Decomposition = DecomposeRCB
-	s, err := OpenSession(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for step := 0; step < 2; step++ {
-		if _, err := s.Step(driftedParticles(base, L, step)); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	if got := s.Rebalances(); got != 0 {
-		t.Errorf("Rebalances() = %d, want 0", got)
-	}
-
-	// A huge threshold likewise never trips.
-	cfg.RebalanceThreshold = 1e9
-	s2, err := OpenSession(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for step := 0; step < 2; step++ {
-		if _, err := s2.Step(driftedParticles(base, L, step)); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	if got := s2.Rebalances(); got != 0 {
-		t.Errorf("threshold 1e9: Rebalances() = %d, want 0", got)
 	}
 }
 

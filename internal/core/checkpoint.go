@@ -3,22 +3,19 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/diy"
 	"repro/internal/geom"
-	"repro/internal/meshio"
 	"repro/internal/storage"
 )
 
-// Checkpoint/restart rides on two facts. First, session reuse is purely
-// structural: no floating-point state of a previous tessellation seeds
-// the next one, so the resumable state is small — the decomposition,
-// the step counter, and the warm/cold baseline (the previous step's
-// site positions, which are advisory classification input, never
-// geometry). Second, the warm rebalance decision feeds on a wall-clock
-// imbalance ratio that is nondeterministic anyway, and MergeCanonical
-// is decomposition-independent, so a resumed run's canonical merged
-// output is byte-identical to the uninterrupted run even if the two
-// made different rebalance choices after the checkpoint.
+// Checkpoint/restart rides on one fact: session reuse is purely
+// structural. No floating-point state of a previous tessellation seeds the
+// next one, so what a session must remember across a restart is what
+// decides its bytes — the decomposition and the step counter — plus the
+// cumulative warm/cold counters. Neither the last step's meshes (already
+// written once, by the collective write) nor the warm/cold classifier's
+// position memory (a resumed process has no retained buffers to be warm
+// for) is part of it, so a checkpoint's size follows the block count, not
+// the mesh.
 
 // decompKind names cfg's decomposition strategy in the manifest.
 func decompKind(cfg Config) string {
@@ -32,11 +29,10 @@ func domainArray(b geom.Box) [6]float64 {
 	return [6]float64{b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z}
 }
 
-// Checkpoint persists the session's resumable state into dir: the
-// decomposition, the step counter, each rank's warm/cold baseline, and
-// the last completed step's per-block meshes in the compact v2 format.
-// It must run between steps (the meshes are the current step's loan)
-// and commits atomically — a crash mid-checkpoint leaves the previous
+// Checkpoint persists the session's resumable state into dir — the
+// decomposition, the step counter and each rank's warm/cold counters — for
+// a later ResumeSession. It may run any time after the first completed
+// step and commits atomically: a crash mid-checkpoint leaves the previous
 // complete checkpoint, or none.
 func (s *Session) Checkpoint(dir string) error {
 	if s.closed {
@@ -45,41 +41,23 @@ func (s *Session) Checkpoint(dir string) error {
 	if s.terminal != nil {
 		return fmt.Errorf("core: checkpoint of a terminally failed session: %w", s.terminal)
 	}
-	if s.steps == 0 || s.lastOut == nil || s.d == nil {
+	if s.steps == 0 {
 		return fmt.Errorf("core: nothing to checkpoint before the first completed step")
-	}
-	decomp, err := s.d.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint decomposition: %w", err)
-	}
-	meshes := make([][]byte, s.numBlocks)
-	for r, m := range s.lastOut.Meshes {
-		if m == nil {
-			return fmt.Errorf("core: checkpoint step has no mesh for rank %d", r)
-		}
-		if meshes[r], err = meshio.EncodeV2(m); err != nil {
-			return fmt.Errorf("core: checkpoint mesh rank %d: %w", r, err)
-		}
 	}
 	ck := &storage.Checkpoint{
 		Manifest: storage.Manifest{
-			Steps:         s.steps,
-			NumBlocks:     s.numBlocks,
-			Periodic:      s.cfg.Periodic,
-			Domain:        domainArray(s.cfg.Domain),
-			Ghost:         s.cfg.GhostSize,
-			Decomp:        decompKind(s.cfg),
-			Rebalances:    s.rebalances,
-			LastImbalance: s.lastImbalance,
-			WarmSites:     make([]int64, s.numBlocks),
-			ColdSites:     make([]int64, s.numBlocks),
+			Steps:     s.steps,
+			NumBlocks: s.numBlocks,
+			Periodic:  s.cfg.Periodic,
+			Domain:    domainArray(s.cfg.Domain),
+			Ghost:     s.cfg.GhostSize,
+			Decomp:    decompKind(s.cfg),
+			WarmSites: make([]int64, s.numBlocks),
+			ColdSites: make([]int64, s.numBlocks),
 		},
-		Decomp: decomp,
-		Prev:   make([]map[int64]geom.Vec3, s.numBlocks),
-		Meshes: meshes,
+		Decomp: s.d,
 	}
 	for r := range s.ranks {
-		ck.Prev[r] = s.ranks[r].prev
 		ck.Manifest.WarmSites[r] = s.ranks[r].warmSites
 		ck.Manifest.ColdSites[r] = s.ranks[r].coldSites
 	}
@@ -87,19 +65,23 @@ func (s *Session) Checkpoint(dir string) error {
 }
 
 // ResumeSession reopens the session checkpointed in dir at its recorded
-// step count: the next StepSource is step N+1, and the canonical merged
-// output of every subsequent step is byte-identical to the
-// uninterrupted session's. cfg must agree with the checkpoint on
-// domain, periodicity, ghost size, and decomposition kind; the block
-// count comes from the checkpoint. Fault-injection checkpoint numbering
+// step count: the next Step is step N+1, and the canonical merged output
+// of every subsequent step is byte-identical to the uninterrupted
+// session's. cfg and numBlocks must agree with the checkpoint on block
+// count, domain, periodicity, ghost size, and decomposition kind. The
+// warm/cold counters continue from the checkpoint, and the first resumed
+// step counts its sites cold. Fault-injection checkpoint numbering
 // (Config.Faults) restarts at zero in the resumed session, and warm
 // density-pipeline state (StepDensity) is not checkpointed.
-func ResumeSession(cfg Config, dir string) (*Session, error) {
+func ResumeSession(cfg Config, dir string, numBlocks int) (*Session, error) {
 	ck, err := storage.Load(dir)
 	if err != nil {
 		return nil, err
 	}
 	man := &ck.Manifest
+	if numBlocks != man.NumBlocks {
+		return nil, fmt.Errorf("core: resume blocks %d does not match checkpoint %d", numBlocks, man.NumBlocks)
+	}
 	if got, want := domainArray(cfg.Domain), man.Domain; got != want {
 		return nil, fmt.Errorf("core: resume domain %v does not match checkpoint %v", got, want)
 	}
@@ -112,32 +94,15 @@ func ResumeSession(cfg Config, dir string) (*Session, error) {
 	if got, want := decompKind(cfg), man.Decomp; got != want {
 		return nil, fmt.Errorf("core: resume decomposition %q does not match checkpoint %q", got, want)
 	}
-	d, err := diy.UnmarshalDecomposition(ck.Decomp)
+	s, err := OpenSession(cfg, numBlocks)
 	if err != nil {
 		return nil, err
 	}
-	if d.NumBlocks() != man.NumBlocks {
-		return nil, fmt.Errorf("core: checkpoint decomposition has %d blocks, manifest says %d",
-			d.NumBlocks(), man.NumBlocks)
-	}
-	s, err := OpenSession(cfg, man.NumBlocks)
-	if err != nil {
-		return nil, err
-	}
-	s.installDecomposition(d)
+	s.installDecomposition(ck.Decomp)
 	s.steps = man.Steps
-	s.rebalances = man.Rebalances
-	s.lastImbalance = man.LastImbalance
-	s.rebalanceNow = cfg.Decomposition == DecomposeRCB && cfg.RebalanceThreshold > 0 &&
-		s.lastImbalance > cfg.RebalanceThreshold
 	for r := range s.ranks {
-		s.ranks[r].prev = ck.Prev[r]
-		if len(man.WarmSites) == man.NumBlocks {
-			s.ranks[r].warmSites = man.WarmSites[r]
-		}
-		if len(man.ColdSites) == man.NumBlocks {
-			s.ranks[r].coldSites = man.ColdSites[r]
-		}
+		s.ranks[r].warmSites = man.WarmSites[r]
+		s.ranks[r].coldSites = man.ColdSites[r]
 	}
 	return s, nil
 }

@@ -60,16 +60,8 @@ func countTriangulation(rec *obs.Recorder, st delaunay.Stats) {
 //
 //tess:loaned
 func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*density.Result, error) {
-	if s.closed {
-		return nil, fmt.Errorf("core: session is closed")
-	}
-	if s.terminal == nil {
-		if werr := s.w.Err(); werr != nil {
-			s.terminal = werr
-		}
-	}
-	if s.terminal != nil {
-		return nil, fmt.Errorf("core: session terminally failed at step %d: %w", s.steps, s.terminal)
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	if dc.Box == (geom.Box{}) {
 		dc.Box = s.cfg.Domain
@@ -156,12 +148,8 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 	if rec != nil {
 		res.Obs = rec.Snapshot()
 	}
-	s.densitySteps++
 	return res, nil
 }
-
-// DensitySteps returns the number of completed density pipeline steps.
-func (s *Session) DensitySteps() int { return s.densitySteps }
 
 // sameDensityConfig reports whether two density configs describe the same
 // workload (so the retained pipeline can be reused).

@@ -45,7 +45,9 @@ const (
 // lifecycle & warm-start reuse"). The previous step's site positions are
 // retained only to classify sites warm versus cold (displacement within
 // the ghost distance or not), published via WarmStats and the
-// CounterSitesWarm/CounterSitesCold recorder counters.
+// CounterSitesWarm/CounterSitesCold recorder counters. The decomposition is
+// fixed for the session's life (an RCB session cuts it from its first
+// step's particles); a host that wants a fresh cut opens a new session.
 //
 // The *Output returned by Step is a loan: its meshes live in the session's
 // retained builders and are overwritten by the next Step. Callers that
@@ -63,14 +65,13 @@ type Session struct {
 	w         *comm.World
 	numBlocks int
 	// inFlight is how many of the ranks the scheduler runs at once: all of
-	// them under StepSource, one under RunTimed. It is what the session
+	// them under StepFrom, one under RunTimed. It is what the session
 	// registers with the worker budget and what EffectiveWorkers divides by.
 	inFlight int
 
 	steps    int
 	terminal error // sticky first abort; session unusable once set
 	closed   bool
-	opened   time.Time
 
 	// budget is the shared worker budget the session's ranks are
 	// registered with from OpenSession to Close (cfg.Budget, or the
@@ -82,31 +83,15 @@ type Session struct {
 	ranks    []rankState
 	rankErrs []error // runRanks' per-rank error slots
 
-	// Warm re-decomposition state (DecomposeRCB only). The decomposition is
-	// built lazily from the first Step's particles (s.d == nil until then);
-	// after each step the per-rank compute times yield lastImbalance, and
-	// when it crosses cfg.RebalanceThreshold the next Step rebuilds the
-	// decomposition from its particles before partitioning.
-	computeTm     []time.Duration
-	lastImbalance float64
-	rebalanceNow  bool
-	rebalances    int
-
 	warmID, coldID obs.CounterID // valid when cfg.Recorder != nil
-
-	// lastOut is the most recent successful step's Output loan — the
-	// meshes Checkpoint persists. Valid until the next step overwrites
-	// the retained builders, which is why Checkpoint runs between steps.
-	lastOut *Output
 
 	// Warm density-pipeline state (StepDensity). The pipeline retains its
 	// triangulation scratch, estimator accumulators, and grid buffers
 	// across steps; it is rebuilt only when the density config changes.
-	dens         *density.Pipeline
-	densCfg      density.Config
-	densPts      []geom.Vec3
-	densStats    []dtfe.SampleStats
-	densitySteps int
+	dens      *density.Pipeline
+	densCfg   density.Config
+	densPts   []geom.Vec3
+	densStats []dtfe.SampleStats
 }
 
 // OpenSession builds the persistent state for repeated tessellation passes
@@ -114,8 +99,8 @@ type Session struct {
 // world (with watchdog and fault injection armed per cfg, the injector's
 // per-rank step counters accumulating across the session's steps), the
 // per-rank exchange state, and the recorder registration. cfg.OutputPath
-// is the default output destination of Step; StepOpts.OutputPath overrides
-// it per step.
+// is the default output destination of Step; the WithOutputPath step
+// option overrides it per step.
 func OpenSession(cfg Config, numBlocks int) (*Session, error) {
 	return openSession(cfg, numBlocks, numBlocks)
 }
@@ -159,7 +144,6 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 		inFlight:  inFlight,
 		ranks:     make([]rankState, numBlocks),
 		rankErrs:  make([]error, numBlocks),
-		computeTm: make([]time.Duration, numBlocks),
 	}
 	if cfg.Recorder != nil {
 		if cfg.Recorder.Ranks() != numBlocks {
@@ -187,15 +171,11 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 	}
 	s.cfg.Budget = s.budget
 	s.budget.acquire(inFlight)
-	s.opened = time.Now()
 	return s, nil
 }
 
-// installDecomposition makes d the session's active decomposition and
-// rebuilds the per-rank exchangers for its link geometry. Everything else —
-// compute buffers, index storage, mesh builders, recorder registrations —
-// is deliberately untouched: a re-decomposition is structural, and the
-// retained scratch state carries over.
+// installDecomposition makes d the session's decomposition and builds the
+// per-rank exchangers for its link geometry.
 func (s *Session) installDecomposition(d *diy.Decomposition) {
 	s.d = d
 	for r := range s.ranks {
@@ -203,45 +183,33 @@ func (s *Session) installDecomposition(d *diy.Decomposition) {
 	}
 }
 
-// StepOpts carries the per-step options of StepSource; the public tess
-// layer builds it from functional StepOption values.
-type StepOpts struct {
-	// OutputPath is this step's collective output destination; empty
-	// writes nothing.
-	OutputPath string
-	// CheckpointEvery, when positive, checkpoints the session into
-	// Config.CheckpointDir after every CheckpointEvery-th completed
-	// step.
-	CheckpointEvery int
+// StepOption adjusts one Step/StepFrom call; WithOutputPath is the only
+// one.
+type StepOption func(outputPath *string)
+
+// WithOutputPath directs this step's collective block write to path
+// (empty writes nothing), overriding Config.OutputPath for this step
+// only — the in situ pattern of one output file per selected timestep.
+func WithOutputPath(path string) StepOption {
+	return func(outputPath *string) { *outputPath = path }
 }
 
 // Step runs one full tessellation pass over particles through the
-// session's retained state, writing to cfg.OutputPath if set. The returned
-// Output is a loan valid until the next Step (see Session); its content is
-// byte-identical to Run(cfg, particles, numBlocks) with the session's
-// configuration.
+// session's retained state, writing to cfg.OutputPath unless a
+// WithOutputPath option redirects this step. The returned Output is a loan
+// valid until the next Step (see Session); its content is byte-identical
+// to Run(cfg, particles, numBlocks) with the session's configuration.
 //
 //tess:loaned
-func (s *Session) Step(particles []diy.Particle) (*Output, error) {
-	return s.StepSource(storage.NewSliceSource(particles), StepOpts{OutputPath: s.cfg.OutputPath})
+func (s *Session) Step(particles []diy.Particle, opts ...StepOption) (*Output, error) {
+	return s.StepFrom(storage.NewSliceSource(particles), opts...)
 }
 
-// StepSource is the step path every variant routes through: one full
-// tessellation pass over the particles supplied by src, consumed chunk
-// by chunk so a windowed FileSource never stages the whole snapshot.
-// Inline Steps arrive here as single-chunk SliceSources; the output is
-// byte-identical either way because chunk concatenation is the snapshot
-// in order and partitioning is order-preserving.
-//
-// The exception is a step that must (re)build an RCB decomposition —
-// the first step of an RCB session, or a warm rebalance — which needs
-// every particle position at once and therefore materializes the
-// source for that step only.
-//
-//tess:loaned
-func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error) {
+// usable is the preamble of every step variant: a closed or terminally
+// failed session runs nothing.
+func (s *Session) usable() error {
 	if s.closed {
-		return nil, fmt.Errorf("core: session is closed")
+		return fmt.Errorf("core: session is closed")
 	}
 	if s.terminal == nil {
 		// An Abort between steps (a tenant canceled from another goroutine
@@ -253,10 +221,30 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 		}
 	}
 	if s.terminal != nil {
-		return nil, fmt.Errorf("core: session terminally failed at step %d: %w", s.steps, s.terminal)
+		return fmt.Errorf("core: session terminally failed at step %d: %w", s.steps, s.terminal)
 	}
-	if opts.CheckpointEvery > 0 && s.cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("core: CheckpointEvery requires Config.CheckpointDir")
+	return nil
+}
+
+// StepFrom is the step path every variant routes through: one full
+// tessellation pass over the particles supplied by src, consumed chunk
+// by chunk so a windowed FileSource never stages the whole snapshot.
+// Inline Steps arrive here as single-chunk SliceSources; the output is
+// byte-identical either way because chunk concatenation is the snapshot
+// in order and partitioning is order-preserving.
+//
+// The exception is the first step of an RCB session, which builds the
+// decomposition: it needs every particle position at once and therefore
+// materializes the source for that step only.
+//
+//tess:loaned
+func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, error) {
+	if err := s.usable(); err != nil {
+		return nil, err
+	}
+	outputPath := s.cfg.OutputPath
+	for _, opt := range opts {
+		opt(&outputPath)
 	}
 	if err := s.stage(src); err != nil {
 		return nil, err
@@ -270,8 +258,7 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 
 	out := &Output{Meshes: make([]*meshio.BlockMesh, s.numBlocks)}
 	err := s.runRanks(func(rank int) error {
-		res, tm, err := s.stepRank(rank, opts.OutputPath)
-		s.computeTm[rank] = tm.Compute
+		res, tm, err := s.stepRank(rank, outputPath)
 		if err != nil {
 			return err
 		}
@@ -292,36 +279,20 @@ func (s *Session) StepSource(src storage.Source, opts StepOpts) (*Output, error)
 	if rec != nil {
 		out.Obs = rec.Snapshot()
 	}
-	s.lastImbalance = imbalanceRatio(s.computeTm)
-	if s.cfg.Decomposition == DecomposeRCB && s.cfg.RebalanceThreshold > 0 &&
-		s.lastImbalance > s.cfg.RebalanceThreshold {
-		s.rebalanceNow = true
-	}
 	s.steps++
-	s.lastOut = out
-	if opts.CheckpointEvery > 0 && s.steps%opts.CheckpointEvery == 0 {
-		if err := s.Checkpoint(s.cfg.CheckpointDir); err != nil {
-			return nil, fmt.Errorf("core: step %d checkpoint: %w", s.steps, err)
-		}
-	}
 	return out, nil
 }
 
 // stage loads one step's particles into the per-rank partition buffers in
-// the one order every driver uses: validate, (re)build the decomposition if
-// this step must (see StepSource), partition. It is the only place that
-// walks a source, and it releases each chunk on every path: a rejected step
-// is not terminal, so a chunk left pinned would shrink the source's window
-// for good.
-//
-// A re-decomposition changes only the decomposition and link geometry; all
-// retained buffers and the recorder carry over, and because each step's
-// geometry depends only on its own decomposition and particles, the merged
-// canonical output stays byte-identical to a standalone run.
+// the one order every driver uses: validate, build the decomposition if
+// this is an RCB session's first step (see StepFrom), partition. It is the
+// only place that walks a source, and it releases each chunk on every path:
+// a rejected step is not terminal, so a chunk left pinned would shrink the
+// source's window for good.
 func (s *Session) stage(src storage.Source) error {
-	rebuild := s.d == nil || s.rebalanceNow
+	build := s.d == nil
 	var all []diy.Particle
-	if !rebuild {
+	if !build {
 		s.parts = diy.ResetPartition(s.d, s.parts)
 	}
 	for c, n := 0, src.Chunks(); c < n; c++ {
@@ -331,7 +302,7 @@ func (s *Session) stage(src storage.Source) error {
 		}
 		err = checkInDomain(chunk, s.cfg.Domain)
 		if err == nil {
-			if rebuild {
+			if build {
 				all = append(all, chunk...)
 			} else {
 				s.parts = diy.PartitionParticlesAppend(s.d, chunk, s.parts)
@@ -342,7 +313,7 @@ func (s *Session) stage(src storage.Source) error {
 			return err
 		}
 	}
-	if !rebuild {
+	if !build {
 		return nil
 	}
 	d, err := decomposeFor(s.cfg, s.numBlocks, all)
@@ -352,17 +323,7 @@ func (s *Session) stage(src storage.Source) error {
 	if err := ValidateGhost(d, s.cfg.GhostSize); err != nil {
 		return err
 	}
-	if s.d != nil {
-		s.rebalances++
-		// Sites land on different ranks now; the warm/cold classifier's
-		// per-rank position memory no longer applies. A rebalanced step
-		// honestly counts as cold.
-		for r := range s.ranks {
-			clear(s.ranks[r].prev)
-		}
-	}
 	s.installDecomposition(d)
-	s.rebalanceNow = false
 	s.parts = diy.PartitionParticlesAppend(s.d, all, diy.ResetPartition(s.d, s.parts))
 	return nil
 }
@@ -406,23 +367,6 @@ func checkInDomain(ps []diy.Particle, domain geom.Box) error {
 		}
 	}
 	return nil
-}
-
-// imbalanceRatio is the slowest-over-mean ratio of the per-rank durations
-// (1 = perfectly balanced; 0 when nothing was measured).
-func imbalanceRatio(ds []time.Duration) float64 {
-	var sum, max time.Duration
-	for _, d := range ds {
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(ds))
-	return float64(max) / mean
 }
 
 // stepRank is one rank's pass under the concurrent scheduler: warm/cold
@@ -516,10 +460,6 @@ func (s *Session) Abort(cause error) {
 // Steps returns the number of completed (successful) steps.
 func (s *Session) Steps() int { return s.steps }
 
-// DefaultOutputPath returns cfg.OutputPath — the destination a Step
-// without an explicit per-step path writes to.
-func (s *Session) DefaultOutputPath() string { return s.cfg.OutputPath }
-
 // WarmStats returns the cumulative warm/cold site classification over all
 // steps and ranks: warm sites moved at most the ghost distance since the
 // step before, cold sites were new or displaced farther (every site of the
@@ -532,16 +472,19 @@ func (s *Session) WarmStats() (warm, cold int64) {
 	return warm, cold
 }
 
-// Uptime returns how long the session has been open. It keeps counting
-// after Close (the session's total age), and — like Steps and WarmStats —
-// is cumulative session state that a per-step Recorder Reset never clears.
-func (s *Session) Uptime() time.Duration { return time.Since(s.opened) }
+// SessionStats is the aggregate health of a session: warm/cold site
+// classification and step count.
+type SessionStats struct {
+	// WarmSites and ColdSites are the cumulative counts WarmStats returns.
+	WarmSites, ColdSites int64
+	// Steps is the number of completed steps.
+	Steps int
+}
 
-// Rebalances returns how many warm re-decompositions the session has
-// performed (always 0 without DecomposeRCB and a RebalanceThreshold).
-func (s *Session) Rebalances() int { return s.rebalances }
-
-// LastImbalance returns the compute-phase imbalance ratio (slowest rank
-// over mean) of the most recent step, 0 before the first step. This is the
-// signal compared against Config.RebalanceThreshold.
-func (s *Session) LastImbalance() float64 { return s.lastImbalance }
+// Stats returns the session's aggregate statistics. Like Steps and
+// WarmStats they are cumulative session state: a per-step Recorder Reset
+// (which wipes each step's counters) never touches them.
+func (s *Session) Stats() SessionStats {
+	warm, cold := s.WarmStats()
+	return SessionStats{WarmSites: warm, ColdSites: cold, Steps: s.steps}
+}

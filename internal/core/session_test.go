@@ -255,7 +255,7 @@ func TestSessionRecorderResetsPerStep(t *testing.T) {
 	}
 }
 
-// StepOpts.OutputPath is the step's output destination, whatever
+// WithOutputPath is the step's output destination, whatever
 // Config.OutputPath says (here: nothing).
 func TestSessionStepOutputPathOverridesConfig(t *testing.T) {
 	const ng = 8
@@ -268,7 +268,7 @@ func TestSessionStepOutputPathOverridesConfig(t *testing.T) {
 	}
 	defer s.Close()
 	path := dir + "/step.out"
-	out, err := s.StepSource(storage.NewSliceSource(snaps[0]), StepOpts{OutputPath: path})
+	out, err := s.Step(snaps[0], WithOutputPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestRejectedStepReleasesChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.StepSource(src, StepOpts{}); err == nil || !strings.Contains(err.Error(), "outside domain") {
+		if _, err := s.StepFrom(src); err == nil || !strings.Contains(err.Error(), "outside domain") {
 			t.Fatalf("decomposition %d: step over an out-of-domain particle returned %v", kind, err)
 		}
 		for c := 0; c < src.Chunks(); c++ {

@@ -46,8 +46,8 @@ const (
 	// particle-count medians, so every block holds ~equal particle counts
 	// (PARAVT's load-balancing strategy). The decomposition is built from
 	// the particle positions of the run (for a Session, of its first step,
-	// and rebuilt on rebalance); output is byte-identical to the regular
-	// grid after meshio.MergeCanonical.
+	// and kept for the session's life); output is byte-identical to the
+	// regular grid after meshio.MergeCanonical.
 	DecomposeRCB
 )
 
@@ -60,13 +60,6 @@ type Config struct {
 	// Decomposition selects the block decomposition strategy (default
 	// DecomposeRegular).
 	Decomposition DecompKind
-	// RebalanceThreshold arms warm re-decomposition for Sessions using
-	// DecomposeRCB: after each step the per-rank compute-phase times yield
-	// an imbalance ratio (slowest rank over mean), and when the ratio
-	// exceeds this threshold the next step rebuilds the decomposition from
-	// its particle positions while retaining scratch, pool, and recorder
-	// state. 0 (or a regular decomposition) disables rebalancing.
-	RebalanceThreshold float64
 	// GhostSize is the ghost-region thickness exchanged with neighbors, in
 	// the same units as the domain. The paper recommends at least twice the
 	// expected cell size.
@@ -89,10 +82,6 @@ type Config struct {
 	// OutputPath, when non-empty, writes all blocks to this single file
 	// through the collective I/O layer.
 	OutputPath string
-	// CheckpointDir, when non-empty, is where Session.Checkpoint (and the
-	// per-step auto-checkpoint armed by a positive StepOpts.CheckpointEvery)
-	// persists session state for ResumeSession.
-	CheckpointDir string
 	// Workers is the number of intra-rank worker goroutines the compute
 	// phase fans cell construction out over. 0 (the default) divides the
 	// worker budget fairly among every concurrently-running rank — of this
@@ -277,7 +266,7 @@ type blockIndex struct {
 // rankState is one rank's retained pipeline state: the ghost exchanger,
 // the merged-point arrays and spatial index, the compute buffers and mesh
 // builder. Its compute method and writeBlock are the per-rank pipeline
-// body; the schedulers (Session.StepSource, RunTimed) differ only in how
+// body; the schedulers (Session.StepFrom, RunTimed) differ only in how
 // they order the ranks and where the ghosts come from.
 type rankState struct {
 	ex  *diy.Exchanger
@@ -326,9 +315,9 @@ func initialClipBox(block diy.Block, cfg Config) geom.Box {
 // fault checkpoint, the ghosts merge into the retained spatial index and
 // the local cells are built, filtered, culled and hulled through the
 // retained compute buffers. Both sub-phases fall under the paper's
-// "computation" time, which is the returned duration (what Timing.Compute,
-// the rebalance trigger and PerRankCompute read); the recorder keeps them
-// apart. The BlockResult is a loan against rs, like computeIndexedCells'.
+// "computation" time, which is the returned duration (what Timing.Compute
+// and PerRankCompute read); the recorder keeps them apart. The BlockResult
+// is a loan against rs, like computeIndexedCells'.
 func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghosts []diy.Particle, workers int) (*BlockResult, time.Duration, error) {
 	rec := cfg.Recorder
 	cfg.injector.Checkpoint(rank, "compute")

@@ -43,25 +43,7 @@ func PowerSpectrum(pos []geom.Vec3, ng int, boxSize float64, bins int) ([]PkBin,
 	// CIC density contrast.
 	grid := fft.NewGrid3(ng)
 	h := boxSize / float64(ng)
-	for _, p := range pos {
-		xi0, xi1, wx0, wx1 := cicW(p.X, h, ng)
-		yi0, yi1, wy0, wy1 := cicW(p.Y, h, ng)
-		zi0, zi1, wz0, wz1 := cicW(p.Z, h, ng)
-		for _, zc := range [2]struct {
-			i int
-			w float64
-		}{{zi0, wz0}, {zi1, wz1}} {
-			for _, yc := range [2]struct {
-				i int
-				w float64
-			}{{yi0, wy0}, {yi1, wy1}} {
-				base := (zc.i*ng + yc.i) * ng
-				w := zc.w * yc.w
-				grid.Data[base+xi0] += complex(w*wx0, 0)
-				grid.Data[base+xi1] += complex(w*wx1, 0)
-			}
-		}
-	}
+	DepositCIC(grid, pos, boxSize)
 	mean := float64(len(pos)) / float64(ng*ng*ng)
 	for i := range grid.Data {
 		grid.Data[i] = grid.Data[i]/complex(mean, 0) - 1
@@ -117,14 +99,44 @@ func PowerSpectrum(pos []geom.Vec3, ng int, boxSize float64, bins int) ([]PkBin,
 	return out, nil
 }
 
-// cicW mirrors the N-body solver's cell-centered CIC weights.
-func cicW(x, h float64, n int) (i0, i1 int, w0, w1 float64) {
+// CICWeights returns the two cells coordinate x falls between on a periodic
+// grid of n cells with spacing h, and its linear weight on each, for
+// cell-centered cloud-in-cell assignment (cell centers at (i + 0.5) * h).
+func CICWeights(x, h float64, n int) (i0, i1 int, w0, w1 float64) {
 	u := x/h - 0.5
 	i := int(math.Floor(u))
 	f := u - float64(i)
 	i0 = ((i % n) + n) % n
 	i1 = (i0 + 1) % n
 	return i0, i1, 1 - f, f
+}
+
+// DepositCIC adds one unit of mass per position to grid, spread over the 8
+// nearest cells of the periodic box of side boxSize with trilinear (CIC)
+// weights. It is the one deposit the power spectrum and the N-body solver
+// share; each normalizes the counts into a density contrast its own way.
+func DepositCIC(grid *fft.Grid3, pos []geom.Vec3, boxSize float64) {
+	n := grid.N
+	h := boxSize / float64(n)
+	for _, p := range pos {
+		xi0, xi1, wx0, wx1 := CICWeights(p.X, h, n)
+		yi0, yi1, wy0, wy1 := CICWeights(p.Y, h, n)
+		zi0, zi1, wz0, wz1 := CICWeights(p.Z, h, n)
+		for _, zc := range [2]struct {
+			i int
+			w float64
+		}{{zi0, wz0}, {zi1, wz1}} {
+			for _, yc := range [2]struct {
+				i int
+				w float64
+			}{{yi0, wy0}, {yi1, wy1}} {
+				base := (zc.i*n + yc.i) * n
+				w := zc.w * yc.w
+				grid.Data[base+xi0] += complex(w*wx0, 0)
+				grid.Data[base+xi1] += complex(w*wx1, 0)
+			}
+		}
+	}
 }
 
 // cicWindow is the squared sinc of one axis of the CIC assignment window.

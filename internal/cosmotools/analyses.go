@@ -12,7 +12,6 @@ import (
 	"repro/internal/multistream"
 	"repro/internal/nbody"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/track"
 	"repro/internal/voids"
 )
@@ -144,7 +143,7 @@ func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
 	if a.write && ctx.OutputDir != "" {
 		outputPath = filepath.Join(ctx.OutputDir, fmt.Sprintf("tess-step-%04d.out", ctx.Step))
 	}
-	out, err := sess.StepSource(storage.NewSliceSource(sites), core.StepOpts{OutputPath: outputPath})
+	out, err := sess.Step(sites, core.WithOutputPath(outputPath))
 	if err != nil {
 		return Result{}, err
 	}

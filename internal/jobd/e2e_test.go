@@ -612,13 +612,12 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 	// one resume-fallback event carrying the reason, between started and
 	// the first step, and the job still runs from step 1 to done with the
 	// direct session's bytes. First a truncated manifest, then (over the
-	// checkpoint that run left behind) another job's block count.
+	// checkpoint that run left behind) another job's block count, then a
+	// manifest of the previous format version, which is refused by number
+	// rather than migrated.
 	manifest := filepath.Join(spec.CheckpointDir, "manifest.json")
 	raw, err := os.ReadFile(manifest)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(manifest, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh := happySpec(40, 3)
@@ -626,13 +625,23 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 	fourBlocks := fresh
 	fourBlocks.Blocks = 4
 	for _, tc := range []struct {
-		name   string
-		spec   jobd.JobSpec
-		reason string
+		name     string
+		manifest string // written over the committed one when non-empty
+		spec     jobd.JobSpec
+		reason   string
 	}{
-		{"truncated manifest", fresh, "manifest"},
-		{"wrong block count", fourBlocks, "holds 2 blocks, the job asks for 4"},
+		{"truncated manifest", string(raw[:len(raw)/2]), fresh, "manifest"},
+		{"wrong block count", "", fourBlocks, "blocks 4 does not match checkpoint 2"},
+		{"version-1 manifest", `{"version": 1, "steps": 2, "num_blocks": 2, "periodic": true,
+			"domain": [0, 0, 0, 8, 8, 8], "ghost": 3, "decomp": "grid", "rebalances": 0,
+			"last_imbalance": 1.01, "warm_sites": [100, 100], "cold_sites": [200, 200]}`,
+			fresh, "checkpoint version 1"},
 	} {
+		if tc.manifest != "" {
+			if err := os.WriteFile(manifest, []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		events, final := h.Wait(t, h.Submit(t, tc.spec).ID, e2eWait)
 		if final.State != jobd.StateDone || final.StepsDone != 3 {
 			t.Fatalf("%s: final = %+v, want done after 3 steps", tc.name, final)

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	tess "repro"
-	"repro/internal/storage"
 )
 
 // State is a job's lifecycle state.
@@ -670,11 +669,6 @@ func (d *Daemon) finishJob(j *Job, state State, info *ErrorInfo) {
 	}
 }
 
-// runJob drives one job's whole session lifecycle on the scheduler
-// worker's goroutine. Every engine failure — a fault-plan crash, a stall,
-// a pipeline error, a cancellation abort — is contained to this job: the
-// session owns its own world, and the error surfaces as this job's
-// terminal event while sibling jobs run on undisturbed.
 // finishStepError ends a job whose step failed: canceled if Cancel asked
 // for the abort that produced err, failed with the classified error
 // otherwise.
@@ -690,21 +684,11 @@ func (d *Daemon) finishStepError(j *Job, err error) {
 	d.finishJob(j, state, info)
 }
 
-// resumeSession reopens the checkpoint in dir for a job over blocks
-// blocks. The manifest probe keeps a checkpoint from another job's
-// geometry (block count is the one axis Resume takes from the checkpoint
-// rather than validating) out of this job.
-func resumeSession(cfg tess.Config, dir string, blocks int) (*tess.Session, error) {
-	man, err := storage.LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	if man.NumBlocks != blocks {
-		return nil, fmt.Errorf("jobd: checkpoint in %s holds %d blocks, the job asks for %d", dir, man.NumBlocks, blocks)
-	}
-	return tess.Resume(cfg, dir)
-}
-
+// runJob drives one job's whole session lifecycle on the scheduler
+// worker's goroutine. Every engine failure — a fault-plan crash, a stall,
+// a pipeline error, a cancellation abort — is contained to this job: the
+// session owns its own world, and the error surfaces as this job's
+// terminal event while sibling jobs run on undisturbed.
 func (d *Daemon) runJob(j *Job) {
 	// The input side: a windowed out-of-core FileSource for a URI job,
 	// the per-step snapshotSource otherwise.
@@ -749,7 +733,7 @@ func (d *Daemon) runJob(j *Job) {
 	var sess *tess.Session
 	resumed := 0
 	if ckdir != "" && tess.HasCheckpoint(ckdir) {
-		rs, err := resumeSession(cfg, ckdir, j.spec.Blocks)
+		rs, err := tess.Resume(cfg, ckdir, j.spec.Blocks)
 		if err != nil {
 			j.log.append(Event{Job: j.id, Type: "resume-fallback",
 				Error: &ErrorInfo{Kind: "checkpoint", Message: err.Error()}}, false)
@@ -797,10 +781,6 @@ func (d *Daemon) runJob(j *Job) {
 			}
 		}
 	}
-	var stepOpts []tess.StepOption
-	if ckdir != "" {
-		stepOpts = append(stepOpts, tess.WithCheckpointEvery(1))
-	}
 	for step := resumed + 1; step <= steps; step++ {
 		if hook := d.cfg.BeforeStep; hook != nil {
 			hook(j.id, step)
@@ -809,13 +789,20 @@ func (d *Daemon) runJob(j *Job) {
 		var out *tess.Output
 		var err error
 		if fsrc != nil {
-			out, err = sess.StepFrom(fsrc, stepOpts...)
+			out, err = sess.StepFrom(fsrc)
 		} else {
 			if particles, err = src.next(); err != nil {
 				d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "spec"})
 				return
 			}
-			out, err = sess.Step(particles, stepOpts...)
+			out, err = sess.Step(particles)
+		}
+		if err == nil && ckdir != "" {
+			// checkpoint_dir means a checkpoint after every step, committed
+			// before the step's event says the step is done.
+			if err = sess.Checkpoint(ckdir); err != nil {
+				err = fmt.Errorf("jobd: step %d checkpoint: %w", step, err)
+			}
 		}
 		if err != nil {
 			d.finishStepError(j, err)

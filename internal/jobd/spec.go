@@ -283,9 +283,6 @@ func (s *JobSpec) config(budget *tess.WorkerBudget, stall time.Duration) tess.Co
 	if s.Decomposition == "rcb" {
 		opts = append(opts, tess.WithDecomposition(tess.DecomposeRCB))
 	}
-	if s.CheckpointDir != "" {
-		opts = append(opts, tess.WithCheckpointDir(s.CheckpointDir))
-	}
 	if p := s.Fault.plan(); p != nil {
 		opts = append(opts, tess.WithFaults(p))
 	}

@@ -3,7 +3,7 @@ package lint
 import "go/ast"
 
 // LoanRetain polices the session API's borrowed results. Functions marked
-// //tess:loaned (Session.Step, Session.StepSource and their wrappers)
+// //tess:loaned (Session.Step, Session.StepFrom, Session.StepDensity)
 // return borrowed storage: the provider owns it and overwrites it in
 // place on the next step, so the result is valid only until the borrowing
 // call chain returns. A loaned value may be read freely, but storing it

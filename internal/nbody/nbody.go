@@ -118,46 +118,15 @@ func (s *Simulation) alloc() {
 // NumParticles returns the particle count.
 func (s *Simulation) NumParticles() int { return len(s.Pos) }
 
-// cicWeights returns the base cell index and linear weight for coordinate x
-// on a grid of n cells with spacing h, for cell-centered CIC assignment.
-func cicWeights(x, h float64, n int) (i0, i1 int, w0, w1 float64) {
-	// Cell centers are at (i + 0.5) * h.
-	u := x/h - 0.5
-	i := int(math.Floor(u))
-	f := u - float64(i)
-	i0 = ((i % n) + n) % n
-	i1 = (i0 + 1) % n
-	return i0, i1, 1 - f, f
-}
-
 // DepositCIC builds the density contrast grid from the particle positions:
 // rho[cell] = count[cell]/meanCount - 1, where each particle's unit mass is
 // distributed over the 8 nearest cells with trilinear (CIC) weights.
 func (s *Simulation) DepositCIC() *fft.Grid3 {
 	n := s.Config.Ng
-	h := s.Config.BoxSize / float64(n)
 	for i := range s.rho.Data {
 		s.rho.Data[i] = 0
 	}
-	for _, p := range s.Pos {
-		xi0, xi1, wx0, wx1 := cicWeights(p.X, h, n)
-		yi0, yi1, wy0, wy1 := cicWeights(p.Y, h, n)
-		zi0, zi1, wz0, wz1 := cicWeights(p.Z, h, n)
-		for _, zc := range [2]struct {
-			i int
-			w float64
-		}{{zi0, wz0}, {zi1, wz1}} {
-			for _, yc := range [2]struct {
-				i int
-				w float64
-			}{{yi0, wy0}, {yi1, wy1}} {
-				base := (zc.i*n + yc.i) * n
-				w := zc.w * yc.w
-				s.rho.Data[base+xi0] += complex(w*wx0, 0)
-				s.rho.Data[base+xi1] += complex(w*wx1, 0)
-			}
-		}
-	}
+	cosmo.DepositCIC(s.rho, s.Pos, s.Config.BoxSize)
 	mean := float64(len(s.Pos)) / float64(n*n*n)
 	if mean > 0 {
 		inv := complex(1/mean, 0)
@@ -203,9 +172,9 @@ func (s *Simulation) solveForces() {
 func (s *Simulation) forceAt(p geom.Vec3) geom.Vec3 {
 	n := s.Config.Ng
 	h := s.Config.BoxSize / float64(n)
-	xi0, xi1, wx0, wx1 := cicWeights(p.X, h, n)
-	yi0, yi1, wy0, wy1 := cicWeights(p.Y, h, n)
-	zi0, zi1, wz0, wz1 := cicWeights(p.Z, h, n)
+	xi0, xi1, wx0, wx1 := cosmo.CICWeights(p.X, h, n)
+	yi0, yi1, wy0, wy1 := cosmo.CICWeights(p.Y, h, n)
+	zi0, zi1, wz0, wz1 := cosmo.CICWeights(p.Z, h, n)
 	var f geom.Vec3
 	for _, zc := range [2]struct {
 		i int
@@ -319,9 +288,9 @@ func (s *Simulation) PotentialEnergy() float64 {
 	fft.SolvePoisson(s.rho, s.Config.BoxSize)
 	var u float64
 	for _, p := range s.Pos {
-		xi0, xi1, wx0, wx1 := cicWeights(p.X, h, n)
-		yi0, yi1, wy0, wy1 := cicWeights(p.Y, h, n)
-		zi0, zi1, wz0, wz1 := cicWeights(p.Z, h, n)
+		xi0, xi1, wx0, wx1 := cosmo.CICWeights(p.X, h, n)
+		yi0, yi1, wy0, wy1 := cosmo.CICWeights(p.Y, h, n)
+		zi0, zi1, wz0, wz1 := cosmo.CICWeights(p.Z, h, n)
 		for _, zc := range [2]struct {
 			i int
 			w float64

@@ -188,7 +188,7 @@ func TestClusteringGrows(t *testing.T) {
 
 func TestCICWeightsPartitionOfUnity(t *testing.T) {
 	for _, x := range []float64{0, 0.1, 0.499, 0.5, 0.51, 3.7, 7.99} {
-		i0, i1, w0, w1 := cicWeights(x, 1, 8)
+		i0, i1, w0, w1 := cosmo.CICWeights(x, 1, 8)
 		if math.Abs(w0+w1-1) > 1e-12 {
 			t.Errorf("weights at %v don't sum to 1: %v + %v", x, w0, w1)
 		}
@@ -204,7 +204,7 @@ func TestCICWeightsPartitionOfUnity(t *testing.T) {
 func TestCICWeightsCellCenterIsDelta(t *testing.T) {
 	// A particle exactly at a cell center deposits all its mass in that
 	// cell.
-	i0, _, w0, w1 := cicWeights(2.5, 1, 8)
+	i0, _, w0, w1 := cosmo.CICWeights(2.5, 1, 8)
 	if i0 != 2 || math.Abs(w0-1) > 1e-12 || math.Abs(w1) > 1e-12 {
 		t.Errorf("center weights: i0=%d w0=%v w1=%v", i0, w0, w1)
 	}

@@ -19,8 +19,7 @@ import (
 //
 // The fixed-width header means a FileSource can learn every chunk's
 // particle count from 16-byte reads at open time, without decoding any
-// chunk. Checkpoint site maps (checkpoint.go) are the same section
-// under their own magic, and share the codec below.
+// chunk.
 
 const snapMagic uint64 = 0x74657373534e5031 // "tessSNP1"
 
@@ -38,16 +37,16 @@ func WriteSnapshot(path string, ps []diy.Particle, chunks int) error {
 	for c := 0; c < chunks; c++ {
 		lo := len(ps) * c / chunks
 		hi := len(ps) * (c + 1) / chunks
-		payloads[c] = encodeRecords(snapMagic, ps[lo:hi])
+		payloads[c] = encodeRecords(ps[lo:hi])
 	}
 	_, err := diy.WriteBlocks(path, payloads)
 	return err
 }
 
 // encodeRecords serializes one particle-record section.
-func encodeRecords(magic uint64, ps []diy.Particle) []byte {
+func encodeRecords(ps []diy.Particle) []byte {
 	w := wire.NewWriter(recHeaderSize + recSize*len(ps))
-	w.U64(magic)
+	w.U64(snapMagic)
 	w.U64(uint64(len(ps)))
 	for _, p := range ps {
 		w.I64(p.ID)
@@ -61,8 +60,8 @@ func encodeRecords(magic uint64, ps []diy.Particle) []byte {
 // recordCount reads a section's header and returns its particle count,
 // after checking the magic and that a section of sectionSize bytes holds
 // exactly that many records.
-func recordCount(r *wire.Reader, magic uint64, sectionSize int64) int {
-	if got := r.U64(); got != magic {
+func recordCount(r *wire.Reader, sectionSize int64) int {
+	if got := r.U64(); got != snapMagic {
 		r.Fail("bad magic %#x", got)
 	}
 	n := r.U64()
@@ -76,9 +75,9 @@ func recordCount(r *wire.Reader, magic uint64, sectionSize int64) int {
 }
 
 // decodeRecords parses one particle-record section.
-func decodeRecords(magic uint64, data []byte) ([]diy.Particle, error) {
+func decodeRecords(data []byte) ([]diy.Particle, error) {
 	r := wire.NewReader(data)
-	ps := make([]diy.Particle, recordCount(r, magic, int64(len(data))))
+	ps := make([]diy.Particle, recordCount(r, int64(len(data))))
 	for i := range ps {
 		ps[i] = diy.Particle{ID: r.I64(), Pos: geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}}
 	}
@@ -139,7 +138,7 @@ func OpenFileSource(path string, window int) (*FileSource, error) {
 			return nil, fmt.Errorf("storage: %s chunk %d header: %w", path, i, err)
 		}
 		r := wire.NewReader(h)
-		s.counts[i] = recordCount(r, snapMagic, idx.Sizes[i])
+		s.counts[i] = recordCount(r, idx.Sizes[i])
 		if err := r.Err(); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("storage: %s chunk %d: %w", path, i, err)
@@ -173,7 +172,7 @@ func (s *FileSource) Chunk(i int) ([]diy.Particle, error) {
 	if _, err := s.f.ReadAt(buf, s.idx.Offsets[i]); err != nil {
 		return nil, fmt.Errorf("storage: %s chunk %d: %w", s.path, i, err)
 	}
-	parts, err := decodeRecords(snapMagic, buf)
+	parts, err := decodeRecords(buf)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s chunk %d: %w", s.path, i, err)
 	}

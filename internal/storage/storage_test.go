@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/diy"
@@ -212,30 +215,26 @@ func TestSliceSource(t *testing.T) {
 }
 
 func testCheckpoint(blocks int) *Checkpoint {
+	d, err := diy.Decompose(geom.NewBox(geom.V(0, 0, 0), geom.V(8, 8, 8)), blocks, true)
+	if err != nil {
+		panic(err)
+	}
 	c := &Checkpoint{
 		Manifest: Manifest{
-			Steps:         3,
-			NumBlocks:     blocks,
-			Periodic:      true,
-			Domain:        [6]float64{0, 0, 0, 8, 8, 8},
-			Ghost:         3,
-			Decomp:        "grid",
-			Rebalances:    1,
-			LastImbalance: 1.25,
-			WarmSites:     make([]int64, blocks),
-			ColdSites:     make([]int64, blocks),
+			Steps:     3,
+			NumBlocks: blocks,
+			Periodic:  true,
+			Domain:    [6]float64{0, 0, 0, 8, 8, 8},
+			Ghost:     3,
+			Decomp:    "grid",
+			WarmSites: make([]int64, blocks),
+			ColdSites: make([]int64, blocks),
 		},
-		Decomp: []byte{1, 2, 3, 4},
+		Decomp: d,
 	}
 	for r := 0; r < blocks; r++ {
 		c.Manifest.WarmSites[r] = int64(10 * r)
 		c.Manifest.ColdSites[r] = int64(r)
-		m := map[int64]geom.Vec3{}
-		for i := 0; i < 5; i++ {
-			m[int64(r*100+i)] = geom.V(float64(i), float64(r), 0.5)
-		}
-		c.Prev = append(c.Prev, m)
-		c.Meshes = append(c.Meshes, []byte{byte(r), 0xaa, byte(r)})
 	}
 	return c
 }
@@ -252,35 +251,31 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	if !HasCheckpoint(dir) {
 		t.Fatal("saved checkpoint not detected")
 	}
-	man, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Steps != 3 || man.NumBlocks != 3 || man.Version != ManifestVersion {
-		t.Fatalf("manifest = %+v", man)
-	}
 	got, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Manifest.Domain != want.Manifest.Domain || got.Manifest.LastImbalance != 1.25 {
-		t.Errorf("manifest round trip: %+v", got.Manifest)
+	want.Manifest.Version = ManifestVersion
+	if !reflect.DeepEqual(got.Manifest, want.Manifest) {
+		t.Errorf("manifest round trip: %+v, want %+v", got.Manifest, want.Manifest)
 	}
-	if string(got.Decomp) != string(want.Decomp) {
-		t.Errorf("decomp bytes differ")
+	gb, _ := got.Decomp.MarshalBinary()
+	wb, _ := want.Decomp.MarshalBinary()
+	if len(gb) == 0 || !bytes.Equal(gb, wb) {
+		t.Errorf("decomposition round trip: %d bytes, want the %d saved", len(gb), len(wb))
 	}
-	for r := range want.Prev {
-		if len(got.Prev[r]) != len(want.Prev[r]) {
-			t.Fatalf("rank %d prev size %d, want %d", r, len(got.Prev[r]), len(want.Prev[r]))
-		}
-		for id, p := range want.Prev[r] {
-			if got.Prev[r][id] != p {
-				t.Fatalf("rank %d site %d = %+v, want %+v", r, id, got.Prev[r][id], p)
-			}
-		}
-		if string(got.Meshes[r]) != string(want.Meshes[r]) {
-			t.Errorf("rank %d mesh bytes differ", r)
-		}
+	// The directory is the two files and nothing else — no temp file left
+	// behind, nothing that scales with the mesh.
+	var names []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !reflect.DeepEqual(names, []string{"decomp.bin", "manifest.json"}) {
+		t.Errorf("checkpoint dir holds %v", names)
 	}
 
 	// Overwriting with a deeper checkpoint commits cleanly.
@@ -288,88 +283,84 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	if err := Save(dir, want); err != nil {
 		t.Fatal(err)
 	}
-	if man, _ := LoadManifest(dir); man.Steps != 7 {
-		t.Errorf("overwrite: steps = %d, want 7", man.Steps)
+	if got, err := Load(dir); err != nil || got.Manifest.Steps != 7 {
+		t.Errorf("overwrite: %+v, err %v, want 7 steps", got, err)
 	}
 }
+
+// validManifest is testCheckpoint(2)'s manifest as Save writes it; the
+// corruption rows below are edits of it.
+const validManifest = `{"version": 2, "steps": 3, "num_blocks": 2, "periodic": true,
+	"domain": [0, 0, 0, 8, 8, 8], "ghost": 3, "decomp": "grid",
+	"warm_sites": [0, 10], "cold_sites": [0, 1]}`
 
 func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ck")
 	if err := Save(dir, testCheckpoint(2)); err != nil {
 		t.Fatal(err)
 	}
-	// Version skew.
-	bad := []byte(`{"version": 99, "num_blocks": 2}`)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), bad, 0o644); err != nil {
+	manifest := filepath.Join(dir, "manifest.json")
+	if err := os.WriteFile(manifest, []byte(validManifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
-		t.Error("version-skewed manifest accepted")
+	want := testCheckpoint(2).Manifest
+	want.Version = ManifestVersion
+	if got, err := Load(dir); err != nil || !reflect.DeepEqual(got.Manifest, want) {
+		t.Fatalf("the literal valid manifest: %+v, err %v", got, err)
 	}
-	// Manifest/artifact inconsistency: blocks claim does not match the
-	// mesh file.
-	bad = []byte(`{"version": 1, "num_blocks": 5}`)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), bad, 0o644); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ name, old, new, reason string }{
+		{"version skew", `"version": 2`, `"version": 99`, "version 99"},
+		{"previous format version", `"version": 2`, `"version": 1`, "version 1"},
+		{"block count the counters do not match", `"num_blocks": 2`, `"num_blocks": 5`, "2 counters for 5 blocks"},
+		{"negative steps", `"steps": 3`, `"steps": -3`, "-3 steps"},
+		{"zero steps", `"steps": 3`, `"steps": 0`, "0 steps"},
+		{"zero blocks", `"num_blocks": 2`, `"num_blocks": 0`, "0 blocks"},
+		{"a counter too many", `"warm_sites": [0, 10]`, `"warm_sites": [0, 10, 20]`, "warm_sites holds 3 counters for 2 blocks"},
+		{"missing counters", `"cold_sites": [0, 1]`, `"cold_sites": null`, "cold_sites holds 0 counters"},
+		{"negative counter", `"cold_sites": [0, 1]`, `"cold_sites": [0, -1]`, "cold_sites[1] = -1"},
+		{"unknown decomposition kind", `"decomp": "grid"`, `"decomp": "octree"`, `"octree"`},
+		{"non-finite ghost", `"ghost": 3`, `"ghost": 1e999`, "ghost"},
+		{"non-finite domain", `[0, 0, 0, 8, 8, 8]`, `[0, 0, 0, 8, 8, 1e999]`, "domain"},
+		{"non-numeric domain", `[0, 0, 0, 8, 8, 8]`, `[0, 0, 0, 8, 8, "NaN"]`, "domain"},
+		{"truncated manifest", validManifest, validManifest[:len(validManifest)/2], "manifest"},
+	} {
+		bad := strings.Replace(validManifest, tc.old, tc.new, 1)
+		if bad == validManifest {
+			t.Fatalf("%s: the edit changed nothing", tc.name)
+		}
+		if err := os.WriteFile(manifest, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: Load = %v, want an error mentioning %q", tc.name, err, tc.reason)
+		}
 	}
-	if _, err := Load(dir); err == nil {
-		t.Error("block-count mismatch accepted")
-	}
-	// Unparseable manifest.
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Error("truncated manifest accepted")
-	}
-	// Corrupt prev sites payload.
+	// A decomp.bin that is not the one section Save writes, is not a
+	// decomposition, or is one of another block count.
 	if err := Save(dir, testCheckpoint(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := diy.WriteBlocks(filepath.Join(dir, "prev.bin"), [][]byte{{1}, {2}}); err != nil {
+	three, _ := testCheckpoint(3).Decomp.MarshalBinary()
+	for name, sections := range map[string][][]byte{
+		"two-section": {{1}, {2}},
+		"garbage":     {{1, 2, 3, 4}},
+		"three-block": {three},
+	} {
+		if _, err := diy.WriteBlocks(filepath.Join(dir, "decomp.bin"), sections); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); err == nil {
+			t.Errorf("%s decomp.bin accepted", name)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, "decomp.bin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir); err == nil {
-		t.Error("corrupt prev sites accepted")
+		t.Error("checkpoint without decomp.bin accepted")
 	}
 	// Missing checkpoint directory.
 	if _, err := Load(filepath.Join(dir, "nope")); err == nil {
 		t.Error("missing dir accepted")
-	}
-}
-
-func TestSitesRoundTripDeterministic(t *testing.T) {
-	m := map[int64]geom.Vec3{}
-	for i := 0; i < 64; i++ {
-		m[int64(i*7%64)] = geom.V(float64(i), -float64(i), 0.25*float64(i))
-	}
-	enc := encodeSites(m)
-	// Map iteration order must not leak into the bytes.
-	for i := 0; i < 8; i++ {
-		if string(encodeSites(m)) != string(enc) {
-			t.Fatal("encodeSites is nondeterministic")
-		}
-	}
-	dec, err := decodeSites(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(m) {
-		t.Fatalf("decoded %d sites, want %d", len(dec), len(m))
-	}
-	for id, p := range m {
-		if dec[id] != p {
-			t.Fatalf("site %d = %+v, want %+v", id, dec[id], p)
-		}
-	}
-	if _, err := decodeSites(enc[:8]); err == nil {
-		t.Error("truncated sites accepted")
-	}
-	if _, err := decodeSites(enc[8:]); err == nil {
-		t.Error("bad magic accepted")
-	}
-	enc[20]++ // corrupt a payload byte: size check still passes, values differ
-	if _, err := decodeSites(enc[:len(enc)-32]); err == nil {
-		t.Error("size mismatch accepted")
 	}
 }

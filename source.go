@@ -1,12 +1,9 @@
 package tess
 
-import (
-	"repro/internal/core"
-	"repro/internal/storage"
-)
+import "repro/internal/storage"
 
-// Out-of-core snapshot sources and session checkpoint/restart: the
-// public surface of internal/storage. A Source supplies one snapshot as
+// Out-of-core snapshot sources and the checkpoint probe: the public
+// surface of internal/storage. A Source supplies one snapshot as
 // an ordered sequence of particle chunks; Session.StepFrom consumes it
 // chunk by chunk, so a windowed FileSource tessellates boxes whose
 // particle sets never fit in memory at once while producing bytes
@@ -48,65 +45,6 @@ func WriteSnapshot(path string, ps []Particle, chunks int) error {
 	return storage.WriteSnapshot(path, ps, chunks)
 }
 
-// StepOption adjusts one Step/StepFrom call; see WithOutputPath and
-// WithCheckpointEvery.
-type StepOption func(*stepSettings)
-
-type stepSettings struct {
-	outputPath      *string
-	checkpointEvery int
-}
-
-// WithOutputPath directs this step's collective block write to path
-// (empty writes nothing), overriding Config.OutputPath for this step
-// only — the in situ pattern of one output file per selected timestep.
-func WithOutputPath(path string) StepOption {
-	return func(o *stepSettings) { o.outputPath = &path }
-}
-
-// WithCheckpointEvery checkpoints the session into Config.CheckpointDir
-// (see WithCheckpointDir) after every k-th completed step, so a crashed
-// run resumes from its last checkpoint instead of rerunning the
-// simulation. k <= 0 disables auto-checkpointing for this step.
-func WithCheckpointEvery(k int) StepOption {
-	return func(o *stepSettings) { o.checkpointEvery = k }
-}
-
-// resolveStepOpts folds the functional options into the core step
-// options, defaulting the output path to the session's configured one.
-func resolveStepOpts(defaultPath string, opts []StepOption) core.StepOpts {
-	st := stepSettings{}
-	for _, opt := range opts {
-		opt(&st)
-	}
-	out := core.StepOpts{OutputPath: defaultPath, CheckpointEvery: st.checkpointEvery}
-	if st.outputPath != nil {
-		out.OutputPath = *st.outputPath
-	}
-	return out
-}
-
-// WithCheckpointDir sets the directory Session.Checkpoint and the
-// per-step auto-checkpoint (WithCheckpointEvery) persist session state
-// into (Config.CheckpointDir).
-func WithCheckpointDir(dir string) Option {
-	return func(c *Config) { c.CheckpointDir = dir }
-}
-
 // HasCheckpoint reports whether dir holds a committed session
 // checkpoint that Resume can reopen.
 func HasCheckpoint(dir string) bool { return storage.HasCheckpoint(dir) }
-
-// Resume reopens the session checkpointed in dir at its recorded step
-// count: the next Step is step N+1, and the canonical merged output of
-// every subsequent step is byte-identical to the uninterrupted
-// session's (the crash-at-step-N fault-injection tests pin this). cfg
-// must agree with the checkpoint on domain, periodicity, ghost size,
-// and decomposition kind; the block count comes from the checkpoint.
-func Resume(cfg Config, dir string) (*Session, error) {
-	s, err := core.ResumeSession(cfg, dir)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s}, nil
-}

@@ -89,16 +89,6 @@ func WithDecomposition(k DecompKind) Option {
 	return func(c *Config) { c.Decomposition = k }
 }
 
-// WithRebalanceThreshold arms warm re-decomposition for Sessions using
-// DecomposeRCB (Config.RebalanceThreshold): when a step's compute-phase
-// imbalance ratio (slowest rank over mean) exceeds t, the next Step
-// rebuilds the decomposition from its particle positions while keeping all
-// retained scratch/pool/recorder state. Typical values are 1.2-1.5; 0
-// disables rebalancing.
-func WithRebalanceThreshold(t float64) Option {
-	return func(c *Config) { c.RebalanceThreshold = t }
-}
-
 // WithWorkers sets the number of intra-rank compute worker goroutines
 // (Config.Workers; 0 divides the worker budget among the concurrent
 // ranks). Results are identical for every worker count.
