@@ -1,7 +1,9 @@
-# Build / verification entry points. `make check` is the full gate: vet,
-# the repo's own static analyzers (cmd/tesslint), the whole test suite
-# under the race detector (which holds the fault-containment, checkpoint
-# and daemon e2e suites — each test runs once), and the coverage floor, so
+# Build / verification entry points. `make check` is the full gate, and
+# the only list of its parts (CI runs `go build ./... && make check`): vet,
+# the repo's own static analyzers (cmd/tesslint), the import and cmd/
+# layout guards, the whole test suite under the race detector (which holds
+# the fault-containment, checkpoint and daemon e2e suites — each test runs
+# once), the coverage floor, the fuzz seed corpora and the bench module, so
 # the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
 # (abort, watchdog, crash containment) are checked on every run.
@@ -13,7 +15,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint onecodec layers race cover ckpt jobd-e2e bench-module check bench bench-stack loc
+.PHONY: build test vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -46,6 +48,10 @@ layers:
 	@! $(GO) list -deps $(addprefix ./internal/,$(ENGINE_PKGS)) | grep -E '^repro/internal/(voids|halo|track|multistream|stats|viz|cosmotools)$$'
 	@! $(GO) list -f '{{join .Imports "\n"}}' $(DAEMON_PKGS) | grep -E '^repro/internal/(core|storage|diy|meshio|voronoi|comm)$$'
 
+# One front door: cmd/ holds exactly the five binaries.
+frontdoor:
+	@test "$$(ls cmd | xargs)" = "tess tessbench tessctl tessd tesslint"
+
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...
 
@@ -77,20 +83,12 @@ cover:
 	done; \
 	exit $$fail
 
-# Daemon end-to-end suite: boots tessd in process on a loopback listener
-# and drives it through the real HTTP surface (byte-identity with direct
-# sessions, 429 admission control, cancel mid-step, crash-tenant
-# isolation), under the race detector. A named filter over what `race`
-# already runs; not part of `check`.
-jobd-e2e:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'TestE2E' ./internal/jobd/...
-
-# Checkpoint/restart acceptance: crash-at-step-N byte-identical resume
-# across block and worker counts, plus the out-of-core FileSource
-# identity gate, under the race detector. A named filter over what `race`
-# already runs; not part of `check`.
-ckpt:
-	$(GO) test -race -timeout $(TEST_TIMEOUT) -run 'CrashResume|CheckpointResume|ResumeValidation|StepFromFileSource' .
+# Every fuzz target's seed corpus, as plain tests and nothing else: a
+# decoder that stops surviving an input somebody already found fails here
+# by name. (`race` replays them too, among the rest and under the
+# detector; this is the step CI used to carry on its own, seconds long.)
+fuzz-seeds:
+	$(GO) test -timeout $(TEST_TIMEOUT) ./internal/... -run '^Fuzz'
 
 # The stack benchmark is a nested module (bench/go.mod), which `./...`
 # from the root does not walk: vet it and run its tests (8^3 particles, two
@@ -98,7 +96,7 @@ ckpt:
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
 
-check: vet lint onecodec layers race cover bench-module
+check: vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

@@ -56,7 +56,7 @@ func accuracy(args []string, w io.Writer) error {
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	cells, err := voronoi.ComputePeriodic(sim.Pos, ids, sim.Config.BoxSize, 0, 0)
+	cells, err := voronoi.ComputePeriodic(sim.Pos, ids, sim.Config.BoxSize, 0)
 	if err != nil {
 		return err
 	}

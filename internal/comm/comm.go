@@ -7,7 +7,7 @@
 // Payloads are passed by reference for speed, but by convention the sender
 // relinquishes ownership of a sent buffer — the helpers in the diy package
 // always send freshly allocated slices, so no two ranks ever mutate the same
-// memory. Collectives (Barrier, Allreduce, Allgather, Gather, Bcast) are
+// memory. Collectives (BarrierRank, Allreduce, Allgather, Gather, Bcast) are
 // built from the same point-to-point layer.
 //
 // # Failure model
@@ -47,18 +47,16 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultMailboxCapacity is the per-pair message queue depth used when
-// NewWorld is not given WithMailboxCapacity. Sends block (abortably) when
-// the pair's queue is full, so "post sends first, then receive" patterns
-// are deadlock-free only while each rank's outstanding traffic to one peer
-// stays within this bound.
+// DefaultMailboxCapacity is the per-pair message queue depth. Sends block
+// (abortably) when the pair's queue is full, so "post sends first, then
+// receive" patterns are deadlock-free only while each rank's outstanding
+// traffic to one peer stays within this bound.
 const DefaultMailboxCapacity = 64
 
 // World is a communicator over Size ranks. Create one with NewWorld, then
 // launch one goroutine per rank with Run.
 type World struct {
-	size     int
-	capacity int
+	size int
 	// mail[dst][src] is the queue of messages from src to dst. Per-pair
 	// queues preserve MPI's pairwise ordering guarantee.
 	mail []map[int]chan message
@@ -96,17 +94,6 @@ type message struct {
 // Option configures a World at construction time.
 type Option func(*World)
 
-// WithMailboxCapacity sets the per-pair message queue depth (default
-// DefaultMailboxCapacity). It panics if n <= 0: a zero-capacity queue
-// would make every "send first, then receive" pattern a rendezvous and
-// deadlock the exchange idioms this package's clients rely on.
-func WithMailboxCapacity(n int) Option {
-	if n <= 0 {
-		panic(fmt.Sprintf("comm: mailbox capacity %d", n))
-	}
-	return func(w *World) { w.capacity = n }
-}
-
 // WithWatchdog arms the stall watchdog: a monitor goroutine (started by
 // Run) that samples which ranks are blocked in which operation and aborts
 // the world with a *StallError wait-for dump when every rank has been
@@ -139,10 +126,9 @@ func NewWorld(size int, opts ...Option) *World {
 		panic(fmt.Sprintf("comm: world size %d", size))
 	}
 	w := &World{
-		size:     size,
-		capacity: DefaultMailboxCapacity,
-		barrier:  newBarrier(size),
-		done:     make(chan struct{}),
+		size:    size,
+		barrier: newBarrier(size),
+		done:    make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -151,7 +137,7 @@ func NewWorld(size int, opts ...Option) *World {
 	for dst := 0; dst < size; dst++ {
 		m := make(map[int]chan message, size)
 		for src := 0; src < size; src++ {
-			m[src] = make(chan message, w.capacity)
+			m[src] = make(chan message, DefaultMailboxCapacity)
 		}
 		w.mail[dst] = m
 	}
@@ -160,9 +146,6 @@ func NewWorld(size int, opts ...Option) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// MailboxCapacity returns the per-pair message queue depth.
-func (w *World) MailboxCapacity() int { return w.capacity }
 
 // SetRecorder attaches an observability recorder sized for this world;
 // pass nil to disable. Set it before Run starts — the field is read
@@ -174,9 +157,6 @@ func (w *World) SetRecorder(r *obs.Recorder) {
 	}
 	w.rec = r
 }
-
-// Recorder returns the attached observability recorder (nil when disabled).
-func (w *World) Recorder() *obs.Recorder { return w.rec }
 
 // Abort kills the world: the first call records cause (wrapped in an
 // *AbortError) and unblocks every rank waiting in a Send, Recv,
@@ -201,10 +181,6 @@ func (w *World) Err() error {
 		return nil
 	}
 }
-
-// Done exposes the abort channel: closed once the world is aborted.
-// Long-running rank bodies can select on it to stop early.
-func (w *World) Done() <-chan struct{} { return w.done }
 
 // abortUnwind panics with the world's abort error; called only after
 // observing done closed, so Err is never nil here.
@@ -277,7 +253,7 @@ func (w *World) Send(src, dst, tag int, payload any) {
 	if src == dst {
 		panic(fmt.Sprintf("comm: rank %d self-send overflow: its own mailbox is full "+
 			"(capacity %d, tag %d) and the sender is the queue's only consumer — guaranteed deadlock; "+
-			"drain with Recv before posting more, or raise WithMailboxCapacity", src, w.capacity, tag))
+			"drain with Recv before posting more", src, DefaultMailboxCapacity, tag))
 	}
 	w.wd.enterWait(src, waitSend, dst, tag)
 	select {
@@ -341,20 +317,10 @@ func (w *World) checkRank(r int) {
 	}
 }
 
-// Barrier blocks until all ranks have entered it (or unwinds if the world
-// aborts). Use BarrierRank when the caller's rank is known so the wait
-// time lands in the observability layer and the stall watchdog can
-// attribute the wait.
-func (w *World) Barrier() {
-	if !w.barrier.await() {
-		w.abortUnwind()
-	}
-}
-
-// BarrierRank is Barrier with the calling rank identified: the time this
-// rank spends blocked (its load-imbalance exposure) is recorded as barrier
-// wait when a recorder is attached, and the wait is visible to the stall
-// watchdog.
+// BarrierRank blocks until all ranks have entered it (or unwinds if the
+// world aborts). The time the calling rank spends blocked (its
+// load-imbalance exposure) is recorded as barrier wait when a recorder is
+// attached, and the wait is visible to the stall watchdog.
 func (w *World) BarrierRank(rank int) {
 	w.checkRank(rank)
 	if w.rec == nil {

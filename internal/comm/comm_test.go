@@ -105,7 +105,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 			time.Sleep(20 * time.Millisecond) // straggler
 		}
 		atomic.AddInt32(&phase1, 1)
-		w.Barrier()
+		w.BarrierRank(rank)
 		if got := atomic.LoadInt32(&phase1); got != p {
 			fail <- "barrier released before all ranks arrived"
 		}
@@ -124,13 +124,13 @@ func TestBarrierReusable(t *testing.T) {
 	w.Run(func(rank int) {
 		for round := 0; round < 10; round++ {
 			atomic.AddInt32(&counter, 1)
-			w.Barrier()
+			w.BarrierRank(rank)
 			want := int32((round + 1) * p)
 			if got := atomic.LoadInt32(&counter); got != want {
 				t.Errorf("round %d: counter %d, want %d", round, got, want)
 				return
 			}
-			w.Barrier()
+			w.BarrierRank(rank)
 		}
 	})
 }

@@ -12,7 +12,7 @@ import (
 func TestAbortUnblocksAllRanks(t *testing.T) {
 	const P = 4
 	cause := errors.New("rank 0 gave up")
-	w := NewWorld(P, WithMailboxCapacity(1))
+	w := NewWorld(P)
 	err := w.Run(func(rank int) {
 		switch rank {
 		case 0:
@@ -21,12 +21,13 @@ func TestAbortUnblocksAllRanks(t *testing.T) {
 		case 1:
 			w.Recv(1, 2, 99) // rank 2 never sends with tag for this wait to resolve
 		case 2:
-			// Fill the pair queue, then block on the second send: rank 3
+			// Fill the pair queue, then block on the next send: rank 3
 			// never receives.
-			w.Send(2, 3, 5, []int{1})
-			w.Send(2, 3, 5, []int{2})
+			for i := 0; i <= DefaultMailboxCapacity; i++ {
+				w.Send(2, 3, 5, []int{i})
+			}
 		case 3:
-			w.Barrier()
+			w.BarrierRank(3)
 		}
 	})
 	if err == nil {
@@ -42,9 +43,9 @@ func TestAbortUnblocksAllRanks(t *testing.T) {
 		t.Fatal("Err() nil after abort")
 	}
 	select {
-	case <-w.Done():
+	case <-w.done:
 	default:
-		t.Fatal("Done() not closed after abort")
+		t.Fatal("done not closed after abort")
 	}
 }
 
@@ -172,7 +173,7 @@ func TestWatchdogAcrossRuns(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		err := w.Run(func(rank int) {
 			time.Sleep(60 * time.Millisecond)
-			w.Barrier()
+			w.BarrierRank(rank)
 		})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -183,13 +184,13 @@ func TestWatchdogAcrossRuns(t *testing.T) {
 // Self-send overflow is a guaranteed deadlock and must fail fast with an
 // actionable diagnostic instead of blocking forever.
 func TestSelfSendOverflowPanics(t *testing.T) {
-	w := NewWorld(2, WithMailboxCapacity(2))
+	w := NewWorld(2)
 	err := w.Run(func(rank int) {
 		if rank != 0 {
 			return
 		}
-		for i := 0; i < 3; i++ {
-			w.Send(0, 0, 1, []int{i}) // third send overflows capacity 2
+		for i := 0; i <= DefaultMailboxCapacity; i++ {
+			w.Send(0, 0, 1, []int{i}) // the last send overflows the queue
 		}
 	})
 	var re *RankError
@@ -198,29 +199,23 @@ func TestSelfSendOverflowPanics(t *testing.T) {
 	}
 	msg, ok := re.Value.(string)
 	if !ok || !strings.Contains(msg, "self-send overflow") ||
-		!strings.Contains(msg, "WithMailboxCapacity") {
+		!strings.Contains(msg, "drain with Recv") {
 		t.Fatalf("diagnostic %v lacks the overflow guidance", re.Value)
 	}
 }
 
+// A rank can post exactly DefaultMailboxCapacity sends to one peer without
+// blocking even when the peer is not yet receiving.
 func TestMailboxCapacityOption(t *testing.T) {
-	if got := NewWorld(2).MailboxCapacity(); got != DefaultMailboxCapacity {
-		t.Errorf("default capacity %d, want %d", got, DefaultMailboxCapacity)
-	}
-	w := NewWorld(2, WithMailboxCapacity(3))
-	if got := w.MailboxCapacity(); got != 3 {
-		t.Errorf("capacity %d, want 3", got)
-	}
-	// A rank can post exactly `capacity` sends to one peer without blocking
-	// even when the peer is not yet receiving.
+	w := NewWorld(2)
 	err := w.Run(func(rank int) {
 		if rank == 0 {
-			for i := 0; i < 3; i++ {
+			for i := 0; i < DefaultMailboxCapacity; i++ {
 				w.Send(0, 1, 1, []int{i})
 			}
 		} else {
 			time.Sleep(10 * time.Millisecond)
-			for i := 0; i < 3; i++ {
+			for i := 0; i < DefaultMailboxCapacity; i++ {
 				got := w.Recv(1, 0, 1).([]int)
 				if got[0] != i {
 					t.Errorf("message %d out of order: %v", i, got)
@@ -231,15 +226,6 @@ func TestMailboxCapacityOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestWithMailboxCapacityRejectsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithMailboxCapacity(0) did not panic")
-		}
-	}()
-	WithMailboxCapacity(0)
 }
 
 func TestWithWatchdogRejectsNonPositive(t *testing.T) {

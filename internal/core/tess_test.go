@@ -63,7 +63,7 @@ func serialReference(t testing.TB, ps []diy.Particle, L float64) []CellSummary {
 		pts[i] = p.Pos
 		ids[i] = p.ID
 	}
-	cells, err := voronoi.ComputePeriodic(pts, ids, L, 0, 0)
+	cells, err := voronoi.ComputePeriodic(pts, ids, L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestDiameterBelowMatchesPairwiseScan(t *testing.T) {
 	for i, p := range ps {
 		pts[i], ids[i] = p.Pos, p.ID
 	}
-	cells, err := voronoi.ComputePeriodic(pts, ids, 12, 0, 0)
+	cells, err := voronoi.ComputePeriodic(pts, ids, 12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 var ErrDegenerate = errors.New("delaunay: degenerate input")
 
 // Tet is one tetrahedron of the final triangulation, positively oriented
-// (Orient3D(V[0], V[1], V[2], V[3]) > 0), with vertex indices into the
+// (geom.Orient3DVal(V[0], V[1], V[2], V[3]) > 0), with vertex indices into the
 // input point slice.
 type Tet struct {
 	V [4]int
@@ -381,7 +381,7 @@ func (b *builder) insert(pi int32, dupEps float64) error {
 	pending := 0
 
 	// New tets: each boundary face plus p. Faces from faceVerts are
-	// oriented so that Orient3D(fv[0], fv[1], fv[2], apex-of-old-tet) > 0;
+	// oriented so that Orient3DVal(fv[0], fv[1], fv[2], apex-of-old-tet) > 0;
 	// the cavity interior (where p is) is on the other side, so (fv[0],
 	// fv[2], fv[1], p) is positively oriented.
 	for i := range b.boundary {
@@ -539,7 +539,7 @@ func (b *builder) locate(p geom.Vec3) (int32, error) {
 }
 
 // faceVerts returns the vertices of the face opposite v[f], oriented so
-// that Orient3D(face, v[f]) > 0 for a positively oriented tet.
+// that Orient3DVal(face, v[f]) > 0 for a positively oriented tet.
 func faceVerts[T int | int32](v [4]T, f int) [3]T {
 	// For a positively oriented tet (v0,v1,v2,v3):
 	// face opposite 0: (1,3,2), opposite 1: (0,2,3),
@@ -556,67 +556,10 @@ func faceVerts[T int | int32](v [4]T, f int) [3]T {
 	}
 }
 
-// Circumcenters returns the circumcenter of every tetrahedron — the dual
-// Voronoi vertices.
-func (tr *Triangulation) Circumcenters() []geom.Vec3 {
-	out := make([]geom.Vec3, len(tr.Tets))
-	for i, t := range tr.Tets {
-		cc, _ := geom.Circumcenter(tr.Points[t.V[0]], tr.Points[t.V[1]], tr.Points[t.V[2]], tr.Points[t.V[3]])
-		out[i] = cc
-	}
-	return out
-}
-
-// Edges returns the unique vertex-index edges of the triangulation — the
-// dual of the Voronoi face-adjacency graph.
-func (tr *Triangulation) Edges() [][2]int {
-	seen := map[[2]int]bool{}
-	var out [][2]int
-	for _, t := range tr.Tets {
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				a, b := t.V[i], t.V[j]
-				if a > b {
-					a, b = b, a
-				}
-				k := [2]int{a, b}
-				if !seen[k] {
-					seen[k] = true
-					out = append(out, k)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// VertexStars returns, for each input vertex, the indices of the tets
-// incident to it. Vertices merged as duplicates (or outside the final
-// triangulation) have empty stars.
-func (tr *Triangulation) VertexStars() [][]int {
-	stars := make([][]int, len(tr.Points))
-	for ti, t := range tr.Tets {
-		for _, vi := range t.V {
-			stars[vi] = append(stars[vi], ti)
-		}
-	}
-	return stars
-}
-
 // TetVolume returns the volume of tet ti.
 func (tr *Triangulation) TetVolume(ti int) float64 {
 	t := tr.Tets[ti]
 	return geom.TetVolume(tr.Points[t.V[0]], tr.Points[t.V[1]], tr.Points[t.V[2]], tr.Points[t.V[3]])
-}
-
-// TotalVolume returns the volume of the triangulated region (the convex
-// hull of the input).
-func (tr *Triangulation) TotalVolume() float64 {
-	var v float64
-	for i := range tr.Tets {
-		v += tr.TetVolume(i)
-	}
-	return v
 }
 
 // Locate returns the index of a tet containing p, or -1 if p is outside

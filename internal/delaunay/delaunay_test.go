@@ -17,6 +17,16 @@ func randPts(rng *rand.Rand, n int, L float64) []geom.Vec3 {
 	return pts
 }
 
+// TotalVolume returns the volume of the triangulated region (the convex
+// hull of the input).
+func (tr *Triangulation) TotalVolume() float64 {
+	var v float64
+	for i := range tr.Tets {
+		v += tr.TetVolume(i)
+	}
+	return v
+}
+
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(randPts(rand.New(rand.NewSource(1)), 3, 1)); err != ErrDegenerate {
 		t.Errorf("3 points: %v", err)
@@ -203,34 +213,6 @@ func TestEdgesSymmetricUnique(t *testing.T) {
 			t.Fatalf("duplicate edge %v", e)
 		}
 		seen[e] = true
-	}
-}
-
-func TestVertexStars(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	pts := randPts(rng, 70, 5)
-	tr, err := Build(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stars := tr.VertexStars()
-	count := 0
-	for vi, star := range stars {
-		for _, ti := range star {
-			found := false
-			for _, v := range tr.Tets[ti].V {
-				if v == vi {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("star of %d contains tet %d that does not touch it", vi, ti)
-			}
-			count++
-		}
-	}
-	if count != 4*len(tr.Tets) {
-		t.Errorf("star entries = %d, want %d", count, 4*len(tr.Tets))
 	}
 }
 

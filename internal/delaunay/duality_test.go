@@ -8,6 +8,40 @@ import (
 	"repro/internal/voronoi"
 )
 
+// Circumcenters returns the circumcenter of every tetrahedron — the dual
+// Voronoi vertices.
+func (tr *Triangulation) Circumcenters() []geom.Vec3 {
+	out := make([]geom.Vec3, len(tr.Tets))
+	for i, t := range tr.Tets {
+		cc, _ := geom.Circumcenter(tr.Points[t.V[0]], tr.Points[t.V[1]], tr.Points[t.V[2]], tr.Points[t.V[3]])
+		out[i] = cc
+	}
+	return out
+}
+
+// Edges returns the unique vertex-index edges of the triangulation — the
+// dual of the Voronoi face-adjacency graph.
+func (tr *Triangulation) Edges() [][2]int {
+	seen := map[[2]int]bool{}
+	var out [][2]int
+	for _, t := range tr.Tets {
+		for i := 0; i < 4; i++ {
+			for j := i + 1; j < 4; j++ {
+				a, b := t.V[i], t.V[j]
+				if a > b {
+					a, b = b, a
+				}
+				k := [2]int{a, b}
+				if !seen[k] {
+					seen[k] = true
+					out = append(out, k)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestVoronoiDuality verifies the relationship the paper states in
 // Sec. II-B — "the Delaunay is simply its dual" — by checking that, for
 // interior sites, the Delaunay edge set equals the Voronoi face-adjacency
@@ -39,7 +73,7 @@ func TestVoronoiDuality(t *testing.T) {
 	ix := voronoi.NewIndex(pts, ids, 0)
 	interior := 0
 	for i, site := range pts {
-		cell, err := voronoi.ComputeCell(ix, site, ids[i], geom.Cube(site, L))
+		cell, err := voronoi.ComputeCellScratch(ix, site, ids[i], geom.Cube(site, L), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,8 +82,13 @@ func TestVoronoiDuality(t *testing.T) {
 		}
 		interior++
 		// Every Voronoi face neighbor must be a Delaunay edge.
-		for _, nb := range cell.NeighborIDs() {
-			a, b := i, int(nb)
+		vorNb := map[int]bool{}
+		for _, f := range cell.Faces {
+			if f.Neighbor < 0 {
+				continue // a wall of the initial box
+			}
+			vorNb[int(f.Neighbor)] = true
+			a, b := i, int(f.Neighbor)
 			if a > b {
 				a, b = b, a
 			}
@@ -60,10 +99,6 @@ func TestVoronoiDuality(t *testing.T) {
 		// And every Delaunay edge from an interior site must be a Voronoi
 		// face neighbor (generic position: no degenerate cospherical sets
 		// with random float64 coordinates).
-		vorNb := map[int]bool{}
-		for _, nb := range cell.NeighborIDs() {
-			vorNb[int(nb)] = true
-		}
 		for e := range delEdges {
 			var other int
 			switch {
@@ -111,7 +146,7 @@ func TestCircumcentersAreVoronoiVertices(t *testing.T) {
 		if c, ok := cells[i]; ok {
 			return c
 		}
-		c, err := voronoi.ComputeCell(ix, pts[i], ids[i], geom.Cube(pts[i], L))
+		c, err := voronoi.ComputeCellScratch(ix, pts[i], ids[i], geom.Cube(pts[i], L), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

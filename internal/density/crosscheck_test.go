@@ -108,7 +108,7 @@ func CrossCheck(res *Result, ms *multistream.Field) (*CrossCheckResult, error) {
 			for i := 0; i < n; i++ {
 				x := (float64(i) + 0.5) * size.X / float64(n)
 				d := res.Grid[(k*n+j)*n+i]
-				streams := ms.At(msCell(x, ms), msCell(y, ms), msCell(z, ms))
+				streams := ms.Streams[(msCell(z, ms)*ms.M+msCell(y, ms))*ms.M+msCell(x, ms)]
 				if streams <= 1 {
 					single = append(single, d)
 				} else {

@@ -181,9 +181,6 @@ func New(cfg Config) (*Pipeline, error) {
 	return &Pipeline{cfg: cfg}, nil
 }
 
-// Config returns the pipeline's configuration (defaults applied).
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // Compute runs the full pipeline once on a fresh Pipeline and returns an
 // owned Result. It is the convenience entry for CLIs and the direct
 // single-process oracle the daemon e2e tests compare grid bytes against.

@@ -179,27 +179,6 @@ func readIndex(f io.ReaderAt, size int64) (*BlockIndex, error) {
 	return idx, nil
 }
 
-// ReadBlock reads block i from a block file.
-func ReadBlock(path string, i int) ([]byte, error) {
-	idx, err := ReadIndex(path)
-	if err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= len(idx.Offsets) {
-		return nil, fmt.Errorf("diy: block %d out of range [0, %d)", i, len(idx.Offsets))
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, idx.Sizes[i])
-	if _, err := f.ReadAt(buf, idx.Offsets[i]); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // ReadAllBlocks reads every block section of a block file.
 func ReadAllBlocks(path string) ([][]byte, error) {
 	idx, err := ReadIndex(path)

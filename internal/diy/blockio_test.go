@@ -55,22 +55,16 @@ func TestCollectiveWriteRoundTrip(t *testing.T) {
 	if len(idx.Offsets) != 6 {
 		t.Fatalf("index has %d blocks", len(idx.Offsets))
 	}
-	for i, p := range payloads {
-		got, err := ReadBlock(path, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("block %d round trip mismatch (%d vs %d bytes)", i, len(got), len(p))
-		}
-	}
 	all, err := ReadAllBlocks(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range all {
-		if !bytes.Equal(all[i], payloads[i]) {
-			t.Fatalf("ReadAllBlocks mismatch at %d", i)
+	if len(all) != len(payloads) {
+		t.Fatalf("read %d blocks, want %d", len(all), len(payloads))
+	}
+	for i, p := range payloads {
+		if !bytes.Equal(all[i], p) {
+			t.Fatalf("block %d round trip mismatch (%d vs %d bytes)", i, len(all[i]), len(p))
 		}
 	}
 }
@@ -93,24 +87,12 @@ func TestCollectiveWriteSingleRank(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "one.tess")
 	writeBlocks(t, path, [][]byte{[]byte("solo block")})
-	got, err := ReadBlock(path, 0)
+	got, err := ReadAllBlocks(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "solo block" {
+	if len(got) != 1 || string(got[0]) != "solo block" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestReadBlockOutOfRange(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r.tess")
-	writeBlocks(t, path, [][]byte{[]byte("x")})
-	if _, err := ReadBlock(path, 5); err == nil {
-		t.Error("out-of-range block read succeeded")
-	}
-	if _, err := ReadBlock(path, -1); err == nil {
-		t.Error("negative block read succeeded")
 	}
 }
 
@@ -174,9 +156,6 @@ func TestReadIndexRejectsLyingFooter(t *testing.T) {
 			}
 			if _, err := ReadAllBlocks(path); err == nil {
 				t.Error("ReadAllBlocks accepted the footer")
-			}
-			if _, err := ReadBlock(path, 1); err == nil {
-				t.Error("ReadBlock accepted the footer")
 			}
 		})
 	}

@@ -18,38 +18,25 @@ type Particle struct {
 
 const tagExchange = 100
 
-// ExchangeGhost performs the bidirectional neighborhood particle exchange of
+// Exchanger performs the bidirectional neighborhood particle exchange of
 // the paper's Sec. III-C1 for one rank: every particle within ghost distance
 // of a neighbor's region is sent to that neighbor (and only to neighbors
 // near enough to need it — the "targeted" part), with coordinates
-// transformed across periodic boundaries. It returns the ghost particles
-// received from all neighbors, with positions already expressed in this
-// block's frame.
+// transformed across periodic boundaries.
 //
-// All ranks of the world must call ExchangeGhost collectively. The received
-// ghosts do not include this block's own particles unless the decomposition
-// is thin enough that the block is its own periodic neighbor, in which case
-// the self-images arrive shifted by the domain period (as required for a
-// correct periodic tessellation).
-func ExchangeGhost(w *comm.World, d *Decomposition, rank int, local []Particle, ghost float64) []Particle {
-	return NewExchanger(d, rank, ghost).Exchange(w, d, rank, local)
-}
-
-// Exchanger is the retained-state form of ExchangeGhost for persistent
-// sessions: the link geometry (neighbor list, ghost-expanded target
-// bounds, destination-rank coalescing) is derived once at construction,
-// and the receive-side buffers (boundary candidate set, ghost
-// concatenation) are reused across calls. Outgoing message payloads are
-// still freshly allocated every call — a sent buffer transfers ownership
-// to the receiver (the comm package's aliasing convention), so they are
-// the one thing an exchanger must never retain — but sized from the
-// previous call's payload to the same rank, so a step allocates each one
-// once instead of growing it by doubling.
+// It keeps state for persistent sessions: the link geometry (neighbor
+// list, ghost-expanded target bounds, destination-rank coalescing) is
+// derived once at construction, and the receive-side buffers (boundary
+// candidate set, ghost concatenation) are reused across calls. Outgoing
+// message payloads are still freshly allocated every call — a sent buffer
+// transfers ownership to the receiver (the comm package's aliasing
+// convention), so they are the one thing an exchanger must never retain —
+// but sized from the previous call's payload to the same rank, so a step
+// allocates each one once instead of growing it by doubling.
 //
-// Exchange results are identical to ExchangeGhost in content and order;
-// tests pin this. The returned ghost slice is valid until the next
-// Exchange call. An Exchanger serves one (rank, ghost) pair and is not
-// safe for concurrent use.
+// The returned ghost slice is valid until the next Exchange call. An
+// Exchanger serves one (rank, ghost) pair and is not safe for concurrent
+// use.
 type Exchanger struct {
 	ghost    float64
 	targets  []geom.Box // ghost-expanded neighbor bounds, per link
@@ -98,8 +85,13 @@ func NewExchanger(d *Decomposition, rank int, ghost float64) *Exchanger {
 }
 
 // Exchange runs one collective ghost exchange through the retained state;
-// all ranks of the world must call it (or ExchangeGhost) together. local
-// must be the particles of the rank the Exchanger was built for.
+// all ranks of the world must call it together. local must be the
+// particles of the rank the Exchanger was built for. It returns the ghost
+// particles received from all neighbors, with positions already expressed
+// in this block's frame. They do not include this block's own particles
+// unless the decomposition is thin enough that the block is its own
+// periodic neighbor, in which case the self-images arrive shifted by the
+// domain period (as required for a correct periodic tessellation).
 func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []Particle) []Particle {
 	// Candidate prefilter: a particle can only be within ghost reach of a
 	// neighbor's region if it is within ghost of this block's own
@@ -120,13 +112,13 @@ func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []
 	// linked to. The send-first pattern cannot deadlock here because each
 	// rank posts at most one message per peer before receiving, well
 	// within comm's per-pair queue capacity; a send CAN block once a
-	// pair's queue fills (see comm.WithMailboxCapacity), in which case the
+	// pair's queue fills (see comm.DefaultMailboxCapacity), in which case the
 	// blocked send stays abortable and watchdog-visible rather than
 	// silently hanging.
 	for di, dst := range e.dsts {
 		// One freshly allocated payload per destination: links to the same
 		// rank concatenate in link order, particles in local order — the
-		// same message content ExchangeGhost's per-link bucketing built.
+		// same message content a per-link bucketing would build.
 		// Particles move little between steps, so the previous payload's
 		// length plus an eighth is the capacity this one needs.
 		var payload []Particle
@@ -197,11 +189,11 @@ func PartitionParticlesAppend(d *Decomposition, particles []Particle, buf [][]Pa
 	return buf
 }
 
-// GatherGhosts computes the same ghost set ExchangeGhost would deliver to
+// GatherGhosts computes the same ghost set an Exchanger would deliver to
 // rank, directly from the globally partitioned particle arrays and without
 // a communicator. It exists for the sequential timing harness (which runs
 // ranks one at a time to measure per-rank phase costs on a machine with
-// fewer cores than ranks) and is verified against ExchangeGhost by tests.
+// fewer cores than ranks) and is verified against the exchange by tests.
 //
 // parts must be the per-rank particle partition (as from
 // PartitionParticles).
@@ -216,48 +208,6 @@ func GatherGhosts(d *Decomposition, rank int, parts [][]Particle, ghost float64)
 			q := p.Pos.Add(shift)
 			if target.Contains(q) {
 				ghosts = append(ghosts, Particle{ID: p.ID, Pos: q})
-			}
-		}
-	}
-	return ghosts
-}
-
-// BroadcastExchange is the non-targeted baseline used by the ablation
-// benchmark: every particle within ghost distance of *any* block face is
-// sent to *all* neighbors, instead of only the ones whose region needs it.
-// Results are identical after the receiver filters, but message volume is
-// larger.
-func BroadcastExchange(w *comm.World, d *Decomposition, rank int, local []Particle, ghost float64) []Particle {
-	neighbors := d.Neighbors(rank)
-	myBounds := d.Block(rank).Bounds
-
-	// Candidate set: particles near this block's own boundary.
-	var boundary []Particle
-	for _, p := range local {
-		if myBounds.InteriorDist(p.Pos) <= ghost {
-			boundary = append(boundary, p)
-		}
-	}
-
-	perRank := make(map[int][]Particle)
-	for _, nb := range neighbors {
-		shifted := make([]Particle, len(boundary))
-		for i, p := range boundary {
-			shifted[i] = Particle{ID: p.ID, Pos: p.Pos.Add(nb.Shift)}
-		}
-		perRank[nb.Rank] = append(perRank[nb.Rank], shifted...)
-	}
-	ranks := slices.Sorted(maps.Keys(perRank))
-	for _, dst := range ranks {
-		w.Send(rank, dst, tagExchange, perRank[dst])
-	}
-	var ghosts []Particle
-	mine := myBounds.Expand(ghost)
-	for _, src := range ranks {
-		batch := w.Recv(rank, src, tagExchange).([]Particle)
-		for _, p := range batch {
-			if mine.Contains(p.Pos) {
-				ghosts = append(ghosts, p)
 			}
 		}
 	}

@@ -43,6 +43,12 @@ func TestPartitionParticles(t *testing.T) {
 	}
 }
 
+// exchangeGhost is one exchange through a fresh Exchanger: what every rank
+// of a session does on its first step.
+func exchangeGhost(w *comm.World, d *Decomposition, rank int, local []Particle, ghost float64) []Particle {
+	return NewExchanger(d, rank, ghost).Exchange(w, d, rank, local)
+}
+
 // runExchange partitions particles, runs the collective exchange on all
 // ranks, and returns per-rank ghosts.
 func runExchange(t *testing.T, d *Decomposition, ps []Particle, ghost float64,
@@ -73,7 +79,7 @@ func TestExchangeGhostCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	ps := randomParticles(rng, 800, L)
 	parts := PartitionParticles(d, ps)
-	ghosts := runExchange(t, d, ps, ghost, ExchangeGhost)
+	ghosts := runExchange(t, d, ps, ghost, exchangeGhost)
 
 	for r := 0; r < d.NumBlocks(); r++ {
 		expanded := d.Block(r).Bounds.Expand(ghost)
@@ -134,8 +140,8 @@ func TestExchangeGhostSmallGhostSendsLess(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(28))
 	ps := randomParticles(rng, 500, L)
-	small := runExchange(t, d, ps, 0.5, ExchangeGhost)
-	large := runExchange(t, d, ps, 2.0, ExchangeGhost)
+	small := runExchange(t, d, ps, 0.5, exchangeGhost)
+	large := runExchange(t, d, ps, 2.0, exchangeGhost)
 	for r := range small {
 		if len(small[r]) > len(large[r]) {
 			t.Fatalf("rank %d: smaller ghost received more particles (%d > %d)",
@@ -154,37 +160,10 @@ func TestExchangeGhostZero(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	ps := randomParticles(rng, 500, L)
-	ghosts := runExchange(t, d, ps, 0, ExchangeGhost)
+	ghosts := runExchange(t, d, ps, 0, exchangeGhost)
 	for r, g := range ghosts {
 		if len(g) != 0 {
 			t.Errorf("rank %d received %d ghosts with zero ghost size", r, len(g))
-		}
-	}
-}
-
-func TestBroadcastExchangeMatchesTargeted(t *testing.T) {
-	// The broadcast baseline must deliver the same ghost sets as the
-	// targeted exchange (it is only allowed to cost more traffic).
-	const L = 12.0
-	const ghost = 1.0
-	d, err := Decompose(unitDomain(L), 27, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(30))
-	ps := randomParticles(rng, 600, L)
-	a := runExchange(t, d, ps, ghost, ExchangeGhost)
-	b := runExchange(t, d, ps, ghost, BroadcastExchange)
-	for r := range a {
-		ka := ghostKeys(a[r])
-		kb := ghostKeys(b[r])
-		if len(ka) != len(kb) {
-			t.Fatalf("rank %d: targeted %d ghosts, broadcast %d", r, len(ka), len(kb))
-		}
-		for i := range ka {
-			if ka[i] != kb[i] {
-				t.Fatalf("rank %d: ghost sets differ at %d: %v vs %v", r, i, ka[i], kb[i])
-			}
 		}
 	}
 }
@@ -219,7 +198,7 @@ func TestExchangeSingleBlockPeriodicImages(t *testing.T) {
 		{ID: 1, Pos: geom.V(5, 5, 5)},     // center: no images
 		{ID: 2, Pos: geom.V(9.8, 9.9, 5)}, // near +x +y edge
 	}
-	ghosts := runExchange(t, d, ps, 1.0, ExchangeGhost)[0]
+	ghosts := runExchange(t, d, ps, 1.0, exchangeGhost)[0]
 	hasImage := func(id int64, at geom.Vec3) bool {
 		for _, g := range ghosts {
 			if g.ID == id && g.Pos.Dist(at) < 1e-9 {
@@ -251,7 +230,7 @@ func TestGatherGhostsMatchesExchange(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(100 + blocks)))
 		ps := randomParticles(rng, 400, L)
 		parts := PartitionParticles(d, ps)
-		exchanged := runExchange(t, d, ps, 1.2, ExchangeGhost)
+		exchanged := runExchange(t, d, ps, 1.2, exchangeGhost)
 		for r := 0; r < blocks; r++ {
 			direct := GatherGhosts(d, r, parts, 1.2)
 			ka := ghostKeys(exchanged[r])

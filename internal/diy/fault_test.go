@@ -28,7 +28,7 @@ func TestMissingExchangeGhostStalls(t *testing.T) {
 		if rank == 2 {
 			return // forgot to join the exchange
 		}
-		ExchangeGhost(w, d, rank, parts[rank], 2)
+		exchangeGhost(w, d, rank, parts[rank], 2)
 	})
 	if runErr == nil {
 		t.Fatal("missing ExchangeGhost did not abort")
@@ -70,7 +70,7 @@ func TestCrashDuringExchangeAborts(t *testing.T) {
 		if rank == 1 {
 			panic("simulated crash mid-exchange")
 		}
-		ExchangeGhost(w, d, rank, parts[rank], 2)
+		exchangeGhost(w, d, rank, parts[rank], 2)
 	})
 	var re *comm.RankError
 	if !errors.As(runErr, &re) {

@@ -40,7 +40,7 @@ func TestExchangeByteConservation(t *testing.T) {
 			var ghostsRecvd int64
 			var mu sync.Mutex
 			w.Run(func(rank int) {
-				g := ExchangeGhost(w, d, rank, parts[rank], tc.ghost)
+				g := exchangeGhost(w, d, rank, parts[rank], tc.ghost)
 				mu.Lock()
 				ghostsRecvd += int64(len(g))
 				mu.Unlock()

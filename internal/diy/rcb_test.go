@@ -195,7 +195,7 @@ func TestRCBExchangeGhostCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := PartitionParticles(d, ps)
-	ghosts := runExchange(t, d, ps, ghost, ExchangeGhost)
+	ghosts := runExchange(t, d, ps, ghost, exchangeGhost)
 
 	for r := 0; r < d.NumBlocks(); r++ {
 		expanded := d.Block(r).Bounds.Expand(ghost)
@@ -255,7 +255,7 @@ func TestRCBGatherGhostsMatchesExchange(t *testing.T) {
 				t.Fatal(err)
 			}
 			parts := PartitionParticles(d, ps)
-			exchanged := runExchange(t, d, ps, 1.2, ExchangeGhost)
+			exchanged := runExchange(t, d, ps, 1.2, exchangeGhost)
 			for r := 0; r < blocks; r++ {
 				direct := GatherGhosts(d, r, parts, 1.2)
 				ka := ghostKeys(exchanged[r])

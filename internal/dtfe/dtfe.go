@@ -72,7 +72,7 @@ func (e *Estimator) Estimate(tr *delaunay.Triangulation, masses []float64) (*Fie
 	// Fold the mass of merged duplicates onto their representative vertex.
 	// A tracer dropped during triangulation still carries mass; losing it
 	// would break mass conservation (the integral of the field must equal
-	// the total tracer mass, see IntegratedMass).
+	// the total tracer mass, see TestMassConservation).
 	for i := 0; i < n; i++ {
 		m := 1.0
 		if masses != nil {
@@ -218,19 +218,4 @@ func (f *Field) SampleGridInto(dst []float64, n int, box geom.Box) ([]float64, S
 		}
 	}
 	return out, st
-}
-
-// IntegratedMass integrates the interpolated field over the triangulated
-// hull. The field is linear on each tet, so the integral is exactly
-// sum_t V_t * mean(corner densities), which telescopes to
-// sum_i rho_i V(star_i)/4 = sum_i m_i: the estimator conserves mass, and
-// the conservation tests pin this identity against the tracer masses.
-func (f *Field) IntegratedMass() float64 {
-	var total float64
-	for ti, t := range f.Tri.Tets {
-		v := f.Tri.TetVolume(ti)
-		s := f.Density[t.V[0]] + f.Density[t.V[1]] + f.Density[t.V[2]] + f.Density[t.V[3]]
-		total += v * s / 4
-	}
-	return total
 }

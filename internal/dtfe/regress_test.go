@@ -62,6 +62,21 @@ func TestDuplicateTracersKeepDensityAndMass(t *testing.T) {
 	}
 }
 
+// IntegratedMass integrates the interpolated field over the triangulated
+// hull. The field is linear on each tet, so the integral is exactly
+// sum_t V_t * mean(corner densities), which telescopes to
+// sum_i rho_i V(star_i)/4 = sum_i m_i: the estimator conserves mass, and
+// the conservation tests pin this identity against the tracer masses.
+func (f *Field) IntegratedMass() float64 {
+	var total float64
+	for ti, t := range f.Tri.Tets {
+		v := f.Tri.TetVolume(ti)
+		s := f.Density[t.V[0]] + f.Density[t.V[1]] + f.Density[t.V[2]] + f.Density[t.V[3]]
+		total += v * s / 4
+	}
+	return total
+}
+
 // Regression: the integral of the interpolated field over the hull must
 // equal the total tracer mass — including mass carried by merged
 // duplicates, and for both the unit-mass and explicit-mass paths.

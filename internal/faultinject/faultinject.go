@@ -84,9 +84,6 @@ func New(plan Plan, ranks int) *Injector {
 	return &Injector{plan: plan, steps: make([]slot, ranks), msgs: make([]slot, ranks)}
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Checkpoint marks rank passing one pipeline step: it applies the plan's
 // compute slowdown for this (rank, step) and panics with a *Crash when
 // the crash schedule names it. site labels the checkpoint in the crash

@@ -45,9 +45,6 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// N returns the transform length.
-func (p *Plan) N() int { return p.n }
-
 // Forward computes the in-place forward DFT of x. len(x) must equal the plan
 // length.
 func (p *Plan) Forward(x []complex128) { p.transform(x, false) }
@@ -111,16 +108,6 @@ func (g *Grid3) Index(x, y, z int) int { return (z*g.N+y)*g.N + x }
 
 // At returns the value at (x, y, z).
 func (g *Grid3) At(x, y, z int) complex128 { return g.Data[g.Index(x, y, z)] }
-
-// Set stores v at (x, y, z).
-func (g *Grid3) Set(x, y, z int, v complex128) { g.Data[g.Index(x, y, z)] = v }
-
-// Clone returns a deep copy of the grid.
-func (g *Grid3) Clone() *Grid3 {
-	c := &Grid3{N: g.N, Data: make([]complex128, len(g.Data))}
-	copy(c.Data, g.Data)
-	return c
-}
 
 // Forward3 computes the in-place 3D forward DFT of g by transforming along
 // x, then y, then z.

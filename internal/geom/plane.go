@@ -3,17 +3,10 @@ package geom
 // Plane is an oriented plane in Hessian-like form: the set of points x with
 // N.Dot(x) + D == 0. N need not be unit length; signed "distances" returned
 // by Eval are scaled by |N| accordingly. Callers that need metric distances
-// should construct planes with unit normals (see NewPlane).
+// should construct planes with unit normals.
 type Plane struct {
 	N Vec3    // normal
 	D float64 // offset
-}
-
-// NewPlane returns the plane through point p with unit normal in the
-// direction of n.
-func NewPlane(n, p Vec3) Plane {
-	u := n.Normalize()
-	return Plane{N: u, D: -u.Dot(p)}
 }
 
 // PlaneFromPoints returns the plane through three points with normal

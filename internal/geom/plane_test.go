@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// NewPlane returns the plane through point p with unit normal in the
+// direction of n.
+func NewPlane(n, p Vec3) Plane {
+	u := n.Normalize()
+	return Plane{N: u, D: -u.Dot(p)}
+}
+
 func TestNewPlane(t *testing.T) {
 	pl := NewPlane(V(0, 0, 2), V(1, 1, 5))
 	if !almostEq(pl.Eval(V(0, 0, 5)), 0, 1e-12) {

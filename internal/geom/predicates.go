@@ -2,39 +2,20 @@ package geom
 
 import "math"
 
-// The predicates below use scaled-epsilon filters: the raw determinant is
-// compared against a tolerance proportional to a bound on its roundoff
-// error, derived from the magnitude of the operands. Values within the
-// tolerance are reported as zero (degenerate). This is not exact arithmetic,
+// InSphere uses a scaled-epsilon filter: the raw determinant is compared
+// against a tolerance proportional to a bound on its roundoff error,
+// derived from the magnitude of the operands. Values within the tolerance
+// are reported as zero (degenerate). This is not exact arithmetic,
 // but for the perturbed lattice and random inputs used throughout this
 // repository it is robust in practice, and all downstream algorithms treat
 // the zero case conservatively.
 
 const epsUnit = 1e-12
 
-// Orient3D returns +1 if d lies on the positive side of the plane through
-// a, b, c (counterclockwise when viewed from the positive side), -1 if on
-// the negative side, and 0 if the four points are coplanar within tolerance.
-func Orient3D(a, b, c, d Vec3) int {
-	ba, ca, da := b.Sub(a), c.Sub(a), d.Sub(a)
-	det := det3(ba, ca, da)
-
-	// Permanent-style error bound: sum of absolute values of the terms.
-	perm := permDet3(ba, ca, da)
-	tol := epsUnit * perm
-	switch {
-	case det > tol:
-		return 1
-	case det < -tol:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // Orient3DVal returns the raw signed 6x(volume of tetrahedron abcd)
 // determinant (b-a) x (c-a) . (d-a) without the tolerance filter. It is
-// positive exactly when Orient3D would report +1 on well-separated inputs.
+// positive exactly when d lies on the positive side of the plane through
+// a, b, c (counterclockwise when viewed from that side).
 func Orient3DVal(a, b, c, d Vec3) float64 {
 	return det3(b.Sub(a), c.Sub(a), d.Sub(a))
 }
@@ -42,7 +23,7 @@ func Orient3DVal(a, b, c, d Vec3) float64 {
 // InSphere returns +1 if point e lies strictly inside the circumsphere of
 // the positively oriented tetrahedron (a,b,c,d), -1 if strictly outside,
 // and 0 if on the sphere within tolerance. The tetrahedron must satisfy
-// Orient3D(a,b,c,d) > 0; callers are responsible for orientation.
+// Orient3DVal(a,b,c,d) > 0; callers are responsible for orientation.
 func InSphere(a, b, c, d, e Vec3) int {
 	ae, be, ce, de := a.Sub(e), b.Sub(e), c.Sub(e), d.Sub(e)
 	a2, b2, c2, d2 := ae.Norm2(), be.Norm2(), ce.Norm2(), de.Norm2()

@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// Orient3D returns +1 if d lies on the positive side of the plane through
+// a, b, c (counterclockwise when viewed from the positive side), -1 if on
+// the negative side, and 0 if the four points are coplanar within tolerance.
+func Orient3D(a, b, c, d Vec3) int {
+	ba, ca, da := b.Sub(a), c.Sub(a), d.Sub(a)
+	det := det3(ba, ca, da)
+
+	// Permanent-style error bound: sum of absolute values of the terms.
+	perm := permDet3(ba, ca, da)
+	tol := epsUnit * perm
+	switch {
+	case det > tol:
+		return 1
+	case det < -tol:
+		return -1
+	default:
+		return 0
+	}
+}
+
 func TestOrient3DBasic(t *testing.T) {
 	a, b, c := V(0, 0, 0), V(1, 0, 0), V(0, 1, 0)
 	if got := Orient3D(a, b, c, V(0, 0, 1)); got != 1 {

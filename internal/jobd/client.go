@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,9 +34,6 @@ type APIError struct {
 func (e *APIError) Error() string {
 	return fmt.Sprintf("jobd: server returned %d: %s", e.Status, e.Message)
 }
-
-// Saturated reports whether the error is the admission-control rejection.
-func (e *APIError) Saturated() bool { return e.Status == http.StatusTooManyRequests }
 
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
@@ -94,7 +90,7 @@ func apiErrorFrom(resp *http.Response) error {
 }
 
 // Submit posts a job spec. A saturated daemon surfaces as an *APIError
-// with Saturated() true and a RetryAfter hint.
+// with Status 429 and a RetryAfter hint.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	var st JobStatus
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &st)
@@ -213,27 +209,4 @@ func (c *Client) Events(ctx context.Context, id string, from int, fn func(Event)
 		return err
 	}
 	return nil
-}
-
-// Wait streams a job's events until its terminal event and returns the
-// full event list plus the final status.
-func (c *Client) Wait(ctx context.Context, id string) ([]Event, JobStatus, error) {
-	var events []Event
-	err := c.Events(ctx, id, 0, func(e Event) error {
-		events = append(events, e)
-		return nil
-	})
-	if err != nil {
-		return events, JobStatus{}, err
-	}
-	if n := len(events); n == 0 || !terminalEventType(events[n-1].Type) {
-		return events, JobStatus{}, errors.New("jobd: event stream ended without a terminal event")
-	}
-	st, err := c.Status(ctx, id)
-	return events, st, err
-}
-
-// terminalEventType reports whether t ends a job's stream.
-func terminalEventType(t string) bool {
-	return t == "done" || t == "error" || t == "canceled"
 }

@@ -1,7 +1,7 @@
 package jobd_test
 
 // End-to-end tests of the tessd daemon through its real HTTP surface,
-// using the in-process loopback harness (jobdtest). These are the
+// using the in-process loopback harness (harness_test.go). These are the
 // acceptance tests of the service layer: byte-identity with direct
 // sessions, queue-full admission control, cancellation mid-step, and
 // fault containment across tenants — all under -race.
@@ -23,7 +23,6 @@ import (
 
 	tess "repro"
 	"repro/internal/jobd"
-	"repro/internal/jobd/jobdtest"
 )
 
 const e2eWait = 120 * time.Second
@@ -35,7 +34,7 @@ func happySpec(seed int64, steps int) jobd.JobSpec {
 		L:           8,
 		Blocks:      2,
 		Ghost:       3,
-		Snapshots:   jobdtest.Snapshots(seed, steps, 6, 8),
+		Snapshots:   snapshots(seed, steps, 6, 8),
 		IncludeMesh: true,
 	}
 }
@@ -45,7 +44,7 @@ func happySpec(seed int64, steps int) jobd.JobSpec {
 // canonical mesh, decoded from the NDJSON stream, equals the direct
 // run's encoding bit for bit.
 func TestE2EHappyPathByteIdentical(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	spec := happySpec(1, 3)
 	spec.Name = "happy"
 	spec.IncludeObs = true
@@ -58,7 +57,7 @@ func TestE2EHappyPathByteIdentical(t *testing.T) {
 	if final.State != jobd.StateDone || final.StepsDone != 3 || final.Error != nil {
 		t.Fatalf("final status = %+v, want done after 3 steps", final)
 	}
-	term := jobdtest.Terminal(t, events)
+	term := terminal(t, events)
 	if term.Type != "done" || term.Steps != 3 {
 		t.Fatalf("terminal event = %+v, want done with 3 steps", term)
 	}
@@ -94,8 +93,8 @@ func TestE2EHappyPathByteIdentical(t *testing.T) {
 		}
 	}
 
-	got := jobdtest.StepMeshes(t, events)
-	want := jobdtest.DirectMeshes(t, spec)
+	got := stepMeshes(t, events)
+	want := directMeshes(t, spec)
 	if len(got) != len(want) {
 		t.Fatalf("daemon produced %d meshes, direct run %d", len(got), len(want))
 	}
@@ -114,7 +113,7 @@ func TestE2EQueueFullAdmission(t *testing.T) {
 	var once sync.Once
 	running := make(chan struct{})
 	gate := make(chan struct{})
-	h := jobdtest.Start(t, jobd.Config{
+	h := startDaemon(t, jobd.Config{
 		QueueCapacity: 1,
 		MaxActive:     1,
 		BeforeStep: func(jobID string, step int) {
@@ -135,7 +134,7 @@ func TestE2EQueueFullAdmission(t *testing.T) {
 	// ...so job 3 must be rejected with the admission-control error.
 	_, err := h.Client.Submit(context.Background(), happySpec(4, 1))
 	var apiErr *jobd.APIError
-	if !errors.As(err, &apiErr) || !apiErr.Saturated() {
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 		t.Fatalf("submit into full queue: err = %v, want 429 APIError", err)
 	}
 	if apiErr.RetryAfter < time.Second {
@@ -172,7 +171,7 @@ func TestE2EQueueFullAdmission(t *testing.T) {
 func TestE2ECancelMidStep(t *testing.T) {
 	stepEntered := make(chan struct{})
 	var once sync.Once
-	h := jobdtest.Start(t, jobd.Config{
+	h := startDaemon(t, jobd.Config{
 		BeforeStep: func(jobID string, step int) {
 			once.Do(func() { close(stepEntered) })
 		},
@@ -194,7 +193,7 @@ func TestE2ECancelMidStep(t *testing.T) {
 	}
 
 	events, final := h.Wait(t, st.ID, e2eWait)
-	term := jobdtest.Terminal(t, events)
+	term := terminal(t, events)
 	if term.Type != "canceled" {
 		t.Fatalf("terminal event = %+v, want canceled", term)
 	}
@@ -219,7 +218,7 @@ func TestE2ECancelMidStep(t *testing.T) {
 // fault site — while both sibling jobs complete with merged canonical
 // meshes byte-identical to direct single-client sessions.
 func TestE2ECrashTenantLeavesSiblingsUnharmed(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{MaxActive: 3})
+	h := startDaemon(t, jobd.Config{MaxActive: 3})
 
 	specA := happySpec(10, 3)
 	specA.Name = "tenant-a"
@@ -275,7 +274,7 @@ func TestE2ECrashTenantLeavesSiblingsUnharmed(t *testing.T) {
 	if !ei.Aborted {
 		t.Error("victim error not marked aborted")
 	}
-	termB := jobdtest.Terminal(t, results[stB.ID])
+	termB := terminal(t, results[stB.ID])
 	if termB.Type != "error" {
 		t.Fatalf("victim terminal event = %+v, want error", termB)
 	}
@@ -295,8 +294,8 @@ func TestE2ECrashTenantLeavesSiblingsUnharmed(t *testing.T) {
 			t.Fatalf("sibling %s (%s) state = %q after %d steps, want done after 3 (err %+v)",
 				tc.id, tc.spec.Name, final.State, final.StepsDone, final.Error)
 		}
-		got := jobdtest.StepMeshes(t, results[tc.id])
-		want := jobdtest.DirectMeshes(t, tc.spec)
+		got := stepMeshes(t, results[tc.id])
+		want := directMeshes(t, tc.spec)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Errorf("sibling %s step %d mesh differs from direct run", tc.spec.Name, i+1)
@@ -316,7 +315,7 @@ func TestE2ECrashTenantLeavesSiblingsUnharmed(t *testing.T) {
 // The daemon's built-in N-body source runs a self-contained sim tenant:
 // no inline snapshots, domain fixed by ng.
 func TestE2ESimJob(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	st := h.Submit(t, jobd.JobSpec{
 		Blocks: 2,
 		Ghost:  3,
@@ -336,13 +335,26 @@ func TestE2ESimJob(t *testing.T) {
 // HTTP error mapping: bad specs are 400 before ever touching the queue,
 // unknown jobs are 404.
 func TestE2EHTTPErrorMapping(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	ctx := context.Background()
 
 	_, err := h.Client.Submit(ctx, jobd.JobSpec{L: 8}) // no blocks, no source
 	var apiErr *jobd.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Errorf("bad spec: err = %v, want 400 APIError", err)
+	}
+	// A ghost the decomposition cannot host is a bad spec too: rejected at
+	// admission, never queued.
+	wide := happySpec(5, 1)
+	wide.L, wide.Blocks, wide.Ghost = 6, 8, 0 // default ghost 4, blocks 3 wide
+	wide.Snapshots = snapshots(5, 1, 4, 6)
+	before := h.D.Stats()
+	_, err = h.Client.Submit(ctx, wide)
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || !strings.Contains(apiErr.Message, "ghost") {
+		t.Errorf("ghost wider than a block: err = %v, want 400 APIError naming the ghost", err)
+	}
+	if after := h.D.Stats(); after.QueueLen != before.QueueLen || after.Submitted != before.Submitted || after.Rejected != before.Rejected+1 {
+		t.Errorf("rejected spec moved the queue: before %+v, after %+v", before, after)
 	}
 	if _, err := h.Client.Status(ctx, "j9999"); !errors.As(err, &apiErr) || apiErr.Status != 404 {
 		t.Errorf("unknown job status: err = %v, want 404 APIError", err)
@@ -355,7 +367,7 @@ func TestE2EHTTPErrorMapping(t *testing.T) {
 // Event streams are replayable: reconnecting with ?from=N resumes exactly
 // at sequence N with no gaps and no duplicates.
 func TestE2EEventReplay(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	st := h.Submit(t, happySpec(6, 2))
 	full, _ := h.Wait(t, st.ID, e2eWait)
 
@@ -384,7 +396,7 @@ func TestE2EEventReplay(t *testing.T) {
 func TestE2EShutdown(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 16)
-	h := jobdtest.Start(t, jobd.Config{
+	h := startDaemon(t, jobd.Config{
 		BeforeStep: func(jobID string, step int) {
 			entered <- struct{}{}
 			<-gate
@@ -421,7 +433,7 @@ func TestE2EShutdown(t *testing.T) {
 // Sanity-check the raw curl example from the tessd usage docs: a plain
 // POST of the documented JSON body is accepted with 202.
 func TestE2EDocExample(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	resp, err := http.Post(h.BaseURL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"l":8,"blocks":2,"sim":{"ng":8,"steps":1},"include_mesh":true}`))
 	if err != nil {
@@ -438,7 +450,7 @@ func TestE2EDocExample(t *testing.T) {
 // snapshots, the step events carry matching digests, and the z-plane
 // endpoint serves exact sub-slices of the full grid.
 func TestE2EDensityJobByteIdentical(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	spec := happySpec(21, 2)
 	spec.Name = "density"
 	spec.Density = &jobd.DensitySpec{GridN: 16, Spectrum: true}
@@ -449,7 +461,7 @@ func TestE2EDensityJobByteIdentical(t *testing.T) {
 		t.Fatalf("final status = %+v, want done after 2 steps", final)
 	}
 
-	want := jobdtest.DirectDensityGrids(t, spec)
+	want := directDensityGrids(t, spec)
 	ctx := context.Background()
 	for _, e := range events {
 		if e.Type != "step" {
@@ -518,7 +530,7 @@ func TestE2EDensityJobByteIdentical(t *testing.T) {
 
 // Density-spec validation surfaces as 400 at admission.
 func TestE2EDensitySpecValidation(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{Limits: jobd.Limits{MaxGridN: 32}})
+	h := startDaemon(t, jobd.Config{Limits: jobd.Limits{MaxGridN: 32}})
 	ctx := context.Background()
 	var apiErr *jobd.APIError
 	for name, ds := range map[string]*jobd.DensitySpec{
@@ -545,7 +557,7 @@ func TestE2EDensitySpecValidation(t *testing.T) {
 // starting over. The crashed run's meshes plus the resumed run's meshes
 // together must be byte-identical to an uninterrupted direct session.
 func TestE2EResumeFromCheckpoint(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	ctx := context.Background()
 
 	spec := happySpec(40, 3)
@@ -562,7 +574,7 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 	if final.State != jobd.StateFailed || final.StepsDone != 2 {
 		t.Fatalf("crashed job final = %+v, want failed after 2 steps", final)
 	}
-	firstMeshes := jobdtest.StepMeshes(t, events)
+	firstMeshes := stepMeshes(t, events)
 	if len(firstMeshes) != 2 {
 		t.Fatalf("crashed job streamed %d step meshes, want 2", len(firstMeshes))
 	}
@@ -590,15 +602,15 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 	if events2[2].Step != 2 {
 		t.Errorf("resumed event reports %d skipped steps, want 2", events2[2].Step)
 	}
-	term := jobdtest.Terminal(t, events2)
+	term := terminal(t, events2)
 	if term.Type != "done" || term.Steps != 3 {
 		t.Fatalf("resumed terminal = %+v, want done with 3 steps", term)
 	}
 
 	// Byte identity across the kill: run-1 steps 1-2 plus run-2 step 3
 	// equal the uninterrupted direct session end to end.
-	want := jobdtest.DirectMeshes(t, happySpec(40, 3))
-	got := append(firstMeshes, jobdtest.StepMeshes(t, events2)...)
+	want := directMeshes(t, happySpec(40, 3))
+	got := append(firstMeshes, stepMeshes(t, events2)...)
 	if len(got) != len(want) {
 		t.Fatalf("stitched runs produced %d meshes, want %d", len(got), len(want))
 	}
@@ -657,8 +669,8 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 		if fb == nil || fb.Kind != "checkpoint" || !strings.Contains(fb.Message, tc.reason) {
 			t.Errorf("%s: resume-fallback error = %+v, want kind checkpoint mentioning %q", tc.name, fb, tc.reason)
 		}
-		want := jobdtest.DirectMeshes(t, tc.spec)
-		for i, got := range jobdtest.StepMeshes(t, events) {
+		want := directMeshes(t, tc.spec)
+		for i, got := range stepMeshes(t, events) {
 			if !bytes.Equal(got, want[i]) {
 				t.Errorf("%s: step %d mesh differs from the direct session", tc.name, i+1)
 			}
@@ -679,12 +691,12 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 // the daemon's filesystem through a bounded resident window, and its
 // mesh is byte-identical to the same particles submitted inline.
 func TestE2ESnapshotURIJob(t *testing.T) {
-	h := jobdtest.Start(t, jobd.Config{})
+	h := startDaemon(t, jobd.Config{})
 	ctx := context.Background()
 
-	snap := jobdtest.Snapshots(50, 1, 6, 8)
+	snap := snapshots(50, 1, 6, 8)
 	path := filepath.Join(t.TempDir(), "snap.bin")
-	if err := tess.WriteSnapshot(path, jobdtest.Particles(snap[0]), 4); err != nil {
+	if err := tess.WriteSnapshot(path, particles(snap[0]), 4); err != nil {
 		t.Fatal(err)
 	}
 	spec := jobd.JobSpec{
@@ -700,11 +712,11 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 	if final.State != jobd.StateDone || final.StepsDone != 1 {
 		t.Fatalf("uri job final = %+v, want done after 1 step", final)
 	}
-	got := jobdtest.StepMeshes(t, events)
+	got := stepMeshes(t, events)
 	inline := spec
 	inline.SnapshotURI, inline.SourceWindow = "", 0
 	inline.Snapshots = snap
-	want := jobdtest.DirectMeshes(t, inline)
+	want := directMeshes(t, inline)
 	if len(got) != 1 || !bytes.Equal(got[0], want[0]) {
 		t.Error("uri job mesh differs from the inline direct session")
 	}
@@ -747,7 +759,7 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 func TestE2EEvictionUnderRetainBytes(t *testing.T) {
 	const gated = "j0003" // the third job submitted is held at its first step
 	gate := make(chan struct{})
-	h := jobdtest.Start(t, jobd.Config{
+	h := startDaemon(t, jobd.Config{
 		MaxActive:   2,
 		RetainBytes: 4 << 10,
 		BeforeStep: func(jobID string, step int) {
@@ -847,7 +859,7 @@ func TestE2EEvictionUnderRetainBytes(t *testing.T) {
 // job 50 (without the bound it grows by every job's event log).
 func TestRetainedBytesBounded(t *testing.T) {
 	const bound = 1 << 20
-	h := jobdtest.Start(t, jobd.Config{RetainBytes: bound})
+	h := startDaemon(t, jobd.Config{RetainBytes: bound})
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats

@@ -1,10 +1,11 @@
-// Package jobdtest is the in-process end-to-end harness of the tessd
-// daemon: it boots a real jobd.Daemon on a loopback listener and drives
-// it through the actual HTTP surface — the same bytes a remote tenant
-// would see — so the e2e suite covers admission control, NDJSON
-// streaming, cancellation, and tenant isolation without any out-of-process
-// machinery (and therefore runs fine under -race).
-package jobdtest
+package jobd_test
+
+// The in-process end-to-end harness of the tessd daemon: it boots a real
+// jobd.Daemon on a loopback listener and drives it through the actual HTTP
+// surface — the same bytes a remote tenant would see — so the e2e suite
+// covers admission control, NDJSON streaming, cancellation, and tenant
+// isolation without any out-of-process machinery (and therefore runs fine
+// under -race).
 
 import (
 	"context"
@@ -19,8 +20,8 @@ import (
 	"repro/internal/jobd"
 )
 
-// Harness is a running daemon plus a typed client bound to it.
-type Harness struct {
+// harness is a running daemon plus a typed client bound to it.
+type harness struct {
 	// D is the daemon under test (for direct assertions on Stats etc.).
 	D *jobd.Daemon
 	// Client speaks the real HTTP API over the loopback listener.
@@ -29,18 +30,18 @@ type Harness struct {
 	BaseURL string
 }
 
-// Start boots a daemon with cfg on a loopback listener and registers
+// startDaemon boots a daemon with cfg on a loopback listener and registers
 // cleanup with t. The returned harness is ready to accept jobs.
-func Start(t testing.TB, cfg jobd.Config) *Harness {
+func startDaemon(t testing.TB, cfg jobd.Config) *harness {
 	t.Helper()
 	d := jobd.New(cfg)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("jobdtest: listen: %v", err)
+		t.Fatalf("harness: listen: %v", err)
 	}
 	srv := &http.Server{Handler: d.Handler()}
 	go srv.Serve(lis) //nolint:errcheck // returns ErrServerClosed on shutdown
-	h := &Harness{
+	h := &harness{
 		D:       d,
 		BaseURL: "http://" + lis.Addr().String(),
 	}
@@ -55,31 +56,40 @@ func Start(t testing.TB, cfg jobd.Config) *Harness {
 }
 
 // Submit posts spec and fails the test on any rejection.
-func (h *Harness) Submit(t testing.TB, spec jobd.JobSpec) jobd.JobStatus {
+func (h *harness) Submit(t testing.TB, spec jobd.JobSpec) jobd.JobStatus {
 	t.Helper()
 	st, err := h.Client.Submit(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("jobdtest: submit: %v", err)
+		t.Fatalf("harness: submit: %v", err)
 	}
 	return st
 }
 
 // Wait streams a job's events until its terminal event (bounded by
 // timeout) and returns the events plus the final status.
-func (h *Harness) Wait(t testing.TB, id string, timeout time.Duration) ([]jobd.Event, jobd.JobStatus) {
+func (h *harness) Wait(t testing.TB, id string, timeout time.Duration) ([]jobd.Event, jobd.JobStatus) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	events, st, err := h.Client.Wait(ctx, id)
+	var events []jobd.Event
+	err := h.Client.Events(ctx, id, 0, func(e jobd.Event) error {
+		events = append(events, e)
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("jobdtest: wait %s: %v (got %d events)", id, err, len(events))
+		t.Fatalf("harness: wait %s: %v (got %d events)", id, err, len(events))
+	}
+	terminal(t, events)
+	st, err := h.Client.Status(ctx, id)
+	if err != nil {
+		t.Fatalf("harness: status %s: %v", id, err)
 	}
 	return events, st
 }
 
-// StepMeshes decodes the merged canonical mesh bytes of every step event,
+// stepMeshes decodes the merged canonical mesh bytes of every step event,
 // in step order.
-func StepMeshes(t testing.TB, events []jobd.Event) [][]byte {
+func stepMeshes(t testing.TB, events []jobd.Event) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for _, e := range events {
@@ -87,26 +97,26 @@ func StepMeshes(t testing.TB, events []jobd.Event) [][]byte {
 			continue
 		}
 		if e.MeshB64 == "" {
-			t.Fatalf("jobdtest: step %d event has no mesh payload", e.Step)
+			t.Fatalf("harness: step %d event has no mesh payload", e.Step)
 		}
 		raw, err := base64.StdEncoding.DecodeString(e.MeshB64)
 		if err != nil {
-			t.Fatalf("jobdtest: step %d mesh decode: %v", e.Step, err)
+			t.Fatalf("harness: step %d mesh decode: %v", e.Step, err)
 		}
 		out = append(out, raw)
 	}
 	return out
 }
 
-// DirectDensityGrids runs the spec's density pipeline directly — no
+// directDensityGrids runs the spec's density pipeline directly — no
 // daemon, no session — and returns each step's encoded grid. The config
 // mirrors what a job's session applies to a zero-Box density config:
 // the periodic [0, L)^3 domain with the ghost size as padding depth.
 // This is the byte-identity oracle for daemon-served density grids.
-func DirectDensityGrids(t testing.TB, spec jobd.JobSpec) [][]byte {
+func directDensityGrids(t testing.TB, spec jobd.JobSpec) [][]byte {
 	t.Helper()
 	if spec.Density == nil {
-		t.Fatal("jobdtest: spec has no density section")
+		t.Fatal("harness: spec has no density section")
 	}
 	ghost := spec.Ghost
 	if ghost <= 0 {
@@ -129,33 +139,33 @@ func DirectDensityGrids(t testing.TB, spec jobd.JobSpec) [][]byte {
 		}
 		res, err := tess.ComputeDensity(dc, pts, nil)
 		if err != nil {
-			t.Fatalf("jobdtest: direct density step %d: %v", i+1, err)
+			t.Fatalf("harness: direct density step %d: %v", i+1, err)
 		}
 		out = append(out, tess.EncodeDensityGrid(res.Grid))
 	}
 	return out
 }
 
-// Terminal returns the stream's terminal event and fails if there is not
+// terminal returns the stream's terminal event and fails if there is not
 // exactly one, at the end.
-func Terminal(t testing.TB, events []jobd.Event) jobd.Event {
+func terminal(t testing.TB, events []jobd.Event) jobd.Event {
 	t.Helper()
 	if len(events) == 0 {
-		t.Fatal("jobdtest: empty event stream")
+		t.Fatal("harness: empty event stream")
 	}
 	for i, e := range events {
 		term := e.Type == "done" || e.Type == "error" || e.Type == "canceled"
 		if term != (i == len(events)-1) {
-			t.Fatalf("jobdtest: terminal event misplaced: event %d of %d is %q", i, len(events), e.Type)
+			t.Fatalf("harness: terminal event misplaced: event %d of %d is %q", i, len(events), e.Type)
 		}
 	}
 	return events[len(events)-1]
 }
 
-// Snapshots builds deterministic per-step particle snapshots (n^3
+// snapshots builds deterministic per-step particle snapshots (n^3
 // jittered lattice sites in [0, L)^3, the same construction the repo's
 // session tests use) in the wire format of jobd.JobSpec.
-func Snapshots(seed int64, steps, n int, L float64) [][][3]float64 {
+func snapshots(seed int64, steps, n int, L float64) [][][3]float64 {
 	out := make([][][3]float64, steps)
 	for s := range out {
 		out[s] = snapshot(seed+int64(s), n, L)
@@ -181,9 +191,9 @@ func snapshot(seed int64, n int, L float64) [][3]float64 {
 	return pos
 }
 
-// Particles converts a wire snapshot to engine particles exactly the way
+// particles converts a wire snapshot to engine particles exactly the way
 // the daemon does, for direct-run comparisons.
-func Particles(snap [][3]float64) []tess.Particle {
+func particles(snap [][3]float64) []tess.Particle {
 	out := make([]tess.Particle, len(snap))
 	for i, p := range snap {
 		out[i] = tess.Particle{ID: int64(i), Pos: tess.Vec3{X: p[0], Y: p[1], Z: p[2]}}
@@ -191,11 +201,11 @@ func Particles(snap [][3]float64) []tess.Particle {
 	return out
 }
 
-// DirectMeshes runs the same job spec through a direct single-client
+// directMeshes runs the same job spec through a direct single-client
 // tess.Open/Step/Close session — no daemon, no HTTP — and returns each
 // step's merged canonical mesh encoding. This is the byte-identity oracle
 // the e2e suite compares daemon output against.
-func DirectMeshes(t testing.TB, spec jobd.JobSpec) [][]byte {
+func directMeshes(t testing.TB, spec jobd.JobSpec) [][]byte {
 	t.Helper()
 	opts := []tess.Option{}
 	if spec.Ghost > 0 {
@@ -209,22 +219,22 @@ func DirectMeshes(t testing.TB, spec jobd.JobSpec) [][]byte {
 	cfg.MaxVolume = spec.MaxVolume
 	sess, err := tess.Open(cfg, spec.Blocks)
 	if err != nil {
-		t.Fatalf("jobdtest: direct open: %v", err)
+		t.Fatalf("harness: direct open: %v", err)
 	}
 	defer sess.Close()
 	var out [][]byte
 	for i, snap := range spec.Snapshots {
-		res, err := sess.Step(Particles(snap))
+		res, err := sess.Step(particles(snap))
 		if err != nil {
-			t.Fatalf("jobdtest: direct step %d: %v", i+1, err)
+			t.Fatalf("harness: direct step %d: %v", i+1, err)
 		}
 		merged, err := tess.MergeCanonical(res.Meshes, cfg.Domain, cfg.Periodic)
 		if err != nil {
-			t.Fatalf("jobdtest: direct merge %d: %v", i+1, err)
+			t.Fatalf("harness: direct merge %d: %v", i+1, err)
 		}
 		enc, err := merged.Encode()
 		if err != nil {
-			t.Fatalf("jobdtest: direct encode %d: %v", i+1, err)
+			t.Fatalf("harness: direct encode %d: %v", i+1, err)
 		}
 		out = append(out, enc)
 	}

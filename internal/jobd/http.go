@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -123,12 +124,22 @@ func (d *Daemon) handleDensity(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(grid)
 }
 
-func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec is the strict decoder of the submit body: a field JobSpec does
+// not have is an error, so a misspelt option is a 400 and never a default.
+func decodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, d, badSpec("invalid JSON: %v", err))
+		return JobSpec{}, badSpec("invalid JSON: %v", err)
+	}
+	return spec, nil
+}
+
+func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
+		writeError(w, d, err)
 		return
 	}
 	j, err := d.Submit(spec)

@@ -101,9 +101,6 @@ type Config struct {
 	// becomes a StallError instead of occupying a worker forever).
 	// Default 30s; negative disables.
 	StallTimeout time.Duration
-	// RetryAfterBase scales the Retry-After admission hint: the hinted
-	// delay is RetryAfterBase x (queued + running jobs). Default 1s.
-	RetryAfterBase time.Duration
 	// RetainBytes bounds the payload the daemon keeps for finished jobs —
 	// the mesh_b64 of their step events, their density grids and their
 	// specs' inline snapshots. When a job finishes, finished jobs are
@@ -133,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StallTimeout < 0 {
 		c.StallTimeout = 0
-	}
-	if c.RetryAfterBase <= 0 {
-		c.RetryAfterBase = time.Second
 	}
 	if c.RetainBytes <= 0 {
 		c.RetainBytes = 64 << 20
@@ -440,7 +434,8 @@ func (d *Daemon) Submit(spec JobSpec) (*Job, error) {
 }
 
 // RetryAfter is the admission-control backoff hint: how long a rejected
-// client should wait before retrying, scaled by the current backlog.
+// client should wait before retrying — one second per queued or running
+// job, capped at 30 s.
 func (d *Daemon) RetryAfter() time.Duration {
 	d.mu.Lock()
 	backlog := len(d.queue) + d.running
@@ -448,7 +443,7 @@ func (d *Daemon) RetryAfter() time.Duration {
 	if backlog < 1 {
 		backlog = 1
 	}
-	ra := time.Duration(backlog) * d.cfg.RetryAfterBase
+	ra := time.Duration(backlog) * time.Second
 	if ra > 30*time.Second {
 		ra = 30 * time.Second
 	}

@@ -98,8 +98,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.QueueCapacity != 16 || c.MaxActive != 2 {
 		t.Errorf("defaults = queue %d, active %d; want 16, 2", c.QueueCapacity, c.MaxActive)
 	}
-	if c.StallTimeout != 30*time.Second || c.RetryAfterBase != time.Second {
-		t.Errorf("defaults = stall %v, retry base %v", c.StallTimeout, c.RetryAfterBase)
+	if c.StallTimeout != 30*time.Second {
+		t.Errorf("default stall timeout = %v, want 30s", c.StallTimeout)
 	}
 	if c.RetainBytes != 64<<20 {
 		t.Errorf("default retention bound = %d, want 64 MiB", c.RetainBytes)
@@ -111,18 +111,24 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// The Retry-After hint grows with the backlog and saturates at 30s.
+// The Retry-After hint is one second per job of backlog and saturates at
+// 30s.
 func TestRetryAfterScalesWithBacklog(t *testing.T) {
-	d := New(Config{QueueCapacity: 4, MaxActive: 1, RetryAfterBase: 2 * time.Second})
+	d := New(Config{QueueCapacity: 4, MaxActive: 1})
 	defer d.Close()
-	if got := d.RetryAfter(); got != 2*time.Second {
-		t.Errorf("idle RetryAfter = %v, want 2s (minimum one backlog unit)", got)
+	if got := d.RetryAfter(); got != time.Second {
+		t.Errorf("idle RetryAfter = %v, want 1s (minimum one backlog unit)", got)
 	}
-	d.mu.Lock()
-	d.running = 40 // simulate a deep backlog
-	d.mu.Unlock()
-	if got := d.RetryAfter(); got != 30*time.Second {
-		t.Errorf("deep-backlog RetryAfter = %v, want the 30s cap", got)
+	for _, tc := range []struct {
+		running int
+		want    time.Duration
+	}{{7, 7 * time.Second}, {40, 30 * time.Second}} {
+		d.mu.Lock()
+		d.running = tc.running // simulate a backlog
+		d.mu.Unlock()
+		if got := d.RetryAfter(); got != tc.want {
+			t.Errorf("RetryAfter with %d running = %v, want %v", tc.running, got, tc.want)
+		}
 	}
 	d.mu.Lock()
 	d.running = 0

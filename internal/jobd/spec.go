@@ -204,6 +204,17 @@ func (s *JobSpec) Validate(limits Limits) error {
 	if limits.MaxSteps > 0 && steps > limits.MaxSteps {
 		return badSpec("%d steps exceeds the daemon's limit of %d", steps, limits.MaxSteps)
 	}
+	// The session would refuse a ghost region its decomposition's links
+	// cannot reach, but only once a worker opens it: refuse it here.
+	cfg := s.config(nil, 0)
+	reach, err := tess.MaxGhostFor(cfg, s.Blocks)
+	if err != nil {
+		return badSpec("%v", err)
+	}
+	if cfg.GhostSize > reach {
+		return badSpec("ghost = %g exceeds the link reach %g of %d blocks on a side-%g cube (use fewer blocks or a smaller ghost)",
+			cfg.GhostSize, reach, s.Blocks, s.domainL())
+	}
 	var nmax int
 	for i, snap := range s.Snapshots {
 		if len(snap) == 0 {

@@ -3,6 +3,7 @@ package jobd
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,6 +61,31 @@ func TestSpecValidate(t *testing.T) {
 		}},
 		{name: "bad decomposition", mutate: func(s *JobSpec) { s.Decomposition = "hilbert" }},
 		{name: "rcb decomposition", mutate: func(s *JobSpec) { s.Decomposition = "rcb" }, wantOK: true},
+		// The default ghost is 4: two blocks of an 8-cube are 4 wide, eight
+		// blocks of a 6-cube are 3 wide, and RCB reaches half the cube.
+		{name: "default ghost wider than a grid block", mutate: func(s *JobSpec) {
+			s.L, s.Blocks = 6, 8
+			s.Snapshots[0][2] = [3]float64{5, 5, 5}
+		}},
+		{name: "ghost a grid block wide", mutate: func(s *JobSpec) {
+			s.L, s.Blocks, s.Ghost = 6, 8, 3
+			s.Snapshots[0][2] = [3]float64{5, 5, 5}
+		}, wantOK: true},
+		{name: "ghost wider than a grid block", mutate: func(s *JobSpec) { s.Ghost = 4.5 }},
+		{name: "default ghost beyond rcb's half cube", mutate: func(s *JobSpec) {
+			s.L, s.Decomposition = 6, "rcb"
+			s.Snapshots[0][2] = [3]float64{5, 5, 5}
+		}},
+		{name: "rcb ghost at half the cube", mutate: func(s *JobSpec) {
+			s.L, s.Ghost, s.Decomposition = 6, 3, "rcb"
+			s.Snapshots[0][2] = [3]float64{5, 5, 5}
+		}, wantOK: true},
+		{name: "sim ghost wider than a grid block", mutate: func(s *JobSpec) {
+			s.Snapshots = nil
+			s.L = 0
+			s.Blocks = 27
+			s.Sim = &SimSpec{NG: 8, Steps: 1}
+		}},
 		{name: "sim ng too small", mutate: func(s *JobSpec) {
 			s.Snapshots = nil
 			s.L = 0
@@ -109,6 +135,18 @@ func TestSpecValidate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The ghost rejection names both numbers: what the spec asked for and what
+// its decomposition can host.
+func TestSpecValidateGhostMessage(t *testing.T) {
+	spec := validInline()
+	spec.L, spec.Blocks = 6, 8
+	spec.Snapshots[0][2] = [3]float64{5, 5, 5}
+	err := spec.Validate(Limits{})
+	if err == nil || !strings.Contains(err.Error(), "ghost = 4") || !strings.Contains(err.Error(), "reach 3") {
+		t.Fatalf("Validate = %v, want the ghost 4 and the reach 3 named", err)
 	}
 }
 

@@ -11,6 +11,12 @@ import (
 	"testing"
 )
 
+// run is RunProgram with the interprocedural Program built over exactly
+// pkgs.
+func run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	return RunProgram(BuildProgram(pkgs), pkgs, analyzers)
+}
+
 func moduleLoader(t *testing.T) *Loader {
 	t.Helper()
 	l, err := NewLoader("../..")
@@ -31,7 +37,7 @@ func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run([]*Package{pkg}, analyzers)
+	diags := run([]*Package{pkg}, analyzers)
 
 	type want struct {
 		re  *regexp.Regexp
@@ -108,7 +114,7 @@ func TestInterprocRegression(t *testing.T) {
 	if diags := RunProgram(BuildProgram(nil), []*Package{pkg}, analyzers); len(diags) != 0 {
 		t.Errorf("function-local pass (empty Program) reported findings, so the fixture is not purely interprocedural: %v", diags)
 	}
-	diags := Run([]*Package{pkg}, analyzers)
+	diags := run([]*Package{pkg}, analyzers)
 	if len(diags) < 8 {
 		t.Errorf("interprocedural pass found %d leaks, want at least 8: %v", len(diags), diags)
 	}
@@ -123,7 +129,7 @@ func TestDoneSelRequiresMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{DoneSel}); len(diags) != 0 {
+	if diags := run([]*Package{pkg}, []*Analyzer{DoneSel}); len(diags) != 0 {
 		t.Errorf("donesel fired on an unmarked package: %v", diags)
 	}
 }
@@ -140,7 +146,7 @@ func TestHotAllocRequiresMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, []*Analyzer{HotAlloc}); len(diags) != 0 {
+	if diags := run([]*Package{pkg}, []*Analyzer{HotAlloc}); len(diags) != 0 {
 		t.Errorf("hotalloc fired on an unmarked package: %v", diags)
 	}
 }
@@ -187,7 +193,7 @@ func TestRealModuleClean(t *testing.T) {
 		}
 		seen[pkg.Path] = true
 	}
-	for _, d := range Run(pkgs, All()) {
+	for _, d := range run(pkgs, All()) {
 		t.Errorf("%s", d.String())
 	}
 }

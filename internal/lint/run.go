@@ -4,19 +4,11 @@ import (
 	"sort"
 )
 
-// Run applies every analyzer to every package, drops findings covered by
-// //lint:ignore directives, and returns the rest sorted by position. The
-// interprocedural Program is built over exactly pkgs; to summarize
-// helpers living in packages that should not themselves be reported on,
-// use BuildProgram + RunProgram.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgram(BuildProgram(pkgs), pkgs, analyzers)
-}
-
-// RunProgram is Run with an explicit interprocedural context: prog may
-// span more packages than targets, so escape facts flow through helpers
-// in packages that are only context, while findings are reported only for
-// the target packages.
+// RunProgram applies every analyzer to every target package, drops
+// findings covered by //lint:ignore directives, and returns the rest sorted
+// by position. prog may span more packages than targets, so escape facts
+// flow through helpers in packages that are only context, while findings
+// are reported only for the target packages.
 func RunProgram(prog *Program, targets []*Package, analyzers []*Analyzer) []Diagnostic {
 	var all []Diagnostic
 	for _, pkg := range targets {

@@ -10,7 +10,7 @@ import (
 func TestAugmentParticles(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 114)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	ps := AugmentParticles(m)
 	if len(ps) != m.NumCells() {
 		t.Fatalf("augmented %d of %d particles", len(ps), m.NumCells())

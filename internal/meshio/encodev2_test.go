@@ -13,7 +13,7 @@ import (
 func buildTestMesh(t testing.TB, n int, L float64, seed int64) *BlockMesh {
 	t.Helper()
 	cells := buildTestCells(t, n, L, seed)
-	return BuildBlockMesh(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), 0)
+	return new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), 0)
 }
 
 // TestEncodeV2GoldenRoundTrip pins the v2 format's defining property:

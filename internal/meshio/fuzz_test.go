@@ -13,7 +13,7 @@ import (
 
 func FuzzDecodeBlockMesh(f *testing.F) {
 	cells := buildTestCells(f, 3, 3, 124)
-	m := BuildBlockMesh(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
+	m := new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
 	valid, err := m.Encode()
 	if err != nil {
 		f.Fatal(err)
@@ -76,7 +76,7 @@ func FuzzDecodeAugmented(f *testing.F) {
 // bit-flip coverage of a real encoded block, in both versions.
 func TestDecodeRandomMutations(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 122)
-	m := BuildBlockMesh(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
+	m := new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
 	v1, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -143,21 +143,12 @@ func (t *weldTable) grow() {
 	}
 }
 
-// BuildBlockMesh assembles the data model from computed cells, welding
-// vertices shared between adjacent cells. weldTol is the absolute
-// coordinate quantum used for welding; pass 0 for a default of 1e-7 of the
-// extents' largest side.
-func BuildBlockMesh(cells []*voronoi.Cell, extents geom.Box, weldTol float64) *BlockMesh {
-	return new(MeshBuilder).Build(cells, extents, weldTol)
-}
-
-// MeshBuilder is the retained-state form of BuildBlockMesh: the weld table,
+// MeshBuilder assembles BlockMeshes with retained state: the weld table,
 // the mesh's per-cell arrays, and the face/index arenas are reused across
 // Build calls, so rebuilding a mesh of stable size allocates almost
-// nothing. The built mesh is identical in content to BuildBlockMesh's
-// result but is a loan — it is valid only until the builder's next Build.
-// The zero MeshBuilder is ready to use; a builder is not safe for
-// concurrent use.
+// nothing. The built mesh is a loan — it is valid only until the builder's
+// next Build. The zero MeshBuilder is ready to use; a builder is not safe
+// for concurrent use.
 type MeshBuilder struct {
 	m    BlockMesh
 	pool weldTable
@@ -176,8 +167,10 @@ type MeshBuilder struct {
 }
 
 // Build assembles the data model from computed cells into the builder's
-// retained storage. Arguments are those of BuildBlockMesh; the previous
-// Build's mesh is invalidated.
+// retained storage, welding vertices shared between adjacent cells. weldTol
+// is the absolute coordinate quantum used for welding; pass 0 for a default
+// of 1e-7 of the extents' largest side. The previous Build's mesh is
+// invalidated.
 func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol float64) *BlockMesh {
 	if weldTol <= 0 {
 		weldTol = 1e-7 * maxf(extents.Size().MaxAbs(), 1e-30)

@@ -33,7 +33,7 @@ func buildTestCells(t testing.TB, n int, L float64, seed int64) []*voronoi.Cell 
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	cells, err := voronoi.ComputePeriodic(pts, ids, L, 0, 0)
+	cells, err := voronoi.ComputePeriodic(pts, ids, L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func buildTestCells(t testing.TB, n int, L float64, seed int64) []*voronoi.Cell 
 func TestBuildBlockMeshBasics(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 68)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	if m.NumCells() != len(cells) {
 		t.Fatalf("NumCells = %d, want %d", m.NumCells(), len(cells))
 	}
@@ -76,7 +76,7 @@ func TestWeldingPreservesGeometry(t *testing.T) {
 	// coordinates to weld tolerance.
 	cells := buildTestCells(t, 3, 3, 69)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	for ci, c := range cells {
 		for fi, f := range c.Faces {
 			mf := m.Cells[ci].Faces[fi]
@@ -152,7 +152,7 @@ func TestBuildWeldsLikePerReferenceProbe(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 70)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	data, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodedSizeMatchesAccounting(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 71)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	data, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestEncodedSizeMatchesAccounting(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 72)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	data, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestEmptyBlockRoundTrip(t *testing.T) {
 func TestWriteVTK(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 73)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3))
-	m := BuildBlockMesh(cells, ext, 0)
+	m := new(MeshBuilder).Build(cells, ext, 0)
 	var buf bytes.Buffer
 	if err := WriteVTK(&buf, []*BlockMesh{m, m}); err != nil {
 		t.Fatal(err)

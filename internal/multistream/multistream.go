@@ -37,9 +37,6 @@ type Field struct {
 	Streams []int32
 }
 
-// At returns the stream count at sample (x, y, z).
-func (f *Field) At(x, y, z int) int32 { return f.Streams[(z*f.M+y)*f.M+x] }
-
 // kuhnTets is the 6-tetrahedron (Kuhn) decomposition of the unit cube,
 // each row holding 4 corner indices into the cube corner ordering
 // (i, j, k) -> i + 2j + 4k.

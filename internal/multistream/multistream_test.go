@@ -124,19 +124,3 @@ func TestStreamCountIsOddInGenericRegions(t *testing.T) {
 		t.Errorf("%.1f%% of samples have even stream counts; expected odd counts generically", 100*frac)
 	}
 }
-
-func TestFieldAtAccessor(t *testing.T) {
-	const ng = 4
-	const L = 4.0
-	pos := cosmo.LatticePositions(ng, L)
-	f, err := Compute(pos, ng, L, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.At(0, 0, 0) != f.Streams[0] {
-		t.Error("At(0,0,0) mismatch")
-	}
-	if f.At(7, 7, 7) != f.Streams[len(f.Streams)-1] {
-		t.Error("At(7,7,7) mismatch")
-	}
-}

@@ -84,29 +84,6 @@ func New(cfg Config) (*Simulation, error) {
 	return s, nil
 }
 
-// NewFromParticles creates a simulation from explicit particle state
-// (positions are wrapped into the box). Velocities may be nil for a cold
-// start.
-func NewFromParticles(cfg Config, pos, vel []geom.Vec3) (*Simulation, error) {
-	if !fft.IsPow2(cfg.Ng) {
-		return nil, fmt.Errorf("nbody: Ng = %d is not a power of two", cfg.Ng)
-	}
-	if vel == nil {
-		vel = make([]geom.Vec3, len(pos))
-	}
-	if len(pos) != len(vel) {
-		return nil, fmt.Errorf("nbody: %d positions but %d velocities", len(pos), len(vel))
-	}
-	p := make([]geom.Vec3, len(pos))
-	for i := range pos {
-		p[i] = cosmo.Wrap(pos[i], cfg.BoxSize)
-	}
-	v := append([]geom.Vec3(nil), vel...)
-	s := &Simulation{Config: cfg, Pos: p, Vel: v}
-	s.alloc()
-	return s, nil
-}
-
 func (s *Simulation) alloc() {
 	s.rho = fft.NewGrid3(s.Config.Ng)
 	n3 := s.Config.Ng * s.Config.Ng * s.Config.Ng

@@ -1,10 +1,12 @@
 package nbody
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/cosmo"
+	"repro/internal/fft"
 	"repro/internal/geom"
 )
 
@@ -24,6 +26,29 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("negative dt accepted")
 	}
+}
+
+// NewFromParticles creates a simulation from explicit particle state
+// (positions are wrapped into the box). Velocities may be nil for a cold
+// start.
+func NewFromParticles(cfg Config, pos, vel []geom.Vec3) (*Simulation, error) {
+	if !fft.IsPow2(cfg.Ng) {
+		return nil, fmt.Errorf("nbody: Ng = %d is not a power of two", cfg.Ng)
+	}
+	if vel == nil {
+		vel = make([]geom.Vec3, len(pos))
+	}
+	if len(pos) != len(vel) {
+		return nil, fmt.Errorf("nbody: %d positions but %d velocities", len(pos), len(vel))
+	}
+	p := make([]geom.Vec3, len(pos))
+	for i := range pos {
+		p[i] = cosmo.Wrap(pos[i], cfg.BoxSize)
+	}
+	v := append([]geom.Vec3(nil), vel...)
+	s := &Simulation{Config: cfg, Pos: p, Vel: v}
+	s.alloc()
+	return s, nil
 }
 
 func TestNewFromParticlesWrapsAndCopies(t *testing.T) {

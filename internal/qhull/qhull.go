@@ -486,32 +486,3 @@ func (h *Hull) Volume() float64 {
 	}
 	return math.Abs(vol) / 6
 }
-
-// Area returns the total surface area of the hull.
-func (h *Hull) Area() float64 {
-	var area float64
-	for _, f := range h.Faces {
-		area += geom.TriangleArea(h.Points[f.V[0]], h.Points[f.V[1]], h.Points[f.V[2]])
-	}
-	return area
-}
-
-// Centroid returns the centroid of the hull vertices (not the volumetric
-// centroid).
-func (h *Hull) Centroid() geom.Vec3 {
-	var c geom.Vec3
-	for _, vi := range h.VertexIndices {
-		c = c.Add(h.Points[vi])
-	}
-	return c.Scale(1 / float64(len(h.VertexIndices)))
-}
-
-// Contains reports whether p lies inside or on the hull (within tolerance).
-func (h *Hull) Contains(p geom.Vec3) bool {
-	for _, f := range h.Faces {
-		if f.Plane.Eval(p) > h.eps {
-			return false
-		}
-	}
-	return true
-}

@@ -2,13 +2,12 @@ package voronoi
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
 
-// ComputeCell builds the Voronoi cell of site among the points of ix,
-// clipping in nearest-first order and stopping once the security-radius
+// ComputeCellScratch builds the Voronoi cell of site among the points of
+// ix, clipping in nearest-first order and stopping once the security-radius
 // criterion proves the cell final: when every unprocessed point is farther
 // than twice the distance to the farthest remaining cell vertex, no
 // bisector can cut the cell any more.
@@ -17,16 +16,11 @@ import (
 // site); walls of this box that survive clipping mark the cell incomplete,
 // as does exhausting the index before the security radius is reached. The
 // site itself (any indexed point within ~0 distance of it) is skipped.
-func ComputeCell(ix *Index, site geom.Vec3, id int64, initBox geom.Box) (*Cell, error) {
-	return ComputeCellScratch(ix, site, id, initBox, nil)
-}
-
-// ComputeCellScratch is ComputeCell with caller-provided scratch storage:
-// every vertex, face, and loop buffer of the clipping kernel is reused
-// from s, so computing many cells through one Scratch allocates almost
-// nothing per cell. A nil s uses fresh storage and is equivalent to
-// ComputeCell. The returned cell owns its memory (it never aliases s) and
-// is bit-identical to the scratch-free result for the same inputs.
+//
+// Every vertex, face, and loop buffer of the clipping kernel is reused from
+// s, so computing many cells through one Scratch allocates almost nothing
+// per cell; a nil s uses fresh storage. The returned cell owns its memory
+// (it never aliases s) and is bit-identical whichever Scratch built it.
 func ComputeCellScratch(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch) (*Cell, error) {
 	if s == nil {
 		s = NewScratch()
@@ -64,7 +58,7 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 
 // pruneSlack widens the cutting range handed to the index at shell entry.
 // In exact arithmetic a clip only adds vertices on edges of the old convex
-// cell, so MaxVertexDist never grows and 2*maxR at shell entry bounds every
+// cell, so maxR never grows and 2*maxR at shell entry bounds every
 // candidate the sweep can still test; in floating point an interpolated
 // vertex can land an ulp or so outside its edge (TestClipNeverGrowsMaxR
 // pins how little), and the slack covers that many times over. The exact
@@ -127,112 +121,28 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
 	return nil
 }
 
-// ComputeCellFixedShells is the ablation baseline for the security-radius
-// termination: it clips against every point in grid shells 0..shells
-// unconditionally, with no early stop and no proof of completeness. With
-// too few shells the cell can be silently wrong; with many shells it does
-// redundant work. It exists to quantify what the security-radius criterion
-// buys (BenchmarkAblationSecurityRadius).
-func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Box, shells int) (*Cell, error) {
-	s := NewScratch()
-	w, cell := &s.sw, new(Cell)
-	if err := w.begin(cell, site, id, initBox); err != nil {
-		return nil, err
-	}
-	siteEps := 1e-12 * initBox.Size().MaxAbs()
-	maxShell := ix.MaxShell(site)
-	if shells > maxShell {
-		shells = maxShell
-	}
-	for sh := 0; sh <= shells; sh++ {
-		s.cands, _ = ix.appendShell(site, sh, math.Inf(1), s.cands[:0])
-		heapifyCandidates(s.cands)
-		for rest := s.cands; len(rest) > 0; rest = popCandidate(rest) {
-			cd := rest[0]
-			if cd.dist <= siteEps {
-				continue
-			}
-			w.clip(geom.Bisector(site, ix.pts[cd.idx]), ix.ids[cd.idx])
-			if w.empty() {
-				w.finishOwned(cell)
-				return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
-			}
-		}
-	}
-	cell.Complete = !w.hasWall() // no proof; walls are the only signal
-	w.finishOwned(cell)
-	return cell, nil
-}
-
-// ComputeCellBrute is the ablation baseline for the grid-bucketed neighbor
-// search: it clips against every indexed point in order of distance,
-// stopping only when the remaining points are provably out of cutting
-// range. Identical output to ComputeCell, O(n log n) per cell
-// (BenchmarkAblationNeighborSearch).
-func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, initBox geom.Box) (*Cell, error) {
-	var w sweep
-	cell := new(Cell)
-	if err := w.begin(cell, site, id, initBox); err != nil {
-		return nil, err
-	}
-	order := make([]candidate, len(pts))
-	for i, p := range pts {
-		order[i] = candidate{dist: p.Dist(site), idx: int32(i)}
-	}
-	heapifyCandidates(order)
-	siteEps := 1e-12 * initBox.Size().MaxAbs()
-	secure := false
-	for ; len(order) > 0; order = popCandidate(order) {
-		o := order[0]
-		if o.dist <= siteEps {
-			continue
-		}
-		if o.dist >= 2*w.maxR() {
-			secure = true
-			break
-		}
-		w.clip(geom.Bisector(site, pts[o.idx]), ids[o.idx])
-		if w.empty() {
-			w.finishOwned(cell)
-			return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
-		}
-	}
-	if !secure {
-		// Exhausted every point: the cell is exact with respect to the
-		// input set, which is all the brute force can promise.
-		secure = true
-	}
-	cell.Complete = secure && !w.hasWall()
-	w.finishOwned(cell)
-	return cell, nil
-}
-
 // ComputePeriodic computes the full periodic Voronoi tessellation of the
 // point set in the cubic box [0, L)^3: every point of the box gets a cell,
 // and cells near the boundary are shaped by periodic images. This is the
 // serial reference implementation that the parallel accuracy study
 // (Table I) compares against.
 //
-// margin controls how far outside the box periodic images are kept; it must
-// exceed twice the largest cell radius for full correctness. Pass 0 for the
-// default of L/2, which is ample for any point set dense enough to be of
-// interest (cells spanning a quarter of the box would be required to break
-// it, and such cells are flagged Complete == false rather than silently
-// wrong). workers sets the number of concurrent cell builders (0 means
-// GOMAXPROCS); each worker reuses its own Scratch, and the result is
-// independent of the worker count.
-func ComputePeriodic(pts []geom.Vec3, ids []int64, L float64, margin float64, workers int) ([]*Cell, error) {
+// Periodic images are kept within L/2 outside the box, which must exceed
+// twice the largest cell radius for full correctness: ample for any point
+// set dense enough to be of interest (cells spanning a quarter of the box
+// would be required to break it, and such cells are flagged Complete ==
+// false rather than silently wrong). workers sets the number of concurrent
+// cell builders (0 means GOMAXPROCS); each worker reuses its own Scratch,
+// and the result is independent of the worker count.
+func ComputePeriodic(pts []geom.Vec3, ids []int64, L float64, workers int) ([]*Cell, error) {
 	if len(pts) != len(ids) {
 		return nil, fmt.Errorf("voronoi: %d points but %d ids", len(pts), len(ids))
 	}
 	if L <= 0 {
 		return nil, fmt.Errorf("voronoi: non-positive box size %g", L)
 	}
-	if margin <= 0 {
-		margin = L / 2
-	}
 	domain := geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L))
-	expanded := domain.Expand(margin)
+	expanded := domain.Expand(L / 2)
 
 	// Original points first (indices align), then periodic images within
 	// the margin.

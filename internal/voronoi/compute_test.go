@@ -116,7 +116,7 @@ func TestIndexShellGuarantee(t *testing.T) {
 
 func TestIndexEmpty(t *testing.T) {
 	ix := NewIndex(nil, nil, 0)
-	if ix.NumPoints() != 0 {
+	if len(ix.pts) != 0 {
 		t.Error("empty index has points")
 	}
 	if got := ix.Shell(geom.V(0, 0, 0), 0); len(got) != 0 {
@@ -129,7 +129,7 @@ func TestComputeCellIsolatedSite(t *testing.T) {
 	site := geom.V(1, 1, 1)
 	ix := NewIndex([]geom.Vec3{site}, []int64{0}, 0)
 	box := geom.NewBox(geom.V(0, 0, 0), geom.V(2, 2, 2))
-	c, err := ComputeCell(ix, site, 0, box)
+	c, err := ComputeCellScratch(ix, site, 0, box, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPeriodicLatticeCellsAreUnitCubes(t *testing.T) {
 	const n = 4
 	const L = 4.0
 	pts := latticePts(n, L)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 0)
+	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPeriodicPartitionOfUnity(t *testing.T) {
 	const n = 5
 	const L = 5.0
 	pts := perturbedLattice(rng, n, L, 0.8)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 0)
+	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPeriodicRandomPartition(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.V(rng.Float64()*L, rng.Float64()*L, rng.Float64()*L)
 	}
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 0)
+	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCellContainsOwnSiteOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	const L = 5.0
 	pts := perturbedLattice(rng, 4, L, 0.9)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 0)
+	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestAdjacencySymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const L = 5.0
 	pts := perturbedLattice(rng, 4, L, 0.7)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 0)
+	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestClippedCellMatchesQuickhull(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	const L = 5.0
 	pts := perturbedLattice(rng, 4, L, 0.9)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 0)
+	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,17 +283,21 @@ func TestClippedCellMatchesQuickhull(t *testing.T) {
 		if math.Abs(h.Volume()-c.Volume()) > 1e-6*math.Max(c.Volume(), 1e-12) {
 			t.Fatalf("cell %d: hull volume %v != cell volume %v", i, h.Volume(), c.Volume())
 		}
-		if math.Abs(h.Area()-c.Area()) > 1e-6*math.Max(c.Area(), 1e-12) {
-			t.Fatalf("cell %d: hull area %v != cell area %v", i, h.Area(), c.Area())
+		var hullArea float64
+		for _, f := range h.Faces {
+			hullArea += geom.TriangleArea(h.Points[f.V[0]], h.Points[f.V[1]], h.Points[f.V[2]])
+		}
+		if math.Abs(hullArea-c.Area()) > 1e-6*math.Max(c.Area(), 1e-12) {
+			t.Fatalf("cell %d: hull area %v != cell area %v", i, hullArea, c.Area())
 		}
 	}
 }
 
 func TestComputePeriodicValidation(t *testing.T) {
-	if _, err := ComputePeriodic(make([]geom.Vec3, 2), make([]int64, 3), 1, 0, 0); err == nil {
+	if _, err := ComputePeriodic(make([]geom.Vec3, 2), make([]int64, 3), 1, 0); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := ComputePeriodic([]geom.Vec3{{X: 0.5, Y: 0.5, Z: 0.5}}, []int64{0}, -1, 0, 0); err == nil {
+	if _, err := ComputePeriodic([]geom.Vec3{{X: 0.5, Y: 0.5, Z: 0.5}}, []int64{0}, -1, 0); err == nil {
 		t.Error("negative box accepted")
 	}
 }
@@ -302,11 +306,11 @@ func TestComputePeriodicDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	const L = 4.0
 	pts := perturbedLattice(rng, 3, L, 0.6)
-	c1, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 1)
+	c1, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c8, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0, 8)
+	c8, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,70 +332,9 @@ func BenchmarkComputeCell(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		site := pts[i%len(pts)]
-		if _, err := ComputeCell(ix, site, int64(i%len(pts)), geom.Cube(site, L/2)); err != nil {
+		if _, err := ComputeCellScratch(ix, site, int64(i%len(pts)), geom.Cube(site, L/2), nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestAblationVariantsMatchComputeCell(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	const L = 6.0
-	pts := perturbedLattice(rng, 6, L, 0.8)
-	ids := seqIDs(len(pts))
-	ix := NewIndex(pts, ids, 0)
-	for i := 0; i < len(pts); i += 13 {
-		site := pts[i]
-		box := geom.Cube(site, L/2)
-		ref, err := ComputeCell(ix, site, ids[i], box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		brute, err := ComputeCellBrute(pts, ids, site, ids[i], box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(ref.Volume()-brute.Volume()) > 1e-9 || len(ref.Faces) != len(brute.Faces) {
-			t.Fatalf("site %d: brute force differs (vol %v vs %v, faces %d vs %d)",
-				i, ref.Volume(), brute.Volume(), len(ref.Faces), len(brute.Faces))
-		}
-		// Generous fixed shell count reproduces the cell (at higher cost).
-		fixed, err := ComputeCellFixedShells(ix, site, ids[i], box, ix.MaxShell(site))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(ref.Volume()-fixed.Volume()) > 1e-9 {
-			t.Fatalf("site %d: fixed shells differs (vol %v vs %v)", i, ref.Volume(), fixed.Volume())
-		}
-	}
-}
-
-func TestFixedShellsTooFewIsWrong(t *testing.T) {
-	// The point of the security radius: with shells fixed too small, some
-	// cell somewhere is wrong, and nothing flags it.
-	rng := rand.New(rand.NewSource(102))
-	const L = 8.0
-	pts := perturbedLattice(rng, 8, L, 0.9)
-	ids := seqIDs(len(pts))
-	ix := NewIndex(pts, ids, 0)
-	wrong := 0
-	for i := 0; i < len(pts); i += 7 {
-		site := pts[i]
-		box := geom.Cube(site, L/2)
-		ref, err := ComputeCell(ix, site, ids[i], box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fixed, err := ComputeCellFixedShells(ix, site, ids[i], box, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(ref.Volume()-fixed.Volume()) > 1e-9*ref.Volume() {
-			wrong++
-		}
-	}
-	if wrong == 0 {
-		t.Error("0-shell cells were all accidentally correct; ablation baseline is not exercising anything")
 	}
 }
 

@@ -122,9 +122,6 @@ func (ix *Index) bucket(b int) []int32 {
 	return ix.items[ix.start[b]:ix.start[b+1]]
 }
 
-// NumPoints returns the number of indexed points.
-func (ix *Index) NumPoints() int { return len(ix.pts) }
-
 // MinCellSize returns the smallest grid cell edge, the increment of
 // guaranteed radius per shell.
 func (ix *Index) MinCellSize() float64 {
@@ -179,20 +176,6 @@ type ShellPoint struct {
 type candidate struct {
 	dist float64
 	idx  int32
-}
-
-// Shell returns the points whose grid cell is at Chebyshev distance exactly
-// s from the cell containing p, sorted by Euclidean distance to p (equal
-// distances by point index). Shell 0 is p's own cell.
-func (ix *Index) Shell(p geom.Vec3, s int) []ShellPoint {
-	cands, _ := ix.appendShell(p, s, math.Inf(1), nil)
-	heapifyCandidates(cands)
-	out := make([]ShellPoint, 0, len(cands))
-	for ; len(cands) > 0; cands = popCandidate(cands) {
-		c := cands[0]
-		out = append(out, ShellPoint{Idx: int(c.idx), ID: ix.ids[c.idx], Pos: ix.pts[c.idx], Dist: c.dist})
-	}
-	return out
 }
 
 // appendShell appends to buf, unsorted, the points of shell s around p

@@ -28,7 +28,7 @@ type refScratch struct {
 	sw       sweep
 }
 
-// referenceBox is the reference kernel's NewCellBox: the cell aliases rs.
+// referenceBox is the reference kernel's initial box cell: the cell aliases rs.
 func referenceBox(site geom.Vec3, id int64, box geom.Box, rs *refScratch) *Cell {
 	c := &Cell{Site: site, SiteID: id}
 	c.eps = 1e-9 * math.Max(box.Size().MaxAbs(), 1e-30)
@@ -219,8 +219,8 @@ func (p *sweepPair) compare(what string) {
 	if got, want := p.w.maxR(), p.ref.MaxVertexDist(); got != want {
 		p.t.Fatalf("after %s (%d cuts): maxR %v, reference MaxVertexDist %v", what, p.w.cuts, got, want)
 	}
-	if p.w.empty() != p.ref.Empty() {
-		p.t.Fatalf("after %s: empty %v, reference %v", what, p.w.empty(), p.ref.Empty())
+	if p.w.empty() != (len(p.ref.Verts) == 0) {
+		p.t.Fatalf("after %s: empty %v, reference %v", what, p.w.empty(), len(p.ref.Verts) == 0)
 	}
 	checkLiveSet(p.t, &p.w)
 }
@@ -273,15 +273,15 @@ func TestNeverCutCellKeepsCornerOrder(t *testing.T) {
 		}
 	}
 
-	c, err := NewCellBox(site, 0, box)
+	c, err := newHandCell(site, 0, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("NewCellBox", c)
-	if c.Clip(geom.Bisector(site, far), 9) {
+	check("begin and finish", c.Cell)
+	if c.clip(geom.Bisector(site, far), 9) {
 		t.Fatal("a far plane cut the box")
 	}
-	check("after a missing Clip", c)
+	check("after a missing clip", c.Cell)
 
 	ix := NewIndex([]geom.Vec3{site, far}, []int64{0, 9}, 0)
 	for name, compute := range map[string]func() (*Cell, error){
@@ -300,12 +300,27 @@ func TestNeverCutCellKeepsCornerOrder(t *testing.T) {
 	}
 
 	// One cut and the numbering is first appearance over the faces.
-	if !c.Clip(geom.Bisector(site, geom.V(1, 1, 3.5)), 5) {
+	if !c.clip(geom.Bisector(site, geom.V(1, 1, 3.5)), 5) {
 		t.Fatal("the near plane did not cut")
 	}
 	if l := c.Faces[0].Loop; l[0] != 0 || l[1] != 1 || l[2] != 2 || l[3] != 3 {
 		t.Errorf("after a cut the first wall loop is %v, want [0 1 2 3]", l)
 	}
+}
+
+// load resets the sweep to an already finished cell, so that one more
+// plane can be cut from it.
+func (w *sweep) load(c *Cell) {
+	w.reset(c.Site, c.eps)
+	for _, v := range c.Verts {
+		w.addVertex(v)
+	}
+	for _, f := range c.Faces {
+		start := len(w.loops)
+		w.loops = append(w.loops, f.Loop...)
+		w.faces = append(w.faces, faceRec{neighbor: f.Neighbor, start: start, end: len(w.loops)})
+	}
+	w.allLive()
 }
 
 // The case the incremental live update cannot see: a dropped face was the
@@ -328,7 +343,7 @@ func TestRescanAfterDroppedFace(t *testing.T) {
 	}
 	ref := &Cell{Site: c.Site, Verts: append([]geom.Vec3(nil), c.Verts...), eps: c.eps,
 		Faces: []Face{{Neighbor: 1, Loop: []int{0, 1, 2}}, {Neighbor: 2, Loop: []int{3, 4, 5, 6}}}}
-	pl := geom.NewPlane(geom.V(0, 0, 1), geom.V(0, 0, 0))
+	pl := planeThrough(geom.V(0, 0, 1), geom.V(0, 0, 0))
 
 	var w sweep
 	w.load(c)
@@ -433,7 +448,7 @@ func fuzzPlanes(data []byte, p *sweepPair, site geom.Vec3, box geom.Box) {
 			if kind&64 != 0 {
 				n = n.Scale(-1)
 			}
-			pl = geom.NewPlane(n, pos)
+			pl = planeThrough(n, pos)
 		case kind%4 == 2 && len(verts) >= 3:
 			// Through three existing vertices: every one of them is on the
 			// plane, and so is any other vertex of a face they share.

@@ -18,7 +18,7 @@ func TestComputeCellScratchMatchesFresh(t *testing.T) {
 	ix := NewIndex(pts, ids, 0)
 	s := NewScratch()
 	for i, site := range pts {
-		fresh, err := ComputeCell(ix, site, ids[i], geom.Cube(site, L/2))
+		fresh, err := ComputeCellScratch(ix, site, ids[i], geom.Cube(site, L/2), nil)
 		if err != nil {
 			t.Fatalf("site %d fresh: %v", i, err)
 		}

@@ -11,6 +11,20 @@ import (
 	"repro/internal/geom"
 )
 
+// Shell returns the points whose grid cell is at Chebyshev distance exactly
+// s from the cell containing p, sorted by Euclidean distance to p (equal
+// distances by point index). Shell 0 is p's own cell.
+func (ix *Index) Shell(p geom.Vec3, s int) []ShellPoint {
+	cands, _ := ix.appendShell(p, s, math.Inf(1), nil)
+	heapifyCandidates(cands)
+	out := make([]ShellPoint, 0, len(cands))
+	for ; len(cands) > 0; cands = popCandidate(cands) {
+		c := cands[0]
+		out = append(out, ShellPoint{Idx: int(c.idx), ID: ix.ids[c.idx], Pos: ix.pts[c.idx], Dist: c.dist})
+	}
+	return out
+}
+
 // refIndex is the test-only reference for the candidate stream: it knows
 // every point's grid cell and answers shell queries by scanning all of
 // them, sharing only cellCoords with the production traversal.

@@ -96,21 +96,6 @@ func (w *sweep) begin(c *Cell, site geom.Vec3, id int64, box geom.Box) error {
 	return nil
 }
 
-// load resets the sweep to an already finished cell, so that one more
-// plane can be cut from it.
-func (w *sweep) load(c *Cell) {
-	w.reset(c.Site, c.eps)
-	for _, v := range c.Verts {
-		w.addVertex(v)
-	}
-	for _, f := range c.Faces {
-		start := len(w.loops)
-		w.loops = append(w.loops, f.Loop...)
-		w.faces = append(w.faces, faceRec{neighbor: f.Neighbor, start: start, end: len(w.loops)})
-	}
-	w.allLive()
-}
-
 func (w *sweep) reset(site geom.Vec3, eps float64) {
 	w.site, w.eps = site, eps
 	w.verts, w.r2 = w.verts[:0], w.r2[:0]
@@ -139,7 +124,7 @@ func (w *sweep) allLive() {
 func (w *sweep) empty() bool { return len(w.live) == 0 }
 
 // maxR is the distance from the site to the farthest cell vertex (0 for an
-// empty cell): Cell.MaxVertexDist of the cell finish would produce.
+// empty cell).
 func (w *sweep) maxR() float64 { return math.Sqrt(w.maxR2) }
 
 func (w *sweep) hasWall() bool {
