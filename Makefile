@@ -3,7 +3,8 @@
 # the repo's own static analyzers (cmd/tesslint), the import and cmd/
 # layout guards, the whole test suite under the race detector (which holds
 # the fault-containment, checkpoint and daemon e2e suites — each test runs
-# once), the coverage floor, the fuzz seed corpora and the bench module, so
+# once), the coverage floor, the fuzz seed corpora, the bench module and a
+# Table II smoke run, so
 # the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
 # (abort, watchdog, crash containment) are checked on every run.
@@ -15,7 +16,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module check bench bench-stack loc
+.PHONY: build test vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -96,7 +97,12 @@ fuzz-seeds:
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
 
-check: vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module
+# Table II's harness has no tests of its own: one tiny sweep (8^3, one and
+# two ranks, the data-model and communication tables) must run to the end.
+tessbench-smoke:
+	$(GO) run ./cmd/tessbench -sizes 8 -procs 1,2 -steps 2 -datamodel -comm > /dev/null
+
+check: vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

@@ -73,11 +73,9 @@ func accuracy(args []string, w io.Writer) error {
 		"GhostSize", "Cells in Serial", "Blocks", "MatchingCells", "%Accuracy")
 	for _, g := range ghostList {
 		for bi, b := range blockList {
-			out, err := tessellateSim(sim, b, func(c *tess.Config) {
-				c.GhostSize = g
-				c.KeepIncomplete = true
-				c.HullPass = true
-			})
+			cfg := tess.NewPeriodicConfig(sim.Config.BoxSize, tess.WithGhostSize(g))
+			cfg.KeepIncomplete, cfg.HullPass = true, true
+			out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), b)
 			if err != nil {
 				return fmt.Errorf("ghost=%g blocks=%d: %w", g, b, err)
 			}

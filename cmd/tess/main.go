@@ -96,23 +96,20 @@ func dispatch(args []string, w io.Writer) error {
 
 // tessellateSim tessellates a simulation's current particles over blocks
 // periodic blocks. Evolved snapshots grow large void cells, so the ghost
-// is the widest the decomposition supports; opts adjust the config after
-// that default.
-func tessellateSim(sim *tess.Simulation, blocks int, opts ...tess.Option) (*tess.Output, error) {
+// is the widest the decomposition supports; opts say where the pass
+// writes.
+func tessellateSim(sim *tess.Simulation, blocks int, opts ...tess.StepOption) (*tess.Output, error) {
 	cfg := tess.NewPeriodicConfig(sim.Config.BoxSize)
 	g, err := tess.MaxGhostFor(cfg, blocks)
 	if err != nil {
 		return nil, err
 	}
 	cfg.GhostSize = g
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), blocks)
+	out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), blocks, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if out.Counts.Incomplete > 0 && !cfg.KeepIncomplete {
+	if out.Counts.Incomplete > 0 {
 		log.Printf("warning: %d incomplete cells deleted (ghost %g)", out.Counts.Incomplete, cfg.GhostSize)
 	}
 	return out, nil
@@ -222,7 +219,6 @@ func run(args []string, w io.Writer) error {
 	cfg := tess.NewPeriodicConfig(*box)
 	cfg.GhostSize = *ghost
 	cfg.Workers = *workers
-	cfg.OutputPath = *outPath
 	cfg.Recorder = tess.NewRecorder(*blocks)
 	switch *decomp {
 	case "grid":
@@ -248,7 +244,7 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		defer sess.Close()
-		if out, err = sess.StepFrom(src); err != nil {
+		if out, err = sess.StepFrom(src, tess.WithOutputPath(*outPath)); err != nil {
 			return err
 		}
 		st := src.Stats()
@@ -258,7 +254,7 @@ func run(args []string, w io.Writer) error {
 			st.PeakResidentChunks, st.PeakResidentParticles)
 	} else {
 		var err error
-		if out, err = tess.Run(cfg, ps, *blocks); err != nil {
+		if out, err = tess.Run(cfg, ps, *blocks, tess.WithOutputPath(*outPath)); err != nil {
 			return err
 		}
 	}

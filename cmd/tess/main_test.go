@@ -94,9 +94,8 @@ func TestRunTraceExport(t *testing.T) {
 	// reduced totals of the fresh snapshot.
 	cfg := tess.NewPeriodicConfig(8)
 	cfg.GhostSize = 3
-	cfg.OutputPath = filepath.Join(dir, "mesh2.bin")
 	cfg.Recorder = tess.NewRecorder(2)
-	out, err := tess.Run(cfg, latticeParticles(6, 8, 0.6, 9), 2)
+	out, err := tess.Run(cfg, latticeParticles(6, 8, 0.6, 9), 2, tess.WithOutputPath(filepath.Join(dir, "mesh2.bin")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +267,17 @@ func TestVoidsVerbZeroCells(t *testing.T) {
 	cfg := tess.NewPeriodicConfig(4)
 	cfg.GhostSize = 2
 	cfg.MinVolume = 1e9
-	cfg.OutputPath = filepath.Join(t.TempDir(), "empty.tess")
+	path := filepath.Join(t.TempDir(), "empty.tess")
 	var ps []tess.Particle
 	for i := 0; i < 64; i++ {
 		ps = append(ps, tess.Particle{ID: int64(i),
 			Pos: tess.Vec3{X: float64(i%4) + 0.5, Y: float64(i/4%4) + 0.4, Z: float64(i/16) + 0.3}})
 	}
-	if _, err := tess.Run(cfg, ps, 2); err != nil {
+	if _, err := tess.Run(cfg, ps, 2, tess.WithOutputPath(path)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := dispatch([]string{"voids", "-in", cfg.OutputPath}, &buf); err != nil {
+	if err := dispatch([]string{"voids", "-in", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -337,16 +336,16 @@ func TestRenderReadsBoxFromExtents(t *testing.T) {
 	cfg := tess.NewBoundedConfig(tess.Box{Max: tess.Vec3{X: 8, Y: 8, Z: 4}})
 	cfg.GhostSize = 2
 	cfg.KeepIncomplete = true
-	cfg.OutputPath = filepath.Join(dir, "slab.tess")
+	slab := filepath.Join(dir, "slab.tess")
 	var ps []tess.Particle
 	for _, p := range latticeParticles(4, 4, 0.6, 1) {
 		p.Pos.X, p.Pos.Y = 2*p.Pos.X, 2*p.Pos.Y
 		ps = append(ps, p)
 	}
-	if _, err := tess.Run(cfg, ps, 2); err != nil {
+	if _, err := tess.Run(cfg, ps, 2, tess.WithOutputPath(slab)); err != nil {
 		t.Fatal(err)
 	}
-	err := dispatch([]string{"render", "-in", cfg.OutputPath, "-o", png}, io.Discard)
+	err := dispatch([]string{"render", "-in", slab, "-o", png}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "not a cube") {
 		t.Errorf("non-cubic domain: err = %v", err)
 	}

@@ -111,6 +111,6 @@ func voidsDemo(w io.Writer, path string, ng, steps int, grav float64) error {
 		return err
 	}
 	sim.Run(steps, nil)
-	_, err = tessellateSim(sim, 8, tess.WithOutput(path))
+	_, err = tessellateSim(sim, 8, tess.WithOutputPath(path))
 	return err
 }

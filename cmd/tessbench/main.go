@@ -4,10 +4,10 @@
 // strong- and weak-scaling series with their efficiencies.
 //
 // Problem sizes are scaled from the paper's Blue Gene/P runs (128^3-1024^3
-// particles on 128-16384 processes) to laptop scale. Per-rank phase times
-// are measured sequentially and reduced to the slowest rank, which is the
-// wall time a machine with one core per rank would observe (see
-// internal/core.RunTimed).
+// particles on 128-16384 processes) to laptop scale. The ranks exchange and
+// write together but take turns at compute, each with the whole machine, and
+// every phase is reduced to the slowest rank: the wall time a machine with
+// one core per rank would observe (see internal/core.RunTimed).
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func main() {
 		commTable = flag.Bool("comm", false, "also print the communication-volume table from the observability counters (runs an extra concurrent pass per row)")
 		datamodel = flag.Bool("datamodel", false, "also print the Sec. III-C2 data model statistics")
 		outDir    = flag.String("out", "", "directory for tessellation output files (default: temp, deleted)")
-		workers   = flag.Int("workers", 0, "intra-rank compute workers per block (0 = GOMAXPROCS; ranks are timed one at a time so each gets the whole machine)")
+		workers   = flag.Int("workers", 0, "intra-rank compute workers per block (0 = GOMAXPROCS; ranks take turns at compute so each gets the whole machine)")
 	)
 	flag.Parse()
 
@@ -101,20 +101,20 @@ func main() {
 		for _, p := range procList {
 			domain := geom.NewBox(geom.V(0, 0, 0), geom.V(float64(ng), float64(ng), float64(ng)))
 			cfg := core.Config{
-				Domain:     domain,
-				Periodic:   true,
-				GhostSize:  ghostFor(domain, p),
-				HullPass:   true,
-				MinVolume:  minVol,
-				OutputPath: filepath.Join(dir, fmt.Sprintf("tess-%d-%d.out", ng, p)),
-				Workers:    *workers,
+				Domain:    domain,
+				Periodic:  true,
+				GhostSize: ghostFor(domain, p),
+				HullPass:  true,
+				MinVolume: minVol,
+				Workers:   *workers,
 			}
-			out, err := core.RunTimed(cfg, particles, p)
+			path := filepath.Join(dir, fmt.Sprintf("tess-%d-%d.out", ng, p))
+			out, err := core.RunTimed(cfg, particles, p, core.WithOutputPath(path))
 			if err != nil {
 				log.Fatalf("ng=%d procs=%d: %v", ng, p, err)
 			}
-			// RunTimed times ranks sequentially, so each rank's compute
-			// phase uses EffectiveWorkers(cfg, 1) threads.
+			// RunTimed's ranks take turns at compute, so each rank's
+			// compute phase uses EffectiveWorkers(cfg, 1) threads.
 			fmt.Printf("%-10s %-6d %-6d %-4d %9.2f %9.2f %9.3f %9.3f %9.3f %9.3f %10.2f\n",
 				fmt.Sprintf("%d^3", ng), nsteps, p, core.EffectiveWorkers(cfg, 1),
 				simTime.Seconds(), simTime.Seconds()/float64(p),
@@ -169,10 +169,10 @@ type commRow struct {
 }
 
 // measureComm reruns the tessellation through the concurrent driver with an
-// obs.Recorder attached and reduces its snapshot to a table row.
+// obs.Recorder attached, writing nothing, and reduces its snapshot to a
+// table row.
 func measureComm(ng, procs int, cfg core.Config, particles []diy.Particle) commRow {
 	cfg.Recorder = obs.NewRecorder(procs)
-	cfg.OutputPath = "" // measured separately; keep this pass I/O-free
 	out, err := core.Run(cfg, particles, procs)
 	if err != nil {
 		log.Fatalf("comm pass ng=%d procs=%d: %v", ng, procs, err)
@@ -253,7 +253,7 @@ func cullThreshold(particles []diy.Particle, L float64, frac float64) float64 {
 	return lo + frac*(hi-lo)
 }
 
-func printDataModel(out *core.TimedOutput) {
+func printDataModel(out *core.Output) {
 	var cells, faces, refs, verts int
 	for _, m := range out.Meshes {
 		s := m.ComputeStats()
@@ -292,15 +292,15 @@ func weakScaling(dir string, cull float64, workers int) {
 		minVol := cullThreshold(particles, float64(s.ng), cull)
 		domain := geom.NewBox(geom.V(0, 0, 0), geom.V(float64(s.ng), float64(s.ng), float64(s.ng)))
 		cfg := core.Config{
-			Domain:     domain,
-			Periodic:   true,
-			GhostSize:  ghostFor(domain, s.procs),
-			HullPass:   true,
-			MinVolume:  minVol,
-			OutputPath: filepath.Join(dir, fmt.Sprintf("weak-%d.out", s.ng)),
-			Workers:    workers,
+			Domain:    domain,
+			Periodic:  true,
+			GhostSize: ghostFor(domain, s.procs),
+			HullPass:  true,
+			MinVolume: minVol,
+			Workers:   workers,
 		}
-		out, err := core.RunTimed(cfg, particles, s.procs)
+		path := filepath.Join(dir, fmt.Sprintf("weak-%d.out", s.ng))
+		out, err := core.RunTimed(cfg, particles, s.procs, core.WithOutputPath(path))
 		if err != nil {
 			log.Fatalf("weak ng=%d: %v", s.ng, err)
 		}

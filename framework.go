@@ -54,10 +54,10 @@ func KnownAnalyses() []string { return cosmotools.KnownAnalyses() }
 // cfg.GhostSize starts from an estimate based on the mean interparticle
 // spacing. Each attempt is one session-backed pass (the ghost size, and
 // with it the exchange geometry, changes between attempts, so attempts
-// cannot share a session); cfg.Workers applies to each attempt exactly as
-// in Run.
-func AutoTessellate(cfg Config, particles []Particle, numBlocks int) (*Output, float64, error) {
-	return core.AutoRun(cfg, particles, numBlocks)
+// cannot share a session); cfg.Workers and opts apply to each attempt
+// exactly as in Run.
+func AutoTessellate(cfg Config, particles []Particle, numBlocks int, opts ...StepOption) (*Output, float64, error) {
+	return core.AutoRun(cfg, particles, numBlocks, opts...)
 }
 
 // EstimateGhost proposes a ghost size for a particle population (factor

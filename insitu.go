@@ -88,7 +88,7 @@ func RunInSitu(cfg InSituConfig, hook func(Snapshot) error) ([]Snapshot, error) 
 			return
 		}
 		simTime := time.Since(simStart)
-		outputPath := cfg.Tess.OutputPath
+		var outputPath string
 		if cfg.OutputDir != "" {
 			outputPath = filepath.Join(cfg.OutputDir, fmt.Sprintf("tess-step-%04d.out", s.Step))
 		}

@@ -56,12 +56,13 @@ func GhostCeiling(cfg Config, numBlocks int) (float64, error) {
 // size automatically (Sec. IV-A, Sec. V): it starts from EstimateGhost and
 // retessellates with a grown ghost region until every cell is proven
 // complete or the decomposition's maximum ghost is reached. It returns the
-// output of the final attempt and the ghost size that produced it.
+// output of the final attempt and the ghost size that produced it. Every
+// attempt writes where opts say, so the last one's file is what remains.
 //
 // The retry loop is safe because incomplete cells are detected, never
 // silently wrong: an insufficient ghost manifests as Counts.Incomplete > 0.
 // Cells deleted by the volume thresholds do not trigger retries.
-func AutoRun(cfg Config, particles []diy.Particle, numBlocks int) (*Output, float64, error) {
+func AutoRun(cfg Config, particles []diy.Particle, numBlocks int, opts ...StepOption) (*Output, float64, error) {
 	if cfg.GhostSize <= 0 {
 		g, err := EstimateGhost(cfg, len(particles), numBlocks, 0)
 		if err != nil {
@@ -79,7 +80,7 @@ func AutoRun(cfg Config, particles []diy.Particle, numBlocks int) (*Output, floa
 
 	const growth = 1.6
 	for {
-		out, err := Run(cfg, particles, numBlocks)
+		out, err := Run(cfg, particles, numBlocks, opts...)
 		if err != nil {
 			return nil, 0, err
 		}

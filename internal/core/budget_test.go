@@ -156,10 +156,10 @@ func TestSessionsShareWorkerBudget(t *testing.T) {
 	}
 }
 
-// The sequential scheduler has one rank in flight and is accounted as
-// such: on a budget of 8 with 4 blocks every timed rank's compute phase
-// runs 8 workers (the whole machine), not the 2 a concurrent session's
-// ranks would share, and peers on the same budget see one active rank.
+// A RunTimed session has one rank in flight and is accounted as such: on a
+// budget of 8 with 4 blocks every rank's turn at compute runs 8 workers
+// (the whole machine), not the 2 a concurrent session's ranks would share,
+// and peers on the same budget see one active rank.
 func TestRunTimedRanksKeepWholeBudget(t *testing.T) {
 	b := NewWorkerBudget(8)
 	cfg := baseConfig(8)
@@ -173,7 +173,7 @@ func TestRunTimedRanksKeepWholeBudget(t *testing.T) {
 	if p, r := b.Active(); p != 1 || r != 1 {
 		t.Errorf("Active during a timed pass = (%d, %d), want (1, 1)", p, r)
 	}
-	if _, err := s.stepTimed(ps); err != nil {
+	if _, err := s.Step(ps); err != nil {
 		t.Fatal(err)
 	}
 	for rank := range s.ranks {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/delaunay"
 	"repro/internal/density"
 	"repro/internal/diy"
@@ -101,22 +100,16 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 	n := dc.GridN
 	blocks := s.numBlocks
 	workers := EffectiveWorkers(s.cfg, s.w.Size())
-	var triErr error
-	runErr := s.w.Run(func(rank int) {
+	err := s.runRanks(func(rank int) error {
 		inj.Checkpoint(rank, "density")
 		if rank == 0 {
 			sp := rec.Begin(0, obs.PhaseTriangulate)
 			err := s.dens.Triangulate(s.densPts, nil)
 			rec.End(0, sp)
 			if err != nil {
-				triErr = err
-				// Release the peers blocked in the barrier below: without
-				// the abort they would wait forever on a phase that is
-				// never coming.
-				s.w.Abort(&comm.RankError{Rank: 0, Value: err})
-			} else {
-				countTriangulation(rec, s.dens.TriangulationStats())
+				return err // runRanks' abort releases the peers in the barrier below
 			}
+			countTriangulation(rec, s.dens.TriangulationStats())
 		}
 		// Barrier gives every rank a happens-before edge on rank 0's
 		// triangulation (or unwinds if it aborted).
@@ -125,15 +118,10 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 		s.densStats[rank] = s.dens.InterpolateSlab(rank*n/blocks, (rank+1)*n/blocks, workers)
 		rec.End(rank, sp)
 		s.w.BarrierRank(rank)
+		return nil
 	})
-	if werr := s.w.Err(); werr != nil {
-		s.terminal = werr
-	}
-	if triErr != nil {
-		return nil, fmt.Errorf("core: density step: %w", triErr)
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("core: %w", runErr)
+	if err != nil {
+		return nil, err
 	}
 
 	var sample dtfe.SampleStats

@@ -21,8 +21,9 @@ type Output struct {
 
 // Run executes a complete parallel tessellation: it decomposes the domain
 // into numBlocks blocks, partitions the particles, spawns one rank per
-// block, and runs the tess pipeline collectively. It is the standalone-mode
-// entry point, implemented as a single-step session (OpenSession, one Step,
+// block, and runs the tess pipeline collectively, writing where opts say
+// (WithOutputPath; nowhere by default). It is the standalone-mode entry
+// point, implemented as a single-step session (OpenSession, one Step,
 // Close); in situ callers that tessellate many snapshots keep the Session
 // open instead and amortize the setup across steps. Each rank's compute
 // phase additionally fans out over Config.Workers goroutines (by default
@@ -31,14 +32,31 @@ type Output struct {
 //
 // The returned Output owns its memory: the session it briefly lived in is
 // closed before Run returns, so nothing will overwrite it.
-func Run(cfg Config, particles []diy.Particle, numBlocks int) (*Output, error) {
-	s, err := OpenSession(cfg, numBlocks)
+func Run(cfg Config, particles []diy.Particle, numBlocks int, opts ...StepOption) (*Output, error) {
+	return runOnce(cfg, particles, numBlocks, numBlocks, opts)
+}
+
+// RunTimed is Run with one rank in flight at compute: the ranks exchange
+// and write together, but take turns at the compute phase, each with the
+// whole machine. Timing then reports the slowest rank per phase as a
+// machine with one dedicated core per rank would observe it — what Table II
+// and Figure 10 plot — on a host with fewer cores than ranks, where timing
+// concurrent computes would charge every rank for its neighbours' CPU time.
+// The output is Run's, byte for byte.
+func RunTimed(cfg Config, particles []diy.Particle, numBlocks int, opts ...StepOption) (*Output, error) {
+	return runOnce(cfg, particles, numBlocks, 1, opts)
+}
+
+// runOnce is one step of a session that keeps inFlight of its numBlocks
+// ranks computing at once.
+func runOnce(cfg Config, particles []diy.Particle, numBlocks, inFlight int, opts []StepOption) (*Output, error) {
+	s, err := openSession(cfg, numBlocks, inFlight)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	//lint:ignore loanretain the deferred Close ends the session before Run returns, so no later Step can overwrite this Output: the loan becomes ownership
-	return s.Step(particles)
+	//lint:ignore loanretain the deferred Close ends the session before runOnce returns, so no later Step can overwrite this Output: the loan becomes ownership
+	return s.Step(particles, opts...)
 }
 
 // Clone returns a deep copy of the output that owns all of its memory,

@@ -54,10 +54,9 @@ func TestCrashDuringOutputAborts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ps := perturbedParticles(rng, 6, 10, 0.3)
 	cfg := baseConfig(10)
-	cfg.OutputPath = filepath.Join(t.TempDir(), "crash.tess")
 	cfg.StallTimeout = 2 * time.Second
 	cfg.Faults = &faultinject.Plan{Seed: 3, CrashRank: 0, CrashStep: 3} // step 3 = "output"
-	_, err := Run(cfg, ps, 4)
+	_, err := Run(cfg, ps, 4, WithOutputPath(filepath.Join(t.TempDir(), "crash.tess")))
 	var re *comm.RankError
 	if !errors.As(err, &re) || re.Rank != 0 {
 		t.Fatalf("err %v, want *RankError for rank 0", err)
@@ -74,12 +73,12 @@ func TestDelayOnlyRunByteIdentical(t *testing.T) {
 
 	run := func(name string, plan *faultinject.Plan) []byte {
 		cfg := baseConfig(10)
-		cfg.OutputPath = filepath.Join(dir, name)
 		cfg.Faults = plan
-		if _, err := Run(cfg, ps, 4); err != nil {
+		path := filepath.Join(dir, name)
+		if _, err := Run(cfg, ps, 4, WithOutputPath(path)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		data, err := os.ReadFile(cfg.OutputPath)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +101,8 @@ func TestDelayOnlyRunByteIdentical(t *testing.T) {
 	}
 }
 
-// The sequential timing driver gets the same containment: an injected
-// crash comes back as an error, not a process exit.
+// RunTimed gets the same containment: an injected crash during the turns
+// comes back as an error, not a process exit.
 func TestRunTimedCrashContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	ps := perturbedParticles(rng, 6, 10, 0.3)
@@ -120,6 +119,32 @@ func TestRunTimedCrashContained(t *testing.T) {
 	var crash *faultinject.Crash
 	if !errors.As(err, &crash) || crash.Step != 2 {
 		t.Errorf("err %v lacks the injected *Crash at step 2", err)
+	}
+}
+
+// RunTimed's ranks are World.Run's ranks, so they share its containment: a
+// crash at the output checkpoint — after the turns, with the peers entering
+// the collective write — comes back as a *RankError, with or without the
+// watchdog armed, and a healthy watched run is not taken for a stall while
+// ranks wait their turn.
+func TestRunTimedContainment(t *testing.T) {
+	ps := perturbedParticles(rand.New(rand.NewSource(45)), 6, 10, 0.3)
+	for _, stall := range []time.Duration{0, 2 * time.Second} {
+		cfg := baseConfig(10)
+		cfg.StallTimeout = stall
+		cfg.Faults = &faultinject.Plan{Seed: 5, CrashRank: 1, CrashStep: 3} // step 3 = "output"
+		_, err := RunTimed(cfg, ps, 4, WithOutputPath(filepath.Join(t.TempDir(), "crash.tess")))
+		var re *comm.RankError
+		var crash *faultinject.Crash
+		if !errors.As(err, &re) || re.Rank != 1 || !errors.As(err, &crash) || crash.Step != 3 {
+			t.Errorf("stall timeout %v: err %v, want rank 1's *RankError with the injected crash at step 3", stall, err)
+		}
+	}
+	cfg := baseConfig(10)
+	cfg.StallTimeout = 50 * time.Millisecond
+	cfg.Faults = &faultinject.Plan{Seed: 5, ComputeDelayMax: 60 * time.Millisecond}
+	if _, err := RunTimed(cfg, ps, 4); err != nil {
+		t.Errorf("healthy watched RunTimed: %v", err)
 	}
 }
 

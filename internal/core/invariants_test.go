@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/meshio"
 	"repro/internal/obs"
@@ -127,10 +128,9 @@ func TestRunRecorderSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ps := perturbedParticles(rng, 6, L, 0.8)
 	cfg := baseConfig(L)
-	cfg.OutputPath = t.TempDir() + "/mesh.bin"
 	const blocks = 4
 	cfg.Recorder = obs.NewRecorder(blocks)
-	out, err := Run(cfg, ps, blocks)
+	out, err := Run(cfg, ps, blocks, WithOutputPath(t.TempDir()+"/mesh.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,24 +227,23 @@ func TestKernelCountersFunnel(t *testing.T) {
 	}
 }
 
-// The sequential timing driver must produce the same snapshot structure,
-// including the split ghost-merge/compute spans and output-phase comm
-// counters from the collective write.
+// RunTimed must produce the same snapshot structure, including the split
+// ghost-merge/compute spans and the comm counters of the real exchange and
+// the collective write.
 func TestRunTimedRecorderSnapshot(t *testing.T) {
 	const L = 8.0
 	rng := rand.New(rand.NewSource(42))
 	ps := perturbedParticles(rng, 5, L, 0.8)
 	cfg := baseConfig(L)
-	cfg.OutputPath = t.TempDir() + "/mesh.bin"
 	const blocks = 2
 	cfg.Recorder = obs.NewRecorder(blocks)
-	out, err := RunTimed(cfg, ps, blocks)
+	out, err := RunTimed(cfg, ps, blocks, WithOutputPath(t.TempDir()+"/mesh.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.Obs
 	if s == nil {
-		t.Fatal("TimedOutput.Obs is nil with a recorder configured")
+		t.Fatal("Output.Obs is nil with a recorder configured")
 	}
 	for rank := 0; rank < blocks; rank++ {
 		ph := s.PerRank[rank].Phase
@@ -252,17 +251,51 @@ func TestRunTimedRecorderSnapshot(t *testing.T) {
 			t.Errorf("rank %d phase breakdown has empty phases: %+v", rank, ph)
 		}
 		// The recorder's merge+compute must bound-match the driver's
-		// combined compute measurement.
-		if ph.GhostMerge+ph.Compute > out.PerRankCompute[rank] {
+		// combined compute measurement, reduced to the slowest rank.
+		if ph.GhostMerge+ph.Compute > out.Timing.Compute {
 			t.Errorf("rank %d recorder compute %v exceeds measured %v",
-				rank, ph.GhostMerge+ph.Compute, out.PerRankCompute[rank])
+				rank, ph.GhostMerge+ph.Compute, out.Timing.Compute)
 		}
 	}
 	if s.TotalSentBytes != s.TotalRecvdBytes {
 		t.Errorf("comm bytes: sent %d, received %d", s.TotalSentBytes, s.TotalRecvdBytes)
 	}
 	if s.TotalSentMsgs == 0 {
-		t.Error("collective write recorded no messages")
+		t.Error("exchange and collective write recorded no messages")
+	}
+}
+
+// Under RunTimed the ranks take turns at compute: rank r's ghost-merge and
+// compute spans all end before any of rank r+1's begin, so no two ranks'
+// computes overlap in time, and the turns show up as barrier wait.
+func TestRunTimedRanksTakeTurns(t *testing.T) {
+	const L, blocks = 8.0, 4
+	ps := perturbedParticles(rand.New(rand.NewSource(44)), 8, L, 0.8)
+	cfg := baseConfig(L)
+	cfg.Recorder = obs.NewRecorder(blocks)
+	out, err := RunTimed(cfg, ps, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type window struct{ start, end time.Duration }
+	turns := make([]window, blocks)
+	for r := range turns {
+		turns[r] = window{start: math.MaxInt64}
+	}
+	for _, sp := range out.Obs.Spans {
+		if sp.Phase != obs.PhaseGhostMerge && sp.Phase != obs.PhaseCompute {
+			continue
+		}
+		w := &turns[sp.Rank]
+		w.start, w.end = min(w.start, sp.Start), max(w.end, sp.Start+sp.Dur)
+	}
+	for r := 1; r < blocks; r++ {
+		if turns[r].start < turns[r-1].end {
+			t.Errorf("rank %d computes from %v, before rank %d finished at %v", r, turns[r].start, r-1, turns[r-1].end)
+		}
+	}
+	if out.Obs.PerRank[blocks-1].BarrierWait <= 0 {
+		t.Error("the last rank's turn recorded no barrier wait")
 	}
 }
 

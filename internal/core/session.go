@@ -64,9 +64,10 @@ type Session struct {
 	d         *diy.Decomposition
 	w         *comm.World
 	numBlocks int
-	// inFlight is how many of the ranks the scheduler runs at once: all of
-	// them under StepFrom, one under RunTimed. It is what the session
-	// registers with the worker budget and what EffectiveWorkers divides by.
+	// inFlight is how many of the ranks compute at once: all of them, or
+	// one under RunTimed, where the ranks take turns (see stepRank). It is
+	// what the session registers with the worker budget and what
+	// EffectiveWorkers divides by.
 	inFlight int
 
 	steps    int
@@ -98,16 +99,18 @@ type Session struct {
 // of numBlocks blocks under cfg: the decomposition, the communication
 // world (with watchdog and fault injection armed per cfg, the injector's
 // per-rank step counters accumulating across the session's steps), the
-// per-rank exchange state, and the recorder registration. cfg.OutputPath
-// is the default output destination of Step; the WithOutputPath step
-// option overrides it per step.
+// per-rank exchange state, and the recorder registration. A step writes
+// only where its WithOutputPath option says.
 func OpenSession(cfg Config, numBlocks int) (*Session, error) {
 	return openSession(cfg, numBlocks, numBlocks)
 }
 
-// openSession is OpenSession for a scheduler that keeps inFlight of the
-// numBlocks ranks running at once.
+// openSession is OpenSession for a session that keeps inFlight of the
+// numBlocks ranks computing at once.
 func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
+	if !(cfg.GhostSize >= 0) { // also rejects NaN
+		return nil, fmt.Errorf("core: ghost size %g, want >= 0", cfg.GhostSize)
+	}
 	var d *diy.Decomposition
 	if cfg.Decomposition == DecomposeRCB {
 		// RCB needs particle positions, which Open does not have: the real
@@ -183,22 +186,22 @@ func (s *Session) installDecomposition(d *diy.Decomposition) {
 	}
 }
 
-// StepOption adjusts one Step/StepFrom call; WithOutputPath is the only
-// one.
+// StepOption adjusts one pass (Step, StepFrom, Run, RunTimed, AutoRun);
+// WithOutputPath is the only one.
 type StepOption func(outputPath *string)
 
-// WithOutputPath directs this step's collective block write to path
-// (empty writes nothing), overriding Config.OutputPath for this step
-// only — the in situ pattern of one output file per selected timestep.
+// WithOutputPath directs the pass's collective block write to path (empty
+// writes nothing, the default) — per step, the in situ pattern of one
+// output file per selected timestep.
 func WithOutputPath(path string) StepOption {
 	return func(outputPath *string) { *outputPath = path }
 }
 
 // Step runs one full tessellation pass over particles through the
-// session's retained state, writing to cfg.OutputPath unless a
-// WithOutputPath option redirects this step. The returned Output is a loan
-// valid until the next Step (see Session); its content is byte-identical
-// to Run(cfg, particles, numBlocks) with the session's configuration.
+// session's retained state, writing where a WithOutputPath option says.
+// The returned Output is a loan valid until the next Step (see Session);
+// its content is byte-identical to Run(cfg, particles, numBlocks) with the
+// session's configuration.
 //
 //tess:loaned
 func (s *Session) Step(particles []diy.Particle, opts ...StepOption) (*Output, error) {
@@ -242,7 +245,7 @@ func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, err
 	if err := s.usable(); err != nil {
 		return nil, err
 	}
-	outputPath := s.cfg.OutputPath
+	var outputPath string
 	for _, opt := range opts {
 		opt(&outputPath)
 	}
@@ -276,6 +279,7 @@ func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, err
 	if err != nil {
 		return nil, err
 	}
+	out.Timing.Total = out.Timing.Exchange + out.Timing.Compute + out.Timing.Output
 	if rec != nil {
 		out.Obs = rec.Snapshot()
 	}
@@ -369,22 +373,28 @@ func checkInDomain(ps []diy.Particle, domain geom.Box) error {
 	return nil
 }
 
-// stepRank is one rank's pass under the concurrent scheduler: warm/cold
-// bookkeeping, the ghost exchange through the rank's retained link geometry
-// and receive buffers, then the shared compute and output phases. The fault
-// checkpoints number the pipeline steps each rank passes (exchange, compute,
-// output, done), accumulating across the session's steps (1..4 in the first
-// Step, 5..8 in the second, and so on), so a crash-at-step-N plan can target
-// any step of a long session; an injected crash panics at the matching
-// checkpoint and the containment layer in comm.World.Run turns it into a
-// RankError.
+// stepRank is one rank's pass: warm/cold bookkeeping, the ghost exchange
+// through the rank's retained link geometry and receive buffers, then the
+// compute and output phases. The fault checkpoints number the pipeline
+// steps each rank passes (exchange, compute, output, done), accumulating
+// across the session's steps (1..4 in the first Step, 5..8 in the second,
+// and so on), so a crash-at-step-N plan can target any step of a long
+// session; an injected crash panics at the matching checkpoint and the
+// containment layer in comm.World.Run turns it into a RankError.
+//
+// With fewer ranks in flight than blocks (RunTimed) the ranks take turns
+// at compute: rank r waits out r barrier rounds, computes, and waits out
+// the remaining numBlocks-r, so exactly one compute runs per round and all
+// ranks leave the last round together for the output phase. Barriers, not
+// a lock, because they are abortable, watchdog-visible and recorded as
+// barrier wait; none of it lands in the rank's compute time.
 func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, error) {
 	var tm Timing
 	rec := s.cfg.Recorder
 	inj := s.cfg.injector
 	rs := &s.ranks[rank]
 	local := s.parts[rank]
-	start := time.Now()
+	turns := s.inFlight < s.numBlocks
 
 	// Warm/cold bookkeeping: a site is warm when its particle moved at
 	// most the ghost distance since the previous step, the regime the
@@ -413,11 +423,21 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 	rec.End(rank, sp)
 	tm.Exchange = time.Since(t0)
 
+	if turns {
+		for range rank {
+			s.w.BarrierRank(rank)
+		}
+	}
 	res, elapsed, err := rs.compute(s.cfg, rank, s.d.Block(rank), local, ghosts, EffectiveWorkers(s.cfg, s.inFlight))
 	if err != nil {
 		return nil, tm, err
 	}
 	tm.Compute = elapsed
+	if turns {
+		for range s.numBlocks - rank {
+			s.w.BarrierRank(rank)
+		}
+	}
 
 	inj.Checkpoint(rank, "output")
 	n, elapsed, err := writeBlock(rec, s.w, rank, res.Mesh, outputPath)
@@ -428,7 +448,6 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 		tm.OutputBytes = n
 	}
 	tm.Output = elapsed
-	tm.Total = time.Since(start)
 	inj.Checkpoint(rank, "done")
 	rec.Count(rank, s.warmID, int64(warm))
 	rec.Count(rank, s.coldID, int64(cold))

@@ -255,8 +255,7 @@ func TestSessionRecorderResetsPerStep(t *testing.T) {
 	}
 }
 
-// WithOutputPath is the step's output destination, whatever
-// Config.OutputPath says (here: nothing).
+// WithOutputPath is the step's output destination; Config has none.
 func TestSessionStepOutputPathOverridesConfig(t *testing.T) {
 	const ng = 8
 	snaps := evolvingSnapshots(t, ng, 1)

@@ -79,9 +79,6 @@ type Config struct {
 	// clipping kernel's own volume decides the cull); tessbench and accuracy
 	// set it to price the paper's step 3(d).
 	HullPass bool
-	// OutputPath, when non-empty, writes all blocks to this single file
-	// through the collective I/O layer.
-	OutputPath string
 	// Workers is the number of intra-rank worker goroutines the compute
 	// phase fans cell construction out over. 0 (the default) divides the
 	// worker budget fairly among every concurrently-running rank — of this
@@ -177,9 +174,9 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 // concurrentRanks, plus the ranks of every other registered pipeline —
 // never below one worker each. With a single pipeline this is the classic
 // GOMAXPROCS / concurrentRanks division; with N concurrent sessions the
-// machine is shared instead of oversubscribed N-fold. Sequential drivers
-// like RunTimed pass concurrentRanks == 1 and so give each rank's compute
-// phase the whole machine.
+// machine is shared instead of oversubscribed N-fold. RunTimed's ranks
+// compute one at a time, pass concurrentRanks == 1 and so give each rank's
+// compute phase the whole machine.
 func EffectiveWorkers(cfg Config, concurrentRanks int) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
@@ -197,7 +194,8 @@ type Timing struct {
 	Exchange time.Duration
 	Compute  time.Duration
 	Output   time.Duration
-	Total    time.Duration
+	// Total is the sum of the three slowest-rank phase times above.
+	Total time.Duration
 	// OutputBytes is the total file size written (0 if no output).
 	OutputBytes int64
 }
@@ -231,11 +229,9 @@ type BlockResult struct {
 // constraint DIY's nearest-neighbor exchange has). An RCB decomposition
 // carries its own precomputed link reach — its clustered leaves can be
 // arbitrarily thin without losing correctness, so the block-side bound
-// deliberately does not apply.
+// deliberately does not apply. A negative or NaN ghost never gets here:
+// openSession refuses it first.
 func ValidateGhost(d *diy.Decomposition, ghost float64) error {
-	if ghost <= 0 {
-		return nil
-	}
 	if m := d.GhostCapacity(); ghost > m+1e-12 {
 		return fmt.Errorf("core: ghost size %g exceeds the decomposition's link reach %g "+
 			"(use fewer blocks or a smaller ghost)", ghost, m)
@@ -266,8 +262,7 @@ type blockIndex struct {
 // rankState is one rank's retained pipeline state: the ghost exchanger,
 // the merged-point arrays and spatial index, the compute buffers and mesh
 // builder. Its compute method and writeBlock are the per-rank pipeline
-// body; the schedulers (Session.StepFrom, RunTimed) differ only in how
-// they order the ranks and where the ghosts come from.
+// body Session.stepRank runs.
 type rankState struct {
 	ex  *diy.Exchanger
 	all []geom.Vec3 // merged local+ghost positions, local first
@@ -316,7 +311,7 @@ func initialClipBox(block diy.Block, cfg Config) geom.Box {
 // the local cells are built, filtered, culled and hulled through the
 // retained compute buffers. Both sub-phases fall under the paper's
 // "computation" time, which is the returned duration (what Timing.Compute
-// and PerRankCompute read); the recorder keeps them apart. The BlockResult
+// reads); the recorder keeps them apart. The BlockResult
 // is a loan against rs, like computeIndexedCells'.
 func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghosts []diy.Particle, workers int) (*BlockResult, time.Duration, error) {
 	rec := cfg.Recorder
@@ -557,14 +552,14 @@ type stepTotals struct {
 }
 
 // merge is the Allreduce operator: the slowest rank's phase times, and
-// the sums of output bytes, cell counts and ghosts.
+// the sums of output bytes, cell counts and ghosts. Timing.Total is not
+// reduced; StepFrom sums the reduced phases.
 func (a stepTotals) merge(b stepTotals) stepTotals {
 	return stepTotals{
 		Timing: Timing{
 			Exchange:    max(a.Timing.Exchange, b.Timing.Exchange),
 			Compute:     max(a.Timing.Compute, b.Timing.Compute),
 			Output:      max(a.Timing.Output, b.Timing.Output),
-			Total:       max(a.Timing.Total, b.Timing.Total),
 			OutputBytes: a.Timing.OutputBytes + b.Timing.OutputBytes,
 		},
 		Counts: a.Counts.add(b.Counts),

@@ -247,23 +247,22 @@ func TestOutputFileRoundTrip(t *testing.T) {
 	const L = 6.0
 	ps := perturbedParticles(rng, 6, L, 0.8)
 	dir := t.TempDir()
-	cfg := baseConfig(L)
-	cfg.OutputPath = filepath.Join(dir, "tess.out")
-	out, err := Run(cfg, ps, 4)
+	path := filepath.Join(dir, "tess.out")
+	out, err := Run(baseConfig(L), ps, 4, WithOutputPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Timing.OutputBytes <= 0 {
 		t.Error("no output bytes recorded")
 	}
-	st, err := os.Stat(cfg.OutputPath)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Size() != out.Timing.OutputBytes {
 		t.Errorf("file size %d, recorded %d", st.Size(), out.Timing.OutputBytes)
 	}
-	blocks, err := diy.ReadAllBlocks(cfg.OutputPath)
+	blocks, err := diy.ReadAllBlocks(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +359,8 @@ func TestCompareAccuracyEdgeCases(t *testing.T) {
 // runBothSchedulers runs cfg through Run and RunTimed, a recorder on each,
 // and requires what one shared rank body implies: every block's encoded
 // bytes, the global counts, and every deterministic per-rank counter are
-// equal between the concurrent and the sequential scheduler.
-func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) (*Output, *TimedOutput) {
+// equal whether the ranks compute together or take turns.
+func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) (*Output, *Output) {
 	t.Helper()
 	cfg.Recorder = obs.NewRecorder(blocks)
 	a, err := Run(cfg, ps, blocks)
@@ -376,7 +375,7 @@ func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) 
 	if a.Counts != b.Counts {
 		t.Errorf("counts differ: Run %+v, RunTimed %+v", a.Counts, b.Counts)
 	}
-	ea, eb := encodeMeshes(t, a), encodeMeshes(t, &b.Output)
+	ea, eb := encodeMeshes(t, a), encodeMeshes(t, b)
 	for rank := range ea {
 		if !bytes.Equal(ea[rank], eb[rank]) {
 			t.Errorf("block %d: encoded mesh differs between Run and RunTimed", rank)
@@ -401,8 +400,8 @@ func TestRunTimedMatchesRun(t *testing.T) {
 	cfg := baseConfig(L)
 	cfg.MinVolume = 0.5
 	_, b := runBothSchedulers(t, cfg, ps, 4)
-	if b.SumCompute <= 0 || len(b.PerRankCompute) != 4 {
-		t.Errorf("per-rank timings not populated")
+	if tm := b.Timing; tm.Compute <= 0 || tm.Total != tm.Exchange+tm.Compute+tm.Output {
+		t.Errorf("timings not populated: %+v", tm)
 	}
 }
 
@@ -410,16 +409,15 @@ func TestRunTimedOutputFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const L = 6.0
 	ps := perturbedParticles(rng, 6, L, 0.8)
-	cfg := baseConfig(L)
-	cfg.OutputPath = filepath.Join(t.TempDir(), "timed.out")
-	out, err := RunTimed(cfg, ps, 2)
+	path := filepath.Join(t.TempDir(), "timed.out")
+	out, err := RunTimed(baseConfig(L), ps, 2, WithOutputPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Timing.OutputBytes <= 0 {
 		t.Error("no output bytes")
 	}
-	blocks, err := diy.ReadAllBlocks(cfg.OutputPath)
+	blocks, err := diy.ReadAllBlocks(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,8 +568,8 @@ func TestEarlyCullCountsAndBytesOnHaloMock(t *testing.T) {
 	}
 }
 
-// One Allreduce of stepTotals gives what the five scalar timing reductions
-// and the two count reductions gave.
+// One Allreduce of stepTotals gives what the four scalar timing reductions
+// and the two count reductions gave (Total is summed after the reduction).
 func TestStepTotalsMatchScalarReductions(t *testing.T) {
 	const ranks = 4
 	w := comm.NewWorld(ranks)
@@ -579,7 +577,7 @@ func TestStepTotalsMatchScalarReductions(t *testing.T) {
 	for r := range in {
 		d := func(k int) time.Duration { return time.Duration((r*7+k*13)%11) * 100 * time.Nanosecond }
 		in[r] = stepTotals{
-			Timing: Timing{Exchange: d(1), Compute: d(2), Output: d(3), Total: d(4), OutputBytes: int64(1000 * r)},
+			Timing: Timing{Exchange: d(1), Compute: d(2), Output: d(3), OutputBytes: int64(1000 * r)},
 			Counts: CellCounts{Sites: int64(10 + r), Incomplete: int64(r), CulledEarly: 1, CulledExact: int64(2 * r), Kept: 5},
 			Ghosts: int64(300 - r),
 		}
@@ -595,7 +593,6 @@ func TestStepTotalsMatchScalarReductions(t *testing.T) {
 				Exchange:    comm.Allreduce(w, rank, v.Timing.Exchange, maxDuration),
 				Compute:     comm.Allreduce(w, rank, v.Timing.Compute, maxDuration),
 				Output:      comm.Allreduce(w, rank, v.Timing.Output, maxDuration),
-				Total:       comm.Allreduce(w, rank, v.Timing.Total, maxDuration),
 				OutputBytes: comm.Allreduce(w, rank, v.Timing.OutputBytes, sumInt64),
 			},
 			Counts: comm.Allreduce(w, rank, v.Counts, CellCounts.add),

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/diy"
 )
 
@@ -24,13 +25,19 @@ func TestRankComputeDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := diy.PartitionParticles(d, ps)
+	ghosts := make([][]diy.Particle, d.NumBlocks())
+	w := comm.NewWorld(d.NumBlocks())
+	if err := w.Run(func(rank int) {
+		ghosts[rank] = diy.NewExchanger(d, rank, cfg.GhostSize).Exchange(w, d, rank, parts[rank])
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	for rank := 0; rank < d.NumBlocks(); rank++ {
-		ghosts := diy.GatherGhosts(d, rank, parts, cfg.GhostSize)
 		var refBytes []byte
 		var refCounts CellCounts
 		for _, workers := range []int{1, 2, 8} {
-			res, _, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts, workers)
+			res, _, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
 			if err != nil {
 				t.Fatalf("rank %d workers %d: %v", rank, workers, err)
 			}

@@ -188,28 +188,3 @@ func PartitionParticlesAppend(d *Decomposition, particles []Particle, buf [][]Pa
 	}
 	return buf
 }
-
-// GatherGhosts computes the same ghost set an Exchanger would deliver to
-// rank, directly from the globally partitioned particle arrays and without
-// a communicator. It exists for the sequential timing harness (which runs
-// ranks one at a time to measure per-rank phase costs on a machine with
-// fewer cores than ranks) and is verified against the exchange by tests.
-//
-// parts must be the per-rank particle partition (as from
-// PartitionParticles).
-func GatherGhosts(d *Decomposition, rank int, parts [][]Particle, ghost float64) []Particle {
-	target := d.Block(rank).Bounds.Expand(ghost)
-	var ghosts []Particle
-	for _, link := range d.Neighbors(rank) {
-		// The reverse of link (from link.Rank back to rank) carries the
-		// negated shift.
-		shift := link.Shift.Neg()
-		for _, p := range parts[link.Rank] {
-			q := p.Pos.Add(shift)
-			if target.Contains(q) {
-				ghosts = append(ghosts, Particle{ID: p.ID, Pos: q})
-			}
-		}
-	}
-	return ghosts
-}

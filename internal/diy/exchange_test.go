@@ -220,6 +220,30 @@ func TestExchangeSingleBlockPeriodicImages(t *testing.T) {
 	}
 }
 
+// GatherGhosts computes the same ghost set an Exchanger would deliver to
+// rank, directly from the globally partitioned particle arrays and without
+// a communicator: the independent oracle the message exchange is checked
+// against here and in rcb_test.go.
+//
+// parts must be the per-rank particle partition (as from
+// PartitionParticles).
+func GatherGhosts(d *Decomposition, rank int, parts [][]Particle, ghost float64) []Particle {
+	target := d.Block(rank).Bounds.Expand(ghost)
+	var ghosts []Particle
+	for _, link := range d.Neighbors(rank) {
+		// The reverse of link (from link.Rank back to rank) carries the
+		// negated shift.
+		shift := link.Shift.Neg()
+		for _, p := range parts[link.Rank] {
+			q := p.Pos.Add(shift)
+			if target.Contains(q) {
+				ghosts = append(ghosts, Particle{ID: p.ID, Pos: q})
+			}
+		}
+	}
+	return ghosts
+}
+
 func TestGatherGhostsMatchesExchange(t *testing.T) {
 	const L = 10.0
 	for _, blocks := range []int{1, 2, 4, 8, 27} {

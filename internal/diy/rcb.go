@@ -32,8 +32,9 @@ import (
 // containment test. Links are built once for all ranks in mirrored pairs,
 // so the send/receive pattern is symmetric by construction (never split by
 // a one-ulp float disagreement between two ranks), and Neighbors returns
-// them in deterministic order. The Exchanger and GatherGhosts consume them
-// through the same Neighbor interface the grid uses.
+// them in deterministic order. The Exchanger (and the tests' loopback
+// ghost oracle) consume them through the same Neighbor interface the grid
+// uses.
 
 // rcbNode is one interior node of the RCB split tree. Children are node
 // indices; a negative child c encodes the leaf block rank ^c.
@@ -274,8 +275,8 @@ func buildRCBLinks(d *Decomposition, ghost float64) {
 			}
 		}
 	}
-	// Deterministic order, and the property the sequential GatherGhosts
-	// harness relies on: each rank's links grouped by peer in ascending
+	// Deterministic order, and the property the tests' loopback ghost
+	// oracle relies on: each rank's links grouped by peer in ascending
 	// rank order, with the per-pair sequence identical on both ends
 	// (SliceStable preserves the mirrored insertion order within a pair).
 	for r := range links {

@@ -28,8 +28,8 @@ type JobSpec struct {
 	L float64 `json:"l"`
 	// Blocks is the number of blocks (= ranks) of the job's session.
 	Blocks int `json:"blocks"`
-	// Ghost overrides the ghost-region thickness (default 4, as in
-	// NewPeriodicConfig).
+	// Ghost overrides the ghost-region thickness (0 keeps the default 4,
+	// as in NewPeriodicConfig; negative is refused).
 	Ghost float64 `json:"ghost,omitempty"`
 	// Workers pins the per-rank worker count; 0 (default) lets the job
 	// draw its fair share of the daemon's worker budget.
@@ -204,8 +204,12 @@ func (s *JobSpec) Validate(limits Limits) error {
 	if limits.MaxSteps > 0 && steps > limits.MaxSteps {
 		return badSpec("%d steps exceeds the daemon's limit of %d", steps, limits.MaxSteps)
 	}
-	// The session would refuse a ghost region its decomposition's links
-	// cannot reach, but only once a worker opens it: refuse it here.
+	// A negative ghost would otherwise fall back to the default 4; the
+	// session refuses one its decomposition's links cannot reach, but only
+	// once a worker opens it: refuse both here.
+	if !(s.Ghost >= 0) { // also rejects NaN
+		return badSpec("ghost = %g, want >= 0 (0 = the default 4)", s.Ghost)
+	}
 	cfg := s.config(nil, 0)
 	reach, err := tess.MaxGhostFor(cfg, s.Blocks)
 	if err != nil {

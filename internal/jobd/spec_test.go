@@ -72,6 +72,7 @@ func TestSpecValidate(t *testing.T) {
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}
 		}, wantOK: true},
 		{name: "ghost wider than a grid block", mutate: func(s *JobSpec) { s.Ghost = 4.5 }},
+		{name: "negative ghost", mutate: func(s *JobSpec) { s.Ghost = -1 }},
 		{name: "default ghost beyond rcb's half cube", mutate: func(s *JobSpec) {
 			s.L, s.Decomposition = 6, "rcb"
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}

@@ -104,6 +104,9 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			if f.Neighbor < 0 {
 				return nil, fmt.Errorf("meshio: cell %d has wall face %d; canonical merge requires a complete tessellation", cc.id, f.Neighbor)
 			}
+			if len(f.Verts) < 3 {
+				return nil, fmt.Errorf("meshio: cell %d face %d has %d vertices", cc.id, fi, len(f.Verts))
+			}
 			ns, ok := siteOf(f.Neighbor)
 			if !ok {
 				return nil, fmt.Errorf("meshio: neighbor %d of cell %d is not among the merged cells", f.Neighbor, cc.id)

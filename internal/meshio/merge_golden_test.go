@@ -214,3 +214,32 @@ func BenchmarkMergeCanonical(b *testing.B) {
 		})
 	}
 }
+
+// FuzzMergeCanonical drives arbitrary bytes through the decoder and, when
+// they decode, through MergeCanonical of the one mesh over its own extents,
+// periodic and not: the public merge must never panic on a decodable mesh,
+// every failure an error. The seeds are the block meshes of every
+// mergeGoldens input, the two the merge rejects included.
+func FuzzMergeCanonical(f *testing.F) {
+	for _, g := range mergeGoldens {
+		meshes, _ := goldenInput(f, g.family, g.seed, g.blocks).run(f)
+		for _, m := range meshes {
+			enc, err := m.Encode()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := meshio.DecodeBlockMesh(data)
+		if err != nil {
+			return
+		}
+		for _, periodic := range []bool{false, true} {
+			if merged, err := meshio.MergeCanonical([]*meshio.BlockMesh{m}, m.Extents, periodic); err == nil && merged == nil {
+				t.Fatalf("periodic=%v: nil mesh without an error", periodic)
+			}
+		}
+	})
+}

@@ -218,18 +218,6 @@ func (r *Recorder) End(rank int, m SpanMark) {
 	s.phaseTotal[m.phase] += now.Sub(m.start)
 }
 
-// RecordSpan records an externally timed interval (used by the sequential
-// timing harness, which measures ranks one at a time and replays the
-// measured phases into the recorder).
-func (r *Recorder) RecordSpan(rank int, ph Phase, start, dur time.Duration) {
-	if r == nil {
-		return
-	}
-	s := &r.ranks[rank]
-	s.spans = append(s.spans, Span{Phase: ph, Rank: int32(rank), Start: start, Dur: dur})
-	s.phaseTotal[ph] += dur
-}
-
 // CountSend records one message of n bytes from src to dst. Only rank src
 // may call it (single-writer sharding).
 func (r *Recorder) CountSend(src, dst int, n int64) {
@@ -355,8 +343,8 @@ type RankMetrics struct {
 }
 
 // Snapshot is the immutable aggregate of a Recorder: the metrics registry
-// view exposed on Output/TimedOutput and consumed by the trace exporter and
-// the EXPERIMENTS tables.
+// view exposed on core.Output and consumed by the trace exporter and the
+// EXPERIMENTS tables.
 type Snapshot struct {
 	Ranks int
 	// Spans holds every recorded span, ordered by rank then start time.

@@ -6,6 +6,17 @@ import (
 	"time"
 )
 
+// RecordSpan records an externally timed interval, so tests can build a
+// snapshot with exact, sleep-free span times.
+func (r *Recorder) RecordSpan(rank int, ph Phase, start, dur time.Duration) {
+	if r == nil {
+		return
+	}
+	s := &r.ranks[rank]
+	s.spans = append(s.spans, Span{Phase: ph, Rank: int32(rank), Start: start, Dur: dur})
+	s.phaseTotal[ph] += dur
+}
+
 func TestRecorderSpansAndTotals(t *testing.T) {
 	r := NewRecorder(2)
 	m := r.Begin(0, PhaseExchange)

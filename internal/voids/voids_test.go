@@ -331,12 +331,11 @@ func TestReadTessFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.tess")
 	cfg := core.Config{
-		Domain:     geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
-		Periodic:   true,
-		GhostSize:  3,
-		OutputPath: path,
+		Domain:    geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
+		Periodic:  true,
+		GhostSize: 3,
 	}
-	if _, err := core.Run(cfg, ps, 4); err != nil {
+	if _, err := core.Run(cfg, ps, 4, core.WithOutputPath(path)); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := voids.ReadTessFile(path)

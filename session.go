@@ -28,18 +28,19 @@ type Session = core.Session
 // cumulative warm/cold site counts and the step count.
 type SessionStats = core.SessionStats
 
-// StepOption adjusts one Step/StepFrom call; see WithOutputPath.
+// StepOption adjusts one pass — a Step or StepFrom call, Run or
+// AutoTessellate; see WithOutputPath.
 type StepOption = core.StepOption
 
-// WithOutputPath directs this step's collective block write to path
-// (empty writes nothing), overriding Config.OutputPath for this step
-// only — the in situ pattern of one output file per selected timestep.
+// WithOutputPath directs the pass's collective block write to path (empty
+// writes nothing, the default) — per step, the in situ pattern of one
+// output file per selected timestep. It is the only way to make a pass
+// write.
 func WithOutputPath(path string) StepOption { return core.WithOutputPath(path) }
 
 // Open starts a persistent tessellation session over numBlocks blocks.
-// cfg plays the same role as in Run; cfg.OutputPath, if set, is the
-// default destination every Step writes to (use the WithOutputPath step
-// option for per-step paths).
+// cfg plays the same role as in Run; a negative or NaN cfg.GhostSize is an
+// error here. A Step writes only where its WithOutputPath option says.
 func Open(cfg Config, numBlocks int) (*Session, error) {
 	return core.OpenSession(cfg, numBlocks)
 }

@@ -2,6 +2,7 @@ package tess
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -21,7 +22,6 @@ func TestConfigOptions(t *testing.T) {
 		WithStallTimeout(5*time.Second),
 		WithRecorder(rec),
 		WithFaults(plan),
-		WithOutput("out.bin"),
 	)
 	if cfg.Workers != 3 {
 		t.Errorf("Workers = %d", cfg.Workers)
@@ -32,8 +32,8 @@ func TestConfigOptions(t *testing.T) {
 	if cfg.StallTimeout != 5*time.Second {
 		t.Errorf("StallTimeout = %v", cfg.StallTimeout)
 	}
-	if cfg.Recorder != rec || cfg.Faults != plan || cfg.OutputPath != "out.bin" {
-		t.Error("pointer/path options not applied")
+	if cfg.Recorder != rec || cfg.Faults != plan {
+		t.Error("pointer options not applied")
 	}
 	if !cfg.Periodic {
 		t.Error("defaults lost when options applied")
@@ -117,6 +117,30 @@ func TestPublicSessionStepWithOutputPath(t *testing.T) {
 	}
 	if len(recs) != 512 {
 		t.Errorf("read back %d records", len(recs))
+	}
+}
+
+// A negative or NaN ghost is refused at Open, naming the value, for both
+// decompositions; ghost 0 (the accuracy study's) opens. Before, -1 ran as 0
+// and NaN failed inside rank 0's compute, leaving the session terminal.
+func TestOpenRejectsBadGhost(t *testing.T) {
+	for _, decomp := range []DecompKind{DecomposeRegular, DecomposeRCB} {
+		for _, g := range []float64{-1, math.NaN()} {
+			cfg := NewPeriodicConfig(8, WithGhostSize(g), WithDecomposition(decomp))
+			sess, err := Open(cfg, 2)
+			if err == nil {
+				sess.Close()
+				t.Errorf("decomposition %v: Open accepted ghost %g", decomp, g)
+			} else if want := fmt.Sprintf("ghost size %g", g); !strings.Contains(err.Error(), want) {
+				t.Errorf("decomposition %v: error %q does not name %q", decomp, err, want)
+			}
+		}
+		sess, err := Open(NewPeriodicConfig(8, WithGhostSize(0), WithDecomposition(decomp)), 2)
+		if err != nil {
+			t.Errorf("decomposition %v: ghost 0: %v", decomp, err)
+			continue
+		}
+		sess.Close()
 	}
 }
 

@@ -114,11 +114,6 @@ func WithStallTimeout(d time.Duration) Option { return func(c *Config) { c.Stall
 // WithGhostSize overrides the ghost-region thickness (Config.GhostSize).
 func WithGhostSize(g float64) Option { return func(c *Config) { c.GhostSize = g } }
 
-// WithOutput directs each pass's collective write to path
-// (Config.OutputPath; a Session's WithOutputPath step option overrides it
-// per step).
-func WithOutput(path string) Option { return func(c *Config) { c.OutputPath = path } }
-
 // NewPeriodicConfig returns a Config for the cosmology case: a periodic
 // cubic box [0, L)^3 with a ghost size of 4 units (adequate for particle
 // sets at ~1 unit mean spacing, per the paper's accuracy study). The
@@ -164,9 +159,10 @@ func NewBoundedConfig(domain geom.Box, opts ...Option) Config {
 // a communication deadlock surfaces as a *StallError wait-for dump instead
 // of a hang. Within each rank the compute phase fans out over
 // Config.Workers goroutines (0, the default, divides GOMAXPROCS among the
-// concurrent ranks); the output is identical for every worker count.
-func Run(cfg Config, particles []Particle, numBlocks int) (*Output, error) {
-	return core.Run(cfg, particles, numBlocks)
+// concurrent ranks); the output is identical for every worker count. It
+// writes the blocks only where a WithOutputPath option says.
+func Run(cfg Config, particles []Particle, numBlocks int, opts ...StepOption) (*Output, error) {
+	return core.Run(cfg, particles, numBlocks, opts...)
 }
 
 // FaultPlan is the deterministic fault-injection plan attachable to
