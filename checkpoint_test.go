@@ -2,17 +2,15 @@ package tess
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/diy"
 )
 
 // canonicalBytes reduces a step's output to the decomposition-independent
@@ -33,85 +31,110 @@ func canonicalBytes(t *testing.T, out *Output, cfg Config) []byte {
 // TestCrashResumeByteIdentity is the checkpoint/restart acceptance
 // gate: a session checkpointed after every step is crashed by fault
 // injection at step 3's compute phase, resumed from the on-disk
-// checkpoint, and driven to the end — and every post-resume step's
-// canonical merged mesh is byte-identical to the uninterrupted
-// baseline's, across block and worker counts.
+// checkpoint, and driven to the end — and every post-resume step is
+// byte-identical to the uninterrupted baseline's, across block and worker
+// counts. Grid rows compare the canonical merged mesh. RCB rows compare
+// every block's raw bytes, which change with the decomposition, so they
+// also prove the resumed session rebuilt the very decomposition its
+// first step cut.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	const steps = 4
 	const crashAt = 3
-	for _, blocks := range []int{2, 8} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("blocks=%d/workers=%d", blocks, workers), func(t *testing.T) {
-				cfg := NewPeriodicConfig(8, WithGhostSize(3), WithWorkers(workers))
-
-				// Uninterrupted baseline.
-				base, err := Open(cfg, blocks)
-				if err != nil {
-					t.Fatal(err)
+	for _, rcb := range []bool{false, true} {
+		for _, blocks := range []int{2, 8} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("blocks=%d/workers=%d", blocks, workers)
+				opts := []Option{WithGhostSize(3), WithWorkers(workers)}
+				if rcb {
+					name = "rcb/" + name
+					opts = append(opts, WithDecomposition(DecomposeRCB))
 				}
-				defer base.Close()
-				want := make([][]byte, steps+1)
-				for s := 1; s <= steps; s++ {
-					out, err := base.Step(testParticles(300+int64(s), 8, 8))
+				t.Run(name, func(t *testing.T) {
+					cfg := NewPeriodicConfig(8, opts...)
+					oracle := func(out *Output) [][]byte {
+						if !rcb {
+							return [][]byte{canonicalBytes(t, out, cfg)}
+						}
+						raw := make([][]byte, len(out.Meshes))
+						for r, m := range out.Meshes {
+							b, err := m.Encode()
+							if err != nil {
+								t.Fatal(err)
+							}
+							raw[r] = b
+						}
+						return raw
+					}
+
+					// Uninterrupted baseline.
+					base, err := Open(cfg, blocks)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want[s] = canonicalBytes(t, out, cfg)
-				}
-
-				// Checkpointing run, crashed at step crashAt. Fault
-				// checkpoints accumulate 4 per session step; "compute" is
-				// the 2nd checkpoint of a step.
-				dir := filepath.Join(t.TempDir(), "ck")
-				crashCfg := cfg
-				crashCfg.StallTimeout = 10 * time.Second
-				crashCfg.Faults = &FaultPlan{Seed: 5, CrashRank: 0, CrashStep: (crashAt-1)*4 + 2}
-				victim, err := Open(crashCfg, blocks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer victim.Close()
-				for s := 1; s < crashAt; s++ {
-					if _, err := victim.Step(testParticles(300+int64(s), 8, 8)); err != nil {
-						t.Fatalf("pre-crash step %d: %v", s, err)
+					defer base.Close()
+					want := make([][][]byte, steps+1)
+					for s := 1; s <= steps; s++ {
+						out, err := base.Step(testParticles(300+int64(s), 8, 8))
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[s] = oracle(out)
 					}
-					if err := victim.Checkpoint(dir); err != nil {
-						t.Fatalf("pre-crash checkpoint %d: %v", s, err)
-					}
-				}
-				if _, err := victim.Step(testParticles(300+crashAt, 8, 8)); err == nil {
-					t.Fatal("step survived the injected crash")
-				}
-				if !HasCheckpoint(dir) {
-					t.Fatal("no committed checkpoint after the crash")
-				}
 
-				// Resume and replay the remaining steps (fresh config, no
-				// fault plan — the operator restarting the host process).
-				res, err := Resume(cfg, dir, blocks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer res.Close()
-				if res.Steps() != crashAt-1 {
-					t.Fatalf("resumed at step %d, want %d", res.Steps(), crashAt-1)
-				}
-				for s := crashAt; s <= steps; s++ {
-					out, err := res.Step(testParticles(300+int64(s), 8, 8))
+					// Checkpointing run, crashed at step crashAt. Fault
+					// checkpoints accumulate 4 per session step; "compute" is
+					// the 2nd checkpoint of a step.
+					dir := filepath.Join(t.TempDir(), "ck")
+					crashCfg := cfg
+					crashCfg.StallTimeout = 10 * time.Second
+					crashCfg.Faults = &FaultPlan{Seed: 5, CrashRank: 0, CrashStep: (crashAt-1)*4 + 2}
+					victim, err := Open(crashCfg, blocks)
 					if err != nil {
-						t.Fatalf("post-resume step %d: %v", s, err)
+						t.Fatal(err)
 					}
-					if err := res.Checkpoint(dir); err != nil {
-						t.Fatalf("post-resume checkpoint %d: %v", s, err)
+					defer victim.Close()
+					for s := 1; s < crashAt; s++ {
+						if _, err := victim.Step(testParticles(300+int64(s), 8, 8)); err != nil {
+							t.Fatalf("pre-crash step %d: %v", s, err)
+						}
+						if err := victim.Checkpoint(dir); err != nil {
+							t.Fatalf("pre-crash checkpoint %d: %v", s, err)
+						}
 					}
-					if got := canonicalBytes(t, out, cfg); !bytes.Equal(got, want[s]) {
-						t.Fatalf("step %d canonical mesh differs after resume", s)
+					if _, err := victim.Step(testParticles(300+crashAt, 8, 8)); err == nil {
+						t.Fatal("step survived the injected crash")
 					}
-				}
-				if res.Steps() != steps {
-					t.Errorf("Steps() = %d after replay, want %d", res.Steps(), steps)
-				}
-			})
+					if !HasCheckpoint(dir) {
+						t.Fatal("no committed checkpoint after the crash")
+					}
+
+					// Resume and replay the remaining steps (fresh config, no
+					// fault plan — the operator restarting the host process).
+					res, err := Resume(cfg, dir, blocks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer res.Close()
+					if res.Steps() != crashAt-1 {
+						t.Fatalf("resumed at step %d, want %d", res.Steps(), crashAt-1)
+					}
+					for s := crashAt; s <= steps; s++ {
+						out, err := res.Step(testParticles(300+int64(s), 8, 8))
+						if err != nil {
+							t.Fatalf("post-resume step %d: %v", s, err)
+						}
+						if err := res.Checkpoint(dir); err != nil {
+							t.Fatalf("post-resume checkpoint %d: %v", s, err)
+						}
+						if got := oracle(out); !slices.EqualFunc(got, want[s], bytes.Equal) {
+							t.Fatalf("step %d differs after resume", s)
+						}
+					}
+					if res.Steps() != steps {
+						t.Errorf("Steps() = %d after replay, want %d", res.Steps(), steps)
+					}
+				})
+			}
 		}
 	}
 }
@@ -170,11 +193,11 @@ func TestExplicitCheckpointResume(t *testing.T) {
 }
 
 // TestCheckpointSizeFollowsBlocksNotMesh: a regular-grid session's
-// checkpoint is the same at 8^3 and 16^3 particles — decomp.bin byte for
-// byte, the manifests apart only in the digits of their site counters.
+// checkpoint is one file, manifest.json, at 8^3 and 16^3 particles alike,
+// the two manifests apart only in the digits of their site counters.
 func TestCheckpointSizeFollowsBlocksNotMesh(t *testing.T) {
 	cfg := NewPeriodicConfig(16, WithGhostSize(3))
-	files := map[int]map[string][]byte{}
+	manifests := map[int][]byte{}
 	for _, n := range []int{8, 16} {
 		sess, err := Open(cfg, 4)
 		if err != nil {
@@ -192,21 +215,15 @@ func TestCheckpointSizeFollowsBlocksNotMesh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[n] = map[string][]byte{}
-		for _, e := range entries {
-			if files[n][e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
+		if len(entries) != 1 || entries[0].Name() != "manifest.json" {
+			t.Fatalf("%d^3: checkpoint holds %v, want manifest.json alone", n, entries)
 		}
-		if len(files[n]) != 2 {
-			t.Fatalf("%d^3: checkpoint holds %d files, want decomp.bin and manifest.json", n, len(files[n]))
+		if manifests[n], err = os.ReadFile(filepath.Join(dir, "manifest.json")); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !bytes.Equal(files[8]["decomp.bin"], files[16]["decomp.bin"]) {
-		t.Error("decomp.bin differs between 8^3 and 16^3 particles")
 	}
 	// 128 against 1024 cold sites per block: one digit per block.
-	if d := len(files[16]["manifest.json"]) - len(files[8]["manifest.json"]); d != 4 {
+	if d := len(manifests[16]) - len(manifests[8]); d != 4 {
 		t.Errorf("manifest grew by %d bytes from 8^3 to 16^3 particles, want the 4 counter digits", d)
 	}
 }
@@ -264,6 +281,7 @@ func TestResumeValidation(t *testing.T) {
 		{"unknown decomposition kind", "decomp", `"octree"`, `"octree"`},
 		{"non-finite ghost", "ghost", `1e999`, "ghost"},
 		{"version 1", "version", `1`, "version 1"},
+		{"version 2", "version", `2`, "version 2"},
 	} {
 		edited := maps.Clone(fields)
 		edited[tc.key] = json.RawMessage(tc.value)
@@ -291,14 +309,16 @@ func TestResumeValidation(t *testing.T) {
 	}
 }
 
-// TestResumeCorruptDecomposition: a decomp.bin that parses but links a
-// block to a rank that does not exist must fail Resume with an error.
-// Resume builds the exchangers on the caller's goroutine, so a panic
-// there would take a daemon down instead of producing its fresh-start
-// fallback.
+// TestResumeCorruptDecomposition: an RCB checkpoint's cuts are outside
+// input. Cuts outside the box they split, on its face, or too few are
+// refused by Resume — a returned error, not a panic, so a daemon can fall
+// back to a fresh start. Cuts in another order that still fit their boxes
+// are another RCB of the same domain at the same ghost, which is all a
+// manifest can name: the resumed step then tessellates the same particles
+// completely, and its canonical mesh is the uninterrupted session's.
 func TestResumeCorruptDecomposition(t *testing.T) {
 	cfg := NewPeriodicConfig(8, WithGhostSize(3), WithDecomposition(DecomposeRCB))
-	sess, err := Open(cfg, 2)
+	sess, err := Open(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,24 +330,68 @@ func TestResumeCorruptDecomposition(t *testing.T) {
 	if err := sess.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "decomp.bin")
-	sections, err := diy.ReadAllBlocks(path)
+	next := testParticles(441, 8, 8)
+	out, err := sess.Step(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two blocks, one RCB node: the first link's rank follows the header
-	// (89), the blocks (2x80), the RCB flag and node count (1+8), the node
-	// (20), root and link ghost (4+8), and two list counts (8+8).
-	const firstLinkRank = 89 + 2*80 + 1 + 8 + 20 + 4 + 8 + 8 + 8
-	binary.LittleEndian.PutUint64(sections[0][firstLinkRank:], 2)
-	if _, err := diy.WriteBlocks(path, sections); err != nil {
+	want := canonicalBytes(t, out, cfg)
+
+	manifest := filepath.Join(dir, "manifest.json")
+	valid, err := os.ReadFile(manifest)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := Resume(cfg, dir, 2); err == nil {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(valid, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var cuts []float64
+	if err := json.Unmarshal(fields["cuts"], &cuts); err != nil || len(cuts) != 3 {
+		t.Fatalf("a 4-block RCB manifest holds cuts %v (err %v), want 3", cuts, err)
+	}
+	// The cube's root cuts x; both of its children then cut y.
+	for _, tc := range []struct {
+		name   string
+		edit   func(c []float64) []float64
+		reason string // empty: the edit may resume
+	}{
+		{"outside its box", func(c []float64) []float64 { c[0] = 9; return c }, "cut 0 at 9 is not inside"},
+		{"on its box face", func(c []float64) []float64 { c[1] = 0; return c }, "cut 1 at 0 is not inside"},
+		{"too few", func(c []float64) []float64 { return c[:2] }, "2 cuts for 4 rcb blocks"},
+		{"too many", func(c []float64) []float64 { return append(c, 4) }, "4 cuts for 4 rcb blocks"},
+		{"children swapped", func(c []float64) []float64 { c[1], c[2] = c[2], c[1]; return c }, ""},
+		{"root and child swapped", func(c []float64) []float64 { c[0], c[1] = c[1], c[0]; return c }, ""},
+	} {
+		edited := maps.Clone(fields)
+		if edited["cuts"], err = json.Marshal(tc.edit(slices.Clone(cuts))); err != nil {
+			t.Fatal(err)
+		}
+		bad, err := json.Marshal(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifest, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Resume(cfg, dir, 4)
+		if err != nil {
+			if tc.reason == "" || !strings.Contains(err.Error(), tc.reason) {
+				t.Errorf("%s: Resume = %v, want an error mentioning %q", tc.name, err, tc.reason)
+			}
+			continue
+		}
+		if tc.reason != "" {
+			t.Errorf("%s: resumed, want an error mentioning %q", tc.name, tc.reason)
+		}
+		got, err := res.Step(next)
 		res.Close()
-		t.Fatal("checkpoint linking block 0 to rank 2 of 2 resumed")
-	} else if !strings.Contains(err.Error(), "links to rank 2") {
-		t.Errorf("Resume: %v, want the link error", err)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Counts.Incomplete != 0 || !bytes.Equal(canonicalBytes(t, got, cfg), want) {
+			t.Errorf("%s: resumed to a different mesh (%d incomplete cells)", tc.name, got.Counts.Incomplete)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -103,7 +102,7 @@ func main() {
 			cfg := core.Config{
 				Domain:    domain,
 				Periodic:  true,
-				GhostSize: ghostFor(domain, p),
+				GhostSize: ghostFor(domain, len(particles), p),
 				HullPass:  true,
 				MinVolume: minVol,
 				Workers:   *workers,
@@ -294,7 +293,7 @@ func weakScaling(dir string, cull float64, workers int) {
 		cfg := core.Config{
 			Domain:    domain,
 			Periodic:  true,
-			GhostSize: ghostFor(domain, s.procs),
+			GhostSize: ghostFor(domain, len(particles), s.procs),
 			HullPass:  true,
 			MinVolume: minVol,
 			Workers:   workers,
@@ -316,15 +315,14 @@ func weakScaling(dir string, cull float64, workers int) {
 	}
 }
 
-// ghostFor returns the usual ghost size of 4 units, clamped to the largest
-// value the decomposition supports (thin blocks cannot host a wider ghost
-// than their own side).
-func ghostFor(domain geom.Box, blocks int) float64 {
-	g, err := core.GhostCeiling(core.Config{Domain: domain, Periodic: true}, blocks)
+// ghostFor is the library's own ghost estimate (core.EstimateGhost): four
+// mean particle spacings, clamped to what the decomposition can host.
+func ghostFor(domain geom.Box, particles, blocks int) float64 {
+	g, err := core.EstimateGhost(core.Config{Domain: domain, Periodic: true}, particles, blocks, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return math.Min(g, 4)
+	return g
 }
 
 func parseInts(s string) ([]int, error) {

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/meshio"
 )
@@ -21,17 +20,15 @@ import (
 // wrote — and, because the test also reads every artifact back, that
 // files written by that build decode under this one.
 var formatGolden = map[string]string{
-	"mesh-v1 blocks":  "107ddcbf2b575c3d073454dab74dd311cd2e2125070d4b580af045c103733e54",
-	"mesh-v2 blocks":  "beefb7a9b7f3f11bfed2dddc0fb8e9e736373b19832ac4927bc9648ef506a9a4",
-	"augmented":       "171bc858ceabe9fb1e3598016a8f4222817a1c42fbb12669eabd96726550e02f",
-	"decomp grid":     "d093ae863a5ec7a4b190e048228c3449c6c3eeb26e7c1f696ce110ba89f81c8e",
-	"decomp rcb":      "c7d2826021b0a8846c0e1e68e2834f4676dc6f9b00c9724b9fc14a921515b49c",
-	"density grid":    "970c5fb4f1c001a1f1094401ad573edf1bac2cc07e0668d10c38256eb84c7497",
-	"snap.bin":        "fb1645806f7f8147fcaf3714b13da6c013bf51f626f22327d0d59492d21fd171",
-	"tess.out":        "c1b157c8a56457d07fac02e8efe3c51182b9f2e81d085fd942ad84a518b54f1b",
-	"ckpt/decomp.bin": "6ef6732dc3ee5fd0871e4e6441a22c7f116c81a22e25fd19ee05df386060d78c",
-	// Manifest version 2 (PR 22): no wall-clock field, so it has a digest.
-	"ckpt/manifest.json": "54447e5e127b95fcbaafa7f1b1ab4da32b9283d5573edcd7cb74182bd2bbefe3",
+	"mesh-v1 blocks": "107ddcbf2b575c3d073454dab74dd311cd2e2125070d4b580af045c103733e54",
+	"mesh-v2 blocks": "beefb7a9b7f3f11bfed2dddc0fb8e9e736373b19832ac4927bc9648ef506a9a4",
+	"augmented":      "171bc858ceabe9fb1e3598016a8f4222817a1c42fbb12669eabd96726550e02f",
+	"density grid":   "970c5fb4f1c001a1f1094401ad573edf1bac2cc07e0668d10c38256eb84c7497",
+	"snap.bin":       "fb1645806f7f8147fcaf3714b13da6c013bf51f626f22327d0d59492d21fd171",
+	"tess.out":       "c1b157c8a56457d07fac02e8efe3c51182b9f2e81d085fd942ad84a518b54f1b",
+	// Manifest version 3: the whole checkpoint, with the RCB session's
+	// cuts; no wall-clock field, so it has a digest.
+	"ckpt/manifest.json": "c2a71468a994bc2caa9ee091ca1354ba1ae3a949425080cb023bcbd4f734eb87",
 }
 
 func TestFormatGolden(t *testing.T) {
@@ -118,33 +115,6 @@ func TestFormatGolden(t *testing.T) {
 		t.Errorf("augmented round trip: err=%v", err)
 	}
 
-	grid, err := diy.Decompose(cfg.Domain, blocks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcb, err := diy.DecomposeRCB(cfg.Domain, blocks, true, ps, ghost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rcbBytes []byte
-	for name, d := range map[string]*diy.Decomposition{"decomp grid": grid, "decomp rcb": rcb} {
-		b, err := d.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum(name, b)
-		back, err := diy.UnmarshalDecomposition(b)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if b2, _ := back.MarshalBinary(); string(b2) != string(b) {
-			t.Errorf("%s: unmarshal→marshal is not byte-stable", name)
-		}
-		if name == "decomp rcb" {
-			rcbBytes = b
-		}
-	}
-
 	gridBytes := EncodeDensityGrid(out.Meshes[0].Volumes)
 	sum("density grid", gridBytes)
 	if back, err := DecodeDensityGrid(gridBytes); err != nil || !reflect.DeepEqual(back, out.Meshes[0].Volumes) {
@@ -183,8 +153,9 @@ func TestFormatGolden(t *testing.T) {
 		t.Errorf("tess.out holds %d cells, the step produced %d", len(recs), cells)
 	}
 
-	// The checkpoint is exactly two files, and small: nothing in it scales
-	// with the mesh (this one was 368 KB while it carried the meshes).
+	// The checkpoint is one small file: nothing in it scales with the mesh
+	// (this one was 368 KB while it carried the meshes), and the RCB
+	// decomposition is in it as its cuts.
 	entries, err := os.ReadDir(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +169,8 @@ func TestFormatGolden(t *testing.T) {
 			ckBytes += info.Size()
 		}
 	}
-	if !reflect.DeepEqual(ckNames, []string{"decomp.bin", "manifest.json"}) || ckBytes >= 8<<10 {
-		t.Errorf("checkpoint dir holds %v in %d bytes, want decomp.bin and manifest.json under 8 KiB", ckNames, ckBytes)
-	}
-	// The session's own first-step decomposition is the RCB one above.
-	if sect, err := diy.ReadAllBlocks(filepath.Join(ckpt, "decomp.bin")); err != nil || len(sect) != 1 || string(sect[0]) != string(rcbBytes) {
-		t.Errorf("ckpt/decomp.bin does not wrap the RCB marshal (err=%v)", err)
+	if !reflect.DeepEqual(ckNames, []string{"manifest.json"}) || ckBytes >= 1<<10 {
+		t.Errorf("checkpoint dir holds %v in %d bytes, want manifest.json under 1 KiB", ckNames, ckBytes)
 	}
 	res, err := Resume(cfg, ckpt, blocks)
 	if err != nil {

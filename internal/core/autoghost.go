@@ -32,24 +32,32 @@ func EstimateGhost(cfg Config, numParticles, numBlocks int, factor float64) (flo
 }
 
 // GhostCeiling is the largest ghost size cfg's decomposition strategy can
-// support for numBlocks blocks, before any particles are seen. The regular
-// grid is capped by its smallest block side; RCB by the single-wrap
-// periodic-image constraint (half the smallest domain side), or the
-// largest domain side when non-periodic (beyond which a wider ghost cannot
-// reach anything new).
+// support for numBlocks blocks, before any particles are seen, and the one
+// statement of that rule: Open refuses a ghost above it, and tessd's spec
+// check compares against the same number the same way. The regular grid
+// is capped by its smallest block side, since the exchange reaches only
+// the 26 adjacent blocks (the constraint DIY's nearest-neighbor exchange
+// has). RCB links are built for the ghost itself, so its leaves may be
+// arbitrarily thin; it is capped by the single-wrap periodic-image
+// constraint (half the smallest domain side), or by the largest domain
+// side when non-periodic (beyond which a wider ghost cannot reach anything
+// new).
 func GhostCeiling(cfg Config, numBlocks int) (float64, error) {
-	if cfg.Decomposition == DecomposeRCB {
-		s := cfg.Domain.Size()
-		if cfg.Periodic {
-			return math.Min(s.X, math.Min(s.Y, s.Z)) / 2, nil
+	if cfg.Decomposition != DecomposeRCB {
+		d, err := diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic)
+		if err != nil {
+			return 0, err
 		}
-		return math.Max(s.X, math.Max(s.Y, s.Z)), nil
+		return d.GhostCapacity(), nil
 	}
-	d, err := diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic)
-	if err != nil {
-		return 0, err
+	if numBlocks <= 0 || cfg.Domain.Empty() {
+		return 0, fmt.Errorf("core: cannot cut domain %+v into %d RCB blocks", cfg.Domain, numBlocks)
 	}
-	return d.GhostCapacity(), nil
+	s := cfg.Domain.Size()
+	if cfg.Periodic {
+		return math.Min(s.X, math.Min(s.Y, s.Z)) / 2, nil
+	}
+	return math.Max(s.X, math.Max(s.Y, s.Z)), nil
 }
 
 // AutoRun addresses the paper's stated follow-up of determining the ghost

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/storage"
 )
@@ -14,8 +15,9 @@ import (
 // cumulative warm/cold counters. Neither the last step's meshes (already
 // written once, by the collective write) nor the warm/cold classifier's
 // position memory (a resumed process has no retained buffers to be warm
-// for) is part of it, so a checkpoint's size follows the block count, not
-// the mesh.
+// for) is part of it, and the decomposition is recorded only by what
+// decides it: a grid by the config, an RCB tree by its cuts. A checkpoint
+// is one manifest whose size follows the block count, not the mesh.
 
 // decompKind names cfg's decomposition strategy in the manifest.
 func decompKind(cfg Config) string {
@@ -44,41 +46,40 @@ func (s *Session) Checkpoint(dir string) error {
 	if s.steps == 0 {
 		return fmt.Errorf("core: nothing to checkpoint before the first completed step")
 	}
-	ck := &storage.Checkpoint{
-		Manifest: storage.Manifest{
-			Steps:     s.steps,
-			NumBlocks: s.numBlocks,
-			Periodic:  s.cfg.Periodic,
-			Domain:    domainArray(s.cfg.Domain),
-			Ghost:     s.cfg.GhostSize,
-			Decomp:    decompKind(s.cfg),
-			WarmSites: make([]int64, s.numBlocks),
-			ColdSites: make([]int64, s.numBlocks),
-		},
-		Decomp: s.d,
+	man := storage.Manifest{
+		Steps:     s.steps,
+		NumBlocks: s.numBlocks,
+		Periodic:  s.cfg.Periodic,
+		Domain:    domainArray(s.cfg.Domain),
+		Ghost:     s.cfg.GhostSize,
+		Decomp:    decompKind(s.cfg),
+		Cuts:      s.d.Cuts(),
+		WarmSites: make([]int64, s.numBlocks),
+		ColdSites: make([]int64, s.numBlocks),
 	}
 	for r := range s.ranks {
-		ck.Manifest.WarmSites[r] = s.ranks[r].warmSites
-		ck.Manifest.ColdSites[r] = s.ranks[r].coldSites
+		man.WarmSites[r] = s.ranks[r].warmSites
+		man.ColdSites[r] = s.ranks[r].coldSites
 	}
-	return storage.Save(dir, ck)
+	return storage.Save(dir, man)
 }
 
 // ResumeSession reopens the session checkpointed in dir at its recorded
 // step count: the next Step is step N+1, and the canonical merged output
 // of every subsequent step is byte-identical to the uninterrupted
 // session's. cfg and numBlocks must agree with the checkpoint on block
-// count, domain, periodicity, ghost size, and decomposition kind. The
+// count, domain, periodicity, ghost size, and decomposition kind; the
+// decomposition is then rebuilt from those agreed fields (and an RCB
+// session's recorded cuts), so no checkpoint can name another. The
 // warm/cold counters continue from the checkpoint, and the first resumed
 // step counts its sites cold. Fault-injection checkpoint numbering
 // (Config.Faults) restarts at zero in the resumed session, and warm
 // density-pipeline state (StepDensity) is not checkpointed.
 func ResumeSession(cfg Config, dir string, numBlocks int) (*Session, error) {
-	ck, err := storage.Load(dir)
+	man, err := storage.Load(dir)
 	if err != nil {
 		return nil, err
 	}
-	man := &ck.Manifest
 	if numBlocks != man.NumBlocks {
 		return nil, fmt.Errorf("core: resume blocks %d does not match checkpoint %d", numBlocks, man.NumBlocks)
 	}
@@ -98,7 +99,14 @@ func ResumeSession(cfg Config, dir string, numBlocks int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.installDecomposition(ck.Decomp)
+	if cfg.Decomposition == DecomposeRCB {
+		d, err := diy.ReplayRCB(cfg.Domain, numBlocks, cfg.Periodic, man.Cuts, cfg.GhostSize)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.installDecomposition(d)
+	}
 	s.steps = man.Steps
 	for r := range s.ranks {
 		s.ranks[r].warmSites = man.WarmSites[r]

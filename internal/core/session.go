@@ -111,21 +111,19 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 	if !(cfg.GhostSize >= 0) { // also rejects NaN
 		return nil, fmt.Errorf("core: ghost size %g, want >= 0", cfg.GhostSize)
 	}
+	reach, err := GhostCeiling(cfg, numBlocks)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.GhostSize > reach {
+		return nil, fmt.Errorf("core: ghost size %g exceeds the decomposition's link reach %g "+
+			"(use fewer blocks or a smaller ghost)", cfg.GhostSize, reach)
+	}
+	// A grid is fixed by the config; an RCB session cuts its decomposition
+	// from its first step's particles (stage), or a resume replays it.
 	var d *diy.Decomposition
-	if cfg.Decomposition == DecomposeRCB {
-		// RCB needs particle positions, which Open does not have: the real
-		// decomposition is built by the first Step. Build (and discard) a
-		// particle-free one here so invalid parameters still fail at Open.
-		if _, err := decomposeFor(cfg, numBlocks, nil); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		d, err = decomposeFor(cfg, numBlocks, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := ValidateGhost(d, cfg.GhostSize); err != nil {
+	if cfg.Decomposition != DecomposeRCB {
+		if d, err = diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic); err != nil {
 			return nil, err
 		}
 	}
@@ -320,11 +318,8 @@ func (s *Session) stage(src storage.Source) error {
 	if !build {
 		return nil
 	}
-	d, err := decomposeFor(s.cfg, s.numBlocks, all)
+	d, err := diy.DecomposeRCB(s.cfg.Domain, s.numBlocks, s.cfg.Periodic, all, s.cfg.GhostSize)
 	if err != nil {
-		return err
-	}
-	if err := ValidateGhost(d, s.cfg.GhostSize); err != nil {
 		return err
 	}
 	s.installDecomposition(d)

@@ -221,34 +221,6 @@ type BlockResult struct {
 	Kernel voronoi.KernelCounts
 }
 
-// ValidateGhost checks that the ghost size does not exceed what the
-// decomposition's neighborhood links can reach. For a regular grid that is
-// the smallest block side: the exchange only reaches the 26 adjacent
-// blocks, so a ghost region wider than a block would silently miss
-// particles two blocks away and break the completeness proof (the same
-// constraint DIY's nearest-neighbor exchange has). An RCB decomposition
-// carries its own precomputed link reach — its clustered leaves can be
-// arbitrarily thin without losing correctness, so the block-side bound
-// deliberately does not apply. A negative or NaN ghost never gets here:
-// openSession refuses it first.
-func ValidateGhost(d *diy.Decomposition, ghost float64) error {
-	if m := d.GhostCapacity(); ghost > m+1e-12 {
-		return fmt.Errorf("core: ghost size %g exceeds the decomposition's link reach %g "+
-			"(use fewer blocks or a smaller ghost)", ghost, m)
-	}
-	return nil
-}
-
-// decomposeFor builds the decomposition a run over numBlocks blocks needs:
-// the regular grid ignores particles; RCB bisects their positions at
-// particle-count medians with links sized for cfg.GhostSize.
-func decomposeFor(cfg Config, numBlocks int, particles []diy.Particle) (*diy.Decomposition, error) {
-	if cfg.Decomposition == DecomposeRCB {
-		return diy.DecomposeRCB(cfg.Domain, numBlocks, cfg.Periodic, particles, cfg.GhostSize)
-	}
-	return diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic)
-}
-
 // blockIndex is the merged local+ghost view of one block: the spatial
 // index the cell computation clips against, plus the initial clipping box
 // every local site starts from.

@@ -147,14 +147,11 @@ func (d *Decomposition) NumBlocks() int { return len(d.blocks) }
 // Block returns the block owned by rank.
 func (d *Decomposition) Block(rank int) Block { return d.blocks[rank] }
 
-// GhostCapacity returns the largest ghost distance this decomposition's
-// neighborhood links support: for a regular grid the smallest block side
-// (beyond which a ghost region outruns the 26-neighborhood), for an RCB
-// decomposition the ghost margin its links were built with.
+// GhostCapacity returns the largest ghost distance a regular grid's
+// neighborhood links support: its smallest block side, beyond which a
+// ghost region outruns the 26-neighborhood. (An RCB decomposition's links
+// reach exactly the ghost it was built for.)
 func (d *Decomposition) GhostCapacity() float64 {
-	if d.rcb != nil {
-		return d.rcb.linkGhost
-	}
 	m := math.Inf(1)
 	for _, b := range d.blocks {
 		s := b.Bounds.Size()

@@ -46,26 +46,70 @@ type rcbNode struct {
 
 // rcbState is the RCB-specific portion of a Decomposition.
 type rcbState struct {
-	nodes []rcbNode
+	nodes []rcbNode // interior nodes in pre-order
 	root  int32
 	// links[rank] is the precomputed adjacency of rank, sorted by target
 	// rank (stable, preserving the mirrored per-pair ordering).
 	links [][]Neighbor
-	// linkGhost is the ghost margin the links were computed for; exchanges
-	// with a larger ghost would need links this decomposition does not
-	// have, which is what GhostCapacity reports.
-	linkGhost float64
 }
 
 // DecomposeRCB partitions domain into n blocks holding approximately equal
 // particle counts, via recursive coordinate bisection of the particle
 // positions. ghost is the largest ghost distance the decomposition's
 // neighborhood links must support (exchanges with any ghost <= this value
-// are correct; see GhostCapacity). Particle positions must lie within the
-// domain. For a periodic domain, ghost must not exceed half the smallest
-// domain side: adjacency uses single-wrap periodic images, the same regime
-// in which a periodic tessellation is well defined.
+// are correct). Particle positions must lie within the domain. For a
+// periodic domain, ghost must not exceed half the smallest domain side:
+// adjacency uses single-wrap periodic images, the same regime in which a
+// periodic tessellation is well defined.
 func DecomposeRCB(domain geom.Box, n int, periodic bool, particles []Particle, ghost float64) (*Decomposition, error) {
+	// The builder partitions a scratch copy of the positions in place; the
+	// caller's slice is never reordered.
+	pts := make([]geom.Vec3, len(particles))
+	for i, p := range particles {
+		pts[i] = p.Pos
+	}
+	return newRCB(domain, n, periodic, ghost, pts, rcbSplit)
+}
+
+// ReplayRCB rebuilds the RCB decomposition whose split coordinates are
+// cuts, in the pre-order Cuts lists them: DecomposeRCB's own tree walk and
+// link construction, with each median replaced by the next recorded cut.
+// Replaying DecomposeRCB(domain, n, periodic, ps, ghost).Cuts() under the
+// same domain, n, periodicity and ghost therefore yields the identical
+// decomposition, bit for bit. cuts must hold n-1 entries, each strictly
+// inside the box its node splits, on that box's longest axis.
+func ReplayRCB(domain geom.Box, n int, periodic bool, cuts []float64, ghost float64) (*Decomposition, error) {
+	if n > 0 && len(cuts) != n-1 {
+		return nil, fmt.Errorf("diy: %d RCB cuts for %d blocks, want %d", len(cuts), n, n-1)
+	}
+	next := 0
+	return newRCB(domain, n, periodic, ghost, nil, func(geom.Box, int, []geom.Vec3, int, int) float64 {
+		next++
+		return cuts[next-1]
+	})
+}
+
+// Cuts returns an RCB decomposition's split coordinates in pre-order, the
+// list ReplayRCB rebuilds it from. A regular grid has none.
+func (d *Decomposition) Cuts() []float64 {
+	if d.rcb == nil {
+		return nil
+	}
+	cuts := make([]float64, len(d.rcb.nodes))
+	for i, nd := range d.rcb.nodes {
+		cuts[i] = nd.split
+	}
+	return cuts
+}
+
+// cutter chooses the split coordinate of one interior node: where box is
+// cut along axis so that kl of its k leaves lie below, given the node's
+// points.
+type cutter func(box geom.Box, axis int, pts []geom.Vec3, kl, k int) float64
+
+// newRCB is DecomposeRCB and ReplayRCB: validate, build the tree with cut
+// choosing every split, then link at ghost.
+func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec3, cut cutter) (*Decomposition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diy: cannot decompose into %d blocks", n)
 	}
@@ -83,39 +127,37 @@ func DecomposeRCB(domain geom.Box, n int, periodic bool, particles []Particle, g
 				"(single-wrap periodic links cannot reach farther)", ghost, minSide/2)
 		}
 	}
-	d := &Decomposition{
-		Domain:   domain,
-		Periodic: periodic,
-		rcb:      &rcbState{linkGhost: ghost},
+	d := &Decomposition{Domain: domain, Periodic: periodic, rcb: &rcbState{}}
+	root, err := buildRCBTree(d, domain, n, pts, cut)
+	if err != nil {
+		return nil, err
 	}
-	// The builder partitions a scratch copy of the positions in place; the
-	// caller's slice is never reordered.
-	pts := make([]geom.Vec3, len(particles))
-	for i, p := range particles {
-		pts[i] = p.Pos
-	}
-	d.rcb.root = buildRCBTree(d, domain, n, pts)
+	d.rcb.root = root
 	buildRCBLinks(d, ghost)
 	return d, nil
 }
 
 // buildRCBTree recursively splits box into k leaves over pts, appending
-// blocks (rank = emission order, left subtree first) and interior nodes to
-// d. It returns the node reference: non-negative for an interior node
-// index, ^rank for a leaf.
-func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3) int32 {
+// blocks (rank = emission order, left subtree first) and interior nodes
+// (pre-order) to d. It returns the node reference: non-negative for an
+// interior node index, ^rank for a leaf. A cut that is not strictly inside
+// box would leave an empty leaf, and is an error.
+func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3, cut cutter) (int32, error) {
 	if k == 1 {
 		rank := len(d.blocks)
 		d.blocks = append(d.blocks, Block{Rank: rank, Bounds: box})
-		return int32(^rank)
+		return int32(^rank), nil
 	}
 	kl := k / 2
 	axis := longestAxis(box)
-	split, nLeft := rcbSplit(box, axis, pts, kl, k)
+	idx := len(d.rcb.nodes)
+	split := cut(box, axis, pts, kl, k)
+	if lo, hi := box.Min.Component(axis), box.Max.Component(axis); !(split > lo && split < hi) {
+		return 0, fmt.Errorf("diy: RCB cut %d at %g is not inside (%g, %g) on axis %d", idx, split, lo, hi, axis)
+	}
 
-	// Partition pts around the split plane (p < split goes left), keeping
-	// determinism: a stable partition is unnecessary because every later
-	// split re-sorts its own axis, but the counts must match rcbSplit's.
+	// Partition pts around the split plane (p < split goes left). A stable
+	// partition is unnecessary: every later split re-sorts its own axis.
 	i, j := 0, len(pts)
 	for i < j {
 		if pts[i].Component(axis) < split {
@@ -124,12 +166,6 @@ func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3) int32 
 			j--
 			pts[i], pts[j] = pts[j], pts[i]
 		}
-	}
-	if i != nLeft {
-		// rcbSplit counts and the partition disagree only if the plane
-		// moved relative to a coordinate — impossible by construction, but
-		// cheap to guard: fall back to the partition's own count.
-		nLeft = i
 	}
 
 	leftBox, rightBox := box, box
@@ -142,12 +178,17 @@ func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3) int32 
 		leftBox.Max.Z, rightBox.Min.Z = split, split
 	}
 
-	idx := len(d.rcb.nodes)
 	d.rcb.nodes = append(d.rcb.nodes, rcbNode{axis: axis, split: split})
-	left := buildRCBTree(d, leftBox, kl, pts[:nLeft])
-	right := buildRCBTree(d, rightBox, k-kl, pts[nLeft:])
+	left, err := buildRCBTree(d, leftBox, kl, pts[:i], cut)
+	if err != nil {
+		return 0, err
+	}
+	right, err := buildRCBTree(d, rightBox, k-kl, pts[i:], cut)
+	if err != nil {
+		return 0, err
+	}
 	d.rcb.nodes[idx].left, d.rcb.nodes[idx].right = left, right
-	return int32(idx)
+	return int32(idx), nil
 }
 
 // longestAxis returns the axis index of the box's longest side.
@@ -164,16 +205,15 @@ func longestAxis(box geom.Box) int {
 }
 
 // rcbSplit chooses the split coordinate along axis that sends a kl/k share
-// of pts to the left child (the weighted median), and returns it with the
-// exact number of points strictly below it. Ties on the split coordinate
-// are broken toward the nearest achievable boundary; with no particles (or
-// all coordinates equal) the split falls back to the geometric kl/k
-// fraction of the box.
-func rcbSplit(box geom.Box, axis int, pts []geom.Vec3, kl, k int) (split float64, nLeft int) {
+// of pts to the left child (the weighted median). Ties on the split
+// coordinate are broken toward the nearest achievable boundary; with no
+// particles (or all coordinates equal) the split falls back to the
+// geometric kl/k fraction of the box.
+func rcbSplit(box geom.Box, axis int, pts []geom.Vec3, kl, k int) float64 {
 	lo, hi := box.Min.Component(axis), box.Max.Component(axis)
 	geomSplit := lo + (hi-lo)*float64(kl)/float64(k)
 	if len(pts) == 0 {
-		return geomSplit, 0
+		return geomSplit
 	}
 	cs := make([]float64, len(pts))
 	for i, p := range pts {
@@ -203,18 +243,15 @@ func rcbSplit(box geom.Box, axis int, pts []geom.Vec3, kl, k int) (split float64
 			best, bestCount, found = mid, i, true
 		}
 	}
-	if !found {
-		// All coordinates equal (or every boundary degenerate): split the
-		// box geometrically; counts follow the strict comparison.
-		split = geomSplit
-		if !(split > lo && split < hi) {
-			split = lo + (hi-lo)/2
-		}
-	} else {
-		split = best
+	if found {
+		return best
 	}
-	nLeft = sort.SearchFloat64s(cs, split)
-	return split, nLeft
+	// All coordinates equal (or every boundary degenerate): split the box
+	// geometrically; counts follow the strict comparison.
+	if geomSplit > lo && geomSplit < hi {
+		return geomSplit
+	}
+	return lo + (hi-lo)/2
 }
 
 // locateRCB walks the split tree; points exactly on a split plane descend

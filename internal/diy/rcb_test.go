@@ -3,6 +3,8 @@ package diy
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cosmo"
@@ -278,12 +280,8 @@ func TestRCBGatherGhostsMatchesExchange(t *testing.T) {
 func TestRCBGhostCapacity(t *testing.T) {
 	const L = 10.0
 	ps := clusteredParticles(300, L, 5)
-	d, err := DecomposeRCB(unitDomain(L), 8, true, ps, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.GhostCapacity(); got != 2.5 {
-		t.Errorf("RCB GhostCapacity = %g, want the link ghost 2.5", got)
+	if _, err := DecomposeRCB(unitDomain(L), 8, true, ps, L/2); err != nil {
+		t.Errorf("periodic RCB ghost at half the side rejected: %v", err)
 	}
 	// A periodic RCB ghost beyond half the smallest side is rejected.
 	if _, err := DecomposeRCB(unitDomain(L), 8, true, ps, L/2+1); err == nil {
@@ -300,6 +298,94 @@ func TestRCBGhostCapacity(t *testing.T) {
 	}
 	if got := dg.GhostCapacity(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("grid GhostCapacity = %g, want 5", got)
+	}
+}
+
+// TestReplayRCB: a decomposition rebuilt from its own cuts is the one
+// DecomposeRCB cut from the particles — same blocks, same links, same
+// owner for every point, bit for bit — on the clustered mock.
+func TestReplayRCB(t *testing.T) {
+	const L, ghost = 10.0, 1.5
+	for _, periodic := range []bool{true, false} {
+		for _, blocks := range []int{1, 2, 3, 5, 8, 16} {
+			ps := clusteredParticles(800, L, int64(60+blocks))
+			d, err := DecomposeRCB(unitDomain(L), blocks, periodic, ps, ghost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := d.Cuts()
+			if len(cuts) != blocks-1 {
+				t.Fatalf("blocks=%d: %d cuts, want %d", blocks, len(cuts), blocks-1)
+			}
+			got, err := ReplayRCB(unitDomain(L), blocks, periodic, cuts, ghost)
+			if err != nil {
+				t.Fatalf("periodic=%v blocks=%d: %v", periodic, blocks, err)
+			}
+			for r := 0; r < blocks; r++ {
+				if got.Block(r) != d.Block(r) {
+					t.Fatalf("periodic=%v blocks=%d: block %d %+v, want %+v", periodic, blocks, r, got.Block(r), d.Block(r))
+				}
+				if !reflect.DeepEqual(got.Neighbors(r), d.Neighbors(r)) {
+					t.Fatalf("periodic=%v blocks=%d: rank %d links differ", periodic, blocks, r)
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(blocks)))
+			for i := 0; i < 2000; i++ {
+				p := geom.V(rng.Float64()*L, rng.Float64()*L, rng.Float64()*L)
+				if i < len(ps) {
+					p = ps[i].Pos
+				}
+				if a, b := d.Locate(p), got.Locate(p); a != b {
+					t.Fatalf("periodic=%v blocks=%d: Locate(%v) = %d replayed, %d cut", periodic, blocks, p, b, a)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayRCBRejectsMalformedCuts: a cut list that is not n-1 cuts each
+// strictly inside the box it splits is an error, never a decomposition
+// with an empty or overlapping block. The box is 40 long in x, so the
+// root and both children cut x (near 20, 10 and 30).
+func TestReplayRCBRejectsMalformedCuts(t *testing.T) {
+	domain := geom.NewBox(geom.V(0, 0, 0), geom.V(40, 10, 10))
+	rng := rand.New(rand.NewSource(9))
+	ps := make([]Particle, 400)
+	for i := range ps {
+		ps[i] = Particle{ID: int64(i), Pos: geom.V(rng.Float64()*40, rng.Float64()*10, rng.Float64()*10)}
+	}
+	d, err := DecomposeRCB(domain, 4, true, ps, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := d.Cuts()
+	for _, tc := range []struct {
+		name   string
+		edit   func(c []float64) []float64
+		reason string
+	}{
+		{"none", func([]float64) []float64 { return nil }, "0 RCB cuts for 4 blocks"},
+		{"too few", func(c []float64) []float64 { return c[:2] }, "2 RCB cuts"},
+		{"too many", func(c []float64) []float64 { return append(c, c[0]) }, "4 RCB cuts"},
+		{"on the domain face", func(c []float64) []float64 { c[0] = 0; return c }, "cut 0 at 0 is not inside"},
+		{"on its box face", func(c []float64) []float64 { c[1] = c[0]; return c }, "cut 1"},
+		{"outside the domain", func(c []float64) []float64 { c[0] = 50; return c }, "cut 0 at 50"},
+		{"children swapped", func(c []float64) []float64 { c[1], c[2] = c[2], c[1]; return c }, "cut 1"},
+		{"NaN", func(c []float64) []float64 { c[2] = math.NaN(); return c }, "cut 2 at NaN"},
+	} {
+		cuts := tc.edit(append([]float64(nil), valid...))
+		if _, err := ReplayRCB(domain, 4, true, cuts, 2); err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s %v: ReplayRCB = %v, want an error mentioning %q", tc.name, cuts, err, tc.reason)
+		}
+	}
+	if _, err := ReplayRCB(domain, 0, true, nil, 2); err == nil {
+		t.Error("0 blocks accepted")
+	}
+	if _, err := ReplayRCB(domain, 4, true, valid, 6); err == nil {
+		t.Error("periodic ghost beyond half the smallest side accepted")
+	}
+	if grid, err := Decompose(domain, 4, true); err != nil || grid.Cuts() != nil {
+		t.Errorf("a regular grid has cuts (err %v)", err)
 	}
 }
 

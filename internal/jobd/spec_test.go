@@ -6,7 +6,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	tess "repro"
 )
+
+// linkReach is the widest ghost a spec's decomposition hosts: the number
+// Validate and tess.Open both hold the ghost to.
+func linkReach(s *JobSpec) float64 {
+	reach, err := tess.MaxGhostFor(s.config(nil, 0), s.Blocks)
+	if err != nil {
+		panic(err)
+	}
+	return reach
+}
 
 // validInline is a minimal passing inline spec to mutate per case.
 func validInline() JobSpec {
@@ -25,6 +37,9 @@ func TestSpecValidate(t *testing.T) {
 		mutate func(*JobSpec)
 		limits Limits
 		wantOK bool
+		// open: tess.Open must agree with Validate on the spec's config, so
+		// a ghost the daemon refuses is one the library refuses.
+		open bool
 	}{
 		{name: "valid inline", mutate: func(s *JobSpec) {}, wantOK: true},
 		{name: "valid sim", mutate: func(s *JobSpec) {
@@ -70,8 +85,26 @@ func TestSpecValidate(t *testing.T) {
 		{name: "ghost a grid block wide", mutate: func(s *JobSpec) {
 			s.L, s.Blocks, s.Ghost = 6, 8, 3
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}
-		}, wantOK: true},
-		{name: "ghost wider than a grid block", mutate: func(s *JobSpec) { s.Ghost = 4.5 }},
+		}, wantOK: true, open: true},
+		{name: "ghost wider than a grid block", mutate: func(s *JobSpec) { s.Ghost = 4.5 }, open: true},
+		// Three blocks of a 10-cube: the reach is the thinnest block's side,
+		// an ulp below 10/3.
+		{name: "ghost exactly a grid block's reach", mutate: func(s *JobSpec) {
+			s.L, s.Blocks = 10, 3
+			s.Ghost = linkReach(s)
+		}, wantOK: true, open: true},
+		{name: "ghost an ulp past a grid block's reach", mutate: func(s *JobSpec) {
+			s.L, s.Blocks = 10, 3
+			s.Ghost = math.Nextafter(linkReach(s), math.Inf(1))
+		}, open: true},
+		{name: "ghost exactly rcb's reach", mutate: func(s *JobSpec) {
+			s.Decomposition = "rcb"
+			s.Ghost = linkReach(s)
+		}, wantOK: true, open: true},
+		{name: "ghost an ulp past rcb's reach", mutate: func(s *JobSpec) {
+			s.Decomposition = "rcb"
+			s.Ghost = math.Nextafter(linkReach(s), math.Inf(1))
+		}, open: true},
 		{name: "negative ghost", mutate: func(s *JobSpec) { s.Ghost = -1 }},
 		{name: "default ghost beyond rcb's half cube", mutate: func(s *JobSpec) {
 			s.L, s.Decomposition = 6, "rcb"
@@ -80,7 +113,7 @@ func TestSpecValidate(t *testing.T) {
 		{name: "rcb ghost at half the cube", mutate: func(s *JobSpec) {
 			s.L, s.Ghost, s.Decomposition = 6, 3, "rcb"
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}
-		}, wantOK: true},
+		}, wantOK: true, open: true},
 		{name: "sim ghost wider than a grid block", mutate: func(s *JobSpec) {
 			s.Snapshots = nil
 			s.L = 0
@@ -133,6 +166,15 @@ func TestSpecValidate(t *testing.T) {
 				}
 				if !errors.Is(err, ErrBadSpec) {
 					t.Fatalf("Validate error %v does not wrap ErrBadSpec", err)
+				}
+			}
+			if tc.open {
+				sess, oerr := tess.Open(spec.config(nil, 0), spec.Blocks)
+				if oerr == nil {
+					sess.Close()
+				}
+				if (oerr == nil) != (err == nil) {
+					t.Errorf("Validate = %v, but tess.Open = %v", err, oerr)
 				}
 			}
 		})

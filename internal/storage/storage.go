@@ -2,8 +2,11 @@
 // pipeline: snapshot particle sources that stream block-windowed chunks
 // through the diy single-file block layout instead of holding a whole
 // snapshot resident, and the on-disk checkpoint format that lets a
-// session resume at step N instead of rerunning the simulation
-// (ROADMAP: out-of-core snapshots + compact mesh interchange).
+// session resume at step N instead of rerunning the simulation. A
+// checkpoint is one file, manifest.json, holding what decides the
+// session's bytes: its step count, its configuration fingerprint, its
+// counters and, for an RCB session, the cuts its decomposition is rebuilt
+// from (checkpoint.go).
 //
 // A Source supplies one snapshot as an ordered sequence of particle
 // chunks. Consumers (core.Session.StepFrom) load a chunk, partition its

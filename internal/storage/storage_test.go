@@ -1,8 +1,8 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -214,29 +214,22 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func testCheckpoint(blocks int) *Checkpoint {
-	d, err := diy.Decompose(geom.NewBox(geom.V(0, 0, 0), geom.V(8, 8, 8)), blocks, true)
-	if err != nil {
-		panic(err)
-	}
-	c := &Checkpoint{
-		Manifest: Manifest{
-			Steps:     3,
-			NumBlocks: blocks,
-			Periodic:  true,
-			Domain:    [6]float64{0, 0, 0, 8, 8, 8},
-			Ghost:     3,
-			Decomp:    "grid",
-			WarmSites: make([]int64, blocks),
-			ColdSites: make([]int64, blocks),
-		},
-		Decomp: d,
+func testManifest(blocks int) Manifest {
+	man := Manifest{
+		Steps:     3,
+		NumBlocks: blocks,
+		Periodic:  true,
+		Domain:    [6]float64{0, 0, 0, 8, 8, 8},
+		Ghost:     3,
+		Decomp:    "grid",
+		WarmSites: make([]int64, blocks),
+		ColdSites: make([]int64, blocks),
 	}
 	for r := 0; r < blocks; r++ {
-		c.Manifest.WarmSites[r] = int64(10 * r)
-		c.Manifest.ColdSites[r] = int64(r)
+		man.WarmSites[r] = int64(10 * r)
+		man.ColdSites[r] = int64(r)
 	}
-	return c
+	return man
 }
 
 func TestCheckpointSaveLoad(t *testing.T) {
@@ -244,7 +237,7 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	if HasCheckpoint(dir) {
 		t.Fatal("empty dir reports a checkpoint")
 	}
-	want := testCheckpoint(3)
+	want := testManifest(3)
 	if err := Save(dir, want); err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +248,11 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Manifest.Version = ManifestVersion
-	if !reflect.DeepEqual(got.Manifest, want.Manifest) {
-		t.Errorf("manifest round trip: %+v, want %+v", got.Manifest, want.Manifest)
+	want.Version = ManifestVersion
+	if !reflect.DeepEqual(*got, want) {
+		t.Errorf("manifest round trip: %+v, want %+v", *got, want)
 	}
-	gb, _ := got.Decomp.MarshalBinary()
-	wb, _ := want.Decomp.MarshalBinary()
-	if len(gb) == 0 || !bytes.Equal(gb, wb) {
-		t.Errorf("decomposition round trip: %d bytes, want the %d saved", len(gb), len(wb))
-	}
-	// The directory is the two files and nothing else — no temp file left
+	// The directory is the manifest and nothing else — no temp file left
 	// behind, nothing that scales with the mesh.
 	var names []string
 	entries, err := os.ReadDir(dir)
@@ -274,43 +262,62 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if !reflect.DeepEqual(names, []string{"decomp.bin", "manifest.json"}) {
+	if !reflect.DeepEqual(names, []string{"manifest.json"}) {
 		t.Errorf("checkpoint dir holds %v", names)
 	}
 
 	// Overwriting with a deeper checkpoint commits cleanly.
-	want.Manifest.Steps = 7
+	want.Steps = 7
 	if err := Save(dir, want); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Load(dir); err != nil || got.Manifest.Steps != 7 {
+	if got, err := Load(dir); err != nil || got.Steps != 7 {
 		t.Errorf("overwrite: %+v, err %v, want 7 steps", got, err)
+	}
+
+	// RCB cuts survive the JSON round trip bit for bit, the shortest
+	// decimal that parses back included.
+	rcb := testManifest(4)
+	rcb.Decomp = "rcb"
+	rcb.Cuts = []float64{0.1 + 0.2, 8.0 / 3, math.Nextafter(4, 5)}
+	if err := Save(dir, rcb); err != nil {
+		t.Fatal(err)
+	}
+	got, err = Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range rcb.Cuts {
+		if math.Float64bits(got.Cuts[i]) != math.Float64bits(c) {
+			t.Errorf("cut %d: %v read back as %v", i, c, got.Cuts[i])
+		}
 	}
 }
 
-// validManifest is testCheckpoint(2)'s manifest as Save writes it; the
-// corruption rows below are edits of it.
-const validManifest = `{"version": 2, "steps": 3, "num_blocks": 2, "periodic": true,
+// validManifest is testManifest(2) as Save writes it; the corruption rows
+// below are edits of it.
+const validManifest = `{"version": 3, "steps": 3, "num_blocks": 2, "periodic": true,
 	"domain": [0, 0, 0, 8, 8, 8], "ghost": 3, "decomp": "grid",
 	"warm_sites": [0, 10], "cold_sites": [0, 1]}`
 
 func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ck")
-	if err := Save(dir, testCheckpoint(2)); err != nil {
+	if err := Save(dir, testManifest(2)); err != nil {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(dir, "manifest.json")
 	if err := os.WriteFile(manifest, []byte(validManifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := testCheckpoint(2).Manifest
+	want := testManifest(2)
 	want.Version = ManifestVersion
-	if got, err := Load(dir); err != nil || !reflect.DeepEqual(got.Manifest, want) {
+	if got, err := Load(dir); err != nil || !reflect.DeepEqual(*got, want) {
 		t.Fatalf("the literal valid manifest: %+v, err %v", got, err)
 	}
 	for _, tc := range []struct{ name, old, new, reason string }{
-		{"version skew", `"version": 2`, `"version": 99`, "version 99"},
-		{"previous format version", `"version": 2`, `"version": 1`, "version 1"},
+		{"version skew", `"version": 3`, `"version": 99`, "version 99"},
+		{"previous format version", `"version": 3`, `"version": 2`, "version 2"},
+		{"first format version", `"version": 3`, `"version": 1`, "version 1"},
 		{"block count the counters do not match", `"num_blocks": 2`, `"num_blocks": 5`, "2 counters for 5 blocks"},
 		{"negative steps", `"steps": 3`, `"steps": -3`, "-3 steps"},
 		{"zero steps", `"steps": 3`, `"steps": 0`, "0 steps"},
@@ -319,6 +326,11 @@ func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 		{"missing counters", `"cold_sites": [0, 1]`, `"cold_sites": null`, "cold_sites holds 0 counters"},
 		{"negative counter", `"cold_sites": [0, 1]`, `"cold_sites": [0, -1]`, "cold_sites[1] = -1"},
 		{"unknown decomposition kind", `"decomp": "grid"`, `"decomp": "octree"`, `"octree"`},
+		{"grid with a cut", `"decomp": "grid"`, `"decomp": "grid", "cuts": [4]`, "1 cuts for 2 grid blocks, want 0"},
+		{"rcb without its cut", `"decomp": "grid"`, `"decomp": "rcb"`, "0 cuts for 2 rcb blocks, want 1"},
+		{"rcb with a cut too many", `"decomp": "grid"`, `"decomp": "rcb", "cuts": [4, 2]`, "2 cuts for 2 rcb blocks, want 1"},
+		{"non-finite cut", `"decomp": "grid"`, `"decomp": "rcb", "cuts": [1e999]`, "cuts"},
+		{"non-numeric cut", `"decomp": "grid"`, `"decomp": "rcb", "cuts": ["NaN"]`, "cuts"},
 		{"non-finite ghost", `"ghost": 3`, `"ghost": 1e999`, "ghost"},
 		{"non-finite domain", `[0, 0, 0, 8, 8, 8]`, `[0, 0, 0, 8, 8, 1e999]`, "domain"},
 		{"non-numeric domain", `[0, 0, 0, 8, 8, 8]`, `[0, 0, 0, 8, 8, "NaN"]`, "domain"},
@@ -334,30 +346,6 @@ func TestCheckpointLoadRejectsCorruption(t *testing.T) {
 		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), tc.reason) {
 			t.Errorf("%s: Load = %v, want an error mentioning %q", tc.name, err, tc.reason)
 		}
-	}
-	// A decomp.bin that is not the one section Save writes, is not a
-	// decomposition, or is one of another block count.
-	if err := Save(dir, testCheckpoint(2)); err != nil {
-		t.Fatal(err)
-	}
-	three, _ := testCheckpoint(3).Decomp.MarshalBinary()
-	for name, sections := range map[string][][]byte{
-		"two-section": {{1}, {2}},
-		"garbage":     {{1, 2, 3, 4}},
-		"three-block": {three},
-	} {
-		if _, err := diy.WriteBlocks(filepath.Join(dir, "decomp.bin"), sections); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(dir); err == nil {
-			t.Errorf("%s decomp.bin accepted", name)
-		}
-	}
-	if err := os.Remove(filepath.Join(dir, "decomp.bin")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(dir); err == nil {
-		t.Error("checkpoint without decomp.bin accepted")
 	}
 	// Missing checkpoint directory.
 	if _, err := Load(filepath.Join(dir, "nope")); err == nil {
