@@ -101,7 +101,7 @@ func TestUnmatchedFaceStillErrors(t *testing.T) {
 		}
 	}
 	p := b.pts[last]
-	start, err := b.locate(p)
+	start, err := b.locate(p, dupEps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +128,37 @@ func TestUnmatchedFaceStillErrors(t *testing.T) {
 	err = b.insert(last, dupEps)
 	if err == nil || !strings.Contains(err.Error(), "3 unmatched internal faces") {
 		t.Fatalf("insert into a corrupted cavity returned %v, want 3 unmatched internal faces", err)
+	}
+}
+
+// hilbert3 is a Hilbert curve: at every order it visits each cell exactly
+// once, and consecutive cells share a face.
+func TestHilbertCurveVisitsNeighbours(t *testing.T) {
+	for order := 1; order <= 5; order++ {
+		side := uint32(1) << order
+		cells := make([][3]uint32, side*side*side)
+		seen := make([]bool, len(cells))
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				for z := uint32(0); z < side; z++ {
+					h := hilbert3(x, y, z, order)
+					if int(h) >= len(cells) || seen[h] {
+						t.Fatalf("order %d: cell %d,%d,%d has index %d, out of range or taken", order, x, y, z, h)
+					}
+					seen[h] = true
+					cells[h] = [3]uint32{x, y, z}
+				}
+			}
+		}
+		for h := 1; h < len(cells); h++ {
+			steps := 0
+			for i := range 3 {
+				d := int(cells[h][i]) - int(cells[h-1][i])
+				steps += d * d
+			}
+			if steps != 1 {
+				t.Fatalf("order %d: index %d at %v follows %v", order, h, cells[h], cells[h-1])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package delaunay implements an incremental 3D Delaunay tetrahedralization
-// (Bowyer-Watson with walking point location). The paper treats the Delaunay
-// triangulation as the dual of the Voronoi tessellation (Sec. II-B) and its
+// (Bowyer-Watson with walking point location, inserting in BRIO rounds of
+// Hilbert order; see order.go). The paper treats the Delaunay triangulation
+// as the dual of the Voronoi tessellation (Sec. II-B) and its
 // lineage of void finders (ZOBOV, the Watershed Void Finder) starts from the
 // Delaunay Tessellation Field Estimator; this package provides both the
 // dual-extraction cross-check used by the tests and the DTFE density
@@ -34,9 +35,9 @@ type Triangulation struct {
 	Tets   []Tet
 	// Rep maps each input point to the vertex that represents it in the
 	// triangulation: Rep[i] == i for points that became vertices, and the
-	// index of the earlier coincident vertex for points merged away as
-	// duplicates. A nil Rep (hand-built triangulations) means the identity
-	// mapping.
+	// vertex a point merged into for duplicates — for exactly coincident
+	// points, the lowest index among them. A nil Rep (hand-built
+	// triangulations) means the identity mapping.
 	Rep []int
 }
 
@@ -127,8 +128,10 @@ type builder struct {
 	boundary []bface
 	edges    []edgeEntry
 
-	// Output buffers reused across builds.
-	order    []uint64 // serial<<32|slot of the output tets
+	// Output buffers reused across builds. order holds the insertion order
+	// (round, Hilbert key, index) during the insertions and the output order
+	// (serial<<32|slot) after them; orderTmp is sortHigh's spare.
+	order    []uint64
 	orderTmp []uint64
 	outTets  []Tet
 	remap    []int32
@@ -165,8 +168,10 @@ type Builder struct {
 func (s *Builder) Stats() Stats { return s.b.stats }
 
 // Build computes the Delaunay tetrahedralization of pts. Duplicate points
-// (within ~1e-12 of the input extent) are merged: only the first occurrence
-// becomes a vertex, and Rep records the mapping.
+// (within ~1e-12 of the input extent) are merged: only the first one
+// inserted becomes a vertex — of exactly coincident points, the one with the
+// lowest index — and Rep records the mapping. The insertion order depends
+// only on the coordinates, and Tets lists the tets in creation order.
 func Build(pts []geom.Vec3) (*Triangulation, error) {
 	var s Builder
 	return s.Build(pts)
@@ -188,8 +193,8 @@ func (s *Builder) Build(pts []geom.Vec3) (*Triangulation, error) {
 	}
 	b := &s.b
 	dupEps := b.reset(pts)
-	for i := range pts {
-		if err := b.insert(int32(i), dupEps); err != nil {
+	for _, k := range b.order {
+		if err := b.insert(int32(uint32(k)), dupEps); err != nil {
 			return nil, err
 		}
 	}
@@ -200,8 +205,9 @@ func (s *Builder) Build(pts []geom.Vec3) (*Triangulation, error) {
 	return &Triangulation{Points: pts, Tets: tets, Rep: b.rep}, nil
 }
 
-// reset starts a build of pts from the enclosing super-tetrahedron and
-// returns the distance below which two points are duplicates.
+// reset starts a build of pts from the enclosing super-tetrahedron, leaves
+// the insertion order in b.order, and returns the distance below which two
+// points are duplicates.
 func (b *builder) reset(pts []geom.Vec3) (dupEps float64) {
 	bb := geom.BoundingBox(pts)
 	size := math.Max(bb.Size().MaxAbs(), 1e-12)
@@ -224,6 +230,7 @@ func (b *builder) reset(pts []geom.Vec3) (dupEps float64) {
 	b.free = b.free[:0]
 	b.last = 0
 	b.stats = Stats{Points: int64(len(pts)), TetsCreated: 1}
+	b.sortInsertions(bb.Min, size)
 	return 1e-12 * size
 }
 
@@ -243,7 +250,7 @@ func (b *builder) strip() []Tet {
 		b.order = append(b.order, uint64(t.serial)<<32|uint64(slot))
 	}
 	b.orderTmp = grown(b.orderTmp, len(b.order))
-	b.order, b.orderTmp = sortBySerial(b.order, b.orderTmp)
+	b.order, b.orderTmp = sortHigh(b.order, b.orderTmp)
 
 	b.remap = grown(b.remap, len(b.tets))
 	for i := range b.remap {
@@ -267,10 +274,12 @@ func (b *builder) strip() []Tet {
 	return b.outTets
 }
 
-// sortBySerial sorts keys (serial<<32|slot, serials below maxTets) by
-// serial: a least-significant-digit radix sort in three 11-bit passes that
-// ping-pong between keys and tmp. It returns the sorted slice and the spare.
-func sortBySerial(keys, tmp []uint64) (sorted, spare []uint64) {
+// sortHigh sorts keys by their high 32 bits — the serial of serial<<32|slot,
+// the round and Hilbert key of an insertion key — keeping keys with equal
+// high bits in their given order: a least-significant-digit radix sort in
+// three 11-bit passes that ping-pong between keys and tmp. It returns the
+// sorted slice and the spare.
+func sortHigh(keys, tmp []uint64) (sorted, spare []uint64) {
 	for shift := 32; shift < 64; shift += 11 {
 		var start [1 << 11]int
 		for _, k := range keys {
@@ -316,7 +325,7 @@ func (b *builder) newStamp() {
 // insert adds point index pi via Bowyer-Watson cavity retriangulation.
 func (b *builder) insert(pi int32, dupEps float64) error {
 	p := b.pts[pi]
-	ti, err := b.locate(p)
+	ti, err := b.locate(p, dupEps)
 	if err != nil {
 		return err
 	}
@@ -484,8 +493,9 @@ func (b *builder) inSphere(ti int32, p geom.Vec3) bool {
 }
 
 // locate finds a live tet containing p, walking from the last insertion
-// site and falling back to exhaustive search on numerical trouble.
-func (b *builder) locate(p geom.Vec3) (int32, error) {
+// site and falling back to exhaustive search on numerical trouble. A p within
+// dupEps of a vertex ends the walk at a tet of that vertex.
+func (b *builder) locate(p geom.Vec3, dupEps float64) (int32, error) {
 	// b.last is live: it is the first tet the latest insertion created
 	// (tet 0 before any), and nothing has been deleted since.
 	ti := b.last
@@ -496,8 +506,11 @@ func (b *builder) locate(p geom.Vec3) (int32, error) {
 		for f := 0; f < 4; f++ {
 			fv := faceVerts(t.v, f)
 			// Face oriented outward relative to opposite vertex; p beyond
-			// it means the containing tet is on the other side.
-			if geom.Orient3DVal(b.pts[fv[0]], b.pts[fv[1]], b.pts[fv[2]], p) < 0 {
+			// it means the containing tet is on the other side. A p on a
+			// vertex of the face is on the face, whatever sign the rounded
+			// determinant has: crossing would circle that vertex until the
+			// step cap sent a duplicate to the exhaustive scan.
+			if geom.Orient3DVal(b.pts[fv[0]], b.pts[fv[1]], b.pts[fv[2]], p) < 0 && !b.onVertex(fv, p, dupEps) {
 				if t.nb[f] < 0 {
 					return ti, fmt.Errorf("delaunay: walked off the hull locating %v", p)
 				}
@@ -536,6 +549,16 @@ func (b *builder) locate(p geom.Vec3) (int32, error) {
 		return 0, fmt.Errorf("delaunay: no tet contains %v", p)
 	}
 	return found, nil
+}
+
+// onVertex reports whether p is within dupEps of one of the vertices vs.
+func (b *builder) onVertex(vs [3]int32, p geom.Vec3, dupEps float64) bool {
+	for _, v := range vs {
+		if b.pts[v].Dist(p) <= dupEps {
+			return true
+		}
+	}
+	return false
 }
 
 // faceVerts returns the vertices of the face opposite v[f], oriented so

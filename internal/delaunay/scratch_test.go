@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,6 +16,31 @@ func randomCloud(seed int64, n int, scale float64) []geom.Vec3 {
 		pts[i] = geom.V(rng.Float64()*scale, rng.Float64()*scale, rng.Float64()*scale)
 	}
 	return pts
+}
+
+// checkRepIsLowest requires every point of tr to be represented by the
+// lowest index among the points exactly equal to it, and no other point to
+// be a tet vertex.
+func checkRepIsLowest(t *testing.T, tr *Triangulation) {
+	t.Helper()
+	lowest := map[geom.Vec3]int{} // -0 and +0 are one key, as they are one point
+	for i, p := range tr.Points {
+		if _, ok := lowest[p]; !ok {
+			lowest[p] = i
+		}
+	}
+	for i, p := range tr.Points {
+		if got := tr.Representative(i); got != lowest[p] {
+			t.Fatalf("Rep[%d] = %d, want %d, the lowest coincident index", i, got, lowest[p])
+		}
+	}
+	for _, tet := range tr.Tets {
+		for _, v := range tet.V {
+			if tr.Representative(v) != v {
+				t.Fatalf("duplicate %d of %d appears in a tet", v, tr.Representative(v))
+			}
+		}
+	}
 }
 
 func TestRepRecordsDuplicates(t *testing.T) {
@@ -39,14 +65,34 @@ func TestRepRecordsDuplicates(t *testing.T) {
 			t.Errorf("Rep[%d] = %d, want identity", i, tr.Representative(i))
 		}
 	}
-	// Duplicates must not appear as tet vertices.
-	for _, tet := range tr.Tets {
-		for _, v := range tet.V {
-			if v >= 40 {
-				t.Fatalf("duplicate vertex %d appears in a tet", v)
-			}
-		}
+	checkRepIsLowest(t, tr)
+
+	// 42 points are one BRIO round. A cloud of 20 000 has five, and its
+	// coincident points must still share a round and a Hilbert key, so the
+	// lowest index among them is inserted first wherever it sits: copies
+	// are scattered both ways, a few onto the lowest points, and one pair
+	// differs only in the sign of a zero coordinate.
+	big := randomCloud(12, 20000, 10)
+	rng := rand.New(rand.NewSource(13))
+	for k := 0; k < 2000; k++ {
+		big[rng.Intn(len(big))] = big[rng.Intn(len(big))]
 	}
+	for k := 0; k < 5; k++ {
+		big[len(big)-1-k] = big[k]
+	}
+	big[100].X = 0
+	big[200] = big[100]
+	big[200].X = math.Copysign(0, -1)
+	var s Builder
+	if tr, err = s.Build(big); err != nil {
+		t.Fatal(err)
+	}
+	// A duplicate's walk stops at its vertex instead of circling it until
+	// the step cap (15 000 steps per point before it did).
+	if st := s.Stats(); st.Duplicates < 1500 || st.WalkSteps > 10*st.Points {
+		t.Fatalf("%d duplicates merged in %d walk steps for %d points", st.Duplicates, st.WalkSteps, st.Points)
+	}
+	checkRepIsLowest(t, tr)
 }
 
 func TestBuilderReuseMatchesFreshBuild(t *testing.T) {

@@ -43,7 +43,8 @@ type Config struct {
 	// the hull and the field wraps like the simulation volume.
 	Periodic bool
 	// Pad is the periodic-image depth; <= 0 picks a quarter of the
-	// smallest box side. Sessions default it to their ghost size.
+	// smallest box side, and NaN or ±Inf is an error. Sessions default it
+	// to their ghost size.
 	Pad float64
 	// Spectrum enables the power-spectrum reduction (requires a cubic box
 	// and power-of-two GridN).
@@ -76,6 +77,12 @@ func (c Config) Validate() error {
 	}
 	if c.Box.Empty() || c.Box.Volume() <= 0 {
 		return fmt.Errorf("density: empty sample box")
+	}
+	// A NaN pad fails every comparison, so it would pad nothing and leave a
+	// "periodic" field with samples outside the hull; +Inf would pad with
+	// all 26 image boxes.
+	if math.IsNaN(c.Pad) || math.IsInf(c.Pad, 0) {
+		return fmt.Errorf("density: periodic pad %g, want a finite depth (<= 0 for the default)", c.Pad)
 	}
 	if c.Spectrum {
 		if !fft.IsPow2(c.GridN) {

@@ -45,6 +45,9 @@ func TestConfigValidate(t *testing.T) {
 		{GridN: 12, Box: box, Spectrum: true},
 		{GridN: 8, Box: geom.NewBox(geom.Vec3{}, geom.V(4, 4, 2)), Spectrum: true},
 		{GridN: 8, Box: box, Percentiles: []float64{-5}},
+		{GridN: 8, Box: box, Periodic: true, Pad: math.NaN()},
+		{GridN: 8, Box: box, Periodic: true, Pad: math.Inf(1)},
+		{GridN: 8, Box: box, Pad: math.Inf(-1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cosmo"
+	"repro/internal/geom"
 	"repro/internal/nbody"
 )
 
@@ -210,6 +212,46 @@ func TestStepDensityCold32(t *testing.T) {
 	t.Logf("allocated %d MB, %d tets, grid mass / tracer mass %.4f", (after.TotalAlloc-before.TotalAlloc)>>20, res.Tets, ratio)
 	if math.Abs(ratio-1) > 0.02 {
 		t.Errorf("grid mass / tracer mass = %.4f, want within 2%% of 1", ratio)
+	}
+}
+
+// A density pad that is not finite is an error wherever a config with an
+// explicit box enters: density.New, ComputeDensity and StepDensity all
+// return the same one. NaN used to pass and pad nothing, so on this
+// periodic 5^3 box 296 of 512 samples fell outside the hull and the field
+// held 0.60 of the tracer mass; +Inf padded with all 26 image boxes.
+func TestDensityRejectsNonFinitePad(t *testing.T) {
+	const L = 5
+	rng := rand.New(rand.NewSource(5))
+	pts := cosmo.LatticePositions(L, L)
+	for i := range pts {
+		pts[i] = pts[i].Add(Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(0.3))
+	}
+	sess, err := Open(NewPeriodicConfig(L, WithGhostSize(1)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, pad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dc := DensityConfig{GridN: 8, Box: geom.NewBox(Vec3{}, Vec3{X: L, Y: L, Z: L}), Periodic: true, Pad: pad}
+		_, direct := ComputeDensity(dc, pts, nil)
+		_, stepped := sess.StepDensity(ParticlesFromPositions(pts), dc)
+		if direct == nil || stepped == nil {
+			t.Errorf("pad %g: ComputeDensity returned %v, StepDensity %v; want an error from both", pad, direct, stepped)
+			continue
+		}
+		if direct.Error() != stepped.Error() || !strings.Contains(direct.Error(), "pad") {
+			t.Errorf("pad %g: ComputeDensity returned %q, StepDensity %q; want one error naming the pad", pad, direct, stepped)
+		}
+	}
+	// The session stays usable: a config error decides nothing it holds.
+	dc := DensityConfig{GridN: 8, Box: geom.NewBox(Vec3{}, Vec3{X: L, Y: L, Z: L}), Periodic: true, Pad: 1}
+	res, err := sess.StepDensity(ParticlesFromPositions(pts), dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sample.Outside != 0 {
+		t.Errorf("pad 1: %d samples outside the hull", res.Sample.Outside)
 	}
 }
 
