@@ -97,10 +97,11 @@ fuzz-seeds:
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench -timeout $(TEST_TIMEOUT) ./...
 
-# Table II's harness has no tests of its own: one tiny sweep (8^3, one and
-# two ranks, the data-model and communication tables) must run to the end.
+# Table II's harness has no tests of its own: one tiny sweep (8^3 on one,
+# two and 27 ranks, the last 8/3-wide blocks under a ghost of 4; the
+# data-model and communication tables) must run to the end.
 tessbench-smoke:
-	$(GO) run ./cmd/tessbench -sizes 8 -procs 1,2 -steps 2 -datamodel -comm > /dev/null
+	$(GO) run ./cmd/tessbench -sizes 8 -procs 1,2,27 -steps 2 -datamodel -comm > /dev/null
 
 check: vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke
 

@@ -96,15 +96,10 @@ func dispatch(args []string, w io.Writer) error {
 
 // tessellateSim tessellates a simulation's current particles over blocks
 // periodic blocks. Evolved snapshots grow large void cells, so the ghost
-// is the widest the decomposition supports; opts say where the pass
-// writes.
+// is the widest a session accepts; opts say where the pass writes.
 func tessellateSim(sim *tess.Simulation, blocks int, opts ...tess.StepOption) (*tess.Output, error) {
 	cfg := tess.NewPeriodicConfig(sim.Config.BoxSize)
-	g, err := tess.MaxGhostFor(cfg, blocks)
-	if err != nil {
-		return nil, err
-	}
-	cfg.GhostSize = g
+	cfg.GhostSize = tess.MaxGhostFor(cfg)
 	out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), blocks, opts...)
 	if err != nil {
 		return nil, err

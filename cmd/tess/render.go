@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro"
-	"repro/internal/dtfe"
 	"repro/internal/multistream"
 	"repro/internal/viz"
 )
@@ -88,16 +87,15 @@ func render(args []string, w io.Writer) error {
 	case "density":
 		img, err = viz.RenderDensitySlice(sites, vols, cfg)
 	case "dtfe":
-		f, ferr := dtfe.Estimate(sites, nil)
-		if ferr != nil {
-			return ferr
-		}
 		m := 64
-		grid, sst := f.SampleGrid(m, tess.Box{Max: tess.Vec3{X: L, Y: L, Z: L}})
-		if sst.Degenerate > 0 {
-			return fmt.Errorf("dtfe: %d degenerate samples (broken triangulation)", sst.Degenerate)
+		res, derr := tess.ComputeDensity(tess.DensityConfig{GridN: m, Box: tess.Box{Max: tess.Vec3{X: L, Y: L, Z: L}}}, sites, nil)
+		if derr != nil {
+			return derr
 		}
-		img, err = viz.RenderGridSlice(grid, m, int(cfg.Z/L*float64(m))%m, *px, cfg.LogScale)
+		if res.Sample.Degenerate > 0 {
+			return fmt.Errorf("dtfe: %d degenerate samples (broken triangulation)", res.Sample.Degenerate)
+		}
+		img, err = viz.RenderGridSlice(res.Grid, m, int(cfg.Z/L*float64(m))%m, *px, cfg.LogScale)
 	case "streams":
 		if sim == nil {
 			return fmt.Errorf("-field streams requires a fresh simulation (no -in)")

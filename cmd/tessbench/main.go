@@ -102,7 +102,7 @@ func main() {
 			cfg := core.Config{
 				Domain:    domain,
 				Periodic:  true,
-				GhostSize: ghostFor(domain, len(particles), p),
+				GhostSize: ghostFor(domain, len(particles)),
 				HullPass:  true,
 				MinVolume: minVol,
 				Workers:   *workers,
@@ -293,7 +293,7 @@ func weakScaling(dir string, cull float64, workers int) {
 		cfg := core.Config{
 			Domain:    domain,
 			Periodic:  true,
-			GhostSize: ghostFor(domain, len(particles), s.procs),
+			GhostSize: ghostFor(domain, len(particles)),
 			HullPass:  true,
 			MinVolume: minVol,
 			Workers:   workers,
@@ -316,9 +316,9 @@ func weakScaling(dir string, cull float64, workers int) {
 }
 
 // ghostFor is the library's own ghost estimate (core.EstimateGhost): four
-// mean particle spacings, clamped to what the decomposition can host.
-func ghostFor(domain geom.Box, particles, blocks int) float64 {
-	g, err := core.EstimateGhost(core.Config{Domain: domain, Periodic: true}, particles, blocks, 0)
+// mean particle spacings, clamped to half the box.
+func ghostFor(domain geom.Box, particles int) float64 {
+	g, err := core.EstimateGhost(core.Config{Domain: domain, Periodic: true}, particles)
 	if err != nil {
 		log.Fatal(err)
 	}

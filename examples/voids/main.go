@@ -34,9 +34,7 @@ func main() {
 
 	cfg := tess.NewPeriodicConfig(float64(ng))
 	// Evolved boxes grow large void cells; use the widest valid ghost.
-	if g, err := tess.MaxGhostFor(cfg, 8); err == nil {
-		cfg.GhostSize = g
-	}
+	cfg.GhostSize = tess.MaxGhostFor(cfg)
 	out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), 8)
 	if err != nil {
 		log.Fatal(err)

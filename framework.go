@@ -49,10 +49,9 @@ func KnownAnalyses() []string { return cosmotools.KnownAnalyses() }
 
 // AutoTessellate is Run with automatic ghost-size determination (the
 // follow-up the paper proposes in Sec. V): the ghost region grows until
-// every cell is proven complete or the decomposition's maximum is
-// reached. It returns the output and the ghost size used. A zero
-// cfg.GhostSize starts from an estimate based on the mean interparticle
-// spacing. Each attempt is one session-backed pass (the ghost size, and
+// every cell is proven complete or MaxGhostFor is reached. It returns the
+// output and the ghost size used. A zero cfg.GhostSize starts from an
+// estimate based on the mean interparticle spacing. Each attempt is one session-backed pass (the ghost size, and
 // with it the exchange geometry, changes between attempts, so attempts
 // cannot share a session); cfg.Workers and opts apply to each attempt
 // exactly as in Run.
@@ -60,17 +59,17 @@ func AutoTessellate(cfg Config, particles []Particle, numBlocks int, opts ...Ste
 	return core.AutoRun(cfg, particles, numBlocks, opts...)
 }
 
-// EstimateGhost proposes a ghost size for a particle population (factor
-// times the mean interparticle spacing, clamped to what the decomposition
-// supports; factor <= 0 defaults to 4).
-func EstimateGhost(cfg Config, numParticles, numBlocks int, factor float64) (float64, error) {
-	return core.EstimateGhost(cfg, numParticles, numBlocks, factor)
+// EstimateGhost proposes a ghost size for a particle population: four mean
+// interparticle spacings, clamped to MaxGhostFor.
+func EstimateGhost(cfg Config, numParticles int) (float64, error) {
+	return core.EstimateGhost(cfg, numParticles)
 }
 
-// MaxGhostFor returns the widest ghost region cfg's decomposition strategy
-// supports over numBlocks blocks — the ceiling AutoTessellate and
-// EstimateGhost clamp to: the smallest block side for the regular grid,
-// half the smallest domain side for periodic RCB.
-func MaxGhostFor(cfg Config, numBlocks int) (float64, error) {
-	return core.GhostCeiling(cfg, numBlocks)
+// MaxGhostFor returns the widest ghost region a session over cfg's domain
+// accepts, for either decomposition and any block count — the ceiling Open
+// holds the ghost to and AutoTessellate and EstimateGhost clamp to: half
+// the smallest side of a periodic domain, the largest side of a bounded
+// one.
+func MaxGhostFor(cfg Config) float64 {
+	return core.GhostCeiling(cfg)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cosmo"
@@ -170,5 +171,42 @@ func TestSessionRCBOversizedGhostFailsAtOpen(t *testing.T) {
 	cfg.GhostSize = 5 // > L/2 = 4
 	if _, err := OpenSession(cfg, 4); err == nil {
 		t.Fatal("oversized RCB ghost accepted at Open")
+	}
+}
+
+// A grid's ghost may be wider than its blocks: blocks link by box adjacency
+// at the session's ghost, so blocks past the 26-neighbourhood send their
+// particles too. At 27 and 64 blocks of a 12-box (sides 4 and 3), ghosts of
+// 4.5 and 6 leave no cell incomplete and reproduce the 1-block and RCB
+// canonical meshes byte for byte.
+func TestGridGhostWiderThanBlocks(t *testing.T) {
+	const L = 12.0
+	inputs := map[string][]diy.Particle{
+		"lattice": perturbedParticles(rand.New(rand.NewSource(12)), 12, L, 0.9),
+		"halo":    clusteredParticles(t, 12*12*12, L, 9),
+	}
+	for _, name := range []string{"lattice", "halo"} {
+		ps := inputs[name]
+		for _, ghost := range []float64{4.5, 6} {
+			cfg := baseConfig(L)
+			cfg.GhostSize = ghost
+			one, err := Run(cfg, ps, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := mergedBytes(t, one, cfg)
+			for _, blocks := range []int{27, 64} {
+				for _, kind := range []DecompKind{DecomposeRegular, DecomposeRCB} {
+					cfg.Decomposition = kind
+					out, err := Run(cfg, ps, blocks)
+					if err != nil {
+						t.Fatalf("%s ghost %g, %d blocks (kind %v): %v", name, ghost, blocks, kind, err)
+					}
+					if !bytes.Equal(mergedBytes(t, out, cfg), want) {
+						t.Errorf("%s ghost %g, %d blocks (kind %v): canonical mesh differs from 1 block", name, ghost, blocks, kind)
+					}
+				}
+			}
+		}
 	}
 }

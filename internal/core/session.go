@@ -111,21 +111,19 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 	if !(cfg.GhostSize >= 0) { // also rejects NaN
 		return nil, fmt.Errorf("core: ghost size %g, want >= 0", cfg.GhostSize)
 	}
-	reach, err := GhostCeiling(cfg, numBlocks)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.GhostSize > reach {
-		return nil, fmt.Errorf("core: ghost size %g exceeds the decomposition's link reach %g "+
-			"(use fewer blocks or a smaller ghost)", cfg.GhostSize, reach)
+	if reach := GhostCeiling(cfg); cfg.GhostSize > reach {
+		return nil, fmt.Errorf("core: ghost size %g exceeds the link reach %g (use a smaller ghost)", cfg.GhostSize, reach)
 	}
 	// A grid is fixed by the config; an RCB session cuts its decomposition
 	// from its first step's particles (stage), or a resume replays it.
 	var d *diy.Decomposition
 	if cfg.Decomposition != DecomposeRCB {
+		var err error
 		if d, err = diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic); err != nil {
 			return nil, err
 		}
+	} else if numBlocks <= 0 {
+		return nil, fmt.Errorf("core: cannot cut %d RCB blocks", numBlocks)
 	}
 	var opts []comm.Option
 	if cfg.StallTimeout > 0 {

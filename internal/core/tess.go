@@ -2,8 +2,9 @@
 // parallel 3D Voronoi tessellation that runs standalone or in situ with an
 // N-body simulation. The per-rank pipeline follows Figure 5 of the paper:
 //
-//  1. exchange particles with the 26-neighborhood within the ghost distance
-//     (bidirectional, targeted, with periodic boundary transforms);
+//  1. exchange particles with every block within the ghost distance — the
+//     26-neighborhood when the ghost is below the block side — (bidirectional,
+//     targeted, with periodic boundary transforms);
 //  2. compute local Voronoi cells;
 //  3. (a) keep only cells sited at original particles — automatic here,
 //     because cells are built per local site; (b) delete incomplete cells;
@@ -62,7 +63,7 @@ type Config struct {
 	Decomposition DecompKind
 	// GhostSize is the ghost-region thickness exchanged with neighbors, in
 	// the same units as the domain. The paper recommends at least twice the
-	// expected cell size.
+	// expected cell size; Open refuses one above GhostCeiling.
 	GhostSize float64
 	// MinVolume culls cells below this volume; 0 keeps everything.
 	MinVolume float64

@@ -428,23 +428,23 @@ func TestRunTimedOutputFile(t *testing.T) {
 
 func TestEstimateGhost(t *testing.T) {
 	cfg := baseConfig(8)
-	g, err := EstimateGhost(cfg, 512, 1, 0)
+	g, err := EstimateGhost(cfg, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 512 particles in an 8^3 box: spacing 1, factor 4 -> ghost 4.
+	// 512 particles in an 8^3 box: spacing 1, four spacings -> ghost 4.
 	if math.Abs(g-4) > 1e-9 {
 		t.Errorf("ghost = %v, want 4", g)
 	}
-	// Clamped by thin blocks: 8 blocks -> sides 4.
-	g, err = EstimateGhost(cfg, 512, 8, 6)
+	// 64 particles: spacing 2, clamped from 8 to half the box.
+	g, err = EstimateGhost(cfg, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(g-4) > 1e-9 {
 		t.Errorf("clamped ghost = %v, want 4", g)
 	}
-	if _, err := EstimateGhost(cfg, 0, 1, 0); err == nil {
+	if _, err := EstimateGhost(cfg, 0); err == nil {
 		t.Error("zero particles accepted")
 	}
 }
@@ -505,7 +505,7 @@ func TestAutoRunStopsAtMaxGhost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ghost-8) > 1e-9 { // 8 blocks of side 8
+	if math.Abs(ghost-8) > 1e-9 { // half the box
 		t.Errorf("final ghost = %v, want the max 8", ghost)
 	}
 	_ = out

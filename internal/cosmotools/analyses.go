@@ -30,7 +30,7 @@ func particlesOf(sim *nbody.Simulation) []diy.Particle {
 type lazySession struct {
 	blocks int
 	// cfg is what the session opens with; a GhostSize <= 0 means the widest
-	// the decomposition supports (evolved snapshots grow large void cells).
+	// a session accepts (evolved snapshots grow large void cells).
 	cfg  core.Config
 	sess *core.Session
 }
@@ -48,13 +48,10 @@ func (l *lazySession) session() (*core.Session, error) {
 		return l.sess, nil
 	}
 	cfg := l.cfg
-	widest, err := core.GhostCeiling(cfg, l.blocks)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.GhostSize <= 0 {
-		cfg.GhostSize = widest
+		cfg.GhostSize = core.GhostCeiling(cfg)
 	}
+	var err error
 	l.sess, err = core.OpenSession(cfg, l.blocks)
 	return l.sess, err
 }

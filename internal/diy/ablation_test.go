@@ -24,7 +24,7 @@ import (
 // Results are identical after the receiver filters, but message volume is
 // larger.
 func BroadcastExchange(w *comm.World, d *Decomposition, rank int, local []Particle, ghost float64) []Particle {
-	neighbors := d.Neighbors(rank)
+	neighbors := links(d, rank, ghost)
 	myBounds := d.Block(rank).Bounds
 
 	// Candidate set: particles near this block's own boundary.
@@ -36,12 +36,12 @@ func BroadcastExchange(w *comm.World, d *Decomposition, rank int, local []Partic
 	}
 
 	perRank := make(map[int][]Particle)
-	for _, nb := range neighbors {
+	for _, l := range neighbors {
 		shifted := make([]Particle, len(boundary))
 		for i, p := range boundary {
-			shifted[i] = Particle{ID: p.ID, Pos: p.Pos.Add(nb.Shift)}
+			shifted[i] = Particle{ID: p.ID, Pos: p.Pos.Add(l.shift)}
 		}
-		perRank[nb.Rank] = append(perRank[nb.Rank], shifted...)
+		perRank[l.rank] = append(perRank[l.rank], shifted...)
 	}
 	ranks := slices.Sorted(maps.Keys(perRank))
 	for _, dst := range ranks {

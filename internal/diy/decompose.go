@@ -2,21 +2,23 @@
 // the DIY library the paper builds on (Peterka et al., LDAV 2011). It
 // provides the three features tess needs:
 //
-//   - regular block decomposition of the periodic simulation domain, with a
-//     near-cubic factorization of the rank count;
-//   - neighborhood exchange over the 26-connected (face, edge, corner) block
-//     graph with periodic boundary neighbors and *targeted* particle
-//     exchange — a particle is sent only to those neighbors whose
+//   - block decomposition of the simulation domain: a regular grid with a
+//     near-cubic factorization of the rank count, or particle-balanced
+//     recursive coordinate bisection (rcb.go);
+//   - neighborhood exchange with periodic boundary neighbors and *targeted*
+//     particle exchange — a particle is sent only to those blocks whose
 //     ghost-expanded region contains it, with coordinates transformed when
 //     the destination is across a periodic boundary (the two features the
-//     paper added to DIY, Sec. III-C1);
+//     paper added to DIY, Sec. III-C1). Blocks link by box adjacency at the
+//     exchange's own ghost, whatever cut them: below the smallest block side
+//     a grid's links are exactly its 26-connected (face, edge, corner)
+//     neighbourhood, and a wider ghost reaches the blocks beyond it;
 //   - collective block I/O into a single file with a footer index
 //     (Sec. III-C2's storage layer).
 package diy
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -25,8 +27,6 @@ import (
 type Block struct {
 	// Rank is the owning rank, equal to the block's index.
 	Rank int
-	// Coords is the block's integer position in the block grid.
-	Coords [3]int
 	// Bounds is the block's region of the global domain (half-open on the
 	// high side by convention: a particle belongs to the block whose bounds
 	// contain it with Min <= p < Max).
@@ -34,13 +34,13 @@ type Block struct {
 }
 
 // Decomposition is a partition of a rectangular domain into blocks: either
-// a regular Dims[0]*Dims[1]*Dims[2] grid (Decompose) or a
-// particle-balanced recursive-bisection tree (DecomposeRCB, in which case
-// Dims is zero and the grid-coordinate methods do not apply).
+// a regular dims[0]*dims[1]*dims[2] grid (Decompose) or a
+// particle-balanced recursive-bisection tree (DecomposeRCB). It holds no
+// link state: each Exchanger derives its rank's links at its own ghost.
 type Decomposition struct {
 	Domain   geom.Box
-	Dims     [3]int
 	Periodic bool
+	dims     [3]int // grid only
 	blocks   []Block
 	rcb      *rcbState
 }
@@ -56,7 +56,7 @@ func Decompose(domain geom.Box, n int, periodic bool) (*Decomposition, error) {
 		return nil, fmt.Errorf("diy: empty domain %+v", domain)
 	}
 	dims := factor3(n, domain.Size())
-	d := &Decomposition{Domain: domain, Dims: dims, Periodic: periodic}
+	d := &Decomposition{Domain: domain, Periodic: periodic, dims: dims}
 	size := domain.Size()
 	step := geom.Vec3{
 		X: size.X / float64(dims[0]),
@@ -90,7 +90,6 @@ func Decompose(domain geom.Box, n int, periodic bool) (*Decomposition, error) {
 				}
 				d.blocks = append(d.blocks, Block{
 					Rank:   len(d.blocks),
-					Coords: [3]int{i, j, k},
 					Bounds: geom.Box{Min: min, Max: max},
 				})
 			}
@@ -147,39 +146,6 @@ func (d *Decomposition) NumBlocks() int { return len(d.blocks) }
 // Block returns the block owned by rank.
 func (d *Decomposition) Block(rank int) Block { return d.blocks[rank] }
 
-// GhostCapacity returns the largest ghost distance a regular grid's
-// neighborhood links support: its smallest block side, beyond which a
-// ghost region outruns the 26-neighborhood. (An RCB decomposition's links
-// reach exactly the ghost it was built for.)
-func (d *Decomposition) GhostCapacity() float64 {
-	m := math.Inf(1)
-	for _, b := range d.blocks {
-		s := b.Bounds.Size()
-		m = math.Min(m, math.Min(s.X, math.Min(s.Y, s.Z)))
-	}
-	return m
-}
-
-// RankAt returns the rank owning grid coordinates (i, j, k), applying
-// periodic wrap when the decomposition is periodic. Out-of-range
-// coordinates on a non-periodic decomposition return -1. RCB
-// decompositions have no block grid; RankAt returns -1 for them.
-func (d *Decomposition) RankAt(i, j, k int) int {
-	if d.rcb != nil {
-		return -1
-	}
-	c := [3]int{i, j, k}
-	for a := 0; a < 3; a++ {
-		if c[a] < 0 || c[a] >= d.Dims[a] {
-			if !d.Periodic {
-				return -1
-			}
-			c[a] = ((c[a] % d.Dims[a]) + d.Dims[a]) % d.Dims[a]
-		}
-	}
-	return (c[2]*d.Dims[1]+c[1])*d.Dims[0] + c[0]
-}
-
 // Locate returns the rank of the block containing point p, which must lie
 // inside the domain (points exactly on the high boundary are assigned to
 // the last block in that dimension).
@@ -191,99 +157,24 @@ func (d *Decomposition) Locate(p geom.Vec3) int {
 	var c [3]int
 	for a := 0; a < 3; a++ {
 		frac := (p.Component(a) - d.Domain.Min.Component(a)) / size.Component(a)
-		i := int(frac * float64(d.Dims[a]))
+		i := int(frac * float64(d.dims[a]))
 		if i < 0 {
 			i = 0
 		}
-		if i >= d.Dims[a] {
-			i = d.Dims[a] - 1
+		if i >= d.dims[a] {
+			i = d.dims[a] - 1
 		}
 		c[a] = i
 	}
 	// Roundoff near internal boundaries: verify containment and nudge.
 	for a := 0; a < 3; a++ {
-		b := d.blocks[(c[2]*d.Dims[1]+c[1])*d.Dims[0]+c[0]]
+		b := d.blocks[(c[2]*d.dims[1]+c[1])*d.dims[0]+c[0]]
 		x := p.Component(a)
 		if x < b.Bounds.Min.Component(a) && c[a] > 0 {
 			c[a]--
-		} else if x >= b.Bounds.Max.Component(a) && c[a] < d.Dims[a]-1 {
+		} else if x >= b.Bounds.Max.Component(a) && c[a] < d.dims[a]-1 {
 			c[a]++
 		}
 	}
-	return (c[2]*d.Dims[1]+c[1])*d.Dims[0] + c[0]
-}
-
-// Neighbor is a link from one block to an adjacent block (including
-// diagonal and periodic links).
-type Neighbor struct {
-	// Rank of the adjacent block.
-	Rank int
-	// Dir is the grid offset (-1, 0, +1 per dimension, not all zero).
-	Dir [3]int
-	// Shift is the coordinate translation to apply to a particle when
-	// sending it to this neighbor: nonzero only across periodic wraps.
-	Shift geom.Vec3
-	// Periodic reports whether this link wraps around the domain.
-	Periodic bool
-}
-
-// Neighbors returns the neighborhood links of rank. For a regular grid
-// these are the up-to-26 coordinate neighbors: with periodic boundaries
-// every block has exactly 26 links (some may reference the same rank when
-// the block grid is thin — e.g. 2 blocks per dimension — or even the block
-// itself for a 1-block dimension; tess relies on the Shift of each link,
-// so duplicates with distinct shifts are preserved). For an RCB
-// decomposition they are the precomputed box-adjacency links (see
-// DecomposeRCB), returned in deterministic ascending-rank order.
-func (d *Decomposition) Neighbors(rank int) []Neighbor {
-	if d.rcb != nil {
-		return d.rcb.links[rank]
-	}
-	b := d.blocks[rank]
-	size := d.Domain.Size()
-	var out []Neighbor
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				ci := b.Coords[0] + dx
-				cj := b.Coords[1] + dy
-				ck := b.Coords[2] + dz
-				nr := d.RankAt(ci, cj, ck)
-				if nr < 0 {
-					continue
-				}
-				var shift geom.Vec3
-				periodic := false
-				if ci < 0 {
-					shift.X += size.X
-					periodic = true
-				}
-				if ci >= d.Dims[0] {
-					shift.X -= size.X
-					periodic = true
-				}
-				if cj < 0 {
-					shift.Y += size.Y
-					periodic = true
-				}
-				if cj >= d.Dims[1] {
-					shift.Y -= size.Y
-					periodic = true
-				}
-				if ck < 0 {
-					shift.Z += size.Z
-					periodic = true
-				}
-				if ck >= d.Dims[2] {
-					shift.Z -= size.Z
-					periodic = true
-				}
-				out = append(out, Neighbor{Rank: nr, Dir: [3]int{dx, dy, dz}, Shift: shift, Periodic: periodic})
-			}
-		}
-	}
-	return out
+	return (c[2]*d.dims[1]+c[1])*d.dims[0] + c[0]
 }

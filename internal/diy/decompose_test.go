@@ -120,156 +120,3 @@ func TestLocateConsistency(t *testing.T) {
 		t.Errorf("far corner in block %d", r)
 	}
 }
-
-func TestRankAtPeriodicWrap(t *testing.T) {
-	d, err := Decompose(unitDomain(8), 8, true) // 2x2x2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.RankAt(-1, 0, 0); got != d.RankAt(1, 0, 0) {
-		t.Errorf("wrap x: %d vs %d", got, d.RankAt(1, 0, 0))
-	}
-	if got := d.RankAt(2, 1, 1); got != d.RankAt(0, 1, 1) {
-		t.Errorf("wrap +x: %d", got)
-	}
-	dn, _ := Decompose(unitDomain(8), 8, false)
-	if got := dn.RankAt(-1, 0, 0); got != -1 {
-		t.Errorf("non-periodic out of range = %d, want -1", got)
-	}
-}
-
-func TestNeighbors26Periodic(t *testing.T) {
-	d, err := Decompose(unitDomain(12), 27, true) // 3x3x3
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 27; r++ {
-		nbs := d.Neighbors(r)
-		if len(nbs) != 26 {
-			t.Fatalf("rank %d has %d neighbors, want 26", r, len(nbs))
-		}
-		// In a 3x3x3 periodic grid, every link lands on a distinct rank.
-		seen := map[int]bool{}
-		for _, nb := range nbs {
-			if seen[nb.Rank] {
-				t.Fatalf("rank %d: duplicate neighbor %d", r, nb.Rank)
-			}
-			seen[nb.Rank] = true
-		}
-	}
-}
-
-func TestNeighborsCornerShifts(t *testing.T) {
-	d, err := Decompose(unitDomain(12), 27, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Block (0,0,0): the (-1,-1,-1) link wraps in all three dims.
-	nbs := d.Neighbors(0)
-	var corner *Neighbor
-	for i := range nbs {
-		if nbs[i].Dir == [3]int{-1, -1, -1} {
-			corner = &nbs[i]
-		}
-	}
-	if corner == nil {
-		t.Fatal("no (-1,-1,-1) link")
-	}
-	if !corner.Periodic {
-		t.Error("corner wrap not marked periodic")
-	}
-	if corner.Shift != geom.V(12, 12, 12) {
-		t.Errorf("corner shift = %v, want (12,12,12)", corner.Shift)
-	}
-	if corner.Rank != d.RankAt(2, 2, 2) {
-		t.Errorf("corner rank = %d, want %d", corner.Rank, d.RankAt(2, 2, 2))
-	}
-	// Interior block (1,1,1) has no periodic links.
-	center := d.RankAt(1, 1, 1)
-	for _, nb := range d.Neighbors(center) {
-		if nb.Periodic || nb.Shift != (geom.Vec3{}) {
-			t.Errorf("interior block has periodic link %+v", nb)
-		}
-	}
-}
-
-func TestNeighborsNonPeriodicBoundary(t *testing.T) {
-	d, err := Decompose(unitDomain(12), 27, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corner block has only 7 neighbors without periodicity.
-	if nbs := d.Neighbors(0); len(nbs) != 7 {
-		t.Errorf("non-periodic corner has %d neighbors, want 7", len(nbs))
-	}
-	center := d.RankAt(1, 1, 1)
-	if nbs := d.Neighbors(center); len(nbs) != 26 {
-		t.Errorf("interior block has %d neighbors, want 26", len(nbs))
-	}
-}
-
-func TestNeighborsThinGridSelfLinks(t *testing.T) {
-	// A 1-block decomposition: all 26 links point at the block itself,
-	// with shifts covering all combinations of +-L and 0.
-	d, err := Decompose(unitDomain(5), 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbs := d.Neighbors(0)
-	if len(nbs) != 26 {
-		t.Fatalf("1-block neighbors = %d, want 26", len(nbs))
-	}
-	shifts := map[geom.Vec3]bool{}
-	for _, nb := range nbs {
-		if nb.Rank != 0 {
-			t.Fatalf("neighbor rank %d, want 0", nb.Rank)
-		}
-		if !nb.Periodic {
-			t.Fatalf("self-link not periodic: %+v", nb)
-		}
-		shifts[nb.Shift] = true
-	}
-	if len(shifts) != 26 {
-		t.Errorf("expected 26 distinct shifts, got %d", len(shifts))
-	}
-}
-
-func TestNeighborShiftMapsIntoExpandedBounds(t *testing.T) {
-	// The defining property of Shift: a particle near my boundary, after
-	// adding Shift, lands inside (or near) the neighbor's bounds.
-	d, err := Decompose(unitDomain(10), 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(25))
-	for r := 0; r < d.NumBlocks(); r++ {
-		b := d.Block(r)
-		for _, nb := range d.Neighbors(r) {
-			nbBounds := d.Block(nb.Rank).Bounds.Expand(1.0)
-			// Sample points in my block within 1.0 of the face toward the
-			// neighbor.
-			for i := 0; i < 20; i++ {
-				p := geom.Vec3{
-					X: sampleToward(rng, b.Bounds.Min.X, b.Bounds.Max.X, nb.Dir[0], 1.0),
-					Y: sampleToward(rng, b.Bounds.Min.Y, b.Bounds.Max.Y, nb.Dir[1], 1.0),
-					Z: sampleToward(rng, b.Bounds.Min.Z, b.Bounds.Max.Z, nb.Dir[2], 1.0),
-				}
-				if !nbBounds.Contains(p.Add(nb.Shift)) {
-					t.Fatalf("rank %d -> %+v: shifted point %v not in expanded neighbor bounds %+v",
-						r, nb, p.Add(nb.Shift), nbBounds)
-				}
-			}
-		}
-	}
-}
-
-func sampleToward(rng *rand.Rand, lo, hi float64, dir int, ghost float64) float64 {
-	switch dir {
-	case -1:
-		return lo + rng.Float64()*math.Min(ghost, hi-lo)
-	case 1:
-		return hi - rng.Float64()*math.Min(ghost, hi-lo)
-	default:
-		return lo + rng.Float64()*(hi-lo)
-	}
-}

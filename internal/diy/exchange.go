@@ -1,9 +1,6 @@
 package diy
 
 import (
-	"maps"
-	"slices"
-
 	"repro/internal/comm"
 	"repro/internal/geom"
 )
@@ -24,9 +21,9 @@ const tagExchange = 100
 // near enough to need it — the "targeted" part), with coordinates
 // transformed across periodic boundaries.
 //
-// It keeps state for persistent sessions: the link geometry (neighbor
-// list, ghost-expanded target bounds, destination-rank coalescing) is
-// derived once at construction, and the receive-side buffers (boundary
+// It keeps state for persistent sessions: the link geometry (links,
+// ghost-expanded target bounds, destination-rank coalescing) is derived
+// once at construction, and the receive-side buffers (boundary
 // candidate set, ghost concatenation) are reused across calls. Outgoing
 // message payloads are still freshly allocated every call — a sent buffer
 // transfers ownership to the receiver (the comm package's aliasing
@@ -39,8 +36,8 @@ const tagExchange = 100
 // use.
 type Exchanger struct {
 	ghost    float64
-	targets  []geom.Box // ghost-expanded neighbor bounds, per link
-	links    []Neighbor
+	targets  []geom.Box // ghost-expanded peer bounds, per link
+	links    []link
 	dsts     []int   // distinct destination ranks, ascending
 	linksFor [][]int // link indices per destination, aligned with dsts
 	lastLen  []int   // previous payload length per destination, aligned with dsts
@@ -60,28 +57,77 @@ type Exchanger struct {
 func NewExchanger(d *Decomposition, rank int, ghost float64) *Exchanger {
 	e := &Exchanger{
 		ghost:          ghost,
-		links:          d.Neighbors(rank),
+		links:          links(d, rank, ghost),
 		prefilterSlack: 1e-9 * d.Domain.Size().MaxAbs(),
 	}
 	e.targets = make([]geom.Box, len(e.links))
-	for li, nb := range e.links {
-		e.targets[li] = d.Block(nb.Rank).Bounds.Expand(ghost)
+	for li, l := range e.links {
+		e.targets[li] = d.Block(l.rank).Bounds.Expand(ghost)
+		// Links come grouped by peer in ascending rank: coalesce each
+		// peer's into one message (message count is what the exchange cost
+		// tracks), so the ghost concatenation order is deterministic.
+		if n := len(e.dsts); n == 0 || e.dsts[n-1] != l.rank {
+			e.dsts = append(e.dsts, l.rank)
+			e.linksFor = append(e.linksFor, nil)
+		}
+		last := len(e.linksFor) - 1
+		e.linksFor[last] = append(e.linksFor[last], li)
 	}
-	// Coalesce links that point at the same rank into one message per
-	// destination rank (message count is what the exchange cost tracks),
-	// in ascending rank order so the ghost concatenation order is
-	// deterministic.
-	perRank := map[int][]int{}
-	for li, nb := range e.links {
-		perRank[nb.Rank] = append(perRank[nb.Rank], li)
-	}
-	e.dsts = slices.Sorted(maps.Keys(perRank))
-	e.linksFor = make([][]int, len(e.dsts))
 	e.lastLen = make([]int, len(e.dsts))
-	for i, dst := range e.dsts {
-		e.linksFor[i] = perRank[dst]
-	}
 	return e
+}
+
+// link is one route out of a rank: a particle p travels to block rank as
+// p+shift.
+type link struct {
+	rank  int
+	shift geom.Vec3
+}
+
+// links derives rank's links at the given ghost, for any decomposition:
+// block b under the single-wrap periodic image shift s (only the identity
+// when the domain is bounded, and never the identity for b == rank) is a
+// link exactly when reaches(rank, b, s) || reaches(b, rank, -s). Both ends
+// evaluate the same two tests, so the relation is symmetric whatever the
+// rounding. Links come grouped by peer in ascending rank, and each peer's
+// in descending shift, z-major: below the smallest block side a regular
+// grid's links are then exactly its 26-neighbourhood, in that order, and a
+// wider ghost reaches past it.
+func links(d *Decomposition, rank int, ghost float64) []link {
+	wrap := 0
+	if d.Periodic {
+		wrap = 1
+	}
+	L := d.Domain.Size()
+	a := d.blocks[rank].Bounds
+	var out []link
+	for b, blk := range d.blocks {
+		for dz := wrap; dz >= -wrap; dz-- {
+			for dy := wrap; dy >= -wrap; dy-- {
+				for dx := wrap; dx >= -wrap; dx-- {
+					if b == rank && dx == 0 && dy == 0 && dz == 0 {
+						continue
+					}
+					s := geom.V(float64(dx)*L.X, float64(dy)*L.Y, float64(dz)*L.Z)
+					if reaches(a, blk.Bounds, s, ghost) || reaches(blk.Bounds, a, s.Neg(), ghost) {
+						out = append(out, link{rank: b, shift: s})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// reaches reports whether a point of src, translated by shift, could lie in
+// dst expanded by ghost. It is the exchange's own arithmetic on the box
+// corners — the same Add, the same closed test — so rounding that lets a
+// particle through also makes the link.
+func reaches(src, dst geom.Box, shift geom.Vec3, ghost float64) bool {
+	lo, hi, t := src.Min.Add(shift), src.Max.Add(shift), dst.Expand(ghost)
+	return lo.X <= t.Max.X && hi.X >= t.Min.X &&
+		lo.Y <= t.Max.Y && hi.Y >= t.Min.Y &&
+		lo.Z <= t.Max.Z && hi.Z >= t.Min.Z
 }
 
 // Exchange runs one collective ghost exchange through the retained state;
@@ -94,11 +140,11 @@ func NewExchanger(d *Decomposition, rank int, ghost float64) *Exchanger {
 // domain period (as required for a correct periodic tessellation).
 func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []Particle) []Particle {
 	// Candidate prefilter: a particle can only be within ghost reach of a
-	// neighbor's region if it is within ghost of this block's own
-	// boundary, so the 26 per-link containment tests run over the
-	// boundary shell only. The slack keeps the set a strict superset
-	// under roundoff; the exact per-link test below decides membership,
-	// so the sent batches match the unfiltered scan bit for bit.
+	// peer's region if it is within ghost of this block's own boundary, so
+	// the per-link containment tests run over the boundary shell only. The
+	// slack keeps the set a strict superset under roundoff; the exact
+	// per-link test below decides membership, so the sent batches match the
+	// unfiltered scan bit for bit.
 	myBounds := d.Block(rank).Bounds
 	cut := e.ghost + e.prefilterSlack
 	e.boundary = e.boundary[:0]
@@ -123,9 +169,9 @@ func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []
 		// length plus an eighth is the capacity this one needs.
 		var payload []Particle
 		for _, li := range e.linksFor[di] {
-			nb, target := e.links[li], e.targets[li]
+			shift, target := e.links[li].shift, e.targets[li]
 			for _, p := range e.boundary {
-				q := p.Pos.Add(nb.Shift)
+				q := p.Pos.Add(shift)
 				if target.Contains(q) {
 					if payload == nil {
 						last := e.lastLen[di]

@@ -68,19 +68,36 @@ func runExchange(t *testing.T, d *Decomposition, ps []Particle, ghost float64,
 }
 
 func TestExchangeGhostCoverage(t *testing.T) {
-	// Every rank must receive exactly the particles (or periodic images)
-	// that fall inside its ghost-expanded bounds, minus its own originals.
 	const L = 10.0
-	const ghost = 1.5
-	d, err := Decompose(unitDomain(L), 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(27))
 	ps := randomParticles(rng, 800, L)
+	// 8 blocks are 5 wide, 27 are 10/3: the last two ghosts reach past the
+	// 26-neighbourhood.
+	for _, tc := range []struct {
+		blocks int
+		ghost  float64
+	}{{8, 1.5}, {27, 1.5}, {27, 4}, {8, 5}} {
+		d, err := Decompose(unitDomain(L), tc.blocks, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGhostCoverage(t, d, ps, tc.ghost)
+	}
+}
+
+// checkGhostCoverage is the decomposition-independent ghost contract, held
+// against brute force: every rank receives exactly the particles (or
+// periodic images) inside its ghost-expanded bounds, minus its own
+// originals, each once.
+func checkGhostCoverage(t *testing.T, d *Decomposition, ps []Particle, ghost float64) {
+	t.Helper()
+	L := d.Domain.Size().X
 	parts := PartitionParticles(d, ps)
 	ghosts := runExchange(t, d, ps, ghost, exchangeGhost)
-
+	type key struct {
+		id      int64
+		x, y, z float64
+	}
 	for r := 0; r < d.NumBlocks(); r++ {
 		expanded := d.Block(r).Bounds.Expand(ghost)
 		local := map[int64]bool{}
@@ -90,10 +107,6 @@ func TestExchangeGhostCoverage(t *testing.T) {
 		// Expected ghost images: for every particle and every image shift
 		// in {-L,0,L}^3, the image is expected if it falls in the expanded
 		// bounds and is not the particle's own unshifted copy in this block.
-		type key struct {
-			id      int64
-			x, y, z float64
-		}
 		expect := map[key]bool{}
 		for _, p := range ps {
 			for _, sx := range []float64{-L, 0, L} {
@@ -115,18 +128,18 @@ func TestExchangeGhostCoverage(t *testing.T) {
 		for _, g := range ghosts[r] {
 			k := key{g.ID, g.Pos.X, g.Pos.Y, g.Pos.Z}
 			if got[k] {
-				t.Fatalf("rank %d received duplicate ghost %+v", r, k)
+				t.Fatalf("%d blocks, ghost %g: rank %d received duplicate ghost %+v", d.NumBlocks(), ghost, r, k)
 			}
 			got[k] = true
 		}
 		for k := range expect {
 			if !got[k] {
-				t.Fatalf("rank %d missing expected ghost %+v", r, k)
+				t.Fatalf("%d blocks, ghost %g: rank %d missing expected ghost %+v", d.NumBlocks(), ghost, r, k)
 			}
 		}
 		for k := range got {
 			if !expect[k] {
-				t.Fatalf("rank %d received unexpected ghost %+v", r, k)
+				t.Fatalf("%d blocks, ghost %g: rank %d received unexpected ghost %+v", d.NumBlocks(), ghost, r, k)
 			}
 		}
 	}
@@ -230,11 +243,11 @@ func TestExchangeSingleBlockPeriodicImages(t *testing.T) {
 func GatherGhosts(d *Decomposition, rank int, parts [][]Particle, ghost float64) []Particle {
 	target := d.Block(rank).Bounds.Expand(ghost)
 	var ghosts []Particle
-	for _, link := range d.Neighbors(rank) {
-		// The reverse of link (from link.Rank back to rank) carries the
-		// negated shift.
-		shift := link.Shift.Neg()
-		for _, p := range parts[link.Rank] {
+	for _, l := range links(d, rank, ghost) {
+		// The reverse of l (from l.rank back to rank) carries the negated
+		// shift.
+		shift := l.shift.Neg()
+		for _, p := range parts[l.rank] {
 			q := p.Pos.Add(shift)
 			if target.Contains(q) {
 				ghosts = append(ghosts, Particle{ID: p.ID, Pos: q})
@@ -246,28 +259,37 @@ func GatherGhosts(d *Decomposition, rank int, parts [][]Particle, ghost float64)
 
 func TestGatherGhostsMatchesExchange(t *testing.T) {
 	const L = 10.0
-	for _, blocks := range []int{1, 2, 4, 8, 27} {
-		d, err := Decompose(unitDomain(L), blocks, true)
+	for _, tc := range []struct {
+		blocks int
+		ghost  float64
+	}{{1, 1.2}, {2, 1.2}, {4, 1.2}, {8, 1.2}, {27, 1.2}, {27, 4}, {64, 5}} {
+		d, err := Decompose(unitDomain(L), tc.blocks, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(int64(100 + blocks)))
+		rng := rand.New(rand.NewSource(int64(100 + tc.blocks)))
 		ps := randomParticles(rng, 400, L)
-		parts := PartitionParticles(d, ps)
-		exchanged := runExchange(t, d, ps, 1.2, exchangeGhost)
-		for r := 0; r < blocks; r++ {
-			direct := GatherGhosts(d, r, parts, 1.2)
-			ka := ghostKeys(exchanged[r])
-			kb := ghostKeys(direct)
-			if len(ka) != len(kb) {
-				t.Fatalf("blocks=%d rank %d: exchange %d ghosts, gather %d",
-					blocks, r, len(ka), len(kb))
-			}
-			for i := range ka {
-				if ka[i].ID != kb[i].ID || ka[i].Pos.Dist(kb[i].Pos) > 1e-12 {
-					t.Fatalf("blocks=%d rank %d: ghost %d differs: %+v vs %+v",
-						blocks, r, i, ka[i], kb[i])
-				}
+		checkGatherMatchesExchange(t, d, ps, tc.ghost)
+	}
+}
+
+// checkGatherMatchesExchange holds the message exchange to GatherGhosts on
+// every rank of d.
+func checkGatherMatchesExchange(t *testing.T, d *Decomposition, ps []Particle, ghost float64) {
+	t.Helper()
+	parts := PartitionParticles(d, ps)
+	exchanged := runExchange(t, d, ps, ghost, exchangeGhost)
+	for r := 0; r < d.NumBlocks(); r++ {
+		ka := ghostKeys(exchanged[r])
+		kb := ghostKeys(GatherGhosts(d, r, parts, ghost))
+		if len(ka) != len(kb) {
+			t.Fatalf("periodic=%v blocks=%d ghost %g rank %d: exchange %d ghosts, gather %d",
+				d.Periodic, d.NumBlocks(), ghost, r, len(ka), len(kb))
+		}
+		for i := range ka {
+			if ka[i] != kb[i] {
+				t.Fatalf("periodic=%v blocks=%d ghost %g rank %d: ghost %d differs: %+v vs %+v",
+					d.Periodic, d.NumBlocks(), ghost, r, i, ka[i], kb[i])
 			}
 		}
 	}

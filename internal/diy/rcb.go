@@ -24,17 +24,10 @@ import (
 // Min <= p < Max convention via the tree walk in Locate (a point exactly at
 // a split plane descends right).
 //
-// Because RCB leaves are not a grid, neighborhood links cannot come from
-// the 26-connected coordinate graph. DecomposeRCB instead precomputes
-// box-adjacency links: block b is a link target of block a (under periodic
-// image shift s) exactly when a's bounds translated by s overlap b's bounds
-// expanded by the ghost distance — the reach of the targeted exchange's
-// containment test. Links are built once for all ranks in mirrored pairs,
-// so the send/receive pattern is symmetric by construction (never split by
-// a one-ulp float disagreement between two ranks), and Neighbors returns
-// them in deterministic order. The Exchanger (and the tests' loopback
-// ghost oracle) consume them through the same Neighbor interface the grid
-// uses.
+// RCB leaves are not a grid, and they need no links of their own: every
+// Exchanger derives its rank's links by box adjacency at its own ghost (see
+// links in exchange.go), the one rule a regular grid's blocks link by too.
+// The ghost DecomposeRCB takes only checks the single-wrap bound.
 
 // rcbNode is one interior node of the RCB split tree. Children are node
 // indices; a negative child c encodes the leaf block rank ^c.
@@ -44,23 +37,19 @@ type rcbNode struct {
 	left, right int32
 }
 
-// rcbState is the RCB-specific portion of a Decomposition.
+// rcbState is the RCB-specific portion of a Decomposition: its split tree.
 type rcbState struct {
 	nodes []rcbNode // interior nodes in pre-order
 	root  int32
-	// links[rank] is the precomputed adjacency of rank, sorted by target
-	// rank (stable, preserving the mirrored per-pair ordering).
-	links [][]Neighbor
 }
 
 // DecomposeRCB partitions domain into n blocks holding approximately equal
 // particle counts, via recursive coordinate bisection of the particle
-// positions. ghost is the largest ghost distance the decomposition's
-// neighborhood links must support (exchanges with any ghost <= this value
-// are correct). Particle positions must lie within the domain. For a
-// periodic domain, ghost must not exceed half the smallest domain side:
-// adjacency uses single-wrap periodic images, the same regime in which a
-// periodic tessellation is well defined.
+// positions. Particle positions must lie within the domain. ghost only
+// feeds the single-wrap check: for a periodic domain it must not exceed
+// half the smallest domain side, since links use single-wrap periodic
+// images, the same regime in which a periodic tessellation is well defined.
+// The links themselves are each Exchanger's, at its own ghost.
 func DecomposeRCB(domain geom.Box, n int, periodic bool, particles []Particle, ghost float64) (*Decomposition, error) {
 	// The builder partitions a scratch copy of the positions in place; the
 	// caller's slice is never reordered.
@@ -72,8 +61,8 @@ func DecomposeRCB(domain geom.Box, n int, periodic bool, particles []Particle, g
 }
 
 // ReplayRCB rebuilds the RCB decomposition whose split coordinates are
-// cuts, in the pre-order Cuts lists them: DecomposeRCB's own tree walk and
-// link construction, with each median replaced by the next recorded cut.
+// cuts, in the pre-order Cuts lists them: DecomposeRCB's own tree walk,
+// with each median replaced by the next recorded cut.
 // Replaying DecomposeRCB(domain, n, periodic, ps, ghost).Cuts() under the
 // same domain, n, periodicity and ghost therefore yields the identical
 // decomposition, bit for bit. cuts must hold n-1 entries, each strictly
@@ -107,8 +96,8 @@ func (d *Decomposition) Cuts() []float64 {
 // points.
 type cutter func(box geom.Box, axis int, pts []geom.Vec3, kl, k int) float64
 
-// newRCB is DecomposeRCB and ReplayRCB: validate, build the tree with cut
-// choosing every split, then link at ghost.
+// newRCB is DecomposeRCB and ReplayRCB: validate, then build the tree with
+// cut choosing every split.
 func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec3, cut cutter) (*Decomposition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diy: cannot decompose into %d blocks", n)
@@ -116,11 +105,8 @@ func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec
 	if domain.Empty() {
 		return nil, fmt.Errorf("diy: empty domain %+v", domain)
 	}
-	if ghost < 0 {
-		ghost = 0
-	}
-	size := domain.Size()
 	if periodic {
+		size := domain.Size()
 		minSide := math.Min(size.X, math.Min(size.Y, size.Z))
 		if ghost > minSide/2 {
 			return nil, fmt.Errorf("diy: RCB ghost %g exceeds half the smallest domain side %g "+
@@ -133,7 +119,6 @@ func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec
 		return nil, err
 	}
 	d.rcb.root = root
-	buildRCBLinks(d, ghost)
 	return d, nil
 }
 
@@ -267,90 +252,4 @@ func (d *Decomposition) locateRCB(p geom.Vec3) int {
 		}
 	}
 	return int(^ref)
-}
-
-// buildRCBLinks precomputes the adjacency of every rank at the given ghost
-// margin: for each block pair (and each single-wrap periodic image), the
-// link exists when a particle anywhere in the source block could pass the
-// targeted exchange's containment test against the destination's
-// ghost-expanded bounds. Links are created in mirrored pairs (a->b with
-// shift s and b->a with shift -s together, if either direction's float
-// test passes), so the collective exchange's symmetric send/receive
-// pattern can never be broken by rounding.
-func buildRCBLinks(d *Decomposition, ghost float64) {
-	n := len(d.blocks)
-	L := d.Domain.Size()
-	links := make([][]Neighbor, n)
-
-	offsets := rcbImageOffsets(d.Periodic)
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			for _, o := range offsets {
-				if a == b {
-					// Self links come in +-s pairs; enumerate the canonical
-					// (lexicographically positive) half only, and skip the
-					// identity.
-					if o[0] < 0 || (o[0] == 0 && (o[1] < 0 || (o[1] == 0 && o[2] <= 0))) {
-						continue
-					}
-				}
-				shift := geom.Vec3{
-					X: float64(o[0]) * L.X,
-					Y: float64(o[1]) * L.Y,
-					Z: float64(o[2]) * L.Z,
-				}
-				neg := geom.Vec3{X: -shift.X, Y: -shift.Y, Z: -shift.Z}
-				if !rcbLinkExists(d.blocks[a].Bounds, d.blocks[b].Bounds, shift, ghost) &&
-					!rcbLinkExists(d.blocks[b].Bounds, d.blocks[a].Bounds, neg, ghost) {
-					continue
-				}
-				periodic := o != [3]int{}
-				dir := [3]int{-o[0], -o[1], -o[2]}
-				rdir := o
-				links[a] = append(links[a], Neighbor{Rank: b, Dir: dir, Shift: shift, Periodic: periodic})
-				links[b] = append(links[b], Neighbor{Rank: a, Dir: rdir, Shift: neg, Periodic: periodic})
-			}
-		}
-	}
-	// Deterministic order, and the property the tests' loopback ghost
-	// oracle relies on: each rank's links grouped by peer in ascending
-	// rank order, with the per-pair sequence identical on both ends
-	// (SliceStable preserves the mirrored insertion order within a pair).
-	for r := range links {
-		sort.SliceStable(links[r], func(i, j int) bool {
-			return links[r][i].Rank < links[r][j].Rank
-		})
-	}
-	d.rcb.links = links
-}
-
-// rcbImageOffsets enumerates the periodic image shifts adjacency must
-// consider: only the identity for bounded domains, all 27 single-wrap
-// offsets for periodic ones.
-func rcbImageOffsets(periodic bool) [][3]int {
-	if !periodic {
-		return [][3]int{{0, 0, 0}}
-	}
-	out := make([][3]int, 0, 27)
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				out = append(out, [3]int{dx, dy, dz})
-			}
-		}
-	}
-	return out
-}
-
-// rcbLinkExists reports whether any point of src, translated by shift,
-// could lie in dst expanded by ghost. The arithmetic mirrors the exchange
-// path exactly — the shifted point is formed with the same Add and tested
-// with the same closed Contains — so rounding that lets a particle pass
-// the exchange test also makes the link exist.
-func rcbLinkExists(src, dst geom.Box, shift geom.Vec3, ghost float64) bool {
-	target := dst.Expand(ghost)
-	shifted := geom.Box{Min: src.Min.Add(shift), Max: src.Max.Add(shift)}
-	return shifted.Min.X <= target.Max.X && shifted.Max.X >= target.Min.X &&
-		shifted.Min.Y <= target.Max.Y && shifted.Max.Y >= target.Min.Y &&
-		shifted.Min.Z <= target.Max.Z && shifted.Max.Z >= target.Min.Z
 }

@@ -147,103 +147,16 @@ func TestRCBBalancesParticleCounts(t *testing.T) {
 	}
 }
 
-func TestRCBLinkSymmetry(t *testing.T) {
-	const L = 10.0
-	for _, periodic := range []bool{true, false} {
-		for _, blocks := range []int{2, 5, 8} {
-			ps := clusteredParticles(500, L, int64(blocks)*3)
-			d, err := DecomposeRCB(unitDomain(L), blocks, periodic, ps, 1.5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			type link struct {
-				from, to int
-				shift    geom.Vec3
-			}
-			seen := map[link]int{}
-			for r := 0; r < blocks; r++ {
-				prev := -1
-				for _, nb := range d.Neighbors(r) {
-					if nb.Rank < prev {
-						t.Fatalf("rank %d links not sorted by target rank", r)
-					}
-					prev = nb.Rank
-					seen[link{r, nb.Rank, nb.Shift}]++
-				}
-			}
-			for l, c := range seen {
-				if c != 1 {
-					t.Fatalf("duplicate link %+v (count %d)", l, c)
-				}
-				mirror := link{l.to, l.from, geom.Vec3{X: -l.shift.X, Y: -l.shift.Y, Z: -l.shift.Z}}
-				if seen[mirror] != 1 {
-					t.Fatalf("link %+v has no mirror %+v", l, mirror)
-				}
-			}
-		}
-	}
-}
-
 func TestRCBExchangeGhostCoverage(t *testing.T) {
-	// The decomposition-independent ghost contract: every rank receives
-	// exactly the particles (or periodic images) inside its ghost-expanded
-	// bounds, minus its own originals — same oracle as the grid test,
-	// evaluated over RCB leaves.
+	// The ghost contract of the grid test, evaluated over RCB leaves.
 	const L = 10.0
-	const ghost = 1.5
 	ps := clusteredParticles(800, L, 21)
-	d, err := DecomposeRCB(unitDomain(L), 8, true, ps, ghost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := PartitionParticles(d, ps)
-	ghosts := runExchange(t, d, ps, ghost, exchangeGhost)
-
-	for r := 0; r < d.NumBlocks(); r++ {
-		expanded := d.Block(r).Bounds.Expand(ghost)
-		local := map[int64]bool{}
-		for _, p := range parts[r] {
-			local[p.ID] = true
+	for _, ghost := range []float64{1.5, 4} {
+		d, err := DecomposeRCB(unitDomain(L), 8, true, ps, ghost)
+		if err != nil {
+			t.Fatal(err)
 		}
-		type key struct {
-			id      int64
-			x, y, z float64
-		}
-		expect := map[key]bool{}
-		for _, p := range ps {
-			for _, sx := range []float64{-L, 0, L} {
-				for _, sy := range []float64{-L, 0, L} {
-					for _, sz := range []float64{-L, 0, L} {
-						img := p.Pos.Add(geom.V(sx, sy, sz))
-						if !expanded.Contains(img) {
-							continue
-						}
-						if sx == 0 && sy == 0 && sz == 0 && local[p.ID] {
-							continue
-						}
-						expect[key{p.ID, img.X, img.Y, img.Z}] = true
-					}
-				}
-			}
-		}
-		got := map[key]bool{}
-		for _, g := range ghosts[r] {
-			k := key{g.ID, g.Pos.X, g.Pos.Y, g.Pos.Z}
-			if got[k] {
-				t.Fatalf("rank %d received duplicate ghost %+v", r, k)
-			}
-			got[k] = true
-		}
-		for k := range expect {
-			if !got[k] {
-				t.Fatalf("rank %d missing expected ghost %+v", r, k)
-			}
-		}
-		for k := range got {
-			if !expect[k] {
-				t.Fatalf("rank %d received unexpected ghost %+v", r, k)
-			}
-		}
+		checkGhostCoverage(t, d, ps, ghost)
 	}
 }
 
@@ -256,23 +169,7 @@ func TestRCBGatherGhostsMatchesExchange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts := PartitionParticles(d, ps)
-			exchanged := runExchange(t, d, ps, 1.2, exchangeGhost)
-			for r := 0; r < blocks; r++ {
-				direct := GatherGhosts(d, r, parts, 1.2)
-				ka := ghostKeys(exchanged[r])
-				kb := ghostKeys(direct)
-				if len(ka) != len(kb) {
-					t.Fatalf("periodic=%v blocks=%d rank %d: exchange %d ghosts, gather %d",
-						periodic, blocks, r, len(ka), len(kb))
-				}
-				for i := range ka {
-					if ka[i].ID != kb[i].ID || ka[i].Pos.Dist(kb[i].Pos) > 1e-12 {
-						t.Fatalf("periodic=%v blocks=%d rank %d: ghost %d differs: %+v vs %+v",
-							periodic, blocks, r, i, ka[i], kb[i])
-					}
-				}
-			}
+			checkGatherMatchesExchange(t, d, ps, 1.2)
 		}
 	}
 }
@@ -290,14 +187,6 @@ func TestRCBGhostCapacity(t *testing.T) {
 	// Non-periodic domains have no wrap constraint.
 	if _, err := DecomposeRCB(unitDomain(L), 8, false, ps, L/2+1); err != nil {
 		t.Errorf("non-periodic RCB ghost rejected: %v", err)
-	}
-	// Grid capacity is unchanged: smallest block side.
-	dg, err := Decompose(unitDomain(L), 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dg.GhostCapacity(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("grid GhostCapacity = %g, want 5", got)
 	}
 }
 
@@ -325,7 +214,7 @@ func TestReplayRCB(t *testing.T) {
 				if got.Block(r) != d.Block(r) {
 					t.Fatalf("periodic=%v blocks=%d: block %d %+v, want %+v", periodic, blocks, r, got.Block(r), d.Block(r))
 				}
-				if !reflect.DeepEqual(got.Neighbors(r), d.Neighbors(r)) {
+				if !reflect.DeepEqual(links(got, r, ghost), links(d, r, ghost)) {
 					t.Fatalf("periodic=%v blocks=%d: rank %d links differ", periodic, blocks, r)
 				}
 			}

@@ -119,7 +119,7 @@ var ErrDegenerate = errors.New("dtfe: degenerate containing tetrahedron")
 
 // DensityAt linearly interpolates the density at p within its containing
 // tetrahedron, using exhaustive point location. For bulk sampling build a
-// locator once and use SampleWith.
+// locator once and use SampleWith (internal/density samples whole grids).
 func (f *Field) DensityAt(p geom.Vec3) (float64, error) {
 	ti := f.Tri.Locate(p)
 	if ti < 0 {
@@ -136,12 +136,6 @@ func (f *Field) SampleWith(loc *delaunay.Locator, p geom.Vec3) (float64, error) 
 		return 0, ErrOutside
 	}
 	return f.DensityInTet(ti, p)
-}
-
-// NewLocator builds a point locator over the field's triangulation with an
-// automatically chosen seed resolution.
-func (f *Field) NewLocator() *delaunay.Locator {
-	return f.Tri.NewLocator(0)
 }
 
 // DensityInTet linearly interpolates the density at p inside tet ti via
@@ -165,7 +159,8 @@ func (f *Field) DensityInTet(ti int, p geom.Vec3) (float64, error) {
 		w2*f.Density[t.V[2]] + w3*f.Density[t.V[3]], nil
 }
 
-// SampleStats counts the outcome of every sample in a grid evaluation.
+// SampleStats counts the outcome of every sample in a grid evaluation
+// (density.Pipeline.InterpolateSlab).
 // Degenerate > 0 means the triangulation produced zero-volume containing
 // tets — a numerical failure, not empty space.
 type SampleStats struct {
@@ -179,43 +174,4 @@ func (s *SampleStats) Add(o SampleStats) {
 	s.Inside += o.Inside
 	s.Outside += o.Outside
 	s.Degenerate += o.Degenerate
-}
-
-// SampleGrid evaluates the field on an n^3 grid of cell centers spanning
-// box. Samples outside the convex hull are zero and counted in
-// stats.Outside; degenerate-tet failures are zero but counted separately
-// in stats.Degenerate so a broken triangulation cannot masquerade as
-// empty space.
-func (f *Field) SampleGrid(n int, box geom.Box) ([]float64, SampleStats) {
-	return f.SampleGridInto(nil, n, box)
-}
-
-// SampleGridInto is SampleGrid reusing dst when it has capacity.
-func (f *Field) SampleGridInto(dst []float64, n int, box geom.Box) ([]float64, SampleStats) {
-	out := resize(dst, n*n*n)
-	loc := f.NewLocator()
-	var st SampleStats
-	size := box.Size()
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				p := geom.Vec3{
-					X: box.Min.X + (float64(i)+0.5)*size.X/float64(n),
-					Y: box.Min.Y + (float64(j)+0.5)*size.Y/float64(n),
-					Z: box.Min.Z + (float64(k)+0.5)*size.Z/float64(n),
-				}
-				d, err := f.SampleWith(loc, p)
-				switch {
-				case err == nil:
-					out[(k*n+j)*n+i] = d
-					st.Inside++
-				case errors.Is(err, ErrOutside):
-					st.Outside++
-				default:
-					st.Degenerate++
-				}
-			}
-		}
-	}
-	return out, st
 }

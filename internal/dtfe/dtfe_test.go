@@ -167,37 +167,3 @@ func TestMassWeighting(t *testing.T) {
 		}
 	}
 }
-
-func TestSampleGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	pts := make([]geom.Vec3, 200)
-	for i := range pts {
-		pts[i] = geom.V(rng.Float64()*4, rng.Float64()*4, rng.Float64()*4)
-	}
-	f, err := Estimate(pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, sst := f.SampleGrid(8, geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4)))
-	if len(grid) != 512 {
-		t.Fatalf("grid size %d", len(grid))
-	}
-	if sst.Degenerate != 0 {
-		t.Fatalf("%d degenerate samples on a healthy triangulation", sst.Degenerate)
-	}
-	if sst.Inside+sst.Outside != len(grid) {
-		t.Fatalf("stats don't add up: %+v", sst)
-	}
-	nonzero := 0
-	for _, d := range grid {
-		if d < 0 {
-			t.Fatal("negative density")
-		}
-		if d > 0 {
-			nonzero++
-		}
-	}
-	if nonzero < len(grid)/2 {
-		t.Errorf("only %d of %d samples inside hull", nonzero, len(grid))
-	}
-}

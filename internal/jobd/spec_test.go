@@ -10,14 +10,10 @@ import (
 	tess "repro"
 )
 
-// linkReach is the widest ghost a spec's decomposition hosts: the number
-// Validate and tess.Open both hold the ghost to.
+// linkReach is the widest ghost a spec's session hosts: the number Validate
+// and tess.Open both hold the ghost to.
 func linkReach(s *JobSpec) float64 {
-	reach, err := tess.MaxGhostFor(s.config(nil, 0), s.Blocks)
-	if err != nil {
-		panic(err)
-	}
-	return reach
+	return tess.MaxGhostFor(s.config(nil, 0))
 }
 
 // validInline is a minimal passing inline spec to mutate per case.
@@ -76,8 +72,9 @@ func TestSpecValidate(t *testing.T) {
 		}},
 		{name: "bad decomposition", mutate: func(s *JobSpec) { s.Decomposition = "hilbert" }},
 		{name: "rcb decomposition", mutate: func(s *JobSpec) { s.Decomposition = "rcb" }, wantOK: true},
-		// The default ghost is 4: two blocks of an 8-cube are 4 wide, eight
-		// blocks of a 6-cube are 3 wide, and RCB reaches half the cube.
+		// The default ghost is 4, and either decomposition reaches half the
+		// cube whatever its block count: past the 3 of a 6-cube, not past
+		// the 8/3-wide blocks of 27 in an 8-cube.
 		{name: "default ghost wider than a grid block", mutate: func(s *JobSpec) {
 			s.L, s.Blocks = 6, 8
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}
@@ -86,9 +83,11 @@ func TestSpecValidate(t *testing.T) {
 			s.L, s.Blocks, s.Ghost = 6, 8, 3
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}
 		}, wantOK: true, open: true},
-		{name: "ghost wider than a grid block", mutate: func(s *JobSpec) { s.Ghost = 4.5 }, open: true},
-		// Three blocks of a 10-cube: the reach is the thinnest block's side,
-		// an ulp below 10/3.
+		{name: "ghost wider than a grid block", mutate: func(s *JobSpec) {
+			s.Blocks, s.Ghost = 27, 3.5
+		}, wantOK: true, open: true},
+		// Three blocks of a 10-cube are 10/3 wide; the reach is 5 all the
+		// same.
 		{name: "ghost exactly a grid block's reach", mutate: func(s *JobSpec) {
 			s.L, s.Blocks = 10, 3
 			s.Ghost = linkReach(s)
@@ -119,7 +118,7 @@ func TestSpecValidate(t *testing.T) {
 			s.L = 0
 			s.Blocks = 27
 			s.Sim = &SimSpec{NG: 8, Steps: 1}
-		}},
+		}, wantOK: true, open: true},
 		{name: "sim ng too small", mutate: func(s *JobSpec) {
 			s.Snapshots = nil
 			s.L = 0
@@ -181,15 +180,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// The ghost rejection names both numbers: what the spec asked for and what
-// its decomposition can host.
+// The ghost rejection names both numbers: what the spec asked for and the
+// bound it passed, half the cube.
 func TestSpecValidateGhostMessage(t *testing.T) {
 	spec := validInline()
 	spec.L, spec.Blocks = 6, 8
 	spec.Snapshots[0][2] = [3]float64{5, 5, 5}
 	err := spec.Validate(Limits{})
-	if err == nil || !strings.Contains(err.Error(), "ghost = 4") || !strings.Contains(err.Error(), "reach 3") {
-		t.Fatalf("Validate = %v, want the ghost 4 and the reach 3 named", err)
+	if err == nil || !strings.Contains(err.Error(), "ghost = 4") || !strings.Contains(err.Error(), "reach 3, half the side-6 cube") {
+		t.Fatalf("Validate = %v, want the ghost 4 and the reach 3 (half the side-6 cube) named", err)
 	}
 }
 

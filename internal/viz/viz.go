@@ -176,8 +176,8 @@ func WritePNG(w io.Writer, img image.Image) error {
 }
 
 // RenderGridSlice renders the z-slice of a scalar field sampled on an m^3
-// grid (row-major (z*m+y)*m+x, as produced by dtfe.SampleGrid and
-// multistream fields). zIndex selects the grid layer; values are mapped
+// grid (row-major (z*m+y)*m+x, as in density grids and multistream
+// fields). zIndex selects the grid layer; values are mapped
 // through the heat ramp between the slice's own min and max (log10 when
 // logScale and all values are positive).
 func RenderGridSlice(field []float64, m int, zIndex, pixels int, logScale bool) (*image.RGBA, error) {

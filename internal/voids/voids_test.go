@@ -36,19 +36,10 @@ func tessellate(t testing.TB, n int, L float64, seed int64, blocks int, minVol f
 			}
 		}
 	}
-	domain := geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L))
-	d, err := diy.Decompose(domain, blocks, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghost := 3.0
-	if m := d.GhostCapacity(); m < ghost {
-		ghost = m
-	}
 	cfg := core.Config{
-		Domain:    domain,
+		Domain:    geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
 		Periodic:  true,
-		GhostSize: ghost,
+		GhostSize: math.Min(3, L/2),
 		MinVolume: minVol,
 	}
 	out, err := core.Run(cfg, ps, blocks)

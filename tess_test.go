@@ -262,40 +262,36 @@ func TestAutoTessellateFacade(t *testing.T) {
 
 func TestEstimateAndMaxGhostFacade(t *testing.T) {
 	cfg := NewPeriodicConfig(8)
-	g, err := EstimateGhost(cfg, 512, 1, 0)
+	g, err := EstimateGhost(cfg, 512)
 	if err != nil || math.Abs(g-4) > 1e-9 {
 		t.Errorf("EstimateGhost = %v, %v", g, err)
 	}
-	m, err := MaxGhostFor(cfg, 8)
-	if err != nil || math.Abs(m-4) > 1e-9 {
-		t.Errorf("MaxGhostFor = %v, %v", m, err)
+	if m := MaxGhostFor(cfg); m != 4 {
+		t.Errorf("MaxGhostFor = %v, want 4", m)
 	}
 }
 
-// MaxGhostFor and AutoTessellate must agree on the widest ghost a
-// decomposition supports: the grid's smallest block side (L/4 at 64
-// blocks) and RCB's single-wrap bound (L/2) — MaxGhostFor used to answer
-// L/4 for both.
+// MaxGhostFor is one ceiling for both decompositions at any block count —
+// half the box, past the grid's block side (L/4 at 64 blocks) — and
+// AutoTessellate clamps to it with every cell complete.
 func TestMaxGhostForHonoursDecomposition(t *testing.T) {
 	const L = 8.0
 	ps := testParticles(5, 8, L)
-	for _, tc := range []struct {
-		kind DecompKind
-		want float64
-	}{{DecomposeRegular, L / 4}, {DecomposeRCB, L / 2}} {
-		cfg := NewPeriodicConfig(L, WithDecomposition(tc.kind))
-		m, err := MaxGhostFor(cfg, 64)
-		if err != nil || m != tc.want {
-			t.Errorf("decomposition %v: MaxGhostFor = %v, %v, want %v", tc.kind, m, err, tc.want)
+	for _, kind := range []DecompKind{DecomposeRegular, DecomposeRCB} {
+		cfg := NewPeriodicConfig(L, WithDecomposition(kind))
+		if m := MaxGhostFor(cfg); m != L/2 {
+			t.Errorf("decomposition %v: MaxGhostFor = %v, want %v", kind, m, L/2)
 		}
-		cfg.GhostSize = 100 // far past any ceiling: AutoTessellate clamps it
-		out, g, err := AutoTessellate(cfg, ps, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g != m || out.Counts.Incomplete != 0 {
-			t.Errorf("decomposition %v: AutoTessellate used ghost %v (%d incomplete), MaxGhostFor says %v",
-				tc.kind, g, out.Counts.Incomplete, m)
+		cfg.GhostSize = 100 // far past the ceiling: AutoTessellate clamps it
+		for _, blocks := range []int{1, 8, 64} {
+			out, g, err := AutoTessellate(cfg, ps, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != L/2 || out.Counts.Incomplete != 0 {
+				t.Errorf("decomposition %v, %d blocks: AutoTessellate used ghost %v (%d incomplete), want %v",
+					kind, blocks, g, out.Counts.Incomplete, L/2)
+			}
 		}
 	}
 }
