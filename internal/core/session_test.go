@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -317,20 +318,47 @@ func TestRejectedStepReleasesChunk(t *testing.T) {
 	}
 }
 
-// A cold pass sizes its cell pools, mesh arenas and index up front rather
-// than growing them by append: a 16^3 Run allocates about a third of what
-// the append-grown arenas did (22 MB against 71 MB), and the bound sits
-// between the two.
+// A cold pass sizes its fragment arenas, mesh arrays and index up front
+// rather than growing them by append, and holds no block's worth of cells:
+// a 16^3 Run allocates 12.5 MB, against 19.1 MB with a per-worker cell pool
+// under a serial mesh build and 71 MB with append-grown arenas; the bound
+// sits between the first two. A warm Step then allocates a fixed handful
+// of objects, whatever the site count: at 16^3 over 4 ranks of two
+// workers, 90 to 92 (94 to 111 with the cell pool), most of them the
+// workers' goroutines. A step now and then adds as many again, when the
+// chunks its workers claim grow an arena, so the bound is on the fewest
+// over three steps.
 func TestColdPassAllocatesArenasOnce(t *testing.T) {
-	ps := evolvingSnapshots(t, 16, 3)[2]
+	snaps := evolvingSnapshots(t, 16, 5)
 	cfg := Config{Domain: domainBox(16), Periodic: true, GhostSize: 4, Workers: 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Run(cfg, ps, 1); err != nil {
+	if _, err := Run(cfg, snaps[2], 1); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 40 {
-		t.Errorf("cold 4096-site Run allocated %.1f MB, want at most 40", mb)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 16 {
+		t.Errorf("cold 4096-site Run allocated %.1f MB, want at most 16", mb)
+	}
+
+	cfg.Workers = 2
+	s, err := OpenSession(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fewest := uint64(math.MaxUint64)
+	for i, ps := range snaps {
+		runtime.ReadMemStats(&before)
+		if _, err := s.Step(ps); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 2 {
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+	}
+	if fewest > 100 {
+		t.Errorf("warm steps allocated at least %d objects, want at most 100", fewest)
 	}
 }

@@ -121,7 +121,11 @@ type Config struct {
 // Names of the registered pipeline counters in Config.Recorder. The
 // kernel-* counters are the clipping sweep's candidate funnel
 // (voronoi.KernelCounts), summed over the rank's sites: divided by
-// CounterSites they say why a cell cost what it cost.
+// CounterSites they say why a cell cost what it cost. The mesh-* counters
+// are the weld's: the face-vertex references of the kept cells, and the
+// distinct vertices they welded to. Both are a function of the input
+// alone; the stitch's own table probes depend on how the sites were
+// chunked among workers, so they are not counted.
 const (
 	CounterGhosts         = "ghosts-recvd"
 	CounterCellsKept      = "cells-kept"
@@ -131,6 +135,8 @@ const (
 	CounterKernelSorted   = "kernel-sorted"
 	CounterKernelTested   = "kernel-tested"
 	CounterKernelCut      = "kernel-cut"
+	CounterMeshVertexRefs = "mesh-vertex-refs"
+	CounterMeshVerts      = "mesh-verts-welded"
 )
 
 // namedCount is one counter increment, by registry name.
@@ -151,10 +157,22 @@ func addCounts(rec *obs.Recorder, rank int, counts ...namedCount) {
 	}
 }
 
-// countBlock adds one rank's pipeline and kernel counters to rec.
+// countBlock adds one rank's pipeline, kernel and weld counters to rec.
 // OpenSession counts a zero BlockResult before any rank starts, so every
 // name is registered, in this order, before any rank counts.
 func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
+	if rec == nil {
+		return
+	}
+	var refs, verts int64
+	if m := res.Mesh; m != nil {
+		verts = int64(len(m.Verts))
+		for _, c := range m.Cells {
+			for _, f := range c.Faces {
+				refs += int64(len(f.Verts))
+			}
+		}
+	}
 	k := res.Kernel
 	addCounts(rec, rank,
 		namedCount{CounterGhosts, int64(res.Ghosts)},
@@ -165,6 +183,8 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 		namedCount{CounterKernelSorted, k.Sorted},
 		namedCount{CounterKernelTested, k.Tested},
 		namedCount{CounterKernelCut, k.Cut},
+		namedCount{CounterMeshVertexRefs, refs},
+		namedCount{CounterMeshVerts, verts},
 	)
 }
 
@@ -330,38 +350,34 @@ func writeBlock(rec *obs.Recorder, w *comm.World, rank int, mesh *meshio.BlockMe
 }
 
 // computeBuffers is the retained storage of the compute stage: per-worker
-// scratch spaces and cell pools, the per-site result and error slots, and
-// the mesh builder. A persistent session keeps one per rank so that at
-// steady state the whole compute phase allocates only what the builder's
-// arenas grow by; a fresh zero value gives the classic single-pass
-// behavior.
+// scratch spaces and welders, one mesh fragment per ParallelFor chunk, the
+// per-site error slots, and the mesh builder that stitches the fragments. A
+// persistent session keeps one per rank so that at steady state the whole
+// compute phase allocates only what the arenas grow by; a fresh zero value
+// gives the classic single-pass behavior.
 type computeBuffers struct {
 	scratches []*voronoi.Scratch
-	pools     []*voronoi.CellPool
-	cells     []*voronoi.Cell
+	welders   []meshio.Welder
+	frags     []meshio.Fragment
 	errs      []error
 	wcounts   []CellCounts
-	kept      []*voronoi.Cell
 	mb        meshio.MeshBuilder
 }
 
-// ensure readies the buffers for a pass of n sites over workers workers:
-// per-worker state is created on first use and pools are reset (recycling
-// every cell handed out last pass) and sized for an even share of the
-// sites, per-site slots are zeroed.
-func (cb *computeBuffers) ensure(workers, n int) {
+// ensure readies the buffers for a pass of n sites over workers workers in
+// chunks fragments: per-worker scratches and welders and the fragments are
+// created on first use (each fragment is begun by the welder that fills
+// it), per-site and per-worker slots are zeroed.
+func (cb *computeBuffers) ensure(workers, n, chunks int) {
 	for len(cb.scratches) < workers {
 		cb.scratches = append(cb.scratches, voronoi.NewScratch())
-		cb.pools = append(cb.pools, new(voronoi.CellPool))
+		cb.welders = append(cb.welders, meshio.Welder{})
 	}
-	for _, p := range cb.pools[:workers] {
-		p.Reset()
-		p.Reserve((n + workers - 1) / workers)
+	for len(cb.frags) < chunks {
+		cb.frags = append(cb.frags, meshio.Fragment{})
 	}
-	cb.cells = resizeZeroed(cb.cells, n)
 	cb.errs = resizeZeroed(cb.errs, n)
 	cb.wcounts = resizeZeroed(cb.wcounts, workers)
-	cb.kept = cb.kept[:0]
 }
 
 // resizeZeroed returns s resized to n elements, all zero, reusing the
@@ -380,16 +396,19 @@ func resizeZeroed[T any](s []T, n int) []T {
 
 // computeIndexedCells runs the per-site cell pipeline over a merged block
 // index. The per-site loop fans out over a pool of workers goroutines
-// claiming chunks of the site range from an atomic cursor; every worker
-// reuses its own voronoi.Scratch and detaches finished cells into its own
-// CellPool, so the steady state of a retained cb allocates next to
-// nothing. The result is independent of the worker count: cells land in
-// per-site slots and are collected in site order, counts are accumulated
-// per worker and summed, and each cell's arithmetic is untouched by the
-// fan-out.
+// claiming chunks of the site range from an atomic cursor. Every worker
+// finishes each cell into its own voronoi.Scratch and, if the cell is
+// kept, welds it at once through its own meshio.Welder into its chunk's
+// retained meshio.Fragment, so a rank never holds a block's cells, only
+// its mesh; one serial Stitch per rank then numbers the fragments'
+// vertices in chunk order, which is site order. The result is independent
+// of the worker count: the stitched mesh is byte-identical to one weld
+// over the kept cells in site order (see MeshBuilder.Stitch), counts are
+// accumulated per worker and summed, and each cell's arithmetic is
+// untouched by the fan-out.
 //
-// The returned BlockResult is a loan against cb: its mesh (and the cells
-// it was built from) are valid only until cb's next pass.
+// The returned BlockResult is a loan against cb: its mesh is valid only
+// until cb's next pass.
 func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, workers int, cb *computeBuffers) (*BlockResult, error) {
 	ix, initBox := bi.ix, bi.initBox
 
@@ -405,17 +424,19 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 
 	n := len(local)
 	workers = voronoi.PoolWorkers(workers, n)
-	cb.ensure(workers, n)
-	cells := cb.cells // per-site slot; nil = culled/deleted
+	chunk := voronoi.ChunkSize(n, workers)
+	chunks := (n + chunk - 1) / chunk
+	cb.ensure(workers, n, chunks)
 	errs := cb.errs
 	wcounts := cb.wcounts
 	voronoi.ParallelFor(n, workers, func(lo, hi, w int) {
 		s := cb.scratches[w]
-		pool := cb.pools[w]
+		wd := &cb.welders[w]
+		wd.Begin(&cb.frags[lo/chunk], bi.bounds, 0, hi-lo)
 		counts := &wcounts[w]
 		for i := lo; i < hi; i++ {
 			p := local[i]
-			cell, err := voronoi.ComputeCellPooled(ix, p.Pos, p.ID, initBox, s, pool)
+			cell, err := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, s)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: cell for particle %d: %w", p.ID, err)
 				continue
@@ -431,7 +452,10 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 				counts.CulledEarly++
 				continue
 			}
+			// The clipping-derived volume is the mesh's; the cull may
+			// decide on the hull's instead.
 			vol := cell.Volume()
+			cut := vol
 			if cfg.HullPass {
 				// The paper's step 3(d): run the convex hull of the cell's
 				// vertices to order faces and derive volume. The hull of a
@@ -439,19 +463,19 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 				// with the clipping-derived value (asserted by tests); it is
 				// kept as a faithful cost model and a live cross-check.
 				if h, err := qhull.Compute(cell.Verts); err == nil {
-					vol = h.Volume()
+					cut = h.Volume()
 				}
 			}
-			if cfg.MinVolume > 0 && vol < cfg.MinVolume {
+			if cfg.MinVolume > 0 && cut < cfg.MinVolume {
 				counts.CulledExact++
 				continue
 			}
-			if cfg.MaxVolume > 0 && vol > cfg.MaxVolume {
+			if cfg.MaxVolume > 0 && cut > cfg.MaxVolume {
 				counts.CulledExact++
 				continue
 			}
 			counts.Kept++
-			cells[i] = cell
+			wd.Add(cell, vol, cell.Area())
 		}
 	})
 	for _, err := range errs { // first error by site index, like the serial loop
@@ -466,16 +490,11 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 		counts.CulledExact += wc.CulledExact
 		counts.Kept += wc.Kept
 	}
-	for _, c := range cells {
-		if c != nil {
-			cb.kept = append(cb.kept, c)
-		}
-	}
 	var kernel voronoi.KernelCounts
 	for _, s := range cb.scratches[:workers] {
 		kernel.Add(s.TakeCounts())
 	}
-	mesh := cb.mb.Build(cb.kept, bi.bounds, 0)
+	mesh := cb.mb.Stitch(cb.frags[:chunks], bi.bounds)
 	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts, Kernel: kernel}, nil
 }
 

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/comm"
-	"repro/internal/diy"
 )
 
 // The compute phase must produce byte-identical meshes and identical
@@ -20,23 +17,12 @@ func TestRankComputeDeterministicAcrossWorkers(t *testing.T) {
 	cfg.MinVolume = 0.05 // exercise both cull stages
 	cfg.HullPass = true
 
-	d, err := diy.Decompose(cfg.Domain, 4, cfg.Periodic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := diy.PartitionParticles(d, ps)
-	ghosts := make([][]diy.Particle, d.NumBlocks())
-	w := comm.NewWorld(d.NumBlocks())
-	if err := w.Run(func(rank int) {
-		ghosts[rank] = diy.NewExchanger(d, rank, cfg.GhostSize).Exchange(w, d, rank, parts[rank])
-	}); err != nil {
-		t.Fatal(err)
-	}
+	d, parts, ghosts := exchangedBlocks(t, cfg, ps, 4)
 
 	for rank := 0; rank < d.NumBlocks(); rank++ {
 		var refBytes []byte
 		var refCounts CellCounts
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			res, _, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
 			if err != nil {
 				t.Fatalf("rank %d workers %d: %v", rank, workers, err)

@@ -132,7 +132,7 @@ func (t *weldTable) reserve(n int) {
 	}
 }
 
-// grow doubles the slot array and rehashes the current Build's entries.
+// grow doubles the slot array and rehashes the current stamp's entries.
 func (t *weldTable) grow() {
 	old := t.slots
 	t.slots = make([]weldSlot, max(1024, 2*len(old)))
@@ -143,99 +143,218 @@ func (t *weldTable) grow() {
 	}
 }
 
-// MeshBuilder assembles BlockMeshes with retained state: the weld table,
-// the mesh's per-cell arrays, and the face/index arenas are reused across
-// Build calls, so rebuilding a mesh of stable size allocates almost
-// nothing. The built mesh is a loan — it is valid only until the builder's
-// next Build. The zero MeshBuilder is ready to use; a builder is not safe
+// Arena elements a Fragment reserves per expected cell: the Poisson–Voronoi
+// means (15.5 faces of 5.2 vertices each, 27.1 vertices each shared by
+// four cells) with a little headroom. A fragment that outgrows them grows
+// by append and keeps the larger arrays for the next pass. Weld tables
+// are reserved at the floor instead (see Stitch).
+const (
+	reserveFacesPerCell = 16
+	reserveRefsPerCell  = 84
+	reserveVertsPerCell = 8
+)
+
+// Fragment is the welded mesh of a run of consecutive cells — one
+// ParallelFor chunk of a block's sites — built by a Welder as each cell is
+// finished, so a cell's own geometry can be dropped at once. Its vertices
+// are numbered locally, in order of first reference; MeshBuilder.Stitch
+// gives them their block-wide numbers. Its storage is retained across
+// passes.
+type Fragment struct {
+	tol float64
+
+	// verts are the local vertices, each at its first reference's
+	// coordinates. faces hold every cell's faces contiguously and loops
+	// every face's local vertex ids, carved as three-index subslices (a
+	// growth reallocation strands the old array without corrupting the
+	// faces that point into it).
+	verts []geom.Vec3
+	faces []FaceConn
+	loops []int32
+
+	// Per-cell records, in the order the cells were added.
+	cells    []CellConn
+	sites    []geom.Vec3
+	ids      []int64
+	volumes  []float64
+	areas    []float64
+	complete []bool
+}
+
+// Welder fills Fragments one at a time: it holds the weld table of the
+// fragment being filled, which is needed only until the fragment is full,
+// so a worker keeps one Welder for all the fragments it fills. A Welder is
+// not safe for concurrent use.
+type Welder struct {
+	f   *Fragment
+	tab weldTable
+
+	// welded maps the current cell's vertex index to its local id (-1
+	// until first referenced), so a vertex is quantized and looked up once
+	// per cell rather than once per face it sits on.
+	welded []int32
+}
+
+// Begin empties f, keeping its storage, for up to cells cells of a block
+// with the given extents, and makes it the fragment Add fills. weldTol is
+// as for MeshBuilder.Build; every fragment of one Stitch must be begun
+// with the same extents and weldTol.
+func (w *Welder) Begin(f *Fragment, extents geom.Box, weldTol float64, cells int) {
+	if weldTol <= 0 {
+		weldTol = 1e-7 * maxf(extents.Size().MaxAbs(), 1e-30)
+	}
+	w.f = f
+	w.tab.reset()
+	w.tab.reserve(cells * reserveRefsPerCell / 12) // the floor, as in Stitch
+	f.tol = weldTol
+	f.verts = withCap(f.verts, cells*reserveVertsPerCell)
+	f.faces = withCap(f.faces, cells*reserveFacesPerCell)
+	f.loops = withCap(f.loops, cells*reserveRefsPerCell)
+	f.cells = withCap(f.cells, cells)
+	f.sites = withCap(f.sites, cells)
+	f.ids = withCap(f.ids, cells)
+	f.volumes = withCap(f.volumes, cells)
+	f.areas = withCap(f.areas, cells)
+	f.complete = withCap(f.complete, cells)
+}
+
+// Add welds c into the current fragment with the given volume and area; c
+// can be dropped or overwritten as soon as Add returns.
+func (w *Welder) Add(c *voronoi.Cell, volume, area float64) {
+	f := w.f
+	w.welded = w.welded[:0]
+	for range c.Verts {
+		w.welded = append(w.welded, -1)
+	}
+	fbase := len(f.faces)
+	for _, face := range c.Faces {
+		vbase := len(f.loops)
+		for _, vi := range face.Loop {
+			// Resolved on first reference, in loop order, so the local
+			// vertices are ordered as if every reference probed the table.
+			li := w.welded[vi]
+			if li < 0 {
+				v := c.Verts[vi]
+				var added bool
+				if li, added = w.tab.lookupOrAdd(quantize(v, f.tol), int32(len(f.verts))); added {
+					f.verts = append(f.verts, v)
+				}
+				w.welded[vi] = li
+			}
+			f.loops = append(f.loops, li)
+		}
+		f.faces = append(f.faces, FaceConn{
+			Neighbor: face.Neighbor,
+			Verts:    f.loops[vbase:len(f.loops):len(f.loops)],
+		})
+	}
+	f.cells = append(f.cells, CellConn{Faces: f.faces[fbase:len(f.faces):len(f.faces)]})
+	f.sites = append(f.sites, c.Site)
+	f.ids = append(f.ids, c.SiteID)
+	f.volumes = append(f.volumes, volume)
+	f.areas = append(f.areas, area)
+	f.complete = append(f.complete, c.Complete)
+}
+
+// MeshBuilder assembles BlockMeshes with retained state: the mesh's vertex
+// pool and per-cell arrays, the block weld table, and the fragment Build
+// welds into, are reused across calls, so rebuilding a mesh of stable size
+// allocates almost nothing. The built mesh is a loan — it is valid only
+// until the builder's next Build or Stitch, or the stitched fragments'
+// next Begin. The zero MeshBuilder is ready to use; a builder is not safe
 // for concurrent use.
 type MeshBuilder struct {
-	m    BlockMesh
-	pool weldTable
+	m     BlockMesh
+	tab   weldTable
+	remap []int32 // a fragment's local vertex id -> index in m.Verts
 
-	// faceArena holds every cell's Faces contiguously, vertArena every
-	// face's Verts; CellConn and FaceConn slices are carved as three-index
-	// subslices, so a growth reallocation strands the old array without
-	// corrupting views already handed out.
-	faceArena []FaceConn
-	vertArena []int32
-
-	// welded maps the current cell's local vertex index to its index in
-	// m.Verts (-1 until first referenced), so a vertex is quantized and
-	// looked up once per cell rather than once per face it sits on.
-	welded []int32
+	// Build's own fragment and welder.
+	frag [1]Fragment
+	w    Welder
 }
 
 // Build assembles the data model from computed cells into the builder's
 // retained storage, welding vertices shared between adjacent cells. weldTol
 // is the absolute coordinate quantum used for welding; pass 0 for a default
-// of 1e-7 of the extents' largest side. The previous Build's mesh is
-// invalidated.
+// of 1e-7 of the extents' largest side. It is one Fragment over every cell
+// and a Stitch of it. The previous Build's mesh is invalidated.
 func (b *MeshBuilder) Build(cells []*voronoi.Cell, extents geom.Box, weldTol float64) *BlockMesh {
-	if weldTol <= 0 {
-		weldTol = 1e-7 * maxf(extents.Size().MaxAbs(), 1e-30)
-	}
-	// One counting pass sizes the arenas and per-cell arrays exactly, and
-	// the welded pool and its table by estimate. A vertex is shared by four
-	// cells, fewer where some of them lie outside the block: about three on
-	// the blocks measured, which sizes the pool. The table is reserved at
-	// four, the floor: its size doubles, and one doubling too many costs
-	// every probe of every Build a cache miss, where one too few costs a
-	// single rehash.
-	var nFaces, nRefs, nVerts int
+	b.w.Begin(&b.frag[0], extents, weldTol, len(cells))
 	for _, c := range cells {
-		nFaces += len(c.Faces)
-		nVerts += len(c.Verts)
-		for _, f := range c.Faces {
-			nRefs += len(f.Loop)
-		}
+		b.w.Add(c, c.Volume(), c.Area())
+	}
+	return b.Stitch(b.frag[:], extents)
+}
+
+// Stitch assembles the block mesh of frags, fragments of consecutive runs
+// of the block's cells given in cell order, into the builder's retained
+// storage. Each fragment's local vertices, in local order, get their index
+// in m.Verts by their weld key, a new key taking the next index and its
+// coordinates; the fragment's loops are rewritten to those indices in
+// place, and the mesh's faces are the fragments' own. The result is
+// byte-identical to one Build over all the cells in order, however they
+// were split: Build numbers a key at its first reference, that is its
+// first reference in the earliest fragment that holds it, and keys new in
+// one fragment keep their local order. Stitch consumes the fragments; they
+// must be begun afresh before the next.
+func (b *MeshBuilder) Stitch(frags []Fragment, extents geom.Box) *BlockMesh {
+	// The vertex pool is sized at Σ local vertices, an upper bound exact
+	// for one fragment. The block table is reserved by estimate: a cell's
+	// vertex sits on three of its faces and is shared by four cells, so a
+	// block has about one vertex per twelve references — the floor, since
+	// a table one doubling too large costs every probe of every later
+	// Stitch a cache miss, where one too small costs a single rehash.
+	var nVerts, nRefs, nCells int
+	for i := range frags {
+		nVerts += len(frags[i].verts)
+		nRefs += len(frags[i].loops)
+		nCells += len(frags[i].cells)
 	}
 	m := &b.m
 	m.Extents = extents
-	m.Verts = withCap(m.Verts, nVerts/3)
-	m.Particles = withCap(m.Particles, len(cells))
-	m.ParticleIDs = withCap(m.ParticleIDs, len(cells))
-	m.Volumes = withCap(m.Volumes, len(cells))
-	m.Areas = withCap(m.Areas, len(cells))
-	m.Complete = withCap(m.Complete, len(cells))
-	m.Cells = withCap(m.Cells, len(cells))
-	b.faceArena = withCap(b.faceArena, nFaces)
-	b.vertArena = withCap(b.vertArena, nRefs)
-	b.pool.reset()
-	b.pool.reserve(nVerts / 4)
-	for _, c := range cells {
-		b.welded = b.welded[:0]
-		for range c.Verts {
-			b.welded = append(b.welded, -1)
-		}
-		fbase := len(b.faceArena)
-		for _, f := range c.Faces {
-			vbase := len(b.vertArena)
-			for _, vi := range f.Loop {
-				// Resolved on first reference, in loop order, so m.Verts
-				// is ordered as if every reference probed the pool.
-				gi := b.welded[vi]
-				if gi < 0 {
-					v := c.Verts[vi]
-					var added bool
-					if gi, added = b.pool.lookupOrAdd(quantize(v, weldTol), int32(len(m.Verts))); added {
-						m.Verts = append(m.Verts, v)
-					}
-					b.welded[vi] = gi
+	m.Verts = withCap(m.Verts, nVerts)
+	m.Particles = withCap(m.Particles, nCells)
+	m.ParticleIDs = withCap(m.ParticleIDs, nCells)
+	m.Volumes = withCap(m.Volumes, nCells)
+	m.Areas = withCap(m.Areas, nCells)
+	m.Complete = withCap(m.Complete, nCells)
+	m.Cells = withCap(m.Cells, nCells)
+	if len(frags) == 1 {
+		// One fragment's local ids are its block ids.
+		m.Verts = append(m.Verts, frags[0].verts...)
+	} else {
+		b.tab.reset()
+		b.tab.reserve(nRefs / 12)
+	}
+	for i := range frags {
+		f := &frags[i]
+		if len(frags) > 1 {
+			b.remap = b.remap[:0]
+			for _, v := range f.verts {
+				gi, added := b.tab.lookupOrAdd(quantize(v, f.tol), int32(len(m.Verts)))
+				if added {
+					m.Verts = append(m.Verts, v)
 				}
-				b.vertArena = append(b.vertArena, gi)
+				b.remap = append(b.remap, gi)
 			}
-			b.faceArena = append(b.faceArena, FaceConn{
-				Neighbor: f.Neighbor,
-				Verts:    b.vertArena[vbase:len(b.vertArena):len(b.vertArena)],
-			})
+			// The first fragment's keys are all new, so its ids stand.
+			// The others are rewritten through the faces, not f.loops: a
+			// face carved before a growth of the arena points into the
+			// stranded array.
+			if i > 0 {
+				for _, face := range f.faces {
+					for j, li := range face.Verts {
+						face.Verts[j] = b.remap[li]
+					}
+				}
+			}
 		}
-		m.Cells = append(m.Cells, CellConn{Faces: b.faceArena[fbase:len(b.faceArena):len(b.faceArena)]})
-		m.Particles = append(m.Particles, c.Site)
-		m.ParticleIDs = append(m.ParticleIDs, c.SiteID)
-		m.Volumes = append(m.Volumes, c.Volume())
-		m.Areas = append(m.Areas, c.Area())
-		m.Complete = append(m.Complete, c.Complete)
+		m.Cells = append(m.Cells, f.cells...)
+		m.Particles = append(m.Particles, f.sites...)
+		m.ParticleIDs = append(m.ParticleIDs, f.ids...)
+		m.Volumes = append(m.Volumes, f.volumes...)
+		m.Areas = append(m.Areas, f.areas...)
+		m.Complete = append(m.Complete, f.complete...)
 	}
 	return m
 }

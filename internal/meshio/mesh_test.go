@@ -149,6 +149,44 @@ func TestBuildWeldsLikePerReferenceProbe(t *testing.T) {
 	}
 }
 
+// Stitching fragments of any split of the cells must give Build's bytes,
+// at both tolerances above, with fragments begun far too small for their
+// cells (so faces are carved from arenas that later growth strands) and
+// through retained fragments, welders and builder.
+func TestStitchMatchesBuild(t *testing.T) {
+	cells := buildTestCells(t, 4, 4, 72)
+	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
+	rng := rand.New(rand.NewSource(73))
+	var b MeshBuilder
+	var w [2]Welder
+	frags := make([]Fragment, len(cells))
+	for _, tol := range []float64{4e-7, 0.3} {
+		want, err := new(MeshBuilder).Build(cells, ext, tol).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 8; trial++ {
+			n := 0
+			for lo := 0; lo < len(cells); n++ {
+				hi := min(len(cells), lo+1+rng.Intn(len(cells)/2))
+				wd := &w[n%2]
+				wd.Begin(&frags[n], ext, tol, 1)
+				for _, c := range cells[lo:hi] {
+					wd.Add(c, c.Volume(), c.Area())
+				}
+				lo = hi
+			}
+			got, err := b.Stitch(frags[:n], ext).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("tol %g trial %d: %d fragments stitch to other bytes than Build", tol, trial, n)
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 70)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))

@@ -122,7 +122,7 @@ type rankState struct {
 }
 
 // MaxCounters bounds the registry size; RegisterCounter panics beyond it.
-const MaxCounters = 16
+const MaxCounters = 24
 
 // Recorder collects spans and counters for a fixed number of ranks.
 // The zero value is not usable; a nil *Recorder is the disabled layer.

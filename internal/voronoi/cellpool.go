@@ -9,10 +9,13 @@ const cellPoolChunk = 256
 
 // CellPool is a retention arena for finished cells: ComputeCellPooled
 // detaches each cell it builds into the pool instead of into fresh
-// heap slices, and Reset reclaims every cell's storage at once. A
-// persistent session keeps one pool per compute worker and resets it at
-// the start of each step, so the steady-state cost of a cell drops from
-// four allocations (struct, vertices, faces, loop arena) to zero.
+// heap slices, and Reset reclaims every cell's storage at once, so with a
+// retained pool the steady-state cost of a cell drops from four
+// allocations (struct, vertices, faces, loop arena) to zero. It serves
+// the bench's layer replay (which times meshio.MeshBuilder.Build over a
+// block's cells held together) and the tests; the session does not hold a
+// block's cells at once — its workers weld each cell as it is finished
+// (ComputeCellReused, meshio.Fragment).
 //
 // Cells handed out by a pool are valid until the pool's next Reset; they
 // must not be retained past it (the session's output loan rule). The pool
@@ -46,25 +49,6 @@ func (p *CellPool) Reset() {
 	p.verts = p.verts[:0]
 	p.faces = p.faces[:0]
 	p.loops = p.loops[:0]
-}
-
-// Arena elements reserved per expected cell: the Poisson–Voronoi means
-// (27.1 vertices, 15.5 faces of 5.2 vertices each) with a little headroom.
-const (
-	reserveVertsPerCell = 28
-	reserveFacesPerCell = 16
-	reserveLoopsPerCell = 84
-)
-
-// Reserve sizes the arenas of an empty pool (a new one, or one just Reset)
-// for cells cells of typical shape, so a cold pass fills them without
-// append's repeated grow-and-copy, which allocates several times the final
-// size and strands it. It does nothing once the capacity is there; a pass
-// that outruns the estimate still grows by append.
-func (p *CellPool) Reserve(cells int) {
-	p.verts = withCap(p.verts, cells*reserveVertsPerCell)
-	p.faces = withCap(p.faces, cells*reserveFacesPerCell)
-	p.loops = withCap(p.loops, cells*reserveLoopsPerCell)
 }
 
 // withCap returns s emptied, with room for n elements. A first allocation is

@@ -7,11 +7,11 @@ import (
 	"repro/internal/nbody"
 )
 
-// A fresh pool reserved the way core's computeBuffers.ensure reserves it
-// (Reset, then Reserve with the pass's share of the sites) allocates each
-// arena at most twice over a 4 096-site N-body pass — the reservation and at
-// most one growth past it, where append from nil made some twenty each —
-// and a second pass over the same sites allocates nothing at all.
+// A fresh pool reserved for a pass (Reset, then Reserve with the pass's
+// site count) allocates each arena at most twice over a 4 096-site N-body
+// pass — the reservation and at most one growth past it, where append from
+// nil made some twenty each — and a second pass over the same sites
+// allocates nothing at all.
 func TestCellPoolReserveSizesArenasOnce(t *testing.T) {
 	sim, err := nbody.New(nbody.DefaultConfig(16))
 	if err != nil {
@@ -74,4 +74,23 @@ func TestCellPoolReserveCreepingSize(t *testing.T) {
 	if cap(pool.verts) != grown {
 		t.Errorf("arena reallocated again within 10%% of a regrowth (capacity %d, then %d)", grown, cap(pool.verts))
 	}
+}
+
+// Arena elements reserved per expected cell: the Poisson–Voronoi means
+// (27.1 vertices, 15.5 faces of 5.2 vertices each) with a little headroom.
+const (
+	reserveVertsPerCell = 28
+	reserveFacesPerCell = 16
+	reserveLoopsPerCell = 84
+)
+
+// Reserve, a helper of the tests above, sizes the arenas of an empty pool (a new one, or one just Reset)
+// for cells cells of typical shape, so a cold pass fills them without
+// append's repeated grow-and-copy, which allocates several times the final
+// size and strands it. It does nothing once the capacity is there; a pass
+// that outruns the estimate still grows by append.
+func (p *CellPool) Reserve(cells int) {
+	p.verts = withCap(p.verts, cells*reserveVertsPerCell)
+	p.faces = withCap(p.faces, cells*reserveFacesPerCell)
+	p.loops = withCap(p.loops, cells*reserveLoopsPerCell)
 }

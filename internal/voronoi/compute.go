@@ -39,7 +39,9 @@ func ComputeCellScratch(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s
 // per batch) the steady-state construction of a cell allocates nothing at
 // all. The returned cell is bit-identical to the ComputeCellScratch result
 // for the same inputs and stays valid until pool.Reset; a nil pool falls
-// back to ComputeCellScratch.
+// back to ComputeCellScratch. It serves the bench's layer replay and the
+// tests, which keep a block's cells alive together; the session consumes
+// each cell as it is finished, through ComputeCellReused.
 func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch, pool *CellPool) (*Cell, error) {
 	if pool == nil {
 		return ComputeCellScratch(ix, site, id, initBox, s)
@@ -53,6 +55,22 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 	}
 	err := clipCellShells(cell, ix, initBox, s)
 	pool.finish(&s.sw, cell)
+	return cell, err
+}
+
+// ComputeCellReused is ComputeCellScratch with the finished cell written
+// into s's own single-cell storage (the multithreaded Voro++ design: one
+// reusable cell per thread, consumed as soon as it is finished). The cell
+// is bit-identical to the ComputeCellScratch result for the same inputs
+// and valid only until the next cell computed through s; a warm s builds
+// it with no allocation at all. s must not be nil.
+func ComputeCellReused(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch) (*Cell, error) {
+	cell := &s.cell
+	if err := s.sw.begin(cell, site, id, initBox); err != nil {
+		return nil, err
+	}
+	err := clipCellShells(cell, ix, initBox, s)
+	s.verts, s.faces, s.loops = s.sw.finish(cell, s.verts[:0], s.faces[:0], s.loops[:0])
 	return cell, err
 }
 

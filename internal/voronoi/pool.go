@@ -21,23 +21,12 @@ func ParallelFor(n, workers int, fn func(lo, hi, worker int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = PoolWorkers(workers, n)
 	if workers == 1 {
 		fn(0, n, 0)
 		return
 	}
-	// ~8 chunks per worker: coarse enough that cursor contention is
-	// negligible, fine enough that one expensive chunk cannot leave the
-	// pool idle for long.
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := ChunkSize(n, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -75,4 +64,18 @@ func PoolWorkers(requested, n int) int {
 		requested = 1
 	}
 	return requested
+}
+
+// ChunkSize is the length of the ranges ParallelFor(n, workers, fn) hands
+// fn: every range but the last is this long, so lo/ChunkSize numbers the
+// ranges in index order from 0 to ceil(n/ChunkSize)-1. With one worker the
+// whole range is one chunk; otherwise there are ~8 chunks per worker,
+// coarse enough that cursor contention is negligible, fine enough that one
+// expensive chunk cannot leave the pool idle for long.
+func ChunkSize(n, workers int) int {
+	workers = PoolWorkers(workers, n)
+	if workers == 1 {
+		return max(n, 1)
+	}
+	return max(n/(workers*8), 1)
 }

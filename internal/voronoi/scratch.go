@@ -1,5 +1,7 @@
 package voronoi
 
+import "repro/internal/geom"
+
 // Scratch owns the reusable working storage for allocation-free cell
 // construction. The clipping kernel allocates nothing once a Scratch's
 // buffers have grown to the working-set size, which is what makes
@@ -9,12 +11,20 @@ package voronoi
 // A Scratch is NOT safe for concurrent use; give each worker goroutine its
 // own. The cell under construction lives in the scratch's sweep and is
 // copied out once, when it is finished, so returned cells never alias the
-// Scratch.
+// sweep: ComputeCellScratch and ComputeCellPooled cells own their storage
+// or the pool's, and ComputeCellReused's cell lives in the single-cell
+// storage below until the next cell through the Scratch.
 type Scratch struct {
 	sw sweep
 
 	// Reusable buffer for the clipping sweep's candidate stream.
 	cands []candidate
+
+	// The single-cell storage ComputeCellReused finishes into.
+	cell  Cell
+	verts []geom.Vec3
+	faces []Face
+	loops []int
 
 	counts KernelCounts
 }

@@ -93,10 +93,16 @@ func TestParallelFor(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 8, 2000} {
 			hits := make([]int32, n)
 			var calls atomic.Int32
+			chunk := ChunkSize(n, workers)
 			ParallelFor(n, workers, func(lo, hi, w int) {
 				calls.Add(1)
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("n=%d workers=%d: bad range [%d,%d)", n, workers, lo, hi)
+				}
+				// Ranges are numbered lo/ChunkSize: all but the last are
+				// exactly one chunk long.
+				if lo%chunk != 0 || (hi-lo != chunk && hi != n) {
+					t.Errorf("n=%d workers=%d: range [%d,%d) is not chunk %d of %d", n, workers, lo, hi, lo/chunk, chunk)
 				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
