@@ -97,7 +97,9 @@ func TestFormatGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("block %d v2 decode: %v", r, err)
 		}
-		if !reflect.DeepEqual(d2.Particles, m.Particles) || !reflect.DeepEqual(d2.Cells, m.Cells) {
+		if !reflect.DeepEqual(d2.Particles, m.Particles) || !reflect.DeepEqual(d2.FaceEnds, m.FaceEnds) ||
+			!reflect.DeepEqual(d2.Neighbors, m.Neighbors) || !reflect.DeepEqual(d2.LoopEnds, m.LoopEnds) ||
+			!reflect.DeepEqual(d2.LoopVerts, m.LoopVerts) {
 			t.Errorf("block %d: v2 round trip lost sites or connectivity", r)
 		}
 		cells += m.NumCells()

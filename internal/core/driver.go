@@ -92,12 +92,13 @@ func (o *Output) Summaries() []CellSummary {
 			continue
 		}
 		for i := range m.Particles {
+			lo, hi := m.Faces(i)
 			out = append(out, CellSummary{
 				ID:       m.ParticleIDs[i],
 				Site:     m.Particles[i],
 				Volume:   m.Volumes[i],
 				Area:     m.Areas[i],
-				Faces:    len(m.Cells[i].Faces),
+				Faces:    hi - lo,
 				Complete: m.Complete[i],
 			})
 		}

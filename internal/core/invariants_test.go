@@ -199,10 +199,7 @@ func TestKernelCountersFunnel(t *testing.T) {
 		c := out.Obs.Counters
 		for rank := 0; rank < blocks; rank++ {
 			sites := c[CounterSites][rank]
-			var faces int64
-			for _, cell := range out.Meshes[rank].Cells {
-				faces += int64(len(cell.Faces))
-			}
+			faces := int64(len(out.Meshes[rank].Neighbors))
 			if c[CounterKernelShells][rank] < sites || c[CounterKernelCut][rank] < faces || faces == 0 {
 				t.Errorf("workers %d rank %d: %d shells for %d sites, %d cuts for %d faces",
 					workers, rank, c[CounterKernelShells][rank], sites, c[CounterKernelCut][rank], faces)

@@ -166,12 +166,7 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 	}
 	var refs, verts int64
 	if m := res.Mesh; m != nil {
-		verts = int64(len(m.Verts))
-		for _, c := range m.Cells {
-			for _, f := range c.Faces {
-				refs += int64(len(f.Verts))
-			}
-		}
+		verts, refs = int64(len(m.Verts)), int64(len(m.LoopVerts))
 	}
 	k := res.Kernel
 	addCounts(rec, rank,

@@ -92,9 +92,6 @@ func encodeV2Body(m *BlockMesh) ([]byte, error) {
 	if err := checkEncodable(m); err != nil {
 		return nil, err
 	}
-	if err := checkArrays(m); err != nil {
-		return nil, err
-	}
 	n := m.NumCells()
 	w := wire.NewWriter(64 + 12*len(m.Verts) + 64*n)
 	putVec(w, m.Extents.Min)
@@ -124,20 +121,14 @@ func encodeV2Body(m *BlockMesh) ([]byte, error) {
 		}
 	}
 	w.Uvarint(uint64(n))
-	for _, p := range m.Particles {
-		putVec(w, p)
-	}
+	writeAll(w, m.Particles, putVec)
 	var prevID int64
 	for _, id := range m.ParticleIDs {
 		w.Svarint(id - prevID)
 		prevID = id
 	}
-	for _, v := range m.Volumes {
-		w.F64(v)
-	}
-	for _, a := range m.Areas {
-		w.F64(a)
-	}
+	writeAll(w, m.Volumes, (*wire.Writer).F64)
+	writeAll(w, m.Areas, (*wire.Writer).F64)
 	bits := make([]byte, (n+7)/8)
 	for i, c := range m.Complete {
 		if c {
@@ -145,18 +136,7 @@ func encodeV2Body(m *BlockMesh) ([]byte, error) {
 		}
 	}
 	w.Raw(bits)
-	for _, c := range m.Cells {
-		w.Uvarint(uint64(len(c.Faces)))
-		for _, f := range c.Faces {
-			w.Svarint(f.Neighbor)
-			w.Uvarint(uint64(len(f.Verts)))
-			var prev int64
-			for _, vi := range f.Verts {
-				w.Svarint(int64(vi) - prev)
-				prev = int64(vi)
-			}
-		}
-	}
+	m.writeRows(w, rowsV2)
 	return w.Bytes(), nil
 }
 
@@ -185,67 +165,38 @@ func decodeV2Body(r *wire.Reader) *BlockMesh {
 				r.Fail("malformed quantization grid (origin %g, exp %d)", grids[a].origin, e)
 			}
 		}
-		m.Verts = make([]geom.Vec3, nv)
-		for i := range m.Verts {
-			m.Verts[i] = geom.Vec3{
-				X: grids[0].dequantize(r.U32()),
-				Y: grids[1].dequantize(r.U32()),
-				Z: grids[2].dequantize(r.U32()),
-			}
-		}
+		m.Verts = readAll(r, nv, func(r *wire.Reader) geom.Vec3 {
+			return geom.Vec3{X: grids[0].dequantize(r.U32()), Y: grids[1].dequantize(r.U32()), Z: grids[2].dequantize(r.U32())}
+		})
 	}
 	ncRaw := r.Uvarint()
 	if ncRaw > formatCountMax {
 		r.Fail("implausible cell count %d", ncRaw)
 	}
 	nc := r.Count("cell", ncRaw, 42)
-	m.Particles = make([]geom.Vec3, nc)
-	for i := range m.Particles {
-		m.Particles[i] = getVec(r)
-	}
-	m.ParticleIDs = make([]int64, nc)
+	m.Particles = readAll(r, nc, getVec)
 	var prevID int64
-	for i := range m.ParticleIDs {
-		prevID += r.Svarint()
-		m.ParticleIDs[i] = prevID
-	}
-	m.Volumes = make([]float64, nc)
-	for i := range m.Volumes {
-		m.Volumes[i] = r.F64()
-	}
-	m.Areas = make([]float64, nc)
-	for i := range m.Areas {
-		m.Areas[i] = r.F64()
-	}
+	m.ParticleIDs = readAll(r, nc, func(r *wire.Reader) int64 { prevID += r.Svarint(); return prevID })
+	m.Volumes = readAll(r, nc, (*wire.Reader).F64)
+	m.Areas = readAll(r, nc, (*wire.Reader).F64)
 	m.Complete = make([]bool, nc)
 	if bits := r.Take((nc + 7) / 8); bits != nil {
 		for i := range m.Complete {
 			m.Complete[i] = bits[i/8]&(1<<(i%8)) != 0
 		}
 	}
-	m.Cells = make([]CellConn, nc)
-	for i := range m.Cells {
-		faces := make([]FaceConn, r.Count("face", r.Uvarint(), 2))
-		for fi := range faces {
-			faces[fi].Neighbor = r.Svarint()
-			nfv := r.Uvarint()
-			if nfv > uint64(nv) {
-				r.Fail("face with %d vertices exceeds pool %d", nfv, nv)
-			}
-			vs := make([]int32, r.Count("face vertex", nfv, 1))
-			var prev int64
-			for vi := range vs {
-				prev += r.Svarint()
-				if prev < 0 || prev >= int64(nv) {
-					r.Fail("vertex index %d out of range", prev)
-				}
-				vs[vi] = int32(prev)
-			}
-			faces[fi].Verts = vs
-		}
-		m.Cells[i].Faces = faces
-	}
+	m.readRows(r, rowsV2, nc, nv)
 	return m
+}
+
+var rowsV2 = rowCodec{
+	faceMin: 2, indexMin: 1,
+	putCount:    (*wire.Writer).Uvarint,
+	putNeighbor: (*wire.Writer).Svarint,
+	putIndex:    func(w *wire.Writer, vi, prev int64) { w.Svarint(vi - prev) },
+	count:       (*wire.Reader).Uvarint,
+	neighbor:    (*wire.Reader).Svarint,
+	index:       func(r *wire.Reader, prev int64) int64 { return prev + r.Svarint() },
 }
 
 // EncodeV2 serializes m as a complete v2 container — the compact

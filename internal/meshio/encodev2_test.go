@@ -58,8 +58,9 @@ func TestEncodeV2GoldenRoundTrip(t *testing.T) {
 		if dec.Complete[i] != m.Complete[i] {
 			t.Fatalf("cell %d completeness flipped", i)
 		}
-		if len(dec.Cells[i].Faces) != len(m.Cells[i].Faces) {
-			t.Fatalf("cell %d face count %d != %d", i, len(dec.Cells[i].Faces), len(m.Cells[i].Faces))
+		dlo, dhi := dec.Faces(i)
+		if lo, hi := m.Faces(i); dhi-dlo != hi-lo {
+			t.Fatalf("cell %d face count %d != %d", i, dhi-dlo, hi-lo)
 		}
 	}
 	// Quantization error is bounded by one grid step per axis.

@@ -38,16 +38,12 @@ func FuzzDecodeBlockMesh(f *testing.F) {
 		if err == nil {
 			// Decoded meshes must be internally consistent.
 			n := m.NumCells()
-			if len(m.ParticleIDs) != n || len(m.Volumes) != n || len(m.Cells) != n {
+			if len(m.ParticleIDs) != n || len(m.Volumes) != n || checkArrays(m) != nil {
 				t.Fatal("inconsistent decode accepted")
 			}
-			for _, c := range m.Cells {
-				for _, fc := range c.Faces {
-					for _, vi := range fc.Verts {
-						if int(vi) >= len(m.Verts) || vi < 0 {
-							t.Fatal("out-of-range vertex index accepted")
-						}
-					}
+			for _, vi := range m.LoopVerts {
+				if int(vi) >= len(m.Verts) || vi < 0 {
+					t.Fatal("out-of-range vertex index accepted")
 				}
 			}
 		}
@@ -99,7 +95,7 @@ func TestDecodeRandomMutations(t *testing.T) {
 			// Must not panic; errors are fine, and occasional successful
 			// decodes (mutation in float payload) must stay consistent.
 			if m2, err := DecodeBlockMesh(data); err == nil {
-				if m2.NumCells() != len(m2.Cells) {
+				if checkArrays(m2) != nil {
 					t.Fatal("inconsistent lucky decode")
 				}
 			}

@@ -40,14 +40,10 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			return nil, err
 		}
 		nCells += m.NumCells()
+		nFaces += len(m.Neighbors)
+		nRefs += len(m.LoopVerts)
 		sumVerts += len(m.Verts)
 		maxVerts = max(maxVerts, len(m.Verts))
-		for _, c := range m.Cells {
-			nFaces += len(c.Faces)
-			for _, f := range c.Faces {
-				nRefs += len(f.Verts)
-			}
-		}
 	}
 
 	cells, err := sortedCells(meshes, nCells)
@@ -62,19 +58,9 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		return meshes[cells[k].mesh].Particles[cells[k].idx], true
 	}
 
-	faceArena := make([]FaceConn, 0, nFaces)
-	vertArena := make([]int32, 0, nRefs)
-	out := &BlockMesh{
-		Extents:     domain,
-		Verts:       make([]geom.Vec3, 0, sumVerts),
-		Particles:   make([]geom.Vec3, nCells),
-		ParticleIDs: make([]int64, nCells),
-		Volumes:     make([]float64, nCells),
-		Areas:       make([]float64, nCells),
-		Complete:    make([]bool, nCells),
-		Cells:       make([]CellConn, nCells),
-	}
-	weldTol := 1e-9 * maxf(domain.Size().MaxAbs(), 1e-30)
+	out := &BlockMesh{Extents: domain}
+	out.reset(sumVerts, nCells, nFaces, nRefs)
+	weldTol := 1e-9 * max(domain.Size().MaxAbs(), 1e-30)
 	var pool weldTable
 	pool.reset()
 	pool.reserve(sumVerts)
@@ -92,24 +78,25 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 	for ci, cc := range cells {
 		m := meshes[cc.mesh]
 		site := m.Particles[cc.idx]
-		src := m.Cells[cc.idx]
-		nf := len(src.Faces)
-		if nf < 4 {
+		flo, fhi := m.Faces(int(cc.idx))
+		if nf := fhi - flo; nf < 4 {
 			return nil, fmt.Errorf("meshio: cell %d has %d faces", cc.id, nf)
 		}
 		// Canonical plane per face, from the nearest periodic image of the
-		// neighbor site; faces ordered by (neighbor ID, plane offset).
+		// neighbor site; faces ordered by (neighbor ID, plane offset). fi
+		// counts the cell's faces, and face flo+fi is m's.
 		planes, order = planes[:0], order[:0]
-		for fi, f := range src.Faces {
-			if f.Neighbor < 0 {
-				return nil, fmt.Errorf("meshio: cell %d has wall face %d; canonical merge requires a complete tessellation", cc.id, f.Neighbor)
+		for fi := range fhi - flo {
+			nb := m.Neighbors[flo+fi]
+			if nb < 0 {
+				return nil, fmt.Errorf("meshio: cell %d has wall face %d; canonical merge requires a complete tessellation", cc.id, nb)
 			}
-			if len(f.Verts) < 3 {
-				return nil, fmt.Errorf("meshio: cell %d face %d has %d vertices", cc.id, fi, len(f.Verts))
+			if n := len(m.Loop(flo + fi)); n < 3 {
+				return nil, fmt.Errorf("meshio: cell %d face %d has %d vertices", cc.id, fi, n)
 			}
-			ns, ok := siteOf(f.Neighbor)
+			ns, ok := siteOf(nb)
 			if !ok {
-				return nil, fmt.Errorf("meshio: neighbor %d of cell %d is not among the merged cells", f.Neighbor, cc.id)
+				return nil, fmt.Errorf("meshio: neighbor %d of cell %d is not among the merged cells", nb, cc.id)
 			}
 			if periodic {
 				ns = nearestImage(ns, site, domain)
@@ -121,8 +108,8 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			order = append(order, fi)
 			for ; k > 0; k-- {
 				prev := order[k-1]
-				pn := src.Faces[prev].Neighbor
-				if pn < f.Neighbor || (pn == f.Neighbor && !(planes[fi].D < planes[prev].D)) {
+				pn := m.Neighbors[flo+prev]
+				if pn < nb || (pn == nb && !(planes[fi].D < planes[prev].D)) {
 					break
 				}
 				order[k] = prev
@@ -137,7 +124,7 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		// the cell's serial, so nothing is cleared between cells.
 		serial := int32(ci + 1)
 		for _, fi := range order {
-			for _, vi := range src.Faces[fi].Verts {
+			for _, vi := range m.Loop(flo + fi) {
 				if vi < 0 || int(vi) >= len(m.Verts) {
 					return nil, fmt.Errorf("meshio: cell %d references vertex %d of %d", cc.id, vi, len(m.Verts))
 				}
@@ -174,12 +161,10 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			return v.pos, nil
 		}
 
-		fbase := len(faceArena)
 		var vol, area float64
 		for _, fi := range order {
-			f := src.Faces[fi]
 			coords = coords[:0]
-			for _, vi := range f.Verts {
+			for _, vi := range m.Loop(flo + fi) {
 				v, err := canonVert(vi)
 				if err != nil {
 					return nil, err
@@ -194,18 +179,18 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 				reverseVecs(coords)
 			}
 			rot = rotateToMin(coords, rot)
-			vbase := len(vertArena)
+			vbase := len(out.LoopVerts)
 			for _, v := range coords {
 				gi, added := pool.lookupOrAdd(quantize(v, weldTol), int32(len(out.Verts)))
 				if added {
 					out.Verts = append(out.Verts, v)
 				}
-				vertArena = append(vertArena, gi)
+				out.LoopVerts = append(out.LoopVerts, gi)
 			}
-			loop := vertArena[vbase:len(vertArena):len(vertArena)]
-			faceArena = append(faceArena, FaceConn{Neighbor: f.Neighbor, Verts: loop})
+			out.endFace(m.Neighbors[flo+fi])
 			// Recompute geometry from the pooled vertices so the stored
 			// scalars are exactly consistent with the stored mesh.
+			loop := out.LoopVerts[vbase:]
 			a := out.Verts[loop[0]]
 			for k := 1; k+1 < len(loop); k++ {
 				b, c := out.Verts[loop[k]], out.Verts[loop[k+1]]
@@ -214,12 +199,7 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 				vol += a.Sub(site).Dot(b.Sub(site).Cross(c.Sub(site))) / 6
 			}
 		}
-		out.Cells[ci] = CellConn{Faces: faceArena[fbase:len(faceArena):len(faceArena)]}
-		out.Particles[ci] = site
-		out.ParticleIDs[ci] = cc.id
-		out.Volumes[ci] = vol
-		out.Areas[ci] = area
-		out.Complete[ci] = m.Complete[cc.idx]
+		out.endCell(site, cc.id, vol, area, m.Complete[cc.idx])
 	}
 	return out, nil
 }

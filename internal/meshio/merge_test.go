@@ -138,15 +138,30 @@ func TestMergeCanonicalRejectsWallFaces(t *testing.T) {
 	}
 }
 
-// A hand-built mesh whose per-cell arrays disagree is an error, as it is
-// for Encode, not an index-out-of-range panic.
+// A hand-built mesh whose per-cell arrays disagree, or whose connectivity
+// rows do not partition the arrays they index, is an error for the merge
+// and both encoders, not an index-out-of-range panic.
 func TestMergeCanonicalRejectsInconsistentArrays(t *testing.T) {
 	meshes, domain := mergeFixture(t, 2)
-	bad := meshes[1].Clone()
-	bad.Complete = bad.Complete[:len(bad.Complete)-1]
-	_, err := meshio.MergeCanonical([]*meshio.BlockMesh{meshes[0], bad}, domain, true)
-	if err == nil || !strings.Contains(err.Error(), "inconsistent block arrays") {
-		t.Errorf("short Complete: got %v, want the inconsistent-arrays error", err)
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *meshio.BlockMesh)
+	}{
+		{"short Complete", func(m *meshio.BlockMesh) { m.Complete = m.Complete[:len(m.Complete)-1] }},
+		{"rows of different lengths", func(m *meshio.BlockMesh) { m.LoopEnds = m.LoopEnds[:len(m.LoopEnds)-1] }},
+		{"decreasing ends", func(m *meshio.BlockMesh) { m.FaceEnds[2], m.FaceEnds[3] = m.FaceEnds[3], m.FaceEnds[2] }},
+		{"last end short of its array", func(m *meshio.BlockMesh) { m.LoopVerts = append(m.LoopVerts, 0) }},
+	} {
+		bad := meshes[1].Clone()
+		tc.mutate(bad)
+		_, mergeErr := meshio.MergeCanonical([]*meshio.BlockMesh{meshes[0], bad}, domain, true)
+		_, v1Err := bad.Encode()
+		_, v2Err := meshio.EncodeV2(bad)
+		for _, err := range []error{mergeErr, v1Err, v2Err} {
+			if err == nil || !strings.Contains(err.Error(), "inconsistent block arrays") {
+				t.Errorf("%s: got %v, want the inconsistent-arrays error", tc.name, err)
+			}
+		}
 	}
 }
 
@@ -156,7 +171,8 @@ func TestMergeCanonicalRejectsVertexIndexOutOfRange(t *testing.T) {
 	meshes, domain := mergeFixture(t, 2)
 	for _, vi := range []int32{-1, int32(len(meshes[1].Verts))} {
 		bad := meshes[1].Clone()
-		bad.Cells[3].Faces[0].Verts[1] = vi
+		lo, _ := bad.Faces(3)
+		bad.Loop(lo)[1] = vi
 		_, err := meshio.MergeCanonical([]*meshio.BlockMesh{meshes[0], bad}, domain, true)
 		want := fmt.Sprintf("cell %d references vertex %d", bad.ParticleIDs[3], vi)
 		if err == nil || !strings.Contains(err.Error(), want) {

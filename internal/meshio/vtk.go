@@ -18,12 +18,8 @@ func WriteVTK(w io.Writer, meshes []*BlockMesh) error {
 	totalIdx := 0
 	for _, m := range meshes {
 		totalVerts += len(m.Verts)
-		for _, c := range m.Cells {
-			totalPolys += len(c.Faces)
-			for _, f := range c.Faces {
-				totalIdx += len(f.Verts)
-			}
-		}
+		totalPolys += len(m.Neighbors)
+		totalIdx += len(m.LoopVerts)
 	}
 
 	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
@@ -39,14 +35,13 @@ func WriteVTK(w io.Writer, meshes []*BlockMesh) error {
 	fmt.Fprintf(bw, "POLYGONS %d %d\n", totalPolys, totalPolys+totalIdx)
 	base := 0
 	for _, m := range meshes {
-		for _, c := range m.Cells {
-			for _, f := range c.Faces {
-				fmt.Fprintf(bw, "%d", len(f.Verts))
-				for _, vi := range f.Verts {
-					fmt.Fprintf(bw, " %d", base+int(vi))
-				}
-				fmt.Fprintln(bw)
+		for f := range m.Neighbors {
+			loop := m.Loop(f)
+			fmt.Fprintf(bw, "%d", len(loop))
+			for _, vi := range loop {
+				fmt.Fprintf(bw, " %d", base+int(vi))
 			}
+			fmt.Fprintln(bw)
 		}
 		base += len(m.Verts)
 	}
@@ -55,8 +50,9 @@ func WriteVTK(w io.Writer, meshes []*BlockMesh) error {
 	fmt.Fprintln(bw, "SCALARS cell_volume double 1")
 	fmt.Fprintln(bw, "LOOKUP_TABLE default")
 	for _, m := range meshes {
-		for ci, c := range m.Cells {
-			for range c.Faces {
+		for ci := range m.FaceEnds {
+			lo, hi := m.Faces(ci)
+			for range hi - lo {
 				fmt.Fprintf(bw, "%g\n", m.Volumes[ci])
 			}
 		}
@@ -64,10 +60,8 @@ func WriteVTK(w io.Writer, meshes []*BlockMesh) error {
 	fmt.Fprintln(bw, "SCALARS block int 1")
 	fmt.Fprintln(bw, "LOOKUP_TABLE default")
 	for bi, m := range meshes {
-		for _, c := range m.Cells {
-			for range c.Faces {
-				fmt.Fprintf(bw, "%d\n", bi)
-			}
+		for range m.Neighbors {
+			fmt.Fprintf(bw, "%d\n", bi)
 		}
 	}
 	return bw.Flush()

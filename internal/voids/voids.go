@@ -66,15 +66,17 @@ func CellsFromMesh(m *meshio.BlockMesh, block int) []CellRecord {
 			Block:    block,
 			Complete: m.Complete[i],
 		}
-		for _, f := range m.Cells[i].Faces {
-			loop := make([]geom.Vec3, len(f.Verts))
-			for k, vi := range f.Verts {
+		lo, hi := m.Faces(i)
+		for f := lo; f < hi; f++ {
+			verts := m.Loop(f)
+			loop := make([]geom.Vec3, len(verts))
+			for k, vi := range verts {
 				loop[k] = m.Verts[vi]
 			}
-			if f.Neighbor < 0 {
+			if m.Neighbors[f] < 0 {
 				continue
 			}
-			rec.Neighbors = append(rec.Neighbors, f.Neighbor)
+			rec.Neighbors = append(rec.Neighbors, m.Neighbors[f])
 			rec.FaceAreas = append(rec.FaceAreas, geom.PolygonArea(loop))
 			rec.FaceVerts = append(rec.FaceVerts, loop)
 		}
