@@ -59,19 +59,17 @@ func TestCellsFromMeshShape(t *testing.T) {
 		t.Fatalf("records = %d, want 216", len(recs))
 	}
 	for _, r := range recs {
-		if len(r.Neighbors) != len(r.FaceAreas) || len(r.Neighbors) != len(r.FaceVerts) {
-			t.Fatal("face arrays misaligned")
-		}
 		if r.Volume <= 0 || r.Area <= 0 {
 			t.Fatalf("cell %d has nonpositive geometry", r.ID)
 		}
-		var fa float64
-		for _, a := range r.FaceAreas {
-			fa += a
+		// Alone, a cell's boundary is all its faces but the walls, and
+		// complete cells have no walls: its face areas sum to the total.
+		mk := voids.ConnectedComponents([]voids.CellRecord{r})[0].Functionals
+		if mk.Volume != r.Volume {
+			t.Fatalf("cell %d: volume %v != %v", r.ID, mk.Volume, r.Volume)
 		}
-		// Complete cells have no wall faces, so face areas sum to the total.
-		if r.Complete && math.Abs(fa-r.Area) > 1e-6*r.Area {
-			t.Fatalf("cell %d: face areas %v != area %v", r.ID, fa, r.Area)
+		if r.Complete && math.Abs(mk.Area-r.Area) > 1e-6*r.Area {
+			t.Fatalf("cell %d: face areas %v != area %v", r.ID, mk.Area, r.Area)
 		}
 	}
 }
@@ -161,13 +159,9 @@ func TestConnectedComponentsAllCellsOneComponent(t *testing.T) {
 func TestConnectedComponentsSplit(t *testing.T) {
 	// Construct two artificial clusters connected internally but not to
 	// each other.
-	mk := func(id int64, nbs ...int64) voids.CellRecord {
-		return voids.CellRecord{ID: id, Volume: 1, Neighbors: nbs,
-			FaceAreas: make([]float64, len(nbs)), FaceVerts: make([][]geom.Vec3, len(nbs))}
-	}
 	cells := []voids.CellRecord{
-		mk(1, 2), mk(2, 1, 3), mk(3, 2),
-		mk(10, 11), mk(11, 10),
+		cell(1, 1, 2), cell(2, 1, 1, 3), cell(3, 1, 2),
+		cell(10, 1, 11), cell(11, 1, 10),
 	}
 	comps := voids.ConnectedComponents(cells)
 	if len(comps) != 2 {
@@ -179,16 +173,33 @@ func TestConnectedComponentsSplit(t *testing.T) {
 }
 
 func TestConnectedComponentsIgnoreNonSurvivors(t *testing.T) {
-	mk := func(id int64, nbs ...int64) voids.CellRecord {
-		return voids.CellRecord{ID: id, Volume: 1, Neighbors: nbs,
-			FaceAreas: make([]float64, len(nbs)), FaceVerts: make([][]geom.Vec3, len(nbs))}
-	}
 	// 1-2 adjacency runs through 99, which is not in the set.
-	cells := []voids.CellRecord{mk(1, 99), mk(2, 99)}
+	cells := []voids.CellRecord{cell(1, 1, 99), cell(2, 1, 99)}
 	comps := voids.ConnectedComponents(cells)
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2 (bridge cell absent)", len(comps))
 	}
+}
+
+// A repeated cell ID is one cell, its first record: listed once, and its
+// volume counted once.
+func TestConnectedComponentsRepeatedID(t *testing.T) {
+	cells := []voids.CellRecord{cell(1, 1, 2), cell(2, 5, 1), cell(2, 7, 1)}
+	comps := voids.ConnectedComponents(cells)
+	if len(comps) != 1 {
+		t.Fatalf("components = %d, want 1", len(comps))
+	}
+	if got := comps[0].CellIDs; !reflect.DeepEqual(got, []int64{1, 2}) {
+		t.Errorf("CellIDs %v, want [1 2]", got)
+	}
+	if v := comps[0].Functionals.Volume; v != 6 {
+		t.Errorf("volume %v, want 6 (the first record of ID 2)", v)
+	}
+}
+
+// cell is a hand-built record: no face geometry, only adjacency.
+func cell(id int64, volume float64, nbs ...int64) voids.CellRecord {
+	return voids.CellRecord{ID: id, Volume: volume, Neighbors: nbs}
 }
 
 func TestComponentOrderIndependence(t *testing.T) {
@@ -220,17 +231,19 @@ func TestMinkowskiSingleCubeCell(t *testing.T) {
 		{0, 4, 7, 3}, {1, 2, 6, 5}, {0, 1, 5, 4},
 		{2, 3, 7, 6}, {0, 3, 2, 1}, {4, 5, 6, 7},
 	}
-	rec := voids.CellRecord{ID: 1, Volume: 1, Area: 6}
-	for _, lp := range loops {
-		loop := make([]geom.Vec3, len(lp))
-		for i, ci := range lp {
-			loop[i] = corners[ci]
-		}
-		rec.Neighbors = append(rec.Neighbors, 99) // neighbor not in set
-		rec.FaceAreas = append(rec.FaceAreas, geom.PolygonArea(loop))
-		rec.FaceVerts = append(rec.FaceVerts, loop)
+	m := &meshio.BlockMesh{
+		Extents: cube, Verts: corners[:], Particles: []geom.Vec3{cube.Center()},
+		ParticleIDs: []int64{1}, Volumes: []float64{1}, Areas: []float64{6}, Complete: []bool{true},
+		FaceEnds: []int{len(loops)},
 	}
-	mk := voids.ComputeMinkowski([]*voids.CellRecord{&rec})
+	for _, lp := range loops {
+		m.Neighbors = append(m.Neighbors, 99) // neighbor not in set
+		for _, ci := range lp {
+			m.LoopVerts = append(m.LoopVerts, int32(ci))
+		}
+		m.LoopEnds = append(m.LoopEnds, len(m.LoopVerts))
+	}
+	mk := voids.ConnectedComponents(voids.CellsFromMesh(m, 0))[0].Functionals
 	if math.Abs(mk.Volume-1) > 1e-12 {
 		t.Errorf("V = %v", mk.Volume)
 	}
@@ -338,5 +351,38 @@ func TestReadTessFile(t *testing.T) {
 	}
 	if _, err := voids.ReadTessFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// Reading a tess file and finding its voids make a number of allocations
+// set by the block count, not the cell count: the records are views of the
+// decoded rows, and the components are labelled and measured in flat
+// scratch arrays. An 8^3 and a 16^3 lattice on four blocks stay within a
+// few allocations of each other.
+func TestVoidsAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		path := filepath.Join(t.TempDir(), "t.tess")
+		cfg := core.Config{
+			Domain:    geom.NewBox(geom.V(0, 0, 0), geom.V(float64(n), float64(n), float64(n))),
+			Periodic:  true,
+			GhostSize: 3,
+		}
+		if _, err := core.Run(cfg, jitteredLattice(n, 34), 4, core.WithOutputPath(path)); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			recs, err := voids.ReadTessFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(voids.ConnectedComponents(voids.Threshold(recs, 1))) == 0 {
+				t.Fatal("no components")
+			}
+		})
+	}
+	small, large := allocs(8), allocs(16)
+	t.Logf("%.0f allocations at 8^3, %.0f at 16^3", small, large)
+	if large > small+8 {
+		t.Errorf("%.0f allocations at 8^3 but %.0f at 16^3", small, large)
 	}
 }

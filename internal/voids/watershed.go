@@ -2,7 +2,6 @@ package voids
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 )
@@ -35,89 +34,42 @@ type Zone struct {
 // permitted; wall faces are ignored. Zones are returned sorted by
 // decreasing volume.
 func Watershed(recs []CellRecord) ([]Zone, error) {
-	byID := make(map[int64]*CellRecord, len(recs))
-	for i := range recs {
-		if _, dup := byID[recs[i].ID]; dup {
-			return nil, fmt.Errorf("voids: duplicate cell ID %d", recs[i].ID)
-		}
-		byID[recs[i].ID] = &recs[i]
+	ix, dup := newIDIndex(recs)
+	if dup >= 0 {
+		return nil, fmt.Errorf("voids: duplicate cell ID %d", recs[dup].ID)
 	}
-	density := func(c *CellRecord) float64 {
-		if c.Volume <= 0 {
-			return 0
+	density := densityOf(recs, ix)
+
+	// Every cell descends to the neighbor with the lowest density, if lower
+	// than its own, a tie going to the smaller ID. Each step lowers
+	// (density, ID), so a descent tree is a zone, rooted at its one core.
+	u := newUnionFind(len(ix.ids))
+	core := make([]bool, len(ix.ids))
+	for p, r := range ix.rec {
+		sink, sinkD := p, density(p)
+		for _, nb := range recs[r].Neighbors {
+			if q := ix.find(nb); q >= 0 {
+				if d := density(q); d < sinkD || (d == sinkD && q < sink) {
+					sink, sinkD = q, d
+				}
+			}
 		}
-		return 1 / c.Volume
+		core[p] = sink == p
+		u.union(p, sink)
 	}
 
-	// Steepest-descent target per cell: the neighbor with the lowest
-	// density, if lower than own density.
-	sink := make(map[int64]int64, len(recs))
-	for i := range recs {
-		c := &recs[i]
-		best := c.ID
-		bestD := density(c)
-		for _, nb := range c.Neighbors {
-			n, ok := byID[nb]
-			if !ok {
-				continue
+	members, bounds := groups(u)
+	ids := make([]int64, len(members))
+	zones := make([]Zone, 0, len(bounds)-1)
+	for g := range len(bounds) - 1 {
+		lo, hi := bounds[g], bounds[g+1]
+		z := Zone{CellIDs: ids[lo:hi:hi]}
+		for i, p := range members[lo:hi] {
+			ids[lo+i] = ix.ids[p]
+			z.Volume += recs[ix.rec[p]].Volume
+			if core[p] {
+				z.Core, z.CoreDensity = ix.ids[p], density(p)
 			}
-			if d := density(n); d < bestD || (d == bestD && n.ID < best) {
-				best = n.ID
-				bestD = d
-			}
-		}
-		sink[c.ID] = best
-	}
-
-	// Follow descents to cores with path compression.
-	var coreOf func(id int64) int64
-	memo := make(map[int64]int64, len(recs))
-	coreOf = func(id int64) int64 {
-		if c, ok := memo[id]; ok {
-			return c
-		}
-		// Iterative walk with cycle guard (ties broken by ID make cycles
-		// impossible, but guard anyway).
-		path := []int64{id}
-		cur := id
-		for {
-			nxt := sink[cur]
-			if nxt == cur {
-				break
-			}
-			if c, ok := memo[nxt]; ok {
-				cur = c
-				break
-			}
-			cur = nxt
-			path = append(path, cur)
-			if len(path) > len(recs)+1 {
-				// Defensive: should be unreachable.
-				break
-			}
-		}
-		core := cur
-		if c, ok := memo[core]; ok {
-			core = c
-		}
-		for _, p := range path {
-			memo[p] = core
-		}
-		return core
-	}
-
-	groups := map[int64][]int64{}
-	for i := range recs {
-		core := coreOf(recs[i].ID)
-		groups[core] = append(groups[core], recs[i].ID)
-	}
-	zones := make([]Zone, 0, len(groups))
-	for _, core := range slices.Sorted(maps.Keys(groups)) {
-		ids := groups[core]
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		z := Zone{Core: core, CellIDs: ids, CoreDensity: density(byID[core])}
-		for _, id := range ids {
-			z.Volume += byID[id].Volume
 		}
 		zones = append(zones, z)
 	}
@@ -128,6 +80,17 @@ func Watershed(recs []CellRecord) ([]Zone, error) {
 		return zones[a].Core < zones[b].Core
 	})
 	return zones, nil
+}
+
+// densityOf returns the density (1/volume, or 0 for a nonpositive volume)
+// of the cell at each index position.
+func densityOf(recs []CellRecord, ix idIndex) func(p int) float64 {
+	return func(p int) float64 {
+		if v := recs[ix.rec[p]].Volume; v > 0 {
+			return 1 / v
+		}
+		return 0
+	}
 }
 
 // WatershedVoid is a void grown from a zone by flooding: neighboring zones
@@ -145,89 +108,47 @@ type WatershedVoid struct {
 // FloodZones merges zones into voids: two zones join when some pair of
 // adjacent cells across their shared ridge both have density below
 // barrier. This is the watershed transform's flooding level; barrier = 0
-// returns the zones unmerged. Voids are sorted by decreasing volume.
+// returns the zones unmerged. The zones are Watershed's for recs. Voids
+// are sorted by decreasing volume.
 func FloodZones(recs []CellRecord, zones []Zone, barrier float64) []WatershedVoid {
-	zoneOf := map[int64]int64{}
-	for _, z := range zones {
+	ix, _ := newIDIndex(recs)
+	density := densityOf(recs, ix)
+	zoneOf := make([]int, len(ix.ids)) // 1 + the index of a cell's zone, 0 for none
+	for zi, z := range zones {
 		for _, id := range z.CellIDs {
-			zoneOf[id] = z.Core
-		}
-	}
-	byID := make(map[int64]*CellRecord, len(recs))
-	for i := range recs {
-		byID[recs[i].ID] = &recs[i]
-	}
-	density := func(id int64) float64 {
-		c := byID[id]
-		if c == nil || c.Volume <= 0 {
-			return 0
-		}
-		return 1 / c.Volume
-	}
-
-	parent := map[int64]int64{}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	union := func(a, b int64) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if ra < rb {
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
+			if p := ix.find(id); p >= 0 {
+				zoneOf[p] = zi + 1
 			}
 		}
 	}
-	for _, z := range zones {
-		find(z.Core)
-	}
 
+	u := newUnionFind(len(zones))
 	if barrier > 0 {
-		for i := range recs {
-			c := &recs[i]
-			if density(c.ID) >= barrier {
+		for p, r := range ix.rec {
+			za := zoneOf[p]
+			if za == 0 || density(p) >= barrier {
 				continue
 			}
-			za := zoneOf[c.ID]
-			for _, nb := range c.Neighbors {
-				zb, ok := zoneOf[nb]
-				if !ok || zb == za {
-					continue
-				}
-				if density(nb) < barrier {
-					union(za, zb)
+			for _, nb := range recs[r].Neighbors {
+				if q := ix.find(nb); q >= 0 && zoneOf[q] != 0 && density(q) < barrier {
+					u.union(za-1, zoneOf[q]-1)
 				}
 			}
 		}
 	}
 
-	merged := map[int64]*WatershedVoid{}
-	for _, z := range zones {
-		root := find(z.Core)
-		v := merged[root]
-		if v == nil {
-			v = &WatershedVoid{}
-			merged[root] = v
+	members, bounds := groups(u)
+	out := make([]WatershedVoid, 0, len(bounds)-1)
+	for g := range len(bounds) - 1 {
+		var v WatershedVoid
+		for _, zi := range members[bounds[g]:bounds[g+1]] {
+			v.Zones = append(v.Zones, zones[zi].Core)
+			v.CellIDs = append(v.CellIDs, zones[zi].CellIDs...)
+			v.Volume += zones[zi].Volume
 		}
-		v.Zones = append(v.Zones, z.Core)
-		v.CellIDs = append(v.CellIDs, z.CellIDs...)
-		v.Volume += z.Volume
-	}
-	out := make([]WatershedVoid, 0, len(merged))
-	for _, root := range slices.Sorted(maps.Keys(merged)) {
-		v := merged[root]
-		sort.Slice(v.CellIDs, func(a, b int) bool { return v.CellIDs[a] < v.CellIDs[b] })
-		sort.Slice(v.Zones, func(a, b int) bool { return v.Zones[a] < v.Zones[b] })
-		out = append(out, *v)
+		slices.Sort(v.Zones)
+		slices.Sort(v.CellIDs)
+		out = append(out, v)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Volume != out[b].Volume {

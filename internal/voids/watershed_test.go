@@ -19,7 +19,6 @@ func mkChain(volumes ...float64) []voids.CellRecord {
 		if i < len(volumes)-1 {
 			recs[i].Neighbors = append(recs[i].Neighbors, int64(i+1))
 		}
-		recs[i].FaceAreas = make([]float64, len(recs[i].Neighbors))
 	}
 	return recs
 }
