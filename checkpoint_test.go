@@ -1,31 +1,27 @@
 package tess
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// canonicalBytes reduces a step's output to the decomposition-independent
-// oracle: the canonical merged mesh's encoding.
-func canonicalBytes(t *testing.T, out *Output, cfg Config) []byte {
+// canonicalMesh reduces a step's output to the decomposition-independent
+// oracle: the canonical merged mesh, in memory of its own.
+func canonicalMesh(t *testing.T, out *Output, cfg Config) *BlockMesh {
 	t.Helper()
 	m, err := MergeCanonical(out.Meshes, cfg.Domain, cfg.Periodic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return m
 }
 
 // TestCrashResumeByteIdentity is the checkpoint/restart acceptance
@@ -34,7 +30,7 @@ func canonicalBytes(t *testing.T, out *Output, cfg Config) []byte {
 // checkpoint, and driven to the end — and every post-resume step is
 // byte-identical to the uninterrupted baseline's, across block and worker
 // counts. Grid rows compare the canonical merged mesh. RCB rows compare
-// every block's raw bytes, which change with the decomposition, so they
+// every block's raw mesh, which changes with the decomposition, so they
 // also prove the resumed session rebuilt the very decomposition its
 // first step cut.
 func TestCrashResumeByteIdentity(t *testing.T) {
@@ -51,19 +47,11 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					cfg := NewPeriodicConfig(8, opts...)
-					oracle := func(out *Output) [][]byte {
+					oracle := func(out *Output) []*BlockMesh {
 						if !rcb {
-							return [][]byte{canonicalBytes(t, out, cfg)}
+							return []*BlockMesh{canonicalMesh(t, out, cfg)}
 						}
-						raw := make([][]byte, len(out.Meshes))
-						for r, m := range out.Meshes {
-							b, err := m.Encode()
-							if err != nil {
-								t.Fatal(err)
-							}
-							raw[r] = b
-						}
-						return raw
+						return out.Clone().Meshes
 					}
 
 					// Uninterrupted baseline.
@@ -72,7 +60,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer base.Close()
-					want := make([][][]byte, steps+1)
+					want := make([][]*BlockMesh, steps+1)
 					for s := 1; s <= steps; s++ {
 						out, err := base.Step(testParticles(300+int64(s), 8, 8))
 						if err != nil {
@@ -126,7 +114,7 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 						if err := res.Checkpoint(dir); err != nil {
 							t.Fatalf("post-resume checkpoint %d: %v", s, err)
 						}
-						if got := oracle(out); !slices.EqualFunc(got, want[s], bytes.Equal) {
+						if got := oracle(out); !reflect.DeepEqual(got, want[s]) {
 							t.Fatalf("step %d differs after resume", s)
 						}
 					}
@@ -187,7 +175,7 @@ func TestExplicitCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonicalBytes(t, out, cfg), canonicalBytes(t, want, cfg)) {
+	if !reflect.DeepEqual(canonicalMesh(t, out, cfg), canonicalMesh(t, want, cfg)) {
 		t.Error("step 3 diverges between resumed and original session")
 	}
 }
@@ -335,7 +323,7 @@ func TestResumeCorruptDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonicalBytes(t, out, cfg)
+	want := canonicalMesh(t, out, cfg)
 
 	manifest := filepath.Join(dir, "manifest.json")
 	valid, err := os.ReadFile(manifest)
@@ -389,7 +377,7 @@ func TestResumeCorruptDecomposition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.Counts.Incomplete != 0 || !bytes.Equal(canonicalBytes(t, got, cfg), want) {
+		if got.Counts.Incomplete != 0 || !reflect.DeepEqual(canonicalMesh(t, got, cfg), want) {
 			t.Errorf("%s: resumed to a different mesh (%d incomplete cells)", tc.name, got.Counts.Incomplete)
 		}
 	}
@@ -437,15 +425,7 @@ func TestStepFromFileSourceMatchesInline(t *testing.T) {
 		t.Fatalf("counts %+v, want %+v", got.Counts, want.Counts)
 	}
 	for r := range want.Meshes {
-		gb, err := got.Meshes[r].Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := want.Meshes[r].Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, wb) {
+		if !reflect.DeepEqual(got.Meshes[r], want.Meshes[r]) {
 			t.Fatalf("block %d differs between FileSource and inline step", r)
 		}
 	}

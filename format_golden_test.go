@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/meshio"
+	"repro/internal/wire"
 )
 
 // formatGolden pins the SHA-256 of every on-disk format on one fixed
@@ -29,6 +30,48 @@ var formatGolden = map[string]string{
 	// Manifest version 3: the whole checkpoint, with the RCB session's
 	// cuts; no wall-clock field, so it has a digest.
 	"ckpt/manifest.json": "c2a71468a994bc2caa9ee091ca1354ba1ae3a949425080cb023bcbd4f734eb87",
+}
+
+// encodeV1 writes m in the v1 mesh layout, which DecodeBlockMesh still
+// reads (meshio's EncodeV1 test writer): every float at full precision.
+func encodeV1(m *BlockMesh) []byte {
+	w := wire.NewWriter(0)
+	vecs := func(vs ...Vec3) {
+		for _, v := range vs {
+			w.F64(v.X)
+			w.F64(v.Y)
+			w.F64(v.Z)
+		}
+	}
+	w.U64(0x744d455348763101)
+	vecs(m.Extents.Min, m.Extents.Max)
+	w.U64(uint64(len(m.Verts)))
+	vecs(m.Verts...)
+	w.U64(uint64(m.NumCells()))
+	vecs(m.Particles...)
+	for _, id := range m.ParticleIDs {
+		w.I64(id)
+	}
+	for _, s := range [][]float64{m.Volumes, m.Areas} {
+		for _, v := range s {
+			w.F64(v)
+		}
+	}
+	for _, c := range m.Complete {
+		w.Bool(c)
+	}
+	for c := range m.FaceEnds {
+		lo, hi := m.Faces(c)
+		w.U32(uint32(hi - lo))
+		for f := lo; f < hi; f++ {
+			w.I64(m.Neighbors[f])
+			w.U32(uint32(len(m.Loop(f))))
+			for _, vi := range m.Loop(f) {
+				w.U32(uint32(vi))
+			}
+		}
+	}
+	return w.Bytes()
 }
 
 func TestFormatGolden(t *testing.T) {
@@ -73,14 +116,12 @@ func TestFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per-block mesh bytes, both versions, and what they decode to.
+	// Per-block mesh bytes, both versions, and what they decode to. Only
+	// the test writes v1; it pins the mesh bit for bit.
 	var v1, v2 [][]byte
 	cells := 0
 	for r, m := range out.Meshes {
-		b1, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b1 := encodeV1(m)
 		b2, err := meshio.EncodeV2(m)
 		if err != nil {
 			t.Fatal(err)

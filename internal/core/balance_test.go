@@ -1,8 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cosmo"
@@ -37,10 +37,10 @@ func clusteredParticles(t testing.TB, n int, L float64, seed int64) []diy.Partic
 	return ps
 }
 
-// mergedBytes canonically merges an output's meshes and returns the
-// encoding, failing the test if any cell was incomplete (the merge oracle
+// mergedMesh canonically merges an output's meshes and returns the
+// merged mesh, failing the test if any cell was incomplete (the merge oracle
 // is only defined for complete tessellations).
-func mergedBytes(t testing.TB, out *Output, cfg Config) []byte {
+func mergedMesh(t testing.TB, out *Output, cfg Config) *meshio.BlockMesh {
 	t.Helper()
 	if out.Counts.Incomplete != 0 {
 		t.Fatalf("tessellation has %d incomplete cells; byte-identity oracle needs 0 "+
@@ -50,11 +50,7 @@ func mergedBytes(t testing.TB, out *Output, cfg Config) []byte {
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	return m
 }
 
 // The decomposition-independence oracle on clustered input: the canonical
@@ -70,19 +66,19 @@ func TestMergeCanonicalByteIdenticalRegularVsRCB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("blocks=%d regular: %v", blocks, err)
 		}
-		want := mergedBytes(t, regular, cfg)
+		want := mergedMesh(t, regular, cfg)
 
 		cfg.Decomposition = DecomposeRCB
 		rcb, err := Run(cfg, ps, blocks)
 		if err != nil {
 			t.Fatalf("blocks=%d rcb: %v", blocks, err)
 		}
-		got := mergedBytes(t, rcb, cfg)
+		got := mergedMesh(t, rcb, cfg)
 
 		if regular.Counts != rcb.Counts {
 			t.Errorf("blocks=%d: counts differ: grid %+v, rcb %+v", blocks, regular.Counts, rcb.Counts)
 		}
-		if !bytes.Equal(want, got) {
+		if !reflect.DeepEqual(want, got) {
 			t.Errorf("blocks=%d: canonical merged mesh differs between grid and RCB", blocks)
 		}
 	}
@@ -97,7 +93,7 @@ func TestRunTimedRCBMatchesRun(t *testing.T) {
 	cfg.GhostSize = balanceGhost
 	cfg.Decomposition = DecomposeRCB
 	a, b := runBothSchedulers(t, cfg, ps, 4)
-	if !bytes.Equal(mergedBytes(t, a, cfg), mergedBytes(t, b, cfg)) {
+	if !reflect.DeepEqual(mergedMesh(t, a, cfg), mergedMesh(t, b, cfg)) {
 		t.Error("canonical merged mesh differs between Run and RunTimed under RCB")
 	}
 }
@@ -157,7 +153,7 @@ func TestSessionRCBRebalanceByteIdentity(t *testing.T) {
 		if got.Counts != want.Counts {
 			t.Errorf("step %d: counts %+v, want %+v", step, got.Counts, want.Counts)
 		}
-		if !bytes.Equal(mergedBytes(t, got, cfg), mergedBytes(t, want, refCfg)) {
+		if !reflect.DeepEqual(mergedMesh(t, got, cfg), mergedMesh(t, want, refCfg)) {
 			t.Errorf("step %d: drifted RCB session output diverges from regular-grid run", step)
 		}
 	}
@@ -194,7 +190,7 @@ func TestGridGhostWiderThanBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := mergedBytes(t, one, cfg)
+			want := mergedMesh(t, one, cfg)
 			for _, blocks := range []int{27, 64} {
 				for _, kind := range []DecompKind{DecomposeRegular, DecomposeRCB} {
 					cfg.Decomposition = kind
@@ -202,7 +198,7 @@ func TestGridGhostWiderThanBlocks(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s ghost %g, %d blocks (kind %v): %v", name, ghost, blocks, kind, err)
 					}
-					if !bytes.Equal(mergedBytes(t, out, cfg), want) {
+					if !reflect.DeepEqual(mergedMesh(t, out, cfg), want) {
 						t.Errorf("%s ghost %g, %d blocks (kind %v): canonical mesh differs from 1 block", name, ghost, blocks, kind)
 					}
 				}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
@@ -82,7 +81,7 @@ func TestCrossDecompositionByteIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 19} {
 		rng := rand.New(rand.NewSource(seed))
 		ps := perturbedParticles(rng, 6, L, 0.7)
-		var ref []byte
+		var ref *meshio.BlockMesh
 		var refBlocks int
 		for _, blocks := range []int{1, 2, 8} {
 			out, err := Run(baseConfig(L), ps, blocks)
@@ -96,12 +95,8 @@ func TestCrossDecompositionByteIdentical(t *testing.T) {
 			if merged.NumCells() != len(ps) {
 				t.Fatalf("seed %d blocks %d: merged %d cells, want %d", seed, blocks, merged.NumCells(), len(ps))
 			}
-			enc, err := merged.Encode()
-			if err != nil {
-				t.Fatalf("seed %d blocks %d encode: %v", seed, blocks, err)
-			}
 			if ref == nil {
-				ref, refBlocks = enc, blocks
+				ref, refBlocks = merged, blocks
 				// The canonical volumes must still tile the box.
 				var sum float64
 				for _, v := range merged.Volumes {
@@ -112,9 +107,9 @@ func TestCrossDecompositionByteIdentical(t *testing.T) {
 				}
 				continue
 			}
-			if !bytes.Equal(ref, enc) {
-				t.Errorf("seed %d: %d-block merge differs from %d-block merge (%d vs %d bytes)",
-					seed, blocks, refBlocks, len(enc), len(ref))
+			if !reflect.DeepEqual(ref, merged) {
+				t.Errorf("seed %d: %d-block merge differs from %d-block merge (%d vs %d vertices)",
+					seed, blocks, refBlocks, len(merged.Verts), len(ref.Verts))
 			}
 		}
 	}

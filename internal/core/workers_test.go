@@ -1,12 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/meshio"
 )
 
-// The compute phase must produce byte-identical meshes and identical
+// The compute phase must produce bit-identical meshes and identical
 // counts for every worker count: cells land by site index, counts merge by
 // summation, and no cell's arithmetic depends on the fan-out.
 func TestRankComputeDeterministicAcrossWorkers(t *testing.T) {
@@ -20,23 +22,19 @@ func TestRankComputeDeterministicAcrossWorkers(t *testing.T) {
 	d, parts, ghosts := exchangedBlocks(t, cfg, ps, 4)
 
 	for rank := 0; rank < d.NumBlocks(); rank++ {
-		var refBytes []byte
+		var ref *meshio.BlockMesh
 		var refCounts CellCounts
 		for _, workers := range []int{1, 2, 3, 8} {
 			res, _, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
 			if err != nil {
 				t.Fatalf("rank %d workers %d: %v", rank, workers, err)
 			}
-			enc, err := res.Mesh.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
 			if workers == 1 {
-				refBytes, refCounts = enc, res.Counts
+				ref, refCounts = res.Mesh, res.Counts
 				continue
 			}
-			if !bytes.Equal(enc, refBytes) {
-				t.Errorf("rank %d: mesh encoding differs between workers=1 and workers=%d", rank, workers)
+			if !reflect.DeepEqual(res.Mesh, ref) {
+				t.Errorf("rank %d: mesh differs between workers=1 and workers=%d", rank, workers)
 			}
 			if res.Counts != refCounts {
 				t.Errorf("rank %d: counts differ between workers=1 (%+v) and workers=%d (%+v)",
@@ -53,34 +51,26 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	const L = 8.0
 	ps := perturbedParticles(rng, 6, L, 0.8)
 
-	encode := func(workers int) ([][]byte, CellCounts) {
+	run := func(workers int) *Output {
 		cfg := baseConfig(L)
 		cfg.Workers = workers
 		out, err := Run(cfg, ps, 2)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		encs := make([][]byte, len(out.Meshes))
-		for i, m := range out.Meshes {
-			enc, err := m.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			encs[i] = enc
-		}
-		return encs, out.Counts
+		return out
 	}
 
-	refEncs, refCounts := encode(1)
+	ref := run(1)
 	for _, workers := range []int{2, 8} {
-		encs, counts := encode(workers)
-		for i := range refEncs {
-			if !bytes.Equal(encs[i], refEncs[i]) {
+		out := run(workers)
+		for i := range ref.Meshes {
+			if !reflect.DeepEqual(out.Meshes[i], ref.Meshes[i]) {
 				t.Errorf("block %d: mesh differs between Workers=1 and Workers=%d", i, workers)
 			}
 		}
-		if counts != refCounts {
-			t.Errorf("counts differ between Workers=1 (%+v) and Workers=%d (%+v)", refCounts, workers, counts)
+		if out.Counts != ref.Counts {
+			t.Errorf("counts differ between Workers=1 (%+v) and Workers=%d (%+v)", ref.Counts, workers, out.Counts)
 		}
 	}
 }

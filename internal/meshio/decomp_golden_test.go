@@ -244,10 +244,7 @@ func decompDigests(t testing.TB, pts []geom.Vec3, kind core.DecompKind, blocks i
 	}
 	h := sha256.New()
 	for _, m := range out.Meshes {
-		enc, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := meshio.EncodeV1(m)
 		fmt.Fprintf(h, "%d:", len(enc))
 		h.Write(enc)
 	}
@@ -256,10 +253,7 @@ func decompDigests(t testing.TB, pts []geom.Vec3, kind core.DecompKind, blocks i
 	if err != nil {
 		return raw, "error: " + err.Error()
 	}
-	enc, err := merged.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := meshio.EncodeV1(merged)
 	sum := sha256.Sum256(enc)
 	return raw, fmt.Sprintf("%s:%d", hex.EncodeToString(sum[:8]), len(enc))
 }

@@ -14,10 +14,7 @@ import (
 func FuzzDecodeBlockMesh(f *testing.F) {
 	cells := buildTestCells(f, 3, 3, 124)
 	m := new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
-	valid, err := m.Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := EncodeV1(m)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
@@ -73,10 +70,7 @@ func FuzzDecodeAugmented(f *testing.F) {
 func TestDecodeRandomMutations(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 122)
 	m := new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
-	v1, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := EncodeV1(m)
 	v2, err := EncodeV2(m)
 	if err != nil {
 		t.Fatal(err)

@@ -162,10 +162,7 @@ func mergeDigest(t testing.TB, in mergeInput) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	enc, err := m.Encode()
-	if err != nil {
-		t.Fatalf("%s: %v", in.name, err)
-	}
+	enc := meshio.EncodeV1(m)
 	sum := sha256.Sum256(enc)
 	return fmt.Sprintf("%s:%d", hex.EncodeToString(sum[:]), len(enc))
 }
@@ -223,7 +220,9 @@ func TestDecodeAndCloneAllocsFlat(t *testing.T) {
 		name string
 		run  func(m *meshio.BlockMesh) func()
 	}{
-		{"v1 decode", func(m *meshio.BlockMesh) func() { return encode(m, (*meshio.BlockMesh).Encode) }},
+		{"v1 decode", func(m *meshio.BlockMesh) func() {
+			return encode(m, func(m *meshio.BlockMesh) ([]byte, error) { return meshio.EncodeV1(m), nil })
+		}},
 		{"v2 decode", func(m *meshio.BlockMesh) func() { return encode(m, meshio.EncodeV2) }},
 		{"clone", func(m *meshio.BlockMesh) func() { return func() { m.Clone() } }},
 	} {
@@ -261,11 +260,7 @@ func FuzzMergeCanonical(f *testing.F) {
 	for _, g := range mergeGoldens {
 		meshes, _ := goldenInput(f, g.family, g.seed, g.blocks).run(f)
 		for _, m := range meshes {
-			enc, err := m.Encode()
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(enc)
+			f.Add(meshio.EncodeV1(m))
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -160,7 +161,7 @@ func TestBuildWeldsLikePerReferenceProbe(t *testing.T) {
 	}
 }
 
-// Stitching fragments of any split of the cells must give Build's bytes,
+// Stitching fragments of any split of the cells must give Build's mesh,
 // at both tolerances above, with fragments begun far too small for their
 // cells (so their rows grow) and through retained fragments, welders and
 // builder; and at the coarse one, no cell may reference one index from two
@@ -173,10 +174,7 @@ func TestStitchMatchesBuild(t *testing.T) {
 	var w [2]Welder
 	frags := make([]Fragment, len(cells))
 	for _, tol := range []float64{4e-7, 0.3} {
-		want, err := new(MeshBuilder).Build(cells, ext, tol).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := new(MeshBuilder).Build(cells, ext, tol)
 		for trial := 0; trial < 8; trial++ {
 			n := 0
 			for lo := 0; lo < len(cells); n++ {
@@ -189,15 +187,11 @@ func TestStitchMatchesBuild(t *testing.T) {
 				lo = hi
 			}
 			m := b.Stitch(frags[:n], ext)
-			got, err := m.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
 			if tol > 0.1 {
 				requireNoSelfWelds(t, cells, m)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("tol %g trial %d: %d fragments stitch to other bytes than Build", tol, trial, n)
+			if !reflect.DeepEqual(m, want) {
+				t.Fatalf("tol %g trial %d: %d fragments stitch to another mesh than Build", tol, trial, n)
 			}
 		}
 	}
@@ -226,11 +220,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 70)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
 	m := new(MeshBuilder).Build(cells, ext, 0)
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecodeBlockMesh(data)
+	m2, err := DecodeBlockMesh(EncodeV1(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +252,7 @@ func TestEncodedSizeMatchesAccounting(t *testing.T) {
 	cells := buildTestCells(t, 4, 4, 71)
 	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4))
 	m := new(MeshBuilder).Build(cells, ext, 0)
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := EncodeV1(m)
 	s := m.ComputeStats()
 	// Accounting covers everything except the 8-byte magic.
 	if int64(len(data)) != s.TotalBytes+8 {

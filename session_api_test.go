@@ -1,10 +1,10 @@
 package tess
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -74,15 +74,7 @@ func TestPublicSessionMatchesRun(t *testing.T) {
 			t.Errorf("seed %d: counts %+v, want %+v", seed, got.Counts, want.Counts)
 		}
 		for r := range got.Meshes {
-			gb, err := got.Meshes[r].Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wb, err := want.Meshes[r].Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb, wb) {
+			if !reflect.DeepEqual(got.Meshes[r], want.Meshes[r]) {
 				t.Errorf("seed %d: block %d differs from Run", seed, r)
 			}
 		}
@@ -289,15 +281,7 @@ func TestPublicDefaultsSkipQuickhull(t *testing.T) {
 		t.Error("no cell was culled by volume: the comparison decides nothing")
 	}
 	for b := range want.Meshes {
-		gb, err := got.Meshes[b].Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := want.Meshes[b].Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, wb) {
+		if !reflect.DeepEqual(got.Meshes[b], want.Meshes[b]) {
 			t.Errorf("block %d: bytes differ from the hull-pass run's", b)
 		}
 	}

@@ -1,10 +1,10 @@
 package tess
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,8 +131,8 @@ func TestRunInSituSnapshots(t *testing.T) {
 
 // TestRunInSituSnapshotsOwnOutput pins what the Snapshot.Output doc
 // promises: a snapshot is a deep copy, not the session's per-step loan.
-// The first snapshot's meshes are encoded inside the hook, while they are
-// certainly valid, and must encode to the same bytes after two more steps
+// The first snapshot's meshes are copied inside the hook, while they are
+// certainly valid, and must still equal that copy after two more steps
 // have gone through the same session.
 func TestRunInSituSnapshotsOwnOutput(t *testing.T) {
 	cfg := InSituConfig{
@@ -143,21 +143,10 @@ func TestRunInSituSnapshotsOwnOutput(t *testing.T) {
 		Blocks: 2,
 	}
 	cfg.Tess.GhostSize = 3
-	encode := func(o *Output) [][]byte {
-		var blobs [][]byte
-		for _, m := range o.Meshes {
-			b, err := m.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs = append(blobs, b)
-		}
-		return blobs
-	}
-	var first [][]byte
+	var first *Output
 	snaps, err := RunInSitu(cfg, func(s Snapshot) error {
 		if first == nil {
-			first = encode(s.Output)
+			first = s.Output.Clone()
 		}
 		return nil
 	})
@@ -167,8 +156,8 @@ func TestRunInSituSnapshotsOwnOutput(t *testing.T) {
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots = %d, want 3", len(snaps))
 	}
-	for rank, b := range encode(snaps[0].Output) {
-		if !bytes.Equal(b, first[rank]) {
+	for rank, m := range snaps[0].Output.Meshes {
+		if !reflect.DeepEqual(m, first.Meshes[rank]) {
 			t.Errorf("rank %d: the first snapshot's mesh changed after later steps; Snapshot.Output aliases the session's loan", rank)
 		}
 	}
