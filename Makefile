@@ -31,9 +31,14 @@ lint:
 	$(GO) run ./cmd/tesslint ./...
 
 # One cursor for every on-disk format: only internal/wire may touch
-# encoding/binary, so a private codec cannot grow back unnoticed.
+# encoding/binary, so a private codec cannot grow back unnoticed. And one
+# mesh writer: v1 is decode-only, so outside the tests and comments the v1
+# magic may appear only where meshio declares it and where DecodeBlockMesh
+# matches it.
 onecodec:
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' . | grep -v '^./internal/wire/'
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e 'meshMagic\b' -e '0x744d455348763101' -e 'tMESHv1' . \
+		| grep -v -e ':[0-9]*:[[:space:]]*//' -e 'const meshMagic uint64 = 0x744d455348763101 ' -e 'case meshMagic:$$'
 
 # Engine below, analysis above: no engine package may depend on an
 # analysis package, so the level-1 tools of the paper's Figure 4 stay on

@@ -19,14 +19,18 @@ import (
 // commit 314ef2e (PR 14), before the formats moved onto internal/wire,
 // so a pass means the bytes written today are the bytes that build
 // wrote — and, because the test also reads every artifact back, that
-// files written by that build decode under this one.
+// files written by that build decode under this one. tess.out is the
+// exception: its blocks are v2 since v2 became the one layout written, and
+// its digest is that of the same blocks written in v2 by the commit
+// before that switch. mesh-v1 blocks now comes from the test's own v1
+// writer.
 var formatGolden = map[string]string{
 	"mesh-v1 blocks": "107ddcbf2b575c3d073454dab74dd311cd2e2125070d4b580af045c103733e54",
 	"mesh-v2 blocks": "beefb7a9b7f3f11bfed2dddc0fb8e9e736373b19832ac4927bc9648ef506a9a4",
 	"augmented":      "171bc858ceabe9fb1e3598016a8f4222817a1c42fbb12669eabd96726550e02f",
 	"density grid":   "970c5fb4f1c001a1f1094401ad573edf1bac2cc07e0668d10c38256eb84c7497",
 	"snap.bin":       "fb1645806f7f8147fcaf3714b13da6c013bf51f626f22327d0d59492d21fd171",
-	"tess.out":       "c1b157c8a56457d07fac02e8efe3c51182b9f2e81d085fd942ad84a518b54f1b",
+	"tess.out":       "6e198d489cb3b6d36b9bffde69fa01b6b8ac9455f3b9f549636c90f23a05b134",
 	// Manifest version 3: the whole checkpoint, with the RCB session's
 	// cuts; no wall-clock field, so it has a digest.
 	"ckpt/manifest.json": "c2a71468a994bc2caa9ee091ca1354ba1ae3a949425080cb023bcbd4f734eb87",
@@ -58,7 +62,11 @@ func encodeV1(m *BlockMesh) []byte {
 		}
 	}
 	for _, c := range m.Complete {
-		w.Bool(c)
+		var b byte
+		if c {
+			b = 1
+		}
+		w.U8(b)
 	}
 	for c := range m.FaceEnds {
 		lo, hi := m.Faces(c)

@@ -590,7 +590,11 @@ func encodeV1(m *meshio.BlockMesh) []byte {
 		}
 	}
 	for _, c := range m.Complete {
-		w.Bool(c)
+		var b byte
+		if c {
+			b = 1
+		}
+		w.U8(b)
 	}
 	for c := range m.FaceEnds {
 		lo, hi := m.Faces(c)

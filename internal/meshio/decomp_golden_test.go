@@ -24,8 +24,9 @@ import (
 //
 //	input kind blocks ghost raw canonical
 //
-// where raw digests every block's encoding in block order and canonical is
-// MergeCanonical's "<digest>:<len>", or its error text. They were produced
+// where raw digests every block's v1 encoding (EncodeV1, exact) in block
+// order and canonical is MergeCanonical's "<digest>:<len>" of the same, or
+// its error text. They were produced
 // at the last commit whose grid linked its blocks by the 26-neighbourhood,
 // and box adjacency reproduces every canonical digest and every grid raw
 // digest below the block side. 28 raw digests moved:

@@ -9,70 +9,99 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrMeshTooLarge reports a mesh whose vertex or connectivity counts
-// exceed what the on-disk formats can index. Both encoders return it
-// (wrapped, matchable with errors.Is) instead of silently truncating
-// counts to uint32 as the v1 encoder once did.
-var ErrMeshTooLarge = errors.New("meshio: mesh exceeds format limits")
-
-// formatCountMax is the largest count either format can represent: v1
-// stores face and face-vertex counts as uint32, and both formats index
-// the vertex pool with int32-backed indices. A package variable (not a
-// const) so tests can lower it and exercise the oversized path without
-// allocating 2^32 elements.
-var formatCountMax uint64 = math.MaxUint32
-
-// checkEncodable holds m to checkArrays, then validates its counts
-// against the format limits shared by both encoders. A cell's faces and a
-// face's loop are bounded by the totals, so they are walked only when a
-// total is past the limit.
-func checkEncodable(m *BlockMesh) error {
-	if err := checkArrays(m); err != nil {
-		return err
-	}
-	if uint64(len(m.Verts)) > formatCountMax {
-		return fmt.Errorf("meshio: %d vertices: %w", len(m.Verts), ErrMeshTooLarge)
-	}
-	if uint64(m.NumCells()) > formatCountMax {
-		return fmt.Errorf("meshio: %d cells: %w", m.NumCells(), ErrMeshTooLarge)
-	}
-	if uint64(len(m.Neighbors)) <= formatCountMax && uint64(len(m.LoopVerts)) <= formatCountMax {
-		return nil
-	}
-	for c := range m.FaceEnds {
-		lo, hi := m.Faces(c)
-		if uint64(hi-lo) > formatCountMax {
-			return fmt.Errorf("meshio: cell %d with %d faces: %w", c, hi-lo, ErrMeshTooLarge)
-		}
-		for f := lo; f < hi; f++ {
-			if n := len(m.Loop(f)); uint64(n) > formatCountMax {
-				return fmt.Errorf("meshio: cell %d face %d with %d vertices: %w", c, f-lo, n, ErrMeshTooLarge)
-			}
-		}
-	}
-	return nil
-}
-
-// Binary block format (little-endian):
+// Mesh interchange format v2, the one layout this package writes: per-step
+// block files, daemon mesh events and canonical merges. The magic
+// identifies only the container family and an explicit version field
+// selects the layout, so future revisions do not need a new magic. A v2
+// payload holds exactly one block: files of many blocks are diy block
+// files with one v2 payload per section. DecodeBlockMesh also reads the
+// older fixed-width v1 layout, which nothing writes any more.
 //
-//	magic    uint64
-//	extents  6 x float64
-//	nVerts   uint64, then nVerts x 3 float64
-//	nCells   uint64
-//	particles nCells x 3 float64
-//	ids       nCells x int64
+// Container layout (little-endian):
+//
+//	magic    uint64 ("tMESHfmt")
+//	version  uint32 (currently 2)
+//	frame:   marker 0x01, bodyLen uvarint, body
+//	end:     marker 0x00
+//
+// Block body:
+//
+//	extents   6 x float64
+//	nVerts    uvarint; if nVerts > 0:
+//	  origin  3 x float64   (per-axis quantization origin = min coord)
+//	  exp     3 x int32     (per-axis power-of-two step exponent)
+//	  qverts  nVerts x 3 x uint32
+//	nCells    uvarint
+//	sites     nCells x 3 x float64   (exact — the canonical-weld input)
+//	ids       zigzag-varint deltas (first absolute)
 //	volumes   nCells x float64
 //	areas     nCells x float64
-//	complete  nCells x byte
-//	per cell: nFaces uint32, per face: neighbor int64, nVerts uint32,
-//	          verts nVerts x uint32
+//	complete  ceil(nCells/8) bytes, bit i = cell i complete
+//	cells:    per cell: nFaces uvarint; per face: neighbor zigzag
+//	          varint, nVerts uvarint, vertex indices as zigzag-varint
+//	          deltas (first absolute)
+//
+// Vertices are quantized to a 32-bit grid of power-of-two step (2^exp,
+// exp = ilogb(span)-31), so encode→decode→encode is byte-stable; all else
+// is exact, and MergeCanonical re-derives merged vertices from the sites,
+// so a decoded block merges to the canonical mesh of the encoded one.
 
-const meshMagic uint64 = 0x744d455348763101 // "tMESHv1" + 0x01
+const meshMagicFmt uint64 = 0x744d455348666d74 // "tMESHfmt"
 
-// putVec and getVec move a position as three float64s.
-func putVec(w *wire.Writer, v geom.Vec3) { w.F64(v.X); w.F64(v.Y); w.F64(v.Z) }
-func getVec(r *wire.Reader) geom.Vec3 {
-	return geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
+// meshFormatV2 is the version field value for the layout above.
+const meshFormatV2 uint32 = 2
+
+// ErrMeshTooLarge reports a mesh whose vertex or connectivity counts
+// exceed what the format can index. Encode returns it (wrapped, matchable
+// with errors.Is) instead of silently truncating counts.
+var ErrMeshTooLarge = errors.New("meshio: mesh exceeds format limits")
+
+// ErrNonFinite reports a vertex the quantization grid cannot place: a
+// coordinate that is NaN or infinite, or vertices so far apart on one
+// axis that their span overflows a float64. Encode returns it wrapped.
+var ErrNonFinite = errors.New("meshio: vertex coordinates not finite")
+
+// formatCountMax is the largest vertex or cell count the decoders accept.
+// A package variable (not a const) so tests can lower it and exercise the
+// oversized path without allocating 2^32 elements.
+var formatCountMax uint64 = math.MaxUint32
+
+// checkEncodable holds m to checkArrays and the vertex and cell limits,
+// and derives each axis's grid from its vertex bounds (NaN if a coordinate
+// is: the builtin min and max propagate it). The origin is the exact
+// minimum, +0 for -0, which no vertex decodes to; the step is the power of
+// two putting the span just inside 32 bits, never below the smallest
+// subnormal; a span that is not finite is ErrNonFinite.
+func checkEncodable(m *BlockMesh) (grids [3]quantGrid, err error) {
+	if err := checkArrays(m); err != nil {
+		return grids, err
+	}
+	if uint64(len(m.Verts)) > formatCountMax {
+		return grids, fmt.Errorf("meshio: %d vertices: %w", len(m.Verts), ErrMeshTooLarge)
+	}
+	if uint64(m.NumCells()) > formatCountMax {
+		return grids, fmt.Errorf("meshio: %d cells: %w", m.NumCells(), ErrMeshTooLarge)
+	}
+	if len(m.Verts) == 0 {
+		return grids, nil
+	}
+	lo, hi := m.Verts[0], m.Verts[0]
+	for _, v := range m.Verts[1:] {
+		lo = geom.Vec3{X: min(lo.X, v.X), Y: min(lo.Y, v.Y), Z: min(lo.Z, v.Z)}
+		hi = geom.Vec3{X: max(hi.X, v.X), Y: max(hi.Y, v.Y), Z: max(hi.Z, v.Z)}
+	}
+	for a := range grids {
+		l, h := lo.Component(a)+0, hi.Component(a) // -0 + 0 is +0
+		switch span := h - l; {
+		case span-span != 0:
+			return grids, fmt.Errorf("meshio: vertices span %g to %g on axis %d: %w", l, h, a, ErrNonFinite)
+		case span > 0:
+			grids[a] = newGrid(l, max(int32(math.Ilogb(span))-31, -1074))
+		default:
+			grids[a] = newGrid(l, 0)
+		}
+	}
+	return grids, nil
 }
 
 // checkArrays rejects a block whose per-cell arrays disagree in length,
@@ -106,164 +135,123 @@ func checkRow(what string, ends []int, total int) error {
 	return nil
 }
 
-// Encode serializes the block mesh in the v1 format.
+// quantGrid is one axis's quantization frame: origin + q·2^exp.
+type quantGrid struct {
+	origin    float64
+	exp       int32
+	step, inv float64 // 2^exp, and 2^-exp where that is finite (else 0)
+}
+
+func newGrid(origin float64, exp int32) quantGrid {
+	g := quantGrid{origin: origin, exp: exp, step: math.Ldexp(1, int(exp))}
+	if exp > -1024 {
+		g.inv = math.Ldexp(1, -int(exp))
+	}
+	return g
+}
+
+// quantize rounds x to the nearest grid index. Multiplying by a power
+// of two's exact reciprocal rounds as dividing by it does.
+func (g quantGrid) quantize(x float64) uint32 {
+	y := x - g.origin
+	if g.inv != 0 {
+		y *= g.inv
+	} else {
+		y /= g.step
+	}
+	if y < 0 {
+		return 0
+	}
+	if !(y < math.MaxUint32) {
+		return math.MaxUint32
+	}
+	// math.Round(y) without its branches: the truncation, plus one if what
+	// it dropped less a half has no sign bit.
+	q := int64(y)
+	return uint32(q + int64(1-math.Float64bits(y-float64(q)-0.5)>>63))
+}
+
+func (g quantGrid) dequantize(q uint32) float64 { return g.origin + float64(q)*g.step }
+
+// putVec and getVec move a position as three float64s.
+func putVec(w *wire.Writer, v geom.Vec3) { w.F64(v.X); w.F64(v.Y); w.F64(v.Z) }
+func getVec(r *wire.Reader) geom.Vec3 {
+	return geom.Vec3{X: r.F64(), Y: r.F64(), Z: r.F64()}
+}
+
+// Encode serializes the block mesh as a v2 container. Its one allocation
+// has room for the longest header and a typical body — two bytes per loop
+// entry, four per face, 45 per cell — which only vertex indices or ids
+// wider than 2^13 or 2^20 on average outgrow. The body is written first,
+// then the header into the end of its room.
 func (m *BlockMesh) Encode() ([]byte, error) {
-	if err := checkEncodable(m); err != nil {
+	grids, err := checkEncodable(m)
+	if err != nil {
 		return nil, err
 	}
-	n := m.NumCells()
-	geometry, connectivity := m.byteSplit() // the encoded size, less the magic
-	w := wire.NewWriter(8 + int(geometry+connectivity))
-	w.U64(meshMagic)
+	const headerRoom = 8 + 4 + 1 + 10 // magic, version, marker, longest length
+	size := 104 + 12*len(m.Verts) + 45*m.NumCells() + 4*len(m.Neighbors) + 2*len(m.LoopVerts)
+	w := wire.WriterOn(make([]byte, headerRoom, headerRoom+size))
 	putVec(w, m.Extents.Min)
 	putVec(w, m.Extents.Max)
-	w.U64(uint64(len(m.Verts)))
-	writeAll(w, m.Verts, putVec)
-	w.U64(uint64(n))
-	writeAll(w, m.Particles, putVec)
-	writeAll(w, m.ParticleIDs, (*wire.Writer).I64)
-	writeAll(w, m.Volumes, (*wire.Writer).F64)
-	writeAll(w, m.Areas, (*wire.Writer).F64)
-	writeAll(w, m.Complete, (*wire.Writer).Bool)
-	m.writeRows(w, rowsV1)
-	return w.Bytes(), nil
-}
-
-// DecodeBlockMesh parses a block produced by either encoder: the first
-// eight bytes select the v1 path (kept so old artifacts stay readable)
-// or the versioned v2 container.
-func DecodeBlockMesh(data []byte) (*BlockMesh, error) {
-	r := wire.NewReader(data)
-	var m *BlockMesh
-	switch magic := r.U64(); magic {
-	case meshMagicFmt:
-		m = decodeV2(r)
-	case meshMagic:
-		m = decodeV1(r)
-	default:
-		r.Fail("bad magic %#x", magic)
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("meshio: %w", err)
-	}
-	return m, nil
-}
-
-// decodeV1 parses a v1 block after its magic. Minimum encoded sizes per
-// element (vertex 24, cell 49, face 12, face vertex 4 bytes) bound every
-// count before its slice is made.
-func decodeV1(r *wire.Reader) *BlockMesh {
-	m := &BlockMesh{}
-	m.Extents.Min = getVec(r)
-	m.Extents.Max = getVec(r)
-	nv := r.Count("vertex", r.U64(), 24)
-	m.Verts = readAll(r, nv, getVec)
-	nc := r.Count("cell", r.U64(), 49)
-	m.Particles = readAll(r, nc, getVec)
-	m.ParticleIDs = readAll(r, nc, (*wire.Reader).I64)
-	m.Volumes = readAll(r, nc, (*wire.Reader).F64)
-	m.Areas = readAll(r, nc, (*wire.Reader).F64)
-	m.Complete = readAll(r, nc, (*wire.Reader).Bool)
-	m.readRows(r, rowsV1, nc, nv)
-	return m
-}
-
-// rowCodec is one encoding of the connectivity rows: how a face or loop
-// length, a neighbor and a loop's vertex index (given the loop's previous
-// one) are written and read, and the fewest bytes a face and an index take.
-type rowCodec struct {
-	faceMin, indexMin int
-	putCount          func(w *wire.Writer, n uint64)
-	putNeighbor       func(w *wire.Writer, id int64)
-	putIndex          func(w *wire.Writer, vi, prev int64)
-	count             func(r *wire.Reader) uint64
-	neighbor          func(r *wire.Reader) int64
-	index             func(r *wire.Reader, prev int64) int64
-}
-
-var rowsV1 = rowCodec{
-	faceMin: 12, indexMin: 4,
-	putCount:    func(w *wire.Writer, n uint64) { w.U32(uint32(n)) },
-	putNeighbor: (*wire.Writer).I64,
-	putIndex:    func(w *wire.Writer, vi, _ int64) { w.U32(uint32(vi)) },
-	count:       func(r *wire.Reader) uint64 { return uint64(r.U32()) },
-	neighbor:    (*wire.Reader).I64,
-	index:       func(r *wire.Reader, _ int64) int64 { return int64(r.U32()) },
-}
-
-// writeRows writes m's connectivity: per cell its face count, per face
-// its neighbor, loop length and loop.
-func (m *BlockMesh) writeRows(w *wire.Writer, f rowCodec) {
-	for c := range m.FaceEnds {
-		lo, hi := m.Faces(c)
-		f.putCount(w, uint64(hi-lo))
-		for fi := lo; fi < hi; fi++ {
-			loop := m.Loop(fi)
-			f.putNeighbor(w, m.Neighbors[fi])
-			f.putCount(w, uint64(len(loop)))
-			var prev int64
-			for _, vi := range loop {
-				f.putIndex(w, int64(vi), prev)
-				prev = int64(vi)
-			}
+	w.Uvarint(uint64(len(m.Verts)))
+	if len(m.Verts) > 0 {
+		for _, g := range grids {
+			w.F64(g.origin)
+		}
+		for _, g := range grids {
+			w.I32(g.exp)
+		}
+		gx, gy, gz := grids[0], grids[1], grids[2]
+		for _, v := range m.Verts {
+			w.U32(gx.quantize(v.X))
+			w.U32(gy.quantize(v.Y))
+			w.U32(gz.quantize(v.Z))
 		}
 	}
-}
-
-// readRows reads nc cells' connectivity rows into m, each row allocated
-// once at its exact size: a first pass over a copy of r counts them.
-func (m *BlockMesh) readRows(r *wire.Reader, f rowCodec, nc, nv int) {
-	sc := *r
-	faces, refs := f.walk(&sc, nc, nv, nil)
-	m.FaceEnds = make([]int, 0, nc)
-	m.Neighbors = make([]int64, 0, faces)
-	m.LoopEnds = make([]int, 0, faces)
-	m.LoopVerts = make([]int32, 0, refs)
-	f.walk(r, nc, nv, m)
-}
-
-// walk reads nc cells' rows over a pool of nv vertices, appending them to
-// m unless m is nil, and returns how many faces and loop entries it read.
-func (f rowCodec) walk(r *wire.Reader, nc, nv int, m *BlockMesh) (faces, refs int) {
-	for range nc {
-		for range r.Count("face", f.count(r), f.faceMin) {
-			neighbor := f.neighbor(r)
-			n := f.count(r)
-			if n > uint64(nv) {
-				r.Fail("face with %d vertices exceeds pool %d", n, nv)
-			}
-			var vi int64
-			for range r.Count("face vertex", n, f.indexMin) {
-				if vi = f.index(r, vi); vi < 0 || vi >= int64(nv) {
-					r.Fail("vertex index %d out of range", vi)
-				}
-				if refs++; m != nil {
-					m.LoopVerts = append(m.LoopVerts, int32(vi))
-				}
-			}
-			if faces++; m != nil {
-				m.endFace(neighbor)
-			}
-		}
-		if m != nil {
-			m.FaceEnds = append(m.FaceEnds, len(m.Neighbors))
+	w.Uvarint(uint64(m.NumCells()))
+	for _, p := range m.Particles {
+		putVec(w, p)
+	}
+	var prevID int64
+	for _, id := range m.ParticleIDs {
+		w.Svarint(id - prevID)
+		prevID = id
+	}
+	for _, s := range [][]float64{m.Volumes, m.Areas} {
+		for _, x := range s {
+			w.F64(x)
 		}
 	}
-	return faces, refs
+	for i := 0; i < len(m.Complete); i += 8 {
+		var bits byte
+		for j, c := range m.Complete[i:min(i+8, len(m.Complete))] {
+			if c {
+				bits |= 1 << j
+			}
+		}
+		w.U8(bits)
+	}
+	f, v := 0, 0
+	for _, faceEnd := range m.FaceEnds {
+		w.Uvarint(uint64(faceEnd - f))
+		for ; f < faceEnd; f++ {
+			loopEnd := m.LoopEnds[f]
+			w.DeltaRun(m.Neighbors[f], m.LoopVerts[v:loopEnd])
+			v = loopEnd
+		}
+	}
+	w.U8(0)
+	buf := w.Bytes()
+	body := len(buf) - headerRoom - 1
+	start := headerRoom - (8 + 4 + 1 + wire.UvarintLen(uint64(body)))
+	h := wire.WriterOn(buf[start:start:headerRoom])
+	h.U64(meshMagicFmt)
+	h.U32(meshFormatV2)
+	h.U8(1)
+	h.Uvarint(uint64(body))
+	return buf[start:], nil
 }
 
-// writeAll writes every element of s with put.
-func writeAll[T any](w *wire.Writer, s []T, put func(*wire.Writer, T)) {
-	for _, v := range s {
-		put(w, v)
-	}
-}
-
-// readAll reads n elements with read.
-func readAll[T any](r *wire.Reader, n int, read func(*wire.Reader) T) []T {
-	s := make([]T, n)
-	for i := range s {
-		s[i] = read(r)
-	}
-	return s
-}
+// EncodeV2 is Encode, named for the layout it writes.
+func EncodeV2(m *BlockMesh) ([]byte, error) { return m.Encode() }

@@ -81,7 +81,7 @@ func haloMock(seed int64) []geom.Vec3 {
 // mergeGoldens pins MergeCanonical's output on seeded inputs across block
 // counts {2, 4, 8}: jittered 8³ lattices (the daemon tenants' shape),
 // jittered 12³ lattices, an exact lattice (cospherical generators), 16³ halo
-// mocks and 16³ N-body snapshots. want is "<sha256 of Encode()>:<len>" for
+// mocks and 16³ N-body snapshots. want is "<sha256 of EncodeV1>:<len>" for
 // an input that merges and the error text verbatim, prefixed "error: ", for
 // one that does not. The digests were produced by running this file in a
 // clone of commit c0e0c87 — the last one with the map-based merge — so they

@@ -132,7 +132,7 @@ func TestMergeCanonicalRejectsWallFaces(t *testing.T) {
 
 // A hand-built mesh whose per-cell arrays disagree, or whose connectivity
 // rows do not partition the arrays they index, is an error for the merge
-// and both encoders, not an index-out-of-range panic.
+// and the encoder, not an index-out-of-range panic.
 func TestMergeCanonicalRejectsInconsistentArrays(t *testing.T) {
 	meshes, domain := mergeFixture(t, 2)
 	for _, tc := range []struct {
@@ -147,9 +147,8 @@ func TestMergeCanonicalRejectsInconsistentArrays(t *testing.T) {
 		bad := meshes[1].Clone()
 		tc.mutate(bad)
 		_, mergeErr := meshio.MergeCanonical([]*meshio.BlockMesh{meshes[0], bad}, domain, true)
-		_, v1Err := bad.Encode()
-		_, v2Err := meshio.EncodeV2(bad)
-		for _, err := range []error{mergeErr, v1Err, v2Err} {
+		_, encodeErr := bad.Encode()
+		for _, err := range []error{mergeErr, encodeErr} {
 			if err == nil || !strings.Contains(err.Error(), "inconsistent block arrays") {
 				t.Errorf("%s: got %v, want the inconsistent-arrays error", tc.name, err)
 			}

@@ -439,7 +439,8 @@ func roundHalf(x float64) float64 {
 
 // Stats summarizes the data-model shape numbers the paper reports
 // (Sec. III-C2): faces per cell, vertices per face, vertex sharing, and the
-// byte split between floating-point geometry and integer connectivity.
+// byte split between floating-point geometry and integer connectivity, of
+// the paper's uncompressed model (the v1 layout; Encode writes 0.39-0.44x).
 type Stats struct {
 	Cells             int
 	Faces             int
@@ -474,7 +475,7 @@ func ratio(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// byteSplit accounts the v1 encoding, less its magic: geometry (extents,
+// byteSplit accounts the v1 layout less its magic: geometry (extents,
 // vertices and sites as float64 triples, volumes, areas) versus
 // connectivity (the vertex and cell counts, IDs, flags, a face count per
 // cell, a neighbor and loop length per face, and the loop indices).

@@ -41,7 +41,11 @@ func EncodeV1(m *BlockMesh) []byte {
 		}
 	}
 	for _, c := range m.Complete {
-		w.Bool(c)
+		var b byte
+		if c {
+			b = 1
+		}
+		w.U8(b)
 	}
 	for c := range m.FaceEnds {
 		lo, hi := m.Faces(c)

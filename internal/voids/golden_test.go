@@ -111,6 +111,10 @@ func meanVolume(recs []voids.CellRecord) float64 {
 // back from its tess file), of jittered periodic lattices on one and four
 // blocks and of a bounded lattice whose boundary cells keep their wall
 // faces; a threshold sweep; and watershed zones flooded at three barriers.
+// The two inputs read back from a tess file were re-pinned when tess files
+// moved to the v2 layout, from the same blocks written in v2 by the
+// commit before: their vertices sit on a 2^-31 grid of the block span,
+// which moves the functionals in their last digits.
 func TestFindVoidsGoldenDigests(t *testing.T) {
 	periodic := func(L float64) core.Config {
 		return core.Config{
@@ -142,7 +146,7 @@ func TestFindVoidsGoldenDigests(t *testing.T) {
 			th := 2.0 * meanVolume(recs)
 			d.float(th)
 			d.components(voids.ConnectedComponents(voids.Threshold(recs, th)))
-		}, "dadebb60e377efd8d3008142b33b961653f2bf1591fdb25fb6a3f7d7cb8338b4"},
+		}, "a0fce6253bfbd0bce52d9610c69561220307eb0f94439c96a4a2f5a0eb2b4668"},
 		{"jitter8-b1", func(t *testing.T, d goldenDigest) {
 			comps, th := voids.Label(goldenCells(t, periodic(8), jitteredLattice(8, 31), 1, false), 0)
 			d.float(th)
@@ -152,7 +156,7 @@ func TestFindVoidsGoldenDigests(t *testing.T) {
 			comps, th := voids.Label(goldenCells(t, periodic(8), jitteredLattice(8, 31), 4, true), 0)
 			d.float(th)
 			d.components(comps)
-		}, "02d25d7c951871938a6f0355c9cc0e94bb61e81d61fcb0898221bead00e6071a"},
+		}, "0ac180914ed2b3a4432715d5a6a7656a74afc77e94dd253cb8275e3aa318c677"},
 		{"bounded8-b4", func(t *testing.T, d goldenDigest) {
 			recs := goldenCells(t, bounded, jitteredLattice(8, 32), 4, false)
 			walls := 0

@@ -1,7 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,8 +13,8 @@ import (
 func TestRoundTrip(t *testing.T) {
 	var w Writer
 	w.U8(0xab)
-	w.Bool(true)
-	w.Bool(false)
+	w.U8(1) // read back as Bools
+	w.U8(0)
 	w.U32(0xdeadbeef)
 	w.I32(-7)
 	w.U64(1<<63 + 5)
@@ -19,7 +23,9 @@ func TestRoundTrip(t *testing.T) {
 	w.Uvarint(300)
 	w.Svarint(-300)
 	w.Svarint(math.MinInt64)
-	w.Raw([]byte("tail"))
+	for _, b := range []byte("tail") {
+		w.U8(b)
+	}
 	want := []byte{0xab, 1, 0, 0xef, 0xbe, 0xad, 0xde, 0xf9, 0xff, 0xff, 0xff} // little-endian, one byte per bool
 	if got := w.Bytes(); string(got[:len(want)]) != string(want) {
 		t.Fatalf("leading bytes % x, want % x", got[:len(want)], want)
@@ -124,5 +130,98 @@ func TestDoneAndVarintErrors(t *testing.T) {
 	r = NewReader([]byte{1})
 	if r.Take(-1) != nil || r.Err() == nil {
 		t.Error("negative Take accepted")
+	}
+}
+
+// The varint fast paths write and read exactly what encoding/binary does,
+// for values of every width, at every amount of spare capacity, and the
+// length functions agree with them.
+func TestVarintsMatchEncodingBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []uint64{0, 1, 1<<7 - 1, 1 << 7, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<35 + 3, math.MaxUint64}
+	for range 2000 {
+		vals = append(vals, rng.Uint64()>>rng.Intn(64))
+	}
+	for _, v := range vals {
+		want := binary.AppendUvarint(nil, v)
+		if n := UvarintLen(v); n != len(want) {
+			t.Fatalf("UvarintLen(%d) = %d, want %d", v, n, len(want))
+		}
+		for spare := 0; spare <= len(want)+4; spare++ {
+			// Sentinels past the capped capacity must survive.
+			backing := bytes.Repeat([]byte{0xaa}, 1+spare+4)
+			w := WriterOn(backing[: 1 : 1+spare])
+			w.Uvarint(v)
+			if got := w.Bytes()[1:]; !bytes.Equal(got, want) {
+				t.Fatalf("Uvarint(%d) with %d spare = % x, want % x", v, spare, got, want)
+			}
+			if tail := backing[1+spare:]; !bytes.Equal(tail, []byte{0xaa, 0xaa, 0xaa, 0xaa}) {
+				t.Fatalf("Uvarint(%d) with %d spare wrote past the capacity: % x", v, spare, tail)
+			}
+		}
+		for _, tail := range [][]byte{nil, {0x80}, {0x80, 0x80, 0x80, 0x80}, {1, 2, 3, 4}} {
+			r := NewReader(append(append([]byte(nil), want...), tail...))
+			if got := r.Uvarint(); got != v || r.Len() != len(tail) || r.Err() != nil {
+				t.Fatalf("Uvarint read % x = %d with %d left (%v), want %d", want, got, r.Len(), r.Err(), v)
+			}
+		}
+	}
+	// A non-minimal encoding reads as encoding/binary reads it.
+	for _, b := range [][]byte{{0x80, 0x00, 0, 0}, {0xff, 0x80, 0x00, 0}} {
+		want, n := binary.Uvarint(b)
+		r := NewReader(b)
+		if got := r.Uvarint(); got != want || len(b)-r.Len() != n {
+			t.Errorf("% x: %d after %d bytes, want %d after %d", b, got, len(b)-r.Len(), want, n)
+		}
+	}
+}
+
+// A delta run is its head's Svarint, its length's Uvarint and each
+// element's delta Svarint, whatever the deltas' widths and the spare
+// capacity; it reads back whole, and a truncated run or an element
+// outside the reader's limit is an error.
+func TestDeltaRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := range 500 {
+		vs := make([]int32, rng.Intn(200))
+		limit := 1 + rng.Intn(1<<uint(1+rng.Intn(30)))
+		for i := range vs {
+			vs[i] = int32(rng.Intn(limit))
+		}
+		head := rng.Int63() >> rng.Intn(63)
+		if rng.Intn(2) == 0 {
+			head = -head
+		}
+		var ref Writer
+		ref.Svarint(head)
+		ref.Uvarint(uint64(len(vs)))
+		var prev int32
+		for _, v := range vs {
+			ref.Svarint(int64(v) - int64(prev))
+			prev = v
+		}
+		want := ref.Bytes()
+		w := WriterOn(make([]byte, 0, rng.Intn(len(want)+8)))
+		w.DeltaRun(head, vs)
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("trial %d: DeltaRun wrote % x, want % x", trial, w.Bytes(), want)
+		}
+
+		r := NewReader(append(want, 9))
+		gotHead, got := r.DeltaRun(nil, limit)
+		if r.Err() != nil || gotHead != head || !slices.Equal(got, vs) || r.Len() != 1 {
+			t.Fatalf("trial %d: read head %d, %d elements, %d left, err %v", trial, gotHead, len(got), r.Len(), r.Err())
+		}
+		if len(vs) > 0 {
+			max := slices.Max(vs)
+			r = NewReader(want)
+			if _, _ = r.DeltaRun(nil, int(max)); r.Err() == nil {
+				t.Fatalf("trial %d: element %d accepted under limit %d", trial, max, max)
+			}
+			r = NewReader(want[:len(want)-1])
+			if r.DeltaRun(nil, limit); r.Err() == nil {
+				t.Fatalf("trial %d: truncated run read", trial)
+			}
+		}
 	}
 }
