@@ -2,34 +2,70 @@ package comm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// abortDeadline bounds how long an aborted world may take to unwind. An
+// abort unblocks every rank in microseconds; a blocking site that misses
+// the done channel never returns at all.
+const abortDeadline = 5 * time.Second
+
 // One rank aborting must unblock every other rank, however it was
-// blocked: recv, send into a full queue, or the barrier.
+// blocked: recv, send into a full queue, the barrier, or asleep in an
+// injected send delay. Run is given abortDeadline to return; past it the
+// test fails naming the ranks still blocked, instead of hanging until the
+// package timeout.
 func TestAbortUnblocksAllRanks(t *testing.T) {
-	const P = 4
+	const P = 5
+	const slowTag = 77
 	cause := errors.New("rank 0 gave up")
-	w := NewWorld(P)
-	err := w.Run(func(rank int) {
-		switch rank {
-		case 0:
-			time.Sleep(10 * time.Millisecond)
-			w.Abort(cause)
-		case 1:
-			w.Recv(1, 2, 99) // rank 2 never sends with tag for this wait to resolve
-		case 2:
-			// Fill the pair queue, then block on the next send: rank 3
-			// never receives.
-			for i := 0; i <= DefaultMailboxCapacity; i++ {
-				w.Send(2, 3, 5, []int{i})
-			}
-		case 3:
-			w.BarrierRank(3)
+	w := NewWorld(P, WithSendDelay(func(src, dst, tag int) time.Duration {
+		if tag == slowTag {
+			return time.Hour
 		}
-	})
+		return 0
+	}))
+	blockedIn := [P]string{"", "Recv", "Send into a full queue", "BarrierRank", "a WithSendDelay sleep"}
+	var exited [P]atomic.Bool
+	errc := make(chan error, 1)
+	go func() {
+		errc <- w.Run(func(rank int) {
+			defer exited[rank].Store(true)
+			switch rank {
+			case 0:
+				time.Sleep(10 * time.Millisecond)
+				w.Abort(cause)
+			case 1:
+				w.Recv(1, 2, 99) // rank 2 never sends with tag for this wait to resolve
+			case 2:
+				// Fill the pair queue, then block on the next send: rank 3
+				// never receives.
+				for i := 0; i <= DefaultMailboxCapacity; i++ {
+					w.Send(2, 3, 5, []int{i})
+				}
+			case 3:
+				w.BarrierRank(3)
+			case 4:
+				w.Send(4, 0, slowTag, []int{4}) // delayed an hour before it enqueues
+			}
+		})
+	}()
+	var err error
+	select {
+	case err = <-errc:
+	case <-time.After(abortDeadline):
+		var stuck []string
+		for r := range exited {
+			if !exited[r].Load() {
+				stuck = append(stuck, fmt.Sprintf("rank %d in %s", r, blockedIn[r]))
+			}
+		}
+		t.Fatalf("Run still blocked %v after the abort: %s", abortDeadline, strings.Join(stuck, ", "))
+	}
 	if err == nil {
 		t.Fatal("aborted world returned nil from Run")
 	}
