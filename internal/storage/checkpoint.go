@@ -53,9 +53,11 @@ func HasCheckpoint(dir string) bool {
 }
 
 // Save writes man into dir, creating it if needed, at the current version.
-// The manifest lands under a temp name and is renamed into place, so a
-// crash at any point leaves dir with the previous complete checkpoint, or
-// none.
+// The manifest is written and synced under a temp name, renamed into
+// place, and the directory synced, so a crash at any point — power loss
+// included — leaves dir with the previous complete checkpoint, or none. A
+// failed Save removes its temp file and leaves the previous checkpoint as
+// it was.
 func Save(dir string, man Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: checkpoint dir: %w", err)
@@ -66,10 +68,34 @@ func Save(dir string, man Manifest) error {
 		return fmt.Errorf("storage: manifest: %w", err)
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return err
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: writing manifest: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(dir, manifestName))
+	_, err = f.Write(append(raw, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, manifestName))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("storage: writing manifest: %w", err)
+	}
+	// The rename is durable only once the directory entry is.
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("storage: syncing checkpoint dir: %w", err)
+	}
+	return nil
 }
 
 // Load reads the committed checkpoint in dir. The manifest is outside

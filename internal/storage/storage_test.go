@@ -294,6 +294,37 @@ func TestCheckpointSaveLoad(t *testing.T) {
 	}
 }
 
+// A Save that cannot commit fails with a storage error and leaves the
+// previous checkpoint loading exactly as before: here the temp path is
+// taken by a directory, so the manifest can be neither written nor
+// renamed into place.
+func TestCheckpointFailedSaveKeepsPrevious(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	if err := Save(dir, testManifest(3)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, manifestName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	deeper := testManifest(3)
+	deeper.Steps = 7
+	err = Save(dir, deeper)
+	if err == nil || !strings.HasPrefix(err.Error(), "storage: ") {
+		t.Fatalf("Save over an occupied temp path: err %v, want a storage error", err)
+	}
+	after, err := Load(dir)
+	if err != nil {
+		t.Fatalf("previous checkpoint no longer loads: %v", err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("previous checkpoint changed: %+v, want %+v", after, before)
+	}
+}
+
 // validManifest is testManifest(2) as Save writes it; the corruption rows
 // below are edits of it.
 const validManifest = `{"version": 3, "steps": 3, "num_blocks": 2, "periodic": true,
