@@ -31,11 +31,9 @@
 // *AbortError; Run recognizes and swallows those secondary unwinds, so the
 // only error that surfaces is the original cause.
 //
-// The //tess:abortable marker below opts this package into the donesel
-// analyzer: every blocking channel operation here must select on the done
-// channel (or a default), so the abort guarantee stays mechanical.
-//
-//tess:abortable
+// TestAbortUnblocksAllRanks holds that guarantee for every blocking site:
+// a receive, send or injected delay that stops selecting on done fails it
+// within seconds, naming the rank still blocked.
 package comm
 
 import (

@@ -160,7 +160,6 @@ func (wd *watchdog) start() (stop func()) {
 	go wd.monitor(stopCh, exited)
 	return func() {
 		close(stopCh)
-		//lint:ignore donesel the monitor's select always observes the stop close (or the done close) and exits via defer, so this receive cannot hang
 		<-exited
 	}
 }

@@ -56,8 +56,6 @@ func countTriangulation(rec *obs.Recorder, st delaunay.Stats) {
 // The returned Result is a loan like Step's Output: its grid lives in the
 // pipeline's retained buffer and is overwritten by the next StepDensity.
 // Clone it to keep it.
-//
-//tess:loaned
 func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*density.Result, error) {
 	if err := s.usable(); err != nil {
 		return nil, err

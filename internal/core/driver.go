@@ -55,7 +55,7 @@ func runOnce(cfg Config, particles []diy.Particle, numBlocks, inFlight int, opts
 		return nil, err
 	}
 	defer s.Close()
-	//lint:ignore loanretain the deferred Close ends the session before runOnce returns, so no later Step can overwrite this Output: the loan becomes ownership
+	// Close ends the session, so no later Step can overwrite the loan.
 	return s.Step(particles, opts...)
 }
 

@@ -198,8 +198,6 @@ func WithOutputPath(path string) StepOption {
 // The returned Output is a loan valid until the next Step (see Session);
 // its content is byte-identical to Run(cfg, particles, numBlocks) with the
 // session's configuration.
-//
-//tess:loaned
 func (s *Session) Step(particles []diy.Particle, opts ...StepOption) (*Output, error) {
 	return s.StepFrom(storage.NewSliceSource(particles), opts...)
 }
@@ -235,8 +233,6 @@ func (s *Session) usable() error {
 // The exception is the first step of an RCB session, which builds the
 // decomposition: it needs every particle position at once and therefore
 // materializes the source for that step only.
-//
-//tess:loaned
 func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, error) {
 	if err := s.usable(); err != nil {
 		return nil, err

@@ -205,8 +205,6 @@ func Compute(cfg Config, pts []geom.Vec3, masses []float64) (*Result, error) {
 
 // Step runs triangulate → interpolate → finalize serially for one
 // snapshot.
-//
-//tess:loaned
 func (p *Pipeline) Step(pts []geom.Vec3, masses []float64) (*Result, error) {
 	if err := p.Triangulate(pts, masses); err != nil {
 		return nil, err
@@ -336,8 +334,6 @@ func (p *Pipeline) InterpolateSlab(z0, z1, workers int) dtfe.SampleStats {
 // spectrum when configured) and assembles the snapshot Result. sample is
 // the accumulated stats of the InterpolateSlab calls that covered the
 // grid.
-//
-//tess:loaned
 func (p *Pipeline) Finalize(sample dtfe.SampleStats) *Result {
 	n := p.cfg.GridN
 	grid := p.grid

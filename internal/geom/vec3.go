@@ -7,8 +7,6 @@
 // than exact arithmetic; the tolerance scales with the magnitude of the
 // operands so that the same code is usable for unit boxes and for
 // simulation-box coordinates in the hundreds of Mpc/h.
-//
-//tess:hotpath
 package geom
 
 import (

@@ -12,12 +12,12 @@ import (
 // path wraps errors as it crosses layers (rank panic -> RankError ->
 // AbortError -> session error), so structured errors and sentinels —
 // AbortError, RankError, StallError, ErrWorldAborted, and any module
-// type/variable following the Err*/*Error naming convention — must be
-// matched with errors.Is and errors.As, which unwrap. A == comparison or
-// a value type-switch matches only the outermost layer and silently stops
-// working the moment anyone adds a wrapping layer; fmt.Errorf on an error
-// without %w severs the chain so no errors.Is downstream can see through
-// it.
+// type/variable following the Err*/*Error naming convention, decided from
+// the object itself — must be matched with errors.Is and errors.As, which
+// unwrap. A == comparison or a value type-switch matches only the
+// outermost layer and silently stops working the moment anyone adds a
+// wrapping layer; fmt.Errorf on an error without %w severs the chain so no
+// errors.Is downstream can see through it.
 //
 // The Is methods of error types are exempt: they are the unwrap
 // protocol's own plumbing and compare identity by design.
@@ -28,16 +28,14 @@ var AbortErr = &Analyzer{
 }
 
 func runAbortErr(p *Pass) {
-	if p.Prog == nil {
-		return
-	}
 	for _, file := range p.Pkg.Files {
-		for _, fs := range funcScopes(p, file) {
-			if fs.decl != nil && isErrorIsMethod(p, fs.decl) {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			if decl, ok := n.(*ast.FuncDecl); ok && isErrorIsMethod(p, decl) {
+				return false
 			}
-			checkAbortErrScope(p, fs)
-		}
+			checkAbortErrNode(p, n)
+			return true
+		})
 	}
 }
 
@@ -52,55 +50,54 @@ func isErrorIsMethod(p *Pass, decl *ast.FuncDecl) bool {
 	return implementsError(recv)
 }
 
-func checkAbortErrScope(p *Pass, fs funcScope) {
-	inspectShallow(fs.body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.BinaryExpr:
-			if st.Op != token.EQL && st.Op != token.NEQ {
-				return true
-			}
-			for _, side := range []ast.Expr{st.X, st.Y} {
-				if name, ok := sentinelUse(p, side); ok {
-					p.Reportf(st.Pos(),
-						"comparing %s with %s misses wrapped errors; use errors.Is",
-						name, st.Op)
-					break
-				}
-			}
-		case *ast.SwitchStmt:
-			// switch err { case ErrWorldAborted: ... }
-			if st.Tag == nil || !implementsError(p.TypeOf(st.Tag)) {
-				return true
-			}
-			for _, clause := range st.Body.List {
-				cc := clause.(*ast.CaseClause)
-				for _, e := range cc.List {
-					if name, ok := sentinelUse(p, e); ok {
-						p.Reportf(e.Pos(),
-							"switching on %s by value misses wrapped errors; use errors.Is",
-							name)
-					}
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			checkErrTypeSwitch(p, st)
-		case *ast.TypeAssertExpr:
-			if st.Type == nil {
-				return true // x.(type) inside a switch, handled above
-			}
-			if !implementsError(p.TypeOf(st.X)) {
-				return true
-			}
-			if name, ok := moduleErrType(p, st.Type); ok {
-				p.Reportf(st.Pos(),
-					"type-asserting to %s misses wrapped errors; use errors.As",
-					name)
-			}
-		case *ast.CallExpr:
-			checkErrorfWrap(p, st)
+// checkAbortErrNode reports n if it compares, switches on, asserts or
+// re-wraps a module error in a way that stops unwrapping.
+func checkAbortErrNode(p *Pass, n ast.Node) {
+	switch st := n.(type) {
+	case *ast.BinaryExpr:
+		if st.Op != token.EQL && st.Op != token.NEQ {
+			return
 		}
-		return true
-	})
+		for _, side := range []ast.Expr{st.X, st.Y} {
+			if name, ok := sentinelUse(p, side); ok {
+				p.Reportf(st.Pos(),
+					"comparing %s with %s misses wrapped errors; use errors.Is",
+					name, st.Op)
+				break
+			}
+		}
+	case *ast.SwitchStmt:
+		// switch err { case ErrWorldAborted: ... }
+		if st.Tag == nil || !implementsError(p.TypeOf(st.Tag)) {
+			return
+		}
+		for _, clause := range st.Body.List {
+			cc := clause.(*ast.CaseClause)
+			for _, e := range cc.List {
+				if name, ok := sentinelUse(p, e); ok {
+					p.Reportf(e.Pos(),
+						"switching on %s by value misses wrapped errors; use errors.Is",
+						name)
+				}
+			}
+		}
+	case *ast.TypeSwitchStmt:
+		checkErrTypeSwitch(p, st)
+	case *ast.TypeAssertExpr:
+		if st.Type == nil {
+			return // x.(type) inside a switch, handled above
+		}
+		if !implementsError(p.TypeOf(st.X)) {
+			return
+		}
+		if name, ok := moduleErrType(p, st.Type); ok {
+			p.Reportf(st.Pos(),
+				"type-asserting to %s misses wrapped errors; use errors.As",
+				name)
+		}
+	case *ast.CallExpr:
+		checkErrorfWrap(p, st)
+	}
 }
 
 // checkErrTypeSwitch flags `switch e := err.(type)` statements whose
@@ -135,7 +132,8 @@ func checkErrTypeSwitch(p *Pass, st *ast.TypeSwitchStmt) {
 }
 
 // sentinelUse reports whether e denotes a module error sentinel (a
-// package-level Err* variable implementing error), returning its name.
+// package-level Err* variable of error type, declared in a module
+// package), returning its name.
 func sentinelUse(p *Pass, e ast.Expr) (string, bool) {
 	var id *ast.Ident
 	switch x := ast.Unparen(e).(type) {
@@ -146,24 +144,35 @@ func sentinelUse(p *Pass, e ast.Expr) (string, bool) {
 	default:
 		return "", false
 	}
-	obj := p.ObjectOf(id)
-	if obj != nil && p.Prog.sentinels[obj] {
-		return id.Name, true
+	v, ok := p.ObjectOf(id).(*types.Var)
+	if !ok || !inModule(p, v) || v.Parent() != v.Pkg().Scope() ||
+		!strings.HasPrefix(v.Name(), "Err") || !implementsError(v.Type()) {
+		return "", false
 	}
-	return "", false
+	return id.Name, true
 }
 
 // moduleErrType reports whether the type expression e names a module
-// structured error type (*Error-named, implementing error).
+// structured error type (a named *Error type implementing error, by value
+// or by pointer, declared in a module package).
 func moduleErrType(p *Pass, e ast.Expr) (string, bool) {
 	n := namedType(p.TypeOf(e))
-	if n == nil {
+	if n == nil || !inModule(p, n.Obj()) || !strings.HasSuffix(n.Obj().Name(), "Error") ||
+		!(implementsError(n) || implementsError(types.NewPointer(n))) {
 		return "", false
 	}
-	if p.Prog.errTypes[n.Obj()] {
-		return n.Obj().Name(), true
+	return n.Obj().Name(), true
+}
+
+// inModule reports whether obj is declared in a package of the module
+// being analyzed, so the standard library's io.EOF or *PathError, which
+// callers conventionally compare, stay out of scope.
+func inModule(p *Pass, obj types.Object) bool {
+	if obj.Pkg() == nil {
+		return false
 	}
-	return "", false
+	path, mod := obj.Pkg().Path(), p.Pkg.Module
+	return path == mod || strings.HasPrefix(path, mod+"/")
 }
 
 // checkErrorfWrap flags fmt.Errorf calls that format an error-typed
@@ -205,4 +214,16 @@ func isErrorValue(t types.Type) bool {
 		return false
 	}
 	return isErrorType(t) || implementsError(t)
+}
+
+var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// implementsError reports whether t satisfies the error interface.
+func implementsError(t types.Type) bool {
+	return t != nil && types.Implements(t, errorIface)
+}
+
+// isErrorType reports whether t is the error interface itself.
+func isErrorType(t types.Type) bool {
+	return t != nil && types.Identical(t.Underlying(), errorIface)
 }

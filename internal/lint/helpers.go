@@ -127,68 +127,6 @@ func hasReferenceDepth(t types.Type, depth int) bool {
 	}
 }
 
-// funcScopes returns every function body in the file paired with the
-// objects of its parameters, receiver, and named results. Function
-// literals are separate scopes: their bodies are excluded from the
-// enclosing function's scope entry.
-type funcScope struct {
-	body *ast.BlockStmt
-	// decl is the declaration when the scope is a FuncDecl (nil for
-	// function literals).
-	decl *ast.FuncDecl
-	// params holds receiver, parameter, and named-result objects: memory
-	// the caller provided or will observe.
-	params map[types.Object]bool
-}
-
-func funcScopes(p *Pass, file *ast.File) []funcScope {
-	var out []funcScope
-	add := func(set map[types.Object]bool, fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if obj := p.ObjectOf(name); obj != nil {
-					set[obj] = true
-				}
-			}
-		}
-	}
-	scope := func(recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) funcScope {
-		fs := funcScope{body: body, params: map[types.Object]bool{}}
-		add(fs.params, recv)
-		add(fs.params, typ.Params)
-		add(fs.params, typ.Results)
-		return fs
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil {
-				fs := scope(fn.Recv, fn.Type, fn.Body)
-				fs.decl = fn
-				out = append(out, fs)
-			}
-		case *ast.FuncLit:
-			out = append(out, scope(nil, fn.Type, fn.Body))
-		}
-		return true
-	})
-	return out
-}
-
-// inspectShallow walks the statements of body without descending into
-// nested function literals, so each function scope is analyzed once.
-func inspectShallow(body *ast.BlockStmt, fn func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return fn(n)
-	})
-}
-
 // declaredWithin reports whether obj's declaration lies inside the span
 // of node.
 func declaredWithin(obj types.Object, node ast.Node) bool {

@@ -2,27 +2,19 @@
 // entirely on the standard library's go/parser and go/types (no x/tools
 // dependency). It exists to mechanize the invariants the paper's
 // correctness story rests on — distributed-memory rank isolation,
-// bit-identical deterministic output, and allocation-free hot paths —
-// where doc comments and tests cannot see new code.
+// bit-identical deterministic output, and a failure model whose errors
+// unwrap — where neither the compiler nor a test sees new code break them.
 //
 // The framework has three parts: a Loader that parses and type-checks
 // every package of the module from source (stdlib imports are resolved by
 // the compiler's source importer), a small Analyzer/Pass API mirroring
-// the shape of go/analysis, and a Run driver that applies suppression
-// directives and returns position-sorted diagnostics. The six
-// repo-specific analyzers live alongside the framework — aborterr,
-// donesel, hotalloc, loanretain, maporder and sendalias — each guarding an
-// invariant that no compiler error or test holds (see their Doc strings
-// and the table in DESIGN.md's "Static invariants" section). Two of them,
-// loanretain and sendalias, read an interprocedural Program whose one
-// taint engine (Program.trace, summary.go) computes every escape fact.
-//
-// Diagnostics may be suppressed with a directive comment on the same
-// line or the line directly above:
-//
-//	//lint:ignore <analyzer> <reason>
-//
-// The reason is mandatory; a directive without one is itself reported.
+// the shape of go/analysis, and a Run driver that returns position-sorted
+// diagnostics. The three repo-specific analyzers live alongside the
+// framework — aborterr, maporder and sendalias — each checking one
+// function at a time and each guarding an invariant whose planted defect
+// no test catches (see their Doc strings and the table in DESIGN.md's
+// "Static invariants" section). There are no suppression directives: a
+// finding is fixed, or the analyzer is wrong.
 package lint
 
 import (
@@ -52,14 +44,10 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Pass carries one package through one analyzer. Prog is the shared
-// interprocedural layer built once per Run over every loaded package;
-// analyzers consult it for call-graph summaries and module-wide marker
-// indexes.
+// Pass carries one package through one analyzer.
 type Pass struct {
 	Fset *token.FileSet
 	Pkg  *Package
-	Prog *Program
 
 	analyzer string
 	sink     *[]Diagnostic

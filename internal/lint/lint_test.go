@@ -2,24 +2,21 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// run is RunProgram with the interprocedural Program built over exactly
-// pkgs.
-func run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgram(BuildProgram(pkgs), pkgs, analyzers)
-}
+// sharedLoader is the one Loader of this test binary: the module and the
+// standard library it imports are type-checked from source once, and every
+// fixture and the whole-module gate reuse them.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader("../..") })
 
 func moduleLoader(t *testing.T) *Loader {
 	t.Helper()
-	l, err := NewLoader("../..")
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +34,7 @@ func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := run([]*Package{pkg}, analyzers)
+	diags := Run([]*Package{pkg}, analyzers)
 
 	type want struct {
 		re  *regexp.Regexp
@@ -86,94 +83,12 @@ func checkFixture(t *testing.T, fixture string, analyzers []*Analyzer) {
 	}
 }
 
-func TestSendAliasFixture(t *testing.T)  { checkFixture(t, "sendalias", []*Analyzer{SendAlias}) }
-func TestMapOrderFixture(t *testing.T)   { checkFixture(t, "maporder", []*Analyzer{MapOrder}) }
-func TestHotAllocFixture(t *testing.T)   { checkFixture(t, "hotalloc", []*Analyzer{HotAlloc}) }
-func TestLoanRetainFixture(t *testing.T) { checkFixture(t, "loanretain", []*Analyzer{LoanRetain}) }
-func TestAbortErrFixture(t *testing.T)   { checkFixture(t, "aborterr", []*Analyzer{AbortErr}) }
-func TestDoneSelFixture(t *testing.T)    { checkFixture(t, "donesel", []*Analyzer{DoneSel}) }
-
-// TestInterprocFixture drives loanretain and sendalias over leaks that
-// escape exclusively through helper calls.
-func TestInterprocFixture(t *testing.T) {
-	checkFixture(t, "interproc", []*Analyzer{LoanRetain, SendAlias})
-}
-
-// TestInterprocRegression pins the tentpole claim: every finding in the
-// interproc fixture needs the interprocedural summaries. Running the same
-// analyzers with an EMPTY Program — which reduces every call to the v1
-// "results are owned, parameters don't escape" convention — must see
-// nothing, and the full Program must see every leak.
-func TestInterprocRegression(t *testing.T) {
-	l := moduleLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "interproc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	analyzers := []*Analyzer{LoanRetain, SendAlias}
-	if diags := RunProgram(BuildProgram(nil), []*Package{pkg}, analyzers); len(diags) != 0 {
-		t.Errorf("function-local pass (empty Program) reported findings, so the fixture is not purely interprocedural: %v", diags)
-	}
-	diags := run([]*Package{pkg}, analyzers)
-	if len(diags) < 8 {
-		t.Errorf("interprocedural pass found %d leaks, want at least 8: %v", len(diags), diags)
-	}
-}
-
-// TestDoneSelRequiresMarker checks donesel stays silent on packages
-// without the //tess:abortable opt-in, whatever channel operations they
-// contain.
-func TestDoneSelRequiresMarker(t *testing.T) {
-	l := moduleLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "suppress"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := run([]*Package{pkg}, []*Analyzer{DoneSel}); len(diags) != 0 {
-		t.Errorf("donesel fired on an unmarked package: %v", diags)
-	}
-}
-
-// TestSuppressFixture runs maporder over violations covered by
-// //lint:ignore directives: only the uncovered ones may surface.
-func TestSuppressFixture(t *testing.T) { checkFixture(t, "suppress", []*Analyzer{MapOrder}) }
-
-// TestHotAllocRequiresMarker checks the analyzer stays silent on packages
-// without the //tess:hotpath opt-in, whatever they allocate.
-func TestHotAllocRequiresMarker(t *testing.T) {
-	l := moduleLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "suppress"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := run([]*Package{pkg}, []*Analyzer{HotAlloc}); len(diags) != 0 {
-		t.Errorf("hotalloc fired on an unmarked package: %v", diags)
-	}
-}
-
-// TestMalformedIgnoreDirective checks that a directive missing its reason
-// suppresses nothing and is itself reported.
-func TestMalformedIgnoreDirective(t *testing.T) {
-	fset := token.NewFileSet()
-	src := "package x\n\n//lint:ignore maporder\nvar V int\n"
-	f, err := parser.ParseFile(fset, "x.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &Package{Path: "x", Files: []*ast.File{f}, Fset: fset}
-	var sink []Diagnostic
-	dirs := collectIgnores(pkg, &sink)
-	if len(dirs) != 0 {
-		t.Errorf("malformed directive parsed as valid: %+v", dirs)
-	}
-	if len(sink) != 1 || !strings.Contains(sink[0].Message, "malformed //lint:ignore") {
-		t.Errorf("expected one malformed-directive diagnostic, got %v", sink)
-	}
-}
+func TestAbortErrFixture(t *testing.T)  { checkFixture(t, "aborterr", []*Analyzer{AbortErr}) }
+func TestMapOrderFixture(t *testing.T)  { checkFixture(t, "maporder", []*Analyzer{MapOrder}) }
+func TestSendAliasFixture(t *testing.T) { checkFixture(t, "sendalias", []*Analyzer{SendAlias}) }
 
 // TestRealModuleClean is the zero-findings gate over the shipped tree: the
-// whole module must pass the full analyzer suite. Suppressions are allowed
-// only with an inline reason; TestRealModuleSuppressions pins the budget.
+// whole module must pass the full analyzer suite.
 func TestRealModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -193,42 +108,7 @@ func TestRealModuleClean(t *testing.T) {
 		}
 		seen[pkg.Path] = true
 	}
-	for _, d := range run(pkgs, All()) {
+	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d.String())
-	}
-}
-
-// TestRealModuleSuppressions pins the suppression budget for the shipped
-// tree: every //lint:ignore directive must name a real analyzer and carry a
-// reason, and adding one means raising the budget here — in review, not by
-// accident.
-func TestRealModuleSuppressions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	const budget = 2
-	l := moduleLoader(t)
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int
-	for _, pkg := range pkgs {
-		var sink []Diagnostic
-		for _, ig := range collectIgnores(pkg, &sink) {
-			total++
-			for _, name := range ig.analyzers {
-				if name != "all" && ByName(name) == nil {
-					t.Errorf("%s:%d: suppression names unknown analyzer %q", ig.file, ig.line, name)
-				}
-			}
-			t.Logf("suppression: %s:%d [%s] %s", ig.file, ig.line, strings.Join(ig.analyzers, ","), ig.reason)
-		}
-		for _, d := range sink {
-			t.Errorf("%s", d.String())
-		}
-	}
-	if total > budget {
-		t.Errorf("module has %d suppressions, budget is %d; justify the new one and raise the budget", total, budget)
 	}
 }

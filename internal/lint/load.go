@@ -8,7 +8,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -20,6 +19,8 @@ import (
 type Package struct {
 	// Path is the import path ("repro/internal/voronoi").
 	Path string
+	// Module is the path of the module the package belongs to ("repro").
+	Module string
 	// Dir is the absolute directory the sources were read from.
 	Dir   string
 	Files []*ast.File
@@ -174,18 +175,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return out, nil
 }
 
-// Cached returns every module package the Loader has loaded so far —
-// requested packages and module dependencies pulled in through imports —
-// in deterministic path order. It is the natural universe for
-// BuildProgram when only a subset of packages is being reported on.
-func (l *Loader) Cached() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, p := range slices.Sorted(maps.Keys(l.pkgs)) {
-		out = append(out, l.pkgs[p])
-	}
-	return out
-}
-
 func (l *Loader) load(path, dir string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
@@ -229,7 +218,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Fset: l.Fset}
+	pkg := &Package{Path: path, Module: l.modulePath, Dir: dir, Files: files, Types: tpkg, Info: info, Fset: l.Fset}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -4,24 +4,13 @@ import (
 	"sort"
 )
 
-// RunProgram applies every analyzer to every target package, drops
-// findings covered by //lint:ignore directives, and returns the rest sorted
-// by position. prog may span more packages than targets, so escape facts
-// flow through helpers in packages that are only context, while findings
-// are reported only for the target packages.
-func RunProgram(prog *Program, targets []*Package, analyzers []*Analyzer) []Diagnostic {
+// Run applies every analyzer to every package and returns the findings
+// sorted by position.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var all []Diagnostic
-	for _, pkg := range targets {
-		var raw []Diagnostic
-		ignores := collectIgnores(pkg, &all) // malformed directives report directly
+	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pass := &Pass{Fset: pkg.Fset, Pkg: pkg, Prog: prog, analyzer: a.Name, sink: &raw}
-			a.Run(pass)
-		}
-		for _, d := range raw {
-			if !suppressed(d, ignores) {
-				all = append(all, d)
-			}
+			a.Run(&Pass{Fset: pkg.Fset, Pkg: pkg, analyzer: a.Name, sink: &all})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {

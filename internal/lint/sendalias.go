@@ -5,31 +5,34 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 )
 
 // SendAlias enforces the comm package's ownership-transfer convention at
 // every point-to-point send site. Payloads cross rank boundaries by
-// reference, so the sender must (a) hand over memory nobody else can see —
-// nothing reachable from a parameter or the receiver, and no //tess:loaned
-// result — and (b) never touch it again after the send. A payload that
-// aliases caller-visible memory, or is read or written after the send, is
-// shared mutable memory between two ranks: exactly the shared-memory
-// aliasing bug class PARAVT reports as dominant in parallel tessellation
-// codes, and invisible to the race detector until both ranks actually
-// touch the same word.
+// reference, so the sender must hand over memory nobody else can see. A
+// payload that aliases caller-visible or retained memory is shared
+// mutable memory between two ranks: the shared-memory aliasing bug class
+// PARAVT reports as dominant in parallel tessellation codes. It is
+// invisible to the race detector while the two ranks touch the shared
+// words at different times — a per-destination buffer reused on the next
+// step, say — and invisible to byte oracles while the bytes agree.
 //
-// (a) is a predicate on the shared taint engine (Program.trace): the
-// payload's source mask must be empty, so an alias that arrives through a
-// local, a container, a composite literal or an identity helper is seen
-// the way loanretain sees a loan. (b) is positional: no later mention of
-// the payload variable. Payloads of pure value types (no slices, maps, or
-// pointers anywhere in the type) are exempt: they are copied through the
-// channel. The comm package itself is exempt: its collectives forward
-// caller payloads by design, and the convention binds comm's clients.
+// The check reads one function at a time. A payload is fresh when it is
+// nil, a make, or a composite literal whose elements are fresh or hold no
+// references, or when it is a local of the sending function and every
+// assignment to that local is one of those or an append onto itself of
+// values with no references. Anything else — a parameter, a receiver
+// field, a slice of something else, a call result — is flagged. Payloads
+// of pure value types (no slices, maps, or pointers anywhere in the type)
+// are exempt: they are copied through the channel. The comm package
+// itself is exempt: its collectives forward caller payloads by design, and
+// the convention binds comm's clients.
+//
+// Touching a payload after the send is left to the race detector, which
+// reports it on the first run that exercises the send.
 var SendAlias = &Analyzer{
 	Name: "sendalias",
-	Doc:  "comm Send payloads must be freshly allocated and never reused after the send",
+	Doc:  "comm Send payloads must be freshly allocated by the sending function",
 	Run:  runSendAlias,
 }
 
@@ -39,157 +42,132 @@ func runSendAlias(p *Pass) {
 	}
 	for _, file := range p.Pkg.Files {
 		for _, d := range file.Decls {
-			if decl, ok := d.(*ast.FuncDecl); ok && decl.Body != nil {
-				checkSends(p, decl)
+			decl, ok := d.(*ast.FuncDecl)
+			if !ok || decl.Body == nil {
+				continue
 			}
-		}
-	}
-}
-
-func checkSends(p *Pass, decl *ast.FuncDecl) {
-	var sends []*ast.CallExpr
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && sendPayload(p.Pkg, call) != nil {
-			sends = append(sends, call)
-		}
-		return true
-	})
-	if len(sends) == 0 {
-		return
-	}
-	sc := p.Prog.trace(p.Pkg, decl, func(escape) {})
-	for _, call := range sends {
-		payload := ast.Unparen(sendPayload(p.Pkg, call))
-		// Value-type payloads are copied through the channel: nothing to share.
-		if t := p.TypeOf(payload); t != nil && !hasReference(t) {
-			continue
-		}
-		if sc.mask(payload) != 0 {
-			p.Reportf(call.Pos(), "comm Send payload %s", notFresh(p, sc, decl, payload))
-			continue
-		}
-		checkUseAfterSend(p, decl, call, payload, sends)
-	}
-}
-
-// notFresh phrases, by the payload's form, why a payload with a non-empty
-// mask is not the sender's to give away.
-func notFresh(p *Pass, sc *summaryCtx, decl *ast.FuncDecl, payload ast.Expr) string {
-	isParam := func(id *ast.Ident) bool { return slices.Contains(sc.params, p.ObjectOf(id)) }
-	switch e := payload.(type) {
-	case *ast.Ident:
-		if isParam(e) {
-			return e.Name + " is a function parameter; the ownership-transfer convention requires a freshly allocated buffer"
-		}
-		return fmt.Sprintf("%s aliases non-fresh memory assigned on line %d",
-			e.Name, p.Fset.Position(sc.taintedAt(decl.Body, p.ObjectOf(e))).Line)
-	case *ast.CallExpr:
-		// A summarized callee's result is as fresh as the arguments it may
-		// return an alias of: name the identity/wrapper helper.
-		if callee, args := p.Prog.callTarget(p.Pkg, e, sc.bind); callee != nil {
-			for i, arg := range args {
-				if root := rootIdent(arg); root != nil && flowAt(p.Prog.Flows(callee), i).ReturnsAlias && sc.mask(arg) != 0 {
-					return fmt.Sprintf("is the result of %s, which returns an alias of its argument %s; the receiver would alias the caller's memory",
-						callee.Name(), root.Name)
+			ast.Inspect(decl.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			}
+				payload := sendPayload(p.Pkg, call)
+				if payload == nil {
+					return true
+				}
+				f := freshness{p: p, body: decl.Body, seen: map[types.Object]bool{}}
+				if why := f.stale(payload); why != "" {
+					p.Reportf(call.Pos(), "comm Send payload %s; send memory the sending function just allocated", why)
+				}
+				return true
+			})
 		}
 	}
-	// A literal, field or element that carries the alias inside.
-	what := ""
-	ast.Inspect(payload, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && what == "" && sc.masks[p.ObjectOf(id)] != 0 {
-			what = "local " + id.Name
-			if isParam(id) {
-				what = "parameter " + id.Name
-			}
-		}
-		return what == ""
-	})
-	if what == "" {
-		what = "a //tess:loaned result" // the one source that is no variable
-	}
-	return "embeds " + what + "; the receiver would alias the caller's memory"
 }
 
-// taintedAt returns where obj first takes a non-empty mask in body: the
-// assignment or declaration that brought the alias in (obj's own
-// declaration when it arrives some other way, e.g. a range binding).
-func (sc *summaryCtx) taintedAt(body *ast.BlockStmt, obj types.Object) token.Pos {
-	at := obj.Pos()
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
+// freshness decides, within one function body, whether an expression is
+// memory that function allocated and nobody else can reach.
+type freshness struct {
+	p    *Pass
+	body *ast.BlockStmt
+	seen map[types.Object]bool // locals already being checked
+}
+
+// stale returns why e is not fresh, or "" when it is.
+func (f *freshness) stale(e ast.Expr) string {
+	e = ast.Unparen(e)
+	if t := f.p.TypeOf(e); t != nil && !hasReference(t) {
+		return "" // copied by value; untyped nil lands here too
+	}
+	switch x := e.(type) {
+	case *ast.Ident:
+		return f.staleLocal(x)
+	case *ast.CallExpr:
+		if isBuiltin(f.p, x, "make") {
+			return ""
+		}
+	case *ast.CompositeLit:
+		for _, elt := range x.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if why := f.stale(elt); why != "" {
+				return why
+			}
+		}
+		return ""
+	case *ast.UnaryExpr:
+		if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok && x.Op == token.AND {
+			return f.stale(lit)
+		}
+	}
+	return types.ExprString(e) + " is not a local of the sending function"
+}
+
+// staleLocal checks every assignment to the variable id names: it must be
+// a local of the function whose values are all fresh.
+func (f *freshness) staleLocal(id *ast.Ident) string {
+	v, ok := f.p.ObjectOf(id).(*types.Var)
+	if !ok || !declaredWithin(v, f.body) {
+		return id.Name + " is not a local of the sending function"
+	}
+	if f.seen[v] {
+		return "" // already being checked further up
+	}
+	f.seen[v] = true
+	line := func(n ast.Node) int { return f.p.Fset.Position(n.Pos()).Line }
+	why := ""
+	ast.Inspect(f.body, func(n ast.Node) bool {
+		if why != "" {
 			return false
 		}
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range st.Lhs {
-				root := rootIdent(lhs)
-				if rhs := sc.assigned(st, i); rhs != nil && root != nil && objOf(sc.pkg, root) == obj && sc.mask(rhs) != 0 {
-					at, found = st.Pos(), true
+				if l, ok := ast.Unparen(lhs).(*ast.Ident); !ok || f.p.ObjectOf(l) != v {
+					continue
+				}
+				if len(st.Rhs) != len(st.Lhs) {
+					why = fmt.Sprintf("%s is assigned a call's result on line %d", id.Name, line(st))
+				} else if f.staleValue(v, st.Rhs[i]) {
+					why = fmt.Sprintf("%s is assigned %s on line %d", id.Name, types.ExprString(st.Rhs[i]), line(st))
 				}
 			}
 		case *ast.ValueSpec:
 			for i, name := range st.Names {
-				if i < len(st.Values) && objOf(sc.pkg, name) == obj && sc.mask(st.Values[i]) != 0 {
-					at, found = st.Pos(), true
+				switch {
+				case f.p.ObjectOf(name) != v || len(st.Values) == 0:
+				case len(st.Values) != len(st.Names):
+					why = fmt.Sprintf("%s is assigned a call's result on line %d", id.Name, line(st))
+				case f.staleValue(v, st.Values[i]):
+					why = fmt.Sprintf("%s is assigned %s on line %d", id.Name, types.ExprString(st.Values[i]), line(st))
+				}
+			}
+		case *ast.FuncLit:
+			if declaredWithin(v, st.Type) {
+				why = id.Name + " is a parameter of a function literal"
+			}
+		case *ast.RangeStmt:
+			for _, b := range []ast.Expr{st.Key, st.Value} {
+				if b, ok := b.(*ast.Ident); ok && f.p.ObjectOf(b) == v {
+					why = fmt.Sprintf("%s is bound by the range on line %d", id.Name, line(st))
 				}
 			}
 		}
 		return true
 	})
-	return at
+	return why
 }
 
-// checkUseAfterSend enforces that ownership leaves with the message: any
-// later mention of the payload variable reads or writes memory the
-// receiver now owns. The one sanctioned exception is the per-rank drain
-// pattern — a container m whose elements are sent as m[k]: after the first
-// such send, m may appear only as the payload of further sends.
-func checkUseAfterSend(p *Pass, decl *ast.FuncDecl, call *ast.CallExpr, payload ast.Expr, sends []*ast.CallExpr) {
-	root, _ := payload.(*ast.Ident)
-	ix, drain := payload.(*ast.IndexExpr)
-	if drain {
-		root = rootIdent(ix.X)
-	}
-	if root == nil {
-		return
-	}
-	obj := p.ObjectOf(root)
-	if obj == nil {
-		return
-	}
-	after := call.End()
-	var drains []ast.Expr // the m[k] payloads of every send draining obj
-	for _, o := range sends {
-		oi, ok := ast.Unparen(sendPayload(p.Pkg, o)).(*ast.IndexExpr)
-		if !drain || !ok {
-			continue
-		}
-		if r := rootIdent(oi.X); r != nil && p.ObjectOf(r) == obj {
-			after = min(after, o.End())
-			drains = append(drains, oi)
+// staleValue reports whether assigning rhs to the local v could make v
+// reach memory the function did not allocate: rhs must be fresh, or an
+// append onto v itself of elements with no references.
+func (f *freshness) staleValue(v *types.Var, rhs ast.Expr) bool {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltin(f.p, call, "append") && len(call.Args) > 0 {
+		if dst, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && f.p.ObjectOf(dst) == v {
+			s, ok := v.Type().Underlying().(*types.Slice)
+			return !ok || hasReference(s.Elem())
 		}
 	}
-	reported := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		use, ok := n.(*ast.Ident)
-		if !ok || reported || use.Pos() <= after || p.ObjectOf(use) != obj {
-			return true
-		}
-		for _, d := range drains {
-			if d.Pos() <= use.Pos() && use.Pos() < d.End() {
-				return true
-			}
-		}
-		reported = true
-		line := p.Fset.Position(use.Pos()).Line
-		if drain {
-			p.Reportf(call.Pos(), "comm Send payload container %s is read or written on line %d after its buffers were sent", root.Name, line)
-		} else {
-			p.Reportf(call.Pos(), "comm Send payload %s is used again on line %d after the send relinquishes ownership", root.Name, line)
-		}
-		return true
-	})
+	return f.stale(rhs) != ""
 }

@@ -75,3 +75,13 @@ func formatValues(rank int) error {
 
 // Comparing to nil is not a sentinel comparison.
 func nilCheck(err error) bool { return err == nil }
+
+// The audit's plant, in the shape of jobd's checkpoint step: a step error
+// formatted with %v. The job still fails with the right message, so no
+// test notices, but errors.Is(err, ErrStopped) upstream stops matching.
+func checkpointStep(step int, save func() error) error {
+	if err := save(); err != nil {
+		return fmt.Errorf("step %d checkpoint: %v", step, err) // want `fmt.Errorf formats an error without %w`
+	}
+	return nil
+}

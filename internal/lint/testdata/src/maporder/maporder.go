@@ -69,3 +69,16 @@ func iterKeys(m map[int]float64) []int {
 	}
 	return keys
 }
+
+// The audit's plant, in the shape of track.matchSnapshots: links built by
+// ranging over the overlap counts instead of their sorted keys come out in
+// a different order on every run, and no test compares two runs' order.
+type link struct{ from, to, overlap int }
+
+func matchCounts(from int, counts map[int]int) []link {
+	var links []link
+	for to, ov := range counts { // want `appends to links, which outlives the loop`
+		links = append(links, link{from, to, ov})
+	}
+	return links
+}

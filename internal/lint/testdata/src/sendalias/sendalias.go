@@ -1,12 +1,17 @@
 // Package sendalias exercises the sendalias analyzer: comm payloads must
-// be freshly allocated in the sending function and never touched after
-// the send relinquishes ownership.
+// be freshly allocated by the sending function.
 package sendalias
 
 import "repro/internal/comm"
 
 type wrapper struct {
 	Buf []float64
+}
+
+// particle has no references, like diy.Particle.
+type particle struct {
+	ID  int64
+	Pos [3]float64
 }
 
 // A fresh local transfers cleanly.
@@ -21,55 +26,108 @@ func sendLiteral(w *comm.World, rank, dst int) {
 	w.Send(rank, dst, 1, wrapper{Buf: []float64{1, 2}})
 }
 
-// Pure value types are copied through the channel and are exempt.
-func sendValue(w *comm.World, rank, dst, n int) {
-	w.Send(rank, dst, 1, n)
+// Pure value types are copied through the channel and are exempt, however
+// they were obtained.
+func sendValue(w *comm.World, rank, dst int, ps []particle) {
+	w.Send(rank, dst, 1, ps[0])
+}
+
+// The shape of diy.Exchanger.Exchange's payload loop: a nil local per
+// destination, made on the first hit and appended onto with values that
+// hold no references.
+type exchanger struct {
+	dsts    []int
+	lastLen []int
+}
+
+func (e *exchanger) exchange(w *comm.World, rank int, boundary []particle, shift [3]float64) {
+	for di, dst := range e.dsts {
+		var payload []particle
+		for _, p := range boundary {
+			q := p.Pos
+			for k := range q {
+				q[k] += shift[k]
+			}
+			if payload == nil {
+				last := e.lastLen[di]
+				payload = make([]particle, 0, last+last/8+16)
+			}
+			payload = append(payload, particle{ID: p.ID, Pos: q})
+		}
+		e.lastLen[di] = len(payload)
+		w.Send(rank, dst, 1, payload)
+	}
 }
 
 // A parameter payload aliases the caller's memory on two ranks at once.
 func sendParam(w *comm.World, rank, dst int, data []float64) {
-	w.Send(rank, dst, 1, data) // want `payload data is a function parameter`
+	w.Send(rank, dst, 1, data) // want `payload data is not a local of the sending function`
 }
 
 // A composite literal can smuggle the alias inside a field.
 func sendEmbedded(w *comm.World, rank, dst int, data []float64) {
-	w.Send(rank, dst, 1, wrapper{Buf: data}) // want `payload embeds parameter data`
-}
-
-// Touching the payload after the send reads memory the receiver now owns.
-func sendThenReuse(w *comm.World, rank, dst int) float64 {
-	buf := make([]float64, 8)
-	w.Send(rank, dst, 1, buf) // want `used again on line \d+ after the send`
-	return buf[0]
+	w.Send(rank, dst, 1, wrapper{Buf: data}) // want `payload data is not a local of the sending function`
 }
 
 // A local rebound to non-fresh memory carries the alias to the send.
 func sendRebound(w *comm.World, rank, dst int, data []float64) {
 	buf := make([]float64, 0, 8)
 	buf = data[:2]            // the alias the analyzer pins to the send below
-	w.Send(rank, dst, 1, buf) // want `aliases non-fresh memory assigned on line \d+`
+	w.Send(rank, dst, 1, buf) // want `payload buf is assigned data\[:2\] on line \d+`
 }
 
-// Draining a local per-rank map is the sanctioned exchange pattern as
-// long as later mentions of the container are only send payloads.
-func drainMap(w *comm.World, rank int, dsts []int) {
-	perRank := map[int][]float64{}
-	for _, d := range dsts {
-		perRank[d] = append(perRank[d], float64(d))
+// Appending onto a local copies values, but appended slices still share
+// their backing arrays with the caller.
+func sendAppendedRefs(w *comm.World, rank, dst int, rows [][]float64) {
+	var buf [][]float64
+	for _, r := range rows {
+		buf = append(buf, r)
 	}
-	for _, d := range dsts {
-		w.Send(rank, d, 1, perRank[d])
+	w.Send(rank, dst, 1, buf) // want `payload buf is assigned append\(buf, r\) on line \d+`
+}
+
+// A multi-value call's result is somebody else's memory.
+func sendSplit(w *comm.World, rank, dst int, split func() ([]float64, []float64)) {
+	var lo, hi = split()
+	w.Send(rank, dst, 1, lo) // want `payload lo is assigned a call's result on line \d+`
+	_ = hi
+}
+
+// A range binding is an element of somebody else's slice.
+func sendRangeBound(w *comm.World, rank int, bufs [][]float64) {
+	for dst, buf := range bufs {
+		w.Send(rank, dst, 1, buf) // want `payload buf is bound by the range on line \d+`
 	}
 }
 
-// Reading the container after its buffers were sent aliases sent memory.
-func drainThenReuse(w *comm.World, rank int, dsts []int) int {
-	perRank := map[int][]float64{}
-	for _, d := range dsts {
-		perRank[d] = append(perRank[d], float64(d))
+// A function literal's parameter is the caller's memory too.
+func sendFromClosure(w *comm.World, rank, dst int) func([]float64) {
+	return func(data []float64) {
+		w.Send(rank, dst, 1, data) // want `payload data is a parameter of a function literal`
 	}
-	for _, d := range dsts {
-		w.Send(rank, d, 1, perRank[d]) // want `container perRank is read or written on line \d+`
+}
+
+// The audit's plant: one payload buffer per destination, kept in a struct
+// field and sent again on the next exchange. The receiver of the previous
+// step may still hold it, yet the two ranks touch it at different times,
+// so the race detector stays quiet and the bytes agree.
+type reusingExchanger struct {
+	dsts     []int
+	sendBufs [][]particle
+}
+
+func (e *reusingExchanger) exchange(w *comm.World, rank int, boundary []particle) {
+	for di, dst := range e.dsts {
+		payload := e.sendBufs[di][:0]
+		payload = append(payload, boundary...)
+		e.sendBufs[di] = payload
+		w.Send(rank, dst, 1, payload) // want `payload payload is assigned e.sendBufs\[di\]\[:0\] on line \d+`
 	}
-	return len(perRank)
+}
+
+// Sending the retained buffer itself is the same defect, said directly.
+func (e *reusingExchanger) resend(w *comm.World, rank int) {
+	for di, dst := range e.dsts {
+		w.Send(rank, dst, 1, e.sendBufs[di]) // want `payload e.sendBufs\[di\] is not a local of the sending function`
+	}
 }

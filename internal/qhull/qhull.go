@@ -10,8 +10,6 @@
 // an epsilon scaled to the input extent; points within tolerance of a face
 // are treated as interior (Qhull's "coplanar points" behaviour with merged
 // facets).
-//
-//tess:hotpath
 package qhull
 
 import (
