@@ -54,9 +54,15 @@ layers:
 	@! $(GO) list -deps $(addprefix ./internal/,$(ENGINE_PKGS)) | grep -E '^repro/internal/(voids|halo|track|multistream|stats|viz|cosmotools)$$'
 	@! $(GO) list -f '{{join .Imports "\n"}}' $(DAEMON_PKGS) | grep -E '^repro/internal/(core|storage|diy|meshio|voronoi|comm)$$'
 
-# One front door: cmd/ holds exactly the five binaries.
+# One front door: cmd/ holds exactly the five binaries, and the root
+# module's only other program is the benchmark's pair counter, so an
+# untested program cannot grow back elsewhere (bench/ is its own module).
+MAIN_PKGS = repro/cmd/tess repro/cmd/tessbench repro/cmd/tessctl repro/cmd/tessd repro/cmd/tesslint repro/scripts/pairwins
+
 frontdoor:
 	@test "$$(ls cmd | xargs)" = "tess tessbench tessctl tessd tesslint"
+	@test "$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | xargs)" = "$(MAIN_PKGS)" \
+		|| { echo "frontdoor: package main set is not $(MAIN_PKGS)"; exit 1; }
 
 race:
 	$(GO) test -race -timeout $(TEST_TIMEOUT) ./...

@@ -137,6 +137,43 @@ func TestRunCanonicalExport(t *testing.T) {
 	}
 }
 
+// -density pushes the run's lattice through the session's density
+// pipeline: the grid file it writes is byte-equal to the one-shot
+// ComputeDensity over the same particles, in the session's domain with
+// the ghost as the pad, and the spectrum lines print.
+func TestRunDensityGrid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid.bin")
+	var buf bytes.Buffer
+	if err := run([]string{"-n", "8", "-density", "8", "-spectrum", "-density-o", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tess.NewPeriodicConfig(8) // the run's -box 8
+	ps := latticeParticles(8, 8, 0.6, 1)
+	pts := make([]tess.Vec3, len(ps))
+	for i, p := range ps {
+		pts[i] = p.Pos
+	}
+	res, err := tess.ComputeDensity(tess.DensityConfig{
+		GridN: 8, Box: cfg.Domain, Periodic: cfg.Periodic, Pad: 3, Spectrum: true, // the run's -ghost 3
+	}, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tess.EncodeDensityGrid(res.Grid); !bytes.Equal(got, want) {
+		t.Errorf("-density-o grid (%d bytes) differs from ComputeDensity's (%d bytes)", len(got), len(want))
+	}
+	out := buf.String()
+	for _, want := range []string{"density: grid 8^3", "spectrum: k ", "density: wrote " + path} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-n", "0"}, &buf); err == nil {

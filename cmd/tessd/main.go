@@ -1,14 +1,15 @@
 // Command tessd is the multi-tenant tessellation daemon: a long-running
 // HTTP service that accepts JSON job specs, queues them with admission
 // control (429 + Retry-After when compute is saturated), and multiplexes
-// many concurrent tessellation sessions over one shared worker budget.
+// many concurrent tessellation sessions over the process's one worker
+// budget: GOMAXPROCS, set with the GOMAXPROCS environment variable.
 // One tenant's crash — injected or genuine — surfaces as a structured
 // error event on that job's stream and never disturbs sibling jobs.
 //
 // Usage:
 //
-//	tessd [-addr :8437] [-queue 16] [-active 2] [-budget 0]
-//	      [-stall 30s] [-max-blocks 64] [-max-steps 1024]
+//	tessd [-addr :8437] [-queue 16] [-active 2] [-stall 30s]
+//	      [-max-blocks 64] [-max-steps 1024]
 //	      [-max-particles 1000000] [-max-grid 128]
 //	      [-retain-bytes 67108864]
 //
@@ -42,7 +43,6 @@ func main() {
 	addr := flag.String("addr", ":8437", "listen address")
 	queue := flag.Int("queue", 16, "admission queue capacity (jobs waiting to start)")
 	active := flag.Int("active", 2, "max concurrently running jobs (scheduler workers)")
-	budget := flag.Int("budget", 0, "total compute workers shared by all jobs (0 = GOMAXPROCS)")
 	stall := flag.Duration("stall", 30*time.Second, "per-session stall watchdog timeout (negative disables)")
 	maxBlocks := flag.Int("max-blocks", 64, "max blocks per job (0 = unlimited)")
 	maxSteps := flag.Int("max-steps", 1024, "max steps per job (0 = unlimited)")
@@ -54,7 +54,6 @@ func main() {
 	d := jobd.New(jobd.Config{
 		QueueCapacity: *queue,
 		MaxActive:     *active,
-		WorkerBudget:  *budget,
 		StallTimeout:  *stall,
 		RetainBytes:   *retain,
 		Limits: jobd.Limits{
@@ -71,7 +70,7 @@ func main() {
 	}
 	srv := &http.Server{Handler: d.Handler()}
 	log.Printf("tessd: serving on %s (queue %d, active %d, budget %d)",
-		lis.Addr(), *queue, *active, d.Budget().Total())
+		lis.Addr(), *queue, *active, d.Stats().BudgetTotal)
 
 	done := make(chan struct{})
 	go func() {

@@ -39,10 +39,11 @@
 //
 // In situ mode runs the tessellation at selected time steps of the built-in
 // particle-mesh N-body simulation (the HACC stand-in), through one such
-// session; the hook may return an error to abort the run cleanly:
+// session; the hook (nil here; ExampleRunInSitu passes one) sees each
+// snapshot and may return an error to abort the run cleanly:
 //
 //	res, err := tess.RunInSitu(tess.InSituConfig{
-//		Sim:    nbody.DefaultConfig(32),
+//		Sim:    tess.NewSimConfig(32),
 //		Tess:   tess.NewPeriodicConfig(32),
 //		Steps:  100,
 //		Every:  10,
@@ -55,9 +56,10 @@
 // paper's MPI processes), and within each rank the cell-compute phase fans
 // out over Config.Workers goroutines with per-worker reusable scratch
 // buffers, so the clipping kernels allocate almost nothing in steady
-// state. Workers defaults to GOMAXPROCS divided among the concurrent
-// ranks. Results are bit-identical for every worker count: cells are
-// gathered in site order and no cell's arithmetic depends on the fan-out.
+// state. Workers defaults to the process's one worker budget, GOMAXPROCS,
+// divided among the ranks of every open session (SharedWorkerBudget).
+// Results are bit-identical for every worker count: cells are gathered in
+// site order and no cell's arithmetic depends on the fan-out.
 //
 // # Postprocessing
 //
@@ -66,7 +68,12 @@
 // voids, and each component carries its Minkowski functionals (volume,
 // surface area, integrated mean curvature, Euler characteristic) and
 // shapefinders (thickness, breadth, length). LabelVoids does the same in
-// situ, over the meshes of a pass's Output instead of a file read back.
+// situ, over the meshes of a pass's Output instead of a file read back,
+// and FindVoidsWatershed floods density basins instead of thresholding.
+//
+// The paper's postprocessing tools are the verbs of cmd/tess (run, voids,
+// hist, render, sim, tools, info, accuracy); the godoc Examples of this
+// package are the tested demonstrations of the library calls.
 //
 // The substrates live in internal/ packages: geom (geometry kernel), qhull
 // (Quickhull convex hulls), voronoi (cell clipping), delaunay

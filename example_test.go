@@ -3,6 +3,8 @@ package tess_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 
 	tess "repro"
@@ -80,6 +82,59 @@ func ExampleFindVoids() {
 	fmt.Printf("in situ components computed: %v\n", len(comps) > 0)
 	// Output:
 	// in situ components computed: true
+}
+
+// ExampleRunInSitu runs the built-in N-body simulation with the
+// tessellation embedded every 5 steps; the hook sees each snapshot as it
+// is taken.
+func ExampleRunInSitu() {
+	cfg := tess.InSituConfig{
+		Sim:    tess.NewSimConfig(8),
+		Tess:   tess.NewPeriodicConfig(8),
+		Steps:  10,
+		Every:  5,
+		Blocks: 2,
+	}
+	_, err := tess.RunInSitu(cfg, func(s tess.Snapshot) error {
+		fmt.Printf("step %d: %d cells kept\n", s.Step, s.Output.Counts.Kept)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	// Output:
+	// step 5: 512 cells kept
+	// step 10: 512 cells kept
+}
+
+// ExampleFindVoidsWatershed segments a tessellation written to disk into
+// density basins (barrier 0) and floods them into voids at one barrier.
+func ExampleFindVoidsWatershed() {
+	dir, err := os.MkdirTemp("", "watershed")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "tess.out")
+	cfg := tess.NewPeriodicConfig(6)
+	cfg.GhostSize = 3
+	if _, err := tess.Run(cfg, tess.ParticlesFromPositions(gridPoints(6, 6)), 4, tess.WithOutputPath(path)); err != nil {
+		panic(err)
+	}
+	cells, err := tess.ReadTessFile(path)
+	if err != nil {
+		panic(err)
+	}
+	for _, barrier := range []float64{0, 0.9} {
+		found, err := tess.FindVoidsWatershed(cells, barrier)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("barrier %g: %d voids, largest %d cells\n", barrier, len(found), len(found[0].CellIDs))
+	}
+	// Output:
+	// barrier 0: 10 voids, largest 43 cells
+	// barrier 0.9: 4 voids, largest 182 cells
 }
 
 // ExampleParseToolsConfig builds the in situ analysis pipeline from a

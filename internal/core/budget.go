@@ -7,52 +7,33 @@ import (
 )
 
 // WorkerBudget arbitrates the machine's cores among every concurrently
-// running tessellation pipeline that draws on it. Each open Session
+// running tessellation pipeline in the process. Each open Session
 // registers its rank count with the budget for its whole lifetime
-// (OpenSession to Close), and EffectiveWorkers divides the budget's total
-// by the number of ranks active across *all* registered pipelines — so N
-// concurrent sessions share GOMAXPROCS fairly instead of each assuming it
-// owns the machine, which is what a multi-tenant daemon multiplexing many
-// tenant sessions needs and what two plain Runs racing in one process get
-// for free (both draw on the process-wide shared budget by default).
+// (OpenSession to Close), and EffectiveWorkers divides GOMAXPROCS by the
+// number of ranks active across *all* registered pipelines — so N
+// concurrent sessions share the machine fairly instead of each assuming it
+// owns it, whether they are a multi-tenant daemon's jobs or two plain Runs
+// racing in one process.
 //
 // The division is advisory scheduling only: worker counts never change any
 // computed value (pinned by the determinism tests), so the budget can
 // resize under a running session without affecting its output.
 type WorkerBudget struct {
 	mu        sync.Mutex
-	total     int // 0 tracks runtime.GOMAXPROCS(0) at query time
 	ranks     int // sum of rank counts of active pipelines
 	pipelines int // number of active pipelines
 }
 
-// NewWorkerBudget returns a budget of total workers. total <= 0 tracks
-// runtime.GOMAXPROCS(0) at query time, so a budget built once follows
-// later GOMAXPROCS changes.
-func NewWorkerBudget(total int) *WorkerBudget {
-	if total < 0 {
-		total = 0
-	}
-	return &WorkerBudget{total: total}
-}
+// sharedBudget is the process-wide budget every Session (and therefore
+// every Run) draws on.
+var sharedBudget = new(WorkerBudget)
 
-// sharedBudget is the process-wide default: every Session (and therefore
-// every Run) whose Config.Budget is nil draws on it, so concurrent
-// pipelines in one process divide the machine even when nobody wired a
-// budget explicitly.
-var sharedBudget = NewWorkerBudget(0)
-
-// SharedWorkerBudget returns the process-wide budget used when
-// Config.Budget is nil.
+// SharedWorkerBudget returns the process-wide budget.
 func SharedWorkerBudget() *WorkerBudget { return sharedBudget }
 
-// Total returns the budget's worker total (GOMAXPROCS when tracking).
-func (b *WorkerBudget) Total() int {
-	if b.total > 0 {
-		return b.total
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Total returns the budget's worker total: runtime.GOMAXPROCS(0) at query
+// time, so the budget follows later GOMAXPROCS changes.
+func (b *WorkerBudget) Total() int { return runtime.GOMAXPROCS(0) }
 
 // Active returns the number of registered pipelines and the sum of their
 // rank counts.

@@ -10,15 +10,35 @@ import (
 	"repro/internal/obs"
 )
 
+// pinProcs sets GOMAXPROCS to n until the test ends: the budget's total is
+// GOMAXPROCS, so a test of its arithmetic fixes it.
+func pinProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// idleSharedBudget returns the process-wide budget, failing the test if a
+// session is still registered with it (a leaked session would skew every
+// share the test expects).
+func idleSharedBudget(t *testing.T) *WorkerBudget {
+	t.Helper()
+	b := SharedWorkerBudget()
+	if p, r := b.Active(); p != 0 || r != 0 {
+		t.Fatalf("shared budget busy at test start: Active = (%d, %d)", p, r)
+	}
+	return b
+}
+
 func TestWorkerBudgetTotals(t *testing.T) {
-	if got := NewWorkerBudget(8).Total(); got != 8 {
-		t.Errorf("fixed budget Total = %d, want 8", got)
+	pinProcs(t, 8)
+	b := new(WorkerBudget)
+	if got := b.Total(); got != 8 {
+		t.Errorf("Total = %d, want GOMAXPROCS 8", got)
 	}
-	if got := NewWorkerBudget(0).Total(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("tracking budget Total = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := NewWorkerBudget(-3).Total(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("negative-total budget Total = %d, want GOMAXPROCS", got)
+	runtime.GOMAXPROCS(3)
+	if got := b.Total(); got != 3 {
+		t.Errorf("Total after GOMAXPROCS(3) = %d, want 3", got)
 	}
 	if SharedWorkerBudget() == nil {
 		t.Fatal("no process-wide shared budget")
@@ -29,7 +49,8 @@ func TestWorkerBudgetTotals(t *testing.T) {
 // one worker per rank, with the asking pipeline's own ranks as the minimum
 // denominator for unregistered callers.
 func TestWorkerBudgetWorkersPerRank(t *testing.T) {
-	b := NewWorkerBudget(8)
+	pinProcs(t, 8)
+	b := new(WorkerBudget)
 
 	// Nobody registered: classic single-tenant division by own ranks.
 	for _, tc := range []struct{ ranks, want int }{
@@ -75,37 +96,38 @@ func TestWorkerBudgetMisuse(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("acquire(0)", func() { NewWorkerBudget(4).acquire(0) })
-	mustPanic("release underflow", func() { NewWorkerBudget(4).release(1) })
+	mustPanic("acquire(0)", func() { new(WorkerBudget).acquire(0) })
+	mustPanic("release underflow", func() { new(WorkerBudget).release(1) })
 }
 
-// EffectiveWorkers draws on the config's budget (the shared one when nil):
-// an explicit Workers pin wins, otherwise the fair share.
+// EffectiveWorkers draws on the process-wide budget: an explicit Workers
+// pin wins, otherwise the fair share among every registered rank.
 func TestEffectiveWorkersUsesBudget(t *testing.T) {
-	b := NewWorkerBudget(12)
-	cfg := Config{Budget: b}
-	if got := EffectiveWorkers(cfg, 3); got != 4 {
-		t.Errorf("EffectiveWorkers(budget 12, 3 ranks) = %d, want 4", got)
+	pinProcs(t, 12)
+	b := idleSharedBudget(t)
+	if got := EffectiveWorkers(Config{}, 3); got != 4 {
+		t.Errorf("EffectiveWorkers(GOMAXPROCS 12, 3 ranks) = %d, want 4", got)
 	}
-	cfg.Workers = 2
-	if got := EffectiveWorkers(cfg, 3); got != 2 {
+	if got := EffectiveWorkers(Config{Workers: 2}, 3); got != 2 {
 		t.Errorf("EffectiveWorkers with Workers pin = %d, want 2", got)
 	}
-	// Nil budget falls back to the process-wide shared budget (whose
-	// state other pipelines may be using — compare against it, not
-	// against an assumed-idle machine).
-	if got, want := EffectiveWorkers(Config{}, 2), SharedWorkerBudget().WorkersPerRank(2); got != want {
-		t.Errorf("EffectiveWorkers(nil budget, 2 ranks) = %d, want shared budget's %d", got, want)
+	// This pipeline and a peer register 3 ranks each: 12 / 6.
+	b.acquire(3)
+	b.acquire(3)
+	defer b.release(3)
+	defer b.release(3)
+	if got := EffectiveWorkers(Config{}, 3); got != 2 {
+		t.Errorf("EffectiveWorkers beside a peer 3-rank pipeline = %d, want 2", got)
 	}
 }
 
-// Concurrent sessions on one budget divide it for their whole lifetime:
-// the fix for N sessions each assuming GOMAXPROCS is all theirs. Closing
-// a session returns its share, and double Close releases only once.
+// Concurrent sessions divide the process-wide budget for their whole
+// lifetime: the fix for N sessions each assuming GOMAXPROCS is all theirs.
+// Closing a session returns its share, and double Close releases only once.
 func TestSessionsShareWorkerBudget(t *testing.T) {
-	b := NewWorkerBudget(16)
+	pinProcs(t, 16)
+	b := idleSharedBudget(t)
 	cfg := baseConfig(10)
-	cfg.Budget = b
 
 	s1, err := OpenSession(cfg, 2)
 	if err != nil {
@@ -156,14 +178,14 @@ func TestSessionsShareWorkerBudget(t *testing.T) {
 	}
 }
 
-// A RunTimed session has one rank in flight and is accounted as such: on a
-// budget of 8 with 4 blocks every rank's turn at compute runs 8 workers
+// A RunTimed session has one rank in flight and is accounted as such: at
+// GOMAXPROCS 8 with 4 blocks every rank's turn at compute runs 8 workers
 // (the whole machine), not the 2 a concurrent session's ranks would share,
-// and peers on the same budget see one active rank.
+// and peers on the budget see one active rank.
 func TestRunTimedRanksKeepWholeBudget(t *testing.T) {
-	b := NewWorkerBudget(8)
+	pinProcs(t, 8)
+	b := idleSharedBudget(t)
 	cfg := baseConfig(8)
-	cfg.Budget = b
 	ps := perturbedParticles(rand.New(rand.NewSource(6)), 8, 8, 0.3)
 
 	s, err := openSession(cfg, 4, 1)

@@ -66,19 +66,13 @@ type Session struct {
 	numBlocks int
 	// inFlight is how many of the ranks compute at once: all of them, or
 	// one under RunTimed, where the ranks take turns (see stepRank). It is
-	// what the session registers with the worker budget and what
-	// EffectiveWorkers divides by.
+	// what the session registers with the process-wide worker budget
+	// from OpenSession to Close and what EffectiveWorkers divides by.
 	inFlight int
 
 	steps    int
 	terminal error // sticky first abort; session unusable once set
 	closed   bool
-
-	// budget is the shared worker budget the session's ranks are
-	// registered with from OpenSession to Close (cfg.Budget, or the
-	// process-wide shared budget); EffectiveWorkers divides its total by
-	// the ranks active across every registered pipeline.
-	budget *WorkerBudget
 
 	parts    [][]diy.Particle // retained per-rank partition buffers
 	ranks    []rankState
@@ -164,12 +158,7 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 	// Register the session's in-flight ranks with the worker budget for its
 	// whole lifetime (released by Close): every error return is behind us, so
 	// the acquire/release pairing is exact.
-	s.budget = cfg.Budget
-	if s.budget == nil {
-		s.budget = sharedBudget
-	}
-	s.cfg.Budget = s.budget
-	s.budget.acquire(inFlight)
+	sharedBudget.acquire(inFlight)
 	return s, nil
 }
 
@@ -449,7 +438,7 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 func (s *Session) Close() error {
 	if !s.closed {
 		s.closed = true
-		s.budget.release(s.inFlight)
+		sharedBudget.release(s.inFlight)
 	}
 	return nil
 }

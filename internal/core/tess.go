@@ -82,17 +82,12 @@ type Config struct {
 	HullPass bool
 	// Workers is the number of intra-rank worker goroutines the compute
 	// phase fans cell construction out over. 0 (the default) divides the
-	// worker budget fairly among every concurrently-running rank — of this
-	// pipeline and of every other pipeline sharing the budget — so a full
-	// parallel run neither oversubscribes nor idles cores. Results are
-	// identical for every worker count.
+	// process-wide worker budget (GOMAXPROCS) fairly among every
+	// concurrently-running rank — of this pipeline and of every other open
+	// session in the process — so a full parallel run neither
+	// oversubscribes nor idles cores. Results are identical for every
+	// worker count.
 	Workers int
-	// Budget is the shared worker budget this pipeline draws its default
-	// worker count from. nil uses the process-wide SharedWorkerBudget, so
-	// concurrent sessions (a multi-tenant daemon's jobs, or two plain Runs
-	// racing) divide GOMAXPROCS instead of each assuming it owns the
-	// machine. An explicit Workers setting bypasses the budget.
-	Budget *WorkerBudget
 	// Recorder, when non-nil, collects per-rank phase spans, comm counters,
 	// and pipeline metrics for this pass (build one with
 	// obs.NewRecorder(numBlocks)). The snapshot lands in Output.Obs and can
@@ -185,10 +180,9 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 
 // EffectiveWorkers resolves cfg.Workers for a run with concurrentRanks
 // ranks executing at once: an explicit positive setting wins; otherwise
-// the worker budget (cfg.Budget, or the process-wide shared budget) is
-// divided fairly among every active rank — at least this pipeline's own
-// concurrentRanks, plus the ranks of every other registered pipeline —
-// never below one worker each. With a single pipeline this is the classic
+// the process-wide worker budget is divided fairly among every active
+// rank — at least this pipeline's own concurrentRanks, plus the ranks of
+// every other open session — never below one worker each. With a single pipeline this is the classic
 // GOMAXPROCS / concurrentRanks division; with N concurrent sessions the
 // machine is shared instead of oversubscribed N-fold. RunTimed's ranks
 // compute one at a time, pass concurrentRanks == 1 and so give each rank's
@@ -197,11 +191,7 @@ func EffectiveWorkers(cfg Config, concurrentRanks int) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
 	}
-	b := cfg.Budget
-	if b == nil {
-		b = sharedBudget
-	}
-	return b.WorkersPerRank(concurrentRanks)
+	return sharedBudget.WorkersPerRank(concurrentRanks)
 }
 
 // Timing is the per-phase wall time of one tessellation pass, reduced to

@@ -212,6 +212,118 @@ func TestE2ECancelMidStep(t *testing.T) {
 	}
 }
 
+// Cancel a job that is still queued: it terminates at once, never starts,
+// and the scheduler worker that later pops it skips it without counting
+// it twice.
+func TestE2ECancelQueuedJob(t *testing.T) {
+	var once sync.Once
+	running := make(chan struct{})
+	gate := make(chan struct{})
+	h := startDaemon(t, jobd.Config{
+		MaxActive: 1,
+		BeforeStep: func(jobID string, step int) {
+			once.Do(func() { close(running) })
+			<-gate
+		},
+	})
+	ctx := context.Background()
+
+	// Job 1 parks the single worker; job 2 waits in the queue behind it.
+	st1 := h.Submit(t, happySpec(60, 1))
+	select {
+	case <-running:
+	case <-time.After(e2eWait):
+		t.Fatal("first job never started")
+	}
+	st2 := h.Submit(t, happySpec(61, 1))
+	if got, err := h.Client.Cancel(ctx, st2.ID); err != nil || got.State != jobd.StateCanceled {
+		t.Fatalf("cancel queued job: status %+v, err %v", got, err)
+	}
+
+	// Release the worker. Job 3 queues behind job 2, so its finishing
+	// proves the worker popped job 2 and skipped it.
+	st3 := h.Submit(t, happySpec(62, 1))
+	close(gate)
+	for _, id := range []string{st1.ID, st3.ID} {
+		if _, final := h.Wait(t, id, e2eWait); final.State != jobd.StateDone {
+			t.Fatalf("%s final state = %q, want done", id, final.State)
+		}
+	}
+	events, final := h.Wait(t, st2.ID, e2eWait)
+	var types []string
+	for _, e := range events {
+		types = append(types, e.Type)
+	}
+	if got := strings.Join(types, ","); got != "queued,canceled" {
+		t.Errorf("canceled queued job's stream = %s, want queued,canceled", got)
+	}
+	if final.State != jobd.StateCanceled || final.Started != nil || final.Error == nil || final.Error.Kind != "canceled" {
+		t.Errorf("canceled queued job's status = %+v, want canceled, never started", final)
+	}
+	if stats := h.D.Stats(); stats.Canceled != 1 || stats.Done != 2 {
+		t.Errorf("stats = %+v, want 1 canceled and 2 done", stats)
+	}
+}
+
+// GET /v1/jobs lists every job's status in submission order.
+func TestE2EListInSubmissionOrder(t *testing.T) {
+	h := startDaemon(t, jobd.Config{})
+	var ids []string
+	for seed := int64(70); seed < 73; seed++ {
+		st := h.Submit(t, happySpec(seed, 1))
+		h.Wait(t, st.ID, e2eWait)
+		ids = append(ids, st.ID)
+	}
+	list, err := h.Client.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range list {
+		got = append(got, st.ID)
+		if st.State != jobd.StateDone {
+			t.Errorf("%s listed as %q, want done", st.ID, st.State)
+		}
+	}
+	if strings.Join(got, ",") != strings.Join(ids, ",") {
+		t.Errorf("List order = %v, want submission order %v", got, ids)
+	}
+}
+
+// The daemon's stats report the process-wide worker budget: its total is
+// GOMAXPROCS, and its active ranks are a running job's plus those of a
+// session the daemon knows nothing about.
+func TestE2EStatsReadSharedBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	var once sync.Once
+	running := make(chan struct{})
+	gate := make(chan struct{})
+	h := startDaemon(t, jobd.Config{
+		BeforeStep: func(jobID string, step int) {
+			once.Do(func() { close(running) })
+			<-gate
+		},
+	})
+	st := h.Submit(t, happySpec(80, 1))
+	select {
+	case <-running:
+	case <-time.After(e2eWait):
+		t.Fatal("job never started")
+	}
+	sess, err := tess.Open(tess.NewPeriodicConfig(8), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := h.D.Stats()
+	sess.Close()
+	close(gate)
+	if stats.BudgetTotal != 3 || stats.ActiveRanks != 3 {
+		t.Errorf("stats budget_total = %d, active_ranks = %d; want 3 (GOMAXPROCS) and 3 (the job's 2 blocks + 1)",
+			stats.BudgetTotal, stats.ActiveRanks)
+	}
+	h.Wait(t, st.ID, e2eWait)
+}
+
 // The acceptance criterion of the issue: three tenants run concurrently,
 // one carries a fault plan that crashes its rank 1 mid-run. The crashed
 // tenant must surface a structured error event over HTTP — kind, rank,
@@ -747,6 +859,27 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 	_, final2 := h.Wait(t, st2.ID, e2eWait)
 	if final2.State != jobd.StateFailed || final2.Error == nil {
 		t.Fatalf("missing-snapshot job final = %+v, want failed with error info", final2)
+	}
+}
+
+// A snapshot file holding more particles than Limits.MaxParticles is
+// admitted (its size is known only once the file is opened) and then fails
+// with a spec error naming the limit.
+func TestE2ESnapshotURIOverParticleLimit(t *testing.T) {
+	h := startDaemon(t, jobd.Config{Limits: jobd.Limits{MaxParticles: 100}})
+	path := filepath.Join(t.TempDir(), "snap.bin")
+	if err := tess.WriteSnapshot(path, particles(snapshot(90, 6, 8)), 2); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Submit(t, jobd.JobSpec{L: 8, Blocks: 2, Ghost: 3, SnapshotURI: path})
+	events, final := h.Wait(t, st.ID, e2eWait)
+	term := terminal(t, events)
+	if term.Type != "error" || term.Error == nil || term.Error.Kind != "spec" ||
+		!strings.Contains(term.Error.Message, "216 particles") || !strings.Contains(term.Error.Message, "limit of 100") {
+		t.Fatalf("terminal event = %+v (error %+v), want a spec error naming 216 particles and the limit of 100", term, term.Error)
+	}
+	if final.State != jobd.StateFailed || final.StepsDone != 0 {
+		t.Errorf("final = %+v, want failed before any step", final)
 	}
 }
 

@@ -57,7 +57,7 @@ func FuzzJobSpec(f *testing.F) {
 			}
 			return
 		}
-		sess, err := tess.Open(spec.config(nil, 0), spec.Blocks)
+		sess, err := tess.Open(spec.config(0), spec.Blocks)
 		if err != nil {
 			t.Fatalf("Validate admitted %s, tess.Open refuses it: %v", data, err)
 		}

@@ -1,6 +1,6 @@
 // Package jobd is the multi-tenant tessellation daemon behind cmd/tessd:
 // a bounded job queue with admission control in front of a pool of
-// concurrent tess.Session lifecycles sharing one worker budget.
+// concurrent tess.Session lifecycles sharing the process's worker budget.
 //
 // The paper's thesis is that analysis runs in situ as a service to the
 // simulation; jobd is that service's production shape. Clients submit
@@ -9,8 +9,9 @@
 // saturated, so backpressure reaches the client instead of an unbounded
 // backlog — and up to MaxActive scheduler workers drain the queue, each
 // running one job as a full Open/Step/Close session. All active sessions
-// draw their intra-rank worker counts from a single tess.WorkerBudget, so
-// N tenants divide GOMAXPROCS instead of oversubscribing it N-fold.
+// draw their intra-rank worker counts from the process-wide
+// tess.SharedWorkerBudget, so N tenants divide GOMAXPROCS instead of
+// oversubscribing it N-fold.
 //
 // Tenant isolation rides on the engine's fault containment: every job
 // owns its own abortable communication world, so a tenant whose fault
@@ -94,9 +95,6 @@ type Config struct {
 	// MaxActive is the number of scheduler workers — the maximum number of
 	// concurrently running sessions. Default 2.
 	MaxActive int
-	// WorkerBudget is the total intra-rank compute workers shared by all
-	// active sessions; 0 tracks GOMAXPROCS.
-	WorkerBudget int
 	// StallTimeout arms each session's stall watchdog (a hung tenant
 	// becomes a StallError instead of occupying a worker forever).
 	// Default 30s; negative disables.
@@ -302,6 +300,9 @@ func (j *Job) Status() JobStatus {
 }
 
 // Stats is the daemon-wide health snapshot served at /v1/stats.
+// BudgetTotal and ActiveRanks read the process-wide worker budget
+// (tess.SharedWorkerBudget): its total, GOMAXPROCS, and the ranks of every
+// session open in the process.
 type Stats struct {
 	QueueLen      int   `json:"queue_len"`
 	QueueCapacity int   `json:"queue_capacity"`
@@ -325,11 +326,10 @@ type Stats struct {
 // Daemon is the multi-tenant tessellation service. Create one with New,
 // serve its Handler, and Close it to drain.
 type Daemon struct {
-	cfg    Config
-	budget *tess.WorkerBudget
-	queue  chan *Job
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	cfg   Config
+	queue chan *Job
+	quit  chan struct{}
+	wg    sync.WaitGroup
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
@@ -354,11 +354,10 @@ type Daemon struct {
 func New(cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
 	d := &Daemon{
-		cfg:    cfg,
-		budget: tess.NewWorkerBudget(cfg.WorkerBudget),
-		queue:  make(chan *Job, cfg.QueueCapacity),
-		quit:   make(chan struct{}),
-		jobs:   make(map[string]*Job),
+		cfg:   cfg,
+		queue: make(chan *Job, cfg.QueueCapacity),
+		quit:  make(chan struct{}),
+		jobs:  make(map[string]*Job),
 	}
 	d.wg.Add(cfg.MaxActive)
 	for i := 0; i < cfg.MaxActive; i++ {
@@ -366,9 +365,6 @@ func New(cfg Config) *Daemon {
 	}
 	return d
 }
-
-// Budget exposes the daemon's shared worker budget (for stats and tests).
-func (d *Daemon) Budget() *tess.WorkerBudget { return d.budget }
 
 // Close stops admission, cancels every non-terminal job, and waits for
 // the scheduler workers to drain. Idempotent.
@@ -495,8 +491,9 @@ func (d *Daemon) Stats() Stats {
 		EvictedJobs:   d.evicted,
 	}
 	d.mu.Unlock()
-	s.BudgetTotal = d.budget.Total()
-	_, s.ActiveRanks = d.budget.Active()
+	budget := tess.SharedWorkerBudget()
+	s.BudgetTotal = budget.Total()
+	_, s.ActiveRanks = budget.Active()
 	return s
 }
 
@@ -712,7 +709,7 @@ func (d *Daemon) runJob(j *Job) {
 			return
 		}
 	}
-	cfg := j.spec.config(d.budget, d.cfg.StallTimeout)
+	cfg := j.spec.config(d.cfg.StallTimeout)
 	var rec *tess.Recorder
 	if j.spec.IncludeObs {
 		rec = tess.NewRecorder(j.spec.Blocks)

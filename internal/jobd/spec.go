@@ -31,9 +31,6 @@ type JobSpec struct {
 	// Ghost overrides the ghost-region thickness (0 keeps the default 4,
 	// as in NewPeriodicConfig; negative is refused).
 	Ghost float64 `json:"ghost,omitempty"`
-	// Workers pins the per-rank worker count; 0 (default) lets the job
-	// draw its fair share of the daemon's worker budget.
-	Workers int `json:"workers,omitempty"`
 	// Decomposition selects "grid" (default) or "rcb".
 	Decomposition string `json:"decomposition,omitempty"`
 	// MinVolume / MaxVolume are the cell-volume culls (0 = off).
@@ -87,7 +84,8 @@ type JobSpec struct {
 }
 
 // SimSpec generates job snapshots from the built-in N-body simulation:
-// NG^3 particles in an NG^3 box, tessellated every Every sim steps, Steps
+// NG^3 particles in an NG^3 box (NG a power of two, NG^3 within
+// Limits.MaxParticles), tessellated every Every sim steps, Steps
 // tessellation steps in total.
 type SimSpec struct {
 	NG    int `json:"ng"`
@@ -194,11 +192,16 @@ func (s *JobSpec) Validate(limits Limits) error {
 	steps := s.Steps()
 	hasSim := s.Sim != nil
 	if hasSim {
-		if s.Sim.NG < 2 {
-			return badSpec("sim.ng = %d, want >= 2", s.Sim.NG)
+		ng := s.Sim.NG
+		if ng < 2 || ng&(ng-1) != 0 {
+			return badSpec("sim.ng = %d, want a power of two >= 2", ng)
 		}
 		if s.Sim.Steps < 1 {
 			return badSpec("sim.steps = %d, want >= 1", s.Sim.Steps)
+		}
+		// ng^3 > limit, by division so that ng^3 is never formed.
+		if limit := limits.MaxParticles; limit > 0 && ng > limit/ng/ng {
+			return badSpec("sim.ng = %d makes %d^3 particles, exceeding the daemon's limit of %d", ng, ng, limit)
 		}
 	}
 	if limits.MaxSteps > 0 && steps > limits.MaxSteps {
@@ -210,7 +213,7 @@ func (s *JobSpec) Validate(limits Limits) error {
 	if !(s.Ghost >= 0) { // also rejects NaN
 		return badSpec("ghost = %g, want >= 0 (0 = the default 4)", s.Ghost)
 	}
-	cfg := s.config(nil, 0)
+	cfg := s.config(0)
 	if reach := tess.MaxGhostFor(cfg); cfg.GhostSize > reach {
 		return badSpec("ghost = %g exceeds the link reach %g, half the side-%g cube (use a smaller ghost)",
 			cfg.GhostSize, reach, s.domainL())
@@ -281,15 +284,13 @@ func (s *JobSpec) domainL() float64 {
 	return s.L
 }
 
-// config builds the tess.Config for the job, drawing default workers from
-// the daemon's budget and honoring the daemon's stall watchdog default.
-func (s *JobSpec) config(budget *tess.WorkerBudget, stall time.Duration) tess.Config {
-	opts := []tess.Option{tess.WithBudget(budget)}
+// config builds the tess.Config for the job, honoring the daemon's stall
+// watchdog default; its workers are the job's fair share of the
+// process-wide worker budget.
+func (s *JobSpec) config(stall time.Duration) tess.Config {
+	var opts []tess.Option
 	if s.Ghost > 0 {
 		opts = append(opts, tess.WithGhostSize(s.Ghost))
-	}
-	if s.Workers > 0 {
-		opts = append(opts, tess.WithWorkers(s.Workers))
 	}
 	if s.Decomposition == "rcb" {
 		opts = append(opts, tess.WithDecomposition(tess.DecomposeRCB))

@@ -13,7 +13,7 @@ import (
 // linkReach is the widest ghost a spec's session hosts: the number Validate
 // and tess.Open both hold the ghost to.
 func linkReach(s *JobSpec) float64 {
-	return tess.MaxGhostFor(s.config(nil, 0))
+	return tess.MaxGhostFor(s.config(0))
 }
 
 // validInline is a minimal passing inline spec to mutate per case.
@@ -124,6 +124,27 @@ func TestSpecValidate(t *testing.T) {
 			s.L = 0
 			s.Sim = &SimSpec{NG: 1, Steps: 1}
 		}},
+		{name: "sim ng not a power of two", mutate: func(s *JobSpec) {
+			s.Snapshots = nil
+			s.L = 0
+			s.Sim = &SimSpec{NG: 12, Steps: 1}
+		}},
+		// 128^3 = 2 097 152 particles; 64^3 = 262 144.
+		{name: "sim particles over limit", mutate: func(s *JobSpec) {
+			s.Snapshots = nil
+			s.L = 0
+			s.Sim = &SimSpec{NG: 128, Steps: 1}
+		}, limits: Limits{MaxParticles: 1_000_000}},
+		{name: "sim particles inside limit", mutate: func(s *JobSpec) {
+			s.Snapshots = nil
+			s.L = 0
+			s.Sim = &SimSpec{NG: 64, Steps: 1}
+		}, limits: Limits{MaxParticles: 1_000_000}, wantOK: true},
+		{name: "sim ng whose cube overflows int", mutate: func(s *JobSpec) {
+			s.Snapshots = nil
+			s.L = 0
+			s.Sim = &SimSpec{NG: 1 << 40, Steps: 1}
+		}, limits: Limits{MaxParticles: 1_000_000}},
 		{name: "sim no steps", mutate: func(s *JobSpec) {
 			s.Snapshots = nil
 			s.L = 0
@@ -168,7 +189,7 @@ func TestSpecValidate(t *testing.T) {
 				}
 			}
 			if tc.open {
-				sess, oerr := tess.Open(spec.config(nil, 0), spec.Blocks)
+				sess, oerr := tess.Open(spec.config(0), spec.Blocks)
 				if oerr == nil {
 					sess.Close()
 				}

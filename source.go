@@ -10,8 +10,8 @@ import "repro/internal/storage"
 // identical to an inline Step over the same particles.
 
 // Source supplies one snapshot's particles as an ordered sequence of
-// chunks; see SliceSource (inline) and FileSource (block-streamed with
-// a bounded resident window).
+// chunks; see FileSource (block-streamed with a bounded resident
+// window).
 type Source = storage.Source
 
 // SourceStats is a source's load/evict accounting — the proof that a
@@ -22,14 +22,6 @@ type SourceStats = storage.SourceStats
 // chunk, holding at most its window of chunks resident (released
 // chunks are evicted least-recently-used). Close it when done.
 type FileSource = storage.FileSource
-
-// SliceSource adapts an in-memory particle slice to the Source
-// interface as a single chunk.
-type SliceSource = storage.SliceSource
-
-// NewSliceSource wraps ps (not copied) as a single-chunk Source — the
-// path every inline Step takes internally.
-func NewSliceSource(ps []Particle) *SliceSource { return storage.NewSliceSource(ps) }
 
 // OpenFileSource opens a snapshot file written by WriteSnapshot with a
 // resident-window budget of window chunks (<= 0 means unbounded).

@@ -90,15 +90,9 @@ func WithDecomposition(k DecompKind) Option {
 }
 
 // WithWorkers sets the number of intra-rank compute worker goroutines
-// (Config.Workers; 0 divides the worker budget among the concurrent
-// ranks). Results are identical for every worker count.
+// (Config.Workers; 0 divides the process-wide worker budget among the
+// concurrent ranks). Results are identical for every worker count.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
-
-// WithBudget makes the pipeline draw its default worker count from b
-// (Config.Budget) instead of the process-wide shared budget. A daemon
-// multiplexing many concurrent sessions gives them one budget so they
-// divide the machine fairly; see WorkerBudget.
-func WithBudget(b *WorkerBudget) Option { return func(c *Config) { c.Budget = b } }
 
 // WithRecorder attaches an observability recorder (Config.Recorder), sized
 // to the block count of the runs it will observe.
@@ -191,31 +185,17 @@ type StallError = comm.StallError
 // crash, or the stall watchdog.
 var ErrWorldAborted = comm.ErrWorldAborted
 
-// EffectiveWorkers reports the intra-rank worker count a tessellation pass
-// would use when concurrentRanks ranks run at once: cfg.Workers if set,
-// otherwise the worker budget (cfg.Budget, or the process-wide shared
-// budget) divided fairly among every active rank — this pipeline's and
-// every concurrently open session's.
-func EffectiveWorkers(cfg Config, concurrentRanks int) int {
-	return core.EffectiveWorkers(cfg, concurrentRanks)
-}
-
 // WorkerBudget arbitrates the machine's cores among concurrently running
 // tessellation pipelines: every open Session registers its rank count with
-// its budget, and pipelines without an explicit Workers setting divide the
-// budget's total by the ranks active across all of them. Sessions without
-// an explicit budget share one process-wide default, so two concurrent
-// Runs already split GOMAXPROCS instead of each assuming it owns the
-// machine. Worker counts are advisory scheduling only — results are
-// byte-identical for every worker count.
+// the one process-wide budget, and pipelines without an explicit Workers
+// setting divide its total, GOMAXPROCS, by the ranks active across all of
+// them — so two concurrent Runs, or a daemon's tenant jobs, split the
+// machine instead of each assuming it owns it. Worker counts are advisory
+// scheduling only — results are byte-identical for every worker count.
 type WorkerBudget = core.WorkerBudget
 
-// NewWorkerBudget returns a worker budget of total workers; total <= 0
-// tracks GOMAXPROCS.
-func NewWorkerBudget(total int) *WorkerBudget { return core.NewWorkerBudget(total) }
-
-// SharedWorkerBudget returns the process-wide budget every pipeline whose
-// Config.Budget is nil draws on.
+// SharedWorkerBudget returns the process-wide budget every pipeline draws
+// on.
 func SharedWorkerBudget() *WorkerBudget { return core.SharedWorkerBudget() }
 
 // CompareAccuracy matches a parallel run's cells against a reference run
