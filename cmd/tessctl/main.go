@@ -1,6 +1,8 @@
 // Command tessctl is the scriptable client of the tessd daemon: submit
-// JSON job specs, watch their NDJSON event streams, fetch statuses, and
-// cancel jobs, all against the daemon's HTTP API.
+// JSON job specs, watch their event streams, fetch statuses, and cancel
+// jobs, all against the daemon's HTTP API. It reads event streams as
+// binary frames and prints them as NDJSON, the lines the daemon's own
+// NDJSON stream holds.
 //
 // Usage:
 //
@@ -34,6 +36,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,79 +47,107 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8437", "daemon base URL")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit streams; it returns the exit
+// status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	top := flag.NewFlagSet("tessctl", flag.ContinueOnError)
+	top.SetOutput(stderr)
+	addr := top.String("addr", "http://127.0.0.1:8437", "daemon base URL")
+	top.Usage = func() {
+		fmt.Fprintf(stderr,
 			"usage: tessctl [-addr URL] {submit|status|list|cancel|resume|watch|density|stats} [args]\n")
-		flag.PrintDefaults()
+		top.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() < 1 {
-		flag.Usage()
-		os.Exit(1)
+	if err := top.Parse(args); err != nil {
+		return exitStatus(err)
+	}
+	if top.NArg() < 1 {
+		top.Usage()
+		return 1
 	}
 	c := &jobd.Client{Base: *addr}
 	ctx := context.Background()
+	out := cli{stdin: stdin, stdout: stdout, stderr: stderr}
+	rest := top.Args()[1:]
 	var err error
-	switch cmd := flag.Arg(0); cmd {
+	switch cmd := top.Arg(0); cmd {
 	case "submit":
-		err = runSubmit(ctx, c, flag.Args()[1:])
+		err = out.submit(ctx, c, rest)
 	case "status":
-		err = runJSON1(ctx, flag.Args()[1:], func(id string) (any, error) { return c.Status(ctx, id) })
+		err = out.json1(rest, func(id string) (any, error) { return c.Status(ctx, id) })
 	case "cancel":
-		err = runJSON1(ctx, flag.Args()[1:], func(id string) (any, error) { return c.Cancel(ctx, id) })
+		err = out.json1(rest, func(id string) (any, error) { return c.Cancel(ctx, id) })
 	case "resume":
-		err = runJSON1(ctx, flag.Args()[1:], func(id string) (any, error) { return c.Resume(ctx, id) })
+		err = out.json1(rest, func(id string) (any, error) { return c.Resume(ctx, id) })
 	case "list":
-		err = printJSON(c.List(ctx))
+		err = out.print(c.List(ctx))
 	case "stats":
-		err = printJSON(c.Stats(ctx))
+		err = out.print(c.Stats(ctx))
 	case "watch":
-		err = runWatch(ctx, c, flag.Args()[1:])
+		err = out.watch(ctx, c, rest)
 	case "density":
-		err = runDensity(ctx, c, flag.Args()[1:])
+		err = out.density(ctx, c, rest)
 	default:
 		err = fmt.Errorf("unknown command %q", cmd)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tessctl: %v\n", err)
-		if err == errJobFailed {
-			os.Exit(2)
-		}
-		os.Exit(1)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(stderr, "tessctl: %v\n", err)
 	}
+	return exitStatus(err)
 }
 
-var errJobFailed = fmt.Errorf("job did not complete")
+// exitStatus maps a command's error to the documented exit status; -h is
+// not an error.
+func exitStatus(err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case err == errJobFailed:
+		return 2
+	}
+	return 1
+}
 
-// printJSON writes v (already paired with its fetch error) as indented
-// JSON on stdout.
-func printJSON[T any](v T, err error) error {
+var errJobFailed = errors.New("job did not complete")
+
+// cli holds the streams a command reads and writes.
+type cli struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+// print writes v (already paired with its fetch error) as indented JSON
+// on stdout.
+func (c cli) print(v any, err error) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(c.stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
 
-// runJSON1 runs a one-ID-argument command and prints its JSON result.
-func runJSON1(ctx context.Context, args []string, f func(id string) (any, error)) error {
+// json1 runs a one-ID-argument command and prints its JSON result.
+func (c cli) json1(args []string, f func(id string) (any, error)) error {
 	if len(args) != 1 {
 		return fmt.Errorf("expected exactly one job ID argument")
 	}
-	return printJSON(f(args[0]))
+	return c.print(f(args[0]))
 }
 
-func runSubmit(ctx context.Context, c *jobd.Client, args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+func (c cli) submit(ctx context.Context, client *jobd.Client, args []string) error {
+	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	file := fs.String("f", "-", "job spec file (\"-\" = stdin)")
 	wait := fs.Bool("wait", false, "stream events until the job finishes")
 	meshDir := fs.String("mesh-dir", "", "write each step's canonical mesh to this directory (implies -wait)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var rd io.Reader = os.Stdin
+	rd := c.stdin
 	if *file != "-" {
 		f, err := os.Open(*file)
 		if err != nil {
@@ -129,17 +160,17 @@ func runSubmit(ctx context.Context, c *jobd.Client, args []string) error {
 	if err := json.NewDecoder(rd).Decode(&spec); err != nil {
 		return fmt.Errorf("decode spec: %w", err)
 	}
-	st, err := c.Submit(ctx, spec)
+	st, err := client.Submit(ctx, spec)
 	if err != nil {
 		return err
 	}
 	if !*wait && *meshDir == "" {
-		return printJSON(st, nil)
+		return c.print(st, nil)
 	}
-	fmt.Fprintf(os.Stderr, "tessctl: submitted %s\n", st.ID)
-	enc := json.NewEncoder(os.Stdout)
+	fmt.Fprintf(c.stderr, "tessctl: submitted %s\n", st.ID)
+	enc := json.NewEncoder(c.stdout)
 	var terminal jobd.Event
-	err = c.Events(ctx, st.ID, 0, func(e jobd.Event) error {
+	err = client.Events(ctx, st.ID, 0, func(e jobd.Event) error {
 		if terminalEvent(e) {
 			terminal = e
 		}
@@ -165,8 +196,9 @@ func runSubmit(ctx context.Context, c *jobd.Client, args []string) error {
 	return nil
 }
 
-func runWatch(ctx context.Context, c *jobd.Client, args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
+func (c cli) watch(ctx context.Context, client *jobd.Client, args []string) error {
+	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	from := fs.Int("from", 0, "resume from this event sequence number")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -174,14 +206,15 @@ func runWatch(ctx context.Context, c *jobd.Client, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("expected exactly one job ID argument")
 	}
-	enc := json.NewEncoder(os.Stdout)
-	return c.Events(ctx, fs.Arg(0), *from, func(e jobd.Event) error { return enc.Encode(e) })
+	enc := json.NewEncoder(c.stdout)
+	return client.Events(ctx, fs.Arg(0), *from, func(e jobd.Event) error { return enc.Encode(e) })
 }
 
-// runDensity fetches one step's density grid (or z-plane) from the
-// daemon's slice endpoint.
-func runDensity(ctx context.Context, c *jobd.Client, args []string) error {
-	fs := flag.NewFlagSet("density", flag.ExitOnError)
+// density fetches one step's density grid (or z-plane) from the daemon's
+// slice endpoint.
+func (c cli) density(ctx context.Context, client *jobd.Client, args []string) error {
+	fs := flag.NewFlagSet("density", flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
 	step := fs.Int("step", 1, "1-based step number")
 	z := fs.Int("z", -1, "fetch only this z-plane (-1 = whole grid)")
 	out := fs.String("o", "-", "output file (\"-\" = stdout)")
@@ -197,16 +230,16 @@ func runDensity(ctx context.Context, c *jobd.Client, args []string) error {
 		err  error
 	)
 	if *z >= 0 {
-		grid, n, err = c.DensitySlice(ctx, fs.Arg(0), *step, *z)
+		grid, n, err = client.DensitySlice(ctx, fs.Arg(0), *step, *z)
 	} else {
-		grid, n, err = c.DensityGrid(ctx, fs.Arg(0), *step)
+		grid, n, err = client.DensityGrid(ctx, fs.Arg(0), *step)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "tessctl: step %d grid %d^3, %d bytes\n", *step, n, len(grid))
+	fmt.Fprintf(c.stderr, "tessctl: step %d grid %d^3, %d bytes\n", *step, n, len(grid))
 	if *out == "-" {
-		_, err = os.Stdout.Write(grid)
+		_, err = c.stdout.Write(grid)
 		return err
 	}
 	return os.WriteFile(*out, grid, 0o644)

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tessd [-addr :8437] [-queue 16] [-active 2] [-stall 30s]
+//	tessd [-addr 127.0.0.1:8437] [-queue 16] [-active 2] [-stall 30s]
 //	      [-max-blocks 64] [-max-steps 1024]
 //	      [-max-particles 1000000] [-max-grid 128]
 //	      [-retain-bytes 67108864]
@@ -16,12 +16,18 @@
 // Finished jobs keep their event logs and density grids until their total
 // exceeds -retain-bytes; then the oldest are evicted (their status stays,
 // their streams answer 410 Gone), so memory does not grow with uptime.
+// A job's snapshot_uri and checkpoint_dir are relative paths resolved
+// under tessd's working directory, which they cannot leave.
 //
 // Submit and watch jobs with the tessctl client (cmd/tessctl), or plain
 // curl:
 //
 //	curl -s localhost:8437/v1/jobs -d '{"l":8,"blocks":2,"sim":{"ng":8,"steps":3},"include_mesh":true}'
 //	curl -N localhost:8437/v1/jobs/j0001/events
+//
+// The events stream is NDJSON, each step's mesh in base64; a client that
+// sends Accept: application/x-tess-events gets length-prefixed frames
+// with the raw mesh bytes instead, as tessctl does.
 package main
 
 import (
@@ -40,7 +46,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8437", "listen address")
+	addr := flag.String("addr", "127.0.0.1:8437", "listen address (the default is loopback only; the API has no authentication)")
 	queue := flag.Int("queue", 16, "admission queue capacity (jobs waiting to start)")
 	active := flag.Int("active", 2, "max concurrently running jobs (scheduler workers)")
 	stall := flag.Duration("stall", 30*time.Second, "per-session stall watchdog timeout (negative disables)")
@@ -48,7 +54,7 @@ func main() {
 	maxSteps := flag.Int("max-steps", 1024, "max steps per job (0 = unlimited)")
 	maxParticles := flag.Int("max-particles", 1_000_000, "max particles per snapshot (0 = unlimited)")
 	maxGrid := flag.Int("max-grid", 128, "max density sample-grid resolution per axis (0 = unlimited)")
-	retain := flag.Int64("retain-bytes", 64<<20, "payload bytes (event meshes, density grids, inline snapshots) kept for finished jobs; oldest evicted first")
+	retain := flag.Int64("retain-bytes", 64<<20, "payload bytes (raw event meshes, density grids, inline snapshots) kept for finished jobs; oldest evicted first")
 	flag.Parse()
 
 	d := jobd.New(jobd.Config{

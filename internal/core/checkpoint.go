@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/diy"
 	"repro/internal/geom"
@@ -37,14 +38,33 @@ func domainArray(b geom.Box) [6]float64 {
 // step and commits atomically: a crash mid-checkpoint leaves the previous
 // complete checkpoint, or none.
 func (s *Session) Checkpoint(dir string) error {
+	man, err := s.manifest()
+	if err != nil {
+		return err
+	}
+	return storage.Save(dir, man)
+}
+
+// CheckpointIn is Checkpoint into the directory dir refers to.
+func (s *Session) CheckpointIn(dir *os.Root) error {
+	man, err := s.manifest()
+	if err != nil {
+		return err
+	}
+	return storage.SaveIn(dir, man)
+}
+
+// manifest is what Checkpoint persists, or why the session has nothing to
+// persist.
+func (s *Session) manifest() (storage.Manifest, error) {
 	if s.closed {
-		return fmt.Errorf("core: checkpoint of a closed session")
+		return storage.Manifest{}, fmt.Errorf("core: checkpoint of a closed session")
 	}
 	if s.terminal != nil {
-		return fmt.Errorf("core: checkpoint of a terminally failed session: %w", s.terminal)
+		return storage.Manifest{}, fmt.Errorf("core: checkpoint of a terminally failed session: %w", s.terminal)
 	}
 	if s.steps == 0 {
-		return fmt.Errorf("core: nothing to checkpoint before the first completed step")
+		return storage.Manifest{}, fmt.Errorf("core: nothing to checkpoint before the first completed step")
 	}
 	man := storage.Manifest{
 		Steps:     s.steps,
@@ -61,7 +81,7 @@ func (s *Session) Checkpoint(dir string) error {
 		man.WarmSites[r] = s.ranks[r].warmSites
 		man.ColdSites[r] = s.ranks[r].coldSites
 	}
-	return storage.Save(dir, man)
+	return man, nil
 }
 
 // ResumeSession reopens the session checkpointed in dir at its recorded
@@ -80,6 +100,20 @@ func ResumeSession(cfg Config, dir string, numBlocks int) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return resume(cfg, man, numBlocks)
+}
+
+// ResumeSessionIn is ResumeSession from the directory dir refers to; a
+// directory without a checkpoint is an error wrapping fs.ErrNotExist.
+func ResumeSessionIn(cfg Config, dir *os.Root, numBlocks int) (*Session, error) {
+	man, err := storage.LoadIn(dir)
+	if err != nil {
+		return nil, err
+	}
+	return resume(cfg, man, numBlocks)
+}
+
+func resume(cfg Config, man *storage.Manifest, numBlocks int) (*Session, error) {
 	if numBlocks != man.NumBlocks {
 		return nil, fmt.Errorf("core: resume blocks %d does not match checkpoint %d", numBlocks, man.NumBlocks)
 	}

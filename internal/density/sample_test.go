@@ -50,7 +50,7 @@ func TestSampleGrid(t *testing.T) {
 // Regression: the grid sampler used to swallow every interpolation error,
 // so a degenerate (zero-volume) containing tet was indistinguishable from
 // empty space. Degenerate failures must surface in the sample stats apart
-// from outside ones, and DensityAt must return the ErrDegenerate sentinel.
+// from outside ones, and DensityInTet must return the ErrDegenerate sentinel.
 func TestDegenerateTetSurfacesInStats(t *testing.T) {
 	// A hand-built "triangulation" whose only tet is four coplanar points:
 	// zero volume, so barycentric interpolation is undefined everywhere.
@@ -59,8 +59,8 @@ func TestDegenerateTetSurfacesInStats(t *testing.T) {
 		Tets:   []delaunay.Tet{{V: [4]int{0, 1, 2, 3}, Nb: [4]int{-1, -1, -1, -1}}},
 	}
 	f := &dtfe.Field{Tri: tr, Density: []float64{1, 1, 1, 1}}
-	if _, err := f.DensityAt(geom.V(1, 1, 0)); !errors.Is(err, dtfe.ErrDegenerate) {
-		t.Fatalf("DensityAt on a flat tet: err = %v, want ErrDegenerate", err)
+	if _, err := f.DensityInTet(0, geom.V(1, 1, 0)); !errors.Is(err, dtfe.ErrDegenerate) {
+		t.Fatalf("DensityInTet on a flat tet: err = %v, want ErrDegenerate", err)
 	}
 
 	// n=3 over z in [-1,1]: the middle plane of cell centers lies exactly

@@ -131,13 +131,18 @@ func ReadIndex(path string) (*BlockIndex, error) {
 		return nil, err
 	}
 	defer f.Close()
+	return ReadIndexFile(f)
+}
+
+// ReadIndexFile is ReadIndex over an open block file.
+func ReadIndexFile(f *os.File) (*BlockIndex, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 	idx, err := readIndex(f, st.Size())
 	if err != nil {
-		return nil, fmt.Errorf("diy: %s: %w", path, err)
+		return nil, fmt.Errorf("diy: %s: %w", f.Name(), err)
 	}
 	return idx, nil
 }

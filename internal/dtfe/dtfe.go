@@ -117,17 +117,6 @@ var ErrOutside = errors.New("dtfe: point outside the triangulated region")
 // ErrOutside, which legitimately reads as empty space.
 var ErrDegenerate = errors.New("dtfe: degenerate containing tetrahedron")
 
-// DensityAt linearly interpolates the density at p within its containing
-// tetrahedron, using exhaustive point location. For bulk sampling build a
-// locator once and use SampleWith (internal/density samples whole grids).
-func (f *Field) DensityAt(p geom.Vec3) (float64, error) {
-	ti := f.Tri.Locate(p)
-	if ti < 0 {
-		return 0, ErrOutside
-	}
-	return f.DensityInTet(ti, p)
-}
-
 // SampleWith interpolates the density at p, locating the containing tet
 // through loc (which must be built over f.Tri).
 func (f *Field) SampleWith(loc *delaunay.Locator, p geom.Vec3) (float64, error) {

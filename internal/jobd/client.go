@@ -170,15 +170,23 @@ func (c *Client) fetchDensity(ctx context.Context, url string) ([]byte, int, err
 	return body, n, nil
 }
 
-// Events streams a job's NDJSON events from sequence from, calling fn for
-// each. It returns nil when the stream ends at the job's terminal event,
-// the context error on cancellation, or fn's error to stop early.
+// Events streams a job's events from sequence from, calling fn for each.
+// It asks for event frames, in which a step's mesh travels as raw bytes,
+// and yields the Event values the NDJSON stream carries, MeshB64
+// included. It returns nil when the stream reaches its end frame, which
+// the daemon writes after the job's terminal event; an error wrapping
+// io.ErrUnexpectedEOF when the stream stops before it (the daemon shut
+// down or the connection broke); the context error on cancellation; or
+// fn's error to stop early. A daemon that answers NDJSON instead is read
+// as NDJSON, where a stream that stops early cannot be told from a
+// finished one: Events returns nil at the end of the body.
 func (c *Client) Events(ctx context.Context, id string, from int, fn func(Event) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", c.Base, id, from), nil)
 	if err != nil {
 		return err
 	}
+	req.Header.Set("Accept", framesType)
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
@@ -187,8 +195,16 @@ func (c *Client) Events(ctx context.Context, id string, from int, fn func(Event)
 	if resp.StatusCode != http.StatusOK {
 		return apiErrorFrom(resp)
 	}
+	if resp.Header.Get("Content-Type") == framesType {
+		var fnErr error
+		err := readFrames(resp.Body, func(e Event) error { fnErr = fn(e); return fnErr })
+		if err != nil && err != fnErr && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return err
+	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024) // mesh payloads are large
+	sc.Buffer(make([]byte, 0, 64*1024), maxFrameLen) // mesh payloads are large
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -10,30 +10,40 @@ import (
 	tess "repro"
 )
 
-// canonicalMeshB64 merges a step's per-block meshes into the
-// decomposition-independent canonical mesh and returns its encoding,
-// base64 for NDJSON transport. Because the canonical merge is
-// byte-identical across block counts and decompositions, the bytes a
-// client receives from a daemon job equal those of a direct single-client
-// Session run over the same particles — the contract the e2e suite pins.
-// Only fresh memory derived from the loaned Output leaves this function.
-func canonicalMeshB64(out *tess.Output, cfg tess.Config) (string, error) {
+// canonicalMesh merges a step's per-block meshes into the
+// decomposition-independent canonical mesh and returns its encoding.
+// Because the canonical merge is byte-identical across block counts and
+// decompositions, the bytes a client receives from a daemon job equal
+// those of a direct single-client Session run over the same particles —
+// the contract the e2e suite pins. Only fresh memory derived from the
+// loaned Output leaves this function, and exactly as much as the bytes:
+// Encode's buffer has room to spare and its result starts inside it, so
+// the event log keeps a copy, and retained_bytes counts what is held.
+func canonicalMesh(out *tess.Output, cfg tess.Config) ([]byte, error) {
 	merged, err := tess.MergeCanonical(out.Meshes, cfg.Domain, cfg.Periodic)
 	if err != nil {
-		return "", fmt.Errorf("jobd: canonical merge: %w", err)
+		return nil, fmt.Errorf("jobd: canonical merge: %w", err)
 	}
 	enc, err := merged.Encode()
 	if err != nil {
-		return "", fmt.Errorf("jobd: mesh encode: %w", err)
+		return nil, fmt.Errorf("jobd: mesh encode: %w", err)
 	}
-	// Encoded straight into the string's own buffer: EncodeToString would
-	// fill a byte slice and then copy it.
+	return append(make([]byte, 0, len(enc)), enc...), nil
+}
+
+// meshB64 is the mesh_b64 text of raw mesh bytes ("" for none), encoded
+// straight into the string's own buffer: EncodeToString would fill a byte
+// slice and then copy it.
+func meshB64(raw []byte) string {
+	if len(raw) == 0 {
+		return ""
+	}
 	var b64 strings.Builder
-	b64.Grow(base64.StdEncoding.EncodedLen(len(enc)))
+	b64.Grow(base64.StdEncoding.EncodedLen(len(raw)))
 	w := base64.NewEncoder(base64.StdEncoding, &b64)
-	w.Write(enc) // a strings.Builder cannot fail
+	w.Write(raw) // a strings.Builder cannot fail
 	w.Close()
-	return b64.String(), nil
+	return b64.String()
 }
 
 // densityDigest condenses one step's density result into the wire digest.

@@ -674,7 +674,8 @@ func TestE2EResumeFromCheckpoint(t *testing.T) {
 
 	spec := happySpec(40, 3)
 	spec.Name = "resumable"
-	spec.CheckpointDir = filepath.Join(t.TempDir(), "ck")
+	t.Chdir(t.TempDir()) // the daemon resolves job paths under its working directory
+	spec.CheckpointDir = "ck"
 	// Fault checkpoints accumulate four per session step; checkpoint 10
 	// is step 3's "compute" site, so steps 1-2 complete and checkpoint.
 	// The resumed session replays only step 3 (checkpoints 1-4 of its
@@ -807,7 +808,8 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 	ctx := context.Background()
 
 	snap := snapshots(50, 1, 6, 8)
-	path := filepath.Join(t.TempDir(), "snap.bin")
+	t.Chdir(t.TempDir()) // the daemon resolves job paths under its working directory
+	path := "snap.bin"
 	if err := tess.WriteSnapshot(path, particles(snap[0]), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -854,7 +856,7 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 	// A missing snapshot file fails the job at run time — a structured
 	// error, not a hang.
 	missing := spec
-	missing.SnapshotURI = filepath.Join(t.TempDir(), "nope.bin")
+	missing.SnapshotURI = "nope.bin"
 	st2 := h.Submit(t, missing)
 	_, final2 := h.Wait(t, st2.ID, e2eWait)
 	if final2.State != jobd.StateFailed || final2.Error == nil {
@@ -867,7 +869,8 @@ func TestE2ESnapshotURIJob(t *testing.T) {
 // with a spec error naming the limit.
 func TestE2ESnapshotURIOverParticleLimit(t *testing.T) {
 	h := startDaemon(t, jobd.Config{Limits: jobd.Limits{MaxParticles: 100}})
-	path := filepath.Join(t.TempDir(), "snap.bin")
+	t.Chdir(t.TempDir())
+	path := "snap.bin"
 	if err := tess.WriteSnapshot(path, particles(snapshot(90, 6, 8)), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -967,9 +970,9 @@ func TestE2EEvictionUnderRetainBytes(t *testing.T) {
 	if s.EvictedJobs != 2 || s.RetainBytes != 4<<10 {
 		t.Errorf("stats %+v, want 2 evicted under a 4 KiB bound", s)
 	}
-	var newestBytes int64 // what the one retained job weighs: its meshes and inline snapshots
-	for _, e := range newestEvents {
-		newestBytes += int64(len(e.MeshB64))
+	var newestBytes int64 // what the one retained job weighs: its raw meshes and inline snapshots
+	for _, mesh := range stepMeshes(t, newestEvents) {
+		newestBytes += int64(len(mesh))
 	}
 	newestBytes += 2 * 216 * 24
 	if s.RetainedBytes != newestBytes {
@@ -1028,5 +1031,68 @@ func TestRetainedBytesBounded(t *testing.T) {
 	if grew := int64(heap200) - int64(heap50); grew > 150*perJob/10 {
 		t.Errorf("live heap grew %d B between job 50 and job 200 (%d -> %d); an unbounded log would add %d",
 			grew, heap50, heap200, 150*perJob)
+	}
+}
+
+// A job reads and writes only under the daemon's working directory. An
+// absolute snapshot_uri or checkpoint_dir, or one reaching out through
+// "..", is a 400 at admission; one that leads out through a symlink
+// inside the directory fails the job with a spec error. In every case
+// nothing outside is created, and no outside file is read.
+func TestE2EJobPathsStayInsideWorkingDir(t *testing.T) {
+	outside, work := t.TempDir(), t.TempDir() // siblings: work/../<outside>
+	snap := snapshots(70, 1, 6, 8)
+	if err := tess.WriteSnapshot(filepath.Join(outside, "snap.bin"), particles(snap[0]), 2); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(work)
+	if err := os.Symlink(outside, "out"); err != nil {
+		t.Fatal(err)
+	}
+	h := startDaemon(t, jobd.Config{})
+	up := filepath.Join("..", filepath.Base(outside))
+	ckpt := func(dir string) jobd.JobSpec {
+		spec := happySpec(71, 1)
+		spec.CheckpointDir = dir
+		return spec
+	}
+	uri := func(path string) jobd.JobSpec {
+		return jobd.JobSpec{L: 8, Blocks: 2, Ghost: 3, SnapshotURI: path, IncludeMesh: true}
+	}
+	for _, tc := range []struct {
+		name     string
+		spec     jobd.JobSpec
+		admitted bool // the path passes admission and the job must fail
+	}{
+		{"absolute checkpoint_dir", ckpt(filepath.Join(outside, "ck")), false},
+		{"checkpoint_dir through ..", ckpt(filepath.Join(up, "ck")), false},
+		{"checkpoint_dir through a symlink", ckpt(filepath.Join("out", "ck")), true},
+		{"absolute snapshot_uri", uri(filepath.Join(outside, "snap.bin")), false},
+		{"snapshot_uri through ..", uri(filepath.Join(up, "snap.bin")), false},
+		{"snapshot_uri through a symlink", uri(filepath.Join("out", "snap.bin")), true},
+	} {
+		st, err := h.Client.Submit(context.Background(), tc.spec)
+		var apiErr *jobd.APIError
+		switch {
+		case !tc.admitted:
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "inside the daemon's directory") {
+				t.Errorf("%s: err = %v, want a 400 naming the directory", tc.name, err)
+			}
+		case err != nil:
+			t.Errorf("%s: submit: %v", tc.name, err)
+		default:
+			events, final := h.Wait(t, st.ID, e2eWait)
+			term := terminal(t, events)
+			if final.State != jobd.StateFailed || term.Error == nil || term.Error.Kind != "spec" || final.StepsDone != 0 {
+				t.Errorf("%s: final %+v, terminal %+v; want a spec error before any step", tc.name, final, term.Error)
+			}
+		}
+	}
+	entries, err := os.ReadDir(outside)
+	if err != nil || len(entries) != 1 || entries[0].Name() != "snap.bin" {
+		t.Errorf("outside directory holds %v (%v), want only snap.bin", entries, err)
+	}
+	if _, err := os.Stat("ck"); err == nil {
+		t.Error("a refused checkpoint_dir was created inside the directory")
 	}
 }

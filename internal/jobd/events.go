@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Event is one NDJSON record of a job's event stream. Every job emits a
+// Event is one record of a job's event stream. Every job emits a
 // totally ordered sequence: queued, then (unless canceled while queued)
 // started, then one step event per completed Step, terminated by exactly
 // one of done, error, or canceled. A job reopening a session checkpoint
@@ -24,7 +24,9 @@ type Event struct {
 	Sites int64 `json:"sites,omitempty"`
 	Cells int64 `json:"cells,omitempty"`
 	// MeshB64 is the step's merged canonical mesh encoding, base64
-	// (present when the spec set include_mesh).
+	// (present when the spec set include_mesh). The daemon's log holds the
+	// raw bytes (mesh); the NDJSON writer and Client.Events fill MeshB64
+	// from them.
 	MeshB64 string `json:"mesh_b64,omitempty"`
 	// Obs is the step's observability digest (include_obs).
 	Obs *ObsDigest `json:"obs,omitempty"`
@@ -39,6 +41,10 @@ type Event struct {
 	// a present checkpoint was not used (type "resume-fallback", kind
 	// "checkpoint"; the job then starts from step 1).
 	Error *ErrorInfo `json:"error,omitempty"`
+
+	// mesh is the raw canonical mesh of a step event, exactly sized: what
+	// an event frame carries after the header, and what retention counts.
+	mesh []byte
 }
 
 // ObsDigest is the per-step observability summary streamed in step
@@ -118,13 +124,13 @@ func (l *eventLog) since(from int) (evs []Event, closed bool, changed <-chan str
 	return evs, l.closed, l.signal
 }
 
-// meshBytes is the base64 mesh payload the log holds.
+// meshBytes is the raw mesh payload the log holds.
 func (l *eventLog) meshBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var n int64
 	for i := range l.events {
-		n += int64(len(l.events[i].MeshB64))
+		n += int64(len(l.events[i].mesh))
 	}
 	return n
 }

@@ -2,8 +2,11 @@ package jobd
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	tess "repro"
@@ -62,5 +65,92 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("Validate admitted %s, tess.Open refuses it: %v", data, err)
 		}
 		sess.Close()
+	})
+}
+
+// FuzzEventFrames feeds arbitrary bytes to the event-frame decoder that
+// Client.Events reads a framed stream with. It must not panic; it returns
+// an error, or events that the daemon's frame writer turns back into the
+// same bytes. The seeds are a stream recorded from a daemon — a mesh job
+// with include_obs, then a job ending in an error event — and truncations
+// of it.
+func FuzzEventFrames(f *testing.F) {
+	d := New(Config{})
+	defer d.Close()
+	snap := make([][3]float64, 0, 27) // a jittered 3^3 lattice, to keep the seeds small
+	for i := range 27 {
+		snap = append(snap, [3]float64{
+			float64(i%3)*2.7 + 0.5 + 0.1*float64(i%2), float64(i/3%3)*2.7 + 0.7, float64(i/9)*2.7 + 0.6 + 0.05*float64(i%5),
+		})
+	}
+	mesh := JobSpec{L: 8, Blocks: 2, Ghost: 3, Snapshots: [][][3]float64{snap, snap}, IncludeMesh: true, IncludeObs: true}
+	crash := mesh
+	crash.Fault = &FaultSpec{Seed: 1, CrashRank: 1, CrashStep: 6} // in step 2
+	var stream []byte
+	for i, spec := range []JobSpec{mesh, crash} {
+		j, err := d.Submit(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for {
+			_, closed, changed := j.log.since(0)
+			if closed {
+				break
+			}
+			<-changed
+		}
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID()+"/events", nil)
+		req.Header.Set("Accept", framesType)
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, req)
+		body := rec.Body.Bytes()
+		var last Event
+		meshes := 0
+		if err := readFrames(bytes.NewReader(body), func(e Event) error {
+			if e.MeshB64 != "" {
+				meshes++
+			}
+			last = e
+			return nil
+		}); err != nil || last.Type != []string{"done", "error"}[i] || meshes != 2-i {
+			f.Fatalf("recorded stream of %s: %d meshes, ends %q, err %v", j.ID(), meshes, last.Type, err)
+		}
+		stream = append(stream[:len(stream):len(stream)], body[:len(body)-4]...) // the streams, one end frame
+	}
+	stream = append(stream, 0, 0, 0, 0)
+	f.Add(stream)
+	for _, n := range []int{0, 3, 4, 40, len(stream) / 3, len(stream) / 2, len(stream) - 5, len(stream) - 4, len(stream) - 1} {
+		f.Add(stream[:n])
+	}
+	f.Add(append(stream[:len(stream):len(stream)], 0))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var evs []Event
+		err := readFrames(bytes.NewReader(data), func(e Event) error {
+			evs = append(evs, e)
+			return nil
+		})
+		if err != nil {
+			if !errors.Is(err, errFrames) {
+				t.Fatalf("decoder error %v does not wrap errFrames", err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		fw := newFrameWriter(&again)
+		for _, e := range evs {
+			raw, err := base64.StdEncoding.DecodeString(e.MeshB64)
+			if err != nil {
+				t.Fatalf("event %d: mesh_b64 is not base64: %v", e.Seq, err)
+			}
+			e.MeshB64, e.mesh = "", raw
+			if err := fw.event(&e); err != nil {
+				t.Fatalf("re-encode event %d: %v", e.Seq, err)
+			}
+		}
+		fw.end()
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("%d decoded events re-encode to %d bytes, not the %d decoded", len(evs), again.Len(), len(data))
+		}
 	})
 }

@@ -10,7 +10,8 @@ import (
 	"strconv"
 )
 
-// HTTP surface of the daemon (all JSON; streams are NDJSON):
+// HTTP surface of the daemon (all JSON; event streams are NDJSON, or
+// event frames on request):
 //
 //	GET    /healthz             -> 200 "ok"
 //	GET    /v1/stats            -> Stats
@@ -26,6 +27,8 @@ import (
 //	                               set checkpoint_dir) | 400 | 404
 //	GET    /v1/jobs/{id}/events -> NDJSON Event stream (replay + live
 //	                               tail until the terminal event);
+//	                               with Accept: application/x-tess-events,
+//	                               event frames instead (frames.go);
 //	                               ?from=N resumes at sequence N |
 //	                               410 with the reason once the
 //	                               finished job's log was evicted
@@ -150,9 +153,11 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
-// handleEvents streams a job's NDJSON event log: full replay from ?from
+// handleEvents streams a job's event log: full replay from ?from
 // (default 0), then a live tail until the terminal event or client
-// disconnect. Each event is one JSON line, flushed immediately.
+// disconnect. Each event is one JSON line, or two frames for a client
+// that asks for them (frames.go), flushed immediately; a framed stream
+// ends with its end frame once the log is closed.
 func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := d.Job(r.PathValue("id"))
 	if err == nil {
@@ -171,21 +176,23 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	ew := newEventWriter(w, r)
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	cur := from
 	for {
 		evs, closed, changed := j.log.since(cur)
-		for _, e := range evs {
-			if err := enc.Encode(e); err != nil {
+		for i := range evs {
+			if err := ew.event(&evs[i]); err != nil {
 				return // client gone
 			}
 		}
 		cur += len(evs)
-		if flusher != nil && len(evs) > 0 {
+		if closed && ew.end() != nil {
+			return
+		}
+		if flusher != nil && (len(evs) > 0 || closed) {
 			flusher.Flush()
 		}
 		if closed {

@@ -22,16 +22,22 @@
 // in-flight Step unblocks with the cancellation cause, and the session is
 // torn down.
 //
-// Per-job progress streams to clients as NDJSON (Event): queued, started,
+// Per-job progress streams to clients as events (Event): queued, started,
 // one step event per completed Step (optionally carrying the step's
 // merged canonical mesh and observability digest), and exactly one
-// terminal done/error/canceled event. The event log is replayable, so a
-// client that reconnects resumes from any sequence number.
+// terminal done/error/canceled event — as NDJSON with the mesh in base64,
+// or, for a client that asks, as length-prefixed frames with the mesh as
+// raw bytes (frames.go). The event log is replayable, so a client that
+// reconnects resumes from any sequence number.
 package jobd
 
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -100,7 +106,7 @@ type Config struct {
 	// Default 30s; negative disables.
 	StallTimeout time.Duration
 	// RetainBytes bounds the payload the daemon keeps for finished jobs —
-	// the mesh_b64 of their step events, their density grids and their
+	// the raw meshes of their step events, their density grids and their
 	// specs' inline snapshots. When a job finishes, finished jobs are
 	// evicted oldest first until the total is under the bound (never the
 	// job that just finished, never a queued or running one); an evicted
@@ -245,7 +251,7 @@ func (j *Job) errIfEvicted() error {
 	return nil
 }
 
-// payloadBytes is what retaining the job costs the daemon: the base64
+// payloadBytes is what retaining the job costs the daemon: the raw
 // meshes of its step events, its density grids and the inline snapshots
 // of its spec.
 func (j *Job) payloadBytes() int64 {
@@ -588,6 +594,20 @@ func (d *Daemon) retain(j *Job) {
 	}
 }
 
+// openDirIn opens dir under root as a root of its own, creating it and
+// its missing parents through root first (os.Root has no MkdirAll before
+// Go 1.25), so no component of dir can lead outside root.
+func openDirIn(root *os.Root, dir string) (*os.Root, error) {
+	parts := strings.Split(filepath.Clean(dir), string(filepath.Separator))
+	for i := range parts {
+		err := root.Mkdir(filepath.Join(parts[:i+1]...), 0o755)
+		if err != nil && !errors.Is(err, fs.ErrExist) {
+			return nil, err
+		}
+	}
+	return root.OpenRoot(dir)
+}
+
 // countTerminal bumps the daemon's terminal-state counters.
 func (d *Daemon) countTerminal(s State) {
 	d.mu.Lock()
@@ -682,28 +702,47 @@ func (d *Daemon) finishStepError(j *Job, err error) {
 // session owns its own world, and the error surfaces as this job's
 // terminal event while sibling jobs run on undisturbed.
 func (d *Daemon) runJob(j *Job) {
+	// A job's paths resolve under the daemon's working directory, through
+	// an os.Root there, so that no component — a symlink included — leads
+	// outside it (Validate has refused absolute and ".." paths).
+	var root, ckdir *os.Root
+	var err error
+	if j.spec.SnapshotURI != "" || j.spec.CheckpointDir != "" {
+		if root, err = os.OpenRoot("."); err == nil {
+			defer root.Close()
+			if j.spec.CheckpointDir != "" {
+				ckdir, err = openDirIn(root, j.spec.CheckpointDir)
+			}
+		}
+		if err != nil {
+			d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "spec"})
+			return
+		}
+		if ckdir != nil {
+			defer ckdir.Close()
+		}
+	}
+
 	// The input side: a windowed out-of-core FileSource for a URI job,
 	// the per-step snapshotSource otherwise.
 	var fsrc *tess.FileSource
 	var src snapshotSource
 	if uri := j.spec.SnapshotURI; uri != "" {
-		fs, err := tess.OpenFileSource(uri, j.spec.SourceWindow)
+		fsrc, err = tess.OpenFileSourceIn(root, uri, j.spec.SourceWindow)
 		if err != nil {
 			d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "spec"})
 			return
 		}
-		defer fs.Close()
-		if limit := d.cfg.Limits.MaxParticles; limit > 0 && fs.TotalParticles() > limit {
+		defer fsrc.Close()
+		if limit := d.cfg.Limits.MaxParticles; limit > 0 && fsrc.TotalParticles() > limit {
 			d.finishJob(j, StateFailed, &ErrorInfo{
 				Message: fmt.Sprintf("jobd: snapshot %s holds %d particles, exceeding the daemon's limit of %d",
-					uri, fs.TotalParticles(), limit),
+					uri, fsrc.TotalParticles(), limit),
 				Kind: "spec",
 			})
 			return
 		}
-		fsrc = fs
 	} else {
-		var err error
 		if src, err = j.spec.source(); err != nil {
 			d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "spec"})
 			return
@@ -721,21 +760,20 @@ func (d *Daemon) runJob(j *Job) {
 	// loop below starts at N+1. An unreadable or incompatible checkpoint
 	// does not brick resubmission — the job starts fresh and overwrites it
 	// at its first completed step — but the stream says so.
-	ckdir := j.spec.CheckpointDir
 	var sess *tess.Session
 	resumed := 0
-	if ckdir != "" && tess.HasCheckpoint(ckdir) {
-		rs, err := tess.Resume(cfg, ckdir, j.spec.Blocks)
-		if err != nil {
-			j.log.append(Event{Job: j.id, Type: "resume-fallback",
-				Error: &ErrorInfo{Kind: "checkpoint", Message: err.Error()}}, false)
-		} else {
+	if ckdir != nil {
+		rs, err := tess.ResumeIn(cfg, ckdir, j.spec.Blocks)
+		switch {
+		case err == nil:
 			sess = rs
 			resumed = rs.Steps()
+		case !errors.Is(err, fs.ErrNotExist):
+			j.log.append(Event{Job: j.id, Type: "resume-fallback",
+				Error: &ErrorInfo{Kind: "checkpoint", Message: err.Error()}}, false)
 		}
 	}
 	if sess == nil {
-		var err error
 		if sess, err = tess.Open(cfg, j.spec.Blocks); err != nil {
 			d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "spec"})
 			return
@@ -789,10 +827,10 @@ func (d *Daemon) runJob(j *Job) {
 			}
 			out, err = sess.Step(particles)
 		}
-		if err == nil && ckdir != "" {
+		if err == nil && ckdir != nil {
 			// checkpoint_dir means a checkpoint after every step, committed
 			// before the step's event says the step is done.
-			if err = sess.Checkpoint(ckdir); err != nil {
+			if err = sess.CheckpointIn(ckdir); err != nil {
 				err = fmt.Errorf("jobd: step %d checkpoint: %w", step, err)
 			}
 		}
@@ -811,12 +849,10 @@ func (d *Daemon) runJob(j *Job) {
 			Cells: cells,
 		}
 		if j.spec.IncludeMesh {
-			b64, err := canonicalMeshB64(out, cfg)
-			if err != nil {
+			if ev.mesh, err = canonicalMesh(out, cfg); err != nil {
 				d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "pipeline"})
 				return
 			}
-			ev.MeshB64 = b64
 		}
 		if out.Obs != nil {
 			ev.Obs = obsDigest(out.Obs)

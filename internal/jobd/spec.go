@@ -3,6 +3,7 @@ package jobd
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"time"
 
 	tess "repro"
@@ -44,12 +45,12 @@ type JobSpec struct {
 	// Sim generates the job's snapshots from the built-in N-body
 	// simulation instead (mutually exclusive with Snapshots).
 	Sim *SimSpec `json:"sim,omitempty"`
-	// SnapshotURI names a chunked snapshot file on the daemon's
-	// filesystem (written by tess.WriteSnapshot) as the job's single
-	// input snapshot, streamed out of core through a windowed FileSource
-	// instead of being inlined in the spec JSON. Exactly one of
-	// Snapshots, Sim, or SnapshotURI must be set; a URI job runs one
-	// tessellation step.
+	// SnapshotURI names a chunked snapshot file (written by
+	// tess.WriteSnapshot) by a relative path inside the daemon's working
+	// directory, as the job's single input snapshot, streamed out of core
+	// through a windowed FileSource instead of being inlined in the spec
+	// JSON. Exactly one of Snapshots, Sim, or SnapshotURI must be set; a
+	// URI job runs one tessellation step.
 	SnapshotURI string `json:"snapshot_uri,omitempty"`
 	// SourceWindow bounds the snapshot source's resident chunk window
 	// (<= 0 keeps every loaded chunk resident). Only meaningful with
@@ -57,7 +58,8 @@ type JobSpec struct {
 	SourceWindow int `json:"source_window,omitempty"`
 
 	// CheckpointDir, when non-empty, checkpoints the job's session into
-	// that directory after every completed step. A killed job resubmitted
+	// that directory, a relative path inside the daemon's working
+	// directory, after every completed step. A killed job resubmitted
 	// with the same spec (tessctl resume / POST /v1/jobs/{id}/resume)
 	// reopens the committed checkpoint and continues from the step after
 	// it instead of starting over.
@@ -75,8 +77,8 @@ type JobSpec struct {
 	Fault *FaultSpec `json:"fault,omitempty"`
 
 	// IncludeMesh streams each step's merged canonical mesh (the
-	// decomposition-independent encoding) back in the step event, base64
-	// over NDJSON.
+	// decomposition-independent encoding) back in the step event: base64
+	// over NDJSON, raw bytes in event frames.
 	IncludeMesh bool `json:"include_mesh,omitempty"`
 	// IncludeObs attaches a per-step observability recorder and streams
 	// each step's counters and imbalance in the step event.
@@ -182,6 +184,16 @@ func (s *JobSpec) Validate(limits Limits) error {
 	}
 	if sources != 1 {
 		return badSpec("exactly one of snapshots, sim, or snapshot_uri must be set")
+	}
+	// Both paths resolve under the daemon's working directory (runJob opens
+	// them through an os.Root there); one that could only lead outside it
+	// is refused before anything touches the disk.
+	for _, p := range []struct{ field, path string }{
+		{"snapshot_uri", s.SnapshotURI}, {"checkpoint_dir", s.CheckpointDir},
+	} {
+		if p.path != "" && !filepath.IsLocal(p.path) {
+			return badSpec("%s %q is not a relative path inside the daemon's directory", p.field, p.path)
+		}
 	}
 	if s.SnapshotURI != "" && s.Density != nil {
 		return badSpec("density is not supported with snapshot_uri (the streamed snapshot is never staged whole)")

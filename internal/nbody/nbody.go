@@ -177,16 +177,6 @@ func (s *Simulation) forceAt(p geom.Vec3) geom.Vec3 {
 	return f
 }
 
-// Accelerations returns the current PM acceleration for every particle.
-func (s *Simulation) Accelerations() []geom.Vec3 {
-	s.solveForces()
-	acc := make([]geom.Vec3, len(s.Pos))
-	for i, p := range s.Pos {
-		acc[i] = s.forceAt(p)
-	}
-	return acc
-}
-
 // StepOnce advances the simulation by one kick-drift-kick leapfrog step.
 func (s *Simulation) StepOnce() {
 	dt := s.Config.Dt

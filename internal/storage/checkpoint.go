@@ -3,14 +3,15 @@ package storage
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
 
 // A checkpoint directory holds one file, manifest.json: the Manifest,
 // written to a temp file and renamed into place, so the rename is the
-// commit and HasCheckpoint(dir) — "manifest exists" — implies a complete
-// checkpoint. A session's geometry is recomputed from each step's
+// commit and a manifest that exists is a complete checkpoint; a directory
+// without one has none (Load's error wraps fs.ErrNotExist). A session's geometry is recomputed from each step's
 // particles, so what resumes it is its decomposition and its counters, and
 // the decomposition is recorded by what decides it rather than by what it
 // contains: a regular grid by the domain, block count and periodicity the
@@ -46,29 +47,33 @@ type Manifest struct {
 
 const manifestName = "manifest.json"
 
-// HasCheckpoint reports whether dir holds a committed checkpoint.
-func HasCheckpoint(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, manifestName))
-	return err == nil
-}
-
-// Save writes man into dir, creating it if needed, at the current version.
-// The manifest is written and synced under a temp name, renamed into
-// place, and the directory synced, so a crash at any point — power loss
-// included — leaves dir with the previous complete checkpoint, or none. A
-// failed Save removes its temp file and leaves the previous checkpoint as
-// it was.
+// Save writes man into dir, creating it if needed; see SaveIn.
 func Save(dir string, man Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: checkpoint dir: %w", err)
 	}
+	root, err := os.OpenRoot(dir)
+	if err != nil {
+		return fmt.Errorf("storage: checkpoint dir: %w", err)
+	}
+	defer root.Close()
+	return SaveIn(root, man)
+}
+
+// SaveIn writes man, at the current version, into the directory dir
+// refers to. The manifest is written and synced under a temp name,
+// renamed into place, and the directory synced, so a crash at any point —
+// power loss included — leaves dir with the previous complete checkpoint,
+// or none. A failed SaveIn removes its temp file and leaves the previous
+// checkpoint as it was.
+func SaveIn(dir *os.Root, man Manifest) error {
 	man.Version = ManifestVersion
 	raw, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("storage: manifest: %w", err)
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp := manifestName + ".tmp"
+	f, err := dir.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: writing manifest: %w", err)
 	}
@@ -80,14 +85,16 @@ func Save(dir string, man Manifest) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, manifestName))
+		// os.Root has no Rename before Go 1.25: the rename goes by the
+		// root's name, between two files just resolved through it.
+		err = os.Rename(filepath.Join(dir.Name(), tmp), filepath.Join(dir.Name(), manifestName))
 	}
 	if err != nil {
-		os.Remove(tmp)
+		dir.Remove(tmp)
 		return fmt.Errorf("storage: writing manifest: %w", err)
 	}
 	// The rename is durable only once the directory entry is.
-	d, err := os.Open(dir)
+	d, err := dir.Open(".")
 	if err == nil {
 		err = d.Sync()
 		d.Close()
@@ -98,8 +105,19 @@ func Save(dir string, man Manifest) error {
 	return nil
 }
 
-// Load reads the committed checkpoint in dir. The manifest is outside
-// input — a daemon is handed the directory by a job spec — so everything a
+// Load reads the committed checkpoint in dir; see LoadIn.
+func Load(dir string) (*Manifest, error) {
+	root, err := os.OpenRoot(dir)
+	if err != nil {
+		return nil, fmt.Errorf("storage: no checkpoint in %s: %w", dir, err)
+	}
+	defer root.Close()
+	return LoadIn(root)
+}
+
+// LoadIn reads the committed checkpoint in the directory dir refers to;
+// a directory without one is an error wrapping fs.ErrNotExist. The
+// manifest is outside input — a daemon is handed the directory by a job spec — so everything a
 // resumed session would trust about it alone is checked here, once: a
 // manifest Load returns has the current version, at least one step and one
 // block, a known decomposition kind with its count of cuts (n-1 for RCB,
@@ -107,10 +125,15 @@ func Save(dir string, man Manifest) error {
 // cuts fit their boxes is diy.ReplayRCB's to check.
 // (Domain, ghost and cuts need no finiteness check: JSON has no NaN or Inf,
 // and an out-of-range literal already fails to parse.)
-func Load(dir string) (*Manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+func LoadIn(dir *os.Root) (*Manifest, error) {
+	f, err := dir.Open(manifestName)
 	if err != nil {
-		return nil, fmt.Errorf("storage: no checkpoint in %s: %w", dir, err)
+		return nil, fmt.Errorf("storage: no checkpoint in %s: %w", dir.Name(), err)
+	}
+	raw, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("storage: manifest: %w", err)
 	}
 	man := &Manifest{}
 	if err := json.Unmarshal(raw, man); err != nil {

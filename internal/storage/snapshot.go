@@ -114,12 +114,30 @@ type residentChunk struct {
 // counts are read from the fixed headers, so opening touches 16 bytes
 // per chunk, not the payloads.
 func OpenFileSource(path string, window int) (*FileSource, error) {
-	idx, err := diy.ReadIndex(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
+	return newFileSource(f, window)
+}
+
+// OpenFileSourceIn is OpenFileSource for the file name names under root:
+// no component of name, a symlink included, may lead outside root.
+func OpenFileSourceIn(root *os.Root, name string, window int) (*FileSource, error) {
+	f, err := root.Open(name)
 	if err != nil {
+		return nil, err
+	}
+	return newFileSource(f, window)
+}
+
+// newFileSource reads the open snapshot file's index and chunk headers;
+// it owns f, closing it on failure.
+func newFileSource(f *os.File, window int) (*FileSource, error) {
+	path := f.Name()
+	idx, err := diy.ReadIndexFile(f)
+	if err != nil {
+		f.Close()
 		return nil, err
 	}
 	s := &FileSource{

@@ -225,25 +225,3 @@ func eventKey(e Event) int {
 	}
 	return 1 << 30
 }
-
-// Lineage follows a feature forward through continuations (and the largest
-// branch of splits/merges), returning the feature index at each subsequent
-// snapshot until the track ends. It is the "history of one void" query.
-func (t *Tree) Lineage(start int) []int {
-	path := []int{start}
-	cur := start
-	for i := 0; i < len(t.Links); i++ {
-		best, bestOv := -1, 0
-		for _, l := range t.Links[i] {
-			if l.From == cur && l.Overlap > bestOv {
-				best, bestOv = l.To, l.Overlap
-			}
-		}
-		if best < 0 {
-			break
-		}
-		path = append(path, best)
-		cur = best
-	}
-	return path
-}

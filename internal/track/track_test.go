@@ -148,15 +148,15 @@ func TestLineageFollowsLargestBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lineage := tree.Lineage(0)
-	if len(lineage) != 3 {
-		t.Fatalf("lineage = %v", lineage)
+	path := lineage(tree, 0)
+	if len(path) != 3 {
+		t.Fatalf("lineage = %v", path)
 	}
-	if lineage[1] != 0 {
-		t.Errorf("lineage should follow the larger split piece: %v", lineage)
+	if path[1] != 0 {
+		t.Errorf("lineage should follow the larger split piece: %v", path)
 	}
-	if lineage[2] != 0 {
-		t.Errorf("lineage should reach the merged feature: %v", lineage)
+	if path[2] != 0 {
+		t.Errorf("lineage should reach the merged feature: %v", path)
 	}
 }
 
@@ -169,9 +169,9 @@ func TestLineageEndsAtDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lineage := tree.Lineage(0)
-	if len(lineage) != 1 {
-		t.Errorf("dead feature lineage = %v, want just the start", lineage)
+	path := lineage(tree, 0)
+	if len(path) != 1 {
+		t.Errorf("dead feature lineage = %v, want just the start", path)
 	}
 }
 
@@ -198,4 +198,26 @@ func TestEventTypeString(t *testing.T) {
 			t.Errorf("String(%d) = %q, want %q", int(ty), got, want)
 		}
 	}
+}
+
+// lineage follows a feature forward through continuations (and the largest
+// branch of splits and merges), returning the feature index at each later
+// snapshot until the track ends: the history of one void.
+func lineage(t *Tree, start int) []int {
+	path := []int{start}
+	cur := start
+	for i := 0; i < len(t.Links); i++ {
+		best, bestOv := -1, 0
+		for _, l := range t.Links[i] {
+			if l.From == cur && l.Overlap > bestOv {
+				best, bestOv = l.To, l.Overlap
+			}
+		}
+		if best < 0 {
+			break
+		}
+		path = append(path, best)
+		cur = best
+	}
+	return path
 }

@@ -1,6 +1,10 @@
 package tess
 
-import "repro/internal/core"
+import (
+	"os"
+
+	"repro/internal/core"
+)
 
 // Session is a persistent tessellation pipeline for repeated passes over
 // the same domain decomposition — the in situ pattern of tessellating
@@ -55,4 +59,12 @@ func Open(cfg Config, numBlocks int) (*Session, error) {
 // error, never a resumed session.
 func Resume(cfg Config, dir string, numBlocks int) (*Session, error) {
 	return core.ResumeSession(cfg, dir, numBlocks)
+}
+
+// ResumeIn is Resume from the directory dir refers to, for a caller that
+// resolves its paths under an os.Root (as tessd does); Session.CheckpointIn
+// writes there. A directory without a checkpoint is an error wrapping
+// fs.ErrNotExist.
+func ResumeIn(cfg Config, dir *os.Root, numBlocks int) (*Session, error) {
+	return core.ResumeSessionIn(cfg, dir, numBlocks)
 }

@@ -1,6 +1,10 @@
 package tess
 
-import "repro/internal/storage"
+import (
+	"os"
+
+	"repro/internal/storage"
+)
 
 // Out-of-core snapshot sources and the checkpoint probe: the public
 // surface of internal/storage. A Source supplies one snapshot as
@@ -29,6 +33,12 @@ func OpenFileSource(path string, window int) (*FileSource, error) {
 	return storage.OpenFileSource(path, window)
 }
 
+// OpenFileSourceIn is OpenFileSource for the file name names under root:
+// no component of name, a symlink included, may lead outside root.
+func OpenFileSourceIn(root *os.Root, name string, window int) (*FileSource, error) {
+	return storage.OpenFileSourceIn(root, name, window)
+}
+
 // WriteSnapshot writes ps as a chunked snapshot file readable by
 // OpenFileSource, split into contiguous equal runs in slice order (so a
 // FileSource over the file supplies exactly the particles of ps, in
@@ -36,7 +46,3 @@ func OpenFileSource(path string, window int) (*FileSource, error) {
 func WriteSnapshot(path string, ps []Particle, chunks int) error {
 	return storage.WriteSnapshot(path, ps, chunks)
 }
-
-// HasCheckpoint reports whether dir holds a committed session
-// checkpoint that Resume can reopen.
-func HasCheckpoint(dir string) bool { return storage.HasCheckpoint(dir) }
