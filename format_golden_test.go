@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/meshio"
-	"repro/internal/wire"
 )
 
 // formatGolden pins the SHA-256 of every on-disk format on one fixed
@@ -22,10 +21,9 @@ import (
 // files written by that build decode under this one. tess.out is the
 // exception: its blocks are v2 since v2 became the one layout written, and
 // its digest is that of the same blocks written in v2 by the commit
-// before that switch. mesh-v1 blocks now comes from the test's own v1
-// writer.
+// before that switch. The exact-mesh row, the same blocks in the retired
+// v1 layout, is meshio's TestMeshV1BlocksGolden.
 var formatGolden = map[string]string{
-	"mesh-v1 blocks": "107ddcbf2b575c3d073454dab74dd311cd2e2125070d4b580af045c103733e54",
 	"mesh-v2 blocks": "beefb7a9b7f3f11bfed2dddc0fb8e9e736373b19832ac4927bc9648ef506a9a4",
 	"augmented":      "171bc858ceabe9fb1e3598016a8f4222817a1c42fbb12669eabd96726550e02f",
 	"density grid":   "970c5fb4f1c001a1f1094401ad573edf1bac2cc07e0668d10c38256eb84c7497",
@@ -34,52 +32,6 @@ var formatGolden = map[string]string{
 	// Manifest version 3: the whole checkpoint, with the RCB session's
 	// cuts; no wall-clock field, so it has a digest.
 	"ckpt/manifest.json": "c2a71468a994bc2caa9ee091ca1354ba1ae3a949425080cb023bcbd4f734eb87",
-}
-
-// encodeV1 writes m in the v1 mesh layout, which DecodeBlockMesh still
-// reads (meshio's EncodeV1 test writer): every float at full precision.
-func encodeV1(m *BlockMesh) []byte {
-	w := wire.NewWriter(0)
-	vecs := func(vs ...Vec3) {
-		for _, v := range vs {
-			w.F64(v.X)
-			w.F64(v.Y)
-			w.F64(v.Z)
-		}
-	}
-	w.U64(0x744d455348763101)
-	vecs(m.Extents.Min, m.Extents.Max)
-	w.U64(uint64(len(m.Verts)))
-	vecs(m.Verts...)
-	w.U64(uint64(m.NumCells()))
-	vecs(m.Particles...)
-	for _, id := range m.ParticleIDs {
-		w.I64(id)
-	}
-	for _, s := range [][]float64{m.Volumes, m.Areas} {
-		for _, v := range s {
-			w.F64(v)
-		}
-	}
-	for _, c := range m.Complete {
-		var b byte
-		if c {
-			b = 1
-		}
-		w.U8(b)
-	}
-	for c := range m.FaceEnds {
-		lo, hi := m.Faces(c)
-		w.U32(uint32(hi - lo))
-		for f := lo; f < hi; f++ {
-			w.I64(m.Neighbors[f])
-			w.U32(uint32(len(m.Loop(f))))
-			for _, vi := range m.Loop(f) {
-				w.U32(uint32(vi))
-			}
-		}
-	}
-	return w.Bytes()
 }
 
 func TestFormatGolden(t *testing.T) {
@@ -124,24 +76,15 @@ func TestFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Per-block mesh bytes, both versions, and what they decode to. Only
-	// the test writes v1; it pins the mesh bit for bit.
-	var v1, v2 [][]byte
+	// Per-block mesh bytes and what they decode to.
+	var v2 [][]byte
 	cells := 0
 	for r, m := range out.Meshes {
-		b1 := encodeV1(m)
 		b2, err := meshio.EncodeV2(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, v2 = append(v1, b1), append(v2, b2)
-		d1, err := meshio.DecodeBlockMesh(b1)
-		if err != nil {
-			t.Fatalf("block %d v1 decode: %v", r, err)
-		}
-		if !reflect.DeepEqual(d1, m) {
-			t.Errorf("block %d: v1 round trip is not the identity", r)
-		}
+		v2 = append(v2, b2)
 		d2, err := meshio.DecodeBlockMesh(b2)
 		if err != nil {
 			t.Fatalf("block %d v2 decode: %v", r, err)
@@ -153,7 +96,6 @@ func TestFormatGolden(t *testing.T) {
 		}
 		cells += m.NumCells()
 	}
-	sum("mesh-v1 blocks", v1...)
 	sum("mesh-v2 blocks", v2...)
 
 	aug := meshio.AugmentParticles(out.Meshes[0])

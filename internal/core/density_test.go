@@ -93,13 +93,13 @@ func TestStepDensityRecordsPhases(t *testing.T) {
 	if res.Obs == nil {
 		t.Fatal("no obs snapshot on a recorded session")
 	}
-	if res.Obs.PhaseTotal(obs.PhaseTriangulate) <= 0 {
+	if res.Obs.SlowestRank(obs.PhaseTriangulate) <= 0 {
 		t.Error("no triangulate span recorded")
 	}
-	if res.Obs.PhaseTotal(obs.PhaseInterpolate) <= 0 {
+	if res.Obs.SlowestRank(obs.PhaseInterpolate) <= 0 {
 		t.Error("no interpolate span recorded")
 	}
-	if res.Obs.PhaseTotal(obs.PhaseSpectrum) <= 0 {
+	if res.Obs.SlowestRank(obs.PhaseSpectrum) <= 0 {
 		t.Error("no spectrum span recorded")
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -12,13 +10,11 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/cosmo"
 	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/meshio"
 	"repro/internal/obs"
 	"repro/internal/voronoi"
-	"repro/internal/wire"
 )
 
 func perturbedParticles(rng *rand.Rand, n int, L, amp float64) []diy.Particle {
@@ -532,82 +528,6 @@ func TestDiameterBelowMatchesPairwiseScan(t *testing.T) {
 			}
 		}
 	}
-}
-
-// The postproc-clustered input (24^3 halo mock, RCB blocks, cull at a
-// tenth of the mean cell volume): the cull counts and every block's bytes
-// are the ones the pairwise-only early cull produced — the constants come
-// from this test run at the parent of the commit that added the bounds.
-func TestEarlyCullCountsAndBytesOnHaloMock(t *testing.T) {
-	const L = 24.0
-	pos := cosmo.ClusteredPositions(24*24*24, L, cosmo.DefaultClusterParams())
-	ps := make([]diy.Particle, len(pos))
-	for i, q := range pos {
-		ps[i] = diy.Particle{ID: int64(i), Pos: q}
-	}
-	cfg := baseConfig(L)
-	cfg.Decomposition = DecomposeRCB
-	cfg.MinVolume = 0.1
-	out, err := Run(cfg, ps, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	for _, m := range out.Meshes {
-		h.Write(encodeV1(m))
-	}
-	got := fmt.Sprintf("%+v %x", out.Counts, h.Sum(nil))
-	const want = "{Sites:13824 Incomplete:0 CulledEarly:6796 CulledExact:1851 Kept:5177} 36488d1f36a5807f62dbaf20ed44470dc3890a034a6b3c5a1e6620237d04de26"
-	if got != want {
-		t.Errorf("counts and block digest\n got %s\nwant %s", got, want)
-	}
-}
-
-// encodeV1 writes m in the retired v1 mesh layout (meshio's EncodeV1 test
-// writer): every float at full precision, so its digest pins the mesh bit
-// for bit.
-func encodeV1(m *meshio.BlockMesh) []byte {
-	w := wire.NewWriter(0)
-	vecs := func(vs ...geom.Vec3) {
-		for _, v := range vs {
-			w.F64(v.X)
-			w.F64(v.Y)
-			w.F64(v.Z)
-		}
-	}
-	w.U64(0x744d455348763101)
-	vecs(m.Extents.Min, m.Extents.Max)
-	w.U64(uint64(len(m.Verts)))
-	vecs(m.Verts...)
-	w.U64(uint64(m.NumCells()))
-	vecs(m.Particles...)
-	for _, id := range m.ParticleIDs {
-		w.I64(id)
-	}
-	for _, s := range [][]float64{m.Volumes, m.Areas} {
-		for _, v := range s {
-			w.F64(v)
-		}
-	}
-	for _, c := range m.Complete {
-		var b byte
-		if c {
-			b = 1
-		}
-		w.U8(b)
-	}
-	for c := range m.FaceEnds {
-		lo, hi := m.Faces(c)
-		w.U32(uint32(hi - lo))
-		for f := lo; f < hi; f++ {
-			w.I64(m.Neighbors[f])
-			w.U32(uint32(len(m.Loop(f))))
-			for _, vi := range m.Loop(f) {
-				w.U32(uint32(vi))
-			}
-		}
-	}
-	return w.Bytes()
 }
 
 // One Allreduce of stepTotals gives what the four scalar timing reductions

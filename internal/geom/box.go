@@ -91,11 +91,6 @@ func (b Box) Intersect(o Box) Box {
 	}
 }
 
-// Overlaps reports whether the closed boxes b and o share any point.
-func (b Box) Overlaps(o Box) bool {
-	return !b.Intersect(o).Empty()
-}
-
 // Corners returns the eight corners of the box.
 func (b Box) Corners() [8]Vec3 {
 	return [8]Vec3{

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -883,6 +884,34 @@ func TestE2ESnapshotURIOverParticleLimit(t *testing.T) {
 	}
 	if final.State != jobd.StateFailed || final.StepsDone != 0 {
 		t.Errorf("final = %+v, want failed before any step", final)
+	}
+}
+
+// A snapshot file cut short fails its job as a spec error naming the file,
+// before any step runs.
+func TestE2ESnapshotURITruncated(t *testing.T) {
+	h := startDaemon(t, jobd.Config{})
+	t.Chdir(t.TempDir())
+	if err := tess.WriteSnapshot("full.bin", particles(snapshot(92, 6, 8)), 2); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("full.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, len(raw) / 2, len(raw) - 1} {
+		path := fmt.Sprintf("cut-%d.bin", n)
+		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := h.Submit(t, jobd.JobSpec{L: 8, Blocks: 2, Ghost: 3, SnapshotURI: path})
+		events, final := h.Wait(t, st.ID, e2eWait)
+		term := terminal(t, events)
+		if final.State != jobd.StateFailed || final.StepsDone != 0 || term.Error == nil ||
+			term.Error.Kind != "spec" || !strings.Contains(term.Error.Message, path) {
+			t.Errorf("%d of %d bytes: final %+v, terminal error %+v; want failed before any step with a spec error naming %s",
+				n, len(raw), final, term.Error, path)
+		}
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"repro/internal/meshio"
 )
 
-// haloMockBlocks are the eight RCB blocks of the postproc-clustered
-// workload's input: a 24^3 halo mock, culled at a tenth of the mean cell
+// haloMockRun tessellates the postproc-clustered workload's input into
+// eight RCB blocks: a 24^3 halo mock, culled at a tenth of the mean cell
 // volume.
-func haloMockBlocks(tb testing.TB) []*meshio.BlockMesh {
+func haloMockRun(tb testing.TB, ghost float64) *core.Output {
 	tb.Helper()
 	const L = 24.0
 	pos := cosmo.ClusteredPositions(24*24*24, L, cosmo.DefaultClusterParams())
@@ -24,7 +24,7 @@ func haloMockBlocks(tb testing.TB) []*meshio.BlockMesh {
 	cfg := core.Config{
 		Domain:        geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
 		Periodic:      true,
-		GhostSize:     4,
+		GhostSize:     ghost,
 		Decomposition: core.DecomposeRCB,
 		MinVolume:     0.1,
 	}
@@ -32,13 +32,13 @@ func haloMockBlocks(tb testing.TB) []*meshio.BlockMesh {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return out.Meshes
+	return out
 }
 
 // BenchmarkCodec encodes the halo mock's blocks and decodes them again,
 // per kept cell.
 func BenchmarkCodec(b *testing.B) {
-	meshes := haloMockBlocks(b)
+	meshes := haloMockRun(b, 4).Meshes
 	cells := 0
 	enc := make([][]byte, len(meshes))
 	for i, m := range meshes {

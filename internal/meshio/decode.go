@@ -7,24 +7,14 @@ import (
 	"repro/internal/wire"
 )
 
-// meshMagic opens a block in the v1 layout: the same fields as v2, every
-// coordinate and scalar a full float64 and the connectivity fixed-width
-// integers (per cell a uint32 face count; per face an int64 neighbor, a
-// uint32 loop length and uint32 vertex indices). Only DecodeBlockMesh
-// uses it, so files written before v2 stay readable.
-const meshMagic uint64 = 0x744d455348763101 // "tMESHv1" + 0x01
-
-// DecodeBlockMesh parses one block: the first eight bytes select the v2
-// container Encode writes, or the v1 layout of older files.
+// DecodeBlockMesh parses one block in the v2 container Encode writes;
+// any other first eight bytes are a bad magic.
 func DecodeBlockMesh(data []byte) (*BlockMesh, error) {
 	r := wire.NewReader(data)
 	var m *BlockMesh
-	switch magic := r.U64(); magic {
-	case meshMagicFmt:
+	if magic := r.U64(); magic == meshMagicFmt {
 		m = decodeV2(r)
-	case meshMagic:
-		m = decodeV1(r)
-	default:
+	} else {
 		r.Fail("bad magic %#x", magic)
 	}
 	if err := r.Done(); err != nil {
@@ -113,26 +103,7 @@ func decodeV2Body(r *wire.Reader) *BlockMesh {
 			m.Complete[i] = bits[i/8]&(1<<(i%8)) != 0
 		}
 	}
-	m.readRows(r, true, nc, nv)
-	return m
-}
-
-// decodeV1 parses a v1 block after its magic. Minimum encoded sizes per
-// element (vertex 24, cell 49, face 12, face vertex 4 bytes) bound every
-// count before its slice is made.
-func decodeV1(r *wire.Reader) *BlockMesh {
-	m := &BlockMesh{}
-	m.Extents.Min = getVec(r)
-	m.Extents.Max = getVec(r)
-	nv := r.Count("vertex", r.U64(), 24)
-	m.Verts = readAll(r, nv, getVec)
-	nc := r.Count("cell", r.U64(), 49)
-	m.Particles = readAll(r, nc, getVec)
-	m.ParticleIDs = readAll(r, nc, (*wire.Reader).I64)
-	m.Volumes = readAll(r, nc, (*wire.Reader).F64)
-	m.Areas = readAll(r, nc, (*wire.Reader).F64)
-	m.Complete = readAll(r, nc, (*wire.Reader).Bool)
-	m.readRows(r, false, nc, nv)
+	m.readRows(r, nc, nv)
 	return m
 }
 
@@ -147,53 +118,32 @@ func readAll[T any](r *wire.Reader, n int, read func(*wire.Reader) T) []T {
 
 // readRows reads nc cells' connectivity rows into m, each row allocated
 // once at its exact size: a first pass over a copy of r counts them.
-func (m *BlockMesh) readRows(r *wire.Reader, v2 bool, nc, nv int) {
+func (m *BlockMesh) readRows(r *wire.Reader, nc, nv int) {
 	sc := *r
-	faces, refs := walkRows(&sc, v2, nc, nv, nil)
+	faces, refs := walkRows(&sc, nc, nv, nil)
 	m.FaceEnds = make([]int, 0, nc)
 	m.Neighbors = make([]int64, 0, faces)
 	m.LoopEnds = make([]int, 0, faces)
 	m.LoopVerts = make([]int32, 0, refs)
-	walkRows(r, v2, nc, nv, m)
+	walkRows(r, nc, nv, m)
 }
 
 // walkRows reads nc cells' rows over a pool of nv vertices, appending
 // them to m unless m is nil, and returns how many faces and loop entries
-// it read. A v2 face is one wire delta run, its neighbor and then its
-// loop; a v1 face is fixed-width.
-func walkRows(r *wire.Reader, v2 bool, nc, nv int, m *BlockMesh) (faces, refs int) {
+// it read. A face is one wire delta run: its neighbor, then its loop.
+func walkRows(r *wire.Reader, nc, nv int, m *BlockMesh) (faces, refs int) {
 	scratch := make([]int32, 0, 64) // a loop, when counting
 	for range nc {
-		var nf int
-		if v2 {
-			nf = r.Count("face", r.Uvarint(), 2)
-		} else {
-			nf = r.Count("face", uint64(r.U32()), 12)
-		}
+		nf := r.Count("face", r.Uvarint(), 2)
 		for faces += nf; nf > 0; nf-- {
-			var neighbor int64
-			switch {
-			case v2 && m == nil:
+			if m == nil {
 				_, scratch = r.DeltaRun(scratch[:0], nv)
 				refs += len(scratch)
 				continue
-			case v2:
-				neighbor, m.LoopVerts = r.DeltaRun(m.LoopVerts, nv)
-			default:
-				neighbor = r.I64()
-				for range r.Count("face vertex", uint64(r.U32()), 4) {
-					vi := r.U32()
-					if vi >= uint32(nv) {
-						r.Fail("vertex index %d out of range", vi)
-					}
-					if refs++; m != nil {
-						m.LoopVerts = append(m.LoopVerts, int32(vi))
-					}
-				}
 			}
-			if m != nil {
-				m.endFace(neighbor)
-			}
+			var neighbor int64
+			neighbor, m.LoopVerts = r.DeltaRun(m.LoopVerts, nv)
+			m.endFace(neighbor)
 		}
 		if m != nil {
 			m.FaceEnds = append(m.FaceEnds, len(m.Neighbors))

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -285,5 +286,54 @@ func TestDecompositionGoldenDigests(t *testing.T) {
 		if raw != f[4] || canon != f[5] {
 			t.Errorf("%s %s b%d g%v:\n got %s %s\nwant %s %s", f[0], f[1], blocks, ghost, raw, canon, f[4], f[5])
 		}
+	}
+}
+
+// The early cull's counts and every block's bytes on the postproc-clustered
+// input are the ones the pairwise-only early cull produced: the constants
+// come from this test run at the parent of the commit that added the O(V)
+// bounds in front of the pairwise scan.
+func TestEarlyCullCountsAndBytesOnHaloMock(t *testing.T) {
+	out := haloMockRun(t, 3)
+	h := sha256.New()
+	for _, m := range out.Meshes {
+		h.Write(meshio.EncodeV1(m))
+	}
+	got := fmt.Sprintf("%+v %x", out.Counts, h.Sum(nil))
+	const want = "{Sites:13824 Incomplete:0 CulledEarly:6796 CulledExact:1851 Kept:5177} 36488d1f36a5807f62dbaf20ed44470dc3890a034a6b3c5a1e6620237d04de26"
+	if got != want {
+		t.Errorf("counts and block digest\n got %s\nwant %s", got, want)
+	}
+}
+
+// The exact-mesh row of the root package's format goldens: 1 000 seeded
+// particles in a periodic 10-box, one session step on four RCB blocks at a
+// ghost of 3, SHA-256 over the blocks' EncodeV1 bytes in block order. The
+// digest was produced at commit 314ef2e by the then-current v1
+// writer, whose bytes EncodeV1 still writes.
+func TestMeshV1BlocksGolden(t *testing.T) {
+	const L = 10.0
+	rng := rand.New(rand.NewSource(20120615))
+	ps := make([]diy.Particle, 1000)
+	for i := range ps {
+		ps[i] = diy.Particle{ID: int64(i), Pos: geom.V(rng.Float64()*L, rng.Float64()*L, rng.Float64()*L)}
+	}
+	cfg := core.Config{
+		Domain:        geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
+		Periodic:      true,
+		GhostSize:     3,
+		Decomposition: core.DecomposeRCB,
+	}
+	out, err := core.Run(cfg, ps, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, m := range out.Meshes {
+		h.Write(meshio.EncodeV1(m))
+	}
+	const want = "107ddcbf2b575c3d073454dab74dd311cd2e2125070d4b580af045c103733e54"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("mesh-v1 blocks %s, want %s", got, want)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // identifies only the container family and an explicit version field
 // selects the layout, so future revisions do not need a new magic. A v2
 // payload holds exactly one block: files of many blocks are diy block
-// files with one v2 payload per section. DecodeBlockMesh also reads the
-// older fixed-width v1 layout, which nothing writes any more.
+// files with one v2 payload per section. It is also the one layout
+// DecodeBlockMesh reads: the retired fixed-width v1 layout is a bad magic.
 //
 // Container layout (little-endian):
 //

@@ -80,39 +80,31 @@ func TestEncodeV2GoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2CanonicalMatchesV1 is the cross-version interchange guarantee:
-// a v2 round trip feeds MergeCanonical the same sites as a v1 round
-// trip, so the canonical merged bytes are identical even though v2
-// quantizes stored vertex coordinates.
-func TestV2CanonicalMatchesV1(t *testing.T) {
+// TestV2RoundTripCanonicalMatchesInMemory is the interchange guarantee: a
+// v2 round trip feeds MergeCanonical the same sites as the in-memory mesh,
+// so the canonical merged mesh is identical even though v2 quantizes
+// stored vertex coordinates.
+func TestV2RoundTripCanonicalMatchesInMemory(t *testing.T) {
 	m := buildTestMesh(t, 3, 3, 212)
 	domain := geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3))
-	encV1 := EncodeV1(m)
-	encV2, err := EncodeV2(m)
+	enc, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(encV2) >= len(encV1) {
-		t.Errorf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(encV2), len(encV1))
-	}
-	decV1, err := DecodeBlockMesh(encV1)
+	dec, err := DecodeBlockMesh(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decV2, err := DecodeBlockMesh(encV2)
+	want, err := MergeCanonical([]*BlockMesh{m}, domain, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := MergeCanonical([]*BlockMesh{decV1}, domain, true)
+	got, err := MergeCanonical([]*BlockMesh{dec}, domain, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := MergeCanonical([]*BlockMesh{decV2}, domain, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatal("canonical merged meshes differ between v1 and v2 round trips")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("canonical merged meshes differ between the v2 round trip and the in-memory mesh")
 	}
 }
 

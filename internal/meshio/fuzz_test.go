@@ -1,6 +1,7 @@
 package meshio
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -14,11 +15,13 @@ import (
 func FuzzDecodeBlockMesh(f *testing.F) {
 	cells := buildTestCells(f, 3, 3, 124)
 	m := new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
-	valid := EncodeV1(m)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
+	// The retired v1 layout is a must-reject seed, whole, cut and as its
+	// magic alone.
+	v1 := EncodeV1(m)
+	f.Add(v1)
+	f.Add(v1[:len(v1)/2])
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 0x31, 0x76, 0x48, 0x53, 0x45, 0x4d, 0x74}) // v1 magic only
+	f.Add(v1[:8])
 	validV2, err := EncodeV2(m)
 	if err != nil {
 		f.Fatal(err)
@@ -32,6 +35,9 @@ func FuzzDecodeBlockMesh(f *testing.F) {
 	f.Add(badVer)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeBlockMesh(data)
+		if err == nil && bytes.HasPrefix(data, v1[:8]) {
+			t.Fatal("v1 stream accepted")
+		}
 		if err == nil {
 			// Decoded meshes must be internally consistent.
 			n := m.NumCells()
@@ -66,19 +72,22 @@ func FuzzDecodeAugmented(f *testing.F) {
 }
 
 // TestDecodeRandomMutations complements fuzzing with deterministic
-// bit-flip coverage of a real encoded block, in both versions.
+// bit-flip coverage of a real encoded block, and rejects every mutation of
+// its retired v1 encoding.
 func TestDecodeRandomMutations(t *testing.T) {
 	cells := buildTestCells(t, 3, 3, 122)
 	m := new(MeshBuilder).Build(cells, geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3)), 0)
-	v1 := EncodeV1(m)
 	v2, err := EncodeV2(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(123))
-	for _, valid := range [][]byte{v1, v2} {
+	for _, tc := range []struct {
+		valid      []byte
+		mustReject bool
+	}{{EncodeV1(m), true}, {v2, false}} {
 		for i := 0; i < 300; i++ {
-			data := append([]byte(nil), valid...)
+			data := append([]byte(nil), tc.valid...)
 			// Flip 1-4 random bytes and/or truncate.
 			for k := 0; k < 1+rng.Intn(4); k++ {
 				data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
@@ -88,10 +97,12 @@ func TestDecodeRandomMutations(t *testing.T) {
 			}
 			// Must not panic; errors are fine, and occasional successful
 			// decodes (mutation in float payload) must stay consistent.
-			if m2, err := DecodeBlockMesh(data); err == nil {
-				if checkArrays(m2) != nil {
-					t.Fatal("inconsistent lucky decode")
-				}
+			m2, err := DecodeBlockMesh(data)
+			switch {
+			case err == nil && tc.mustReject:
+				t.Fatal("mutated v1 stream accepted")
+			case err == nil && checkArrays(m2) != nil:
+				t.Fatal("inconsistent lucky decode")
 			}
 		}
 	}

@@ -5,6 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -199,9 +203,9 @@ func TestMergeCanonicalAllocsBounded(t *testing.T) {
 	}
 }
 
-// Decoding a block, in either format, and cloning a mesh size every array
-// before filling it, so they make as many allocations for the 512-cell
-// jitter8 block as for the 125-cell fixture.
+// Decoding a block and cloning a mesh size every array before filling it,
+// so they make as many allocations for the 512-cell jitter8 block as for
+// the 125-cell fixture.
 func TestDecodeAndCloneAllocsFlat(t *testing.T) {
 	small, _ := mergeFixture(t, 1)
 	large, _ := goldenInput(t, "jitter8", 1, 1).run(t)
@@ -220,10 +224,7 @@ func TestDecodeAndCloneAllocsFlat(t *testing.T) {
 		name string
 		run  func(m *meshio.BlockMesh) func()
 	}{
-		{"v1 decode", func(m *meshio.BlockMesh) func() {
-			return encode(m, func(m *meshio.BlockMesh) ([]byte, error) { return meshio.EncodeV1(m), nil })
-		}},
-		{"v2 decode", func(m *meshio.BlockMesh) func() { return encode(m, meshio.EncodeV2) }},
+		{"decode", func(m *meshio.BlockMesh) func() { return encode(m, meshio.EncodeV2) }},
 		{"clone", func(m *meshio.BlockMesh) func() { return func() { m.Clone() } }},
 	} {
 		a := testing.AllocsPerRun(5, op.run(small[0]))
@@ -260,7 +261,11 @@ func FuzzMergeCanonical(f *testing.F) {
 	for _, g := range mergeGoldens {
 		meshes, _ := goldenInput(f, g.family, g.seed, g.blocks).run(f)
 		for _, m := range meshes {
-			f.Add(meshio.EncodeV1(m))
+			data, err := m.Encode()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -274,4 +279,31 @@ func FuzzMergeCanonical(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A regression seed that no longer decodes stops reaching the merge, and
+// FuzzMergeCanonical then passes it without testing anything: every
+// committed seed must still be a block DecodeBlockMesh reads.
+func TestMergeCanonicalCorpusDecodes(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzMergeCanonical")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A one-argument corpus file: the header line, then []byte("...").
+		header, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(arg, "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if header != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus file (%v)", e.Name(), err)
+		}
+		if _, err := meshio.DecodeBlockMesh([]byte(data)); err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		}
+	}
 }

@@ -2,10 +2,15 @@ package meshio
 
 import "repro/internal/wire"
 
-// EncodeV1 writes m in the v1 layout, which DecodeBlockMesh still reads
-// but nothing else writes: every coordinate and scalar as a full float64,
-// connectivity as fixed-width integers. It is the tests' exact-mesh
-// digest, since unlike v2 it keeps vertex positions bit for bit.
+// meshMagic opens a block in the v1 layout. Nothing decodes these bytes
+// any more: DecodeBlockMesh rejects them as a bad magic, and they are only
+// the hash input of the exact-mesh goldens.
+const meshMagic uint64 = 0x744d455348763101 // "tMESHv1" + 0x01
+
+// EncodeV1 writes m in the retired v1 layout: every coordinate and scalar
+// as a full float64, connectivity as fixed-width integers. It is the
+// tests' one exact-mesh digest, since unlike v2 it keeps vertex positions
+// bit for bit.
 //
 //	magic    uint64
 //	extents  6 x float64

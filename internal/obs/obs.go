@@ -466,15 +466,6 @@ func (s *Snapshot) Imbalance(p Phase) float64 {
 	return float64(max) / mean
 }
 
-// PhaseTotal sums one phase's time over all ranks.
-func (s *Snapshot) PhaseTotal(p Phase) time.Duration {
-	var t time.Duration
-	for _, m := range s.PerRank {
-		t += m.Phase.Get(p)
-	}
-	return t
-}
-
 // SlowestRank returns the maximum per-rank time of one phase — the number a
 // batch scheduler observes and the reduction Table II reports.
 func (s *Snapshot) SlowestRank(p Phase) time.Duration {

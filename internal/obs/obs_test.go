@@ -49,9 +49,6 @@ func TestRecorderSpansAndTotals(t *testing.T) {
 	if got := s.SlowestRank(PhaseOutput); got != 2*time.Millisecond {
 		t.Errorf("SlowestRank(Output) = %v", got)
 	}
-	if got := s.PhaseTotal(PhaseOutput); got != 2*time.Millisecond {
-		t.Errorf("PhaseTotal(Output) = %v", got)
-	}
 }
 
 func TestRecorderCommCounters(t *testing.T) {

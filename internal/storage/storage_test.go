@@ -193,6 +193,37 @@ func TestFileSourceErrors(t *testing.T) {
 	}
 }
 
+// A snapshot cut anywhere short of its end never yields particles: the
+// open fails, or else every chunk read does. The index and chunk decoders
+// have fuzz targets of their own; this is the file they compose into.
+func TestFileSourceTruncated(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "snap.bin")
+	if err := WriteSnapshot(full, testParticles(4, 24), 3); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.bin")
+	for n := range len(raw) {
+		if err := os.WriteFile(cut, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenFileSource(cut, 0)
+		if err != nil {
+			continue
+		}
+		for c := range src.Chunks() {
+			if ps, err := src.Chunk(c); err == nil {
+				t.Errorf("%d of %d bytes: chunk %d read %d particles", n, len(raw), c, len(ps))
+			}
+		}
+		src.Close()
+	}
+}
+
 func TestSliceSource(t *testing.T) {
 	ps := testParticles(4, 10)
 	src := NewSliceSource(ps)

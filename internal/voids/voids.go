@@ -61,11 +61,6 @@ func ReadTessFile(path string) ([]CellRecord, error) {
 	return cellsOf(meshes, 0), nil
 }
 
-// CellsFromMesh flattens one block mesh into cell records.
-func CellsFromMesh(m *meshio.BlockMesh, block int) []CellRecord {
-	return cellsOf([]*meshio.BlockMesh{m}, block)
-}
-
 // cellsOf flattens block meshes, numbered on from block, into one slice of
 // cell records (nil slots are skipped).
 func cellsOf(meshes []*meshio.BlockMesh, block int) []CellRecord {

@@ -1,5 +1,5 @@
 // Package wire is the one little-endian cursor behind every on-disk
-// format in this module (mesh v1/v2, augmented particles, decomposition,
+// format in this module (mesh v2, augmented particles, decomposition,
 // block-file footer, particle records, density grid). The formats — magic
 // numbers, layouts, format-specific validation — stay in the packages that
 // own them; this package only moves scalars and runs in and out of bytes.
@@ -130,7 +130,6 @@ func (r *Reader) U8() byte {
 	}
 	return 0
 }
-func (r *Reader) Bool() bool { return r.U8() != 0 }
 func (r *Reader) U32() uint32 {
 	if b := r.Take(4); b != nil {
 		return binary.LittleEndian.Uint32(b)

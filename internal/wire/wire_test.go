@@ -13,7 +13,7 @@ import (
 func TestRoundTrip(t *testing.T) {
 	var w Writer
 	w.U8(0xab)
-	w.U8(1) // read back as Bools
+	w.U8(1)
 	w.U8(0)
 	w.U32(0xdeadbeef)
 	w.I32(-7)
@@ -26,7 +26,7 @@ func TestRoundTrip(t *testing.T) {
 	for _, b := range []byte("tail") {
 		w.U8(b)
 	}
-	want := []byte{0xab, 1, 0, 0xef, 0xbe, 0xad, 0xde, 0xf9, 0xff, 0xff, 0xff} // little-endian, one byte per bool
+	want := []byte{0xab, 1, 0, 0xef, 0xbe, 0xad, 0xde, 0xf9, 0xff, 0xff, 0xff} // little-endian
 	if got := w.Bytes(); string(got[:len(want)]) != string(want) {
 		t.Fatalf("leading bytes % x, want % x", got[:len(want)], want)
 	}
@@ -35,8 +35,8 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.U8(); v != 0xab {
 		t.Errorf("U8 = %#x", v)
 	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip")
+	if a, b := r.U8(), r.U8(); a != 1 || b != 0 {
+		t.Errorf("U8s = %d, %d", a, b)
 	}
 	if v := r.U32(); v != 0xdeadbeef {
 		t.Errorf("U32 = %#x", v)
@@ -81,7 +81,7 @@ func TestFirstErrorSticks(t *testing.T) {
 		t.Fatalf("short U32 = %d, err %v", v, r.Err())
 	}
 	first := r.Err()
-	if r.U8() != 0 || r.Bool() || r.U64() != 0 || r.F64() != 0 || r.Uvarint() != 0 || r.Svarint() != 0 || r.Take(1) != nil {
+	if r.U8() != 0 || r.U64() != 0 || r.F64() != 0 || r.Uvarint() != 0 || r.Svarint() != 0 || r.Take(1) != nil {
 		t.Error("reads after an error are not zero")
 	}
 	if r.Len() != 3 {

@@ -222,8 +222,7 @@ func NewRecorder(numBlocks int) *Recorder { return obs.NewRecorder(numBlocks) }
 // (exchange, ghost merge, compute, output, barrier).
 type Phase = obs.Phase
 
-// Pipeline phases, usable with ObsSnapshot.PhaseTotal / SlowestRank /
-// Imbalance.
+// Pipeline phases, usable with ObsSnapshot.SlowestRank / Imbalance.
 const (
 	PhaseExchange    = obs.PhaseExchange
 	PhaseGhostMerge  = obs.PhaseGhostMerge
