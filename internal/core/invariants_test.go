@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diy"
 	"repro/internal/meshio"
 	"repro/internal/obs"
 )
@@ -177,43 +178,59 @@ func TestRunRecorderSnapshot(t *testing.T) {
 // rank: each stage is a subset of the one before, every site visits a shell
 // and is cut by at least the planes that became its faces, and the counts
 // are a function of the input alone — the same whatever the worker fan-out.
+// With a volume cut, kernel-culled counts the sweeps stopped at a proven
+// early cull, each one of the step's early-culled cells; without one, none.
 func TestKernelCountersFunnel(t *testing.T) {
 	const L = 8.0
-	ps := perturbedParticles(rand.New(rand.NewSource(43)), 6, L, 0.8)
 	const blocks = 2
 	funnel := []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted, CounterKernelTested, CounterKernelCut}
-	var first map[string][]int64
-	for _, workers := range []int{1, 4} {
-		cfg := baseConfig(L)
-		cfg.Workers = workers
-		cfg.Recorder = obs.NewRecorder(blocks)
-		out, err := Run(cfg, ps, blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := out.Obs.Counters
-		for rank := 0; rank < blocks; rank++ {
-			sites := c[CounterSites][rank]
-			faces := int64(len(out.Meshes[rank].Neighbors))
-			if c[CounterKernelShells][rank] < sites || c[CounterKernelCut][rank] < faces || faces == 0 {
-				t.Errorf("workers %d rank %d: %d shells for %d sites, %d cuts for %d faces",
-					workers, rank, c[CounterKernelShells][rank], sites, c[CounterKernelCut][rank], faces)
+	for _, row := range []struct {
+		ps        []diy.Particle
+		minVolume float64
+	}{
+		{perturbedParticles(rand.New(rand.NewSource(43)), 6, L, 0.8), 0},
+		// Clustered particles, culled at a tenth of the mean cell volume.
+		{clusteredParticles(t, 512, L, 1), 0.1},
+	} {
+		ps, minVolume := row.ps, row.minVolume
+		var first map[string][]int64
+		for _, workers := range []int{1, 4} {
+			cfg := baseConfig(L)
+			cfg.Workers = workers
+			cfg.MinVolume = minVolume
+			cfg.Recorder = obs.NewRecorder(blocks)
+			out, err := Run(cfg, ps, blocks)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// From gathered on, each stage is drawn from the one before.
-			for i := 2; i < len(funnel); i++ {
-				if c[funnel[i]][rank] > c[funnel[i-1]][rank] {
-					t.Errorf("workers %d rank %d: %s %d exceeds %s %d", workers, rank,
-						funnel[i], c[funnel[i]][rank], funnel[i-1], c[funnel[i-1]][rank])
+			c := out.Obs.Counters
+			for rank := 0; rank < blocks; rank++ {
+				sites := c[CounterSites][rank]
+				faces := int64(len(out.Meshes[rank].Neighbors))
+				if c[CounterKernelShells][rank] < sites || c[CounterKernelCut][rank] < faces || faces == 0 {
+					t.Errorf("min volume %g workers %d rank %d: %d shells for %d sites, %d cuts for %d faces",
+						minVolume, workers, rank, c[CounterKernelShells][rank], sites, c[CounterKernelCut][rank], faces)
+				}
+				// From gathered on, each stage is drawn from the one before.
+				for i := 2; i < len(funnel); i++ {
+					if c[funnel[i]][rank] > c[funnel[i-1]][rank] {
+						t.Errorf("min volume %g workers %d rank %d: %s %d exceeds %s %d", minVolume, workers, rank,
+							funnel[i], c[funnel[i]][rank], funnel[i-1], c[funnel[i-1]][rank])
+					}
 				}
 			}
-		}
-		if first == nil {
-			first = c
-			continue
-		}
-		for _, name := range funnel {
-			if !reflect.DeepEqual(c[name], first[name]) {
-				t.Errorf("%s: %v with %d workers, %v with 1", name, c[name], workers, first[name])
+			culled := c[CounterKernelCulled][0] + c[CounterKernelCulled][1]
+			if minVolume > 0 && (culled == 0 || culled > out.Counts.CulledEarly) || minVolume == 0 && culled != 0 {
+				t.Errorf("min volume %g workers %d: kernel-culled %d, %d culled early", minVolume, workers, culled, out.Counts.CulledEarly)
+			}
+			if first == nil {
+				first = c
+				continue
+			}
+			for _, name := range append(funnel, CounterKernelCulled) {
+				if !reflect.DeepEqual(c[name], first[name]) {
+					t.Errorf("min volume %g: %s: %v with %d workers, %v with 1", minVolume, name, c[name], workers, first[name])
+				}
 			}
 		}
 	}

@@ -270,14 +270,17 @@ func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, err
 
 // stage loads one step's particles into the per-rank partition buffers in
 // the one order every driver uses: validate, build the decomposition if
-// this is an RCB session's first step (see StepFrom), partition. It is the
+// this is an RCB session's first step (see StepFrom; the particles are
+// gathered into one array sized from the source's count), partition. It is the
 // only place that walks a source, and it releases each chunk on every path:
 // a rejected step is not terminal, so a chunk left pinned would shrink the
 // source's window for good.
 func (s *Session) stage(src storage.Source) error {
 	build := s.d == nil
 	var all []diy.Particle
-	if !build {
+	if build {
+		all = make([]diy.Particle, 0, src.Stats().TotalParticles)
+	} else {
 		s.parts = diy.ResetPartition(s.d, s.parts)
 	}
 	for c, n := 0, src.Chunks(); c < n; c++ {

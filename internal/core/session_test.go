@@ -344,3 +344,29 @@ func TestColdPassAllocatesArenasOnce(t *testing.T) {
 		t.Errorf("warm steps allocated at least %d objects, want at most 100", fewest)
 	}
 }
+
+// After a cold step each rank's merged arrays hold exactly its local and
+// ghost particles, in capacity too: they grew once, to their final length,
+// on grid and RCB blocks alike.
+func TestColdStepMergesAtExactLength(t *testing.T) {
+	ps := evolvingSnapshots(t, 16, 3)[2]
+	for _, kind := range []DecompKind{DecomposeRegular, DecomposeRCB} {
+		cfg := Config{Domain: domainBox(16), Periodic: true, GhostSize: 2, Decomposition: kind}
+		s, err := OpenSession(cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(ps); err != nil {
+			t.Fatal(err)
+		}
+		for r := range s.ranks {
+			rs := &s.ranks[r]
+			n := len(s.parts[r]) + rs.bi.ghosts
+			if len(rs.all) != n || cap(rs.all) != n || len(rs.ids) != n || cap(rs.ids) != n {
+				t.Errorf("decomposition %d rank %d: merged arrays len %d/%d, cap %d/%d, want all %d",
+					kind, r, len(rs.all), len(rs.ids), cap(rs.all), cap(rs.ids), n)
+			}
+		}
+		s.Close()
+	}
+}

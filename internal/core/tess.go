@@ -9,7 +9,9 @@
 //  3. (a) keep only cells sited at original particles — automatic here,
 //     because cells are built per local site; (b) delete incomplete cells;
 //     (c) delete cells safely below the volume threshold using a cheap
-//     circumscribing-sphere bound; (d) order cell vertices into faces and
+//     circumscribing-sphere bound — the clipping sweep itself stops at the
+//     first cut that proves a cell complete and inside that bound, so such
+//     a cell is never finished; (d) order cell vertices into faces and
 //     compute volume and surface area (optionally re-deriving them through
 //     the Quickhull engine, the paper's step); (e) delete any other cells
 //     outside the volume thresholds;
@@ -116,7 +118,8 @@ type Config struct {
 // Names of the registered pipeline counters in Config.Recorder. The
 // kernel-* counters are the clipping sweep's candidate funnel
 // (voronoi.KernelCounts), summed over the rank's sites: divided by
-// CounterSites they say why a cell cost what it cost. The mesh-* counters
+// CounterSites they say why a cell cost what it cost; kernel-culled counts
+// the sites whose sweep stopped at a proven early cull. The mesh-* counters
 // are the weld's: the face-vertex references of the kept cells, and the
 // distinct vertices they welded to. Both are a function of the input
 // alone; the stitch's own table probes depend on how the sites were
@@ -130,6 +133,7 @@ const (
 	CounterKernelSorted   = "kernel-sorted"
 	CounterKernelTested   = "kernel-tested"
 	CounterKernelCut      = "kernel-cut"
+	CounterKernelCulled   = "kernel-culled"
 	CounterMeshVertexRefs = "mesh-vertex-refs"
 	CounterMeshVerts      = "mesh-verts-welded"
 )
@@ -173,6 +177,7 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 		namedCount{CounterKernelSorted, k.Sorted},
 		namedCount{CounterKernelTested, k.Tested},
 		namedCount{CounterKernelCut, k.Cut},
+		namedCount{CounterKernelCulled, k.Culled},
 		namedCount{CounterMeshVertexRefs, refs},
 		namedCount{CounterMeshVerts, verts},
 	)
@@ -256,8 +261,12 @@ type rankState struct {
 // mergeGhosts is the ghost-merge sub-phase: local and ghost particles
 // concatenate (local first, preserving site order) into the rank's reused
 // arrays, and the spatial index the clipping kernel traverses rebuilds in
-// place.
+// place. The arrays grow only when the merged set outgrows them, and then
+// once, to its exact length.
 func (rs *rankState) mergeGhosts(block diy.Block, local, ghosts []diy.Particle, cfg Config) {
+	if n := len(local) + len(ghosts); cap(rs.all) < n {
+		rs.all, rs.ids = make([]geom.Vec3, 0, n), make([]int64, 0, n)
+	}
 	rs.all, rs.ids = rs.all[:0], rs.ids[:0]
 	for _, p := range local {
 		rs.all = append(rs.all, p.Pos)
@@ -400,7 +409,9 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 	// Early-cull diameter bound: a convex cell with diameter d has volume
 	// at most that of the ball with diameter d (isodiametric inequality),
 	// so any cell whose squared diameter is below diamCut2 is safely below
-	// MinVolume. Comparing squared distances skips a per-cell sqrt.
+	// MinVolume. Comparing squared distances skips a per-cell sqrt. The
+	// kernel gets the bound too, and stops a sweep as soon as it proves
+	// the cell complete and that small.
 	diamCut2 := 0.0
 	if cfg.MinVolume > 0 {
 		dc := math.Cbrt(6 * cfg.MinVolume / math.Pi)
@@ -421,9 +432,13 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 		counts := &wcounts[w]
 		for i := lo; i < hi; i++ {
 			p := local[i]
-			cell, err := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, s)
+			cell, err := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, diamCut2, s)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: cell for particle %d: %w", p.ID, err)
+				continue
+			}
+			if cell == nil { // the sweep stopped at a proven step-3(c) cull
+				counts.CulledEarly++
 				continue
 			}
 			if !cell.Complete {

@@ -379,6 +379,7 @@ func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) 
 	for _, name := range []string{
 		CounterGhosts, CounterCellsKept, CounterSites, CounterKernelShells,
 		CounterKernelGathered, CounterKernelSorted, CounterKernelTested, CounterKernelCut,
+		CounterKernelCulled,
 	} {
 		ca, cb := a.Obs.Counters[name], b.Obs.Counters[name]
 		if len(ca) != blocks || !reflect.DeepEqual(ca, cb) {

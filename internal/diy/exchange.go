@@ -25,11 +25,14 @@ const tagExchange = 100
 // ghost-expanded target bounds, destination-rank coalescing) is derived
 // once at construction, and the receive-side buffers (boundary
 // candidate set, ghost concatenation) are reused across calls. Outgoing
-// message payloads are still freshly allocated every call — a sent buffer
+// message payloads are freshly allocated every call — a sent buffer
 // transfers ownership to the receiver (the comm package's aliasing
 // convention), so they are the one thing an exchanger must never retain —
-// but sized from the previous call's payload to the same rank, so a step
-// allocates each one once instead of growing it by doubling.
+// each at its exact length: a routing pass records which candidates land
+// in which link's target, and the payload is allocated for that many and
+// filled from the record. The ghost concatenation grows only when the
+// batches received outgrow it, and then once, to their summed length, so a
+// cold call allocates every buffer of the ghost path once.
 //
 // The returned ghost slice is valid until the next Exchange call. An
 // Exchanger serves one (rank, ghost) pair and is not safe for concurrent
@@ -40,7 +43,6 @@ type Exchanger struct {
 	links    []link
 	dsts     []int   // distinct destination ranks, ascending
 	linksFor [][]int // link indices per destination, aligned with dsts
-	lastLen  []int   // previous payload length per destination, aligned with dsts
 
 	// prefilterSlack widens the boundary-candidate test by a relative
 	// epsilon so float roundoff in the per-link containment test can
@@ -48,8 +50,10 @@ type Exchanger struct {
 	// send; candidates are always re-tested exactly per link.
 	prefilterSlack float64
 
-	boundary []Particle // retained candidate buffer
-	ghosts   []Particle // retained receive buffer
+	boundary []Particle   // retained candidate buffer
+	hits     []int32      // route's retained output
+	batches  [][]Particle // this call's received payloads, aligned with dsts
+	ghosts   []Particle   // retained receive buffer
 }
 
 // NewExchanger prepares the retained exchange state for one rank of the
@@ -73,7 +77,7 @@ func NewExchanger(d *Decomposition, rank int, ghost float64) *Exchanger {
 		last := len(e.linksFor) - 1
 		e.linksFor[last] = append(e.linksFor[last], li)
 	}
-	e.lastLen = make([]int, len(e.dsts))
+	e.batches = make([][]Particle, len(e.dsts))
 	return e
 }
 
@@ -153,6 +157,9 @@ func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []
 			e.boundary = append(e.boundary, p)
 		}
 	}
+	if n := len(e.boundary) + len(e.links); cap(e.hits) < n {
+		e.hits = make([]int32, 0, n)
+	}
 
 	// Post all sends, then receive one message from every rank we are
 	// linked to. The send-first pattern cannot deadlock here because each
@@ -162,34 +169,61 @@ func (e *Exchanger) Exchange(w *comm.World, d *Decomposition, rank int, local []
 	// blocked send stays abortable and watchdog-visible rather than
 	// silently hanging.
 	for di, dst := range e.dsts {
-		// One freshly allocated payload per destination: links to the same
-		// rank concatenate in link order, particles in local order — the
-		// same message content a per-link bucketing would build.
-		// Particles move little between steps, so the previous payload's
-		// length plus an eighth is the capacity this one needs.
+		// One freshly allocated payload per destination, at its exact
+		// length: links to the same rank concatenate in link order,
+		// particles in local order — the same message content a per-link
+		// bucketing would build. route counts its particles; the copy
+		// re-applies each link's shift, the same Add the containment test
+		// made.
+		hits := e.route(di)
 		var payload []Particle
-		for _, li := range e.linksFor[di] {
-			shift, target := e.links[li].shift, e.targets[li]
-			for _, p := range e.boundary {
-				q := p.Pos.Add(shift)
-				if target.Contains(q) {
-					if payload == nil {
-						last := e.lastLen[di]
-						payload = make([]Particle, 0, last+last/8+16)
-					}
-					payload = append(payload, Particle{ID: p.ID, Pos: q})
+		if n := len(hits) - len(e.linksFor[di]); n > 0 {
+			payload = make([]Particle, 0, n)
+			for _, li := range e.linksFor[di] {
+				shift := e.links[li].shift
+				for ; hits[0] >= 0; hits = hits[1:] {
+					p := e.boundary[hits[0]]
+					payload = append(payload, Particle{ID: p.ID, Pos: p.Pos.Add(shift)})
 				}
+				hits = hits[1:]
 			}
 		}
-		e.lastLen[di] = len(payload)
 		w.Send(rank, dst, tagExchange, payload)
 	}
+	total := 0
+	for i, src := range e.dsts {
+		e.batches[i] = w.Recv(rank, src, tagExchange).([]Particle)
+		total += len(e.batches[i])
+	}
+	if cap(e.ghosts) < total {
+		e.ghosts = make([]Particle, 0, total)
+	}
 	e.ghosts = e.ghosts[:0]
-	for _, src := range e.dsts {
-		batch := w.Recv(rank, src, tagExchange).([]Particle)
+	for i, batch := range e.batches {
 		e.ghosts = append(e.ghosts, batch...)
+		e.batches[i] = nil // the batch is the sender's allocation; let it go
 	}
 	return e.ghosts
+}
+
+// route records, link by link, the boundary index of every candidate
+// that lands in one of destination di's link targets once shifted into
+// that link's frame, each link's run ended by -1. It reuses e.hits, which
+// Exchange sizes from the boundary set: one destination's hits outgrow it
+// only where several images of a particle reach the same block.
+func (e *Exchanger) route(di int) []int32 {
+	hits := e.hits[:0]
+	for _, li := range e.linksFor[di] {
+		shift, target := e.links[li].shift, e.targets[li]
+		for bi, p := range e.boundary {
+			if target.Contains(p.Pos.Add(shift)) {
+				hits = append(hits, int32(bi))
+			}
+		}
+		hits = append(hits, -1)
+	}
+	e.hits = hits
+	return hits
 }
 
 // PartitionParticles assigns each particle to the rank whose block contains

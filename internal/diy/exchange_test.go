@@ -2,6 +2,7 @@ package diy
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -291,6 +292,72 @@ func checkGatherMatchesExchange(t *testing.T, d *Decomposition, ps []Particle, g
 				t.Fatalf("periodic=%v blocks=%d ghost %g rank %d: ghost %d differs: %+v vs %+v",
 					d.Periodic, d.NumBlocks(), ghost, r, i, ka[i], kb[i])
 			}
+		}
+	}
+}
+
+// A cold Exchange sizes every buffer of the ghost path once: each payload
+// a peer receives is allocated at its exact length, and each rank's ghost
+// buffer at the sum of its batches; a warm call with the same input reuses
+// that buffer. Rank 0 watches from the outside: it sends its peers
+// nothing and checks what arrives against what its own Exchange returns.
+func TestExchangeSizesBuffersExactly(t *testing.T) {
+	const L, ghost = 12.0, 1.5
+	for _, rcb := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(38))
+		ps := randomParticles(rng, 3000, L)
+		var d *Decomposition
+		var err error
+		if rcb {
+			d, err = DecomposeRCB(unitDomain(L), 8, true, ps, ghost)
+		} else {
+			d, err = Decompose(unitDomain(L), 27, true)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := PartitionParticles(d, ps)
+		n := d.NumBlocks()
+
+		// Every rank exchanges twice through one retained Exchanger.
+		exs := make([]*Exchanger, n)
+		first := make([][]Particle, n)
+		w := comm.NewWorld(n)
+		w.Run(func(rank int) {
+			exs[rank] = NewExchanger(d, rank, ghost)
+			g := exs[rank].Exchange(w, d, rank, parts[rank])
+			if cap(g) != len(g) {
+				t.Errorf("rcb %v rank %d: cold ghost buffer cap %d, len %d", rcb, rank, cap(g), len(g))
+			}
+			first[rank] = append([]Particle(nil), g...)
+			g2 := exs[rank].Exchange(w, d, rank, parts[rank])
+			if len(g2) != len(first[rank]) || len(g) > 0 && &g2[0] != &g[0] {
+				t.Errorf("rcb %v rank %d: a warm call with the same input reallocated the ghost buffer", rcb, rank)
+			}
+		})
+
+		// Rank 0 receives its peers' payloads by hand.
+		var got []Particle
+		w = comm.NewWorld(n)
+		w.Run(func(rank int) {
+			if rank != 0 {
+				NewExchanger(d, rank, ghost).Exchange(w, d, rank, parts[rank])
+				return
+			}
+			ex := NewExchanger(d, 0, ghost)
+			for _, dst := range ex.dsts {
+				w.Send(0, dst, tagExchange, []Particle(nil))
+			}
+			for _, src := range ex.dsts {
+				batch := w.Recv(0, src, tagExchange).([]Particle)
+				if cap(batch) != len(batch) {
+					t.Errorf("rcb %v: payload from rank %d has cap %d, len %d", rcb, src, cap(batch), len(batch))
+				}
+				got = append(got, batch...)
+			}
+		})
+		if len(got) == 0 || !slices.Equal(got, first[0]) {
+			t.Errorf("rcb %v: rank 0 received %d particles by hand, %d through Exchange", rcb, len(got), len(first[0]))
 		}
 	}
 }

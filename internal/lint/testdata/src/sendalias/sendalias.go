@@ -33,28 +33,31 @@ func sendValue(w *comm.World, rank, dst int, ps []particle) {
 }
 
 // The shape of diy.Exchanger.Exchange's payload loop: a nil local per
-// destination, made on the first hit and appended onto with values that
-// hold no references.
+// destination, made at the length a routing record counted and appended
+// onto with values that hold no references.
 type exchanger struct {
-	dsts    []int
-	lastLen []int
+	dsts []int
+	hits []int32
 }
 
 func (e *exchanger) exchange(w *comm.World, rank int, boundary []particle, shift [3]float64) {
-	for di, dst := range e.dsts {
-		var payload []particle
-		for _, p := range boundary {
-			q := p.Pos
-			for k := range q {
-				q[k] += shift[k]
-			}
-			if payload == nil {
-				last := e.lastLen[di]
-				payload = make([]particle, 0, last+last/8+16)
-			}
-			payload = append(payload, particle{ID: p.ID, Pos: q})
+	for _, dst := range e.dsts {
+		e.hits = e.hits[:0]
+		for bi := range boundary {
+			e.hits = append(e.hits, int32(bi))
 		}
-		e.lastLen[di] = len(payload)
+		var payload []particle
+		if n := len(e.hits); n > 0 {
+			payload = make([]particle, 0, n)
+			for _, bi := range e.hits {
+				p := boundary[bi]
+				q := p.Pos
+				for k := range q {
+					q[k] += shift[k]
+				}
+				payload = append(payload, particle{ID: p.ID, Pos: q})
+			}
+		}
 		w.Send(rank, dst, 1, payload)
 	}
 }

@@ -29,7 +29,7 @@ func ComputeCellScratch(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s
 	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
-	err := clipCellShells(cell, ix, initBox, s)
+	_, err := clipCellShells(cell, ix, initBox, 0, s)
 	s.sw.finishOwned(cell)
 	return cell, err
 }
@@ -53,7 +53,7 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
-	err := clipCellShells(cell, ix, initBox, s)
+	_, err := clipCellShells(cell, ix, initBox, 0, s)
 	pool.finish(&s.sw, cell)
 	return cell, err
 }
@@ -64,12 +64,23 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 // is bit-identical to the ComputeCellScratch result for the same inputs
 // and valid only until the next cell computed through s; a warm s builds
 // it with no allocation at all. s must not be nil.
-func ComputeCellReused(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch) (*Cell, error) {
+//
+// A positive diamCut2 is the caller's early cull (the paper's step 3(c)):
+// the squared diameter below which it deletes a complete cell. The sweep
+// then stops right after a cut that proves the cell will end Complete with
+// every vertex within sqrt(diamCut2)/2 of the site, and returns a nil cell
+// and a nil error without finishing it; the full sweep's cell would have
+// been culled by that bound. Zero sweeps to the end, as ComputeCellScratch
+// does.
+func ComputeCellReused(ix *Index, site geom.Vec3, id int64, initBox geom.Box, diamCut2 float64, s *Scratch) (*Cell, error) {
 	cell := &s.cell
 	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
-	err := clipCellShells(cell, ix, initBox, s)
+	culled, err := clipCellShells(cell, ix, initBox, diamCut2, s)
+	if culled {
+		return nil, nil
+	}
 	s.verts, s.faces, s.loops = s.sw.finish(cell, s.verts[:0], s.faces[:0], s.loops[:0])
 	return cell, err
 }
@@ -93,15 +104,25 @@ const pruneSlack = 1e-9
 // only as far as the first one out of range. The cell's geometry stays in
 // s.sw; the caller finishes it into owned or pool storage, also when the
 // emptied-cell error is returned (callers get both the cell and the error).
-func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
+//
+// With a positive diamCut2 the sweep may instead stop at a proven cull and
+// report culled; see ComputeCellReused. After a cut, three things make the
+// rest of the sweep moot: 2·maxR, with slack, is below the cull diameter;
+// the last shell reaches past 2·maxR, with slack, so the security radius is
+// sure to close inside the index; and no face is a wall. Walls never come
+// back, and a clip grows maxR by an ulp at most (TestClipNeverGrowsMaxR),
+// which pruneSlack covers many times over, so the full sweep would end
+// Complete and below diameterBelow's first bound in package core.
+func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, diamCut2 float64, s *Scratch) (culled bool, err error) {
 	w := &s.sw
 	h := ix.MinCellSize()
 	maxShell := ix.MaxShell(cell.Site)
-	secure := false
+	lastReach := float64(maxShell) * h
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
 	kc := &s.counts
 
 	maxR := w.maxR()
+	reach := -1.0 // distance out to which every indexed point has been offered
 	for sh := 0; sh <= maxShell; sh++ {
 		var measured int
 		s.cands, measured = ix.appendShell(cell.Site, sh, 2*maxR*(1+pruneSlack), s.cands[:0])
@@ -124,19 +145,23 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, s *Scratch) error {
 			if w.clip(geom.Bisector(cell.Site, ix.pts[cd.idx]), ix.ids[cd.idx]) {
 				kc.Cut++
 				if w.empty() {
-					return fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", cell.Site, ix.pts[cd.idx])
+					return false, fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", cell.Site, ix.pts[cd.idx])
 				}
 				maxR = w.maxR()
+				if diamCut2 > 0 && 4*w.maxR2*(1+pruneSlack) < diamCut2 && w.complete(lastReach, pruneSlack) {
+					kc.Culled++
+					return true, nil
+				}
 			}
 		}
 		// All points within s*h are guaranteed processed after shell s.
-		if float64(sh)*h >= 2*maxR {
-			secure = true
+		reach = float64(sh) * h
+		if w.closed(reach, 0) {
 			break
 		}
 	}
-	cell.Complete = secure && !w.hasWall()
-	return nil
+	cell.Complete = w.complete(reach, 0)
+	return false, nil
 }
 
 // ComputePeriodic computes the full periodic Voronoi tessellation of the

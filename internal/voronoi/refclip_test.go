@@ -287,7 +287,7 @@ func TestNeverCutCellKeepsCornerOrder(t *testing.T) {
 	for name, compute := range map[string]func() (*Cell, error){
 		"ComputeCellScratch": func() (*Cell, error) { return ComputeCellScratch(ix, site, 0, box, NewScratch()) },
 		"ComputeCellPooled":  func() (*Cell, error) { return ComputeCellPooled(ix, site, 0, box, NewScratch(), new(CellPool)) },
-		"ComputeCellReused":  func() (*Cell, error) { return ComputeCellReused(ix, site, 0, box, NewScratch()) },
+		"ComputeCellReused":  func() (*Cell, error) { return ComputeCellReused(ix, site, 0, box, 0, NewScratch()) },
 		"ComputeCellBrute":   func() (*Cell, error) { return ComputeCellBrute([]geom.Vec3{site, far}, []int64{0, 9}, site, 0, box) },
 	} {
 		c, err := compute()

@@ -40,6 +40,7 @@ type KernelCounts struct {
 	Sorted   int64 // of those, inside the cutting range at shell entry
 	Tested   int64 // bisector planes tested against the cell
 	Cut      int64 // planes that changed the cell
+	Culled   int64 // cells whose sweep stopped at a proven early cull
 }
 
 // Add accumulates o into k.
@@ -49,6 +50,7 @@ func (k *KernelCounts) Add(o KernelCounts) {
 	k.Sorted += o.Sorted
 	k.Tested += o.Tested
 	k.Cut += o.Cut
+	k.Culled += o.Culled
 }
 
 // TakeCounts returns the funnel counts accumulated since the previous call

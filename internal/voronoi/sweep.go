@@ -127,6 +127,20 @@ func (w *sweep) empty() bool { return len(w.live) == 0 }
 // empty cell).
 func (w *sweep) maxR() float64 { return math.Sqrt(w.maxR2) }
 
+// closed reports whether the security radius, widened by the relative
+// slack, lies within reach: once every indexed point within reach of the
+// site has been offered to the cell, no farther one can cut it.
+func (w *sweep) closed(reach, slack float64) bool {
+	return reach >= 2*w.maxR()*(1+slack)
+}
+
+// complete is the one completeness predicate, which Cell.Complete and the
+// cull exit both decide through: the security radius closed within reach
+// and no face of the cell is a wall of the initial box.
+func (w *sweep) complete(reach, slack float64) bool {
+	return w.closed(reach, slack) && !w.hasWall()
+}
+
 func (w *sweep) hasWall() bool {
 	for _, f := range w.faces {
 		if f.neighbor < 0 {
