@@ -1,6 +1,6 @@
 # Build / verification entry points. `make check` is the full gate, and
 # the only list of its parts (CI runs `go build ./... && make check`): vet,
-# the repo's own static analyzers (cmd/tesslint), the import and cmd/
+# gofmt over the whole tree, the repo's own static analyzers (cmd/tesslint), the import and cmd/
 # layout guards, the whole test suite under the race detector (which holds
 # the fault-containment, checkpoint and daemon e2e suites — each test runs
 # once), the coverage floor, the fuzz seed corpora, the bench module and a
@@ -16,7 +16,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke check bench bench-stack loc
+.PHONY: build test vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt walks the whole tree, the nested bench/ module included: a file
+# that is not gofmt-clean is named and fails the gate.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt: not formatted:"; echo "$$out"; exit 1; }
 
 lint:
 	$(GO) run ./cmd/tesslint ./...
@@ -114,7 +119,7 @@ bench-module:
 tessbench-smoke:
 	$(GO) run ./cmd/tessbench -sizes 8 -procs 1,2,27 -steps 2 -datamodel -comm > /dev/null
 
-check: vet lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke
+check: vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts.
 bench:

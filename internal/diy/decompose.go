@@ -4,7 +4,8 @@
 //
 //   - block decomposition of the simulation domain: a regular grid with a
 //     near-cubic factorization of the rank count, or particle-balanced
-//     recursive coordinate bisection (rcb.go);
+//     recursive coordinate bisection (rcb.go), both held as one split tree
+//     whose leaves are the blocks and which one walk locates points in;
 //   - neighborhood exchange with periodic boundary neighbors and *targeted*
 //     particle exchange — a particle is sent only to those blocks whose
 //     ghost-expanded region contains it, with coordinates transformed when
@@ -33,69 +34,104 @@ type Block struct {
 	Bounds geom.Box
 }
 
-// Decomposition is a partition of a rectangular domain into blocks: either
-// a regular dims[0]*dims[1]*dims[2] grid (Decompose) or a
-// particle-balanced recursive-bisection tree (DecomposeRCB). It holds no
+// Decomposition is a partition of a rectangular domain into blocks, held
+// as a binary split tree whose leaves are the blocks. Both kinds are the
+// same tree: a regular grid (Decompose) cuts at the grid planes
+// Domain.Min + i·step, and recursive coordinate bisection (DecomposeRCB)
+// at particle medians. Children share their cut bit for bit and inherit
+// every other face from the parent, outer faces from the domain itself, so
+// the leaves tile the domain with no roundoff gap or overlap, and one tree
+// walk (Locate) finds the owner of a point for either kind. It holds no
 // link state: each Exchanger derives its rank's links at its own ghost.
 type Decomposition struct {
 	Domain   geom.Box
 	Periodic bool
-	dims     [3]int // grid only
-	blocks   []Block
-	rcb      *rcbState
+	blocks   []Block     // the leaves, in rank order
+	nodes    []splitNode // interior nodes in pre-order
+	root     int32
+	grid     bool // rebuilt from Domain and n alone, so Cuts reports none
 }
 
-// Decompose partitions domain into n blocks arranged in a grid chosen to
-// minimize per-block surface area (near-cubic blocks for a cubic domain).
-// It returns an error if n <= 0.
-func Decompose(domain geom.Box, n int, periodic bool) (*Decomposition, error) {
+// splitNode is one interior node of the split tree. Children are node
+// indices; a negative child c encodes the leaf block rank ^c.
+type splitNode struct {
+	axis        int
+	split       float64
+	left, right int32
+}
+
+// newDecomposition validates a decomposition of domain into n blocks and
+// returns it with an empty tree, for Decompose, DecomposeRCB and ReplayRCB.
+func newDecomposition(domain geom.Box, n int, periodic bool) (*Decomposition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("diy: cannot decompose into %d blocks", n)
 	}
 	if domain.Empty() {
 		return nil, fmt.Errorf("diy: empty domain %+v", domain)
 	}
-	dims := factor3(n, domain.Size())
-	d := &Decomposition{Domain: domain, Periodic: periodic, dims: dims}
+	return &Decomposition{Domain: domain, Periodic: periodic,
+		blocks: make([]Block, 0, n), nodes: make([]splitNode, 0, n-1)}, nil
+}
+
+// leaf appends box as the next rank's block and returns its reference.
+func (d *Decomposition) leaf(box geom.Box) int32 {
+	rank := len(d.blocks)
+	d.blocks = append(d.blocks, Block{Rank: rank, Bounds: box})
+	return int32(^rank)
+}
+
+// split appends the interior node cutting box at coordinate at along axis
+// and returns its index and the two child boxes; the caller links the
+// children's references once it has built them.
+func (d *Decomposition) split(box geom.Box, axis int, at float64) (idx int32, left, right geom.Box) {
+	d.nodes = append(d.nodes, splitNode{axis: axis, split: at})
+	left, right = box, box
+	switch axis {
+	case 0:
+		left.Max.X, right.Min.X = at, at
+	case 1:
+		left.Max.Y, right.Min.Y = at, at
+	default:
+		left.Max.Z, right.Min.Z = at, at
+	}
+	return int32(len(d.nodes) - 1), left, right
+}
+
+// Decompose partitions domain into n blocks arranged in a grid chosen to
+// minimize per-block surface area (near-cubic blocks for a cubic domain).
+// Ranks run x-fastest. It returns an error if n <= 0.
+func Decompose(domain geom.Box, n int, periodic bool) (*Decomposition, error) {
+	d, err := newDecomposition(domain, n, periodic)
+	if err != nil {
+		return nil, err
+	}
+	d.grid = true
 	size := domain.Size()
-	step := geom.Vec3{
-		X: size.X / float64(dims[0]),
-		Y: size.Y / float64(dims[1]),
-		Z: size.Z / float64(dims[2]),
-	}
-	d.blocks = make([]Block, 0, n)
-	for k := 0; k < dims[2]; k++ {
-		for j := 0; j < dims[1]; j++ {
-			for i := 0; i < dims[0]; i++ {
-				min := geom.Vec3{
-					X: domain.Min.X + float64(i)*step.X,
-					Y: domain.Min.Y + float64(j)*step.Y,
-					Z: domain.Min.Z + float64(k)*step.Z,
-				}
-				max := geom.Vec3{
-					X: domain.Min.X + float64(i+1)*step.X,
-					Y: domain.Min.Y + float64(j+1)*step.Y,
-					Z: domain.Min.Z + float64(k+1)*step.Z,
-				}
-				// Snap the outer faces to the exact domain boundary so
-				// roundoff cannot leave gaps.
-				if i == dims[0]-1 {
-					max.X = domain.Max.X
-				}
-				if j == dims[1]-1 {
-					max.Y = domain.Max.Y
-				}
-				if k == dims[2]-1 {
-					max.Z = domain.Max.Z
-				}
-				d.blocks = append(d.blocks, Block{
-					Rank:   len(d.blocks),
-					Bounds: geom.Box{Min: min, Max: max},
-				})
-			}
-		}
-	}
+	dims := factor3(n, size)
+	step := geom.V(size.X/float64(dims[0]), size.Y/float64(dims[1]), size.Z/float64(dims[2]))
+	d.root = d.buildGrid(domain, [3]int{}, dims, step)
 	return d, nil
+}
+
+// buildGrid builds the subtree of box, the grid cells lo..hi-1 on every
+// axis. It halves the z index range until one slab is left, then y, then
+// x, so the leaves (ranks) come out x-fastest, and every cut is the grid
+// plane Domain.Min + i·step.
+func (d *Decomposition) buildGrid(box geom.Box, lo, hi [3]int, step geom.Vec3) int32 {
+	for a := 2; a >= 0; a-- {
+		if hi[a]-lo[a] == 1 {
+			continue
+		}
+		mid := (lo[a] + hi[a]) / 2
+		idx, leftBox, rightBox := d.split(box, a, d.Domain.Min.Component(a)+float64(mid)*step.Component(a))
+		leftHi, rightLo := hi, lo
+		leftHi[a], rightLo[a] = mid, mid
+		left := d.buildGrid(leftBox, lo, leftHi, step)
+		right := d.buildGrid(rightBox, rightLo, hi, step)
+		d.nodes[idx].left, d.nodes[idx].right = left, right
+		return idx
+	}
+	return d.leaf(box)
 }
 
 // factor3 factors n into per-axis block counts minimizing the surface area
@@ -147,34 +183,18 @@ func (d *Decomposition) NumBlocks() int { return len(d.blocks) }
 func (d *Decomposition) Block(rank int) Block { return d.blocks[rank] }
 
 // Locate returns the rank of the block containing point p, which must lie
-// inside the domain (points exactly on the high boundary are assigned to
-// the last block in that dimension).
+// inside the domain, by one walk of the split tree. A point exactly on a cut
+// descends right, preserving the half-open Min <= p < Max ownership, so a
+// point on the domain's high face lands in the last block along that axis.
 func (d *Decomposition) Locate(p geom.Vec3) int {
-	if d.rcb != nil {
-		return d.locateRCB(p)
-	}
-	size := d.Domain.Size()
-	var c [3]int
-	for a := 0; a < 3; a++ {
-		frac := (p.Component(a) - d.Domain.Min.Component(a)) / size.Component(a)
-		i := int(frac * float64(d.dims[a]))
-		if i < 0 {
-			i = 0
-		}
-		if i >= d.dims[a] {
-			i = d.dims[a] - 1
-		}
-		c[a] = i
-	}
-	// Roundoff near internal boundaries: verify containment and nudge.
-	for a := 0; a < 3; a++ {
-		b := d.blocks[(c[2]*d.dims[1]+c[1])*d.dims[0]+c[0]]
-		x := p.Component(a)
-		if x < b.Bounds.Min.Component(a) && c[a] > 0 {
-			c[a]--
-		} else if x >= b.Bounds.Max.Component(a) && c[a] < d.dims[a]-1 {
-			c[a]++
+	ref := d.root
+	for ref >= 0 {
+		nd := &d.nodes[ref]
+		if p.Component(nd.axis) < nd.split {
+			ref = nd.left
+		} else {
+			ref = nd.right
 		}
 	}
-	return (c[2]*d.dims[1]+c[1])*d.dims[0] + c[0]
+	return int(^ref)
 }

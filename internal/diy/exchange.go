@@ -229,12 +229,7 @@ func (e *Exchanger) route(di int) []int32 {
 // PartitionParticles assigns each particle to the rank whose block contains
 // it, returning one slice per rank. Positions must lie within the domain.
 func PartitionParticles(d *Decomposition, particles []Particle) [][]Particle {
-	out := make([][]Particle, d.NumBlocks())
-	for _, p := range particles {
-		r := d.Locate(p.Pos)
-		out[r] = append(out[r], p)
-	}
-	return out
+	return PartitionParticlesAppend(d, particles, ResetPartition(d, nil))
 }
 
 // ResetPartition returns buf resized to d.NumBlocks() ranks with every

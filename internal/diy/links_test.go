@@ -17,7 +17,7 @@ import (
 // periodic domain and dropped past a bounded one's edge, in ascending
 // z-major offset order.
 func neighbourhood(d *Decomposition, rank int) []link {
-	dims := d.dims
+	dims := factor3(d.NumBlocks(), d.Domain.Size())
 	c := [3]int{rank % dims[0], rank / dims[0] % dims[1], rank / (dims[0] * dims[1])}
 	L := d.Domain.Size()
 	var out []link
@@ -151,7 +151,7 @@ func TestLinkSymmetry(t *testing.T) {
 						prev := -1
 						for _, l := range links(d, r, ghost) {
 							if l.rank < prev {
-								t.Fatalf("rcb=%v ghost %g: rank %d links not grouped by ascending peer", d.rcb != nil, ghost, r)
+								t.Fatalf("rcb=%v ghost %g: rank %d links not grouped by ascending peer", d.Cuts() != nil, ghost, r)
 							}
 							prev = l.rank
 							seen[arc{r, l.rank, l.shift}]++
@@ -161,7 +161,7 @@ func TestLinkSymmetry(t *testing.T) {
 						mirror := arc{a.to, a.from, a.shift.Neg()}
 						if c != 1 || seen[mirror] != 1 {
 							t.Fatalf("rcb=%v periodic=%v blocks=%d ghost %g: link %+v seen %d times, its mirror %d",
-								d.rcb != nil, periodic, blocks, ghost, a, c, seen[mirror])
+								d.Cuts() != nil, periodic, blocks, ghost, a, c, seen[mirror])
 						}
 					}
 				}

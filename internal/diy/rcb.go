@@ -18,30 +18,14 @@ import (
 // blocks while void blocks idle, and balancing counts instead of volume is
 // what restores strong scaling.
 //
-// The leaves exactly tile the domain — children share the split coordinate
-// bit-for-bit and outer faces are inherited from the parent, so no roundoff
-// gap or overlap is possible — and ownership keeps the half-open
-// Min <= p < Max convention via the tree walk in Locate (a point exactly at
-// a split plane descends right).
-//
-// RCB leaves are not a grid, and they need no links of their own: every
-// Exchanger derives its rank's links by box adjacency at its own ghost (see
-// links in exchange.go), the one rule a regular grid's blocks link by too.
-// The ghost DecomposeRCB takes only checks the single-wrap bound.
-
-// rcbNode is one interior node of the RCB split tree. Children are node
-// indices; a negative child c encodes the leaf block rank ^c.
-type rcbNode struct {
-	axis        int
-	split       float64
-	left, right int32
-}
-
-// rcbState is the RCB-specific portion of a Decomposition: its split tree.
-type rcbState struct {
-	nodes []rcbNode // interior nodes in pre-order
-	root  int32
-}
+// The tree is the Decomposition's own split tree, the one a regular grid
+// is held in too: children share the split coordinate bit-for-bit and outer
+// faces are inherited from the parent, so the leaves exactly tile the
+// domain, and Locate's walk keeps the half-open Min <= p < Max ownership (a
+// point exactly at a split plane descends right). Every Exchanger derives
+// its rank's links by box adjacency at its own ghost (see links in
+// exchange.go), whatever cut the blocks. The ghost DecomposeRCB takes only
+// checks the single-wrap bound.
 
 // DecomposeRCB partitions domain into n blocks holding approximately equal
 // particle counts, via recursive coordinate bisection of the particle
@@ -81,11 +65,11 @@ func ReplayRCB(domain geom.Box, n int, periodic bool, cuts []float64, ghost floa
 // Cuts returns an RCB decomposition's split coordinates in pre-order, the
 // list ReplayRCB rebuilds it from. A regular grid has none.
 func (d *Decomposition) Cuts() []float64 {
-	if d.rcb == nil {
+	if d.grid {
 		return nil
 	}
-	cuts := make([]float64, len(d.rcb.nodes))
-	for i, nd := range d.rcb.nodes {
+	cuts := make([]float64, len(d.nodes))
+	for i, nd := range d.nodes {
 		cuts[i] = nd.split
 	}
 	return cuts
@@ -99,11 +83,9 @@ type cutter func(box geom.Box, axis int, pts []geom.Vec3, kl, k int) float64
 // newRCB is DecomposeRCB and ReplayRCB: validate, then build the tree with
 // cut choosing every split.
 func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec3, cut cutter) (*Decomposition, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("diy: cannot decompose into %d blocks", n)
-	}
-	if domain.Empty() {
-		return nil, fmt.Errorf("diy: empty domain %+v", domain)
+	d, err := newDecomposition(domain, n, periodic)
+	if err != nil {
+		return nil, err
 	}
 	if periodic {
 		size := domain.Size()
@@ -113,12 +95,9 @@ func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec
 				"(single-wrap periodic links cannot reach farther)", ghost, minSide/2)
 		}
 	}
-	d := &Decomposition{Domain: domain, Periodic: periodic, rcb: &rcbState{}}
-	root, err := buildRCBTree(d, domain, n, pts, cut)
-	if err != nil {
+	if d.root, err = buildRCBTree(d, domain, n, pts, cut); err != nil {
 		return nil, err
 	}
-	d.rcb.root = root
 	return d, nil
 }
 
@@ -129,16 +108,13 @@ func newRCB(domain geom.Box, n int, periodic bool, ghost float64, pts []geom.Vec
 // box would leave an empty leaf, and is an error.
 func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3, cut cutter) (int32, error) {
 	if k == 1 {
-		rank := len(d.blocks)
-		d.blocks = append(d.blocks, Block{Rank: rank, Bounds: box})
-		return int32(^rank), nil
+		return d.leaf(box), nil
 	}
 	kl := k / 2
 	axis := longestAxis(box)
-	idx := len(d.rcb.nodes)
 	split := cut(box, axis, pts, kl, k)
 	if lo, hi := box.Min.Component(axis), box.Max.Component(axis); !(split > lo && split < hi) {
-		return 0, fmt.Errorf("diy: RCB cut %d at %g is not inside (%g, %g) on axis %d", idx, split, lo, hi, axis)
+		return 0, fmt.Errorf("diy: RCB cut %d at %g is not inside (%g, %g) on axis %d", len(d.nodes), split, lo, hi, axis)
 	}
 
 	// Partition pts around the split plane (p < split goes left). A stable
@@ -153,17 +129,7 @@ func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3, cut cu
 		}
 	}
 
-	leftBox, rightBox := box, box
-	switch axis {
-	case 0:
-		leftBox.Max.X, rightBox.Min.X = split, split
-	case 1:
-		leftBox.Max.Y, rightBox.Min.Y = split, split
-	default:
-		leftBox.Max.Z, rightBox.Min.Z = split, split
-	}
-
-	d.rcb.nodes = append(d.rcb.nodes, rcbNode{axis: axis, split: split})
+	idx, leftBox, rightBox := d.split(box, axis, split)
 	left, err := buildRCBTree(d, leftBox, kl, pts[:i], cut)
 	if err != nil {
 		return 0, err
@@ -172,8 +138,8 @@ func buildRCBTree(d *Decomposition, box geom.Box, k int, pts []geom.Vec3, cut cu
 	if err != nil {
 		return 0, err
 	}
-	d.rcb.nodes[idx].left, d.rcb.nodes[idx].right = left, right
-	return int32(idx), nil
+	d.nodes[idx].left, d.nodes[idx].right = left, right
+	return idx, nil
 }
 
 // longestAxis returns the axis index of the box's longest side.
@@ -237,19 +203,4 @@ func rcbSplit(box geom.Box, axis int, pts []geom.Vec3, kl, k int) float64 {
 		return geomSplit
 	}
 	return lo + (hi-lo)/2
-}
-
-// locateRCB walks the split tree; points exactly on a split plane descend
-// right, preserving the half-open Min <= p < Max ownership convention.
-func (d *Decomposition) locateRCB(p geom.Vec3) int {
-	ref := d.rcb.root
-	for ref >= 0 {
-		nd := &d.rcb.nodes[ref]
-		if p.Component(nd.axis) < nd.split {
-			ref = nd.left
-		} else {
-			ref = nd.right
-		}
-	}
-	return int(^ref)
 }
