@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"math/rand"
@@ -23,6 +24,10 @@ type goldenCloud struct {
 	// part of the digest.
 	emptied int
 	want    string
+	// funnel is the KernelCounts the pass over every site leaves, as
+	// funnelText prints it: the candidates are streamed in the same order
+	// whatever orders them, so the same planes are tested and cut.
+	funnel string
 }
 
 // goldenClouds are the five seeded inputs whose every cell is pinned bit
@@ -55,15 +60,20 @@ func goldenClouds(t *testing.T) []goldenCloud {
 
 	return []goldenCloud{
 		{name: "nbody-16", pts: sim.Pos,
-			want: "ee761958a03d369a2f8b647bc3e3e35f8ef0e7a6882decd9a775fcf88309f4ef"},
+			want:   "ee761958a03d369a2f8b647bc3e3e35f8ef0e7a6882decd9a775fcf88309f4ef",
+			funnel: "shells=13435 gathered=489873 sorted=345199 tested=177194 cut=55254"},
 		{name: "clustered-16", pts: cosmo.ClusteredPositions(16*16*16, 16, cp),
-			want: "80620113c76a03c036544bb2cb99b1f3e9e93903f7be643952c3b14e92e9400b"},
+			want:   "80620113c76a03c036544bb2cb99b1f3e9e93903f7be643952c3b14e92e9400b",
+			funnel: "shells=11139 gathered=2352505 sorted=1787485 tested=801859 cut=73314"},
 		{name: "jittered-12", pts: jittered,
-			want: "9a3e659c67fc967fd2a59e2ae15307eb0ec89707bf84f90555dada46c4dad853"},
+			want:   "9a3e659c67fc967fd2a59e2ae15307eb0ec89707bf84f90555dada46c4dad853",
+			funnel: "shells=5858 gathered=204445 sorted=131417 tested=77796 cut=24160"},
 		{name: "exact-10", pts: latticePts(10, 10),
-			want: "a0cf10d2a4e95ab880bd9df9f84cb9a2cb36cecf98c474212380bf88ba6f9c75"},
+			want:   "a0cf10d2a4e95ab880bd9df9f84cb9a2cb36cecf98c474212380bf88ba6f9c75",
+			funnel: "shells=3104 gathered=77040 sorted=52464 tested=28140 cut=5400"},
 		{name: "duplicates", pts: dup, emptied: 10,
-			want: "069937899b794622f60320cbf11aaf656713f21f9cfc56305be30d122bc1759d"},
+			want:   "069937899b794622f60320cbf11aaf656713f21f9cfc56305be30d122bc1759d",
+			funnel: "shells=7036 gathered=317020 sorted=192665 tested=142441 cut=31402"},
 	}
 }
 
@@ -102,8 +112,15 @@ func hashCell(h hash.Hash, c *Cell, err error) {
 	}
 }
 
+// funnelText prints the stages of k a golden pass pins.
+func funnelText(k KernelCounts) string {
+	return fmt.Sprintf("shells=%d gathered=%d sorted=%d tested=%d cut=%d", k.Shells, k.Gathered, k.Sorted, k.Tested, k.Cut)
+}
+
 // TestKernelGoldenDigests pins every cell of five seeded inputs to the
-// bytes the per-cut-compaction kernel produced (see goldenClouds).
+// bytes the per-cut-compaction kernel produced (see goldenClouds), and the
+// candidate funnel of each pass: a stream that keeps the order of
+// candidates tests and cuts the same planes, however it orders them.
 func TestKernelGoldenDigests(t *testing.T) {
 	for _, cl := range goldenClouds(t) {
 		t.Run(cl.name, func(t *testing.T) {
@@ -128,6 +145,9 @@ func TestKernelGoldenDigests(t *testing.T) {
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != cl.want {
 				t.Errorf("digest %s, want %s", got, cl.want)
+			}
+			if got := funnelText(s.TakeCounts()); got != cl.funnel {
+				t.Errorf("funnel %s, want %s", got, cl.funnel)
 			}
 		})
 	}
