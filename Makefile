@@ -121,9 +121,12 @@ tessbench-smoke:
 
 check: vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke
 
-# Headline perf benches: worker-pool scaling and allocation counts.
+# Headline perf benches: worker-pool scaling and allocation counts, and the
+# clipping kernel alone (ns/cell and the candidate funnel per cell on the
+# halo mock and an N-body snapshot, with and without the early cull).
 bench:
 	$(GO) test -run '^$$' -bench 'ComputeParallelism|ComputeCellAllocs' -benchmem -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'KernelStream' -benchmem -benchtime 2x ./internal/voronoi
 
 # The whole-stack benchmark (bench/README.md): every workload, one record
 # line per run, named after the commit. A performance claim needs paired

@@ -63,6 +63,15 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 	if got != want {
 		t.Errorf("halo mock funnel\n got %s\nwant %s", got, want)
 	}
+	// Of the sorted candidates, the queue put in order those in the buckets
+	// the sweeps reached, and every shell small enough to sort whole.
+	var ordered int64
+	for _, n := range out.Obs.Counters[CounterKernelOrdered] {
+		ordered += n
+	}
+	if ordered != 1735586 {
+		t.Errorf("kernel-ordered=%d, want 1735586", ordered)
+	}
 }
 
 // The cull exit is an oracle-checked shortcut: on every site of the halo

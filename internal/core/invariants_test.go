@@ -183,7 +183,8 @@ func TestRunRecorderSnapshot(t *testing.T) {
 func TestKernelCountersFunnel(t *testing.T) {
 	const L = 8.0
 	const blocks = 2
-	funnel := []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted, CounterKernelTested, CounterKernelCut}
+	funnel := []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted, CounterKernelOrdered,
+		CounterKernelTested, CounterKernelCut}
 	for _, row := range []struct {
 		ps        []diy.Particle
 		minVolume float64

@@ -131,6 +131,7 @@ const (
 	CounterKernelShells   = "kernel-shells"
 	CounterKernelGathered = "kernel-gathered"
 	CounterKernelSorted   = "kernel-sorted"
+	CounterKernelOrdered  = "kernel-ordered"
 	CounterKernelTested   = "kernel-tested"
 	CounterKernelCut      = "kernel-cut"
 	CounterKernelCulled   = "kernel-culled"
@@ -175,6 +176,7 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 		namedCount{CounterKernelShells, k.Shells},
 		namedCount{CounterKernelGathered, k.Gathered},
 		namedCount{CounterKernelSorted, k.Sorted},
+		namedCount{CounterKernelOrdered, k.Ordered},
 		namedCount{CounterKernelTested, k.Tested},
 		namedCount{CounterKernelCut, k.Cut},
 		namedCount{CounterKernelCulled, k.Culled},

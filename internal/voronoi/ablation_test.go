@@ -36,9 +36,8 @@ func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Bo
 	}
 	for sh := 0; sh <= shells; sh++ {
 		s.cands, _ = ix.appendShell(site, sh, math.Inf(1), s.cands[:0])
-		heapifyCandidates(s.cands)
-		for rest := s.cands; len(rest) > 0; rest = popCandidate(rest) {
-			cd := rest[0]
+		s.q.load(s.cands)
+		for cd, ok := s.q.next(); ok; cd, ok = s.q.next() {
 			if cd.dist <= siteEps {
 				continue
 			}
@@ -57,7 +56,7 @@ func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Bo
 // ComputeCellBrute is the ablation baseline for the grid-bucketed neighbor
 // search: it clips against every indexed point in order of distance,
 // stopping only when the remaining points are provably out of cutting
-// range. Identical output to ComputeCell, O(n log n) per cell
+// range. Identical output to ComputeCell, every point measured per cell
 // (BenchmarkAblationNeighborSearch).
 func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, initBox geom.Box) (*Cell, error) {
 	var w sweep
@@ -69,11 +68,11 @@ func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, in
 	for i, p := range pts {
 		order[i] = candidate{dist: p.Dist(site), idx: int32(i)}
 	}
-	heapifyCandidates(order)
+	var q candQueue
+	q.load(order)
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
 	secure := false
-	for ; len(order) > 0; order = popCandidate(order) {
-		o := order[0]
+	for o, ok := q.next(); ok; o, ok = q.next() {
 		if o.dist <= siteEps {
 			continue
 		}

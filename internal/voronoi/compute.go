@@ -100,10 +100,11 @@ const pruneSlack = 1e-9
 // expanding grid shells in nearest-first order until the security radius
 // proves the cell final. Each shell arrives as a cutoff-bounded candidate
 // stream: the index drops every point at or beyond the cell's cutting
-// range before anything is ordered, and the survivors are read off a heap
-// only as far as the first one out of range. The cell's geometry stays in
-// s.sw; the caller finishes it into owned or pool storage, also when the
-// emptied-cell error is returned (callers get both the cell and the error).
+// range before anything is ordered, and the survivors are read off the
+// scratch's queue, which orders them only as far as the first one out of
+// range. The cell's geometry stays in s.sw; the caller finishes it into
+// owned or pool storage, also when the emptied-cell error is returned
+// (callers get both the cell and the error).
 //
 // With a positive diamCut2 the sweep may instead stop at a proven cull and
 // report culled; see ComputeCellReused. After a cut, three things make the
@@ -129,9 +130,8 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, diamCut2 float64, s
 		kc.Shells++
 		kc.Gathered += int64(measured)
 		kc.Sorted += int64(len(s.cands))
-		heapifyCandidates(s.cands)
-		for rest := s.cands; len(rest) > 0; rest = popCandidate(rest) {
-			cd := rest[0]
+		s.q.load(s.cands)
+		for cd, ok := s.q.next(); ok; cd, ok = s.q.next() {
 			if cd.dist <= siteEps {
 				continue // the site itself
 			}

@@ -260,48 +260,133 @@ func (ix *Index) axisGap2(a, i int, x float64) float64 {
 	return g * g
 }
 
-// heapifyCandidates arranges a as a binary min-heap under before: a[0] is
-// then the first candidate of the stream and popCandidate advances it. The
-// sweep stops at the first candidate out of cutting range, and a heap
-// orders only as far as it is read: O(n) to build, O(log n) per candidate
-// actually taken, no closure, no allocation. Keys are distinct (an index
-// appears once), so the stream does not depend on the order of the input.
-func heapifyCandidates(a []candidate) {
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		siftDown(a, i)
-	}
+// smallShell is the candidate count up to which the queue insertion-sorts
+// a shell whole: so few candidates cost less to order than to bucket.
+const smallShell = 24
+
+// bucketFill is the mean number of candidates per bucket of a larger shell.
+const bucketFill = 4
+
+// candQueue streams a shell's candidates in the total order of before,
+// ordering them only as far as the stream is read. load distributes a
+// shell over buckets whose index is monotone in distance — a counting pass
+// and a prefix sum, as fillBuckets distributes points over grid cells —
+// and a bucket is insertion-sorted when the stream first reaches it. That
+// keeps the order: a candidate of an earlier bucket is no farther than any
+// of a later one, and equal distances share a bucket, so the buckets sorted
+// in turn are the sorted shell. An index appears once in a shell, so
+// before is a total order on it and the stream does not depend on the
+// order the shell arrives in.
+//
+// The bucket index is linear in distance over the shell's [min, max]. The
+// stream reads only the near end of a shell, where a clustered shell
+// crowds: there linear buckets hold fewer candidates to sort than buckets
+// that fill evenly (the distance cubed) would. A queue is reused from
+// shell to shell and, once its buffers have grown, allocates nothing.
+type candQueue struct {
+	view       []candidate // the stream: buf, or a small shell sorted in place
+	pos, ready int         // next candidate; end of view's ordered prefix
+	bucket     int         // next bucket to order
+	ends       []int32     // bucket b's candidates end at view[ends[b]]
+
+	// buf is the queue's own, for bucketed shells only: a small shell is
+	// viewed where the caller keeps it, and buf must not alias it. buf and
+	// ends grow together, ends to the buckets of any shell buf can hold.
+	buf []candidate
+
+	ordered int64 // candidates put in order since Scratch.TakeCounts
 }
 
-// popCandidate drops a[0] from a non-empty heap and returns the rest, its
-// new first candidate at index 0.
-func popCandidate(a []candidate) []candidate {
-	n := len(a) - 1
-	a[0] = a[n]
-	a = a[:n]
-	siftDown(a, 0)
-	return a
-}
-
-func siftDown(a []candidate, i int) {
-	if i >= len(a) {
+// load makes a, whose order it may change, the queue's stream. The stream
+// reads a until the next load.
+func (q *candQueue) load(a []candidate) {
+	n := len(a)
+	q.pos, q.bucket = 0, 0
+	if n <= smallShell {
+		insertionSort(a)
+		q.view, q.ready, q.ends = a, n, q.ends[:0]
+		q.ordered += int64(n)
 		return
 	}
-	v := a[i]
-	for {
-		c := 2*i + 1
-		if c >= len(a) {
-			break
+	// Comparisons, not min and max, so that a NaN distance is skipped; an
+	// infinite bound, or a NaN where a bucket is computed, puts candidates in
+	// bucket 0, which orders whatever it holds.
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, c := range a {
+		if c.dist < lo {
+			lo = c.dist
 		}
-		if c+1 < len(a) && a[c+1].before(a[c]) {
-			c++
+		if c.dist > hi {
+			hi = c.dist
 		}
-		if !a[c].before(v) {
-			break
-		}
-		a[i] = a[c]
-		i = c
 	}
-	a[i] = v
+	nb := n / bucketFill
+	fnb := float64(nb)
+	scale := fnb / (hi - lo)
+	bucket := func(d float64) int {
+		if x := (d - lo) * scale; x >= fnb {
+			return nb - 1
+		} else if x > 0 {
+			return int(x)
+		}
+		return 0
+	}
+	if cap(q.buf) < n {
+		q.buf, q.ends = make([]candidate, 2*n), make([]int32, 2*n/bucketFill+1)
+	}
+	ends := q.ends[:nb+1]
+	clear(ends)
+	for _, c := range a {
+		ends[bucket(c.dist)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		ends[b] += ends[b-1]
+	}
+	buf := q.buf[:n]
+	for _, c := range a {
+		b := bucket(c.dist)
+		buf[ends[b]] = c
+		ends[b]++
+	}
+	// Every cursor now sits at its bucket's end.
+	q.view, q.ready, q.ends = buf, 0, ends[:nb]
+}
+
+// next returns the stream's next candidate, or false once it is exhausted.
+func (q *candQueue) next() (c candidate, ok bool) {
+	if q.pos < q.ready || q.orderNext() {
+		c, ok = q.view[q.pos], true
+		q.pos++
+	}
+	return c, ok
+}
+
+// orderNext sorts the next non-empty bucket, extending the ordered prefix,
+// and reports whether there was one.
+func (q *candQueue) orderNext() bool {
+	for q.bucket < len(q.ends) {
+		end := int(q.ends[q.bucket])
+		q.bucket++
+		if end > q.ready {
+			insertionSort(q.view[q.ready:end])
+			q.ordered += int64(end - q.ready)
+			q.ready = end
+			return true
+		}
+	}
+	return false
+}
+
+// insertionSort sorts a under before: no closure, no allocation, and
+// quick on the few candidates of a bucket or a small shell.
+func insertionSort(a []candidate) {
+	for i := 1; i < len(a); i++ {
+		c, j := a[i], i
+		for ; j > 0 && c.before(a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = c
+	}
 }
 
 // before is the total order of the neighbor stream: nearer first, equal

@@ -17,8 +17,10 @@ import "repro/internal/geom"
 type Scratch struct {
 	sw sweep
 
-	// Reusable buffer for the clipping sweep's candidate stream.
+	// Reusable buffer for a shell's candidates, and the queue that
+	// streams them in order.
 	cands []candidate
+	q     candQueue
 
 	// The single-cell storage ComputeCellReused finishes into.
 	cell  Cell
@@ -32,12 +34,14 @@ type Scratch struct {
 // KernelCounts is the candidate funnel of the clipping sweep, summed over
 // the cells computed through one Scratch: of the points the index measured
 // in the shells it visited, those that survived the cutting-range cutoff
-// entered the ordered stream, those still in range when their turn came
-// were tested against the cell, and some of those cut it.
+// entered the stream, the stream put in order those it reached, those
+// still in range when their turn came were tested against the cell, and
+// some of those cut it.
 type KernelCounts struct {
 	Shells   int64 // grid shells visited
 	Gathered int64 // points whose distance to the site was measured
 	Sorted   int64 // of those, inside the cutting range at shell entry
+	Ordered  int64 // of those, put in order: the buckets reached, or whole small shells
 	Tested   int64 // bisector planes tested against the cell
 	Cut      int64 // planes that changed the cell
 	Culled   int64 // cells whose sweep stopped at a proven early cull
@@ -48,6 +52,7 @@ func (k *KernelCounts) Add(o KernelCounts) {
 	k.Shells += o.Shells
 	k.Gathered += o.Gathered
 	k.Sorted += o.Sorted
+	k.Ordered += o.Ordered
 	k.Tested += o.Tested
 	k.Cut += o.Cut
 	k.Culled += o.Culled
@@ -57,7 +62,8 @@ func (k *KernelCounts) Add(o KernelCounts) {
 // and resets them.
 func (s *Scratch) TakeCounts() KernelCounts {
 	k := s.counts
-	s.counts = KernelCounts{}
+	k.Ordered = s.q.ordered
+	s.counts, s.q.ordered = KernelCounts{}, 0
 	return k
 }
 

@@ -16,10 +16,8 @@ import (
 // distances by point index). Shell 0 is p's own cell.
 func (ix *Index) Shell(p geom.Vec3, s int) []ShellPoint {
 	cands, _ := ix.appendShell(p, s, math.Inf(1), nil)
-	heapifyCandidates(cands)
 	out := make([]ShellPoint, 0, len(cands))
-	for ; len(cands) > 0; cands = popCandidate(cands) {
-		c := cands[0]
+	for _, c := range drain(new(candQueue), cands) {
 		out = append(out, ShellPoint{Idx: int(c.idx), ID: ix.ids[c.idx], Pos: ix.pts[c.idx], Dist: c.dist})
 	}
 	return out
@@ -251,7 +249,7 @@ func TestComputeCellMatchesReferenceSweep(t *testing.T) {
 			if got.Shells != want.Shells || got.Tested != want.Tested || got.Cut != want.Cut {
 				t.Errorf("funnel %+v, reference %+v: pruning changed what was tested", got, want)
 			}
-			if got.Gathered > want.Gathered || got.Sorted > got.Gathered || got.Tested > got.Sorted {
+			if got.Gathered > want.Gathered || got.Sorted > got.Gathered || got.Ordered > got.Sorted || got.Tested > got.Ordered {
 				t.Errorf("funnel %+v is not a funnel (reference gathered %d)", got, want.Gathered)
 			}
 			if (emptied > 0) != cl.wantEmptied {
@@ -263,8 +261,8 @@ func TestComputeCellMatchesReferenceSweep(t *testing.T) {
 			if (s.TakeCounts() != KernelCounts{}) {
 				t.Error("TakeCounts did not reset the counts")
 			}
-			t.Logf("%d cells: gathered %d (whole shells %d), sorted %d, tested %d, cut %d",
-				len(cl.pts), got.Gathered, want.Gathered, got.Sorted, got.Tested, got.Cut)
+			t.Logf("%d cells: gathered %d (whole shells %d), sorted %d, ordered %d, tested %d, cut %d",
+				len(cl.pts), got.Gathered, want.Gathered, got.Sorted, got.Ordered, got.Tested, got.Cut)
 		})
 	}
 }
@@ -293,6 +291,7 @@ func TestAppendShellIsFilteredShell(t *testing.T) {
 	cp := cosmo.DefaultClusterParams()
 	cp.Seed = 9
 	var buf []candidate
+	var queue candQueue
 	for _, cl := range []streamCloud{
 		{name: "uniform", pts: uniformPts(rng, 600, 10)},
 		{name: "clustered", pts: cosmo.ClusteredPositions(800, 10, cp)},
@@ -318,7 +317,7 @@ func TestAppendShellIsFilteredShell(t *testing.T) {
 				for _, cutoff := range cutoffs {
 					var measured int
 					buf, measured = ix.appendShell(q, s, cutoff, buf[:0])
-					got := drain(buf)
+					got := drain(&queue, buf)
 					var want []ShellPoint
 					for _, sp := range full {
 						if sp.Dist < cutoff {
@@ -350,35 +349,100 @@ func TestAppendShellIsFilteredShell(t *testing.T) {
 	}
 }
 
-// drain pops a heapified candidate slice empty, returning the stream.
-func drain(a []candidate) []candidate {
-	heapifyCandidates(a)
+// drain loads a into q and reads the stream to its end.
+func drain(q *candQueue, a []candidate) []candidate {
+	q.load(a)
 	out := make([]candidate, 0, len(a))
-	for ; len(a) > 0; a = popCandidate(a) {
-		out = append(out, a[0])
+	for c, ok := q.next(); ok; c, ok = q.next() {
+		out = append(out, c)
 	}
 	return out
 }
 
-// The candidate order is total: whatever order the heap is built from,
-// candidates stream nearest first and equal distances by point index.
+// The candidate order is total and the queue is its one reader: whatever
+// order a shell arrives in, it streams as sort.Slice under before orders it
+// — nearest first, equal distances by point index — on shells sorted in
+// place and bucketed, with many ties, with one distance only (one bucket),
+// with one far outlier (every other candidate in the first bucket), and with
+// distances across the float64 range and a zero. One queue reloaded with
+// shells that shrink and grow leaves no stale entry, and NaN and infinite
+// distances stream each candidate once without a panic.
 func TestCandidateStreamTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
-	for _, n := range []int{0, 1, 2, 3, 11, 12, 13, 100, 1000} {
+	type input struct {
+		name string
+		a    []candidate
+	}
+	shell := func(name string, n int, dist func(i int) float64) input {
 		a := make([]candidate, n)
 		for i := range a {
-			a[i] = candidate{idx: int32(i), dist: float64(rng.Intn(50))} // many ties
+			a[i] = candidate{idx: int32(i), dist: dist(i)}
 		}
 		rng.Shuffle(n, func(i, j int) { a[i], a[j] = a[j], a[i] })
-		want := append([]candidate(nil), a...)
+		return input{name, a}
+	}
+	var inputs []input
+	for _, n := range []int{0, 1, 2, 3, 11, 12, 13, smallShell, smallShell + 1, 26, 100, 1000} {
+		inputs = append(inputs, shell(fmt.Sprintf("ties-%d", n), n, func(int) float64 { return float64(rng.Intn(50)) }))
+	}
+	inputs = append(inputs,
+		shell("one-distance", 500, func(int) float64 { return 1.5 }),
+		shell("far-outlier", 300, func(i int) float64 {
+			if i == 0 {
+				return 1e6
+			}
+			return 1 + rng.Float64()
+		}),
+		shell("full-range", 600, func(i int) float64 {
+			if i == 0 {
+				return 0
+			}
+			return math.Pow(10, -300+600*rng.Float64())
+		}),
+	)
+	q := new(candQueue)
+	check := func(in input) {
+		want := append([]candidate(nil), in.a...)
 		sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-		got := drain(a)
-		if len(got) != n {
-			t.Fatalf("n=%d: streamed %d candidates", n, len(got))
+		got := drain(q, append([]candidate(nil), in.a...))
+		if len(got) != len(want) {
+			t.Fatalf("%s: streamed %d candidates of %d", in.name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d entry %d: %+v, want %+v", n, i, got[i], want[i])
+				t.Fatalf("%s entry %d: %+v, want %+v", in.name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, in := range inputs {
+		check(in)
+	}
+	for i := len(inputs) - 1; i >= 0; i-- {
+		check(inputs[i])
+	}
+	for _, i := range rng.Perm(len(inputs)) {
+		check(inputs[i])
+	}
+
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1}
+	for _, n := range []int{5, smallShell, 200} {
+		for _, mix := range [][]float64{odd, odd[:1], odd[:3], odd[1:3]} {
+			in := shell("non-finite", n, func(i int) float64 {
+				if i%3 == 0 {
+					return mix[i%len(mix)]
+				}
+				return rng.Float64()
+			})
+			got := drain(q, in.a)
+			seen := make([]bool, n)
+			for _, c := range got {
+				if seen[c.idx] {
+					t.Fatalf("n=%d mix %v: candidate %d streamed twice", n, mix, c.idx)
+				}
+				seen[c.idx] = true
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d mix %v: streamed %d candidates", n, mix, len(got))
 			}
 		}
 	}
