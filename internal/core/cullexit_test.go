@@ -11,6 +11,7 @@ import (
 	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/qhull"
 	"repro/internal/storage"
 	"repro/internal/voronoi"
 )
@@ -31,11 +32,16 @@ func haloMock(seed int64) []diy.Particle {
 }
 
 // The kernel funnel of the halo mock (RCB, 8 blocks, ghost 4, a cull at a
-// tenth of the mean cell volume) at the commit that added the cull exit:
-// the sweeps of kernel-culled cells stop at their first proof, so every
-// funnel stage falls against sweeps run to the end, which gave the same
-// cell counts with 35 256 shells, 15 247 198 gathered, 11 000 057 sorted,
-// 1 839 658 tested and 258 792 cut.
+// tenth of the mean cell volume): the sweeps of kernel-culled cells stop
+// at their first proof, by the ball around the site or by the volume of
+// the cell as it stands, so every funnel stage falls against sweeps run to
+// the end, which gave the same cell counts with 35 256 shells, 15 247 198
+// gathered, 11 000 057 sorted, 1 839 658 tested and 258 792 cut. With the
+// ball alone (the exit's first form) 5 678 sweeps stopped, after 32 226
+// shells, 13 956 242 gathered, 10 966 150 sorted, 1 681 355 tested and
+// 232 341 cut, and 1 851 cells were culled only by their exact volume.
+// kernel-boxed counts the tested planes the live vertices' box rejected,
+// and kernel-volume-checks the current-cell volumes the exit evaluated.
 func TestHaloMockKernelFunnel(t *testing.T) {
 	cfg := Config{
 		Domain:        geom.NewBox(geom.V(0, 0, 0), geom.V(24, 24, 24)),
@@ -51,15 +57,16 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 	}
 	got := fmt.Sprintf("%+v", out.Counts)
 	for _, name := range []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted,
-		CounterKernelTested, CounterKernelCut, CounterKernelCulled} {
+		CounterKernelTested, CounterKernelCut, CounterKernelBoxed, CounterKernelCulled, CounterKernelVolumes} {
 		var sum int64
 		for _, n := range out.Obs.Counters[name] {
 			sum += n
 		}
 		got += fmt.Sprintf(" %s=%d", name, sum)
 	}
-	const want = "{Sites:13824 Incomplete:0 CulledEarly:6796 CulledExact:1851 Kept:5177} kernel-shells=32226 " +
-		"kernel-gathered=13956242 kernel-sorted=10966150 kernel-tested=1681355 kernel-cut=232341 kernel-culled=5678"
+	const want = "{Sites:13824 Incomplete:0 CulledEarly:8647 CulledExact:0 Kept:5177} kernel-shells=29877 " +
+		"kernel-gathered=11263759 kernel-sorted=10151152 kernel-tested=1245591 kernel-cut=191521 kernel-boxed=593917 " +
+		"kernel-culled=8647 kernel-volume-checks=15345"
 	if got != want {
 		t.Errorf("halo mock funnel\n got %s\nwant %s", got, want)
 	}
@@ -69,21 +76,22 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 	for _, n := range out.Obs.Counters[CounterKernelOrdered] {
 		ordered += n
 	}
-	if ordered != 1735586 {
-		t.Errorf("kernel-ordered=%d, want 1735586", ordered)
+	if ordered != 1288605 {
+		t.Errorf("kernel-ordered=%d, want 1288605", ordered)
 	}
 }
 
 // The cull exit is an oracle-checked shortcut: on every site of the halo
 // mock (three seeds) and of a clustered 32^3 N-body snapshot, at ghosts 1,
 // 2 and 4, on grid and RCB blocks, a sweep that stopped at a proven cull
-// belongs to a cell the full sweep leaves Complete and below the
-// early-cull diameter, and every other cell is bit-identical to the full
-// sweep's. The pipeline over the same blocks then counts what the full
-// sweeps predict, with KeepIncomplete off on the grid and on under RCB,
-// and kernel-culled is the number of stopped sweeps. Under the race
-// detector, which slows the kernel tenfold, one seed of the halo mock at
-// one ghost runs.
+// belongs to a cell the full sweep leaves Complete and below MinVolume by
+// its Volume and by its hull volume, and every other cell is bit-identical
+// to the full sweep's. The pipeline over the same blocks then counts what
+// the full sweeps predict, with KeepIncomplete off on the grid and on
+// under RCB: a stopped sweep is culled early, and the kept, incomplete and
+// culled totals are those of sweeps run to the end. kernel-culled is the
+// number of stopped sweeps. Under the race detector, which slows the
+// kernel tenfold, one seed of the halo mock at one ghost runs.
 func TestCullExitPerSiteOracle(t *testing.T) {
 	type input struct {
 		name string
@@ -146,22 +154,30 @@ func checkCullExit(t *testing.T, name string, cfg Config, ps []diy.Particle) {
 			var want CellCounts
 			stopped := int64(0)
 			for _, p := range local {
-				a, errA := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, diamCut2, early)
+				a, errA := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, cfg.MinVolume, early)
 				b, errB := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, 0, full)
 				if errA != nil || errB != nil {
 					t.Errorf("%s site %d: %v, %v", name, p.ID, errA, errB)
 					return
 				}
+				want.Sites++
 				if a == nil {
 					stopped++
-					if !b.Complete || !diameterBelow(b, diamCut2) {
-						t.Errorf("%s site %d: the sweep stopped, but the full cell is complete %v, below the cull %v",
-							name, p.ID, b.Complete, diameterBelow(b, diamCut2))
+					want.CulledEarly++
+					hull, err := qhull.Compute(b.Verts)
+					if err != nil {
+						t.Errorf("%s site %d: hull: %v", name, p.ID, err)
+						continue
 					}
-				} else if !reflect.DeepEqual(a, b) {
+					if !b.Complete || b.Volume() >= cfg.MinVolume || hull.Volume() >= cfg.MinVolume {
+						t.Errorf("%s site %d: the sweep stopped, but the full cell is complete %v, of volume %g and hull volume %g",
+							name, p.ID, b.Complete, b.Volume(), hull.Volume())
+					}
+					continue
+				}
+				if !reflect.DeepEqual(a, b) {
 					t.Errorf("%s site %d: the cell differs from the full sweep's", name, p.ID)
 				}
-				want.Sites++
 				if !b.Complete {
 					want.Incomplete++
 					if !cfg.KeepIncomplete {

@@ -180,6 +180,8 @@ func TestRunRecorderSnapshot(t *testing.T) {
 // are a function of the input alone — the same whatever the worker fan-out.
 // With a volume cut, kernel-culled counts the sweeps stopped at a proven
 // early cull, each one of the step's early-culled cells; without one, none.
+// kernel-boxed counts planes that were tested and did not cut, and it and
+// kernel-volume-checks are as much a function of the input as the rest.
 func TestKernelCountersFunnel(t *testing.T) {
 	const L = 8.0
 	const blocks = 2
@@ -219,16 +221,23 @@ func TestKernelCountersFunnel(t *testing.T) {
 							funnel[i], c[funnel[i]][rank], funnel[i-1], c[funnel[i-1]][rank])
 					}
 				}
+				if boxed, missed := c[CounterKernelBoxed][rank], c[CounterKernelTested][rank]-c[CounterKernelCut][rank]; boxed > missed {
+					t.Errorf("min volume %g workers %d rank %d: %d planes boxed of %d tested that did not cut",
+						minVolume, workers, rank, boxed, missed)
+				}
 			}
 			culled := c[CounterKernelCulled][0] + c[CounterKernelCulled][1]
 			if minVolume > 0 && (culled == 0 || culled > out.Counts.CulledEarly) || minVolume == 0 && culled != 0 {
 				t.Errorf("min volume %g workers %d: kernel-culled %d, %d culled early", minVolume, workers, culled, out.Counts.CulledEarly)
 			}
+			if vols := c[CounterKernelVolumes][0] + c[CounterKernelVolumes][1]; minVolume == 0 && vols != 0 {
+				t.Errorf("no volume cut, but kernel-volume-checks %d", vols)
+			}
 			if first == nil {
 				first = c
 				continue
 			}
-			for _, name := range append(funnel, CounterKernelCulled) {
+			for _, name := range append(funnel, CounterKernelBoxed, CounterKernelCulled, CounterKernelVolumes) {
 				if !reflect.DeepEqual(c[name], first[name]) {
 					t.Errorf("min volume %g: %s: %v with %d workers, %v with 1", minVolume, name, c[name], workers, first[name])
 				}

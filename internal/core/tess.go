@@ -9,12 +9,14 @@
 //  3. (a) keep only cells sited at original particles — automatic here,
 //     because cells are built per local site; (b) delete incomplete cells;
 //     (c) delete cells safely below the volume threshold using a cheap
-//     circumscribing-sphere bound — the clipping sweep itself stops at the
-//     first cut that proves a cell complete and inside that bound, so such
-//     a cell is never finished; (d) order cell vertices into faces and
-//     compute volume and surface area (optionally re-deriving them through
-//     the Quickhull engine, the paper's step); (e) delete any other cells
-//     outside the volume thresholds;
+//     bound — the clipping sweep itself stops at the first cut that proves
+//     a cell complete and below the threshold, by the ball around its site
+//     or by the volume of the cell as it stands (clipping only removes
+//     volume), so such a cell is never finished; a finished cell is culled
+//     by a circumscribing-sphere bound on its diameter; (d) order cell
+//     vertices into faces and compute volume and surface area (optionally
+//     re-deriving them through the Quickhull engine, the paper's step);
+//     (e) delete any other cells outside the volume thresholds;
 //  4. write local sites and cells collectively to storage.
 //
 // Each phase is timed separately, which is what populates Table II and the
@@ -119,7 +121,9 @@ type Config struct {
 // kernel-* counters are the clipping sweep's candidate funnel
 // (voronoi.KernelCounts), summed over the rank's sites: divided by
 // CounterSites they say why a cell cost what it cost; kernel-culled counts
-// the sites whose sweep stopped at a proven early cull. The mesh-* counters
+// the sites whose sweep stopped at a proven early cull, kernel-boxed the
+// tested planes the live vertices' box rejected, and kernel-volume-checks
+// the current-cell volumes the cull exit evaluated. The mesh-* counters
 // are the weld's: the face-vertex references of the kept cells, and the
 // distinct vertices they welded to. Both are a function of the input
 // alone; the stitch's own table probes depend on how the sites were
@@ -135,6 +139,8 @@ const (
 	CounterKernelTested   = "kernel-tested"
 	CounterKernelCut      = "kernel-cut"
 	CounterKernelCulled   = "kernel-culled"
+	CounterKernelBoxed    = "kernel-boxed"
+	CounterKernelVolumes  = "kernel-volume-checks"
 	CounterMeshVertexRefs = "mesh-vertex-refs"
 	CounterMeshVerts      = "mesh-verts-welded"
 )
@@ -180,6 +186,8 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 		namedCount{CounterKernelTested, k.Tested},
 		namedCount{CounterKernelCut, k.Cut},
 		namedCount{CounterKernelCulled, k.Culled},
+		namedCount{CounterKernelBoxed, k.Boxed},
+		namedCount{CounterKernelVolumes, k.VolumeChecks},
 		namedCount{CounterMeshVertexRefs, refs},
 		namedCount{CounterMeshVerts, verts},
 	)
@@ -218,8 +226,8 @@ type Timing struct {
 type CellCounts struct {
 	Sites       int64 // local sites tessellated
 	Incomplete  int64 // deleted as incomplete (or kept if KeepIncomplete)
-	CulledEarly int64 // deleted by the conservative pre-hull bound
-	CulledExact int64 // deleted after exact volume computation
+	CulledEarly int64 // deleted by a bound before the finished cell's volume was computed
+	CulledExact int64 // deleted by the finished cell's exact or hull volume, MaxVolume included
 	Kept        int64 // cells in the output
 }
 
@@ -412,8 +420,8 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 	// at most that of the ball with diameter d (isodiametric inequality),
 	// so any cell whose squared diameter is below diamCut2 is safely below
 	// MinVolume. Comparing squared distances skips a per-cell sqrt. The
-	// kernel gets the bound too, and stops a sweep as soon as it proves
-	// the cell complete and that small.
+	// kernel gets MinVolume itself, and stops a sweep as soon as it proves
+	// the cell complete and below it.
 	diamCut2 := 0.0
 	if cfg.MinVolume > 0 {
 		dc := math.Cbrt(6 * cfg.MinVolume / math.Pi)
@@ -434,7 +442,7 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 		counts := &wcounts[w]
 		for i := lo; i < hi; i++ {
 			p := local[i]
-			cell, err := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, diamCut2, s)
+			cell, err := voronoi.ComputeCellReused(ix, p.Pos, p.ID, initBox, cfg.MinVolume, s)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: cell for particle %d: %w", p.ID, err)
 				continue

@@ -2,6 +2,7 @@ package voronoi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -65,19 +66,18 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 // and valid only until the next cell computed through s; a warm s builds
 // it with no allocation at all. s must not be nil.
 //
-// A positive diamCut2 is the caller's early cull (the paper's step 3(c)):
-// the squared diameter below which it deletes a complete cell. The sweep
-// then stops right after a cut that proves the cell will end Complete with
-// every vertex within sqrt(diamCut2)/2 of the site, and returns a nil cell
-// and a nil error without finishing it; the full sweep's cell would have
-// been culled by that bound. Zero sweeps to the end, as ComputeCellScratch
-// does.
-func ComputeCellReused(ix *Index, site geom.Vec3, id int64, initBox geom.Box, diamCut2 float64, s *Scratch) (*Cell, error) {
+// A positive minVolume is the caller's early cull (the paper's step 3(c)):
+// the volume below which it deletes a complete cell. The sweep then stops
+// right after a cut that proves the cell will end Complete with a volume
+// below minVolume, and returns a nil cell and a nil error without
+// finishing it; the full sweep's cell would have been culled. Zero sweeps
+// to the end, as ComputeCellScratch does.
+func ComputeCellReused(ix *Index, site geom.Vec3, id int64, initBox geom.Box, minVolume float64, s *Scratch) (*Cell, error) {
 	cell := &s.cell
 	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
 	}
-	culled, err := clipCellShells(cell, ix, initBox, diamCut2, s)
+	culled, err := clipCellShells(cell, ix, initBox, minVolume, s)
 	if culled {
 		return nil, nil
 	}
@@ -106,15 +106,9 @@ const pruneSlack = 1e-9
 // owned or pool storage, also when the emptied-cell error is returned
 // (callers get both the cell and the error).
 //
-// With a positive diamCut2 the sweep may instead stop at a proven cull and
-// report culled; see ComputeCellReused. After a cut, three things make the
-// rest of the sweep moot: 2·maxR, with slack, is below the cull diameter;
-// the last shell reaches past 2·maxR, with slack, so the security radius is
-// sure to close inside the index; and no face is a wall. Walls never come
-// back, and a clip grows maxR by an ulp at most (TestClipNeverGrowsMaxR),
-// which pruneSlack covers many times over, so the full sweep would end
-// Complete and below diameterBelow's first bound in package core.
-func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, diamCut2 float64, s *Scratch) (culled bool, err error) {
+// With a positive minVolume the sweep may instead stop at a proven cull
+// and report culled; see ComputeCellReused and sweep.provenCull.
+func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, minVolume float64, s *Scratch) (culled bool, err error) {
 	w := &s.sw
 	h := ix.MinCellSize()
 	maxShell := ix.MaxShell(cell.Site)
@@ -148,7 +142,7 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, diamCut2 float64, s
 					return false, fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", cell.Site, ix.pts[cd.idx])
 				}
 				maxR = w.maxR()
-				if diamCut2 > 0 && 4*w.maxR2*(1+pruneSlack) < diamCut2 && w.complete(lastReach, pruneSlack) {
+				if minVolume > 0 && w.provenCull(maxR, minVolume, lastReach, kc) {
 					kc.Culled++
 					return true, nil
 				}
@@ -162,6 +156,42 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, diamCut2 float64, s
 	}
 	cell.Complete = w.complete(reach, 0)
 	return false, nil
+}
+
+// provenCull reports whether the cell as the sweep leaves it after a cut
+// proves the full sweep's cell Complete and below minVolume. Two things
+// make the rest of the sweep moot for completeness: the last shell reaches
+// past 2·maxR, with slack, so the security radius is sure to close inside
+// the index; and no face is a wall. Walls never come back, and a clip grows
+// maxR by an ulp at most (TestClipNeverGrowsMaxR), which pruneSlack covers
+// many times over. For the volume, clipping only removes volume, so the
+// current cell bounds the final one, and so does the ball of radius maxR
+// around the site; either, plus pruneSlack of the ball's volume, below
+// minVolume proves the cull. The slack is taken of the ball, not of the
+// cell, so that a flat cell's rounding is covered too; it covers the hull
+// volume's rounding as well.
+//
+// The ball decides for free. The O(F·V) volume is evaluated, and counted
+// in VolumeChecks, only when the ball is within a factor 64 of minVolume,
+// and, after an evaluation that proved nothing, only once the ball has
+// shrunk enough to bring that volume, scaled with it, below twice
+// minVolume. Skipping an evaluation can only let the sweep run on.
+func (w *sweep) provenCull(maxR, minVolume, lastReach float64, kc *KernelCounts) bool {
+	ball := 4 * math.Pi / 3 * w.maxR2 * maxR
+	if ball >= 64*minVolume || !w.complete(lastReach, pruneSlack) {
+		return false
+	}
+	slack := pruneSlack * ball
+	if ball+slack < minVolume {
+		return true
+	}
+	if w.volBall > 0 && ball*w.volLast >= 2*minVolume*w.volBall {
+		return false
+	}
+	kc.VolumeChecks++
+	vol := w.volume()
+	w.volBall, w.volLast = ball, vol
+	return vol+slack < minVolume
 }
 
 // ComputePeriodic computes the full periodic Voronoi tessellation of the

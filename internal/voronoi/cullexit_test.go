@@ -10,11 +10,13 @@ import (
 // ComputeCellReused stops at a cull only on a cell it has proved final: a
 // cell whose full sweep is Complete and small stops, and a small cell that
 // keeps a wall, or whose security radius cannot close inside the index,
-// sweeps to the end exactly as with no cull at all. Each case holds with a
-// cull diameter far above the cell's, so only the wall and shell
-// conditions stand between it and an exit.
+// sweeps to the end exactly as with no cull at all. Each case runs at three
+// culls: one far above the ball around the site, which decides without a
+// volume; one between the cell's volume and the ball's, which only the
+// volume of the cell as it stands decides; and one below the cell's
+// volume, which is evaluated and stops nothing. So only the wall and shell
+// conditions stand between the two small culls and an exit.
 func TestCullExitOnlyOnProvenCells(t *testing.T) {
-	const huge = 1e6 // a squared cull diameter no test cell reaches
 	lattice := latticePts(5, 5)
 	center := geom.V(2.5, 2.5, 2.5)
 	octahedron := []geom.Vec3{center}
@@ -25,14 +27,15 @@ func TestCullExitOnlyOnProvenCells(t *testing.T) {
 		name    string
 		pts     []geom.Vec3
 		initBox geom.Box
-		stops   bool
+		final   bool
 	}{
-		// Deep in a lattice, cut on every side: the exit fires.
+		// Deep in a lattice, cut on every side: the unit cube, of ball
+		// volume 2.72, is final.
 		{"interior", lattice, geom.Cube(center, 2), true},
 		// A box thinner in x than the cell: the y and z planes cut it, the
-		// x walls stay.
+		// x walls stay (volume 0.8, ball 2.25).
 		{"wall", lattice, geom.NewBox(geom.V(2.1, 0, 0), geom.V(2.9, 5, 5)), false},
-		// Six neighbours close the cube around the site, but the index
+		// Six neighbours close the unit cube around the site, but the index
 		// ends before twice its corner distance.
 		{"shell", octahedron, geom.Cube(center, 10), false},
 	} {
@@ -41,19 +44,35 @@ func TestCullExitOnlyOnProvenCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.Complete != tc.stops {
-			t.Fatalf("%s: the full sweep's cell is complete %v, the case needs %v", tc.name, full.Complete, tc.stops)
+		if full.Complete != tc.final {
+			t.Fatalf("%s: the full sweep's cell is complete %v, the case needs %v", tc.name, full.Complete, tc.final)
 		}
-		s := NewScratch()
-		got, err := ComputeCellReused(ix, center, 99, tc.initBox, huge, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if culled := s.TakeCounts().Culled; (got == nil) != tc.stops || (culled == 1) != tc.stops {
-			t.Errorf("%s: stopped %v (%d counted), want %v", tc.name, got == nil, culled, tc.stops)
-		}
-		if got != nil && !reflect.DeepEqual(got, full) {
-			t.Errorf("%s: the cell differs from the full sweep's", tc.name)
+		for _, cull := range []struct {
+			name      string
+			minVolume float64
+			below     bool // the cell is below the cull
+			volume    bool // a final cell's volume is evaluated
+		}{
+			{"ball", 1e6, true, false},
+			{"volume", 2, true, true},
+			{"above", 0.5, false, true},
+		} {
+			s := NewScratch()
+			got, err := ComputeCellReused(ix, center, 99, tc.initBox, cull.minVolume, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := s.TakeCounts()
+			stops := tc.final && cull.below
+			if (got == nil) != stops || (k.Culled == 1) != stops {
+				t.Errorf("%s, %s cull: stopped %v (%d counted), want %v", tc.name, cull.name, got == nil, k.Culled, stops)
+			}
+			if evaluated := k.VolumeChecks > 0; evaluated != (tc.final && cull.volume) {
+				t.Errorf("%s, %s cull: %d volumes evaluated", tc.name, cull.name, k.VolumeChecks)
+			}
+			if got != nil && !reflect.DeepEqual(got, full) {
+				t.Errorf("%s, %s cull: the cell differs from the full sweep's", tc.name, cull.name)
+			}
 		}
 	}
 }

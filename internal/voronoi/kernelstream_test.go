@@ -16,11 +16,11 @@ import (
 // indexes it: the block's own points first (the sites), then every periodic
 // image of the cloud within the ghost distance of the block.
 type kernelInput struct {
-	name     string
-	ix       *Index
-	sites    int
-	initBox  geom.Box
-	diamCut2 float64 // the early cull at a tenth of the mean cell volume
+	name      string
+	ix        *Index
+	sites     int
+	initBox   geom.Box
+	minVolume float64 // the early cull at a tenth of the mean cell volume
 }
 
 // periodicBlock indexes the block [lo, hi)^3 of the periodic cloud pts in
@@ -47,13 +47,12 @@ func periodicBlock(name string, pts []geom.Vec3, L, lo, hi, g float64) kernelInp
 	}
 	// Mean cell volume L^3/len(pts) is 1 on both inputs; the cull deletes
 	// cells below a tenth of it, as postproc-clustered's config does.
-	dc := math.Cbrt(6 * 0.1 / math.Pi)
 	return kernelInput{
-		name:     name,
-		ix:       NewIndex(append(local, ghost...), append(localIDs, ghostIDs...), 0),
-		sites:    len(local),
-		initBox:  initBox,
-		diamCut2: dc * dc,
+		name:      name,
+		ix:        NewIndex(append(local, ghost...), append(localIDs, ghostIDs...), 0),
+		sites:     len(local),
+		initBox:   initBox,
+		minVolume: 0.1,
 	}
 }
 
@@ -73,9 +72,9 @@ var kernelClouds = sync.OnceValues(func() (halo, nb []geom.Vec3) {
 })
 
 // reuseAll computes every site's cell of in through s, the session's path.
-func reuseAll(tb testing.TB, in kernelInput, sites []int, diamCut2 float64, s *Scratch) {
+func reuseAll(tb testing.TB, in kernelInput, sites []int, minVolume float64, s *Scratch) {
 	for _, i := range sites {
-		if _, err := ComputeCellReused(in.ix, in.ix.pts[i], in.ix.ids[i], in.initBox, diamCut2, s); err != nil {
+		if _, err := ComputeCellReused(in.ix, in.ix.pts[i], in.ix.ids[i], in.initBox, minVolume, s); err != nil {
 			tb.Fatalf("%s site %d: %v", in.name, i, err)
 		}
 	}
@@ -118,9 +117,9 @@ func TestComputeCellReusedWarmZeroAllocs(t *testing.T) {
 				alternating = append(alternating, order[b])
 			}
 		}
-		for _, diamCut2 := range []float64{0, in.diamCut2} {
-			if n := testing.AllocsPerRun(1, func() { reuseAll(t, in, alternating, diamCut2, s) }); n != 0 {
-				t.Errorf("%s cull %g: a warm pass made %.0f allocations, want 0", in.name, diamCut2, n)
+		for _, minVolume := range []float64{0, in.minVolume} {
+			if n := testing.AllocsPerRun(1, func() { reuseAll(t, in, alternating, minVolume, s) }); n != 0 {
+				t.Errorf("%s cull %g: a warm pass made %.0f allocations, want 0", in.name, minVolume, n)
 			}
 		}
 	}
@@ -163,17 +162,17 @@ func BenchmarkKernelStream(b *testing.B) {
 	} {
 		sites := siteRange(in.sites)
 		for _, cull := range []bool{false, true} {
-			diamCut2 := 0.0
+			minVolume := 0.0
 			if cull {
-				diamCut2 = in.diamCut2
+				minVolume = in.minVolume
 			}
 			b.Run(fmt.Sprintf("%s/cull=%v", in.name, cull), func(b *testing.B) {
 				s := NewScratch()
-				reuseAll(b, in, sites, diamCut2, s)
+				reuseAll(b, in, sites, minVolume, s)
 				s.TakeCounts()
 				b.ResetTimer()
 				for range b.N {
-					reuseAll(b, in, sites, diamCut2, s)
+					reuseAll(b, in, sites, minVolume, s)
 				}
 				b.StopTimer()
 				cells := float64(b.N * in.sites)
@@ -185,6 +184,7 @@ func BenchmarkKernelStream(b *testing.B) {
 				}{
 					{k.Shells, "shells/cell"}, {k.Gathered, "gathered/cell"}, {k.Sorted, "sorted/cell"},
 					{k.Ordered, "ordered/cell"}, {k.Tested, "tested/cell"}, {k.Cut, "cut/cell"},
+					{k.Boxed, "boxed/cell"}, {k.VolumeChecks, "volchecks/cell"},
 				} {
 					b.ReportMetric(float64(m.n)/cells, m.unit)
 				}

@@ -180,6 +180,25 @@ func referenceClip(c *Cell, pl geom.Plane, neighborID int64, s *refScratch) bool
 	return true
 }
 
+// dedupeLoop removes consecutive duplicate indices (including wraparound).
+// The sweep dropped this pass, which a rebuilt loop never needs; the
+// reference keeps it, so the fuzz target checks the deletion.
+func dedupeLoop(loop []int) []int {
+	if len(loop) < 2 {
+		return loop
+	}
+	out := loop[:0]
+	for i, v := range loop {
+		if i == 0 || v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	for len(out) > 1 && out[0] == out[len(out)-1] {
+		out = out[:len(out)-1]
+	}
+	return out
+}
+
 // sweepPair drives the sweep and the reference kernel with the same planes
 // and compares them after every one of them.
 type sweepPair struct {

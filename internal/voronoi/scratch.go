@@ -36,15 +36,18 @@ type Scratch struct {
 // in the shells it visited, those that survived the cutting-range cutoff
 // entered the stream, the stream put in order those it reached, those
 // still in range when their turn came were tested against the cell, and
-// some of those cut it.
+// some of those cut it. Of the tested planes that did not cut, the box of
+// the cell's live vertices rejected some before any vertex was evaluated.
 type KernelCounts struct {
-	Shells   int64 // grid shells visited
-	Gathered int64 // points whose distance to the site was measured
-	Sorted   int64 // of those, inside the cutting range at shell entry
-	Ordered  int64 // of those, put in order: the buckets reached, or whole small shells
-	Tested   int64 // bisector planes tested against the cell
-	Cut      int64 // planes that changed the cell
-	Culled   int64 // cells whose sweep stopped at a proven early cull
+	Shells       int64 // grid shells visited
+	Gathered     int64 // points whose distance to the site was measured
+	Sorted       int64 // of those, inside the cutting range at shell entry
+	Ordered      int64 // of those, put in order: the buckets reached, or whole small shells
+	Tested       int64 // bisector planes tested against the cell
+	Cut          int64 // planes that changed the cell
+	Boxed        int64 // tested planes the live vertices' box proved to miss
+	Culled       int64 // cells whose sweep stopped at a proven early cull
+	VolumeChecks int64 // current-cell volumes the cull exit evaluated
 }
 
 // Add accumulates o into k.
@@ -55,15 +58,17 @@ func (k *KernelCounts) Add(o KernelCounts) {
 	k.Ordered += o.Ordered
 	k.Tested += o.Tested
 	k.Cut += o.Cut
+	k.Boxed += o.Boxed
 	k.Culled += o.Culled
+	k.VolumeChecks += o.VolumeChecks
 }
 
 // TakeCounts returns the funnel counts accumulated since the previous call
 // and resets them.
 func (s *Scratch) TakeCounts() KernelCounts {
 	k := s.counts
-	k.Ordered = s.q.ordered
-	s.counts, s.q.ordered = KernelCounts{}, 0
+	k.Ordered, k.Boxed = s.q.ordered, s.sw.boxed
+	s.counts, s.q.ordered, s.sw.boxed = KernelCounts{}, 0, 0
 	return k
 }
 

@@ -46,6 +46,20 @@ type sweep struct {
 	// cut keeps the vertex order it started with.
 	cuts int
 
+	// The box reject. After two planes in a row missed the cell, the
+	// bounding box of the live vertices (centre bc, half-extents bh) is
+	// built, and every later plane is tested against it before any vertex
+	// is evaluated; the next cut drops it. boxed counts the planes it
+	// rejected, for KernelCounts.Boxed.
+	misses int
+	hasBox bool
+	bc, bh geom.Vec3
+	boxed  int64
+
+	// The ball and the volume at the cull exit's last volume evaluation,
+	// which gate the next one (provenCull); volBall is 0 before the first.
+	volBall, volLast float64
+
 	// Crossing registry of the current cut: clipped edge (lo, hi vertex
 	// index) -> the intersection vertex it produced, shared by the two
 	// faces adjoining the edge. A linear scan replaces a map: a convex cell
@@ -100,7 +114,7 @@ func (w *sweep) reset(site geom.Vec3, eps float64) {
 	w.site, w.eps = site, eps
 	w.verts, w.r2 = w.verts[:0], w.r2[:0]
 	w.loops, w.faces = w.loops[:0], w.faces[:0]
-	w.cuts = 0
+	w.cuts, w.misses, w.hasBox, w.volBall = 0, 0, false, 0
 }
 
 func (w *sweep) addVertex(v geom.Vec3) int {
@@ -150,18 +164,67 @@ func (w *sweep) hasWall() bool {
 	return false
 }
 
+// volume is Cell.Volume of the cell as it stands: the same fan from the
+// site over the same loops, so the finished cell gives the same bits.
+func (w *sweep) volume() float64 {
+	var vol float64
+	for _, f := range w.faces {
+		loop := w.loops[f.start:f.end]
+		for i := 1; i+1 < len(loop); i++ {
+			vol += geom.Orient3DVal(w.site, w.verts[loop[0]], w.verts[loop[i]], w.verts[loop[i+1]])
+		}
+	}
+	return math.Abs(vol) / 6
+}
+
+// buildBox sets bc and bh to the bounding box of the live vertices, which
+// must not be empty.
+func (w *sweep) buildBox() {
+	lo := w.verts[w.live[0]]
+	hi := lo
+	for _, vi := range w.live[1:] {
+		v := w.verts[vi]
+		lo.X, hi.X = min(lo.X, v.X), max(hi.X, v.X)
+		lo.Y, hi.Y = min(lo.Y, v.Y), max(hi.Y, v.Y)
+		lo.Z, hi.Z = min(lo.Z, v.Z), max(hi.Z, v.Z)
+	}
+	w.bc, w.bh, w.hasBox = lo.Mid(hi), hi.Sub(lo).Scale(0.5), true
+}
+
+// boxMiss reports whether no live vertex can evaluate above eps on pl: the
+// plane's value at the box corner farthest along its normal, plus a margin,
+// is at most eps. The margin is 1e-12 of the magnitudes that value is
+// summed from, thousands of times the rounding of the bound and of any
+// vertex's evaluation (with or without fused multiply-adds), and of the
+// box's own centre and half-extents.
+func (w *sweep) boxMiss(pl geom.Plane) bool {
+	n, c, h := pl.N, w.bc, w.bh
+	ax, ay, az := math.Abs(n.X), math.Abs(n.Y), math.Abs(n.Z)
+	top := n.Dot(c) + pl.D + ax*h.X + ay*h.Y + az*h.Z
+	mag := ax*(math.Abs(c.X)+h.X) + ay*(math.Abs(c.Y)+h.Y) + az*(math.Abs(c.Z)+h.Z) + math.Abs(pl.D)
+	return top+1e-12*mag <= w.eps
+}
+
 // clip cuts away the positive half-space of pl, recording neighborID on the
 // new face, and reports whether the plane changed the cell. A plane whose
 // positive side contains the whole cell empties it.
 //
-// Only the live vertices are evaluated; a face whose vertices are all
-// strictly inside keeps its arena range, and a touched face is walked onto
-// the arena's tail: vertices with d <= eps survive, a strict crossing
-// inserts the edge's intersection vertex (computed once, in the direction
-// the first of the two adjoining faces meets it), and everything on the
-// plane is collected, in discovery order, into the new face.
+// A plane the live vertices' box proves to miss (boxMiss) is rejected
+// before any vertex is evaluated. Otherwise only the live vertices are
+// evaluated; a face whose vertices are all strictly inside keeps its arena
+// range, and a touched face is walked onto the arena's tail: vertices with
+// d <= eps survive, a strict crossing inserts the edge's intersection
+// vertex (computed once, in the direction the first of the two adjoining
+// faces meets it), and everything on the plane is collected, in discovery
+// order, into the new face. The rebuilt loop holds no repeats: a kept
+// vertex is a distinct old index, a crossing vertex is new and there is
+// one per edge, and the cut face comes from addCut's duplicate-free set.
 func (w *sweep) clip(pl geom.Plane, neighborID int64) bool {
 	if len(w.live) == 0 {
+		return false
+	}
+	if w.hasBox && w.boxMiss(pl) {
+		w.boxed++
 		return false
 	}
 	if cap(w.dist) < len(w.verts) {
@@ -179,9 +242,13 @@ func (w *sweep) clip(pl geom.Plane, neighborID int64) bool {
 		}
 	}
 	if !anyOut {
+		if w.misses++; w.misses == 2 {
+			w.buildBox()
+		}
 		return false
 	}
 	w.cuts++
+	w.misses, w.hasBox = 0, false
 	if !anyIn {
 		w.faces, w.live, w.maxR2 = w.faces[:0], w.live[:0], 0
 		return true
@@ -231,9 +298,7 @@ func (w *sweep) clip(pl geom.Plane, neighborID int64) bool {
 			}
 			cur = nxt
 		}
-		n := len(dedupeLoop(w.loops[start:]))
-		if n >= 3 {
-			w.loops = w.loops[:start+n]
+		if n := len(w.loops) - start; n >= 3 {
 			w.faces[nf] = faceRec{neighbor: f.neighbor, start: start, end: start + n}
 			nf++
 		} else {
@@ -370,23 +435,6 @@ func (w *sweep) finishOwned(c *Cell) {
 		nl += f.end - f.start
 	}
 	w.finish(c, make([]geom.Vec3, 0, nv), make([]Face, 0, len(w.faces)), make([]int, 0, nl))
-}
-
-// dedupeLoop removes consecutive duplicate indices (including wraparound).
-func dedupeLoop(loop []int) []int {
-	if len(loop) < 2 {
-		return loop
-	}
-	out := loop[:0]
-	for i, v := range loop {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	for len(out) > 1 && out[0] == out[len(out)-1] {
-		out = out[:len(out)-1]
-	}
-	return out
 }
 
 // addCut records vi as lying on the cut plane, ignoring duplicates. The

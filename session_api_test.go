@@ -248,15 +248,19 @@ func TestDensityRejectsNonFinitePad(t *testing.T) {
 }
 
 // The public defaults no longer run Quickhull over every kept cell, and
-// nothing downstream can tell: on the 24^3 halo mock with a volume cull —
-// where the hull volume used to decide the cut — counts and per-block bytes
-// equal an explicit HullPass run's, at under a quarter of its allocations.
+// nothing downstream can tell: on the 24^3 halo mock with a volume cull
+// at both ends — where the hull volume used to decide the cut — counts and
+// per-block bytes equal an explicit HullPass run's, at under a quarter of
+// its allocations. The kernel proves every cell below MinVolume culled
+// before its volume is computed, so the cells culled by volume are the
+// ones above MaxVolume.
 func TestPublicDefaultsSkipQuickhull(t *testing.T) {
 	cp := cosmo.DefaultClusterParams()
 	cp.Seed = 7
 	ps := ParticlesFromPositions(cosmo.ClusteredPositions(24*24*24, 24, cp))
 	cfg := NewPeriodicConfig(24, WithDecomposition(DecomposeRCB))
 	cfg.MinVolume = 0.1
+	cfg.MaxVolume = 4
 	hull := cfg
 	hull.HullPass = true
 
