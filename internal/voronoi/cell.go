@@ -58,12 +58,18 @@ type Cell struct {
 func (c *Cell) Volume() float64 {
 	var vol float64
 	for _, f := range c.Faces {
-		for i := 1; i+1 < len(f.Loop); i++ {
-			vol += geom.Orient3DVal(c.Site,
-				c.Verts[f.Loop[0]], c.Verts[f.Loop[i]], c.Verts[f.Loop[i+1]])
-		}
+		vol = addFan(vol, c.Site, c.Verts, f.Loop)
 	}
 	return math.Abs(vol) / 6
+}
+
+// addFan adds to vol six times the signed volume of the fan from site over
+// loop: Volume and the sweep's volume share it, so they agree to the bit.
+func addFan(vol float64, site geom.Vec3, verts []geom.Vec3, loop []int) float64 {
+	for i := 1; i+1 < len(loop); i++ {
+		vol += geom.Orient3DVal(site, verts[loop[0]], verts[loop[i]], verts[loop[i+1]])
+	}
+	return vol
 }
 
 // Area returns the total surface area of the cell. The triangle fan per

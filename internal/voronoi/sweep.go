@@ -169,10 +169,7 @@ func (w *sweep) hasWall() bool {
 func (w *sweep) volume() float64 {
 	var vol float64
 	for _, f := range w.faces {
-		loop := w.loops[f.start:f.end]
-		for i := 1; i+1 < len(loop); i++ {
-			vol += geom.Orient3DVal(w.site, w.verts[loop[0]], w.verts[loop[i]], w.verts[loop[i+1]])
-		}
+		vol = addFan(vol, w.site, w.verts, w.loops[f.start:f.end])
 	}
 	return math.Abs(vol) / 6
 }
