@@ -172,10 +172,8 @@ func clipCellShells(cell *Cell, ix *Index, initBox geom.Box, minVolume float64, 
 // volume's rounding as well.
 //
 // The ball decides for free. The O(F·V) volume is evaluated, and counted
-// in VolumeChecks, only when the ball is within a factor 64 of minVolume,
-// and, after an evaluation that proved nothing, only once the ball has
-// shrunk enough to bring that volume, scaled with it, below twice
-// minVolume. Skipping an evaluation can only let the sweep run on.
+// in VolumeChecks, only when the ball is within a factor 64 of minVolume.
+// Skipping an evaluation can only let the sweep run on.
 func (w *sweep) provenCull(maxR, minVolume, lastReach float64, kc *KernelCounts) bool {
 	ball := 4 * math.Pi / 3 * w.maxR2 * maxR
 	if ball >= 64*minVolume || !w.complete(lastReach, pruneSlack) {
@@ -185,13 +183,8 @@ func (w *sweep) provenCull(maxR, minVolume, lastReach float64, kc *KernelCounts)
 	if ball+slack < minVolume {
 		return true
 	}
-	if w.volBall > 0 && ball*w.volLast >= 2*minVolume*w.volBall {
-		return false
-	}
 	kc.VolumeChecks++
-	vol := w.volume()
-	w.volBall, w.volLast = ball, vol
-	return vol+slack < minVolume
+	return w.volume()+slack < minVolume
 }
 
 // ComputePeriodic computes the full periodic Voronoi tessellation of the

@@ -56,10 +56,6 @@ type sweep struct {
 	bc, bh geom.Vec3
 	boxed  int64
 
-	// The ball and the volume at the cull exit's last volume evaluation,
-	// which gate the next one (provenCull); volBall is 0 before the first.
-	volBall, volLast float64
-
 	// Crossing registry of the current cut: clipped edge (lo, hi vertex
 	// index) -> the intersection vertex it produced, shared by the two
 	// faces adjoining the edge. A linear scan replaces a map: a convex cell
@@ -114,7 +110,7 @@ func (w *sweep) reset(site geom.Vec3, eps float64) {
 	w.site, w.eps = site, eps
 	w.verts, w.r2 = w.verts[:0], w.r2[:0]
 	w.loops, w.faces = w.loops[:0], w.faces[:0]
-	w.cuts, w.misses, w.hasBox, w.volBall = 0, 0, false, 0
+	w.cuts, w.misses, w.hasBox = 0, 0, false
 }
 
 func (w *sweep) addVertex(v geom.Vec3) int {
