@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -89,7 +88,8 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 // its Volume and by its hull volume, and every other cell is bit-identical
 // to the full sweep's. The pipeline over the same blocks then counts what
 // the full sweeps predict, with KeepIncomplete off on the grid and on
-// under RCB: a stopped sweep is culled early, and the kept, incomplete and
+// under RCB: a stopped sweep is culled early, every other cell below
+// MinVolume is culled by its exact volume, and the kept, incomplete and
 // culled totals are those of sweeps run to the end. kernel-culled is the
 // number of stopped sweeps. The small ghost and the bounded domain leave
 // small cells against a wall or short of their security radius when the
@@ -145,9 +145,6 @@ func checkCullExit(t *testing.T, name string, cfg Config, ps []diy.Particle) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dc := math.Cbrt(6 * cfg.MinVolume / math.Pi)
-	diamCut2 := dc * dc
-
 	var mu sync.Mutex
 	var stoppedAll, incomplete int
 	var wg sync.WaitGroup
@@ -191,12 +188,9 @@ func checkCullExit(t *testing.T, name string, cfg Config, ps []diy.Particle) {
 						continue
 					}
 				}
-				switch {
-				case diameterBelow(b, diamCut2):
-					want.CulledEarly++
-				case b.Volume() < cfg.MinVolume:
+				if b.Volume() < cfg.MinVolume {
 					want.CulledExact++
-				default:
+				} else {
 					want.Kept++
 				}
 			}

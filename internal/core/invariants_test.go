@@ -179,7 +179,8 @@ func TestRunRecorderSnapshot(t *testing.T) {
 // and is cut by at least the planes that became its faces, and the counts
 // are a function of the input alone — the same whatever the worker fan-out.
 // With a volume cut, kernel-culled counts the sweeps stopped at a proven
-// early cull, each one of the step's early-culled cells; without one, none.
+// early cull, which are exactly the step's early-culled cells; without one,
+// none.
 // kernel-boxed counts planes that were tested and did not cut, and it and
 // kernel-volume-checks are as much a function of the input as the rest.
 func TestKernelCountersFunnel(t *testing.T) {
@@ -227,7 +228,7 @@ func TestKernelCountersFunnel(t *testing.T) {
 				}
 			}
 			culled := c[CounterKernelCulled][0] + c[CounterKernelCulled][1]
-			if minVolume > 0 && (culled == 0 || culled > out.Counts.CulledEarly) || minVolume == 0 && culled != 0 {
+			if minVolume > 0 && (culled == 0 || culled != out.Counts.CulledEarly) || minVolume == 0 && culled != 0 {
 				t.Errorf("min volume %g workers %d: kernel-culled %d, %d culled early", minVolume, workers, culled, out.Counts.CulledEarly)
 			}
 			if vols := c[CounterKernelVolumes][0] + c[CounterKernelVolumes][1]; minVolume == 0 && vols != 0 {

@@ -108,6 +108,14 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 	if reach := GhostCeiling(cfg); cfg.GhostSize > reach {
 		return nil, fmt.Errorf("core: ghost size %g exceeds the link reach %g (use a smaller ghost)", cfg.GhostSize, reach)
 	}
+	// A negative volume cull would silently be off, and a max at or below
+	// the min would cull every cell.
+	if !(cfg.MinVolume >= 0 && cfg.MaxVolume >= 0) { // also rejects NaN
+		return nil, fmt.Errorf("core: volume cull min %g max %g, want >= 0 (0 = off)", cfg.MinVolume, cfg.MaxVolume)
+	}
+	if cfg.MinVolume > 0 && cfg.MaxVolume > 0 && cfg.MaxVolume <= cfg.MinVolume {
+		return nil, fmt.Errorf("core: max volume %g is not above min volume %g (every cell would be culled)", cfg.MaxVolume, cfg.MinVolume)
+	}
 	// A grid is fixed by the config; an RCB session cuts its decomposition
 	// from its first step's particles (stage), or a resume replays it.
 	var d *diy.Decomposition

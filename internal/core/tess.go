@@ -416,18 +416,6 @@ func resizeZeroed[T any](s []T, n int) []T {
 func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, workers int, cb *computeBuffers) (*BlockResult, error) {
 	ix, initBox := bi.ix, bi.initBox
 
-	// Early-cull diameter bound: a convex cell with diameter d has volume
-	// at most that of the ball with diameter d (isodiametric inequality),
-	// so any cell whose squared diameter is below diamCut2 is safely below
-	// MinVolume. Comparing squared distances skips a per-cell sqrt. The
-	// kernel gets MinVolume itself, and stops a sweep as soon as it proves
-	// the cell complete and below it.
-	diamCut2 := 0.0
-	if cfg.MinVolume > 0 {
-		dc := math.Cbrt(6 * cfg.MinVolume / math.Pi)
-		diamCut2 = dc * dc
-	}
-
 	n := len(local)
 	workers = voronoi.PoolWorkers(workers, n)
 	chunk := voronoi.ChunkSize(n, workers)
@@ -447,7 +435,11 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 				errs[i] = fmt.Errorf("core: cell for particle %d: %w", p.ID, err)
 				continue
 			}
-			if cell == nil { // the sweep stopped at a proven step-3(c) cull
+			// Step 3(c) is decided twice at most: the kernel, given
+			// MinVolume, stops a sweep once it proves the cell complete
+			// and below it (a nil cell), and a finished cell is culled by
+			// its clip or hull volume below.
+			if cell == nil {
 				counts.CulledEarly++
 				continue
 			}
@@ -456,11 +448,6 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 				if !cfg.KeepIncomplete {
 					continue
 				}
-			}
-			// Step 3(c): conservative early cull before any exact geometry.
-			if diamCut2 > 0 && diameterBelow(cell, diamCut2) {
-				counts.CulledEarly++
-				continue
 			}
 			// The clipping-derived volume is the mesh's; the cull may
 			// decide on the hull's instead.
@@ -506,40 +493,6 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 	}
 	mesh := cb.mb.Stitch(cb.frags[:chunks], bi.bounds)
 	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts, Kernel: kernel}, nil
-}
-
-// diameterBelow reports whether cellDiameter2(c) < cut2, deciding from two
-// O(V) bounds where they suffice and scanning the O(V^2) pairs only in
-// between. Any two vertices are within twice the largest site-vertex
-// distance of each other, so a cell that small is below the cutoff (the
-// 1e-12 margin covers the rounding of both sides; the bound can never cull
-// a cell the scan would keep); and the distances from vertex 0 are pairs of
-// the scan, so one of them at the cutoff already settles it the other way.
-func diameterBelow(c *voronoi.Cell, cut2 float64) bool {
-	var r2, from0 float64
-	for _, v := range c.Verts {
-		r2 = math.Max(r2, v.Dist2(c.Site))
-		from0 = math.Max(from0, c.Verts[0].Dist2(v))
-	}
-	if 4*r2*(1+1e-12) < cut2 {
-		return true
-	}
-	if from0 >= cut2 {
-		return false
-	}
-	return cellDiameter2(c) < cut2
-}
-
-// cellDiameter2 returns the maximum squared pairwise vertex distance, for
-// comparison against a squared cutoff without the sqrt.
-func cellDiameter2(c *voronoi.Cell) float64 {
-	var m float64
-	for i := 0; i < len(c.Verts); i++ {
-		for j := i + 1; j < len(c.Verts); j++ {
-			m = math.Max(m, c.Verts[i].Dist2(c.Verts[j]))
-		}
-	}
-	return m
 }
 
 // stepTotals is what the ranks of a step agree on at its end. It travels

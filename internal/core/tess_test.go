@@ -507,30 +507,6 @@ func TestAutoRunStopsAtMaxGhost(t *testing.T) {
 	_ = out
 }
 
-// The O(V) bounds in front of the early cull's pairwise scan must decide
-// exactly as the scan alone does, for every cell and any cutoff — at, just
-// above and well to either side of the cell's own diameter.
-func TestDiameterBelowMatchesPairwiseScan(t *testing.T) {
-	ps := clusteredParticles(t, 1500, 12, 7)
-	pts := make([]geom.Vec3, len(ps))
-	ids := make([]int64, len(ps))
-	for i, p := range ps {
-		pts[i], ids[i] = p.Pos, p.ID
-	}
-	cells, err := voronoi.ComputePeriodic(pts, ids, 12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		d2 := cellDiameter2(c)
-		for _, cut2 := range []float64{0.3, d2, math.Nextafter(d2, math.Inf(1)), 0.5 * d2, 1.5 * d2, 3.9 * d2, 4.1 * d2} {
-			if got, want := diameterBelow(c, cut2), d2 < cut2; got != want {
-				t.Fatalf("cell %d (diameter^2 %v): diameterBelow(%v) = %v, pairwise scan says %v", c.SiteID, d2, cut2, got, want)
-			}
-		}
-	}
-}
-
 // One Allreduce of stepTotals gives what the four scalar timing reductions
 // and the two count reductions gave (Total is summed after the reduction).
 func TestStepTotalsMatchScalarReductions(t *testing.T) {

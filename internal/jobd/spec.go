@@ -230,6 +230,13 @@ func (s *JobSpec) Validate(limits Limits) error {
 		return badSpec("ghost = %g exceeds the link reach %g, half the side-%g cube (use a smaller ghost)",
 			cfg.GhostSize, reach, s.domainL())
 	}
+	// The session refuses these too, but only once a worker opens it.
+	if !(s.MinVolume >= 0 && s.MaxVolume >= 0) {
+		return badSpec("min_volume = %g, max_volume = %g, want >= 0 (0 = off)", s.MinVolume, s.MaxVolume)
+	}
+	if s.MinVolume > 0 && s.MaxVolume > 0 && s.MaxVolume <= s.MinVolume {
+		return badSpec("max_volume = %g is not above min_volume = %g (every cell would be culled)", s.MaxVolume, s.MinVolume)
+	}
 	var nmax int
 	for i, snap := range s.Snapshots {
 		if len(snap) == 0 {

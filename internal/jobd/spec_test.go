@@ -105,6 +105,13 @@ func TestSpecValidate(t *testing.T) {
 			s.Ghost = math.Nextafter(linkReach(s), math.Inf(1))
 		}, open: true},
 		{name: "negative ghost", mutate: func(s *JobSpec) { s.Ghost = -1 }},
+		// A volume cull the session would refuse, or run as off or as a
+		// cull of every cell, is refused up front.
+		{name: "negative min volume", mutate: func(s *JobSpec) { s.MinVolume = -1 }, open: true},
+		{name: "negative max volume", mutate: func(s *JobSpec) { s.MaxVolume = -1 }, open: true},
+		{name: "max volume at min volume", mutate: func(s *JobSpec) { s.MinVolume, s.MaxVolume = 1, 1 }, open: true},
+		{name: "max volume below min volume", mutate: func(s *JobSpec) { s.MinVolume, s.MaxVolume = 1, 0.5 }, open: true},
+		{name: "min and max volume", mutate: func(s *JobSpec) { s.MinVolume, s.MaxVolume = 0.1, 4 }, wantOK: true, open: true},
 		{name: "default ghost beyond rcb's half cube", mutate: func(s *JobSpec) {
 			s.L, s.Decomposition = 6, "rcb"
 			s.Snapshots[0][2] = [3]float64{5, 5, 5}
