@@ -82,9 +82,12 @@ race:
 # decoder reads outside input through, the Bowyer-Watson builder and
 # DTFE estimator whose exact tet order the density grid bytes follow, and
 # the clipping kernel and mesh builder every production byte flows through
-# (a rewritten sweep or weld table cannot shed the tests that pin it), and
-# the void finder behind a benchmark workload and Fig. 7 and 9's numbers.
-COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire ./internal/delaunay ./internal/dtfe ./internal/voronoi ./internal/meshio ./internal/voids
+# (a rewritten sweep or weld table cannot shed the tests that pin it), the
+# void finder behind a benchmark workload and Fig. 7 and 9's numbers, and
+# the per-rank pipeline and session every production byte flows through,
+# which hold the cull oracle and the kernel funnel pins (core's tests take
+# about 100 s of the floor's time).
+COVER_PKGS  = ./internal/obs ./internal/comm ./internal/diy ./internal/jobd ./internal/density ./internal/storage ./internal/wire ./internal/delaunay ./internal/dtfe ./internal/voronoi ./internal/meshio ./internal/voids ./internal/core
 COVER_FLOOR = 70
 
 cover:

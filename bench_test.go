@@ -53,7 +53,9 @@ func benchConfig() Config {
 }
 
 // BenchmarkAblationEarlyCull compares the pipeline with and without the
-// conservative circumscribing-sphere pre-cull (paper step 3c).
+// kernel's proven cull exit (paper step 3c): with MinVolume set, a sweep
+// stops once it proves its cell complete and below it; without, every
+// sweep runs to the end and the cells are filtered afterwards.
 func BenchmarkAblationEarlyCull_On(b *testing.B)  { benchEarlyCull(b, true) }
 func BenchmarkAblationEarlyCull_Off(b *testing.B) { benchEarlyCull(b, false) }
 

@@ -54,7 +54,10 @@ func KnownAnalyses() []string { return cosmotools.KnownAnalyses() }
 // estimate based on the mean interparticle spacing. Each attempt is one session-backed pass (the ghost size, and
 // with it the exchange geometry, changes between attempts, so attempts
 // cannot share a session); cfg.Workers and opts apply to each attempt
-// exactly as in Run.
+// exactly as in Run. A cell flagged complete is not proven right: cells
+// next to the edge of the ghost zone have been found complete and wrong
+// at small ghosts and on a clustered input under the public defaults
+// (ROADMAP item 2), and the loop does not grow the ghost for them.
 func AutoTessellate(cfg Config, particles []Particle, numBlocks int, opts ...StepOption) (*Output, float64, error) {
 	return core.AutoRun(cfg, particles, numBlocks, opts...)
 }

@@ -42,9 +42,13 @@ func GhostCeiling(cfg Config) float64 {
 // output of the final attempt and the ghost size that produced it. Every
 // attempt writes where opts say, so the last one's file is what remains.
 //
-// The retry loop is safe because incomplete cells are detected, never
-// silently wrong: an insufficient ghost manifests as Counts.Incomplete > 0.
-// Cells deleted by the volume thresholds do not trigger retries.
+// An insufficient ghost shows as Counts.Incomplete > 0, which is what the
+// retry loop grows the ghost on. Cells deleted by the volume thresholds do
+// not trigger retries. The loop cannot see every wrong cell: Complete
+// does not compare a cell with the edge of the ghost zone, and cells
+// flagged Complete have been found wrong at ghosts 0-1 on 32^3 N-body
+// steps and under the public defaults on a clustered 24^3 halo mock
+// (ROADMAP item 2).
 func AutoRun(cfg Config, particles []diy.Particle, numBlocks int, opts ...StepOption) (*Output, float64, error) {
 	if cfg.GhostSize <= 0 {
 		g, err := EstimateGhost(cfg, len(particles))

@@ -12,11 +12,11 @@
 //     bound — the clipping sweep itself stops at the first cut that proves
 //     a cell complete and below the threshold, by the ball around its site
 //     or by the volume of the cell as it stands (clipping only removes
-//     volume), so such a cell is never finished; a finished cell is culled
-//     by a circumscribing-sphere bound on its diameter; (d) order cell
-//     vertices into faces and compute volume and surface area (optionally
+//     volume), so such a cell is never finished; (d) order cell vertices
+//     into faces and compute volume and surface area (optionally
 //     re-deriving them through the Quickhull engine, the paper's step);
-//     (e) delete any other cells outside the volume thresholds;
+//     (e) delete any other cells outside the volume thresholds, by the
+//     finished cell's clip or hull volume;
 //  4. write local sites and cells collectively to storage.
 //
 // Each phase is timed separately, which is what populates Table II and the
@@ -226,8 +226,8 @@ type Timing struct {
 type CellCounts struct {
 	Sites       int64 // local sites tessellated
 	Incomplete  int64 // deleted as incomplete (or kept if KeepIncomplete)
-	CulledEarly int64 // deleted by a bound before the finished cell's volume was computed
-	CulledExact int64 // deleted by the finished cell's exact or hull volume, MaxVolume included
+	CulledEarly int64 // deleted by the kernel's proven exit: the sweep stopped, no cell was finished
+	CulledExact int64 // deleted by the finished cell's clip or hull volume, MaxVolume included
 	Kept        int64 // cells in the output
 }
 
@@ -435,10 +435,9 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 				errs[i] = fmt.Errorf("core: cell for particle %d: %w", p.ID, err)
 				continue
 			}
-			// Step 3(c) is decided twice at most: the kernel, given
-			// MinVolume, stops a sweep once it proves the cell complete
-			// and below it (a nil cell), and a finished cell is culled by
-			// its clip or hull volume below.
+			// The kernel, given MinVolume, stops a sweep once it proves
+			// the cell complete and below it (step 3(c)); every other
+			// cell is culled by its finished volume below.
 			if cell == nil {
 				counts.CulledEarly++
 				continue

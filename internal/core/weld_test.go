@@ -33,7 +33,7 @@ func exchangedBlocks(t testing.TB, cfg Config, ps []diy.Particle, blocks int) (*
 
 // serialWeld is the mesh the streamed weld must reproduce: every local
 // cell built through ComputeCellScratch, kept by the pipeline's rules
-// (the diameter pre-cull only removes cells the exact test removes too),
+// (the kernel's cull exit only stops cells the exact test removes too),
 // and welded by one MeshBuilder.Build in site order.
 func serialWeld(t testing.TB, cfg Config, rs *rankState, local []diy.Particle) *meshio.BlockMesh {
 	t.Helper()

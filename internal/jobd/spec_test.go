@@ -105,8 +105,9 @@ func TestSpecValidate(t *testing.T) {
 			s.Ghost = math.Nextafter(linkReach(s), math.Inf(1))
 		}, open: true},
 		{name: "negative ghost", mutate: func(s *JobSpec) { s.Ghost = -1 }},
-		// A volume cull the session would refuse, or run as off or as a
-		// cull of every cell, is refused up front.
+		// A negative volume cull would run as off, and a max at or below
+		// the min would cull every cell: both are refused, here and by
+		// the session.
 		{name: "negative min volume", mutate: func(s *JobSpec) { s.MinVolume = -1 }, open: true},
 		{name: "negative max volume", mutate: func(s *JobSpec) { s.MaxVolume = -1 }, open: true},
 		{name: "max volume at min volume", mutate: func(s *JobSpec) { s.MinVolume, s.MaxVolume = 1, 1 }, open: true},
