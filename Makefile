@@ -3,8 +3,8 @@
 # gofmt over the whole tree, the repo's own static analyzers (cmd/tesslint), the import and cmd/
 # layout guards, the whole test suite under the race detector (which holds
 # the fault-containment, checkpoint and daemon e2e suites — each test runs
-# once), the coverage floor, the fuzz seed corpora, the bench module and a
-# Table II smoke run, so
+# once), the coverage floor, the fuzz seed corpora, the bench module, a
+# Table II smoke run and one pass of the kernel benchmark, so
 # the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
 # (abort, watchdog, crash containment) are checked on every run.
@@ -16,7 +16,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke check bench bench-stack loc
+.PHONY: build test vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -122,7 +122,13 @@ bench-module:
 tessbench-smoke:
 	$(GO) run ./cmd/tessbench -sizes 8 -procs 1,2,27 -steps 2 -datamodel -comm > /dev/null
 
-check: vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke
+# The clipping kernel's one-minute check (BenchmarkKernelStream, one pass
+# of each input) must run to the end, so that it cannot rot between the
+# changes that quote it.
+kernel-bench-smoke:
+	$(GO) test -run '^$$' -bench KernelStream -benchtime 1x ./internal/voronoi > /dev/null
+
+check: vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts, and the
 # clipping kernel alone (ns/cell and the candidate funnel per cell on the

@@ -78,6 +78,14 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 	if ordered != 1288605 {
 		t.Errorf("kernel-ordered=%d, want 1288605", ordered)
 	}
+	// The vertices the cuts ordered into new faces, 4.47 per cut.
+	var looped int64
+	for _, n := range out.Obs.Counters[CounterKernelLooped] {
+		looped += n
+	}
+	if looped != 856222 {
+		t.Errorf("kernel-looped=%d, want 856222", looped)
+	}
 }
 
 // The cull exit is an oracle-checked shortcut: on every site of the halo

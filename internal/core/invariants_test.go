@@ -183,6 +183,8 @@ func TestRunRecorderSnapshot(t *testing.T) {
 // none.
 // kernel-boxed counts planes that were tested and did not cut, and it and
 // kernel-volume-checks are as much a function of the input as the rest.
+// So is kernel-looped, the vertices ordered into cut faces: every face of
+// a kept cell was ordered as a cut face of three vertices or more.
 func TestKernelCountersFunnel(t *testing.T) {
 	const L = 8.0
 	const blocks = 2
@@ -222,6 +224,10 @@ func TestKernelCountersFunnel(t *testing.T) {
 							funnel[i], c[funnel[i]][rank], funnel[i-1], c[funnel[i-1]][rank])
 					}
 				}
+				if looped := c[CounterKernelLooped][rank]; looped < 3*faces {
+					t.Errorf("min volume %g workers %d rank %d: %d vertices looped for %d faces",
+						minVolume, workers, rank, looped, faces)
+				}
 				if boxed, missed := c[CounterKernelBoxed][rank], c[CounterKernelTested][rank]-c[CounterKernelCut][rank]; boxed > missed {
 					t.Errorf("min volume %g workers %d rank %d: %d planes boxed of %d tested that did not cut",
 						minVolume, workers, rank, boxed, missed)
@@ -238,7 +244,7 @@ func TestKernelCountersFunnel(t *testing.T) {
 				first = c
 				continue
 			}
-			for _, name := range append(funnel, CounterKernelBoxed, CounterKernelCulled, CounterKernelVolumes) {
+			for _, name := range append(funnel, CounterKernelBoxed, CounterKernelCulled, CounterKernelVolumes, CounterKernelLooped) {
 				if !reflect.DeepEqual(c[name], first[name]) {
 					t.Errorf("min volume %g: %s: %v with %d workers, %v with 1", minVolume, name, c[name], workers, first[name])
 				}

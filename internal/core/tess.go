@@ -122,8 +122,9 @@ type Config struct {
 // (voronoi.KernelCounts), summed over the rank's sites: divided by
 // CounterSites they say why a cell cost what it cost; kernel-culled counts
 // the sites whose sweep stopped at a proven early cull, kernel-boxed the
-// tested planes the live vertices' box rejected, and kernel-volume-checks
-// the current-cell volumes the cull exit evaluated. The mesh-* counters
+// tested planes the live vertices' box rejected, kernel-volume-checks
+// the current-cell volumes the cull exit evaluated, and kernel-looped the
+// vertices ordered into the cuts' new faces. The mesh-* counters
 // are the weld's: the face-vertex references of the kept cells, and the
 // distinct vertices they welded to. Both are a function of the input
 // alone; the stitch's own table probes depend on how the sites were
@@ -141,6 +142,7 @@ const (
 	CounterKernelCulled   = "kernel-culled"
 	CounterKernelBoxed    = "kernel-boxed"
 	CounterKernelVolumes  = "kernel-volume-checks"
+	CounterKernelLooped   = "kernel-looped"
 	CounterMeshVertexRefs = "mesh-vertex-refs"
 	CounterMeshVerts      = "mesh-verts-welded"
 )
@@ -188,6 +190,7 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 		namedCount{CounterKernelCulled, k.Culled},
 		namedCount{CounterKernelBoxed, k.Boxed},
 		namedCount{CounterKernelVolumes, k.VolumeChecks},
+		namedCount{CounterKernelLooped, k.Looped},
 		namedCount{CounterMeshVertexRefs, refs},
 		namedCount{CounterMeshVerts, verts},
 	)

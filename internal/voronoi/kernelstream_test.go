@@ -150,7 +150,8 @@ func TestComputeCellReusedWarmZeroAllocs(t *testing.T) {
 // it: ComputeCellReused through one warm Scratch over every site of a whole
 // periodic input indexed with a ghost of 4, on the halo mock and the N-body
 // snapshot of kernelClouds, with the early cull and without it. It reports
-// ns/cell and the candidate funnel per cell. It is a minute's check for a
+// ns/cell, the candidate funnel per cell and the vertices ordered into cut
+// faces per cell. It is a minute's check for a
 // kernel change; a claim on the stack benchmark still needs paired runs.
 //
 //	go test -run '^$' -bench KernelStream -benchtime 2x ./internal/voronoi
@@ -184,7 +185,7 @@ func BenchmarkKernelStream(b *testing.B) {
 				}{
 					{k.Shells, "shells/cell"}, {k.Gathered, "gathered/cell"}, {k.Sorted, "sorted/cell"},
 					{k.Ordered, "ordered/cell"}, {k.Tested, "tested/cell"}, {k.Cut, "cut/cell"},
-					{k.Boxed, "boxed/cell"}, {k.VolumeChecks, "volchecks/cell"},
+					{k.Boxed, "boxed/cell"}, {k.VolumeChecks, "volchecks/cell"}, {k.Looped, "looped/cell"},
 				} {
 					b.ReportMetric(float64(m.n)/cells, m.unit)
 				}

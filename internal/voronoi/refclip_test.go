@@ -11,9 +11,10 @@ import (
 )
 
 // refScratch is the clipping state the one-compaction sweep replaced, kept
-// as the oracle: ping-pong face banks, a vertex accumulation buffer and a
-// compaction after every cut. It borrows a sweep only for addCut and
-// orderLoop, which both kernels share.
+// as the oracle: ping-pong face banks, a vertex accumulation buffer, a
+// linear crossing registry, a compaction after every cut, and the cut
+// face ordered by math.Atan2 (orderLoop below). It borrows a sweep only
+// for addCut's duplicate-free cut list.
 type refScratch struct {
 	dist     []float64
 	tmpVerts []geom.Vec3
@@ -25,7 +26,64 @@ type refScratch struct {
 	crossE   [][2]int
 	crossV   []int
 	remap    []int32
+	angles   []float64
 	sw       sweep
+}
+
+// orderLoop is the sweep's ordering of a cut face before its angle keys:
+// idx sorted in place by math.Atan2(d·e2, d·e1) around the centroid, into
+// a loop whose Newell normal points along +normal.
+func (s *refScratch) orderLoop(verts []geom.Vec3, idx []int, normal geom.Vec3) {
+	n := normal.Normalize()
+	// Build an orthonormal basis (e1, e2, n).
+	var ref geom.Vec3
+	if math.Abs(n.X) < 0.9 {
+		ref = geom.Vec3{X: 1}
+	} else {
+		ref = geom.Vec3{Y: 1}
+	}
+	e1 := n.Cross(ref).Normalize()
+	e2 := n.Cross(e1) // e1 x e2 == n, so angle order is CCW viewed from +n
+
+	var c geom.Vec3
+	for _, vi := range idx {
+		c = c.Add(verts[vi])
+	}
+	c = c.Scale(1 / float64(len(idx)))
+
+	if cap(s.angles) < len(idx) {
+		s.angles = make([]float64, len(idx), 2*len(idx))
+	} else {
+		s.angles = s.angles[:len(idx)]
+	}
+	for i, vi := range idx {
+		d := verts[vi].Sub(c)
+		s.angles[i] = math.Atan2(d.Dot(e2), d.Dot(e1))
+	}
+	// Insertion sort of (angle, index) pairs: stable, so equal angles keep
+	// their order of discovery.
+	for i := 1; i < len(idx); i++ {
+		a, v := s.angles[i], idx[i]
+		j := i - 1
+		for j >= 0 && s.angles[j] > a {
+			s.angles[j+1], idx[j+1] = s.angles[j], idx[j]
+			j--
+		}
+		s.angles[j+1], idx[j+1] = a, v
+	}
+	// Fix orientation: the Newell normal must point along +n.
+	var nn geom.Vec3
+	for i := range idx {
+		p, q := verts[idx[i]], verts[idx[(i+1)%len(idx)]]
+		nn.X += (p.Y - q.Y) * (p.Z + q.Z)
+		nn.Y += (p.Z - q.Z) * (p.X + q.X)
+		nn.Z += (p.X - q.X) * (p.Y + q.Y)
+	}
+	if nn.Dot(n) < 0 {
+		for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+	}
 }
 
 // referenceBox is the reference kernel's initial box cell: the cell aliases rs.
@@ -136,7 +194,7 @@ func referenceClip(c *Cell, pl geom.Plane, neighborID int64, s *refScratch) bool
 		}
 	}
 	if len(s.sw.cut) >= 3 {
-		s.sw.orderLoop(s.tmpVerts, s.sw.cut, pl.N)
+		s.orderLoop(s.tmpVerts, s.sw.cut, pl.N)
 		start := len(arena)
 		arena = append(arena, s.sw.cut...)
 		s.metas = append(s.metas, faceRec{neighbor: neighborID, start: start, end: len(arena)})
@@ -439,6 +497,20 @@ func TestIncrementalLiveSetEqualsRescan(t *testing.T) {
 	t.Logf("%d cells, %d cuts, %d dropping faces", cells, cuts, dropping)
 }
 
+// maxSq gives the builtin max's bits on the values the live set holds —
+// +0, positive numbers, +Inf and NaN, in either argument — so the
+// incremental maxR² and the rescan's stay the number they were.
+func TestMaxSqIsMax(t *testing.T) {
+	vals := []float64{0, 5e-324, 1, 2, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for _, m := range vals {
+		for _, r := range vals {
+			if got, want := maxSq(m, r), max(m, r); math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+				t.Errorf("maxSq(%v, %v) = %v, max gives %v", m, r, got, want)
+			}
+		}
+	}
+}
+
 // fuzzPlanes decodes a plane sequence from fuzz bytes: each 13-byte record
 // is a kind and three 32-bit parameters, and the kinds are the cases the
 // two kernels could disagree on — a random bisector, an axis-aligned plane,
@@ -497,6 +569,16 @@ func fuzzPlanes(data []byte, p *sweepPair, site geom.Vec3, box geom.Box) {
 	}
 }
 
+// planeRecord is one record of fuzzPlanes: a kind and three parameters in
+// [0, 1).
+func planeRecord(kind byte, a, b, c float64) []byte {
+	rec := []byte{kind}
+	for _, x := range [...]float64{a, b, c} {
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(x*(1<<32)))
+	}
+	return rec
+}
+
 // FuzzSweepMatchesReferenceClip drives the one-compaction sweep and the
 // per-cut-compaction reference with the same site, box and plane sequence
 // and requires bit-equal cells and the same maxR after every plane.
@@ -518,6 +600,34 @@ func FuzzSweepMatchesReferenceClip(f *testing.F) {
 		69, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 0, 0,
 		2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
 	})
+	// Cuts through exact lattice vertices: axis planes at x = 1, y = 0 and
+	// z = -1 (and, around the second site, at x = -0.5, y = -1.5 and
+	// z = -2.5) leave a box with exact corners, and planes through three
+	// of its vertices then cut it with several vertices on the plane, the
+	// ties the angle keys must order as Atan2 does.
+	for _, c := range []struct {
+		site  float64
+		walls []byte
+	}{
+		{0, nil},
+		{0.4, []byte{1 | 64, 5 | 64, 9 | 64}},
+	} {
+		seed := make([]byte, 0, 12+13*11)
+		for range 3 {
+			seed = binary.LittleEndian.AppendUint32(seed, uint32(c.site*(1<<32)))
+		}
+		for _, kind := range append([]byte{1, 5, 9}, c.walls...) {
+			pos := 0.5
+			if kind&64 != 0 {
+				pos = 0.125
+			}
+			seed = append(seed, planeRecord(kind, pos, 0, 0)...)
+		}
+		for _, abc := range [][3]float64{{0, 0.26, 0.76}, {0.76, 0, 0.26}, {0.13, 0.51, 0.89}, {0.39, 0.64, 0}, {0.89, 0.26, 0.51}} {
+			seed = append(seed, planeRecord(2, abc[0], abc[1], abc[2])...)
+		}
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 12 {
 			return

@@ -37,7 +37,9 @@ type Scratch struct {
 // entered the stream, the stream put in order those it reached, those
 // still in range when their turn came were tested against the cell, and
 // some of those cut it. Of the tested planes that did not cut, the box of
-// the cell's live vertices rejected some before any vertex was evaluated.
+// the cell's live vertices rejected some before any vertex was evaluated;
+// of those that cut, most left a polygon on the plane whose vertices were
+// ordered into the new face.
 type KernelCounts struct {
 	Shells       int64 // grid shells visited
 	Gathered     int64 // points whose distance to the site was measured
@@ -48,6 +50,7 @@ type KernelCounts struct {
 	Boxed        int64 // tested planes the live vertices' box proved to miss
 	Culled       int64 // cells whose sweep stopped at a proven early cull
 	VolumeChecks int64 // current-cell volumes the cull exit evaluated
+	Looped       int64 // vertices ordered into the cut faces of the cuts
 }
 
 // Add accumulates o into k.
@@ -61,14 +64,15 @@ func (k *KernelCounts) Add(o KernelCounts) {
 	k.Boxed += o.Boxed
 	k.Culled += o.Culled
 	k.VolumeChecks += o.VolumeChecks
+	k.Looped += o.Looped
 }
 
 // TakeCounts returns the funnel counts accumulated since the previous call
 // and resets them.
 func (s *Scratch) TakeCounts() KernelCounts {
 	k := s.counts
-	k.Ordered, k.Boxed = s.q.ordered, s.sw.boxed
-	s.counts, s.q.ordered, s.sw.boxed = KernelCounts{}, 0, 0
+	k.Ordered, k.Boxed, k.Looped = s.q.ordered, s.sw.boxed, s.sw.looped
+	s.counts, s.q.ordered, s.sw.boxed, s.sw.looped = KernelCounts{}, 0, 0, 0
 	return k
 }
 

@@ -79,25 +79,28 @@ type refResult struct {
 
 // referenceCell is the sweep the pruned candidate stream replaced, kept as
 // the oracle: gather every shell whole, sort it, walk it until the first
-// candidate out of cutting range.
+// candidate out of cutting range. Its planes are cut by the reference
+// kernel of refclip_test.go, whose cut faces are ordered by math.Atan2, so
+// the comparison also holds the sweep's angle keys to Atan2's order.
 func referenceCell(r *refIndex, site geom.Vec3, id int64, initBox geom.Box) refResult {
 	ix := r.ix
-	var w sweep
-	cell := new(Cell)
-	if err := w.begin(cell, site, id, initBox); err != nil {
+	// The sweep's check that the box holds the site, and its error.
+	if err := new(sweep).begin(new(Cell), site, id, initBox); err != nil {
 		return refResult{err: err}
 	}
-	res := refResult{cell: cell}
+	var rs refScratch
+	cell := referenceBox(site, id, initBox, &rs)
+	var res refResult
 	h := ix.MinCellSize()
 	maxShell := ix.MaxShell(site)
 	secure := false
 	siteEps := 1e-12 * initBox.Size().MaxAbs()
+	maxR := cell.MaxVertexDist()
 sweep:
 	for sh := 0; sh <= maxShell; sh++ {
 		shell := r.shell(site, sh)
 		res.counts.Shells++
 		res.counts.Gathered += int64(len(shell))
-		maxR := w.maxR()
 		for _, sp := range shell {
 			if sp.Dist <= siteEps {
 				continue
@@ -106,28 +109,32 @@ sweep:
 				break
 			}
 			res.counts.Tested++
-			if w.clip(geom.Bisector(site, sp.Pos), sp.ID) {
+			if referenceClip(cell, geom.Bisector(site, sp.Pos), sp.ID, &rs) {
 				res.counts.Cut++
-				if w.empty() {
+				if len(cell.Verts) == 0 {
 					res.err = fmt.Errorf("voronoi: cell of site %v emptied by %v (duplicate points?)", site, sp.Pos)
 					break sweep
 				}
-				after := w.maxR()
+				after := cell.MaxVertexDist()
 				if after > maxR {
 					res.growthUlps = max(res.growthUlps, math.Float64bits(after)-math.Float64bits(maxR))
 				}
 				maxR = after
 			}
 		}
-		if float64(sh)*h >= 2*w.maxR() {
+		if float64(sh)*h >= 2*maxR {
 			secure = true
 			break
 		}
 	}
-	if res.err == nil {
-		cell.Complete = secure && !w.hasWall()
+	res.cell = &Cell{Site: cell.Site, SiteID: cell.SiteID, Verts: append([]geom.Vec3{}, cell.Verts...)}
+	for _, f := range cell.Faces {
+		res.cell.Faces = append(res.cell.Faces, Face{Neighbor: f.Neighbor, Loop: append([]int(nil), f.Loop...)})
+		if f.Neighbor < 0 {
+			secure = false // a wall survived
+		}
 	}
-	w.finishOwned(cell)
+	res.cell.Complete = res.err == nil && secure
 	return res
 }
 

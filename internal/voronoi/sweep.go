@@ -56,17 +56,24 @@ type sweep struct {
 	bc, bh geom.Vec3
 	boxed  int64
 
-	// Crossing registry of the current cut: clipped edge (lo, hi vertex
-	// index) -> the intersection vertex it produced, shared by the two
-	// faces adjoining the edge. A linear scan replaces a map: a convex cell
-	// crosses the plane in a small cycle of edges.
-	crossE [][2]int
-	crossV []int
+	// Crossing registry of the current cut: the intersection vertex of
+	// each strictly crossing edge, shared by the two faces adjoining the
+	// edge, filed under the edge's inside vertex. xhead[v] is the first
+	// record of v's crossings in xrec, chained through next; -1 (the value
+	// outside a cut) for none. An inside vertex has one or two crossing
+	// edges, so a lookup reads a record or two where a scan of the whole
+	// registry read all of them.
+	xhead []int32
+	xrec  []crossRec
 
 	// Vertices on the cut plane, in discovery order, plus the angular sort
 	// keys used to order them into the new face's loop.
-	cut    []int
-	angles []float64
+	cut  []int
+	keys []angleKey
+
+	// looped counts the vertices ordered into cut faces, for
+	// KernelCounts.Looped.
+	looped int64
 
 	// old -> new vertex index for finish, -1 for unreferenced; the live
 	// rescan borrows it as a seen-marker.
@@ -76,6 +83,13 @@ type sweep struct {
 type faceRec struct {
 	neighbor   int64
 	start, end int
+}
+
+// crossRec is one crossing of the registry: the edge's inside vertex and
+// outside vertex, the intersection vertex, and the next record filed under
+// the same inside vertex (-1 for none).
+type crossRec struct {
+	in, out, v, next int32
 }
 
 // begin resets the sweep to the axis-aligned box around site and
@@ -126,7 +140,7 @@ func (w *sweep) allLive() {
 	w.maxR2 = 0
 	for vi, r := range w.r2 {
 		w.live = append(w.live, vi)
-		w.maxR2 = max(w.maxR2, r)
+		w.maxR2 = maxSq(w.maxR2, r)
 	}
 }
 
@@ -211,7 +225,8 @@ func (w *sweep) boxMiss(pl geom.Plane) bool {
 // faces meets it), and everything on the plane is collected, in discovery
 // order, into the new face. The rebuilt loop holds no repeats: a kept
 // vertex is a distinct old index, a crossing vertex is new and there is
-// one per edge, and the cut face comes from addCut's duplicate-free set.
+// one per edge, and the cut face takes a crossing vertex once, when it is
+// made, and an on-plane vertex once, through addCut.
 func (w *sweep) clip(pl geom.Plane, neighborID int64) bool {
 	if len(w.live) == 0 {
 		return false
@@ -247,64 +262,16 @@ func (w *sweep) clip(pl geom.Plane, neighborID int64) bool {
 		return true
 	}
 
-	w.crossE, w.crossV, w.cut = w.crossE[:0], w.crossV[:0], w.cut[:0]
 	firstNew := len(w.verts)
 	// A dropped face that had kept a vertex may have been the last one
 	// referencing it, and the incremental live update cannot see that.
-	rescan := false
-	nf := 0
-	for _, f := range w.faces {
-		// loop stays valid while the arena grows: appends write past every
-		// existing range, and a reallocation leaves the old array intact.
-		loop := w.loops[f.start:f.end]
-		inside := true
-		for _, vi := range loop {
-			if !(d[vi] < -eps) {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			w.faces[nf] = f
-			nf++
-			continue
-		}
-		start := len(w.loops)
-		cur := loop[0]
-		for i := range loop {
-			nxt := loop[0]
-			if i+1 < len(loop) {
-				nxt = loop[i+1]
-			}
-			if d[cur] <= eps { // keep on-plane vertices
-				w.loops = append(w.loops, cur)
-				if d[cur] >= -eps {
-					w.addCut(cur) // on-plane original vertex
-				}
-			}
-			// A new intersection vertex is needed only for a strict
-			// crossing; on-plane vertices are themselves the intersection.
-			if (d[cur] < -eps && d[nxt] > eps) || (d[cur] > eps && d[nxt] < -eps) {
-				vi := w.cross(cur, nxt)
-				w.loops = append(w.loops, vi)
-				w.addCut(vi)
-			}
-			cur = nxt
-		}
-		if n := len(w.loops) - start; n >= 3 {
-			w.faces[nf] = faceRec{neighbor: f.neighbor, start: start, end: start + n}
-			nf++
-		} else {
-			w.loops = w.loops[:start]
-			rescan = rescan || n > 0
-		}
-	}
-	w.faces = w.faces[:nf]
+	rescan := w.cutFaces(d)
 
 	// Assemble the new face on the cut plane by angular ordering around the
 	// projected centroid (valid because the cell is convex, so the cut
 	// cross-section is a convex polygon).
 	if len(w.cut) >= 3 {
+		w.looped += int64(len(w.cut))
 		w.orderLoop(w.verts, w.cut, pl.N)
 		start := len(w.loops)
 		w.loops = append(w.loops, w.cut...)
@@ -323,36 +290,120 @@ func (w *sweep) clip(pl geom.Plane, neighborID int64) bool {
 	for _, vi := range w.live {
 		if d[vi] <= eps {
 			live = append(live, vi)
-			m = max(m, w.r2[vi])
+			m = maxSq(m, w.r2[vi])
 		}
 	}
 	for vi := firstNew; vi < len(w.verts); vi++ {
 		live = append(live, vi)
-		m = max(m, w.r2[vi])
+		m = maxSq(m, w.r2[vi])
 	}
 	w.live, w.maxR2 = live, m
 	return true
 }
 
-// cross returns the intersection vertex of the strictly crossing edge
-// (i, j), creating it on first use: interpolated from i towards j, the
-// direction the first face to walk the edge meets it in.
-func (w *sweep) cross(i, j int) int {
-	a, b := i, j
-	if a > b {
-		a, b = b, a
+// cutFaces walks the faces for a plane that cuts the cell, d holding the
+// live vertices' values: a face whose vertices are all strictly inside
+// keeps its range, a touched face is rebuilt onto the arena's tail, a face
+// left with fewer than three vertices is dropped, and the vertices on the
+// plane are collected into w.cut in discovery order. It reports whether a
+// dropped face had kept a vertex.
+func (w *sweep) cutFaces(d []float64) (dropped bool) {
+	eps := w.eps
+	w.xrec, w.cut = w.xrec[:0], w.cut[:0]
+	if len(w.xhead) < len(w.verts) {
+		// Every entry is -1 between cuts, so a larger registry starts afresh.
+		w.xhead = make([]int32, 2*len(w.verts))
+		for i := range w.xhead {
+			w.xhead[i] = -1
+		}
 	}
-	for k, e := range w.crossE {
-		if e[0] == a && e[1] == b {
-			return w.crossV[k]
+	// loops is the arena, appended to locally and stored back at the end;
+	// a face's loop stays valid while it grows: appends write past every
+	// existing range, and a reallocation leaves the old array intact.
+	loops, nf := w.loops, 0
+	for _, f := range w.faces {
+		loop := loops[f.start:f.end]
+		if inside(d, loop, -eps) {
+			w.faces[nf] = f
+			nf++
+			continue
+		}
+		start := len(loops)
+		cur, dc := loop[0], d[loop[0]]
+		for i := 1; i <= len(loop); i++ {
+			nxt := loop[0]
+			if i < len(loop) {
+				nxt = loop[i]
+			}
+			dn := d[nxt]
+			if dc <= eps { // keep on-plane vertices
+				loops = append(loops, cur)
+				if dc >= -eps {
+					w.addCut(cur) // on-plane original vertex
+				}
+			}
+			// A new intersection vertex is needed only for a strict
+			// crossing; on-plane vertices are themselves the intersection.
+			if dc < -eps && dn > eps {
+				loops = append(loops, w.cross(cur, nxt, cur, nxt))
+			} else if dc > eps && dn < -eps {
+				loops = append(loops, w.cross(cur, nxt, nxt, cur))
+			}
+			cur, dc = nxt, dn
+		}
+		if n := len(loops) - start; n >= 3 {
+			w.faces[nf] = faceRec{neighbor: f.neighbor, start: start, end: start + n}
+			nf++
+		} else {
+			loops = loops[:start]
+			dropped = dropped || n > 0
+		}
+	}
+	w.loops, w.faces = loops, w.faces[:nf]
+	for _, r := range w.xrec {
+		w.xhead[r.in] = -1
+	}
+	return dropped
+}
+
+// inside reports whether every vertex of loop has d below lo.
+func inside(d []float64, loop []int, lo float64) bool {
+	for _, vi := range loop {
+		if !(d[vi] < lo) {
+			return false
+		}
+	}
+	return true
+}
+
+// cross returns the intersection vertex of the strictly crossing edge
+// (i, j), whose inside vertex is in and outside vertex out. On first use
+// it is made, interpolated from i towards j (the direction the first face
+// to walk the edge meets it in), and added to the cut; the edge's second
+// face finds it in the registry.
+func (w *sweep) cross(i, j, in, out int) int {
+	for r := w.xhead[in]; r >= 0; r = w.xrec[r].next {
+		if int(w.xrec[r].out) == out {
+			return int(w.xrec[r].v)
 		}
 	}
 	d := w.dist
 	t := d[i] / (d[i] - d[j])
 	vi := w.addVertex(w.verts[i].Lerp(w.verts[j], t))
-	w.crossE = append(w.crossE, [2]int{a, b})
-	w.crossV = append(w.crossV, vi)
+	w.xrec = append(w.xrec, crossRec{in: int32(in), out: int32(out), v: int32(vi), next: w.xhead[in]})
+	w.xhead[in] = int32(len(w.xrec) - 1)
+	w.cut = append(w.cut, vi)
 	return vi
+}
+
+// maxSq is max(m, r) for the squared radii of the live set, which are
+// never -0: r wins when it is larger or NaN, and a NaN m stays, so the
+// result has max's bits without the builtin's signed-zero work.
+func maxSq(m, r float64) float64 {
+	if r > m || r != r {
+		return r
+	}
+	return m
 }
 
 // rescanLive rebuilds the live set and maxR2 from the face loops.
@@ -364,7 +415,7 @@ func (w *sweep) rescanLive() {
 			if seen[vi] < 0 {
 				seen[vi] = 0
 				w.live = append(w.live, vi)
-				w.maxR2 = max(w.maxR2, w.r2[vi])
+				w.maxR2 = maxSq(w.maxR2, w.r2[vi])
 			}
 		}
 	}
@@ -430,8 +481,8 @@ func (w *sweep) finishOwned(c *Cell) {
 	w.finish(c, make([]geom.Vec3, 0, nv), make([]Face, 0, len(w.faces)), make([]int, 0, nl))
 }
 
-// addCut records vi as lying on the cut plane, ignoring duplicates. The
-// linear scan is cheap: a convex cross-section has tens of vertices at
+// addCut records vi as lying on the cut plane, ignoring duplicates: each
+// face through an on-plane vertex meets it. The linear scan is cheap: a convex cross-section has tens of vertices at
 // most, and discovery order keeps the result deterministic (the map the
 // scan replaces iterated in random order).
 func (w *sweep) addCut(vi int) {
@@ -445,7 +496,8 @@ func (w *sweep) addCut(vi int) {
 
 // orderLoop sorts idx in place into a loop counterclockwise when viewed
 // from the +normal side (outward Newell normal along +normal), using the
-// sweep's angle buffer.
+// sweep's key buffer. The order is that of math.Atan2(d·e2, d·e1) around
+// the centroid, taken through angleKey, so no angle is computed.
 func (w *sweep) orderLoop(verts []geom.Vec3, idx []int, normal geom.Vec3) {
 	n := normal.Normalize()
 	// Build an orthonormal basis (e1, e2, n).
@@ -464,30 +516,33 @@ func (w *sweep) orderLoop(verts []geom.Vec3, idx []int, normal geom.Vec3) {
 	}
 	c = c.Scale(1 / float64(len(idx)))
 
-	if cap(w.angles) < len(idx) {
-		w.angles = make([]float64, len(idx), 2*len(idx))
-	} else {
-		w.angles = w.angles[:len(idx)]
+	if cap(w.keys) < len(idx) {
+		w.keys = make([]angleKey, len(idx), 2*len(idx))
 	}
+	keys := w.keys[:len(idx)]
 	for i, vi := range idx {
 		d := verts[vi].Sub(c)
-		w.angles[i] = math.Atan2(d.Dot(e2), d.Dot(e1))
+		keys[i] = newAngleKey(d.Dot(e2), d.Dot(e1))
 	}
-	// Insertion sort of (angle, index) pairs: cut loops are small, and the
+	// Insertion sort of (key, index) pairs: cut loops are small, and the
 	// stable in-place sort avoids the sort.Slice closure allocation.
 	for i := 1; i < len(idx); i++ {
-		a, v := w.angles[i], idx[i]
+		k, v := keys[i], idx[i]
 		j := i - 1
-		for j >= 0 && w.angles[j] > a {
-			w.angles[j+1], idx[j+1] = w.angles[j], idx[j]
+		for j >= 0 && keys[j].after(k) {
+			keys[j+1], idx[j+1] = keys[j], idx[j]
 			j--
 		}
-		w.angles[j+1], idx[j+1] = a, v
+		keys[j+1], idx[j+1] = k, v
 	}
 	// Fix orientation: the Newell normal must point along +n.
 	var nn geom.Vec3
 	for i := range idx {
-		p, q := verts[idx[i]], verts[idx[(i+1)%len(idx)]]
+		j := i + 1
+		if j == len(idx) {
+			j = 0
+		}
+		p, q := verts[idx[i]], verts[idx[j]]
 		nn.X += (p.Y - q.Y) * (p.Z + q.Z)
 		nn.Y += (p.Z - q.Z) * (p.X + q.X)
 		nn.Z += (p.X - q.X) * (p.Y + q.Y)
@@ -497,4 +552,68 @@ func (w *sweep) orderLoop(verts []geom.Vec3, idx []int, normal geom.Vec3) {
 			idx[i], idx[j] = idx[j], idx[i]
 		}
 	}
+}
+
+// angleKey orders directions as math.Atan2(y, x) orders them, without
+// trigonometry. Away from its special cases Atan2 is atan(q), q = y/x,
+// moved by -π, 0 or +π according to the signs of x and q; atan is
+// monotone, so the band the move picks and q itself order the directions,
+// with q rounded exactly as Atan2 rounds it. Two directions with one key
+// have one Atan2. Where Atan2's last rounding gives two directions one
+// angle (they lie within an ulp or so of each other) their keys may still
+// differ, and then keep q's order instead of their order of discovery.
+// A NaN component makes a NaN key, which sorts after nothing and before
+// nothing, as Atan2's NaN does.
+type angleKey struct {
+	band int     // -1: [-π, -π/2], 0: [-π/2, π/2], +1: [π/2, π]
+	q    float64 // y/x, or the stand-in for a special case of Atan2
+}
+
+// after reports whether a sorts after b: a later band, or a larger q in
+// the same band; nothing sorts after or before a NaN key.
+func (a angleKey) after(b angleKey) bool {
+	if a.band == b.band {
+		return a.q > b.q
+	}
+	return a.band > b.band && a.q == a.q && b.q == b.q
+}
+
+// newAngleKey is the key of the direction (x, y), mirroring the branches
+// of math.Atan2(y, x). A finite nonzero quotient is its general case;
+// everything else goes through atan2Key first.
+func newAngleKey(y, x float64) angleKey {
+	q := y / x
+	if q == 0 || q-q != 0 {
+		if k, ok := atan2Key(y, x); ok {
+			return k
+		}
+	}
+	switch {
+	case x > 0:
+		return angleKey{q: q}
+	case q <= 0:
+		return angleKey{band: 1, q: q} // atan(q) + π
+	}
+	return angleKey{band: -1, q: q} // atan(q) - π
+}
+
+// atan2Key is the key of math.Atan2(y, x) for a NaN or zero component, in
+// Atan2's order of cases, with the band and q whose atan gives Atan2's
+// value; ok is false otherwise, and the general case applies: to finite
+// components whose quotient under- or overflowed, as in Atan2, and to
+// infinite ones, which the finite vertices of a cell never give.
+func atan2Key(y, x float64) (k angleKey, ok bool) {
+	switch {
+	case x != x || y != y:
+		return angleKey{q: math.NaN()}, true
+	case y == 0 && x >= 0 && !math.Signbit(x):
+		return angleKey{}, true // ±0
+	case y == 0 && math.Signbit(y):
+		return angleKey{band: -1}, true // -π: atan(0) - π
+	case y == 0:
+		return angleKey{band: 1}, true // +π
+	case x == 0:
+		return angleKey{q: math.Copysign(math.Inf(1), y)}, true // ±π/2
+	}
+	return angleKey{}, false
 }
