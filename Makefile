@@ -1,8 +1,9 @@
 # Build / verification entry points. `make check` is the full gate, and
 # the only list of its parts (CI runs `go build ./... && make check`): vet,
-# gofmt over the whole tree, the repo's own static analyzers (cmd/tesslint), the import and cmd/
-# layout guards, the whole test suite under the race detector (which holds
-# the fault-containment, checkpoint and daemon e2e suites — each test runs
+# gofmt over the whole tree, the repo's own static analyzers (cmd/tesslint),
+# the one-codec and one-kernel greps, the import and cmd/ layout guards,
+# the whole test suite under the race detector (which holds the
+# fault-containment, checkpoint and daemon e2e suites — each test runs
 # once), the coverage floor, the fuzz seed corpora, the bench module, a
 # Table II smoke run and one pass of the kernel benchmark, so
 # the intra-rank worker-pool concurrency, the
@@ -16,7 +17,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke check bench bench-stack loc
+.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -43,6 +44,14 @@ onecodec:
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' . | grep -v '^./internal/wire/'
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e 'meshMagic\b' -e '0x744d455348763101' -e 'tMESHv1' . \
 		| grep -v -e ':[0-9]*:[[:space:]]*//'
+
+# One way to build a cell: outside the kernel and the benchmark module,
+# non-test code names no voronoi.Compute* but ComputeCellReused, the
+# session's one reusable cell per worker, so a second tessellation path
+# cannot grow back unnoticed.
+onekernel:
+	@! grep -rnoE --include='*.go' --exclude='*_test.go' 'voronoi\.Compute[A-Za-z0-9_]*' . \
+		| grep -v -e '^\./internal/voronoi/' -e '^\./bench/' -e ':voronoi\.ComputeCellReused$$'
 
 # Engine below, analysis above: no engine package may depend on an
 # analysis package, so the level-1 tools of the paper's Figure 4 stay on
@@ -128,7 +137,7 @@ tessbench-smoke:
 kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench KernelStream -benchtime 1x ./internal/voronoi > /dev/null
 
-check: vet fmt lint onecodec layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke
+check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts, and the
 # clipping kernel alone (ns/cell and the candidate funnel per cell on the

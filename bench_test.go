@@ -121,13 +121,13 @@ func benchComputeCellObs(b *testing.B, hooked bool) {
 		box := geom.Cube(pts[j], benchL/2)
 		if hooked {
 			sp := rec.Begin(0, obs.PhaseCompute)
-			if _, err := voronoi.ComputeCellScratch(ix, pts[j], ids[j], box, scratch); err != nil {
+			if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, scratch); err != nil {
 				b.Fatal(err)
 			}
 			rec.End(0, sp)
 			rec.Count(0, ctr, 1)
 		} else {
-			if _, err := voronoi.ComputeCellScratch(ix, pts[j], ids[j], box, scratch); err != nil {
+			if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, scratch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -173,13 +173,13 @@ func TestNilRecorderHooksAreFree(t *testing.T) {
 			box := geom.Cube(pts[j], benchL/2)
 			if hooked {
 				sp := rec.Begin(0, obs.PhaseCompute)
-				if _, err := voronoi.ComputeCellScratch(ix, pts[j], ids[j], box, scratch); err != nil {
+				if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, scratch); err != nil {
 					t.Fatal(err)
 				}
 				rec.End(0, sp)
 				rec.Count(0, ctr, 1)
 			} else {
-				if _, err := voronoi.ComputeCellScratch(ix, pts[j], ids[j], box, scratch); err != nil {
+				if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, scratch); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -236,10 +236,10 @@ func benchParallelism(b *testing.B, workers int) {
 }
 
 // BenchmarkComputeCellAllocs isolates the allocation behavior of one cell
-// computation: a fresh Scratch per cell (a nil Scratch) versus one
-// long-lived Scratch reused across cells. The scratch-reuse variant must
-// allocate at least 5x fewer objects per cell (it performs only the final
-// detach copies, ~3 allocs, against the fresh path's buffer growth).
+// computation: a fresh Scratch per cell versus one long-lived Scratch
+// reused across cells. The warm scratch allocates nothing per cell
+// (TestComputeCellReusedWarmZeroAllocs), against the fresh path's buffer
+// growth.
 func BenchmarkComputeCellAllocs_Fresh(b *testing.B)   { benchCellAllocs(b, false) }
 func BenchmarkComputeCellAllocs_Scratch(b *testing.B) { benchCellAllocs(b, true) }
 
@@ -260,9 +260,9 @@ func benchCellAllocs(b *testing.B, reuse bool) {
 		box := geom.Cube(pts[j], benchL/2)
 		s := scratch
 		if !reuse {
-			s = nil
+			s = voronoi.NewScratch()
 		}
-		if _, err := voronoi.ComputeCellScratch(ix, pts[j], ids[j], box, s); err != nil {
+		if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, s); err != nil {
 			b.Fatal(err)
 		}
 	}

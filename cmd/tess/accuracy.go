@@ -6,13 +6,14 @@ import (
 	"io"
 
 	"repro"
-	"repro/internal/voronoi"
 )
 
 // accuracy regenerates Table I of the paper: the accuracy of the parallel
 // tessellation versus a serial reference as a function of ghost zone size
-// and block count. The paper ran 64^3 particles for 100 steps; the default
-// here is 16^3 for 60 steps (pass -ng/-steps to change).
+// and block count. The serial reference is the same pipeline over one
+// block with the ghost at its ceiling, tess.MaxGhostFor (half the box).
+// The paper ran 64^3 particles for 100 steps; the default here is 16^3
+// for 60 steps (pass -ng/-steps to change).
 //
 // Cells are compared by particle ID: a parallel cell matches when its face
 // count equals the reference's and its volume agrees to relative tolerance.
@@ -51,22 +52,14 @@ func accuracy(args []string, w io.Writer) error {
 	}
 	sim.Run(*steps, nil)
 
-	// Serial reference: the full periodic tessellation in one piece.
-	ids := make([]int64, len(sim.Pos))
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	cells, err := voronoi.ComputePeriodic(sim.Pos, ids, sim.Config.BoxSize, 0)
+	// Serial reference: the whole periodic box as one block.
+	refCfg := tess.NewPeriodicConfig(sim.Config.BoxSize)
+	refCfg.GhostSize, refCfg.KeepIncomplete = tess.MaxGhostFor(refCfg), true
+	serial, err := tess.Run(refCfg, tess.ParticlesFromSim(sim), 1)
 	if err != nil {
-		return err
+		return fmt.Errorf("serial reference: %w", err)
 	}
-	ref := make([]tess.CellSummary, len(cells))
-	for i, c := range cells {
-		ref[i] = tess.CellSummary{
-			ID: c.SiteID, Site: c.Site, Volume: c.Volume(), Area: c.Area(),
-			Faces: len(c.Faces), Complete: c.Complete,
-		}
-	}
+	ref := serial.Summaries()
 
 	fmt.Fprintf(w, "TABLE I: PARALLEL ACCURACY (%d^3 particles, %d steps)\n\n", *ng, *steps)
 	fmt.Fprintf(w, "%-10s %-16s %-8s %-15s %-10s\n",
@@ -74,7 +67,7 @@ func accuracy(args []string, w io.Writer) error {
 	for _, g := range ghostList {
 		for bi, b := range blockList {
 			cfg := tess.NewPeriodicConfig(sim.Config.BoxSize, tess.WithGhostSize(g))
-			cfg.KeepIncomplete, cfg.HullPass = true, true
+			cfg.KeepIncomplete = true
 			out, err := tess.Run(cfg, tess.ParticlesFromSim(sim), b)
 			if err != nil {
 				return fmt.Errorf("ghost=%g blocks=%d: %w", g, b, err)

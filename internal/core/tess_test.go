@@ -50,21 +50,40 @@ func baseConfig(L float64) Config {
 	}
 }
 
-// serialReference computes the exact periodic tessellation summaries.
+// serialReference computes the exact periodic tessellation summaries
+// without the pipeline: every particle's periodic images within L/2 of the
+// box are indexed beside it, and each cell is clipped from the cube of
+// side L around its site. No decomposition, exchange or ghost merge is
+// involved, so the pipeline's periodic images are checked against a
+// second construction.
 func serialReference(t testing.TB, ps []diy.Particle, L float64) []CellSummary {
 	t.Helper()
-	pts := make([]geom.Vec3, len(ps))
-	ids := make([]int64, len(ps))
+	var pts []geom.Vec3
+	var ids []int64
+	for _, p := range ps {
+		pts, ids = append(pts, p.Pos), append(ids, p.ID)
+	}
+	margin := domainBox(L).Expand(L / 2)
+	for _, p := range ps {
+		for sx := -1.0; sx <= 1; sx++ {
+			for sy := -1.0; sy <= 1; sy++ {
+				for sz := -1.0; sz <= 1; sz++ {
+					img := p.Pos.Add(geom.V(sx*L, sy*L, sz*L))
+					if (sx != 0 || sy != 0 || sz != 0) && margin.Contains(img) {
+						pts, ids = append(pts, img), append(ids, p.ID)
+					}
+				}
+			}
+		}
+	}
+	ix := voronoi.NewIndex(pts, ids, 0)
+	s := voronoi.NewScratch()
+	out := make([]CellSummary, len(ps))
 	for i, p := range ps {
-		pts[i] = p.Pos
-		ids[i] = p.ID
-	}
-	cells, err := voronoi.ComputePeriodic(pts, ids, L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]CellSummary, len(cells))
-	for i, c := range cells {
+		c, err := voronoi.ComputeCellReused(ix, p.Pos, p.ID, geom.Cube(p.Pos, L/2), 0, s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out[i] = CellSummary{
 			ID: c.SiteID, Site: c.Site, Volume: c.Volume(), Area: c.Area(),
 			Faces: len(c.Faces), Complete: c.Complete,
@@ -96,20 +115,28 @@ func TestRunPartitionOfUnity(t *testing.T) {
 	}
 }
 
+// Every cell of a run with an adequate ghost matches the serial
+// reference, and so does the one-block run at the ghost ceiling that
+// tess accuracy takes as Table I's serial tessellation.
 func TestParallelMatchesSerialWithAdequateGhost(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	const L = 8.0
 	ps := perturbedParticles(rng, 8, L, 0.9)
 	ref := serialReference(t, ps, L)
-	for _, blocks := range []int{2, 4, 8} {
-		out, err := Run(baseConfig(L), ps, blocks)
+	ceiling := baseConfig(L)
+	ceiling.GhostSize, ceiling.KeepIncomplete = GhostCeiling(ceiling), true
+	for _, run := range []struct {
+		cfg    Config
+		blocks int
+	}{{baseConfig(L), 2}, {baseConfig(L), 4}, {baseConfig(L), 8}, {ceiling, 1}} {
+		out, err := Run(run.cfg, ps, run.blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep := CompareAccuracy(ref, out.Summaries(), 1e-6)
-		if rep.Accuracy < 1.0 {
-			t.Fatalf("blocks=%d: accuracy %.4f (%d/%d matching)",
-				blocks, rep.Accuracy, rep.Matching, rep.ReferenceCells)
+		if rep.Matching != rep.ReferenceCells || rep.ParallelCells != rep.ReferenceCells {
+			t.Fatalf("blocks=%d ghost=%g: %d of %d reference cells matching, %d parallel cells",
+				run.blocks, run.cfg.GhostSize, rep.Matching, rep.ReferenceCells, rep.ParallelCells)
 		}
 	}
 }

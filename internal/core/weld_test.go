@@ -32,15 +32,15 @@ func exchangedBlocks(t testing.TB, cfg Config, ps []diy.Particle, blocks int) (*
 }
 
 // serialWeld is the mesh the streamed weld must reproduce: every local
-// cell built through ComputeCellScratch, kept by the pipeline's rules
+// cell built through ComputeCellPooled, kept by the pipeline's rules
 // (the kernel's cull exit only stops cells the exact test removes too),
 // and welded by one MeshBuilder.Build in site order.
 func serialWeld(t testing.TB, cfg Config, rs *rankState, local []diy.Particle) *meshio.BlockMesh {
 	t.Helper()
-	s := voronoi.NewScratch()
+	s, pool := voronoi.NewScratch(), new(voronoi.CellPool)
 	var kept []*voronoi.Cell
 	for _, p := range local {
-		c, err := voronoi.ComputeCellScratch(rs.bi.ix, p.Pos, p.ID, rs.bi.initBox, s)
+		c, err := voronoi.ComputeCellPooled(rs.bi.ix, p.Pos, p.ID, rs.bi.initBox, s, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,9 +71,10 @@ func TestVoronoiDuality(t *testing.T) {
 	// domain box; only cells proven complete (interior, fully shaped by
 	// neighbors) are compared.
 	ix := voronoi.NewIndex(pts, ids, 0)
+	s := voronoi.NewScratch()
 	interior := 0
 	for i, site := range pts {
-		cell, err := voronoi.ComputeCellScratch(ix, site, ids[i], geom.Cube(site, L), nil)
+		cell, err := voronoi.ComputeCellReused(ix, site, ids[i], geom.Cube(site, L), 0, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +142,13 @@ func TestCircumcentersAreVoronoiVertices(t *testing.T) {
 	ccs := tr.Circumcenters()
 	ix := voronoi.NewIndex(pts, ids, 0)
 
+	s, pool := voronoi.NewScratch(), new(voronoi.CellPool)
 	cells := map[int]*voronoi.Cell{}
 	cellOf := func(i int) *voronoi.Cell {
 		if c, ok := cells[i]; ok {
 			return c
 		}
-		c, err := voronoi.ComputeCellScratch(ix, pts[i], ids[i], geom.Cube(pts[i], L), nil)
+		c, err := voronoi.ComputeCellPooled(ix, pts[i], ids[i], geom.Cube(pts[i], L), s, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package jobd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -176,10 +175,9 @@ func (c *Client) fetchDensity(ctx context.Context, url string) ([]byte, int, err
 // included. It returns nil when the stream reaches its end frame, which
 // the daemon writes after the job's terminal event; an error wrapping
 // io.ErrUnexpectedEOF when the stream stops before it (the daemon shut
-// down or the connection broke); the context error on cancellation; or
-// fn's error to stop early. A daemon that answers NDJSON instead is read
-// as NDJSON, where a stream that stops early cannot be told from a
-// finished one: Events returns nil at the end of the body.
+// down or the connection broke); the context error on cancellation; an
+// error naming the Content-Type of a response that is not event frames;
+// or fn's error to stop early.
 func (c *Client) Events(ctx context.Context, id string, from int, fn func(Event) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", c.Base, id, from), nil)
@@ -195,34 +193,13 @@ func (c *Client) Events(ctx context.Context, id string, from int, fn func(Event)
 	if resp.StatusCode != http.StatusOK {
 		return apiErrorFrom(resp)
 	}
-	if resp.Header.Get("Content-Type") == framesType {
-		var fnErr error
-		err := readFrames(resp.Body, func(e Event) error { fnErr = fn(e); return fnErr })
-		if err != nil && err != fnErr && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
+	if ct := resp.Header.Get("Content-Type"); ct != framesType {
+		return fmt.Errorf("jobd: events answered as %q, not %s", ct, framesType)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxFrameLen) // mesh payloads are large
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return fmt.Errorf("jobd: decode event: %w", err)
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
+	var fnErr error
+	err = readFrames(resp.Body, func(e Event) error { fnErr = fn(e); return fnErr })
+	if err != nil && err != fnErr && ctx.Err() != nil {
+		return ctx.Err()
 	}
-	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	return nil
+	return err
 }

@@ -22,8 +22,8 @@ import (
 // it was cut short.
 const framesType = "application/x-tess-events"
 
-// maxFrameLen bounds one frame, as the NDJSON client bounds one line: a
-// longer length is rejected before anything is allocated for it.
+// maxFrameLen bounds one frame: a longer length is rejected before
+// anything is allocated for it.
 const maxFrameLen = 64 << 20
 
 // eventWriter writes one events response in one framing.

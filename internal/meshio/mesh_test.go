@@ -15,12 +15,15 @@ import (
 )
 
 // buildTestCells computes a small periodic tessellation to exercise the
-// data model with realistic cells.
+// data model with realistic cells: every point's periodic images within
+// L/2 of the box are indexed beside it, and each cell is clipped from the
+// cube of side L around its site into one pool the cells share.
 func buildTestCells(t testing.TB, n int, L float64, seed int64) []*voronoi.Cell {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h := L / float64(n)
 	var pts []geom.Vec3
+	var ids []int64
 	for z := 0; z < n; z++ {
 		for y := 0; y < n; y++ {
 			for x := 0; x < n; x++ {
@@ -28,16 +31,33 @@ func buildTestCells(t testing.TB, n int, L float64, seed int64) []*voronoi.Cell 
 					(float64(x)+0.5)*h+(rng.Float64()-0.5)*0.8*h,
 					(float64(y)+0.5)*h+(rng.Float64()-0.5)*0.8*h,
 					(float64(z)+0.5)*h+(rng.Float64()-0.5)*0.8*h))
+				ids = append(ids, int64(len(ids)))
 			}
 		}
 	}
-	ids := make([]int64, len(pts))
-	for i := range ids {
-		ids[i] = int64(i)
+	sites := len(pts)
+	margin := geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)).Expand(L / 2)
+	for i, p := range pts[:sites] {
+		for sx := -1.0; sx <= 1; sx++ {
+			for sy := -1.0; sy <= 1; sy++ {
+				for sz := -1.0; sz <= 1; sz++ {
+					img := p.Add(geom.V(sx*L, sy*L, sz*L))
+					if (sx != 0 || sy != 0 || sz != 0) && margin.Contains(img) {
+						pts, ids = append(pts, img), append(ids, int64(i))
+					}
+				}
+			}
+		}
 	}
-	cells, err := voronoi.ComputePeriodic(pts, ids, L, 0)
-	if err != nil {
-		t.Fatal(err)
+	ix := voronoi.NewIndex(pts, ids, 0)
+	s, pool := voronoi.NewScratch(), new(voronoi.CellPool)
+	cells := make([]*voronoi.Cell, sites)
+	for i := range cells {
+		c, err := voronoi.ComputeCellPooled(ix, pts[i], ids[i], geom.Cube(pts[i], L/2), s, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = c
 	}
 	return cells
 }

@@ -43,13 +43,13 @@ func ComputeCellFixedShells(ix *Index, site geom.Vec3, id int64, initBox geom.Bo
 			}
 			w.clip(geom.Bisector(site, ix.pts[cd.idx]), ix.ids[cd.idx])
 			if w.empty() {
-				w.finishOwned(cell)
+				w.finish(cell, nil, nil, nil)
 				return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
 			}
 		}
 	}
 	cell.Complete = !w.hasWall() // no proof; walls are the only signal
-	w.finishOwned(cell)
+	w.finish(cell, nil, nil, nil)
 	return cell, nil
 }
 
@@ -82,7 +82,7 @@ func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, in
 		}
 		w.clip(geom.Bisector(site, pts[o.idx]), ids[o.idx])
 		if w.empty() {
-			w.finishOwned(cell)
+			w.finish(cell, nil, nil, nil)
 			return cell, fmt.Errorf("voronoi: cell of site %v emptied (duplicate points?)", site)
 		}
 	}
@@ -92,7 +92,7 @@ func ComputeCellBrute(pts []geom.Vec3, ids []int64, site geom.Vec3, id int64, in
 		secure = true
 	}
 	cell.Complete = secure && !w.hasWall()
-	w.finishOwned(cell)
+	w.finish(cell, nil, nil, nil)
 	return cell, nil
 }
 
@@ -105,7 +105,7 @@ func TestAblationVariantsMatchComputeCell(t *testing.T) {
 	for i := 0; i < len(pts); i += 13 {
 		site := pts[i]
 		box := geom.Cube(site, L/2)
-		ref, err := ComputeCellScratch(ix, site, ids[i], box, nil)
+		ref, err := computeCell(ix, site, ids[i], box, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestFixedShellsTooFewIsWrong(t *testing.T) {
 	for i := 0; i < len(pts); i += 7 {
 		site := pts[i]
 		box := geom.Cube(site, L/2)
-		ref, err := ComputeCellScratch(ix, site, ids[i], box, nil)
+		ref, err := computeCell(ix, site, ids[i], box, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func benchSecurity(b *testing.B, adaptive bool) {
 			box := geom.Cube(pts[j], 4)
 			var err error
 			if adaptive {
-				_, err = ComputeCellScratch(ix, pts[j], ids[j], box, nil)
+				_, err = computeCell(ix, pts[j], ids[j], box, nil)
 			} else {
 				_, err = ComputeCellFixedShells(ix, pts[j], ids[j], box, ix.MaxShell(pts[j]))
 			}
@@ -208,7 +208,7 @@ func benchSearch(b *testing.B, grid bool) {
 			box := geom.Cube(pts[j], 4)
 			var err error
 			if grid {
-				_, err = ComputeCellScratch(ix, pts[j], ids[j], box, nil)
+				_, err = computeCell(ix, pts[j], ids[j], box, nil)
 			} else {
 				_, err = ComputeCellBrute(pts, ids, pts[j], ids[j], box)
 			}

@@ -64,7 +64,7 @@ shells:
 		cell.Complete = w.complete(reach, 0)
 	}
 	vol := w.volume()
-	w.finishOwned(cell)
+	w.finish(cell, nil, nil, nil)
 	if got := cell.Volume(); got != vol {
 		t.Fatalf("site %v: the sweep's volume %v, the finished cell's %v", site, vol, got)
 	}
@@ -75,7 +75,7 @@ shells:
 // every golden cloud and both BenchmarkKernelStream inputs, each rejected
 // plane evaluates to at most eps on every live vertex. The written-out
 // sweep builds the same cells and rejects the same planes as
-// ComputeCellScratch, and the finished cell's Volume is the sweep's own
+// ComputeCellPooled, and the finished cell's Volume is the sweep's own
 // volume to the bit. Under the race detector every eighth site runs.
 func TestBoxRejectsOnlyMisses(t *testing.T) {
 	type input struct {
@@ -106,16 +106,16 @@ func TestBoxRejectsOnlyMisses(t *testing.T) {
 		for i := 0; i < in.sites; i += step {
 			site, id := in.ix.pts[i], in.ix.ids[i]
 			got, n, errGot := sweepChecked(t, in.ix, site, id, in.initBox, checked)
-			want, errWant := ComputeCellScratch(in.ix, site, id, in.initBox, prod)
+			want, errWant := computeCell(in.ix, site, id, in.initBox, prod)
 			if (errGot == nil) != (errWant == nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s site %d: the written-out sweep's cell differs from ComputeCellScratch's (%v, %v)",
+				t.Fatalf("%s site %d: the written-out sweep's cell differs from ComputeCellPooled's (%v, %v)",
 					in.name, i, errGot, errWant)
 			}
 			boxed += n
 		}
 		k := prod.TakeCounts()
 		if k.Boxed != boxed {
-			t.Errorf("%s: ComputeCellScratch boxed %d planes, the written-out sweep %d", in.name, k.Boxed, boxed)
+			t.Errorf("%s: ComputeCellPooled boxed %d planes, the written-out sweep %d", in.name, k.Boxed, boxed)
 		}
 		if boxed == 0 || boxed > k.Tested-k.Cut {
 			t.Errorf("%s: %d planes boxed of %d tested that did not cut", in.name, boxed, k.Tested-k.Cut)

@@ -9,7 +9,7 @@ import (
 )
 
 // handCell is a cell cut by hand, one plane at a time, through the calls
-// ComputeCellScratch makes: begin, clip, finishOwned. The sweep is retained
+// ComputeCellPooled makes: begin, clip, finish. The sweep is retained
 // across cuts and the cell re-finished after each, so the tests below see
 // the finished geometry after every plane.
 type handCell struct {
@@ -22,7 +22,7 @@ func newHandCell(site geom.Vec3, id int64, box geom.Box) (*handCell, error) {
 	if err := h.w.begin(h.Cell, site, id, box); err != nil {
 		return nil, err
 	}
-	h.w.finishOwned(h.Cell)
+	h.w.finish(h.Cell, nil, nil, nil)
 	return h, nil
 }
 
@@ -32,7 +32,7 @@ func (h *handCell) clip(pl geom.Plane, neighborID int64) bool {
 	if !h.w.clip(pl, neighborID) {
 		return false
 	}
-	h.w.finishOwned(h.Cell)
+	h.w.finish(h.Cell, nil, nil, nil)
 	return true
 }
 

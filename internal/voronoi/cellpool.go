@@ -80,7 +80,7 @@ func (p *CellPool) nextCell() *Cell {
 }
 
 // finish writes the cell w has built onto the pool's arenas, with exactly
-// the content sweep.finishOwned would give it.
+// the content sweep.finish gives it anywhere else.
 func (p *CellPool) finish(w *sweep, c *Cell) {
 	p.verts, p.faces, p.loops = w.finish(c, p.verts, p.faces, p.loops)
 }

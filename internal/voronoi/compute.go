@@ -7,7 +7,7 @@ import (
 	"repro/internal/geom"
 )
 
-// ComputeCellScratch builds the Voronoi cell of site among the points of
+// ComputeCellPooled builds the Voronoi cell of site among the points of
 // ix, clipping in nearest-first order and stopping once the security-radius
 // criterion proves the cell final: when every unprocessed point is farther
 // than twice the distance to the farthest remaining cell vertex, no
@@ -19,37 +19,14 @@ import (
 // site itself (any indexed point within ~0 distance of it) is skipped.
 //
 // Every vertex, face, and loop buffer of the clipping kernel is reused from
-// s, so computing many cells through one Scratch allocates almost nothing
-// per cell; a nil s uses fresh storage. The returned cell owns its memory
-// (it never aliases s) and is bit-identical whichever Scratch built it.
-func ComputeCellScratch(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch) (*Cell, error) {
-	if s == nil {
-		s = NewScratch()
-	}
-	cell := new(Cell)
-	if err := s.sw.begin(cell, site, id, initBox); err != nil {
-		return nil, err
-	}
-	_, err := clipCellShells(cell, ix, initBox, 0, s)
-	s.sw.finishOwned(cell)
-	return cell, err
-}
-
-// ComputeCellPooled is ComputeCellScratch with the finished cell written
-// into pool instead of fresh heap slices: with a retained pool (reset once
-// per batch) the steady-state construction of a cell allocates nothing at
-// all. The returned cell is bit-identical to the ComputeCellScratch result
-// for the same inputs and stays valid until pool.Reset; a nil pool falls
-// back to ComputeCellScratch. It serves the bench's layer replay and the
-// tests, which keep a block's cells alive together; the session consumes
-// each cell as it is finished, through ComputeCellReused.
+// s, and the finished cell is written into pool: with a retained s and pool
+// (the pool reset once per batch) the steady-state construction of a cell
+// allocates nothing at all. The cell never aliases s, is bit-identical
+// whichever Scratch built it, and stays valid until pool.Reset. It serves
+// the bench's layer replay and the tests, which keep a block's cells alive
+// together; the session consumes each cell as it is finished, through
+// ComputeCellReused. Neither s nor pool may be nil.
 func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch, pool *CellPool) (*Cell, error) {
-	if pool == nil {
-		return ComputeCellScratch(ix, site, id, initBox, s)
-	}
-	if s == nil {
-		s = NewScratch()
-	}
 	cell := pool.nextCell()
 	if err := s.sw.begin(cell, site, id, initBox); err != nil {
 		return nil, err
@@ -59,10 +36,10 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 	return cell, err
 }
 
-// ComputeCellReused is ComputeCellScratch with the finished cell written
+// ComputeCellReused is ComputeCellPooled with the finished cell written
 // into s's own single-cell storage (the multithreaded Voro++ design: one
 // reusable cell per thread, consumed as soon as it is finished). The cell
-// is bit-identical to the ComputeCellScratch result for the same inputs
+// is bit-identical to the ComputeCellPooled result for the same inputs
 // and valid only until the next cell computed through s; a warm s builds
 // it with no allocation at all. s must not be nil.
 //
@@ -71,7 +48,7 @@ func ComputeCellPooled(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s 
 // right after a cut that proves the cell will end Complete with a volume
 // below minVolume, and returns a nil cell and a nil error without
 // finishing it; the full sweep's cell would have been culled. Zero sweeps
-// to the end, as ComputeCellScratch does.
+// to the end, as ComputeCellPooled does.
 func ComputeCellReused(ix *Index, site geom.Vec3, id int64, initBox geom.Box, minVolume float64, s *Scratch) (*Cell, error) {
 	cell := &s.cell
 	if err := s.sw.begin(cell, site, id, initBox); err != nil {
@@ -103,7 +80,7 @@ const pruneSlack = 1e-9
 // range before anything is ordered, and the survivors are read off the
 // scratch's queue, which orders them only as far as the first one out of
 // range. The cell's geometry stays in s.sw; the caller finishes it into
-// owned or pool storage, also when the emptied-cell error is returned
+// the pool's or the scratch's storage, also when the emptied-cell error is returned
 // (callers get both the cell and the error).
 //
 // With a positive minVolume the sweep may instead stop at a proven cull
@@ -185,71 +162,4 @@ func (w *sweep) provenCull(maxR, minVolume, lastReach float64, kc *KernelCounts)
 	}
 	kc.VolumeChecks++
 	return w.volume()+slack < minVolume
-}
-
-// ComputePeriodic computes the full periodic Voronoi tessellation of the
-// point set in the cubic box [0, L)^3: every point of the box gets a cell,
-// and cells near the boundary are shaped by periodic images. This is the
-// serial reference implementation that the parallel accuracy study
-// (Table I) compares against.
-//
-// Periodic images are kept within L/2 outside the box, which must exceed
-// twice the largest cell radius for full correctness: ample for any point
-// set dense enough to be of interest (cells spanning a quarter of the box
-// would be required to break it, and such cells are flagged Complete ==
-// false rather than silently wrong). workers sets the number of concurrent
-// cell builders (0 means GOMAXPROCS); each worker reuses its own Scratch,
-// and the result is independent of the worker count.
-func ComputePeriodic(pts []geom.Vec3, ids []int64, L float64, workers int) ([]*Cell, error) {
-	if len(pts) != len(ids) {
-		return nil, fmt.Errorf("voronoi: %d points but %d ids", len(pts), len(ids))
-	}
-	if L <= 0 {
-		return nil, fmt.Errorf("voronoi: non-positive box size %g", L)
-	}
-	domain := geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L))
-	expanded := domain.Expand(L / 2)
-
-	// Original points first (indices align), then periodic images within
-	// the margin.
-	allPts := append([]geom.Vec3(nil), pts...)
-	allIDs := append([]int64(nil), ids...)
-	for i, p := range pts {
-		for sx := -1.0; sx <= 1; sx++ {
-			for sy := -1.0; sy <= 1; sy++ {
-				for sz := -1.0; sz <= 1; sz++ {
-					if sx == 0 && sy == 0 && sz == 0 {
-						continue
-					}
-					img := p.Add(geom.V(sx*L, sy*L, sz*L))
-					if expanded.Contains(img) {
-						allPts = append(allPts, img)
-						allIDs = append(allIDs, ids[i])
-					}
-				}
-			}
-		}
-	}
-	ix := NewIndex(allPts, allIDs, 0)
-
-	cells := make([]*Cell, len(pts))
-	errs := make([]error, len(pts))
-	workers = PoolWorkers(workers, len(pts))
-	scratches := make([]*Scratch, workers)
-	ParallelFor(len(pts), workers, func(lo, hi, w int) {
-		s := scratches[w]
-		if s == nil {
-			s = NewScratch()
-			scratches[w] = s
-		}
-		for i := lo; i < hi; i++ {
-			cells[i], errs[i] = ComputeCellScratch(ix, pts[i], ids[i], geom.Cube(pts[i], L/2), s)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cells, nil
 }

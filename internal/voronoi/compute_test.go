@@ -18,6 +18,36 @@ func seqIDs(n int) []int64 {
 	return ids
 }
 
+// computeCell builds the cell of site into a pool of its own, so that the
+// cell stays valid for as long as the test holds it. A nil s is a fresh
+// Scratch.
+func computeCell(ix *Index, site geom.Vec3, id int64, initBox geom.Box, s *Scratch) (*Cell, error) {
+	if s == nil {
+		s = NewScratch()
+	}
+	return ComputeCellPooled(ix, site, id, initBox, s, new(CellPool))
+}
+
+// periodicCells is the periodic tessellation of pts in [0, L)^3, built as
+// one block with a ghost of L/2: cell i is the cell of pts[i].
+func periodicCells(t *testing.T, pts []geom.Vec3, L float64) []*Cell {
+	t.Helper()
+	in := periodicBlock("periodic", pts, L, 0, L, L/2)
+	if in.sites != len(pts) {
+		t.Fatalf("%d of %d points inside [0, %g)^3", in.sites, len(pts), L)
+	}
+	s := NewScratch()
+	cells := make([]*Cell, in.sites)
+	for i := range cells {
+		c, err := computeCell(in.ix, in.ix.pts[i], in.ix.ids[i], in.initBox, s)
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		cells[i] = c
+	}
+	return cells
+}
+
 func latticePts(n int, L float64) []geom.Vec3 {
 	h := L / float64(n)
 	var pts []geom.Vec3
@@ -129,7 +159,7 @@ func TestComputeCellIsolatedSite(t *testing.T) {
 	site := geom.V(1, 1, 1)
 	ix := NewIndex([]geom.Vec3{site}, []int64{0}, 0)
 	box := geom.NewBox(geom.V(0, 0, 0), geom.V(2, 2, 2))
-	c, err := ComputeCellScratch(ix, site, 0, box, nil)
+	c, err := computeCell(ix, site, 0, box, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +175,7 @@ func TestPeriodicLatticeCellsAreUnitCubes(t *testing.T) {
 	const n = 4
 	const L = 4.0
 	pts := latticePts(n, L)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := periodicCells(t, pts, L)
 	for i, c := range cells {
 		if math.Abs(c.Volume()-1) > 1e-6 {
 			t.Fatalf("cell %d volume = %v, want 1", i, c.Volume())
@@ -171,10 +198,7 @@ func TestPeriodicPartitionOfUnity(t *testing.T) {
 	const n = 5
 	const L = 5.0
 	pts := perturbedLattice(rng, n, L, 0.8)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := periodicCells(t, pts, L)
 	var vol float64
 	for _, c := range cells {
 		vol += c.Volume()
@@ -194,10 +218,7 @@ func TestPeriodicRandomPartition(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.V(rng.Float64()*L, rng.Float64()*L, rng.Float64()*L)
 	}
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := periodicCells(t, pts, L)
 	var vol float64
 	for _, c := range cells {
 		vol += c.Volume()
@@ -211,10 +232,7 @@ func TestCellContainsOwnSiteOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	const L = 5.0
 	pts := perturbedLattice(rng, 4, L, 0.9)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := periodicCells(t, pts, L)
 	for i, c := range cells {
 		if !c.Contains(pts[i]) {
 			t.Fatalf("cell %d does not contain its site", i)
@@ -239,10 +257,7 @@ func TestAdjacencySymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const L = 5.0
 	pts := perturbedLattice(rng, 4, L, 0.7)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := periodicCells(t, pts, L)
 	adj := make([]map[int64]bool, len(cells))
 	for i, c := range cells {
 		adj[i] = map[int64]bool{}
@@ -268,10 +283,7 @@ func TestClippedCellMatchesQuickhull(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	const L = 5.0
 	pts := perturbedLattice(rng, 4, L, 0.9)
-	cells, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := periodicCells(t, pts, L)
 	for i, c := range cells {
 		if i%7 != 0 { // sample for speed
 			continue
@@ -293,37 +305,6 @@ func TestClippedCellMatchesQuickhull(t *testing.T) {
 	}
 }
 
-func TestComputePeriodicValidation(t *testing.T) {
-	if _, err := ComputePeriodic(make([]geom.Vec3, 2), make([]int64, 3), 1, 0); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := ComputePeriodic([]geom.Vec3{{X: 0.5, Y: 0.5, Z: 0.5}}, []int64{0}, -1, 0); err == nil {
-		t.Error("negative box accepted")
-	}
-}
-
-func TestComputePeriodicDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	const L = 4.0
-	pts := perturbedLattice(rng, 3, L, 0.6)
-	c1, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c8, err := ComputePeriodic(pts, seqIDs(len(pts)), L, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c1 {
-		if math.Abs(c1[i].Volume()-c8[i].Volume()) > 1e-12 {
-			t.Fatalf("cell %d volume differs across worker counts", i)
-		}
-		if len(c1[i].Faces) != len(c8[i].Faces) {
-			t.Fatalf("cell %d face count differs across worker counts", i)
-		}
-	}
-}
-
 func BenchmarkComputeCell(b *testing.B) {
 	rng := rand.New(rand.NewSource(56))
 	const L = 8.0
@@ -332,7 +313,7 @@ func BenchmarkComputeCell(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		site := pts[i%len(pts)]
-		if _, err := ComputeCellScratch(ix, site, int64(i%len(pts)), geom.Cube(site, L/2), nil); err != nil {
+		if _, err := computeCell(ix, site, int64(i%len(pts)), geom.Cube(site, L/2), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

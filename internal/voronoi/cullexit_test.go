@@ -40,7 +40,7 @@ func TestCullExitOnlyOnProvenCells(t *testing.T) {
 		{"shell", octahedron, geom.Cube(center, 10), false},
 	} {
 		ix := NewIndex(tc.pts, seqIDs(len(tc.pts)), 0)
-		full, err := ComputeCellScratch(ix, center, 99, tc.initBox, nil)
+		full, err := computeCell(ix, center, 99, tc.initBox, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

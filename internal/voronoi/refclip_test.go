@@ -289,7 +289,7 @@ func (p *sweepPair) clip(pl geom.Plane, id int64) {
 // for bit, the two maxR to be the same number, and the incremental live
 // set to be what a rescan finds.
 func (p *sweepPair) compare(what string) {
-	p.w.finishOwned(&p.cell)
+	p.w.finish(&p.cell, nil, nil, nil)
 	if d := cellDiff(&p.cell, p.ref); d != "" {
 		p.t.Fatalf("after %s (%d cuts): %s", what, p.w.cuts, d)
 	}
@@ -362,10 +362,9 @@ func TestNeverCutCellKeepsCornerOrder(t *testing.T) {
 
 	ix := NewIndex([]geom.Vec3{site, far}, []int64{0, 9}, 0)
 	for name, compute := range map[string]func() (*Cell, error){
-		"ComputeCellScratch": func() (*Cell, error) { return ComputeCellScratch(ix, site, 0, box, NewScratch()) },
-		"ComputeCellPooled":  func() (*Cell, error) { return ComputeCellPooled(ix, site, 0, box, NewScratch(), new(CellPool)) },
-		"ComputeCellReused":  func() (*Cell, error) { return ComputeCellReused(ix, site, 0, box, 0, NewScratch()) },
-		"ComputeCellBrute":   func() (*Cell, error) { return ComputeCellBrute([]geom.Vec3{site, far}, []int64{0, 9}, site, 0, box) },
+		"ComputeCellPooled": func() (*Cell, error) { return ComputeCellPooled(ix, site, 0, box, NewScratch(), new(CellPool)) },
+		"ComputeCellReused": func() (*Cell, error) { return ComputeCellReused(ix, site, 0, box, 0, NewScratch()) },
+		"ComputeCellBrute":  func() (*Cell, error) { return ComputeCellBrute([]geom.Vec3{site, far}, []int64{0, 9}, site, 0, box) },
 	} {
 		c, err := compute()
 		if err != nil {
@@ -428,7 +427,7 @@ func TestRescanAfterDroppedFace(t *testing.T) {
 	if !w.clip(pl, 7) || !referenceClip(ref, pl, 7, new(refScratch)) {
 		t.Fatal("the plane did not cut")
 	}
-	w.finishOwned(c)
+	w.finish(c, nil, nil, nil)
 	if d := cellDiff(c, ref); d != "" {
 		t.Fatal(d)
 	}
@@ -482,7 +481,7 @@ func TestIncrementalLiveSetEqualsRescan(t *testing.T) {
 					}
 					checkLiveSet(t, &w)
 					if got, want := w.maxR(), func() float64 {
-						w.finishOwned(&c)
+						w.finish(&c, nil, nil, nil)
 						return c.MaxVertexDist()
 					}(); got != want {
 						t.Fatalf("maxR %v, finished cell's MaxVertexDist %v", got, want)

@@ -11,9 +11,9 @@ import "repro/internal/geom"
 // A Scratch is NOT safe for concurrent use; give each worker goroutine its
 // own. The cell under construction lives in the scratch's sweep and is
 // copied out once, when it is finished, so returned cells never alias the
-// sweep: ComputeCellScratch and ComputeCellPooled cells own their storage
-// or the pool's, and ComputeCellReused's cell lives in the single-cell
-// storage below until the next cell through the Scratch.
+// sweep: ComputeCellPooled's cells live in the pool's storage, and
+// ComputeCellReused's cell in the single-cell storage below until the next
+// cell through the Scratch.
 type Scratch struct {
 	sw sweep
 

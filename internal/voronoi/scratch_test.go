@@ -18,11 +18,11 @@ func TestComputeCellScratchMatchesFresh(t *testing.T) {
 	ix := NewIndex(pts, ids, 0)
 	s := NewScratch()
 	for i, site := range pts {
-		fresh, err := ComputeCellScratch(ix, site, ids[i], geom.Cube(site, L/2), nil)
+		fresh, err := computeCell(ix, site, ids[i], geom.Cube(site, L/2), nil)
 		if err != nil {
 			t.Fatalf("site %d fresh: %v", i, err)
 		}
-		reused, err := ComputeCellScratch(ix, site, ids[i], geom.Cube(site, L/2), s)
+		reused, err := computeCell(ix, site, ids[i], geom.Cube(site, L/2), s)
 		if err != nil {
 			t.Fatalf("site %d scratch: %v", i, err)
 		}
@@ -58,23 +58,23 @@ func TestComputeCellScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// Returned cells must own their memory: computing another cell through the
-// same Scratch must not disturb an earlier result.
-func TestComputeCellScratchDetaches(t *testing.T) {
+// Pooled cells must not alias the Scratch: computing more cells through the
+// same Scratch and pool must not disturb an earlier result.
+func TestComputeCellPooledDetaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	const L = 4.0
 	pts := perturbedLattice(rng, 3, L, 0.8)
 	ids := seqIDs(len(pts))
 	ix := NewIndex(pts, ids, 0)
-	s := NewScratch()
-	first, err := ComputeCellScratch(ix, pts[0], ids[0], geom.Cube(pts[0], L/2), s)
+	s, pool := NewScratch(), new(CellPool)
+	first, err := ComputeCellPooled(ix, pts[0], ids[0], geom.Cube(pts[0], L/2), s, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verts := append([]geom.Vec3(nil), first.Verts...)
 	vol := first.Volume()
 	for i := 1; i < len(pts); i++ {
-		if _, err := ComputeCellScratch(ix, pts[i], ids[i], geom.Cube(pts[i], L/2), s); err != nil {
+		if _, err := ComputeCellPooled(ix, pts[i], ids[i], geom.Cube(pts[i], L/2), s, pool); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 //
 // Nothing handed out may alias these buffers: the next cell through the
 // same Scratch overwrites them in place, and finish copies out of them.
-// TestComputeCellScratchDetaches and the byte-identity suites above it hold
+// TestComputeCellPooledDetaches and the byte-identity suites above it hold
 // that (DESIGN.md "Static invariants").
 type sweep struct {
 	site geom.Vec3
@@ -466,19 +466,6 @@ func (w *sweep) finish(c *Cell, verts []geom.Vec3, faces []Face, loops []int) ([
 	c.Verts = verts[vbase:len(verts):len(verts)]
 	c.Faces = faces[fbase:len(faces):len(faces)]
 	return verts, faces, loops
-}
-
-// finishOwned is finish into exactly-sized storage of c's own (one
-// allocation each for vertices, face headers, and a shared loop arena).
-func (w *sweep) finishOwned(c *Cell) {
-	nv, nl := len(w.live), 0
-	if w.cuts == 0 {
-		nv = len(w.verts)
-	}
-	for _, f := range w.faces {
-		nl += f.end - f.start
-	}
-	w.finish(c, make([]geom.Vec3, 0, nv), make([]Face, 0, len(w.faces)), make([]int, 0, nl))
 }
 
 // addCut records vi as lying on the cut plane, ignoring duplicates: each
