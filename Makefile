@@ -5,7 +5,8 @@
 # the whole test suite under the race detector (which holds the
 # fault-containment, checkpoint and daemon e2e suites — each test runs
 # once), the coverage floor, the fuzz seed corpora, the bench module, a
-# Table II smoke run and one pass of the kernel benchmark, so
+# Table II smoke run and one pass each of the kernel and density
+# benchmarks, so
 # the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
 # (abort, watchdog, crash containment) are checked on every run.
@@ -17,7 +18,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke check bench bench-stack loc
+.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke density-bench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -137,7 +138,14 @@ tessbench-smoke:
 kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench KernelStream -benchtime 1x ./internal/voronoi > /dev/null
 
-check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke
+# The density step's one-minute check: one Step then StepDensity on a
+# 16^3 N-body snapshot (BenchmarkStepThenDensity, the build overlapped with
+# the step) and one pass of each Pipeline.Triangulate size must run to the
+# end.
+density-bench-smoke:
+	$(GO) test -run '^$$' -bench 'StepThenDensity|Triangulate' -benchtime 1x ./internal/core ./internal/density > /dev/null
+
+check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke density-bench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts, and the
 # clipping kernel alone (ns/cell and the candidate funnel per cell on the

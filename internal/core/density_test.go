@@ -105,19 +105,36 @@ func TestStepDensityRecordsPhases(t *testing.T) {
 }
 
 // The triangulation's work counts land on rank 0 of the recorder, exact
-// and repeatable: a second session over the same snapshot counts the same.
+// and repeatable: a session that triangulates the snapshot itself and one
+// that uses the build its Step started count the same, and the
+// density-prefetched counter tells them apart.
 func TestStepDensityCountsTriangulation(t *testing.T) {
 	const ng = 8
-	snaps := evolvingSnapshots(t, ng, 1)
+	snaps := evolvingSnapshots(t, ng, 2)
 	names := []string{CounterDelaunayPoints, CounterDelaunayTetsCreated, CounterDelaunayPeakSlots,
 		CounterDelaunayWalkSteps, CounterDelaunayInSphere}
 	var runs [2][]int64
 	for i := range runs {
+		prefetched := i == 1
 		cfg := baseConfig(float64(ng))
 		cfg.Recorder = obs.NewRecorder(2)
 		s, err := OpenSession(cfg, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if prefetched {
+			// A StepDensity arms the prefetch; the Step after it resets
+			// the recorder and starts the build the next StepDensity uses.
+			_, err := s.Step(snaps[1])
+			if err == nil {
+				_, err = s.StepDensity(snaps[1], density.Config{GridN: 8})
+			}
+			if err == nil {
+				_, err = s.Step(snaps[0])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := s.StepDensity(snaps[0], density.Config{GridN: 8})
 		if err != nil {
@@ -131,6 +148,13 @@ func TestStepDensityCountsTriangulation(t *testing.T) {
 			}
 			runs[i] = append(runs[i], c[0])
 		}
+		want := []int64{0, 0}
+		if prefetched {
+			want[0] = 1
+		}
+		if got := res.Obs.Counters[CounterDensityPrefetched]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %v, want %v", CounterDensityPrefetched, got, want)
+		}
 		if got := res.Obs.Counters[CounterDelaunayPoints][0]; got != int64(res.Padded) {
 			t.Errorf("%s = %d, want the %d padded points", CounterDelaunayPoints, got, res.Padded)
 		}
@@ -140,7 +164,7 @@ func TestStepDensityCountsTriangulation(t *testing.T) {
 		s.Close()
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Errorf("counts differ between two sessions: %v vs %v", runs[0], runs[1])
+		t.Errorf("counts differ between a built and a prefetched triangulation: %v vs %v", runs[0], runs[1])
 	}
 }
 
@@ -214,5 +238,34 @@ func TestStepDensityInterleavesWithTessellation(t *testing.T) {
 		if !bytes.Equal(density.EncodeGrid(res.Grid), density.EncodeGrid(ref.Grid)) {
 			t.Fatalf("step %d: interleaved density grid differs from direct run", step)
 		}
+	}
+}
+
+// BenchmarkStepThenDensity times one density-warm op: Step then StepDensity
+// over a 16³ N-body snapshot on 4 blocks, warm, so the StepDensity uses the
+// triangulation its Step started. Ops alternate between two snapshots.
+func BenchmarkStepThenDensity(b *testing.B) {
+	const ng = 16
+	snaps := evolvingSnapshots(b, ng, 2)
+	s, err := OpenSession(baseConfig(float64(ng)), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	dc := density.Config{GridN: 32, Spectrum: true}
+	op := func(i int) {
+		ps := snaps[i%len(snaps)]
+		if _, err := s.Step(ps); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.StepDensity(ps, dc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op(1) // arms the prefetch and warms every buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
 	}
 }

@@ -55,6 +55,14 @@ const (
 // Output.Clone. A Session is not safe for concurrent use; drive it from
 // one goroutine.
 //
+// Once the session has run StepDensity, each Step also triangulates its
+// particles for the density pipeline on a goroutine of its own while the
+// ranks tessellate, and the next StepDensity uses that build when its
+// config and particle positions are the ones the build saw (see
+// StepDensity). A Step not followed by such a StepDensity costs one spare
+// build. Step, StepDensity and Close join a pending build before anything
+// else, so no goroutine outlives the session.
+//
 // After any aborted step (injected crash, watchdog stall, pipeline error)
 // the underlying world is dead and the session is terminally failed: every
 // later Step returns the original abort error immediately, without
@@ -83,10 +91,14 @@ type Session struct {
 	// Warm density-pipeline state (StepDensity). The pipeline retains its
 	// triangulation scratch, estimator accumulators, and grid buffers
 	// across steps; it is rebuilt only when the density config changes.
+	// densPts holds the positions the pipeline last triangulated, or is
+	// triangulating for pf: the build a Step started that no call has
+	// joined yet (nil when there is none).
 	dens      *density.Pipeline
 	densCfg   density.Config
 	densPts   []geom.Vec3
 	densStats []dtfe.SampleStats
+	pf        *prefetch
 }
 
 // OpenSession builds the persistent state for repeated tessellation passes
@@ -194,9 +206,10 @@ func WithOutputPath(path string) StepOption {
 // session's retained state, writing where a WithOutputPath option says.
 // The returned Output is a loan valid until the next Step (see Session);
 // its content is byte-identical to Run(cfg, particles, numBlocks) with the
-// session's configuration.
+// session's configuration. On a session that has run StepDensity it also
+// starts the next StepDensity's triangulation of particles (see Session).
 func (s *Session) Step(particles []diy.Particle, opts ...StepOption) (*Output, error) {
-	return s.StepFrom(storage.NewSliceSource(particles), opts...)
+	return s.step(storage.NewSliceSource(particles), particles, opts)
 }
 
 // usable is the preamble of every step variant: a closed or terminally
@@ -229,8 +242,16 @@ func (s *Session) usable() error {
 //
 // The exception is the first step of an RCB session, which builds the
 // decomposition: it needs every particle position at once and therefore
-// materializes the source for that step only.
+// materializes the source for that step only. StepFrom starts no density
+// triangulation (Step does).
 func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, error) {
+	return s.step(src, nil, opts)
+}
+
+// step is StepFrom, and with particles (src's content, given by Step) it
+// starts their density triangulation once the step is validated.
+func (s *Session) step(src storage.Source, particles []diy.Particle, opts []StepOption) (*Output, error) {
+	s.joinPrefetch() // a Step not followed by StepDensity wastes its build
 	if err := s.usable(); err != nil {
 		return nil, err
 	}
@@ -246,6 +267,9 @@ func (s *Session) StepFrom(src storage.Source, opts ...StepOption) (*Output, err
 		// Each step gets a fresh observation epoch; counter registrations
 		// (and their IDs) survive the reset.
 		rec.Reset()
+	}
+	if particles != nil {
+		s.startPrefetch(particles)
 	}
 
 	out := &Output{Meshes: make([]*meshio.BlockMesh, s.numBlocks)}
@@ -443,10 +467,12 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 	return res, tm, nil
 }
 
-// Close releases the session. The per-step loan contract ends with it: the
+// Close releases the session, after joining any density triangulation a
+// Step left pending. The per-step loan contract ends with it: the
 // last Step's Output stays readable (nothing will overwrite it any more),
 // but no further Step may run. Close is idempotent and returns nil.
 func (s *Session) Close() error {
+	s.joinPrefetch()
 	if !s.closed {
 		s.closed = true
 		sharedBudget.release(s.inFlight)
@@ -460,7 +486,9 @@ func (s *Session) Close() error {
 // fast with the same cause. It is the tenant-cancellation entry point of a
 // daemon multiplexing many sessions — one goroutine drives the session's
 // Steps while another may abort it. Aborting an already-dead world is a
-// no-op; Close must still be called to release the session.
+// no-op; Close must still be called to release the session. A density
+// triangulation a Step started is not interrupted: it runs to its end, and
+// the next call of the session or Close joins it.
 func (s *Session) Abort(cause error) {
 	s.w.Abort(cause)
 }

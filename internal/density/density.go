@@ -133,7 +133,8 @@ type SpectrumBin struct {
 }
 
 // Result is one snapshot's pipeline output. Grid is loaned from the
-// Pipeline — valid until its next Triangulate — and Clone detaches it.
+// Pipeline — valid until its next InterpolateSlab (Triangulate leaves it
+// alone) — and Clone detaches it.
 type Result struct {
 	GridN int      `json:"grid_n"`
 	Box   geom.Box `json:"box"`
@@ -185,7 +186,8 @@ func New(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	return &Pipeline{cfg: cfg}, nil
+	n := cfg.GridN
+	return &Pipeline{cfg: cfg, grid: make([]float64, n*n*n)}, nil
 }
 
 // Compute runs the full pipeline once on a fresh Pipeline and returns an
@@ -215,7 +217,8 @@ func (p *Pipeline) Step(pts []geom.Vec3, masses []float64) (*Result, error) {
 
 // Triangulate tessellates the snapshot's tracers (plus periodic images
 // when configured) and prepares the DTFE field and point locator. masses
-// may be nil for unit tracers.
+// may be nil for unit tracers. It does not touch the grid, so the Result
+// of the previous snapshot stays readable while the next one triangulates.
 func (p *Pipeline) Triangulate(pts []geom.Vec3, masses []float64) error {
 	if masses != nil && len(masses) != len(pts) {
 		return fmt.Errorf("density: %d points but %d masses", len(pts), len(masses))
@@ -243,8 +246,6 @@ func (p *Pipeline) Triangulate(pts []geom.Vec3, masses []float64) error {
 	}
 	p.field = f
 	p.loc = tr.NewLocator(0)
-	n := p.cfg.GridN
-	p.grid = resize(p.grid, n*n*n)
 	return nil
 }
 
@@ -282,8 +283,10 @@ func (p *Pipeline) addImages(withMasses bool) {
 	}
 }
 
-// InterpolateSlab samples grid planes [z0, z1) at cell centers, spreading
-// planes over `workers` goroutines, and returns the slab's sample stats.
+// InterpolateSlab zeroes grid planes [z0, z1) and samples them at cell
+// centers, spreading planes over `workers` goroutines, and returns the
+// slab's sample stats; a sample outside the hull or in a degenerate tet
+// stays zero.
 // Distinct slabs write disjoint planes and only read the immutable field
 // and locator, so concurrent calls from different ranks are safe and the
 // resulting bytes are independent of the slab/worker partitioning.
@@ -302,6 +305,7 @@ func (p *Pipeline) InterpolateSlab(z0, z1, workers int) dtfe.SampleStats {
 	// worker's slot (each slot has a single sequential writer).
 	voronoi.ParallelFor(z1-z0, workers, func(lo, hi, worker int) {
 		var st dtfe.SampleStats
+		clear(p.grid[(z0+lo)*n*n : (z0+hi)*n*n])
 		for k := z0 + lo; k < z0+hi; k++ {
 			z := box.Min.Z + (float64(k)+0.5)*size.Z/float64(n)
 			for j := 0; j < n; j++ {
@@ -446,15 +450,6 @@ func quantile(sorted []float64, q float64) float64 {
 	idx := int(math.Ceil(q/100*float64(len(sorted)))) - 1
 	idx = min(max(idx, 0), len(sorted)-1)
 	return sorted[idx]
-}
-
-func resize(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // EncodeGrid serializes a density grid as little-endian float64s — the

@@ -287,6 +287,50 @@ func TestResultCloneDetaches(t *testing.T) {
 	}
 }
 
+// Triangulate leaves the loaned grid alone, and the slabs zero their own
+// planes: a result stays readable while the next snapshot triangulates, and
+// a snapshot that leaves samples outside its hull reads zero there on a warm
+// pipeline, as on a fresh one, however the slabs split the grid.
+func TestTriangulateKeepsGridSlabsZero(t *testing.T) {
+	const L = 5.0
+	cfg := Config{GridN: 8, Box: geom.NewBox(geom.Vec3{}, geom.V(L, L, L))}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Step(jitteredLattice(41, 5, L), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := EncodeGrid(res.Grid)
+	// The second snapshot fills only the lower half of the box.
+	half := jitteredLattice(42, 5, L)
+	for i := range half {
+		half[i].Z /= 2
+	}
+	if err := p.Triangulate(half, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, EncodeGrid(res.Grid)) {
+		t.Fatal("Triangulate changed the previous snapshot's grid")
+	}
+	var sample dtfe.SampleStats
+	for _, z := range [][2]int{{0, 3}, {3, 4}, {4, 8}} {
+		sample.Add(p.InterpolateSlab(z[0], z[1], 2))
+	}
+	got := p.Finalize(sample)
+	want, err := Compute(cfg, half, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Sample.Outside == 0 {
+		t.Fatal("the half-box snapshot left no sample outside its hull")
+	}
+	if got.Sample != want.Sample || !bytes.Equal(EncodeGrid(got.Grid), EncodeGrid(want.Grid)) {
+		t.Fatalf("warm slabs (%+v) differ from a fresh pipeline (%+v)", got.Sample, want.Sample)
+	}
+}
+
 // BenchmarkTriangulate times Pipeline.Triangulate on a jittered n^3 box
 // (unit spacing, pad 4): cold is a fresh Pipeline per op — what every
 // tessd density job and every session's first StepDensity pays — and warm

@@ -12,6 +12,10 @@ import "math"
 
 const epsUnit = 1e-12
 
+// inSphereAccept scales InSphere's upper bound on epsUnit times its
+// permanent.
+const inSphereAccept = 24 * (1 + 1e-3) * epsUnit
+
 // Orient3DVal returns the raw signed 6x(volume of tetrahedron abcd)
 // determinant (b-a) x (c-a) . (d-a) without the tolerance filter. It is
 // positive exactly when d lies on the positive side of the plane through
@@ -32,6 +36,22 @@ func InSphere(a, b, c, d, e Vec3) int {
 	// last column.
 	det := a2*det3(be, ce, de) - b2*det3(ae, ce, de) +
 		c2*det3(ae, be, de) - d2*det3(ae, be, ce)
+
+	// Fast accept, with the same answer as the filter below: each of
+	// a2..d2 is at most mx²+my²+mz², and each permDet3 is six products of
+	// one |x|, one |y| and one |z|, so perm <= 24·(mx²+my²+mz²)·mx·my·mz.
+	// The 1e-3 margin covers the rounding of both sides (short of
+	// underflow), so a det past it clears the tolerance whatever the
+	// permanent.
+	mx := max(math.Abs(ae.X), math.Abs(be.X), math.Abs(ce.X), math.Abs(de.X))
+	my := max(math.Abs(ae.Y), math.Abs(be.Y), math.Abs(ce.Y), math.Abs(de.Y))
+	mz := max(math.Abs(ae.Z), math.Abs(be.Z), math.Abs(ce.Z), math.Abs(de.Z))
+	if math.Abs(det) > inSphereAccept*(mx*mx+my*my+mz*mz)*mx*my*mz {
+		if det > 0 {
+			return 1
+		}
+		return -1
+	}
 
 	perm := a2*permDet3(be, ce, de) + b2*permDet3(ae, ce, de) +
 		c2*permDet3(ae, be, de) + d2*permDet3(ae, be, ce)

@@ -180,3 +180,80 @@ func TestOrient3DScaleInvariance(t *testing.T) {
 		}
 	}
 }
+
+// inSphereRef is InSphere without its fast accept: the scaled-epsilon
+// filter alone, the reference the fast accept must agree with.
+func inSphereRef(a, b, c, d, e Vec3) int {
+	ae, be, ce, de := a.Sub(e), b.Sub(e), c.Sub(e), d.Sub(e)
+	a2, b2, c2, d2 := ae.Norm2(), be.Norm2(), ce.Norm2(), de.Norm2()
+	det := a2*det3(be, ce, de) - b2*det3(ae, ce, de) +
+		c2*det3(ae, be, de) - d2*det3(ae, be, ce)
+	perm := a2*permDet3(be, ce, de) + b2*permDet3(ae, ce, de) +
+		c2*permDet3(ae, be, de) + d2*permDet3(ae, be, ce)
+	tol := epsUnit * perm
+	switch {
+	case det > tol:
+		return 1
+	case det < -tol:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// The fast accept changes no sign: on random tuples, on exactly cospherical
+// lattice tuples (the filter's zero case) and on those perturbed by 1e-15
+// and more, InSphere equals the filter alone, and each kind of answer
+// occurs.
+func TestInSphereFastAcceptMatchesFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var seen [3]int
+	check := func(a, b, c, d, e Vec3) {
+		t.Helper()
+		if Orient3DVal(a, b, c, d) < 0 {
+			a, b = b, a
+		}
+		got, want := InSphere(a, b, c, d, e), inSphereRef(a, b, c, d, e)
+		if got != want {
+			t.Fatalf("InSphere(%v, %v, %v, %v, %v) = %d, filter alone %d", a, b, c, d, e, got, want)
+		}
+		seen[want+1]++
+	}
+	perturb := func(v Vec3, s float64) Vec3 {
+		return V(v.X*(1+s*(2*rng.Float64()-1)), v.Y*(1+s*(2*rng.Float64()-1)), v.Z*(1+s*(2*rng.Float64()-1)))
+	}
+	lattice := func(n int, h float64, off Vec3) Vec3 {
+		return off.Add(V(float64(rng.Intn(n)), float64(rng.Intn(n)), float64(rng.Intn(n))).Scale(h))
+	}
+	for i := 0; i < 20000; i++ {
+		// Random tuples at the scales the pipelines use.
+		s := []float64{1e-3, 1, 16, 128}[i%4]
+		check(randVec(rng, s), randVec(rng, s), randVec(rng, s), randVec(rng, s), randVec(rng, s))
+
+		// Lattice tuples: corners of one cube are exactly cospherical, and
+		// a 3³ lattice mixes them with strict insides and outsides.
+		h := []float64{0.5, 1, 0.125, 3}[i%4]
+		off := V(float64(i%7), float64(i%5), float64(i%3)).Scale(h)
+		var p [5]Vec3
+		for k := range p {
+			p[k] = lattice(2+i%2, h, off)
+		}
+		check(p[0], p[1], p[2], p[3], p[4])
+		// Perturbed by 1e-15, and by sizes that put det near the filter's
+		// tolerance, where a bound too low would accept a zero.
+		q := p
+		for k := range q {
+			q[k] = perturb(p[k], 1e-15)
+		}
+		check(q[0], q[1], q[2], q[3], q[4])
+		for k := range q {
+			q[k] = perturb(p[k], []float64{1e-13, 1e-12, 1e-11}[i%3])
+		}
+		check(q[0], q[1], q[2], q[3], q[4])
+	}
+	for k, n := range seen {
+		if n == 0 {
+			t.Errorf("no tuple answered %d: %v", k-1, seen)
+		}
+	}
+}

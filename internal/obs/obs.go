@@ -57,6 +57,9 @@ const (
 	// PhaseSpectrum is the power-spectrum / statistics reduction of the
 	// density pipeline.
 	PhaseSpectrum
+	// PhaseTriangulateWait is a density step's wait for the triangulation
+	// its session started during the preceding tessellation step.
+	PhaseTriangulateWait
 	numPhases
 )
 
@@ -69,6 +72,8 @@ var phaseNames = [numPhases]string{
 	PhaseTriangulate: "triangulate",
 	PhaseInterpolate: "interpolate",
 	PhaseSpectrum:    "spectrum",
+
+	PhaseTriangulateWait: "triangulate-wait",
 }
 
 // String returns the phase name used in traces and reports.
@@ -207,15 +212,24 @@ func (r *Recorder) End(rank int, m SpanMark) {
 	if r == nil || !m.valid {
 		return
 	}
-	now := time.Now()
+	r.RecordSpan(rank, m.phase, m.start, time.Now())
+}
+
+// RecordSpan records on rank a span of phase ph that ran from start to
+// end: work timed off the rank's goroutine, recorded by whoever writes the
+// rank's slot once that work has joined.
+func (r *Recorder) RecordSpan(rank int, ph Phase, start, end time.Time) {
+	if r == nil {
+		return
+	}
 	s := &r.ranks[rank]
 	s.spans = append(s.spans, Span{
-		Phase: m.phase,
+		Phase: ph,
 		Rank:  int32(rank),
-		Start: m.start.Sub(r.epoch),
-		Dur:   now.Sub(m.start),
+		Start: start.Sub(r.epoch),
+		Dur:   end.Sub(start),
 	})
-	s.phaseTotal[m.phase] += now.Sub(m.start)
+	s.phaseTotal[ph] += end.Sub(start)
 }
 
 // CountSend records one message of n bytes from src to dst. Only rank src
@@ -301,9 +315,10 @@ type PhaseBreakdown struct {
 	Output     time.Duration
 	Barrier    time.Duration
 	// Density-pipeline phases (zero on tessellation-only steps).
-	Triangulate time.Duration
-	Interpolate time.Duration
-	Spectrum    time.Duration
+	Triangulate     time.Duration
+	Interpolate     time.Duration
+	Spectrum        time.Duration
+	TriangulateWait time.Duration
 }
 
 // Get returns the component for a phase.
@@ -325,6 +340,8 @@ func (b PhaseBreakdown) Get(p Phase) time.Duration {
 		return b.Interpolate
 	case PhaseSpectrum:
 		return b.Spectrum
+	case PhaseTriangulateWait:
+		return b.TriangulateWait
 	}
 	return 0
 }
@@ -399,6 +416,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 				Triangulate: s.phaseTotal[PhaseTriangulate],
 				Interpolate: s.phaseTotal[PhaseInterpolate],
 				Spectrum:    s.phaseTotal[PhaseSpectrum],
+
+				TriangulateWait: s.phaseTotal[PhaseTriangulateWait],
 			},
 			BarrierWait:     s.barrierWait,
 			Collectives:     s.collectives,

@@ -6,15 +6,10 @@ import (
 	"time"
 )
 
-// RecordSpan records an externally timed interval, so tests can build a
-// snapshot with exact, sleep-free span times.
-func (r *Recorder) RecordSpan(rank int, ph Phase, start, dur time.Duration) {
-	if r == nil {
-		return
-	}
-	s := &r.ranks[rank]
-	s.spans = append(s.spans, Span{Phase: ph, Rank: int32(rank), Start: start, Dur: dur})
-	s.phaseTotal[ph] += dur
+// recordAt records a span at an offset from r's epoch, so tests can build
+// a snapshot with exact, sleep-free span times.
+func recordAt(r *Recorder, rank int, ph Phase, start, dur time.Duration) {
+	r.RecordSpan(rank, ph, r.epoch.Add(start), r.epoch.Add(start+dur))
 }
 
 func TestRecorderSpansAndTotals(t *testing.T) {
@@ -24,7 +19,7 @@ func TestRecorderSpansAndTotals(t *testing.T) {
 	r.End(0, m)
 	m = r.Begin(1, PhaseCompute)
 	r.End(1, m)
-	r.RecordSpan(1, PhaseOutput, 5*time.Millisecond, 2*time.Millisecond)
+	recordAt(r, 1, PhaseOutput, 5*time.Millisecond, 2*time.Millisecond)
 
 	s := r.Snapshot()
 	if s.Ranks != 2 {
@@ -119,8 +114,8 @@ func TestRegisteredCounters(t *testing.T) {
 
 func TestComputeImbalance(t *testing.T) {
 	r := NewRecorder(2)
-	r.RecordSpan(0, PhaseCompute, 0, 30*time.Millisecond)
-	r.RecordSpan(1, PhaseCompute, 0, 10*time.Millisecond)
+	recordAt(r, 0, PhaseCompute, 0, 30*time.Millisecond)
+	recordAt(r, 1, PhaseCompute, 0, 10*time.Millisecond)
 	s := r.Snapshot()
 	if want := 1.5; s.ComputeImbalance < want-1e-9 || s.ComputeImbalance > want+1e-9 {
 		t.Errorf("imbalance = %v, want %v", s.ComputeImbalance, want)
@@ -140,7 +135,7 @@ func TestNilRecorderZeroAlloc(t *testing.T) {
 		r.AddBarrierWait(0, time.Millisecond)
 		r.CountCollective(0, 8)
 		r.Count(0, r.RegisterCounter("x"), 1)
-		r.RecordSpan(0, PhaseOutput, 0, time.Second)
+		r.RecordSpan(0, PhaseOutput, time.Time{}, time.Time{})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-recorder hooks allocate %v per run, want 0", allocs)

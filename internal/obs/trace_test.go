@@ -10,12 +10,12 @@ import (
 
 func traceFixture() *Snapshot {
 	r := NewRecorder(2)
-	r.RecordSpan(0, PhaseExchange, 0, 2*time.Millisecond)
-	r.RecordSpan(0, PhaseCompute, 2*time.Millisecond, 5*time.Millisecond)
-	r.RecordSpan(0, PhaseOutput, 7*time.Millisecond, time.Millisecond)
-	r.RecordSpan(1, PhaseExchange, 0, 3*time.Millisecond)
-	r.RecordSpan(1, PhaseCompute, 3*time.Millisecond, 4*time.Millisecond)
-	r.RecordSpan(1, PhaseOutput, 7*time.Millisecond, time.Millisecond)
+	recordAt(r, 0, PhaseExchange, 0, 2*time.Millisecond)
+	recordAt(r, 0, PhaseCompute, 2*time.Millisecond, 5*time.Millisecond)
+	recordAt(r, 0, PhaseOutput, 7*time.Millisecond, time.Millisecond)
+	recordAt(r, 1, PhaseExchange, 0, 3*time.Millisecond)
+	recordAt(r, 1, PhaseCompute, 3*time.Millisecond, 4*time.Millisecond)
+	recordAt(r, 1, PhaseOutput, 7*time.Millisecond, time.Millisecond)
 	r.CountSend(0, 1, 1000)
 	r.CountRecv(1, 0, 1000)
 	id := r.RegisterCounter("ghosts")

@@ -19,6 +19,14 @@ import (
 // Resume needs, and Stats/WarmStats/Steps report its cumulative counters;
 // see the methods in internal/core.
 //
+// Once a session has run StepDensity, each Step also starts the density
+// triangulation of its particles on a goroutine of its own, overlapped
+// with the tessellation; the next StepDensity uses it when its config and
+// particle positions (bit for bit, in order) are the ones the Step saw,
+// and otherwise triangulates itself, with the same grid bytes either way.
+// A Step not followed by such a StepDensity costs one spare build; Step,
+// StepDensity and Close join a pending build first.
+//
 // The *Output returned by Step is a loan valid until the next Step;
 // deep-copy it with Output.Clone to keep it longer. After an aborted step
 // (rank failure, injected crash, watchdog stall) the session is

@@ -232,6 +232,8 @@ const (
 	PhaseTriangulate = obs.PhaseTriangulate
 	PhaseInterpolate = obs.PhaseInterpolate
 	PhaseSpectrum    = obs.PhaseSpectrum
+
+	PhaseTriangulateWait = obs.PhaseTriangulateWait
 )
 
 // DensityConfig configures the streaming density pipeline (DTFE
@@ -240,8 +242,8 @@ const (
 type DensityConfig = density.Config
 
 // DensityResult is one snapshot's density-pipeline output. When returned
-// by StepDensity its Grid is loaned until the next step; Clone detaches
-// it.
+// by StepDensity its Grid is loaned until the next StepDensity; Clone
+// detaches it.
 type DensityResult = density.Result
 
 // DensityStats summarizes a sampled density grid (mean, percentiles, void
