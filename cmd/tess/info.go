@@ -46,12 +46,7 @@ func info(args []string, w io.Writer) error {
 	}
 	for bi, m := range meshes {
 		s := m.ComputeStats()
-		totals.Cells += s.Cells
-		totals.Faces += s.Faces
-		totals.FaceVertRefs += s.FaceVertRefs
-		totals.UniqueVerts += s.UniqueVerts
-		totals.GeometryBytes += s.GeometryBytes
-		totals.ConnectivityBytes += s.ConnectivityBytes
+		totals = totals.Add(s)
 		vols = append(vols, m.Volumes...)
 		for _, c := range m.Complete {
 			if !c {
@@ -69,11 +64,9 @@ func info(args []string, w io.Writer) error {
 	if totals.Cells > 0 && totals.Faces > 0 {
 		fmt.Fprintf(w, "data model: %.1f faces/cell, %.1f verts/face, %.0f B/particle "+
 			"(%.0f%% geometry / %.0f%% connectivity)\n",
-			float64(totals.Faces)/float64(totals.Cells),
-			float64(totals.FaceVertRefs)/float64(totals.Faces),
-			float64(totals.GeometryBytes+totals.ConnectivityBytes)/float64(totals.Cells),
-			100*float64(totals.GeometryBytes)/float64(totals.GeometryBytes+totals.ConnectivityBytes),
-			100*float64(totals.ConnectivityBytes)/float64(totals.GeometryBytes+totals.ConnectivityBytes))
+			totals.FacesPerCell, totals.VertsPerFace, totals.BytesPerParticle,
+			100*float64(totals.GeometryBytes)/float64(totals.TotalBytes),
+			100*float64(totals.ConnectivityBytes)/float64(totals.TotalBytes))
 	}
 	if *showStats && len(vols) > 0 {
 		m := stats.ComputeMoments(vols)

@@ -190,8 +190,8 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *n <= 0 || *blocks <= 0 || *box <= 0 {
-		return fmt.Errorf("-n, -blocks, and -box must be positive")
+	if *n <= 0 {
+		return fmt.Errorf("-n must be positive")
 	}
 	if *snapshot != "" && *densityN > 0 {
 		return fmt.Errorf("-density needs the inline particle set; it cannot stream from -snapshot")
@@ -214,7 +214,6 @@ func run(args []string, w io.Writer) error {
 	cfg := tess.NewPeriodicConfig(*box)
 	cfg.GhostSize = *ghost
 	cfg.Workers = *workers
-	cfg.Recorder = tess.NewRecorder(*blocks)
 	switch *decomp {
 	case "grid":
 		cfg.Decomposition = tess.DecomposeRegular
@@ -223,6 +222,11 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("-decomp must be grid or rcb, got %q", *decomp)
 	}
+	// The recorder needs a block count the session accepts.
+	if err := cfg.Validate(*blocks); err != nil {
+		return err
+	}
+	cfg.Recorder = tess.NewRecorder(*blocks)
 
 	var out *tess.Output
 	nparticles := len(ps)

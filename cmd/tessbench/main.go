@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diy"
 	"repro/internal/geom"
+	"repro/internal/meshio"
 	"repro/internal/nbody"
 	"repro/internal/obs"
 )
@@ -253,26 +254,14 @@ func cullThreshold(particles []diy.Particle, L float64, frac float64) float64 {
 }
 
 func printDataModel(out *core.Output) {
-	var cells, faces, refs, verts int
+	var t meshio.Stats
 	for _, m := range out.Meshes {
-		s := m.ComputeStats()
-		cells += s.Cells
-		faces += s.Faces
-		refs += s.FaceVertRefs
-		verts += s.UniqueVerts
-	}
-	var geoB, connB int64
-	for _, m := range out.Meshes {
-		s := m.ComputeStats()
-		geoB += s.GeometryBytes
-		connB += s.ConnectivityBytes
+		t = t.Add(m.ComputeStats())
 	}
 	fmt.Printf("  data model: %.1f faces/cell, %.1f verts/face, %.1f refs/vertex, "+
 		"%.0f B/particle (%.0f%% geometry, %.0f%% connectivity)\n",
-		float64(faces)/float64(cells), float64(refs)/float64(faces),
-		float64(refs)/float64(verts),
-		float64(geoB+connB)/float64(cells),
-		100*float64(geoB)/float64(geoB+connB), 100*float64(connB)/float64(geoB+connB))
+		t.FacesPerCell, t.VertsPerFace, t.VertSharing, t.BytesPerParticle,
+		100*float64(t.GeometryBytes)/float64(t.TotalBytes), 100*float64(t.ConnectivityBytes)/float64(t.TotalBytes))
 }
 
 // weakScaling runs the Figure 10 (right) experiment: fixed particles per

@@ -57,8 +57,8 @@ func RunInSitu(cfg InSituConfig, hook func(Snapshot) error) ([]Snapshot, error) 
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("tess: non-positive step count %d", cfg.Steps)
 	}
-	if cfg.Blocks <= 0 {
-		return nil, fmt.Errorf("tess: non-positive block count %d", cfg.Blocks)
+	if err := cfg.Tess.Validate(cfg.Blocks); err != nil {
+		return nil, err
 	}
 	simBox := geom.NewBox(geom.V(0, 0, 0), geom.V(cfg.Sim.BoxSize, cfg.Sim.BoxSize, cfg.Sim.BoxSize))
 	if cfg.Tess.Domain != simBox {

@@ -116,11 +116,11 @@ func TestBarrierRankRecordsWait(t *testing.T) {
 		w.BarrierRank(rank)
 	})
 	s := rec.Snapshot()
-	if s.PerRank[0].BarrierWait < 10*time.Millisecond {
-		t.Errorf("rank 0 barrier wait %v, want >= 10ms", s.PerRank[0].BarrierWait)
+	if s.PerRank[0].Phase.Barrier < 10*time.Millisecond {
+		t.Errorf("rank 0 barrier wait %v, want >= 10ms", s.PerRank[0].Phase.Barrier)
 	}
-	if s.PerRank[1].BarrierWait > 15*time.Millisecond {
-		t.Errorf("rank 1 (late arriver) barrier wait %v, want small", s.PerRank[1].BarrierWait)
+	if s.PerRank[1].Phase.Barrier > 15*time.Millisecond {
+		t.Errorf("rank 1 (late arriver) barrier wait %v, want small", s.PerRank[1].Phase.Barrier)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"runtime/debug"
 	"time"
@@ -140,9 +139,10 @@ func samePositions(pts []geom.Vec3, ps []diy.Particle) bool {
 // same pipeline and points, so the grid bytes do not depend on which ran.
 //
 // A zero dc.Box inherits the session's domain, periodicity, and ghost
-// size as the periodic padding depth. Faults injected at the "density"
-// checkpoint and stalls degrade exactly like tessellation steps: the
-// world aborts, the error is structured, and the session turns terminal.
+// size as the periodic padding depth (ResolveDensity). Faults injected at
+// the "density" checkpoint and stalls degrade exactly like tessellation
+// steps: the world aborts, the error is structured, and the session turns
+// terminal.
 // So does a used prefetched build that failed or panicked: its error
 // comes back as rank 0's (a panic as a *comm.RankError).
 //
@@ -170,13 +170,7 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 	if err := s.usable(); err != nil {
 		return nil, err
 	}
-	if dc.Box == (geom.Box{}) {
-		dc.Box = s.cfg.Domain
-		dc.Periodic = s.cfg.Periodic
-		if dc.Pad <= 0 {
-			dc.Pad = s.cfg.GhostSize
-		}
-	}
+	dc = s.cfg.ResolveDensity(dc)
 	hit := pf != nil && sameDensityConfig(s.densCfg, dc) && samePositions(s.densPts, particles)
 	var buildErr error
 	if hit {
@@ -187,10 +181,8 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 		s.dens = nil // a failed build may have left the pipeline half-built
 	}
 	if dc.Periodic {
-		for _, p := range particles {
-			if !dc.Box.Contains(p.Pos) {
-				return nil, fmt.Errorf("core: particle %d at %v outside periodic density box", p.ID, p.Pos)
-			}
+		if err := checkInDomain(particles, dc.Box); err != nil {
+			return nil, err
 		}
 	}
 	if s.dens == nil || !sameDensityConfig(s.densCfg, dc) {
@@ -255,6 +247,21 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 		res.Obs = rec.Snapshot()
 	}
 	return res, nil
+}
+
+// ResolveDensity returns the density config a session over cfg runs for
+// dc: a zero dc.Box inherits cfg's domain and periodicity, and then a
+// non-positive dc.Pad the ghost size as the periodic padding depth. Both
+// StepDensity and tessd's admission validate its result.
+func (cfg Config) ResolveDensity(dc density.Config) density.Config {
+	if dc.Box == (geom.Box{}) {
+		dc.Box = cfg.Domain
+		dc.Periodic = cfg.Periodic
+		if dc.Pad <= 0 {
+			dc.Pad = cfg.GhostSize
+		}
+	}
+	return dc
 }
 
 // sameDensityConfig reports whether two density configs describe the same

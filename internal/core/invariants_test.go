@@ -320,7 +320,7 @@ func TestRunTimedRanksTakeTurns(t *testing.T) {
 			t.Errorf("rank %d computes from %v, before rank %d finished at %v", r, turns[r].start, r-1, turns[r-1].end)
 		}
 	}
-	if out.Obs.PerRank[blocks-1].BarrierWait <= 0 {
+	if out.Obs.PerRank[blocks-1].Phase.Barrier <= 0 {
 		t.Error("the last rank's turn recorded no barrier wait")
 	}
 }

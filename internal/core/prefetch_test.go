@@ -265,3 +265,48 @@ func TestPrefetchPanicContained(t *testing.T) {
 		f.closeAndCount()
 	})
 }
+
+// A prefetched build is used only when sameDensityConfig holds, so that
+// must compare every field of density.Config: changing any one of them,
+// found by reflection, makes the configs differ.
+func TestSameDensityConfigComparesEveryField(t *testing.T) {
+	base := density.Config{
+		GridN: 8, Box: geom.NewBox(geom.V(0, 0, 0), geom.V(4, 4, 4)), Periodic: true, Pad: 1,
+		Spectrum: true, Percentiles: []float64{5, 50}, VoidThreshold: 0.2,
+	}
+	if !sameDensityConfig(base, base) {
+		t.Fatal("a config differs from itself")
+	}
+	// change moves every leaf of v, so a struct field differs whichever
+	// leaf the comparison reads.
+	var change func(v reflect.Value)
+	change = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Struct:
+			for i := range v.NumField() {
+				change(v.Field(i))
+			}
+		case reflect.Slice:
+			c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+			reflect.Copy(c, v) // base keeps its own backing array
+			change(c.Index(0))
+			v.Set(c)
+		default:
+			t.Fatalf("no change for kind %v: extend this test and sameDensityConfig", v.Kind())
+		}
+	}
+	typ := reflect.TypeOf(base)
+	for i := range typ.NumField() {
+		other := base
+		change(reflect.ValueOf(&other).Elem().Field(i))
+		if sameDensityConfig(base, other) || sameDensityConfig(other, base) {
+			t.Errorf("field %s changed, but sameDensityConfig still holds", typ.Field(i).Name)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/comm"
@@ -101,6 +102,51 @@ type Session struct {
 	pf        *prefetch
 }
 
+// Validate reports whether a session of numBlocks >= 1 blocks can run cfg:
+// a finite domain with a positive extent on every axis, a ghost in
+// [0, GhostCeiling], volume culls >= 0 with a positive max above a positive
+// min, an armed crash on one of the ranks, no negative fault delay, and a
+// recorder sized for the ranks. Open and tessd's admission both call it.
+func (cfg Config) Validate(numBlocks int) error {
+	lo, hi := cfg.Domain.Min, cfg.Domain.Max
+	for a := 0; a < 3; a++ {
+		// hi - lo is NaN or infinite when either end is.
+		if s := hi.Component(a) - lo.Component(a); !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("core: domain %v to %v, want a finite box with a positive extent on every axis", lo, hi)
+		}
+	}
+	if !(cfg.GhostSize >= 0) { // also rejects NaN
+		return fmt.Errorf("core: ghost size %g, want >= 0", cfg.GhostSize)
+	}
+	if reach := GhostCeiling(cfg); cfg.GhostSize > reach {
+		return fmt.Errorf("core: ghost size %g exceeds the link reach %g (use a smaller ghost)", cfg.GhostSize, reach)
+	}
+	// A negative volume cull would silently be off, and a max at or below
+	// the min would cull every cell.
+	if !(cfg.MinVolume >= 0 && cfg.MaxVolume >= 0) { // also rejects NaN
+		return fmt.Errorf("core: volume cull min %g max %g, want >= 0 (0 = off)", cfg.MinVolume, cfg.MaxVolume)
+	}
+	if cfg.MinVolume > 0 && cfg.MaxVolume > 0 && cfg.MaxVolume <= cfg.MinVolume {
+		return fmt.Errorf("core: max volume %g is not above min volume %g (every cell would be culled)", cfg.MaxVolume, cfg.MinVolume)
+	}
+	if numBlocks < 1 {
+		return fmt.Errorf("core: %d blocks, want >= 1", numBlocks)
+	}
+	if f := cfg.Faults; f != nil {
+		// A crash on a rank the session does not have would never fire.
+		if f.CrashStep > 0 && (f.CrashRank < 0 || f.CrashRank >= numBlocks) {
+			return fmt.Errorf("core: fault crash rank %d outside [0, %d)", f.CrashRank, numBlocks)
+		}
+		if f.ComputeDelayMax < 0 || f.SendDelayMax < 0 {
+			return fmt.Errorf("core: fault delays %v / %v, want >= 0", f.ComputeDelayMax, f.SendDelayMax)
+		}
+	}
+	if cfg.Recorder != nil && cfg.Recorder.Ranks() != numBlocks {
+		return fmt.Errorf("core: recorder sized for %d ranks, run has %d blocks", cfg.Recorder.Ranks(), numBlocks)
+	}
+	return nil
+}
+
 // OpenSession builds the persistent state for repeated tessellation passes
 // of numBlocks blocks under cfg: the decomposition, the communication
 // world (with watchdog and fault injection armed per cfg, the injector's
@@ -114,19 +160,8 @@ func OpenSession(cfg Config, numBlocks int) (*Session, error) {
 // openSession is OpenSession for a session that keeps inFlight of the
 // numBlocks ranks computing at once.
 func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
-	if !(cfg.GhostSize >= 0) { // also rejects NaN
-		return nil, fmt.Errorf("core: ghost size %g, want >= 0", cfg.GhostSize)
-	}
-	if reach := GhostCeiling(cfg); cfg.GhostSize > reach {
-		return nil, fmt.Errorf("core: ghost size %g exceeds the link reach %g (use a smaller ghost)", cfg.GhostSize, reach)
-	}
-	// A negative volume cull would silently be off, and a max at or below
-	// the min would cull every cell.
-	if !(cfg.MinVolume >= 0 && cfg.MaxVolume >= 0) { // also rejects NaN
-		return nil, fmt.Errorf("core: volume cull min %g max %g, want >= 0 (0 = off)", cfg.MinVolume, cfg.MaxVolume)
-	}
-	if cfg.MinVolume > 0 && cfg.MaxVolume > 0 && cfg.MaxVolume <= cfg.MinVolume {
-		return nil, fmt.Errorf("core: max volume %g is not above min volume %g (every cell would be culled)", cfg.MaxVolume, cfg.MinVolume)
+	if err := cfg.Validate(numBlocks); err != nil {
+		return nil, err
 	}
 	// A grid is fixed by the config; an RCB session cuts its decomposition
 	// from its first step's particles (stage), or a resume replays it.
@@ -136,8 +171,6 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 		if d, err = diy.Decompose(cfg.Domain, numBlocks, cfg.Periodic); err != nil {
 			return nil, err
 		}
-	} else if numBlocks <= 0 {
-		return nil, fmt.Errorf("core: cannot cut %d RCB blocks", numBlocks)
 	}
 	var opts []comm.Option
 	if cfg.StallTimeout > 0 {
@@ -159,9 +192,6 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 		rankErrs:  make([]error, numBlocks),
 	}
 	if cfg.Recorder != nil {
-		if cfg.Recorder.Ranks() != numBlocks {
-			return nil, fmt.Errorf("core: recorder sized for %d ranks, run has %d blocks", cfg.Recorder.Ranks(), numBlocks)
-		}
 		// Pre-register the pipeline counters so concurrent ranks never race
 		// a first-use registration against in-flight Count calls.
 		countBlock(cfg.Recorder, 0, new(BlockResult))

@@ -53,7 +53,8 @@ type Config struct {
 	// nil means {5, 25, 50, 75, 95}.
 	Percentiles []float64
 	// VoidThreshold classifies a sample cell as void when its density is
-	// below VoidThreshold times the grid mean; <= 0 means 0.2.
+	// below VoidThreshold times the grid mean; <= 0 means 0.2, and NaN or
+	// ±Inf is an error.
 	VoidThreshold float64
 }
 
@@ -93,8 +94,13 @@ func (c Config) Validate() error {
 			return fmt.Errorf("density: spectrum requires a cubic box, got %v", s)
 		}
 	}
+	// A NaN or +Inf threshold would count every sample void; -Inf would
+	// silently fall back to the default.
+	if math.IsNaN(c.VoidThreshold) || math.IsInf(c.VoidThreshold, 0) {
+		return fmt.Errorf("density: void threshold %g, want a finite fraction of the mean (<= 0 for the default)", c.VoidThreshold)
+	}
 	for _, p := range c.Percentiles {
-		if p < 0 || p > 100 {
+		if !(p >= 0 && p <= 100) { // also rejects NaN
 			return fmt.Errorf("density: percentile %v outside [0,100]", p)
 		}
 	}

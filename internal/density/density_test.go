@@ -48,6 +48,10 @@ func TestConfigValidate(t *testing.T) {
 		{GridN: 8, Box: box, Periodic: true, Pad: math.NaN()},
 		{GridN: 8, Box: box, Periodic: true, Pad: math.Inf(1)},
 		{GridN: 8, Box: box, Pad: math.Inf(-1)},
+		{GridN: 8, Box: box, Percentiles: []float64{50, math.NaN()}},
+		{GridN: 8, Box: box, VoidThreshold: math.NaN()},
+		{GridN: 8, Box: box, VoidThreshold: math.Inf(1)},
+		{GridN: 8, Box: box, VoidThreshold: math.Inf(-1)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

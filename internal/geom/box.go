@@ -83,14 +83,6 @@ func (b Box) Expand(d float64) Box {
 	return Box{Min: b.Min.Sub(e), Max: b.Max.Add(e)}
 }
 
-// Intersect returns the intersection of b and o (possibly empty).
-func (b Box) Intersect(o Box) Box {
-	return Box{
-		Min: Vec3{math.Max(b.Min.X, o.Min.X), math.Max(b.Min.Y, o.Min.Y), math.Max(b.Min.Z, o.Min.Z)},
-		Max: Vec3{math.Min(b.Max.X, o.Max.X), math.Min(b.Max.Y, o.Max.Y), math.Min(b.Max.Z, o.Max.Z)},
-	}
-}
-
 // Corners returns the eight corners of the box.
 func (b Box) Corners() [8]Vec3 {
 	return [8]Vec3{
@@ -103,22 +95,6 @@ func (b Box) Corners() [8]Vec3 {
 		{b.Max.X, b.Max.Y, b.Max.Z},
 		{b.Min.X, b.Max.Y, b.Max.Z},
 	}
-}
-
-// Dist2 returns the squared distance from p to the closest point of b
-// (0 when p is inside).
-func (b Box) Dist2(p Vec3) float64 {
-	var d2 float64
-	for i := 0; i < 3; i++ {
-		c := p.Component(i)
-		lo, hi := b.Min.Component(i), b.Max.Component(i)
-		if c < lo {
-			d2 += (lo - c) * (lo - c)
-		} else if c > hi {
-			d2 += (c - hi) * (c - hi)
-		}
-	}
-	return d2
 }
 
 // InteriorDist returns the minimum distance from p to any face of b when p

@@ -13,6 +13,10 @@
 // tess.SharedWorkerBudget, so N tenants divide GOMAXPROCS instead of
 // oversubscribing it N-fold.
 //
+// Admission (JobSpec.Validate) runs the engine's own config checks, so the
+// daemon refuses a spec exactly when the library refuses its config; the
+// daemon owns only its Limits and the rules of the JSON form.
+//
 // Tenant isolation rides on the engine's fault containment: every job
 // owns its own abortable communication world, so a tenant whose fault
 // plan (or genuine bug) crashes a rank degrades into a structured error

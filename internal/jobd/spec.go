@@ -154,7 +154,9 @@ func badSpec(format string, args ...any) error {
 
 // Validate checks the spec against the daemon's admission limits. It is
 // the cheap synchronous part of admission control: anything it rejects
-// never occupies a queue slot. Errors wrap ErrBadSpec.
+// never occupies a queue slot. Past Limits and the JSON form's own rules,
+// it calls the engine's Validate on the job's session and density configs.
+// Errors wrap ErrBadSpec.
 func (s *JobSpec) Validate(limits Limits) error {
 	if s.Sim != nil {
 		// A sim job's domain is fixed by the simulation (an NG^3 box); l may
@@ -162,11 +164,6 @@ func (s *JobSpec) Validate(limits Limits) error {
 		if s.L != 0 && s.L != float64(s.Sim.NG) {
 			return badSpec("sim jobs run in an ng^3 box; l = %g conflicts with ng = %d", s.L, s.Sim.NG)
 		}
-	} else if s.L <= 0 {
-		return badSpec("domain side l = %g, want > 0", s.L)
-	}
-	if s.Blocks < 1 {
-		return badSpec("blocks = %d, want >= 1", s.Blocks)
 	}
 	if limits.MaxBlocks > 0 && s.Blocks > limits.MaxBlocks {
 		return badSpec("blocks = %d exceeds the daemon's limit of %d", s.Blocks, limits.MaxBlocks)
@@ -219,23 +216,14 @@ func (s *JobSpec) Validate(limits Limits) error {
 	if limits.MaxSteps > 0 && steps > limits.MaxSteps {
 		return badSpec("%d steps exceeds the daemon's limit of %d", steps, limits.MaxSteps)
 	}
-	// A negative ghost would otherwise fall back to the default 4; the
-	// session refuses one its links cannot reach, but only once a worker
-	// opens it: refuse both here.
+	// A negative ghost would otherwise fall back to the default 4.
 	if !(s.Ghost >= 0) { // also rejects NaN
 		return badSpec("ghost = %g, want >= 0 (0 = the default 4)", s.Ghost)
 	}
+	// The session refuses the config too, but only once a worker opens it.
 	cfg := s.config(0)
-	if reach := tess.MaxGhostFor(cfg); cfg.GhostSize > reach {
-		return badSpec("ghost = %g exceeds the link reach %g, half the side-%g cube (use a smaller ghost)",
-			cfg.GhostSize, reach, s.domainL())
-	}
-	// The session refuses these too, but only once a worker opens it.
-	if !(s.MinVolume >= 0 && s.MaxVolume >= 0) {
-		return badSpec("min_volume = %g, max_volume = %g, want >= 0 (0 = off)", s.MinVolume, s.MaxVolume)
-	}
-	if s.MinVolume > 0 && s.MaxVolume > 0 && s.MaxVolume <= s.MinVolume {
-		return badSpec("max_volume = %g is not above min_volume = %g (every cell would be culled)", s.MaxVolume, s.MinVolume)
+	if err := cfg.Validate(s.Blocks); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	var nmax int
 	for i, snap := range s.Snapshots {
@@ -257,27 +245,11 @@ func (s *JobSpec) Validate(limits Limits) error {
 		return badSpec("%d particles exceeds the daemon's limit of %d", nmax, limits.MaxParticles)
 	}
 	if ds := s.Density; ds != nil {
-		if ds.GridN < 2 {
-			return badSpec("density.grid_n = %d, want >= 2", ds.GridN)
-		}
 		if limits.MaxGridN > 0 && ds.GridN > limits.MaxGridN {
 			return badSpec("density.grid_n = %d exceeds the daemon's limit of %d", ds.GridN, limits.MaxGridN)
 		}
-		if ds.Spectrum && ds.GridN&(ds.GridN-1) != 0 {
-			return badSpec("density.grid_n = %d must be a power of two when spectrum is set", ds.GridN)
-		}
-		for _, p := range ds.Percentiles {
-			if !(p >= 0 && p <= 100) { // also rejects NaN
-				return badSpec("density percentile %g outside [0, 100]", p)
-			}
-		}
-	}
-	if f := s.Fault; f != nil {
-		if f.CrashStep > 0 && (f.CrashRank < 0 || f.CrashRank >= s.Blocks) {
-			return badSpec("fault.crash_rank = %d outside [0, %d)", f.CrashRank, s.Blocks)
-		}
-		if f.ComputeDelayMaxMS < 0 || f.SendDelayMaxMS < 0 {
-			return badSpec("fault delays must be >= 0")
+		if err := cfg.ResolveDensity(ds.config()).Validate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadSpec, err)
 		}
 	}
 	return nil

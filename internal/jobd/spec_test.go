@@ -34,7 +34,7 @@ func TestSpecValidate(t *testing.T) {
 		limits Limits
 		wantOK bool
 		// open: tess.Open must agree with Validate on the spec's config, so
-		// a ghost the daemon refuses is one the library refuses.
+		// a config the daemon refuses is one the library refuses.
 		open bool
 	}{
 		{name: "valid inline", mutate: func(s *JobSpec) {}, wantOK: true},
@@ -53,9 +53,14 @@ func TestSpecValidate(t *testing.T) {
 			s.L = 10
 			s.Sim = &SimSpec{NG: 8, Steps: 2}
 		}},
-		{name: "no domain", mutate: func(s *JobSpec) { s.L = 0 }},
-		{name: "negative domain", mutate: func(s *JobSpec) { s.L = -1 }},
-		{name: "no blocks", mutate: func(s *JobSpec) { s.Blocks = 0 }},
+		{name: "no domain", mutate: func(s *JobSpec) { s.L = 0 }, open: true},
+		{name: "negative domain", mutate: func(s *JobSpec) { s.L = -1 }, open: true},
+		{name: "negative domain with a ghost it would fit", mutate: func(s *JobSpec) {
+			s.L, s.Ghost, s.SnapshotURI, s.Snapshots = -1, 0.25, "snap", nil
+		}, open: true},
+		{name: "NaN domain", mutate: func(s *JobSpec) { s.L = math.NaN() }, open: true},
+		{name: "infinite domain", mutate: func(s *JobSpec) { s.L = math.Inf(1) }, open: true},
+		{name: "no blocks", mutate: func(s *JobSpec) { s.Blocks = 0 }, open: true},
 		{name: "both sources", mutate: func(s *JobSpec) { s.Sim = &SimSpec{NG: 8, Steps: 1} }},
 		{name: "neither source", mutate: func(s *JobSpec) { s.Snapshots = nil }},
 		{name: "empty snapshot", mutate: func(s *JobSpec) {
@@ -160,16 +165,36 @@ func TestSpecValidate(t *testing.T) {
 		}},
 		{name: "crash rank out of range", mutate: func(s *JobSpec) {
 			s.Fault = &FaultSpec{CrashRank: 2, CrashStep: 1}
-		}},
+		}, open: true},
 		{name: "crash rank valid", mutate: func(s *JobSpec) {
 			s.Fault = &FaultSpec{CrashRank: 1, CrashStep: 1}
 		}, wantOK: true},
 		{name: "disarmed crash rank ignored", mutate: func(s *JobSpec) {
 			s.Fault = &FaultSpec{CrashRank: 99} // CrashStep 0 disables crashing
-		}, wantOK: true},
+		}, wantOK: true, open: true},
 		{name: "negative delay", mutate: func(s *JobSpec) {
 			s.Fault = &FaultSpec{SendDelayMaxMS: -1}
+		}, open: true},
+		// The density rules are density.Config.Validate's, on the config
+		// the session resolves.
+		{name: "density", mutate: func(s *JobSpec) {
+			s.Density = &DensitySpec{GridN: 8, Spectrum: true, VoidThreshold: 0.5, Percentiles: []float64{0, 100}}
+		}, wantOK: true},
+		{name: "density grid too small", mutate: func(s *JobSpec) { s.Density = &DensitySpec{GridN: 1} }},
+		{name: "density spectrum on a non-power-of-two grid", mutate: func(s *JobSpec) {
+			s.Density = &DensitySpec{GridN: 12, Spectrum: true}
 		}},
+		{name: "density NaN percentile", mutate: func(s *JobSpec) {
+			s.Density = &DensitySpec{GridN: 8, Percentiles: []float64{50, math.NaN()}}
+		}},
+		{name: "density NaN void threshold", mutate: func(s *JobSpec) {
+			s.Density = &DensitySpec{GridN: 8, VoidThreshold: math.NaN()}
+		}},
+		{name: "density infinite void threshold", mutate: func(s *JobSpec) {
+			s.Density = &DensitySpec{GridN: 8, VoidThreshold: math.Inf(-1)}
+		}},
+		{name: "density grid over limit", mutate: func(s *JobSpec) { s.Density = &DensitySpec{GridN: 16} },
+			limits: Limits{MaxGridN: 8}},
 		{name: "blocks over limit", mutate: func(s *JobSpec) { s.Blocks = 3 },
 			limits: Limits{MaxBlocks: 2}},
 		{name: "steps over limit", mutate: func(s *JobSpec) {
@@ -209,15 +234,15 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// The ghost rejection names both numbers: what the spec asked for and the
-// bound it passed, half the cube.
+// The ghost rejection is the engine's, and names both numbers: what the
+// spec asked for and the bound it passed, half the cube.
 func TestSpecValidateGhostMessage(t *testing.T) {
 	spec := validInline()
 	spec.L, spec.Blocks = 6, 8
 	spec.Snapshots[0][2] = [3]float64{5, 5, 5}
 	err := spec.Validate(Limits{})
-	if err == nil || !strings.Contains(err.Error(), "ghost = 4") || !strings.Contains(err.Error(), "reach 3, half the side-6 cube") {
-		t.Fatalf("Validate = %v, want the ghost 4 and the reach 3 (half the side-6 cube) named", err)
+	if err == nil || !strings.Contains(err.Error(), "ghost size 4") || !strings.Contains(err.Error(), "link reach 3") {
+		t.Fatalf("Validate = %v, want the ghost 4 and the reach 3 named", err)
 	}
 }
 

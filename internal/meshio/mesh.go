@@ -458,10 +458,28 @@ type Stats struct {
 // ComputeStats returns the data-model statistics of the block.
 func (m *BlockMesh) ComputeStats() Stats {
 	s := Stats{Cells: m.NumCells(), Faces: len(m.Neighbors), FaceVertRefs: len(m.LoopVerts), UniqueVerts: len(m.Verts)}
+	s.GeometryBytes, s.ConnectivityBytes = m.byteSplit()
+	return s.withRatios()
+}
+
+// Add returns the statistics of s's and o's blocks together: the counts
+// and bytes summed, the ratios taken over the sums.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Cells:             s.Cells + o.Cells,
+		Faces:             s.Faces + o.Faces,
+		FaceVertRefs:      s.FaceVertRefs + o.FaceVertRefs,
+		UniqueVerts:       s.UniqueVerts + o.UniqueVerts,
+		GeometryBytes:     s.GeometryBytes + o.GeometryBytes,
+		ConnectivityBytes: s.ConnectivityBytes + o.ConnectivityBytes,
+	}.withRatios()
+}
+
+// withRatios fills in the ratios and the byte total from the counts.
+func (s Stats) withRatios() Stats {
 	s.FacesPerCell = ratio(s.Faces, s.Cells)
 	s.VertsPerFace = ratio(s.FaceVertRefs, s.Faces)
 	s.VertSharing = ratio(s.FaceVertRefs, s.UniqueVerts)
-	s.GeometryBytes, s.ConnectivityBytes = m.byteSplit()
 	s.TotalBytes = s.GeometryBytes + s.ConnectivityBytes
 	s.BytesPerParticle = ratio(int(s.TotalBytes), s.Cells)
 	return s

@@ -93,6 +93,28 @@ func TestBuildBlockMeshBasics(t *testing.T) {
 	}
 }
 
+// Stats.Add sums two blocks' counts and bytes and takes the ratios over
+// the sums; the zero Stats is its identity.
+func TestStatsAdd(t *testing.T) {
+	ext := geom.NewBox(geom.V(0, 0, 0), geom.V(3, 3, 3))
+	a := new(MeshBuilder).Build(buildTestCells(t, 3, 3, 69), ext, 0).ComputeStats()
+	b := new(MeshBuilder).Build(buildTestCells(t, 3, 3, 70), ext, 1).ComputeStats()
+	if got := (Stats{}).Add(a); got != a {
+		t.Errorf("zero + a = %+v, want %+v", got, a)
+	}
+	sum := a.Add(b)
+	if sum.Cells != a.Cells+b.Cells || sum.UniqueVerts != a.UniqueVerts+b.UniqueVerts ||
+		sum.TotalBytes != a.TotalBytes+b.TotalBytes {
+		t.Errorf("sum %+v of %+v and %+v", sum, a, b)
+	}
+	if want := float64(a.Faces+b.Faces) / float64(a.Cells+b.Cells); sum.FacesPerCell != want {
+		t.Errorf("faces per cell %v, want %v", sum.FacesPerCell, want)
+	}
+	if want := float64(a.TotalBytes+b.TotalBytes) / float64(a.Cells+b.Cells); sum.BytesPerParticle != want {
+		t.Errorf("bytes per particle %v, want %v", sum.BytesPerParticle, want)
+	}
+}
+
 func TestWeldingPreservesGeometry(t *testing.T) {
 	// Face loops must reference vertices that match the source cell's
 	// coordinates to weld tolerance.

@@ -114,7 +114,6 @@ type rankState struct {
 	sentMsgs, sentBytes   []int64
 	recvdMsgs, recvdBytes []int64
 
-	barrierWait     time.Duration
 	collectives     int64
 	collectiveBytes int64
 
@@ -182,7 +181,6 @@ func (r *Recorder) Reset() {
 			s.recvdMsgs[p] = 0
 			s.recvdBytes[p] = 0
 		}
-		s.barrierWait = 0
 		s.collectives = 0
 		s.collectiveBytes = 0
 		s.counters = [MaxCounters]int64{}
@@ -254,14 +252,13 @@ func (r *Recorder) CountRecv(dst, src int, n int64) {
 	s.recvdBytes[src] += n
 }
 
-// AddBarrierWait records time rank spent blocked in a barrier.
+// AddBarrierWait records time rank spent blocked in a barrier, as its
+// PhaseBarrier total.
 func (r *Recorder) AddBarrierWait(rank int, d time.Duration) {
 	if r == nil {
 		return
 	}
-	s := &r.ranks[rank]
-	s.barrierWait += d
-	s.phaseTotal[PhaseBarrier] += d
+	r.ranks[rank].phaseTotal[PhaseBarrier] += d
 }
 
 // CountCollective records rank's participation in one collective carrying
@@ -354,7 +351,6 @@ type RankMetrics struct {
 	// RecvdBytes count messages it consumed.
 	SentMsgs, SentBytes   int64
 	RecvdMsgs, RecvdBytes int64
-	BarrierWait           time.Duration
 	Collectives           int64
 	CollectiveBytes       int64
 }
@@ -419,7 +415,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 
 				TriangulateWait: s.phaseTotal[PhaseTriangulateWait],
 			},
-			BarrierWait:     s.barrierWait,
 			Collectives:     s.collectives,
 			CollectiveBytes: s.collectiveBytes,
 		}

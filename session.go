@@ -51,8 +51,8 @@ type StepOption = core.StepOption
 func WithOutputPath(path string) StepOption { return core.WithOutputPath(path) }
 
 // Open starts a persistent tessellation session over numBlocks blocks.
-// cfg plays the same role as in Run; a negative or NaN cfg.GhostSize is an
-// error here. A Step writes only where its WithOutputPath option says.
+// cfg plays the same role as in Run; a config that cfg.Validate(numBlocks)
+// refuses (a negative or NaN ghost, say) is an error here. A Step writes only where its WithOutputPath option says.
 func Open(cfg Config, numBlocks int) (*Session, error) {
 	return core.OpenSession(cfg, numBlocks)
 }

@@ -214,11 +214,7 @@ func TestStepDensityCold32(t *testing.T) {
 // held 0.60 of the tracer mass; +Inf padded with all 26 image boxes.
 func TestDensityRejectsNonFinitePad(t *testing.T) {
 	const L = 5
-	rng := rand.New(rand.NewSource(5))
-	pts := cosmo.LatticePositions(L, L)
-	for i := range pts {
-		pts[i] = pts[i].Add(Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(0.3))
-	}
+	pts := jitteredLattice(L)
 	sess, err := Open(NewPeriodicConfig(L, WithGhostSize(1)), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +241,82 @@ func TestDensityRejectsNonFinitePad(t *testing.T) {
 	if res.Sample.Outside != 0 {
 		t.Errorf("pad 1: %d samples outside the hull", res.Sample.Outside)
 	}
+}
+
+// jitteredLattice is an L^3 lattice in a side-L box, each point moved by
+// up to 0.15 on every axis.
+func jitteredLattice(L int) []Vec3 {
+	rng := rand.New(rand.NewSource(5))
+	pts := cosmo.LatticePositions(L, float64(L))
+	for i := range pts {
+		pts[i] = pts[i].Add(Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(0.3))
+	}
+	return pts
+}
+
+// A NaN percentile and a NaN or infinite void threshold are refused by
+// ComputeDensity and by StepDensity on the config it resolves from a zero
+// box. A NaN percentile used to come back as a NaN row holding the grid
+// maximum, and a NaN or +Inf threshold counted every sample void.
+func TestDensityRejectsNonFiniteStats(t *testing.T) {
+	const L = 5
+	pts := jitteredLattice(L)
+	sess, err := Open(NewPeriodicConfig(L, WithGhostSize(1)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, dc := range []DensityConfig{
+		{GridN: 8, Percentiles: []float64{50, math.NaN()}},
+		{GridN: 8, VoidThreshold: math.NaN()},
+		{GridN: 8, VoidThreshold: math.Inf(1)},
+		{GridN: 8, VoidThreshold: math.Inf(-1)},
+	} {
+		if _, err := sess.StepDensity(ParticlesFromPositions(pts), dc); err == nil {
+			t.Errorf("StepDensity accepted %+v", dc)
+		}
+		dc.Box = geom.NewBox(Vec3{}, Vec3{X: L, Y: L, Z: L})
+		if _, err := ComputeDensity(dc, pts, nil); err == nil {
+			t.Errorf("ComputeDensity accepted %+v", dc)
+		}
+	}
+	if _, err := sess.StepDensity(ParticlesFromPositions(pts), DensityConfig{GridN: 8, VoidThreshold: 0.5}); err != nil {
+		t.Errorf("finite threshold: %v", err)
+	}
+}
+
+// Open refuses a config its session could not run as asked: a domain that
+// is not a finite box (NewPeriodicConfig(-8) is not [-8, 0)^3), no blocks, an armed crash on a rank the session does
+// not have, a negative fault delay. Before, a NaN or +Inf domain opened,
+// and Run returned no error for a crash on rank 7 of 2 because none fired.
+// A disarmed crash names any rank.
+func TestOpenRejectsBadConfig(t *testing.T) {
+	ps := testParticles(96, 8, 8)
+	for name, bad := range map[string]struct {
+		cfg    Config
+		blocks int
+	}{
+		"NaN domain":        {NewPeriodicConfig(math.NaN(), WithGhostSize(1)), 2},
+		"+Inf domain":       {NewPeriodicConfig(math.Inf(1), WithGhostSize(1)), 2},
+		"negative side":     {NewPeriodicConfig(-8, WithGhostSize(1)), 2},
+		"flat domain":       {NewBoundedConfig(geom.NewBox(Vec3{}, Vec3{X: 8, Y: 8}), WithGhostSize(1)), 2},
+		"no blocks":         {NewPeriodicConfig(8, WithGhostSize(3)), 0},
+		"crash rank 7 of 2": {NewPeriodicConfig(8, WithGhostSize(3), WithFaults(&FaultPlan{CrashRank: 7, CrashStep: 1})), 2},
+		"negative delay":    {NewPeriodicConfig(8, WithGhostSize(3), WithFaults(&FaultPlan{SendDelayMax: -time.Millisecond})), 2},
+	} {
+		if sess, err := Open(bad.cfg, bad.blocks); err == nil {
+			sess.Close()
+			t.Errorf("%s: Open accepted it", name)
+		}
+		if _, err := Run(bad.cfg, ps, bad.blocks); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+	}
+	sess, err := Open(NewPeriodicConfig(8, WithGhostSize(3), WithFaults(&FaultPlan{CrashRank: 99})), 2)
+	if err != nil {
+		t.Fatalf("disarmed crash: %v", err)
+	}
+	sess.Close()
 }
 
 // The public defaults no longer run Quickhull over every kept cell, and

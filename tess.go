@@ -117,7 +117,8 @@ func WithGhostSize(g float64) Option { return func(c *Config) { c.GhostSize = g 
 // Options are applied in order on top of those defaults.
 func NewPeriodicConfig(L float64, opts ...Option) Config {
 	cfg := Config{
-		Domain:    geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)),
+		// Not NewBox, which would make a negative L the box [L, 0)^3.
+		Domain:    geom.Box{Max: geom.V(L, L, L)},
 		Periodic:  true,
 		GhostSize: 4,
 	}
