@@ -113,7 +113,6 @@ func benchCellFixture(b *testing.B) (*voronoi.Index, []geom.Vec3, []int64, *voro
 func benchComputeCellObs(b *testing.B, hooked bool) {
 	ix, pts, ids, scratch := benchCellFixture(b)
 	var rec *obs.Recorder // nil: instrumentation disabled
-	ctr := rec.RegisterCounter("cells")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -125,7 +124,7 @@ func benchComputeCellObs(b *testing.B, hooked bool) {
 				b.Fatal(err)
 			}
 			rec.End(0, sp)
-			rec.Count(0, ctr, 1)
+			rec.Count(0, obs.CounterSites, 1)
 		} else {
 			if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, scratch); err != nil {
 				b.Fatal(err)
@@ -153,12 +152,11 @@ func TestNilRecorderHooksAreFree(t *testing.T) {
 	ix := voronoi.NewIndex(pts, ids, 0)
 	scratch := voronoi.NewScratch()
 	var rec *obs.Recorder
-	ctr := rec.RegisterCounter("cells")
 
 	hooksOnly := testing.AllocsPerRun(1000, func() {
 		sp := rec.Begin(0, obs.PhaseCompute)
 		rec.End(0, sp)
-		rec.Count(0, ctr, 1)
+		rec.Count(0, obs.CounterSites, 1)
 		rec.CountSend(0, 0, 1)
 		rec.CountRecv(0, 0, 1)
 		rec.CountCollective(0, 1)
@@ -177,7 +175,7 @@ func TestNilRecorderHooksAreFree(t *testing.T) {
 					t.Fatal(err)
 				}
 				rec.End(0, sp)
-				rec.Count(0, ctr, 1)
+				rec.Count(0, obs.CounterSites, 1)
 			} else {
 				if _, err := voronoi.ComputeCellReused(ix, pts[j], ids[j], box, 0, scratch); err != nil {
 					t.Fatal(err)

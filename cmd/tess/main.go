@@ -228,21 +228,23 @@ func run(args []string, w io.Writer) error {
 	}
 	cfg.Recorder = tess.NewRecorder(*blocks)
 
+	// One session runs the step and then, with -density, the density
+	// pipeline over the same decomposition.
+	sess, err := tess.Open(cfg, *blocks)
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
 	var out *tess.Output
 	nparticles := len(ps)
 	if *snapshot != "" {
-		// Out-of-core: one streamed step through a session, the same code
-		// path Run takes, with the file source's window bounding staging.
+		// Out-of-core: one streamed step, with the file source's window
+		// bounding staging.
 		src, err := tess.OpenFileSource(*snapshot, *window)
 		if err != nil {
 			return err
 		}
 		defer src.Close()
-		sess, err := tess.Open(cfg, *blocks)
-		if err != nil {
-			return err
-		}
-		defer sess.Close()
 		if out, err = sess.StepFrom(src, tess.WithOutputPath(*outPath)); err != nil {
 			return err
 		}
@@ -251,11 +253,8 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "source: %s  %d chunks  loads %d  evictions %d  peak resident %d chunks / %d particles\n",
 			*snapshot, src.Chunks(), st.Loads, st.Evictions,
 			st.PeakResidentChunks, st.PeakResidentParticles)
-	} else {
-		var err error
-		if out, err = tess.Run(cfg, ps, *blocks, tess.WithOutputPath(*outPath)); err != nil {
-			return err
-		}
+	} else if out, err = sess.Step(ps, tess.WithOutputPath(*outPath)); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(w, "particles %d  blocks %d  ghost %g\n", nparticles, *blocks, *ghost)
@@ -276,7 +275,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "trace: %s\n", *trace)
 	}
 	if *densityN > 0 {
-		if err := runDensity(w, cfg, ps, *blocks, *densityN, *spectrum, *densityO); err != nil {
+		if err := runDensity(w, sess, ps, *densityN, *spectrum, *densityO); err != nil {
 			return err
 		}
 	}
@@ -297,15 +296,10 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runDensity pushes the snapshot through a session's density pipeline and
-// prints the field statistics, percentiles, and (optionally) the low-k end
-// of the power spectrum.
-func runDensity(w io.Writer, cfg tess.Config, ps []tess.Particle, blocks, gridN int, spectrum bool, outPath string) error {
-	sess, err := tess.Open(cfg, blocks)
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
+// runDensity pushes the snapshot through the session's density pipeline
+// and prints the field statistics, percentiles, and (optionally) the low-k
+// end of the power spectrum.
+func runDensity(w io.Writer, sess *tess.Session, ps []tess.Particle, gridN int, spectrum bool, outPath string) error {
 	res, err := sess.StepDensity(ps, tess.DensityConfig{GridN: gridN, Spectrum: spectrum})
 	if err != nil {
 		return fmt.Errorf("density pipeline: %w", err)

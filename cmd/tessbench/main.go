@@ -190,7 +190,7 @@ func measureComm(ng, procs int, cfg core.Config, particles []diy.Particle) commR
 			}
 		}
 	}
-	for _, g := range s.Counters[core.CounterGhosts] {
+	for _, g := range s.Counters[obs.CounterGhosts.String()] {
 		row.ghosts += g
 	}
 	return row

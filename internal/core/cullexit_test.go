@@ -55,10 +55,10 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := fmt.Sprintf("%+v", out.Counts)
-	for _, name := range []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted,
-		CounterKernelTested, CounterKernelCut, CounterKernelBoxed, CounterKernelCulled, CounterKernelVolumes} {
+	for _, name := range []obs.Counter{obs.CounterKernelShells, obs.CounterKernelGathered, obs.CounterKernelSorted,
+		obs.CounterKernelTested, obs.CounterKernelCut, obs.CounterKernelBoxed, obs.CounterKernelCulled, obs.CounterKernelVolumes} {
 		var sum int64
-		for _, n := range out.Obs.Counters[name] {
+		for _, n := range out.Obs.Counters[name.String()] {
 			sum += n
 		}
 		got += fmt.Sprintf(" %s=%d", name, sum)
@@ -72,7 +72,7 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 	// Of the sorted candidates, the queue put in order those in the buckets
 	// the sweeps reached, and every shell small enough to sort whole.
 	var ordered int64
-	for _, n := range out.Obs.Counters[CounterKernelOrdered] {
+	for _, n := range out.Obs.Counters[obs.CounterKernelOrdered.String()] {
 		ordered += n
 	}
 	if ordered != 1288605 {
@@ -80,7 +80,7 @@ func TestHaloMockKernelFunnel(t *testing.T) {
 	}
 	// The vertices the cuts ordered into new faces, 4.47 per cut.
 	var looped int64
-	for _, n := range out.Obs.Counters[CounterKernelLooped] {
+	for _, n := range out.Obs.Counters[obs.CounterKernelLooped.String()] {
 		looped += n
 	}
 	if looped != 856222 {

@@ -14,37 +14,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Names of the triangulation counters StepDensity adds to rank 0 of
-// Config.Recorder (delaunay.Stats of the step's Bowyer-Watson build).
-// They are exact functions of the snapshot: InSphere tests per point and
-// peak slots per tet say why the triangulate phase cost what it cost.
-const (
-	CounterDelaunayPoints      = "delaunay-points"
-	CounterDelaunayTetsCreated = "delaunay-tets-created"
-	CounterDelaunayPeakSlots   = "delaunay-peak-slots"
-	CounterDelaunayWalkSteps   = "delaunay-walk-steps"
-	CounterDelaunayInSphere    = "delaunay-insphere"
-)
-
-// CounterDensityPrefetched is 1 on rank 0 when a StepDensity used the
-// triangulation its session started during the Step before it, and 0 when
-// it triangulated itself.
-const CounterDensityPrefetched = "density-prefetched"
-
 // countTriangulation adds one build's counts to rank 0 of rec.
 func countTriangulation(rec *obs.Recorder, st delaunay.Stats, prefetched bool) {
 	var pre int64
 	if prefetched {
 		pre = 1
 	}
-	addCounts(rec, 0,
-		namedCount{CounterDelaunayPoints, st.Points},
-		namedCount{CounterDelaunayTetsCreated, st.TetsCreated},
-		namedCount{CounterDelaunayPeakSlots, st.PeakSlots},
-		namedCount{CounterDelaunayWalkSteps, st.WalkSteps},
-		namedCount{CounterDelaunayInSphere, st.InSphereTests},
-		namedCount{CounterDensityPrefetched, pre},
-	)
+	rec.Count(0, obs.CounterDelaunayPoints, st.Points)
+	rec.Count(0, obs.CounterDelaunayTetsCreated, st.TetsCreated)
+	rec.Count(0, obs.CounterDelaunayPeakSlots, st.PeakSlots)
+	rec.Count(0, obs.CounterDelaunayWalkSteps, st.WalkSteps)
+	rec.Count(0, obs.CounterDelaunayInSphere, st.InSphereTests)
+	rec.Count(0, obs.CounterDensityPrefetched, pre)
 }
 
 // prefetch is a density triangulation that Step runs on a goroutine of its
@@ -134,8 +115,8 @@ func samePositions(pts []geom.Vec3, ps []diy.Particle) bool {
 // hold the positions the Step had, bit for bit and in order: rank 0 then
 // skips its build, the trace shows the prefetched build as rank 0's
 // "triangulate" span with its own start and end, and the
-// CounterDensityPrefetched counter reads 1. Otherwise rank 0 triangulates
-// as it would without the Step. The two builds are the same call on the
+// density-prefetched counter reads 1. Otherwise rank 0 triangulates as it
+// would without the Step. The two builds are the same call on the
 // same pipeline and points, so the grid bytes do not depend on which ran.
 //
 // A zero dc.Box inherits the session's domain, periodicity, and ghost

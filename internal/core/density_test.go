@@ -104,6 +104,45 @@ func TestStepDensityRecordsPhases(t *testing.T) {
 	}
 }
 
+// Which counters a snapshot lists does not depend on the session's
+// history: a Step before any StepDensity, the StepDensity, and a Step
+// after it (which also starts the prefetch) list the same names.
+func TestCounterNamesIndependentOfHistory(t *testing.T) {
+	const ng = 8
+	snaps := evolvingSnapshots(t, ng, 2)
+	cfg := baseConfig(float64(ng))
+	cfg.Recorder = obs.NewRecorder(2)
+	s, err := OpenSession(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before, err := s.Step(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := before.Obs.CounterNames
+	dens, err := s.StepDensity(snaps[0], density.Config{GridN: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Step(snaps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		name string
+		snap *obs.Snapshot
+	}{{"StepDensity", dens.Obs}, {"Step after StepDensity", after.Obs}} {
+		if !reflect.DeepEqual(got.snap.CounterNames, want) {
+			t.Errorf("%s lists counters %v, the first Step %v", got.name, got.snap.CounterNames, want)
+		}
+		if len(got.snap.Counters) != len(want) {
+			t.Errorf("%s: %d counters for %d names", got.name, len(got.snap.Counters), len(want))
+		}
+	}
+}
+
 // The triangulation's work counts land on rank 0 of the recorder, exact
 // and repeatable: a session that triangulates the snapshot itself and one
 // that uses the build its Step started count the same, and the
@@ -111,8 +150,8 @@ func TestStepDensityRecordsPhases(t *testing.T) {
 func TestStepDensityCountsTriangulation(t *testing.T) {
 	const ng = 8
 	snaps := evolvingSnapshots(t, ng, 2)
-	names := []string{CounterDelaunayPoints, CounterDelaunayTetsCreated, CounterDelaunayPeakSlots,
-		CounterDelaunayWalkSteps, CounterDelaunayInSphere}
+	names := []obs.Counter{obs.CounterDelaunayPoints, obs.CounterDelaunayTetsCreated, obs.CounterDelaunayPeakSlots,
+		obs.CounterDelaunayWalkSteps, obs.CounterDelaunayInSphere}
 	var runs [2][]int64
 	for i := range runs {
 		prefetched := i == 1
@@ -141,7 +180,7 @@ func TestStepDensityCountsTriangulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range names {
-			c := res.Obs.Counters[name]
+			c := res.Obs.Counters[name.String()]
 			if len(c) != 2 || c[0] <= 0 || c[1] != 0 {
 				t.Errorf("counter %s = %v, want a positive count on rank 0 only", name, c)
 				continue
@@ -152,13 +191,13 @@ func TestStepDensityCountsTriangulation(t *testing.T) {
 		if prefetched {
 			want[0] = 1
 		}
-		if got := res.Obs.Counters[CounterDensityPrefetched]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s = %v, want %v", CounterDensityPrefetched, got, want)
+		if got := res.Obs.Counters[obs.CounterDensityPrefetched.String()]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %v, want %v", obs.CounterDensityPrefetched, got, want)
 		}
-		if got := res.Obs.Counters[CounterDelaunayPoints][0]; got != int64(res.Padded) {
-			t.Errorf("%s = %d, want the %d padded points", CounterDelaunayPoints, got, res.Padded)
+		if got := res.Obs.Counters[obs.CounterDelaunayPoints.String()][0]; got != int64(res.Padded) {
+			t.Errorf("%s = %d, want the %d padded points", obs.CounterDelaunayPoints, got, res.Padded)
 		}
-		if created, tets := res.Obs.Counters[CounterDelaunayTetsCreated][0], int64(res.Tets); created < tets {
+		if created, tets := res.Obs.Counters[obs.CounterDelaunayTetsCreated.String()][0], int64(res.Tets); created < tets {
 			t.Errorf("%d tets created but %d in the result", created, tets)
 		}
 		s.Close()

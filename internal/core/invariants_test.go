@@ -153,20 +153,20 @@ func TestRunRecorderSnapshot(t *testing.T) {
 	if s.TotalSentBytes == 0 || s.TotalSentBytes != s.TotalRecvdBytes {
 		t.Errorf("comm bytes: sent %d, received %d", s.TotalSentBytes, s.TotalRecvdBytes)
 	}
-	sumCounter := func(name string) int64 {
+	sumCounter := func(name obs.Counter) int64 {
 		var tot int64
-		for _, v := range s.Counters[name] {
+		for _, v := range s.Counters[name.String()] {
 			tot += v
 		}
 		return tot
 	}
-	if got := sumCounter(CounterSites); got != out.Counts.Sites {
+	if got := sumCounter(obs.CounterSites); got != out.Counts.Sites {
 		t.Errorf("sites counter %d, want %d", got, out.Counts.Sites)
 	}
-	if got := sumCounter(CounterCellsKept); got != out.Counts.Kept {
+	if got := sumCounter(obs.CounterCellsKept); got != out.Counts.Kept {
 		t.Errorf("cells-kept counter %d, want %d", got, out.Counts.Kept)
 	}
-	if got := sumCounter(CounterGhosts); got != int64(out.Ghosts) {
+	if got := sumCounter(obs.CounterGhosts); got != int64(out.Ghosts) {
 		t.Errorf("ghosts counter %d, want %d", got, out.Ghosts)
 	}
 	if s.ComputeImbalance < 1.0 {
@@ -188,8 +188,8 @@ func TestRunRecorderSnapshot(t *testing.T) {
 func TestKernelCountersFunnel(t *testing.T) {
 	const L = 8.0
 	const blocks = 2
-	funnel := []string{CounterKernelShells, CounterKernelGathered, CounterKernelSorted, CounterKernelOrdered,
-		CounterKernelTested, CounterKernelCut}
+	funnel := []obs.Counter{obs.CounterKernelShells, obs.CounterKernelGathered, obs.CounterKernelSorted, obs.CounterKernelOrdered,
+		obs.CounterKernelTested, obs.CounterKernelCut}
 	for _, row := range []struct {
 		ps        []diy.Particle
 		minVolume float64
@@ -211,42 +211,42 @@ func TestKernelCountersFunnel(t *testing.T) {
 			}
 			c := out.Obs.Counters
 			for rank := 0; rank < blocks; rank++ {
-				sites := c[CounterSites][rank]
+				sites := c[obs.CounterSites.String()][rank]
 				faces := int64(len(out.Meshes[rank].Neighbors))
-				if c[CounterKernelShells][rank] < sites || c[CounterKernelCut][rank] < faces || faces == 0 {
+				if c[obs.CounterKernelShells.String()][rank] < sites || c[obs.CounterKernelCut.String()][rank] < faces || faces == 0 {
 					t.Errorf("min volume %g workers %d rank %d: %d shells for %d sites, %d cuts for %d faces",
-						minVolume, workers, rank, c[CounterKernelShells][rank], sites, c[CounterKernelCut][rank], faces)
+						minVolume, workers, rank, c[obs.CounterKernelShells.String()][rank], sites, c[obs.CounterKernelCut.String()][rank], faces)
 				}
 				// From gathered on, each stage is drawn from the one before.
 				for i := 2; i < len(funnel); i++ {
-					if c[funnel[i]][rank] > c[funnel[i-1]][rank] {
+					if c[funnel[i].String()][rank] > c[funnel[i-1].String()][rank] {
 						t.Errorf("min volume %g workers %d rank %d: %s %d exceeds %s %d", minVolume, workers, rank,
-							funnel[i], c[funnel[i]][rank], funnel[i-1], c[funnel[i-1]][rank])
+							funnel[i], c[funnel[i].String()][rank], funnel[i-1], c[funnel[i-1].String()][rank])
 					}
 				}
-				if looped := c[CounterKernelLooped][rank]; looped < 3*faces {
+				if looped := c[obs.CounterKernelLooped.String()][rank]; looped < 3*faces {
 					t.Errorf("min volume %g workers %d rank %d: %d vertices looped for %d faces",
 						minVolume, workers, rank, looped, faces)
 				}
-				if boxed, missed := c[CounterKernelBoxed][rank], c[CounterKernelTested][rank]-c[CounterKernelCut][rank]; boxed > missed {
+				if boxed, missed := c[obs.CounterKernelBoxed.String()][rank], c[obs.CounterKernelTested.String()][rank]-c[obs.CounterKernelCut.String()][rank]; boxed > missed {
 					t.Errorf("min volume %g workers %d rank %d: %d planes boxed of %d tested that did not cut",
 						minVolume, workers, rank, boxed, missed)
 				}
 			}
-			culled := c[CounterKernelCulled][0] + c[CounterKernelCulled][1]
+			culled := c[obs.CounterKernelCulled.String()][0] + c[obs.CounterKernelCulled.String()][1]
 			if minVolume > 0 && (culled == 0 || culled != out.Counts.CulledEarly) || minVolume == 0 && culled != 0 {
 				t.Errorf("min volume %g workers %d: kernel-culled %d, %d culled early", minVolume, workers, culled, out.Counts.CulledEarly)
 			}
-			if vols := c[CounterKernelVolumes][0] + c[CounterKernelVolumes][1]; minVolume == 0 && vols != 0 {
+			if vols := c[obs.CounterKernelVolumes.String()][0] + c[obs.CounterKernelVolumes.String()][1]; minVolume == 0 && vols != 0 {
 				t.Errorf("no volume cut, but kernel-volume-checks %d", vols)
 			}
 			if first == nil {
 				first = c
 				continue
 			}
-			for _, name := range append(funnel, CounterKernelBoxed, CounterKernelCulled, CounterKernelVolumes, CounterKernelLooped) {
-				if !reflect.DeepEqual(c[name], first[name]) {
-					t.Errorf("min volume %g: %s: %v with %d workers, %v with 1", minVolume, name, c[name], workers, first[name])
+			for _, name := range append(funnel, obs.CounterKernelBoxed, obs.CounterKernelCulled, obs.CounterKernelVolumes, obs.CounterKernelLooped) {
+				if !reflect.DeepEqual(c[name.String()], first[name.String()]) {
+					t.Errorf("min volume %g: %s: %v with %d workers, %v with 1", minVolume, name, c[name.String()], workers, first[name.String()])
 				}
 			}
 		}

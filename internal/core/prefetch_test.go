@@ -77,8 +77,8 @@ func (f *prefetchFixture) density(ps []diy.Particle, dc density.Config, want int
 	if !bytes.Equal(density.EncodeGrid(res.Grid), density.EncodeGrid(ref.Grid)) || res.Sample != ref.Sample {
 		f.t.Fatal("grid differs from density.Compute")
 	}
-	if got := res.Obs.Counters[CounterDensityPrefetched]; len(got) != 2 || got[0] != want || got[1] != 0 {
-		f.t.Fatalf("%s = %v, want %d on rank 0", CounterDensityPrefetched, got, want)
+	if got := res.Obs.Counters[obs.CounterDensityPrefetched.String()]; len(got) != 2 || got[0] != want || got[1] != 0 {
+		f.t.Fatalf("%s = %v, want %d on rank 0", obs.CounterDensityPrefetched, got, want)
 	}
 	return res
 }

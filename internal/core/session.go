@@ -16,19 +16,6 @@ import (
 	"repro/internal/storage"
 )
 
-// Names of the session warm-start counters in Config.Recorder (registered
-// alongside the pipeline counters when a session has a recorder).
-const (
-	// CounterSitesWarm counts local sites whose particle moved no farther
-	// than the ghost distance since the previous step, so every retained
-	// structure sized for them is already at working-set size.
-	CounterSitesWarm = "sites-warm"
-	// CounterSitesCold counts sites seen for the first time (or displaced
-	// beyond the ghost distance), including every site of a session's
-	// first step.
-	CounterSitesCold = "sites-cold"
-)
-
 // Session is a persistent tessellation pipeline: the domain decomposition,
 // the communication world, the per-rank ghost-exchange state, the spatial
 // index and compute scratch/pool storage, and the output mesh builders are
@@ -45,10 +32,10 @@ const (
 // floating-point results are history-dependent (see DESIGN.md, "Session
 // lifecycle & warm-start reuse"). The previous step's site positions are
 // retained only to classify sites warm versus cold (displacement within
-// the ghost distance or not), published via WarmStats and the
-// CounterSitesWarm/CounterSitesCold recorder counters. The decomposition is
-// fixed for the session's life (an RCB session cuts it from its first
-// step's particles); a host that wants a fresh cut opens a new session.
+// the ghost distance or not), published via WarmStats and the sites-warm
+// and sites-cold recorder counters. The decomposition is fixed for the
+// session's life (an RCB session cuts it from its first step's
+// particles); a host that wants a fresh cut opens a new session.
 //
 // The *Output returned by Step is a loan: its meshes live in the session's
 // retained builders and are overwritten by the next Step. Callers that
@@ -86,8 +73,6 @@ type Session struct {
 	parts    [][]diy.Particle // retained per-rank partition buffers
 	ranks    []rankState
 	rankErrs []error // runRanks' per-rank error slots
-
-	warmID, coldID obs.CounterID // valid when cfg.Recorder != nil
 
 	// Warm density-pipeline state (StepDensity). The pipeline retains its
 	// triangulation scratch, estimator accumulators, and grid buffers
@@ -192,11 +177,6 @@ func openSession(cfg Config, numBlocks, inFlight int) (*Session, error) {
 		rankErrs:  make([]error, numBlocks),
 	}
 	if cfg.Recorder != nil {
-		// Pre-register the pipeline counters so concurrent ranks never race
-		// a first-use registration against in-flight Count calls.
-		countBlock(cfg.Recorder, 0, new(BlockResult))
-		s.warmID = cfg.Recorder.RegisterCounter(CounterSitesWarm)
-		s.coldID = cfg.Recorder.RegisterCounter(CounterSitesCold)
 		s.w.SetRecorder(cfg.Recorder)
 	}
 	for r := range s.ranks {
@@ -492,8 +472,8 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 	}
 	tm.Output = elapsed
 	inj.Checkpoint(rank, "done")
-	rec.Count(rank, s.warmID, int64(warm))
-	rec.Count(rank, s.coldID, int64(cold))
+	rec.Count(rank, obs.CounterSitesWarm, int64(warm))
+	rec.Count(rank, obs.CounterSitesCold, int64(cold))
 	return res, tm, nil
 }
 

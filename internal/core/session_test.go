@@ -216,23 +216,23 @@ func TestSessionRecorderResetsPerStep(t *testing.T) {
 		if out.Obs == nil {
 			t.Fatal("no obs snapshot despite recorder")
 		}
-		sum := func(name string) int64 {
+		sum := func(name obs.Counter) int64 {
 			var total int64
-			for _, v := range out.Obs.Counters[name] {
+			for _, v := range out.Obs.Counters[name.String()] {
 				total += v
 			}
 			return total
 		}
-		if got := sum(CounterSites); got != n {
-			t.Errorf("step %d: %s = %d, want %d (per-step, not cumulative)", step, CounterSites, got, n)
+		if got := sum(obs.CounterSites); got != n {
+			t.Errorf("step %d: %s = %d, want %d (per-step, not cumulative)", step, obs.CounterSites, got, n)
 		}
-		if got := sum(CounterSitesWarm) + sum(CounterSitesCold); got != n {
+		if got := sum(obs.CounterSitesWarm) + sum(obs.CounterSitesCold); got != n {
 			t.Errorf("step %d: warm+cold counters = %d, want %d", step, got, n)
 		}
-		if step == 0 && sum(CounterSitesWarm) != 0 {
-			t.Errorf("first step reported %d warm sites", sum(CounterSitesWarm))
+		if step == 0 && sum(obs.CounterSitesWarm) != 0 {
+			t.Errorf("first step reported %d warm sites", sum(obs.CounterSitesWarm))
 		}
-		if step > 0 && sum(CounterSitesWarm) == 0 {
+		if step > 0 && sum(obs.CounterSitesWarm) == 0 {
 			t.Errorf("step %d reported no warm sites", step)
 		}
 	}

@@ -117,57 +117,7 @@ type Config struct {
 	injector *faultinject.Injector
 }
 
-// Names of the registered pipeline counters in Config.Recorder. The
-// kernel-* counters are the clipping sweep's candidate funnel
-// (voronoi.KernelCounts), summed over the rank's sites: divided by
-// CounterSites they say why a cell cost what it cost; kernel-culled counts
-// the sites whose sweep stopped at a proven early cull, kernel-boxed the
-// tested planes the live vertices' box rejected, kernel-volume-checks
-// the current-cell volumes the cull exit evaluated, and kernel-looped the
-// vertices ordered into the cuts' new faces. The mesh-* counters
-// are the weld's: the face-vertex references of the kept cells, and the
-// distinct vertices they welded to. Both are a function of the input
-// alone; the stitch's own table probes depend on how the sites were
-// chunked among workers, so they are not counted.
-const (
-	CounterGhosts         = "ghosts-recvd"
-	CounterCellsKept      = "cells-kept"
-	CounterSites          = "sites"
-	CounterKernelShells   = "kernel-shells"
-	CounterKernelGathered = "kernel-gathered"
-	CounterKernelSorted   = "kernel-sorted"
-	CounterKernelOrdered  = "kernel-ordered"
-	CounterKernelTested   = "kernel-tested"
-	CounterKernelCut      = "kernel-cut"
-	CounterKernelCulled   = "kernel-culled"
-	CounterKernelBoxed    = "kernel-boxed"
-	CounterKernelVolumes  = "kernel-volume-checks"
-	CounterKernelLooped   = "kernel-looped"
-	CounterMeshVertexRefs = "mesh-vertex-refs"
-	CounterMeshVerts      = "mesh-verts-welded"
-)
-
-// namedCount is one counter increment, by registry name.
-type namedCount struct {
-	name string
-	n    int64
-}
-
-// addCounts adds the increments to rank's counters in rec, resolving the
-// names on the way (idempotent; see obs.RegisterCounter), in the order
-// given. A nil recorder is free.
-func addCounts(rec *obs.Recorder, rank int, counts ...namedCount) {
-	if rec == nil {
-		return
-	}
-	for _, c := range counts {
-		rec.Count(rank, rec.RegisterCounter(c.name), c.n)
-	}
-}
-
 // countBlock adds one rank's pipeline, kernel and weld counters to rec.
-// OpenSession counts a zero BlockResult before any rank starts, so every
-// name is registered, in this order, before any rank counts.
 func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 	if rec == nil {
 		return
@@ -177,23 +127,21 @@ func countBlock(rec *obs.Recorder, rank int, res *BlockResult) {
 		verts, refs = int64(len(m.Verts)), int64(len(m.LoopVerts))
 	}
 	k := res.Kernel
-	addCounts(rec, rank,
-		namedCount{CounterGhosts, int64(res.Ghosts)},
-		namedCount{CounterCellsKept, res.Counts.Kept},
-		namedCount{CounterSites, res.Counts.Sites},
-		namedCount{CounterKernelShells, k.Shells},
-		namedCount{CounterKernelGathered, k.Gathered},
-		namedCount{CounterKernelSorted, k.Sorted},
-		namedCount{CounterKernelOrdered, k.Ordered},
-		namedCount{CounterKernelTested, k.Tested},
-		namedCount{CounterKernelCut, k.Cut},
-		namedCount{CounterKernelCulled, k.Culled},
-		namedCount{CounterKernelBoxed, k.Boxed},
-		namedCount{CounterKernelVolumes, k.VolumeChecks},
-		namedCount{CounterKernelLooped, k.Looped},
-		namedCount{CounterMeshVertexRefs, refs},
-		namedCount{CounterMeshVerts, verts},
-	)
+	rec.Count(rank, obs.CounterGhosts, int64(res.Ghosts))
+	rec.Count(rank, obs.CounterCellsKept, res.Counts.Kept)
+	rec.Count(rank, obs.CounterSites, res.Counts.Sites)
+	rec.Count(rank, obs.CounterKernelShells, k.Shells)
+	rec.Count(rank, obs.CounterKernelGathered, k.Gathered)
+	rec.Count(rank, obs.CounterKernelSorted, k.Sorted)
+	rec.Count(rank, obs.CounterKernelOrdered, k.Ordered)
+	rec.Count(rank, obs.CounterKernelTested, k.Tested)
+	rec.Count(rank, obs.CounterKernelCut, k.Cut)
+	rec.Count(rank, obs.CounterKernelCulled, k.Culled)
+	rec.Count(rank, obs.CounterKernelBoxed, k.Boxed)
+	rec.Count(rank, obs.CounterKernelVolumes, k.VolumeChecks)
+	rec.Count(rank, obs.CounterKernelLooped, k.Looped)
+	rec.Count(rank, obs.CounterMeshVertexRefs, refs)
+	rec.Count(rank, obs.CounterMeshVerts, verts)
 }
 
 // EffectiveWorkers resolves cfg.Workers for a run with concurrentRanks

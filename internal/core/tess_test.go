@@ -403,12 +403,12 @@ func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) 
 			t.Errorf("block %d: mesh differs between Run and RunTimed", rank)
 		}
 	}
-	for _, name := range []string{
-		CounterGhosts, CounterCellsKept, CounterSites, CounterKernelShells,
-		CounterKernelGathered, CounterKernelSorted, CounterKernelTested, CounterKernelCut,
-		CounterKernelCulled,
+	for _, name := range []obs.Counter{
+		obs.CounterGhosts, obs.CounterCellsKept, obs.CounterSites, obs.CounterKernelShells,
+		obs.CounterKernelGathered, obs.CounterKernelSorted, obs.CounterKernelTested, obs.CounterKernelCut,
+		obs.CounterKernelCulled,
 	} {
-		ca, cb := a.Obs.Counters[name], b.Obs.Counters[name]
+		ca, cb := a.Obs.Counters[name.String()], b.Obs.Counters[name.String()]
 		if len(ca) != blocks || !reflect.DeepEqual(ca, cb) {
 			t.Errorf("counter %s: Run %v, RunTimed %v", name, ca, cb)
 		}

@@ -111,11 +111,11 @@ func TestWeldCountersPinned(t *testing.T) {
 	ps := perturbedParticles(rand.New(rand.NewSource(43)), 6, 6, 0.8)
 	const blocks = 2
 	want := []struct {
-		name string
+		name obs.Counter
 		n    []int64
 	}{
-		{CounterMeshVertexRefs, []int64{8532, 8652}},
-		{CounterMeshVerts, []int64{1179, 1216}},
+		{obs.CounterMeshVertexRefs, []int64{8532, 8652}},
+		{obs.CounterMeshVerts, []int64{1179, 1216}},
 	}
 	for _, workers := range []int{1, 2, 3} {
 		cfg := baseConfig(6)
@@ -126,13 +126,13 @@ func TestWeldCountersPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range want {
-			if got := out.Obs.Counters[w.name]; !reflect.DeepEqual(got, w.n) {
+			if got := out.Obs.Counters[w.name.String()]; !reflect.DeepEqual(got, w.n) {
 				t.Errorf("workers %d: %s = %v, want %v", workers, w.name, got, w.n)
 			}
 		}
 		for rank, m := range out.Meshes {
-			if v := out.Obs.Counters[CounterMeshVerts][rank]; v != int64(len(m.Verts)) {
-				t.Errorf("workers %d rank %d: %s = %d, mesh has %d vertices", workers, rank, CounterMeshVerts, v, len(m.Verts))
+			if v := out.Obs.Counters[obs.CounterMeshVerts.String()][rank]; v != int64(len(m.Verts)) {
+				t.Errorf("workers %d rank %d: %s = %d, mesh has %d vertices", workers, rank, obs.CounterMeshVerts, v, len(m.Verts))
 			}
 		}
 	}

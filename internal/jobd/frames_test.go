@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -118,9 +120,23 @@ func TestE2EEventsFramingOracle(t *testing.T) {
 			if !bytes.Equal(enc.Bytes(), body) {
 				t.Errorf("NDJSON body (%d bytes) is not json.Encoder's output for its events (%d bytes)", len(body), enc.Len())
 			}
+			var obsKeys [][]string
 			for _, e := range framed {
 				if e.Type == "step" && (e.MeshB64 == "" || (e.Obs == nil) != (tc.job == "fault") || (e.Density == nil) != (tc.job != "density")) {
 					t.Errorf("step %d of the %s job carries other payloads than its spec asked for", e.Step, tc.job)
+				}
+				if e.Type == "step" && e.Obs != nil {
+					obsKeys = append(obsKeys, slices.Sorted(maps.Keys(e.Obs.Counters)))
+				}
+			}
+			// Every step's obs digest carries the same counters, whether or
+			// not a density step ran before it.
+			if tc.job == "density" && len(obsKeys) != 2 {
+				t.Errorf("density job streamed %d obs digests, want 2", len(obsKeys))
+			}
+			for i := 1; i < len(obsKeys); i++ {
+				if !reflect.DeepEqual(obsKeys[i], obsKeys[0]) {
+					t.Errorf("%s job: step %d obs digest counters %v, step 1's %v", tc.job, i+1, obsKeys[i], obsKeys[0])
 				}
 			}
 

@@ -3,6 +3,7 @@ package jobd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"time"
 
@@ -219,6 +220,18 @@ func (s *JobSpec) Validate(limits Limits) error {
 	// A negative ghost would otherwise fall back to the default 4.
 	if !(s.Ghost >= 0) { // also rejects NaN
 		return badSpec("ghost = %g, want >= 0 (0 = the default 4)", s.Ghost)
+	}
+	if f := s.Fault; f != nil {
+		// Past this many milliseconds a time.Duration wraps.
+		const maxMS = math.MaxInt64 / int64(time.Millisecond)
+		for _, d := range []struct {
+			field string
+			ms    int64
+		}{{"compute_delay_max_ms", f.ComputeDelayMaxMS}, {"send_delay_max_ms", f.SendDelayMaxMS}} {
+			if d.ms > maxMS || d.ms < -maxMS {
+				return badSpec("fault.%s = %d overflows a duration (at most %d in magnitude)", d.field, d.ms, maxMS)
+			}
+		}
 	}
 	// The session refuses the config too, but only once a worker opens it.
 	cfg := s.config(0)

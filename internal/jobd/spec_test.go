@@ -175,6 +175,17 @@ func TestSpecValidate(t *testing.T) {
 		{name: "negative delay", mutate: func(s *JobSpec) {
 			s.Fault = &FaultSpec{SendDelayMaxMS: -1}
 		}, open: true},
+		// The milliseconds must fit a time.Duration: past it they wrap, to
+		// a 448 µs ceiling or from negative to about 290 years.
+		{name: "delay overflowing a duration", mutate: func(s *JobSpec) {
+			s.Fault = &FaultSpec{ComputeDelayMaxMS: 18446744073710}
+		}},
+		{name: "negative delay wrapping positive", mutate: func(s *JobSpec) {
+			s.Fault = &FaultSpec{SendDelayMaxMS: -9300000000000}
+		}},
+		{name: "delay at a duration's limit", mutate: func(s *JobSpec) {
+			s.Fault = &FaultSpec{ComputeDelayMaxMS: math.MaxInt64 / 1000000, SendDelayMaxMS: math.MaxInt64 / 1000000}
+		}, wantOK: true, open: true},
 		// The density rules are density.Config.Validate's, on the config
 		// the session resolves.
 		{name: "density", mutate: func(s *JobSpec) {

@@ -175,7 +175,7 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 			// which points from the site toward the neighbor), then rotate it
 			// to start at the lexicographically smallest vertex. Both are
 			// geometric properties, so construction order cannot leak in.
-			if newellNormal(coords).Dot(planes[fi].N) < 0 {
+			if geom.PolygonNormal(coords).Dot(planes[fi].N) < 0 {
 				reverseVecs(coords)
 			}
 			rot = rotateToMin(coords, rot)
@@ -265,19 +265,6 @@ func nearestImage(s, p geom.Vec3, domain geom.Box) geom.Vec3 {
 		Y: s.Y - L.Y*math.Round((s.Y-p.Y)/L.Y),
 		Z: s.Z - L.Z*math.Round((s.Z-p.Z)/L.Z),
 	}
-}
-
-// newellNormal is Newell's polygon normal (unnormalized); its direction
-// tells the loop's winding.
-func newellNormal(loop []geom.Vec3) geom.Vec3 {
-	var n geom.Vec3
-	for i := range loop {
-		a, b := loop[i], loop[(i+1)%len(loop)]
-		n.X += (a.Y - b.Y) * (a.Z + b.Z)
-		n.Y += (a.Z - b.Z) * (a.X + b.X)
-		n.Z += (a.X - b.X) * (a.Y + b.Y)
-	}
-	return n
 }
 
 func reverseVecs(v []geom.Vec3) {

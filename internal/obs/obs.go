@@ -1,7 +1,9 @@
 // Package obs is the always-on observability layer of the tessellation
-// stack: per-rank phase spans, communication counters, and a named metrics
-// registry, recorded with no locks on any hot path and exportable as Chrome
-// trace-event JSON (chrome://tracing / Perfetto).
+// stack: per-rank phase spans, communication counters, and per-rank work
+// counters, recorded with no locks on any hot path and exportable as Chrome
+// trace-event JSON (chrome://tracing / Perfetto). Phases and work counters
+// are fixed vocabularies (Phase, Counter): adding one is one enum entry and
+// one name.
 //
 // The design follows the per-phase timers that PARAVT and the multithreaded
 // VORO++ extension ship as first-class library features, generalized to the
@@ -29,7 +31,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -84,6 +85,104 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
+// Counter identifies one per-rank work count of the tess pipeline. Every
+// snapshot lists every counter, zeros included.
+type Counter uint8
+
+const (
+	// CounterGhosts is the ghost particles a rank received.
+	CounterGhosts Counter = iota
+	// CounterCellsKept is the cells a rank kept after the volume culls.
+	CounterCellsKept
+	// CounterSites is the local sites a rank tessellated.
+	CounterSites
+
+	// The kernel-* counters are the clipping sweep's candidate funnel
+	// (voronoi.KernelCounts) summed over the rank's sites: divided by
+	// CounterSites they say why a cell cost what it cost. kernel-culled
+	// counts the sites whose sweep stopped at a proven early cull,
+	// kernel-boxed the tested planes the live vertices' box rejected,
+	// kernel-volume-checks the current-cell volumes the cull exit
+	// evaluated, and kernel-looped the vertices ordered into the cuts' new
+	// faces.
+	CounterKernelShells
+	CounterKernelGathered
+	CounterKernelSorted
+	CounterKernelOrdered
+	CounterKernelTested
+	CounterKernelCut
+	CounterKernelCulled
+	CounterKernelBoxed
+	CounterKernelVolumes
+	CounterKernelLooped
+
+	// The mesh-* counters are the weld's: the face-vertex references of
+	// the kept cells, and the distinct vertices they welded to. Both are a
+	// function of the input alone; the stitch's own table probes depend on
+	// how the sites were chunked among workers, so they are not counted.
+	CounterMeshVertexRefs
+	CounterMeshVerts
+
+	// CounterSitesWarm counts local sites whose particle moved no farther
+	// than the ghost distance since the session's previous step, so every
+	// retained structure sized for them is already at working-set size.
+	CounterSitesWarm
+	// CounterSitesCold counts sites seen for the first time (or displaced
+	// beyond the ghost distance), including every site of a session's
+	// first step.
+	CounterSitesCold
+
+	// The delaunay-* counters are a density step's Bowyer-Watson build
+	// (delaunay.Stats), on rank 0. They are exact functions of the
+	// snapshot: InSphere tests per point and peak slots per tet say why the
+	// triangulate phase cost what it cost.
+	CounterDelaunayPoints
+	CounterDelaunayTetsCreated
+	CounterDelaunayPeakSlots
+	CounterDelaunayWalkSteps
+	CounterDelaunayInSphere
+	// CounterDensityPrefetched is 1 on rank 0 when a density step used the
+	// triangulation its session started during the step before it, and 0
+	// when it triangulated itself.
+	CounterDensityPrefetched
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	CounterGhosts:         "ghosts-recvd",
+	CounterCellsKept:      "cells-kept",
+	CounterSites:          "sites",
+	CounterKernelShells:   "kernel-shells",
+	CounterKernelGathered: "kernel-gathered",
+	CounterKernelSorted:   "kernel-sorted",
+	CounterKernelOrdered:  "kernel-ordered",
+	CounterKernelTested:   "kernel-tested",
+	CounterKernelCut:      "kernel-cut",
+	CounterKernelCulled:   "kernel-culled",
+	CounterKernelBoxed:    "kernel-boxed",
+	CounterKernelVolumes:  "kernel-volume-checks",
+	CounterKernelLooped:   "kernel-looped",
+	CounterMeshVertexRefs: "mesh-vertex-refs",
+	CounterMeshVerts:      "mesh-verts-welded",
+	CounterSitesWarm:      "sites-warm",
+	CounterSitesCold:      "sites-cold",
+
+	CounterDelaunayPoints:      "delaunay-points",
+	CounterDelaunayTetsCreated: "delaunay-tets-created",
+	CounterDelaunayPeakSlots:   "delaunay-peak-slots",
+	CounterDelaunayWalkSteps:   "delaunay-walk-steps",
+	CounterDelaunayInSphere:    "delaunay-insphere",
+	CounterDensityPrefetched:   "density-prefetched",
+}
+
+// String returns the counter name used in snapshots and traces.
+func (c Counter) String() string {
+	if int(c) < len(counterNames) {
+		return counterNames[c]
+	}
+	return fmt.Sprintf("counter(%d)", uint8(c))
+}
+
 // Span is one timed interval of a phase on one rank. Start is relative to
 // the Recorder's epoch.
 type Span struct {
@@ -101,9 +200,6 @@ type SpanMark struct {
 	start time.Time
 }
 
-// CounterID names a registered counter; see RegisterCounter.
-type CounterID int
-
 // rankState is the single-writer per-rank recording slot. The trailing pad
 // keeps adjacent ranks' hot scalar fields on separate cache lines.
 type rankState struct {
@@ -117,27 +213,16 @@ type rankState struct {
 	collectives     int64
 	collectiveBytes int64
 
-	// counters is a fixed array rather than a slice so that registering a
-	// new counter (which happens under the registry mutex) never resizes
-	// storage a concurrently-recording rank is writing into.
-	counters [MaxCounters]int64
+	counters [numCounters]int64
 
 	_ [64]byte
 }
-
-// MaxCounters bounds the registry size; RegisterCounter panics beyond it.
-const MaxCounters = 24
 
 // Recorder collects spans and counters for a fixed number of ranks.
 // The zero value is not usable; a nil *Recorder is the disabled layer.
 type Recorder struct {
 	epoch time.Time
 	ranks []rankState
-
-	// Counter registration happens before concurrent recording starts and
-	// is the only mutation guarded by a lock.
-	mu           sync.Mutex
-	counterNames []string
 }
 
 // NewRecorder returns a recorder for a world of ranks ranks.
@@ -158,8 +243,7 @@ func NewRecorder(ranks int) *Recorder {
 }
 
 // Reset clears all recorded spans, comm counters, and counter values and
-// starts a new epoch, keeping the counter-name registry (previously issued
-// CounterIDs stay valid) and all per-rank buffer capacity. A persistent
+// starts a new epoch, keeping all per-rank buffer capacity. A persistent
 // tessellation session calls it between steps so each pass's snapshot
 // covers only its own activity, at steady state without allocating.
 //
@@ -183,7 +267,7 @@ func (r *Recorder) Reset() {
 		}
 		s.collectives = 0
 		s.collectiveBytes = 0
-		s.counters = [MaxCounters]int64{}
+		s.counters = [numCounters]int64{}
 	}
 }
 
@@ -272,36 +356,12 @@ func (r *Recorder) CountCollective(rank int, n int64) {
 	s.collectiveBytes += n
 }
 
-// RegisterCounter adds a named per-rank counter to the registry and returns
-// its ID; registering an existing name returns its ID, so ranks may call it
-// concurrently to resolve well-known names. Per-rank counter storage is
-// fixed-size, so registration never perturbs ranks that are already
-// counting. Panics past MaxCounters; a nil recorder returns -1 (Count
-// ignores it).
-func (r *Recorder) RegisterCounter(name string) CounterID {
+// Count adds delta to counter c on rank.
+func (r *Recorder) Count(rank int, c Counter, delta int64) {
 	if r == nil {
-		return -1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, n := range r.counterNames {
-		if n == name {
-			return CounterID(i)
-		}
-	}
-	if len(r.counterNames) == MaxCounters {
-		panic(fmt.Sprintf("obs: more than %d registered counters", MaxCounters))
-	}
-	r.counterNames = append(r.counterNames, name)
-	return CounterID(len(r.counterNames) - 1)
-}
-
-// Count adds delta to a registered counter on rank.
-func (r *Recorder) Count(rank int, id CounterID, delta int64) {
-	if r == nil || id < 0 {
 		return
 	}
-	r.ranks[rank].counters[id] += delta
+	r.ranks[rank].counters[c] += delta
 }
 
 // PhaseBreakdown is the accumulated per-phase wall time of one rank.
@@ -355,8 +415,8 @@ type RankMetrics struct {
 	CollectiveBytes       int64
 }
 
-// Snapshot is the immutable aggregate of a Recorder: the metrics registry
-// view exposed on core.Output and consumed by the trace exporter and the
+// Snapshot is the immutable aggregate of a Recorder: the metrics view
+// exposed on core.Output and consumed by the trace exporter and the
 // EXPERIMENTS tables.
 type Snapshot struct {
 	Ranks int
@@ -373,8 +433,9 @@ type Snapshot struct {
 	// Totals over all ranks.
 	TotalSentMsgs, TotalSentBytes   int64
 	TotalRecvdMsgs, TotalRecvdBytes int64
-	// Counters maps each registered counter name to its per-rank values;
-	// CounterNames lists the names sorted, for deterministic iteration.
+	// Counters maps every counter's name to its per-rank values, zeros
+	// included; CounterNames lists the names sorted, for deterministic
+	// iteration.
 	Counters     map[string][]int64
 	CounterNames []string
 	// ComputeImbalance is slowest-rank compute time over mean compute time
@@ -396,7 +457,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 		SendBytes: make([][]int64, n),
 		RecvMsgs:  make([][]int64, n),
 		RecvBytes: make([][]int64, n),
-		Counters:  make(map[string][]int64, len(r.counterNames)),
+		Counters:  make(map[string][]int64, numCounters),
 	}
 	for i := range r.ranks {
 		s := &r.ranks[i]
@@ -440,15 +501,14 @@ func (r *Recorder) Snapshot() *Snapshot {
 		}
 		return snap.Spans[a].Start < snap.Spans[b].Start
 	})
-	r.mu.Lock()
-	names := append([]string(nil), r.counterNames...)
-	r.mu.Unlock()
-	for id, name := range names {
+	names := make([]string, numCounters)
+	for c, name := range counterNames {
 		vals := make([]int64, n)
 		for i := range r.ranks {
-			vals[i] = r.ranks[i].counters[id]
+			vals[i] = r.ranks[i].counters[c]
 		}
 		snap.Counters[name] = vals
+		names[c] = name
 	}
 	sort.Strings(names)
 	snap.CounterNames = names

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -89,23 +90,34 @@ func TestRecorderCommCounters(t *testing.T) {
 	}
 }
 
-func TestRegisteredCounters(t *testing.T) {
+// Every snapshot lists every counter by name, zeros included, and a
+// counter's values land on the rank that counted them.
+func TestCounters(t *testing.T) {
 	r := NewRecorder(2)
-	ghosts := r.RegisterCounter("ghosts")
-	again := r.RegisterCounter("ghosts")
-	if ghosts != again {
-		t.Errorf("re-registering returned %d, want %d", again, ghosts)
-	}
-	cells := r.RegisterCounter("cells")
-	r.Count(0, ghosts, 7)
-	r.Count(1, ghosts, 5)
-	r.Count(1, cells, 100)
+	r.Count(0, CounterGhosts, 7)
+	r.Count(1, CounterGhosts, 5)
+	r.Count(1, CounterSites, 100)
 	s := r.Snapshot()
-	if got := s.Counters["ghosts"]; got[0] != 7 || got[1] != 5 {
+	if got := s.Counters[CounterGhosts.String()]; got[0] != 7 || got[1] != 5 {
 		t.Errorf("ghosts = %v", got)
 	}
-	if got := s.Counters["cells"]; got[0] != 0 || got[1] != 100 {
-		t.Errorf("cells = %v", got)
+	if got := s.Counters[CounterSites.String()]; got[0] != 0 || got[1] != 100 {
+		t.Errorf("sites = %v", got)
+	}
+	if len(s.CounterNames) != int(numCounters) || len(s.Counters) != int(numCounters) {
+		t.Fatalf("snapshot lists %d names, %d counters; want %d", len(s.CounterNames), len(s.Counters), numCounters)
+	}
+	if !sort.StringsAreSorted(s.CounterNames) {
+		t.Errorf("counter names not sorted: %v", s.CounterNames)
+	}
+	for c := Counter(0); c < numCounters; c++ {
+		if vals, ok := s.Counters[c.String()]; c.String() == "" || !ok || len(vals) != 2 {
+			t.Errorf("%s: %v, listed %v", c, vals, ok)
+		}
+	}
+	r.Reset()
+	if got := r.Snapshot().Counters[CounterGhosts.String()]; got[0] != 0 || got[1] != 0 {
+		t.Errorf("ghosts after Reset = %v", got)
 	}
 }
 
@@ -131,7 +143,7 @@ func TestNilRecorderZeroAlloc(t *testing.T) {
 		r.CountRecv(1, 0, 128)
 		r.AddBarrierWait(0, time.Millisecond)
 		r.CountCollective(0, 8)
-		r.Count(0, r.RegisterCounter("x"), 1)
+		r.Count(0, CounterSites, 1)
 		r.RecordSpan(0, PhaseOutput, time.Time{}, time.Time{})
 	})
 	if allocs != 0 {

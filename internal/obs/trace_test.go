@@ -18,9 +18,8 @@ func traceFixture() *Snapshot {
 	recordAt(r, 1, PhaseOutput, 7*time.Millisecond, time.Millisecond)
 	r.CountSend(0, 1, 1000)
 	r.CountRecv(1, 0, 1000)
-	id := r.RegisterCounter("ghosts")
-	r.Count(0, id, 11)
-	r.Count(1, id, 13)
+	r.Count(0, CounterGhosts, 11)
+	r.Count(1, CounterGhosts, 13)
 	return r.Snapshot()
 }
 
@@ -66,7 +65,7 @@ func TestWriteTraceValidJSON(t *testing.T) {
 			if e.Name == "comm-bytes" {
 				commBytesSent += int64(e.Args["sent"].(float64))
 			}
-			if e.Name == "ghosts" {
+			if e.Name == "ghosts-recvd" {
 				ghostCounters++
 			}
 		case "M":
