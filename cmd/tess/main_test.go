@@ -286,6 +286,13 @@ func TestToolsRejectsBadDeck(t *testing.T) {
 	for _, tc := range []struct{ deck, want string }{
 		{"[halo]\nlinkng_length = 0.2\n", `cosmotools: [halo] has unknown keys [linkng_length]`},
 		{"[halo]\nevery = zzz\n", `cosmotools: [halo] every: strconv.Atoi: parsing "zzz": invalid syntax`},
+		// The session's own rule, applied when the deck is read.
+		{"[tess]\nblocks = 0\n", `cosmotools: [tess] core: 0 blocks, want >= 1`},
+		{"[tess]\nghost = -1\n", `cosmotools: [tess] core: ghost size -1, want >= 0`},
+		{"[tess]\nghost = 1e9\n", `cosmotools: [tess] core: ghost size 1e+09 exceeds the link reach 4 (use a smaller ghost)`},
+		{"[tess]\nmin_volume = -1\n", `cosmotools: [tess] core: volume cull min -1 max 0, want >= 0 (0 = off)`},
+		{"[voids]\nblocks = -3\n", `cosmotools: [voids] core: -3 blocks, want >= 1`},
+		{"[voids]\nthreshold = -5\n", `cosmotools: [voids] threshold -5, want >= 0 (0 = the mean cell volume)`},
 	} {
 		path := filepath.Join(t.TempDir(), "deck.cfg")
 		if err := os.WriteFile(path, []byte(tc.deck), 0o644); err != nil {

@@ -97,7 +97,7 @@ func tools(args []string, w io.Writer) error {
 
 	if *serveAddr != "" {
 		live := tess.NewLiveServer()
-		live.Attach(pipeline, *steps)
+		live.Attach(pipeline)
 		ln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {
 			return err
@@ -119,12 +119,14 @@ func tools(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "running %d^3 particles for %d steps with analyses %v\n",
 		*ng, *steps, enabled)
-	sim.Run(*steps, func(s *tess.Simulation) {
-		for _, r := range pipeline.Step(s, *steps) {
+	// The run stops at the first analysis failure.
+	for i := 0; i < *steps && pipeline.Err() == nil; i++ {
+		sim.StepOnce()
+		for _, r := range pipeline.Step(sim, *steps) {
 			fmt.Fprintf(w, "step %4d  %-12s %8.1fms  %s\n",
 				r.Step, r.Analysis, float64(r.Elapsed.Microseconds())/1e3, r.Summary)
 		}
-	})
+	}
 	if err := pipeline.Err(); err != nil {
 		return err
 	}

@@ -8,16 +8,18 @@
 // region of particles with its 26-connected neighborhood (with periodic
 // boundary transforms), computes the Voronoi cells of its own particles
 // locally, deletes cells that cannot be proven correct, culls cells outside
-// a volume threshold (with a cheap conservative pre-pass), and writes all
-// blocks collectively to a single file. The paper's Quickhull geometry pass
-// (Config.HullPass) is available as a cost model and cross-check; it is off
-// by default because the clipping kernel already has each cell's volume.
+// a volume threshold (the clipping kernel stops early on a cell it has
+// proven complete and below the minimum), and writes all blocks
+// collectively to a single file. The paper's Quickhull geometry pass
+// (Config.HullPass) is available as a cost model and cross-check; it is
+// off by default because the clipping kernel already has each cell's
+// volume.
 //
 // # Modes
 //
 // Standalone mode tessellates an in-memory particle set in one call:
 //
-//	cfg := tess.NewPeriodicConfig(64) // 64^3 box, ghost size auto
+//	cfg := tess.NewPeriodicConfig(64) // 64^3 periodic box, ghost size 4
 //	out, err := tess.Run(cfg, particles, 8)
 //
 // Repeated passes over the same domain (the in situ loop) keep a
@@ -38,17 +40,19 @@
 // at the next one with byte-identical output.
 //
 // In situ mode runs the tessellation at selected time steps of the built-in
-// particle-mesh N-body simulation (the HACC stand-in), through one such
-// session; the hook (nil here; ExampleRunInSitu passes one) sees each
-// snapshot and may return an error to abort the run cleanly:
+// particle-mesh N-body simulation (the HACC stand-in), as the [tess] tool of
+// the cosmology-tools pipeline (the paper's Figure 4): a configuration deck
+// enables the tool and sets its period, the pipeline runs it through one
+// session, writes each tessellated step to outputDir/tess-step-NNNN.out,
+// and stops at the first failing step (Pipeline.Err names it):
 //
-//	res, err := tess.RunInSitu(tess.InSituConfig{
-//		Sim:    tess.NewSimConfig(32),
-//		Tess:   tess.NewPeriodicConfig(32),
-//		Steps:  100,
-//		Every:  10,
-//		Blocks: 8,
-//	}, nil)
+//	deck, err := tess.ParseToolsConfig(strings.NewReader("[tess]\nevery = 10\nblocks = 8\n"))
+//	p, err := tess.NewPipeline(deck, tess.NewSimConfig(32), "out")
+//	err = p.Run(tess.NewSimConfig(32), 100)
+//
+// Each step's mesh in Go, under any Config, is the Session.Step loop above
+// over tess.ParticlesFromSim, with Output.Clone for a mesh kept past the
+// next Step.
 //
 // # Parallelism
 //

@@ -84,27 +84,28 @@ func ExampleFindVoids() {
 	// in situ components computed: true
 }
 
-// ExampleRunInSitu runs the built-in N-body simulation with the
-// tessellation embedded every 5 steps; the hook sees each snapshot as it
-// is taken.
-func ExampleRunInSitu() {
-	cfg := tess.InSituConfig{
-		Sim:    tess.NewSimConfig(8),
-		Tess:   tess.NewPeriodicConfig(8),
-		Steps:  10,
-		Every:  5,
-		Blocks: 2,
-	}
-	_, err := tess.RunInSitu(cfg, func(s tess.Snapshot) error {
-		fmt.Printf("step %d: %d cells kept\n", s.Step, s.Output.Counts.Kept)
-		return nil
-	})
+// ExamplePipeline_Run runs the built-in N-body simulation with the
+// tessellation embedded every 5 steps, configured by a cosmology-tools
+// deck, and prints each tessellation's summary.
+func ExamplePipeline_Run() {
+	deck, err := tess.ParseToolsConfig(strings.NewReader("[tess]\nevery = 5\nblocks = 2\n"))
 	if err != nil {
 		panic(err)
 	}
+	simCfg := tess.NewSimConfig(8)
+	p, err := tess.NewPipeline(deck, simCfg, "")
+	if err != nil {
+		panic(err)
+	}
+	if err := p.Run(simCfg, 10); err != nil {
+		panic(err)
+	}
+	for _, r := range p.Results {
+		fmt.Printf("step %d: %.0f cells\n", r.Step, r.Metrics["cells"])
+	}
 	// Output:
-	// step 5: 512 cells kept
-	// step 10: 512 cells kept
+	// step 5: 512 cells
+	// step 10: 512 cells
 }
 
 // ExampleFindVoidsWatershed segments a tessellation written to disk into

@@ -55,9 +55,9 @@ const DefaultMailboxCapacity = 64
 // launch one goroutine per rank with Run.
 type World struct {
 	size int
-	// mail[dst][src] is the queue of messages from src to dst. Per-pair
-	// queues preserve MPI's pairwise ordering guarantee.
-	mail []map[int]chan message
+	// mail[dst*size+src] is the queue of messages from src to dst.
+	// Per-pair queues preserve MPI's pairwise ordering guarantee.
+	mail []chan message
 
 	barrier *barrier
 
@@ -131,13 +131,9 @@ func NewWorld(size int, opts ...Option) *World {
 	for _, opt := range opts {
 		opt(w)
 	}
-	w.mail = make([]map[int]chan message, size)
-	for dst := 0; dst < size; dst++ {
-		m := make(map[int]chan message, size)
-		for src := 0; src < size; src++ {
-			m[src] = make(chan message, DefaultMailboxCapacity)
-		}
-		w.mail[dst] = m
+	w.mail = make([]chan message, size*size)
+	for i := range w.mail {
+		w.mail[i] = make(chan message, DefaultMailboxCapacity)
 	}
 	return w
 }
@@ -241,7 +237,7 @@ func (w *World) Send(src, dst, tag int, payload any) {
 	if w.rec != nil {
 		w.rec.CountSend(src, dst, obs.PayloadBytes(payload))
 	}
-	ch := w.mail[dst][src]
+	ch := w.mail[dst*w.size+src]
 	select {
 	case ch <- message{tag: tag, payload: payload}:
 		return
@@ -274,7 +270,7 @@ func (w *World) Send(src, dst, tag int, payload any) {
 func (w *World) Recv(dst, src, tag int) any {
 	w.checkRank(src)
 	w.checkRank(dst)
-	ch := w.mail[dst][src]
+	ch := w.mail[dst*w.size+src]
 	var msg message
 	select {
 	case msg = <-ch:

@@ -25,34 +25,31 @@ func particlesOf(sim *nbody.Simulation) []diy.Particle {
 }
 
 // lazySession is the persistent tessellation session of the tess and voids
-// tools: opened on the first invocation and reused for every later step of
-// the run (the framework calls Close when the pipeline finishes).
+// tools: its config is resolved and checked when the deck is read, and the
+// session is opened on the first invocation and reused for every later
+// step of the run (the framework calls Close when the pipeline finishes).
 type lazySession struct {
 	blocks int
-	// cfg is what the session opens with; a GhostSize <= 0 means the widest
-	// a session accepts (evolved snapshots grow large void cells).
-	cfg  core.Config
-	sess *core.Session
+	cfg    core.Config
+	sess   *core.Session
 }
 
+// newLazySession reads the blocks key and resolves the session config over
+// the simulation box, with the widest ghost a session accepts (evolved
+// snapshots grow large void cells).
 func newLazySession(p *params, simCfg nbody.Config) lazySession {
 	L := simCfg.BoxSize
-	return lazySession{
-		blocks: p.int("blocks", 8),
-		cfg:    core.Config{Domain: geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), Periodic: true},
-	}
+	cfg := core.Config{Domain: geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), Periodic: true}
+	cfg.GhostSize = core.GhostCeiling(cfg)
+	return lazySession{blocks: p.int("blocks", 8), cfg: cfg}
 }
 
 func (l *lazySession) session() (*core.Session, error) {
 	if l.sess != nil {
 		return l.sess, nil
 	}
-	cfg := l.cfg
-	if cfg.GhostSize <= 0 {
-		cfg.GhostSize = core.GhostCeiling(cfg)
-	}
 	var err error
-	l.sess, err = core.OpenSession(cfg, l.blocks)
+	l.sess, err = core.OpenSession(l.cfg, l.blocks)
 	return l.sess, err
 }
 
@@ -95,7 +92,10 @@ type tessAnalysis struct {
 
 func newTessAnalysis(p *params, simCfg nbody.Config) Analysis {
 	a := &tessAnalysis{lazySession: newLazySession(p, simCfg)}
-	a.cfg.GhostSize = p.float("ghost", 0)
+	// A ghost of 0, or none, keeps the ceiling.
+	if g := p.float("ghost", 0); g != 0 {
+		a.cfg.GhostSize = g
+	}
 	a.cfg.MinVolume = p.float("min_volume", 0)
 	a.write = p.bool("write", true)
 	a.halos = p.oneOf("sites", "particles", "halos") == "halos"
@@ -104,6 +104,9 @@ func newTessAnalysis(p *params, simCfg nbody.Config) Analysis {
 	// than the blocks; retain the (correct-by-security-radius or flagged)
 	// cells rather than deleting them.
 	a.cfg.KeepIncomplete = a.halos
+	// OpenSession's own rule: a value the session would refuse is the
+	// deck's error.
+	p.check(a.cfg.Validate(a.blocks))
 	return a
 }
 
@@ -305,7 +308,12 @@ type voidsAnalysis struct {
 }
 
 func newVoidsAnalysis(p *params, simCfg nbody.Config) Analysis {
-	return &voidsAnalysis{lazySession: newLazySession(p, simCfg), threshold: p.float("threshold", 0)}
+	a := &voidsAnalysis{lazySession: newLazySession(p, simCfg), threshold: p.float("threshold", 0)}
+	if !(a.threshold >= 0) { // also rejects NaN
+		p.check(fmt.Errorf("threshold %g, want >= 0 (0 = the mean cell volume)", a.threshold))
+	}
+	p.check(a.cfg.Validate(a.blocks))
+	return a
 }
 
 func (a *voidsAnalysis) Run(ctx *Context) (Result, error) {

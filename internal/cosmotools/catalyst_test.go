@@ -133,12 +133,8 @@ func TestAttachPublishesDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer()
-	sim, err := nbody.New(simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(4, s.Attach(p, 4))
-	if err := p.Err(); err != nil {
+	s.Attach(p)
+	if err := p.Run(simCfg, 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,5 +149,38 @@ func TestAttachPublishesDuringRun(t *testing.T) {
 	get(t, srv, "/results", &all)
 	if len(all) != 2 { // steps 2 and 4
 		t.Errorf("published %d results, want 2", len(all))
+	}
+}
+
+// The run stops at the first tool failure: Run returns the error naming
+// the tool and its step, no later step is simulated, and the attached
+// server reads that step as the last, with the run no longer running.
+func TestRunStopsAtFirstToolFailure(t *testing.T) {
+	simCfg := nbody.DefaultConfig(8)
+	// More members than particles: FOF finds no halo to use as a site.
+	cfg, err := ParseConfig(strings.NewReader("[tess]\nevery = 2\nsites = halos\nmin_members = 1000\nwrite = false\nblocks = 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(cfg, simCfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	s.Attach(p)
+	err = p.Run(simCfg, 50)
+	if err == nil || !strings.Contains(err.Error(), "tess at step 2") {
+		t.Fatalf("Run = %v, want the tess failure at step 2", err)
+	}
+	if p.Err() != err {
+		t.Errorf("Err = %v, want Run's error %v", p.Err(), err)
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	var st Status
+	get(t, srv, "/status", &st)
+	if st.Step != 2 || st.Running || st.TotalSteps != 50 {
+		t.Errorf("status = %+v, want step 2 of 50, not running", st)
 	}
 }

@@ -111,12 +111,17 @@ func param[T any](p *params, key string, def T, parse func(string) (T, error)) T
 	}
 	x, err := parse(v)
 	if err != nil {
-		if p.err == nil {
-			p.err = fmt.Errorf("cosmotools: [%s] %s: %w", p.s.Name, key, err)
-		}
+		p.check(fmt.Errorf("%s: %w", key, err))
 		return def
 	}
 	return x
+}
+
+// check keeps err, if it is the section's first, as the section's error.
+func (p *params) check(err error) {
+	if err != nil && p.err == nil {
+		p.err = fmt.Errorf("cosmotools: [%s] %w", p.s.Name, err)
+	}
 }
 
 func (p *params) int(key string, def int) int { return param(p, key, def, strconv.Atoi) }
@@ -135,9 +140,8 @@ func (p *params) oneOf(key string, allowed ...string) string {
 	if !ok {
 		return allowed[0]
 	}
-	if !slices.Contains(allowed, v) && p.err == nil {
-		p.err = fmt.Errorf("cosmotools: [%s] %s must be %s, got %q",
-			p.s.Name, key, strings.Join(allowed, " or "), v)
+	if !slices.Contains(allowed, v) {
+		p.check(fmt.Errorf("%s must be %s, got %q", key, strings.Join(allowed, " or "), v))
 	}
 	return v
 }

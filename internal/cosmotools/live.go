@@ -14,8 +14,6 @@ import (
 	"net/http"
 	"slices"
 	"sync"
-
-	"repro/internal/nbody"
 )
 
 // Status describes the run's progress.
@@ -109,9 +107,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // Attach wires a pipeline to the server: from now on every Step of the
-// pipeline also publishes its results and the run status here. It returns
-// p.Hook(totalSteps), to pass to Simulation.Run.
-func (s *Server) Attach(p *Pipeline, totalSteps int) func(*nbody.Simulation) {
-	p.live = s
-	return p.Hook(totalSteps)
-}
+// pipeline (and so every step of Pipeline.Run) also publishes its results
+// and the run status here.
+func (s *Server) Attach(p *Pipeline) { p.live = s }

@@ -117,7 +117,8 @@ func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline,
 // divides the step, or the step is totalSteps, the run's last, on which
 // every tool runs — and returns the invocations it made (also appended to
 // Results, and published to an attached Server). After an analysis error
-// (see Err) it runs nothing.
+// (see Err) it runs nothing, and an attached Server reads the run as
+// stopped: a driving loop ends at that step.
 func (p *Pipeline) Step(sim *nbody.Simulation, totalSteps int) []Result {
 	first := len(p.Results)
 	for i, a := range p.Analyses {
@@ -147,20 +148,15 @@ func (p *Pipeline) Step(sim *nbody.Simulation, totalSteps int) []Result {
 		p.live.SetStatus(Status{
 			Step:       sim.Step,
 			TotalSteps: totalSteps,
-			Running:    sim.Step < totalSteps,
+			Running:    sim.Step < totalSteps && p.err == nil,
 			Particles:  sim.NumParticles(),
 		})
 	}
 	return made
 }
 
-// Hook returns Step as the per-step callback to pass to Simulation.Run,
-// for runs that read Results at the end.
-func (p *Pipeline) Hook(totalSteps int) func(*nbody.Simulation) {
-	return func(sim *nbody.Simulation) { p.Step(sim, totalSteps) }
-}
-
-// Err returns the first analysis error, if any.
+// Err returns the first analysis error, if any; it names the tool and the
+// step it failed at.
 func (p *Pipeline) Err() error { return p.err }
 
 // Close releases every analysis that holds persistent resources (the
@@ -181,15 +177,20 @@ func (p *Pipeline) Close() error {
 	return first
 }
 
-// Run executes a fresh simulation with the pipeline attached, closing the
-// analyses' persistent sessions when the run finishes.
+// Run is the one-call in situ run: it starts a fresh simulation, advances
+// it steps times and runs Step after each, stopping at the first analysis
+// error (which it returns, as Err does). It closes the analyses'
+// persistent sessions when the run ends.
 func (p *Pipeline) Run(simCfg nbody.Config, steps int) error {
 	sim, err := nbody.New(simCfg)
 	if err != nil {
 		return err
 	}
 	defer p.Close()
-	sim.Run(steps, p.Hook(steps))
+	for i := 0; i < steps && p.err == nil; i++ {
+		sim.StepOnce()
+		p.Step(sim, steps)
+	}
 	return p.err
 }
 

@@ -7,14 +7,13 @@ import (
 
 // Serial block I/O: WriteBlocks produces the same single-file layout as
 // CollectiveWrite — payload sections, footer index, trailer — from one
-// goroutine with no World. It is the writer behind snapshot files and
-// checkpoint artifacts, which are produced outside any collective step
-// (between steps, or by offline tools), while ReadIndex/ReadBlock serve
-// both layouts identically.
+// goroutine with no World. Its one caller is storage.WriteSnapshot, which
+// writes particle snapshot files outside any collective step; ReadIndex
+// and ReadAllBlocks read both layouts identically.
 
 // WriteBlocks writes one payload section per block into path, followed
 // by the footer index and trailer, so the file is readable with
-// ReadIndex/ReadBlock/ReadAllBlocks. It returns the total file size.
+// ReadIndex/ReadAllBlocks. It returns the total file size.
 func WriteBlocks(path string, payloads [][]byte) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {

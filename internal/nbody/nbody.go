@@ -196,10 +196,10 @@ func (s *Simulation) StepOnce() {
 	s.Step++
 }
 
-// Run advances the simulation by n steps, invoking each hook after the step
-// it is registered for. Hooks receive the simulation in a read-consistent
-// state (between steps); this is the in situ analysis attachment point used
-// by the tess framework.
+// Run advances the simulation by n steps, invoking hook after each one.
+// Hooks receive the simulation in a read-consistent state (between steps).
+// A driver that may stop early, as the cosmology-tools pipeline does at a
+// failing tool, calls StepOnce itself.
 func (s *Simulation) Run(n int, hook func(*Simulation)) {
 	for i := 0; i < n; i++ {
 		s.StepOnce()

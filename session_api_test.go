@@ -138,37 +138,6 @@ func TestOpenRejectsBadGhost(t *testing.T) {
 	}
 }
 
-// A hook error aborts the in situ run cleanly with the step identified.
-func TestRunInSituHookError(t *testing.T) {
-	cfg := InSituConfig{
-		Sim:    nbody.DefaultConfig(8),
-		Tess:   NewPeriodicConfig(8, WithGhostSize(3)),
-		Steps:  10,
-		Every:  5,
-		Blocks: 2,
-	}
-	calls := 0
-	snaps, err := RunInSitu(cfg, func(s Snapshot) error {
-		calls++
-		return errDeliberate
-	})
-	if err == nil || !strings.Contains(err.Error(), "hook") || !strings.Contains(err.Error(), "step 5") {
-		t.Fatalf("err = %v, want hook error naming step 5", err)
-	}
-	if calls != 1 {
-		t.Errorf("hook ran %d times after erroring", calls)
-	}
-	if snaps != nil {
-		t.Errorf("got %d snapshots from aborted run", len(snaps))
-	}
-}
-
-type deliberateError struct{}
-
-func (deliberateError) Error() string { return "deliberate test failure" }
-
-var errDeliberate = deliberateError{}
-
 // A session's first StepDensity must cost what a warm one costs: on a 32^3
 // N-body snapshot (80k points with the periodic images) the cold
 // Bowyer-Watson build allocates linearly — under 1 GB for the whole step,

@@ -4,12 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/nbody"
 )
 
 func testParticles(seed int64, n int, L float64) []Particle {
@@ -77,134 +75,24 @@ func TestParticlesFromPositions(t *testing.T) {
 	}
 }
 
-func TestRunInSituValidation(t *testing.T) {
-	base := InSituConfig{Sim: nbody.DefaultConfig(8), Tess: NewPeriodicConfig(8), Steps: 1, Blocks: 1}
-	bad := base
-	bad.Steps = 0
-	if _, err := RunInSitu(bad, nil); err == nil {
-		t.Error("zero steps accepted")
-	}
-	bad = base
-	bad.Blocks = 0
-	if _, err := RunInSitu(bad, nil); err == nil {
-		t.Error("zero blocks accepted")
-	}
-	bad = base
-	bad.Tess = NewPeriodicConfig(16)
-	if _, err := RunInSitu(bad, nil); err == nil {
-		t.Error("mismatched domain accepted")
-	}
-}
-
-func TestRunInSituSnapshots(t *testing.T) {
-	cfg := InSituConfig{
-		Sim:    nbody.DefaultConfig(8),
-		Tess:   NewPeriodicConfig(8),
-		Steps:  10,
-		Every:  5,
-		Blocks: 2,
-	}
-	cfg.Tess.GhostSize = 3
-	var hooked []int
-	snaps, err := RunInSitu(cfg, func(s Snapshot) error { hooked = append(hooked, s.Step); return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d, want 2 (steps 5 and 10)", len(snaps))
-	}
-	if snaps[0].Step != 5 || snaps[1].Step != 10 {
-		t.Errorf("snapshot steps: %d, %d", snaps[0].Step, snaps[1].Step)
-	}
-	if len(hooked) != 2 {
-		t.Errorf("hook ran %d times", len(hooked))
-	}
-	for _, s := range snaps {
-		if s.Output.Counts.Kept != 512 {
-			t.Errorf("step %d kept %d cells", s.Step, s.Output.Counts.Kept)
-		}
-		if s.TessTime <= 0 {
-			t.Error("tess time not recorded")
-		}
-	}
-}
-
-// TestRunInSituSnapshotsOwnOutput pins what the Snapshot.Output doc
-// promises: a snapshot is a deep copy, not the session's per-step loan.
-// The first snapshot's meshes are copied inside the hook, while they are
-// certainly valid, and must still equal that copy after two more steps
-// have gone through the same session.
-func TestRunInSituSnapshotsOwnOutput(t *testing.T) {
-	cfg := InSituConfig{
-		Sim:    nbody.DefaultConfig(8),
-		Tess:   NewPeriodicConfig(8),
-		Steps:  3,
-		Every:  1,
-		Blocks: 2,
-	}
-	cfg.Tess.GhostSize = 3
-	var first *Output
-	snaps, err := RunInSitu(cfg, func(s Snapshot) error {
-		if first == nil {
-			first = s.Output.Clone()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 3 {
-		t.Fatalf("snapshots = %d, want 3", len(snaps))
-	}
-	for rank, m := range snaps[0].Output.Meshes {
-		if !reflect.DeepEqual(m, first.Meshes[rank]) {
-			t.Errorf("rank %d: the first snapshot's mesh changed after later steps; Snapshot.Output aliases the session's loan", rank)
-		}
-	}
-}
-
-func TestRunInSituFinalStepAlways(t *testing.T) {
-	cfg := InSituConfig{
-		Sim:    nbody.DefaultConfig(8),
-		Tess:   NewPeriodicConfig(8),
-		Steps:  7,
-		Every:  3,
-		Blocks: 1,
-	}
-	cfg.Tess.GhostSize = 3
-	snaps, err := RunInSitu(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Steps 3, 6, and the final 7.
-	if len(snaps) != 3 || snaps[2].Step != 7 {
-		steps := make([]int, len(snaps))
-		for i, s := range snaps {
-			steps[i] = s.Step
-		}
-		t.Fatalf("snapshot steps = %v, want [3 6 7]", steps)
-	}
-}
-
 func TestInSituOutputAndVoidPipeline(t *testing.T) {
 	// End to end: simulate, tessellate in situ to disk, read back, find
 	// voids.
 	dir := t.TempDir()
-	cfg := InSituConfig{
-		Sim:       nbody.DefaultConfig(8),
-		Tess:      NewPeriodicConfig(8),
-		Steps:     6,
-		Every:     0, // final step only
-		Blocks:    2,
-		OutputDir: dir,
-	}
-	cfg.Tess.GhostSize = 3
-	snaps, err := RunInSitu(cfg, nil)
+	deck, err := ParseToolsConfig(strings.NewReader("[tess]\nevery = 0\nblocks = 2\nghost = 3\n")) // final step only
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %d", len(snaps))
+	simCfg := NewSimConfig(8)
+	p, err := NewPipeline(deck, simCfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(simCfg, 6); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Results) != 1 {
+		t.Fatalf("snapshots = %d", len(p.Results))
 	}
 	path := filepath.Join(dir, "tess-step-0006.out")
 	recs, err := ReadTessFile(path)
