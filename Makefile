@@ -5,7 +5,7 @@
 # the whole test suite under the race detector (which holds the
 # fault-containment, checkpoint and daemon e2e suites — each test runs
 # once), the coverage floor, the fuzz seed corpora, the bench module, a
-# Table II smoke run and one pass each of the kernel and density
+# Table II smoke run and one pass each of the kernel, merge and density
 # benchmarks, so
 # the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
@@ -18,7 +18,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke density-bench-smoke check bench bench-stack loc
+.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke merge-bench-smoke density-bench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,12 @@ tessbench-smoke:
 kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench KernelStream -benchtime 1x ./internal/voronoi > /dev/null
 
+# The canonical merge's check: one pass of BenchmarkMergeCanonical (the
+# one-shot merge and a warm Merger, on a jittered 8^3 lattice and a 16^3
+# N-body snapshot) must run to the end.
+merge-bench-smoke:
+	$(GO) test -run '^$$' -bench MergeCanonical -benchtime 1x ./internal/meshio > /dev/null
+
 # The density step's one-minute check: one Step then StepDensity on a
 # 16^3 N-body snapshot (BenchmarkStepThenDensity, the build overlapped with
 # the step) and one pass of each Pipeline.Triangulate size must run to the
@@ -145,7 +151,7 @@ kernel-bench-smoke:
 density-bench-smoke:
 	$(GO) test -run '^$$' -bench 'StepThenDensity|Triangulate' -benchtime 1x ./internal/core ./internal/density > /dev/null
 
-check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke density-bench-smoke
+check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke merge-bench-smoke density-bench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts, and the
 # clipping kernel alone (ns/cell and the candidate funnel per cell on the

@@ -293,6 +293,13 @@ func TestToolsRejectsBadDeck(t *testing.T) {
 		{"[tess]\nmin_volume = -1\n", `cosmotools: [tess] core: volume cull min -1 max 0, want >= 0 (0 = off)`},
 		{"[voids]\nblocks = -3\n", `cosmotools: [voids] core: -3 blocks, want >= 1`},
 		{"[voids]\nthreshold = -5\n", `cosmotools: [voids] threshold -5, want >= 0 (0 = the mean cell volume)`},
+		// Each analysis callee's own rule, applied when the deck is read.
+		{"[powerspec]\nbins = 0\n", `cosmotools: [powerspec] cosmo: invalid box 8 or bins 0`},
+		{"[correlation]\nbins = 0\n", `cosmotools: [correlation] cosmo: invalid box 8 or bins 0`},
+		{"[correlation]\nrmax = 5\n", `cosmotools: [correlation] cosmo: rmax 5 must be in (0, box/2]`},
+		{"[multistream]\ngrid = 0\n", `cosmotools: [multistream] multistream: invalid grid 0 or box 8`},
+		{"[halo]\nlinking_length = -1\n", `cosmotools: [halo] halo: non-positive linking length -1`},
+		{"[tess]\nsites = halos\nlinking_length = 0\n", `cosmotools: [tess] halo: non-positive linking length 0`},
 	} {
 		path := filepath.Join(t.TempDir(), "deck.cfg")
 		if err := os.WriteFile(path, []byte(tc.deck), 0o644); err != nil {

@@ -18,6 +18,18 @@ type XiBin struct {
 	Pairs int64
 }
 
+// ValidateCorrelation is CorrelationFunction's rule for its parameters: a
+// positive box size and bin count, and rmax in (0, box/2] (NaN fails).
+func ValidateCorrelation(boxSize, rmax float64, bins int) error {
+	if !(boxSize > 0) || bins <= 0 {
+		return fmt.Errorf("cosmo: invalid box %g or bins %d", boxSize, bins)
+	}
+	if !(rmax > 0 && rmax <= boxSize/2) {
+		return fmt.Errorf("cosmo: rmax %g must be in (0, box/2]", rmax)
+	}
+	return nil
+}
+
 // CorrelationFunction measures the two-point correlation function xi(r) of
 // a periodic particle distribution by direct pair counting against the
 // analytic uniform expectation — the second of the paper's "traditional
@@ -28,11 +40,8 @@ func CorrelationFunction(pos []geom.Vec3, boxSize, rmax float64, bins int) ([]Xi
 	if len(pos) < 2 {
 		return nil, fmt.Errorf("cosmo: need at least 2 particles")
 	}
-	if boxSize <= 0 || bins <= 0 {
-		return nil, fmt.Errorf("cosmo: invalid box %g or bins %d", boxSize, bins)
-	}
-	if rmax <= 0 || rmax > boxSize/2 {
-		return nil, fmt.Errorf("cosmo: rmax %g must be in (0, box/2]", rmax)
+	if err := ValidateCorrelation(boxSize, rmax, bins); err != nil {
+		return nil, err
 	}
 
 	// Grid buckets sized >= rmax: all pairs within rmax lie in adjacent

@@ -21,6 +21,18 @@ type PkBin struct {
 	Modes int
 }
 
+// ValidateSpectrum is PowerSpectrum's rule for its parameters: a
+// power-of-two grid, a positive box size (NaN fails) and bin count.
+func ValidateSpectrum(ng int, boxSize float64, bins int) error {
+	if !fft.IsPow2(ng) {
+		return fmt.Errorf("cosmo: ng = %d is not a power of two", ng)
+	}
+	if !(boxSize > 0) || bins <= 0 {
+		return fmt.Errorf("cosmo: invalid box %g or bins %d", boxSize, bins)
+	}
+	return nil
+}
+
 // PowerSpectrum measures the matter power spectrum of a particle
 // distribution in a periodic box: CIC density assignment on an ng^3 grid,
 // FFT, and shell-averaging of |delta_k|^2. This is the "traditional
@@ -30,11 +42,8 @@ type PkBin struct {
 // The CIC assignment window is deconvolved (divided out) so that measured
 // large-scale power is unbiased.
 func PowerSpectrum(pos []geom.Vec3, ng int, boxSize float64, bins int) ([]PkBin, error) {
-	if !fft.IsPow2(ng) {
-		return nil, fmt.Errorf("cosmo: ng = %d is not a power of two", ng)
-	}
-	if boxSize <= 0 || bins <= 0 {
-		return nil, fmt.Errorf("cosmo: invalid box %g or bins %d", boxSize, bins)
+	if err := ValidateSpectrum(ng, boxSize, bins); err != nil {
+		return nil, err
 	}
 	if len(pos) == 0 {
 		return nil, fmt.Errorf("cosmo: no particles")

@@ -100,6 +100,9 @@ func newTessAnalysis(p *params, simCfg nbody.Config) Analysis {
 	a.write = p.bool("write", true)
 	a.halos = p.oneOf("sites", "particles", "halos") == "halos"
 	a.fof = fofConfig(p, simCfg)
+	if a.halos {
+		p.check(a.fof.Validate())
+	}
 	// Halo sites are sparse: proving completeness would need a ghost wider
 	// than the blocks; retain the (correct-by-security-radius or flagged)
 	// cells rather than deleting them.
@@ -170,7 +173,9 @@ type haloAnalysis struct {
 }
 
 func newHaloAnalysis(p *params, simCfg nbody.Config) Analysis {
-	return &haloAnalysis{fof: fofConfig(p, simCfg)}
+	a := &haloAnalysis{fof: fofConfig(p, simCfg)}
+	p.check(a.fof.Validate())
+	return a
 }
 
 func (a *haloAnalysis) Run(ctx *Context) (Result, error) {
@@ -214,7 +219,9 @@ type multistreamAnalysis struct {
 }
 
 func newMultistreamAnalysis(p *params, simCfg nbody.Config) Analysis {
-	return &multistreamAnalysis{grid: p.int("grid", 2*simCfg.Ng), ng: simCfg.Ng, boxSize: simCfg.BoxSize}
+	a := &multistreamAnalysis{grid: p.int("grid", 2*simCfg.Ng), ng: simCfg.Ng, boxSize: simCfg.BoxSize}
+	p.check(multistream.ValidateGrid(a.grid, a.boxSize))
+	return a
 }
 
 func (a *multistreamAnalysis) Run(ctx *Context) (Result, error) {
@@ -244,7 +251,9 @@ type powerSpectrumAnalysis struct {
 }
 
 func newPowerSpectrumAnalysis(p *params, simCfg nbody.Config) Analysis {
-	return &powerSpectrumAnalysis{bins: p.int("bins", 8), ng: simCfg.Ng, boxSize: simCfg.BoxSize}
+	a := &powerSpectrumAnalysis{bins: p.int("bins", 8), ng: simCfg.Ng, boxSize: simCfg.BoxSize}
+	p.check(cosmo.ValidateSpectrum(a.ng, a.boxSize, a.bins))
+	return a
 }
 
 func (a *powerSpectrumAnalysis) Run(ctx *Context) (Result, error) {
@@ -275,11 +284,13 @@ type correlationAnalysis struct {
 }
 
 func newCorrelationAnalysis(p *params, simCfg nbody.Config) Analysis {
-	return &correlationAnalysis{
+	a := &correlationAnalysis{
 		rmax:    p.float("rmax", simCfg.BoxSize/4),
 		bins:    p.int("bins", 8),
 		boxSize: simCfg.BoxSize,
 	}
+	p.check(cosmo.ValidateCorrelation(a.boxSize, a.rmax, a.bins))
+	return a
 }
 
 func (a *correlationAnalysis) Run(ctx *Context) (Result, error) {

@@ -44,17 +44,26 @@ type Halo struct {
 // Mass returns the halo mass in particle counts (unit masses).
 func (h *Halo) Mass() int { return len(h.Members) }
 
+// Validate is Find's rule for a config: a positive box, and a positive
+// linking length of at most half of it (NaN fails both).
+func (cfg Config) Validate() error {
+	if !(cfg.BoxSize > 0) {
+		return fmt.Errorf("halo: non-positive box size %g", cfg.BoxSize)
+	}
+	if !(cfg.LinkingLength > 0) {
+		return fmt.Errorf("halo: non-positive linking length %g", cfg.LinkingLength)
+	}
+	if cfg.LinkingLength*2 > cfg.BoxSize {
+		return fmt.Errorf("halo: linking length %g too large for box %g", cfg.LinkingLength, cfg.BoxSize)
+	}
+	return nil
+}
+
 // Find runs FOF over the particle positions and returns halos sorted by
 // decreasing mass.
 func Find(pos []geom.Vec3, cfg Config) ([]Halo, error) {
-	if cfg.BoxSize <= 0 {
-		return nil, fmt.Errorf("halo: non-positive box size %g", cfg.BoxSize)
-	}
-	if cfg.LinkingLength <= 0 {
-		return nil, fmt.Errorf("halo: non-positive linking length %g", cfg.LinkingLength)
-	}
-	if cfg.LinkingLength*2 > cfg.BoxSize {
-		return nil, fmt.Errorf("halo: linking length %g too large for box %g", cfg.LinkingLength, cfg.BoxSize)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	minMembers := cfg.MinMembers
 	if minMembers <= 0 {

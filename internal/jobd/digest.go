@@ -10,17 +10,18 @@ import (
 	tess "repro"
 )
 
-// canonicalMesh merges a step's per-block meshes into the
-// decomposition-independent canonical mesh and returns its encoding.
+// canonicalMesh merges a step's per-block meshes, in mg's workspace, into
+// the decomposition-independent canonical mesh and returns its encoding.
 // Because the canonical merge is byte-identical across block counts and
 // decompositions, the bytes a client receives from a daemon job equal
 // those of a direct single-client Session run over the same particles —
 // the contract the e2e suite pins. Only fresh memory derived from the
-// loaned Output leaves this function, and exactly as much as the bytes:
-// Encode's buffer has room to spare and its result starts inside it, so
-// the event log keeps a copy, and retained_bytes counts what is held.
-func canonicalMesh(out *tess.Output, cfg tess.Config) ([]byte, error) {
-	merged, err := tess.MergeCanonical(out.Meshes, cfg.Domain, cfg.Periodic)
+// loaned Output and merged mesh leaves this function, and exactly as much
+// as the bytes: Encode's buffer has room to spare and its result starts
+// inside it, so the event log keeps a copy, and retained_bytes counts what
+// is held.
+func canonicalMesh(mg *tess.Merger, out *tess.Output, cfg tess.Config) ([]byte, error) {
+	merged, err := mg.Merge(out.Meshes, cfg.Domain, cfg.Periodic)
 	if err != nil {
 		return nil, fmt.Errorf("jobd: canonical merge: %w", err)
 	}

@@ -797,6 +797,8 @@ func (d *Daemon) runJob(j *Job) {
 		return
 	}
 
+	// One merge workspace per job: steps 2 to N reuse step 1's storage.
+	var merger tess.Merger
 	steps := j.steps
 	if resumed > steps {
 		resumed = steps // foreign checkpoint deeper than this job; cap
@@ -853,7 +855,7 @@ func (d *Daemon) runJob(j *Job) {
 			Cells: cells,
 		}
 		if j.spec.IncludeMesh {
-			if ev.mesh, err = canonicalMesh(out, cfg); err != nil {
+			if ev.mesh, err = canonicalMesh(&merger, out, cfg); err != nil {
 				d.finishJob(j, StateFailed, &ErrorInfo{Message: err.Error(), Kind: "pipeline"})
 				return
 			}

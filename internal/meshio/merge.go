@@ -30,7 +30,42 @@ import (
 // a cell site somewhere in the inputs. Nil meshes in the slice are skipped,
 // so Output.Meshes can be passed directly.
 func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*BlockMesh, error) {
-	// One counting pass sizes everything the merge allocates.
+	var mg Merger
+	m, err := mg.Merge(meshes, domain, periodic)
+	if err != nil {
+		return nil, err
+	}
+	// A copy of the header, so the result owns its rows and the
+	// workspace's scratch is not kept alive by it.
+	out := *m
+	return &out, nil
+}
+
+// Merger is the canonical merge's retained workspace: the sorted cell
+// list, the per-vertex records, the weld table, the per-face scratch and
+// the output rows are kept across calls, so merging meshes of stable size
+// allocates almost nothing after the first call. The merged mesh is a
+// loan, valid only until the Merger's next Merge. The zero Merger is
+// ready to use; a Merger is not safe for concurrent use.
+type Merger struct {
+	out    BlockMesh
+	cells  []srcCell
+	sv     []srcVert
+	pool   weldTable
+	planes []geom.Plane
+	order  []int
+	coords []geom.Vec3
+	// serial is the last cell serial handed out, carried across calls so
+	// that records left by an earlier Merge are stale.
+	serial int32
+	// probes counts the weld-table lookups of the last Merge.
+	probes int
+}
+
+// Merge is MergeCanonical into the Merger's retained storage. The
+// previous Merge's mesh is invalidated.
+func (mg *Merger) Merge(meshes []*BlockMesh, domain geom.Box, periodic bool) (*BlockMesh, error) {
+	// One counting pass sizes everything the merge stores.
 	var nCells, nFaces, nRefs, sumVerts, maxVerts int
 	for _, m := range meshes {
 		if m == nil {
@@ -46,36 +81,58 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		maxVerts = max(maxVerts, len(m.Verts))
 	}
 
-	cells, err := sortedCells(meshes, nCells)
+	cells, err := sortedCells(mg.cells, meshes, nCells)
+	mg.cells = cells[:0]
 	if err != nil {
 		return nil, err
 	}
+	// Sorted IDs without repeats are a dense range exactly when the last
+	// is len-1 past the first (a span past MaxInt64 wraps negative); then
+	// an ID's cell is found by subtraction (unsigned, so an ID below the
+	// first is out of range too).
+	dense := len(cells) > 0 && cells[len(cells)-1].id-cells[0].id == int64(len(cells)-1)
 	siteOf := func(id int64) (geom.Vec3, bool) {
-		k, ok := slices.BinarySearchFunc(cells, id, func(c srcCell, id int64) int { return cmp.Compare(c.id, id) })
-		if !ok {
-			return geom.Vec3{}, false
+		var k int
+		if dense {
+			d := uint64(id - cells[0].id)
+			if d >= uint64(len(cells)) {
+				return geom.Vec3{}, false
+			}
+			k = int(d)
+		} else {
+			var ok bool
+			k, ok = slices.BinarySearchFunc(cells, id, func(c srcCell, id int64) int { return cmp.Compare(c.id, id) })
+			if !ok {
+				return geom.Vec3{}, false
+			}
 		}
 		return meshes[cells[k].mesh].Particles[cells[k].idx], true
 	}
 
-	out := &BlockMesh{Extents: domain}
+	out := &mg.out
+	out.Extents = domain
 	out.reset(sumVerts, nCells, nFaces, nRefs)
 	weldTol := 1e-9 * max(domain.Size().MaxAbs(), 1e-30)
-	var pool weldTable
+	pool := &mg.pool
 	pool.reset()
 	pool.reserve(sumVerts)
+	mg.probes = 0
 
-	// Per-cell scratch, reused: the face planes and canonical order, one
-	// face's coordinates, and the per-source-vertex records.
-	var (
-		planes []geom.Plane
-		order  []int
-		coords []geom.Vec3
-		rot    []geom.Vec3
-	)
-	sv := make([]srcVert, maxVerts)
+	// Per-vertex records, indexed by block-local vertex. A record belongs
+	// to the cell being merged only if it carries the cell's serial, so
+	// nothing is cleared between cells or calls.
+	if len(mg.sv) < maxVerts {
+		mg.sv = make([]srcVert, maxVerts)
+	}
+	if int(mg.serial) > math.MaxInt32-nCells {
+		clear(mg.sv)
+		mg.serial = 0
+	}
+	sv := mg.sv
+	planes, order, coords := mg.planes, mg.order, mg.coords
+	defer func() { mg.planes, mg.order, mg.coords = planes[:0], order[:0], coords[:0] }()
 
-	for ci, cc := range cells {
+	for _, cc := range cells {
 		m := meshes[cc.mesh]
 		site := m.Particles[cc.idx]
 		flo, fhi := m.Faces(int(cc.idx))
@@ -120,9 +177,9 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 		// Vertex -> adjacent faces over the block-local welded indices (the
 		// decomposition-invariant topology). Walking the faces in canonical
 		// order, a vertex's first three faces are its three canonically-first
-		// adjacent planes. A record belongs to this cell only if it carries
-		// the cell's serial, so nothing is cleared between cells.
-		serial := int32(ci + 1)
+		// adjacent planes.
+		mg.serial++
+		serial := mg.serial
 		for _, fi := range order {
 			for _, vi := range m.Loop(flo + fi) {
 				if vi < 0 || int(vi) >= len(m.Verts) {
@@ -130,7 +187,7 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 				}
 				v := &sv[vi]
 				if v.serial != serial {
-					*v = srcVert{serial: serial}
+					*v = srcVert{serial: serial, gi: -1}
 				}
 				if v.n < 3 {
 					v.faces[v.n] = int32(fi)
@@ -163,37 +220,57 @@ func MergeCanonical(meshes []*BlockMesh, domain geom.Box, periodic bool) (*Block
 
 		var vol, area float64
 		for _, fi := range order {
+			loop := m.Loop(flo + fi)
 			coords = coords[:0]
-			for _, vi := range m.Loop(flo + fi) {
+			for _, vi := range loop {
 				v, err := canonVert(vi)
 				if err != nil {
 					return nil, err
 				}
 				coords = append(coords, v)
 			}
-			// Orient the loop outward (agreeing with the bisector normal,
-			// which points from the site toward the neighbor), then rotate it
-			// to start at the lexicographically smallest vertex. Both are
-			// geometric properties, so construction order cannot leak in.
+			// Emit the loop oriented outward (agreeing with the bisector
+			// normal, which points from the site toward the neighbor) and
+			// starting at its lexicographically smallest vertex, the first
+			// one met in emission order. Both are geometric properties, so
+			// construction order cannot leak in.
+			n, first, step := len(loop), 0, 1
 			if geom.PolygonNormal(coords).Dot(planes[fi].N) < 0 {
-				reverseVecs(coords)
+				first, step = n-1, -1
 			}
-			rot = rotateToMin(coords, rot)
-			vbase := len(out.LoopVerts)
-			for _, v := range coords {
-				gi, added := pool.lookupOrAdd(quantize(v, weldTol), int32(len(out.Verts)))
-				if added {
-					out.Verts = append(out.Verts, v)
+			for k, i := 1, first+step; k < n; k, i = k+1, i+step {
+				if lexLess(coords[i], coords[first]) {
+					first = i
 				}
-				out.LoopVerts = append(out.LoopVerts, gi)
+			}
+			// A vertex probes the weld table at its first emitted reference
+			// in the cell, which is where a probe per reference would first
+			// meet it; later references reuse the pooled index.
+			vbase := len(out.LoopVerts)
+			for k, i := 0, first; k < n; k++ {
+				v := &sv[loop[i]]
+				if v.gi < 0 {
+					var added bool
+					v.gi, added = pool.lookupOrAdd(quantize(v.pos, weldTol), int32(len(out.Verts)))
+					mg.probes++
+					if added {
+						out.Verts = append(out.Verts, v.pos)
+					}
+				}
+				out.LoopVerts = append(out.LoopVerts, v.gi)
+				if i += step; i == n {
+					i = 0
+				} else if i < 0 {
+					i = n - 1
+				}
 			}
 			out.endFace(m.Neighbors[flo+fi])
 			// Recompute geometry from the pooled vertices so the stored
 			// scalars are exactly consistent with the stored mesh.
-			loop := out.LoopVerts[vbase:]
-			a := out.Verts[loop[0]]
-			for k := 1; k+1 < len(loop); k++ {
-				b, c := out.Verts[loop[k]], out.Verts[loop[k+1]]
+			pooled := out.LoopVerts[vbase:]
+			a := out.Verts[pooled[0]]
+			for k := 1; k+1 < len(pooled); k++ {
+				b, c := out.Verts[pooled[k]], out.Verts[pooled[k+1]]
 				ab, ac := b.Sub(a), c.Sub(a)
 				area += 0.5 * ab.Cross(ac).Norm()
 				vol += a.Sub(site).Dot(b.Sub(site).Cross(c.Sub(site))) / 6
@@ -215,10 +292,11 @@ func (c srcCell) inputOrder(o srcCell) int {
 	return cmp.Or(cmp.Compare(c.mesh, o.mesh), cmp.Compare(c.idx, o.idx))
 }
 
-// sortedCells lists every input cell in particle-ID order, rejecting an ID
-// that appears twice.
-func sortedCells(meshes []*BlockMesh, nCells int) ([]srcCell, error) {
-	cells := make([]srcCell, 0, nCells)
+// sortedCells lists every input cell in particle-ID order into cells'
+// storage, rejecting an ID that appears twice. It returns the slice even on
+// error, so its storage can be kept.
+func sortedCells(cells []srcCell, meshes []*BlockMesh, n int) ([]srcCell, error) {
+	cells = slices.Grow(cells[:0], n)
 	for mi, m := range meshes {
 		if m == nil {
 			continue
@@ -239,18 +317,20 @@ func sortedCells(meshes []*BlockMesh, nCells int) ([]srcCell, error) {
 		}
 	}
 	if dup >= 0 {
-		return nil, fmt.Errorf("meshio: particle %d appears in more than one block", cells[dup].id)
+		return cells, fmt.Errorf("meshio: particle %d appears in more than one block", cells[dup].id)
 	}
 	return cells, nil
 }
 
 // srcVert is the merge's record of one block-local vertex within the cell
 // being merged: how many face loops reference it, the first three of those
-// faces in canonical order, and its canonical position once solved.
+// faces in canonical order, its canonical position once solved, and its
+// index in the merged mesh's vertices once welded.
 type srcVert struct {
 	serial int32 // cell the record belongs to; others are stale
 	n      int32
 	faces  [3]int32
+	gi     int32 // -1 until welded
 	solved bool
 	pos    geom.Vec3
 }
@@ -265,30 +345,6 @@ func nearestImage(s, p geom.Vec3, domain geom.Box) geom.Vec3 {
 		Y: s.Y - L.Y*math.Round((s.Y-p.Y)/L.Y),
 		Z: s.Z - L.Z*math.Round((s.Z-p.Z)/L.Z),
 	}
-}
-
-func reverseVecs(v []geom.Vec3) {
-	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-		v[i], v[j] = v[j], v[i]
-	}
-}
-
-// rotateToMin rotates the cyclic loop so the lexicographically smallest
-// (X, Y, Z) vertex comes first, preserving winding. It rotates through buf
-// and returns it, possibly grown, for the next call.
-func rotateToMin(v, buf []geom.Vec3) []geom.Vec3 {
-	min := 0
-	for i := 1; i < len(v); i++ {
-		if lexLess(v[i], v[min]) {
-			min = i
-		}
-	}
-	if min == 0 {
-		return buf
-	}
-	buf = append(append(buf[:0], v[min:]...), v[:min]...)
-	copy(v, buf)
-	return buf
 }
 
 func lexLess(a, b geom.Vec3) bool {

@@ -235,6 +235,9 @@ func TestDecodeAndCloneAllocsFlat(t *testing.T) {
 	}
 }
 
+// BenchmarkMergeCanonical times the one-shot merge (cells=N) and the merge
+// into a warm Merger (warm-cells=N), the daemon's steps after a job's
+// first; their B/op differ by the workspace the Merger keeps.
 func BenchmarkMergeCanonical(b *testing.B) {
 	for _, in := range []mergeInput{
 		goldenInput(b, "jitter8", 1, 2),
@@ -245,6 +248,19 @@ func BenchmarkMergeCanonical(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := meshio.MergeCanonical(meshes, domain, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("warm-cells=%d", len(in.pts)), func(b *testing.B) {
+			var mg meshio.Merger
+			if _, err := mg.Merge(meshes, domain, true); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mg.Merge(meshes, domain, true); err != nil {
 					b.Fatal(err)
 				}
 			}

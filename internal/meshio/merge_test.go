@@ -1,6 +1,7 @@
 package meshio_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -169,5 +170,122 @@ func TestMergeCanonicalRejectsVertexIndexOutOfRange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("vertex index %d: got %v, want an error containing %q", vi, err, want)
 		}
+	}
+}
+
+// Relabelling the particles by a monotone map that leaves gaps between
+// IDs must only relabel the merged mesh: the sparse IDs take the merge's
+// binary-search neighbor lookup, the dense ones its lookup by subtraction,
+// and both give the same rows.
+func TestMergeCanonicalSparseIDs(t *testing.T) {
+	meshes, domain := goldenInput(t, "jitter8", 1, 2).run(t)
+	relabel := func(id int64) int64 { return 3*id + 7 }
+	sparse := make([]*meshio.BlockMesh, len(meshes))
+	for i, m := range meshes {
+		c := m.Clone()
+		for k, id := range c.ParticleIDs {
+			c.ParticleIDs[k] = relabel(id)
+		}
+		for k, nb := range c.Neighbors {
+			c.Neighbors[k] = relabel(nb)
+		}
+		sparse[i] = c
+	}
+	want, err := meshio.MergeCanonical(meshes, domain, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := meshio.MergeCanonical(sparse, domain, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, id := range want.ParticleIDs {
+		want.ParticleIDs[k] = relabel(id)
+	}
+	for k, nb := range want.Neighbors {
+		want.Neighbors[k] = relabel(nb)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("sparse IDs changed the merged mesh beyond its ID fields")
+	}
+}
+
+// One Merger reused across inputs of different sizes, and across a merge
+// that fails, must give each input the bytes a fresh MergeCanonical gives.
+// A record the last merge left behind would pass for the next merge's if
+// the Merger's cell serials restarted, so the first input runs twice.
+func TestMergerReuseMatchesFresh(t *testing.T) {
+	small, smallDomain := goldenInput(t, "jitter8", 1, 2).run(t)
+	large, largeDomain := goldenInput(t, "nbody16", 1, 4).run(t)
+	var mg meshio.Merger
+	for i, tc := range []struct {
+		meshes []*meshio.BlockMesh
+		domain geom.Box
+	}{
+		{small, smallDomain},
+		{small, smallDomain},
+		{large, largeDomain},
+		{small[:1], smallDomain}, // a missing neighbor: an error
+		{small, smallDomain},
+	} {
+		want, wantErr := meshio.MergeCanonical(tc.meshes, tc.domain, true)
+		got, err := mg.Merge(tc.meshes, tc.domain, true)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("merge %d: got error %v, want %v", i, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("merge %d: %v", i, err)
+		}
+		if !bytes.Equal(meshio.EncodeV1(got), meshio.EncodeV1(want)) {
+			t.Errorf("merge %d: a reused Merger's bytes differ from a fresh merge's", i)
+		}
+	}
+}
+
+// A warm Merger keeps every array the merge fills, so merging the same
+// input again allocates (almost) nothing.
+func TestMergerWarmAllocs(t *testing.T) {
+	meshes, domain := goldenInput(t, "jitter8", 1, 2).run(t)
+	var mg meshio.Merger
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := mg.Merge(meshes, domain, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("%.0f allocations per warm merge, want at most 2", allocs)
+	}
+}
+
+// The merge probes the weld table once per vertex of each cell, not once
+// per loop reference (about three per vertex): on jitter8 the probes equal
+// the (cell, block-local vertex) pairs of the inputs.
+func TestMergeWeldProbesPerCellVertex(t *testing.T) {
+	meshes, domain := goldenInput(t, "jitter8", 1, 2).run(t)
+	var pairs, refs int
+	for _, m := range meshes {
+		seen := make([]int, len(m.Verts)) // cell+1 that last counted the vertex
+		for c := range m.NumCells() {
+			lo, hi := m.Faces(c)
+			for f := lo; f < hi; f++ {
+				for _, vi := range m.Loop(f) {
+					refs++
+					if seen[vi] != c+1 {
+						seen[vi] = c + 1
+						pairs++
+					}
+				}
+			}
+		}
+	}
+	var mg meshio.Merger
+	if _, err := mg.Merge(meshes, domain, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := mg.WeldProbes(); got != pairs {
+		t.Errorf("%d weld probes, want one per (cell, vertex) pair: %d (loop references: %d)", got, pairs, refs)
 	}
 }

@@ -49,6 +49,15 @@ var kuhnTets = [6][4]int{
 	{0, 4, 6, 7},
 }
 
+// ValidateGrid is Compute's rule for its sampling grid: a positive grid
+// side m and box size (NaN fails).
+func ValidateGrid(m int, boxSize float64) error {
+	if m <= 0 || !(boxSize > 0) {
+		return fmt.Errorf("multistream: invalid grid %d or box %g", m, boxSize)
+	}
+	return nil
+}
+
 // Compute builds the multistream field from the current particle positions
 // pos, which must be indexed by initial lattice site ((z*ng+y)*ng+x) as
 // produced by cosmo.ZeldovichIC and preserved by the N-body integrator.
@@ -57,8 +66,8 @@ func Compute(pos []geom.Vec3, ng int, boxSize float64, m int) (*Field, error) {
 	if len(pos) != ng*ng*ng {
 		return nil, fmt.Errorf("multistream: %d positions for ng=%d (want %d)", len(pos), ng, ng*ng*ng)
 	}
-	if m <= 0 || boxSize <= 0 {
-		return nil, fmt.Errorf("multistream: invalid grid %d or box %g", m, boxSize)
+	if err := ValidateGrid(m, boxSize); err != nil {
+		return nil, err
 	}
 	f := &Field{M: m, BoxSize: boxSize, Streams: make([]int32, m*m*m)}
 	h := boxSize / float64(m)

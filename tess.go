@@ -279,6 +279,11 @@ func MergeCanonical(meshes []*BlockMesh, domain Box, periodic bool) (*BlockMesh,
 	return meshio.MergeCanonical(meshes, domain, periodic)
 }
 
+// Merger is MergeCanonical's retained workspace, for a caller that merges
+// step after step: its Merge reuses the previous call's storage, and the
+// merged mesh is a loan, valid until the Merger's next Merge.
+type Merger = meshio.Merger
+
 // ParticlesFromPositions wraps raw positions with sequential IDs.
 func ParticlesFromPositions(pos []Vec3) []Particle {
 	out := make([]Particle, len(pos))
