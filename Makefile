@@ -5,8 +5,8 @@
 # the whole test suite under the race detector (which holds the
 # fault-containment, checkpoint and daemon e2e suites — each test runs
 # once), the coverage floor, the fuzz seed corpora, the bench module, a
-# Table II smoke run and one pass each of the kernel, merge and density
-# benchmarks, so
+# Table II smoke run and one pass each of the kernel, merge, tools
+# pipeline and density benchmarks, so
 # the intra-rank worker-pool concurrency, the
 # rank-isolation/determinism/hot-path invariants, AND the failure model
 # (abort, watchdog, crash containment) are checked on every run.
@@ -18,7 +18,7 @@ GO ?= go
 # than letting CI sit for the default 10 minutes.
 TEST_TIMEOUT ?= 4m
 
-.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke merge-bench-smoke density-bench-smoke check bench bench-stack loc
+.PHONY: build test vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke merge-bench-smoke tools-bench-smoke density-bench-smoke check bench bench-stack loc
 
 build:
 	$(GO) build ./...
@@ -144,6 +144,12 @@ kernel-bench-smoke:
 merge-bench-smoke:
 	$(GO) test -run '^$$' -bench MergeCanonical -benchtime 1x ./internal/meshio > /dev/null
 
+# The tools pipeline's check: one pass of BenchmarkPipelineDueStep (a due
+# step of the tools verb's default deck over a 32^3 simulation, every tool
+# reading the step's one shared tessellation) must run to the end.
+tools-bench-smoke:
+	$(GO) test -run '^$$' -bench PipelineDueStep -benchtime 1x ./internal/cosmotools > /dev/null
+
 # The density step's one-minute check: one Step then StepDensity on a
 # 16^3 N-body snapshot (BenchmarkStepThenDensity, the build overlapped with
 # the step) and one pass of each Pipeline.Triangulate size must run to the
@@ -151,7 +157,7 @@ merge-bench-smoke:
 density-bench-smoke:
 	$(GO) test -run '^$$' -bench 'StepThenDensity|Triangulate' -benchtime 1x ./internal/core ./internal/density > /dev/null
 
-check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke merge-bench-smoke density-bench-smoke
+check: vet fmt lint onecodec onekernel layers frontdoor race cover fuzz-seeds bench-module tessbench-smoke kernel-bench-smoke merge-bench-smoke tools-bench-smoke density-bench-smoke
 
 # Headline perf benches: worker-pool scaling and allocation counts, and the
 # clipping kernel alone (ns/cell and the candidate funnel per cell on the

@@ -286,6 +286,8 @@ func TestToolsRejectsBadDeck(t *testing.T) {
 	for _, tc := range []struct{ deck, want string }{
 		{"[halo]\nlinkng_length = 0.2\n", `cosmotools: [halo] has unknown keys [linkng_length]`},
 		{"[halo]\nevery = zzz\n", `cosmotools: [halo] every: strconv.Atoi: parsing "zzz": invalid syntax`},
+		// The pipeline's own rule: a period is never negative.
+		{"[halo]\nevery = -1\n", `cosmotools: [halo] every -1, want >= 0 (0 = the final step only)`},
 		// The session's own rule, applied when the deck is read.
 		{"[tess]\nblocks = 0\n", `cosmotools: [tess] core: 0 blocks, want >= 1`},
 		{"[tess]\nghost = -1\n", `cosmotools: [tess] core: ghost size -1, want >= 0`},

@@ -2,11 +2,9 @@ package cosmotools
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/cosmo"
-	"repro/internal/diy"
 	"repro/internal/geom"
 	"repro/internal/halo"
 	"repro/internal/multistream"
@@ -16,49 +14,14 @@ import (
 	"repro/internal/voids"
 )
 
-func particlesOf(sim *nbody.Simulation) []diy.Particle {
-	out := make([]diy.Particle, len(sim.Pos))
-	for i, p := range sim.Pos {
-		out[i] = diy.Particle{ID: int64(i), Pos: p}
-	}
-	return out
-}
-
-// lazySession is the persistent tessellation session of the tess and voids
-// tools: its config is resolved and checked when the deck is read, and the
-// session is opened on the first invocation and reused for every later
-// step of the run (the framework calls Close when the pipeline finishes).
-type lazySession struct {
-	blocks int
-	cfg    core.Config
-	sess   *core.Session
-}
-
-// newLazySession reads the blocks key and resolves the session config over
+// particleMesh reads the blocks key and resolves the session config over
 // the simulation box, with the widest ghost a session accepts (evolved
-// snapshots grow large void cells).
-func newLazySession(p *params, simCfg nbody.Config) lazySession {
+// snapshots grow large void cells); the sites are the tracer particles.
+func particleMesh(p *params, simCfg nbody.Config) meshKey {
 	L := simCfg.BoxSize
 	cfg := core.Config{Domain: geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), Periodic: true}
 	cfg.GhostSize = core.GhostCeiling(cfg)
-	return lazySession{blocks: p.int("blocks", 8), cfg: cfg}
-}
-
-func (l *lazySession) session() (*core.Session, error) {
-	if l.sess != nil {
-		return l.sess, nil
-	}
-	var err error
-	l.sess, err = core.OpenSession(l.cfg, l.blocks)
-	return l.sess, err
-}
-
-// Close releases the persistent session, if one was opened.
-func (l *lazySession) Close() error {
-	if l.sess != nil {
-		return l.sess.Close()
-	}
-	return nil
+	return meshKey{cfg: cfg, blocks: p.int("blocks", 8)}
 }
 
 // tracked accumulates one snapshot of features per invocation, for the
@@ -81,72 +44,39 @@ func fofConfig(p *params, simCfg nbody.Config) halo.Config {
 // --- tess: the Voronoi tessellation tool ---
 
 type tessAnalysis struct {
-	lazySession
+	key   meshKey
 	write bool
-	// halos runs FOF first and uses the halo centers as Voronoi sites
-	// instead of the tracer particles — the paper's Sec. V suggestion
-	// ("halos can be matched to direct observables such as galaxies").
-	halos bool
-	fof   halo.Config
 }
 
 func newTessAnalysis(p *params, simCfg nbody.Config) Analysis {
-	a := &tessAnalysis{lazySession: newLazySession(p, simCfg)}
+	a := &tessAnalysis{key: particleMesh(p, simCfg)}
 	// A ghost of 0, or none, keeps the ceiling.
 	if g := p.float("ghost", 0); g != 0 {
-		a.cfg.GhostSize = g
+		a.key.cfg.GhostSize = g
 	}
-	a.cfg.MinVolume = p.float("min_volume", 0)
+	a.key.cfg.MinVolume = p.float("min_volume", 0)
 	a.write = p.bool("write", true)
-	a.halos = p.oneOf("sites", "particles", "halos") == "halos"
-	a.fof = fofConfig(p, simCfg)
-	if a.halos {
-		p.check(a.fof.Validate())
+	// sites = halos tessellates the FOF halo centers instead of the tracer
+	// particles — the paper's Sec. V suggestion ("halos can be matched to
+	// direct observables such as galaxies").
+	halos := p.oneOf("sites", "particles", "halos") == "halos"
+	fof := fofConfig(p, simCfg) // its keys are known in either mode
+	if halos {
+		p.check(fof.Validate())
+		a.key.fof = fof
 	}
 	// Halo sites are sparse: proving completeness would need a ghost wider
 	// than the blocks; retain the (correct-by-security-radius or flagged)
 	// cells rather than deleting them.
-	a.cfg.KeepIncomplete = a.halos
+	a.key.cfg.KeepIncomplete = halos
 	// OpenSession's own rule: a value the session would refuse is the
 	// deck's error.
-	p.check(a.cfg.Validate(a.blocks))
+	p.check(a.key.cfg.Validate(a.key.blocks))
 	return a
 }
 
-// siteParticles returns the Voronoi sites for this invocation: the tracer
-// particles, or the FOF halo centers in halos mode.
-func (a *tessAnalysis) siteParticles(ctx *Context) ([]diy.Particle, error) {
-	if !a.halos {
-		return particlesOf(ctx.Sim), nil
-	}
-	halos, err := halo.Find(ctx.Sim.Pos, a.fof)
-	if err != nil {
-		return nil, err
-	}
-	if len(halos) == 0 {
-		return nil, fmt.Errorf("cosmotools: no halos to tessellate at step %d", ctx.Step)
-	}
-	out := make([]diy.Particle, len(halos))
-	for i, h := range halos {
-		out[i] = diy.Particle{ID: int64(i), Pos: h.Center}
-	}
-	return out, nil
-}
-
 func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
-	sess, err := a.session()
-	if err != nil {
-		return Result{}, err
-	}
-	sites, err := a.siteParticles(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	outputPath := ""
-	if a.write && ctx.OutputDir != "" {
-		outputPath = filepath.Join(ctx.OutputDir, fmt.Sprintf("tess-step-%04d.out", ctx.Step))
-	}
-	out, err := sess.Step(sites, core.WithOutputPath(outputPath))
+	out, err := ctx.mesh(a.key)
 	if err != nil {
 		return Result{}, err
 	}
@@ -179,7 +109,7 @@ func newHaloAnalysis(p *params, simCfg nbody.Config) Analysis {
 }
 
 func (a *haloAnalysis) Run(ctx *Context) (Result, error) {
-	halos, err := halo.Find(ctx.Sim.Pos, a.fof)
+	halos, err := ctx.halos(a.fof)
 	if err != nil {
 		return Result{}, err
 	}
@@ -198,7 +128,7 @@ func (a *haloAnalysis) Run(ctx *Context) (Result, error) {
 			largest = h.Mass()
 		}
 	}
-	a.snaps = append(a.snaps, track.Snapshot{Step: ctx.Step, Features: feats})
+	a.snaps = append(a.snaps, track.Snapshot{Step: ctx.Sim.Step, Features: feats})
 	return Result{
 		Summary: fmt.Sprintf("%d halos, largest %d particles, %.1f%% of mass in halos",
 			len(halos), largest, 100*float64(inHalos)/float64(len(ctx.Sim.Pos))),
@@ -313,26 +243,22 @@ func (a *correlationAnalysis) Run(ctx *Context) (Result, error) {
 // --- voids: threshold + connected components + feature tracking ---
 
 type voidsAnalysis struct {
-	lazySession
 	tracked
+	key       meshKey
 	threshold float64 // 0 = mean cell volume
 }
 
 func newVoidsAnalysis(p *params, simCfg nbody.Config) Analysis {
-	a := &voidsAnalysis{lazySession: newLazySession(p, simCfg), threshold: p.float("threshold", 0)}
+	a := &voidsAnalysis{key: particleMesh(p, simCfg), threshold: p.float("threshold", 0)}
 	if !(a.threshold >= 0) { // also rejects NaN
 		p.check(fmt.Errorf("threshold %g, want >= 0 (0 = the mean cell volume)", a.threshold))
 	}
-	p.check(a.cfg.Validate(a.blocks))
+	p.check(a.key.cfg.Validate(a.key.blocks))
 	return a
 }
 
 func (a *voidsAnalysis) Run(ctx *Context) (Result, error) {
-	sess, err := a.session()
-	if err != nil {
-		return Result{}, err
-	}
-	out, err := sess.Step(particlesOf(ctx.Sim))
+	out, err := ctx.mesh(a.key)
 	if err != nil {
 		return Result{}, err
 	}
@@ -341,7 +267,7 @@ func (a *voidsAnalysis) Run(ctx *Context) (Result, error) {
 	for i, c := range comps {
 		feats[i] = track.Feature{IDs: c.CellIDs, Weight: c.Functionals.Volume}
 	}
-	a.snaps = append(a.snaps, track.Snapshot{Step: ctx.Step, Features: feats})
+	a.snaps = append(a.snaps, track.Snapshot{Step: ctx.Sim.Step, Features: feats})
 
 	largest := 0.0
 	if len(comps) > 0 {

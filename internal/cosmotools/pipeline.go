@@ -4,9 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"path/filepath"
 	"slices"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/diy"
+	"repro/internal/geom"
+	"repro/internal/halo"
 	"repro/internal/nbody"
 	"repro/internal/track"
 )
@@ -16,10 +21,69 @@ type Context struct {
 	// Sim is the live simulation (read-only by convention: analyses must
 	// not mutate particle state).
 	Sim *nbody.Simulation
-	// Step is the simulation step the analysis runs after.
-	Step int
-	// OutputDir receives analysis files ("" disables file output).
-	OutputDir string
+
+	p *Pipeline // whose products the step's due tools share
+}
+
+// meshKey names a tessellation tools share: the session's config and blocks,
+// and the FOF config whose halo centers are the sites (zero: the particles).
+type meshKey struct {
+	cfg    core.Config
+	blocks int
+	fof    halo.Config
+}
+
+// halos returns the step's FOF halos under fof.
+func (ctx *Context) halos(fof halo.Config) ([]halo.Halo, error) {
+	if hs, ok := ctx.p.halos[fof]; ok {
+		return hs, nil
+	}
+	hs, err := halo.Find(ctx.Sim.Pos, fof)
+	if err == nil {
+		ctx.p.halos[fof] = hs
+	}
+	return hs, err
+}
+
+// mesh returns the step's tessellation under key, stepping its session
+// (opened by the first step that reads it) on the step's first call.
+func (ctx *Context) mesh(key meshKey) (*core.Output, error) {
+	p := ctx.p
+	if out, ok := p.meshes[key]; ok {
+		return out, nil
+	}
+	pos := ctx.Sim.Pos
+	if key.fof != (halo.Config{}) {
+		halos, err := ctx.halos(key.fof)
+		if err != nil {
+			return nil, err
+		}
+		if len(halos) == 0 {
+			return nil, fmt.Errorf("cosmotools: no halos to tessellate at step %d", ctx.Sim.Step)
+		}
+		pos = make([]geom.Vec3, len(halos))
+		for i, h := range halos {
+			pos[i] = h.Center
+		}
+	}
+	sites := make([]diy.Particle, len(pos))
+	for i, x := range pos {
+		sites[i] = diy.Particle{ID: int64(i), Pos: x}
+	}
+	i := slices.Index(p.keys, key)
+	if i < 0 {
+		sess, err := core.OpenSession(key.cfg, key.blocks)
+		if err != nil {
+			return nil, err
+		}
+		i = len(p.sessions)
+		p.keys, p.sessions = append(p.keys, key), append(p.sessions, sess)
+	}
+	out, err := p.sessions[i].Step(sites, core.WithOutputPath(p.paths[key]))
+	if err == nil {
+		p.meshes[key] = out
+	}
+	return out, err
 }
 
 // Result is one analysis invocation's summary.
@@ -41,9 +105,7 @@ func (r Result) MarshalJSON() ([]byte, error) {
 	}{fields(r), float64(r.Elapsed.Microseconds()) / 1e3})
 }
 
-// Analysis is a level-1 in situ analysis tool. A tool that holds
-// persistent resources also has a Close() error method, which
-// Pipeline.Close calls.
+// Analysis is a level-1 in situ analysis tool.
 type Analysis interface {
 	// Run executes the analysis on the current simulation state.
 	Run(ctx *Context) (Result, error)
@@ -82,13 +144,23 @@ type Pipeline struct {
 	// registry key) and its execution period in steps.
 	names []string
 	every []int
-	live  *Server
-	err   error
+	// sessions[i] tessellates under keys[i], in the order opened. A step's
+	// due tools share its products: each mesh (an Output loan) and FOF
+	// catalogue is made by its first reader, who pays for it in Elapsed,
+	// and dropped by the next Step; paths[k] is the file mesh k goes to.
+	keys     []meshKey
+	sessions []*core.Session
+	paths    map[meshKey]string
+	meshes   map[meshKey]*core.Output
+	halos    map[halo.Config][]halo.Halo
+	live     *Server
+	err      error
 }
 
 // NewPipeline builds the analyses named in the deck. Every section accepts
-// every = N (default 10), the tool's execution period; the remaining keys
-// are the tool's own.
+// every = N (default 10), the tool's execution period in steps, where 0
+// runs the tool on the final step only; the remaining keys are the tool's
+// own.
 func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline, error) {
 	p := &Pipeline{OutputDir: outputDir}
 	for i := range cfg.Sections {
@@ -99,6 +171,9 @@ func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline,
 		}
 		r := &params{s: s, read: map[string]bool{}}
 		every := r.int("every", 10)
+		if every < 0 {
+			r.check(fmt.Errorf("every %d, want >= 0 (0 = the final step only)", every))
+		}
 		a := build(r, simCfg)
 		if err := r.done(); err != nil {
 			return nil, err
@@ -121,16 +196,21 @@ func NewPipeline(cfg *Config, simCfg nbody.Config, outputDir string) (*Pipeline,
 // stopped: a driving loop ends at that step.
 func (p *Pipeline) Step(sim *nbody.Simulation, totalSteps int) []Result {
 	first := len(p.Results)
+	p.paths, p.meshes, p.halos = map[meshKey]string{}, map[meshKey]*core.Output{}, map[halo.Config][]halo.Halo{}
+	var due []int // none after an analysis error
 	for i, a := range p.Analyses {
-		if p.err != nil {
-			break
+		if p.err == nil && (p.every[i] > 0 && sim.Step%p.every[i] == 0 || sim.Step == totalSteps) {
+			due = append(due, i)
+			// Whichever due tool reads a mesh first steps its session, so
+			// the file a due writer asks for is known before any tool runs.
+			if t, ok := a.(*tessAnalysis); ok && t.write && p.OutputDir != "" {
+				p.paths[t.key] = filepath.Join(p.OutputDir, fmt.Sprintf("tess-step-%04d.out", sim.Step))
+			}
 		}
-		due := p.every[i] > 0 && sim.Step%p.every[i] == 0
-		if !due && sim.Step != totalSteps {
-			continue
-		}
+	}
+	for _, i := range due {
 		t0 := time.Now()
-		res, err := a.Run(&Context{Sim: sim, Step: sim.Step, OutputDir: p.OutputDir})
+		res, err := p.Analyses[i].Run(&Context{Sim: sim, p: p})
 		if err != nil {
 			p.err = fmt.Errorf("cosmotools: %s at step %d: %w", p.names[i], sim.Step, err)
 			break
@@ -159,18 +239,12 @@ func (p *Pipeline) Step(sim *nbody.Simulation, totalSteps int) []Result {
 // step it failed at.
 func (p *Pipeline) Err() error { return p.err }
 
-// Close releases every analysis that holds persistent resources (the
-// tessellation-backed tools keep a session of retained worlds and buffers
-// open across invocations). It is idempotent and returns the first close
-// error.
+// Close closes the pipeline's tessellation sessions in the order they were
+// opened. It is idempotent and returns the first close error.
 func (p *Pipeline) Close() error {
 	var first error
-	for _, a := range p.Analyses {
-		c, ok := a.(interface{ Close() error })
-		if !ok {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
+	for _, s := range p.sessions {
+		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -179,8 +253,8 @@ func (p *Pipeline) Close() error {
 
 // Run is the one-call in situ run: it starts a fresh simulation, advances
 // it steps times and runs Step after each, stopping at the first analysis
-// error (which it returns, as Err does). It closes the analyses'
-// persistent sessions when the run ends.
+// error (which it returns, as Err does). It closes the pipeline's sessions
+// when the run ends.
 func (p *Pipeline) Run(simCfg nbody.Config, steps int) error {
 	sim, err := nbody.New(simCfg)
 	if err != nil {
