@@ -138,11 +138,12 @@ tessbench-smoke:
 kernel-bench-smoke:
 	$(GO) test -run '^$$' -bench KernelStream -benchtime 1x ./internal/voronoi > /dev/null
 
-# The canonical merge's check: one pass of BenchmarkMergeCanonical (the
-# one-shot merge and a warm Merger, on a jittered 8^3 lattice and a 16^3
-# N-body snapshot) must run to the end.
+# The weld's check: one pass of BenchmarkMergeCanonical (the one-shot
+# merge and a warm Merger, on a jittered 8^3 lattice and a 16^3 N-body
+# snapshot) and of BenchmarkWeld (one block's Welder, cold and warm, on a
+# 32^3 N-body step) must run to the end.
 merge-bench-smoke:
-	$(GO) test -run '^$$' -bench MergeCanonical -benchtime 1x ./internal/meshio > /dev/null
+	$(GO) test -run '^$$' -bench 'MergeCanonical|Weld$$' -benchtime 1x ./internal/meshio > /dev/null
 
 # The tools pipeline's check: one pass of BenchmarkPipelineDueStep (a due
 # step of the tools verb's default deck over a 32^3 simulation, every tool

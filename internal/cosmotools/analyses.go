@@ -80,6 +80,12 @@ func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	if out == nil {
+		return Result{
+			Summary: "0 cells: no halos to tessellate",
+			Metrics: map[string]float64{"cells": 0, "incomplete": 0, "volume_skewness": 0, "volume_kurtosis": 0, "output_bytes": 0},
+		}, nil
+	}
 	m := stats.ComputeMoments(out.Volumes())
 	return Result{
 		Summary: fmt.Sprintf("%d cells (%d incomplete, %d culled), volume skewness %.2f",

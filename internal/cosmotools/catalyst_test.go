@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -157,12 +159,17 @@ func TestAttachPublishesDuringRun(t *testing.T) {
 // server reads that step as the last, with the run no longer running.
 func TestRunStopsAtFirstToolFailure(t *testing.T) {
 	simCfg := nbody.DefaultConfig(8)
-	// More members than particles: FOF finds no halo to use as a site.
-	cfg, err := ParseConfig(strings.NewReader("[tess]\nevery = 2\nsites = halos\nmin_members = 1000\nwrite = false\nblocks = 2\n"))
+	// The output directory is under a regular file: the first file tess
+	// writes cannot be created.
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ParseConfig(strings.NewReader("[tess]\nevery = 2\nblocks = 2\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPipeline(cfg, simCfg, "")
+	p, err := NewPipeline(cfg, simCfg, filepath.Join(blocker, "out"))
 	if err != nil {
 		t.Fatal(err)
 	}

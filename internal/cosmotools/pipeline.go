@@ -46,7 +46,9 @@ func (ctx *Context) halos(fof halo.Config) ([]halo.Halo, error) {
 }
 
 // mesh returns the step's tessellation under key, stepping its session
-// (opened by the first step that reads it) on the step's first call.
+// (opened by the first step that reads it) on the step's first call. Halo
+// sites before any halo has formed are no sites at all: mesh then returns
+// a nil Output, steps no session and writes no file.
 func (ctx *Context) mesh(key meshKey) (*core.Output, error) {
 	p := ctx.p
 	if out, ok := p.meshes[key]; ok {
@@ -59,7 +61,8 @@ func (ctx *Context) mesh(key meshKey) (*core.Output, error) {
 			return nil, err
 		}
 		if len(halos) == 0 {
-			return nil, fmt.Errorf("cosmotools: no halos to tessellate at step %d", ctx.Sim.Step)
+			p.meshes[key] = nil
+			return nil, nil
 		}
 		pos = make([]geom.Vec3, len(halos))
 		for i, h := range halos {

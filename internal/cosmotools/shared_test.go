@@ -71,15 +71,17 @@ func TestOneTessellationPerDueStep(t *testing.T) {
 }
 
 // [halo] and [tess] sites = halos with the same FOF values read one halo
-// catalogue per due step; with other FOF values each has its own.
+// catalogue per due step; with other FOF values each has its own. Step 10
+// comes before the first halo: tess reports it as 0 cells, without
+// stepping its session, and the run goes on.
 func TestHaloSitesShareFind(t *testing.T) {
-	const tess = "[tess]\nevery = 20\nsites = halos\nlinking_length = 0.4\nmin_members = 5\nwrite = false\nblocks = 2\n"
+	const tess = "[tess]\nevery = 10\nsites = halos\nlinking_length = 0.4\nmin_members = 5\nwrite = false\nblocks = 2\n"
 	for _, c := range []struct {
 		halo      string
 		catalogue int
 	}{
-		{"[halo]\nevery = 20\nlinking_length = 0.4\nmin_members = 5\n", 1},
-		{"[halo]\nevery = 20\nlinking_length = 0.3\nmin_members = 5\n", 2},
+		{"[halo]\nevery = 10\nlinking_length = 0.4\nmin_members = 5\n", 1},
+		{"[halo]\nevery = 10\nlinking_length = 0.3\nmin_members = 5\n", 2},
 	} {
 		simCfg := nbody.DefaultConfig(8)
 		simCfg.G = 2 // cluster quickly so halos exist
@@ -91,6 +93,7 @@ func TestHaloSitesShareFind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var meshed []int // the due steps tess had sites at
 		for range 40 {
 			sim.StepOnce()
 			made := p.Step(sim, 40)
@@ -112,12 +115,20 @@ func TestHaloSitesShareFind(t *testing.T) {
 					}
 				}
 			}
+			if made[1].Metrics["cells"] > 0 {
+				meshed = append(meshed, sim.Step)
+			} else if sim.Step == 10 && made[1].Summary != "0 cells: no halos to tessellate" {
+				t.Errorf("step 10: tess says %q", made[1].Summary)
+			}
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.sessions[0].Steps(); got != 2 {
-			t.Errorf("session stepped %d times, want 2", got)
+		if !slices.Equal(meshed, []int{20, 30, 40}) {
+			t.Errorf("tess had sites at steps %v, want 20, 30 and 40", meshed)
+		}
+		if got := p.sessions[0].Steps(); got != len(meshed) {
+			t.Errorf("session stepped %d times, want %d", got, len(meshed))
 		}
 	}
 }

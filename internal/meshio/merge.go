@@ -114,8 +114,7 @@ func (mg *Merger) Merge(meshes []*BlockMesh, domain geom.Box, periodic bool) (*B
 	out.reset(sumVerts, nCells, nFaces, nRefs)
 	weldTol := 1e-9 * max(domain.Size().MaxAbs(), 1e-30)
 	pool := &mg.pool
-	pool.reset()
-	pool.reserve(sumVerts)
+	pool.reset(sumVerts)
 	mg.probes = 0
 
 	// Per-vertex records, indexed by block-local vertex. A record belongs
@@ -251,7 +250,7 @@ func (mg *Merger) Merge(meshes []*BlockMesh, domain geom.Box, periodic bool) (*B
 				v := &sv[loop[i]]
 				if v.gi < 0 {
 					var added bool
-					v.gi, added = pool.lookupOrAdd(quantize(v.pos, weldTol), int32(len(out.Verts)))
+					v.gi, added = pool.lookupOrAdd(quantize(v.pos, weldTol), out.Verts, weldTol)
 					mg.probes++
 					if added {
 						out.Verts = append(out.Verts, v.pos)

@@ -113,82 +113,79 @@ func quantize(v geom.Vec3, tol float64) weldKey {
 	}
 }
 
-// weldTable maps a quantized coordinate to its index in BlockMesh.Verts:
-// open addressing with linear probing over a power-of-two slot array kept
-// at most half full. A slot belongs to the current Build only if it carries
-// the current stamp, so starting a Build bumps the stamp instead of
-// clearing the slots.
+// weldTable maps a quantized coordinate to the index of the pooled vertex
+// it was quantized from: open addressing with linear probing over a
+// power-of-two array of 8-byte slots kept at most half full. A slot holds
+// only the key's 32-bit hash tag and the vertex index. The key itself lives
+// in the vertex pool, so a probe whose tag matches confirms the key by
+// quantizing the pooled vertex again; that is exact, because every recorded
+// index points at the coordinates its key was quantized from.
 type weldTable struct {
 	slots []weldSlot
-	n     int // slots carrying the current stamp
-	stamp uint32
+	n     int // occupied slots
 }
 
 type weldSlot struct {
-	key   weldKey
-	gi    int32
-	stamp uint32
+	tag uint32 // the key's hash; its low bits pick the home slot
+	ref int32  // the vertex index plus one; 0 marks an empty slot
 }
 
-// reset empties the table for a new Build, keeping its storage.
-func (t *weldTable) reset() {
-	t.n = 0
-	t.stamp++
-	if t.stamp == 0 { // wrapped: stale slots could pass for current ones
-		clear(t.slots)
-		t.stamp = 1
-	}
-}
-
-func (k weldKey) hash() uint64 {
-	h := uint64(k.x)*0x9E3779B97F4A7C15 ^ uint64(k.y)*0xC2B2AE3D27D4EB4F ^ uint64(k.z)*0x165667B19E3779F9
-	return h ^ h>>29
-}
-
-// slot returns the slot holding k, or the empty one where k belongs.
-func (t *weldTable) slot(k weldKey) *weldSlot {
-	mask := uint64(len(t.slots) - 1)
-	for i := k.hash() & mask; ; i = (i + 1) & mask {
-		if s := &t.slots[i]; s.stamp != t.stamp || s.key == k {
-			return s
-		}
-	}
-}
-
-// lookupOrAdd returns the index recorded for k, recording next first if k
-// is new; added reports which.
-func (t *weldTable) lookupOrAdd(k weldKey, next int32) (gi int32, added bool) {
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-	}
-	s := t.slot(k)
-	if s.stamp == t.stamp {
-		return s.gi, false
-	}
-	*s = weldSlot{key: k, gi: next, stamp: t.stamp}
-	t.n++
-	return next, true
-}
-
-// reserve sizes an empty table (one just reset) to take n entries without
-// growing.
-func (t *weldTable) reserve(n int) {
-	size := 1024
+// reset empties the table, keeping its storage, with room for n entries
+// without growing.
+func (t *weldTable) reset(n int) {
+	size := max(1024, len(t.slots))
 	for size < 2*n {
 		size *= 2
 	}
 	if size > len(t.slots) {
 		t.slots = make([]weldSlot, size)
+	} else {
+		clear(t.slots)
+	}
+	t.n = 0
+}
+
+func (k weldKey) tag() uint32 {
+	h := uint64(k.x)*0x9E3779B97F4A7C15 ^ uint64(k.y)*0xC2B2AE3D27D4EB4F ^ uint64(k.z)*0x165667B19E3779F9
+	return uint32(h ^ h>>29)
+}
+
+// lookupOrAdd returns the index in verts of the vertex recorded for k,
+// where every recorded vertex quantizes at tol to its key. A new k is
+// recorded at len(verts), the index of the vertex the caller appends next;
+// added reports which.
+func (t *weldTable) lookupOrAdd(k weldKey, verts []geom.Vec3, tol float64) (gi int32, added bool) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	tag := k.tag()
+	mask := uint32(len(t.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.ref == 0 {
+			gi = int32(len(verts))
+			*s = weldSlot{tag: tag, ref: gi + 1}
+			t.n++
+			return gi, true
+		}
+		if s.tag == tag && quantize(verts[s.ref-1], tol) == k {
+			return s.ref - 1, false
+		}
 	}
 }
 
-// grow doubles the slot array and rehashes the current stamp's entries.
+// grow doubles the slot array and rehashes the entries by their tags.
 func (t *weldTable) grow() {
 	old := t.slots
 	t.slots = make([]weldSlot, max(1024, 2*len(old)))
+	mask := uint32(len(t.slots) - 1)
 	for _, s := range old {
-		if s.stamp == t.stamp {
-			*t.slot(s.key) = s
+		if s.ref != 0 {
+			i := s.tag & mask
+			for t.slots[i].ref != 0 {
+				i = (i + 1) & mask
+			}
+			t.slots[i] = s
 		}
 	}
 }
@@ -243,8 +240,7 @@ func (w *Welder) Begin(f *Fragment, extents geom.Box, weldTol float64, cells int
 		weldTol = 1e-7 * max(extents.Size().MaxAbs(), 1e-30)
 	}
 	w.f = f
-	w.tab.reset()
-	w.tab.reserve(cells * reserveRefsPerCell / 12) // the floor, as in Stitch
+	w.tab.reset(cells * reserveRefsPerCell / 12) // the floor, as in Stitch
 	w.owner = w.owner[:0]
 	f.tol = weldTol
 	f.fresh = f.fresh[:0]
@@ -272,7 +268,7 @@ func (w *Welder) Add(c *voronoi.Cell, volume, area float64) {
 			if li < 0 {
 				v := c.Verts[vi]
 				var added bool
-				li, added = w.tab.lookupOrAdd(quantize(v, w.f.tol), int32(len(m.Verts)))
+				li, added = w.tab.lookupOrAdd(quantize(v, w.f.tol), m.Verts, w.f.tol)
 				if !added && w.owner[li] == cell {
 					li, added = int32(len(m.Verts)), true
 					w.f.fresh = append(w.f.fresh, li)
@@ -354,8 +350,7 @@ func (b *MeshBuilder) Stitch(frags []Fragment, extents geom.Box) *BlockMesh {
 	m := &b.m
 	m.Extents = extents
 	m.reset(nVerts, nCells, nFaces, nRefs)
-	b.tab.reset()
-	b.tab.reserve(nRefs / 12)
+	b.tab.reset(nRefs / 12)
 	for i := range frags {
 		f := &frags[i]
 		b.remap = b.remap[:0]
@@ -365,7 +360,7 @@ func (b *MeshBuilder) Stitch(frags []Fragment, extents geom.Box) *BlockMesh {
 			if len(fresh) > 0 && int(fresh[0]) == li {
 				fresh = fresh[1:]
 			} else {
-				gi, added = b.tab.lookupOrAdd(quantize(v, f.tol), gi)
+				gi, added = b.tab.lookupOrAdd(quantize(v, f.tol), m.Verts, f.tol)
 			}
 			if added {
 				m.Verts = append(m.Verts, v)

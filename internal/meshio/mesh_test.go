@@ -9,8 +9,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/diy"
 	"repro/internal/geom"
+	"repro/internal/nbody"
 	"repro/internal/voronoi"
 )
 
@@ -395,34 +398,177 @@ func TestWriteVTK(t *testing.T) {
 	}
 }
 
-// The weld table is a map from key to first-come index: across resets,
-// growth (several rehashes per round) and colliding keys it must answer
-// exactly as a Go map does, and a stamp wrap must not resurrect old slots.
+// The weld table is a map from key to first-come index: across resets and
+// growth (several rehashes per round), with keys that share low hash bits,
+// it must answer exactly as a Go map does. Its slots are 8 bytes: a tag
+// and an index, the key confirmed against the vertex pool.
 func TestWeldTableMatchesMap(t *testing.T) {
+	if size := unsafe.Sizeof(weldSlot{}); size != 8 {
+		t.Fatalf("weldSlot is %d bytes, want 8", size)
+	}
 	rng := rand.New(rand.NewSource(72))
 	var tab weldTable
 	for round := 0; round < 4; round++ {
-		if round == 3 {
-			tab.stamp = ^uint32(0) // the next reset wraps
-		}
-		tab.reset()
-		ref := map[weldKey]int32{}
+		tab.reset(0)
+		w := newWeldRef(t, &tab)
 		for i := 0; i < 5000*(round+1); i++ {
 			// A small key range so lookups hit, large strides so keys that
 			// differ only in the high bits share low hash bits.
-			k := weldKey{x: rng.Int63n(40) << 20, y: rng.Int63n(40) - 20, z: rng.Int63n(4) << 40}
-			next := int32(len(ref))
-			want, ok := ref[k]
-			if !ok {
-				want, ref[k] = next, next
-			}
-			got, added := tab.lookupOrAdd(k, next)
-			if got != want || added == ok {
-				t.Fatalf("round %d op %d: got (%d, %v), want (%d, %v)", round, i, got, added, want, !ok)
-			}
+			w.lookup(weldKey{x: rng.Int63n(40) << 20, y: rng.Int63n(40) - 20, z: rng.Int63n(4) << 40})
 		}
-		if tab.n != len(ref) || 2*tab.n > len(tab.slots) {
-			t.Fatalf("round %d: %d entries in %d slots, map has %d", round, tab.n, len(tab.slots), len(ref))
+		if tab.n != len(w.ref) || 2*tab.n > len(tab.slots) {
+			t.Fatalf("round %d: %d entries in %d slots, map has %d", round, tab.n, len(tab.slots), len(w.ref))
 		}
 	}
+}
+
+// Two distinct keys with one 32-bit tag share a home slot and pass the tag
+// test; the pooled vertex must tell them apart, before and after the table
+// grows past them.
+func TestWeldTableTagCollision(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	randKey := func() weldKey {
+		return weldKey{x: rng.Int63n(1<<24) - 1<<23, y: rng.Int63n(1<<24) - 1<<23, z: rng.Int63n(1<<24) - 1<<23}
+	}
+	// A birthday search: about 82 000 keys for even odds of a shared tag.
+	seen := map[uint32]weldKey{}
+	var a, b weldKey
+	for i := 0; ; i++ {
+		if i == 1_000_000 {
+			t.Fatal("no tag collision in 10^6 keys")
+		}
+		k := randKey()
+		if o, ok := seen[k.tag()]; ok && o != k {
+			a, b = o, k
+			break
+		}
+		seen[k.tag()] = k
+	}
+	var tab weldTable
+	tab.reset(0)
+	w := newWeldRef(t, &tab)
+	for _, k := range []weldKey{a, b, a, b} {
+		w.lookup(k)
+	}
+	for range 3000 { // past 512 entries: the table grows
+		w.lookup(randKey())
+	}
+	for _, k := range []weldKey{b, a} {
+		w.lookup(k)
+	}
+	if len(tab.slots) == 1024 {
+		t.Fatal("the table never grew")
+	}
+}
+
+// weldRef drives a weldTable beside a Go map, keeping the vertex pool the
+// table confirms its keys against: a key's vertex is its integer
+// coordinates, which quantize back to it at tolerance 1.
+type weldRef struct {
+	t     *testing.T
+	tab   *weldTable
+	ref   map[weldKey]int32
+	verts []geom.Vec3
+}
+
+func newWeldRef(t *testing.T, tab *weldTable) *weldRef {
+	return &weldRef{t: t, tab: tab, ref: map[weldKey]int32{}}
+}
+
+func (w *weldRef) lookup(k weldKey) {
+	w.t.Helper()
+	want, ok := w.ref[k]
+	if !ok {
+		want = int32(len(w.ref))
+		w.ref[k] = want
+	}
+	got, added := w.tab.lookupOrAdd(k, w.verts, 1)
+	if got != want || added == ok {
+		w.t.Fatalf("key %v: got (%d, %v), want (%d, %v)", k, got, added, want, !ok)
+	}
+	if added {
+		w.verts = append(w.verts, geom.V(float64(k.x), float64(k.y), float64(k.z)))
+	}
+}
+
+// BenchmarkWeld times one block's weld as a rank does it: Welder.Begin,
+// then Add over the block's cells in site order, with volumes and areas
+// computed beforehand. The block is rank 0 of the 4-block grid over step
+// 11 of a 32^3 N-body run (the insitu-uniform shape, one worker per
+// rank), its cells clipped against every particle and periodic image
+// within a ghost of 4. cold welds with a new Welder and Fragment per op;
+// warm reuses them, as a session's steps do.
+func BenchmarkWeld(b *testing.B) {
+	cells, vols, areas, extents := weldBlockCells(b)
+	weld := func(w *Welder, f *Fragment) {
+		w.Begin(f, extents, 0, len(cells))
+		for i, c := range cells {
+			w.Add(c, vols[i], areas[i])
+		}
+	}
+	b.Run(fmt.Sprintf("cold-cells=%d", len(cells)), func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			weld(new(Welder), new(Fragment))
+		}
+	})
+	b.Run(fmt.Sprintf("warm-cells=%d", len(cells)), func(b *testing.B) {
+		var w Welder
+		var f Fragment
+		weld(&w, &f)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			weld(&w, &f)
+		}
+	})
+}
+
+// weldBlockCells computes BenchmarkWeld's block: its cells in site order,
+// every one complete, their volumes and areas, and its extents.
+func weldBlockCells(tb testing.TB) (cells []*voronoi.Cell, vols, areas []float64, extents geom.Box) {
+	tb.Helper()
+	const ng, ghost = 32, 4.0
+	cfg := nbody.DefaultConfig(ng)
+	sim, err := nbody.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sim.Run(11, nil)
+	L := cfg.BoxSize
+	d, err := diy.Decompose(geom.NewBox(geom.V(0, 0, 0), geom.V(L, L, L)), 4, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	extents = d.Block(0).Bounds
+	var pts []geom.Vec3
+	var ids []int64
+	margin := extents.Expand(ghost)
+	for i, p := range sim.Pos {
+		for sx := -1.0; sx <= 1; sx++ {
+			for sy := -1.0; sy <= 1; sy++ {
+				for sz := -1.0; sz <= 1; sz++ {
+					if img := p.Add(geom.V(sx*L, sy*L, sz*L)); margin.Contains(img) {
+						pts, ids = append(pts, img), append(ids, int64(i))
+					}
+				}
+			}
+		}
+	}
+	ix := voronoi.NewIndex(pts, ids, 0)
+	s, pool := voronoi.NewScratch(), new(voronoi.CellPool)
+	for i, p := range sim.Pos {
+		if d.Locate(p) != 0 {
+			continue
+		}
+		c, err := voronoi.ComputeCellPooled(ix, p, int64(i), margin, s, pool)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !c.Complete {
+			tb.Fatalf("cell %d is incomplete", i)
+		}
+		cells, vols, areas = append(cells, c), append(vols, c.Volume()), append(areas, c.Area())
+	}
+	return cells, vols, areas, extents
 }
