@@ -224,11 +224,12 @@ func benchParallelism(b *testing.B, workers int) {
 	b.ResetTimer()
 	var compute float64
 	for i := 0; i < b.N; i++ {
+		cfg.Recorder = NewRecorder(1)
 		out, err := core.RunTimed(cfg, parts, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		compute = out.Timing.Compute.Seconds()
+		compute = out.Obs.SlowestRank(PhaseGhostMerge, PhaseCompute).Seconds()
 	}
 	b.ReportMetric(compute, "compute-s/op")
 }

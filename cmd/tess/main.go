@@ -260,9 +260,11 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "particles %d  blocks %d  ghost %g\n", nparticles, *blocks, *ghost)
 	fmt.Fprintf(w, "cells: kept %d  incomplete %d  culled %d\n",
 		out.Counts.Kept, out.Counts.Incomplete, out.Counts.CulledEarly+out.Counts.CulledExact)
-	fmt.Fprintf(w, "timing: exchange %v  compute %v  output %v  total %v\n",
-		out.Timing.Exchange, out.Timing.Compute, out.Timing.Output, out.Timing.Total)
 	s := out.Obs
+	exchange, compute, output := s.SlowestRank(tess.PhaseExchange),
+		s.SlowestRank(tess.PhaseGhostMerge, tess.PhaseCompute), s.SlowestRank(tess.PhaseOutput)
+	fmt.Fprintf(w, "timing: exchange %v  compute %v  output %v  total %v\n",
+		exchange, compute, output, exchange+compute+output)
 	fmt.Fprintf(w, "comm: %d msgs  %d bytes sent  %d bytes received  imbalance %.2f\n",
 		s.TotalSentMsgs, s.TotalSentBytes, s.TotalRecvdBytes, s.ComputeImbalance)
 	fmt.Fprintf(w, "balance: decomp %s  compute imbalance %.2f (slowest/mean)  exchange imbalance %.2f\n",

@@ -7,12 +7,20 @@
 // particles on 128-16384 processes) to laptop scale. The ranks exchange and
 // write together but take turns at compute, each with the whole machine, and
 // every phase is reduced to the slowest rank: the wall time a machine with
-// one core per rank would observe (see internal/core.RunTimed).
+// one core per rank would observe (see internal/core.RunTimed). Each timed
+// pass carries an obs.Recorder, and every column is read off its snapshot:
+// Exch and Out are the slowest rank's exchange and output spans, Voro the
+// slowest rank's ghost merge plus compute, Tess their sum.
+//
+// The -comm table reads the same snapshots. Its message and byte counts
+// are those of a concurrent Run (the turns are barriers, which send
+// nothing) and include the collective write's messages; its Imbal column
+// is the compute imbalance of ranks that each computed alone.
 //
 // Usage:
 //
-//	tessbench [-sizes 8,16,32] [-procs 1,2,4,8,16] [-steps 12] [-cull 0.1]
-//	          [-workers N] [-scaling] [-datamodel] [-out DIR]
+//	tessbench [-sizes 8,16,32] [-procs 1,2,4,8,16] [-steps 25] [-cull 0.1]
+//	          [-workers N] [-scaling] [-comm] [-datamodel] [-out DIR]
 package main
 
 import (
@@ -44,7 +52,7 @@ func main() {
 		steps     = flag.Int("steps", 25, "simulation steps before tessellating the largest size (smaller sizes run proportionally more: 25 at 32^3 gives the paper's 100/50/25 schedule)")
 		cull      = flag.Float64("cull", 0.10, "cull the smallest fraction of the cell volume range (the paper's 10%)")
 		scaling   = flag.Bool("scaling", false, "also print the Figure 10 strong/weak scaling series")
-		commTable = flag.Bool("comm", false, "also print the communication-volume table from the observability counters (runs an extra concurrent pass per row)")
+		commTable = flag.Bool("comm", false, "also print the communication-volume table from the timed passes' observability counters")
 		datamodel = flag.Bool("datamodel", false, "also print the Sec. III-C2 data model statistics")
 		outDir    = flag.String("out", "", "directory for tessellation output files (default: temp, deleted)")
 		workers   = flag.Int("workers", 0, "intra-rank compute workers per block (0 = GOMAXPROCS; ranks take turns at compute so each gets the whole machine)")
@@ -108,26 +116,28 @@ func main() {
 				MinVolume: minVol,
 				Workers:   *workers,
 			}
+			cfg.Recorder = obs.NewRecorder(p)
 			path := filepath.Join(dir, fmt.Sprintf("tess-%d-%d.out", ng, p))
 			out, err := core.RunTimed(cfg, particles, p, core.WithOutputPath(path))
 			if err != nil {
 				log.Fatalf("ng=%d procs=%d: %v", ng, p, err)
 			}
+			tm := tessTimeOf(out.Obs)
 			// RunTimed's ranks take turns at compute, so each rank's
 			// compute phase uses EffectiveWorkers(cfg, 1) threads.
 			fmt.Printf("%-10s %-6d %-6d %-4d %9.2f %9.2f %9.3f %9.3f %9.3f %9.3f %10.2f\n",
 				fmt.Sprintf("%d^3", ng), nsteps, p, core.EffectiveWorkers(cfg, 1),
 				simTime.Seconds(), simTime.Seconds()/float64(p),
-				out.Timing.Total.Seconds(), out.Timing.Exchange.Seconds(),
-				out.Timing.Compute.Seconds(), out.Timing.Output.Seconds(),
-				float64(out.Timing.OutputBytes)/1e6)
-			strongSeries[ng] = append(strongSeries[ng], strongPoint{procs: p, tess: out.Timing.Total})
+				tm.total.Seconds(), tm.exchange.Seconds(),
+				tm.voro.Seconds(), tm.output.Seconds(),
+				float64(out.Bytes)/1e6)
+			strongSeries[ng] = append(strongSeries[ng], strongPoint{procs: p, tess: tm.total})
 
 			if *datamodel && p == procList[0] {
 				printDataModel(out)
 			}
 			if *commTable {
-				commRows = append(commRows, measureComm(ng, p, cfg, particles))
+				commRows = append(commRows, commRowOf(ng, p, out.Obs))
 			}
 		}
 		fmt.Println()
@@ -156,10 +166,27 @@ func main() {
 	}
 }
 
-// commRow is one line of the communication-volume table, produced by an
-// instrumented concurrent run. Unlike the phase timings, every field is a
-// deterministic function of the inputs (message and byte counts do not
-// depend on scheduling), so the table is reproducible bit-for-bit.
+// tessTime is Table II's tessellation time of one timed pass: exchange,
+// Voronoi (ghost merge plus compute) and output, each reduced to its
+// slowest rank, and their sum.
+type tessTime struct {
+	total, exchange, voro, output time.Duration
+}
+
+func tessTimeOf(s *obs.Snapshot) tessTime {
+	t := tessTime{
+		exchange: s.SlowestRank(obs.PhaseExchange),
+		voro:     s.SlowestRank(obs.PhaseGhostMerge, obs.PhaseCompute),
+		output:   s.SlowestRank(obs.PhaseOutput),
+	}
+	t.total = t.exchange + t.voro + t.output
+	return t
+}
+
+// commRow is one line of the communication-volume table. Apart from the
+// imbalance, every field is a deterministic function of the inputs
+// (message and byte counts do not depend on scheduling), so those columns
+// are reproducible bit-for-bit.
 type commRow struct {
 	ng, procs       int
 	msgs, sentBytes int64
@@ -168,16 +195,8 @@ type commRow struct {
 	imbalance       float64
 }
 
-// measureComm reruns the tessellation through the concurrent driver with an
-// obs.Recorder attached, writing nothing, and reduces its snapshot to a
-// table row.
-func measureComm(ng, procs int, cfg core.Config, particles []diy.Particle) commRow {
-	cfg.Recorder = obs.NewRecorder(procs)
-	out, err := core.Run(cfg, particles, procs)
-	if err != nil {
-		log.Fatalf("comm pass ng=%d procs=%d: %v", ng, procs, err)
-	}
-	s := out.Obs
+// commRowOf reduces a timed pass's snapshot to a table row.
+func commRowOf(ng, procs int, s *obs.Snapshot) commRow {
 	row := commRow{
 		ng: ng, procs: procs,
 		msgs: s.TotalSentMsgs, sentBytes: s.TotalSentBytes,
@@ -287,12 +306,13 @@ func weakScaling(dir string, cull float64, workers int) {
 			MinVolume: minVol,
 			Workers:   workers,
 		}
+		cfg.Recorder = obs.NewRecorder(s.procs)
 		path := filepath.Join(dir, fmt.Sprintf("weak-%d.out", s.ng))
 		out, err := core.RunTimed(cfg, particles, s.procs, core.WithOutputPath(path))
 		if err != nil {
 			log.Fatalf("weak ng=%d: %v", s.ng, err)
 		}
-		perParticle := out.Timing.Total.Seconds() / float64(len(particles)) * 1e6
+		perParticle := tessTimeOf(out.Obs).total.Seconds() / float64(len(particles)) * 1e6
 		if i == 0 {
 			base = perParticle
 		}

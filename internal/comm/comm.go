@@ -7,8 +7,9 @@
 // Payloads are passed by reference for speed, but by convention the sender
 // relinquishes ownership of a sent buffer — the helpers in the diy package
 // always send freshly allocated slices, so no two ranks ever mutate the same
-// memory. Collectives (BarrierRank, Allreduce, Allgather, Gather, Bcast) are
-// built from the same point-to-point layer.
+// memory. The collectives other packages call, BarrierRank and Allgather,
+// are built from the same point-to-point layer (Allgather from an
+// unexported gather and bcast).
 //
 // # Failure model
 //
@@ -390,14 +391,13 @@ const (
 // Collective accounting convention: every rank records exactly one
 // CountCollective per collective operation, firing when the rank's role
 // in the transfer completes, with the byte size of the rank's own payload
-// in that operation — its contributed value for Gather (root included),
-// the broadcast value for Bcast. Allgather and Allreduce are composed of
-// one Gather plus one Bcast and therefore record two participations per
-// rank.
+// in that operation — its contributed value for gather (root included),
+// the broadcast value for bcast. Allgather is composed of one gather plus
+// one bcast and therefore records two participations per rank.
 
-// Gather collects each rank's value at root, in rank order. Non-root ranks
+// gather collects each rank's value at root, in rank order. Non-root ranks
 // receive nil.
-func Gather[T any](w *World, rank, root int, value T) []T {
+func gather[T any](w *World, rank, root int, value T) []T {
 	if rank != root {
 		w.Send(rank, root, tagGather, value)
 		if w.rec != nil {
@@ -419,8 +419,8 @@ func Gather[T any](w *World, rank, root int, value T) []T {
 	return out
 }
 
-// Bcast distributes root's value to every rank and returns it.
-func Bcast[T any](w *World, rank, root int, value T) T {
+// bcast distributes root's value to every rank and returns it.
+func bcast[T any](w *World, rank, root int, value T) T {
 	if rank == root {
 		for dst := 0; dst < w.size; dst++ {
 			if dst != root {
@@ -441,20 +441,6 @@ func Bcast[T any](w *World, rank, root int, value T) T {
 
 // Allgather collects each rank's value on every rank, in rank order.
 func Allgather[T any](w *World, rank int, value T) []T {
-	all := Gather(w, rank, 0, value)
-	return Bcast(w, rank, 0, all)
-}
-
-// Allreduce combines every rank's value with op and returns the result on
-// all ranks. Evaluation is a left fold in fixed ascending rank order —
-// identical on every rank — so op must be associative for the result to
-// be grouping-independent, but it need not be commutative: operands are
-// never reordered.
-func Allreduce[T any](w *World, rank int, value T, op func(a, b T) T) T {
-	all := Allgather(w, rank, value)
-	acc := all[0]
-	for _, v := range all[1:] {
-		acc = op(acc, v)
-	}
-	return acc
+	all := gather(w, rank, 0, value)
+	return bcast(w, rank, 0, all)
 }

@@ -26,9 +26,12 @@ func TestWorldRecorderCounts(t *testing.T) {
 			t.Errorf("rank %d: got %d elems", rank, len(got))
 		}
 		w.BarrierRank(rank)
-		sum := Allreduce(w, rank, int64(rank), func(a, b int64) int64 { return a + b })
+		var sum int64
+		for _, v := range Allgather(w, rank, int64(rank)) {
+			sum += v
+		}
 		if sum != P*(P-1)/2 {
-			t.Errorf("rank %d: allreduce = %d", rank, sum)
+			t.Errorf("rank %d: allgathered sum = %d", rank, sum)
 		}
 	})
 
@@ -48,7 +51,7 @@ func TestWorldRecorderCounts(t *testing.T) {
 			}
 		}
 	}
-	// The ring leg alone moved 10 int64s per rank; with the Allreduce's
+	// The ring leg alone moved 10 int64s per rank; with the Allgather's
 	// internal gather/bcast on top the totals must be strictly larger.
 	if s.TotalSentBytes <= int64(P*10*8) {
 		t.Errorf("total bytes %d do not include collective traffic", s.TotalSentBytes)
@@ -62,7 +65,7 @@ func TestWorldRecorderCounts(t *testing.T) {
 }
 
 // Collective accounting convention: exactly one CountCollective per rank
-// per collective (two for the composed Allgather/Allreduce), recorded with
+// per collective (two for the composed Allgather), recorded with
 // the rank's own payload size — so per-rank participation counts are
 // decomposition-independent and conservation extends to collectives.
 func TestCollectiveAccountingConvention(t *testing.T) {
@@ -72,12 +75,9 @@ func TestCollectiveAccountingConvention(t *testing.T) {
 		body func(w *World, rank int)
 		want int64 // collectives recorded per rank
 	}{
-		{"gather", func(w *World, rank int) { Gather(w, rank, 1, int64(rank)) }, 1},
-		{"bcast", func(w *World, rank int) { Bcast(w, rank, 2, int64(7)) }, 1},
+		{"gather", func(w *World, rank int) { gather(w, rank, 1, int64(rank)) }, 1},
+		{"bcast", func(w *World, rank int) { bcast(w, rank, 2, int64(7)) }, 1},
 		{"allgather", func(w *World, rank int) { Allgather(w, rank, int64(rank)) }, 2},
-		{"allreduce", func(w *World, rank int) {
-			Allreduce(w, rank, int64(1), func(a, b int64) int64 { return a + b })
-		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := NewWorld(P)

@@ -208,7 +208,6 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 		sp := rec.Begin(rank, obs.PhaseInterpolate)
 		s.densStats[rank] = s.dens.InterpolateSlab(rank*n/blocks, (rank+1)*n/blocks, workers)
 		rec.End(rank, sp)
-		s.w.BarrierRank(rank)
 		return nil
 	})
 	if err != nil {
@@ -219,8 +218,9 @@ func (s *Session) StepDensity(particles []diy.Particle, dc density.Config) (*den
 	for _, st := range s.densStats {
 		sample.Add(st)
 	}
-	// The reduction is serial; Run's join makes the grid visible here, and
-	// rank 0's recorder slot has no other writer after the world returned.
+	// The reduction is serial; Run's join orders every rank's grid slab and
+	// densStats slot before it, and rank 0's recorder slot has no other
+	// writer after the world returned.
 	sp := rec.Begin(0, obs.PhaseSpectrum)
 	res := s.dens.Finalize(sample)
 	rec.End(0, sp)

@@ -11,11 +11,12 @@ import (
 type Output struct {
 	Meshes []*meshio.BlockMesh // indexed by rank
 	Counts CellCounts          // global totals
-	Timing Timing              // slowest-rank per phase
 	Ghosts int                 // total ghost particles exchanged
+	Bytes  int64               // size of the file written (0 without an output path)
 	// Obs is the observability snapshot of the pass — per-rank phase spans,
 	// comm counters, and pipeline metrics — when Config.Recorder was set
-	// (nil otherwise).
+	// (nil otherwise). It is the pass's only clock: the paper's phase times
+	// are its SlowestRank reductions.
 	Obs *obs.Snapshot
 }
 
@@ -38,8 +39,8 @@ func Run(cfg Config, particles []diy.Particle, numBlocks int, opts ...StepOption
 
 // RunTimed is Run with one rank in flight at compute: the ranks exchange
 // and write together, but take turns at the compute phase, each with the
-// whole machine. Timing then reports the slowest rank per phase as a
-// machine with one dedicated core per rank would observe it — what Table II
+// whole machine. A recorder's slowest-rank phase times then read as a
+// machine with one dedicated core per rank would observe them — what Table II
 // and Figure 10 plot — on a host with fewer cores than ranks, where timing
 // concurrent computes would charge every rank for its neighbours' CPU time.
 // The output is Run's, byte for byte.

@@ -276,12 +276,6 @@ func TestRunTimedRecorderSnapshot(t *testing.T) {
 		if ph.Exchange <= 0 || ph.GhostMerge <= 0 || ph.Compute <= 0 || ph.Output <= 0 {
 			t.Errorf("rank %d phase breakdown has empty phases: %+v", rank, ph)
 		}
-		// The recorder's merge+compute must bound-match the driver's
-		// combined compute measurement, reduced to the slowest rank.
-		if ph.GhostMerge+ph.Compute > out.Timing.Compute {
-			t.Errorf("rank %d recorder compute %v exceeds measured %v",
-				rank, ph.GhostMerge+ph.Compute, out.Timing.Compute)
-		}
 	}
 	if s.TotalSentBytes != s.TotalRecvdBytes {
 		t.Errorf("comm bytes: sent %d, received %d", s.TotalSentBytes, s.TotalRecvdBytes)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/density"
@@ -282,27 +281,19 @@ func (s *Session) step(src storage.Source, particles []diy.Particle, opts []Step
 		s.startPrefetch(particles)
 	}
 
-	out := &Output{Meshes: make([]*meshio.BlockMesh, s.numBlocks)}
-	err := s.runRanks(func(rank int) error {
-		res, tm, err := s.stepRank(rank, outputPath)
-		if err != nil {
-			return err
-		}
-		tot := comm.Allreduce(s.w, rank, stepTotals{tm, res.Counts, int64(res.Ghosts)}, stepTotals.merge)
-		// Each rank fills its own slot and rank 0 alone the totals; the
-		// world's join publishes them to the caller.
-		out.Meshes[rank] = res.Mesh
-		if rank == 0 {
-			out.Timing = tot.Timing
-			out.Counts = tot.Counts
-			out.Ghosts = int(tot.Ghosts)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.runRanks(func(rank int) error { return s.stepRank(rank, outputPath) }); err != nil {
 		return nil, err
 	}
-	out.Timing.Total = out.Timing.Exchange + out.Timing.Compute + out.Timing.Output
+	// The world's join publishes every rank's slot; the totals are summed
+	// here, after it, so the step runs no collective of its own.
+	out := &Output{Meshes: make([]*meshio.BlockMesh, s.numBlocks)}
+	for rank := range s.ranks {
+		rs := &s.ranks[rank]
+		out.Meshes[rank] = rs.res.Mesh
+		out.Counts = out.Counts.add(rs.res.Counts)
+		out.Ghosts += rs.res.Ghosts
+		out.Bytes += rs.written
+	}
 	if rec != nil {
 		out.Obs = rec.Snapshot()
 	}
@@ -398,7 +389,8 @@ func checkInDomain(ps []diy.Particle, domain geom.Box) error {
 
 // stepRank is one rank's pass: warm/cold bookkeeping, the ghost exchange
 // through the rank's retained link geometry and receive buffers, then the
-// compute and output phases. The fault checkpoints number the pipeline
+// compute and output phases, whose block and written bytes it leaves in
+// the rank's slot for step to sum. The fault checkpoints number the pipeline
 // steps each rank passes (exchange, compute, output, done), accumulating
 // across the session's steps (1..4 in the first Step, 5..8 in the second,
 // and so on), so a crash-at-step-N plan can target any step of a long
@@ -411,8 +403,7 @@ func checkInDomain(ps []diy.Particle, domain geom.Box) error {
 // ranks leave the last round together for the output phase. Barriers, not
 // a lock, because they are abortable, watchdog-visible and recorded as
 // barrier wait; none of it lands in the rank's compute time.
-func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, error) {
-	var tm Timing
+func (s *Session) stepRank(rank int, outputPath string) error {
 	rec := s.cfg.Recorder
 	inj := s.cfg.injector
 	rs := &s.ranks[rank]
@@ -440,22 +431,19 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 	}
 
 	inj.Checkpoint(rank, "exchange")
-	t0 := time.Now()
 	sp := rec.Begin(rank, obs.PhaseExchange)
 	ghosts := rs.ex.Exchange(s.w, s.d, rank, local)
 	rec.End(rank, sp)
-	tm.Exchange = time.Since(t0)
 
 	if turns {
 		for range rank {
 			s.w.BarrierRank(rank)
 		}
 	}
-	res, elapsed, err := rs.compute(s.cfg, rank, s.d.Block(rank), local, ghosts, EffectiveWorkers(s.cfg, s.inFlight))
+	res, err := rs.compute(s.cfg, rank, s.d.Block(rank), local, ghosts, EffectiveWorkers(s.cfg, s.inFlight))
 	if err != nil {
-		return nil, tm, err
+		return err
 	}
-	tm.Compute = elapsed
 	if turns {
 		for range s.numBlocks - rank {
 			s.w.BarrierRank(rank)
@@ -463,18 +451,15 @@ func (s *Session) stepRank(rank int, outputPath string) (*BlockResult, Timing, e
 	}
 
 	inj.Checkpoint(rank, "output")
-	n, elapsed, err := writeBlock(rec, s.w, rank, res.Mesh, outputPath)
+	n, err := writeBlock(rec, s.w, rank, res.Mesh, outputPath)
 	if err != nil {
-		return nil, tm, err
+		return err
 	}
-	if rank == 0 {
-		tm.OutputBytes = n
-	}
-	tm.Output = elapsed
+	rs.res, rs.written = res, n
 	inj.Checkpoint(rank, "done")
 	rec.Count(rank, obs.CounterSitesWarm, int64(warm))
 	rec.Count(rank, obs.CounterSitesCold, int64(cold))
-	return res, tm, nil
+	return nil
 }
 
 // Close releases the session, after joining any density triangulation a

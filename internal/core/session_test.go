@@ -254,8 +254,8 @@ func TestSessionStepOutputPathOverridesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Timing.OutputBytes <= 0 {
-		t.Errorf("OutputBytes = %d after a step with an output path", out.Timing.OutputBytes)
+	if out.Bytes <= 0 {
+		t.Errorf("Bytes = %d after a step with an output path", out.Bytes)
 	}
 }
 

@@ -160,18 +160,6 @@ func EffectiveWorkers(cfg Config, concurrentRanks int) int {
 	return sharedBudget.WorkersPerRank(concurrentRanks)
 }
 
-// Timing is the per-phase wall time of one tessellation pass, reduced to
-// the slowest rank (the number a batch scheduler would observe).
-type Timing struct {
-	Exchange time.Duration
-	Compute  time.Duration
-	Output   time.Duration
-	// Total is the sum of the three slowest-rank phase times above.
-	Total time.Duration
-	// OutputBytes is the total file size written (0 if no output).
-	OutputBytes int64
-}
-
 // CellCounts tracks the fate of cells through the pipeline, summed over
 // ranks.
 type CellCounts struct {
@@ -217,6 +205,12 @@ type rankState struct {
 
 	prev                 map[int64]geom.Vec3 // site positions of the previous step
 	warmSites, coldSites int64               // accumulated across steps
+
+	// The step's per-rank outcome, which Session.step sums once the ranks
+	// have joined: the block (a loan against cb) and the bytes its write
+	// reported.
+	res     *BlockResult
+	written int64
 }
 
 // mergeGhosts is the ghost-merge sub-phase: local and ghost particles
@@ -258,13 +252,12 @@ func initialClipBox(block diy.Block, cfg Config) geom.Box {
 // fault checkpoint, the ghosts merge into the retained spatial index and
 // the local cells are built, filtered, culled and hulled through the
 // retained compute buffers. Both sub-phases fall under the paper's
-// "computation" time, which is the returned duration (what Timing.Compute
-// reads); the recorder keeps them apart. The BlockResult
-// is a loan against rs, like computeIndexedCells'.
-func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghosts []diy.Particle, workers int) (*BlockResult, time.Duration, error) {
+// "computation" time; the recorder keeps them apart as its ghost-merge
+// and compute spans. The BlockResult is a loan against rs, like
+// computeIndexedCells'.
+func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghosts []diy.Particle, workers int) (*BlockResult, error) {
 	rec := cfg.Recorder
 	cfg.injector.Checkpoint(rank, "compute")
-	t0 := time.Now()
 	// One variable per span: a dropped End is then an unused variable,
 	// which does not compile.
 	merge := rec.Begin(rank, obs.PhaseGhostMerge)
@@ -273,35 +266,33 @@ func (rs *rankState) compute(cfg Config, rank int, block diy.Block, local, ghost
 	build := rec.Begin(rank, obs.PhaseCompute)
 	res, err := computeIndexedCells(&rs.bi, local, cfg, workers, &rs.cb)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	rec.End(rank, build)
 	res.Rank = rank
-	elapsed := time.Since(t0)
 	countBlock(rec, rank, res)
-	return res, elapsed, nil
+	return res, nil
 }
 
 // writeBlock is phase 4 for one rank: the mesh is encoded and written to
 // path through the collective I/O layer, which every rank of w must enter
 // together. An empty path writes nothing (the output span is recorded
-// either way). It returns the file size CollectiveWrite reports and the
-// phase's wall time.
-func writeBlock(rec *obs.Recorder, w *comm.World, rank int, mesh *meshio.BlockMesh, path string) (int64, time.Duration, error) {
-	t0 := time.Now()
+// either way). It returns the file size CollectiveWrite reports: the
+// whole file's on rank 0, 0 elsewhere.
+func writeBlock(rec *obs.Recorder, w *comm.World, rank int, mesh *meshio.BlockMesh, path string) (int64, error) {
 	sp := rec.Begin(rank, obs.PhaseOutput)
 	var n int64
 	if path != "" {
 		payload, err := mesh.Encode()
 		if err != nil {
-			return 0, 0, fmt.Errorf("core: rank %d encode: %w", rank, err)
+			return 0, fmt.Errorf("core: rank %d encode: %w", rank, err)
 		}
 		if n, err = diy.CollectiveWrite(w, rank, path, payload); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	rec.End(rank, sp)
-	return n, time.Since(t0), nil
+	return n, nil
 }
 
 // computeBuffers is the retained storage of the compute stage: per-worker
@@ -443,33 +434,6 @@ func computeIndexedCells(bi *blockIndex, local []diy.Particle, cfg Config, worke
 	}
 	mesh := cb.mb.Stitch(cb.frags[:chunks], bi.bounds)
 	return &BlockResult{Mesh: mesh, Counts: counts, Ghosts: bi.ghosts, Kernel: kernel}, nil
-}
-
-// stepTotals is what the ranks of a step agree on at its end. It travels
-// as one value through one Allreduce: a struct boxes into an interface with
-// one allocation whatever it holds, where a bare Duration or int64 boxes
-// alloc-free only below 256 — five scalar reductions made a step's
-// allocation count follow its wall-clock values.
-type stepTotals struct {
-	Timing Timing
-	Counts CellCounts
-	Ghosts int64
-}
-
-// merge is the Allreduce operator: the slowest rank's phase times, and
-// the sums of output bytes, cell counts and ghosts. Timing.Total is not
-// reduced; StepFrom sums the reduced phases.
-func (a stepTotals) merge(b stepTotals) stepTotals {
-	return stepTotals{
-		Timing: Timing{
-			Exchange:    max(a.Timing.Exchange, b.Timing.Exchange),
-			Compute:     max(a.Timing.Compute, b.Timing.Compute),
-			Output:      max(a.Timing.Output, b.Timing.Output),
-			OutputBytes: a.Timing.OutputBytes + b.Timing.OutputBytes,
-		},
-		Counts: a.Counts.add(b.Counts),
-		Ghosts: a.Ghosts + b.Ghosts,
-	}
 }
 
 // add returns the field-wise sum of two cell counts.

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/diy"
@@ -275,15 +274,15 @@ func TestOutputFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Timing.OutputBytes <= 0 {
+	if out.Bytes <= 0 {
 		t.Error("no output bytes recorded")
 	}
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() != out.Timing.OutputBytes {
-		t.Errorf("file size %d, recorded %d", st.Size(), out.Timing.OutputBytes)
+	if st.Size() != out.Bytes {
+		t.Errorf("file size %d, recorded %d", st.Size(), out.Bytes)
 	}
 	blocks, err := diy.ReadAllBlocks(path)
 	if err != nil {
@@ -345,15 +344,16 @@ func TestTimingsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	const L = 6.0
 	ps := perturbedParticles(rng, 6, L, 0.8)
-	out, err := Run(baseConfig(L), ps, 4)
+	cfg := baseConfig(L)
+	cfg.Recorder = obs.NewRecorder(4)
+	out, err := Run(cfg, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Timing.Compute <= 0 {
-		t.Error("compute time not recorded")
-	}
-	if out.Timing.Total < out.Timing.Compute {
-		t.Error("total < compute")
+	for _, ph := range []obs.Phase{obs.PhaseExchange, obs.PhaseGhostMerge, obs.PhaseCompute, obs.PhaseOutput} {
+		if out.Obs.SlowestRank(ph) <= 0 {
+			t.Errorf("%v time not recorded", ph)
+		}
 	}
 	if out.Ghosts == 0 {
 		t.Error("no ghosts recorded")
@@ -379,37 +379,60 @@ func TestCompareAccuracyEdgeCases(t *testing.T) {
 	}
 }
 
-// runBothSchedulers runs cfg through Run and RunTimed, a recorder on each,
-// and requires what one shared rank body implies: every block's mesh,
-// the global counts, and every deterministic per-rank counter are
-// equal whether the ranks compute together or take turns.
+// runBothSchedulers runs cfg through Run and RunTimed on the same
+// particles and output path, a recorder on each, and requires what one
+// shared rank body implies: every block's mesh, the global counts, every
+// message and byte matrix, every collective and every counter are equal
+// whether the ranks compute together or take turns. The turns are
+// barriers, which send nothing; tessbench reads its communication table
+// off the timed pass on this premise.
 func runBothSchedulers(t *testing.T, cfg Config, ps []diy.Particle, blocks int) (*Output, *Output) {
 	t.Helper()
+	path := filepath.Join(t.TempDir(), "mesh.out")
 	cfg.Recorder = obs.NewRecorder(blocks)
-	a, err := Run(cfg, ps, blocks)
+	a, err := Run(cfg, ps, blocks, WithOutputPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Recorder = obs.NewRecorder(blocks)
-	b, err := RunTimed(cfg, ps, blocks)
+	b, err := RunTimed(cfg, ps, blocks, WithOutputPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Counts != b.Counts {
-		t.Errorf("counts differ: Run %+v, RunTimed %+v", a.Counts, b.Counts)
+	if a.Counts != b.Counts || a.Bytes != b.Bytes {
+		t.Errorf("counts differ: Run %+v (%d B), RunTimed %+v (%d B)", a.Counts, a.Bytes, b.Counts, b.Bytes)
 	}
 	for rank := range a.Meshes {
 		if !reflect.DeepEqual(a.Meshes[rank], b.Meshes[rank]) {
 			t.Errorf("block %d: mesh differs between Run and RunTimed", rank)
 		}
 	}
-	for _, name := range []obs.Counter{
-		obs.CounterGhosts, obs.CounterCellsKept, obs.CounterSites, obs.CounterKernelShells,
-		obs.CounterKernelGathered, obs.CounterKernelSorted, obs.CounterKernelTested, obs.CounterKernelCut,
-		obs.CounterKernelCulled,
+	sa, sb := a.Obs, b.Obs
+	if sa.TotalSentMsgs == 0 {
+		t.Error("Run recorded no messages")
+	}
+	for _, m := range []struct {
+		name       string
+		run, timed [][]int64
+	}{
+		{"SendMsgs", sa.SendMsgs, sb.SendMsgs},
+		{"SendBytes", sa.SendBytes, sb.SendBytes},
+		{"RecvMsgs", sa.RecvMsgs, sb.RecvMsgs},
+		{"RecvBytes", sa.RecvBytes, sb.RecvBytes},
 	} {
-		ca, cb := a.Obs.Counters[name.String()], b.Obs.Counters[name.String()]
-		if len(ca) != blocks || !reflect.DeepEqual(ca, cb) {
+		if !reflect.DeepEqual(m.run, m.timed) {
+			t.Errorf("%s: Run %v, RunTimed %v", m.name, m.run, m.timed)
+		}
+	}
+	for rank := range sa.PerRank {
+		ra, rb := sa.PerRank[rank], sb.PerRank[rank]
+		if ra.Collectives != rb.Collectives || ra.CollectiveBytes != rb.CollectiveBytes {
+			t.Errorf("rank %d collectives: Run %d (%d B), RunTimed %d (%d B)",
+				rank, ra.Collectives, ra.CollectiveBytes, rb.Collectives, rb.CollectiveBytes)
+		}
+	}
+	for _, name := range sa.CounterNames {
+		if ca, cb := sa.Counters[name], sb.Counters[name]; len(ca) != blocks || !reflect.DeepEqual(ca, cb) {
 			t.Errorf("counter %s: Run %v, RunTimed %v", name, ca, cb)
 		}
 	}
@@ -423,8 +446,8 @@ func TestRunTimedMatchesRun(t *testing.T) {
 	cfg := baseConfig(L)
 	cfg.MinVolume = 0.5
 	_, b := runBothSchedulers(t, cfg, ps, 4)
-	if tm := b.Timing; tm.Compute <= 0 || tm.Total != tm.Exchange+tm.Compute+tm.Output {
-		t.Errorf("timings not populated: %+v", tm)
+	if voro := b.Obs.SlowestRank(obs.PhaseGhostMerge, obs.PhaseCompute); voro <= 0 {
+		t.Errorf("RunTimed recorded no Voronoi time: %v", voro)
 	}
 }
 
@@ -437,7 +460,7 @@ func TestRunTimedOutputFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Timing.OutputBytes <= 0 {
+	if out.Bytes <= 0 {
 		t.Error("no output bytes")
 	}
 	blocks, err := diy.ReadAllBlocks(path)
@@ -446,6 +469,55 @@ func TestRunTimedOutputFile(t *testing.T) {
 	}
 	if len(blocks) != 2 {
 		t.Errorf("blocks on disk = %d", len(blocks))
+	}
+}
+
+// A step's only collectives are its write's: the ranks' totals are summed
+// after they join, so a step with no output path records none, and one
+// with a path exactly what diy.CollectiveWrite records run alone on a
+// world of the same size.
+func TestStepCollectivesAreTheWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	const L, blocks = 6.0, 4
+	ps := perturbedParticles(rng, 6, L, 0.8)
+	dir := t.TempDir()
+
+	w := comm.NewWorld(blocks)
+	rec := obs.NewRecorder(blocks)
+	w.SetRecorder(rec)
+	if err := w.Run(func(rank int) {
+		if _, err := diy.CollectiveWrite(w, rank, filepath.Join(dir, "alone.out"), []byte{byte(rank)}); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	write := rec.Snapshot()
+
+	cfg := baseConfig(L)
+	cfg.Recorder = obs.NewRecorder(blocks)
+	s, err := OpenSession(cfg, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, path := range []string{"", filepath.Join(dir, "step.out")} {
+		out, err := s.Step(ps, WithOutputPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, m := range out.Obs.PerRank {
+			var want int64
+			if path != "" {
+				want = write.PerRank[rank].Collectives
+				if want == 0 {
+					t.Fatalf("rank %d: CollectiveWrite alone recorded no collectives", rank)
+				}
+			}
+			if m.Collectives != want {
+				t.Errorf("output path %q: rank %d recorded %d collectives, want %d", path, rank, m.Collectives, want)
+			}
+		}
 	}
 }
 
@@ -532,44 +604,4 @@ func TestAutoRunStopsAtMaxGhost(t *testing.T) {
 		t.Errorf("final ghost = %v, want the max 8", ghost)
 	}
 	_ = out
-}
-
-// One Allreduce of stepTotals gives what the four scalar timing reductions
-// and the two count reductions gave (Total is summed after the reduction).
-func TestStepTotalsMatchScalarReductions(t *testing.T) {
-	const ranks = 4
-	w := comm.NewWorld(ranks)
-	in := make([]stepTotals, ranks)
-	for r := range in {
-		d := func(k int) time.Duration { return time.Duration((r*7+k*13)%11) * 100 * time.Nanosecond }
-		in[r] = stepTotals{
-			Timing: Timing{Exchange: d(1), Compute: d(2), Output: d(3), OutputBytes: int64(1000 * r)},
-			Counts: CellCounts{Sites: int64(10 + r), Incomplete: int64(r), CulledEarly: 1, CulledExact: int64(2 * r), Kept: 5},
-			Ghosts: int64(300 - r),
-		}
-	}
-	maxDuration := func(a, b time.Duration) time.Duration { return max(a, b) }
-	sumInt64 := func(a, b int64) int64 { return a + b }
-	var got, want [ranks]stepTotals
-	if err := w.Run(func(rank int) {
-		v := in[rank]
-		got[rank] = comm.Allreduce(w, rank, v, stepTotals.merge)
-		want[rank] = stepTotals{
-			Timing: Timing{
-				Exchange:    comm.Allreduce(w, rank, v.Timing.Exchange, maxDuration),
-				Compute:     comm.Allreduce(w, rank, v.Timing.Compute, maxDuration),
-				Output:      comm.Allreduce(w, rank, v.Timing.Output, maxDuration),
-				OutputBytes: comm.Allreduce(w, rank, v.Timing.OutputBytes, sumInt64),
-			},
-			Counts: comm.Allreduce(w, rank, v.Counts, CellCounts.add),
-			Ghosts: comm.Allreduce(w, rank, v.Ghosts, sumInt64),
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for r := range got {
-		if got[r] != want[r] {
-			t.Errorf("rank %d: one reduction gave %+v, scalar reductions %+v", r, got[r], want[r])
-		}
-	}
 }

@@ -84,7 +84,7 @@ func TestStreamedWeldMatchesBuild(t *testing.T) {
 		for rank := 0; rank < d.NumBlocks(); rank++ {
 			var rs rankState
 			for _, workers := range []int{1, 2, 3, 8} {
-				res, _, err := rs.compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
+				res, err := rs.compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
 				if err != nil {
 					t.Fatalf("%s rank %d workers %d: %v", tc.name, rank, workers, err)
 				}

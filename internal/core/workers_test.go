@@ -25,7 +25,7 @@ func TestRankComputeDeterministicAcrossWorkers(t *testing.T) {
 		var ref *meshio.BlockMesh
 		var refCounts CellCounts
 		for _, workers := range []int{1, 2, 3, 8} {
-			res, _, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
+			res, err := new(rankState).compute(cfg, rank, d.Block(rank), parts[rank], ghosts[rank], workers)
 			if err != nil {
 				t.Fatalf("rank %d workers %d: %v", rank, workers, err)
 			}

@@ -96,7 +96,7 @@ func (a *tessAnalysis) Run(ctx *Context) (Result, error) {
 			"incomplete":      float64(out.Counts.Incomplete),
 			"volume_skewness": m.Skewness,
 			"volume_kurtosis": m.Kurtosis,
-			"output_bytes":    float64(out.Timing.OutputBytes),
+			"output_bytes":    float64(out.Bytes),
 		},
 	}, nil
 }

@@ -540,14 +540,19 @@ func (s *Snapshot) Imbalance(p Phase) float64 {
 	return float64(max) / mean
 }
 
-// SlowestRank returns the maximum per-rank time of one phase — the number a
-// batch scheduler observes and the reduction Table II reports.
-func (s *Snapshot) SlowestRank(p Phase) time.Duration {
+// SlowestRank returns the maximum over ranks of the rank's time summed
+// over phases — the number a batch scheduler observes and the reduction
+// Table II reports. Several phases are summed per rank before the maximum
+// (Table II's Voronoi time is SlowestRank(PhaseGhostMerge, PhaseCompute)),
+// which is not the sum of each phase's slowest rank.
+func (s *Snapshot) SlowestRank(phases ...Phase) time.Duration {
 	var t time.Duration
 	for _, m := range s.PerRank {
-		if d := m.Phase.Get(p); d > t {
-			t = d
+		var d time.Duration
+		for _, p := range phases {
+			d += m.Phase.Get(p)
 		}
+		t = max(t, d)
 	}
 	return t
 }

@@ -47,6 +47,30 @@ func TestRecorderSpansAndTotals(t *testing.T) {
 	}
 }
 
+// Several phases sum per rank before the maximum: rank 0 is slowest at
+// merge (3ms) and rank 1 at compute (4ms), so the per-phase maxima sum to
+// 7ms, but no rank spent more than rank 1's 1ms + 4ms.
+func TestSlowestRankSumsPhasesPerRank(t *testing.T) {
+	r := NewRecorder(2)
+	recordAt(r, 0, PhaseGhostMerge, 0, 3*time.Millisecond)
+	recordAt(r, 0, PhaseCompute, 3*time.Millisecond, time.Millisecond)
+	recordAt(r, 1, PhaseGhostMerge, 0, time.Millisecond)
+	recordAt(r, 1, PhaseCompute, time.Millisecond, 4*time.Millisecond)
+	s := r.Snapshot()
+	if got := s.SlowestRank(PhaseGhostMerge, PhaseCompute); got != 5*time.Millisecond {
+		t.Errorf("SlowestRank(GhostMerge, Compute) = %v, want 5ms", got)
+	}
+	if sum := s.SlowestRank(PhaseGhostMerge) + s.SlowestRank(PhaseCompute); sum != 7*time.Millisecond {
+		t.Errorf("per-phase maxima sum to %v, want 7ms", sum)
+	}
+	if got := s.SlowestRank(PhaseCompute); got != 4*time.Millisecond {
+		t.Errorf("SlowestRank(Compute) = %v, want 4ms", got)
+	}
+	if got := s.SlowestRank(PhaseOutput); got != 0 {
+		t.Errorf("SlowestRank(Output) = %v, want 0 for an unrecorded phase", got)
+	}
+}
+
 func TestRecorderCommCounters(t *testing.T) {
 	r := NewRecorder(3)
 	var wg sync.WaitGroup

@@ -25,11 +25,9 @@ type Particle = diy.Particle
 type Config = core.Config
 
 // Output is the gathered result of a tessellation: per-block meshes, global
-// cell counts, and slowest-rank phase timings.
+// cell counts, the written file size, and (with a Recorder) the pass's
+// observability snapshot, whose SlowestRank gives the phase timings.
 type Output = core.Output
-
-// Timing is the per-phase wall time of a pass (exchange, compute, output).
-type Timing = core.Timing
 
 // CellCounts tracks how many cells were kept, culled, or incomplete.
 type CellCounts = core.CellCounts
